@@ -9,6 +9,13 @@
 //
 // Populations are metropolitan-area estimates; exact values are irrelevant —
 // only the ordering matters for geolocation.
+//
+// The geolocation lookup is a linear scan, made cheap rather than indexed:
+// NewDB precomputes every city's unit vector and a population-descending
+// order, so HighestPopulationIn tests cities with geo.Cap (multiplications
+// only) and returns at its first hit. At a few hundred cities a miss costs
+// under a microsecond; a spatial index would not pay for itself below
+// roughly 10⁴ entries.
 package cities
 
 import (
@@ -75,6 +82,11 @@ func (c City) String() string { return c.Name + ", " + c.Country }
 type DB struct {
 	cities []City
 	byName map[string]int
+	vecs   []geo.Vec // vecs[i] is cities[i].Location.Vec()
+	// byPop lists city indices by descending population, equal
+	// populations in list order: the first city of it inside a disc is the
+	// one a full scan keeping the first strict maximum would return.
+	byPop []int32
 }
 
 // NewDB builds a DB from the given cities. Duplicate names keep the first
@@ -83,12 +95,19 @@ func NewDB(cs []City) *DB {
 	db := &DB{
 		cities: append([]City(nil), cs...),
 		byName: make(map[string]int, len(cs)),
+		vecs:   make([]geo.Vec, len(cs)),
+		byPop:  make([]int32, len(cs)),
 	}
 	for i, c := range db.cities {
 		if _, dup := db.byName[c.Name]; !dup {
 			db.byName[c.Name] = i
 		}
+		db.vecs[i] = c.Location.Vec()
+		db.byPop[i] = int32(i)
 	}
+	sort.SliceStable(db.byPop, func(a, b int) bool {
+		return db.cities[db.byPop[a]].Population > db.cities[db.byPop[b]].Population
+	})
 	return db
 }
 
@@ -130,18 +149,29 @@ func (db *DB) InContinent(ct Continent) []City {
 	return out
 }
 
-// Nearest returns the city closest to p and its distance in km.
-// It returns false only for an empty database.
+// Nearest returns the city closest to p and its distance in km: the first
+// city in list order at the smallest haversine distance. It returns false
+// only for an empty database.
 func (db *DB) Nearest(p geo.Coordinate) (City, float64, bool) {
 	if len(db.cities) == 0 {
 		return City{}, 0, false
 	}
-	best := -1
-	bestD := 0.0
-	for i, c := range db.cities {
-		d := c.Location.DistanceKm(p)
-		if best == -1 || d < bestD {
+	// Growing caps stand in for the comparison of distances: a city
+	// outside the cap that just holds the best city so far is farther
+	// than it, decided by geo.Cap without trigonometry; only a city
+	// inside it pays for its haversine distance.
+	u := p.Vec()
+	best := 0
+	bestD := db.cities[0].Location.DistanceKm(p)
+	within := geo.NewCap(geo.Disc{Center: p, RadiusKm: bestD}, u)
+	for i := 1; i < len(db.cities); i++ {
+		loc := db.cities[i].Location
+		if !within.Contains(loc, db.vecs[i]) {
+			continue
+		}
+		if d := loc.DistanceKm(p); d < bestD {
 			best, bestD = i, d
+			within = geo.NewCap(geo.Disc{Center: p, RadiusKm: bestD}, u)
 		}
 	}
 	return db.cities[best], bestD, true
@@ -151,19 +181,21 @@ func (db *DB) Nearest(p geo.Coordinate) (City, float64, bool) {
 // This is iGreedy's geolocation rule. ok is false when no city lies within
 // the disc; callers then typically fall back to Nearest of the disc center.
 func (db *DB) HighestPopulationIn(d geo.Disc) (City, bool) {
-	best := -1
-	for i, c := range db.cities {
-		if !d.Contains(c.Location) {
-			continue
-		}
-		if best == -1 || c.Population > db.cities[best].Population {
-			best = i
+	c := geo.NewCap(d, d.Center.Vec())
+	return db.HighestPopulationInCap(&c)
+}
+
+// HighestPopulationInCap is HighestPopulationIn for a disc whose geometry
+// the caller has already precomputed.
+//
+//laces:hotpath one scan per enumerated site; stops at the first city of the population order inside the cap
+func (db *DB) HighestPopulationInCap(c *geo.Cap) (City, bool) {
+	for _, i := range db.byPop {
+		if c.Contains(db.cities[i].Location, db.vecs[i]) {
+			return db.cities[i], true
 		}
 	}
-	if best == -1 {
-		return City{}, false
-	}
-	return db.cities[best], true
+	return City{}, false
 }
 
 // WithinKm returns all cities within radius km of p, ordered by distance.
@@ -173,9 +205,10 @@ func (db *DB) WithinKm(p geo.Coordinate, radius float64) []City {
 		d float64
 	}
 	var hits []cd
-	for _, c := range db.cities {
-		if d := c.Location.DistanceKm(p); d <= radius {
-			hits = append(hits, cd{c, d})
+	within := geo.NewCap(geo.Disc{Center: p, RadiusKm: radius}, p.Vec())
+	for i, c := range db.cities {
+		if within.Contains(c.Location, db.vecs[i]) {
+			hits = append(hits, cd{c, c.Location.DistanceKm(p)})
 		}
 	}
 	sort.Slice(hits, func(i, j int) bool { return hits[i].d < hits[j].d })

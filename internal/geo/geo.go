@@ -9,6 +9,16 @@
 // MaxDistanceKm(r) around that vantage point. Two vantage points whose
 // discs do not intersect constitute a "speed-of-light violation" and prove
 // the probed address is anycast.
+//
+// The disc tests come in two forms that always agree. Disc.Contains and
+// Disc.Overlaps compare a haversine DistanceKm with the radius: three
+// trigonometric calls, a square root and an arcsine per test. They are the
+// reference. Cap carries the same disc with its geometry precomputed — the
+// centre's unit vector and sin/cos of RadiusKm/2R — so that Cap.Contains
+// and Cap.Overlaps decide with multiplications only, and fall back to the
+// reference comparison whenever their two sides are too close for the
+// rounding of either form to be trusted (see guardBand). The census hot
+// path (iGreedy, the city lookup) runs on Cap.
 package geo
 
 import (
@@ -111,6 +121,135 @@ func (d Disc) Contains(p Coordinate) bool {
 // speed-of-light violation iGreedy looks for.
 func (d Disc) Overlaps(other Disc) bool {
 	return d.Center.DistanceKm(other.Center) <= d.RadiusKm+other.RadiusKm
+}
+
+// Vec is a coordinate's unit vector on the sphere. For two coordinates a
+// quarter of the squared chord between their vectors is sin²(θ/2) of the
+// angle θ between them: exactly haversine's h, without its trigonometry.
+type Vec struct{ X, Y, Z float64 }
+
+// Vec returns the coordinate's unit vector. An invalid coordinate gets the
+// NaN vector, which sends every Cap test it takes part in to the haversine
+// reference.
+func (c Coordinate) Vec() Vec {
+	if !c.IsValid() {
+		nan := math.NaN()
+		return Vec{nan, nan, nan}
+	}
+	sinLat, cosLat := math.Sincos(c.Lat * degToRad)
+	sinLon, cosLon := math.Sincos(c.Lon * degToRad)
+	return Vec{X: cosLat * cosLon, Y: cosLat * sinLon, Z: sinLat}
+}
+
+// hav returns chord²/4 = sin²(θ/2) between two unit vectors.
+func (u Vec) hav(v Vec) float64 {
+	dx, dy, dz := u.X-v.X, u.Y-v.Y, u.Z-v.Z
+	return (dx*dx + dy*dy + dz*dz) * 0.25
+}
+
+const (
+	// guardBand is the relative distance between hav and its threshold
+	// below which a Cap test hands the decision to the haversine
+	// reference. Both forms compute sin²(θ/2) of the same float inputs;
+	// they differ from the true value, and so from each other, by at most
+	// a few 1e-15·√h absolute (the rounding of a vector component, or of
+	// a longitude difference near ±180°, times the chord) plus a few ulps
+	// relative, and the thresholds sin²(r/2R) carry a few ulps. Above
+	// minFastHav a band of 1e-9·h is hundreds of times that, so outside
+	// the band the sign of hav − threshold is the sign of
+	// DistanceKm − radius, and inside it the reference itself is asked:
+	// every decision equals the reference's.
+	guardBand = 1e-9
+
+	// minFastHav is the threshold (as sin²(r/2R); 1e-9 is r ≈ 400 m)
+	// under which the absolute error term above outgrows the relative
+	// band, so smaller discs always take the reference comparison. An
+	// RTT-derived radius is 100 m per microsecond: nothing a census
+	// measures is that small.
+	minFastHav = 1e-9
+)
+
+// maxDistanceKm is the largest value DistanceKm returns for valid
+// coordinates (πR as the haversine rounds it: the arcsine of a clamped h
+// never exceeds Asin(1)). A radius, or sum of radii, at or past it holds
+// every valid point whatever the distance, and sin(r/2R) stops growing
+// with r there, so the fast comparisons are for radii below it.
+var maxDistanceKm = 2 * EarthRadiusKm * math.Asin(1)
+
+// Cap is a Disc with its geometry precomputed for many tests: build it
+// once with NewCap, then Contains and Overlaps cost a handful of
+// multiplications each. Their decisions are those of Disc.Contains and
+// Disc.Overlaps for every input, NaN, negative and whole-Earth radii and
+// invalid coordinates included.
+type Cap struct {
+	Disc
+	U Vec // Center.Vec()
+
+	// sin and cos of RadiusKm/2R; NaN when the radius is negative, NaN or
+	// at least maxDistanceKm, which fails every fast comparison below.
+	sin, cos float64
+	// Contains is decided without the reference when hav falls below lo
+	// or above hi: sin² ∓ guardBand; NaN (never) for a radius that is
+	// negative, NaN or under minFastHav; +Inf (always inside, unless hav
+	// is NaN) for a radius of at least maxDistanceKm.
+	lo, hi float64
+}
+
+// NewCap precomputes d. u must be d.Center.Vec(); callers that test many
+// discs around the same centre compute it once.
+func NewCap(d Disc, u Vec) Cap {
+	c := Cap{Disc: d, U: u}
+	c.sin, c.cos, c.lo, c.hi = math.NaN(), math.NaN(), math.NaN(), math.NaN()
+	switch {
+	case d.RadiusKm >= maxDistanceKm:
+		c.lo, c.hi = math.Inf(1), math.Inf(1)
+	case d.RadiusKm >= 0:
+		c.sin, c.cos = math.Sincos(d.RadiusKm / (2 * EarthRadiusKm))
+		if t := c.sin * c.sin; t >= minFastHav {
+			c.lo, c.hi = t*(1-guardBand), t*(1+guardBand)
+		}
+	}
+	return c
+}
+
+// Contains reports whether p, whose unit vector is u, lies inside the cap
+// (boundary inclusive): Disc.Contains(p) without the trigonometry.
+//
+//laces:hotpath one call per (disc, city) and per (disc, disc) in iGreedy; multiplications only outside the guard band
+func (c *Cap) Contains(p Coordinate, u Vec) bool {
+	h := c.U.hav(u)
+	if h < c.lo {
+		return true
+	}
+	if h > c.hi {
+		return false
+	}
+	return c.Disc.Contains(p)
+}
+
+// Overlaps reports whether two caps share at least one point:
+// Disc.Overlaps without the trigonometry. The threshold is
+// sin²((r₁+r₂)/2R) by the angle-sum identity on the precomputed halves.
+//
+//laces:hotpath one call per disc pair in iGreedy; multiplications only outside the guard band
+func (c *Cap) Overlaps(o *Cap) bool {
+	h := c.U.hav(o.U)
+	if c.RadiusKm+o.RadiusKm >= maxDistanceKm {
+		if !math.IsNaN(h) {
+			return true // together they span any two valid points
+		}
+	} else {
+		s := c.sin*o.cos + c.cos*o.sin
+		if t := s * s; t >= minFastHav {
+			if h < t*(1-guardBand) {
+				return true
+			}
+			if h > t*(1+guardBand) {
+				return false
+			}
+		}
+	}
+	return c.Disc.Overlaps(o.Disc)
 }
 
 // Midpoint returns the coordinate halfway along the great circle segment

@@ -16,10 +16,20 @@
 // centre of the smallest disc is an O(n) certificate of "no violation";
 // only targets failing it pay for the O(n²) pairwise scan. This is the
 // optimisation benchmarked by BenchmarkIGreedyOrdering.
+//
+// Geometry: every disc is turned into a geo.Cap once per call — the VP's
+// unit vector, remembered across calls, and sin/cos of the radius — and
+// every containment, overlap and city test after that is a few
+// multiplications whose decision equals the haversine comparison's (see
+// package geo). The discs are sorted by radius once and the enumeration
+// walks that order. Working memory is pooled, so a call allocates only the
+// Result it returns. The analysis as it stood on haversine is kept in
+// reference_test.go and every Result is held to it.
 package igreedy
 
 import (
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"github.com/laces-project/laces/internal/cities"
@@ -74,18 +84,52 @@ type Result struct {
 // NumSites returns the enumerated site count.
 func (r Result) NumSites() int { return len(r.Sites) }
 
-// disc pairs a sample index with its constraint disc.
-type disc struct {
-	d  geo.Disc
+// vpDisc is one vantage point's constraint disc with its geometry
+// precomputed (geo.Cap), so the pairwise tests below cost multiplications.
+type vpDisc struct {
+	geo.Cap
 	vp string
 }
 
-// buildDiscs converts samples to discs, dropping unusable samples and
-// keeping only the smallest disc per vantage point (the min-RTT filter —
+// scratch is the working memory of one Detect/Analyze call, pooled so a
+// census that analyses thousands of targets from the same VP pool
+// allocates nothing per target beyond the Result it returns.
+type scratch struct {
+	discs  []vpDisc // one per vantage point, in first-seen order
+	order  []int32  // disc indices in ascending radius order
+	picked []int32  // the greedy enumeration
+
+	// vps remembers every vantage point by name across calls: where its
+	// disc sits in the current call (for the min-RTT filter) and the unit
+	// vector of its last location, so a VP pool pays for its trigonometry
+	// once per pooled scratch instead of once per target.
+	vps  map[string]*vpEntry
+	call uint64 // stamps the entries the current call has seen
+}
+
+type vpEntry struct {
+	loc  geo.Coordinate
+	u    geo.Vec // loc.Vec()
+	call uint64  // the last call that saw this VP
+	idx  int32   // its index into discs during that call
+}
+
+// maxRememberedVPs bounds scratch.vps; past it the memory starts over.
+const maxRememberedVPs = 1 << 12
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{vps: make(map[string]*vpEntry)}
+}}
+
+// build converts samples to discs, dropping unusable samples and keeping
+// only the smallest disc per vantage point (the min-RTT filter —
 // retransmissions and jitter only ever enlarge a disc).
-func buildDiscs(samples []Sample, opts Options) []disc {
-	best := make(map[string]int, len(samples))
-	var out []disc
+func (sc *scratch) build(samples []Sample, opts Options) {
+	sc.discs, sc.order, sc.picked = sc.discs[:0], sc.order[:0], sc.picked[:0]
+	sc.call++
+	if len(sc.vps) > maxRememberedVPs {
+		clear(sc.vps)
+	}
 	for _, s := range samples {
 		rtt := s.RTT - opts.ProcessingAllowance
 		if rtt <= 0 {
@@ -94,30 +138,60 @@ func buildDiscs(samples []Sample, opts Options) []disc {
 			}
 			rtt = time.Microsecond
 		}
-		d := disc{d: geo.Disc{Center: s.Loc, RadiusKm: geo.MaxDistanceKm(rtt)}, vp: s.VP}
-		if i, seen := best[s.VP]; seen {
-			if d.d.RadiusKm < out[i].d.RadiusKm {
-				out[i] = d
-			}
+		radius := geo.MaxDistanceKm(rtt)
+		e := sc.vps[s.VP]
+		if e == nil {
+			e = &vpEntry{loc: s.Loc, u: s.Loc.Vec()}
+			sc.vps[s.VP] = e
+		}
+		if e.call != sc.call {
+			e.call, e.idx = sc.call, int32(len(sc.discs))
+			sc.discs = append(sc.discs, vpDisc{})
+		} else if radius >= sc.discs[e.idx].RadiusKm {
 			continue
 		}
-		best[s.VP] = len(out)
-		out = append(out, d)
+		if e.loc != s.Loc {
+			e.loc, e.u = s.Loc, s.Loc.Vec()
+		}
+		d := &sc.discs[e.idx]
+		d.Cap, d.vp = geo.NewCap(geo.Disc{Center: s.Loc, RadiusKm: radius}, e.u), s.VP
 	}
-	return out
 }
 
 // Detect reports whether the samples prove anycast: some pair of discs is
 // disjoint. It runs the O(n) common-point certificate first and falls back
 // to a pairwise scan sorted so violations are found early.
 func Detect(samples []Sample, opts Options) bool {
-	discs := buildDiscs(samples, opts)
-	anycast, _, _ := detect(discs)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.build(samples, opts)
+	anycast, _, _ := sc.detect()
 	return anycast
 }
 
+// sortByRadius fills sc.order with the disc indices in ascending radius
+// order. It is slices.SortFunc over the identity order: the same pdqsort,
+// comparison for comparison, as the sort.Slice it replaces, so discs of
+// equal radius land in the same places and the enumeration that walks the
+// order is unchanged (TestSortByRadiusMatchesSortSlice).
+func (sc *scratch) sortByRadius() {
+	for i := range sc.discs {
+		sc.order = append(sc.order, int32(i))
+	}
+	discs := sc.discs
+	slices.SortFunc(sc.order, func(a, b int32) int {
+		if discs[a].RadiusKm < discs[b].RadiusKm {
+			return -1
+		}
+		return 0
+	})
+}
+
 // detect returns whether a violation exists and, if so, one disjoint pair.
-func detect(discs []disc) (bool, int, int) {
+// When it had to look for one it leaves sc.order sorted for the
+// enumeration to reuse.
+func (sc *scratch) detect() (bool, int32, int32) {
+	discs := sc.discs
 	if len(discs) < 2 {
 		return false, 0, 0
 	}
@@ -126,13 +200,13 @@ func detect(discs []disc) (bool, int, int) {
 	// violation exists.
 	m := 0
 	for i := range discs {
-		if discs[i].d.RadiusKm < discs[m].d.RadiusKm {
+		if discs[i].RadiusKm < discs[m].RadiusKm {
 			m = i
 		}
 	}
 	all := true
 	for i := range discs {
-		if !discs[i].d.Contains(discs[m].d.Center) {
+		if !discs[i].Contains(discs[m].Center, discs[m].U) {
 			all = false
 			break
 		}
@@ -142,17 +216,12 @@ func detect(discs []disc) (bool, int, int) {
 	}
 	// Pairwise scan in ascending radius order: small discs are the most
 	// discriminating, so true violations exit early.
-	order := make([]int, len(discs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return discs[order[a]].d.RadiusKm < discs[order[b]].d.RadiusKm
-	})
+	sc.sortByRadius()
+	order := sc.order
 	for a := 0; a < len(order); a++ {
-		da := discs[order[a]]
+		da := &discs[order[a]]
 		for b := a + 1; b < len(order); b++ {
-			if !da.d.Overlaps(discs[order[b]].d) {
+			if !da.Overlaps(&discs[order[b]].Cap) {
 				return true, order[a], order[b]
 			}
 		}
@@ -160,69 +229,62 @@ func detect(discs []disc) (bool, int, int) {
 	return false, 0, 0
 }
 
-// Analyze runs detection, enumeration and geolocation on the samples.
-func Analyze(samples []Sample, opts Options) Result {
-	discs := buildDiscs(samples, opts)
-	res := Result{Samples: len(discs)}
-	if len(discs) == 0 {
-		return res
-	}
-	anycast, vi, vj := detect(discs)
-	res.Anycast = anycast
-
-	// Greedy maximum-independent-set approximation: repeatedly take the
-	// smallest disc disjoint from everything taken. Each taken disc is a
-	// distinct site (two disjoint discs cannot share a host).
-	order := make([]int, len(discs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return discs[order[a]].d.RadiusKm < discs[order[b]].d.RadiusKm
-	})
-	var picked []int
-	for _, i := range order {
+// pickDisjoint appends to sc.picked, in ascending radius order, every disc
+// other than skip1 and skip2 that is disjoint from everything picked.
+func (sc *scratch) pickDisjoint(skip1, skip2 int32) {
+	for _, i := range sc.order {
+		if i == skip1 || i == skip2 {
+			continue
+		}
 		ok := true
-		for _, p := range picked {
-			if discs[i].d.Overlaps(discs[p].d) {
+		for _, p := range sc.picked {
+			if sc.discs[i].Overlaps(&sc.discs[p].Cap) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			picked = append(picked, i)
+			sc.picked = append(sc.picked, i)
 		}
 	}
+}
+
+// Analyze runs detection, enumeration and geolocation on the samples.
+func Analyze(samples []Sample, opts Options) Result {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.build(samples, opts)
+	discs := sc.discs
+	res := Result{Samples: len(discs)}
+	if len(discs) == 0 {
+		return res
+	}
+	anycast, vi, vj := sc.detect()
+	res.Anycast = anycast
+	if len(sc.order) == 0 {
+		sc.sortByRadius()
+	}
+
+	// Greedy maximum-independent-set approximation: repeatedly take the
+	// smallest disc disjoint from everything taken. Each taken disc is a
+	// distinct site (two disjoint discs cannot share a host).
+	sc.pickDisjoint(-1, -1)
 	// Greedy maximality does not guarantee it realises a known violation
 	// (the witness pair can both overlap an earlier pick); if that
 	// happens, rebuild the set seeded with the witness pair so the result
 	// is self-consistent: Anycast ⇒ at least two sites.
-	if anycast && len(picked) < 2 {
-		picked = picked[:0]
-		picked = append(picked, vi, vj)
-		for _, i := range order {
-			if i == vi || i == vj {
-				continue
-			}
-			ok := true
-			for _, p := range picked {
-				if discs[i].d.Overlaps(discs[p].d) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				picked = append(picked, i)
-			}
-		}
+	if anycast && len(sc.picked) < 2 {
+		sc.picked = append(sc.picked[:0], vi, vj)
+		sc.pickDisjoint(vi, vj)
 	}
 
 	db := opts.db()
-	for _, i := range picked {
-		s := Site{VP: discs[i].vp, Disc: discs[i].d}
-		if c, ok := db.HighestPopulationIn(discs[i].d); ok {
+	res.Sites = make([]Site, 0, len(sc.picked))
+	for _, i := range sc.picked {
+		s := Site{VP: discs[i].vp, Disc: discs[i].Disc}
+		if c, ok := db.HighestPopulationInCap(&discs[i].Cap); ok {
 			s.City, s.CityOK = c, true
-		} else if c, _, ok := db.Nearest(discs[i].d.Center); ok {
+		} else if c, _, ok := db.Nearest(discs[i].Center); ok {
 			// No city inside the disc (tiny disc in a remote area):
 			// fall back to the nearest city to the VP.
 			s.City, s.CityOK = c, false
@@ -236,10 +298,13 @@ func Analyze(samples []Sample, opts Options) Result {
 // fast path; used by tests as ground truth and by the ordering ablation
 // benchmark.
 func DetectNaive(samples []Sample, opts Options) bool {
-	discs := buildDiscs(samples, opts)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.build(samples, opts)
+	discs := sc.discs
 	for a := 0; a < len(discs); a++ {
 		for b := a + 1; b < len(discs); b++ {
-			if !discs[a].d.Overlaps(discs[b].d) {
+			if !discs[a].Disc.Overlaps(discs[b].Disc) {
 				return true
 			}
 		}

@@ -1,6 +1,7 @@
 package igreedy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -305,5 +306,47 @@ func BenchmarkAnalyzeAnycast(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Analyze(samples, Options{})
+	}
+}
+
+// arkSamples fabricates an Ark-sized measurement: 184 monitors placed at
+// database cities (several share a metro, as on the real platform), each
+// answered by the nearest of the given sites with its own path stretch.
+func arkSamples(t testing.TB, sites []string) []Sample {
+	rng := rand.New(rand.NewSource(184))
+	all := cities.Default().All()
+	locs := make([]geo.Coordinate, len(sites))
+	for i, name := range sites {
+		locs[i] = cityLoc(t, name)
+	}
+	out := make([]Sample, 184)
+	for i := range out {
+		vp := all[rng.Intn(len(all))].Location
+		near := vp.DistanceKm(locs[0])
+		for _, l := range locs[1:] {
+			near = min(near, vp.DistanceKm(l))
+		}
+		out[i] = Sample{VP: fmt.Sprintf("ark-v4-%03d", i), Loc: vp, RTT: rttFor(near, 1.1+0.4*rng.Float64())}
+	}
+	return out
+}
+
+// BenchmarkAnalyzeArk is Analyze at the size the daily census runs it: 184
+// vantage points against a unicast target and a 32-site anycast one.
+func BenchmarkAnalyzeArk(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		sites []string
+	}{
+		{"unicast", []string{"Warsaw"}},
+		{"anycast32", cities.VultrMetros()},
+	} {
+		samples := arkSamples(b, bc.sites)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Analyze(samples, Options{})
+			}
+		})
 	}
 }

@@ -428,12 +428,17 @@ func (o *Orchestrator) runMeasurement(ctx context.Context, cli *wire.Conn, req w
 	// assignment and batch delivery are reproducible across runs.
 	sort.Slice(participants, func(i, j int) bool { return participants[i].idx < participants[j].idx })
 	o.mu.Unlock()
-	defer func() {
+	// release frees the measurement slot. The success path calls it before
+	// the Complete frame goes out: a client may start its next measurement
+	// the moment it reads Complete, and must not find this one still
+	// registered. The deferred call covers the error paths.
+	release := sync.OnceFunc(func() {
 		close(m.finished)
 		o.mu.Lock()
 		o.active = nil
 		o.mu.Unlock()
-	}()
+	})
+	defer release()
 
 	if len(participants) == 0 {
 		return errors.New("orchestrator: no workers connected")
@@ -609,6 +614,7 @@ func (o *Orchestrator) runMeasurement(ctx context.Context, cli *wire.Conn, req w
 				complete.Trace = tc
 				complete.TraceSpans = o.cfg.Obs.TraceSpansFor(tc.TraceID)
 			}
+			release()
 			return cli.Write(wire.MsgComplete, complete)
 		}
 	}

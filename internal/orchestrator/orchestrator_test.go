@@ -27,6 +27,10 @@ func world(t testing.TB) *netsim.World {
 		cfg.V4Targets = 4000
 		cfg.V6Targets = 1000
 		cfg.NumASes = 200
+		// The sim workers stamp probes with the wall clock, so which
+		// targets have a bad routing day depends on the date the tests
+		// run; without this a "clean" unicast flaps on some dates.
+		cfg.TransientDisturbFrac = 0
 		w, err := netsim.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -49,7 +53,10 @@ func startCluster(t testing.TB, n int) (*Orchestrator, *netsim.Deployment, conte
 }
 
 // startClusterCfg is startCluster with orchestrator configuration
-// (governance knobs); Addr and Logf are always overridden.
+// (governance knobs); Addr and Logf are always overridden. The returned
+// cancel silences logging before tearing the cluster down, so disconnect
+// messages from draining goroutines cannot land after the test completes
+// (a panic once the binary runs another iteration under -count).
 func startClusterCfg(t testing.TB, n int, cfg Config) (*Orchestrator, *netsim.Deployment, context.CancelFunc) {
 	t.Helper()
 	w := world(t)
@@ -57,8 +64,17 @@ func startClusterCfg(t testing.TB, n int, cfg Config) (*Orchestrator, *netsim.De
 	if err != nil {
 		t.Fatal(err)
 	}
+	var logMu sync.Mutex
+	quiet := false
+	logf := func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		if !quiet {
+			t.Logf(format, args...)
+		}
+	}
 	cfg.Addr = "127.0.0.1:0"
-	cfg.Logf = t.Logf
+	cfg.Logf = logf
 	o, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +90,7 @@ func startClusterCfg(t testing.TB, n int, cfg Config) (*Orchestrator, *netsim.De
 				return worker.NewSimProber(w, dep, self)
 			},
 			ReconnectMin: 20 * time.Millisecond,
-			Logf:         t.Logf,
+			Logf:         logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +104,12 @@ func startClusterCfg(t testing.TB, n int, cfg Config) (*Orchestrator, *netsim.De
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return o, dep, cancel
+	return o, dep, func() {
+		logMu.Lock()
+		quiet = true
+		logMu.Unlock()
+		cancel()
+	}
 }
 
 // pickTargets selects sample targets of different kinds.
@@ -107,7 +128,7 @@ func pickTargets(w *netsim.World, nEach int) (addrs []netip.Addr, anycastAddrs, 
 			addrs = append(addrs, tg.Addr)
 			nAny++
 		case tg.Kind == netsim.Unicast && len(tg.TempWindows) == 0 && nUni < nEach:
-			if a, ok := w.ASByNumber(tg.Origin); ok && !a.TieSplit && !a.Wobbly && !a.Drifty {
+			if a, ok := w.ASByNumber(tg.Origin); ok && !a.TieSplit && !a.Wobbly && !a.Drifty && len(a.WobblyWindows) == 0 {
 				unicastAddrs[tg.Addr] = true
 				addrs = append(addrs, tg.Addr)
 				nUni++
@@ -415,4 +436,28 @@ func BenchmarkOrchestratorThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(addrs)), "targets/run")
+}
+
+// TestBackToBackMeasurements starts each measurement the moment the
+// previous one's Complete frame has been read. The slot used to be freed
+// only after that frame was on the wire, so the next Run could be refused
+// with "a measurement is already running".
+func TestBackToBackMeasurements(t *testing.T) {
+	o, _, cancel := startCluster(t, 4)
+	defer cancel()
+	addrs, _, _ := pickTargets(world(t), 2)
+
+	cli := &client.Client{Addr: o.Addr()}
+	ctx, cancelRun := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancelRun()
+	for i := 0; i < 200; i++ {
+		def := wire.MeasurementDef{ID: uint16(100 + i), Protocol: "ICMP", OffsetMS: 1000, Rate: 1e6}
+		out, err := cli.Run(ctx, def, addrs, nil)
+		if err != nil {
+			t.Fatalf("measurement %d of 200: %v", i+1, err)
+		}
+		if len(out.Results) == 0 {
+			t.Fatalf("measurement %d of 200: no results", i+1)
+		}
+	}
 }
