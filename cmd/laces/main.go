@@ -48,6 +48,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -455,9 +456,7 @@ func runCensus(args []string) error {
 	if *progress {
 		ps = telemetry.StartProgress(os.Stderr, 200*time.Millisecond)
 	}
-	root := telemetry.StartTrace("census")
 	c, err := pipe.RunDaily(*day, *v6, laces.DayOptions{})
-	root.End()
 	if ps != nil {
 		ps.Stop()
 	}
@@ -1460,10 +1459,7 @@ func runMetrics(args []string) error {
 	}
 	if *spans && len(snap.Spans) > 0 {
 		fmt.Println("spans:")
-		for _, sp := range snap.Spans {
-			depth := strings.Count(sp.Path, "/")
-			fmt.Printf("  %s%-*s %9.3fs\n", strings.Repeat("  ", depth), 48-2*depth, sp.Path, sp.Seconds)
-		}
+		printSpanTree(snap.Spans)
 	}
 	if *events && len(snap.Events) > 0 {
 		fmt.Println("events:")
@@ -1472,10 +1468,38 @@ func runMetrics(args []string) error {
 			for _, l := range ev.Fields {
 				parts = append(parts, fmt.Sprintf("%s=%q", l.Name, l.Value))
 			}
-			fmt.Printf("  %s %s %s\n", ev.At.Format(time.RFC3339), ev.Kind, strings.Join(parts, " "))
+			fmt.Printf("  %s %s %s %s\n", ev.At.Format(time.RFC3339), ev.Kind, ev.Name, strings.Join(parts, " "))
 		}
 	}
 	return nil
+}
+
+// printSpanTree renders spans as a forest: each span indented under the
+// one its Parent names, siblings in start order. A span whose parent is
+// not in the snapshot (it ended in another process) prints as a root.
+func printSpanTree(spans []obs.TraceSpan) {
+	have := make(map[uint64]bool, len(spans))
+	for _, sp := range spans {
+		have[sp.SpanID] = true
+	}
+	children := make(map[uint64][]int)
+	for i, sp := range spans {
+		parent := sp.Parent
+		if !have[parent] {
+			parent = 0
+		}
+		children[parent] = append(children[parent], i)
+	}
+	var walk func(parent uint64, depth int)
+	walk = func(parent uint64, depth int) {
+		kids := children[parent]
+		sort.SliceStable(kids, func(a, b int) bool { return spans[kids[a]].Start.Before(spans[kids[b]].Start) })
+		for _, i := range kids {
+			fmt.Printf("  %s%-*s %9.3fs\n", strings.Repeat("  ", depth), 48-2*depth, spans[i].Name, spans[i].Seconds)
+			walk(spans[i].SpanID, depth+1)
+		}
+	}
+	walk(0, 0)
 }
 
 func runTrace(args []string) error {

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/laces-project/laces/internal/obs"
 )
 
 // lacesBin is the compiled CLI under test, built once in TestMain.
@@ -159,5 +162,105 @@ func TestCLICensusGoverned(t *testing.T) {
 	r := doc.Responsibility
 	if r.Spent+r.Skipped != r.Demanded || r.Demanded == 0 {
 		t.Fatalf("responsibility does not reconcile: %+v", r)
+	}
+}
+
+// TestCLICensusTraceIsOneTree runs a traced census through the binary
+// and pins the export's shape: one non-zero trace ID on every span,
+// exactly one parentless span (the census), every other span parented
+// on a recorded one.
+func TestCLICensusTraceIsOneTree(t *testing.T) {
+	traceOut := filepath.Join(t.TempDir(), "t.jsonl")
+	if code, out := run(t, "census", "-day", "3", "-trace", traceOut); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	f, err := os.Open(traceOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ex, err := obs.ReadTraceJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ex.Spans) < 10 {
+		t.Fatalf("trace holds only %d spans", len(ex.Spans))
+	}
+	ids := map[uint64]bool{}
+	for _, sp := range ex.Spans {
+		ids[sp.SpanID] = true
+	}
+	roots := 0
+	for _, sp := range ex.Spans {
+		if sp.TraceID == 0 || sp.TraceID != ex.Spans[0].TraceID {
+			t.Fatalf("span %q has trace ID %x, want the run's one non-zero ID %x", sp.Name, sp.TraceID, ex.Spans[0].TraceID)
+		}
+		switch {
+		case sp.Parent == 0 && sp.Name == "census":
+			roots++
+		case !ids[sp.Parent]:
+			t.Fatalf("span %q is parentless or names an unrecorded parent", sp.Name)
+		}
+	}
+	if roots != 1 {
+		t.Fatalf("trace has %d census roots, want 1", roots)
+	}
+}
+
+// TestCLIMetricsRendersSpanTree writes a snapshot in completion order
+// (children before parents, as a registry records them) and pins that
+// `laces metrics` indents spans by their parent links, orders siblings
+// by start time, roots a span whose parent lives in another process,
+// and prints the flight events.
+func TestCLIMetricsRendersSpanTree(t *testing.T) {
+	t0 := time.Date(2025, 6, 1, 12, 0, 0, 0, time.UTC)
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	snap := obs.Snapshot{
+		TakenAt: at(5000),
+		Metrics: []obs.SnapshotMetric{{Name: "laces_census_days_total", Type: "counter", Value: 1}},
+		Spans: []obs.TraceSpan{
+			{TraceID: 7, SpanID: 4, Parent: 2, Name: "shard1", Start: at(12), Seconds: 0.5},
+			{TraceID: 7, SpanID: 3, Parent: 2, Name: "shard0", Start: at(11), Seconds: 0.75},
+			{TraceID: 7, SpanID: 2, Parent: 1, Name: "anycast_icmp", Start: at(10), Seconds: 1},
+			{TraceID: 7, SpanID: 5, Parent: 1, Name: "gcd_icmp", Start: at(1500), Seconds: 0.25},
+			{TraceID: 7, SpanID: 1, Name: "census", Start: at(0), Seconds: 2},
+			{TraceID: 9, SpanID: 6, Parent: 99, Name: "worker/measure", Start: at(3000), Seconds: 0.125},
+		},
+		Events: []obs.FlightEvent{{
+			At: at(2000), Kind: "reconcile_mismatch", Name: "census", TraceID: 7, SpanID: 1, N: 3,
+			Fields: []obs.Label{obs.L("day", "3")},
+		}},
+	}
+	path := filepath.Join(t.TempDir(), "snap.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, out := run(t, "metrics", path)
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	want := strings.Join([]string{
+		"spans:",
+		"  census                                               2.000s",
+		"    anycast_icmp                                       1.000s",
+		"      shard0                                           0.750s",
+		"      shard1                                           0.500s",
+		"    gcd_icmp                                           0.250s",
+		"  worker/measure                                       0.125s",
+		"events:",
+		`  2025-06-01T12:00:02Z reconcile_mismatch census day="3"`,
+	}, "\n") + "\n"
+	if !strings.Contains(out, "1 series, 6 spans, 1 events") || !strings.HasSuffix(out, want) {
+		t.Fatalf("metrics rendering:\n%s\nwant suffix:\n%s", out, want)
+	}
+	if code, out := run(t, "metrics", "-spans=false", "-events=false", path); code != 0 || strings.Contains(out, "census  ") {
+		t.Fatalf("-spans=false still rendered spans (exit %d):\n%s", code, out)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"github.com/laces-project/laces/internal/core"
 	"github.com/laces-project/laces/internal/gcdmeas"
 	"github.com/laces-project/laces/internal/hitlist"
+	"github.com/laces-project/laces/internal/lru"
 	"github.com/laces-project/laces/internal/manycast"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
@@ -90,7 +91,7 @@ type Server struct {
 	govOptOut *budget.Registry
 	// cache is the bounded decoded-day LRU, sized on first use so
 	// CacheSize can be set any time before the first request.
-	cache *archive.LRU[censusKey, *cachedDay]
+	cache *lru.Cache[censusKey, *cachedDay]
 }
 
 type censusKey struct {
@@ -179,7 +180,7 @@ func (s *Server) census(v *view, day int, v6 bool) (*cachedDay, error) {
 		if bound <= 0 {
 			bound = DefaultCacheSize
 		}
-		s.cache = archive.NewLRU[censusKey, *cachedDay](bound)
+		s.cache = lru.New[censusKey, *cachedDay](bound)
 	}
 	if cd, ok := s.cache.Get(key); ok {
 		return cd, nil

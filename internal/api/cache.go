@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"github.com/laces-project/laces/internal/archive"
+	"github.com/laces-project/laces/internal/lru"
 	"github.com/laces-project/laces/internal/query"
 )
 
@@ -76,7 +77,7 @@ type view struct {
 	famTags map[string]*resTag
 	idxTag  *resTag
 
-	events *archive.LRU[eventsKey, []query.Event] // guarded by the owning Server's mu
+	events *lru.Cache[eventsKey, []query.Event] // guarded by the owning Server's mu
 }
 
 // newView builds a serving generation over the given handles. ETags are
@@ -90,7 +91,7 @@ func (s *Server) newView(a *archive.Archive, q *query.Index) *view {
 		q:       q,
 		dayTags: make(map[censusKey]*resTag),
 		famTags: make(map[string]*resTag),
-		events:  archive.NewLRU[eventsKey, []query.Event](eventsCacheSize),
+		events:  lru.New[eventsKey, []query.Event](eventsCacheSize),
 	}
 	if a != nil {
 		bound := s.CacheSize

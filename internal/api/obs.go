@@ -171,9 +171,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.Obs.WritePrometheus(w)
 }
 
-// handleTrace serves the registry's distributed-trace export: every
-// collected span (including batches ingested from remote components)
-// plus the flight-recorder snapshot. The default JSONL body is the
+// handleTrace serves the registry's trace export: every collected span
+// (census runs and batches ingested from remote components alike) plus
+// the flight-recorder snapshot. The default JSONL body is the
 // merge-friendly interchange form (`laces trace export` consumes it);
 // ?format=chrome emits Chrome trace_event JSON loadable in Perfetto.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

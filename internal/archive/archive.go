@@ -162,6 +162,21 @@ func newWriter(dir string, opts Options, resume *Archive) (*Writer, error) {
 	}
 	w := &Writer{dir: dir, opts: opts, index: f, fams: make(map[string]*famState)}
 	if resume != nil {
+		// Open skipped a torn final index line (an append that died
+		// mid-write); O_APPEND would glue the next record onto it and the
+		// archive would stop opening. Cut the index back to the records
+		// Open accepted, and terminate a last record that lost only its
+		// newline.
+		if err := f.Truncate(resume.indexEnd); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("archive: truncating torn index tail: %w", err)
+		}
+		if resume.indexOpen {
+			if _, err := f.Write([]byte("\n")); err != nil {
+				f.Close()
+				return nil, fmt.Errorf("archive: terminating index: %w", err)
+			}
+		}
 		w.seq = len(resume.recs)
 		for _, fam := range resume.Families() {
 			days := resume.Days(fam)

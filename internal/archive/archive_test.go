@@ -164,7 +164,9 @@ func TestPackUnpackLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Random access, deliberately out of order to exercise the LRU.
+	// Random access, deliberately out of order to exercise the LRU, with
+	// the decoded-day cache squeezed below the access set.
+	a.SetCacheSize(3)
 	for _, day := range []int{22, 0, 13, 13, 7, 21, 1} {
 		doc, err := a.Document("ipv4", day)
 		if err != nil {
@@ -173,6 +175,9 @@ func TestPackUnpackLossless(t *testing.T) {
 		if !bytes.Equal(canonicalBytes(t, doc), want[day]) {
 			t.Fatalf("day %d: random access did not reproduce canonical bytes", day)
 		}
+	}
+	if n := a.CachedDays(); n > 3 {
+		t.Fatalf("decoded-day cache holds %d days, bound is 3", n)
 	}
 	// Streaming range.
 	seen := 0
@@ -252,6 +257,70 @@ func TestOpenWriterResume(t *testing.T) {
 		if !bytes.Equal(canonicalBytes(t, got), canonicalBytes(t, d)) {
 			t.Fatalf("day %d diverged across writer restart", i)
 		}
+	}
+}
+
+// TestOpenWriterRepairsTornIndexTail is the crash-recovery contract for
+// the index: Open skips an unterminated final line, so OpenWriter must
+// not glue the next record onto it. Whether the dead append left a
+// fragment or a whole record short of its newline, resuming and
+// appending one day leaves an archive that opens, verifies clean and
+// holds exactly one day more than was visible before.
+func TestOpenWriterRepairsTornIndexTail(t *testing.T) {
+	const old = 6
+	docs := chain(old+1, 80)
+	for _, tc := range []struct {
+		name string
+		tear func(index []byte) []byte
+	}{
+		{"fragment", func(ix []byte) []byte { return append(ix, `{"seq":6,"day":6,"fam`...) }},
+		{"missing newline", func(ix []byte) []byte { return bytes.TrimSuffix(ix, []byte("\n")) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			packChain(t, dir, docs[:old], 4)
+			ixPath := filepath.Join(dir, IndexFile)
+			ix, err := os.ReadFile(ixPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(ixPath, tc.tear(ix), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(before.Days("ipv4")); n != old {
+				t.Fatalf("torn archive shows %d days, want %d", n, old)
+			}
+
+			w, err := OpenWriter(dir, Options{SnapshotEvery: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(old, docs[old]); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			a, err := Open(dir)
+			if err != nil {
+				t.Fatalf("archive stopped opening after an append over a torn tail: %v", err)
+			}
+			if res, err := a.Verify(); err != nil || res.Days != old+1 {
+				t.Fatalf("verify after repair: %v (%+v), want %d days", err, res, old+1)
+			}
+			got, err := a.Document("ipv4", old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(canonicalBytes(t, got), canonicalBytes(t, docs[old])) {
+				t.Fatal("day appended over the repaired tail diverged")
+			}
+		})
 	}
 }
 
@@ -436,25 +505,5 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 	if _, err := a2.Verify(); err == nil {
 		t.Fatal("verify accepted a corrupted delta")
-	}
-}
-
-// TestLRUBounded pins the decoded-day cache bound.
-func TestLRUBounded(t *testing.T) {
-	docs := chain(20, 30)
-	dir := t.TempDir()
-	packChain(t, dir, docs, 5)
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetCacheSize(3)
-	for day := 0; day < 20; day++ {
-		if _, err := a.Document("ipv4", day); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := a.CachedDays(); n > 3 {
-		t.Fatalf("LRU holds %d decoded days, bound is 3", n)
 	}
 }

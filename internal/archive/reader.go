@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"github.com/laces-project/laces/internal/core"
+	"github.com/laces-project/laces/internal/lru"
 )
 
 // DefaultCacheSize bounds the decoded-day LRU of an Archive.
@@ -34,8 +35,15 @@ type Archive struct {
 	recs  []Record
 	byFam map[string][]int // record indices per family, ascending day
 
+	// indexEnd is the length of the index prefix that holds the records
+	// above — everything but a torn final line — and indexOpen reports
+	// that this prefix lacks its final newline. A resuming writer repairs
+	// the tail from them before it appends.
+	indexEnd  int64
+	indexOpen bool
+
 	mu    sync.Mutex
-	cache *LRU[dayKey, *core.Document]
+	cache *lru.Cache[dayKey, *core.Document]
 
 	// decodes counts document materializations (snapshot parses and
 	// delta applications). The query layer's index-only guarantee is
@@ -80,8 +88,9 @@ func Open(dir string) (*Archive, error) {
 	if err != nil {
 		return nil, fmt.Errorf("archive: %s is not an archive: %w", dir, err)
 	}
-	a := &Archive{dir: dir, byFam: make(map[string][]int), cache: NewLRU[dayKey, *core.Document](DefaultCacheSize)}
+	a := &Archive{dir: dir, byFam: make(map[string][]int), cache: lru.New[dayKey, *core.Document](DefaultCacheSize)}
 	terminated := len(data) == 0 || data[len(data)-1] == '\n'
+	a.indexEnd, a.indexOpen = int64(len(data)), !terminated
 	lines := bytes.Split(data, []byte("\n"))
 	for i, ln := range lines {
 		if len(ln) == 0 {
@@ -90,7 +99,9 @@ func Open(dir string) (*Archive, error) {
 		var rec Record
 		if err := json.Unmarshal(ln, &rec); err != nil {
 			if i == len(lines)-1 && !terminated {
-				break // append in flight: the torn final record is not visible yet
+				// Append in flight: the torn final record is not visible yet.
+				a.indexEnd, a.indexOpen = int64(len(data)-len(ln)), false
+				break
 			}
 			return nil, fmt.Errorf("archive: index line %d: %w", i+1, err)
 		}
@@ -112,7 +123,7 @@ func Open(dir string) (*Archive, error) {
 func (a *Archive) SetCacheSize(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.cache = NewLRU[dayKey, *core.Document](n)
+	a.cache = lru.New[dayKey, *core.Document](n)
 }
 
 // Families lists the archived address families in sorted order.

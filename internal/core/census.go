@@ -223,7 +223,8 @@ type Config struct {
 	// registry from this path at pipeline construction.
 	OptOutFile string
 	// Obs receives the pipeline's telemetry: per-stage laces_stage_*
-	// series, pipeline spans, live progress and (when governance is
+	// series, one census → stage → shard span tree per RunDaily,
+	// operational events, live progress and (when governance is
 	// active) the budget decision counters. Nil disables instrumentation.
 	// Telemetry never feeds back into measurement: the census document is
 	// byte-identical with Obs set or nil.
@@ -231,72 +232,16 @@ type Config struct {
 	// FlightSink receives a flight-recorder JSONL dump when a census run
 	// trips a failure trigger (currently: the governance ledger's
 	// Spent+Skipped==Demanded reconciliation identity breaking). Requires
-	// a flight recorder enabled on Obs; nil disables automatic dumps.
+	// Obs; nil disables automatic dumps.
 	FlightSink io.Writer
 }
 
-// DayOptions injects per-day conditions (failure modelling, §7). The
-// general mechanism is Chaos — a fault-injection plan evaluated for the
-// run's day; MissingWorkers and DNSBroken predate it and are kept as shims
-// that compile to the equivalent impairments (SiteOutage and a DNS
-// blackhole respectively), so legacy callers produce byte-identical
-// censuses to the chaos plans they denote.
+// DayOptions injects per-day conditions (failure modelling, §7).
 type DayOptions struct {
-	// MissingWorkers marks deployment sites disconnected today (the
-	// pre-July-2025 worker-loss events visible in Fig 9). Shim: equivalent
-	// to a chaos.SiteOutage impairment over these sites.
-	MissingWorkers map[int]bool
-	// DNSBroken models the Sep–Dec 2024 tooling bug that flagged all DNS
-	// replies invalid: no DNS results survive. Shim: equivalent to a
-	// chaos.Blackhole impairment scoped to DNS.
-	DNSBroken bool
 	// Chaos is the fault-injection plan: every impairment whose scope
 	// covers today's census day is applied to the run (probe loss, delay,
 	// partitions, site outages, clock skew, route-flap amplification, …).
 	Chaos *chaos.Scenario
-}
-
-// scenario merges the explicit chaos plan with the legacy shims into the
-// effective scenario for a run, or nil when the day is fault-free.
-func (o DayOptions) scenario() *chaos.Scenario {
-	n := len(o.MissingWorkers)
-	if o.Chaos == nil && !o.DNSBroken && n == 0 {
-		return nil
-	}
-	sc := chaos.Scenario{Name: "day-options"}
-	if o.Chaos != nil {
-		if !o.DNSBroken && n == 0 {
-			return o.Chaos
-		}
-		sc.Name = o.Chaos.Name
-		sc.Impairments = append(sc.Impairments, o.Chaos.Impairments...)
-	}
-	if o.DNSBroken {
-		sc.Impairments = append(sc.Impairments, chaos.Impairment{
-			Kind:  chaos.Blackhole,
-			Scope: chaos.Scope{Protocols: []packet.Protocol{packet.DNS}},
-		})
-	}
-	workers := make([]int, 0, n)
-	for wk, dead := range o.MissingWorkers {
-		// Entries explicitly set to false are present workers; only true
-		// entries translate into a site outage (and a nil Workers scope
-		// would mean "all sites", so an all-false map must add nothing).
-		if dead {
-			workers = append(workers, wk)
-		}
-	}
-	if len(workers) > 0 {
-		sort.Ints(workers)
-		sc.Impairments = append(sc.Impairments, chaos.Impairment{
-			Kind:  chaos.SiteOutage,
-			Scope: chaos.Scope{Workers: workers},
-		})
-	}
-	if len(sc.Impairments) == 0 {
-		return nil
-	}
-	return &sc
 }
 
 // Pipeline runs daily censuses and maintains the feedback loop.
@@ -326,6 +271,21 @@ func (p *Pipeline) dumpFlight(reason string) {
 	}
 	rec.Record("flight_dump", reason, nil, 0)
 	_ = rec.WriteJSONL(p.Cfg.FlightSink)
+}
+
+// reportMismatch records a broken Spent+Skipped==Demanded ledger
+// identity and dumps the flight recorder. The identity holds by
+// construction; breaking it means a stage charged probes outside the
+// gate, so it is surfaced loudly rather than silently publishing broken
+// accounting.
+func (p *Pipeline) reportMismatch(censusSpan *obs.ActiveSpan, day int, total budget.Usage) {
+	p.Cfg.Obs.Flight().Record("reconcile_mismatch", "census", censusSpan.Context(),
+		total.Demanded-total.Spent-total.Skipped,
+		obs.L("day", strconv.Itoa(day)),
+		obs.L("demanded", strconv.FormatInt(total.Demanded, 10)),
+		obs.L("spent", strconv.FormatInt(total.Spent, 10)),
+		obs.L("skipped", strconv.FormatInt(total.Skipped, 10)))
+	p.dumpFlight("reconcile_mismatch")
 }
 
 // NewPipeline validates the configuration and prepares a pipeline.
@@ -393,36 +353,36 @@ func (p *Pipeline) SeedFeedback(v6 bool, ids []int) {
 func (p *Pipeline) FeedbackSize(v6 bool) int { return len(p.feedback[famIdx(v6)]) }
 
 // RunDaily executes the full pipeline for one census day and family.
-// When the day's options carry a chaos plan (explicitly or via the legacy
-// shims), the compiled engine is installed on the world for the duration
-// of the run; the world must not serve concurrent measurements meanwhile.
+// When the day's options carry a chaos plan, the compiled engine is
+// installed on the world for the duration of the run; the world must not
+// serve concurrent measurements meanwhile.
 func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus, error) {
 	w := p.World
 	hl := hitlist.ForDay(w, v6, day)
 	start := netsim.DayTime(day)
 
-	// Pipeline telemetry: a census-level span over the whole run and a
-	// budget reader for the live progress line. Every handle is a no-op
-	// when no registry is configured, and nothing below feeds back into
-	// the measurement.
-	reg := p.Cfg.Obs
-	censusSpan := reg.StartSpan("census")
+	// Pipeline telemetry: the run roots one trace, whose census span
+	// every stage span is opened under, and a budget reader for the live
+	// progress line. Every handle is a no-op when no registry is
+	// configured, and nothing below feeds back into the measurement.
+	censusSpan := p.Cfg.Obs.StartTrace("census")
 	defer censusSpan.End()
+	reg := p.Cfg.Obs.Under(censusSpan)
 	reg.SetBudgetFunc(func() int64 { return p.ledger.Remaining(day) })
 
 	// Resolve the day's fault plan: site outages become missing workers
 	// (dead sites neither transmit nor capture), everything else impairs
 	// individual probes through the world hook. Abuse complaints never
 	// touch probes — they feed the adaptive rate controller below.
-	missing := dayOpts.MissingWorkers
+	var missing map[int]bool
 	complaints := 0
-	if sc := dayOpts.scenario(); sc != nil {
+	if sc := dayOpts.Chaos; sc != nil {
 		eng := chaos.NewEngine(w, *sc)
-		missing = mergeMissing(missing, eng.MissingWorkers(p.Cfg.Deployment, day))
+		missing = eng.MissingWorkers(p.Cfg.Deployment, day)
 		complaints = eng.ComplaintsOn(day)
 		w.SetImpairer(eng)
 		defer w.SetImpairer(nil)
-		reg.Flight().Record("chaos_active", sc.Name, nil, int64(len(sc.Impairments)),
+		reg.Flight().Record("chaos_active", sc.Name, censusSpan.Context(), int64(len(sc.Impairments)),
 			obs.L("day", strconv.Itoa(day)),
 			obs.L("missing_workers", strconv.Itoa(len(missing))),
 			obs.L("complaints", strconv.Itoa(complaints)))
@@ -565,7 +525,7 @@ func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus,
 	// Optional stage 4: CHAOS identity annotation (§8 extension).
 	var chaosUsage budget.Usage
 	if p.Cfg.IncludeChaos {
-		chaosUsage = p.annotateChaos(census, hl, start, gate)
+		chaosUsage = p.annotateChaos(census, hl, start, gate, reg)
 	}
 
 	// Optional stage 5: traceroute screening of ℳ for global-BGP unicast
@@ -608,20 +568,7 @@ func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus,
 		resp.BudgetTargets = total.BudgetTargets
 		census.Responsibility = resp
 		if !total.Reconciles() {
-			// The ledger identity Spent+Skipped==Demanded holds by
-			// construction; breaking it means a stage charged probes
-			// outside the gate. Surface loudly and dump the flight
-			// recorder rather than silently publishing broken accounting.
-			fields := []obs.Label{
-				{Name: "day", Value: strconv.Itoa(day)},
-				{Name: "demanded", Value: strconv.FormatInt(total.Demanded, 10)},
-				{Name: "spent", Value: strconv.FormatInt(total.Spent, 10)},
-				{Name: "skipped", Value: strconv.FormatInt(total.Skipped, 10)},
-			}
-			reg.Event("reconcile_mismatch", fields...)
-			reg.Flight().Record("reconcile_mismatch", "census", nil,
-				total.Demanded-total.Spent-total.Skipped, fields...)
-			p.dumpFlight("reconcile_mismatch")
+			p.reportMismatch(censusSpan, day, total)
 		}
 	}
 
@@ -667,30 +614,6 @@ func (p *Pipeline) screenGlobalBGP(census *DailyCensus, pool []netsim.VP, at tim
 	return nil
 }
 
-// mergeMissing unions two missing-worker sets without mutating either.
-// Only entries whose value is true carry over: a key explicitly set to
-// false marks a present worker and must not become missing in the union.
-func mergeMissing(a, b map[int]bool) map[int]bool {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make(map[int]bool, len(a)+len(b))
-	for wk, dead := range a {
-		if dead {
-			out[wk] = true
-		}
-	}
-	for wk, dead := range b {
-		if dead {
-			out[wk] = true
-		}
-	}
-	return out
-}
-
 // spreadVPs picks up to n VPs evenly spaced through the pool (the pool is
 // generated with geographic spread, so striding preserves it).
 func spreadVPs(pool []netsim.VP, n int) []netsim.VP {
@@ -709,7 +632,7 @@ func spreadVPs(pool []netsim.VP, n int) []netsim.VP {
 // DNS-responsive prefixes from every deployment site and attaches the
 // distinct records to the entries. It returns the stage's governance
 // accounting (zero when the gate is nil or no entry qualified).
-func (p *Pipeline) annotateChaos(census *DailyCensus, hl *hitlist.Hitlist, start time.Time, gate *budget.Gate) budget.Usage {
+func (p *Pipeline) annotateChaos(census *DailyCensus, hl *hitlist.Hitlist, start time.Time, gate *budget.Gate, reg *obs.Registry) budget.Usage {
 	inCensus := make(map[int]bool, len(census.Entries))
 	for id := range census.Entries {
 		inCensus[id] = true
@@ -723,7 +646,7 @@ func (p *Pipeline) annotateChaos(census *DailyCensus, hl *hitlist.Hitlist, start
 	if sub.Len() == 0 {
 		return budget.Usage{}
 	}
-	recs, usage := chaosdns.Census(p.World, p.Cfg.Deployment, sub, start.Add(9*time.Hour), gate, p.Cfg.Parallelism, p.Cfg.Obs)
+	recs, usage := chaosdns.Census(p.World, p.Cfg.Deployment, sub, start.Add(9*time.Hour), gate, p.Cfg.Parallelism, reg)
 	for id, o := range recs {
 		if !o.Supported {
 			continue

@@ -6,10 +6,19 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/laces-project/laces/internal/chaos"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/packet"
 	"github.com/laces-project/laces/internal/platform"
 )
+
+// siteOutage is the day's options for a census run with the given
+// deployment sites disconnected.
+func siteOutage(workers ...int) DayOptions {
+	return DayOptions{Chaos: &chaos.Scenario{Name: "site-outage", Impairments: []chaos.Impairment{
+		{Kind: chaos.SiteOutage, Scope: chaos.Scope{Workers: workers}},
+	}}}
+}
 
 var testWorld = mustWorld()
 
@@ -260,7 +269,9 @@ func TestGCDLSAndTable1Comparison(t *testing.T) {
 
 func TestDNSOutageAlert(t *testing.T) {
 	p := newPipeline(t)
-	c, err := p.RunDaily(200, false, DayOptions{DNSBroken: true})
+	c, err := p.RunDaily(200, false, DayOptions{Chaos: &chaos.Scenario{Name: "dns-outage", Impairments: []chaos.Impairment{
+		{Kind: chaos.Blackhole, Scope: chaos.Scope{Protocols: []packet.Protocol{packet.DNS}}},
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +285,7 @@ func TestDNSOutageAlert(t *testing.T) {
 
 func TestWorkerLossAlertAndRecovery(t *testing.T) {
 	p := newPipeline(t)
-	missing := map[int]bool{1: true, 7: true, 13: true, 19: true, 25: true, 31: true}
-	c, err := p.RunDaily(201, false, DayOptions{MissingWorkers: missing})
+	c, err := p.RunDaily(201, false, siteOutage(1, 7, 13, 19, 25, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +307,11 @@ func TestBaselineDeviationAlert(t *testing.T) {
 	// A day with most workers missing collapses candidate counts — and
 	// with them the 𝒢 count (the feedback loop still measures fed-back
 	// prefixes, so the drop is softened but visible).
-	missing := map[int]bool{}
+	var missing []int
 	for i := 0; i < 28; i++ {
-		missing[i] = true
+		missing = append(missing, i)
 	}
-	c, err := p.RunDaily(35, false, DayOptions{MissingWorkers: missing})
+	c, err := p.RunDaily(35, false, siteOutage(missing...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/laces-project/laces/internal/chaos"
@@ -98,68 +97,5 @@ func TestMonitorDNSBlackholeCanary(t *testing.T) {
 	}
 	if !c.HasAlert(AlertNoResults) {
 		t.Fatal("DNS blackhole did not trip the no-results canary")
-	}
-}
-
-// TestLegacyShimsMatchChaosPlan is the regression bar for the DayOptions
-// generalisation: the legacy DNSBroken/MissingWorkers booleans must
-// produce byte-identical censuses to the chaos plan they are shims for.
-func TestLegacyShimsMatchChaosPlan(t *testing.T) {
-	runJSON := func(opts DayOptions) []byte {
-		t.Helper()
-		_, pipe := monitorPipeline(t)
-		c, err := pipe.RunDaily(7, false, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := c.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	legacy := runJSON(DayOptions{
-		DNSBroken:      true,
-		MissingWorkers: map[int]bool{3: true, 17: true},
-	})
-	plan := chaos.Scenario{Name: "equivalent", Impairments: []chaos.Impairment{
-		{Kind: chaos.Blackhole, Scope: chaos.Scope{Protocols: []packet.Protocol{packet.DNS}}},
-		{Kind: chaos.SiteOutage, Scope: chaos.Scope{Workers: []int{3, 17}}},
-	}}
-	viaChaos := runJSON(DayOptions{Chaos: &plan})
-	if !bytes.Equal(legacy, viaChaos) {
-		t.Fatal("legacy DNSBroken/MissingWorkers shims diverge from the equivalent chaos plan")
-	}
-
-	clean := runJSON(DayOptions{})
-	if bytes.Equal(legacy, clean) {
-		t.Fatal("shim options had no effect at all")
-	}
-}
-
-// TestDayOptionsScenarioMerging covers the shim-to-plan compilation.
-func TestDayOptionsScenarioMerging(t *testing.T) {
-	if (DayOptions{}).scenario() != nil {
-		t.Fatal("fault-free options compiled to a non-nil scenario")
-	}
-	user := chaos.Scenario{Name: "user", Impairments: []chaos.Impairment{{Kind: chaos.Loss, Frac: 0.1}}}
-	if got := (DayOptions{Chaos: &user}).scenario(); got != &user {
-		t.Fatal("pure chaos options should pass the user scenario through unchanged")
-	}
-	merged := (DayOptions{Chaos: &user, DNSBroken: true, MissingWorkers: map[int]bool{2: true, 1: true}}).scenario()
-	if merged == &user || len(merged.Impairments) != 3 {
-		t.Fatalf("merged scenario has %d impairments, want 3 in a copy", len(merged.Impairments))
-	}
-	if merged.Name != "user" {
-		t.Fatalf("merged scenario name %q, want the user scenario's name", merged.Name)
-	}
-	outage := merged.Impairments[2]
-	if outage.Kind != chaos.SiteOutage || len(outage.Scope.Workers) != 2 ||
-		outage.Scope.Workers[0] != 1 || outage.Scope.Workers[1] != 2 {
-		t.Fatalf("missing-workers shim compiled to %+v", outage)
-	}
-	if len(user.Impairments) != 1 {
-		t.Fatal("merging mutated the user's scenario")
 	}
 }

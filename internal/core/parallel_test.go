@@ -118,9 +118,9 @@ func TestParallelCensusDeterminism(t *testing.T) {
 }
 
 // TestWorkersCountIgnoresBogusMissingEntries is the measurement-accounting
-// bugfix: out-of-range site indices and explicit false entries in
-// MissingWorkers must not reduce the participant count (previously they
-// fired spurious AlertFewWorkers).
+// bugfix: out-of-range site indices in a SiteOutage's Workers scope must
+// not reduce the participant count (previously they fired spurious
+// AlertFewWorkers).
 func TestWorkersCountIgnoresBogusMissingEntries(t *testing.T) {
 	w, err := netsim.New(netsim.TestConfig())
 	if err != nil {
@@ -137,13 +137,9 @@ func TestWorkersCountIgnoresBogusMissingEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two bogus entries (an out-of-range index and a false value) plus one
-	// genuine outage: only the genuine one may count.
-	c, err := pipe.RunDaily(0, false, DayOptions{MissingWorkers: map[int]bool{
-		999: true,  // out of range
-		3:   false, // explicitly present
-		5:   true,  // the only real outage
-	}})
+	// Two out-of-range indices plus one genuine outage: only the genuine
+	// one may count.
+	c, err := pipe.RunDaily(0, false, siteOutage(999, -1, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +147,8 @@ func TestWorkersCountIgnoresBogusMissingEntries(t *testing.T) {
 		t.Fatalf("workers = %d, want %d", c.Workers, want)
 	}
 
-	// An all-bogus map is a fully clean day: full participation, no
-	// few-workers alert, and byte-identical output to no map at all.
+	// An all-bogus scope is a fully clean day: full participation, no
+	// few-workers alert, and byte-identical output to no plan at all.
 	pipeClean, err := NewPipeline(w, Config{
 		Deployment: dep,
 		GCDVPs:     func(day int, v6 bool) ([]netsim.VP, error) { return platform.Ark(w, day, v6) },
@@ -171,17 +167,15 @@ func TestWorkersCountIgnoresBogusMissingEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bogus, err := pipeBogus.RunDaily(0, false, DayOptions{MissingWorkers: map[int]bool{
-		999: true, -1: true, 7: false,
-	}})
+	bogus, err := pipeBogus.RunDaily(0, false, siteOutage(999, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bogus.Workers != dep.NumSites() {
-		t.Fatalf("bogus-map workers = %d, want full %d", bogus.Workers, dep.NumSites())
+		t.Fatalf("bogus-scope workers = %d, want full %d", bogus.Workers, dep.NumSites())
 	}
 	if bogus.HasAlert(AlertFewWorkers) {
-		t.Fatal("bogus missing-worker map fired AlertFewWorkers")
+		t.Fatal("bogus site-outage scope fired AlertFewWorkers")
 	}
 	var cleanJSON, bogusJSON bytes.Buffer
 	if err := clean.WriteJSON(&cleanJSON); err != nil {
@@ -191,7 +185,7 @@ func TestWorkersCountIgnoresBogusMissingEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(cleanJSON.Bytes(), bogusJSON.Bytes()) {
-		t.Fatal("bogus missing-worker map changed the census output")
+		t.Fatal("bogus site-outage scope changed the census output")
 	}
 }
 

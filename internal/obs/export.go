@@ -9,39 +9,22 @@ import (
 	"strconv"
 )
 
-// TraceExport is a portable trace dump: the assembled distributed-trace
-// spans plus the flight-recorder events that were retained alongside
-// them. It is what `laces trace export`, `-trace` flags and the
-// /debug/trace API route serialize.
+// TraceExport is a portable trace dump: the assembled spans plus the
+// flight-recorder events that were retained alongside them. It is what
+// `laces trace export`, `-trace` flags and the /debug/trace API route
+// serialize.
 type TraceExport struct {
 	Spans  []TraceSpan   `json:"spans"`
 	Events []FlightEvent `json:"events,omitempty"`
 }
 
 // ExportTrace assembles the registry's current trace view: every
-// completed trace span (local and ingested), the flight-recorder
-// contents, and the legacy path-based census spans converted into
-// trace-span form (trace_id 0 marks a local-only span; Perfetto renders
-// them on the component's track alongside the distributed spans).
+// completed span (local and ingested) and the flight-recorder contents.
 func (r *Registry) ExportTrace() *TraceExport {
 	if r == nil {
 		return &TraceExport{}
 	}
-	ex := &TraceExport{Spans: r.TraceSpans()}
-	component := r.TraceComponent()
-	for i, sp := range r.Spans() {
-		ex.Spans = append(ex.Spans, TraceSpan{
-			SpanID:    uint64(i + 1),
-			Component: component,
-			Name:      sp.Path,
-			Start:     sp.Start,
-			Seconds:   sp.Seconds,
-		})
-	}
-	if f := r.Flight(); f != nil {
-		ex.Events = f.Snapshot()
-	}
-	return ex
+	return &TraceExport{Spans: r.TraceSpans(), Events: r.Flight().Snapshot()}
 }
 
 // traceLine is the JSONL framing: exactly one of span or event per

@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// FlightEvent is one entry in a component's flight recorder: a
-// timestamped structured record of control-plane activity (frame I/O,
-// budget denials, chaos activations, worker lifecycle). TraceID/SpanID
+// FlightEvent is one entry in a registry's flight recorder — the one
+// structured-event log: a timestamped record of operational activity
+// (frame I/O, budget denials, chaos activations, worker lifecycle,
+// reconciliation mismatches). TraceID/SpanID
 // link the event to the distributed trace that was current when it was
 // recorded, when one was.
 type FlightEvent struct {
@@ -165,8 +166,9 @@ func (f *Recorder) WriteJSONL(w io.Writer) error {
 }
 
 // EnableFlight installs a flight recorder for the named component on
-// the registry (replacing any previous one) and returns it. Size is the
-// retained-event count, rounded up to a power of two.
+// the registry, replacing the default one New installed (or any other
+// previous one), and returns it. Size is the retained-event count,
+// rounded up to a power of two.
 func (r *Registry) EnableFlight(component string, size int) *Recorder {
 	if r == nil {
 		return nil
@@ -176,8 +178,8 @@ func (r *Registry) EnableFlight(component string, size int) *Recorder {
 	return rec
 }
 
-// Flight returns the installed flight recorder, or nil when none is
-// enabled. The nil result is itself safe to record against.
+// Flight returns the registry's flight recorder; a nil registry returns
+// nil, which is itself safe to record against.
 func (r *Registry) Flight() *Recorder {
 	if r == nil {
 		return nil
@@ -185,8 +187,7 @@ func (r *Registry) Flight() *Recorder {
 	return r.flight.Load()
 }
 
-// FlightDropped returns the installed recorder's overwritten-event
-// count (zero when no recorder is enabled).
+// FlightDropped returns the recorder's overwritten-event count.
 func (r *Registry) FlightDropped() int64 {
 	if r == nil {
 		return 0

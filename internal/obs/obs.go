@@ -1,12 +1,13 @@
 // Package obs is the census telemetry core: dependency-free counters,
-// gauges and fixed-bucket histograms with atomic updates, lightweight
-// pipeline spans (census → stage → shard), a bounded structured-event
-// log, Prometheus text exposition and a JSON Snapshot.
+// gauges and fixed-bucket histograms with atomic updates, one span model
+// (census → stage → shard in-process, CLI → orchestrator → worker across
+// wire frames), one bounded structured-event log (the flight recorder),
+// Prometheus text exposition and a JSON Snapshot.
 //
 // The design contract mirrors internal/netsim's Impairer hook: hot-path
 // instrumentation must be zero-alloc, and a disabled registry must
 // compile down to near-no-ops. Every instrument type is nil-safe — a
-// *Counter, *Gauge, *Histogram or *Span obtained from a nil *Registry
+// *Counter, *Gauge, *Histogram or *ActiveSpan obtained from a nil *Registry
 // is nil, and calling its methods costs exactly one branch — so
 // measurement loops carry a single pre-resolved handle and no
 // conditional wiring. Telemetry never feeds back into measurement

@@ -77,10 +77,12 @@ func TestNilRegistryNoOps(t *testing.T) {
 	if st.Value() != 0 {
 		t.Fatal("nil striped counter holds a value")
 	}
-	sp := r.StartSpan("census")
-	sp.Child("stage").End()
+	sp := r.StartTrace("census")
+	si := r.Under(sp).Stage("stage", 10)
+	si.Span.Child("shard0").End()
+	si.End()
 	sp.End()
-	r.Event("kind", L("k", "v"))
+	r.Flight().Record("kind", "", nil, 0)
 	r.BeginStage("s", 10)
 	r.ProgressDone().Inc()
 	r.SetBudgetFunc(func() int64 { return 1 })
@@ -262,42 +264,28 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestEvents pins the event log a plain registry starts with: New
+// installs a 256-slot flight recorder, so events reach a Snapshot
+// oldest-first without any tracing set-up, and EnableFlight replaces it.
 func TestEvents(t *testing.T) {
 	r := New()
-	var sunk []Event
-	r.OnEvent(func(e Event) { sunk = append(sunk, e) })
-	for i := 0; i < maxEvents+10; i++ {
-		r.Event("tick", L("i", fmt.Sprint(i)))
+	for i := 0; i < defaultFlightSize+10; i++ {
+		r.Flight().Record("tick", "", nil, int64(i), L("i", fmt.Sprint(i)))
 	}
-	evs := r.Events()
-	if len(evs) != maxEvents {
-		t.Fatalf("retained %d events, want %d", len(evs), maxEvents)
+	evs := r.Snapshot().Events
+	if len(evs) != defaultFlightSize {
+		t.Fatalf("retained %d events, want %d", len(evs), defaultFlightSize)
 	}
 	// Oldest-first: the first retained event is number 10.
-	if got := evs[0].Fields[0].Value; got != "10" {
-		t.Fatalf("oldest retained event i=%s, want 10", got)
+	if got := evs[0].Fields[0].Value; got != "10" || evs[0].Kind != "tick" {
+		t.Fatalf("oldest retained event = %+v, want tick i=10", evs[0])
 	}
-	if len(sunk) != maxEvents+10 {
-		t.Fatalf("sink saw %d events, want %d", len(sunk), maxEvents+10)
+	if r.FlightDropped() != 10 {
+		t.Fatalf("dropped = %d, want 10", r.FlightDropped())
 	}
-	if s := evs[0].String(); s != "tick i=10" {
-		t.Fatalf("event string = %q", s)
-	}
-}
-
-func TestSpans(t *testing.T) {
-	r := New()
-	sp := r.StartSpan("census")
-	st := sp.Child("anycast_icmp")
-	st.Child("shard0").End()
-	st.End()
-	sp.End()
-	spans := r.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("recorded %d spans, want 3", len(spans))
-	}
-	if spans[0].Path != "census/anycast_icmp/shard0" || spans[2].Path != "census" {
-		t.Fatalf("span paths wrong: %+v", spans)
+	r.EnableFlight("census", 16).Record("after", "", nil, 0)
+	if evs := r.Snapshot().Events; len(evs) != 1 || evs[0].Kind != "after" || evs[0].Component != "census" {
+		t.Fatalf("EnableFlight did not replace the default recorder: %+v", evs)
 	}
 }
 
@@ -333,8 +321,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r := New()
 	r.Counter("laces_a_total", "a", L("stage", "x")).Add(3)
 	r.Histogram("laces_h_seconds", "h", []float64{1, 2}).Observe(1.5)
-	r.StartSpan("census").End()
-	r.Event("note", L("k", "v"))
+	root := r.StartTrace("census")
+	root.Child("anycast_icmp").End()
+	root.End()
+	r.Flight().Record("note", "census", root.Context(), 1, L("k", "v"))
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -343,16 +333,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two registered series plus the three always-present self-telemetry
+	// Two registered series plus the two always-present self-telemetry
 	// drop counters.
-	if len(snap.Metrics) != 5 || len(snap.Spans) != 1 || len(snap.Events) != 1 {
+	if len(snap.Metrics) != 4 || len(snap.Spans) != 2 || len(snap.Events) != 1 {
 		t.Fatalf("snapshot = %d metrics / %d spans / %d events", len(snap.Metrics), len(snap.Spans), len(snap.Events))
 	}
 	if snap.Metrics[0].Value != 3 || snap.Metrics[1].Count != 1 {
 		t.Fatalf("snapshot values wrong: %+v", snap.Metrics)
 	}
+	// Spans keep their tree and events their trace link through JSON.
+	child, parent := snap.Spans[0], snap.Spans[1]
+	if child.Parent != parent.SpanID || parent.Parent != 0 || child.TraceID != parent.TraceID || parent.TraceID == 0 {
+		t.Fatalf("span tree lost in round trip: %+v", snap.Spans)
+	}
+	if ev := snap.Events[0]; ev.Kind != "note" || ev.TraceID != parent.TraceID || ev.Fields[0].Value != "v" {
+		t.Fatalf("event lost in round trip: %+v", ev)
+	}
 	for i, want := range []string{
-		"laces_obs_spans_dropped_total",
 		"laces_obs_trace_spans_dropped_total",
 		"laces_obs_flight_events_dropped_total",
 	} {
@@ -378,9 +375,8 @@ func TestConcurrentRegistryWrites(t *testing.T) {
 				r.Histogram("laces_conc_seconds", "h", nil, L("g", fmt.Sprint(g%4))).Observe(float64(i) / 100)
 				r.Gauge("laces_conc_gauge", "g").Set(int64(i))
 				if i%50 == 0 {
-					r.Event("tick", L("g", fmt.Sprint(g)))
-					sp := r.StartSpan("conc")
-					sp.End()
+					r.Flight().Record("tick", "", nil, int64(g))
+					r.StartTrace("conc").End()
 				}
 			}
 		}(g)

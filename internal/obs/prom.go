@@ -111,12 +111,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	// Self-telemetry families, appended after the registered series:
-	// drop counts of the bounded span/trace/flight logs. Always exposed
+	// drop counts of the bounded span and flight logs. Always exposed
 	// (even at zero) so dashboards can alert on the first drop.
-	writeSelfCounter(bw, "laces_obs_spans_dropped_total",
-		"Completed path spans dropped at the span-log cap.", float64(r.SpansDropped()))
 	writeSelfCounter(bw, "laces_obs_trace_spans_dropped_total",
-		"Distributed-trace spans dropped at the trace-log cap.", float64(r.TraceSpansDropped()))
+		"Spans dropped at the span-log cap.", float64(r.TraceDropped()))
 	writeSelfCounter(bw, "laces_obs_flight_events_dropped_total",
 		"Flight-recorder events overwritten by ring wrap.", float64(r.FlightDropped()))
 	return bw.Flush()

@@ -81,30 +81,57 @@ type family struct {
 	byLabel map[string]*metric
 }
 
+// registryState is what every handle onto one registry shares: the
+// instruments, the span log, the flight recorder and the census
+// progress state.
+type registryState struct {
+	mu    sync.Mutex
+	fams  []*family // insertion order, for deterministic exposition
+	index map[string]*family
+
+	traces   traceLog
+	progress progressState
+	flight   atomic.Pointer[Recorder]
+}
+
 // Registry is the telemetry root: a named, labelled set of instruments
-// plus the span log, event log and census progress state. All methods
-// are safe for concurrent use and nil-safe — a nil *Registry hands out
-// nil instruments whose methods are no-ops, so a pipeline wired for
-// telemetry runs unobserved at the cost of one branch per call site.
+// plus the span log, flight recorder and census progress state. All
+// methods are safe for concurrent use and nil-safe — a nil *Registry
+// hands out nil instruments whose methods are no-ops, so a pipeline
+// wired for telemetry runs unobserved at the cost of one branch per
+// call site.
 //
 // Get-or-create is by (name, label set): two call sites asking for the
 // same series share the underlying instrument. Registration takes the
 // registry lock; hot loops must resolve handles once, outside the loop.
 type Registry struct {
-	mu    sync.Mutex
-	fams  []*family // insertion order, for deterministic exposition
-	index map[string]*family
-
-	spans    spanLog
-	traces   traceLog
-	events   eventLog
-	progress progressState
-	flight   atomic.Pointer[Recorder]
+	*registryState
+	// parent is the span Stage opens its spans under: nil on the handle
+	// New returns, set on the handles Under derives from it.
+	parent *ActiveSpan
 }
 
-// New returns an empty registry.
+// defaultFlightSize is the event retention of the recorder every
+// registry starts with, so operational events (worker disconnects,
+// reconciliation mismatches) reach a Snapshot without any tracing flag.
+const defaultFlightSize = 256
+
+// New returns an empty registry with a default flight recorder.
 func New() *Registry {
-	return &Registry{index: make(map[string]*family)}
+	r := &Registry{registryState: &registryState{index: make(map[string]*family)}}
+	r.EnableFlight("", defaultFlightSize)
+	return r
+}
+
+// Under returns a handle onto the same registry whose Stage runs open
+// their spans as children of s. It is how a pipeline hands its census
+// span to the stage packages through the telemetry handle their options
+// already carry. A nil span returns r unchanged.
+func (r *Registry) Under(s *ActiveSpan) *Registry {
+	if r == nil || s == nil {
+		return r
+	}
+	return &Registry{registryState: r.registryState, parent: s}
 }
 
 // labelKey serialises a label set into a map key. Labels are sorted by

@@ -34,8 +34,8 @@ type SnapshotMetric struct {
 type Snapshot struct {
 	TakenAt time.Time        `json:"taken_at"`
 	Metrics []SnapshotMetric `json:"metrics"`
-	Spans   []SpanRecord     `json:"spans,omitempty"`
-	Events  []Event          `json:"events,omitempty"`
+	Spans   []TraceSpan      `json:"spans,omitempty"`
+	Events  []FlightEvent    `json:"events,omitempty"`
 }
 
 // Snapshot captures the registry's current state. Func-backed series
@@ -78,12 +78,11 @@ func (r *Registry) Snapshot() *Snapshot {
 	// saturated span log or wrapped flight recorder names itself in the
 	// dump instead of silently truncating.
 	snap.Metrics = append(snap.Metrics,
-		SnapshotMetric{Name: "laces_obs_spans_dropped_total", Type: "counter", Value: float64(r.SpansDropped())},
-		SnapshotMetric{Name: "laces_obs_trace_spans_dropped_total", Type: "counter", Value: float64(r.TraceSpansDropped())},
+		SnapshotMetric{Name: "laces_obs_trace_spans_dropped_total", Type: "counter", Value: float64(r.TraceDropped())},
 		SnapshotMetric{Name: "laces_obs_flight_events_dropped_total", Type: "counter", Value: float64(r.FlightDropped())},
 	)
-	snap.Spans = r.Spans()
-	snap.Events = r.Events()
+	snap.Spans = r.TraceSpans()
+	snap.Events = r.Flight().Snapshot()
 	return snap
 }
 

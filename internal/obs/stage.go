@@ -29,20 +29,25 @@ func MergeCells(cells []Cell) (probes, replies int64) {
 // fields are nil (no-op) when resolved from a nil registry, so stages
 // instrument unconditionally at the cost of one branch per update.
 type StageInstruments struct {
-	Probes  *Counter   // laces_stage_probes_total{stage=...}
-	Replies *Counter   // laces_stage_replies_total{stage=...}
-	Denied  *Counter   // laces_stage_denied_total{stage=...}
-	Seconds *Histogram // laces_stage_seconds{stage=...}
-	Done    *Counter   // the shared live-progress counter
-	Span    *Span      // "census/<stage>"
+	Probes  *Counter    // laces_stage_probes_total{stage=...}
+	Replies *Counter    // laces_stage_replies_total{stage=...}
+	Denied  *Counter    // laces_stage_denied_total{stage=...}
+	Seconds *Histogram  // laces_stage_seconds{stage=...}
+	Done    *Counter    // the shared live-progress counter
+	Span    *ActiveSpan // the stage span; shard spans are its children
 }
 
 // Stage begins one stage run over total targets: it resolves the stage's
-// metric handles, opens its pipeline span and resets the live-progress
-// state. Close the run with End.
+// metric handles, opens its span — a child of the span the handle was
+// derived Under, or the root of a fresh trace on a plain registry — and
+// resets the live-progress state. Close the run with End.
 func (r *Registry) Stage(stage string, total int) StageInstruments {
 	if r == nil {
 		return StageInstruments{} // all-nil instruments: every method is a one-branch no-op
+	}
+	span := r.parent.Child(stage)
+	if span == nil {
+		span = r.StartTrace(stage)
 	}
 	si := StageInstruments{
 		Probes: r.Counter("laces_stage_probes_total",
@@ -54,7 +59,7 @@ func (r *Registry) Stage(stage string, total int) StageInstruments {
 		Seconds: r.Histogram("laces_stage_seconds",
 			"Wall-clock seconds per census stage run.", nil, L("stage", stage)),
 		Done: r.ProgressDone(),
-		Span: r.StartSpan("census/" + stage),
+		Span: span,
 	}
 	r.BeginStage(stage, int64(total))
 	return si

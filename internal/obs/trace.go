@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// maxTraceSpans bounds the per-registry distributed-trace span log. A
-// measurement produces tens of spans per component; long-lived servers
-// drop the excess (counted, published as
+// maxTraceSpans bounds the per-registry span log. A census day produces
+// a few hundred spans (one per stage plus one per shard per stage), a
+// distributed measurement tens per component; long-lived servers drop
+// the excess (counted, published as
 // laces_obs_trace_spans_dropped_total) rather than grow without bound.
 const maxTraceSpans = 8192
 
@@ -34,9 +35,10 @@ func (tc *TraceContext) Valid() bool {
 	return tc.TraceID != 0
 }
 
-// TraceSpan is one completed span of a distributed trace as it appears
-// in exports and on the wire. Component attributes the span to the
-// process that emitted it ("cli", "orchestrator", "worker-amsterdam").
+// TraceSpan is one completed span as it appears in snapshots, exports
+// and on the wire; Parent links it into its trace's tree. Component
+// attributes the span to the process that emitted it ("cli",
+// "orchestrator", "worker-amsterdam").
 type TraceSpan struct {
 	TraceID   uint64    `json:"trace_id"`
 	SpanID    uint64    `json:"span_id"`
@@ -88,10 +90,12 @@ func newID() uint64 {
 	}
 }
 
-// ActiveSpan is an in-flight distributed-trace span. Unlike the legacy
-// path-based Span it carries a TraceContext that can cross process
-// boundaries via wire frames. Methods on a nil *ActiveSpan (from a
-// disabled registry) are no-ops costing one branch.
+// ActiveSpan is an in-flight span: a timed section of a pipeline run or
+// of a distributed measurement. Spans form a tree via Child, and the
+// TraceContext each carries can cross process boundaries on wire
+// frames. Methods on a nil *ActiveSpan (from a disabled registry) are
+// no-ops costing one branch, so stage code creates and ends spans
+// unconditionally.
 type ActiveSpan struct {
 	r      *Registry
 	tc     TraceContext
@@ -291,20 +295,9 @@ func (r *Registry) TraceSpansFor(traceID uint64) []TraceSpan {
 	return out
 }
 
-// SpansDropped returns the number of legacy path-span records dropped
-// at the maxSpans cap.
-func (r *Registry) SpansDropped() int64 {
-	if r == nil {
-		return 0
-	}
-	r.spans.mu.Lock()
-	defer r.spans.mu.Unlock()
-	return r.spans.dropped
-}
-
-// TraceSpansDropped returns the number of trace spans dropped at the
+// TraceDropped returns the number of trace spans dropped at the
 // maxTraceSpans cap.
-func (r *Registry) TraceSpansDropped() int64 {
+func (r *Registry) TraceDropped() int64 {
 	if r == nil {
 		return 0
 	}

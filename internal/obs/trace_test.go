@@ -171,15 +171,14 @@ func TestDropCountsPublished(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		r.Flight().Record("k", "", nil, 0)
 	}
-	if r.TraceSpansDropped() != 3 || r.FlightDropped() != 4 || r.SpansDropped() != 0 {
-		t.Fatalf("drops = %d/%d/%d", r.TraceSpansDropped(), r.FlightDropped(), r.SpansDropped())
+	if r.TraceDropped() != 3 || r.FlightDropped() != 4 {
+		t.Fatalf("drops = %d/%d", r.TraceDropped(), r.FlightDropped())
 	}
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"laces_obs_spans_dropped_total 0",
 		"laces_obs_trace_spans_dropped_total 3",
 		"laces_obs_flight_events_dropped_total 4",
 	} {

@@ -372,8 +372,7 @@ func (o *Orchestrator) dropWorker(idx int) {
 		}
 		o.cfg.Logf("orchestrator: event=worker_disconnect worker=%d name=%q measurement=%d shard=[0,%d) targets_outstanding=%d",
 			idx, name, m.id, streamed, outstanding)
-		o.cfg.Obs.Event("worker_disconnect", fields...)
-		o.flight.Record("worker_down", name, o.activeTrace.Load(), int64(idx), fields...)
+		o.flight.Record("worker_disconnect", name, o.activeTrace.Load(), int64(idx), fields...)
 		o.dumpFlight("worker_disconnect")
 		select {
 		case m.gone <- idx:

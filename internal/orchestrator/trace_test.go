@@ -365,11 +365,11 @@ func TestTraceChaosWorkerKillReconciles(t *testing.T) {
 	var disconnectFields []obs.Label
 	for _, ev := range oEvents {
 		kinds[ev.Kind]++
-		if ev.Kind == "worker_down" && len(ev.Fields) > 0 {
+		if ev.Kind == "worker_disconnect" {
 			disconnectFields = ev.Fields
 		}
 	}
-	if kinds["worker_down"] == 0 || kinds["flight_dump"] == 0 {
+	if kinds["worker_disconnect"] != 1 || kinds["flight_dump"] == 0 {
 		t.Fatalf("orchestrator dump lacks the disconnect trigger: %v", kinds)
 	}
 	if kinds["budget_denied"] == 0 || kinds["frame_tx"] == 0 || kinds["frame_rx"] == 0 {
@@ -383,8 +383,19 @@ func TestTraceChaosWorkerKillReconciles(t *testing.T) {
 	}
 	for _, want := range []string{"measurement", "shard_base", "shard_end", "frames_tx", "frames_rx"} {
 		if !fieldNames[want] {
-			t.Fatalf("worker_down event missing %q (have %v)", want, disconnectFields)
+			t.Fatalf("worker_disconnect event missing %q (have %v)", want, disconnectFields)
 		}
+	}
+	// The registry's one event log carries the same record, once: a
+	// plain telemetry snapshot names the loss without any trace export.
+	inSnapshot := 0
+	for _, ev := range oReg.Snapshot().Events {
+		if ev.Kind == "worker_disconnect" {
+			inSnapshot++
+		}
+	}
+	if inSnapshot != 1 {
+		t.Fatalf("snapshot carries %d worker_disconnect events, want 1", inSnapshot)
 	}
 	chaosEvents := decodeFlightDump(t, chaosSink.Bytes())
 	ckinds := map[string]int{}

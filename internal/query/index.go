@@ -30,6 +30,7 @@ import (
 
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/core"
+	"github.com/laces-project/laces/internal/lru"
 )
 
 // DefaultCacheSize bounds the Index's decoded-timeline LRU.
@@ -79,7 +80,7 @@ type Index struct {
 	arch *archive.Archive // optional: full-entry fallback
 
 	mu    sync.Mutex
-	cache *archive.LRU[tlKey, *Timeline]
+	cache *lru.Cache[tlKey, *Timeline]
 
 	// agg is the materialized dashboard aggregate set: preloaded from
 	// the sidecar file when its fingerprint matches, otherwise computed
@@ -192,7 +193,7 @@ func Open(path string) (*Index, error) {
 		rowsOff:     int64(headerLen) + int64(h.tocLen),
 		fams:        make(map[string]*famIndex),
 		fingerprint: fmt.Sprintf("%08x%08x", h.tocCRC, h.rowsCRC),
-		cache:       archive.NewLRU[tlKey, *Timeline](DefaultCacheSize),
+		cache:       lru.New[tlKey, *Timeline](DefaultCacheSize),
 	}
 	r := &bufReader{b: tocBytes}
 	nFams := int(r.u32())
@@ -282,7 +283,7 @@ func (ix *Index) Archive() *archive.Archive { return ix.arch }
 func (ix *Index) SetCacheSize(n int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.cache = archive.NewLRU[tlKey, *Timeline](n)
+	ix.cache = lru.New[tlKey, *Timeline](n)
 }
 
 // Close releases the index file handle.

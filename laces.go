@@ -531,24 +531,27 @@ func NewObsRegistry() *ObsRegistry { return obs.New() }
 // ReadObsSnapshot parses a snapshot written by ObsSnapshot.WriteJSON.
 func ReadObsSnapshot(r io.Reader) (*ObsSnapshot, error) { return obs.ReadSnapshot(r) }
 
-// Distributed-tracing and flight-recorder types: trace contexts minted
-// by the CLI propagate through every wire frame, the orchestrator and
-// workers parent their spans on them, and the assembled cross-process
-// trace exports as JSONL or Chrome trace_event JSON (Perfetto-loadable).
-// Each component additionally keeps a bounded lock-free ring of
-// structured events — the flight recorder — dumped automatically on
-// failure triggers. See the README's "Distributed tracing & flight
-// recorder" section.
+// Span and event types — the one span model and one event log every
+// layer shares. A census day is one trace (census → stage → shard
+// spans); on the fabric, trace contexts minted by the CLI propagate
+// through every wire frame, the orchestrator and workers parent their
+// spans on them, and the assembled cross-process trace exports as JSONL
+// or Chrome trace_event JSON (Perfetto-loadable). Operational events go
+// to the registry's flight recorder — a bounded lock-free ring, dumped
+// automatically on failure triggers. See the README's "Observability"
+// section.
 type (
 	// ObsTraceContext is the propagatable trace identity carried on wire
 	// frames (trace ID plus parent span ID).
 	ObsTraceContext = obs.TraceContext
-	// ObsTraceSpan is one finished span of a distributed trace.
+	// ObsTraceSpan is one finished span (ObsSnapshot.Spans, trace
+	// exports, wire frames).
 	ObsTraceSpan = obs.TraceSpan
 	// ObsTraceExport bundles a registry's spans and flight events for
 	// interchange; WriteJSONL and WriteChrome are its serializations.
 	ObsTraceExport = obs.TraceExport
-	// ObsFlightEvent is one flight-recorder entry.
+	// ObsFlightEvent is one flight-recorder entry (ObsSnapshot.Events,
+	// trace exports).
 	ObsFlightEvent = obs.FlightEvent
 	// ObsFlightRecorder is a component's bounded lock-free event ring.
 	ObsFlightRecorder = obs.Recorder

@@ -99,9 +99,7 @@ func TestObsDoesNotPerturbCensus(t *testing.T) {
 				tel = &netsim.Telemetry{}
 				w.SetTelemetry(tel)
 				tel.Register(traced)
-				root := traced.StartTrace("census")
 				withTrace := obsCensusBytes(t, w, tc.sc, parallelism, traced)
-				root.End()
 				w.SetTelemetry(nil)
 
 				if !bytes.Equal(bare, withTrace) {
