@@ -1507,10 +1507,9 @@ func runTrace(args []string) error {
 		return runTraceExport(args[1:])
 	}
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	target := fs.String("target", "", "hitlist prefix or address to trace (e.g. 1.2.3.0/24)")
+	target := fs.String("target", "", "hitlist prefix or address to trace, IPv4 or IPv6 (e.g. 1.2.3.0/24)")
 	from := fs.String("from", "Amsterdam", "vantage city")
 	day := fs.Int("day", 0, "census day")
-	v6 := fs.Bool("v6", false, "trace an IPv6 hitlist target")
 	seed := fs.Uint64("seed", 1, "world seed")
 	scale := fs.String("scale", "test", "world scale: test or default")
 	fs.Parse(args)
@@ -1521,7 +1520,7 @@ func runTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	tg, err := findTarget(w, *target, *v6)
+	tg, err := findTarget(w, *target)
 	if err != nil {
 		return err
 	}
@@ -1609,26 +1608,11 @@ func runTraceExport(args []string) error {
 	return nil
 }
 
-// findTarget resolves a prefix or address string to a hitlist target.
-func findTarget(w *laces.World, s string, v6 bool) (*netsim.Target, error) {
-	// Streamed search: works on lazy worlds without materializing the
-	// universe; the batch buffer is reused, so matches are copied out.
-	find := func(match func(*netsim.Target) bool) *netsim.Target {
-		var found *netsim.Target
-		w.IterTargets(v6, 0, func(batch []netsim.Target) bool {
-			for i := range batch {
-				if match(&batch[i]) {
-					tg := batch[i]
-					found = &tg
-					return false
-				}
-			}
-			return true
-		})
-		return found
-	}
+// findTarget resolves a prefix or address string to a hitlist target; the
+// string's own address family selects the universe searched.
+func findTarget(w *laces.World, s string) (*netsim.Target, error) {
 	if pfx, err := netip.ParsePrefix(s); err == nil {
-		if tg := find(func(t *netsim.Target) bool { return t.Prefix == pfx }); tg != nil {
+		if tg := w.FindTarget(pfx); tg != nil {
 			return tg, nil
 		}
 		return nil, fmt.Errorf("prefix %s not on the hitlist", pfx)
@@ -1637,7 +1621,7 @@ func findTarget(w *laces.World, s string, v6 bool) (*netsim.Target, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%q is neither a prefix nor an address", s)
 	}
-	if tg := find(func(t *netsim.Target) bool { return t.Prefix.Contains(addr) }); tg != nil {
+	if tg := w.FindTarget(netip.PrefixFrom(addr, addr.BitLen())); tg != nil {
 		return tg, nil
 	}
 	return nil, fmt.Errorf("address %s not covered by any hitlist prefix", addr)

@@ -264,3 +264,25 @@ func TestCLIMetricsRendersSpanTree(t *testing.T) {
 		t.Fatalf("-spans=false still rendered spans (exit %d):\n%s", code, out)
 	}
 }
+
+// TestCLITraceFamilyFromTarget pins that `laces trace` searches the
+// universe of the target's own address family: an IPv6 prefix or address
+// needs no flag to be found.
+func TestCLITraceFamilyFromTarget(t *testing.T) {
+	w, err := simWorld(1, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v6 := range []bool{false, true} {
+		tg := w.TargetAt(v6, w.NumTargets(v6)/2)
+		for _, target := range []string{tg.Prefix.String(), tg.Addr.String()} {
+			code, out := run(t, "trace", "-target", target)
+			if code != 0 || !strings.Contains(out, "traceroute to "+tg.Addr.String()+" ("+tg.Prefix.String()+")") {
+				t.Fatalf("trace -target %s: exit %d, output:\n%s", target, code, out)
+			}
+		}
+	}
+	if code, out := run(t, "trace", "-target", "fe80::/48"); code != 1 || !strings.Contains(out, "not on the hitlist") {
+		t.Fatalf("trace of an unrouted prefix: exit %d, output:\n%s", code, out)
+	}
+}

@@ -811,28 +811,16 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid prefix: %w", err))
 		return
 	}
-	v6 := prefix.Addr().Is6() && !prefix.Addr().Is4In6()
 	day := s.Clock()
 	started := time.Now() //laces:allow detnow measurement_ms is a diagnostic latency field in the response, not census content
 
-	// Locate the target: stream the universe and stop at the first match
-	// (works on lazy worlds too, without materializing the hitlist).
-	var target *netsim.Target
-	s.World.IterTargets(v6, 0, func(batch []netsim.Target) bool {
-		for i := range batch {
-			if batch[i].Prefix == prefix {
-				tg := batch[i] // copy out: the batch buffer is reused
-				target = &tg
-				return false
-			}
-		}
-		return true
-	})
+	target := s.World.FindTarget(prefix)
 	resp := measureResponse{Prefix: prefix.String(), Day: day}
 	if target == nil {
 		writeJSON(w, http.StatusOK, resp) // unknown prefix: unresponsive
 		return
 	}
+	v6 := target.Addr.Is6()
 
 	// Anycast-based round over a single-entry hitlist.
 	hl := &hitlist.Hitlist{V6: v6, Day: day, Entries: []hitlist.Entry{{

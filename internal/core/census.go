@@ -633,13 +633,9 @@ func spreadVPs(pool []netsim.VP, n int) []netsim.VP {
 // distinct records to the entries. It returns the stage's governance
 // accounting (zero when the gate is nil or no entry qualified).
 func (p *Pipeline) annotateChaos(census *DailyCensus, hl *hitlist.Hitlist, start time.Time, gate *budget.Gate, reg *obs.Registry) budget.Usage {
-	inCensus := make(map[int]bool, len(census.Entries))
-	for id := range census.Entries {
-		inCensus[id] = true
-	}
 	sub := &hitlist.Hitlist{V6: hl.V6, Day: hl.Day}
 	for _, e := range hl.Entries {
-		if inCensus[e.TargetID] && e.Protocols[packet.DNS] {
+		if _, ok := census.Entries[e.TargetID]; ok && e.Protocols[packet.DNS] {
 			sub.Entries = append(sub.Entries, e)
 		}
 	}

@@ -331,17 +331,17 @@ func TestCensusJSONRoundTrip(t *testing.T) {
 	if err := c.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	date, g, m, prefixes, err := ReadJSON(&buf)
+	doc, err := ParseDocument(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if date != "2024-05-20" {
-		t.Fatalf("census date = %s", date)
+	if doc.Date != "2024-05-20" {
+		t.Fatalf("census date = %s", doc.Date)
 	}
-	if g != len(c.G()) || m != len(c.M()) {
-		t.Fatalf("counts drifted through JSON: %d/%d vs %d/%d", g, m, len(c.G()), len(c.M()))
+	if doc.GCount != len(c.G()) || doc.MCount != len(c.M()) {
+		t.Fatalf("counts drifted through JSON: %d/%d vs %d/%d", doc.GCount, doc.MCount, len(c.G()), len(c.M()))
 	}
-	if len(prefixes) < g {
+	if len(doc.Entries) < doc.GCount {
 		t.Fatal("fewer prefixes than confirmed entries")
 	}
 }

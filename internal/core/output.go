@@ -241,17 +241,3 @@ func ParseDocument(r io.Reader) (*Document, error) {
 	}
 	return &doc, nil
 }
-
-// ReadJSON parses a census document previously written with WriteJSON and
-// returns summary counts — a convenience wrapper over ParseDocument kept
-// for consumers that only need the headline numbers.
-func ReadJSON(r io.Reader) (date string, g, m int, prefixes []string, err error) {
-	doc, err := ParseDocument(r)
-	if err != nil {
-		return "", 0, 0, nil, err
-	}
-	for _, e := range doc.Entries {
-		prefixes = append(prefixes, e.Prefix)
-	}
-	return doc.Date, doc.GCount, doc.MCount, prefixes, nil
-}

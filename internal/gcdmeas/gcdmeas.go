@@ -127,6 +127,7 @@ func Run(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
 		samples := make([]igreedy.Sample, 0, len(c.VPs))
 		for _, id := range targetIDs[start:end] {
 			if id < 0 || id >= numTargets {
+				si.Done.Inc() // the stage total counts it
 				continue
 			}
 			tg := w.TargetAt(v6, id)

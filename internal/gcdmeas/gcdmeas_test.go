@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/laces-project/laces/internal/netsim"
+	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
 	"github.com/laces-project/laces/internal/platform"
 )
@@ -122,9 +123,18 @@ func TestUnresponsiveTargetsSkipped(t *testing.T) {
 }
 
 func TestInvalidIDsIgnored(t *testing.T) {
-	rep := Run(testWorld, []int{-1, 1 << 30}, false, arkCampaign(t, 10, false))
-	if len(rep.Outcomes) != 0 {
-		t.Fatal("invalid IDs should be skipped")
+	c := arkCampaign(t, 10, false)
+	c.Obs = obs.New()
+	rep := Run(testWorld, []int{-1, 0, 1 << 30}, false, c)
+	for id := range rep.Outcomes {
+		if id != 0 {
+			t.Fatalf("invalid ID %d should be skipped", id)
+		}
+	}
+	// Skipped IDs are part of the stage total, so they must tick the
+	// progress counter or the live line stalls below 100 %.
+	if p := c.Obs.Progress(); p.Done != p.Total || p.Total != 3 {
+		t.Fatalf("progress %d/%d after the stage, want 3/3", p.Done, p.Total)
 	}
 }
 

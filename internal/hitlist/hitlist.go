@@ -2,17 +2,22 @@
 // of responsive prefixes LACeS probes, one representative address per /24
 // (IPv4) or /48 (IPv6).
 //
-// The paper merges several sources — ISI's ping-responsive ranking, Zmap
-// TCP scans, OpenINTEL nameserver addresses and the TUM IPv6 hitlist —
-// and refreshes quarterly. Here each source is a protocol-scoped scan of
-// the simulated world; Merge unions them exactly like the paper's union
-// of 4.3 M responsive /24s.
+// A day's list is every simulated target that is in the day's quarterly
+// snapshot (HitlistFromDay <= QuarterOf(day)) and answers at least one
+// probing protocol, in target-ID order, each entry flagged with the
+// protocols it answers.
+//
+// The paper builds the same set as a union of per-protocol sources,
+// refreshed quarterly: ISI's ping-responsive ranking (IPv4) and the TUM
+// hitlist (IPv6) contribute the ICMP-responsive prefixes, Zmap scans the
+// TCP-responsive ones and OpenINTEL's nameserver addresses the
+// DNS-responsive ones. In the simulator a target's Responsive flags
+// already say which of those sources would have found it, so the union
+// is one pass over the universe.
 package hitlist
 
 import (
-	"fmt"
 	"net/netip"
-	"sort"
 
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/packet"
@@ -24,7 +29,7 @@ type Entry struct {
 	Prefix   netip.Prefix
 	Addr     netip.Addr
 	// Protocols records which probing protocols this entry is expected to
-	// answer (which source scans found it).
+	// answer.
 	Protocols [3]bool
 }
 
@@ -47,128 +52,27 @@ func QuarterOf(day int) int {
 	return day - day%90
 }
 
-// Source identifies one upstream hitlist provider.
-type Source uint8
-
-// Hitlist sources modelled after §4.1.
-const (
-	SourceISI  Source = iota // ISI ping-responsive IPv4 ranking
-	SourceZmap               // Zmap TCP scans of the routable space
-	SourceDNS                // OpenINTEL authoritative nameserver addresses
-	SourceTUM                // TUM IPv6 hitlist
-)
-
-// String names the source.
-func (s Source) String() string {
-	switch s {
-	case SourceISI:
-		return "ISI"
-	case SourceZmap:
-		return "Zmap"
-	case SourceDNS:
-		return "OpenINTEL"
-	case SourceTUM:
-		return "TUM"
-	default:
-		return fmt.Sprintf("Source(%d)", uint8(s))
-	}
-}
-
-// protocol returns the probing protocol a source discovers targets with.
-func (s Source) protocol() packet.Protocol {
-	switch s {
-	case SourceZmap:
-		return packet.TCP
-	case SourceDNS:
-		return packet.DNS
-	default:
-		return packet.ICMP
-	}
-}
-
-// Scan builds the single-source hitlist for the world at a census day:
-// every target responsive to the source's protocol and already present in
-// the quarterly snapshot.
-func Scan(w *netsim.World, src Source, v6 bool, day int) *Hitlist {
-	snap := QuarterOf(day)
-	proto := src.protocol()
-	h := &Hitlist{V6: v6, Day: snap}
+// ForDay builds the hitlist for a census day: one entry per target that
+// is in the day's quarterly snapshot and answers at least one protocol,
+// in target-ID order.
+func ForDay(w *netsim.World, v6 bool, day int) *Hitlist {
+	h := &Hitlist{V6: v6, Day: QuarterOf(day)}
 	w.IterTargets(v6, 0, func(batch []netsim.Target) bool {
 		for i := range batch {
 			tg := &batch[i]
-			if tg.HitlistFromDay > snap || !tg.Responsive[proto] {
+			if tg.HitlistFromDay > h.Day || tg.Responsive == ([3]bool{}) {
 				continue
 			}
-			var ps [3]bool
-			ps[proto] = true
 			h.Entries = append(h.Entries, Entry{
 				TargetID:  tg.ID,
 				Prefix:    tg.Prefix,
 				Addr:      tg.Addr,
-				Protocols: ps,
+				Protocols: tg.Responsive,
 			})
 		}
 		return true
 	})
 	return h
-}
-
-// Merge unions hitlists of the same family, OR-ing protocol flags of
-// duplicate prefixes. The result is sorted by target ID.
-func Merge(lists ...*Hitlist) (*Hitlist, error) {
-	if len(lists) == 0 {
-		return &Hitlist{}, nil
-	}
-	out := &Hitlist{V6: lists[0].V6, Day: lists[0].Day}
-	byID := make(map[int]int)
-	for _, l := range lists {
-		if l.V6 != out.V6 {
-			return nil, fmt.Errorf("hitlist: cannot merge mixed address families")
-		}
-		if l.Day > out.Day {
-			out.Day = l.Day
-		}
-		for _, e := range l.Entries {
-			if j, ok := byID[e.TargetID]; ok {
-				for p := range e.Protocols {
-					out.Entries[j].Protocols[p] = out.Entries[j].Protocols[p] || e.Protocols[p]
-				}
-				continue
-			}
-			byID[e.TargetID] = len(out.Entries)
-			out.Entries = append(out.Entries, e)
-		}
-	}
-	sort.Slice(out.Entries, func(i, j int) bool {
-		return out.Entries[i].TargetID < out.Entries[j].TargetID
-	})
-	return out, nil
-}
-
-// ForDay builds the full merged hitlist for a census day, combining the
-// family's sources exactly as §4.1 describes: ISI + Zmap + OpenINTEL for
-// IPv4, TUM + Zmap + OpenINTEL for IPv6.
-func ForDay(w *netsim.World, v6 bool, day int) *Hitlist {
-	var lists []*Hitlist
-	if v6 {
-		lists = []*Hitlist{
-			Scan(w, SourceTUM, true, day),
-			Scan(w, SourceZmap, true, day),
-			Scan(w, SourceDNS, true, day),
-		}
-	} else {
-		lists = []*Hitlist{
-			Scan(w, SourceISI, false, day),
-			Scan(w, SourceZmap, false, day),
-			Scan(w, SourceDNS, false, day),
-		}
-	}
-	merged, err := Merge(lists...)
-	if err != nil {
-		// Unreachable: families are consistent by construction.
-		panic(err)
-	}
-	return merged
 }
 
 // FilterProtocol returns the entries answering the given protocol — the
@@ -194,9 +98,8 @@ func (h *Hitlist) IDs() []int {
 
 // Stats summarises a hitlist.
 type Stats struct {
-	Total    int
-	ByProto  [3]int
-	Quarters int
+	Total   int
+	ByProto [3]int
 }
 
 // Stats computes summary counts.

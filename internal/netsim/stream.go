@@ -1,6 +1,9 @@
 package netsim
 
-import "sort"
+import (
+	"net/netip"
+	"sort"
+)
 
 // Streaming target access. These accessors are the family-universe API
 // every census stage uses; they work identically on eager worlds (backed
@@ -11,6 +14,7 @@ import "sort"
 //   - IterTargets / IterTargetsRange: ID-ordered batched streaming; the
 //     batch slice is reused between invocations, so callers must not
 //     retain it (copy what outlives the callback).
+//   - FindTarget: lookup by prefix or address.
 //   - NumBGPPrefixes / BGPPrefixAt: the announcement table.
 //
 // Determinism: iteration order is always ascending target ID, and every
@@ -151,6 +155,27 @@ func (w *World) IterTargetsRange(v6 bool, lo, hi, batchSize int, fn func(batch [
 	if len(buf) > 0 {
 		fn(buf)
 	}
+}
+
+// FindTarget returns the target whose prefix is p or, when p is a single
+// address (/32, /128), whose prefix covers it; nil when there is none.
+// The address family is p's own. The search streams the universe, so it
+// works on a lazy world without materializing it, and the result is a
+// copy the caller may keep.
+func (w *World) FindTarget(p netip.Prefix) *Target {
+	a, single := p.Addr(), p.IsSingleIP()
+	var found *Target
+	w.IterTargets(a.Is6() && !a.Is4In6(), 0, func(batch []Target) bool {
+		for i := range batch {
+			if tp := batch[i].Prefix; tp == p || single && tp.Contains(a) {
+				tg := batch[i] // the batch buffer is reused
+				found = &tg
+				return false
+			}
+		}
+		return true
+	})
+	return found
 }
 
 // NumBGPPrefixes returns the number of BGP announcements in the family.

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"hash/fnv"
+	"net/netip"
 	"runtime"
 	"testing"
 )
@@ -132,6 +133,49 @@ func TestIterTargetsRangeShards(t *testing.T) {
 	})
 	if seen >= n {
 		t.Fatalf("early stop ignored: saw %d of %d", seen, n)
+	}
+}
+
+// TestFindTarget covers v4/v6 × prefix/address/miss on an eager and a
+// lazy world: the family searched is the argument's own.
+func TestFindTarget(t *testing.T) {
+	eager, err := New(TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := New(lazyConfig(TestConfig().Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := func(a netip.Addr) netip.Prefix { return netip.PrefixFrom(a, a.BitLen()) }
+	for name, w := range map[string]*World{"eager": eager, "lazy": lazy} {
+		for _, v6 := range []bool{false, true} {
+			// A late target, so the search crosses batch boundaries.
+			want := *w.TargetAt(v6, w.NumTargets(v6)-7)
+			for _, c := range []struct {
+				what string
+				arg  netip.Prefix
+				hit  bool
+			}{
+				{"prefix", want.Prefix, true},
+				{"representative address", single(want.Addr), true},
+				{"other covered address", single(want.Prefix.Addr()), true},
+				{"wider prefix", netip.PrefixFrom(want.Prefix.Addr(), want.Prefix.Bits()-1), false},
+				{"unrouted prefix", netip.MustParsePrefix(map[bool]string{false: "240.0.0.0/24", true: "fe80::/48"}[v6]), false},
+				{"unrouted address", single(netip.MustParseAddr(map[bool]string{false: "240.0.0.1", true: "fe80::1"}[v6])), false},
+			} {
+				got := w.FindTarget(c.arg)
+				switch {
+				case !c.hit && got != nil:
+					t.Errorf("%s v6=%v %s %s: found target %d, want none", name, v6, c.what, c.arg, got.ID)
+				case c.hit && got == nil:
+					t.Errorf("%s v6=%v %s %s: not found", name, v6, c.what, c.arg)
+				case c.hit && (got.ID != want.ID || got.Prefix != want.Prefix || got.Addr != want.Addr):
+					t.Errorf("%s v6=%v %s %s: found target %d (%s), want %d (%s)",
+						name, v6, c.what, c.arg, got.ID, got.Prefix, want.ID, want.Prefix)
+				}
+			}
+		}
 	}
 }
 

@@ -328,7 +328,9 @@ func ArkVPs(w *World) func(day int, v6 bool) ([]VP, error) {
 	}
 }
 
-// HitlistForDay builds the merged hitlist for a census day (§4.1).
+// HitlistForDay builds the hitlist for a census day (§4.1): every target
+// in the day's quarterly snapshot that answers at least one protocol, in
+// target-ID order, each flagged with the protocols it answers.
 func HitlistForDay(w *World, v6 bool, day int) *Hitlist {
 	return hitlist.ForDay(w, v6, day)
 }
