@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/laces-project/laces/internal/archive"
@@ -286,6 +287,41 @@ func TestCensusServedFromArchive(t *testing.T) {
 			t.Fatalf("day %d: served census is not byte-identical to the archive's canonical form", day)
 		}
 	}
+	if n := s.CachedDays(); n > 2 {
+		t.Fatalf("decoded-day LRU holds %d days, bound is 2", n)
+	}
+}
+
+// TestCensusConcurrentColdAndHot: archived days decode outside the
+// server mutex, so readers of cold days, readers of a hot day and Reload
+// run side by side (run under -race). Every response must equal the
+// sequential one and the decoded-day LRU must hold its bound.
+func TestCensusConcurrentColdAndHot(t *testing.T) {
+	s, _, want := archiveServer(t) // 6 archived days behind a 2-entry LRU
+	h := s.Handler()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				day := (g + i) % len(want) // a sweep: mostly cold
+				if g%2 == 0 {
+					day = 5 // half the readers stay on one hot day
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/census?day="+strconv.Itoa(day), nil))
+				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want[day]) {
+					t.Errorf("reader %d, day %d: status %d, body differs from the sequential response", g, day, rec.Code)
+					return
+				}
+				if g == 1 && i%4 == 0 {
+					s.Reload(s.currentView().arch, nil)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 	if n := s.CachedDays(); n > 2 {
 		t.Fatalf("decoded-day LRU holds %d days, bound is 2", n)
 	}

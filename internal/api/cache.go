@@ -94,13 +94,6 @@ func (s *Server) newView(a *archive.Archive, q *query.Index) *view {
 		events:  lru.New[eventsKey, []query.Event](eventsCacheSize),
 	}
 	if a != nil {
-		bound := s.CacheSize
-		if bound <= 0 {
-			bound = DefaultCacheSize
-		}
-		// Keep the archive's internal decoded-day cache on the server's
-		// bound, so "-cache N" governs both layers.
-		a.SetCacheSize(bound)
 		for _, fam := range a.Families() {
 			v6 := fam == "ipv6"
 			sum := crc32.New(castagnoli)

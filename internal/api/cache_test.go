@@ -8,10 +8,13 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -326,6 +329,67 @@ func TestEventsPageTokenValidation(t *testing.T) {
 	if !bytes.Contains(rec.Body.Bytes(), []byte("restart pagination")) {
 		t.Fatalf("stale cursor error unhelpful: %s", rec.Body.Bytes())
 	}
+	// A forged cursor whose limit overflows offset+limit is still a legal
+	// "the rest": 200 with the remainder and no next token (the checksum
+	// salt is public, so anyone can mint this; it used to panic).
+	full := eventsPageOf(t, fetch(t, h, "/v1/events", ""))
+	if full.Count < 2 {
+		t.Fatalf("test world produced %d events; the remainder case is vacuous", full.Count)
+	}
+	huge := pageToken{fp: fp, family: "ipv4", to: -1, limit: math.MaxInt, offset: 1}.encode()
+	rec = fetch(t, h, "/v1/events?page_token="+url.QueryEscape(huge), "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("huge limit: status %d, want 200 (%s)", rec.Code, rec.Body.Bytes())
+	}
+	rest := eventsPageOf(t, rec)
+	if rest.Count != full.Count || rest.NextPageToken != "" || !reflect.DeepEqual(rest.Events, full.Events[1:]) {
+		t.Fatalf("huge limit: %d of %d events, next %q; want the remainder after the first and no token",
+			len(rest.Events), rest.Count, rest.NextPageToken)
+	}
+}
+
+// forgeToken mints a cursor with a valid checksum around an arbitrary
+// payload — what any client can do, since the salt is public.
+func forgeToken(payload string) string {
+	sum := crc32.ChecksumIEEE([]byte(payload)) ^ pageTokenSalt
+	return base64.RawURLEncoding.EncodeToString([]byte(fmt.Sprintf("%s|%08x", payload, sum)))
+}
+
+// FuzzDecodePageToken: no input makes the decoder or the page arithmetic
+// panic, with or without a valid checksum; an accepted token re-encodes
+// to one that decodes to the same value; and the page an accepted token
+// selects lies inside the result set whatever its size.
+func FuzzDecodePageToken(f *testing.F) {
+	f.Add(pageToken{fp: "abc", family: "ipv4", kinds: "flap,onset", to: -1, hysteresis: 2, limit: 10, offset: 20}.encode(),
+		"v1|abc|ipv4||0|-1|0|2|0", "abc", 35)
+	f.Add("!!!not-base64!!!", "v1|abc|ipv6|onset|3|9|0|9223372036854775807|1", "abc", 5)
+	f.Add("", "v1|abc|ipv4||0|-1|0|+1|9223372036854775807", "abc", 0)
+	f.Add("djF8aGVsbG8", "v1|hello", "", -1)
+	f.Fuzz(func(t *testing.T, raw, payload, fp string, total int) {
+		if total < 0 {
+			total = -(total + 1)
+		}
+		for _, in := range []string{raw, forgeToken(payload)} {
+			tok, err := decodePageToken(in, fp)
+			if err != nil {
+				continue
+			}
+			again, err := decodePageToken(tok.encode(), fp)
+			if err != nil || again != tok {
+				t.Fatalf("%+v re-encodes to %+v (%v)", tok, again, err)
+			}
+			end, ok := tok.pageEnd(total)
+			switch {
+			case !ok:
+				if tok.offset <= total {
+					t.Fatalf("%+v rejected for a result set of %d", tok, total)
+				}
+			case end < tok.offset || end > total || end-tok.offset > tok.limit ||
+				(end < total && end-tok.offset != tok.limit):
+				t.Fatalf("%+v over %d events: page ends at %d", tok, total, end)
+			}
+		}
+	})
 }
 
 // TestAggregatesEndpoint: the materialized dashboard block serves from

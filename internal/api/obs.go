@@ -2,8 +2,8 @@ package api
 
 // Observability for the HTTP server: per-route request counters and
 // latency histograms, the Prometheus text exposition, optional pprof
-// handlers, and the bridges that expose the archive's and query index's
-// internal tallies as registry series.
+// handlers, and the bridges that expose the decoded-day LRU's, the
+// archive's and the query index's internal tallies as registry series.
 //
 // Response-writing contract (audited across every handler in this
 // package): headers are set first, the status code is written exactly
@@ -67,20 +67,17 @@ func (s *Server) Instrument(reg *obs.Registry) error {
 			}
 			return 0
 		})
-	reg.CounterFunc("laces_archive_cache_total",
+	reg.CounterFunc("laces_api_day_cache_total",
 		"Decoded-day LRU lookups, by outcome.",
-		func() float64 { h, _ := s.peekArchive().CacheStats(); return float64(h) },
+		func() float64 { return float64(s.cacheHits.Load()) },
 		obs.L("outcome", "hit"))
-	reg.CounterFunc("laces_archive_cache_total",
+	reg.CounterFunc("laces_api_day_cache_total",
 		"Decoded-day LRU lookups, by outcome.",
-		func() float64 { _, m := s.peekArchive().CacheStats(); return float64(m) },
+		func() float64 { return float64(s.cacheMisses.Load()) },
 		obs.L("outcome", "miss"))
 	reg.CounterFunc("laces_query_lookups_total",
 		"Timeline lookups answered by the columnar index.",
 		func() float64 { l, _, _ := s.peekQuery().Stats(); return float64(l) })
-	reg.CounterFunc("laces_query_cache_hits_total",
-		"Timeline lookups served from the decoded-timeline LRU.",
-		func() float64 { _, h, _ := s.peekQuery().Stats(); return float64(h) })
 	reg.CounterFunc("laces_query_decode_fallbacks_total",
 		"Full-entry queries that fell back to document decoding.",
 		func() float64 { _, _, d := s.peekQuery().Stats(); return float64(d) })

@@ -58,16 +58,20 @@ var (
 func TestMetricsEndpointLiveCensus(t *testing.T) {
 	ts, _ := newInstrumentedServer(t)
 
-	resp, err := http.Get(ts.URL + "/v1/census?day=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("census status %d", resp.StatusCode)
+	// Twice: the first request computes the day, the second is served
+	// from the decoded-day LRU — one miss, one hit.
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(ts.URL + "/v1/census?day=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("census status %d", resp.StatusCode)
+		}
 	}
 
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +83,8 @@ func TestMetricsEndpointLiveCensus(t *testing.T) {
 		t.Fatalf("metrics Content-Type = %q", ct)
 	}
 
-	series := make(map[string]bool) // name+labels → seen
-	typed := make(map[string]bool)  // names with a # TYPE line
+	series := make(map[string]string) // name+labels → sample value
+	typed := make(map[string]bool)    // names with a # TYPE line
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -117,7 +121,7 @@ func TestMetricsEndpointLiveCensus(t *testing.T) {
 		if !typed[base] {
 			t.Fatalf("sample %q has no # TYPE header", line)
 		}
-		series[m[1]+m[2]] = true
+		series[m[1]+m[2]] = m[3]
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -141,6 +145,19 @@ func TestMetricsEndpointLiveCensus(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("no %s series in exposition", want)
+		}
+	}
+	// The cache /metrics reports is the one that exists: the server's
+	// decoded-day LRU. The archive and timeline caches are gone, and so
+	// are their series.
+	for _, outcome := range []string{"hit", "miss"} {
+		if got := series[`laces_api_day_cache_total{outcome="`+outcome+`"}`]; got != "1" {
+			t.Errorf("laces_api_day_cache_total{outcome=%q} = %q, want 1", outcome, got)
+		}
+	}
+	for s := range series {
+		if strings.HasPrefix(s, "laces_archive_cache_total") || strings.HasPrefix(s, "laces_query_cache_hits_total") {
+			t.Errorf("exposition still carries the deleted series %s", s)
 		}
 	}
 }

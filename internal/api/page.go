@@ -48,6 +48,22 @@ func (t pageToken) encode() string {
 	return base64.RawURLEncoding.EncodeToString([]byte(fmt.Sprintf("%s|%08x", payload, sum)))
 }
 
+// pageEnd returns where the token's page ends in a result set of total
+// events — events[t.offset:end] is the page, and end < total means more
+// follow — or false for an offset past the end. The token comes from
+// outside (the checksum salt is public), so a limit of any size is legal
+// and means "the rest": the comparison is on the remainder, which cannot
+// overflow the way offset+limit can.
+func (t pageToken) pageEnd(total int) (end int, ok bool) {
+	if t.offset > total {
+		return 0, false
+	}
+	if t.limit < total-t.offset {
+		return t.offset + t.limit, true
+	}
+	return total, true
+}
+
 // decodePageToken validates and decodes a cursor against the current
 // index fingerprint.
 func decodePageToken(s, fp string) (pageToken, error) {

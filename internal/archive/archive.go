@@ -18,6 +18,10 @@
 // Every index record carries a CRC-32C over the day's canonical JSON
 // bytes, so Verify can prove — without any external reference — that
 // unpacking reproduces exactly what WriteJSON published.
+//
+// The reader (Archive) is a stateless, lock-free store: it caches
+// nothing, so a decoded document is the caller's own, and callers that
+// re-read days keep their own cache (internal/api's decoded-day LRU).
 package archive
 
 import (

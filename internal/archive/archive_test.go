@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/laces-project/laces/internal/core"
@@ -150,7 +151,8 @@ func packChain(t testing.TB, dir string, docs []*core.Document, k int) {
 
 // TestPackUnpackLossless is the core contract on synthetic data: every
 // unpacked day reproduces its canonical bytes, by random access and by
-// streaming Range.
+// streaming Range, and the two read paths — one chain walker underneath
+// — yield the same document for every day.
 func TestPackUnpackLossless(t *testing.T) {
 	docs := chain(23, 120)
 	want := make([][]byte, len(docs))
@@ -158,15 +160,32 @@ func TestPackUnpackLossless(t *testing.T) {
 		want[i] = canonicalBytes(t, d)
 	}
 	dir := t.TempDir()
-	packChain(t, dir, docs, 7)
+	// Days 0-9 at K=7, the rest by a resumed writer at K=3: snapshots land
+	// on days 0, 7, 10, 13, ... so one sits mid-way through what the first
+	// cadence would have made a single delta chain.
+	packChain(t, dir, docs[:10], 7)
+	w, err := OpenWriter(dir, Options{SnapshotEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < len(docs); i++ {
+		if err := w.Append(i, docs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	a, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Random access, deliberately out of order to exercise the LRU, with
-	// the decoded-day cache squeezed below the access set.
-	a.SetCacheSize(3)
+	if rec, _ := a.Record("ipv4", 10); rec.Kind != KindSnapshot {
+		t.Fatalf("day 10 is a %s, want a snapshot interleaved mid-chain", rec.Kind)
+	}
+	// Random access, deliberately out of order and with a repeat: the
+	// Archive keeps no state between calls, so order cannot matter.
 	for _, day := range []int{22, 0, 13, 13, 7, 21, 1} {
 		doc, err := a.Document("ipv4", day)
 		if err != nil {
@@ -176,14 +195,18 @@ func TestPackUnpackLossless(t *testing.T) {
 			t.Fatalf("day %d: random access did not reproduce canonical bytes", day)
 		}
 	}
-	if n := a.CachedDays(); n > 3 {
-		t.Fatalf("decoded-day cache holds %d days, bound is 3", n)
-	}
-	// Streaming range.
+	// Streaming range, each day checked against random access.
 	seen := 0
 	err = a.Range("ipv4", 0, -1, func(day int, doc *core.Document) error {
 		if !bytes.Equal(canonicalBytes(t, doc), want[day]) {
 			t.Fatalf("day %d: range did not reproduce canonical bytes", day)
+		}
+		single, err := a.Document("ipv4", day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(single, doc) {
+			t.Fatalf("day %d: Document and Range yield different documents", day)
 		}
 		seen++
 		return nil
@@ -193,6 +216,20 @@ func TestPackUnpackLossless(t *testing.T) {
 	}
 	if seen != len(docs) {
 		t.Fatalf("range visited %d of %d days", seen, len(docs))
+	}
+	// A bounded span that starts and ends on delta days.
+	var span []int
+	if err := a.Range("ipv4", 9, 12, func(day int, _ *core.Document) error {
+		span = append(span, day)
+		return nil
+	}); err != nil || !reflect.DeepEqual(span, []int{9, 10, 11, 12}) {
+		t.Fatalf("range 9..12 visited %v (%v)", span, err)
+	}
+	if err := a.Range("ipv4", 40, -1, func(int, *core.Document) error {
+		t.Fatal("range past the last day visited a document")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if res, err := a.Verify(); err != nil || res.Days != len(docs) {
 		t.Fatalf("verify: %v (%+v)", err, res)

@@ -11,15 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/laces-project/laces/internal/core"
-	"github.com/laces-project/laces/internal/lru"
 )
-
-// DefaultCacheSize bounds the decoded-day LRU of an Archive.
-const DefaultCacheSize = 8
 
 // ErrNotFound marks a lookup for a day (or family) the archive does not
 // carry — as opposed to a decode or integrity failure on a day it does.
@@ -27,9 +22,11 @@ var ErrNotFound = errors.New("day not archived")
 
 // Archive reads an archived census repository. Random access decodes
 // from the nearest snapshot at or before the requested day and applies
-// deltas forward; a bounded LRU of decoded days keeps repeated and
-// nearby lookups cheap. Documents returned by the Archive are shared and
-// must be treated as immutable.
+// deltas forward. Nothing is cached and nothing but an atomic counter
+// changes after Open, so the handle is safe for concurrent use without a
+// lock and every document it returns is the caller's own; a caller that
+// re-reads days caches them itself (internal/api holds the one
+// decoded-day LRU).
 type Archive struct {
 	dir   string
 	recs  []Record
@@ -42,36 +39,18 @@ type Archive struct {
 	indexEnd  int64
 	indexOpen bool
 
-	mu    sync.Mutex
-	cache *lru.Cache[dayKey, *core.Document]
-
 	// decodes counts document materializations (snapshot parses and
 	// delta applications). The query layer's index-only guarantee is
 	// asserted against this counter: answering a timeline from the
 	// columnar index must leave it untouched.
 	decodes atomic.Int64
-
-	// cacheHits/cacheMisses tally decoded-day LRU outcomes for requested
-	// days: a hit means the day was served straight from the cache, a
-	// miss means decoding work happened (walk-back lookups while serving
-	// one miss are not separately counted). Read via CacheStats.
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
 }
 
-// CacheStats reports the decoded-day LRU's hit/miss tallies. Zero for a
-// nil archive.
-func (a *Archive) CacheStats() (hits, misses int64) {
-	if a == nil {
-		return 0, 0
-	}
-	return a.cacheHits.Load(), a.cacheMisses.Load()
-}
-
-type dayKey struct {
-	family string
-	day    int
-}
+// CacheStats always reports zero: the Archive keeps no cache. The
+// signature survives only because the frozen bench/ module compiles
+// against it; the next benchmark PR retires it together with the
+// archive.lru_hit_share column.
+func (a *Archive) CacheStats() (hits, misses int64) { return 0, 0 }
 
 // Open loads an archive directory's index.
 //
@@ -88,7 +67,7 @@ func Open(dir string) (*Archive, error) {
 	if err != nil {
 		return nil, fmt.Errorf("archive: %s is not an archive: %w", dir, err)
 	}
-	a := &Archive{dir: dir, byFam: make(map[string][]int), cache: lru.New[dayKey, *core.Document](DefaultCacheSize)}
+	a := &Archive{dir: dir, byFam: make(map[string][]int)}
 	terminated := len(data) == 0 || data[len(data)-1] == '\n'
 	a.indexEnd, a.indexOpen = int64(len(data)), !terminated
 	lines := bytes.Split(data, []byte("\n"))
@@ -117,13 +96,6 @@ func Open(dir string) (*Archive, error) {
 		}
 	}
 	return a, nil
-}
-
-// SetCacheSize rebounds the decoded-day LRU (minimum 1).
-func (a *Archive) SetCacheSize(n int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.cache = lru.New[dayKey, *core.Document](n)
 }
 
 // Families lists the archived address families in sorted order.
@@ -167,62 +139,57 @@ func (a *Archive) find(family string, day int) (int, bool) {
 	return 0, false
 }
 
-// Document decodes one archived day. The result is cached in the
-// bounded LRU and shared across callers; treat it as read-only.
+// Document decodes one archived day. The result is the caller's own:
+// nothing else holds it.
 func (a *Archive) Document(family string, day int) (*core.Document, error) {
 	pos, ok := a.find(family, day)
 	if !ok {
 		return nil, fmt.Errorf("archive: no %s census for day %d: %w", family, day, ErrNotFound)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.documentLocked(family, pos)
+	var out *core.Document
+	err := a.walk(family, pos, pos, func(_ Record, doc *core.Document) error {
+		out = doc
+		return nil
+	})
+	return out, err
 }
 
-// documentLocked decodes the day at position pos in the family chain,
-// starting from the nearest cached day or snapshot behind it.
-func (a *Archive) documentLocked(family string, pos int) (*core.Document, error) {
+// walk decodes the days at positions first..last of the family's chain
+// in order and hands each to fn: it rewinds to the snapshot the first
+// one derives from, then applies deltas forward (a snapshot met on the
+// way simply restarts the chain). Every random-access and streaming read
+// goes through here.
+func (a *Archive) walk(family string, first, last int, fn func(rec Record, doc *core.Document) error) error {
+	if first > last {
+		return nil
+	}
 	idxs := a.byFam[family]
-	// Walk back to a usable base: a cached day or the chain's snapshot.
-	base := pos
-	var doc *core.Document
-	for {
-		day := a.recs[idxs[base]].Day
-		if d, ok := a.cache.Get(dayKey{family, day}); ok {
-			if base == pos {
-				a.cacheHits.Add(1)
-			}
-			doc = d
-			break
-		}
-		if base == pos {
-			a.cacheMisses.Add(1)
-		}
-		if a.recs[idxs[base]].Kind == KindSnapshot {
-			break
-		}
-		if base == 0 {
-			return nil, fmt.Errorf("archive: %s chain starts with a delta (corrupt index)", family)
-		}
+	base := first
+	for base > 0 && a.recs[idxs[base]].Kind != KindSnapshot {
 		base--
 	}
-	if doc == nil {
+	var doc *core.Document
+	for i := base; i <= last; i++ {
+		rec := a.recs[idxs[i]]
 		var err error
-		doc, err = a.loadSnapshot(a.recs[idxs[base]])
-		if err != nil {
-			return nil, err
+		switch {
+		case rec.Kind == KindSnapshot:
+			doc, err = a.loadSnapshot(rec)
+		case doc == nil:
+			return fmt.Errorf("archive: %s chain starts with a delta (corrupt index)", family)
+		default:
+			doc, err = a.applyDelta(doc, rec)
 		}
-		a.cache.Put(dayKey{family, a.recs[idxs[base]].Day}, doc)
-	}
-	for i := base + 1; i <= pos; i++ {
-		next, err := a.applyDelta(doc, a.recs[idxs[i]])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		doc = next
-		a.cache.Put(dayKey{family, a.recs[idxs[i]].Day}, doc)
+		if i >= first {
+			if err := fn(rec, doc); err != nil {
+				return err
+			}
+		}
 	}
-	return doc, nil
+	return nil
 }
 
 // Decodes reports how many document materializations (snapshot parses
@@ -255,12 +222,8 @@ func (a *Archive) loadSnapshot(rec Record) (*core.Document, error) {
 	return doc, nil
 }
 
-// applyDelta advances the chain by one day.
+// applyDelta advances the chain by one delta day.
 func (a *Archive) applyDelta(prev *core.Document, rec Record) (*core.Document, error) {
-	if rec.Kind != KindDelta {
-		// A snapshot interleaved mid-chain simply restarts it.
-		return a.loadSnapshot(rec)
-	}
 	a.decodes.Add(1)
 	b, err := os.ReadFile(filepath.Join(a.dir, rec.File))
 	if err != nil {
@@ -286,43 +249,14 @@ func (a *Archive) Range(family string, from, to int, fn func(day int, doc *core.
 	if len(idxs) == 0 {
 		return fmt.Errorf("archive: no %s days archived: %w", family, ErrNotFound)
 	}
-	if to < 0 {
-		to = a.recs[idxs[len(idxs)-1]].Day
-	}
 	start := sort.Search(len(idxs), func(i int) bool { return a.recs[idxs[i]].Day >= from })
-	if start == len(idxs) || a.recs[idxs[start]].Day > to {
-		return nil
+	end := len(idxs)
+	if to >= 0 {
+		end = sort.Search(len(idxs), func(i int) bool { return a.recs[idxs[i]].Day > to })
 	}
-	// Rewind to the snapshot the first requested day derives from.
-	base := start
-	for base > 0 && a.recs[idxs[base]].Kind != KindSnapshot {
-		base--
-	}
-	var doc *core.Document
-	for i := base; i < len(idxs); i++ {
-		rec := a.recs[idxs[i]]
-		if rec.Day > to {
-			return nil
-		}
-		if doc == nil && rec.Kind != KindSnapshot {
-			return fmt.Errorf("archive: %s chain starts with a delta (corrupt index)", family)
-		}
-		var err error
-		if doc == nil || rec.Kind == KindSnapshot {
-			doc, err = a.loadSnapshot(rec)
-		} else {
-			doc, err = a.applyDelta(doc, rec)
-		}
-		if err != nil {
-			return err
-		}
-		if rec.Day >= from {
-			if err := fn(rec.Day, doc); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return a.walk(family, start, end-1, func(rec Record, doc *core.Document) error {
+		return fn(rec.Day, doc)
+	})
 }
 
 // VerifyResult summarises an integrity pass.
@@ -336,8 +270,7 @@ type VerifyResult struct {
 func (a *Archive) Verify() (*VerifyResult, error) {
 	res := &VerifyResult{}
 	for _, fam := range a.Families() {
-		err := a.Range(fam, 0, -1, func(day int, doc *core.Document) error {
-			rec, _ := a.Record(fam, day)
+		err := a.walk(fam, 0, len(a.byFam[fam])-1, func(rec Record, doc *core.Document) error {
 			crc := crc32.New(castagnoli)
 			count := &countingWriter{}
 			if err := core.StreamDocument(io.MultiWriter(crc, count), doc); err != nil {
@@ -345,10 +278,10 @@ func (a *Archive) Verify() (*VerifyResult, error) {
 			}
 			if crc.Sum32() != rec.CRC || count.n != rec.FullBytes {
 				return fmt.Errorf("archive: %s day %d: reconstructed census does not match packed checksum (crc %08x/%08x, %d/%d bytes)",
-					fam, day, crc.Sum32(), rec.CRC, count.n, rec.FullBytes)
+					fam, rec.Day, crc.Sum32(), rec.CRC, count.n, rec.FullBytes)
 			}
 			if len(doc.Entries) != rec.Entries || doc.GCount != rec.GCount || doc.MCount != rec.MCount {
-				return fmt.Errorf("archive: %s day %d: counts diverge from index", fam, day)
+				return fmt.Errorf("archive: %s day %d: counts diverge from index", fam, rec.Day)
 			}
 			res.Days++
 			return nil
@@ -399,11 +332,4 @@ func (a *Archive) Stats() []FamilyStats {
 		out = append(out, st)
 	}
 	return out
-}
-
-// CachedDays reports how many decoded days the LRU currently holds.
-func (a *Archive) CachedDays() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cache.Len()
 }

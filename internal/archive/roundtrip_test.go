@@ -8,6 +8,7 @@ package archive_test
 
 import (
 	"bytes"
+	"net/netip"
 	"testing"
 
 	"github.com/laces-project/laces/internal/archive"
@@ -116,11 +117,40 @@ func TestArchiveRoundTripAcrossSeedsAndScenarios(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), want[i]) {
 				t.Fatalf("day %d: unpacked census is not byte-identical to WriteJSON", day)
 			}
+			checkFind(t, got)
 		}
 		if res, err := a.Verify(); err != nil || res.Days != len(days) {
 			t.Fatalf("verify: %v (%+v)", err, res)
 		}
 	})
+}
+
+// checkFind holds Document.Find to the linear scan it replaced on a real
+// unpacked census day: every row is found at its own position, and each
+// row's neighbours in prefix space (the same address one bit longer and
+// shorter) are found exactly when a scan finds them.
+func checkFind(t *testing.T, d *core.Document) {
+	t.Helper()
+	scan := func(prefix string) *core.DocumentEntry {
+		for i := range d.Entries {
+			if d.Entries[i].Prefix == prefix {
+				return &d.Entries[i]
+			}
+		}
+		return nil
+	}
+	for i := range d.Entries {
+		p := d.Entries[i].Prefix
+		if d.Find(p) != &d.Entries[i] {
+			t.Fatalf("Find(%s) missed row %d", p, i)
+		}
+		pfx := netip.MustParsePrefix(p)
+		for _, bits := range []int{pfx.Bits() - 1, pfx.Bits() + 1} {
+			if n := netip.PrefixFrom(pfx.Addr(), bits).String(); d.Find(n) != scan(n) {
+				t.Fatalf("Find(%s) disagrees with the linear scan", n)
+			}
+		}
+	}
 }
 
 // TestDocumentJSONRoundTrip pins the published codec property:

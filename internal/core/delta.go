@@ -73,6 +73,26 @@ func DiffDocuments(prev, cur *Document) *DocumentDelta {
 	return d
 }
 
+// searchEntries returns the position of the first entry ordered at or
+// after prefix — where the prefix sits, or where it would be inserted.
+// Entries must be in canonical order.
+func searchEntries(entries []DocumentEntry, prefix string) int {
+	return sort.Search(len(entries), func(i int) bool {
+		return ComparePrefixStrings(entries[i].Prefix, prefix) >= 0
+	})
+}
+
+// Find returns the document's row for prefix, or nil when the day does
+// not carry it: a binary search over the canonical entry order every
+// published document is in (Document(), the archive's delta chain). The
+// row points into Entries.
+func (d *Document) Find(prefix string) *DocumentEntry {
+	if i := searchEntries(d.Entries, prefix); i < len(d.Entries) && d.Entries[i].Prefix == prefix {
+		return &d.Entries[i]
+	}
+	return nil
+}
+
 // Apply reconstructs the new day's document from the previous day's. It
 // is strict: a removal that names an absent prefix or a family mismatch
 // means the delta does not belong to this document chain.
@@ -121,10 +141,7 @@ func (d *DocumentDelta) Apply(prev *Document) (*Document, error) {
 			if _, ok := upsert[e.Prefix]; !ok {
 				continue
 			}
-			at := sort.Search(len(out.Entries), func(j int) bool {
-				return ComparePrefixStrings(out.Entries[j].Prefix, e.Prefix) >= 0
-			})
-			out.Entries = slices.Insert(out.Entries, at, *e)
+			out.Entries = slices.Insert(out.Entries, searchEntries(out.Entries, e.Prefix), *e)
 		}
 	}
 	if len(out.Entries) == 0 {

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -155,4 +158,111 @@ func TestDeltaEmpty(t *testing.T) {
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Fatal("empty delta did not reproduce the document")
 	}
+}
+
+// linearFind is the oracle for Find: the scan it replaced.
+func linearFind(d *Document, prefix string) *DocumentEntry {
+	for i := range d.Entries {
+		if d.Entries[i].Prefix == prefix {
+			return &d.Entries[i]
+		}
+	}
+	return nil
+}
+
+// checkFind compares Find with the linear scan on every row of the
+// document (first and last included), on each row's neighbours in prefix
+// space — one bit longer, one bit shorter, the adjacent blocks — and on
+// probes ordered before and after everything a census can carry.
+func checkFind(t *testing.T, d *Document, extra ...string) {
+	t.Helper()
+	probes := append([]string{
+		"0.0.0.0/0", "255.255.255.255/32", "::/0", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128",
+		"", "not-a-prefix",
+	}, extra...)
+	for i := range d.Entries {
+		p := d.Entries[i].Prefix
+		probes = append(probes, p)
+		pfx, err := netip.ParsePrefix(p)
+		if err != nil {
+			continue
+		}
+		for _, bits := range []int{pfx.Bits() - 1, pfx.Bits() + 1} {
+			if n := netip.PrefixFrom(pfx.Addr(), bits); n.IsValid() {
+				probes = append(probes, n.String())
+			}
+		}
+		if last := lastAddr(pfx); last.Next().IsValid() {
+			probes = append(probes, netip.PrefixFrom(last.Next(), pfx.Bits()).String())
+		}
+		if prev := pfx.Addr().Prev(); prev.IsValid() {
+			probes = append(probes, netip.PrefixFrom(prev, pfx.Bits()).Masked().String())
+		}
+	}
+	for _, p := range probes {
+		if got, want := d.Find(p), linearFind(d, p); got != want {
+			t.Fatalf("Find(%q) = %v, linear scan finds %v", p, got, want)
+		}
+	}
+}
+
+// lastAddr returns the highest address inside the prefix.
+func lastAddr(p netip.Prefix) netip.Addr {
+	b := p.Addr().AsSlice()
+	for i := p.Bits(); i < len(b)*8; i++ {
+		b[i/8] |= 0x80 >> (i % 8)
+	}
+	a, _ := netip.AddrFromSlice(b)
+	return a
+}
+
+// TestFindMatchesLinearScan: the binary search agrees with the scan it
+// replaced on empty, one-row and evolving synthetic documents and on one
+// mixing prefix lengths and both families (same address at several
+// lengths, adjacent blocks, v4 sorting before v6).
+func TestFindMatchesLinearScan(t *testing.T) {
+	checkFind(t, &Document{})
+	checkFind(t, synthDoc(0, 1))
+	d := synthDoc(0, 60)
+	for day := 1; day <= 4; day++ {
+		checkFind(t, d)
+		d = evolve(d, day)
+	}
+	mixed := &Document{Family: "ipv4"}
+	for _, p := range []string{
+		"10.0.0.0/8", "10.0.0.0/16", "10.0.0.0/24", "10.0.1.0/24", "2.0.0.0/24", "100.64.0.0/10",
+		"192.0.2.0/24", "192.0.2.128/25", "203.0.113.7/32", "0.0.0.0/8", "255.255.255.0/24",
+		"2001:db8::/32", "2001:db8::/48", "2001:db8:0:1::/64", "2a0a::/29", "::/8", "ff00::/8",
+		"2001:db8::1/128",
+	} {
+		mixed.Entries = append(mixed.Entries, DocumentEntry{Prefix: p, OriginASN: uint32(len(mixed.Entries))})
+	}
+	sortEntriesCanonical(mixed)
+	checkFind(t, mixed)
+	if e := mixed.Find("10.0.0.0/16"); e == nil || e.Prefix != "10.0.0.0/16" {
+		t.Fatalf("Find(10.0.0.0/16) = %v", e)
+	}
+	if first, last := mixed.Find("0.0.0.0/8"), mixed.Find("ff00::/8"); first != &mixed.Entries[0] || last != &mixed.Entries[len(mixed.Entries)-1] {
+		t.Fatal("first or last row not found at its own position")
+	}
+}
+
+// FuzzDocumentFind: for any set of prefix strings — parsable or not —
+// held in canonical order without duplicates, Find and the linear scan
+// agree on every row and on an arbitrary needle.
+func FuzzDocumentFind(f *testing.F) {
+	f.Add("10.0.0.0/24\n2.0.0.0/24\n10.0.0.0/8\n2001:db8::/32\n2a0a::/29", "2.0.0.0/24")
+	f.Add("192.0.2.0/24\nnot-a-prefix\n\n::1/128\n0:0::1/128", "0::1/128")
+	f.Add("", "10.0.0.0/24")
+	f.Fuzz(func(t *testing.T, lines, needle string) {
+		d := &Document{}
+		for _, p := range strings.Split(lines, "\n") {
+			d.Entries = append(d.Entries, DocumentEntry{Prefix: p})
+		}
+		// Canonical form: ordered, and no two rows the order cannot tell
+		// apart (the census never publishes two spellings of one prefix).
+		slices.SortStableFunc(d.Entries, func(a, b DocumentEntry) int { return ComparePrefixStrings(a.Prefix, b.Prefix) })
+		d.Entries = slices.CompactFunc(d.Entries, func(a, b DocumentEntry) bool { return ComparePrefixStrings(a.Prefix, b.Prefix) == 0 })
+		checkFind(t, d, needle)
+	})
 }

@@ -1,8 +1,7 @@
 // Package lru is a small bounded least-recently-used cache — the one
-// primitive behind the archive's decoded-day cache, the API server's
-// day and events caches and the query index's timeline cache, so
-// eviction behaviour has a single implementation. It is not safe for
-// concurrent use; each owner guards its cache with its own lock.
+// primitive behind the API server's decoded-day and events-list caches,
+// so eviction behaviour has a single implementation. It is not safe for
+// concurrent use; the owner guards its caches with its own lock.
 package lru
 
 import "container/list"

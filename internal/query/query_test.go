@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/laces-project/laces/internal/archive"
@@ -302,6 +303,18 @@ func TestQueriesAnswerFromIndexAlone(t *testing.T) {
 	}
 	if a.Decodes() == 0 {
 		t.Fatal("FullEntries did not touch the document store (decode counter stuck at 0)")
+	}
+	// The rows are exactly what a linear scan of the source documents finds.
+	var want []DayEntry
+	for day := 0; day <= 5; day++ {
+		for _, e := range docs[day].Entries {
+			if e.Prefix == prefix {
+				want = append(want, DayEntry{Day: day, Entry: e})
+			}
+		}
+	}
+	if !reflect.DeepEqual(full, want) {
+		t.Fatalf("FullEntries = %+v, want %+v", full, want)
 	}
 }
 
@@ -656,22 +669,4 @@ func TestOpenDirRejectsStaleIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.Close()
-}
-
-// TestTimelineCacheBounded pins the decoded-timeline LRU bound.
-func TestTimelineCacheBounded(t *testing.T) {
-	docs := synthChain(10, 50)
-	_, ix := buildIndex(t, docs)
-	ix.SetCacheSize(4)
-	for _, p := range ix.Prefixes("ipv4") {
-		if _, err := ix.Timeline("ipv4", p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix.mu.Lock()
-	n := ix.cache.Len()
-	ix.mu.Unlock()
-	if n > 4 {
-		t.Fatalf("timeline LRU holds %d rows, bound is 4", n)
-	}
 }
