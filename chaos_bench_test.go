@@ -77,8 +77,8 @@ func BenchmarkDailyCensus(b *testing.B) {
 
 // BenchmarkDailyCensusObs is the fully instrumented census: stage
 // counters and spans via a live registry plus netsim probe telemetry.
-// The acceptance bar is within 3% of BenchmarkDailyCensus — per-shard
-// obs.Cell accumulators and handles resolved outside the hot loops keep
+// The acceptance bar is within 3% of BenchmarkDailyCensus — par.Shard's
+// per-shard counters and handles resolved outside the hot loops keep
 // the instrumented path allocation-free (see netsim's
 // TestProbeHotPathNoAllocsInstrumented).
 func BenchmarkDailyCensusObs(b *testing.B) {

@@ -9,9 +9,7 @@ import (
 
 // BenchmarkBudgetLedger measures the sequential admission pre-pass the
 // census stages pay per target when governance is active: an opt-out
-// lookup plus a three-cap check-and-charge. CI runs it at one iteration
-// (BENCH_budget.json) so a regression on this per-target cost is visible
-// in the artifact trail.
+// lookup plus a three-cap check-and-charge.
 func BenchmarkBudgetLedger(b *testing.B) {
 	reg := NewRegistry()
 	for i := 0; i < 64; i++ {

@@ -8,8 +8,8 @@
 // arrive — mirroring §5.5.2's result that census accuracy survives at
 // 1/8th the normal rate.
 //
-// The determinism contract mirrors internal/par's: admission decisions
-// are made in a sequential pre-pass over each stage's target list (the
+// The determinism contract is internal/par's: par.Run makes admission
+// decisions in a sequential pre-pass over each stage's target list (the
 // same total order the sequential loop uses), so the set of admitted
 // targets — and therefore the census document — is byte-identical at
 // every Parallelism setting. The ledger's counters are atomic, so the

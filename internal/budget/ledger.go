@@ -13,9 +13,10 @@ import (
 // registry consulted before any cap.
 //
 // Admission (Gate.Admit) is check-and-charge under a per-day mutex and
-// MUST be called in a deterministic target order — the measurement
-// stages guarantee this with a sequential pre-pass over their target
-// lists before sharding the probing itself. Observation counters
+// MUST be called in a deterministic target order — par.Run, the loop
+// every measurement stage runs on, guarantees this with a sequential
+// pre-pass over the stage's target list before sharding the probing
+// itself. Observation counters
 // (Gate.Observe) are atomic and may be charged concurrently from
 // parallel shards.
 type Ledger struct {
@@ -225,30 +226,4 @@ func (g *Gate) Observe(probes int64) {
 		return
 	}
 	g.st.observed.Add(probes)
-}
-
-// Filter is the sequential admission pre-pass every measurement stage
-// runs before its (possibly sharded) probing loop: items are presented
-// to the gate in slice order, each decision is recorded into u, and the
-// admitted items are returned in order (never aliasing the input's
-// backing array). info returns an item's target and probe demand; a nil
-// target means the item is outside the ledger's scope (e.g. an
-// out-of-range ID the probing loop skips anyway) and passes through
-// uncharged. Centralising the loop keeps the admission/accounting
-// contract in one place — a stage cannot diverge from it.
-func Filter[T any](g *Gate, items []T, u *Usage, info func(T) (*netsim.Target, int64)) []T {
-	kept := items[:0:0]
-	for _, it := range items {
-		tg, probes := info(it)
-		if tg == nil {
-			kept = append(kept, it)
-			continue
-		}
-		dec := g.Admit(tg, probes)
-		u.Record(dec, probes)
-		if dec == Admitted {
-			kept = append(kept, it)
-		}
-	}
-	return kept
 }

@@ -10,7 +10,6 @@
 package chaosdns
 
 import (
-	"strconv"
 	"time"
 
 	"github.com/laces-project/laces/internal/budget"
@@ -52,57 +51,41 @@ func (o Observation) MultiRecord() bool { return len(o.Records) > 1 }
 // are skipped and accounted in the returned Usage. reg, when non-nil,
 // receives the stage's telemetry (never feeding back into the result).
 func Census(w *netsim.World, d *netsim.Deployment, hl *hitlist.Hitlist, at time.Time, gate *budget.Gate, parallelism int, reg *obs.Registry) (map[int]Observation, budget.Usage) {
-	entries := hl.FilterProtocol(packet.DNS)
 	var usage budget.Usage
-	if gate != nil {
-		perEntry := int64(d.NumSites())
-		entries = budget.Filter(gate, entries, &usage, func(e hitlist.Entry) (*netsim.Target, int64) {
-			return w.TargetAt(hl.V6, e.TargetID), perEntry
-		})
-	}
-	si := reg.Stage(Stage, len(entries))
-	cells := make([]obs.Cell, par.NumShards(len(entries), parallelism))
-	all, probes := par.Gather(len(entries), parallelism, func(start, end int, sh *par.Shard[Observation]) {
-		cell := &cells[sh.Index]
-		ssp := si.Span.Child("shard" + strconv.Itoa(sh.Index))
-		for _, e := range entries[start:end] {
-			tg := w.TargetAt(hl.V6, e.TargetID)
-			ob := Observation{TargetID: e.TargetID, Records: make(map[string]bool)}
-			for wk := 0; wk < d.NumSites(); wk++ {
-				ctx := netsim.ProbeCtx{
-					At:   at.Add(time.Duration(wk) * time.Second),
-					Flow: netsim.FlowKey{Proto: packet.DNS, StaticFlow: 0xc4, VaryingPayload: uint64(wk + 1)},
-					Gap:  time.Second,
-					Seq:  uint64(e.TargetID),
+	sum, _ := par.Run(par.Stage{Label: Stage, World: w, V6: hl.V6, Gate: gate, Obs: reg, Parallelism: parallelism},
+		hl.FilterProtocol(packet.DNS), &usage,
+		func(e hitlist.Entry) int { return e.TargetID },
+		func(*netsim.Target) int64 { return int64(d.NumSites()) },
+		func(sh *par.Shard[Observation]) func(int, *netsim.Target) {
+			return func(_ int, tg *netsim.Target) {
+				ob := Observation{TargetID: tg.ID, Records: make(map[string]bool)}
+				for wk := 0; wk < d.NumSites(); wk++ {
+					ctx := netsim.ProbeCtx{
+						At:   at.Add(time.Duration(wk) * time.Second),
+						Flow: netsim.FlowKey{Proto: packet.DNS, StaticFlow: 0xc4, VaryingPayload: uint64(wk + 1)},
+						Gap:  time.Second,
+						Seq:  uint64(tg.ID),
+					}
+					sh.Probes++
+					del, ok := w.ProbeAnycast(d, wk, tg, ctx)
+					if !ok {
+						continue
+					}
+					sh.Replies++
+					// Each query observes the record of the site (or co-located
+					// server) that answered it.
+					rec, ok := w.ChaosRecord(tg, del.SiteIdx, uint64(tg.ID)*64+uint64(wk))
+					if !ok {
+						continue
+					}
+					ob.Supported = true
+					ob.Records[rec] = true
 				}
-				sh.Count++
-				del, ok := w.ProbeAnycast(d, wk, tg, ctx)
-				if !ok {
-					continue
-				}
-				cell.Replies++
-				// Each query observes the record of the site (or co-located
-				// server) that answered it.
-				rec, ok := w.ChaosRecord(tg, del.SiteIdx, uint64(e.TargetID)*64+uint64(wk))
-				if !ok {
-					continue
-				}
-				ob.Supported = true
-				ob.Records[rec] = true
+				sh.Out = append(sh.Out, ob)
 			}
-			sh.Out = append(sh.Out, ob)
-			si.Done.Inc()
-		}
-		ssp.End()
-	})
-	gate.Observe(probes)
-	si.Probes.Add(probes)
-	_, replies := obs.MergeCells(cells)
-	si.Replies.Add(replies)
-	si.Denied.Add(int64(usage.OptOutTargets + usage.BudgetTargets))
-	si.End()
-	out := make(map[int]Observation, len(entries))
-	for _, ob := range all {
+		})
+	out := make(map[int]Observation, len(sum.Out))
+	for _, ob := range sum.Out {
 		out[ob.TargetID] = ob
 	}
 	return out, usage

@@ -187,12 +187,6 @@ type Config struct {
 	Offset time.Duration
 	// Rate is the hitlist rate (targets/s; default manycast.DefaultRate).
 	Rate float64
-	// GCDAttempts per VP (default 1).
-	GCDAttempts int
-	// AccumulateDailyG keeps feeding confirmed prefixes back into the
-	// candidate list (the Fig 3 purple arrow). Default true (disable only
-	// for ablation).
-	NoDailyFeedback bool
 	// IncludeChaos adds a CHAOS TXT identity census over DNS-responsive
 	// census prefixes (§8 extension; App C shows the records are a weak
 	// anycast indicator but a useful nameserver annotation).
@@ -201,9 +195,6 @@ type Config struct {
 	// whose paths ingress at multiple PoPs but terminate at one server
 	// are published with the GlobalBGP flag (§5.1.3 future work).
 	ConfirmGlobalBGP bool
-	// GlobalBGPVPs caps the traceroute vantage points drawn from the GCD
-	// pool (default 12 — the paper's manual confirmation used a handful).
-	GlobalBGPVPs int
 	// Parallelism shards the hot measurement loops of every census stage
 	// (anycast-based, GCD, CHAOS) across this many goroutines: <= 0 means
 	// GOMAXPROCS, 1 runs sequentially. The census is byte-identical at
@@ -217,11 +208,8 @@ type Config struct {
 	// byte-identical documents to one without governance.
 	Budget budget.Budget
 	// OptOut is the opt-out registry honoured before any budget cap;
-	// nil means none. Takes precedence over OptOutFile.
+	// nil means none.
 	OptOut *budget.Registry
-	// OptOutFile, when set (and OptOut is nil), loads the opt-out
-	// registry from this path at pipeline construction.
-	OptOutFile string
 	// Obs receives the pipeline's telemetry: per-stage laces_stage_*
 	// series, one census → stage → shard span tree per RunDaily,
 	// operational events, live progress and (when governance is
@@ -301,13 +289,6 @@ func NewPipeline(w *netsim.World, cfg Config) (*Pipeline, error) {
 	}
 	if cfg.Offset == 0 {
 		cfg.Offset = time.Second
-	}
-	if cfg.OptOut == nil && cfg.OptOutFile != "" {
-		reg, err := budget.LoadRegistryFile(cfg.OptOutFile)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		cfg.OptOut = reg
 	}
 	p := &Pipeline{World: w, Cfg: cfg}
 	if !cfg.Budget.IsZero() || cfg.OptOut != nil {
@@ -490,7 +471,6 @@ func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus,
 			VPs:         vps,
 			Proto:       part.proto,
 			At:          start.Add(6 * time.Hour),
-			Attempts:    p.Cfg.GCDAttempts,
 			Analysis:    igreedy.Options{},
 			Parallelism: p.Cfg.Parallelism,
 			Gate:        gate,
@@ -513,12 +493,11 @@ func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus,
 		}
 	}
 
-	// Maintain the feedback loop with today's confirmations.
-	if !p.Cfg.NoDailyFeedback {
-		for id, e := range census.Entries {
-			if e.GCDAnycast {
-				p.feedback[famIdx(v6)][id] = true
-			}
+	// Maintain the feedback loop with today's confirmations (the Fig 3
+	// purple arrow).
+	for id, e := range census.Entries {
+		if e.GCDAnycast {
+			p.feedback[famIdx(v6)][id] = true
 		}
 	}
 
@@ -578,14 +557,14 @@ func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus,
 	return census, nil
 }
 
+// globalBGPVPs caps the traceroute vantage points drawn from the GCD pool
+// (the paper's manual confirmation used a handful).
+const globalBGPVPs = 12
+
 // screenGlobalBGP traceroutes today's ℳ entries from a spread of the GCD
 // pool's vantage points and flags the global-BGP unicast signature.
 func (p *Pipeline) screenGlobalBGP(census *DailyCensus, pool []netsim.VP, at time.Time) error {
-	limit := p.Cfg.GlobalBGPVPs
-	if limit <= 0 {
-		limit = 12
-	}
-	vps := spreadVPs(pool, limit)
+	vps := spreadVPs(pool, globalBGPVPs)
 	if len(vps) == 0 {
 		return nil
 	}

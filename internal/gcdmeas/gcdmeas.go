@@ -7,7 +7,6 @@
 package gcdmeas
 
 import (
-	"strconv"
 	"strings"
 	"time"
 
@@ -93,55 +92,28 @@ func Run(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
 		attempts = 1
 	}
 	rep := &Report{Outcomes: make(map[int]TargetOutcome, len(targetIDs))}
-	numTargets := w.NumTargets(v6)
-
-	// Governance pre-pass: sequential admission in list order keeps the
-	// admitted set independent of Parallelism. Out-of-range IDs are not
-	// demand (the probing loop never probes them either).
-	if c.Gate != nil {
-		perTarget := int64(len(c.VPs)) * int64(attempts)
-		targetIDs = budget.Filter(c.Gate, targetIDs, &rep.Usage, func(id int) (*netsim.Target, int64) {
-			if id < 0 || id >= numTargets {
-				return nil, 0 // out of scope: the probing loop skips it too
-			}
-			return w.TargetAt(v6, id), perTarget
-		})
-	}
-
-	// Stage telemetry: per-shard cells absorb the hot-loop counting,
-	// merged into the laces_stage_* series after the shards join. The
-	// RTT histogram records each VP's best sample. No-ops when Obs is
-	// nil; nothing here feeds back into the report.
-	si := c.Obs.Stage(StageLabel(c.Proto), len(targetIDs))
+	// The RTT histogram records each VP's best sample; a no-op when Obs is
+	// nil, and nothing in it feeds back into the report.
 	rtts := c.Obs.Histogram("laces_gcd_rtt_seconds",
 		"Best per-VP RTT samples collected by the GCD stage.", nil)
-	cells := make([]obs.Cell, par.NumShards(len(targetIDs), c.Parallelism))
 
-	// Sharded execution: each shard owns a contiguous range of the target
-	// list, a private sample buffer and probe counter; outcomes merge into
-	// the keyed map afterwards (per-target results are independent, so the
-	// map contents match the sequential run exactly).
-	outcomes, probes := par.Gather(len(targetIDs), c.Parallelism, func(start, end int, sh *par.Shard[TargetOutcome]) {
-		cell := &cells[sh.Index]
-		ssp := si.Span.Child("shard" + strconv.Itoa(sh.Index))
+	// One admitted target: up to `attempts` probes from every VP (the
+	// worst case is what the gate charges), the best RTT per VP kept in
+	// the shard's sample buffer and analysed with iGreedy.
+	measure := func(sh *par.Shard[TargetOutcome]) func(int, *netsim.Target) {
 		samples := make([]igreedy.Sample, 0, len(c.VPs))
-		for _, id := range targetIDs[start:end] {
-			if id < 0 || id >= numTargets {
-				si.Done.Inc() // the stage total counts it
-				continue
-			}
-			tg := w.TargetAt(v6, id)
+		return func(_ int, tg *netsim.Target) {
 			samples = samples[:0]
 			for _, vp := range c.VPs {
 				bestSet := false
 				var best time.Duration
 				for a := 0; a < attempts; a++ {
-					sh.Count++
+					sh.Probes++
 					rtt, _, ok := w.ProbeUnicast(vp, tg, c.Proto, c.At, uint64(a))
 					if !ok {
 						break // unresponsive targets never answer any attempt
 					}
-					cell.Replies++
+					sh.Replies++
 					if !bestSet || rtt < best {
 						best, bestSet = rtt, true
 					}
@@ -151,29 +123,30 @@ func Run(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
 					samples = append(samples, igreedy.Sample{VP: vp.Name, Loc: vp.Loc, RTT: best})
 				}
 			}
-			si.Done.Inc()
 			if len(samples) == 0 {
-				continue
+				return
 			}
 			sh.Out = append(sh.Out, TargetOutcome{
-				TargetID: id,
+				TargetID: tg.ID,
 				Result:   igreedy.Analyze(samples, c.Analysis),
 				VPs:      len(samples),
 			})
 		}
-		ssp.End()
-	})
-	rep.ProbesSent = probes
-	c.Gate.Observe(probes)
-	si.Probes.Add(probes)
-	_, replies := obs.MergeCells(cells)
-	si.Replies.Add(replies)
-	si.Denied.Add(int64(rep.Usage.OptOutTargets + rep.Usage.BudgetTargets))
-	si.End()
-	for _, o := range outcomes {
+	}
+	sum, _ := par.Run(c.stage(StageLabel(c.Proto), w, v6), targetIDs, &rep.Usage,
+		func(id int) int { return id },
+		func(*netsim.Target) int64 { return int64(len(c.VPs)) * int64(attempts) }, measure)
+	rep.ProbesSent = sum.Probes
+	for _, o := range sum.Out {
 		rep.Outcomes[o.TargetID] = o
 	}
 	return rep
+}
+
+// stage binds the campaign's governance, telemetry and parallelism to one
+// stage run over a family of w.
+func (c Campaign) stage(label string, w *netsim.World, v6 bool) par.Stage {
+	return par.Stage{Label: label, World: w, V6: v6, Gate: c.Gate, Obs: c.Obs, Parallelism: c.Parallelism}
 }
 
 // RunAddrSweep is the GCD_IPv4-style /32-granularity sweep over one
@@ -203,51 +176,40 @@ func (o AddrSweepOutcome) Partial() bool {
 // sharded sweep (each demands distinct-offsets × VPs budget units) and
 // the returned Usage accounts every skipped target.
 func SweepAddrs(w *netsim.World, targetIDs []int, v6 bool, offsets []uint8, c Campaign) ([]AddrSweepOutcome, int64, budget.Usage) {
-	var usage budget.Usage
-	if c.Gate != nil {
-		// Distinct configured offsets, mirroring dedupeOffsets: a target
-		// whose representative collides with a configured offset demands
-		// one fewer address.
-		var seen [256]bool
-		distinct := 0
-		for _, off := range offsets {
-			if !seen[off] {
-				seen[off] = true
-				distinct++
-			}
+	// Distinct configured offsets, mirroring dedupeOffsets: a target whose
+	// representative collides with a configured offset demands one fewer
+	// address.
+	var seen [256]bool
+	distinct := 0
+	for _, off := range offsets {
+		if !seen[off] {
+			seen[off] = true
+			distinct++
 		}
-		targetIDs = budget.Filter(c.Gate, targetIDs, &usage, func(id int) (*netsim.Target, int64) {
-			tg := w.TargetAt(v6, id)
-			repOff := tg.Addr.AsSlice()
-			addrs := distinct
-			if !seen[repOff[len(repOff)-1]] {
-				addrs++
-			}
-			return tg, int64(addrs) * int64(len(c.VPs))
-		})
 	}
-	si := c.Obs.Stage(SweepStage, len(targetIDs))
-	cells := make([]obs.Cell, par.NumShards(len(targetIDs), c.Parallelism))
-	out, probes := par.Gather(len(targetIDs), c.Parallelism, func(start, end int, sh *par.Shard[AddrSweepOutcome]) {
-		cell := &cells[sh.Index]
-		ssp := si.Span.Child("shard" + strconv.Itoa(sh.Index))
+	demand := func(tg *netsim.Target) int64 {
+		addrs := distinct
+		if !seen[repOffset(tg)] {
+			addrs++
+		}
+		return int64(addrs) * int64(len(c.VPs))
+	}
+	sweep := func(sh *par.Shard[AddrSweepOutcome]) func(int, *netsim.Target) {
 		samples := make([]igreedy.Sample, 0, len(c.VPs))
 		offs := make([]uint8, 0, len(offsets)+1)
-		for _, id := range targetIDs[start:end] {
-			tg := w.TargetAt(v6, id)
-			o := AddrSweepOutcome{TargetID: id}
-			repOff := tg.Addr.AsSlice()
-			rep := repOff[len(repOff)-1]
+		return func(_ int, tg *netsim.Target) {
+			o := AddrSweepOutcome{TargetID: tg.ID}
+			rep := repOffset(tg)
 			offs = dedupeOffsets(offs[:0], offsets, rep)
 			for _, off := range offs {
 				samples = samples[:0]
 				for _, vp := range c.VPs {
-					sh.Count++
+					sh.Probes++
 					rtt, _, ok := w.ProbeUnicastAddr(vp, tg, off, c.Proto, c.At, uint64(off))
 					if !ok {
 						continue
 					}
-					cell.Replies++
+					sh.Replies++
 					samples = append(samples, igreedy.Sample{VP: vp.Name, Loc: vp.Loc, RTT: rtt})
 				}
 				if len(samples) < 2 {
@@ -264,17 +226,17 @@ func SweepAddrs(w *netsim.World, targetIDs []int, v6 bool, offsets []uint8, c Ca
 			if o.RepresentativeAnycast || len(o.AnycastOffsets) > 0 {
 				sh.Out = append(sh.Out, o)
 			}
-			si.Done.Inc()
 		}
-		ssp.End()
-	})
-	c.Gate.Observe(probes)
-	si.Probes.Add(probes)
-	_, replies := obs.MergeCells(cells)
-	si.Replies.Add(replies)
-	si.Denied.Add(int64(usage.OptOutTargets + usage.BudgetTargets))
-	si.End()
-	return out, probes, usage
+	}
+	var usage budget.Usage
+	sum, _ := par.Run(c.stage(SweepStage, w, v6), targetIDs, &usage, func(id int) int { return id }, demand, sweep)
+	return sum.Out, sum.Probes, usage
+}
+
+// repOffset is the last address byte of the target's representative.
+func repOffset(tg *netsim.Target) uint8 {
+	b := tg.Addr.AsSlice()
+	return b[len(b)-1]
 }
 
 // dedupeOffsets appends to dst the distinct configured offsets plus the

@@ -3,6 +3,7 @@ package gcdmeas
 import (
 	"testing"
 
+	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
@@ -122,19 +123,51 @@ func TestUnresponsiveTargetsSkipped(t *testing.T) {
 	}
 }
 
+// TestInvalidIDsIgnored: out-of-range IDs are not demand. Both campaigns
+// skip them — ungoverned and under a gate, which must neither see nor
+// charge them — and still count them in the stage total, so they must
+// tick the progress counter or the live line stalls below 100 %.
 func TestInvalidIDsIgnored(t *testing.T) {
-	c := arkCampaign(t, 10, false)
-	c.Obs = obs.New()
-	rep := Run(testWorld, []int{-1, 0, 1 << 30}, false, c)
-	for id := range rep.Outcomes {
-		if id != 0 {
-			t.Fatalf("invalid ID %d should be skipped", id)
+	ids := []int{-1, 0, 1 << 30}
+	for _, gated := range []bool{false, true} {
+		c := arkCampaign(t, 10, false)
+		var want int64 // what the gate is charged: target 0's one probe per VP
+		if gated {
+			c.Gate = budget.NewLedger(budget.Budget{DailyProbes: 1 << 40}, nil).Gate(10)
+			want = int64(len(c.VPs))
 		}
-	}
-	// Skipped IDs are part of the stage total, so they must tick the
-	// progress counter or the live line stalls below 100 %.
-	if p := c.Obs.Progress(); p.Done != p.Total || p.Total != 3 {
-		t.Fatalf("progress %d/%d after the stage, want 3/3", p.Done, p.Total)
+		check := func(name string, got map[int]bool, usage budget.Usage) {
+			t.Helper()
+			for id := range got {
+				if id != 0 {
+					t.Fatalf("%s gated=%v: invalid ID %d should be skipped", name, gated, id)
+				}
+			}
+			if usage.Demanded != want || usage.Spent != want {
+				t.Fatalf("%s gated=%v: usage %+v, want %d demanded and spent (target 0 only)", name, gated, usage, want)
+			}
+			if p := c.Obs.Progress(); p.Done != p.Total || p.Total != 3 {
+				t.Fatalf("%s gated=%v: progress %d/%d after the stage, want 3/3", name, gated, p.Done, p.Total)
+			}
+		}
+
+		c.Obs = obs.New()
+		rep := Run(testWorld, ids, false, c)
+		got := map[int]bool{}
+		for id := range rep.Outcomes {
+			got[id] = true
+		}
+		check("Run", got, rep.Usage)
+
+		// The sweep probes only the representative here (no offsets), so
+		// its demand per target is one address × VPs as well.
+		c.Obs = obs.New()
+		outcomes, _, usage := SweepAddrs(testWorld, ids, false, nil, c)
+		got = map[int]bool{}
+		for _, o := range outcomes {
+			got[o.TargetID] = true
+		}
+		check("SweepAddrs", got, usage)
 	}
 }
 

@@ -1,9 +1,8 @@
 package load
 
 // The loadgen report: BENCH_api.json. Quantiles are interpolated from
-// the fixed-bucket latency histograms — the same shape every other
-// BENCH_*.json in CI uses — so the report is cheap to produce, stable
-// to diff, and needs no raw-sample retention.
+// the fixed-bucket latency histograms, so the report is cheap to
+// produce, stable to diff, and needs no raw-sample retention.
 
 import (
 	"encoding/json"

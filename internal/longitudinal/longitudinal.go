@@ -113,8 +113,6 @@ type Config struct {
 	// Families selects address families; default both.
 	V4Only bool
 	Events Events
-	// Quiet disables per-run progress output.
-	Progress func(day int)
 	// Sink, when set, receives each finished day's published document as
 	// it completes — typically an archive.Writer, which delta-encodes the
 	// stream to disk. The runner itself never retains a census beyond the
@@ -231,9 +229,6 @@ func Run(w *netsim.World, cfg Config) (*History, error) {
 	incidents := cfg.Events.Scenario(dep.NumSites())
 
 	for day := 0; day < cfg.Days; day += cfg.Stride {
-		if cfg.Progress != nil {
-			cfg.Progress(day)
-		}
 		// Periodic GCD_LS sweeps reseed the feedback loop.
 		if covered(gcdlsAt, day, cfg.Stride) {
 			for _, v6 := range families {

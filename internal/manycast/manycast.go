@@ -14,7 +14,6 @@ package manycast
 import (
 	"fmt"
 	"math/bits"
-	"strconv"
 	"strings"
 	"time"
 
@@ -169,37 +168,10 @@ func Run(w *netsim.World, d *netsim.Deployment, hl *hitlist.Hitlist, opts Option
 		Start:      opts.Start,
 		Workers:    CountParticipants(d.NumSites(), opts.MissingWorkers),
 	}
-	entries := hl.FilterProtocol(opts.Protocol)
-
-	// Governance pre-pass: admission is decided sequentially in hitlist
-	// order — the same total order the sequential probing loop uses — so
-	// the admitted set (and therefore the result) is identical at every
-	// Parallelism setting. Each entry demands one probe per participating
-	// site.
-	if opts.Gate != nil {
-		perEntry := int64(res.Workers)
-		entries = budget.Filter(opts.Gate, entries, &res.Usage, func(e hitlist.Entry) (*netsim.Target, int64) {
-			return w.TargetAt(hl.V6, e.TargetID), perEntry
-		})
-	}
-
-	// Stage telemetry: per-shard cells absorb the hot-loop counting (no
-	// shared atomics on the probe path), merged into the laces_stage_*
-	// series after the shards join. All handles are no-ops when Obs is
-	// nil, and nothing below feeds back into the result.
-	si := opts.Obs.Stage(StageLabel(opts.Protocol), len(entries))
-	cells := make([]obs.Cell, par.NumShards(len(entries), opts.Parallelism))
-
-	// Sharded execution: contiguous hitlist ranges probed concurrently,
-	// each into its own observation buffer and probe counter. Every probe
-	// is a pure function of (seed, target, worker, schedule), so merging
-	// the buffers in shard order reproduces the sequential run exactly.
-	observations, probes := par.Gather(len(entries), opts.Parallelism, func(start, end int, sh *par.Shard[TargetObs]) {
-		cell := &cells[sh.Index]
-		ssp := si.Span.Child("shard" + strconv.Itoa(sh.Index))
-		for i := start; i < end; i++ {
-			e := entries[i]
-			tg := w.TargetAt(hl.V6, e.TargetID)
+	// One admitted entry: a probe from every participating site (what the
+	// gate charges for it), folded into a receiver bitmask.
+	probe := func(sh *par.Shard[TargetObs]) func(int, *netsim.Target) {
+		return func(i int, tg *netsim.Target) {
 			var mask uint64
 			for wk := 0; wk < d.NumSites(); wk++ {
 				if opts.MissingWorkers[wk] {
@@ -217,11 +189,11 @@ func Run(w *netsim.World, d *netsim.Deployment, hl *hitlist.Hitlist, opts Option
 						VaryingPayload: varying,
 					},
 					Gap: opts.Offset,
-					Seq: uint64(e.TargetID),
+					Seq: uint64(tg.ID),
 				}
-				sh.Count++
+				sh.Probes++
 				if del, ok := w.ProbeAnycast(d, wk, tg, ctx); ok {
-					cell.Replies++
+					sh.Replies++
 					if opts.MissingWorkers[del.WorkerIdx] {
 						// Replies routed to a dead site are lost.
 						continue
@@ -230,20 +202,18 @@ func Run(w *netsim.World, d *netsim.Deployment, hl *hitlist.Hitlist, opts Option
 				}
 			}
 			if mask != 0 {
-				sh.Out = append(sh.Out, TargetObs{TargetID: e.TargetID, Receivers: mask})
+				sh.Out = append(sh.Out, TargetObs{TargetID: tg.ID, Receivers: mask})
 			}
-			si.Done.Inc()
 		}
-		ssp.End()
-	})
-	res.Observations, res.ProbesSent = observations, probes
-	res.Duration = pacer.Duration(len(entries), d.NumSites())
-	opts.Gate.Observe(probes)
-	si.Probes.Add(probes)
-	_, replies := obs.MergeCells(cells)
-	si.Replies.Add(replies)
-	si.Denied.Add(int64(res.Usage.OptOutTargets + res.Usage.BudgetTargets))
-	si.End()
+	}
+	sum, admitted := par.Run(par.Stage{
+		Label: StageLabel(opts.Protocol), World: w, V6: hl.V6,
+		Gate: opts.Gate, Obs: opts.Obs, Parallelism: opts.Parallelism,
+	}, hl.FilterProtocol(opts.Protocol), &res.Usage,
+		func(e hitlist.Entry) int { return e.TargetID },
+		func(*netsim.Target) int64 { return int64(res.Workers) }, probe)
+	res.Observations, res.ProbesSent = sum.Out, sum.Probes
+	res.Duration = pacer.Duration(admitted, d.NumSites())
 	return res, nil
 }
 

@@ -16,9 +16,10 @@ type targetArena struct {
 	live  atomic.Int64 // occupied slots = live materialized targets
 }
 
-// defaultArenaSlots bounds the arena when Config.TargetArenaSlots is
-// zero: 32k hot targets per family.
-const defaultArenaSlots = 1 << 15
+// arenaSlots bounds the per-family cache of materialized targets on a
+// lazy world: 32k hot targets, so peak live-target memory is independent
+// of V4Targets/V6Targets.
+const arenaSlots = 1 << 15
 
 // newTargetArena builds an arena with n slots, rounded up to a power of
 // two (minimum 1).

@@ -147,21 +147,7 @@ type Config struct {
 	// API in stream.go, which works in both modes.
 	LazyTargets bool
 
-	// TargetArenaSlots bounds the per-family cache of materialized
-	// targets on a lazy world, rounded up to a power of two; 0 means
-	// defaultArenaSlots. Peak live-target memory is independent of
-	// V4Targets/V6Targets.
-	TargetArenaSlots int
-
 	Operators []OperatorSpec
-}
-
-// arenaSlots resolves the configured arena bound.
-func (c Config) arenaSlots() int {
-	if c.TargetArenaSlots > 0 {
-		return c.TargetArenaSlots
-	}
-	return defaultArenaSlots
 }
 
 // DefaultConfig is the experiment-scale world: hitlists at roughly 1/40 of
@@ -223,7 +209,7 @@ func TestConfig() Config {
 // anycast landscape scaled up ~10× from DefaultConfig. It is lazy by
 // default — eagerly materializing a world this size is exactly what the
 // streaming generator exists to avoid. Used by the large-world smoke
-// test and the BENCH_netsim benchmarks.
+// test and the netsim benchmarks.
 func PaperScaleConfig() Config {
 	c := DefaultConfig()
 	c.V4Targets = 1_000_000

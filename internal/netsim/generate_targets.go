@@ -49,7 +49,7 @@ func (w *World) genTargets(v6 bool) error {
 		w.layoutV4 = L
 	}
 	if w.Cfg.LazyTargets {
-		arena := newTargetArena(w.Cfg.arenaSlots())
+		arena := newTargetArena(arenaSlots)
 		if v6 {
 			w.arenaV6 = arena
 		} else {

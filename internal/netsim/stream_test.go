@@ -287,7 +287,7 @@ func TestLazyBoundedMemory(t *testing.T) {
 		for id := 0; id < targets; id += targets / 1000 {
 			w.TargetAt(false, id)
 		}
-		if live, bound := w.MaterializedTargets(), int64(2*w.Cfg.arenaSlots()); live > bound {
+		if live, bound := w.MaterializedTargets(), int64(2*arenaSlots); live > bound {
 			t.Fatalf("%d targets: %d live exceeds arena bound %d", targets, live, bound)
 		}
 		runtime.GC()

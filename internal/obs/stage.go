@@ -1,29 +1,12 @@
 package obs
 
 // Shared instrumentation for the census pipeline's measurement stages
-// (manycast, gcdmeas, chaosdns). Every stage resolves the same four
-// metric families — labelled by stage name — plus the progress counter
-// and a pipeline span, through one Stage call, so the exposition stays
-// uniform and a new stage cannot invent divergent series names.
-
-// Cell is one shard's telemetry accumulator for a sharded stage loop:
-// shard s writes only cell s (plain fields, no atomics), and the totals
-// merge into the stage counters after the loop joins. Padding keeps
-// neighbouring shards off each other's cache line.
-type Cell struct {
-	Probes  int64
-	Replies int64
-	_       [48]byte
-}
-
-// MergeCells sums a per-shard cell slice after the loop has joined.
-func MergeCells(cells []Cell) (probes, replies int64) {
-	for i := range cells {
-		probes += cells[i].Probes
-		replies += cells[i].Replies
-	}
-	return probes, replies
-}
+// (manycast, gcdmeas, chaosdns). par.Run — the one loop they all run on —
+// resolves the same four metric families, labelled by stage name, plus
+// the progress counter and a pipeline span through one Stage call, so the
+// exposition stays uniform and a new stage cannot invent divergent series
+// names. Hot-loop counts accumulate in par.Shard's plain fields and reach
+// these handles once, after the shards join.
 
 // StageInstruments bundles the handles one census stage run uses. All
 // fields are nil (no-op) when resolved from a nil registry, so stages

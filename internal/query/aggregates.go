@@ -127,21 +127,12 @@ func (ix *Index) computeAggregates() (*Aggregates, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, e := range TimelineEvents(tl, EventOptions{}) {
-				switch e.Kind {
-				case EventOnset:
-					fa.Churn.Onsets++
-				case EventOffset:
-					fa.Churn.Offsets++
-				case EventFlap:
-					fa.Churn.Flaps++
-				case EventSiteChurn:
-					fa.Churn.SiteChanges++
-				case EventGeoShift:
-					fa.Churn.GeoShifts++
-				}
-			}
 			st := ScoreTimeline(tl, EventOptions{})
+			fa.Churn.Onsets += st.Onsets
+			fa.Churn.Offsets += st.Offsets
+			fa.Churn.Flaps += st.Flaps
+			fa.Churn.SiteChanges += st.SiteChanges
+			fa.Churn.GeoShifts += st.GeoShifts
 			scoreSum += st.Score
 			bi := 0
 			for bi < len(buckets)-1 && st.Score > buckets[bi].LE {

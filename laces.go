@@ -227,8 +227,8 @@ type (
 	// PipelineConfig.Budget.
 	ProbeBudget = budget.Budget
 	// OptOutRegistry holds networks that asked not to be measured, with
-	// a Touched() audit trail. Set it on PipelineConfig.OptOut or load
-	// one via PipelineConfig.OptOutFile.
+	// a Touched() audit trail. Load one with LoadOptOutRegistry and set it on
+	// PipelineConfig.OptOut.
 	OptOutRegistry = budget.Registry
 	// ProbeLedger is the per-day budget accountant behind a governed
 	// pipeline (Pipeline.Ledger exposes it).
