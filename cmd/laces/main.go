@@ -43,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/netip"
 	"os"
@@ -51,6 +52,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	laces "github.com/laces-project/laces"
@@ -147,11 +149,27 @@ Run 'laces <subcommand> -h' for flags.
 `)
 }
 
-// signalContext returns a context cancelled on SIGINT.
+// signalContext returns a context cancelled on SIGINT or SIGTERM.
 func signalContext() context.Context {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	_ = stop
 	return ctx
+}
+
+// writeFile creates path, hands the file to write and closes it,
+// reporting the first failure. The Close error counts: that is where a
+// deferred write failure (quota, NFS) surfaces, so no caller may say
+// "wrote X" before it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // simWorld builds the shared simulated Internet for the given seed and
@@ -224,15 +242,7 @@ func printResponsibility(r *core.Responsibility) {
 // plus flight-recorder events) as JSONL — the interchange form `laces
 // trace export` merges.
 func writeTraceExport(path string, reg *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.ExportTrace().WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(path, reg.ExportTrace().WriteJSONL); err != nil {
 		return err
 	}
 	fmt.Println("wrote trace", path)
@@ -380,12 +390,7 @@ func runMeasure(args []string) error {
 		fmt.Println("  AC:", c)
 	}
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := outcome.WriteCSV(f); err != nil {
+		if err := writeFile(*out, outcome.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Println("wrote", *out)
@@ -477,23 +482,13 @@ func runCensus(args []string) error {
 		fmt.Printf("ALERT [%s]: %s\n", a.Kind, a.Message)
 	}
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := c.WriteJSON(f); err != nil {
+		if err := writeFile(*jsonOut, c.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Println("wrote", *jsonOut)
 	}
 	if *csvOut != "" {
-		f, err := os.Create(*csvOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := c.WriteCSV(f); err != nil {
+		if err := writeFile(*csvOut, c.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Println("wrote", *csvOut)
@@ -513,15 +508,7 @@ func runCensus(args []string) error {
 		fmt.Printf("appended day %d to archive %s\n", *day, *archiveDir)
 	}
 	if *obsOut != "" {
-		f, err := os.Create(*obsOut)
-		if err != nil {
-			return err
-		}
-		if err := telemetry.Snapshot().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*obsOut, telemetry.Snapshot().WriteJSON); err != nil {
 			return err
 		}
 		fmt.Println("wrote telemetry snapshot", *obsOut)
@@ -673,17 +660,37 @@ func runServe(args []string) error {
 			fmt.Printf("no timeline index (build one with `laces query build-index -archive %s`)\n", *archiveDir)
 		}
 	}
-	fmt.Printf("census API listening on http://%s (try /v1/census, /v1/days, /v1/range, /v1/healthz)\n", *listen)
-	server := &http.Server{Addr: *listen, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	go func() {
-		<-signalContext().Done()
-		server.Close()
-	}()
-	err = server.ListenAndServe()
-	if err == http.ErrServerClosed {
-		return nil
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return err
 	}
-	return err
+	fmt.Printf("census API listening on http://%s (try /v1/census, /v1/days, /v1/range, /v1/healthz)\n", ln.Addr())
+	server := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	return serveUntil(signalContext(), server, ln, shutdownGrace)
+}
+
+// shutdownGrace is how long `laces serve` lets in-flight responses — a
+// /v1/range stream, say — finish after SIGINT/SIGTERM before cutting them.
+const shutdownGrace = 10 * time.Second
+
+// serveUntil serves on ln until ctx is cancelled, then stops accepting and
+// waits up to grace for in-flight requests to complete; connections still
+// busy after that are closed under them.
+func serveUntil(ctx context.Context, server *http.Server, ln net.Listener, grace time.Duration) error {
+	served := make(chan error, 1)
+	go func() { served <- server.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err // the listener failed; nothing is in flight
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := server.Shutdown(drain); err != nil {
+		server.Close()
+	}
+	<-served // http.ErrServerClosed, by way of Shutdown
+	return nil
 }
 
 // runLoadgen drives the serving tier with internal/load's deterministic
@@ -800,15 +807,7 @@ func runLoadgen(args []string) error {
 			return err
 		}
 	} else {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*out, rep.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *out)
@@ -1581,30 +1580,22 @@ func runTraceExport(args []string) error {
 		parts = append(parts, ex)
 	}
 	merged := laces.MergeTraces(parts...)
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
+	var write func(io.Writer) error
 	switch *format {
 	case "chrome":
-		if err := merged.WriteChrome(w); err != nil {
-			return err
-		}
+		write = merged.WriteChrome
 	case "jsonl":
-		if err := merged.WriteJSONL(w); err != nil {
-			return err
-		}
+		write = merged.WriteJSONL
 	default:
 		return fmt.Errorf("unknown -format %q (chrome, jsonl)", *format)
 	}
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "wrote %s (%d spans, %d flight events)\n", *out, len(merged.Spans), len(merged.Events))
+	if *out == "" {
+		return write(os.Stdout)
 	}
+	if err := writeFile(*out, write); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s (%d spans, %d flight events)\n", *out, len(merged.Spans), len(merged.Events))
 	return nil
 }
 

@@ -1,11 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -284,5 +290,107 @@ func TestCLITraceFamilyFromTarget(t *testing.T) {
 	}
 	if code, out := run(t, "trace", "-target", "fe80::/48"); code != 1 || !strings.Contains(out, "not on the hitlist") {
 		t.Fatalf("trace of an unrouted prefix: exit %d, output:\n%s", code, out)
+	}
+}
+
+// TestWriteFile pins the create → write → close helper every -out style
+// flag goes through: a create failure and a callback failure come back as
+// they are, the file is closed either way, and a device that refuses the
+// bytes fails the call instead of printing "wrote".
+func TestWriteFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.txt")
+	if err := writeFile(path, func(w io.Writer) error { _, err := io.WriteString(w, "census\n"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "census\n" {
+		t.Fatalf("wrote %q (%v)", got, err)
+	}
+
+	called := false
+	err := writeFile(filepath.Join(t.TempDir(), "no-such-dir", "out.txt"), func(io.Writer) error { called = true; return nil })
+	if !errors.Is(err, os.ErrNotExist) || called {
+		t.Fatalf("create failure: err %v, callback ran %v", err, called)
+	}
+
+	boom := errors.New("boom")
+	var held io.Writer
+	if err := writeFile(path, func(w io.Writer) error { held = w; return boom }); err != boom {
+		t.Fatalf("callback failure: err %v, want the callback's own", err)
+	}
+	if _, err := held.Write([]byte("x")); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("file left open after a failed callback: write err %v", err)
+	}
+
+	if _, err := os.Stat("/dev/full"); err == nil {
+		err := writeFile("/dev/full", func(w io.Writer) error { _, err := w.Write(make([]byte, 1<<16)); return err })
+		if !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("/dev/full: err %v, want ENOSPC", err)
+		}
+	}
+}
+
+// TestServeUntilDrainsThenCuts: cancelling the context (SIGINT/SIGTERM in
+// `laces serve`) lets an in-flight streamed response finish cleanly, and
+// cuts one that outlives the grace period.
+func TestServeUntilDrainsThenCuts(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		grace     time.Duration
+		finishes  bool
+		wantClean bool
+	}{
+		{"drains an in-flight stream", time.Minute, true, true},
+		{"cuts a stream past the bound", 50 * time.Millisecond, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.WriteString(w, "first\n")
+				w.(http.Flusher).Flush()
+				select {
+				case <-release:
+					io.WriteString(w, "last\n")
+				case <-r.Context().Done():
+				}
+			})
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, stop := context.WithCancel(context.Background())
+			defer stop()
+			returned := make(chan error, 1)
+			go func() { returned <- serveUntil(ctx, &http.Server{Handler: handler}, ln, tc.grace) }()
+
+			resp, err := http.Get("http://" + ln.Addr().String() + "/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			first := make([]byte, len("first\n"))
+			if _, err := io.ReadFull(resp.Body, first); err != nil {
+				t.Fatal(err)
+			}
+			stop() // the signal arrives mid-stream
+			if tc.finishes {
+				// Shutdown has begun once the listener refuses connections.
+				for {
+					c, err := net.Dial("tcp", ln.Addr().String())
+					if err != nil {
+						break
+					}
+					c.Close()
+					time.Sleep(time.Millisecond)
+				}
+				close(release)
+			}
+			rest, err := io.ReadAll(resp.Body)
+			if clean := err == nil && string(rest) == "last\n"; clean != tc.wantClean {
+				t.Fatalf("rest of the body %q, err %v; want a clean finish: %v", rest, err, tc.wantClean)
+			}
+			if err := <-returned; err != nil {
+				t.Fatalf("serveUntil returned %v", err)
+			}
+		})
 	}
 }

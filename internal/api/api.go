@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/netip"
 	"slices"
@@ -128,31 +129,41 @@ func NewServer(w *netsim.World, d *netsim.Deployment, gcdVPs func(int, bool) ([]
 	}, nil
 }
 
-// Handler returns the HTTP routing table. Routes are wrapped with
-// per-route request metrics when a registry is attached (Instrument),
-// and /metrics and /debug/pprof/ are mounted per the Obs/EnablePprof
-// knobs — both must be set before Handler is called.
+// routes is the route table: every endpoint the server answers itself
+// (pprof's handlers are net/http's own). /metrics and /debug/trace exist
+// only with a registry attached (Instrument).
+func (s *Server) routes() []route {
+	table := []route{
+		{"GET /v1/census", s.handleCensus},
+		{"GET /v1/days", s.handleDays},
+		{"GET /v1/range", s.handleRange},
+		{"GET /v1/prefix/{prefix...}", s.handlePrefix},
+		{"GET /v1/timeline/{prefix...}", s.handleTimeline},
+		{"GET /v1/events", s.handleEvents},
+		{"GET /v1/stability", s.handleStability},
+		{"GET /v1/aggregates", s.handleAggregates},
+		{"GET /v1/responsibility", s.handleResponsibility},
+		{"POST /v1/measure", s.handleMeasure},
+		{"GET /v1/healthz", func(*view, *http.Request) (answer, error) {
+			return answer{body: map[string]string{"status": "ok"}}, nil
+		}},
+	}
+	if s.Obs != nil {
+		table = append(table,
+			route{"GET /metrics", s.handleMetrics},
+			route{"GET /debug/trace", s.handleTrace})
+	}
+	return table
+}
+
+// Handler mounts the route table, each route behind the one response
+// path with its per-route request metrics (respond.go), plus
+// /debug/pprof/ per EnablePprof. Obs and EnablePprof must be set before
+// Handler is called.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, s.instrumented(pattern, h))
-	}
-	route("GET /v1/census", s.handleCensus)
-	route("GET /v1/days", s.handleDays)
-	route("GET /v1/range", s.handleRange)
-	route("GET /v1/prefix/{prefix...}", s.handlePrefix)
-	route("GET /v1/timeline/{prefix...}", s.handleTimeline)
-	route("GET /v1/events", s.handleEvents)
-	route("GET /v1/stability", s.handleStability)
-	route("GET /v1/aggregates", s.handleAggregates)
-	route("GET /v1/responsibility", s.handleResponsibility)
-	route("POST /v1/measure", s.handleMeasure)
-	route("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	if s.Obs != nil {
-		mux.HandleFunc("GET /metrics", s.handleMetrics)
-		mux.HandleFunc("GET /debug/trace", s.handleTrace)
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.pattern, s.serve(rt))
 	}
 	if s.EnablePprof {
 		registerPprof(mux)
@@ -265,112 +276,94 @@ func (s *Server) CachedDays() int {
 // covers the day list and every day's content hash; the list grows as
 // days are appended, so the policy is revalidate (a 304 when nothing
 // changed, a fresh ETag as soon as a census appends).
-func (s *Server) handleDays(w http.ResponseWriter, r *http.Request) {
-	v := s.currentView()
+func (s *Server) handleDays(v *view, r *http.Request) (answer, error) {
 	if v.arch == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no archive attached to this server"))
-		return
+		return answer{}, errNoArchive
 	}
 	_, v6, err := s.parseDayFamily(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return answer{}, err
 	}
 	days := v.arch.Days(family(v6))
 	if len(days) == 0 {
 		// Consistent with /v1/census and /v1/range: a family the
 		// archive does not carry is a miss, not an empty success.
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no %s days archived", family(v6)))
-		return
+		return answer{}, notFound(fmt.Errorf("no %s days archived", family(v6)))
 	}
-	if t := v.famTags[family(v6)]; t != nil {
-		if notModified(w, r, t, ccRevalidate) {
-			return
+	a := answer{tag: v.famTags[family(v6)], cc: ccRevalidate}
+	if !a.current(r) {
+		a.body = map[string]any{
+			"family": family(v6),
+			"days":   days,
 		}
-		tagHeaders(w, t, ccRevalidate)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"family": family(v6),
-		"days":   days,
-	})
+	return a, nil
 }
 
 // handleRange streams a span of archived days as NDJSON, one compact
 // census document per line, decoded incrementally from the delta store —
 // O(1) documents in memory no matter how long the span.
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	v := s.currentView()
+func (s *Server) handleRange(v *view, r *http.Request) (answer, error) {
 	if v.arch == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no archive attached to this server"))
-		return
+		return answer{}, errNoArchive
 	}
 	_, v6, err := s.parseDayFamily(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return answer{}, err
 	}
 	from, to, err := parseFromTo(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return answer{}, err
 	}
 	if len(v.arch.Days(family(v6))) == 0 {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no %s days archived", family(v6)))
-		return
+		return answer{}, notFound(fmt.Errorf("no %s days archived", family(v6)))
 	}
 	// A span with an explicit upper bound is a fixed set of immutable
 	// days — cacheable forever; an open-ended span grows as days are
 	// appended, so it revalidates.
-	if t := v.rangeTag(family(v6), from, to); t != nil {
-		cc := ccRevalidate
-		if to >= 0 {
-			cc = ccImmutable
-		}
-		if notModified(w, r, t, cc) {
-			return
-		}
-		tagHeaders(w, t, cc)
+	a := answer{tag: v.rangeTag(family(v6), from, to), cc: ccRevalidate}
+	if to >= 0 {
+		a.cc = ccImmutable
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson") //laces:allow httporder notModified/tagHeaders only stamp validators here — the 304 path returned above, so the header is still open
-	w.WriteHeader(http.StatusOK)                           //laces:allow httporder streaming NDJSON route: status commits before the incremental body by design
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	if err := v.arch.Range(family(v6), from, to, func(day int, doc *core.Document) error {
-		if err := enc.Encode(doc); err != nil {
-			return err
-		}
-		// Flush per record so long spans stream incrementally instead
-		// of buffering the whole decoded range server-side.
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}); err != nil {
-		// Headers are sent; abort the connection so the client sees a
-		// broken stream instead of a clean EOF on truncated data.
-		panic(http.ErrAbortHandler)
+	if a.current(r) {
+		return a, nil
 	}
+	a.ctype = ctNDJSON
+	a.stream = func(w io.Writer, flush func()) error {
+		enc := json.NewEncoder(w)
+		return v.arch.Range(family(v6), from, to, func(day int, doc *core.Document) error {
+			if err := enc.Encode(doc); err != nil {
+				return err
+			}
+			// Flush per record so long spans stream incrementally instead
+			// of buffering the whole decoded range server-side.
+			flush()
+			return nil
+		})
+	}
+	return a, nil
 }
 
 // parseFromTo extracts the optional ?from=/?to= day window shared by
 // /v1/range and /v1/events: from defaults to 0, to to -1 ("through the
-// last day"), and an inverted window is a client error.
+// last day"), and an inverted window is a client error (400).
 func parseFromTo(r *http.Request) (from, to int, err error) {
 	from, to = 0, -1
 	if v := r.URL.Query().Get("from"); v != "" {
 		if from, err = strconv.Atoi(v); err != nil || from < 0 {
-			return 0, 0, fmt.Errorf("invalid from %q", v)
+			return 0, 0, badRequest(fmt.Errorf("invalid from %q", v))
 		}
 	}
 	if v := r.URL.Query().Get("to"); v != "" {
 		if to, err = strconv.Atoi(v); err != nil || to < from {
-			return 0, 0, fmt.Errorf("invalid to %q", v)
+			return 0, 0, badRequest(fmt.Errorf("invalid to %q", v))
 		}
 	}
 	return from, to, nil
 }
 
-// parseDayFamily extracts ?day= and ?family= query parameters.
+// parseDayFamily extracts ?day= and ?family= query parameters; a
+// malformed one is a 400.
 func (s *Server) parseDayFamily(r *http.Request) (int, bool, error) {
 	if r.URL.RawQuery == "" {
 		// Fast path: url.Values allocates even for an empty query string,
@@ -381,7 +374,7 @@ func (s *Server) parseDayFamily(r *http.Request) (int, bool, error) {
 	if v := r.URL.Query().Get("day"); v != "" {
 		d, err := strconv.Atoi(v)
 		if err != nil || d < 0 {
-			return 0, false, fmt.Errorf("invalid day %q", v)
+			return 0, false, badRequest(fmt.Errorf("invalid day %q", v))
 		}
 		day = d
 	}
@@ -391,7 +384,7 @@ func (s *Server) parseDayFamily(r *http.Request) (int, bool, error) {
 	case "ipv6":
 		v6 = true
 	default:
-		return 0, false, fmt.Errorf("invalid family %q (ipv4, ipv6)", fam)
+		return 0, false, badRequest(fmt.Errorf("invalid family %q (ipv4, ipv6)", fam))
 	}
 	return day, v6, nil
 }
@@ -401,30 +394,23 @@ func (s *Server) parseDayFamily(r *http.Request) (int, bool, error) {
 // pack-time content hash as a strong ETag plus an immutable cache
 // policy — and a matching If-None-Match turns around as a 304 before
 // any document is decoded.
-func (s *Server) handleCensus(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCensus(v *view, r *http.Request) (answer, error) {
 	day, v6, err := s.parseDayFamily(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return answer{}, err
 	}
-	v := s.currentView()
-	if t := v.dayTags[censusKey{day, v6}]; t != nil {
-		if notModified(w, r, t, ccImmutable) {
-			return
-		}
-		tagHeaders(w, t, ccImmutable)
+	a := answer{tag: v.dayTags[censusKey{day, v6}], cc: ccImmutable}
+	if a.current(r) {
+		return a, nil
 	}
 	doc, err := s.census(v, day, v6)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return answer{}, err
 	}
-	w.Header().Set("Content-Type", "application/json") //laces:allow httporder notModified/tagHeaders only stamp validators here — the 304 path returned above, so the header is still open
-	w.WriteHeader(http.StatusOK)                       //laces:allow httporder the census document streams its canonical bytes directly; the funnel would re-encode them
-	if err := doc.WriteJSON(w); err != nil {
-		// Headers already sent; nothing more to do.
-		return
-	}
+	// The document's own canonical bytes, not a re-encoding of it.
+	a.ctype = ctJSON
+	a.stream = func(w io.Writer, _ func()) error { return doc.WriteJSON(w) }
+	return a, nil
 }
 
 // prefixView is the JSON document for one prefix lookup.
@@ -443,30 +429,24 @@ type prefixView struct {
 // anycast finding, §4.4), the same view the archive carries. Prefixes
 // that were measured but not published (e.g. feedback targets GCD-judged
 // unicast) report in_census=false; use /v1/measure for a live verdict.
-func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePrefix(v *view, r *http.Request) (answer, error) {
 	day, v6, err := s.parseDayFamily(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return answer{}, err
 	}
-	prefix, err := netip.ParsePrefix(r.PathValue("prefix"))
+	prefix, err := parsePrefix(r.PathValue("prefix"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid prefix: %w", err))
-		return
+		return answer{}, err
 	}
-	v := s.currentView()
 	// Derived wholly from one immutable archived day, so it shares the
 	// day's validator and cache policy.
-	if t := v.dayTags[censusKey{day, v6}]; t != nil {
-		if notModified(w, r, t, ccImmutable) {
-			return
-		}
-		tagHeaders(w, t, ccImmutable)
+	a := answer{tag: v.dayTags[censusKey{day, v6}], cc: ccImmutable}
+	if a.current(r) {
+		return a, nil
 	}
 	doc, err := s.census(v, day, v6)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return answer{}, err
 	}
 	pv := prefixView{Prefix: prefix.String(), Day: day}
 	if e := doc.Find(pv.Prefix); e != nil {
@@ -476,58 +456,48 @@ func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
 		pv.GCDSites = e.GCDSites
 		pv.GCDCities = e.GCDCities
 	}
-	writeJSON(w, http.StatusOK, pv)
+	a.body = pv
+	return a, nil
 }
 
-// requireQuery rejects longitudinal requests on views without an
-// attached timeline index.
-func requireQuery(v *view, w http.ResponseWriter) bool {
-	if v.q == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no timeline index attached to this server (build one with `laces query build-index`)"))
-		return false
-	}
-	return true
-}
+// The 404s of routes that need a handle this server was started without.
+var (
+	errNoArchive = notFound(errors.New("no archive attached to this server"))
+	errNoIndex   = notFound(errors.New("no timeline index attached to this server (build one with `laces query build-index`)"))
+)
 
-// queryErr maps query-layer lookup misses to 404 and everything else
-// (index corruption, I/O) to 500.
-func queryErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, query.ErrUnknownFamily) || errors.Is(err, query.ErrUnknownPrefix) {
-		writeErr(w, http.StatusNotFound, err)
-		return
+// parsePrefix parses a prefix from the path or the query; a malformed
+// one is a 400.
+func parsePrefix(raw string) (netip.Prefix, error) {
+	prefix, err := netip.ParsePrefix(raw)
+	if err != nil {
+		return prefix, badRequest(fmt.Errorf("invalid prefix: %w", err))
 	}
-	writeErr(w, http.StatusInternalServerError, err)
+	return prefix, nil
 }
 
 // handleTimeline serves one prefix's full longitudinal record from the
 // columnar index — no document is decoded.
-func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	v := s.currentView()
-	if !requireQuery(v, w) {
-		return
+func (s *Server) handleTimeline(v *view, r *http.Request) (answer, error) {
+	if v.q == nil {
+		return answer{}, errNoIndex
 	}
 	_, v6, err := s.parseDayFamily(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return answer{}, err
 	}
-	prefix, err := netip.ParsePrefix(r.PathValue("prefix"))
+	prefix, err := parsePrefix(r.PathValue("prefix"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid prefix: %w", err))
-		return
+		return answer{}, err
 	}
 	// Index-keyed: the response is a pure function of the index bytes,
 	// so the build fingerprint is its validator. A 304 costs no row read.
-	if notModified(w, r, v.idxTag, ccRevalidate) {
-		return
+	a := answer{tag: v.idxTag, cc: ccRevalidate}
+	if a.current(r) {
+		return a, nil
 	}
-	tl, err := v.q.Timeline(family(v6), prefix.String())
-	if err != nil {
-		queryErr(w, err)
-		return
-	}
-	tagHeaders(w, v.idxTag, ccRevalidate)
-	writeJSON(w, http.StatusOK, tl)
+	a.body, err = v.q.Timeline(family(v6), prefix.String())
+	return a, err
 }
 
 // eventsPage is the /v1/events response envelope. count is always the
@@ -550,60 +520,53 @@ type eventsPage struct {
 // and a cursor minted against a rebuilt index is rejected with 400
 // instead of silently skipping events. When page_token is present it
 // fully determines the query; other filter parameters are ignored.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	v := s.currentView()
-	if !requireQuery(v, w) {
-		return
+func (s *Server) handleEvents(v *view, r *http.Request) (answer, error) {
+	if v.q == nil {
+		return answer{}, errNoIndex
 	}
 	q := r.URL.Query()
 	var t pageToken
 	if raw := q.Get("page_token"); raw != "" {
 		var err error
 		if t, err = decodePageToken(raw, v.fp); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
+			return answer{}, badRequest(err)
 		}
 	} else {
 		_, v6, err := s.parseDayFamily(r)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
+			return answer{}, err
 		}
 		kinds, err := parseKinds(q["kind"])
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
+			return answer{}, err
 		}
 		from, to, err := parseFromTo(r)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
+			return answer{}, err
 		}
 		hysteresis := 0
 		if v := q.Get("hysteresis"); v != "" {
 			if hysteresis, err = strconv.Atoi(v); err != nil || hysteresis < 1 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid hysteresis %q", v))
-				return
+				return answer{}, badRequest(fmt.Errorf("invalid hysteresis %q", v))
 			}
 		}
 		limit := 0
 		if v := q.Get("limit"); v != "" {
 			if limit, err = strconv.Atoi(v); err != nil || limit < 1 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid limit %q", v))
-				return
+				return answer{}, badRequest(fmt.Errorf("invalid limit %q", v))
 			}
 		}
 		t = pageToken{fp: v.fp, family: family(v6), kinds: kinds, from: from, to: to, hysteresis: hysteresis, limit: limit}
 	}
 	// Every page shares the index validator: same fingerprint, same
 	// bytes for the same URL.
-	if notModified(w, r, v.idxTag, ccRevalidate) {
-		return
+	a := answer{tag: v.idxTag, cc: ccRevalidate}
+	if a.current(r) {
+		return a, nil
 	}
 	all, err := s.eventList(v, t.family, t.hysteresis, t.from, t.to)
 	if err != nil {
-		queryErr(w, err)
-		return
+		return answer{}, err
 	}
 	events := filterKinds(all, t.kinds)
 	total := len(events)
@@ -613,8 +576,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			// Unmintable under a matching fingerprint; reject rather than
 			// invent an empty page.
-			writeErr(w, http.StatusBadRequest, errBadPageToken)
-			return
+			return answer{}, badRequest(errBadPageToken)
 		}
 		if end < total {
 			nt := t
@@ -626,25 +588,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if events == nil {
 		events = []query.Event{}
 	}
-	tagHeaders(w, v.idxTag, ccRevalidate)
-	writeJSON(w, http.StatusOK, eventsPage{
+	a.body = eventsPage{
 		Family:        t.family,
 		Count:         total,
 		Events:        events,
 		NextPageToken: next,
-	})
+	}
+	return a, nil
 }
 
 // parseKinds validates ?kind= values (repeated and/or comma-separated)
 // into the canonical sorted, de-duplicated, comma-joined form tokens
-// and cache keys use. "" means every kind.
+// and cache keys use. "" means every kind; an unknown kind is a 400.
 func parseKinds(raw []string) (string, error) {
 	var kinds []string
 	for _, r := range raw {
 		for _, one := range strings.Split(r, ",") {
 			k, err := query.ParseEventKind(strings.TrimSpace(one))
 			if err != nil {
-				return "", err
+				return "", badRequest(err)
 			}
 			kinds = append(kinds, string(k))
 		}
@@ -677,71 +639,60 @@ func filterKinds(events []query.Event, kinds string) []query.Event {
 }
 
 // handleStability serves one prefix's longitudinal stability score.
-func (s *Server) handleStability(w http.ResponseWriter, r *http.Request) {
-	v := s.currentView()
-	if !requireQuery(v, w) {
-		return
+func (s *Server) handleStability(v *view, r *http.Request) (answer, error) {
+	if v.q == nil {
+		return answer{}, errNoIndex
 	}
 	_, v6, err := s.parseDayFamily(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return answer{}, err
 	}
 	raw := r.URL.Query().Get("prefix")
 	if raw == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing prefix parameter"))
-		return
+		return answer{}, badRequest(errors.New("missing prefix parameter"))
 	}
-	prefix, err := netip.ParsePrefix(raw)
+	prefix, err := parsePrefix(raw)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid prefix: %w", err))
-		return
+		return answer{}, err
 	}
-	if notModified(w, r, v.idxTag, ccRevalidate) {
-		return
+	a := answer{tag: v.idxTag, cc: ccRevalidate}
+	if a.current(r) {
+		return a, nil
 	}
-	st, err := v.q.Stability(family(v6), prefix.String())
-	if err != nil {
-		queryErr(w, err)
-		return
-	}
-	tagHeaders(w, v.idxTag, ccRevalidate)
-	writeJSON(w, http.StatusOK, st)
+	a.body, err = v.q.Stability(family(v6), prefix.String())
+	return a, err
 }
 
 // handleAggregates serves one family's materialized dashboard block —
 // per-day aggregate series, churn summary, stability histogram —
 // precomputed at index-build time and served without touching row
 // storage (the sidecar is loaded at Open; see query.Aggregates).
-func (s *Server) handleAggregates(w http.ResponseWriter, r *http.Request) {
-	v := s.currentView()
-	if !requireQuery(v, w) {
-		return
+func (s *Server) handleAggregates(v *view, r *http.Request) (answer, error) {
+	if v.q == nil {
+		return answer{}, errNoIndex
 	}
 	_, v6, err := s.parseDayFamily(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return answer{}, err
 	}
-	if notModified(w, r, v.idxTag, ccRevalidate) {
-		return
+	a := answer{tag: v.idxTag, cc: ccRevalidate}
+	if a.current(r) {
+		return a, nil
 	}
 	ag, err := v.q.Aggregates()
 	if err != nil {
-		queryErr(w, err)
-		return
+		return answer{}, err
 	}
 	fa := ag.Family(family(v6))
 	if fa == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("query: no %s timelines: %w", family(v6), query.ErrUnknownFamily))
-		return
+		return answer{}, fmt.Errorf("query: no %s timelines: %w", family(v6), query.ErrUnknownFamily)
 	}
-	tagHeaders(w, v.idxTag, ccRevalidate)
-	writeJSON(w, http.StatusOK, map[string]any{
+	a.body = map[string]any{
 		"fingerprint": v.fp,
 		"precomputed": v.q.AggregatesPrecomputed(),
 		"aggregates":  fa,
-	})
+	}
+	return a, nil
 }
 
 // Govern applies responsible-probing governance to the server's live
@@ -771,27 +722,24 @@ func (s *Server) Govern(b budget.Budget, reg *budget.Registry) error {
 // spent/remaining, opt-out and budget skip counts, and the adaptive rate
 // steps taken. Days produced without governance carry no block and
 // answer 404.
-func (s *Server) handleResponsibility(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleResponsibility(v *view, r *http.Request) (answer, error) {
 	day, v6, err := s.parseDayFamily(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return answer{}, err
 	}
-	doc, err := s.census(s.currentView(), day, v6)
+	doc, err := s.census(v, day, v6)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return answer{}, err
 	}
 	if doc.Responsibility == nil {
-		writeErr(w, http.StatusNotFound,
+		return answer{}, notFound(
 			fmt.Errorf("census day %d (%s) carries no responsibility block (ran without probing governance)", day, family(v6)))
-		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	return answer{body: map[string]any{
 		"day":            day,
 		"family":         family(v6),
 		"responsibility": doc.Responsibility,
-	})
+	}}, nil
 }
 
 // measureRequest is the on-demand measurement body.
@@ -815,16 +763,14 @@ type measureResponse struct {
 
 // handleMeasure runs a live single-prefix measurement: one synchronized
 // anycast-based round plus a GCD confirmation.
-func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMeasure(_ *view, r *http.Request) (answer, error) {
 	var req measureRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid body: %w", err))
-		return
+		return answer{}, badRequest(fmt.Errorf("invalid body: %w", err))
 	}
-	prefix, err := netip.ParsePrefix(req.Prefix)
+	prefix, err := parsePrefix(req.Prefix)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid prefix: %w", err))
-		return
+		return answer{}, err
 	}
 	day := s.Clock()
 	started := time.Now() //laces:allow detnow measurement_ms is a diagnostic latency field in the response, not census content
@@ -832,8 +778,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	target := s.World.FindTarget(prefix)
 	resp := measureResponse{Prefix: prefix.String(), Day: day}
 	if target == nil {
-		writeJSON(w, http.StatusOK, resp) // unknown prefix: unresponsive
-		return
+		return answer{body: resp}, nil // unknown prefix: unresponsive
 	}
 	v6 := target.Addr.Is6()
 
@@ -860,8 +805,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		MeasurementID: uint16(day) ^ 0xa91,
 	})
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return answer{}, err
 	}
 	resp.ProbesSpent += res.ProbesSent
 	for _, ob := range res.Observations {
@@ -878,8 +822,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		}
 		vps, err := s.GCDVPs(day, v6)
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
+			return answer{}, err
 		}
 		rep := gcdmeas.Run(s.World, []int{target.ID}, v6, gcdmeas.Campaign{
 			VPs:   vps,
@@ -898,21 +841,5 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.MeasurementMS = time.Since(started).Milliseconds() //laces:allow detnow measurement_ms is a diagnostic latency field in the response, not census content
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// writeJSON is the single response funnel for JSON routes: headers,
-// then exactly one WriteHeader, then the body — success and error
-// responses alike, so no handler can emit body bytes ahead of the
-// status line. nosniff stops browsers from second-guessing the typed
-// error bodies.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(code) //laces:allow httporder writeJSON IS the funnel the rule points everyone at
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	return answer{body: resp}, nil
 }

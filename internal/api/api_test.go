@@ -211,7 +211,7 @@ func TestNewServerValidation(t *testing.T) {
 }
 
 // archiveServer builds a server backed by a 6-day packed archive.
-func archiveServer(t *testing.T) (*Server, *httptest.Server, [][]byte) {
+func archiveServer(t testing.TB) (*Server, *httptest.Server, [][]byte) {
 	t.Helper()
 	d, err := platform.Tangled(testWorld, netsim.PolicyUnmodified)
 	if err != nil {
@@ -451,7 +451,7 @@ func TestRangeStreamsIncrementally(t *testing.T) {
 }
 
 // queryServer builds an archive-backed server with a timeline index.
-func queryServer(t *testing.T) (*Server, *httptest.Server) {
+func queryServer(t testing.TB) (*Server, *httptest.Server) {
 	t.Helper()
 	s, ts, _ := archiveServer(t)
 	ix, err := query.Build(s.Archive, filepath.Join(t.TempDir(), "timeline.idx"))

@@ -1,7 +1,8 @@
 package api
 
 // The serving tier's caching layer: snapshot-isolated read views and
-// HTTP validators (ETag / If-None-Match / Cache-Control).
+// the HTTP validators (ETag / Cache-Control) they precompute; respond.go
+// stamps them and answers conditional requests.
 //
 // Archived census days are immutable — a packed day never changes bytes
 // — so day-keyed responses carry a strong ETag derived from the CRC-32C
@@ -23,19 +24,11 @@ package api
 import (
 	"fmt"
 	"hash/crc32"
-	"net/http"
 	"strings"
 
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/lru"
 	"github.com/laces-project/laces/internal/query"
-)
-
-// Precomputed Cache-Control values, stored as ready-made header slices
-// so stamping them is a map assignment, not an allocation.
-var (
-	ccImmutable  = []string{"public, max-age=31536000, immutable"}
-	ccRevalidate = []string{"public, no-cache"}
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -221,29 +214,4 @@ func etagMatch(inm, etag string) bool {
 		}
 	}
 	return false
-}
-
-// notModified answers a conditional GET: when If-None-Match carries the
-// response's current validator it writes 304 + ETag and reports true,
-// and the handler must emit nothing further. The path is zero-alloc —
-// precomputed header slices assigned under their canonical keys — which
-// is what lets a dashboard fleet revalidate archived days for free
-// (guarded by TestConditionalRequestZeroAlloc).
-func notModified(w http.ResponseWriter, r *http.Request, t *resTag, cc []string) bool {
-	inm := r.Header.Get("If-None-Match")
-	if inm == "" || !etagMatch(inm, t.etag) {
-		return false
-	}
-	h := w.Header()
-	h["Etag"] = t.hdr
-	h["Cache-Control"] = cc
-	w.WriteHeader(http.StatusNotModified) //laces:allow httporder 304 carries no body by definition; the JSON funnel would write one
-	return true
-}
-
-// tagHeaders stamps the validator and cache policy on a 200 response.
-func tagHeaders(w http.ResponseWriter, t *resTag, cc []string) {
-	h := w.Header()
-	h["Etag"] = t.hdr
-	h["Cache-Control"] = cc
 }

@@ -85,7 +85,7 @@ func serverOver(t *testing.T, dir string) *Server {
 
 // fetch runs one request through the full handler chain and returns the
 // recorder.
-func fetch(t *testing.T, h http.Handler, path string, inm string) *httptest.ResponseRecorder {
+func fetch(t testing.TB, h http.Handler, path string, inm string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest("GET", path, nil)
 	if inm != "" {
@@ -221,7 +221,7 @@ func TestFreshEtagAfterAppend(t *testing.T) {
 }
 
 // eventsPageOf decodes one /v1/events response body.
-func eventsPageOf(t *testing.T, rec *httptest.ResponseRecorder) eventsPage {
+func eventsPageOf(t testing.TB, rec *httptest.ResponseRecorder) eventsPage {
 	t.Helper()
 	var p eventsPage
 	if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
@@ -441,38 +441,49 @@ func (w *allocFreeRW) Header() http.Header         { return w.hdr }
 func (w *allocFreeRW) WriteHeader(c int)           { w.status = c }
 func (w *allocFreeRW) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestConditionalRequestZeroAlloc: a conditional GET for an archived
-// day that answers 304 allocates nothing — the property that makes
+// TestConditionalRequestZeroAlloc: a conditional GET that answers 304 —
+// for an archived day, and for an index-keyed response — allocates
+// nothing from the route through respond: the property that makes
 // high-rate dashboard revalidation effectively free. Guards the
-// precomputed-header design in cache.go.
+// precomputed-header design in cache.go and the by-value answer.
 func TestConditionalRequestZeroAlloc(t *testing.T) {
-	s, _ := packedServer(t, 4)
-	// Prime the view and learn the validator (Clock pins day 0, so the
-	// parameterless URL hits an archived day).
-	prime := fetch(t, s.Handler(), "/v1/census", "")
-	etag := prime.Header().Get("Etag")
-	if prime.Code != http.StatusOK || etag == "" {
-		t.Fatalf("prime: %d %q", prime.Code, etag)
+	s, _ := queryServer(t) // Clock pins day 0, so /v1/census hits an archived day
+	table := map[string]route{}
+	for _, rt := range s.routes() {
+		table[rt.pattern] = rt
 	}
-	u, err := url.Parse("/v1/census")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &http.Request{
-		Method: "GET", URL: u,
-		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: http.Header{"If-None-Match": {etag}},
-	}
-	w := &allocFreeRW{hdr: make(http.Header, 8)}
-	allocs := testing.AllocsPerRun(500, func() {
-		w.status = 0
-		s.handleCensus(w, r)
-	})
-	if w.status != http.StatusNotModified {
-		t.Fatalf("conditional request answered %d, want 304", w.status)
-	}
-	if allocs != 0 {
-		t.Fatalf("conditional 304 path allocates %.1f times per request, want 0", allocs)
+	for _, path := range []string{"/v1/census", "/v1/aggregates"} {
+		rt, ok := table["GET "+path]
+		if !ok {
+			t.Fatalf("no route registered for %s", path)
+		}
+		// Prime the view and learn the validator.
+		prime := fetch(t, s.Handler(), path, "")
+		etag := prime.Header().Get("Etag")
+		if prime.Code != http.StatusOK || etag == "" {
+			t.Fatalf("prime %s: %d %q", path, prime.Code, etag)
+		}
+		u, err := url.Parse(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &http.Request{
+			Method: "GET", URL: u,
+			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Header: http.Header{"If-None-Match": {etag}},
+		}
+		w := &allocFreeRW{hdr: make(http.Header, 8)}
+		h := s.serve(rt)
+		allocs := testing.AllocsPerRun(500, func() {
+			w.status = 0
+			h(w, r)
+		})
+		if w.status != http.StatusNotModified {
+			t.Fatalf("conditional %s answered %d, want 304", path, w.status)
+		}
+		if allocs != 0 {
+			t.Fatalf("conditional 304 on %s allocates %.1f times per request, want 0", path, allocs)
+		}
 	}
 }
 

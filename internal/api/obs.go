@@ -1,24 +1,16 @@
 package api
 
-// Observability for the HTTP server: per-route request counters and
-// latency histograms, the Prometheus text exposition, optional pprof
-// handlers, and the bridges that expose the decoded-day LRU's, the
-// archive's and the query index's internal tallies as registry series.
-//
-// Response-writing contract (audited across every handler in this
-// package): headers are set first, the status code is written exactly
-// once via WriteHeader before any body byte, and error responses carry
-// Content-Type: application/json like every other JSON response —
-// writeJSON/writeErr are the single funnel, so no handler can write a
-// body ahead of its status line. Streaming routes (/v1/range) that fail
-// mid-body abort the connection (http.ErrAbortHandler) rather than
-// truncating silently.
+// Observability for the HTTP server: the Prometheus text exposition and
+// trace export routes, optional pprof handlers, and the bridges that
+// expose the decoded-day LRU's, the archive's and the query index's
+// internal tallies as registry series. The per-route request, latency and
+// error series are recorded by the one response path (respond.go).
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/core"
@@ -111,61 +103,11 @@ func (s *Server) peekQuery() *query.Index {
 	return nil
 }
 
-// statusRecorder captures the response status for error accounting. It
-// always advertises Flush so streaming routes keep flushing through the
-// middleware; Flush is a no-op when the underlying writer cannot.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
-	sr.ResponseWriter.WriteHeader(code) //laces:allow httporder the status recorder forwards to the wrapped writer; that is its whole job
-}
-
-func (sr *statusRecorder) Flush() {
-	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrumented wraps one route with its request counter, latency
-// histogram and error counter. Metrics record via defer, so a handler
-// that panics (e.g. /v1/range aborting a broken stream) is still
-// counted before the panic propagates. With no registry attached the
-// handler is returned untouched.
-func (s *Server) instrumented(route string, h http.HandlerFunc) http.HandlerFunc {
-	reg := s.Obs
-	if reg == nil {
-		return h
-	}
-	reqs := reg.Counter("laces_http_requests_total",
-		"HTTP requests served, by route.", obs.L("route", route))
-	lat := reg.Histogram("laces_http_request_seconds",
-		"HTTP request latency, by route.", nil, obs.L("route", route))
-	errs := reg.Counter("laces_http_errors_total",
-		"HTTP responses with status >= 400, by route.", obs.L("route", route))
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now() //laces:allow detnow request latency histograms are wall-clock telemetry, not census content
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		defer func() {
-			reqs.Inc()
-			lat.Observe(time.Since(start).Seconds()) //laces:allow detnow request latency histograms are wall-clock telemetry, not census content
-			if sr.status >= 400 {
-				errs.Inc()
-			}
-		}()
-		h(sr, r)
-	}
-}
-
 // handleMetrics serves the registry in Prometheus text format 0.0.4.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(http.StatusOK) //laces:allow httporder the Prometheus exposition streams plain text; the JSON funnel does not apply
-	_ = s.Obs.WritePrometheus(w)
+func (s *Server) handleMetrics(*view, *http.Request) (answer, error) {
+	return answer{ctype: ctProm, stream: func(w io.Writer, _ func()) error {
+		return s.Obs.WritePrometheus(w)
+	}}, nil
 }
 
 // handleTrace serves the registry's trace export: every collected span
@@ -173,21 +115,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // the flight-recorder snapshot. The default JSONL body is the
 // merge-friendly interchange form (`laces trace export` consumes it);
 // ?format=chrome emits Chrome trace_event JSON loadable in Perfetto.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	ex := s.Obs.ExportTrace()
+func (s *Server) handleTrace(_ *view, r *http.Request) (answer, error) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "jsonl":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Content-Type-Options", "nosniff")
-		w.WriteHeader(http.StatusOK) //laces:allow httporder the trace export streams NDJSON; the JSON funnel would wrap it
-		_ = ex.WriteJSONL(w)
+		return answer{ctype: ctNDJSON, stream: func(w io.Writer, _ func()) error {
+			return s.Obs.ExportTrace().WriteJSONL(w)
+		}}, nil
 	case "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Content-Type-Options", "nosniff")
-		w.WriteHeader(http.StatusOK) //laces:allow httporder the Chrome document streams from the exporter; the funnel would re-encode it
-		_ = ex.WriteChrome(w)
+		return answer{ctype: ctJSON, stream: func(w io.Writer, _ func()) error {
+			return s.Obs.ExportTrace().WriteChrome(w)
+		}}, nil
 	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid format %q (jsonl, chrome)", format))
+		return answer{}, badRequest(fmt.Errorf("invalid format %q (jsonl, chrome)", format))
 	}
 }
 

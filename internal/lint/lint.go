@@ -1,9 +1,9 @@
 // Package lint is the project's static-analysis suite: a dependency-free
 // (stdlib go/ast + go/parser + go/types only) analyzer framework that
 // moves LACeS's mechanical invariants — seed→byte-identical documents,
-// zero-alloc probe paths, nil-safe telemetry instruments, status-before-
-// body API responses — from runtime golden tests into checks that run on
-// every package on every CI run, via cmd/laces-lint.
+// zero-alloc probe paths, nil-safe telemetry instruments — from runtime
+// golden tests into checks that run on every package on every CI run,
+// via cmd/laces-lint.
 //
 // Each Analyzer inspects one type-checked package and reports typed
 // diagnostics with file:line positions. Findings fail the build; the
@@ -87,7 +87,6 @@ func Suite() []Analyzer {
 		Maporder{},
 		Nilsafe{},
 		Hotalloc{},
-		Httporder{},
 	}
 }
 

@@ -79,7 +79,6 @@ func TestCorpora(t *testing.T) {
 		{"maporder", corpusModule + "/internal/maporder"},
 		{"nilsafe", corpusModule + "/internal/obs"},
 		{"hotalloc", corpusModule + "/internal/hotalloc"},
-		{"httporder", corpusModule + "/internal/api"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -162,7 +161,7 @@ func TestDirectiveParsing(t *testing.T) {
 // TestSuiteNames pins the analyzer set: directives reference analyzers
 // by name, so renames are breaking changes.
 func TestSuiteNames(t *testing.T) {
-	want := []string{"detnow", "maporder", "nilsafe", "hotalloc", "httporder"}
+	want := []string{"detnow", "maporder", "nilsafe", "hotalloc"}
 	got := AnalyzerNames()
 	if len(got) != len(want) {
 		t.Fatalf("AnalyzerNames() = %v, want %v", got, want)
