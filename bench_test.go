@@ -1,368 +1,47 @@
 // Package laces_test hosts the benchmark harness that regenerates every
 // table and figure of the paper's evaluation (deliverable (d) of the
-// reproduction): one testing.B benchmark per table/figure, each printing
-// the paper-style rows once and then timing the regeneration.
+// reproduction): one sub-benchmark per row of experiments.Catalog — the
+// experiment index — each printing the paper-style rows once and then
+// timing the regeneration.
 //
 // Run with:
 //
-//	go test -bench=. -benchmem -timeout 0
+//	go test -bench=Experiments -benchmem -timeout 0
 //
-// (-timeout 0: the longitudinal benches exceed go test's default
-// 10-minute budget.)
-//
-// The mapping from benchmark to paper artefact is in DESIGN.md §5;
-// paper-vs-measured numbers are recorded in EXPERIMENTS.md. Benchmarks run
-// on the experiment-scale world (netsim.DefaultConfig: 120k IPv4 /24s,
-// 50k IPv6 /48s — see the scale note in EXPERIMENTS.md).
+// (-timeout 0: the longitudinal rows exceed go test's default 10-minute
+// budget.) The benchmarks run on the experiment-scale world
+// (netsim.DefaultConfig: 120k IPv4 /24s, 50k IPv6 /48s).
 package laces_test
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"sync"
 	"testing"
 
 	"github.com/laces-project/laces/internal/experiments"
 	"github.com/laces-project/laces/internal/netsim"
 )
 
-var (
-	benchEnvOnce sync.Once
-	benchEnv     *experiments.Env
-	benchEnvErr  error
-
-	printOnce sync.Map // experiment name → *sync.Once
-)
-
-// env returns the shared default-scale experiment environment.
-func env(b *testing.B) *experiments.Env {
-	b.Helper()
-	benchEnvOnce.Do(func() {
-		benchEnv, benchEnvErr = experiments.NewEnv(netsim.DefaultConfig())
-	})
-	if benchEnvErr != nil {
-		b.Fatal(benchEnvErr)
+func BenchmarkExperiments(b *testing.B) {
+	env, err := experiments.NewEnv(netsim.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
 	}
-	return benchEnv
-}
-
-// printResult renders an experiment's output once per process so the
-// benchmark log doubles as the regenerated evaluation.
-func printResult(name string, render func() error) error {
-	oncer, _ := printOnce.LoadOrStore(name, &sync.Once{})
-	var err error
-	oncer.(*sync.Once).Do(func() {
-		fmt.Printf("\n===== %s =====\n", name)
-		err = render()
-	})
-	return err
-}
-
-// BenchmarkTable1ACsAgainstGCDLS regenerates Table 1 (§5.1.1): anycast
-// candidates vs the full-hitlist GCD_LS sweep, IPv4 and IPv6.
-func BenchmarkTable1ACsAgainstGCDLS(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := e.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Table 1", func() error {
-			return experiments.RenderTable1(os.Stdout, rows)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2SiteCountAgreement regenerates Table 2 (§5.1.3):
-// candidates bucketed by receiving-VP count, split into 𝒢 and ℳ.
-func BenchmarkTable2SiteCountAgreement(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := e.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Table 2", func() error {
-			return experiments.RenderTable2(os.Stdout, rows)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable3Replicability regenerates Table 3 (§5.4): TANGLED vs the
-// independent ccTLD registry deployment.
-func BenchmarkTable3Replicability(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := e.Table3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Table 3", func() error {
-			return experiments.RenderTable3(os.Stdout, rows)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable4DeploymentCost regenerates Table 4 (§5.5.1): candidates,
-// missed GCD_LS prefixes and probing cost across seven deployments.
-func BenchmarkTable4DeploymentCost(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := e.Table4()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Table 4", func() error {
-			return experiments.RenderTable4(os.Stdout, rows)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable5HypergiantASes regenerates Table 5 (§6): largest origin
-// ASes by anycast prefix count.
-func BenchmarkTable5HypergiantASes(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := e.Table5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Table 5", func() error {
-			return experiments.RenderTable5(os.Stdout, rows)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable6BGPToolsPrefixSizes regenerates Table 6 (§5.8, App D):
-// the BGPTools whole-announcement classification audited against GCD.
-func BenchmarkTable6BGPToolsPrefixSizes(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := e.Table6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Table 6", func() error {
-			return experiments.RenderTable6(os.Stdout, rows)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig5SynchronousProbing regenerates Fig 5 (§5.1.5): false
-// positives vs inter-probe interval (13m/1m sequential vs 1s/0s
-// synchronized).
-func BenchmarkFig5SynchronousProbing(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		series, err := e.Fig5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Fig 5", func() error {
-			return experiments.RenderFig5(os.Stdout, series)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6SiteEnumerationCDF regenerates Fig 6 (§5.2): per-prefix
-// site-count CDFs on Ark vs RIPE Atlas, with hypergiant markers.
-func BenchmarkFig6SiteEnumerationCDF(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		r, err := e.Fig6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Fig 6", func() error {
-			return experiments.RenderFig6(os.Stdout, r)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig7ProtocolVennIPv4 regenerates Fig 7/13 (§5.3.1): the
-// ICMP/TCP/DNS candidate intersections for IPv4.
-func BenchmarkFig7ProtocolVennIPv4(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		r, err := e.ProtocolVenn(false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Fig 7/13", func() error {
-			return experiments.RenderProtocolVenn(os.Stdout, r)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig14ProtocolVennIPv6 regenerates Fig 14 (§5.3.2): the IPv6
-// protocol intersections.
-func BenchmarkFig14ProtocolVennIPv6(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		r, err := e.ProtocolVenn(true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Fig 14", func() error {
-			return experiments.RenderProtocolVenn(os.Stdout, r)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8RoutingPolicies regenerates Fig 8 (§5.6): candidate sets
-// under unmodified, transits-only and IXPs-only announcements.
-func BenchmarkFig8RoutingPolicies(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		r, err := e.Fig8()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Fig 8", func() error {
-			return experiments.RenderFig8(os.Stdout, r)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9DetectionTimeSeries regenerates Fig 9 (§7): detection
-// counts by method and protocol over the census period (compressed to a
-// 7-day stride).
-func BenchmarkFig9DetectionTimeSeries(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		h, err := e.Fig9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Fig 9", func() error {
-			return experiments.RenderFig9(os.Stdout, h)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10PersistenceCDF regenerates Fig 10 (§7): cumulative counts
-// of prefixes by number of days detected as anycast.
-func BenchmarkFig10PersistenceCDF(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		r, err := e.Fig10()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Fig 10", func() error {
-			return experiments.RenderFig10(os.Stdout, r)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig11AtlasThinning regenerates Fig 11 (App B): probing cost vs
-// enumeration as the Atlas inter-node distance shrinks.
-func BenchmarkFig11AtlasThinning(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := e.Fig11()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Fig 11", func() error {
-			return experiments.RenderFig11(os.Stdout, rows)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig12ChaosEnumeration regenerates Fig 12 (App C): CHAOS records
-// vs anycast-based vs GCD enumeration on the nameserver hitlist.
-func BenchmarkFig12ChaosEnumeration(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		r, err := e.Fig12()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("Fig 12", func() error {
-			return experiments.RenderFig12(os.Stdout, r)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGCDIPv4PartialAnycast regenerates the §5.7 address-granularity
-// sweep that uncovers partial anycast.
-func BenchmarkGCDIPv4PartialAnycast(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		r, err := e.PartialAnycastSweep()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("§5.7 sweep", func() error {
-			return experiments.RenderSweep(os.Stdout, r)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGroundTruthValidation regenerates the §6 per-operator audit.
-func BenchmarkGroundTruthValidation(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := e.GroundTruth(false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("§6 validation", func() error {
-			return experiments.RenderValidation(os.Stdout, rows, false)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMDecompositionTraceroute regenerates the §5.1.3 ℳ analysis
-// with the traceroute screening stage: most of ℳ is Microsoft-style
-// global-BGP unicast, confirmed by multi-PoP ingress paths (the paper's
-// stated future work of publishing global BGP in the census).
-func BenchmarkMDecompositionTraceroute(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		r, err := e.MDecomposition()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := printResult("§5.1.3 M decomposition", func() error {
-			return experiments.RenderMDecomposition(os.Stdout, r)
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, x := range experiments.Catalog {
+		// The first regeneration prints, so the benchmark log doubles as
+		// the regenerated evaluation; the rest only time.
+		out := io.Writer(os.Stdout)
+		b.Run(x.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if out == os.Stdout {
+					fmt.Printf("\n===== %s =====\n", x.Title)
+				}
+				if err := x.Run(env, out); err != nil {
+					b.Fatal(err)
+				}
+				out = io.Discard
+			}
+		})
 	}
 }

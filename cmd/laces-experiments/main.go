@@ -1,17 +1,16 @@
 // Command laces-experiments regenerates every table and figure of the
 // paper's evaluation against the simulated world and prints them in the
-// paper's layout. See DESIGN.md §5 for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured numbers.
-//
-// Usage:
-//
-//	laces-experiments [-scale default|test] [-only table1,fig5,...] [-longitudinal] [-obs file]
+// paper's layout. The experiment index is experiments.Catalog: -only takes
+// its names, and with no -only the whole catalog runs.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,202 +20,99 @@ import (
 )
 
 func main() {
-	scale := flag.String("scale", "default", "world scale: default or test")
-	only := flag.String("only", "", "comma-separated experiment list (e.g. table1,fig5); empty runs all")
-	longitudinal := flag.Bool("longitudinal", false, "include the (slow) Fig 9/10 longitudinal run")
-	obsOut := flag.String("obs", "", "write an end-of-run telemetry snapshot (JSON) to this file; render with `laces metrics`")
-	flag.Parse()
-
-	var cfg netsim.Config
-	switch *scale {
-	case "default":
-		cfg = netsim.DefaultConfig()
-	case "test":
-		cfg = netsim.TestConfig()
-	default:
-		fmt.Fprintf(os.Stderr, "laces-experiments: unknown scale %q\n", *scale)
-		os.Exit(2)
-	}
-
-	start := time.Now()
-	env, err := experiments.NewEnv(cfg)
+	code, err := run(os.Args[1:], os.Stdout, os.Stderr)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "laces-experiments:", err)
 	}
-	fmt.Fprintf(os.Stderr, "world generated in %.1fs (%d IPv4 /24s, %d IPv6 /48s)\n",
-		time.Since(start).Seconds(), len(env.World.TargetsV4), len(env.World.TargetsV6))
+	os.Exit(code)
+}
 
-	var reg *obs.Registry
-	if *obsOut != "" {
-		reg = obs.New()
-		env.Obs = reg
+// options is the command line, resolved.
+type options struct {
+	world        func() netsim.Config
+	only         []experiments.Experiment // empty: the whole catalog
+	longitudinal bool
+	obsOut       string
+}
+
+// parse reads the command line and resolves it against the catalog, so
+// that every mistake is reported before anything runs. The exit code for
+// a bad flag, scale or positional argument (experiments are chosen by
+// -only) is 2, for an unknown experiment 1.
+func parse(args []string, onError flag.ErrorHandling, stderr io.Writer) (o options, code int, err error) {
+	fs := flag.NewFlagSet("laces-experiments", onError)
+	fs.SetOutput(stderr)
+	scale := fs.String("scale", "default", "world scale: default or test")
+	only := fs.String("only", "", "comma-separated experiment list (e.g. table1,fig5); empty runs all")
+	fs.BoolVar(&o.longitudinal, "longitudinal", false, "include the (slow) Fig 9/10 longitudinal run")
+	fs.StringVar(&o.obsOut, "obs", "", "write an end-of-run telemetry snapshot (JSON) to this `file`; render with 'laces metrics'")
+	if err := fs.Parse(args); err != nil {
+		return o, 2, err
+	}
+	if fs.NArg() > 0 {
+		return o, 2, fmt.Errorf("unexpected argument %q (select experiments with -only)", fs.Arg(0))
+	}
+	o.world = map[string]func() netsim.Config{"default": netsim.DefaultConfig, "test": netsim.TestConfig}[*scale]
+	if o.world == nil {
+		return o, 2, fmt.Errorf("unknown scale %q", *scale)
+	}
+	for _, name := range strings.FieldsFunc(strings.ToLower(*only), func(r rune) bool { return r == ',' }) {
+		name = strings.TrimSpace(name)
+		i := slices.IndexFunc(experiments.Catalog, func(x experiments.Experiment) bool {
+			return x.Name == name || slices.Contains(x.Aliases, name)
+		})
+		if i < 0 {
+			var valid []string
+			for _, x := range experiments.Catalog {
+				valid = append(valid, x.Name)
+			}
+			return o, 1, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(valid, ", "))
+		}
+		o.only = append(o.only, experiments.Catalog[i])
+	}
+	return o, 0, nil
+}
+
+// run is the command with its streams explicit; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) (int, error) {
+	o, code, err := parse(args, flag.ExitOnError, stderr)
+	if err != nil {
+		return code, err
+	}
+	start := time.Now()
+	env, err := experiments.NewEnv(o.world())
+	if err != nil {
+		return 1, err
+	}
+	fmt.Fprintf(stderr, "world generated in %.1fs (%d IPv4 /24s, %d IPv6 /48s)\n",
+		time.Since(start).Seconds(), len(env.World.TargetsV4), len(env.World.TargetsV6))
+	if o.obsOut != "" {
+		env.Obs = obs.New()
 		tel := &netsim.Telemetry{}
 		env.World.SetTelemetry(tel)
-		tel.Register(reg)
+		tel.Register(env.Obs)
 	}
-
-	if *only == "" {
-		if err := env.RunAll(os.Stdout, !*longitudinal); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, name := range strings.Split(*only, ",") {
-			if err := runOne(env, strings.TrimSpace(strings.ToLower(name))); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
+	if len(o.only) == 0 {
+		err = env.RunAll(stdout, !o.longitudinal)
 	}
-
-	if *obsOut != "" {
-		if err := writeSnapshot(reg, *obsOut); err != nil {
-			fatal(err)
+	for _, x := range o.only {
+		if err = x.Run(env, stdout); err != nil {
+			break
 		}
-		fmt.Fprintf(os.Stderr, "telemetry snapshot written to %s\n", *obsOut)
+		fmt.Fprintln(stdout)
 	}
-}
-
-func writeSnapshot(reg *obs.Registry, path string) error {
-	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return 1, err
 	}
-	if err := reg.Snapshot().WriteJSON(f); err != nil {
-		f.Close()
-		return err
+	if o.obsOut != "" {
+		var snap bytes.Buffer
+		if err := env.Obs.Snapshot().WriteJSON(&snap); err != nil {
+			return 1, err
+		}
+		if err := os.WriteFile(o.obsOut, snap.Bytes(), 0o666); err != nil {
+			return 1, err
+		}
+		fmt.Fprintf(stderr, "telemetry snapshot written to %s\n", o.obsOut)
 	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "laces-experiments:", err)
-	os.Exit(1)
-}
-
-func runOne(env *experiments.Env, name string) error {
-	w := os.Stdout
-	switch name {
-	case "table1":
-		rows, err := env.Table1()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderTable1(w, rows)
-	case "table2":
-		rows, err := env.Table2()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderTable2(w, rows)
-	case "table3":
-		rows, err := env.Table3()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderTable3(w, rows)
-	case "table4":
-		rows, err := env.Table4()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderTable4(w, rows)
-	case "table5":
-		rows, err := env.Table5()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderTable5(w, rows)
-	case "table6":
-		rows, err := env.Table6()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderTable6(w, rows)
-	case "fig5":
-		series, err := env.Fig5()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderFig5(w, series)
-	case "fig6":
-		r, err := env.Fig6()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderFig6(w, r)
-	case "fig7", "fig13":
-		r, err := env.ProtocolVenn(false)
-		if err != nil {
-			return err
-		}
-		return experiments.RenderProtocolVenn(w, r)
-	case "fig14":
-		r, err := env.ProtocolVenn(true)
-		if err != nil {
-			return err
-		}
-		return experiments.RenderProtocolVenn(w, r)
-	case "fig8":
-		r, err := env.Fig8()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderFig8(w, r)
-	case "fig9":
-		h, err := env.Fig9()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderFig9(w, h)
-	case "fig10":
-		r, err := env.Fig10()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderFig10(w, r)
-	case "fig11":
-		rows, err := env.Fig11()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderFig11(w, rows)
-	case "fig12":
-		r, err := env.Fig12()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderFig12(w, r)
-	case "sweep", "partial":
-		r, err := env.PartialAnycastSweep()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderSweep(w, r)
-	case "validation", "groundtruth":
-		rows, err := env.GroundTruth(false)
-		if err != nil {
-			return err
-		}
-		return experiments.RenderValidation(w, rows, false)
-	case "enum", "enumcompare":
-		rows, err := env.EnumComparison()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderEnumComparison(w, rows)
-	case "mdecomp", "globalbgp":
-		r, err := env.MDecomposition()
-		if err != nil {
-			return err
-		}
-		return experiments.RenderMDecomposition(w, r)
-	case "chaos", "resilience":
-		r, err := env.ChaosResilience(false)
-		if err != nil {
-			return err
-		}
-		return experiments.RenderChaosResilience(w, r)
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
+	return 0, nil
 }

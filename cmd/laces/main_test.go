@@ -22,6 +22,10 @@ import (
 var lacesBin string
 
 func TestMain(m *testing.M) {
+	if os.Getenv(signalChildEnv) != "" {
+		signalChild() // the helper process of TestSignalContextSecondSignalKills
+		return
+	}
 	dir, err := os.MkdirTemp("", "laces-cli")
 	if err != nil {
 		os.Exit(1)
@@ -55,10 +59,9 @@ func run(t *testing.T, args ...string) (int, string) {
 // subcommands and flags exit non-zero, and the unknown-subcommand path
 // prints the usage text listing every subcommand.
 func TestCLIUsageAndExitCodes(t *testing.T) {
-	subcommands := []string{
-		"orchestrator", "worker", "measure", "census", "igreedy", "serve",
-		"trace", "diff", "dashboard", "archive", "replay", "query", "budget",
-		"metrics", "loadgen",
+	var subcommands []string
+	for _, c := range root.sub {
+		subcommands = append(subcommands, c.name)
 	}
 	cases := []struct {
 		name     string

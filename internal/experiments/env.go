@@ -1,9 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5–§7, appendices) against the simulated world. Each
-// experiment is a method on Env returning typed rows plus a Render method
-// printing the paper-style table; cmd/laces-experiments and the root
-// benchmark suite drive them. The per-experiment index lives in DESIGN.md
-// §5; paper-vs-measured numbers are recorded in EXPERIMENTS.md.
+// experiment is a method on Env returning typed rows plus a Render
+// function printing the paper-style table; Catalog is the index that pairs
+// them, and what cmd/laces-experiments and the root benchmark range over.
 package experiments
 
 import (
@@ -65,21 +64,6 @@ func NewEnv(cfg netsim.Config) (*Env, error) {
 		gcdls:    make(map[lsKey]*core.GCDLSResult),
 		censuses: make(map[lsKey]*core.DailyCensus),
 	}, nil
-}
-
-var (
-	defaultEnvOnce sync.Once
-	defaultEnv     *Env
-	defaultEnvErr  error
-)
-
-// Default returns the shared experiment-scale environment (DefaultConfig
-// world), built once per process.
-func Default() (*Env, error) {
-	defaultEnvOnce.Do(func() {
-		defaultEnv, defaultEnvErr = NewEnv(netsim.DefaultConfig())
-	})
-	return defaultEnv, defaultEnvErr
 }
 
 // GCDLS returns the (cached) full-hitlist GCD sweep for a day and family,

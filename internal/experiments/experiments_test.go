@@ -400,8 +400,16 @@ func TestGroundTruthShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	byName := map[string]ValidationRow{}
-	for _, r := range rows {
+	for i, r := range rows {
 		byName[r.Operator] = r
+		// Largest first, ties by name: the order must not depend on map
+		// iteration, or the same seed prints a different table each run.
+		if i > 0 {
+			p := rows[i-1]
+			if p.Prefixes < r.Prefixes || (p.Prefixes == r.Prefixes && p.Operator >= r.Operator) {
+				t.Errorf("rows out of order: %s (%d) before %s (%d)", p.Operator, p.Prefixes, r.Operator, r.Prefixes)
+			}
+		}
 	}
 	// §6: Cloudflare fully accurate for IPv4 (no FPs, no FNs).
 	cf := byName["Cloudflare"]
@@ -451,23 +459,54 @@ func TestHistoryFiguresShape(t *testing.T) {
 	}
 }
 
-func TestRunAllRendersEverything(t *testing.T) {
+// TestCatalog pins the experiment index: names and aliases are unique
+// (they share the -only namespace), every row can run, and RunAll renders
+// exactly the non-longitudinal rows, each once, in catalog order.
+func TestCatalog(t *testing.T) {
+	seen := map[string]bool{}
+	for _, x := range Catalog {
+		if x.Title == "" || x.Run == nil {
+			t.Errorf("catalog row %q lacks a title or a Run", x.Name)
+		}
+		for _, name := range append([]string{x.Name}, x.Aliases...) {
+			if name == "" || name != strings.ToLower(name) || seen[name] {
+				t.Errorf("catalog name %q is empty, not lower-case or taken", name)
+			}
+			seen[name] = true
+		}
+	}
 	if testing.Short() {
 		t.Skip("full driver sweep in -short mode")
 	}
-	var buf bytes.Buffer
-	if err := env(t).RunAll(&buf, true); err != nil {
+	var want bytes.Buffer
+	for _, x := range Catalog {
+		if x.Longitudinal {
+			continue
+		}
+		before := want.Len()
+		if err := x.Run(env(t), &want); err != nil {
+			t.Fatalf("%s: %v", x.Name, err)
+		}
+		if want.Len() == before {
+			t.Errorf("%s rendered nothing", x.Name)
+		}
+		want.WriteString("\n")
+	}
+	var got bytes.Buffer
+	if err := env(t).RunAll(&got, true); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
+	if got.String() != want.String() {
+		t.Errorf("RunAll(w, true) is not the non-longitudinal catalog rows in order:\n%s", got.String())
+	}
+	for _, title := range []string{
 		"Table 1", "Table 2", "Table 3", "Table 4", "Table 5", "Table 6",
 		"Fig 5", "Fig 6", "Fig 7/13", "Fig 14", "Fig 8", "Fig 11", "Fig 12",
 		"GCD_IPv4 sweep", "ground-truth validation",
 		"traceroute decomposition of M", "site enumeration",
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("RunAll output missing %q", want)
+		if !strings.Contains(got.String(), title) {
+			t.Errorf("RunAll output missing %q", title)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // longitudinalStride compresses the 534-day census for the experiment
-// harness: every 7th day. Persistence counts scale accordingly (documented
-// in EXPERIMENTS.md).
+// harness: every 7th day. Persistence counts scale accordingly (Fig 10
+// prints the stride and run count it used).
 const longitudinalStride = 7
 
 // History returns the shared longitudinal run (Fig 9 and Fig 10 share it).

@@ -78,7 +78,14 @@ func (e *Env) GroundTruth(v6 bool) ([]ValidationRow, error) {
 			out = append(out, *r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefixes > out[j].Prefixes })
+	// Largest operator first; ties by name, so the table does not inherit
+	// the map's iteration order.
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Prefixes != out[j].Prefixes {
+			return out[i].Prefixes > out[j].Prefixes
+		}
+		return out[i].Operator < out[j].Operator
+	})
 	return out, nil
 }
 
@@ -96,171 +103,4 @@ func RenderValidation(w io.Writer, rows []ValidationRow, v6 bool) error {
 		t.Add(r.Operator, fmtInt(r.Prefixes), fmtInt(r.InG), fmtInt(r.InM), fmtInt(r.Missed), fmtInt(r.FPs))
 	}
 	return t.Render(w)
-}
-
-// ---------------------------------------------------------------------------
-// RunAll drives every experiment and renders it to w; the regeneration
-// entry point of cmd/laces-experiments.
-
-// RunAll executes the full evaluation suite. Long experiments honour the
-// skipLongitudinal flag (the 77-run history dominates wall-clock).
-func (e *Env) RunAll(w io.Writer, skipLongitudinal bool) error {
-	type step struct {
-		name string
-		run  func() error
-	}
-	nl := func() { io.WriteString(w, "\n") }
-	steps := []step{
-		{"Table 1", func() error {
-			rows, err := e.Table1()
-			if err != nil {
-				return err
-			}
-			return RenderTable1(w, rows)
-		}},
-		{"Table 2", func() error {
-			rows, err := e.Table2()
-			if err != nil {
-				return err
-			}
-			return RenderTable2(w, rows)
-		}},
-		{"Table 3", func() error {
-			rows, err := e.Table3()
-			if err != nil {
-				return err
-			}
-			return RenderTable3(w, rows)
-		}},
-		{"Table 4", func() error {
-			rows, err := e.Table4()
-			if err != nil {
-				return err
-			}
-			return RenderTable4(w, rows)
-		}},
-		{"Table 5", func() error {
-			rows, err := e.Table5()
-			if err != nil {
-				return err
-			}
-			return RenderTable5(w, rows)
-		}},
-		{"Table 6", func() error {
-			rows, err := e.Table6()
-			if err != nil {
-				return err
-			}
-			return RenderTable6(w, rows)
-		}},
-		{"Fig 5", func() error {
-			series, err := e.Fig5()
-			if err != nil {
-				return err
-			}
-			return RenderFig5(w, series)
-		}},
-		{"Fig 6", func() error {
-			r, err := e.Fig6()
-			if err != nil {
-				return err
-			}
-			return RenderFig6(w, r)
-		}},
-		{"Fig 7/13", func() error {
-			r, err := e.ProtocolVenn(false)
-			if err != nil {
-				return err
-			}
-			return RenderProtocolVenn(w, r)
-		}},
-		{"Fig 14", func() error {
-			r, err := e.ProtocolVenn(true)
-			if err != nil {
-				return err
-			}
-			return RenderProtocolVenn(w, r)
-		}},
-		{"Fig 8", func() error {
-			r, err := e.Fig8()
-			if err != nil {
-				return err
-			}
-			return RenderFig8(w, r)
-		}},
-		{"Fig 11", func() error {
-			rows, err := e.Fig11()
-			if err != nil {
-				return err
-			}
-			return RenderFig11(w, rows)
-		}},
-		{"Fig 12", func() error {
-			r, err := e.Fig12()
-			if err != nil {
-				return err
-			}
-			return RenderFig12(w, r)
-		}},
-		{"§5.7 sweep", func() error {
-			r, err := e.PartialAnycastSweep()
-			if err != nil {
-				return err
-			}
-			return RenderSweep(w, r)
-		}},
-		{"§6 validation", func() error {
-			rows, err := e.GroundTruth(false)
-			if err != nil {
-				return err
-			}
-			return RenderValidation(w, rows, false)
-		}},
-		{"§5.1.3 M decomposition", func() error {
-			r, err := e.MDecomposition()
-			if err != nil {
-				return err
-			}
-			return RenderMDecomposition(w, r)
-		}},
-		{"§5.2 enumeration comparison", func() error {
-			rows, err := e.EnumComparison()
-			if err != nil {
-				return err
-			}
-			return RenderEnumComparison(w, rows)
-		}},
-		{"chaos resilience", func() error {
-			r, err := e.ChaosResilience(false)
-			if err != nil {
-				return err
-			}
-			return RenderChaosResilience(w, r)
-		}},
-	}
-	if !skipLongitudinal {
-		steps = append(steps,
-			step{"Fig 9", func() error {
-				h, err := e.Fig9()
-				if err != nil {
-					return err
-				}
-				return RenderFig9(w, h)
-			}},
-			step{"Fig 10", func() error {
-				r, err := e.Fig10()
-				if err != nil {
-					return err
-				}
-				return RenderFig10(w, r)
-			}},
-		)
-	}
-	for _, s := range steps {
-		if err := s.run(); err != nil {
-			return err
-		}
-		nl()
-	}
-	return nil
 }

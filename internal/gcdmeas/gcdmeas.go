@@ -171,7 +171,7 @@ func (o AddrSweepOutcome) Partial() bool {
 // SweepAddrs probes the given offsets of every listed target prefix from
 // every VP. The paper's sweep covered all four billion IPv4 addresses with
 // 13 VPs over ten days; we cover a deterministic sample of offsets per
-// prefix (see EXPERIMENTS.md for the substitution note). When the
+// prefix (the caller picks them). When the
 // campaign carries a Gate, targets are admitted sequentially before the
 // sharded sweep (each demands distinct-offsets × VPs budget units) and
 // the returned Usage accounts every skipped target.

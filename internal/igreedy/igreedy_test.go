@@ -270,7 +270,7 @@ func BenchmarkDetectUnicast(b *testing.B) {
 	}
 }
 
-// BenchmarkIGreedyOrdering is the MiGreedy ablation (DESIGN.md §6): the
+// BenchmarkIGreedyOrdering is the MiGreedy ablation: the
 // common-point certificate vs the naive pairwise scan, on the dominant
 // unicast workload.
 func BenchmarkIGreedyOrdering(b *testing.B) {

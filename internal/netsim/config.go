@@ -60,7 +60,7 @@ type Config struct {
 	Seed uint64
 
 	// V4Targets and V6Targets are hitlist sizes: responsive /24s and /48s
-	// (the paper's 6.0 M and 6.2 M, scaled down; see DESIGN.md §5).
+	// (the paper's 6.0 M and 6.2 M, scaled down).
 	V4Targets int
 	V6Targets int
 
@@ -152,7 +152,7 @@ type Config struct {
 
 // DefaultConfig is the experiment-scale world: hitlists at roughly 1/40 of
 // the paper's, anycast landscape at roughly 1/10 (keeping anycast counts
-// statistically meaningful). See EXPERIMENTS.md for the scale mapping.
+// statistically meaningful).
 func DefaultConfig() Config {
 	return Config{
 		Seed:           0x1ace5,

@@ -414,8 +414,7 @@ func TestRunWithoutWorkersFails(t *testing.T) {
 
 // BenchmarkOrchestratorThroughput measures end-to-end distributed
 // measurement throughput (targets streamed, probed and aggregated per
-// second) over real loopback TCP — the streaming-aggregation ablation of
-// DESIGN.md §6.
+// second) over real loopback TCP — the streaming-aggregation ablation.
 func BenchmarkOrchestratorThroughput(b *testing.B) {
 	o, _, cancel := startCluster(b, 4)
 	defer cancel()

@@ -73,7 +73,7 @@ func TestTCPAckWorkerExhaustive(t *testing.T) {
 
 // BenchmarkProbeEncodeIdentity compares the three identity carriers
 // (ICMP payload, DNS query name, TCP acknowledgement number) — the
-// encoding-format ablation of DESIGN.md §6.
+// encoding-format ablation.
 func BenchmarkProbeEncodeIdentity(b *testing.B) {
 	b.Run("ICMPPayload", func(b *testing.B) {
 		buf := make([]byte, 0, ICMPPayloadLen)

@@ -31,8 +31,9 @@
 // reply throttling — scoped by target, AS, worker, protocol and day range,
 // bundled into named scenarios and injected through DayOptions.Chaos. The
 // same world seed and scenario always produce a byte-identical census, so
-// failure drills are reproducible experiments; `laces-experiments chaos`
-// scores every built-in scenario against the clean baseline.
+// failure drills are reproducible experiments;
+// `laces-experiments -only chaos` scores every built-in scenario against
+// the clean baseline.
 //
 // The "responsible" pillar (R3) goes beyond rate limiting: a
 // probe-budget ledger (per-day global, per-AS and per-prefix caps), an
