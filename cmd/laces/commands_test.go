@@ -149,6 +149,41 @@ func TestOpenStore(t *testing.T) {
 	}
 }
 
+// TestCLICensusKeepsIndexCurrent: the morning after a daily census the
+// archive still answers longitudinal queries — `census -archive` extends
+// an index that is there (and only then), so nobody reruns build-index
+// by hand, and the extension decodes the new day's chain, not the history.
+func TestCLICensusKeepsIndexCurrent(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ar")
+	if code, out := run(t, "archive", "pack", "-dir", dir, "-gen", "0:2"); code != 0 {
+		t.Fatalf("pack: exit %d:\n%s", code, out)
+	}
+	// No index yet: the census appends and leaves it at that.
+	code, out := run(t, "census", "-day", "3", "-archive", dir)
+	if code != 0 || !strings.Contains(out, "appended day 3") || strings.Contains(out, "indexed day") {
+		t.Fatalf("census without an index: exit %d:\n%s", code, out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, query.IndexFileName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("census created an index nobody asked for (stat: %v)", err)
+	}
+	code, out = run(t, "query", "build-index", "-archive", dir)
+	if code != 0 || !strings.Contains(out, "+4 day-files, 4 decoded — built from scratch (no index)") {
+		t.Fatalf("build-index: exit %d:\n%s", code, out)
+	}
+	// Day 4 is the fifth of a 7-day chain: snapshot plus four deltas.
+	code, out = run(t, "census", "-day", "4", "-archive", dir)
+	if code != 0 || !strings.Contains(out, "indexed day 4: +1 day-files, 5 decoded — resumed from the committed index") {
+		t.Fatalf("census over an indexed archive: exit %d:\n%s", code, out)
+	}
+	code, out = run(t, "query", "events", "-archive", dir)
+	if code != 0 || !strings.Contains(out, "events (ipv4)") {
+		t.Fatalf("query events after the census: exit %d:\n%s", code, out)
+	}
+	if code, out = run(t, "query", "build-index", "-archive", dir); code != 0 || !strings.Contains(out, "+0 day-files, 0 decoded — resumed") {
+		t.Fatalf("build-index with nothing to add: exit %d:\n%s", code, out)
+	}
+}
+
 // signalChildEnv makes TestMain run signalChild instead of the tests.
 const signalChildEnv = "LACES_TEST_SIGNAL_CHILD"
 

@@ -90,7 +90,7 @@ var root = &command{
 			summary: "longitudinal queries over the archive's timeline index",
 			sub: []*command{
 				{name: "build-index", setup: setupQueryBuildIndex,
-					summary: "make the one streaming indexing pass over an archive",
+					summary: "build the timeline index, or extend the one there by the days appended since",
 					usage:   "-archive <dir>"},
 				{name: "timeline", setup: setupQueryTimeline,
 					summary: "one prefix's longitudinal strip",

@@ -13,7 +13,8 @@ import (
 )
 
 // The longitudinal queries: build-index writes the timeline index next to
-// an archive, the rest answer from it without decoding archived days.
+// an archive (or extends the one already there), the rest answer from it
+// without decoding archived days.
 
 // openIndex opens an archive's timeline index with a build hint on miss.
 func openIndex(dir string) (*query.Index, error) {
@@ -25,6 +26,16 @@ func openIndex(dir string) (*query.Index, error) {
 		return nil, err
 	}
 	return ix, nil
+}
+
+// buildSummary says what an index build did: how many day-files it added
+// to what it started from, and how many archived documents that took.
+func buildSummary(res *query.BuildResult) string {
+	from := "resumed from the committed index"
+	if !res.Resumed {
+		from = "built from scratch (" + res.FromScratch + ")"
+	}
+	return fmt.Sprintf("+%d day-files, %d decoded — %s", res.DaysAdded, res.DaysDecoded, from)
 }
 
 func setupQueryBuildIndex(fs *flag.FlagSet) func() error {
@@ -40,6 +51,7 @@ func setupQueryBuildIndex(fs *flag.FlagSet) func() error {
 		}
 		fmt.Printf("indexed %d families, %d day-files, %d prefix timelines into %s (%.1fs)\n",
 			res.Families, res.Days, res.Prefixes, res.Path, time.Since(start).Seconds())
+		fmt.Println(buildSummary(res))
 		fmt.Printf("index is %d bytes over a %d-byte archive (%.1f%%)\n",
 			res.Bytes, res.SourceBytes, 100*float64(res.Bytes)/float64(max(res.SourceBytes, 1)))
 		return nil

@@ -70,7 +70,9 @@ func setupServe(fs *flag.FlagSet) func() error {
 			// A timeline index next to the archive lights up the
 			// longitudinal endpoints; without one they answer 404. A stale
 			// one must not silently serve wrong longitudinal answers: keep
-			// the rest of the API up and say how to fix it.
+			// the rest of the API up and say how to fix it (VerifyCoverage's
+			// message: build-index extends the index by the days it lacks;
+			// `laces census -archive` does so after every append).
 			switch {
 			case st.index != nil:
 				srv.Query = st.index

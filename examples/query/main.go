@@ -40,7 +40,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Index: one streaming pass over the archive.
+	// Index: one streaming pass over the archive (there is no index yet
+	// to extend).
 	res, err := laces.BuildCensusIndex(dir)
 	if err != nil {
 		log.Fatal(err)

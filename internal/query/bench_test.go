@@ -6,6 +6,7 @@ package query
 // BenchmarkQueryTimeline/index vs BenchmarkQueryTimeline/decode-baseline.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -153,8 +154,9 @@ func BenchmarkQueryEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexBuild times the one streaming pass that materializes
-// the index from the archive.
+// BenchmarkIndexBuild times a from-scratch build: the one streaming pass
+// that materializes the index from the whole archive, into a path that
+// holds no index to resume from.
 func BenchmarkIndexBuild(b *testing.B) {
 	dir := benchArchive(b)
 	a, err := archive.Open(dir)
@@ -169,9 +171,78 @@ func BenchmarkIndexBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		if res.Resumed {
+			b.Fatal("the full-build benchmark resumed")
+		}
 		if i == 0 {
 			b.ReportMetric(float64(res.Bytes), "index_bytes")
 			b.ReportMetric(float64(res.Bytes)/float64(res.Prefixes), "bytes/prefix")
 		}
+		b.StopTimer()
+		if err := os.Remove(out); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkIndexExtend times the daily step: the archive holds `days`
+// days, the committed index all but the last, and BuildDir brings it up
+// to date. The days-scaling measurement: the decode work (decodes/op) is
+// the same at both sizes — the snapshot cadence of 6 puts day 59 and day
+// 239 alike at the end of a chain, snapshot plus five deltas — so what
+// grows from days=60 to days=240 is what a step still pays per day kept:
+// reading the old index back, rewriting it and the aggregates pass.
+func BenchmarkIndexExtend(b *testing.B) {
+	for _, days := range []int{60, 240} {
+		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
+			docs := synthChain(days, benchEntries)
+			dir := b.TempDir()
+			pack := func(from, to int) {
+				w, err := archive.OpenOrCreate(dir, archive.Options{SnapshotEvery: 6})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for d := from; d < to; d++ {
+					if err := w.Append(d, docs[d]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			pack(0, days-1)
+			if _, err := BuildDir(dir); err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(dir, IndexFileName)
+			idx, agg := indexFiles(b, path)
+			pack(days-1, days)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				// Put back the index of the day before.
+				if err := os.WriteFile(path, idx, 0o644); err != nil {
+					b.Fatal(err)
+				}
+				if err := os.WriteFile(AggregatesPath(path), agg, 0o644); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res, err := BuildDir(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Resumed || res.DaysAdded != 1 {
+					b.Fatalf("not a one-day extension: %+v", res)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(res.DaysDecoded), "decodes/op")
+					b.ReportMetric(float64(res.Bytes), "index_bytes")
+				}
+			}
+		})
 	}
 }

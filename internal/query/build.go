@@ -1,14 +1,33 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/core"
+)
+
+// The row's flag bitmaps, in their serialized order — the one contract
+// decodeRow mirrors.
+const (
+	flagPresent = iota
+	flagCandidate
+	flagGCDMeasured
+	flagGCDAnycast
+	flagICMP
+	flagTCP
+	flagDNS
+	flagPartial
+	flagGlobalBGP
+	flagFromFeedback
+	nFlags
 )
 
 // rowBuilder accumulates one prefix's column during the build pass.
@@ -17,9 +36,7 @@ type rowBuilder struct {
 	origin uint32
 
 	// Flag bitmaps over day positions.
-	present, candidate, gcdMeasured, gcdAnycast []byte
-	icmp, tcp, dns                              []byte
-	partial, globalBGP, fromFeedback            []byte
+	flags [nFlags][]byte
 
 	// Series over present days, in day order.
 	sites, receivers, vps []uint64
@@ -27,56 +44,55 @@ type rowBuilder struct {
 }
 
 func newRowBuilder(prefix string, nDays int) *rowBuilder {
-	n := bitmapLen(nDays)
-	return &rowBuilder{
-		prefix:  prefix,
-		present: make([]byte, n), candidate: make([]byte, n),
-		gcdMeasured: make([]byte, n), gcdAnycast: make([]byte, n),
-		icmp: make([]byte, n), tcp: make([]byte, n), dns: make([]byte, n),
-		partial: make([]byte, n), globalBGP: make([]byte, n), fromFeedback: make([]byte, n),
-	}
+	rb := &rowBuilder{prefix: prefix}
+	rb.grow(nDays)
+	return rb
 }
 
-// bitmaps returns the row's bitmaps in their serialized order — the one
-// contract decodeRow mirrors.
-func (rb *rowBuilder) bitmaps() [][]byte {
-	return [][]byte{
-		rb.present, rb.candidate, rb.gcdMeasured, rb.gcdAnycast,
-		rb.icmp, rb.tcp, rb.dns,
-		rb.partial, rb.globalBGP, rb.fromFeedback,
+// grow widens the bitmaps to nDays day positions, keeping the bits set
+// so far.
+func (rb *rowBuilder) grow(nDays int) {
+	n := bitmapLen(nDays)
+	if n == len(rb.flags[flagPresent]) {
+		return
+	}
+	buf := make([]byte, nFlags*n)
+	for i, bm := range rb.flags {
+		rb.flags[i] = buf[i*n : (i+1)*n : (i+1)*n]
+		copy(rb.flags[i], bm)
 	}
 }
 
 func (rb *rowBuilder) add(pos int, e *core.DocumentEntry) {
-	setBit(rb.present, pos)
+	setBit(rb.flags[flagPresent], pos)
 	rb.origin = e.OriginASN
 	if len(e.ACProtocols) > 0 {
-		setBit(rb.candidate, pos)
+		setBit(rb.flags[flagCandidate], pos)
 	}
 	for _, p := range e.ACProtocols {
 		switch p {
 		case "ICMP":
-			setBit(rb.icmp, pos)
+			setBit(rb.flags[flagICMP], pos)
 		case "TCP":
-			setBit(rb.tcp, pos)
+			setBit(rb.flags[flagTCP], pos)
 		case "DNS":
-			setBit(rb.dns, pos)
+			setBit(rb.flags[flagDNS], pos)
 		}
 	}
 	if e.GCDMeasured {
-		setBit(rb.gcdMeasured, pos)
+		setBit(rb.flags[flagGCDMeasured], pos)
 	}
 	if e.GCDAnycast {
-		setBit(rb.gcdAnycast, pos)
+		setBit(rb.flags[flagGCDAnycast], pos)
 	}
 	if e.PartialAnycast {
-		setBit(rb.partial, pos)
+		setBit(rb.flags[flagPartial], pos)
 	}
 	if e.GlobalBGP {
-		setBit(rb.globalBGP, pos)
+		setBit(rb.flags[flagGlobalBGP], pos)
 	}
 	if e.FromFeedback {
-		setBit(rb.fromFeedback, pos)
+		setBit(rb.flags[flagFromFeedback], pos)
 	}
 	rb.sites = append(rb.sites, uint64(e.GCDSites))
 	rb.receivers = append(rb.receivers, uint64(e.MaxReceivers))
@@ -86,7 +102,7 @@ func (rb *rowBuilder) add(pos int, e *core.DocumentEntry) {
 
 // encode serializes the row record.
 func (rb *rowBuilder) encode(w *bufWriter) {
-	for _, bm := range rb.bitmaps() {
+	for _, bm := range rb.flags {
 		w.b = append(w.b, bm...)
 	}
 	for _, s := range rb.sites {
@@ -103,13 +119,114 @@ func (rb *rowBuilder) encode(w *bufWriter) {
 	}
 }
 
+// decodeRowState is encode's inverse: it reads a row record written over
+// nDays day positions back into the builder that wrote it. The committed
+// index is the next build's input, so only the canonical form is
+// accepted — no bit set past the last day, minimal varints, no trailing
+// bytes — and an accepted row re-encodes to exactly b.
+func decodeRowState(ref prefixRef, nDays int, b []byte) (*rowBuilder, error) {
+	bl := bitmapLen(nDays)
+	if len(b) < nFlags*bl {
+		return nil, fmt.Errorf("query: row for %s shorter than its bitmaps", ref.prefix)
+	}
+	rb := newRowBuilder(ref.prefix, nDays)
+	rb.origin = ref.origin
+	for i, bm := range rb.flags {
+		copy(bm, b[i*bl:])
+		if nDays%8 != 0 && bm[bl-1]>>(nDays%8) != 0 {
+			return nil, fmt.Errorf("query: row for %s flags a day past the last", ref.prefix)
+		}
+	}
+	present := 0
+	for _, x := range rb.flags[flagPresent] {
+		present += bits.OnesCount8(x)
+	}
+	r := &bufReader{b: b, off: nFlags * bl}
+	for _, series := range []*[]uint64{&rb.sites, &rb.receivers, &rb.vps} {
+		*series = make([]uint64, present)
+		for i := range *series {
+			start := r.off
+			(*series)[i] = r.uvarint()
+			if r.off-start > 1 && b[r.off-1] == 0 {
+				return nil, fmt.Errorf("query: row for %s holds a padded varint", ref.prefix)
+			}
+		}
+	}
+	rb.cities = make([]uint32, present)
+	for i := range rb.cities {
+		rb.cities[i] = r.u32()
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("query: row for %s: %w", ref.prefix, r.err)
+	}
+	if r.off != len(b) {
+		return nil, fmt.Errorf("query: row for %s has %d trailing bytes", ref.prefix, len(b)-r.off)
+	}
+	return rb, nil
+}
+
 // famBuilder accumulates one family's section.
 type famBuilder struct {
 	family string
-	days   []int
-	// Per-day aggregate columns.
-	entries, g, m, added, removed []uint32
+	// days are the day positions indexed so far; the per-day aggregate
+	// columns are aligned to them.
+	days                          []int
+	entries, g, m, added, removed []int
 	rows                          map[string]*rowBuilder
+}
+
+// extend indexes the archived days of the family that fb does not cover
+// yet: it widens every row to the archive's day count and streams the
+// missing tail through archive.Range, which decodes from the snapshot the
+// first missing day derives from and nothing before it.
+func (fb *famBuilder) extend(a *archive.Archive) error {
+	days := a.Days(fb.family)
+	pos := len(fb.days)
+	if pos == len(days) {
+		return nil
+	}
+	// prev is the previous day's membership, for the churn columns: on a
+	// resumed build, the present bit at the last covered position.
+	prev := make(map[string]bool)
+	for pfx, rb := range fb.rows {
+		if pos > 0 && getBit(rb.flags[flagPresent], pos-1) {
+			prev[pfx] = true
+		}
+		rb.grow(len(days))
+	}
+	fb.days = days
+	return a.Range(fb.family, days[pos], -1, func(_ int, doc *core.Document) error {
+		cur := make(map[string]bool, len(doc.Entries))
+		var added, removed int
+		for i := range doc.Entries {
+			e := &doc.Entries[i]
+			cur[e.Prefix] = true
+			if pos > 0 && !prev[e.Prefix] {
+				added++
+			}
+			rb := fb.rows[e.Prefix]
+			if rb == nil {
+				rb = newRowBuilder(e.Prefix, len(days))
+				fb.rows[e.Prefix] = rb
+			}
+			rb.add(pos, e)
+		}
+		if pos > 0 {
+			for pfx := range prev {
+				if !cur[pfx] {
+					removed++
+				}
+			}
+		}
+		fb.entries = append(fb.entries, len(doc.Entries))
+		fb.g = append(fb.g, doc.GCount)
+		fb.m = append(fb.m, doc.MCount)
+		fb.added = append(fb.added, added)
+		fb.removed = append(fb.removed, removed)
+		prev = cur
+		pos++
+		return nil
+	})
 }
 
 // BuildResult summarises one index build.
@@ -125,63 +242,54 @@ type BuildResult struct {
 	// ledger.
 	Bytes       int64
 	SourceBytes int64
+
+	// Resumed reports that the build started from the index already
+	// committed at Path; otherwise FromScratch names what ruled that out:
+	// "no index", "checksum" (the file failed Open's integrity checks),
+	// "family set", "day list" or "day counts" (it does not describe a
+	// prefix of this archive), or "row N" (that row is not in the form
+	// Build writes).
+	Resumed     bool
+	FromScratch string
+	// DaysAdded counts the day-files this build indexed beyond the state
+	// it started from, DaysDecoded the archive documents it materialized
+	// to do so: per family, the chain from the snapshot under the first
+	// added day — not the history.
+	DaysAdded   int
+	DaysDecoded int64
 }
 
-// Build makes one streaming pass over every family of the archive and
-// writes the columnar prefix-timeline index to path. Building decodes
-// each day exactly once (via archive.Range); answering queries
-// afterwards decodes none. The write is atomic: the index appears at
-// path complete and CRC'd, or not at all.
+// Build brings the columnar prefix-timeline index at path up to date
+// with the archive. It starts from the state of the index already
+// committed there — empty when there is none, or when it fails any check
+// (see BuildResult.FromScratch; deleting the file forces a full build) —
+// streams only the days that state does not cover through archive.Range,
+// and writes the whole index again: a resumed build and a from-scratch
+// build of the same archive produce the same bytes. A daily step
+// therefore decodes the new day's delta chain, not the history;
+// answering queries afterwards decodes nothing. The write is atomic: the
+// index appears at path complete and CRC'd, or not at all.
 func Build(a *archive.Archive, path string) (*BuildResult, error) {
-	var fams []*famBuilder
-	for _, family := range a.Families() {
-		fb := &famBuilder{family: family, days: a.Days(family), rows: make(map[string]*rowBuilder)}
-		pos := make(map[int]int, len(fb.days))
-		for i, d := range fb.days {
-			pos[d] = i
+	decoded := a.Decodes()
+	fams, why := loadState(a, path)
+	res := &BuildResult{Path: path, Families: len(fams), Resumed: why == "", FromScratch: why}
+	for _, fb := range fams {
+		covered := len(fb.days)
+		if err := fb.extend(a); err != nil {
+			return nil, fmt.Errorf("query: indexing %s: %w", fb.family, err)
 		}
-		prev := make(map[string]bool)
-		err := a.Range(family, 0, -1, func(day int, doc *core.Document) error {
-			p := pos[day]
-			cur := make(map[string]bool, len(doc.Entries))
-			var added uint32
-			for i := range doc.Entries {
-				e := &doc.Entries[i]
-				cur[e.Prefix] = true
-				if p > 0 && !prev[e.Prefix] {
-					added++
-				}
-				rb := fb.rows[e.Prefix]
-				if rb == nil {
-					rb = newRowBuilder(e.Prefix, len(fb.days))
-					fb.rows[e.Prefix] = rb
-				}
-				rb.add(p, e)
-			}
-			var removed uint32
-			if p > 0 {
-				for pfx := range prev {
-					if !cur[pfx] {
-						removed++
-					}
-				}
-			}
-			fb.entries = append(fb.entries, uint32(len(doc.Entries)))
-			fb.g = append(fb.g, uint32(doc.GCount))
-			fb.m = append(fb.m, uint32(doc.MCount))
-			fb.added = append(fb.added, added)
-			fb.removed = append(fb.removed, removed)
-			prev = cur
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("query: indexing %s: %w", family, err)
-		}
-		fams = append(fams, fb)
+		res.DaysAdded += len(fb.days) - covered
+		res.Days += len(fb.days)
+		res.Prefixes += len(fb.rows)
 	}
-	res, err := writeIndex(a, path, fams)
-	if err != nil {
+	res.DaysDecoded = a.Decodes() - decoded
+	image := encodeIndex(fams)
+	if err := writeIndex(path, image); err != nil {
 		return nil, err
+	}
+	res.Bytes = int64(len(image))
+	for _, st := range a.Stats() {
+		res.SourceBytes += st.StoredBytes
 	}
 	// Materialize the dashboard aggregates next to the index: the
 	// serving tier answers its hot queries from this sidecar without
@@ -204,7 +312,8 @@ func Build(a *archive.Archive, path string) (*BuildResult, error) {
 }
 
 // BuildDir builds the index for the archive at dir, writing it next to
-// the archive's index.jsonl as timeline.idx.
+// the archive's index.jsonl as timeline.idx — extending the one already
+// there when it describes the archive's first days.
 func BuildDir(dir string) (*BuildResult, error) {
 	a, err := archive.Open(dir)
 	if err != nil {
@@ -213,10 +322,112 @@ func BuildDir(dir string) (*BuildResult, error) {
 	return Build(a, filepath.Join(dir, IndexFileName))
 }
 
-// writeIndex serializes the accumulated sections and commits the file.
-func writeIndex(a *archive.Archive, path string, fams []*famBuilder) (*BuildResult, error) {
-	res := &BuildResult{Path: path, Families: len(fams)}
+// loadState returns the builders a build of a starts from, one per
+// archived family: the state of the index committed at path when that
+// index describes the archive's first days, else empty ones and the
+// reason (BuildResult.FromScratch).
+func loadState(a *archive.Archive, path string) (fams []*famBuilder, why string) {
+	if fams, why = committedState(a, path); why == "" {
+		return fams, ""
+	}
+	for _, family := range a.Families() {
+		fams = append(fams, &famBuilder{family: family, rows: make(map[string]*rowBuilder)})
+	}
+	return fams, why
+}
 
+// committedState reads the index at path back into builders, or says
+// why a build of a cannot start from it.
+func committedState(a *archive.Archive, path string) (fams []*famBuilder, why string) {
+	ix, err := Open(path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil, "no index"
+	case err != nil:
+		return nil, "checksum"
+	}
+	defer ix.Close()
+	if _, why := ix.behind(a); why != "" {
+		return nil, why
+	}
+	return ix.state()
+}
+
+// behind compares the index with an archive: how many archived day-files
+// it does not cover and, when it is not an index of the archive's first
+// days at all, what differs — the family set, a family's day list, or a
+// day's entries / G / M counts against the archive's index.jsonl record.
+// Freshness (VerifyCoverage) and resumability (Build) are this one
+// predicate.
+func (ix *Index) behind(a *archive.Archive) (missing int, why string) {
+	if !slices.Equal(ix.order, a.Families()) {
+		return 0, "family set"
+	}
+	for _, family := range ix.order {
+		fam, days := ix.fams[family], a.Days(family)
+		if len(fam.days) > len(days) || !slices.Equal(fam.days, days[:len(fam.days)]) {
+			return 0, "day list"
+		}
+		for i, day := range fam.days {
+			rec, _ := a.Record(family, day)
+			if rec.Entries != fam.entries[i] || rec.GCount != fam.g[i] || rec.MCount != fam.m[i] {
+				return 0, "day counts"
+			}
+		}
+		missing += len(days) - len(fam.days)
+	}
+	return missing, ""
+}
+
+// state reads the whole index back into the builders that wrote it. It
+// accepts only the layout encodeIndex produces — families and prefixes in
+// strictly ascending order, rows contiguous and covering the rows section
+// — so an accepted state encodes to the file it was read from; otherwise
+// why names the first row that does not fit.
+func (ix *Index) state() (fams []*famBuilder, why string) {
+	st, err := ix.f.Stat()
+	if err != nil {
+		return nil, "checksum"
+	}
+	rows := make([]byte, st.Size()-ix.rowsOff) // Open checked the size against the header
+	if _, err := ix.f.ReadAt(rows, ix.rowsOff); err != nil {
+		return nil, "checksum"
+	}
+	n, off := 0, 0
+	for i, family := range ix.order {
+		if i > 0 && family <= ix.order[i-1] {
+			return nil, "family set"
+		}
+		fam := ix.fams[family]
+		fb := &famBuilder{
+			family: family, days: fam.days,
+			entries: fam.entries, g: fam.g, m: fam.m, added: fam.added, removed: fam.removed,
+			rows: make(map[string]*rowBuilder, len(fam.prefixes)),
+		}
+		for p, ref := range fam.prefixes {
+			if p > 0 && core.ComparePrefixStrings(fam.prefixes[p-1].prefix, ref.prefix) >= 0 ||
+				ref.off != int64(off) || ref.length > len(rows)-off {
+				return nil, fmt.Sprintf("row %d", n)
+			}
+			rb, err := decodeRowState(ref, len(fam.days), rows[off:off+ref.length])
+			if err != nil {
+				return nil, fmt.Sprintf("row %d", n)
+			}
+			fb.rows[ref.prefix] = rb
+			off += ref.length
+			n++
+		}
+		fams = append(fams, fb)
+	}
+	if off != len(rows) {
+		return nil, fmt.Sprintf("row %d", n)
+	}
+	return fams, ""
+}
+
+// encodeIndex serializes the accumulated sections into the file image:
+// header, TOC, rows.
+func encodeIndex(fams []*famBuilder) []byte {
 	// Rows first: the TOC needs each row's offset and length.
 	type rowRef struct {
 		prefix string
@@ -234,8 +445,6 @@ func writeIndex(a *archive.Archive, path string, fams []*famBuilder) (*BuildResu
 		sort.Slice(prefixes, func(i, j int) bool {
 			return core.ComparePrefixStrings(prefixes[i], prefixes[j]) < 0
 		})
-		res.Days += len(fb.days)
-		res.Prefixes += len(prefixes)
 		for _, p := range prefixes {
 			rb := fb.rows[p]
 			off := uint64(len(rows.b))
@@ -252,12 +461,9 @@ func writeIndex(a *archive.Archive, path string, fams []*famBuilder) (*BuildResu
 	for fi, fb := range fams {
 		toc.str16(fb.family)
 		toc.u32(uint32(len(fb.days)))
-		for _, d := range fb.days {
-			toc.u32(uint32(d))
-		}
-		for _, col := range [][]uint32{fb.entries, fb.g, fb.m, fb.added, fb.removed} {
+		for _, col := range [][]int{fb.days, fb.entries, fb.g, fb.m, fb.added, fb.removed} {
 			for _, v := range col {
-				toc.u32(v)
+				toc.u32(uint32(v))
 			}
 		}
 		toc.u32(uint32(len(refs[fi])))
@@ -269,35 +475,39 @@ func writeIndex(a *archive.Archive, path string, fams []*famBuilder) (*BuildResu
 		}
 	}
 
+	return sealIndex(toc.b, rows.b)
+}
+
+// sealIndex puts the header — section lengths and checksums — in front
+// of the two sections.
+func sealIndex(toc, rows []byte) []byte {
 	h := header{
 		version: Version,
-		tocLen:  uint32(len(toc.b)),
-		rowsLen: uint64(len(rows.b)),
-		tocCRC:  crc32.Checksum(toc.b, castagnoli),
-		rowsCRC: crc32.Checksum(rows.b, castagnoli),
+		tocLen:  uint32(len(toc)),
+		rowsLen: uint64(len(rows)),
+		tocCRC:  crc32.Checksum(toc, castagnoli),
+		rowsCRC: crc32.Checksum(rows, castagnoli),
 	}
+	return slices.Concat(h.encode(), toc, rows)
+}
 
+// writeIndex commits the file image at path: tmp + rename.
+func writeIndex(path string, image []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return nil, fmt.Errorf("query: creating index: %w", err)
+		return fmt.Errorf("query: creating index: %w", err)
 	}
 	defer os.Remove(tmp)
-	for _, b := range [][]byte{h.encode(), toc.b, rows.b} {
-		if _, err := f.Write(b); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("query: writing index: %w", err)
-		}
+	if _, err := f.Write(image); err != nil {
+		f.Close()
+		return fmt.Errorf("query: writing index: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("query: closing index: %w", err)
+		return fmt.Errorf("query: closing index: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return nil, fmt.Errorf("query: committing index: %w", err)
+		return fmt.Errorf("query: committing index: %w", err)
 	}
-	res.Bytes = int64(headerLen + len(toc.b) + len(rows.b))
-	for _, st := range a.Stats() {
-		res.SourceBytes += st.StoredBytes
-	}
-	return res, nil
+	return nil
 }

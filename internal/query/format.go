@@ -151,6 +151,20 @@ func (r *bufReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
+// count reads a u32 element count and fails when that many elements of
+// at least size bytes each cannot fit in what is left of the section —
+// before the caller allocates room for them.
+func (r *bufReader) count(size int) int {
+	n := int(r.u32())
+	if r.err == nil && n > (len(r.b)-r.off)/size {
+		r.fail()
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
 func (r *bufReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0

@@ -167,6 +167,22 @@ func TestIndexByteStableAcrossSeedsAndScenarios(t *testing.T) {
 	})
 }
 
+// TestResumeEqualsScratchAcrossSeedsAndScenarios runs the resumed ≡
+// from-scratch property (resume_test.go) on real pipeline output: for
+// every (seed, scenario) pair and every split of the run, extending the
+// committed index day by day, or in one jump, writes the bytes a full
+// build writes.
+func TestResumeEqualsScratchAcrossSeedsAndScenarios(t *testing.T) {
+	matrix(t, func(t *testing.T, seed uint64, sc *chaos.Scenario) {
+		_, docs := runArchive(t, seed, sc, 4)
+		days := make([]query.DayDoc, len(docs))
+		for d, doc := range docs {
+			days[d] = query.DayDoc{Day: d, Doc: doc}
+		}
+		query.CheckResumeEqualsScratch(t, days)
+	})
+}
+
 // validateTimelines checks every indexed prefix against the documents.
 func validateTimelines(t *testing.T, ix *query.Index, docs []*core.Document) {
 	t.Helper()

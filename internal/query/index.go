@@ -4,9 +4,12 @@
 // deployments appear, disappear or flap, how do site counts churn —
 // answered without touching full-day documents on the hot path.
 //
-// It has two halves. The indexer (Build) makes one streaming pass over
-// an archive and materializes a compact columnar prefix-timeline index
-// on disk next to index.jsonl: per prefix a presence bitmap over the
+// It has two halves. The indexer (Build) streams an archive into a
+// compact columnar prefix-timeline index on disk next to index.jsonl. It
+// is resumable: the committed index is the state the next build starts
+// from, so a daily step decodes the appended day's delta chain rather
+// than the history, and a full build is the same code resuming from
+// nothing. Per prefix the index holds a presence bitmap over the
 // indexed days, per-day anycast-based and GCD verdict bits, protocol
 // bits, and site-count / receiver / VP / geo-signature series; per day
 // the aggregate census counts and membership churn. The query layer
@@ -26,7 +29,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -188,7 +190,7 @@ func Open(path string) (*Index, error) {
 	nFams := int(r.u32())
 	for i := 0; i < nFams && r.err == nil; i++ {
 		family := r.str16()
-		nDays := int(r.u32())
+		nDays := r.count(6 * 4) // the day list and five columns
 		fam := &famIndex{days: make([]int, nDays), byPrefix: make(map[string]int)}
 		for d := 0; d < nDays; d++ {
 			fam.days[d] = int(r.u32())
@@ -199,17 +201,23 @@ func Open(path string) (*Index, error) {
 				(*col)[d] = int(r.u32())
 			}
 		}
-		nPrefixes := int(r.u32())
+		nPrefixes := r.count(2 + 4 + 8 + 4)
 		fam.prefixes = make([]prefixRef, nPrefixes)
 		for p := 0; p < nPrefixes && r.err == nil; p++ {
 			ref := prefixRef{prefix: r.str16(), origin: r.u32()}
-			ref.off = int64(r.u64())
-			ref.length = int(r.u32())
+			off, length := r.u64(), r.u32()
+			if r.err == nil && (off > h.rowsLen || uint64(length) > h.rowsLen-off) {
+				r.err = fmt.Errorf("query: row for %s lies outside the rows section", ref.prefix)
+			}
+			ref.off, ref.length = int64(off), int(length)
 			fam.prefixes[p] = ref
 			fam.byPrefix[ref.prefix] = p
 		}
 		ix.fams[family] = fam
 		ix.order = append(ix.order, family)
+	}
+	if r.err == nil && r.off != len(tocBytes) {
+		r.err = fmt.Errorf("query: index TOC has %d trailing bytes", len(tocBytes)-r.off)
 	}
 	if r.err != nil {
 		f.Close()
@@ -246,17 +254,18 @@ func OpenDir(dir string) (*Index, error) {
 }
 
 // VerifyCoverage checks that the index still describes the archive:
-// every archived family indexed, over exactly the archive's day list.
-// A mismatch means days were appended (or the store regenerated) after
-// the index was built; serving longitudinal answers from it would
-// silently misreport the new days — rebuild with Build/BuildDir.
+// the same families, each over exactly the archive's day list with the
+// archive's per-day counts. A mismatch means days were appended (or the
+// store regenerated) after the index was built; serving longitudinal
+// answers from it would silently misreport the new days, or days no
+// archived file backs. Build/BuildDir bring it up to date — by decoding
+// only the appended days when that is all that happened.
 func (ix *Index) VerifyCoverage(a *archive.Archive) error {
-	for _, fam := range a.Families() {
-		want, got := a.Days(fam), ix.Days(fam)
-		if !slices.Equal(got, want) {
-			return fmt.Errorf("query: timeline index is stale for %s (%d indexed days, archive has %d) — rebuild it with `laces query build-index`",
-				fam, len(got), len(want))
-		}
+	switch missing, why := ix.behind(a); {
+	case why != "":
+		return fmt.Errorf("query: timeline index is stale: it disagrees with the archive on the %s — `laces query build-index` rebuilds it", why)
+	case missing > 0:
+		return fmt.Errorf("query: timeline index is stale: %d archived day-files are not indexed — `laces query build-index` extends it, decoding only those days", missing)
 	}
 	return nil
 }

@@ -59,8 +59,9 @@
 // Longitudinal questions — per-prefix timelines, onset/offset/flap and
 // site-churn events, stability scores, daily churn series — are
 // answered by a columnar prefix-timeline index built over the store
-// (see internal/query): one streaming indexing pass, then every query
-// runs from the index alone without decoding a single archived day.
+// (see internal/query): one streaming indexing pass — extended day by
+// day afterwards, each step decoding only the appended days — then every
+// query runs from the index alone without decoding a single archived day.
 // BuildCensusIndex / OpenCensusIndex / QueryTimeline are the facade;
 // the README's "Querying the archive" section has the CLI and HTTP
 // tour.
@@ -413,9 +414,11 @@ func OpenArchiveWriter(dir string, opts CensusArchiveOptions) (*CensusArchiveWri
 // OpenArchive opens a census store for reading.
 func OpenArchive(dir string) (*CensusArchive, error) { return archive.Open(dir) }
 
-// BuildCensusIndex makes one streaming pass over the archive at dir
-// and materializes its columnar prefix-timeline index next to the
-// archive's index.jsonl (as timeline.idx).
+// BuildCensusIndex materializes the columnar prefix-timeline index of
+// the archive at dir next to its index.jsonl (as timeline.idx). A
+// timeline.idx already there is extended by the days appended since — it
+// decodes those days' delta chains, not the history — to the same bytes
+// a build from nothing writes.
 func BuildCensusIndex(dir string) (*CensusIndexBuild, error) { return query.BuildDir(dir) }
 
 // OpenCensusIndex opens the timeline index of the archive at dir, with
