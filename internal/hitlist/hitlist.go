@@ -54,9 +54,11 @@ func QuarterOf(day int) int {
 
 // ForDay builds the hitlist for a census day: one entry per target that
 // is in the day's quarterly snapshot and answers at least one protocol,
-// in target-ID order.
+// in target-ID order. Entries is allocated once, for the whole universe:
+// nearly every target is on the list, and counting first would derive a
+// lazy world twice.
 func ForDay(w *netsim.World, v6 bool, day int) *Hitlist {
-	h := &Hitlist{V6: v6, Day: QuarterOf(day)}
+	h := &Hitlist{V6: v6, Day: QuarterOf(day), Entries: make([]Entry, 0, w.NumTargets(v6))}
 	w.IterTargets(v6, 0, func(batch []netsim.Target) bool {
 		for i := range batch {
 			tg := &batch[i]
@@ -78,10 +80,16 @@ func ForDay(w *netsim.World, v6 bool, day int) *Hitlist {
 // FilterProtocol returns the entries answering the given protocol — the
 // per-protocol probe list of a measurement.
 func (h *Hitlist) FilterProtocol(p packet.Protocol) []Entry {
-	var out []Entry
-	for _, e := range h.Entries {
-		if e.Protocols[p] {
-			out = append(out, e)
+	n := 0
+	for i := range h.Entries {
+		if h.Entries[i].Protocols[p] {
+			n++
+		}
+	}
+	out := make([]Entry, 0, n)
+	for i := range h.Entries {
+		if h.Entries[i].Protocols[p] {
+			out = append(out, h.Entries[i])
 		}
 	}
 	return out

@@ -7,8 +7,15 @@
 //
 // This is the in-process engine used by the census pipeline and the
 // experiment harness. The distributed Orchestrator/Worker plane
-// (internal/orchestrator, internal/worker) performs the same measurement
-// over real sockets and reuses this package's classification.
+// (internal/orchestrator, internal/worker, internal/client) performs the
+// same measurement over real sockets and imports nothing from here: the
+// client applies its own two-or-more-receivers rule to the replies the
+// workers stream back. What the two share is the rate.Pacer schedule,
+// the flow-header convention and the simulated Internet's routing
+// decision — Run asks netsim for a whole train's receivers
+// (World.AnycastTrain), worker.SimProber for one ProbeAnycast per probe,
+// RTT included — and TestRunMatchesFabricProbers holds them to the same
+// receivers for every target.
 package manycast
 
 import (
@@ -162,45 +169,32 @@ func Run(w *netsim.World, d *netsim.Deployment, hl *hitlist.Hitlist, opts Option
 	if err != nil {
 		return nil, fmt.Errorf("manycast: %w", err)
 	}
+	missing := missingMask(d.NumSites(), opts.MissingWorkers)
 	res := &Result{
 		Deployment: d.Name,
 		Protocol:   opts.Protocol,
 		Start:      opts.Start,
-		Workers:    CountParticipants(d.NumSites(), opts.MissingWorkers),
+		Workers:    d.NumSites() - bits.OnesCount64(missing),
 	}
-	// One admitted entry: a probe from every participating site (what the
-	// gate charges for it), folded into a receiver bitmask.
+	// One admitted entry: one probe train — a probe from every
+	// participating site, which is what the gate charges for it — folded
+	// into a receiver bitmask.
+	train := netsim.Train{
+		Offset:  opts.Offset,
+		Gap:     opts.Offset,
+		Flow:    netsim.FlowKey{Proto: opts.Protocol, StaticFlow: uint64(opts.MeasurementID) + 1, VaryingPayload: 1},
+		Missing: missing,
+	}
+	if opts.StaticProbes {
+		train.Flow.VaryingPayload = 0
+	}
 	probe := func(sh *par.Shard[TargetObs]) func(int, *netsim.Target) {
 		return func(i int, tg *netsim.Target) {
-			var mask uint64
-			for wk := 0; wk < d.NumSites(); wk++ {
-				if opts.MissingWorkers[wk] {
-					continue
-				}
-				varying := uint64(wk + 1)
-				if opts.StaticProbes {
-					varying = 0
-				}
-				ctx := netsim.ProbeCtx{
-					At: pacer.SendTime(i, wk),
-					Flow: netsim.FlowKey{
-						Proto:          opts.Protocol,
-						StaticFlow:     uint64(opts.MeasurementID) + 1,
-						VaryingPayload: varying,
-					},
-					Gap: opts.Offset,
-					Seq: uint64(tg.ID),
-				}
-				sh.Probes++
-				if del, ok := w.ProbeAnycast(d, wk, tg, ctx); ok {
-					sh.Replies++
-					if opts.MissingWorkers[del.WorkerIdx] {
-						// Replies routed to a dead site are lost.
-						continue
-					}
-					mask |= 1 << uint(del.WorkerIdx)
-				}
-			}
+			tr := train
+			tr.First = pacer.SendTime(i, 0)
+			mask, probes, replies := w.AnycastTrain(d, tg, tr)
+			sh.Probes += int64(probes)
+			sh.Replies += int64(replies)
 			if mask != 0 {
 				sh.Out = append(sh.Out, TargetObs{TargetID: tg.ID, Receivers: mask})
 			}
@@ -230,6 +224,18 @@ func CountParticipants(numSites int, missing map[int]bool) int {
 		}
 	}
 	return n
+}
+
+// missingMask resolves Options.MissingWorkers to the train's bitmask
+// under CountParticipants' rule (numSites ≤ 64).
+func missingMask(numSites int, missing map[int]bool) uint64 {
+	var m uint64
+	for wk, dead := range missing {
+		if dead && wk >= 0 && wk < numSites {
+			m |= 1 << uint(wk)
+		}
+	}
+	return m
 }
 
 // MultiProtocol runs one measurement per protocol and returns them keyed

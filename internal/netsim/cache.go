@@ -25,10 +25,8 @@ type routingShard struct {
 
 // routingCache is the sharded memoisation store embedded in World.
 // tel, when installed via World.SetTelemetry, receives hit/miss
-// accounting. The reply cache counts only on its cold store path (the
-// warm lookup is completely untouched — hits are derived, see
-// Telemetry.CacheHitsReply); the site cache counts one packed striped
-// add per lookup. Counting never changes what a lookup returns.
+// accounting: one packed striped add per lookup of either cache. Counting
+// never changes what a lookup returns.
 type routingCache struct {
 	shards [numCacheShards]routingShard
 	tel    *Telemetry
@@ -89,17 +87,14 @@ func (c *routingCache) lookupReply(k replyKey) (replyVal, bool) {
 	sh.mu.RLock()
 	v, ok := sh.reply[k]
 	sh.mu.RUnlock()
+	if t := c.tel; t != nil {
+		countLookup(&t.cacheReply, uint64(k.asn)<<32^uint64(uint32(k.city)), ok)
+	}
 	return v, ok
 }
 
-// storeReply memoises a computed reply catchment. Every store is a
-// preceding lookup miss, so miss accounting lives here on the cold
-// compute path — the warm lookup path carries no counting at all
-// (hits are derived; see Telemetry.CacheHitsReply).
+// storeReply memoises a computed reply catchment.
 func (c *routingCache) storeReply(k replyKey, v replyVal) {
-	if t := c.tel; t != nil {
-		t.replyMisses.Add(k.salt, 1)
-	}
 	sh := c.replyShard(k)
 	sh.mu.Lock()
 	sh.reply[k] = v

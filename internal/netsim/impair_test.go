@@ -157,4 +157,37 @@ func TestProbeHotPathNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm anycast probe allocates %.1f objects per run, want 0", allocs)
 	}
+	assertTrainsNoAllocs(t, w, d, ctx, "clean")
+}
+
+// assertTrainsNoAllocs extends a probe hot-path guard to AnycastTrain,
+// both ways a train is answered: a steady plan's O(1) answer and a
+// per-site walk (the first ICMP target of each sort). ctx supplies the
+// day, flow and gap.
+func assertTrainsNoAllocs(t *testing.T, w *World, d *Deployment, ctx ProbeCtx, label string) {
+	t.Helper()
+	tr := Train{First: ctx.At, Offset: ctx.Gap, Gap: ctx.Gap, Flow: ctx.Flow}
+	var steady, stepped *Target
+	for i := range w.TargetsV4 {
+		tg := &w.TargetsV4[i]
+		if !tg.Responsive[packet.ICMP] {
+			continue
+		}
+		var p anycastPlan
+		w.planAnycast(&p, d, tg, packet.ICMP, tr.Gap, DayOf(tr.First))
+		if p.steady() && steady == nil {
+			steady = tg
+		} else if !p.steady() && stepped == nil {
+			stepped = tg
+		}
+	}
+	if steady == nil || stepped == nil {
+		t.Fatal("world lacks a steady or a stepped ICMP train")
+	}
+	for name, tg := range map[string]*Target{"steady": steady, "stepped": stepped} {
+		w.AnycastTrain(d, tg, tr) // warm the routing caches
+		if allocs := testing.AllocsPerRun(200, func() { w.AnycastTrain(d, tg, tr) }); allocs != 0 {
+			t.Fatalf("%s warm %s train allocates %.1f objects per run, want 0", label, name, allocs)
+		}
+	}
 }

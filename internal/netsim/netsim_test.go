@@ -439,9 +439,11 @@ func TestRouteFlippedConstantWithinPeriod(t *testing.T) {
 	}
 	base := DayTime(6).Unix()
 	// Within one 7200 s period the state must not change.
-	ref := testWorld.routeFlipped(drifty, base-base%7200, 6)
+	a, _ := testWorld.ASByNumber(drifty.Origin)
+	flap := testWorld.flapClassOf(drifty, &a, 6)
+	ref := testWorld.flipped(drifty, flap, base-base%7200)
 	for off := int64(0); off < 7200; off += 600 {
-		if testWorld.routeFlipped(drifty, base-base%7200+off, 6) != ref {
+		if testWorld.flipped(drifty, flap, base-base%7200+off) != ref {
 			t.Fatal("route state changed within a stability period")
 		}
 	}
@@ -654,6 +656,18 @@ func BenchmarkProbeAnycast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tg := &testWorld.TargetsV4[i%len(testWorld.TargetsV4)]
 		testWorld.ProbeAnycast(d, i%32, tg, ctx)
+	}
+}
+
+// BenchmarkAnycastTrain is BenchmarkProbeAnycast's counterpart for the
+// stage's real entry point: one op is a whole 32-site train.
+func BenchmarkAnycastTrain(b *testing.B) {
+	d := tangled(b, testWorld, PolicyUnmodified)
+	tr := Train{First: DayTime(3), Offset: time.Second, Gap: time.Second,
+		Flow: FlowKey{Proto: packet.ICMP, VaryingPayload: 1}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		testWorld.AnycastTrain(d, &testWorld.TargetsV4[i%len(testWorld.TargetsV4)], tr)
 	}
 }
 

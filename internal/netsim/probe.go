@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/bits"
 	"strings"
 	"time"
 
@@ -59,71 +60,159 @@ func (w *World) ProbeAnycast(d *Deployment, worker int, tg *Target, ctx ProbeCtx
 	return del, ok
 }
 
-// probeAnycast is ProbeAnycast without the accounting wrapper.
+// probeAnycast is ProbeAnycast without the accounting wrapper: a plan for
+// this one probe, its step, and the RTT over the path the step chose.
 //
 //laces:hotpath called once per anycast-stage probe
 func (w *World) probeAnycast(d *Deployment, worker int, tg *Target, ctx ProbeCtx) (Delivery, bool) {
-	proto := ctx.Flow.Proto
-	if !tg.Responsive[proto] {
+	if !tg.Responsive[ctx.Flow.Proto] {
 		return Delivery{}, false
 	}
-	var extraRTT time.Duration
+	var p anycastPlan
+	recv, site, extraRTT, ok := w.stepAnycast(&p, d, worker, tg, &ctx)
+	if !ok {
+		return Delivery{}, false
+	}
+	workerCity := d.Sites[worker].CityIdx
+	var dist float64
+	var arm uint64
+	switch p.kind {
+	case Anycast:
+		fromCity := tg.Sites[site].CityIdx
+		dist = (w.distKm(workerCity, fromCity) + w.distKm(fromCity, d.Sites[recv].CityIdx)) / 2
+		arm = 0xa
+	case GlobalUnicast:
+		// The probe ingresses at edge PoP `site` and routes internally to
+		// the single server, which is what the latency reflects.
+		ingress := tg.Sites[site].CityIdx
+		dist = w.distKm(workerCity, ingress) + w.distKm(ingress, tg.CityIdx)
+		site, arm = -1, 0xb
+	default: // Unicast, PartialAnycast, BackingAnycast representatives
+		dist = (w.distKm(workerCity, tg.CityIdx) + w.distKm(tg.CityIdx, d.Sites[recv].CityIdx)) / 2
+		arm = 0xc
+	}
+	rtt := w.rttOverDistance(dist, mix(w.seed, uint64(tg.ID), uint64(worker), arm), ctx.Flow.Proto, ctx.Seq)
+	return Delivery{WorkerIdx: recv, RTT: rtt + extraRTT, SiteIdx: site}, true
+}
+
+// stepAnycast decides one probe of the anycast stage to a target
+// responsive on ctx.Flow.Proto: whether a reply comes back, the deployment
+// site that receives it, and the target site (or global-unicast ingress
+// PoP) that answered, -1 for single-location kinds. p carries what the
+// target's probes share from one step to the next; it is resolved here
+// whenever the probe's effective day — after the impairer's TimeShift — is
+// not the day p was planned for, so a zero plan is a valid start.
+//
+//laces:hotpath called once per anycast-stage probe that needs its own decision
+func (w *World) stepAnycast(p *anycastPlan, d *Deployment, worker int, tg *Target, ctx *ProbeCtx) (recv, site int, extraRTT time.Duration, ok bool) {
+	sent := ctx.At
 	if w.imp != nil {
-		pi := w.imp.ImpairAnycast(d, worker, tg, ctx)
+		pi := w.imp.ImpairAnycast(d, worker, tg, *ctx)
 		if pi.Drop {
-			return Delivery{}, false
+			return 0, -1, 0, false
 		}
 		if pi.TimeShift != 0 {
-			ctx.At = ctx.At.Add(pi.TimeShift)
+			sent = sent.Add(pi.TimeShift)
 		}
 		extraRTT = pi.ExtraRTT
 	}
-	day := DayOf(ctx.At)
-	at := ctx.At.Unix()
-
-	// ICMP rate limiting: when probes arrive nearly simultaneously
-	// (inter-probe gap below the threshold) rate-limited targets drop a
-	// share of replies (R1/R3: spacing probes avoids this).
-	if proto == packet.ICMP && ctx.Gap < time.Duration(w.Cfg.RateLimitGapMS)*time.Millisecond {
-		if chance(mix(w.seed, uint64(tg.ID), 0x4a7e), w.Cfg.RateLimitFrac) &&
-			chance(mix(w.seed, uint64(tg.ID), uint64(worker), uint64(day), 0x11), 0.35) {
-			return Delivery{}, false
-		}
+	if day := DayOf(sent); !p.planned || p.day != day {
+		w.planAnycast(p, d, tg, ctx.Flow.Proto, ctx.Gap, day)
 	}
-
-	v6 := isV6(tg)
+	if p.limited && chance(mix(w.seed, uint64(tg.ID), uint64(worker), uint64(p.day), 0x11), 0.35) {
+		return 0, -1, 0, false
+	}
+	at, varying := sent.Unix(), ctx.Flow.VaryingPayload
 	workerCity := d.Sites[worker].CityIdx
-	switch tg.KindAt(day) {
+	switch p.kind {
 	case Anycast:
-		site := w.targetSite(tg, workerCity, v6)
-		fromCity := tg.Sites[site].CityIdx
-		recv := w.receiver(d, tg, fromCity, worker, ctx.Flow, at, day)
-		d1 := w.distKm(workerCity, fromCity)
-		d2 := w.distKm(fromCity, d.Sites[recv].CityIdx)
-		rtt := w.rttOverDistance((d1+d2)/2, mix(w.seed, uint64(tg.ID), uint64(worker), 0xa), proto, ctx.Seq)
-		return Delivery{WorkerIdx: recv, RTT: rtt + extraRTT, SiteIdx: site}, true
-
+		site = w.targetSite(tg, workerCity, isV6(tg))
+		v := w.replyCatchment(d, tg.Origin, tg.Sites[site].CityIdx)
+		return w.receive(p, d, tg, v, worker, varying, at), site, extraRTT, true
 	case GlobalUnicast:
 		// Probes ingress at the nearest edge PoP, route internally to the
 		// single server, and replies egress at one of a handful of egress
 		// edges near the ingress. Distinct workers therefore surface at a
 		// small number (2–3) of VPs — the paper's Microsoft ℳ pattern
 		// (§5.1.3, Table 2).
-		ingress := w.targetSite(tg, workerCity, v6)
-		egressCity := w.egressEdge(tg, workerCity, day)
-		recv := w.receiver(d, tg, egressCity, worker, ctx.Flow, at, day)
-		dist := w.distKm(workerCity, tg.Sites[ingress].CityIdx) +
-			w.distKm(tg.Sites[ingress].CityIdx, tg.CityIdx)
-		rtt := w.rttOverDistance(dist, mix(w.seed, uint64(tg.ID), uint64(worker), 0xb), proto, ctx.Seq)
-		return Delivery{WorkerIdx: recv, RTT: rtt + extraRTT, SiteIdx: -1}, true
-
-	default: // Unicast, PartialAnycast, BackingAnycast representatives
-		recv := w.receiver(d, tg, tg.CityIdx, worker, ctx.Flow, at, day)
-		d1 := w.distKm(workerCity, tg.CityIdx)
-		d2 := w.distKm(tg.CityIdx, d.Sites[recv].CityIdx)
-		rtt := w.rttOverDistance((d1+d2)/2, mix(w.seed, uint64(tg.ID), uint64(worker), 0xc), proto, ctx.Seq)
-		return Delivery{WorkerIdx: recv, RTT: rtt + extraRTT, SiteIdx: -1}, true
+		site = w.targetSite(tg, workerCity, isV6(tg))
+		v := w.replyCatchment(d, tg.Origin, w.egressEdge(tg, workerCity, p.day))
+		return w.receive(p, d, tg, v, worker, varying, at), site, extraRTT, true
+	default:
+		return w.receive(p, d, tg, p.home, worker, varying, at), -1, extraRTT, true
 	}
+}
+
+// Train is one synchronized probe train of the anycast stage (§4.2.3):
+// every connected site of a deployment probes the same target, site wk
+// transmitting at First + wk×Offset.
+type Train struct {
+	First  time.Time
+	Offset time.Duration
+	// Gap and Flow are what each probe's ProbeCtx carries (Seq is the
+	// target ID). Flow.Proto and Flow.StaticFlow are the train's; a
+	// non-zero Flow.VaryingPayload means payloads vary per probe — site
+	// wk's carries wk+1 — and zero means static probes (§5.1.4).
+	Gap  time.Duration
+	Flow FlowKey
+	// Missing has bit wk set for a disconnected site: it sends no probe
+	// and replies routed to it are lost.
+	Missing uint64
+}
+
+// AnycastTrain simulates a whole probe train and keeps what the anycast
+// stage keeps of it: the mask of connected sites that received a reply,
+// the probes sent and the replies the target returned (lost ones
+// included). It is the fold of one ProbeAnycast per connected site, minus
+// the RTTs — and minus the per-site loop when the plan says every reply
+// lands at the same site. d must have at most 64 sites.
+func (w *World) AnycastTrain(d *Deployment, tg *Target, tr Train) (recv uint64, probes, replies int) {
+	sending := ^tr.Missing
+	if n := len(d.Sites); n < 64 {
+		sending &= 1<<uint(n) - 1
+	}
+	probes = bits.OnesCount64(sending)
+	recv, replies = w.anycastTrain(d, tg, tr, sending)
+	if t := w.tel; t != nil {
+		t.anycast.Add(uint64(tg.ID), int64(probes)+int64(replies)*telReply)
+	}
+	return recv &^ tr.Missing, probes, replies
+}
+
+// anycastTrain is AnycastTrain without the accounting wrapper; sending is
+// the mask of sites that transmit.
+//
+//laces:hotpath called once per anycast-stage target
+func (w *World) anycastTrain(d *Deployment, tg *Target, tr Train, sending uint64) (recv uint64, replies int) {
+	if sending == 0 || !tg.Responsive[tr.Flow.Proto] {
+		return 0, 0
+	}
+	var p anycastPlan
+	if w.imp == nil {
+		// With no impairer to drop or shift single probes, a train that
+		// stays within one census day has one plan, and a steady plan
+		// answers for every probe at once.
+		day := DayOf(tr.First)
+		if DayOf(tr.First.Add(time.Duration(len(d.Sites)-1)*tr.Offset)) == day {
+			w.planAnycast(&p, d, tg, tr.Flow.Proto, tr.Gap, day)
+			if p.steady() {
+				return 1 << p.home.top[0], bits.OnesCount64(sending)
+			}
+		}
+	}
+	ctx := ProbeCtx{Flow: tr.Flow, Gap: tr.Gap, Seq: uint64(tg.ID)}
+	for m := sending; m != 0; m &= m - 1 {
+		wk := bits.TrailingZeros64(m)
+		ctx.At = tr.First.Add(time.Duration(wk) * tr.Offset)
+		if tr.Flow.VaryingPayload != 0 {
+			ctx.Flow.VaryingPayload = uint64(wk + 1)
+		}
+		if r, _, _, ok := w.stepAnycast(&p, d, wk, tg, &ctx); ok {
+			replies++
+			recv |= 1 << uint(r)
+		}
+	}
+	return recv, replies
 }
 
 // ProbeUnicast simulates one latency probe from a unicast vantage point

@@ -1,5 +1,11 @@
 package netsim
 
+import (
+	"time"
+
+	"github.com/laces-project/laces/internal/packet"
+)
+
 // The routing model. Every decision is a deterministic function of
 // (seed, entity IDs, churn epoch), with two cached primitives:
 //
@@ -166,32 +172,36 @@ func (w *World) egressEdge(tg *Target, fromCity, day int) int {
 	return tg.Sites[best].CityIdx
 }
 
-// routeFlipped reports whether the AS's preferred path toward the
-// measurement prefix is flipped to the runner-up at time `at`. Route state
-// is piecewise constant over stability periods, so two probes only observe
-// different states when the measurement span crosses a period boundary —
-// which is why false positives grow with the inter-probe interval (Fig 5)
-// and why MAnycast2's 13-minute sequential sweeps suffered most.
-func (w *World) routeFlipped(tg *Target, at int64, day int) bool {
-	i, ok := w.asIdx[tg.Origin]
-	if !ok {
-		return false
-	}
-	a := &w.ASes[i]
-	var period int64
-	var q float64
-	var group uint64
+// flapClass is a target's route-churn regime on one census day. Route
+// state is piecewise constant over stability periods of `period` seconds
+// and flipped to the runner-up with probability q in each, drawn per
+// `group`, so two probes only observe different states when the
+// measurement span crosses a period boundary — which is why false
+// positives grow with the inter-probe interval (Fig 5) and why
+// MAnycast2's 13-minute sequential sweeps suffered most. The zero value
+// is a stable route.
+type flapClass struct {
+	period int64
+	q      float64
+	group  uint64
+}
+
+// flapClassOf classifies tg's route churn on census day `day`; a is the
+// origin AS, nil when the world does not model it.
+func (w *World) flapClassOf(tg *Target, a *AS, day int) flapClass {
 	switch {
+	case a == nil:
+		return flapClass{}
 	case a.windowActive(day):
 		// Exceptional instability events (the Fig 9 spikes): rapid
 		// flapping, with prefix groups inside the AS flapping
 		// independently — a large share of the AS's prefixes becomes
 		// visible as candidates while the event lasts.
-		period, q, group = 5, 0.5, uint64(tg.ID>>4)
+		return flapClass{period: 5, q: 0.5, group: uint64(tg.ID >> 4)}
 	case a.Wobbly:
-		period, q = 300, 0.45
+		return flapClass{period: 300, q: 0.45}
 	case a.Drifty:
-		period, q = 7200, 0.45
+		return flapClass{period: 7200, q: 0.45}
 	case w.transientDisturbed(tg, day):
 		// A transient per-day disturbance: any target's upstream can have
 		// a bad routing day, flapping over short stability periods. These
@@ -200,20 +210,24 @@ func (w *World) routeFlipped(tg *Target, at int64, day int) bool {
 		// is shorter than a 32-worker 1-second probe train (31 s), so
 		// synchronized 1-second probing observes the flap while a
 		// 0-second burst does not (Fig 5's 0 s < 1 s gap).
-		period, q, group = 20, 0.5, uint64(tg.ID)
-	default:
-		return false
+		return flapClass{period: 20, q: 0.5, group: uint64(tg.ID)}
 	}
-	pidx := at / period
-	return chance(mix(w.seed, uint64(tg.Origin), group, uint64(pidx), 0xf11b), q)
+	return flapClass{}
+}
+
+// flipped reports whether the preferred path toward the measurement
+// prefix is flipped to the runner-up at unix time `at`.
+func (w *World) flipped(tg *Target, f flapClass, at int64) bool {
+	return f.period != 0 &&
+		chance(mix(w.seed, uint64(tg.Origin), f.group, uint64(at/f.period), 0xf11b), f.q)
 }
 
 // tieWidth returns the effective ECMP tie width for a target under the
 // deployment's policy: the AS's static width, possibly widened to 2 by a
 // policy-dependent extra chance.
-func (w *World) tieWidth(d *Deployment, tg *Target) int {
-	if i, ok := w.asIdx[tg.Origin]; ok && w.ASes[i].TieSplit {
-		return max(2, w.ASes[i].TieWidth)
+func (w *World) tieWidth(d *Deployment, tg *Target, a *AS) int {
+	if a != nil && a.TieSplit {
+		return max(2, a.TieWidth)
 	}
 	if p := extraTieFrac(d.Policy); p > 0 &&
 		chance(mix(w.seed, uint64(tg.ID), d.salt, 0x71e5), p) {
@@ -222,38 +236,81 @@ func (w *World) tieWidth(d *Deployment, tg *Target) int {
 	return 0
 }
 
-// receiver resolves which deployment site receives the reply to the
-// probe sent by worker, from a responder at (asn, fromCity).
-//
-// receiver is called exactly once per delivered anycast-stage probe
-// and from nowhere else — telemetry derives reply-cache hit counts
-// from that identity (see Telemetry.CacheHitsReply), so a new caller
-// must also revisit that accounting.
-func (w *World) receiver(d *Deployment, tg *Target, fromCity, worker int, flow FlowKey, at int64, day int) int {
-	v := w.replyCatchment(d, tg.Origin, fromCity)
-	if v.n == 0 {
+// anycastPlan is everything the anycast-stage probes of one (deployment,
+// target, protocol, gap) on one census day share: the day's kind, the
+// target-level rate-limit draw, how the target's upstream picks among a
+// reply catchment's sites (ECMP tie width, checksum load balancer, route
+// churn) and, for kinds that answer from one location, that catchment
+// itself. What is left per probe is stepAnycast's rate-limit draw and
+// receive's pick.
+type anycastPlan struct {
+	day   int
+	width int       // ECMP tie width before clipping to a catchment; ≤ 1 is no tie
+	flap  flapClass // route churn
+	// home is the reply catchment of tg.CityIdx, where Unicast,
+	// PartialAnycast and BackingAnycast representatives answer from.
+	// Anycast and GlobalUnicast replies leave from a per-worker site, so
+	// their probes look the catchment up themselves.
+	home    replyVal
+	kind    TargetKind
+	planned bool
+	// limited marks a rate-limited ICMP target probed below the gap
+	// threshold: it drops a share of replies, drawn per (worker, day).
+	limited bool
+	lb      bool // a checksum-hashing load balancer sits on the reply path
+}
+
+// planAnycast resolves into p the plan for probes of tg on census day
+// `day`.
+func (w *World) planAnycast(p *anycastPlan, d *Deployment, tg *Target, proto packet.Protocol, gap time.Duration, day int) {
+	var a *AS
+	if i, ok := w.asIdx[tg.Origin]; ok {
+		a = &w.ASes[i]
+	}
+	p.planned, p.day, p.kind = true, day, tg.KindAt(day)
+	// ICMP rate limiting: when probes arrive nearly simultaneously
+	// (inter-probe gap below the threshold) rate-limited targets drop a
+	// share of replies (R1/R3: spacing probes avoids this).
+	p.limited = proto == packet.ICMP && gap < time.Duration(w.Cfg.RateLimitGapMS)*time.Millisecond &&
+		chance(mix(w.seed, uint64(tg.ID), 0x4a7e), w.Cfg.RateLimitFrac)
+	p.width = w.tieWidth(d, tg, a)
+	// Rare checksum-hashing load balancers (§5.1.4).
+	p.lb = w.Cfg.ChecksumLBFrac > 0 && chance(mix(w.seed, uint64(tg.ID), 0xc5a0), w.Cfg.ChecksumLBFrac)
+	p.flap = w.flapClassOf(tg, a, day)
+	if p.kind != Anycast && p.kind != GlobalUnicast {
+		p.home = w.replyCatchment(d, tg.Origin, tg.CityIdx)
+	}
+}
+
+// steady reports whether every probe the plan covers gets a reply at the
+// same site, home.top[0]: a single-location target that is not rate
+// limited and whose catchment is a single site or has nothing — tie, load
+// balancer, churn — choosing among its sites.
+func (p *anycastPlan) steady() bool {
+	return p.kind != Anycast && p.kind != GlobalUnicast && !p.limited &&
+		(p.home.n <= 1 || (p.width <= 1 && !p.lb && p.flap.period == 0))
+}
+
+// receive resolves which site of reply catchment v receives the reply to
+// the probe worker sent at unix time `at`, carrying payload bytes that
+// hash to `varying` (zero for static probes).
+func (w *World) receive(p *anycastPlan, d *Deployment, tg *Target, v replyVal, worker int, varying uint64, at int64) int {
+	switch {
+	case v.n == 0:
 		return 0
-	}
-	if v.n == 1 {
+	case v.n == 1:
 		return int(v.top[0])
-	}
-	// ECMP tie-splitting: the upstream sprays replies across the tie set
-	// per packet (invariant to payload — §5.1.4's static-probe test).
-	if width := w.tieWidth(d, tg); width > 1 {
-		if width > int(v.n) {
-			width = int(v.n)
-		}
-		return int(v.top[pick(mix(w.seed, uint64(tg.Origin), uint64(worker), d.salt, 0xec8f), width)])
-	}
-	// Rare checksum-hashing load balancers (§5.1.4): split on varying
-	// payload bytes when present.
-	if w.Cfg.ChecksumLBFrac > 0 && flow.VaryingPayload != 0 &&
-		chance(mix(w.seed, uint64(tg.ID), 0xc5a0), w.Cfg.ChecksumLBFrac) {
-		return int(v.top[pick(mix(flow.VaryingPayload, uint64(tg.ID)), 2)])
-	}
-	// Route churn: the preferred path may be flipped to the runner-up
-	// during this probe's stability period.
-	if w.routeFlipped(tg, at, day) {
+	case p.width > 1:
+		// ECMP tie-splitting: the upstream sprays replies across the tie
+		// set per packet (invariant to payload — §5.1.4's static-probe
+		// test).
+		return int(v.top[pick(mix(w.seed, uint64(tg.Origin), uint64(worker), d.salt, 0xec8f), min(p.width, int(v.n)))])
+	case p.lb && varying != 0:
+		// The load balancer splits on varying payload bytes when present.
+		return int(v.top[pick(mix(varying, uint64(tg.ID)), 2)])
+	case w.flipped(tg, p.flap, at):
+		// Route churn: the preferred path is flipped to the runner-up
+		// during this probe's stability period.
 		return int(v.top[1])
 	}
 	return int(v.top[0])

@@ -3,10 +3,10 @@ package netsim
 import "github.com/laces-project/laces/internal/obs"
 
 // telReply and telMiss are the high packed field of one telemetry add:
-// each probe (or cache lookup) lands as a single striped atomic update
-// carrying both halves of its event pair — probe issued + reply
-// delivered, or lookup + miss — so the instrumented hot path pays one
-// atomic per probe, not two. obs.Striped.Split unpacks per stripe, so
+// each probe, probe train or cache lookup lands as a single striped
+// atomic update carrying both halves of its event pair — probes issued +
+// replies delivered, or lookup + miss — so the instrumented hot path pays
+// one atomic per call, not two. obs.Striped.Split unpacks per stripe, so
 // the 32-bit fields are good for ~2.7×10^11 events at uniform spread.
 const (
 	telReply = int64(1) << 32
@@ -29,15 +29,12 @@ type Telemetry struct {
 	anycast obs.Striped // lo: probes issued, hi: replies delivered
 	unicast obs.Striped // lo: probes issued, hi: replies delivered
 
-	// replyMisses counts reply-catchment recomputations on the cache
-	// miss (compute + store) path only. Lookup totals are not counted
-	// on the hot path at all: every delivered anycast-stage probe
-	// resolves its reply catchment exactly once (receiver is called
-	// from the success arms of probeAnycast and nowhere else), so
-	// lookups == RepliesAnycast and hits are derived as replies −
-	// misses. TestTelemetryCounts pins that identity.
-	replyMisses obs.Striped
-	cacheSite   obs.Striped // lo: lookups, hi: misses
+	// Routing-cache lookups, counted where they happen. The reply cache
+	// is consulted once per plan of a single-location target — so once
+	// per steady probe train — and once per probe of an Anycast or
+	// GlobalUnicast one.
+	cacheReply obs.Striped // lo: lookups, hi: misses
+	cacheSite  obs.Striped // lo: lookups, hi: misses
 
 	// arena counts TargetAt lookups on lazy worlds (lo: lookups, hi:
 	// derivation misses). Eager worlds never touch it.
@@ -108,19 +105,13 @@ func (t *Telemetry) RepliesUnicast() int64 {
 	return r
 }
 
-// CacheHitsReply returns reply-catchment cache lookups answered from
-// cache, derived as delivered anycast-stage probes minus recomputations
-// (see the replyMisses field comment; clamped at zero in case telemetry
-// was installed mid-run with a cold cache).
+// CacheHitsReply returns reply-catchment cache lookups answered from cache.
 func (t *Telemetry) CacheHitsReply() int64 {
 	if t == nil {
 		return 0
 	}
-	h := t.RepliesAnycast() - t.replyMisses.Value()
-	if h < 0 {
-		return 0
-	}
-	return h
+	n, m := t.cacheReply.Split()
+	return n - m
 }
 
 // CacheMissesReply returns reply-catchment cache lookups that recomputed.
@@ -128,7 +119,8 @@ func (t *Telemetry) CacheMissesReply() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.replyMisses.Value()
+	_, m := t.cacheReply.Split()
+	return m
 }
 
 // CacheHitsSite returns target-catchment cache lookups answered from cache.

@@ -45,12 +45,31 @@ func TestTelemetryCounts(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("warm probe recorded no cache hits")
 	}
-	// Reply-cache hits are derived from the one-lookup-per-delivered-
-	// probe identity (see receiver); hits + misses must account for
-	// every delivered anycast probe.
-	if got := tel.CacheHitsReply() + tel.CacheMissesReply(); got != tel.RepliesAnycast() {
-		t.Fatalf("reply-cache lookups = %d, want %d (one per delivered anycast probe)",
-			got, tel.RepliesAnycast())
+
+	// A probe train counts the probes it stands for, with the totals of
+	// the per-probe run, but resolves its plan — and with it a
+	// single-location target's reply catchment — once.
+	replyLookups := func() int64 { return tel.CacheHitsReply() + tel.CacheMissesReply() }
+	tr := Train{First: ctx.At, Offset: time.Second, Gap: ctx.Gap, Flow: ctx.Flow}
+	for tg.KindAt(3) != Unicast || !tg.Responsive[packet.ICMP] {
+		tg = &w.TargetsV4[tg.ID+1]
+	}
+	probes0, replies0, lookups0 := tel.ProbesAnycast(), tel.RepliesAnycast(), replyLookups()
+	for wk := 0; wk < d.NumSites(); wk++ {
+		c := ctx
+		c.At = tr.First.Add(time.Duration(wk) * tr.Offset)
+		w.ProbeAnycast(d, wk, tg, c)
+	}
+	perProbe := [3]int64{tel.ProbesAnycast() - probes0, tel.RepliesAnycast() - replies0, replyLookups() - lookups0}
+	probes0, replies0, lookups0 = tel.ProbesAnycast(), tel.RepliesAnycast(), replyLookups()
+	_, probes, replies := w.AnycastTrain(d, tg, tr)
+	train := [3]int64{tel.ProbesAnycast() - probes0, tel.RepliesAnycast() - replies0, replyLookups() - lookups0}
+	if perProbe[2] != perProbe[0] {
+		t.Fatalf("%d probes of a unicast target made %d reply-cache lookups, want one plan each", perProbe[0], perProbe[2])
+	}
+	if train != [3]int64{perProbe[0], perProbe[1], 1} || int64(probes) != train[0] || int64(replies) != train[1] {
+		t.Fatalf("train counted (probes, replies, reply-cache lookups) = %v and returned (%d, %d), want %v",
+			train, probes, replies, [3]int64{perProbe[0], perProbe[1], 1})
 	}
 
 	vp, err := w.NewVP("tel-vp", "Amsterdam", 0)
@@ -89,8 +108,10 @@ func TestTelemetryCounts(t *testing.T) {
 
 	// Uninstalling stops the counting.
 	w.SetTelemetry(nil)
+	probes0 = tel.ProbesAnycast()
 	w.ProbeAnycast(d, 0, tg, ctx)
-	if tel.ProbesAnycast() != 1 {
+	w.AnycastTrain(d, tg, tr)
+	if tel.ProbesAnycast() != probes0 {
 		t.Fatal("uninstalled telemetry still counting")
 	}
 }
@@ -120,6 +141,7 @@ func TestProbeHotPathNoAllocsInstrumented(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("instrumented warm anycast probe allocates %.1f objects per run, want 0", allocs)
 	}
+	assertTrainsNoAllocs(t, w, d, ctx, "instrumented")
 
 	vp, err := w.NewVP("alloc-vp", "Amsterdam", 0)
 	if err != nil {
@@ -161,4 +183,5 @@ func TestProbeHotPathNoAllocsDisabled(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("disabled-registry probe path allocates %.1f objects per run, want 0", allocs)
 	}
+	assertTrainsNoAllocs(t, w, d, ctx, "disabled-registry")
 }
