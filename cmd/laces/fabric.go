@@ -11,7 +11,6 @@ import (
 	"github.com/laces-project/laces/internal/client"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/orchestrator"
-	"github.com/laces-project/laces/internal/packet"
 	"github.com/laces-project/laces/internal/wire"
 	"github.com/laces-project/laces/internal/worker"
 )
@@ -92,7 +91,14 @@ func setupMeasure(fs *flag.FlagSet) func() error {
 	out := fs.String("out", "", "write results CSV to this file")
 	tr := tracingFlags(fs)
 	return func() error {
-		if _, err := packet.ParseProtocol(*proto); err != nil {
+		def := wire.MeasurementDef{
+			ID:       uint16(time.Now().UnixNano() & 0x7fff),
+			Protocol: *proto,
+			V6:       *v6,
+			OffsetMS: *offsetMS,
+			Rate:     *rate,
+		}
+		if err := def.Validate(); err != nil {
 			return err
 		}
 		w, err := world.world()
@@ -112,13 +118,6 @@ func setupMeasure(fs *flag.FlagSet) func() error {
 		// distributed trace.
 		traceReg, _ := tr.start()
 		cli := &client.Client{Addr: *orch, Obs: traceReg}
-		def := wire.MeasurementDef{
-			ID:       uint16(time.Now().UnixNano() & 0x7fff),
-			Protocol: *proto,
-			V6:       *v6,
-			OffsetMS: *offsetMS,
-			Rate:     *rate,
-		}
 		fmt.Printf("submitting measurement %d: %d targets, %s, rate %.0f/s\n",
 			def.ID, len(addrs), *proto, *rate)
 		outcome, err := cli.Run(signalContext(), def, addrs, nil)

@@ -11,8 +11,9 @@ import (
 	"io"
 	"net"
 	"net/netip"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/wire"
@@ -42,8 +43,8 @@ type Outcome struct {
 
 // ReceiverSets groups results by target and returns the distinct receiving
 // worker set per target — the classification input of §2.2.
-func (o *Outcome) ReceiverSets() map[string]map[int]bool {
-	out := make(map[string]map[int]bool)
+func (o *Outcome) ReceiverSets() map[netip.Addr]map[int]bool {
+	out := make(map[netip.Addr]map[int]bool)
 	for _, r := range o.Results {
 		s, ok := out[r.Target]
 		if !ok {
@@ -56,43 +57,27 @@ func (o *Outcome) ReceiverSets() map[string]map[int]bool {
 }
 
 // Candidates returns the targets whose replies reached two or more
-// workers.
-func (o *Outcome) Candidates() []string {
-	var out []string
+// workers, in the order of their text form — the order the CLI has always
+// listed them in.
+func (o *Outcome) Candidates() []netip.Addr {
+	var out []netip.Addr
 	for t, s := range o.ReceiverSets() {
 		if len(s) >= 2 {
 			out = append(out, t)
 		}
 	}
-	sort.Strings(out)
+	slices.SortFunc(out, func(a, b netip.Addr) int { return strings.Compare(a.String(), b.String()) })
 	return out
 }
 
 // Run submits the measurement and blocks until completion, invoking
 // onResult (if non-nil) per streamed result.
 func (c *Client) Run(ctx context.Context, def wire.MeasurementDef, targets []netip.Addr, onResult func(wire.Result)) (*Outcome, error) {
-	dial := c.Dialer
-	if dial == nil {
-		d := &net.Dialer{}
-		dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
-	nc, err := dial(ctx, c.Addr)
+	conn, err := new(wire.Endpoint).Dial(ctx, c.Dialer, c.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dialing orchestrator: %w", err)
 	}
-	conn := wire.NewConn(nc)
 	defer conn.Close()
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
 
 	// Mint the root of the cross-process trace (no-op on a nil
 	// registry): its context rides the Hello and Run frames, the
@@ -107,11 +92,7 @@ func (c *Client) Run(ctx context.Context, def wire.MeasurementDef, targets []net
 	if err := conn.Write(wire.MsgHello, wire.Hello{Role: "cli", Name: "laces-cli", Trace: root.Context()}); err != nil {
 		return nil, err
 	}
-	req := wire.Run{Def: def, Trace: root.Context()}
-	for _, a := range targets {
-		req.Targets = append(req.Targets, a.String())
-	}
-	if err := conn.Write(wire.MsgRun, req); err != nil {
+	if err := conn.Write(wire.MsgRun, wire.Run{Def: def, Targets: targets, Trace: root.Context()}); err != nil {
 		return nil, err
 	}
 
@@ -159,7 +140,7 @@ func (o *Outcome) WriteCSV(w io.Writer) error {
 		return err
 	}
 	for _, r := range o.Results {
-		rec := []string{r.Target, strconv.Itoa(r.TxWorker), strconv.Itoa(r.RxWorker),
+		rec := []string{r.Target.String(), strconv.Itoa(r.TxWorker), strconv.Itoa(r.RxWorker),
 			strconv.FormatInt(r.RTTMicros, 10)}
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -12,32 +12,34 @@ import (
 	"github.com/laces-project/laces/internal/wire"
 )
 
+var addr = netip.MustParseAddr
+
 func sampleOutcome() *Outcome {
 	return &Outcome{
 		Workers: 4,
 		Results: []wire.Result{
-			{Measurement: 1, Target: "1.0.0.1", TxWorker: 0, RxWorker: 0, RTTMicros: 900},
-			{Measurement: 1, Target: "1.0.0.1", TxWorker: 1, RxWorker: 0, RTTMicros: 1100},
-			{Measurement: 1, Target: "1.0.1.1", TxWorker: 0, RxWorker: 0, RTTMicros: 500},
-			{Measurement: 1, Target: "1.0.1.1", TxWorker: 1, RxWorker: 2, RTTMicros: 700},
-			{Measurement: 1, Target: "1.0.1.1", TxWorker: 2, RxWorker: 3, RTTMicros: 800},
+			{Measurement: 1, Target: addr("1.0.0.1"), TxWorker: 0, RxWorker: 0, RTTMicros: 900},
+			{Measurement: 1, Target: addr("1.0.0.1"), TxWorker: 1, RxWorker: 0, RTTMicros: 1100},
+			{Measurement: 1, Target: addr("1.0.1.1"), TxWorker: 0, RxWorker: 0, RTTMicros: 500},
+			{Measurement: 1, Target: addr("1.0.1.1"), TxWorker: 1, RxWorker: 2, RTTMicros: 700},
+			{Measurement: 1, Target: addr("1.0.1.1"), TxWorker: 2, RxWorker: 3, RTTMicros: 800},
 		},
 	}
 }
 
 func TestReceiverSets(t *testing.T) {
 	sets := sampleOutcome().ReceiverSets()
-	if len(sets["1.0.0.1"]) != 1 {
-		t.Fatalf("unicast target receiver set: %v", sets["1.0.0.1"])
+	if len(sets[addr("1.0.0.1")]) != 1 {
+		t.Fatalf("unicast target receiver set: %v", sets[addr("1.0.0.1")])
 	}
-	if len(sets["1.0.1.1"]) != 3 {
-		t.Fatalf("anycast target receiver set: %v", sets["1.0.1.1"])
+	if len(sets[addr("1.0.1.1")]) != 3 {
+		t.Fatalf("anycast target receiver set: %v", sets[addr("1.0.1.1")])
 	}
 }
 
 func TestCandidates(t *testing.T) {
 	cands := sampleOutcome().Candidates()
-	if len(cands) != 1 || cands[0] != "1.0.1.1" {
+	if len(cands) != 1 || cands[0] != addr("1.0.1.1") {
 		t.Fatalf("candidates = %v", cands)
 	}
 }
@@ -89,8 +91,8 @@ func fakeOrchestrator(t *testing.T, script func(*wire.Conn)) string {
 
 func TestRunCollectsResultsAndComplete(t *testing.T) {
 	addr := fakeOrchestrator(t, func(conn *wire.Conn) {
-		_ = conn.Write(wire.MsgResult, wire.Result{Measurement: 9, Target: "1.2.3.4", RxWorker: 1, RTTMicros: 42})
-		_ = conn.Write(wire.MsgResult, wire.Result{Measurement: 9, Target: "1.2.3.4", RxWorker: 2, RTTMicros: 43})
+		_ = conn.Write(wire.MsgResult, wire.Result{Measurement: 9, Target: addr("1.2.3.4"), RxWorker: 1, RTTMicros: 42})
+		_ = conn.Write(wire.MsgResult, wire.Result{Measurement: 9, Target: addr("1.2.3.4"), RxWorker: 2, RTTMicros: 43})
 		_ = conn.Write(wire.MsgComplete, wire.Complete{Results: 2, Workers: 3})
 	})
 	cli := &Client{Addr: addr}
@@ -141,7 +143,7 @@ func TestRunOrchestratorDiesMidStream(t *testing.T) {
 	// must surface an error rather than returning a silently truncated
 	// outcome or hanging.
 	addr := fakeOrchestrator(t, func(conn *wire.Conn) {
-		_ = conn.Write(wire.MsgResult, wire.Result{Measurement: 4, Target: "1.2.3.4", RxWorker: 1, RTTMicros: 10})
+		_ = conn.Write(wire.MsgResult, wire.Result{Measurement: 4, Target: addr("1.2.3.4"), RxWorker: 1, RTTMicros: 10})
 		conn.Close() // abrupt death before MsgComplete
 	})
 	cli := &Client{Addr: addr}

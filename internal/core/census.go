@@ -249,18 +249,6 @@ type Pipeline struct {
 // configuration enables no governance) for monitoring and the CLI.
 func (p *Pipeline) Ledger() *budget.Ledger { return p.ledger }
 
-// dumpFlight writes the registry's flight recorder to the configured
-// sink, prefixed with a marker event naming the trigger. No-op without
-// a recorder or a sink.
-func (p *Pipeline) dumpFlight(reason string) {
-	rec := p.Cfg.Obs.Flight()
-	if rec == nil || p.Cfg.FlightSink == nil {
-		return
-	}
-	rec.Record("flight_dump", reason, nil, 0)
-	_ = rec.WriteJSONL(p.Cfg.FlightSink)
-}
-
 // reportMismatch records a broken Spent+Skipped==Demanded ledger
 // identity and dumps the flight recorder. The identity holds by
 // construction; breaking it means a stage charged probes outside the
@@ -273,7 +261,7 @@ func (p *Pipeline) reportMismatch(censusSpan *obs.ActiveSpan, day int, total bud
 		obs.L("demanded", strconv.FormatInt(total.Demanded, 10)),
 		obs.L("spent", strconv.FormatInt(total.Spent, 10)),
 		obs.L("skipped", strconv.FormatInt(total.Skipped, 10)))
-	p.dumpFlight("reconcile_mismatch")
+	_ = p.Cfg.Obs.Flight().Dump(p.Cfg.FlightSink, "reconcile_mismatch", nil)
 }
 
 // NewPipeline validates the configuration and prepares a pipeline.

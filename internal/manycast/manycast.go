@@ -15,7 +15,11 @@
 // decision — Run asks netsim for a whole train's receivers
 // (World.AnycastTrain), worker.SimProber for one ProbeAnycast per probe,
 // RTT included — and TestRunMatchesFabricProbers holds them to the same
-// receivers for every target.
+// receivers for every target. That test drives the probers directly;
+// what the sockets add on top — one measurement at a time, owned from
+// start to release, and one wire.Endpoint under orchestrator, worker and
+// client — is internal/orchestrator's package comment, and an Outcome
+// compared with Run's Result through the sockets is still to be written.
 package manycast
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -39,6 +40,7 @@ type Recorder struct {
 	slots     []atomic.Pointer[FlightEvent]
 	mask      uint64
 	next      atomic.Uint64
+	dumpMu    sync.Mutex // serialises Dump, so concurrent dumps never interleave lines
 }
 
 // NewRecorder returns a flight recorder for the named component
@@ -163,6 +165,21 @@ func (f *Recorder) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// Dump is the automatic dump a failure trigger fires (worker disconnect,
+// MsgError, reconciliation mismatch): it records a flight_dump event
+// naming the reason, linked to tc, so the dump says why it was written,
+// then writes the ring to w. A nil recorder or a nil w is a no-op — the
+// component configured no recorder or no sink.
+func (f *Recorder) Dump(w io.Writer, reason string, tc *TraceContext) error {
+	if f == nil || w == nil {
+		return nil
+	}
+	f.Record("flight_dump", reason, tc, 0)
+	f.dumpMu.Lock()
+	defer f.dumpMu.Unlock()
+	return f.WriteJSONL(w)
 }
 
 // EnableFlight installs a flight recorder for the named component on

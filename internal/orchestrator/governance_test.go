@@ -48,11 +48,11 @@ func TestStreamingPathEnforcesLedger(t *testing.T) {
 	if out.Skipped != wantSkipped {
 		t.Fatalf("Skipped = %d, want %d", out.Skipped, wantSkipped)
 	}
-	probed := make(map[string]bool)
+	probed := make(map[netip.Addr]bool)
 	for _, r := range out.Results {
 		probed[r.Target] = true
 	}
-	if probed[optedOut.String()] {
+	if probed[optedOut] {
 		t.Fatalf("opted-out target %s was probed", optedOut)
 	}
 	if len(probed) > admitted {
@@ -64,7 +64,7 @@ func TestStreamingPathEnforcesLedger(t *testing.T) {
 
 	// Admission is first come, first charged in request order: every
 	// probed target must be among the first `admitted` non-opted targets.
-	streamed := make(map[string]bool, admitted)
+	streamed := make(map[netip.Addr]bool, admitted)
 	n := 0
 	for _, a := range addrs {
 		if a == optedOut {
@@ -73,7 +73,7 @@ func TestStreamingPathEnforcesLedger(t *testing.T) {
 		if n++; n > admitted {
 			break
 		}
-		streamed[a.String()] = true
+		streamed[a] = true
 	}
 	for tgt := range probed {
 		if !streamed[tgt] {

@@ -179,13 +179,13 @@ func TestEndToEndMeasurement(t *testing.T) {
 
 	sets := out.ReceiverSets()
 	for a := range unicastAddrs {
-		if s, ok := sets[a.String()]; ok && len(s) != 1 {
+		if s, ok := sets[a]; ok && len(s) != 1 {
 			t.Errorf("clean unicast %s received at %d VPs", a, len(s))
 		}
 	}
 	multi := 0
 	for a := range anycastAddrs {
-		if len(sets[a.String()]) >= 2 {
+		if len(sets[a]) >= 2 {
 			multi++
 		}
 	}

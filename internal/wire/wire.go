@@ -16,11 +16,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
 	"github.com/laces-project/laces/internal/obs"
+	"github.com/laces-project/laces/internal/packet"
 )
 
 // MsgType identifies a frame's payload.
@@ -41,34 +44,26 @@ const (
 	MsgTrace                         // Worker → Orchestrator: completed trace spans
 )
 
+var msgNames = [...]string{
+	MsgHello:      "hello",
+	MsgHelloAck:   "hello-ack",
+	MsgStart:      "start",
+	MsgTargets:    "targets",
+	MsgEndTargets: "end-targets",
+	MsgResult:     "result",
+	MsgWorkerDone: "worker-done",
+	MsgComplete:   "complete",
+	MsgError:      "error",
+	MsgRun:        "run",
+	MsgTrace:      "trace",
+}
+
 // String names the message type.
 func (t MsgType) String() string {
-	switch t {
-	case MsgHello:
-		return "hello"
-	case MsgHelloAck:
-		return "hello-ack"
-	case MsgStart:
-		return "start"
-	case MsgTargets:
-		return "targets"
-	case MsgEndTargets:
-		return "end-targets"
-	case MsgResult:
-		return "result"
-	case MsgWorkerDone:
-		return "worker-done"
-	case MsgComplete:
-		return "complete"
-	case MsgError:
-		return "error"
-	case MsgRun:
-		return "run"
-	case MsgTrace:
-		return "trace"
-	default:
-		return fmt.Sprintf("MsgType(%d)", uint8(t))
+	if int(t) < len(msgNames) && msgNames[t] != "" {
+		return msgNames[t]
 	}
+	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
 // MaxFrame bounds a frame payload; larger frames indicate protocol
@@ -102,16 +97,39 @@ type MeasurementDef struct {
 	OffsetMS int64   `json:"offset_ms"` // inter-worker probe spacing
 	Rate     float64 `json:"rate"`      // hitlist targets per second
 	Zone     string  `json:"zone,omitempty"`
+	// Seq is the sequence number the Orchestrator assigns a measurement
+	// when it starts it. Workers echo it on every frame they send for the
+	// measurement, and the Orchestrator drops frames whose Seq is not the
+	// active measurement's: ID cannot serve, CLIs choose it from 15 bits
+	// and reuse it. Whatever a CLI puts here is overwritten.
+	Seq uint64 `json:"seq,omitempty"`
 	// Trace is the orchestrator's measurement-span context; workers
 	// parent their measure spans on it.
 	Trace *obs.TraceContext `json:"trace,omitempty"`
 }
 
+// Validate names the first field no measurement can run with. It is
+// called where a definition enters from outside: on the CLI's flags, and
+// by the Orchestrator on every Run frame before any Worker hears of it.
+func (d MeasurementDef) Validate() error {
+	if !(d.Rate > 0) || math.IsInf(d.Rate, 0) {
+		return fmt.Errorf("wire: measurement rate must be a positive, finite number of targets per second, got %v", d.Rate)
+	}
+	if d.OffsetMS < 0 {
+		return fmt.Errorf("wire: measurement offset_ms must not be negative, got %d", d.OffsetMS)
+	}
+	if _, err := packet.ParseProtocol(d.Protocol); err != nil {
+		return fmt.Errorf("wire: measurement protocol: %w", err)
+	}
+	return nil
+}
+
 // Run asks the Orchestrator to execute a measurement over the given
-// targets.
+// targets. Addresses travel in their text form on every frame that
+// carries them, so a malformed one fails the frame's Decode.
 type Run struct {
 	Def     MeasurementDef `json:"def"`
-	Targets []string       `json:"targets"`
+	Targets []netip.Addr   `json:"targets"`
 	// Trace is the CLI's root-span context — the origin of the
 	// cross-process trace the orchestrator and workers join.
 	Trace *obs.TraceContext `json:"trace,omitempty"`
@@ -120,7 +138,7 @@ type Run struct {
 // Targets streams a hitlist batch to a Worker.
 type Targets struct {
 	Base  int               `json:"base"` // index of the first address in the batch
-	Addrs []string          `json:"addrs"`
+	Addrs []netip.Addr      `json:"addrs"`
 	Trace *obs.TraceContext `json:"trace,omitempty"`
 }
 
@@ -128,17 +146,19 @@ type Targets struct {
 // probe identity (§4.2.2).
 type Result struct {
 	Measurement uint16            `json:"m"`
-	Target      string            `json:"t"`
+	Target      netip.Addr        `json:"t"`
 	TxWorker    int               `json:"tx"`
 	RxWorker    int               `json:"rx"`
 	RTTMicros   int64             `json:"rtt_us"`
+	Seq         uint64            `json:"seq,omitempty"` // MeasurementDef.Seq, echoed; cleared towards the CLI
 	Trace       *obs.TraceContext `json:"trace,omitempty"`
 }
 
 // WorkerDone reports a Worker finished its probe stream.
 type WorkerDone struct {
-	Worker int   `json:"worker"`
-	Sent   int64 `json:"sent"`
+	Worker int    `json:"worker"`
+	Sent   int64  `json:"sent"`
+	Seq    uint64 `json:"seq,omitempty"` // MeasurementDef.Seq, echoed
 }
 
 // Complete ends a measurement towards the CLI.
@@ -162,6 +182,7 @@ type Complete struct {
 type TraceBatch struct {
 	Component string            `json:"component"`
 	Worker    int               `json:"worker"`
+	Seq       uint64            `json:"seq,omitempty"` // MeasurementDef.Seq, echoed
 	Spans     []obs.TraceSpan   `json:"spans,omitempty"`
 	Events    []obs.FlightEvent `json:"events,omitempty"`
 }
@@ -171,71 +192,40 @@ type ErrorMsg struct {
 	Text string `json:"text"`
 }
 
-// Stats is shared frame/byte accounting for one side of the control
-// plane: every Conn carrying the same *Stats adds its traffic there.
-// Counters are atomic; a nil *Stats disables accounting at the cost of
-// one branch per frame.
+// Stats is frame/byte accounting, by direction, for one side of the
+// control plane: a Conn's own, or an Endpoint's, to which every Conn it
+// wraps adds its traffic. Counters are atomic.
 type Stats struct {
-	framesTx, framesRx atomic.Int64
-	bytesTx, bytesRx   atomic.Int64
+	frames, bytes [2]atomic.Int64 // indexed by rx, tx
 }
 
-// FramesTx returns the frames written across all attached conns.
-func (s *Stats) FramesTx() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.framesTx.Load()
+const rx, tx = 0, 1
+
+func (s *Stats) add(dir, size int) {
+	s.frames[dir].Add(1)
+	s.bytes[dir].Add(int64(size))
 }
 
-// FramesRx returns the frames read across all attached conns.
-func (s *Stats) FramesRx() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.framesRx.Load()
-}
-
-// BytesTx returns the bytes written (headers included).
-func (s *Stats) BytesTx() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.bytesTx.Load()
-}
-
-// BytesRx returns the bytes read (headers included).
-func (s *Stats) BytesRx() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.bytesRx.Load()
-}
-
-// Tap observes every frame a Conn moves: direction, type and size in
-// bytes (header included). Taps feed the flight recorder's frame-I/O
-// events; they run on the frame path and must not block.
-type Tap func(sent bool, t MsgType, bytes int)
+// FramesTx and FramesRx return the frames written and read; BytesTx and
+// BytesRx the bytes, headers included.
+func (s *Stats) FramesTx() int64 { return s.frames[tx].Load() }
+func (s *Stats) FramesRx() int64 { return s.frames[rx].Load() }
+func (s *Stats) BytesTx() int64  { return s.bytes[tx].Load() }
+func (s *Stats) BytesRx() int64  { return s.bytes[rx].Load() }
 
 // Conn wraps a net.Conn with framed, concurrency-safe writes and buffered
-// reads.
+// reads. Every Conn counts its own frames and bytes (ConnStats); one made
+// by an Endpoint also feeds the endpoint's shared accounting and its frame
+// tap, which runs on the frame path and must not block.
 type Conn struct {
 	c     net.Conn
 	br    *bufio.Reader
 	mu    sync.Mutex // serialises writers
-	stats *Stats
-	local Stats // always-on per-conn accounting
-	tap   Tap
+	stats *Stats     // the endpoint's, nil for a bare Conn
+	local Stats      // always-on per-conn accounting
+	tap   func(sent bool, t MsgType, bytes int)
+	stop  func() bool // detaches a dialled Conn from its context
 }
-
-// SetStats attaches shared traffic accounting (nil detaches). Attach
-// before the first frame moves: the counters are not retroactive.
-// Per-conn accounting (ConnStats) stays on regardless.
-func (c *Conn) SetStats(s *Stats) { c.stats = s }
-
-// SetTap installs a frame observer (nil uninstalls). Install before the
-// first frame moves.
-func (c *Conn) SetTap(t Tap) { c.tap = t }
 
 // ConnStats returns this connection's own frame/byte counters — the
 // per-worker attribution the orchestrator reports on disconnect.
@@ -243,14 +233,16 @@ func (c *Conn) ConnStats() *Stats { return &c.local }
 
 // NewConn wraps a transport connection.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{c: c, br: bufio.NewReaderSize(c, 64<<10)}
+	return &Conn{c: c, br: bufio.NewReaderSize(c, readChunk)}
 }
 
 // Close closes the underlying transport.
-func (c *Conn) Close() error { return c.c.Close() }
-
-// RemoteAddr exposes the peer address for logging.
-func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
+func (c *Conn) Close() error {
+	if c.stop != nil {
+		c.stop()
+	}
+	return c.c.Close()
+}
 
 // Write sends one frame.
 func (c *Conn) Write(t MsgType, v any) error {
@@ -272,43 +264,51 @@ func (c *Conn) Write(t MsgType, v any) error {
 	if _, err := c.c.Write(payload); err != nil {
 		return fmt.Errorf("wire: writing %v payload: %w", t, err)
 	}
-	n := len(hdr) + len(payload)
-	c.local.framesTx.Add(1)
-	c.local.bytesTx.Add(int64(n))
-	if s := c.stats; s != nil {
-		s.framesTx.Add(1)
-		s.bytesTx.Add(int64(n))
-	}
-	if tap := c.tap; tap != nil {
-		tap(true, t, n)
-	}
+	c.moved(tx, t, len(hdr)+len(payload))
 	return nil
 }
 
-// Read receives one frame. The returned payload is only valid until the
-// next Read.
+// moved accounts for one frame and shows it to the tap.
+func (c *Conn) moved(dir int, t MsgType, size int) {
+	c.local.add(dir, size)
+	if c.stats != nil {
+		c.stats.add(dir, size)
+	}
+	if c.tap != nil {
+		c.tap(dir == tx, t, size)
+	}
+}
+
+// readChunk is the read buffer's size and the first allocation for a
+// frame's payload.
+const readChunk = 64 << 10
+
+// Read receives one frame. The payload buffer starts at readChunk and
+// doubles as bytes actually arrive, never past the declared length: a
+// header that announces 16 MB followed by nothing costs one chunk and an
+// error, not 16 MB.
 func (c *Conn) Read() (MsgType, json.RawMessage, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return 0, nil, fmt.Errorf("wire: reading payload: %w", err)
+	payload := make([]byte, min(n, readChunk))
+	for got := 0; ; {
+		if _, err := io.ReadFull(c.br, payload[got:]); err != nil {
+			return 0, nil, fmt.Errorf("wire: reading payload: %w", err)
+		}
+		if got = len(payload); got == n {
+			break
+		}
+		grown := make([]byte, got+min(got, n-got))
+		copy(grown, payload)
+		payload = grown
 	}
-	c.local.framesRx.Add(1)
-	c.local.bytesRx.Add(int64(len(hdr)) + int64(n))
-	if s := c.stats; s != nil {
-		s.framesRx.Add(1)
-		s.bytesRx.Add(int64(len(hdr)) + int64(n))
-	}
-	if tap := c.tap; tap != nil {
-		tap(false, MsgType(hdr[4]), len(hdr)+int(n))
-	}
+	c.moved(rx, MsgType(hdr[4]), len(hdr)+n)
 	return MsgType(hdr[4]), payload, nil
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"net"
+	"net/netip"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -20,7 +21,7 @@ func TestRoundTripMessages(t *testing.T) {
 
 	go func() {
 		_ = a.Write(MsgHello, Hello{Role: "worker", Name: "ams01"})
-		_ = a.Write(MsgResult, Result{Measurement: 7, Target: "192.0.2.1", TxWorker: 3, RxWorker: 9, RTTMicros: 1500})
+		_ = a.Write(MsgResult, Result{Measurement: 7, Target: netip.MustParseAddr("192.0.2.1"), TxWorker: 3, RxWorker: 9, RTTMicros: 1500})
 	}()
 
 	typ, raw, err := b.Read()
@@ -47,7 +48,7 @@ func TestRoundTripProperty(t *testing.T) {
 		a, b := pipePair()
 		defer a.Close()
 		defer b.Close()
-		want := Result{Measurement: m, Target: "10.0.0.1", TxWorker: int(tx), RxWorker: int(rx), RTTMicros: rtt}
+		want := Result{Measurement: m, Target: netip.MustParseAddr("10.0.0.1"), TxWorker: int(tx), RxWorker: int(rx), RTTMicros: rtt}
 		go func() { _ = a.Write(MsgResult, want) }()
 		typ, raw, err := b.Read()
 		if err != nil || typ != MsgResult {
@@ -102,7 +103,7 @@ func TestLargeBatch(t *testing.T) {
 	defer b.Close()
 	batch := Targets{Base: 0}
 	for i := 0; i < 10000; i++ {
-		batch.Addrs = append(batch.Addrs, "198.51.100.7")
+		batch.Addrs = append(batch.Addrs, netip.MustParseAddr("198.51.100.7"))
 	}
 	go func() { _ = a.Write(MsgTargets, batch) }()
 	typ, raw, err := b.Read()

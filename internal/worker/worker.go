@@ -15,8 +15,6 @@ import (
 	"net"
 	"net/netip"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/laces-project/laces/internal/obs"
@@ -79,18 +77,12 @@ type Config struct {
 // Worker runs the worker loop.
 type Worker struct {
 	cfg Config
-	// stats is shared across reconnect sessions so the exposed frame and
-	// byte counters are cumulative for the worker's lifetime; probed
-	// counts targets this worker transmitted probes for.
-	stats  *wire.Stats
+	// ep is the worker's end of the control plane, shared across reconnect
+	// sessions so the exposed frame and byte counters are cumulative for
+	// the worker's lifetime; probed counts targets this worker transmitted
+	// probes for.
+	ep     *wire.Endpoint
 	probed *obs.Counter
-
-	// flight is the worker's flight recorder (nil without Obs);
-	// activeTrace holds the in-flight measurement's trace context so
-	// frame taps and dumps link to it. flightMu serialises dumps.
-	flight      *obs.Recorder
-	activeTrace atomic.Pointer[obs.TraceContext]
-	flightMu    sync.Mutex
 }
 
 // New validates the configuration and returns a Worker.
@@ -110,36 +102,13 @@ func New(cfg Config) (*Worker, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.Dialer == nil {
-		d := &net.Dialer{}
-		cfg.Dialer = func(ctx context.Context, addr string) (net.Conn, error) {
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
-	w := &Worker{cfg: cfg, stats: &wire.Stats{}}
-	w.probed = cfg.Obs.Counter("laces_worker_targets_probed_total",
-		"Targets this worker transmitted probes for.")
 	component := "worker"
 	if cfg.Name != "" {
 		component = "worker-" + cfg.Name
 	}
-	cfg.Obs.SetTraceComponent(component)
-	w.flight = cfg.Obs.EnableFlight(component, 1024)
-	if reg := cfg.Obs; reg != nil {
-		st := w.stats
-		reg.CounterFunc("laces_wire_frames_total",
-			"Control-plane frames moved, by direction.",
-			func() float64 { return float64(st.FramesTx()) }, obs.L("dir", "tx"))
-		reg.CounterFunc("laces_wire_frames_total",
-			"Control-plane frames moved, by direction.",
-			func() float64 { return float64(st.FramesRx()) }, obs.L("dir", "rx"))
-		reg.CounterFunc("laces_wire_bytes_total",
-			"Control-plane bytes moved (frame headers included), by direction.",
-			func() float64 { return float64(st.BytesTx()) }, obs.L("dir", "tx"))
-		reg.CounterFunc("laces_wire_bytes_total",
-			"Control-plane bytes moved (frame headers included), by direction.",
-			func() float64 { return float64(st.BytesRx()) }, obs.L("dir", "rx"))
-	}
+	w := &Worker{cfg: cfg, ep: wire.NewEndpoint(cfg.Obs, component, 1024, cfg.FlightSink)}
+	w.probed = cfg.Obs.Counter("laces_worker_targets_probed_total",
+		"Targets this worker transmitted probes for.")
 	return w, nil
 }
 
@@ -161,60 +130,51 @@ func (w *Worker) Run(ctx context.Context) error {
 			return ctx.Err()
 		case <-time.After(backoff):
 		}
-		backoff *= 2
-		if backoff > w.cfg.ReconnectMax {
-			backoff = w.cfg.ReconnectMax
-		}
+		backoff = min(2*backoff, w.cfg.ReconnectMax)
 	}
 }
 
-// frameEvent is the wire tap: every frame this worker moves becomes one
-// flight-recorder event linked to the active measurement's trace.
-func (w *Worker) frameEvent(sent bool, t wire.MsgType, n int) {
-	kind := "frame_rx"
-	if sent {
-		kind = "frame_tx"
-	}
-	w.flight.Record(kind, t.String(), w.activeTrace.Load(), int64(n))
-}
-
-// dumpFlight writes the flight recorder to the configured sink on a
-// failure trigger, recording the trigger first so the dump names it.
-func (w *Worker) dumpFlight(reason string) {
-	if w.flight == nil || w.cfg.FlightSink == nil {
-		return
-	}
-	w.flight.Record("flight_dump", reason, w.activeTrace.Load(), 0)
-	w.flightMu.Lock()
-	defer w.flightMu.Unlock()
-	if err := w.flight.WriteJSONL(w.cfg.FlightSink); err != nil {
+// dump fires the automatic flight-recorder dump.
+func (w *Worker) dump(reason string) {
+	if err := w.ep.Dump(reason); err != nil {
 		w.cfg.Logf("worker %s: flight dump failed: %v", w.cfg.Name, err)
 	}
 }
 
+// measuring is a worker's part of one measurement: the definition from
+// MsgStart, the targets probed so far, and the worker/measure span,
+// parented on the orchestrator's context, whose own context is stamped
+// onto every Result frame.
+type measuring struct {
+	def   wire.MeasurementDef
+	sent  int64
+	span  *obs.ActiveSpan
+	trace *obs.TraceContext
+}
+
+// end closes the measurement's span. A measurement that did not reach
+// MsgEndTargets — the connection died, the kill was injected, or the
+// orchestrator started the next one because this one was cancelled — is
+// marked aborted and stays in the local registry only: exactly what a
+// killed process would leave behind.
+func (m *measuring) end(aborted bool) {
+	if m == nil {
+		return
+	}
+	m.span.SetAttr("sent", strconv.FormatInt(m.sent, 10))
+	if aborted {
+		m.span.SetAttr("aborted", "true")
+	}
+	m.span.End()
+}
+
 // session runs one connection lifecycle: hello, then serve frames.
 func (w *Worker) session(ctx context.Context) error {
-	nc, err := w.cfg.Dialer(ctx, w.cfg.Orchestrator)
+	conn, err := w.ep.Dial(ctx, w.cfg.Dialer, w.cfg.Orchestrator)
 	if err != nil {
 		return fmt.Errorf("worker: dialing: %w", err)
 	}
-	conn := wire.NewConn(nc)
-	conn.SetStats(w.stats)
-	if w.flight != nil {
-		conn.SetTap(w.frameEvent)
-	}
 	defer conn.Close()
-
-	// Tear the connection down when ctx ends so blocking reads unblock.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
 
 	if err := conn.Write(wire.MsgHello, wire.Hello{Role: "worker", Name: w.cfg.Name}); err != nil {
 		return err
@@ -236,13 +196,8 @@ func (w *Worker) session(ctx context.Context) error {
 	}
 	w.cfg.Logf("worker %s: connected as site %d of %d", w.cfg.Name, ack.Worker, ack.Workers)
 
-	var def wire.MeasurementDef
-	var sent int64
-	// mspan is the worker's span for the in-flight measurement, parented
-	// on the orchestrator's context from MsgStart; resTrace is its
-	// propagatable identity, stamped onto every Result frame.
-	var mspan *obs.ActiveSpan
-	var resTrace *obs.TraceContext
+	var m *measuring // nil between measurements
+	defer func() { m.end(true) }()
 	for {
 		typ, raw, err := conn.Read()
 		if err != nil {
@@ -250,93 +205,99 @@ func (w *Worker) session(ctx context.Context) error {
 		}
 		switch typ {
 		case wire.MsgStart:
-			def, err = wire.Decode[wire.MeasurementDef](raw)
+			def, err := wire.Decode[wire.MeasurementDef](raw)
 			if err != nil {
 				return err
 			}
-			sent = 0
-			mspan = w.cfg.Obs.JoinTrace(def.Trace, "worker/measure")
-			mspan.SetAttr("worker", strconv.Itoa(ack.Worker))
-			mspan.SetAttr("measurement", strconv.FormatUint(uint64(def.ID), 10))
-			resTrace = mspan.Context()
-			w.activeTrace.Store(resTrace)
+			m.end(true)
+			m = &measuring{def: def, span: w.cfg.Obs.JoinTrace(def.Trace, "worker/measure")}
+			m.span.SetAttr("worker", strconv.Itoa(ack.Worker))
+			m.span.SetAttr("measurement", strconv.FormatUint(uint64(def.ID), 10))
+			m.trace = m.span.Context()
+			w.ep.SetTrace(m.trace)
 		case wire.MsgTargets:
 			batch, err := wire.Decode[wire.Targets](raw)
 			if err != nil {
 				return err
 			}
-			for _, s := range batch.Addrs {
-				addr, err := netip.ParseAddr(s)
-				if err != nil {
-					continue // skip malformed targets, keep probing
-				}
-				//laces:allow detnow the live worker stamps probes with real send time; deterministic runs use the simulated prober path
-				replies, err := prober.ProbeTarget(def, addr, time.Now())
-				if err != nil {
-					return fmt.Errorf("worker: probing %s: %w", addr, err)
-				}
-				sent++
-				w.probed.Inc()
-				if w.cfg.FailAfterTargets > 0 && sent >= w.cfg.FailAfterTargets {
-					// The injected death mimics a real crash: the span is
-					// closed into the *local* registry (marked aborted) but
-					// never handed to the orchestrator — exactly what a
-					// killed process would leave behind.
-					w.flight.Record("chaos_kill", "injected_disconnect", resTrace, sent)
-					mspan.SetAttr("sent", strconv.FormatInt(sent, 10))
-					mspan.SetAttr("aborted", "true")
-					mspan.End()
-					w.dumpFlight("injected_disconnect")
-					return fmt.Errorf("worker: injected disconnect after %d targets", sent)
-				}
-				for _, r := range replies {
-					res := wire.Result{
-						Measurement: def.ID,
-						Target:      s,
-						TxWorker:    r.TxWorker,
-						RxWorker:    ack.Worker,
-						RTTMicros:   r.RTT.Microseconds(),
-						Trace:       resTrace,
-					}
-					if err := conn.Write(wire.MsgResult, res); err != nil {
-						return err
-					}
-				}
+			if m == nil {
+				return fmt.Errorf("worker: targets before start")
+			}
+			if err := w.probe(conn, prober, ack.Worker, m, batch.Addrs); err != nil {
+				return err
 			}
 		case wire.MsgEndTargets:
+			if m == nil {
+				return fmt.Errorf("worker: end-targets before start")
+			}
 			// Close the measurement span and hand the orchestrator this
 			// worker's part of the trace before reporting done, so the
 			// assembled trace is complete by the time the quorum empties.
-			if mspan != nil {
-				mspan.SetAttr("sent", strconv.FormatInt(sent, 10))
-				mspan.End()
-				if tc := resTrace; tc != nil {
-					batch := wire.TraceBatch{
-						Component: w.cfg.Obs.TraceComponent(),
-						Worker:    ack.Worker,
-						Spans:     w.cfg.Obs.TraceSpansFor(tc.TraceID),
-					}
-					for _, ev := range w.flight.Snapshot() {
-						if ev.TraceID == tc.TraceID {
-							batch.Events = append(batch.Events, ev)
-						}
-					}
-					if err := conn.Write(wire.MsgTrace, batch); err != nil {
-						return err
+			m.end(false)
+			if tc := m.trace; tc != nil {
+				batch := wire.TraceBatch{
+					Component: w.cfg.Obs.TraceComponent(),
+					Worker:    ack.Worker,
+					Seq:       m.def.Seq,
+					Spans:     w.cfg.Obs.TraceSpansFor(tc.TraceID),
+				}
+				for _, ev := range w.ep.Flight().Snapshot() {
+					if ev.TraceID == tc.TraceID {
+						batch.Events = append(batch.Events, ev)
 					}
 				}
-				mspan = nil
+				if err := conn.Write(wire.MsgTrace, batch); err != nil {
+					return err
+				}
 			}
-			if err := conn.Write(wire.MsgWorkerDone, wire.WorkerDone{Worker: ack.Worker, Sent: sent}); err != nil {
+			done := wire.WorkerDone{Worker: ack.Worker, Sent: m.sent, Seq: m.def.Seq}
+			m = nil
+			if err := conn.Write(wire.MsgWorkerDone, done); err != nil {
 				return err
 			}
 		case wire.MsgError:
 			em, _ := wire.Decode[wire.ErrorMsg](raw)
-			w.flight.Record("error", em.Text, w.activeTrace.Load(), 0)
-			w.dumpFlight("orchestrator_error")
+			w.ep.Record("error", em.Text, 0)
+			w.dump("orchestrator_error")
 			return fmt.Errorf("worker: orchestrator error: %s", em.Text)
 		default:
 			return fmt.Errorf("worker: unexpected frame %v", typ)
 		}
 	}
+}
+
+// probe transmits this worker's probe to every address of a batch and
+// streams each captured reply back as it is matched.
+func (w *Worker) probe(conn *wire.Conn, prober Prober, self int, m *measuring, addrs []netip.Addr) error {
+	for _, addr := range addrs {
+		//laces:allow detnow the live worker stamps probes with real send time; deterministic runs use the simulated prober path
+		replies, err := prober.ProbeTarget(m.def, addr, time.Now())
+		if err != nil {
+			return fmt.Errorf("worker: probing %s: %w", addr, err)
+		}
+		m.sent++
+		w.probed.Inc()
+		if w.cfg.FailAfterTargets > 0 && m.sent >= w.cfg.FailAfterTargets {
+			// The injected death mimics a real crash; the session's
+			// deferred end closes the span as aborted.
+			w.ep.Record("chaos_kill", "injected_disconnect", m.sent)
+			w.dump("injected_disconnect")
+			return fmt.Errorf("worker: injected disconnect after %d targets", m.sent)
+		}
+		for _, r := range replies {
+			res := wire.Result{
+				Measurement: m.def.ID,
+				Target:      addr,
+				TxWorker:    r.TxWorker,
+				RxWorker:    self,
+				RTTMicros:   r.RTT.Microseconds(),
+				Seq:         m.def.Seq,
+				Trace:       m.trace,
+			}
+			if err := conn.Write(wire.MsgResult, res); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
