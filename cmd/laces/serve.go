@@ -41,9 +41,7 @@ func setupServe(fs *flag.FlagSet) func() error {
 		}
 		srv.CacheSize = *cache
 		if *metrics {
-			if err := srv.Instrument(laces.NewObsRegistry()); err != nil {
-				return err
-			}
+			srv.Instrument(laces.NewObsRegistry())
 			fmt.Printf("serving Prometheus metrics at /metrics\n")
 		}
 		if *pprofFlag {
@@ -51,9 +49,7 @@ func setupServe(fs *flag.FlagSet) func() error {
 			fmt.Printf("serving profiling endpoints under /debug/pprof/\n")
 		}
 		if !b.IsZero() || reg != nil {
-			if err := srv.Govern(b, reg); err != nil {
-				return err
-			}
+			srv.Govern(b, reg)
 			fmt.Printf("governing live census runs: budget %s, opt-out entries %d (/v1/responsibility)\n",
 				b.String(), reg.Len())
 		}

@@ -11,6 +11,16 @@
 // bounded LRU of decoded days — the only decoded-day cache on the read
 // path; the archive and the query index underneath keep none — means
 // serving a 500-day archive never holds 500 censuses in memory.
+//
+// A day the archive does not carry is computed live, and a live day is a
+// function of the day: every computation runs on a fresh core.Pipeline
+// (Server.newPipeline — empty feedback list, empty ledger, no baseline),
+// so the document served does not depend on which days were computed
+// before it or on what the LRU evicted in between. Live days are bounded
+// by the server's clock: a day after Clock() that is not archived is a
+// 404, decided before anything is built. The server runs no measurement
+// stage itself — a live census is Pipeline.RunDaily, a live measurement
+// Pipeline.Measure.
 package api
 
 import (
@@ -31,13 +41,9 @@ import (
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/core"
-	"github.com/laces-project/laces/internal/gcdmeas"
-	"github.com/laces-project/laces/internal/hitlist"
 	"github.com/laces-project/laces/internal/lru"
-	"github.com/laces-project/laces/internal/manycast"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
-	"github.com/laces-project/laces/internal/packet"
 	"github.com/laces-project/laces/internal/query"
 )
 
@@ -84,14 +90,8 @@ type Server struct {
 	viewPtr atomic.Pointer[view]
 	gen     atomic.Uint64
 
-	mu       sync.Mutex
-	pipeline *core.Pipeline
+	mu sync.Mutex
 	// Governance knobs applied to live census computation (Govern).
-	// Governed days are computed on a fresh pipeline per computation so
-	// day documents stay idempotent: a recomputed day (LRU eviction, or
-	// v4 after v6) must not re-charge a persistent ledger and publish a
-	// different document than it did the first time.
-	governed  bool
 	govBudget budget.Budget
 	govOptOut *budget.Registry
 	// cache is the bounded decoded-day LRU, sized on first use so
@@ -116,17 +116,22 @@ func NewServer(w *netsim.World, d *netsim.Deployment, gcdVPs func(int, bool) ([]
 	if clock == nil {
 		clock = func() int { return 0 }
 	}
-	p, err := core.NewPipeline(w, core.Config{Deployment: d, GCDVPs: gcdVPs})
-	if err != nil {
-		return nil, err
-	}
-	return &Server{
-		World:      w,
-		Deployment: d,
-		GCDVPs:     gcdVPs,
-		Clock:      clock,
-		pipeline:   p,
-	}, nil
+	return &Server{World: w, Deployment: d, GCDVPs: gcdVPs, Clock: clock}, nil
+}
+
+// newPipeline builds the pipeline of one live computation. Each gets its
+// own: a long-lived pipeline grows its feedback list, monitoring baseline
+// and ledger with every day it serves, so a day recomputed later (LRU
+// eviction, or v4 after v6) would publish a different document than it
+// did the first time.
+func (s *Server) newPipeline() (*core.Pipeline, error) {
+	return core.NewPipeline(s.World, core.Config{
+		Deployment: s.Deployment,
+		GCDVPs:     s.GCDVPs,
+		Budget:     s.govBudget,
+		OptOut:     s.govOptOut,
+		Obs:        s.Obs,
+	})
 }
 
 // routes is the route table: every endpoint the server answers itself
@@ -180,15 +185,18 @@ func family(v6 bool) string {
 
 // census returns the published document for a day — from the pinned
 // view's archive when it carries the day, otherwise by running the
-// pipeline — through a bounded LRU of decoded days. The LRU is shared
-// across serving generations: it is keyed by day and archived days are
-// immutable, so Reload never invalidates it.
+// pipeline if the server's clock has reached the day — through a bounded
+// LRU of decoded days. The LRU is shared across serving generations: it
+// is keyed by day, archived days are immutable and live days a function
+// of the day, so Reload never invalidates it.
 //
 // An archived day decodes outside s.mu (the Archive takes no lock), so a
 // cold day never queues the hot ones, /v1/events or Reload behind it;
 // two requests racing on the same cold day both decode it, which is
-// harmless for an immutable day. The live pipeline is stateful and keeps
-// the lock for the whole computation.
+// harmless for an immutable day. A live computation keeps the lock for
+// its whole run: live days are computed one at a time (each already
+// shards its stages over every core), and a request that waited for the
+// same day finds it cached instead of computing it again.
 func (s *Server) census(v *view, day int, v6 bool) (*core.Document, error) {
 	key := censusKey{day, v6}
 	s.mu.Lock()
@@ -216,28 +224,19 @@ func (s *Server) census(v *view, day int, v6 bool) (*core.Document, error) {
 			return nil, err
 		}
 	}
+	if today := s.Clock(); day > today {
+		return nil, notFound(fmt.Errorf("census day %d (%s) is not archived and the server's clock (day %d) has not reached it: the newest servable day is %d",
+			day, family(v6), today, s.newestDay(v, v6, today)))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if doc, ok := s.dayCache().Get(key); ok {
 		// Computed by another request while this one waited for the lock.
 		return doc, nil
 	}
-	pipe := s.pipeline
-	if s.governed {
-		// Fresh governed pipeline per computation: each day's ledger
-		// starts empty, so the served document depends only on the day,
-		// never on which days were computed before it.
-		p, err := core.NewPipeline(s.World, core.Config{
-			Deployment: s.Deployment,
-			GCDVPs:     s.GCDVPs,
-			Budget:     s.govBudget,
-			OptOut:     s.govOptOut,
-			Obs:        s.Obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pipe = p
+	pipe, err := s.newPipeline()
+	if err != nil {
+		return nil, err
 	}
 	c, err := pipe.RunDaily(day, v6, core.DayOptions{})
 	if err != nil {
@@ -246,6 +245,17 @@ func (s *Server) census(v *view, day int, v6 bool) (*core.Document, error) {
 	doc = c.Document()
 	s.dayCache().Put(key, doc)
 	return doc, nil
+}
+
+// newestDay is the last day census can serve for a family: today by the
+// server's clock, or the newest archived day if that is later.
+func (s *Server) newestDay(v *view, v6 bool, today int) int {
+	if v.arch != nil {
+		if days := v.arch.Days(family(v6)); len(days) > 0 {
+			return max(today, days[len(days)-1])
+		}
+	}
+	return today
 }
 
 // dayCache returns the decoded-day LRU, creating it at the configured
@@ -699,23 +709,12 @@ func (s *Server) handleAggregates(v *view, r *http.Request) (answer, error) {
 // census computation: a probe budget and/or an opt-out registry.
 // Archived days are always served exactly as published (their
 // responsibility block, if any, rides along); governance affects only
-// days the server computes itself, each on a fresh per-day ledger so
-// recomputation is idempotent. Call before the first request.
-func (s *Server) Govern(b budget.Budget, reg *budget.Registry) error {
-	// Validate the governed configuration once up front so a bad knob
-	// fails at startup, not on the first request.
-	if _, err := core.NewPipeline(s.World, core.Config{
-		Deployment: s.Deployment,
-		GCDVPs:     s.GCDVPs,
-		Budget:     b,
-		OptOut:     reg,
-	}); err != nil {
-		return err
-	}
+// days the server computes itself, each on its own ledger like every
+// other piece of pipeline state. Call before the first request.
+func (s *Server) Govern(b budget.Budget, reg *budget.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.governed, s.govBudget, s.govOptOut = true, b, reg
-	return nil
+	s.govBudget, s.govOptOut = b, reg
 }
 
 // handleResponsibility serves a census day's R3 governance block: budget
@@ -761,8 +760,9 @@ type measureResponse struct {
 	MeasurementMS int64    `json:"measurement_ms"`
 }
 
-// handleMeasure runs a live single-prefix measurement: one synchronized
-// anycast-based round plus a GCD confirmation.
+// handleMeasure runs a live single-prefix measurement — one synchronized
+// anycast-based round plus a GCD confirmation (core.Pipeline.Measure) —
+// and renders the row it returns.
 func (s *Server) handleMeasure(_ *view, r *http.Request) (answer, error) {
 	var req measureRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -772,74 +772,27 @@ func (s *Server) handleMeasure(_ *view, r *http.Request) (answer, error) {
 	if err != nil {
 		return answer{}, err
 	}
-	day := s.Clock()
+	resp := measureResponse{Prefix: prefix.String(), Day: s.Clock()}
 	started := time.Now() //laces:allow detnow measurement_ms is a diagnostic latency field in the response, not census content
-
 	target := s.World.FindTarget(prefix)
-	resp := measureResponse{Prefix: prefix.String(), Day: day}
 	if target == nil {
 		return answer{body: resp}, nil // unknown prefix: unresponsive
 	}
-	v6 := target.Addr.Is6()
-
-	// Anycast-based round over a single-entry hitlist.
-	hl := &hitlist.Hitlist{V6: v6, Day: day, Entries: []hitlist.Entry{{
-		TargetID:  target.ID,
-		Prefix:    target.Prefix,
-		Addr:      target.Addr,
-		Protocols: target.Responsive,
-	}}}
-	proto := packet.ICMP
-	if !target.Responsive[packet.ICMP] {
-		switch {
-		case target.Responsive[packet.TCP]:
-			proto = packet.TCP
-		case target.Responsive[packet.DNS]:
-			proto = packet.DNS
-		}
-	}
-	res, err := manycast.Run(s.World, s.Deployment, hl, manycast.Options{
-		Protocol:      proto,
-		Start:         netsim.DayTime(day).Add(12 * time.Hour),
-		Offset:        time.Second,
-		MeasurementID: uint16(day) ^ 0xa91,
-	})
+	pipe, err := s.newPipeline()
 	if err != nil {
 		return answer{}, err
 	}
-	resp.ProbesSpent += res.ProbesSent
-	for _, ob := range res.Observations {
-		resp.Responsive = true
-		resp.ReceivingVPs = ob.NumReceivers()
-		resp.AnycastBased = ob.IsCandidate()
+	e, probes, err := pipe.Measure(target, resp.Day)
+	if err != nil {
+		return answer{}, err
 	}
-
-	// GCD confirmation (ICMP or TCP only, §4.3).
-	if target.Responsive[packet.ICMP] || target.Responsive[packet.TCP] {
-		gcdProto := packet.ICMP
-		if !target.Responsive[packet.ICMP] {
-			gcdProto = packet.TCP
-		}
-		vps, err := s.GCDVPs(day, v6)
-		if err != nil {
-			return answer{}, err
-		}
-		rep := gcdmeas.Run(s.World, []int{target.ID}, v6, gcdmeas.Campaign{
-			VPs:   vps,
-			Proto: gcdProto,
-			At:    netsim.DayTime(day).Add(13 * time.Hour),
-		})
-		resp.ProbesSpent += rep.ProbesSent
-		if o, ok := rep.Outcomes[target.ID]; ok {
-			resp.GCDAnycast = o.Result.Anycast
-			if o.Result.Anycast {
-				resp.GCDSites = o.Result.NumSites()
-				for _, site := range o.Result.Sites {
-					resp.GCDCities = append(resp.GCDCities, site.City.Name)
-				}
-			}
-		}
-	}
+	resp.Responsive = e.MaxReceivers > 0
+	resp.ReceivingVPs = e.MaxReceivers
+	resp.AnycastBased = e.IsCandidate()
+	resp.GCDAnycast = e.GCDAnycast
+	resp.GCDSites = e.GCDSites
+	resp.GCDCities = e.GCDCities
+	resp.ProbesSpent = probes
 	resp.MeasurementMS = time.Since(started).Milliseconds() //laces:allow detnow measurement_ms is a diagnostic latency field in the response, not census content
 	return answer{body: resp}, nil
 }

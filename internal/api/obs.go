@@ -13,33 +13,23 @@ import (
 	"net/http/pprof"
 
 	"github.com/laces-project/laces/internal/archive"
-	"github.com/laces-project/laces/internal/core"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/query"
 )
 
-// Instrument attaches a telemetry registry to the server: the live
-// pipeline is rebuilt with stage instrumentation, probe-level netsim
-// telemetry is installed on the world, and the archive's and query
-// index's internal tallies are bridged into registry series. Call
-// before the first request (and before Handler, which snapshots the
-// registry when wiring routes); GET /metrics serves the exposition.
-func (s *Server) Instrument(reg *obs.Registry) error {
+// Instrument attaches a telemetry registry to the server: live census
+// days run with stage instrumentation, probe-level netsim telemetry is
+// installed on the world, and the archive's and query index's internal
+// tallies are bridged into registry series. Call before the first
+// request (and before Handler, which snapshots the registry when wiring
+// routes); GET /metrics serves the exposition.
+func (s *Server) Instrument(reg *obs.Registry) {
 	if reg == nil {
-		return nil
-	}
-	p, err := core.NewPipeline(s.World, core.Config{
-		Deployment: s.Deployment,
-		GCDVPs:     s.GCDVPs,
-		Obs:        reg,
-	})
-	if err != nil {
-		return err
+		return
 	}
 	s.mu.Lock()
 	s.Obs = reg
-	s.pipeline = p
 	s.mu.Unlock()
 
 	tel := &netsim.Telemetry{}
@@ -81,7 +71,6 @@ func (s *Server) Instrument(reg *obs.Registry) error {
 		"Rows considered by family-wide event scans, by outcome (scanned includes pruned).",
 		func() float64 { _, p := s.peekQuery().EventScanStats(); return float64(p) },
 		obs.L("outcome", "pruned"))
-	return nil
 }
 
 // peekArchive and peekQuery read the current serving generation's

@@ -34,9 +34,7 @@ func newInstrumentedServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 		t.Fatal(err)
 	}
 	reg := obs.New()
-	if err := s.Instrument(reg); err != nil {
-		t.Fatal(err)
-	}
+	s.Instrument(reg)
 	s.EnablePprof = true
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

@@ -35,9 +35,7 @@ func TestResponsibilityEndpoint(t *testing.T) {
 	}
 	reg := budget.NewRegistry()
 	reg.AddAS(1) // harmless: suppression only needs the ledger active
-	if err := s.Govern(budget.Budget{DailyProbes: 1 << 50}, reg); err != nil {
-		t.Fatal(err)
-	}
+	s.Govern(budget.Budget{DailyProbes: 1 << 50}, reg)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -79,14 +77,12 @@ func TestResponsibilityEndpoint(t *testing.T) {
 	// starved, near-empty census the second time.
 	capped, err := NewServer(testWorld, d,
 		func(day int, v6 bool) ([]netsim.VP, error) { return platform.Ark(testWorld, day, v6) },
-		func() int { return 1 })
+		func() int { return 2 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	capped.CacheSize = 1
-	if err := capped.Govern(budget.Budget{DailyProbes: 100_000}, nil); err != nil {
-		t.Fatal(err)
-	}
+	capped.Govern(budget.Budget{DailyProbes: 100_000}, nil)
 	cappedSrv := httptest.NewServer(capped.Handler())
 	defer cappedSrv.Close()
 	fetch := func(path string) string {

@@ -276,20 +276,18 @@ func TestEngineMissingWorkers(t *testing.T) {
 	eng := NewEngine(testWorld, Scenario{Name: "so", Impairments: []Impairment{
 		{Kind: SiteOutage, Scope: Scope{Days: Days(10, 12), Workers: []int{1, 4}}},
 	}})
-	if got := eng.MissingWorkers(d, 9); got != nil {
-		t.Fatalf("outage before window: %v", got)
+	if got := eng.MissingWorkers(d, 9); got != 0 {
+		t.Fatalf("outage before window: %b", got)
 	}
-	got := eng.MissingWorkers(d, 11)
-	if len(got) != 2 || !got[1] || !got[4] {
-		t.Fatalf("outage workers = %v, want {1, 4}", got)
+	if got := eng.MissingWorkers(d, 11); got != 1<<1|1<<4 {
+		t.Fatalf("outage workers = %b, want {1, 4}", got)
 	}
 	// Continent-scoped outage resolves via site locations.
 	eng = NewEngine(testWorld, Scenario{Name: "so-eu", Impairments: []Impairment{
 		{Kind: SiteOutage, Scope: Scope{WorkerContinents: []cities.Continent{cities.Europe}}},
 	}})
-	got = eng.MissingWorkers(d, 0)
-	if len(got) != 2 || !got[0] || !got[4] { // Amsterdam, Frankfurt
-		t.Fatalf("EU outage workers = %v, want {0, 4}", got)
+	if got := eng.MissingWorkers(d, 0); got != 1<<0|1<<4 { // Amsterdam, Frankfurt
+		t.Fatalf("EU outage workers = %b, want {0, 4}", got)
 	}
 }
 

@@ -219,11 +219,12 @@ func (e *Engine) ImpairUnicast(vp netsim.VP, tg *netsim.Target, proto packet.Pro
 }
 
 // MissingWorkers resolves the deployment sites disconnected on census day
-// `day` by active SiteOutage impairments, or nil when none are. The census
-// pipeline feeds this into the measurement so dead sites neither transmit
-// nor capture — the exact semantics of the legacy MissingWorkers option.
-func (e *Engine) MissingWorkers(d *netsim.Deployment, day int) map[int]bool {
-	var out map[int]bool
+// `day` by active SiteOutage impairments, as the site mask (bit i = site
+// i) manycast.Options.MissingWorkers takes; zero when none are. The
+// census pipeline feeds it into the measurement so dead sites neither
+// transmit nor capture.
+func (e *Engine) MissingWorkers(d *netsim.Deployment, day int) uint64 {
+	var out uint64
 	for i := range e.comp {
 		c := &e.comp[i]
 		if c.kind != SiteOutage || (!c.allDays && !c.days.Contains(day)) {
@@ -236,10 +237,7 @@ func (e *Engine) MissingWorkers(d *netsim.Deployment, day int) map[int]bool {
 			if c.wCont != 0 && c.wCont&(1<<uint(e.contOf[d.Sites[wk].CityIdx])) == 0 {
 				continue
 			}
-			if out == nil {
-				out = make(map[int]bool)
-			}
-			out[wk] = true
+			out |= 1 << uint(wk)
 		}
 	}
 	return out

@@ -10,6 +10,45 @@
 // A follow-up latency measurement towards only the candidates confirms
 // anycast with GCD, enumerates and geolocates sites, and splits the census
 // into 𝒢 (GCD-confirmed) and ℳ (anycast-based only).
+//
+// # A census day
+//
+// RunDaily drives one censusDay (day.go) through its phases. The day owns
+// everything that is about this day — hitlist, gate, effective rate,
+// missing-site mask, the DailyCensus under construction, per-stage ledger
+// usages — and each phase is a child of the day's census span, with the
+// measurement stages' spans under the phase that runs them:
+//
+//	begin     opens the census span, then (as the hitlist child) builds the
+//	          hitlist; compiles the chaos plan into the world's impairer,
+//	          the missing-site mask and the complaint count; takes the
+//	          ledger's gate for the day and steps the rate. Reads Pipeline
+//	          configuration only.
+//	detect    stage 1: one anycast-based run per protocol, in
+//	          packet.Protocols() order, back to back on the day's clock;
+//	          folds candidates into rows.
+//	feedBack  stage 2: reads the pipeline's feedback list and adds a row
+//	          for every listed prefix on today's hitlist that detect missed.
+//	confirm   stage 3: fetches the GCD VP pool and measures the day's rows
+//	          under gcdmeas's §4.3 protocol rule; folds the verdicts.
+//	annotate  optional stage 4 (IncludeChaos): CHAOS identities of the
+//	          DNS-responsive rows.
+//	screen    optional stage 5 (ConfirmGlobalBGP): traceroute screening of ℳ.
+//	publish   the governance block, then the only writes to Pipeline state:
+//	          today's confirmations join the feedback list, today's |𝒢|
+//	          joins the monitoring baseline (after the alerts were
+//	          evaluated against it).
+//
+// Phases before publish write the day and nothing else, which is what
+// makes a day abandonable: when detect, confirm or screen returns an
+// error, RunDaily returns it and the pipeline's feedback list and baseline
+// are what they were — the next day's document is the one a pipeline that
+// never attempted the failed day would publish. What a failed day does
+// leave behind is what its stages already charged the ledger (the probes
+// were sent), and the world's impairer is always uninstalled.
+//
+// Measure is the same detect and confirm on a day whose hitlist is one
+// target: the API's live measurement.
 package core
 
 import (
@@ -17,20 +56,14 @@ import (
 	"io"
 	"net/netip"
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/chaos"
-	"github.com/laces-project/laces/internal/chaosdns"
 	"github.com/laces-project/laces/internal/gcdmeas"
-	"github.com/laces-project/laces/internal/hitlist"
-	"github.com/laces-project/laces/internal/igreedy"
-	"github.com/laces-project/laces/internal/manycast"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
-	"github.com/laces-project/laces/internal/traceroute"
 )
 
 // Entry is one census row: everything LACeS publishes about a prefix on
@@ -112,8 +145,11 @@ type DailyCensus struct {
 	// fed back, or GCD-measured today.
 	Entries map[int]*Entry
 
-	// ReceiverHist buckets today's candidates per protocol by receiving
-	// VP count.
+	// ReceiverHist buckets, per protocol probed, every target that
+	// answered today by its receiving-VP count — bucket 1 (unicast)
+	// included, not only the candidates. A protocol probed without a single
+	// reply has an empty bucket map, which is what the no-results canary
+	// looks for.
 	ReceiverHist map[packet.Protocol]map[int]int
 
 	// Cost accounting (R3).
@@ -163,6 +199,9 @@ func (c *DailyCensus) CandidatesFor(p packet.Protocol) []int {
 	return c.filter(func(e *Entry) bool { return e.ACProtocols[p] })
 }
 
+// ids returns the sorted target IDs of every row.
+func (c *DailyCensus) ids() []int { return c.filter(func(*Entry) bool { return true }) }
+
 func (c *DailyCensus) filter(keep func(*Entry) bool) []int {
 	var out []int
 	for id, e := range c.Entries {
@@ -181,12 +220,6 @@ type Config struct {
 	// GCDVPs supplies the latency-stage VP pool for a census day (Ark,
 	// which grows over time).
 	GCDVPs func(day int, v6 bool) ([]netsim.VP, error)
-	// Protocols probed by the anycast-based stage; default ICMP+TCP+DNS.
-	Protocols []packet.Protocol
-	// Offset is the inter-worker probe spacing (default 1 s).
-	Offset time.Duration
-	// Rate is the hitlist rate (targets/s; default manycast.DefaultRate).
-	Rate float64
 	// IncludeChaos adds a CHAOS TXT identity census over DNS-responsive
 	// census prefixes (§8 extension; App C shows the records are a weak
 	// anycast indicator but a useful nameserver annotation).
@@ -211,7 +244,7 @@ type Config struct {
 	// nil means none.
 	OptOut *budget.Registry
 	// Obs receives the pipeline's telemetry: per-stage laces_stage_*
-	// series, one census → stage → shard span tree per RunDaily,
+	// series, one census → phase → stage → shard span tree per RunDaily,
 	// operational events, live progress and (when governance is
 	// active) the budget decision counters. Nil disables instrumentation.
 	// Telemetry never feeds back into measurement: the census document is
@@ -249,21 +282,6 @@ type Pipeline struct {
 // configuration enables no governance) for monitoring and the CLI.
 func (p *Pipeline) Ledger() *budget.Ledger { return p.ledger }
 
-// reportMismatch records a broken Spent+Skipped==Demanded ledger
-// identity and dumps the flight recorder. The identity holds by
-// construction; breaking it means a stage charged probes outside the
-// gate, so it is surfaced loudly rather than silently publishing broken
-// accounting.
-func (p *Pipeline) reportMismatch(censusSpan *obs.ActiveSpan, day int, total budget.Usage) {
-	p.Cfg.Obs.Flight().Record("reconcile_mismatch", "census", censusSpan.Context(),
-		total.Demanded-total.Spent-total.Skipped,
-		obs.L("day", strconv.Itoa(day)),
-		obs.L("demanded", strconv.FormatInt(total.Demanded, 10)),
-		obs.L("spent", strconv.FormatInt(total.Spent, 10)),
-		obs.L("skipped", strconv.FormatInt(total.Skipped, 10)))
-	_ = p.Cfg.Obs.Flight().Dump(p.Cfg.FlightSink, "reconcile_mismatch", nil)
-}
-
 // NewPipeline validates the configuration and prepares a pipeline.
 func NewPipeline(w *netsim.World, cfg Config) (*Pipeline, error) {
 	if cfg.Deployment == nil {
@@ -271,12 +289,6 @@ func NewPipeline(w *netsim.World, cfg Config) (*Pipeline, error) {
 	}
 	if cfg.GCDVPs == nil {
 		return nil, fmt.Errorf("core: config needs a GCD VP source")
-	}
-	if len(cfg.Protocols) == 0 {
-		cfg.Protocols = packet.Protocols()
-	}
-	if cfg.Offset == 0 {
-		cfg.Offset = time.Second
 	}
 	p := &Pipeline{World: w, Cfg: cfg}
 	if !cfg.Budget.IsZero() || cfg.OptOut != nil {
@@ -320,308 +332,6 @@ func (p *Pipeline) SeedFeedback(v6 bool, ids []int) {
 
 // FeedbackSize returns the current feedback-list length.
 func (p *Pipeline) FeedbackSize(v6 bool) int { return len(p.feedback[famIdx(v6)]) }
-
-// RunDaily executes the full pipeline for one census day and family.
-// When the day's options carry a chaos plan, the compiled engine is
-// installed on the world for the duration of the run; the world must not
-// serve concurrent measurements meanwhile.
-func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus, error) {
-	w := p.World
-	hl := hitlist.ForDay(w, v6, day)
-	start := netsim.DayTime(day)
-
-	// Pipeline telemetry: the run roots one trace, whose census span
-	// every stage span is opened under, and a budget reader for the live
-	// progress line. Every handle is a no-op when no registry is
-	// configured, and nothing below feeds back into the measurement.
-	censusSpan := p.Cfg.Obs.StartTrace("census")
-	defer censusSpan.End()
-	reg := p.Cfg.Obs.Under(censusSpan)
-	reg.SetBudgetFunc(func() int64 { return p.ledger.Remaining(day) })
-
-	// Resolve the day's fault plan: site outages become missing workers
-	// (dead sites neither transmit nor capture), everything else impairs
-	// individual probes through the world hook. Abuse complaints never
-	// touch probes — they feed the adaptive rate controller below.
-	var missing map[int]bool
-	complaints := 0
-	if sc := dayOpts.Chaos; sc != nil {
-		eng := chaos.NewEngine(w, *sc)
-		missing = eng.MissingWorkers(p.Cfg.Deployment, day)
-		complaints = eng.ComplaintsOn(day)
-		w.SetImpairer(eng)
-		defer w.SetImpairer(nil)
-		reg.Flight().Record("chaos_active", sc.Name, censusSpan.Context(), int64(len(sc.Impairments)),
-			obs.L("day", strconv.Itoa(day)),
-			obs.L("missing_workers", strconv.Itoa(len(missing))),
-			obs.L("complaints", strconv.Itoa(complaints)))
-	}
-
-	// Responsible-probing governance: the admission gate for every
-	// measurement stage, and the complaint-driven rate controller that
-	// steps the effective hitlist rate down in powers of two (floored at
-	// the paper's 1/8th-rate operating point, §5.5.2).
-	gate := p.ledger.Gate(day)
-	baseRate := p.Cfg.Rate
-	if baseRate == 0 {
-		baseRate = manycast.DefaultRate
-	}
-	effRate, rateSteps := budget.StepRate(baseRate, complaints, 0)
-
-	census := &DailyCensus{
-		Day:          start,
-		DayIndex:     day,
-		V6:           v6,
-		HitlistSize:  hl.Len(),
-		Workers:      manycast.CountParticipants(p.Cfg.Deployment.NumSites(), missing),
-		Entries:      make(map[int]*Entry),
-		ReceiverHist: make(map[packet.Protocol]map[int]int),
-	}
-
-	// Stage 1: anycast-based measurement, one run per protocol (§4.2).
-	base := manycast.Options{
-		Start:          start,
-		Offset:         p.Cfg.Offset,
-		Rate:           effRate,
-		MeasurementID:  uint16(day),
-		MissingWorkers: missing,
-		Parallelism:    p.Cfg.Parallelism,
-		Gate:           gate,
-		Obs:            reg,
-	}
-	results, err := manycast.MultiProtocol(w, p.Cfg.Deployment, hl, base, p.Cfg.Protocols)
-	if err != nil {
-		return nil, fmt.Errorf("core: anycast-based stage: %w", err)
-	}
-	var anycastUsage, gcdUsage budget.Usage
-	numTargets := w.NumTargets(v6)
-	for proto, res := range results {
-		census.ProbesAnycastStage += res.ProbesSent
-		anycastUsage.Add(res.Usage)
-		census.ReceiverHist[proto] = res.ReceiverHistogram()
-		for _, ob := range res.Observations {
-			if !ob.IsCandidate() {
-				continue
-			}
-			e := census.entry(w.TargetAt(v6, ob.TargetID))
-			e.ACProtocols[proto] = true
-			if n := ob.NumReceivers(); n > e.MaxReceivers {
-				e.MaxReceivers = n
-			}
-		}
-	}
-
-	// Stage 2: feedback loop — cover anycast-based FNs (§4.3).
-	for id := range p.feedback[famIdx(v6)] {
-		if id < 0 || id >= numTargets {
-			continue
-		}
-		tg := w.TargetAt(v6, id)
-		if tg.HitlistFromDay > hitlist.QuarterOf(day) {
-			continue
-		}
-		if _, ok := census.Entries[id]; !ok {
-			census.entry(tg).FromFeedback = true
-		}
-	}
-
-	// Stage 3: GCD towards candidates only — two orders of magnitude
-	// cheaper than a full-hitlist GCD (§4.3). ICMP first; TCP mops up
-	// ICMP-unresponsive candidates. DNS is excluded (processing jitter).
-	vps, err := p.Cfg.GCDVPs(day, v6)
-	if err != nil {
-		return nil, fmt.Errorf("core: GCD VP pool: %w", err)
-	}
-	var icmpIDs, tcpIDs []int
-	for id := range census.Entries {
-		tg := w.TargetAt(v6, id)
-		switch {
-		case tg.Responsive[packet.ICMP]:
-			icmpIDs = append(icmpIDs, id)
-		case tg.Responsive[packet.TCP]:
-			tcpIDs = append(tcpIDs, id)
-		}
-	}
-	// The campaigns' outcomes are order-independent, but the governance
-	// gate's admission is order-sensitive by design (first come, first
-	// charged) — present targets in sorted ID order so the admitted set
-	// never depends on map iteration.
-	sort.Ints(icmpIDs)
-	sort.Ints(tcpIDs)
-	for _, part := range []struct {
-		proto packet.Protocol
-		ids   []int
-	}{{packet.ICMP, icmpIDs}, {packet.TCP, tcpIDs}} {
-		if len(part.ids) == 0 {
-			continue
-		}
-		rep := gcdmeas.Run(w, part.ids, v6, gcdmeas.Campaign{
-			VPs:         vps,
-			Proto:       part.proto,
-			At:          start.Add(6 * time.Hour),
-			Analysis:    igreedy.Options{},
-			Parallelism: p.Cfg.Parallelism,
-			Gate:        gate,
-			Obs:         reg,
-		})
-		census.ProbesGCDStage += rep.ProbesSent
-		gcdUsage.Add(rep.Usage)
-		for id, out := range rep.Outcomes {
-			e := census.Entries[id]
-			e.GCDMeasured = true
-			e.GCDProto = part.proto
-			e.GCDVPs = out.VPs
-			e.GCDAnycast = out.Result.Anycast
-			if out.Result.Anycast {
-				e.GCDSites = out.Result.NumSites()
-				for _, s := range out.Result.Sites {
-					e.GCDCities = append(e.GCDCities, s.City.Name)
-				}
-			}
-		}
-	}
-
-	// Maintain the feedback loop with today's confirmations (the Fig 3
-	// purple arrow).
-	for id, e := range census.Entries {
-		if e.GCDAnycast {
-			p.feedback[famIdx(v6)][id] = true
-		}
-	}
-
-	// Optional stage 4: CHAOS identity annotation (§8 extension).
-	var chaosUsage budget.Usage
-	if p.Cfg.IncludeChaos {
-		chaosUsage = p.annotateChaos(census, hl, start, gate, reg)
-	}
-
-	// Optional stage 5: traceroute screening of ℳ for global-BGP unicast
-	// (§5.1.3 future work). Only multi-receiver candidates that GCD
-	// measured and judged unicast are worth tracing.
-	if p.Cfg.ConfirmGlobalBGP {
-		if err := p.screenGlobalBGP(census, vps, start.Add(12*time.Hour)); err != nil {
-			return nil, fmt.Errorf("core: global-BGP screening: %w", err)
-		}
-	}
-
-	// Publish the governance block when any governance was active: a
-	// ledger (budget/opt-outs) or complaint-driven rate feedback. With
-	// neither, Responsibility stays nil and the document is byte-for-byte
-	// what an ungoverned pipeline publishes.
-	if p.ledger != nil || rateSteps > 0 {
-		resp := &Responsibility{
-			Anycast:         anycastUsage,
-			GCD:             gcdUsage,
-			Chaos:           chaosUsage,
-			BudgetRemaining: -1,
-			RateSteps:       rateSteps,
-		}
-		if rateSteps > 0 {
-			resp.RateEffective = effRate
-		}
-		if p.ledger != nil {
-			b := p.ledger.Budget()
-			resp.BudgetDailyProbes = b.DailyProbes
-			resp.BudgetPerASProbes = b.PerASProbes
-			resp.BudgetPerPrefixProbes = b.PerPrefixProbes
-			resp.BudgetRemaining = p.ledger.Remaining(day)
-		}
-		total := resp.Total()
-		resp.ProbesDemanded = total.Demanded
-		resp.ProbesSpent = total.Spent
-		resp.ProbesSkipped = total.Skipped
-		resp.OptOutProbes = total.OptOutProbes
-		resp.OptOutTargets = total.OptOutTargets
-		resp.BudgetTargets = total.BudgetTargets
-		census.Responsibility = resp
-		if !total.Reconciles() {
-			p.reportMismatch(censusSpan, day, total)
-		}
-	}
-
-	census.Alerts = p.monitor(census)
-	reg.Counter("laces_census_days_total",
-		"Census days completed by this pipeline.").Inc()
-	return census, nil
-}
-
-// globalBGPVPs caps the traceroute vantage points drawn from the GCD pool
-// (the paper's manual confirmation used a handful).
-const globalBGPVPs = 12
-
-// screenGlobalBGP traceroutes today's ℳ entries from a spread of the GCD
-// pool's vantage points and flags the global-BGP unicast signature.
-func (p *Pipeline) screenGlobalBGP(census *DailyCensus, pool []netsim.VP, at time.Time) error {
-	vps := spreadVPs(pool, globalBGPVPs)
-	if len(vps) == 0 {
-		return nil
-	}
-	// Candidates in ascending target-ID order, not map order: the
-	// traceroute stage consumes them sequentially, and a stable order
-	// keeps the probe ledger and any mid-stage cutoff reproducible.
-	var candIDs []int
-	for id, e := range census.Entries {
-		if e.InM() && e.MaxReceivers >= 2 && e.GCDMeasured {
-			candIDs = append(candIDs, id)
-		}
-	}
-	sort.Ints(candIDs)
-	cands := make([]*netsim.Target, 0, len(candIDs))
-	for _, id := range candIDs {
-		cands = append(cands, p.World.TargetAt(census.V6, id))
-	}
-	ids, probes, err := traceroute.ConfirmGlobalBGP(p.World, vps, cands, at)
-	if err != nil {
-		return err
-	}
-	census.ProbesTracerouteStage += probes
-	for _, id := range ids {
-		census.Entries[id].GlobalBGP = true
-	}
-	return nil
-}
-
-// spreadVPs picks up to n VPs evenly spaced through the pool (the pool is
-// generated with geographic spread, so striding preserves it).
-func spreadVPs(pool []netsim.VP, n int) []netsim.VP {
-	if len(pool) <= n {
-		return pool
-	}
-	out := make([]netsim.VP, 0, n)
-	step := float64(len(pool)) / float64(n)
-	for i := 0; i < n; i++ {
-		out = append(out, pool[int(float64(i)*step)])
-	}
-	return out
-}
-
-// annotateChaos queries RFC 4892 identities for the census's
-// DNS-responsive prefixes from every deployment site and attaches the
-// distinct records to the entries. It returns the stage's governance
-// accounting (zero when the gate is nil or no entry qualified).
-func (p *Pipeline) annotateChaos(census *DailyCensus, hl *hitlist.Hitlist, start time.Time, gate *budget.Gate, reg *obs.Registry) budget.Usage {
-	sub := &hitlist.Hitlist{V6: hl.V6, Day: hl.Day}
-	for _, e := range hl.Entries {
-		if _, ok := census.Entries[e.TargetID]; ok && e.Protocols[packet.DNS] {
-			sub.Entries = append(sub.Entries, e)
-		}
-	}
-	if sub.Len() == 0 {
-		return budget.Usage{}
-	}
-	recs, usage := chaosdns.Census(p.World, p.Cfg.Deployment, sub, start.Add(9*time.Hour), gate, p.Cfg.Parallelism, reg)
-	for id, o := range recs {
-		if !o.Supported {
-			continue
-		}
-		e := census.Entries[id]
-		for rec := range o.Records {
-			e.ChaosRecords = append(e.ChaosRecords, rec)
-		}
-		sort.Strings(e.ChaosRecords)
-	}
-	return usage
-}
 
 // entry returns (creating if needed) the census entry for a target.
 func (c *DailyCensus) entry(tg *netsim.Target) *Entry {

@@ -8,7 +8,6 @@ import (
 	"github.com/laces-project/laces/internal/gcdmeas"
 	"github.com/laces-project/laces/internal/hitlist"
 	"github.com/laces-project/laces/internal/netsim"
-	"github.com/laces-project/laces/internal/packet"
 )
 
 // GCDLSResult is the outcome of a large-scale GCD sweep over the entire
@@ -28,44 +27,17 @@ type GCDLSResult struct {
 // modelled duration is reported through the probe count).
 func RunGCDLS(w *netsim.World, vps []netsim.VP, v6 bool, day int) *GCDLSResult {
 	hl := hitlist.ForDay(w, v6, day)
-	res := &GCDLSResult{
-		Day:     day,
-		V6:      v6,
-		Hitlist: hl.Len(),
-		Anycast: make(map[int]bool),
-		VPs:     len(vps),
+	// The protocol rule is the daily pipeline's (gcdmeas.Confirm): ICMP
+	// covers most of the hitlist, TCP mops up the remainder.
+	rep := gcdmeas.Confirm(w, hl.IDs(), v6, gcdmeas.Campaign{VPs: vps, At: netsim.DayTime(day)})
+	return &GCDLSResult{
+		Day:        day,
+		V6:         v6,
+		Hitlist:    hl.Len(),
+		Anycast:    rep.Anycast(),
+		ProbesSent: rep.ProbesSent,
+		VPs:        len(vps),
 	}
-	at := netsim.DayTime(day)
-	// ICMP covers most of the hitlist; TCP mops up the remainder, exactly
-	// as in the daily pipeline.
-	icmp := hl.FilterProtocol(packet.ICMP)
-	icmpIDs := make([]int, 0, len(icmp))
-	for _, e := range icmp {
-		icmpIDs = append(icmpIDs, e.TargetID)
-	}
-	rep := gcdmeas.Run(w, icmpIDs, v6, gcdmeas.Campaign{VPs: vps, Proto: packet.ICMP, At: at})
-	res.ProbesSent += rep.ProbesSent
-	for id, o := range rep.Outcomes {
-		if o.Result.Anycast {
-			res.Anycast[id] = true
-		}
-	}
-	var tcpIDs []int
-	for _, e := range hl.Entries {
-		if !e.Protocols[packet.ICMP] && e.Protocols[packet.TCP] {
-			tcpIDs = append(tcpIDs, e.TargetID)
-		}
-	}
-	if len(tcpIDs) > 0 {
-		rep := gcdmeas.Run(w, tcpIDs, v6, gcdmeas.Campaign{VPs: vps, Proto: packet.TCP, At: at})
-		res.ProbesSent += rep.ProbesSent
-		for id, o := range rep.Outcomes {
-			if o.Result.Anycast {
-				res.Anycast[id] = true
-			}
-		}
-	}
-	return res
 }
 
 // IDs returns the sorted anycast target IDs.

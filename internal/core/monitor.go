@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/laces-project/laces/internal/packet"
+)
 
 // Alert is a monitoring finding. The paper added alerting after a tooling
 // bug silently dropped all DNS results for three months (§7): "we added an
@@ -50,7 +54,7 @@ func (p *Pipeline) monitor(c *DailyCensus) []Alert {
 
 	// Canary: protocols that were probed but produced zero candidates
 	// and zero observations.
-	for _, proto := range p.Cfg.Protocols {
+	for _, proto := range packet.Protocols() {
 		hist, probed := c.ReceiverHist[proto]
 		if probed && len(hist) == 0 {
 			alerts = append(alerts, Alert{

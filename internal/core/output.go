@@ -199,7 +199,7 @@ func (c *DailyCensus) WriteJSON(w io.Writer) error {
 	return c.Document().WriteJSON(w)
 }
 
-// WriteCSV publishes the census as CSV, one row per published prefix.
+// WriteCSV publishes the census as CSV, one row per entry of Document().
 func (c *DailyCensus) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := []string{"prefix", "origin_asn", "ac_protocols", "ac_vps",
@@ -207,14 +207,11 @@ func (c *DailyCensus) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, e := range c.sortedEntries() {
-		if !e.IsCandidate() && !e.GCDAnycast && !e.PartialAnycast {
-			continue
-		}
+	for _, e := range c.Document().Entries {
 		rec := []string{
-			e.Prefix.String(),
-			strconv.FormatUint(uint64(e.Origin), 10),
-			strings.Join(protoNames(e.ACProtocols), "+"),
+			e.Prefix,
+			strconv.FormatUint(uint64(e.OriginASN), 10),
+			strings.Join(e.ACProtocols, "+"),
 			strconv.Itoa(e.MaxReceivers),
 			strconv.FormatBool(e.FromFeedback),
 			strconv.FormatBool(e.GCDMeasured),

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,11 +13,14 @@ import (
 	"github.com/laces-project/laces/internal/platform"
 )
 
-// obsPipeline builds a fresh pipeline on a fresh test world with every
-// optional stage on and the given registry attached.
-func obsPipeline(t *testing.T, parallelism int, cfg Config) *Pipeline {
+// obsPipeline builds a fresh pipeline on a fresh test world (lazily
+// derived when lazy is set) with the CHAOS stage on and the given
+// registry attached.
+func obsPipeline(t *testing.T, parallelism int, lazy bool, cfg Config) *Pipeline {
 	t.Helper()
-	w, err := netsim.New(netsim.TestConfig())
+	wcfg := netsim.TestConfig()
+	wcfg.LazyTargets = lazy
+	w, err := netsim.New(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +39,23 @@ func obsPipeline(t *testing.T, parallelism int, cfg Config) *Pipeline {
 	return pipe
 }
 
-// TestCensusSpansFormOneTreePerDay is the unified span model's property:
-// whatever the parallelism, the spans a registry exports after n RunDaily
-// calls are exactly n trees — one parentless census span per run, stage
-// spans parented on it, shard spans parented on their stage, every span
-// carrying its run's non-zero trace ID and no parent missing.
+// TestCensusSpansFormOneTreePerDay is the span model's property: whatever
+// the parallelism and the world's derivation mode, the spans a registry
+// exports after n RunDaily calls are exactly n trees of four levels — one
+// parentless census span per run that starts no later than anything under
+// it; under it the day's phases, exactly and in order; under detect,
+// confirm and annotate their stage spans; under each stage its shard
+// spans — every span carrying its run's non-zero trace ID and no parent
+// missing, so the ancestor chain of every stage and shard ends at census.
 func TestCensusSpansFormOneTreePerDay(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
+	wantPhases := []string{"hitlist", "detect", "feedback", "confirm", "annotate", "screen", "publish"}
+	stagePhases := map[string]bool{"detect": true, "confirm": true, "annotate": true}
+	for _, tc := range []struct {
+		parallelism int
+		lazy        bool
+	}{{1, false}, {4, true}} {
 		reg := obs.New()
-		pipe := obsPipeline(t, parallelism, Config{Obs: reg})
+		pipe := obsPipeline(t, tc.parallelism, tc.lazy, Config{Obs: reg, ConfirmGlobalBGP: true})
 		const days = 2
 		for day := 0; day < days; day++ {
 			if _, err := pipe.RunDaily(day, false, DayOptions{}); err != nil {
@@ -54,69 +67,88 @@ func TestCensusSpansFormOneTreePerDay(t *testing.T) {
 		byID := make(map[uint64]obs.TraceSpan, len(spans))
 		for _, sp := range spans {
 			if sp.TraceID == 0 || sp.SpanID == 0 {
-				t.Fatalf("parallelism=%d: span %q has a zero ID: %+v", parallelism, sp.Name, sp)
+				t.Fatalf("%+v: span %q has a zero ID: %+v", tc, sp.Name, sp)
 			}
 			if _, dup := byID[sp.SpanID]; dup {
-				t.Fatalf("parallelism=%d: span ID %x recorded twice", parallelism, sp.SpanID)
+				t.Fatalf("%+v: span ID %x recorded twice", tc, sp.SpanID)
 			}
 			byID[sp.SpanID] = sp
 		}
-		roots := map[uint64]uint64{} // trace ID → its census span
+		// depth walks a span's ancestor chain to its parentless root.
+		depth := func(sp obs.TraceSpan) (int, obs.TraceSpan) {
+			n := 0
+			for sp.Parent != 0 {
+				parent, ok := byID[sp.Parent]
+				if !ok {
+					t.Fatalf("%+v: span %q names a parent that was never recorded", tc, sp.Name)
+				}
+				if parent.TraceID != sp.TraceID {
+					t.Fatalf("%+v: span %q and its parent %q are in different traces", tc, sp.Name, parent.Name)
+				}
+				sp, n = parent, n+1
+			}
+			return n, sp
+		}
+		roots := map[uint64]bool{}             // trace IDs with a census root
+		phases := map[uint64][]obs.TraceSpan{} // trace ID → its census span's children
 		stages, shards := 0, 0
 		widest := map[uint64]int{} // stage span → shard children
 		for _, sp := range spans {
-			if sp.Parent == 0 {
-				if sp.Name != "census" {
-					t.Fatalf("parallelism=%d: parentless span %q, want only census roots", parallelism, sp.Name)
+			d, root := depth(sp)
+			if root.Name != "census" {
+				t.Fatalf("%+v: span %q hangs under the parentless span %q, want only census roots", tc, sp.Name, root.Name)
+			}
+			if sp.Start.Before(root.Start) {
+				t.Fatalf("%+v: span %q starts before its census span", tc, sp.Name)
+			}
+			isShard := strings.HasPrefix(sp.Name, "shard")
+			switch d {
+			case 0:
+				if roots[sp.TraceID] {
+					t.Fatalf("%+v: trace %x has two roots", tc, sp.TraceID)
 				}
-				if _, dup := roots[sp.TraceID]; dup {
-					t.Fatalf("parallelism=%d: trace %x has two roots", parallelism, sp.TraceID)
-				}
-				roots[sp.TraceID] = sp.SpanID
-				continue
-			}
-			parent, ok := byID[sp.Parent]
-			if !ok {
-				t.Fatalf("parallelism=%d: span %q names a parent that was never recorded", parallelism, sp.Name)
-			}
-			if parent.TraceID != sp.TraceID {
-				t.Fatalf("parallelism=%d: span %q and its parent %q are in different traces", parallelism, sp.Name, parent.Name)
-			}
-			switch {
-			case parent.Parent == 0: // child of a census root: a stage
+				roots[sp.TraceID] = true
+			case 1:
+				phases[sp.TraceID] = append(phases[sp.TraceID], sp)
+			case 2:
 				stages++
-				if strings.HasPrefix(sp.Name, "shard") {
-					t.Fatalf("parallelism=%d: shard span %q hangs directly off the census span", parallelism, sp.Name)
+				if phase := byID[sp.Parent].Name; isShard || !stagePhases[phase] {
+					t.Fatalf("%+v: span %q under phase %q is not a stage span", tc, sp.Name, phase)
 				}
-			case byID[parent.Parent].Parent == 0: // grandchild: a shard
+			case 3:
 				shards++
 				widest[sp.Parent]++
-				if !strings.HasPrefix(sp.Name, "shard") {
-					t.Fatalf("parallelism=%d: span %q under stage %q is not a shard span", parallelism, sp.Name, parent.Name)
+				if !isShard {
+					t.Fatalf("%+v: span %q under stage %q is not a shard span", tc, sp.Name, byID[sp.Parent].Name)
 				}
 			default:
-				t.Fatalf("parallelism=%d: span %q sits below a shard span", parallelism, sp.Name)
+				t.Fatalf("%+v: span %q sits below a shard span", tc, sp.Name)
 			}
 		}
 		if len(roots) != days {
-			t.Fatalf("parallelism=%d: %d census trees for %d RunDaily calls", parallelism, len(roots), days)
+			t.Fatalf("%+v: %d census trees for %d RunDaily calls", tc, len(roots), days)
 		}
-		for _, sp := range spans {
-			if _, ok := roots[sp.TraceID]; !ok {
-				t.Fatalf("parallelism=%d: span %q belongs to a trace with no census root", parallelism, sp.Name)
+		for trace, got := range phases {
+			sort.SliceStable(got, func(i, j int) bool { return got[i].Start.Before(got[j].Start) })
+			var names []string
+			for _, sp := range got {
+				names = append(names, sp.Name)
+			}
+			if !reflect.DeepEqual(names, wantPhases) {
+				t.Fatalf("%+v: trace %x has phases %v, want %v", tc, trace, names, wantPhases)
 			}
 		}
 		// Three anycast stages, at least one GCD stage and the CHAOS
 		// stage per day, each with at least one shard.
 		if stages < 5*days || shards < stages {
-			t.Fatalf("parallelism=%d: %d stage / %d shard spans over %d days", parallelism, stages, shards, days)
+			t.Fatalf("%+v: %d stage / %d shard spans over %d days", tc, stages, shards, days)
 		}
 		most := 0
 		for _, n := range widest {
 			most = max(most, n)
 		}
-		if most != parallelism {
-			t.Fatalf("parallelism=%d: widest stage has %d shard spans", parallelism, most)
+		if most != tc.parallelism {
+			t.Fatalf("%+v: widest stage has %d shard spans", tc, most)
 		}
 	}
 }
@@ -128,7 +160,7 @@ func TestCensusSpansFormOneTreePerDay(t *testing.T) {
 func TestReconcileMismatchRecordedOnce(t *testing.T) {
 	reg := obs.New()
 	var sink bytes.Buffer
-	pipe := obsPipeline(t, 1, Config{Obs: reg, FlightSink: &sink})
+	pipe := obsPipeline(t, 1, false, Config{Obs: reg, FlightSink: &sink})
 	censusSpan := reg.StartTrace("census")
 	pipe.reportMismatch(censusSpan, 3, budget.Usage{Demanded: 10, Spent: 5, Skipped: 2})
 	censusSpan.End()

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/laces-project/laces/internal/gcdmeas"
-	"github.com/laces-project/laces/internal/igreedy"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/packet"
 	"github.com/laces-project/laces/internal/platform"
@@ -49,9 +48,7 @@ func (e *Env) EnumComparison() ([]EnumCompareRow, error) {
 		if tg == nil {
 			continue
 		}
-		rep := gcdmeas.Run(e.World, []int{tg.ID}, false, gcdmeas.Campaign{
-			VPs: vps, Proto: packet.ICMP, At: at, Analysis: igreedy.Options{},
-		})
+		rep := gcdmeas.Run(e.World, []int{tg.ID}, false, gcdmeas.Campaign{VPs: vps, Proto: packet.ICMP, At: at})
 		gcdSites := 0
 		if out, ok := rep.Outcomes[tg.ID]; ok && out.Result.Anycast {
 			gcdSites = out.Result.NumSites()

@@ -4,6 +4,16 @@
 // /32-granularity GCD_IPv4 sweep that uncovers partial anycast (§5.7).
 // The analysis itself lives in internal/igreedy; this package collects the
 // RTT samples from a VP pool and accounts probing cost.
+//
+// It also owns the §4.3 protocol rule, in Confirm: a target is measured
+// over ICMP when it answers ICMP, over TCP when it answers TCP but not
+// ICMP, and not at all otherwise — DNS is excluded because resolver
+// processing time jitters the RTTs the discs are drawn from. The ICMP
+// campaign runs first, so under a binding budget the ICMP targets are
+// admitted, in list order, before any TCP target is. The daily pipeline,
+// the GCD_LS sweep and the API's live measurement all go through Confirm;
+// Run is one campaign of it (and what the experiments that fix a protocol
+// call).
 package gcdmeas
 
 import (
@@ -29,14 +39,14 @@ const SweepStage = "gcd_sweep"
 
 // Campaign configures one latency measurement campaign.
 type Campaign struct {
-	VPs   []netsim.VP
-	Proto packet.Protocol // ICMP or TCP; DNS is excluded from GCD (§4.3)
+	VPs []netsim.VP
+	// Proto is the campaign's protocol, ICMP or TCP. Confirm sets it per
+	// the §4.3 rule and ignores the caller's value.
+	Proto packet.Protocol
 	At    time.Time
 	// Attempts per VP; the smallest RTT is kept (retries only shrink
 	// discs). Zero means 1.
 	Attempts int
-	// Analysis options (processing allowance, geolocation DB).
-	Analysis igreedy.Options
 	// Parallelism shards the target loop across this many goroutines
 	// (<= 0 means GOMAXPROCS, 1 is sequential); results are byte-identical
 	// at every worker count.
@@ -57,7 +67,9 @@ type Campaign struct {
 // TargetOutcome is the GCD result for one target.
 type TargetOutcome struct {
 	TargetID int
-	Result   igreedy.Result
+	// Proto is the protocol the target was measured with.
+	Proto  packet.Protocol
+	Result igreedy.Result
 	// VPs is the number of vantage points that obtained a sample; the
 	// census publishes it because it bounds enumeration quality (§4.4).
 	VPs int
@@ -84,8 +96,48 @@ func (r *Report) Anycast() map[int]bool {
 	return out
 }
 
-// Run measures the listed targets from every VP and analyses each with
-// iGreedy.
+// Confirm measures the listed targets under the §4.3 protocol rule (see
+// the package comment): one ICMP campaign over the ICMP-responsive ones,
+// then one TCP campaign over those answering TCP only, each in list
+// order; DNS-only, unresponsive and out-of-range IDs are left out. The
+// report is the two campaigns' merged — every outcome names its protocol.
+// Admission is order-sensitive by design (first come, first charged), so
+// callers present IDs in a reproducible order.
+func Confirm(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
+	var byProto [2][]int // indexed by packet.ICMP, packet.TCP
+	for _, id := range targetIDs {
+		if id < 0 || id >= w.NumTargets(v6) {
+			continue
+		}
+		switch tg := w.TargetAt(v6, id); {
+		case tg.Responsive[packet.ICMP]:
+			byProto[packet.ICMP] = append(byProto[packet.ICMP], id)
+		case tg.Responsive[packet.TCP]:
+			byProto[packet.TCP] = append(byProto[packet.TCP], id)
+		}
+	}
+	total := &Report{Outcomes: map[int]TargetOutcome{}}
+	for proto, ids := range byProto {
+		if len(ids) == 0 {
+			continue
+		}
+		c.Proto = packet.Protocol(proto)
+		rep := Run(w, ids, v6, c)
+		total.ProbesSent += rep.ProbesSent
+		total.Usage.Add(rep.Usage)
+		if len(total.Outcomes) == 0 {
+			total.Outcomes = rep.Outcomes // the ICMP campaign's map, typically most of the list
+			continue
+		}
+		for id, o := range rep.Outcomes {
+			total.Outcomes[id] = o
+		}
+	}
+	return total
+}
+
+// Run measures the listed targets from every VP with c.Proto and
+// analyses each with iGreedy.
 func Run(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
 	attempts := c.Attempts
 	if attempts < 1 {
@@ -128,7 +180,8 @@ func Run(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
 			}
 			sh.Out = append(sh.Out, TargetOutcome{
 				TargetID: tg.ID,
-				Result:   igreedy.Analyze(samples, c.Analysis),
+				Proto:    c.Proto,
+				Result:   igreedy.Analyze(samples, igreedy.Options{}),
 				VPs:      len(samples),
 			})
 		}
@@ -215,7 +268,7 @@ func SweepAddrs(w *netsim.World, targetIDs []int, v6 bool, offsets []uint8, c Ca
 				if len(samples) < 2 {
 					continue
 				}
-				if igreedy.Detect(samples, c.Analysis) {
+				if igreedy.Detect(samples, igreedy.Options{}) {
 					if off == rep {
 						o.RepresentativeAnycast = true
 					} else {

@@ -33,6 +33,11 @@ type Entry struct {
 	Protocols [3]bool
 }
 
+// EntryOf is the row a target makes on any list that carries it.
+func EntryOf(tg *netsim.Target) Entry {
+	return Entry{TargetID: tg.ID, Prefix: tg.Prefix, Addr: tg.Addr, Protocols: tg.Responsive}
+}
+
 // Hitlist is an ordered set of entries for one address family.
 type Hitlist struct {
 	V6      bool
@@ -65,12 +70,7 @@ func ForDay(w *netsim.World, v6 bool, day int) *Hitlist {
 			if tg.HitlistFromDay > h.Day || tg.Responsive == ([3]bool{}) {
 				continue
 			}
-			h.Entries = append(h.Entries, Entry{
-				TargetID:  tg.ID,
-				Prefix:    tg.Prefix,
-				Addr:      tg.Addr,
-				Protocols: tg.Responsive,
-			})
+			h.Entries = append(h.Entries, EntryOf(tg))
 		}
 		return true
 	})

@@ -62,11 +62,11 @@ type Options struct {
 	// MeasurementID seeds flow headers; runs with the same ID share flow
 	// hashing.
 	MeasurementID uint16
-	// MissingWorkers marks deployment sites that are disconnected for the
-	// duration of the run (failure awareness, §4.2.3: the measurement is
-	// completed by the remaining workers). Only in-range true entries
-	// count; out-of-range indices and false values are ignored.
-	MissingWorkers map[int]bool
+	// MissingWorkers is the mask of deployment sites (bit i = site i) that
+	// are disconnected for the duration of the run (failure awareness,
+	// §4.2.3: the measurement is completed by the remaining workers, which
+	// Result.Workers counts). Bits beyond the deployment are ignored.
+	MissingWorkers uint64
 	// Parallelism shards the target loop across this many goroutines
 	// (<= 0 means GOMAXPROCS, 1 is sequential). The result is
 	// byte-identical at every worker count: shards are contiguous hitlist
@@ -173,7 +173,7 @@ func Run(w *netsim.World, d *netsim.Deployment, hl *hitlist.Hitlist, opts Option
 	if err != nil {
 		return nil, fmt.Errorf("manycast: %w", err)
 	}
-	missing := missingMask(d.NumSites(), opts.MissingWorkers)
+	missing := opts.MissingWorkers & (1<<uint(d.NumSites()) - 1)
 	res := &Result{
 		Deployment: d.Name,
 		Protocol:   opts.Protocol,
@@ -213,33 +213,6 @@ func Run(w *netsim.World, d *netsim.Deployment, hl *hitlist.Hitlist, opts Option
 	res.Observations, res.ProbesSent = sum.Out, sum.Probes
 	res.Duration = pacer.Duration(admitted, d.NumSites())
 	return res, nil
-}
-
-// CountParticipants returns the number of deployment sites taking part in
-// a measurement: numSites minus the entries of missing that are both true
-// and a valid site index. Out-of-range indices and explicit false values
-// must not reduce the count — a map carrying them previously miscounted
-// participants and fired spurious few-workers alerts.
-func CountParticipants(numSites int, missing map[int]bool) int {
-	n := numSites
-	for wk, dead := range missing {
-		if dead && wk >= 0 && wk < numSites {
-			n--
-		}
-	}
-	return n
-}
-
-// missingMask resolves Options.MissingWorkers to the train's bitmask
-// under CountParticipants' rule (numSites ≤ 64).
-func missingMask(numSites int, missing map[int]bool) uint64 {
-	var m uint64
-	for wk, dead := range missing {
-		if dead && wk >= 0 && wk < numSites {
-			m |= 1 << uint(wk)
-		}
-	}
-	return m
 }
 
 // MultiProtocol runs one measurement per protocol and returns them keyed

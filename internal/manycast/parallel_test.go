@@ -38,7 +38,7 @@ func TestRunParallelByteIdentical(t *testing.T) {
 func TestRunParallelWithMissingWorkers(t *testing.T) {
 	d := tangled(t)
 	opts := baseOpts()
-	opts.MissingWorkers = map[int]bool{2: true, 17: true}
+	opts.MissingWorkers = 1<<2 | 1<<17
 	opts.Parallelism = 1
 	seq, err := Run(testWorld, d, testHL, opts)
 	if err != nil {
@@ -54,34 +54,12 @@ func TestRunParallelWithMissingWorkers(t *testing.T) {
 	}
 }
 
-// TestCountParticipants pins the accounting fix: only in-range true
-// entries reduce the participant count.
-func TestCountParticipants(t *testing.T) {
-	cases := []struct {
-		name    string
-		sites   int
-		missing map[int]bool
-		want    int
-	}{
-		{"nil map", 32, nil, 32},
-		{"one outage", 32, map[int]bool{4: true}, 31},
-		{"false entry ignored", 32, map[int]bool{4: false}, 32},
-		{"out of range ignored", 32, map[int]bool{32: true, -1: true, 999: true}, 32},
-		{"mixed", 32, map[int]bool{0: true, 31: true, 12: false, 50: true}, 30},
-	}
-	for _, c := range cases {
-		if got := CountParticipants(c.sites, c.missing); got != c.want {
-			t.Errorf("%s: CountParticipants(%d, %v) = %d, want %d", c.name, c.sites, c.missing, got, c.want)
-		}
-	}
-}
-
-// TestResultWorkersIgnoresBogusMissingEntries exercises the fix through
-// Run itself.
+// TestResultWorkersIgnoresBogusMissingEntries: mask bits beyond the
+// deployment's sites do not reduce the participant count.
 func TestResultWorkersIgnoresBogusMissingEntries(t *testing.T) {
 	d := tangled(t)
 	opts := baseOpts()
-	opts.MissingWorkers = map[int]bool{100: true, 5: false}
+	opts.MissingWorkers = 1<<40 | 1<<63
 	res, err := Run(testWorld, d, testHL, opts)
 	if err != nil {
 		t.Fatal(err)

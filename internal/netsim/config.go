@@ -127,10 +127,6 @@ type Config struct {
 	// loop").
 	V6GrowthPerQuarter float64
 
-	// EpochSeconds is the route-churn epoch length: preferred paths only
-	// change across epoch boundaries.
-	EpochSeconds int
-
 	// RateLimitFrac is the fraction of targets applying ICMP rate
 	// limiting when probes arrive closer than RateLimitGapMS apart (R1:
 	// probe spacing avoids rate limiting).
@@ -181,7 +177,6 @@ func DefaultConfig() Config {
 		V6DNS:       0.005,
 
 		V6GrowthPerQuarter: 0.08,
-		EpochSeconds:       60,
 		RateLimitFrac:      0.02,
 		RateLimitGapMS:     20,
 

@@ -1,8 +1,8 @@
 // Package obs is the census telemetry core: dependency-free counters,
 // gauges and fixed-bucket histograms with atomic updates, one span model
-// (census → stage → shard in-process, CLI → orchestrator → worker across
-// wire frames), one bounded structured-event log (the flight recorder),
-// Prometheus text exposition and a JSON Snapshot.
+// (census → phase → stage → shard in-process, CLI → orchestrator → worker
+// across wire frames), one bounded structured-event log (the flight
+// recorder), Prometheus text exposition and a JSON Snapshot.
 //
 // The design contract mirrors internal/netsim's Impairer hook: hot-path
 // instrumentation must be zero-alloc, and a disabled registry must

@@ -538,7 +538,7 @@ func NewObsRegistry() *ObsRegistry { return obs.New() }
 func ReadObsSnapshot(r io.Reader) (*ObsSnapshot, error) { return obs.ReadSnapshot(r) }
 
 // Span and event types — the one span model and one event log every
-// layer shares. A census day is one trace (census → stage → shard
+// layer shares. A census day is one trace (census → phase → stage → shard
 // spans); on the fabric, trace contexts minted by the CLI propagate
 // through every wire frame, the orchestrator and workers parent their
 // spans on them, and the assembled cross-process trace exports as JSONL
