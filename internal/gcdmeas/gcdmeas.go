@@ -149,30 +149,22 @@ func Run(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
 	rtts := c.Obs.Histogram("laces_gcd_rtt_seconds",
 		"Best per-VP RTT samples collected by the GCD stage.", nil)
 
-	// One admitted target: up to `attempts` probes from every VP (the
-	// worst case is what the gate charges), the best RTT per VP kept in
-	// the shard's sample buffer and analysed with iGreedy.
+	// One admitted target: one fan of up to `attempts` probes from every VP
+	// (the worst case is what the gate charges), the best RTT per VP kept
+	// in the shard's sample buffer and analysed with iGreedy.
+	vps := netsim.NewVPTable(c.VPs)
 	measure := func(sh *par.Shard[TargetOutcome]) func(int, *netsim.Target) {
 		samples := make([]igreedy.Sample, 0, len(c.VPs))
+		best := make([]time.Duration, len(c.VPs))
 		return func(_ int, tg *netsim.Target) {
+			probes, replies := w.UnicastFan(vps, tg, c.Proto, c.At, attempts, best)
+			sh.Probes += int64(probes)
+			sh.Replies += int64(replies)
 			samples = samples[:0]
-			for _, vp := range c.VPs {
-				bestSet := false
-				var best time.Duration
-				for a := 0; a < attempts; a++ {
-					sh.Probes++
-					rtt, _, ok := w.ProbeUnicast(vp, tg, c.Proto, c.At, uint64(a))
-					if !ok {
-						break // unresponsive targets never answer any attempt
-					}
-					sh.Replies++
-					if !bestSet || rtt < best {
-						best, bestSet = rtt, true
-					}
-				}
-				if bestSet {
-					rtts.Observe(best.Seconds())
-					samples = append(samples, igreedy.Sample{VP: vp.Name, Loc: vp.Loc, RTT: best})
+			for i, rtt := range best {
+				if rtt != 0 {
+					rtts.Observe(rtt.Seconds())
+					samples = append(samples, igreedy.Sample{VP: c.VPs[i].Name, Loc: c.VPs[i].Loc, RTT: rtt})
 				}
 			}
 			if len(samples) == 0 {
@@ -247,6 +239,7 @@ func SweepAddrs(w *netsim.World, targetIDs []int, v6 bool, offsets []uint8, c Ca
 		}
 		return int64(addrs) * int64(len(c.VPs))
 	}
+	vps := netsim.NewVPTable(c.VPs)
 	sweep := func(sh *par.Shard[AddrSweepOutcome]) func(int, *netsim.Target) {
 		samples := make([]igreedy.Sample, 0, len(c.VPs))
 		offs := make([]uint8, 0, len(offsets)+1)
@@ -256,9 +249,9 @@ func SweepAddrs(w *netsim.World, targetIDs []int, v6 bool, offsets []uint8, c Ca
 			offs = dedupeOffsets(offs[:0], offsets, rep)
 			for _, off := range offs {
 				samples = samples[:0]
-				for _, vp := range c.VPs {
+				for i, vp := range c.VPs {
 					sh.Probes++
-					rtt, _, ok := w.ProbeUnicastAddr(vp, tg, off, c.Proto, c.At, uint64(off))
+					rtt, _, ok := w.ProbeAddrFrom(vps, i, tg, off, c.Proto, c.At, uint64(off))
 					if !ok {
 						continue
 					}

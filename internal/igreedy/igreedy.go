@@ -22,7 +22,10 @@
 // every containment, overlap and city test after that is a few
 // multiplications whose decision equals the haversine comparison's (see
 // package geo). The discs are sorted by radius once and the enumeration
-// walks that order. Working memory is pooled, so a call allocates only the
+// walks that order — except when the certificate held and the smallest
+// disc is unique and overlaps every other one: the enumeration is then
+// that disc alone, and neither the sort nor the walk runs (scratch.alone).
+// Working memory is pooled, so a call allocates only the
 // Result it returns. The analysis as it stood on haversine is kept in
 // reference_test.go and every Result is held to it.
 package igreedy
@@ -189,7 +192,8 @@ func (sc *scratch) sortByRadius() {
 
 // detect returns whether a violation exists and, if so, one disjoint pair.
 // When it had to look for one it leaves sc.order sorted for the
-// enumeration to reuse.
+// enumeration to reuse; when the common-point certificate settled it, it
+// returns the smallest disc as its first index and leaves sc.order empty.
 func (sc *scratch) detect() (bool, int32, int32) {
 	discs := sc.discs
 	if len(discs) < 2 {
@@ -212,7 +216,7 @@ func (sc *scratch) detect() (bool, int32, int32) {
 		}
 	}
 	if all {
-		return false, 0, 0
+		return false, int32(m), 0
 	}
 	// Pairwise scan in ascending radius order: small discs are the most
 	// discriminating, so true violations exit early.
@@ -249,26 +253,45 @@ func (sc *scratch) pickDisjoint(skip1, skip2 int32) {
 	}
 }
 
+// alone reports whether disc m is strictly the smallest and overlaps
+// every other disc — the usual unicast outcome of the common-point
+// certificate. The greedy enumeration is then {m} alone: sorted first,
+// m is picked first, and no other disc is disjoint from it. The overlap
+// test is pickDisjoint's own, so the shortcut returns what the sort and
+// the walk would, by construction; a tied minimum takes the sort, whose
+// order among equal radii decides which disc comes first.
+func (sc *scratch) alone(m int32) bool {
+	dm := &sc.discs[m]
+	for i := range sc.discs {
+		if int32(i) != m && (sc.discs[i].RadiusKm <= dm.RadiusKm || !sc.discs[i].Overlaps(&dm.Cap)) {
+			return false
+		}
+	}
+	return true
+}
+
 // Analyze runs detection, enumeration and geolocation on the samples.
 func Analyze(samples []Sample, opts Options) Result {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.build(samples, opts)
-	discs := sc.discs
-	res := Result{Samples: len(discs)}
-	if len(discs) == 0 {
+	res := Result{Samples: len(sc.discs)}
+	if len(sc.discs) == 0 {
 		return res
 	}
 	anycast, vi, vj := sc.detect()
 	res.Anycast = anycast
-	if len(sc.order) == 0 {
-		sc.sortByRadius()
+	if len(sc.order) == 0 && sc.alone(vi) {
+		sc.picked = append(sc.picked, vi) // the greedy answer without the sort
+	} else {
+		if len(sc.order) == 0 {
+			sc.sortByRadius()
+		}
+		// Greedy maximum-independent-set approximation: repeatedly take
+		// the smallest disc disjoint from everything taken. Each taken disc
+		// is a distinct site (two disjoint discs cannot share a host).
+		sc.pickDisjoint(-1, -1)
 	}
-
-	// Greedy maximum-independent-set approximation: repeatedly take the
-	// smallest disc disjoint from everything taken. Each taken disc is a
-	// distinct site (two disjoint discs cannot share a host).
-	sc.pickDisjoint(-1, -1)
 	// Greedy maximality does not guarantee it realises a known violation
 	// (the witness pair can both overlap an earlier pick); if that
 	// happens, rebuild the set seeded with the witness pair so the result
@@ -278,20 +301,28 @@ func Analyze(samples []Sample, opts Options) Result {
 		sc.pickDisjoint(vi, vj)
 	}
 
+	res.Sites = sc.sites(opts)
+	return res
+}
+
+// sites geolocates the enumeration in sc.picked: each disc to the most
+// populous city inside it.
+func (sc *scratch) sites(opts Options) []Site {
 	db := opts.db()
-	res.Sites = make([]Site, 0, len(sc.picked))
+	out := make([]Site, 0, len(sc.picked))
 	for _, i := range sc.picked {
-		s := Site{VP: discs[i].vp, Disc: discs[i].Disc}
-		if c, ok := db.HighestPopulationInCap(&discs[i].Cap); ok {
+		d := &sc.discs[i]
+		s := Site{VP: d.vp, Disc: d.Disc}
+		if c, ok := db.HighestPopulationInCap(&d.Cap); ok {
 			s.City, s.CityOK = c, true
-		} else if c, _, ok := db.Nearest(discs[i].Center); ok {
+		} else if c, _, ok := db.Nearest(d.Center); ok {
 			// No city inside the disc (tiny disc in a remote area):
 			// fall back to the nearest city to the VP.
 			s.City, s.CityOK = c, false
 		}
-		res.Sites = append(res.Sites, s)
+		out = append(out, s)
 	}
-	return res
+	return out
 }
 
 // DetectNaive is the reference O(n²) detector without the common-point

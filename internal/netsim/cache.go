@@ -1,16 +1,20 @@
 package netsim
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// The two memoised routing primitives (reply catchment and target
-// catchment) used to share one global mutex, which became the contention
-// ceiling once the census loops were sharded across cores: every probe
-// takes both caches at least once. The caches are now split into 64
-// hash-indexed shards, each with its own RWMutex — readers of a warm cache
-// only ever take a read lock on one shard, so concurrent probing scales
-// near-linearly. Cached values are pure functions of their key and the
-// world seed, so a racing duplicate computation writes the same bytes and
-// determinism is unaffected.
+// The two memoised routing primitives. Reply catchments live in a map
+// split into 64 hash-indexed shards, each with its own RWMutex, so readers
+// of a warm cache only ever take a read lock on one shard and concurrent
+// probing scales near-linearly. Target catchments are one dense row per
+// multi-site target, one atomic entry per city: a target finds its row
+// with one sharded lookup (once per probe train or GCD fan), and each
+// entry is filled the first time a packet from that city is routed. Both
+// hold pure functions of their key and the world seed, so a racing
+// duplicate computation writes the same value and determinism is
+// unaffected.
 
 const (
 	cacheShardBits = 6
@@ -20,13 +24,18 @@ const (
 type routingShard struct {
 	mu    sync.RWMutex
 	reply map[replyKey]replyVal
-	site  map[siteKey]uint16
+	rows  map[uint64]siteRow
 }
+
+// siteRow holds one multi-site target's target catchments: entry c is 1 +
+// the index of the site a packet from city c reaches, 0 until resolved.
+type siteRow []atomic.Uint32
 
 // routingCache is the sharded memoisation store embedded in World.
 // tel, when installed via World.SetTelemetry, receives hit/miss
-// accounting: one packed striped add per lookup of either cache. Counting
-// never changes what a lookup returns.
+// accounting: one packed striped add per reply-catchment lookup, and one
+// per probe, train or GCD fan for the row entries it resolved (siteCount).
+// Counting never changes what a lookup returns.
 type routingCache struct {
 	shards [numCacheShards]routingShard
 	tel    *Telemetry
@@ -36,17 +45,17 @@ type routingCache struct {
 func (c *routingCache) init() {
 	for i := range c.shards {
 		c.shards[i].reply = make(map[replyKey]replyVal)
-		c.shards[i].site = make(map[siteKey]uint16)
+		c.shards[i].rows = make(map[uint64]siteRow)
 	}
 }
 
-// reset drops every cached entry (test/ablation hook).
+// reset drops every cached entry, rows included (test/ablation hook).
 func (c *routingCache) reset() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.reply = make(map[replyKey]replyVal)
-		sh.site = make(map[siteKey]uint16)
+		sh.rows = make(map[uint64]siteRow)
 		sh.mu.Unlock()
 	}
 }
@@ -73,14 +82,6 @@ func (c *routingCache) replyShard(k replyKey) *routingShard {
 	return c.shardOf(k.salt ^ uint64(k.asn)<<32 ^ uint64(uint32(k.city)))
 }
 
-func (c *routingCache) siteShard(k siteKey) *routingShard {
-	h := uint64(uint32(k.tgID))<<32 ^ uint64(uint32(k.city))
-	if k.v6 {
-		h ^= 1 << 63
-	}
-	return c.shardOf(h)
-}
-
 // lookupReply returns the cached reply catchment for k, if present.
 func (c *routingCache) lookupReply(k replyKey) (replyVal, bool) {
 	sh := c.replyShard(k)
@@ -101,22 +102,21 @@ func (c *routingCache) storeReply(k replyKey, v replyVal) {
 	sh.mu.Unlock()
 }
 
-// lookupSite returns the cached target-catchment site for k, if present.
-func (c *routingCache) lookupSite(k siteKey) (uint16, bool) {
-	sh := c.siteShard(k)
+// row returns the catchment row stored under key (a target's family and
+// ID), creating an empty one of n entries on first use.
+func (c *routingCache) row(key uint64, n int) siteRow {
+	sh := c.shardOf(key)
 	sh.mu.RLock()
-	v, ok := sh.site[k]
+	r := sh.rows[key]
 	sh.mu.RUnlock()
-	if t := c.tel; t != nil {
-		countLookup(&t.cacheSite, uint64(uint32(k.tgID)), ok)
+	if r != nil {
+		return r
 	}
-	return v, ok
-}
-
-// storeSite memoises a computed target-catchment site.
-func (c *routingCache) storeSite(k siteKey, v uint16) {
-	sh := c.siteShard(k)
 	sh.mu.Lock()
-	sh.site[k] = v
+	if r = sh.rows[key]; r == nil {
+		r = make(siteRow, n)
+		sh.rows[key] = r
+	}
 	sh.mu.Unlock()
+	return r
 }

@@ -1,10 +1,13 @@
 package netsim
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/laces-project/laces/internal/cities"
 	"github.com/laces-project/laces/internal/packet"
 )
 
@@ -31,7 +34,7 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 		}
 	}
 
-	// Sequential pass on a cold cache.
+	// Sequential pass on a cold cache, probes then fans.
 	testWorld.cache.reset()
 	type probeRes struct {
 		del Delivery
@@ -45,13 +48,17 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 			seq[id*nWorkers+wk] = probeRes{del, ok}
 		}
 	}
+	fans := fanVPs(t, testWorld)
+	seqFans := runFans(testWorld, fans, nTargets, 0, at)
 
 	// Concurrent pass on a cold cache: one goroutine per worker index, all
-	// sweeping the same targets so cache keys collide across goroutines.
+	// sweeping the same targets so cache keys collide across goroutines,
+	// and two GCD fans racing them for the same target-catchment rows.
 	testWorld.cache.reset()
 	conc := make([]probeRes, nTargets*nWorkers)
+	var concFans [2][][]time.Duration
 	var wg sync.WaitGroup
-	wg.Add(nWorkers)
+	wg.Add(nWorkers + len(concFans))
 	for wk := 0; wk < nWorkers; wk++ {
 		go func(wk int) {
 			defer wg.Done()
@@ -62,7 +69,18 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 			}
 		}(wk)
 	}
+	for g := range concFans {
+		go func(g int) {
+			defer wg.Done()
+			concFans[g] = runFans(testWorld, fans, nTargets, g*nTargets/2, at)
+		}(g)
+	}
 	wg.Wait()
+	for g := range concFans {
+		if !reflect.DeepEqual(concFans[g], seqFans) {
+			t.Fatalf("fan goroutine %d: RTTs differ from the sequential fans", g)
+		}
+	}
 
 	for i := range seq {
 		if seq[i] != conc[i] {
@@ -71,8 +89,8 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 	}
 }
 
-// TestConcurrentUnicastProbes covers the GCD probe path (targetSite cache)
-// under concurrency.
+// TestConcurrentUnicastProbes covers the GCD probe path (target-catchment
+// rows) under concurrency, single probes and whole fans.
 func TestConcurrentUnicastProbes(t *testing.T) {
 	vp, err := testWorld.NewVP("probe-vp", "Amsterdam", 0)
 	if err != nil {
@@ -117,4 +135,53 @@ func TestConcurrentUnicastProbes(t *testing.T) {
 			t.Fatalf("target %d: sequential %+v vs concurrent %+v", id, seq[id], conc[id])
 		}
 	}
+
+	// Racing fans on cold rows: every goroutine fans over every target from
+	// its own starting point, so row creation and entry fills collide.
+	fans := fanVPs(t, testWorld)
+	testWorld.cache.reset()
+	want := runFans(testWorld, fans, nTargets, 0, at)
+	testWorld.cache.reset()
+	var got [goroutines][][]time.Duration
+	wg.Add(goroutines)
+	for g := range got {
+		go func(g int) {
+			defer wg.Done()
+			got[g] = runFans(testWorld, fans, nTargets, g*nTargets/goroutines, at)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("fan goroutine %d: RTTs differ from the sequential fans", g)
+		}
+	}
+}
+
+// fanVPs is a GCD campaign's table for the concurrency tests: two monitors
+// in each of eight metros.
+func fanVPs(t *testing.T, w *World) *VPTable {
+	t.Helper()
+	var vps []VP
+	for i, city := range cities.VultrMetros()[:8] {
+		vp, err := w.NewVP(fmt.Sprintf("race-%d", i), city, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vps = append(vps, vp, vp)
+	}
+	return NewVPTable(vps)
+}
+
+// runFans fans ICMP with two attempts over the first n IPv4 targets,
+// starting at target `from` and wrapping around, and returns each
+// target's best RTTs by ID.
+func runFans(w *World, vps *VPTable, n, from int, at time.Time) [][]time.Duration {
+	out := make([][]time.Duration, n)
+	for k := 0; k < n; k++ {
+		id := (from + k) % n
+		out[id] = make([]time.Duration, vps.Len())
+		w.UnicastFan(vps, &w.TargetsV4[id], packet.ICMP, at, 2, out[id])
+	}
+	return out
 }

@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"github.com/laces-project/laces/internal/cities"
 	"github.com/laces-project/laces/internal/packet"
 )
 
@@ -158,6 +160,42 @@ func TestProbeHotPathNoAllocs(t *testing.T) {
 		t.Fatalf("warm anycast probe allocates %.1f objects per run, want 0", allocs)
 	}
 	assertTrainsNoAllocs(t, w, d, ctx, "clean")
+	assertFansNoAllocs(t, w, "clean")
+}
+
+// assertFansNoAllocs extends a probe hot-path guard to UnicastFan: a warm
+// fan, to a target answered from a per-VP site and to a unicast one,
+// allocates nothing.
+func assertFansNoAllocs(t *testing.T, w *World, label string) {
+	t.Helper()
+	var vps []VP
+	for i, city := range cities.VultrMetros()[:8] {
+		vp, err := w.NewVP(fmt.Sprintf("fan-%d", i), city, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vps = append(vps, vp, vp) // two monitors per metro share a row entry
+	}
+	tab := NewVPTable(vps)
+	best := make([]time.Duration, tab.Len())
+	targets := map[TargetKind]*Target{Anycast: nil, Unicast: nil}
+	for i := range w.TargetsV4 {
+		tg := &w.TargetsV4[i]
+		if k := tg.KindAt(3); tg.Responsive[packet.ICMP] && targets[k] == nil {
+			if _, want := targets[k]; want {
+				targets[k] = tg
+			}
+		}
+	}
+	for kind, tg := range targets {
+		if tg == nil {
+			t.Fatalf("world lacks an ICMP-responsive %v target", kind)
+		}
+		w.UnicastFan(tab, tg, packet.ICMP, DayTime(3), 2, best) // warm the row
+		if allocs := testing.AllocsPerRun(200, func() { w.UnicastFan(tab, tg, packet.ICMP, DayTime(3), 2, best) }); allocs != 0 {
+			t.Fatalf("%s warm fan to a %v target allocates %.1f objects per run, want 0", label, kind, allocs)
+		}
+	}
 }
 
 // assertTrainsNoAllocs extends a probe hot-path guard to AnycastTrain,

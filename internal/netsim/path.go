@@ -50,7 +50,7 @@ const maxTransitHops = 4
 // target's responder for that source on census day `day`. The final hop
 // has Dest set; it is absent when the target would not respond to the
 // path's probes at all.
-func (w *World) ForwardPath(srcCity int, tg *Target, at time.Time, v6 bool) []Hop {
+func (w *World) ForwardPath(srcCity int, tg *Target, at time.Time) []Hop {
 	day := DayOf(at)
 	var hops []Hop
 	add := func(h Hop) { hops = append(hops, h) }
@@ -92,13 +92,13 @@ func (w *World) ForwardPath(srcCity int, tg *Target, at time.Time, v6 bool) []Ho
 
 	switch tg.KindAt(day) {
 	case Anycast:
-		site := w.targetSite(tg, srcCity, v6)
+		site := w.targetSite(tg, srcCity)
 		siteCity := tg.Sites[site].CityIdx
 		appendTransit(srcCity, siteCity)
 		add(popHop(siteCity))
 		add(destHop(siteCity))
 	case GlobalUnicast:
-		ingress := w.targetSite(tg, srcCity, v6)
+		ingress := w.targetSite(tg, srcCity)
 		ingressCity := tg.Sites[ingress].CityIdx
 		appendTransit(srcCity, ingressCity)
 		add(popHop(ingressCity))
@@ -127,15 +127,14 @@ func (w *World) ForwardPath(srcCity int, tg *Target, at time.Time, v6 bool) []Ho
 // anycast mechanism of §6: a filtering VP's packets follow the covering
 // anycast announcement to the nearest PoP).
 func (w *World) TracePath(vp VP, tg *Target, at time.Time) []Hop {
-	v6 := isV6(tg)
 	if tg.Kind == BackingAnycast && vp.FiltersSpecifics {
 		// The responder is the nearest backing PoP, not the covered
 		// server: route the trace as if the target were plainly anycast.
 		shadow := *tg
 		shadow.Kind = Anycast
-		return w.ForwardPath(vp.CityIdx, &shadow, at, v6)
+		return w.ForwardPath(vp.CityIdx, &shadow, at)
 	}
-	return w.ForwardPath(vp.CityIdx, tg, at, v6)
+	return w.ForwardPath(vp.CityIdx, tg, at)
 }
 
 // detourCity picks the router metro for an interpolation point at fraction

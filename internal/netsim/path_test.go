@@ -126,7 +126,7 @@ func TestForwardPathAnycastEndsAtCatchmentSite(t *testing.T) {
 	}
 	at := DayTime(5)
 	hops := testWorld.TracePath(vp, tg, at)
-	want := tg.Sites[testWorld.targetSite(tg, vp.CityIdx, false)].CityIdx
+	want := tg.Sites[testWorld.targetSite(tg, vp.CityIdx)].CityIdx
 	last := hops[len(hops)-1]
 	if !last.Dest || last.CityIdx != want {
 		t.Fatalf("anycast trace ends at city %d, catchment site is %d", last.CityIdx, want)
@@ -208,7 +208,7 @@ func TestTracePathBackingAnycastFilteringVP(t *testing.T) {
 	if pEnd.CityIdx != tg.CityIdx {
 		t.Fatalf("non-filtering VP should reach the covered server at %d, got %d", tg.CityIdx, pEnd.CityIdx)
 	}
-	wantSite := tg.Sites[testWorld.targetSite(tg, filtering.CityIdx, true)].CityIdx
+	wantSite := tg.Sites[testWorld.targetSite(tg, filtering.CityIdx)].CityIdx
 	if fEnd.CityIdx != wantSite {
 		t.Fatalf("filtering VP should be caught by backing PoP %d, got %d", wantSite, fEnd.CityIdx)
 	}

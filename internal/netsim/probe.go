@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
@@ -29,19 +30,20 @@ const kmPerMs = 200.0
 //
 //laces:hotpath called once per simulated probe
 func (w *World) rttOverDistance(distKm float64, key uint64, proto packet.Protocol, seq uint64) time.Duration {
-	stretch := 1.15 + 0.45*unitFloat(mix(w.seed, key, 0x4717))
+	k := mix(w.seed, key)
+	stretch := 1.15 + 0.45*unitFloat(mixFrom(k, 0x4717))
 	ms := 2 * distKm * stretch / kmPerMs
 	switch proto {
 	case packet.ICMP:
-		ms += 0.15 + 1.2*unitFloat(mix(w.seed, key, seq, 0x1))
+		ms += 0.15 + 1.2*unitFloat(mixFrom(k, seq, 0x1))
 	case packet.TCP:
-		ms += 0.2 + 1.6*unitFloat(mix(w.seed, key, seq, 0x2))
+		ms += 0.2 + 1.6*unitFloat(mixFrom(k, seq, 0x2))
 	case packet.DNS:
 		// DNS request processing adds enough jitter that the paper
 		// excludes DNS from GCD measurements (§4.3).
-		ms += 2 + 24*unitFloat(mix(w.seed, key, seq, 0x3))
+		ms += 2 + 24*unitFloat(mixFrom(k, seq, 0x3))
 	}
-	ms += 0.7 * unitFloat(mix(w.seed, key, seq, 0x9))
+	ms += 0.7 * unitFloat(mixFrom(k, seq, 0x9))
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
@@ -70,6 +72,7 @@ func (w *World) probeAnycast(d *Deployment, worker int, tg *Target, ctx ProbeCtx
 	}
 	var p anycastPlan
 	recv, site, extraRTT, ok := w.stepAnycast(&p, d, worker, tg, &ctx)
+	w.countSites(tg, p.sites)
 	if !ok {
 		return Delivery{}, false
 	}
@@ -126,7 +129,7 @@ func (w *World) stepAnycast(p *anycastPlan, d *Deployment, worker int, tg *Targe
 	workerCity := d.Sites[worker].CityIdx
 	switch p.kind {
 	case Anycast:
-		site = w.targetSite(tg, workerCity, isV6(tg))
+		site = w.siteIn(p.row, tg, workerCity, &p.sites)
 		v := w.replyCatchment(d, tg.Origin, tg.Sites[site].CityIdx)
 		return w.receive(p, d, tg, v, worker, varying, at), site, extraRTT, true
 	case GlobalUnicast:
@@ -135,7 +138,7 @@ func (w *World) stepAnycast(p *anycastPlan, d *Deployment, worker int, tg *Targe
 		// edges near the ingress. Distinct workers therefore surface at a
 		// small number (2–3) of VPs — the paper's Microsoft ℳ pattern
 		// (§5.1.3, Table 2).
-		site = w.targetSite(tg, workerCity, isV6(tg))
+		site = w.siteIn(p.row, tg, workerCity, &p.sites)
 		v := w.replyCatchment(d, tg.Origin, w.egressEdge(tg, workerCity, p.day))
 		return w.receive(p, d, tg, v, worker, varying, at), site, extraRTT, true
 	default:
@@ -212,24 +215,106 @@ func (w *World) anycastTrain(d *Deployment, tg *Target, tr Train, sending uint64
 			recv |= 1 << uint(r)
 		}
 	}
+	w.countSites(tg, p.sites)
 	return recv, replies
+}
+
+// VPTable is a GCD campaign's vantage points resolved once for all its
+// targets: each VP with its identity hash, the key of its per-day loss draw
+// and of its RTTs. Build one per campaign with NewVPTable; it is read-only
+// after that, so a campaign's shards share it.
+type VPTable struct {
+	vps  []VP
+	hash []uint64 // hashString(vps[i].Name)
+}
+
+// NewVPTable builds the table of a campaign's VPs, in order: VP i of the
+// table is vps[i].
+func NewVPTable(vps []VP) *VPTable {
+	t := &VPTable{vps: slices.Clone(vps), hash: make([]uint64, len(vps))}
+	for i := range vps {
+		t.hash[i] = hashString(vps[i].Name)
+	}
+	return t
+}
+
+// Len returns the number of VPs in the table.
+func (t *VPTable) Len() int { return len(t.vps) }
+
+// UnicastFan probes tg from every VP of the table the way the GCD stage
+// does: up to `attempts` probes per VP (fewer than 1 means 1), stopping at
+// a VP's first unanswered probe, since one that goes unanswered on a day
+// stays unanswered. It writes each VP's smallest RTT to best[i] — 0 for a
+// VP without a reply; a modelled RTT is at least 0.15 ms — and returns the
+// probes sent and the replies received. It is the fold of one ProbeUnicast
+// per VP and attempt under that rule, with what those probes share —
+// responsiveness, the day and the target's kind on it, its catchment row —
+// resolved once. best must hold at least t.Len() entries.
+func (w *World) UnicastFan(t *VPTable, tg *Target, proto packet.Protocol, at time.Time, attempts int, best []time.Duration) (probes, replies int) {
+	var p unicastPlan
+	probes, replies = w.unicastFan(&p, t, tg, proto, at, max(attempts, 1), best[:len(t.vps)])
+	if tel := w.tel; tel != nil {
+		tel.unicast.Add(uint64(tg.ID), int64(probes)+int64(replies)*telReply)
+	}
+	w.countSites(tg, p.sites)
+	return probes, replies
+}
+
+// unicastFan is UnicastFan without the accounting wrapper; best has one
+// entry per VP of t, and p is the zero plan the fan resolves.
+//
+//laces:hotpath called once per GCD-stage target
+func (w *World) unicastFan(p *unicastPlan, t *VPTable, tg *Target, proto packet.Protocol, at time.Time, attempts int, best []time.Duration) (probes, replies int) {
+	clear(best)
+	if !tg.Responsive[proto] {
+		return len(best), 0 // every VP's first probe goes unanswered
+	}
+	w.planUnicast(p, tg, DayOf(at))
+	for i := range best {
+		vp := &t.vps[i]
+		sent, extraRTT, drop := w.impairUnicast(vp, tg, proto, at)
+		if drop {
+			probes++
+			continue
+		}
+		if w.imp != nil && DayOf(sent) != p.day {
+			w.planUnicast(p, tg, DayOf(sent))
+		}
+		key := mix(w.seed, t.hash[i], uint64(tg.ID))
+		dist, _, ok := w.unicastPath(p, tg, vp, key)
+		if !ok {
+			probes++
+			continue
+		}
+		b := w.rttOverDistance(dist, key, proto, 0)
+		for a := 1; a < attempts; a++ {
+			b = min(b, w.rttOverDistance(dist, key, proto, uint64(a)))
+		}
+		best[i] = b + extraRTT
+		probes += attempts
+		replies += attempts
+	}
+	return probes, replies
 }
 
 // ProbeUnicast simulates one latency probe from a unicast vantage point
 // (the GCD stage): it returns the measured RTT and the responding site
-// index (-1 for unicast responders), or ok=false when unresponsive.
+// index (-1 for unicast responders), or ok=false when unresponsive. It is
+// a plan for this one probe and its step; the GCD stage itself probes a
+// target from all its VPs at once with UnicastFan.
 func (w *World) ProbeUnicast(vp VP, tg *Target, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {
-	rtt, site, ok := w.probeUnicastFull(vp, tg, proto, at, seq)
+	rtt, site, ok := w.probeUnicastFull(&vp, hashString(vp.Name), tg, proto, at, seq)
 	if t := w.tel; t != nil {
 		countProbe(&t.unicast, uint64(tg.ID), ok)
 	}
 	return rtt, site, ok
 }
 
-// probeUnicastFull is ProbeUnicast without the accounting wrapper.
+// probeUnicastFull is ProbeUnicast without the accounting wrapper; h is
+// hashString(vp.Name).
 //
-//laces:hotpath called once per GCD-stage probe
-func (w *World) probeUnicastFull(vp VP, tg *Target, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {
+//laces:hotpath called once per GCD-stage probe outside a fan
+func (w *World) probeUnicastFull(vp *VP, h uint64, tg *Target, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {
 	if !tg.Responsive[proto] {
 		return 0, -1, false
 	}
@@ -237,22 +322,26 @@ func (w *World) probeUnicastFull(vp VP, tg *Target, proto packet.Protocol, at ti
 	if drop {
 		return 0, -1, false
 	}
-	rtt, site, ok := w.probeUnicast(vp, tg, proto, at, seq)
+	var p unicastPlan
+	w.planUnicast(&p, tg, DayOf(at))
+	key := mix(w.seed, h, uint64(tg.ID))
+	dist, site, ok := w.unicastPath(&p, tg, vp, key)
+	w.countSites(tg, p.sites)
 	if !ok {
 		return 0, -1, false
 	}
-	return rtt + extraRTT, site, true
+	return w.rttOverDistance(dist, key, proto, seq) + extraRTT, site, true
 }
 
 // impairUnicast consults the fault-injection hook for one unicast probe.
 // With no impairer installed it is a single nil check.
 //
 //laces:hotpath called once per GCD-stage probe
-func (w *World) impairUnicast(vp VP, tg *Target, proto packet.Protocol, at time.Time) (time.Time, time.Duration, bool) {
+func (w *World) impairUnicast(vp *VP, tg *Target, proto packet.Protocol, at time.Time) (time.Time, time.Duration, bool) {
 	if w.imp == nil {
 		return at, 0, false
 	}
-	pi := w.imp.ImpairUnicast(vp, tg, proto, at)
+	pi := w.imp.ImpairUnicast(*vp, tg, proto, at)
 	if pi.Drop {
 		return at, 0, true
 	}
@@ -262,41 +351,59 @@ func (w *World) impairUnicast(vp VP, tg *Target, proto packet.Protocol, at time.
 	return at, pi.ExtraRTT, false
 }
 
-// probeUnicast is ProbeUnicast after responsiveness and impairment checks.
+// unicastPlan is what the GCD-stage probes of one target on one census day
+// share: the day, the target's kind on it and, for kinds answered from a
+// per-VP site, the target's catchment row, with the resolutions of its
+// entries counted in sites.
+type unicastPlan struct {
+	day   int
+	kind  TargetKind
+	row   siteRow
+	sites siteCount
+}
+
+// planUnicast resolves into p the plan for probes of tg on census day
+// `day`, keeping the row and counts of an earlier day's plan.
+func (w *World) planUnicast(p *unicastPlan, tg *Target, day int) {
+	p.day, p.kind = day, tg.KindAt(day)
+	if p.row == nil && p.kind != Unicast && p.kind != PartialAnycast {
+		p.row = w.siteRowOf(tg)
+	}
+}
+
+// unicastPath is the step of one VP's probes to a planned, responsive and
+// unimpaired target: the path length their RTTs are drawn over and the
+// responding site (-1 for single-location responders), or ok=false when
+// the day's per-(VP, target) measurement failure hits. key is the pair's
+// RTT key, mix(seed, hashString(vp.Name), tg.ID).
 //
-//laces:hotpath called once per GCD-stage probe
-func (w *World) probeUnicast(vp VP, tg *Target, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {
-	day := DayOf(at)
+//laces:hotpath called once per GCD-stage VP and target
+func (w *World) unicastPath(p *unicastPlan, tg *Target, vp *VP, key uint64) (dist float64, site int, ok bool) {
 	// Transient per-(VP, target, day) measurement failure: the path from
 	// this monitor yields no samples today (§5.1.2's "probe measurement
 	// failures"). Retries within the day cannot recover it, which is why
 	// gcdmeas gives up on the first failed attempt.
 	if w.Cfg.GCDLossFrac > 0 &&
-		chance(mix(w.seed, hashString(vp.Name), uint64(tg.ID), uint64(day), 0x6e55), w.Cfg.GCDLossFrac) {
+		chance(mixFrom(key, uint64(p.day), 0x6e55), w.Cfg.GCDLossFrac) {
 		return 0, -1, false
 	}
-	v6 := isV6(tg)
-	key := mix(w.seed, hashString(vp.Name), uint64(tg.ID))
-	switch tg.KindAt(day) {
+	switch p.kind {
 	case Anycast:
-		site := w.targetSite(tg, vp.CityIdx, v6)
-		return w.rttOverDistance(w.distKm(vp.CityIdx, tg.Sites[site].CityIdx), key, proto, seq), site, true
+		site = w.siteIn(p.row, tg, vp.CityIdx, &p.sites)
+		return w.distKm(vp.CityIdx, tg.Sites[site].CityIdx), site, true
 	case GlobalUnicast:
-		edge := w.targetSite(tg, vp.CityIdx, v6)
-		dist := w.distKm(vp.CityIdx, tg.Sites[edge].CityIdx) + w.distKm(tg.Sites[edge].CityIdx, tg.CityIdx)
-		return w.rttOverDistance(dist, key, proto, seq), -1, true
+		edge := w.siteIn(p.row, tg, vp.CityIdx, &p.sites)
+		return w.distKm(vp.CityIdx, tg.Sites[edge].CityIdx) + w.distKm(tg.Sites[edge].CityIdx, tg.CityIdx), -1, true
 	case BackingAnycast:
 		if vp.FiltersSpecifics {
 			// The VP's host AS never learned the more-specific unicast
 			// route; traffic follows the backing anycast announcement to
 			// the nearest PoP (§6's Fastly IPv6 false-positive case).
-			site := w.targetSite(tg, vp.CityIdx, v6)
-			return w.rttOverDistance(w.distKm(vp.CityIdx, tg.Sites[site].CityIdx), key, proto, seq), site, true
+			site = w.siteIn(p.row, tg, vp.CityIdx, &p.sites)
+			return w.distKm(vp.CityIdx, tg.Sites[site].CityIdx), site, true
 		}
-		return w.rttOverDistance(w.distKm(vp.CityIdx, tg.CityIdx), key, proto, seq), -1, true
-	default:
-		return w.rttOverDistance(w.distKm(vp.CityIdx, tg.CityIdx), key, proto, seq), -1, true
 	}
+	return w.distKm(vp.CityIdx, tg.CityIdx), -1, true
 }
 
 // ProbeUnicastAddr is ProbeUnicast at /32 (or /128) granularity: offset
@@ -305,17 +412,29 @@ func (w *World) probeUnicast(vp VP, tg *Target, proto packet.Protocol, at time.T
 // non-representative addresses are unicast and only probabilistically
 // responsive. This is the primitive behind the GCD_IPv4 sweep (§5.7).
 func (w *World) ProbeUnicastAddr(vp VP, tg *Target, offset uint8, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {
-	rtt, site, ok := w.probeUnicastAddr(vp, tg, offset, proto, at, seq)
+	return w.probeAddrCounted(&vp, hashString(vp.Name), tg, offset, proto, at, seq)
+}
+
+// ProbeAddrFrom is ProbeUnicastAddr from VP i of a campaign's table, which
+// carries the VP's identity hash: the sweep's probe.
+func (w *World) ProbeAddrFrom(t *VPTable, i int, tg *Target, offset uint8, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {
+	return w.probeAddrCounted(&t.vps[i], t.hash[i], tg, offset, proto, at, seq)
+}
+
+// probeAddrCounted is probeUnicastAddr with its accounting.
+func (w *World) probeAddrCounted(vp *VP, h uint64, tg *Target, offset uint8, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {
+	rtt, site, ok := w.probeUnicastAddr(vp, h, tg, offset, proto, at, seq)
 	if t := w.tel; t != nil {
 		countProbe(&t.unicast, uint64(tg.ID), ok)
 	}
 	return rtt, site, ok
 }
 
-// probeUnicastAddr is ProbeUnicastAddr without the accounting wrapper.
+// probeUnicastAddr is ProbeUnicastAddr without the accounting wrapper; h
+// is hashString(vp.Name).
 //
 //laces:hotpath called once per address in the /24 sweep
-func (w *World) probeUnicastAddr(vp VP, tg *Target, offset uint8, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {
+func (w *World) probeUnicastAddr(vp *VP, h uint64, tg *Target, offset uint8, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {
 	if tg.Kind == PartialAnycast {
 		for _, a := range tg.PartialAddrs {
 			if a == offset {
@@ -326,14 +445,14 @@ func (w *World) probeUnicastAddr(vp VP, tg *Target, offset uint8, proto packet.P
 				if drop {
 					return 0, -1, false
 				}
-				site := w.targetSite(tg, vp.CityIdx, isV6(tg))
-				key := mix(w.seed, hashString(vp.Name), uint64(tg.ID), uint64(offset))
+				site := w.targetSite(tg, vp.CityIdx)
+				key := mix(w.seed, h, uint64(tg.ID), uint64(offset))
 				return w.rttOverDistance(w.distKm(vp.CityIdx, tg.Sites[site].CityIdx), key, proto, seq) + extraRTT, site, true
 			}
 		}
 	}
 	if repOffset(tg) == offset {
-		return w.probeUnicastFull(vp, tg, proto, at, seq)
+		return w.probeUnicastFull(vp, h, tg, proto, at, seq)
 	}
 	// Non-representative addresses: responsive with moderate probability.
 	if !chance(mix(w.seed, uint64(tg.ID), uint64(offset), 0x3e59), 0.3) {
@@ -343,7 +462,7 @@ func (w *World) probeUnicastAddr(vp VP, tg *Target, offset uint8, proto packet.P
 	if drop {
 		return 0, -1, false
 	}
-	key := mix(w.seed, hashString(vp.Name), uint64(tg.ID), uint64(offset))
+	key := mix(w.seed, h, uint64(tg.ID), uint64(offset))
 	return w.rttOverDistance(w.distKm(vp.CityIdx, tg.CityIdx), key, proto, seq) + extraRTT, -1, true
 }
 

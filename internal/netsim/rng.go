@@ -17,7 +17,12 @@ func splitmix64(x uint64) uint64 {
 
 // mix hashes a sequence of 64-bit values into one.
 func mix(vals ...uint64) uint64 {
-	h := uint64(0x2545f4914f6cdd1d)
+	return mixFrom(0x2545f4914f6cdd1d, vals...)
+}
+
+// mixFrom continues a mix: mixFrom(mix(a, b), c, d) == mix(a, b, c, d),
+// so hashes that share a prefix hash it once.
+func mixFrom(h uint64, vals ...uint64) uint64 {
 	for _, v := range vals {
 		h = splitmix64(h ^ v)
 	}

@@ -16,7 +16,9 @@ import (
 //     churn) map them to several, producing the method's false positives.
 //   - target catchment: from a vantage point location, which site of an
 //     anycast *target* deployment answers. This drives both which site's
-//     identity is observable and the latency GCD measures.
+//     identity is observable and the latency GCD measures. It is stored as
+//     one row per multi-site target (see cache.go), which a probe train or
+//     a GCD fan fetches once and a probe reads one city's entry of.
 //
 // Costs are great circle distance multiplied by a per-(AS, site) "stretch"
 // in [1.15, 1.15+amp] modelling BGP paths not following geography, plus a
@@ -33,12 +35,6 @@ type replyKey struct {
 type replyVal struct {
 	top [4]uint16
 	n   uint8
-}
-
-type siteKey struct {
-	tgID int32
-	city int32
-	v6   bool
 }
 
 // stretch amplitude per routing policy (§5.6): transit-only paths are the
@@ -107,29 +103,66 @@ func (w *World) replyCatchment(d *Deployment, asn ASN, fromCity int) replyVal {
 }
 
 // targetSite returns which site of an anycast target (or which edge PoP of
-// a global-unicast operator) a packet from fromCity reaches.
-func (w *World) targetSite(tg *Target, fromCity int, v6 bool) int {
-	if len(tg.Sites) == 0 {
-		return -1
-	}
-	if len(tg.Sites) == 1 {
-		return 0
-	}
-	key := siteKey{tgID: int32(tg.ID), city: int32(fromCity), v6: v6}
-	if v, ok := w.cache.lookupSite(key); ok {
-		return int(v)
-	}
+// a global-unicast operator) a packet from fromCity reaches: -1 for a
+// target without sites.
+func (w *World) targetSite(tg *Target, fromCity int) int {
+	var n siteCount
+	site := w.siteIn(w.siteRowOf(tg), tg, fromCity, &n)
+	w.countSites(tg, n)
+	return site
+}
 
+// siteRowOf returns tg's target-catchment row, nil when tg has fewer than
+// two sites and so nothing to choose.
+func (w *World) siteRowOf(tg *Target) siteRow {
+	if len(tg.Sites) < 2 {
+		return nil
+	}
+	key := uint64(uint32(tg.ID))
+	if isV6(tg) {
+		key |= 1 << 63
+	}
+	return w.cache.row(key, w.nCities)
+}
+
+// siteCount accumulates target-catchment resolutions — lookups, and the
+// misses among them — for one telemetry add per probe, train or fan.
+type siteCount struct{ lookups, misses int64 }
+
+// countSites records n with one striped add.
+func (w *World) countSites(tg *Target, n siteCount) {
+	if t := w.tel; t != nil && n.lookups > 0 {
+		t.cacheSite.Add(uint64(uint32(tg.ID)), n.lookups+n.misses*telMiss)
+	}
+}
+
+// siteIn is targetSite through tg's row, fetched already by siteRowOf
+// (nil: -1 without sites, 0 with one). It resolves fromCity's entry and
+// counts that into n: the stored site when present (a hit), else the
+// cheapest site by the target-catchment cost, stored for the next packet
+// from that city (a miss).
+//
+//laces:hotpath called once per probe that needs a target catchment
+func (w *World) siteIn(row siteRow, tg *Target, fromCity int, n *siteCount) int {
+	if row == nil {
+		return len(tg.Sites) - 1
+	}
+	n.lookups++
+	if v := row[fromCity].Load(); v != 0 {
+		return int(v - 1)
+	}
+	n.misses++
 	best, bestCost := 0, 0.0
+	byOrigin, byTarget := mix(w.seed, uint64(tg.Origin)), mix(w.seed, uint64(tg.ID))
 	for i, s := range tg.Sites {
 		dist := w.distKm(fromCity, s.CityIdx)
-		str := 1.12 + 0.35*unitFloat(mix(w.seed, uint64(tg.Origin), uint64(s.CityIdx), uint64(fromCity), 0x517e))
-		cost := dist*str + 25*unitFloat(mix(w.seed, uint64(tg.ID), uint64(i), 0x2b))
+		str := 1.12 + 0.35*unitFloat(mixFrom(byOrigin, uint64(s.CityIdx), uint64(fromCity), 0x517e))
+		cost := dist*str + 25*unitFloat(mixFrom(byTarget, uint64(i), 0x2b))
 		if i == 0 || cost < bestCost {
 			best, bestCost = i, cost
 		}
 	}
-	w.cache.storeSite(key, uint16(best))
+	row[fromCity].Store(uint32(best) + 1)
 	return best
 }
 
@@ -250,8 +283,11 @@ type anycastPlan struct {
 	// home is the reply catchment of tg.CityIdx, where Unicast,
 	// PartialAnycast and BackingAnycast representatives answer from.
 	// Anycast and GlobalUnicast replies leave from a per-worker site, so
-	// their probes look the catchment up themselves.
+	// their probes look the catchment up themselves, reading the worker
+	// city's entry of the target's row and counting that into sites.
 	home    replyVal
+	row     siteRow
+	sites   siteCount
 	kind    TargetKind
 	planned bool
 	// limited marks a rate-limited ICMP target probed below the gap
@@ -279,6 +315,8 @@ func (w *World) planAnycast(p *anycastPlan, d *Deployment, tg *Target, proto pac
 	p.flap = w.flapClassOf(tg, a, day)
 	if p.kind != Anycast && p.kind != GlobalUnicast {
 		p.home = w.replyCatchment(d, tg.Origin, tg.CityIdx)
+	} else if p.row == nil {
+		p.row = w.siteRowOf(tg)
 	}
 }
 

@@ -32,7 +32,12 @@ type Telemetry struct {
 	// Routing-cache lookups, counted where they happen. The reply cache
 	// is consulted once per plan of a single-location target — so once
 	// per steady probe train — and once per probe of an Anycast or
-	// GlobalUnicast one.
+	// GlobalUnicast one. A target-catchment lookup is the resolution of
+	// one entry of a target's row: a hit when the entry was present, a
+	// miss when it was computed. The anycast stage resolves one per probe
+	// of an Anycast or GlobalUnicast target, the GCD stage one per VP that
+	// passes the day's loss draw to such a target (not one per attempt);
+	// a probe train or fan adds its resolutions in one go.
 	cacheReply obs.Striped // lo: lookups, hi: misses
 	cacheSite  obs.Striped // lo: lookups, hi: misses
 

@@ -2,10 +2,12 @@ package netsim
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/laces-project/laces/internal/cities"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
 )
@@ -87,6 +89,60 @@ func TestTelemetryCounts(t *testing.T) {
 		t.Fatalf("sweep probe counted %d times, want 1", got)
 	}
 
+	// A GCD fan counts what the fold of its per-VP probes counts, in one
+	// add, and resolves a target catchment once per answering VP — on a
+	// cold row computing it once per distinct city — where the fold
+	// resolves one per answered probe.
+	var vps []VP
+	for i, city := range cities.VultrMetros()[:6] {
+		vp, err := w.NewVP(fmt.Sprintf("tel-fan-%d", i), city, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vps = append(vps, vp, vp) // two monitors per metro: one row entry
+	}
+	var multi *Target // the last such target: the probes above did not warm its row
+	for i := len(w.TargetsV4) - 1; multi == nil; i-- {
+		if tg := &w.TargetsV4[i]; tg.KindAt(3) == Anycast && len(tg.Sites) > 1 && tg.Responsive[packet.ICMP] {
+			multi = tg
+		}
+	}
+	const attempts = 2
+	siteLookups := func() [2]int64 {
+		return [2]int64{tel.CacheHitsSite() + tel.CacheMissesSite(), tel.CacheMissesSite()}
+	}
+	unicast := func() [2]int64 { return [2]int64{tel.ProbesUnicast(), tel.RepliesUnicast()} }
+	u0, l0 := unicast(), siteLookups()
+	best := make([]time.Duration, len(vps))
+	fanProbes, fanReplies := w.UnicastFan(NewVPTable(vps), multi, packet.ICMP, DayTime(3), attempts, best)
+	u1, l1 := unicast(), siteLookups()
+	answered := int64(0)
+	for _, rtt := range best {
+		if rtt != 0 {
+			answered++
+		}
+	}
+	if answered == 0 || u1[0]-u0[0] != int64(fanProbes) || u1[1]-u0[1] != int64(fanReplies) {
+		t.Fatalf("fan returned (%d, %d) with %d VPs answering, telemetry counted %v", fanProbes, fanReplies, answered, [2]int64{u1[0] - u0[0], u1[1] - u0[1]})
+	}
+	if got, want := [2]int64{l1[0] - l0[0], l1[1] - l0[1]}, [2]int64{answered, answered / 2}; got != want {
+		t.Fatalf("cold fan made (site lookups, misses) = %v, want %v", got, want)
+	}
+	for _, vp := range vps {
+		for a := 0; a < attempts; a++ {
+			if _, _, ok := w.ProbeUnicast(vp, multi, packet.ICMP, DayTime(3), uint64(a)); !ok {
+				break
+			}
+		}
+	}
+	u2, l2 := unicast(), siteLookups()
+	if u2[0]-u1[0] != u1[0]-u0[0] || u2[1]-u1[1] != u1[1]-u0[1] {
+		t.Fatalf("fold counted (probes, replies) %v, the fan %v", [2]int64{u2[0] - u1[0], u2[1] - u1[1]}, [2]int64{u1[0] - u0[0], u1[1] - u0[1]})
+	}
+	if got, want := [2]int64{l2[0] - l1[0], l2[1] - l1[1]}, [2]int64{answered * attempts, 0}; got != want {
+		t.Fatalf("warm fold made (site lookups, misses) = %v, want %v", got, want)
+	}
+
 	// Registration exposes the eight netsim series.
 	reg := obs.New()
 	tel.Register(reg)
@@ -154,6 +210,7 @@ func TestProbeHotPathNoAllocsInstrumented(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("instrumented warm unicast probe allocates %.1f objects per run, want 0", allocs)
 	}
+	assertFansNoAllocs(t, w, "instrumented")
 }
 
 // TestProbeHotPathNoAllocsDisabled pins the disabled-registry side of
