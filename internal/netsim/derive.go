@@ -12,6 +12,12 @@ import (
 // for target content — eager materialization (generate_targets.go) and
 // lazy lookup (arena.go, stream.go) both call deriveInto, which is what
 // makes the two modes byte-identical.
+//
+// Cost contract: on a warm world every class derives in O(block replay)
+// with no per-call sort of the city DB. Sites that a batch shares are
+// resolved once per world — operator sites at generation, event sites by
+// the layout pass, a generic deployment's sites on its first derivation
+// (genericSites) — and later derivations share the slice.
 
 // quarterDays are the quarterly IPv6 hitlist refresh days targets can
 // first appear on (§7 hitlist growth).
@@ -203,9 +209,7 @@ func (w *World) deriveEventTarget(L *famLayout, b *targetBatch, bl int, t *Targe
 	if ev.bornAnycast > 0 {
 		t.Kind = Anycast
 		t.AnycastBornDay = ev.bornAnycast
-		for _, ci := range L.evSites[b.param] {
-			t.Sites = append(t.Sites, Site{City: w.DB.All()[ci], CityIdx: ci})
-		}
+		t.Sites = L.evSites[b.param]
 	}
 	w.setResponsive(t, h, w.Cfg.V6ICMP, w.Cfg.V6TCP, w.Cfg.V6DNS)
 }
@@ -214,26 +218,11 @@ func (w *World) deriveEventTarget(L *famLayout, b *targetBatch, bl int, t *Targe
 // deployment (medium/small/regional, deployment lifecycle dynamics).
 func (w *World) deriveGenericTarget(L *famLayout, b *targetBatch, t *Target) {
 	i := b.param
-	nMedium, nSmall := w.Cfg.MediumAnycast, w.Cfg.SmallAnycast
-	if L.v6 {
-		nMedium, nSmall = nMedium/3, nSmall/3
-	}
 	h := mix(w.seed, L.fam, 0x9e9e, uint64(i))
 	t.Origin = b.asn
 	t.Kind = Anycast
 	t.Operator = -1
-	switch {
-	case i < nMedium:
-		ns := 4 + pick(h, 13)
-		t.Sites = w.pickSitesBiased(w.cityPool(OperatorSpec{}), ns, 400, h, 0.25)
-	case i < nMedium+nSmall:
-		ns := 2 + pick(h, 2)
-		t.Sites = w.smallGlobalSites(ns, h)
-	default:
-		ct := cities.Continents()[pick(splitmix64(h), 6)]
-		ns := 2 + pick(h>>8, 3)
-		t.Sites = w.pickSitesBiased(w.DB.InContinent(ct), ns, 150, h, 0.25)
-	}
+	t.Sites = w.genericSites(L, i, h)
 	t.CityIdx = t.Sites[0].CityIdx
 	t.Loc = t.Sites[0].City.Location
 	// Deployment lifecycle dynamics (§7): anycast services launch,
@@ -259,7 +248,7 @@ func (w *World) deriveGenericTarget(L *famLayout, b *targetBatch, t *Target) {
 	}
 	// The first few medium deployments are DNS-only anycast (the
 	// G-root/LACNIC/eBay pattern of §5.3.1).
-	if i < nMedium && i < 8 && !L.v6 {
+	if i < L.nMedium && i < 8 && !L.v6 {
 		t.Responsive = [3]bool{false, false, true}
 		t.Chaos = ChaosPerSite
 	} else {
@@ -268,6 +257,32 @@ func (w *World) deriveGenericTarget(L *famLayout, b *targetBatch, t *Target) {
 			t.Chaos = ChaosPerSite
 		}
 	}
+}
+
+// genericSites returns generic deployment i's sites (h is its hash).
+// They are placed on the family's first request and the slice is shared
+// by every later derivation, as operator targets share Operator.Sites.
+// Placement is a pure function of (seed, family, i), so a racing
+// duplicate places equal sites and one copy wins.
+func (w *World) genericSites(L *famLayout, i int, h uint64) []Site {
+	slot := &L.generic[i]
+	if s := slot.Load(); s != nil {
+		return *s
+	}
+	var sites []Site
+	switch {
+	case i < L.nMedium:
+		sites = w.pickSitesBiased(w.globalPool, 4+pick(h, 13), 400, h)
+	case i < L.nMedium+L.nSmall:
+		sites = w.smallGlobalSites(2+pick(h, 2), h)
+	default:
+		ct := cities.Continents()[pick(splitmix64(h), 6)]
+		sites = w.pickSitesBiased(w.contPools[ct], 2+pick(h>>8, 3), 150, h)
+	}
+	if !slot.CompareAndSwap(nil, &sites) {
+		return *slot.Load()
+	}
+	return sites
 }
 
 // deriveUnicastTarget fills the class fields of one unicast-fill target

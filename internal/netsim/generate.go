@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"github.com/laces-project/laces/internal/cities"
@@ -38,15 +39,41 @@ func New(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// buildCities indexes the city DB and precomputes the pairwise distance
-// matrix used by every routing and latency computation.
+// buildCities indexes the city DB and precomputes the per-city tables
+// every placement reads: the pairwise distance matrix used by every
+// routing and latency computation, the name hashes, placement weights
+// and cumulative populations of site sampling, and the population-ordered
+// global and per-continent candidate pools. No derivation copies or
+// re-sorts the DB.
 func (w *World) buildCities() {
 	all := w.DB.All()
 	w.nCities = len(all)
+	w.cityHash = make([]uint64, w.nCities)
+	w.cityWeight = make([]float64, w.nCities)
+	w.popCum = make([]int64, w.nCities)
+	w.globalPool = make([]int, w.nCities)
+	var total int64
 	for i, c := range all {
 		if _, dup := w.cityIdx[c.Name]; !dup {
 			w.cityIdx[c.Name] = i
 		}
+		w.cityHash[i] = hashString(c.Name)
+		w.cityWeight[i] = math.Pow(float64(c.Population), 0.25)
+		total += int64(c.Population)
+		w.popCum[i] = total
+		w.globalPool[i] = i
+	}
+	sort.Slice(w.globalPool, func(i, j int) bool {
+		a, b := &all[w.globalPool[i]], &all[w.globalPool[j]]
+		if a.Population != b.Population {
+			return a.Population > b.Population
+		}
+		return a.Name < b.Name
+	})
+	w.contPools = make([][]int, len(cities.Continents()))
+	for _, ci := range w.globalPool {
+		ct := all[ci].Continent
+		w.contPools[ct] = append(w.contPools[ct], ci)
 	}
 	w.dist = make([]float64, w.nCities*w.nCities)
 	for i := 0; i < w.nCities; i++ {
@@ -59,76 +86,64 @@ func (w *World) buildCities() {
 }
 
 // sampleCityWeighted picks a city index with probability proportional to
-// population.
+// population: the first city whose cumulative population exceeds
+// h mod the total.
 func (w *World) sampleCityWeighted(h uint64) int {
-	all := w.DB.All()
-	var total int64
-	for _, c := range all {
-		total += int64(c.Population)
-	}
-	x := int64(h % uint64(total))
-	for i, c := range all {
-		x -= int64(c.Population)
-		if x < 0 {
-			return i
-		}
-	}
-	return len(all) - 1
+	x := int64(h % uint64(w.popCum[len(w.popCum)-1]))
+	i, _ := slices.BinarySearch(w.popCum, x+1)
+	return i
 }
 
-// pickSites greedily places n sites on the highest-population cities of
-// the pool respecting a minimum spacing. If the pool runs out, placement
-// wraps around and co-locates sites in already used cities — which is
-// exactly how real deployments end up with multiple sites in one city
-// that GCD cannot separate (§6).
-func (w *World) pickSites(pool []cities.City, n int, minSpacingKm float64) []Site {
+// siteAt is the site in database city ci.
+func (w *World) siteAt(ci int) Site {
+	c := w.DB.All()[ci]
+	return Site{City: c, CityIdx: w.cityIdx[c.Name]}
+}
+
+// pickSites greedily places n sites on the cities of the pool (database
+// indices, best first) respecting a minimum spacing. If the pool runs
+// out, placement wraps around and co-locates sites in already used
+// cities — which is exactly how real deployments end up with multiple
+// sites in one city that GCD cannot separate (§6).
+func (w *World) pickSites(pool []int, n int, minSpacingKm float64) []Site {
 	if minSpacingKm <= 0 {
 		minSpacingKm = 400
 	}
+	all := w.DB.All()
 	var out []Site
-	for _, c := range pool {
+	for _, ci := range pool {
 		if len(out) >= n {
 			return out
 		}
 		ok := true
 		for _, s := range out {
-			if s.City.Location.DistanceKm(c.Location) < minSpacingKm {
+			if s.City.Location.DistanceKm(all[ci].Location) < minSpacingKm {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			idx, _ := w.cityIndex(c.Name)
-			out = append(out, Site{City: c, CityIdx: idx})
+			out = append(out, w.siteAt(ci))
 		}
 	}
 	for i := 0; len(out) < n && len(pool) > 0; i++ {
-		c := pool[i%len(pool)]
-		idx, _ := w.cityIndex(c.Name)
-		out = append(out, Site{City: c, CityIdx: idx})
+		out = append(out, w.siteAt(pool[i%len(pool)]))
 	}
 	return out
 }
 
-// cityPool returns candidate cities for an operator spec, ordered by
-// descending population.
-func (w *World) cityPool(spec OperatorSpec) []cities.City {
-	var pool []cities.City
-	if spec.Regional {
-		for _, c := range w.DB.InContinent(spec.Continent) {
-			if spec.Country == "" || c.Country == spec.Country {
-				pool = append(pool, c)
-			}
-		}
-		return pool
+// cityPool returns the candidate cities (database indices) for an
+// operator spec, ordered by descending population.
+func (w *World) cityPool(spec OperatorSpec) []int {
+	if !spec.Regional {
+		return w.globalPool
 	}
-	pool = append(pool, w.DB.All()...)
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].Population != pool[j].Population {
-			return pool[i].Population > pool[j].Population
+	var pool []int
+	for _, ci := range w.contPools[spec.Continent] {
+		if spec.Country == "" || w.DB.All()[ci].Country == spec.Country {
+			pool = append(pool, ci)
 		}
-		return pool[i].Name < pool[j].Name
-	})
+	}
 	return pool
 }
 

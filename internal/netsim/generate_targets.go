@@ -1,26 +1,35 @@
 package netsim
 
 import (
-	"math"
 	"sort"
 
 	"github.com/laces-project/laces/internal/cities"
 	"github.com/laces-project/laces/internal/packet"
 )
 
-// pickSitesBiased places n sites with a minimum spacing, scoring candidate
-// cities by population^bias × per-salt jitter. Operators use a high bias
-// (big metros first); generic deployments use a low bias for geographic
-// variety across deployments.
-func (w *World) pickSitesBiased(pool []cities.City, n int, spacingKm float64, salt uint64, bias float64) []Site {
-	scored := make([]cities.City, len(pool))
-	copy(scored, pool)
-	score := func(c cities.City) float64 {
-		h := mix(w.seed, salt, hashString(c.Name))
-		return (0.2 + unitFloat(h)) * math.Pow(float64(c.Population), bias)
+// pickSitesBiased places n sites from pool (database indices) with a
+// minimum spacing, ranking candidates by population^0.25 × a per-salt
+// jitter in [0.2, 1.2): the low bias gives generic deployments
+// geographic variety. Each candidate is scored once, from the world's
+// precomputed name hashes and weights, and the sort compares the
+// stored scores.
+func (w *World) pickSitesBiased(pool []int, n int, spacingKm float64, salt uint64) []Site {
+	type scored struct {
+		score float64
+		ci    int
 	}
-	sort.Slice(scored, func(i, j int) bool { return score(scored[i]) > score(scored[j]) })
-	return w.pickSites(scored, n, spacingKm)
+	seed := mix(w.seed, salt)
+	ranked := make([]scored, len(pool))
+	for k, ci := range pool {
+		h := mixFrom(seed, w.cityHash[ci])
+		ranked[k] = scored{(0.2 + unitFloat(h)) * w.cityWeight[ci], ci}
+	}
+	sort.Slice(ranked, func(i, j int) bool { return ranked[i].score > ranked[j].score })
+	order := make([]int, len(ranked))
+	for k := range ranked {
+		order[k] = ranked[k].ci
+	}
+	return w.pickSites(order, n, spacingKm)
 }
 
 // hijackEventsV4 is the number of single-day two-site anycast events
@@ -101,14 +110,11 @@ func (w *World) smallGlobalSites(ns int, h uint64) []Site {
 	start := pick(h, len(cs))
 	var out []Site
 	for k := 0; len(out) < ns && k < len(cs); k++ {
-		ct := cs[(start+k)%len(cs)]
-		pool := w.DB.InContinent(ct)
+		pool := w.contPools[cs[(start+k)%len(cs)]]
 		if len(pool) == 0 {
 			continue
 		}
-		c := pool[pick(mix(h, uint64(k)), min(8, len(pool)))]
-		idx, _ := w.cityIndex(c.Name)
-		out = append(out, Site{City: c, CityIdx: idx})
+		out = append(out, w.siteAt(pool[pick(mix(h, uint64(k)), min(8, len(pool)))]))
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // The layout pass is the scale pivot of the simulator: it computes the
@@ -84,10 +85,16 @@ type famLayout struct {
 	// derivation needs no sequential state (IPv4 only).
 	hijacks map[uint64]bool
 
-	// events caches the scaled event-AS table and the resolved site city
-	// indices of born-anycast events (IPv6 only).
+	// events caches the scaled event-AS table and the resolved sites of
+	// born-anycast events, shared by their targets (IPv6 only).
 	events  []eventAS
-	evSites [][]int
+	evSites [][]Site
+
+	// Generic deployments: the medium and small counts (regional ones
+	// follow) and each deployment's sites, placed on its first derivation
+	// and shared by every later one (genericSites).
+	nMedium, nSmall int
+	generic         []atomic.Pointer[[]Site]
 }
 
 // hijackKey packs an (ASN, in-batch index) pair for the winner set.
@@ -183,7 +190,7 @@ func (w *World) buildLayout(v6 bool) (*famLayout, error) {
 	// 2. Event ASes (IPv6 only).
 	if v6 {
 		L.events = defaultEventASes(w.Cfg.V6Targets)
-		L.evSites = make([][]int, len(L.events))
+		L.evSites = make([][]Site, len(L.events))
 		for ei, ev := range L.events {
 			if ev.bornAnycast > 0 {
 				for _, cn := range ev.siteCities {
@@ -191,7 +198,7 @@ func (w *World) buildLayout(v6 bool) (*famLayout, error) {
 					if err != nil {
 						return nil, err
 					}
-					L.evSites[ei] = append(L.evSites[ei], ci)
+					L.evSites[ei] = append(L.evSites[ei], w.siteAt(ci))
 				}
 			}
 			w.layoutBatch(L, alloc, targetBatch{
@@ -207,11 +214,13 @@ func (w *World) buildLayout(v6 bool) (*famLayout, error) {
 	if v6 {
 		nMedium, nSmall, nRegional = nMedium/3, nSmall/3, nRegional/3
 	}
+	L.nMedium, L.nSmall = nMedium, nSmall
+	L.generic = make([]atomic.Pointer[[]Site], nMedium+nSmall+nRegional)
 	genericBase := ASN(300000)
 	if v6 {
 		genericBase = 400000
 	}
-	for i := 0; i < nMedium+nSmall+nRegional; i++ {
+	for i := range L.generic {
 		w.layoutBatch(L, alloc, targetBatch{
 			class: classGeneric, asn: genericBase + ASN(i),
 			count: 1, param: i,

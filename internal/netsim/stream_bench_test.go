@@ -144,3 +144,60 @@ func BenchmarkTargetAtWarm(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDeriveTarget measures per-class derivation cost on the lazy
+// paper-scale IPv6 universe (the family with every class: operator,
+// event, generic and unicast batches). random derives a class's targets
+// by ID in scattered order, the arena's miss path; stream sweeps the
+// class's contiguous ID range the way a census stage does. Both report
+// ns per derived target on a warm world.
+func BenchmarkDeriveTarget(b *testing.B) {
+	w := getPaperWorld(b)
+	L := w.layout(true)
+	for _, c := range []struct {
+		name  string
+		class batchClass
+	}{
+		{"operator", classOperator},
+		{"event", classEvent},
+		{"generic", classGeneric},
+		{"unicast", classUnicast},
+	} {
+		lo, hi := classRange(L, c.class)
+		if lo >= hi {
+			b.Fatalf("%s: no targets of the class", c.name)
+		}
+		b.Run(c.name+"/random", func(b *testing.B) {
+			n := hi - lo
+			var t Target
+			for i := 0; i < b.N; i++ {
+				// A prime stride visits the range in scattered order.
+				w.deriveTargetID(L, lo+(i*7919)%n, &t)
+			}
+		})
+		b.Run(c.name+"/stream", func(b *testing.B) {
+			for left := b.N; left > 0; {
+				n := min(left, hi-lo)
+				w.IterTargetsRange(true, lo, lo+n, 0, func([]Target) bool { return true })
+				left -= n
+			}
+		})
+	}
+}
+
+// classRange returns the ID range [lo, hi) the layout's batches of class
+// c cover; the layout emits each class as one contiguous run.
+func classRange(L *famLayout, c batchClass) (lo, hi int) {
+	lo = -1
+	for i := range L.batches {
+		bt := &L.batches[i]
+		if bt.class != c {
+			continue
+		}
+		if lo < 0 {
+			lo = bt.startID
+		}
+		hi = bt.startID + bt.count
+	}
+	return max(lo, 0), hi
+}

@@ -36,6 +36,13 @@ type World struct {
 	nCities int
 	dist    []float64 // nCities × nCities great circle km
 
+	// Per-city placement tables (buildCities), indexed by database index.
+	cityHash   []uint64  // hashString(Name)
+	cityWeight []float64 // Population^0.25, generic placement's score weight
+	popCum     []int64   // running population sum, sampleCityWeighted's CDF
+	globalPool []int     // every city by descending population, then name
+	contPools  [][]int   // globalPool split by Continent, same order
+
 	// Generation layouts (batch, slot and announcement geometry). Always
 	// built — eager worlds materialize through them, lazy worlds derive
 	// targets from them on demand (see stream.go).
