@@ -53,6 +53,17 @@ const (
 	KindDelta    = "delta"
 )
 
+// dayFileName is the file, relative to the archive root, that holds one
+// family's day of the given kind: the only name Writer gives it and the
+// only one Open accepts in its record.
+func dayFileName(family string, day int, kind string) string {
+	ext := "delta"
+	if kind == KindSnapshot {
+		ext = "snap"
+	}
+	return fmt.Sprintf("%s-%06d.%s.json", family, day, ext)
+}
+
 // Record is one index line: everything the reader needs to locate,
 // decode and verify one archived census day.
 type Record struct {
@@ -240,7 +251,7 @@ func (w *Writer) Append(day int, doc *core.Document) error {
 	if st != nil && st.sinceSnap < w.opts.SnapshotEvery {
 		kind = KindDelta
 	}
-	name := fmt.Sprintf("%s-%06d.%s.json", fam, day, map[string]string{KindSnapshot: "snap", KindDelta: "delta"}[kind])
+	name := dayFileName(fam, day, kind)
 	path := filepath.Join(w.dir, name)
 	// A day is part of the archive only once its index record lands, so a
 	// pre-existing file here can only be the orphan of an append that died

@@ -2,9 +2,11 @@ package archive
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/laces-project/laces/internal/core"
@@ -542,5 +544,56 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 	if _, err := a2.Verify(); err == nil {
 		t.Fatal("verify accepted a corrupted delta")
+	}
+}
+
+// TestOpenRejectsRecordOutsideArchive holds the index to what Writer
+// writes: a record whose file is not its day's own name — here one that
+// climbs into a sibling archive, whose documents a reader would otherwise
+// serve as this archive's — or whose family or kind the writer never
+// writes, fails Open with the index line it sits on.
+func TestOpenRejectsRecordOutsideArchive(t *testing.T) {
+	root := t.TempDir()
+	dir, outside := filepath.Join(root, "arch"), filepath.Join(root, "outsidearch")
+	packChain(t, dir, chain(2, 20), 7)
+	packChain(t, outside, chain(1, 30), 7)
+	index, err := os.ReadFile(filepath.Join(dir, IndexFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatalf("the archive as written does not open: %v", err)
+	}
+	lines := bytes.SplitAfter(index, []byte("\n"))
+	for _, tc := range []struct {
+		name   string
+		forge  func(*Record)
+		reason string
+	}{
+		{"outside file", func(r *Record) { r.File = "../outsidearch/ipv4-000000.snap.json" }, "file"},
+		{"absolute file", func(r *Record) { r.File = filepath.Join(outside, "ipv4-000000.snap.json") }, "file"},
+		{"other day's file", func(r *Record) { r.Day = 5 }, "file"},
+		{"unknown family", func(r *Record) { r.Family, r.File = "ipv9", dayFileName("ipv9", r.Day, r.Kind) }, "family"},
+		{"unknown kind", func(r *Record) { r.Kind, r.File = "full", dayFileName(r.Family, r.Day, "full") }, "kind"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rec Record
+			if err := json.Unmarshal(lines[1], &rec); err != nil {
+				t.Fatal(err)
+			}
+			tc.forge(&rec)
+			forged, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := append(append(append([]byte{}, lines[0]...), forged...), '\n')
+			if err := os.WriteFile(filepath.Join(dir, IndexFile), out, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(dir)
+			if err == nil || !strings.Contains(err.Error(), "index line 2") || !strings.Contains(err.Error(), tc.reason) {
+				t.Fatalf("Open of an index whose line 2 has a forged %s = %v, want an error naming line 2 and its %s", tc.name, err, tc.reason)
+			}
+		})
 	}
 }

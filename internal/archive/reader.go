@@ -84,6 +84,9 @@ func Open(dir string) (*Archive, error) {
 			}
 			return nil, fmt.Errorf("archive: index line %d: %w", i+1, err)
 		}
+		if err := rec.check(); err != nil {
+			return nil, fmt.Errorf("archive: index line %d: %w", i+1, err)
+		}
 		a.byFam[rec.Family] = append(a.byFam[rec.Family], len(a.recs))
 		a.recs = append(a.recs, rec)
 	}
@@ -96,6 +99,23 @@ func Open(dir string) (*Archive, error) {
 		}
 	}
 	return a, nil
+}
+
+// check rejects a record that names a family or kind the writer never
+// writes, or a file other than the one the writer names for its day: the
+// index is the archive's trust boundary, and a record may not lead the
+// reader to a file outside the archive directory.
+func (rec *Record) check() error {
+	if rec.Family != "ipv4" && rec.Family != "ipv6" {
+		return fmt.Errorf("unknown family %q", rec.Family)
+	}
+	if rec.Kind != KindSnapshot && rec.Kind != KindDelta {
+		return fmt.Errorf("unknown kind %q", rec.Kind)
+	}
+	if want := dayFileName(rec.Family, rec.Day, rec.Kind); rec.File != want {
+		return fmt.Errorf("file %q is not the %s %s day %d file %q", rec.File, rec.Family, rec.Kind, rec.Day, want)
+	}
+	return nil
 }
 
 // Families lists the archived address families in sorted order.

@@ -10,16 +10,18 @@
 // Populations are metropolitan-area estimates; exact values are irrelevant —
 // only the ordering matters for geolocation.
 //
-// The geolocation lookup is a linear scan, made cheap rather than indexed:
-// NewDB precomputes every city's unit vector and a population-descending
-// order, so HighestPopulationIn tests cities with geo.Cap (multiplications
-// only) and returns at its first hit. At a few hundred cities a miss costs
-// under a microsecond; a spatial index would not pay for itself below
-// roughly 10⁴ entries.
+// The geolocation lookup is indexed: NewDB precomputes every city's unit
+// vector, a population-descending order and a coarse cell index over the
+// unit vectors (geo.Cells), so HighestPopulationInCap tests with geo.Cap
+// (multiplications only) just the cities of the cells a cap's box covers,
+// each cell's cities in population order. Caps too large for the box to
+// pay, or not drawn around a valid centre, take the population-order scan,
+// which returns at its first hit.
 package cities
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/laces-project/laces/internal/geo"
@@ -87,7 +89,25 @@ type DB struct {
 	// populations in list order: the first city of it inside a disc is the
 	// one a full scan keeping the first strict maximum would return.
 	byPop []int32
+	// The cell index: cell c holds the byPop ranks cellRank[cellStart[c]:
+	// cellStart[c+1]], ascending, of the cities whose unit vector falls in
+	// it.
+	cellStart []int32
+	cellRank  []int32
+	// unindexed is set when some city has invalid coordinates and so no
+	// cell; every lookup then scans.
+	unindexed bool
 }
+
+// cityCells is the index's lattice: slabs of 1/6 of the unit sphere's
+// radius, about 10° of arc. A census site's disc is mostly under 200 km
+// (the median is ≈90 km), so its box is one to eight cells.
+var cityCells = geo.NewCells(12)
+
+// maxIndexedAngle is the largest cap, in radians of arc (≈1,300 km), the
+// cell index answers for: a wider box covers hundreds of cells, and a cap
+// that large holds a populous city early in the population-order scan.
+const maxIndexedAngle = 0.2
 
 // NewDB builds a DB from the given cities. Duplicate names keep the first
 // entry for name lookup but remain in the list.
@@ -108,7 +128,37 @@ func NewDB(cs []City) *DB {
 	sort.SliceStable(db.byPop, func(a, b int) bool {
 		return db.cities[db.byPop[a]].Population > db.cities[db.byPop[b]].Population
 	})
+	db.indexCells()
 	return db
+}
+
+// indexCells buckets the cities by cell, each bucket in byPop order. A
+// city with invalid coordinates has no cell, yet the haversine reference
+// may place it inside a cap, so a database holding one is never answered
+// from the index.
+func (db *DB) indexCells() {
+	db.cellStart = make([]int32, cityCells.Len()+1)
+	cell := make([]int32, len(db.byPop))
+	for rank, i := range db.byPop {
+		cell[rank] = -1
+		if db.cities[i].Location.IsValid() {
+			cell[rank] = int32(cityCells.Of(db.vecs[i]))
+			db.cellStart[cell[rank]+1]++
+		} else {
+			db.unindexed = true
+		}
+	}
+	for c := 1; c < len(db.cellStart); c++ {
+		db.cellStart[c] += db.cellStart[c-1]
+	}
+	db.cellRank = make([]int32, db.cellStart[len(db.cellStart)-1])
+	fill := slices.Clone(db.cellStart)
+	for rank, c := range cell {
+		if c >= 0 {
+			db.cellRank[fill[c]] = int32(rank)
+			fill[c]++
+		}
+	}
 }
 
 var defaultDB = NewDB(worldCities)
@@ -186,10 +236,44 @@ func (db *DB) HighestPopulationIn(d geo.Disc) (City, bool) {
 }
 
 // HighestPopulationInCap is HighestPopulationIn for a disc whose geometry
-// the caller has already precomputed.
+// the caller has already precomputed. It visits the cells of the cap's
+// box, keeping the best population rank found inside the cap; within a
+// cell the ranks ascend, so a cell is left at its first city inside, or at
+// the first that could not beat the best so far. The answer is the scan's:
+// the first city of the population order inside the cap.
 //
-//laces:hotpath one scan per enumerated site; stops at the first city of the population order inside the cap
+//laces:hotpath one lookup per enumerated site
 func (db *DB) HighestPopulationInCap(c *geo.Cap) (City, bool) {
+	angle := c.RadiusKm / geo.EarthRadiusKm
+	if db.unindexed || !c.Center.IsValid() || !(angle < maxIndexedAngle) {
+		return db.scanByPop(c)
+	}
+	best := int32(len(db.byPop))
+	lo, hi := cityCells.Box(c.U, angle)
+	for x := lo[0]; x <= hi[0]; x++ {
+		for y := lo[1]; y <= hi[1]; y++ {
+			for z := lo[2]; z <= hi[2]; z++ {
+				cell := cityCells.Index(x, y, z)
+				for _, rank := range db.cellRank[db.cellStart[cell]:db.cellStart[cell+1]] {
+					if rank >= best {
+						break
+					}
+					if i := db.byPop[rank]; c.Contains(db.cities[i].Location, db.vecs[i]) {
+						best = rank
+						break
+					}
+				}
+			}
+		}
+	}
+	if int(best) == len(db.byPop) {
+		return City{}, false
+	}
+	return db.cities[db.byPop[best]], true
+}
+
+// scanByPop is HighestPopulationInCap by scanning the population order.
+func (db *DB) scanByPop(c *geo.Cap) (City, bool) {
 	for _, i := range db.byPop {
 		if c.Contains(db.cities[i].Location, db.vecs[i]) {
 			return db.cities[i], true

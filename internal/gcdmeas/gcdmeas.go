@@ -151,30 +151,29 @@ func Run(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
 
 	// One admitted target: one fan of up to `attempts` probes from every VP
 	// (the worst case is what the gate charges), the best RTT per VP kept
-	// in the shard's sample buffer and analysed with iGreedy.
-	vps := netsim.NewVPTable(c.VPs)
+	// in the shard's buffer and analysed with iGreedy by VP index.
+	vps, table := netsim.NewVPTable(c.VPs), c.igreedyTable()
 	measure := func(sh *par.Shard[TargetOutcome]) func(int, *netsim.Target) {
-		samples := make([]igreedy.Sample, 0, len(c.VPs))
 		best := make([]time.Duration, len(c.VPs))
 		return func(_ int, tg *netsim.Target) {
 			probes, replies := w.UnicastFan(vps, tg, c.Proto, c.At, attempts, best)
 			sh.Probes += int64(probes)
 			sh.Replies += int64(replies)
-			samples = samples[:0]
-			for i, rtt := range best {
+			answered := 0
+			for _, rtt := range best {
 				if rtt != 0 {
 					rtts.Observe(rtt.Seconds())
-					samples = append(samples, igreedy.Sample{VP: c.VPs[i].Name, Loc: c.VPs[i].Loc, RTT: rtt})
+					answered++
 				}
 			}
-			if len(samples) == 0 {
+			if answered == 0 {
 				return
 			}
 			sh.Out = append(sh.Out, TargetOutcome{
 				TargetID: tg.ID,
 				Proto:    c.Proto,
-				Result:   igreedy.Analyze(samples, igreedy.Options{}),
-				VPs:      len(samples),
+				Result:   table.Analyze(best, igreedy.Options{}),
+				VPs:      answered,
 			})
 		}
 	}
@@ -186,6 +185,15 @@ func Run(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
 		rep.Outcomes[o.TargetID] = o
 	}
 	return rep
+}
+
+// igreedyTable is the campaign's VPs as iGreedy reads a fan.
+func (c Campaign) igreedyTable() *igreedy.VPTable {
+	vps := make([]igreedy.VP, len(c.VPs))
+	for i, vp := range c.VPs {
+		vps[i] = igreedy.VP{Name: vp.Name, Loc: vp.Loc}
+	}
+	return igreedy.NewVPTable(vps)
 }
 
 // stage binds the campaign's governance, telemetry and parallelism to one
@@ -239,29 +247,31 @@ func SweepAddrs(w *netsim.World, targetIDs []int, v6 bool, offsets []uint8, c Ca
 		}
 		return int64(addrs) * int64(len(c.VPs))
 	}
-	vps := netsim.NewVPTable(c.VPs)
+	vps, table := netsim.NewVPTable(c.VPs), c.igreedyTable()
 	sweep := func(sh *par.Shard[AddrSweepOutcome]) func(int, *netsim.Target) {
-		samples := make([]igreedy.Sample, 0, len(c.VPs))
+		best := make([]time.Duration, len(c.VPs))
 		offs := make([]uint8, 0, len(offsets)+1)
 		return func(_ int, tg *netsim.Target) {
 			o := AddrSweepOutcome{TargetID: tg.ID}
 			rep := repOffset(tg)
 			offs = dedupeOffsets(offs[:0], offsets, rep)
 			for _, off := range offs {
-				samples = samples[:0]
-				for i, vp := range c.VPs {
+				clear(best)
+				answered := 0
+				for i := range c.VPs {
 					sh.Probes++
 					rtt, _, ok := w.ProbeAddrFrom(vps, i, tg, off, c.Proto, c.At, uint64(off))
 					if !ok {
 						continue
 					}
 					sh.Replies++
-					samples = append(samples, igreedy.Sample{VP: vp.Name, Loc: vp.Loc, RTT: rtt})
+					best[i] = rtt
+					answered++
 				}
-				if len(samples) < 2 {
+				if answered < 2 {
 					continue
 				}
-				if igreedy.Detect(samples, igreedy.Options{}) {
+				if table.Detect(best, igreedy.Options{}) {
 					if off == rep {
 						o.RepresentativeAnycast = true
 					} else {

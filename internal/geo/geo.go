@@ -18,7 +18,12 @@
 // and Cap.Overlaps decide with multiplications only, and fall back to the
 // reference comparison whenever their two sides are too close for the
 // rounding of either form to be trusted (see guardBand). The census hot
-// path (iGreedy, the city lookup) runs on Cap.
+// path (iGreedy, the city lookup) runs on Cap, and most of its tests do
+// not even build one: ContainsByBound and OverlapsByBound decide from the
+// chord and the radii alone, by Taylor bounds on the Cap's threshold,
+// wherever those bounds settle the comparison. Cells buckets unit vectors
+// in a coarse lattice, so an index finds the points a cap may hold
+// without testing the rest.
 package geo
 
 import (
@@ -88,8 +93,13 @@ func (c Coordinate) DistanceKm(other Coordinate) float64 {
 // under-estimates the number of anycast prefixes and sites (§2.1) — it
 // never produces a false "speed-of-light violation".
 func MaxDistanceKm(rtt time.Duration) float64 {
-	if rtt <= 0 {
+	switch {
+	case rtt <= 0:
 		return 0
+	case rtt < time.Second:
+		// rtt.Seconds() is 0 + float64(rtt)/1e9 below a second: the same
+		// bits, without its integer division and remainder.
+		return float64(rtt) / 1e9 / 2 * FibreSpeedKmPerSec
 	}
 	return rtt.Seconds() / 2 * FibreSpeedKmPerSec
 }
@@ -198,7 +208,15 @@ type Cap struct {
 // NewCap precomputes d. u must be d.Center.Vec(); callers that test many
 // discs around the same centre compute it once.
 func NewCap(d Disc, u Vec) Cap {
-	c := Cap{Disc: d, U: u}
+	var c Cap
+	c.Set(d, u)
+	return c
+}
+
+// Set makes c the cap of d in place: NewCap without the copy, for callers
+// that keep caps in a reused slice.
+func (c *Cap) Set(d Disc, u Vec) {
+	c.Disc, c.U = d, u
 	c.sin, c.cos, c.lo, c.hi = math.NaN(), math.NaN(), math.NaN(), math.NaN()
 	switch {
 	case d.RadiusKm >= maxDistanceKm:
@@ -209,7 +227,6 @@ func NewCap(d Disc, u Vec) Cap {
 			c.lo, c.hi = t*(1-guardBand), t*(1+guardBand)
 		}
 	}
-	return c
 }
 
 // Contains reports whether p, whose unit vector is u, lies inside the cap
@@ -250,6 +267,138 @@ func (c *Cap) Overlaps(o *Cap) bool {
 		}
 	}
 	return c.Disc.Overlaps(o.Disc)
+}
+
+// boundSlack narrows the guard band once more for the ByBound decisions,
+// far past the few ulps by which a Taylor bound and a computed sine may
+// each round the wrong way.
+const boundSlack = 1e-12
+
+// ContainsByBound is Contains for a point at hav h (see HavOf) from the
+// centre of a cap of radius radiusKm, decided before the cap is built: it
+// compares h with Taylor bounds on sin²(r/2R) instead of the sine. Where
+// ok, inside is Contains's answer; and a point it puts inside lies inside
+// by more than the guard band, as OverlapByCommonPoint asks. ok is false
+// where the bounds cannot tell — h within about x⁴/60 of the threshold,
+// caps too small for Contains's fast path, negative radii — and the
+// caller then builds the cap.
+func ContainsByBound(h, radiusKm float64) (inside, ok bool) {
+	switch {
+	case radiusKm >= maxDistanceKm:
+		return true, !math.IsNaN(h) // the cap holds every valid point
+	case !(radiusKm >= 0):
+		return false, false
+	}
+	return belowSinSq(h, radiusKm*(1/(2*EarthRadiusKm)))
+}
+
+// OverlapsByBound is Overlaps for two caps whose radii sum to radiusSum,
+// their centres at hav h, decided before either cap is built, as
+// ContainsByBound decides Contains.
+func OverlapsByBound(h, radiusSum float64) (overlap, ok bool) {
+	switch {
+	case radiusSum >= maxDistanceKm:
+		return true, !math.IsNaN(h) // together they span any two valid points
+	case !(radiusSum >= 0):
+		return false, false
+	}
+	return belowSinSq(h, radiusSum*(1/(2*EarthRadiusKm)))
+}
+
+// belowSinSq decides h against the threshold t = sin²x (x in [0, π/2))
+// the way a Cap's fast comparison does, h < t(1−guardBand) or
+// h > t(1+guardBand), from (x − x³/6)² ≤ sin²x ≤ (x − x³/6 + x⁵/120)²
+// and boundSlack; ok is false when neither holds or t may lie under
+// minFastHav, where the Cap asks the haversine reference.
+func belowSinSq(h, x float64) (below, ok bool) {
+	x3 := x * x * x
+	lo := x - x3*(1./6)
+	hi := lo + x3*x*x*(1./120)
+	lo, hi = lo*lo, hi*hi
+	switch {
+	case lo < 2*minFastHav:
+		return false, false
+	case h < lo*((1-guardBand)*(1-boundSlack)):
+		return true, true
+	case h > hi*((1+guardBand)*(1+boundSlack)):
+		return false, true
+	}
+	return false, false
+}
+
+// OverlapByCommonPoint reports whether two caps of radii r1 and r2 that
+// ContainsByBound puts one point inside are sure to pass Overlaps without
+// asking it: r2 lies outside CommonPointWindow(r1). Each cap holds the
+// point by more than the guard band, so by the triangle inequality their
+// centres lie closer than r1+r2 by more than the band Overlaps decides in
+// — except where the haversine reference loses that margin to the
+// arcsine's rounding near antipodal centres, which only a radius sum a few
+// metres short of maxDistanceKm can reach. Sums at or past it overlap
+// outright.
+func OverlapByCommonPoint(r1, r2 float64) bool {
+	lo, hi := CommonPointWindow(r1)
+	return r2 < lo || r2 >= hi
+}
+
+// CommonPointWindow returns the partner radii, [lo, hi), for which
+// OverlapByCommonPoint(r1, ·) is false: those whose sum with r1 falls
+// within a kilometre short of maxDistanceKm, or rounds to it.
+func CommonPointWindow(r1 float64) (lo, hi float64) {
+	return maxDistanceKm - 1 - r1, maxDistanceKm - r1 + 1e-6
+}
+
+// HavOf returns sin²(θ/2) of the angle θ between two unit vectors, the
+// quantity every Cap test compares with its threshold.
+func HavOf(u, v Vec) float64 { return u.hav(v) }
+
+// Cells is a coarse cubic lattice over unit vectors: each axis of
+// [-1, 1]³ cut into the same number of slabs. Every point of the sphere
+// falls in one cell, and every point within an angle of a unit vector u
+// falls in the cells of Box(u, angle), since an angle is never shorter
+// than its chord. An index that buckets points by Of visits only those
+// cells to find the points a cap may hold — with no trigonometry, no
+// poles and no longitude wrap.
+type Cells struct {
+	n     int     // slabs per axis
+	scale float64 // n/2: slab index of a coordinate x is ⌊(x+1)·scale⌋
+}
+
+// NewCells returns the lattice of n slabs per axis (n ≥ 1).
+func NewCells(n int) Cells { return Cells{n: n, scale: float64(n) / 2} }
+
+// Len returns the number of cells, n³; Of and Index return values below it.
+func (g Cells) Len() int { return g.n * g.n * g.n }
+
+// Index returns the cell of slab x, y and z.
+func (g Cells) Index(x, y, z int) int { return (x*g.n+y)*g.n + z }
+
+// slab is the slab of coordinate x, clamped to the lattice. It is
+// monotone in x, which is what lets a box drawn around a point's
+// coordinates hold every point whose coordinates lie within the box.
+func (g Cells) slab(x float64) int {
+	i := int((x + 1) * g.scale) // truncation toward zero only differs from ⌊⌋ below 0, where the clamp decides
+	return min(max(i, 0), g.n-1)
+}
+
+// Of returns the cell of unit vector u. u must not hold a NaN.
+func (g Cells) Of(u Vec) int { return g.Index(g.slab(u.X), g.slab(u.Y), g.slab(u.Z)) }
+
+// cellSlack widens a box beyond the angle it is drawn for, far past the
+// rounding of a unit vector or of an angle computed from a radius.
+const cellSlack = 1e-6
+
+// Box returns the slab ranges, inclusive, of every cell that may hold a
+// point within angle radians of u: per axis, the slabs of u's coordinate
+// ∓ the angle, widened by cellSlack. A negative angle holds nothing and
+// gives an empty range; angle and u must not be NaN.
+func (g Cells) Box(u Vec, angle float64) (lo, hi [3]int) {
+	if angle < 0 {
+		return [3]int{1, 1, 1}, [3]int{0, 0, 0}
+	}
+	a := angle + cellSlack
+	lo = [3]int{g.slab(u.X - a), g.slab(u.Y - a), g.slab(u.Z - a)}
+	hi = [3]int{g.slab(u.X + a), g.slab(u.Y + a), g.slab(u.Z + a)}
+	return lo, hi
 }
 
 // Midpoint returns the coordinate halfway along the great circle segment

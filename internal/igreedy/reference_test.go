@@ -298,7 +298,8 @@ func TestConcurrentAnalyzeMatchesSequential(t *testing.T) {
 
 // Analyze runs once per GCD target per protocol: what it allocates per
 // call is what the census allocates per target. The Result's site list is
-// the one allocation it may make.
+// the one allocation it may make, on the []Sample path and on the fan
+// path the census takes.
 func TestAnalyzeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds its contents under the race detector")
@@ -317,6 +318,20 @@ func TestAnalyzeAllocations(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { Detect(samples, Options{}) }); n > 0 {
 			t.Errorf("%s: Detect of %d samples allocates %v times per call, want 0", tc.name, len(samples), n)
+		}
+
+		// The census's path: the campaign's table and one fan's RTTs.
+		vps, best := make([]VP, len(samples)), make([]time.Duration, len(samples))
+		for i, s := range samples {
+			vps[i], best[i] = VP{Name: s.VP, Loc: s.Loc}, s.RTT
+		}
+		table := NewVPTable(vps)
+		table.Analyze(best, Options{})
+		if n := testing.AllocsPerRun(100, func() { table.Analyze(best, Options{}) }); n > 1 {
+			t.Errorf("%s: VPTable.Analyze of a %d-VP fan allocates %v times per call, want at most 1", tc.name, len(best), n)
+		}
+		if n := testing.AllocsPerRun(100, func() { table.Detect(best, Options{}) }); n > 0 {
+			t.Errorf("%s: VPTable.Detect of a %d-VP fan allocates %v times per call, want 0", tc.name, len(best), n)
 		}
 	}
 }
