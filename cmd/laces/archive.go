@@ -93,9 +93,14 @@ func setupArchivePack(fs *flag.FlagSet) func() error {
 			return err
 		}
 		if pipe == nil {
-			return closeAfter(w, packFiles(w, fs.Args()))
+			err = packFiles(w, fs.Args())
+		} else {
+			err = packDays(w, pipe, from, to, *stride, *v6)
 		}
-		return closeAfter(w, packDays(w, pipe, from, to, *stride, *v6))
+		if err := closeAfter(w, err); err != nil {
+			return err
+		}
+		return extendIndex(*dir, "the packed days")
 	}
 }
 

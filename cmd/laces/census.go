@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/core"
 	"github.com/laces-project/laces/internal/packet"
-	"github.com/laces-project/laces/internal/query"
 )
 
 func setupCensus(fs *flag.FlagSet) func() error {
@@ -95,15 +93,8 @@ func setupCensus(fs *flag.FlagSet) func() error {
 				return err
 			}
 			fmt.Printf("appended day %d to archive %s\n", *day, *archiveDir)
-			// An archive that serves longitudinal queries keeps doing so:
-			// its index is extended by the day just appended. Without one
-			// there is nothing to keep current.
-			if _, err := os.Stat(filepath.Join(*archiveDir, query.IndexFileName)); err == nil {
-				res, err := query.BuildDir(*archiveDir)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("indexed day %d: %s\n", *day, buildSummary(res))
+			if err := extendIndex(*archiveDir, fmt.Sprintf("day %d", *day)); err != nil {
+				return err
 			}
 		}
 		if *obsOut != "" {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/query"
 )
 
@@ -130,8 +131,18 @@ func TestOpenStore(t *testing.T) {
 		t.Fatalf("current index: store %+v, err %v; want it open and attached", st, err)
 	}
 	st.close()
-	if code, out := run(t, "archive", "pack", "-dir", dir, "-gen", "2:2"); code != 0 {
-		t.Fatalf("append: exit %d:\n%s", code, out)
+	// Outgrow the index the way a library writer does (the CLI's own
+	// appends extend it): day 1's document again, as day 2.
+	doc, err := st.archive.Document("ipv4", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := archive.OpenOrCreate(dir, archive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closeAfter(w, w.Append(2, doc)); err != nil {
+		t.Fatal(err)
 	}
 	st, err = openStore(dir)
 	if err != nil || st.index != nil || st.noIndex == nil || errors.Is(st.noIndex, os.ErrNotExist) {
@@ -181,6 +192,39 @@ func TestCLICensusKeepsIndexCurrent(t *testing.T) {
 	}
 	if code, out = run(t, "query", "build-index", "-archive", dir); code != 0 || !strings.Contains(out, "+0 day-files, 0 decoded — resumed") {
 		t.Fatalf("build-index with nothing to add: exit %d:\n%s", code, out)
+	}
+}
+
+// TestCLIArchivePackKeepsIndexCurrent: packing days into an indexed
+// archive extends the index through the same step `census -archive`
+// takes, so the next longitudinal query sees the new days instead of
+// refusing a stale index.
+func TestCLIArchivePackKeepsIndexCurrent(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ar")
+	if code, out := run(t, "archive", "pack", "-dir", dir, "-gen", "0:3"); code != 0 || strings.Contains(out, "indexed") {
+		t.Fatalf("pack without an index: exit %d:\n%s", code, out)
+	}
+	if code, out := run(t, "query", "build-index", "-archive", dir); code != 0 {
+		t.Fatalf("build-index: exit %d:\n%s", code, out)
+	}
+	code, out := run(t, "archive", "pack", "-dir", dir, "-gen", "4:5")
+	if code != 0 || !strings.Contains(out, "indexed the packed days: +2 day-files, 6 decoded — resumed from the committed index") {
+		t.Fatalf("pack into an indexed archive: exit %d:\n%s", code, out)
+	}
+	a, err := archive.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := a.Document("ipv4", 5)
+	if err != nil || len(doc.Entries) == 0 {
+		t.Fatalf("day 5: %v", err)
+	}
+	code, out = run(t, "query", "timeline", "-archive", dir, "-prefix", doc.Entries[0].Prefix)
+	if code != 0 || !strings.Contains(out, "days 0..5:") {
+		t.Fatalf("query timeline after the pack: exit %d:\n%s", code, out)
+	}
+	if code, out = run(t, "query", "events", "-archive", dir); code != 0 || !strings.Contains(out, "events (ipv4)") {
+		t.Fatalf("query events after the pack: exit %d:\n%s", code, out)
 	}
 }
 

@@ -189,6 +189,24 @@ func openStore(dir string) (*store, error) {
 	return &store{archive: a, index: ix}, nil
 }
 
+// extendIndex keeps an indexed archive answering longitudinal queries
+// after days were appended to it (by `census -archive` or `archive
+// pack`): when dir has a timeline index, the index is extended by the
+// days it lacks, decoding only their chains, and the build's summary is
+// printed after "indexed <what>:". An archive without an index is left
+// without one.
+func extendIndex(dir, what string) error {
+	if _, err := os.Stat(filepath.Join(dir, query.IndexFileName)); err != nil {
+		return nil
+	}
+	res, err := query.BuildDir(dir)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("indexed %s: %s\n", what, buildSummary(res))
+	return nil
+}
+
 // close releases the index's file handle, if one is open.
 func (s *store) close() {
 	if s.index != nil {

@@ -21,7 +21,11 @@
 //
 // The reader (Archive) is a stateless, lock-free store: it caches
 // nothing, so a decoded document is the caller's own, and callers that
-// re-read days keep their own cache (internal/api's decoded-day LRU).
+// re-read days keep their own cache (internal/api's decoded-day LRU). A
+// day file is read whole and decoded by core.DecodeDocument or
+// core.DecodeDelta: one reflection-free scan of the writer's grammar.
+// encoding/json runs on the small header object, and on the whole file
+// only when the file holds something the writer never emits.
 package archive
 
 import (

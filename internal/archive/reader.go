@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -216,28 +215,16 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, doc *
 // plus delta applications) the archive has performed since Open.
 func (a *Archive) Decodes() int64 { return a.decodes.Load() }
 
-// loadSnapshot parses one snapshot file through the streaming reader.
+// loadSnapshot decodes one snapshot file.
 func (a *Archive) loadSnapshot(rec Record) (*core.Document, error) {
 	a.decodes.Add(1)
-	f, err := os.Open(filepath.Join(a.dir, rec.File))
+	b, err := os.ReadFile(filepath.Join(a.dir, rec.File))
 	if err != nil {
-		return nil, fmt.Errorf("archive: opening snapshot: %w", err)
+		return nil, fmt.Errorf("archive: reading snapshot: %w", err)
 	}
-	defer f.Close()
-	dr, err := core.NewDocumentReader(bufio.NewReader(f))
+	doc, err := core.DecodeDocument(b)
 	if err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", rec.File, err)
-	}
-	doc := dr.Header().DeepCopy()
-	for {
-		e, err := dr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("archive: %s: %w", rec.File, err)
-		}
-		doc.Entries = append(doc.Entries, *e)
 	}
 	return doc, nil
 }
@@ -249,8 +236,8 @@ func (a *Archive) applyDelta(prev *core.Document, rec Record) (*core.Document, e
 	if err != nil {
 		return nil, fmt.Errorf("archive: reading delta: %w", err)
 	}
-	var delta core.DocumentDelta
-	if err := json.Unmarshal(b, &delta); err != nil {
+	delta, err := core.DecodeDelta(b)
+	if err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", rec.File, err)
 	}
 	doc, err := delta.Apply(prev)

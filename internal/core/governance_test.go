@@ -311,14 +311,14 @@ func TestResponsibilityDocumentRoundTrip(t *testing.T) {
 		t.Fatalf("responsibility did not survive ParseDocument: %+v", parsed.Responsibility)
 	}
 
-	// Streaming reader must carry the block in its header, and the
+	// The archive's scanner must carry the block in its header, and the
 	// streaming writer must reproduce the canonical bytes.
-	dr, err := NewDocumentReader(bytes.NewReader(canonical))
-	if err != nil {
-		t.Fatal(err)
+	scanned, ok := ScanDocument(canonical)
+	if !ok {
+		t.Fatal("the scanner declined a governed document")
 	}
-	if dr.Header().Responsibility == nil || *dr.Header().Responsibility != *doc.Responsibility {
-		t.Fatalf("responsibility lost by DocumentReader header: %+v", dr.Header().Responsibility)
+	if scanned.Responsibility == nil || *scanned.Responsibility != *doc.Responsibility {
+		t.Fatalf("responsibility lost by ScanDocument: %+v", scanned.Responsibility)
 	}
 	var streamed bytes.Buffer
 	if err := StreamDocument(&streamed, doc); err != nil {

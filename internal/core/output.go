@@ -87,8 +87,9 @@ func (r *Responsibility) Total() budget.Usage {
 // Document is the JSON schema of one daily census file — the unit the
 // public repository carries and downstream consumers (the dashboard, the
 // diff tool) operate on. Entries must stay the last field: the streaming
-// codec (DocumentWriter/DocumentReader) depends on every scalar
-// preceding the entry array.
+// writer (DocumentWriter) depends on every scalar preceding the entry
+// array, and the archive's scanner (ScanDocument) declines any other
+// order.
 type Document struct {
 	Date        string `json:"date"`
 	Family      string `json:"family"`

@@ -256,16 +256,36 @@ func (ix *Index) Events(family string, kinds []EventKind, from, to int, opts Eve
 	// in day order; re-sort into (day, prefix-scan, emission) order so
 	// the list reads chronologically. Stable by construction: sort by
 	// day only, ties keep canonical prefix order.
-	sortEventsByDay(out)
-	return out, nil
+	return sortEventsByDay(out), nil
 }
 
 // sortEventsByDay orders events chronologically. The input is P
 // per-prefix runs concatenated in canonical prefix order, each run
 // already day-ordered — a stable sort on day alone keeps canonical
-// prefix order within a day.
-func sortEventsByDay(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Day < events[j].Day })
+// prefix order within a day. It counts events per day over the span the
+// events cover and places each one once: no comparisons, no swaps.
+func sortEventsByDay(events []Event) []Event {
+	if len(events) < 2 {
+		return events
+	}
+	lo, hi := events[0].Day, events[0].Day
+	for i := range events {
+		lo, hi = min(lo, events[i].Day), max(hi, events[i].Day)
+	}
+	next := make([]int, hi-lo+2) // next[d]: where day lo+d's next event goes
+	for i := range events {
+		next[events[i].Day-lo+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	out := make([]Event, len(events))
+	for i := range events {
+		d := events[i].Day - lo
+		out[next[d]] = events[i]
+		next[d]++
+	}
+	return out
 }
 
 // Stability scores one prefix's longitudinal steadiness.

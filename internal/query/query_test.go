@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/laces-project/laces/internal/archive"
@@ -480,6 +483,30 @@ func TestEventsFilters(t *testing.T) {
 	for _, e := range window {
 		if e.Day < 10 || e.Day > 20 {
 			t.Fatalf("day filter leaked %+v", e)
+		}
+	}
+}
+
+// TestSortEventsByDayMatchesStableSort holds the counting sort to the
+// sort.SliceStable it replaced, on what Events feeds it: per-prefix runs,
+// each in day order, concatenated — with ties across runs, single-event
+// and empty inputs, and days that start far from zero.
+func TestSortEventsByDayMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 300; trial++ {
+		var events []Event
+		base := rng.IntN(1000)
+		for p := rng.IntN(40); p > 0; p-- {
+			day := base + rng.IntN(5)
+			for n := rng.IntN(6); n > 0; n-- {
+				events = append(events, Event{Kind: EventKinds()[rng.IntN(5)], Prefix: fmt.Sprintf("10.%d.0.0/16", p), Day: day, PrevDay: rng.IntN(3)})
+				day += rng.IntN(4)
+			}
+		}
+		want := slices.Clone(events)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Day < want[j].Day })
+		if got := sortEventsByDay(events); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: counting sort = %v\nsort.SliceStable = %v", trial, got, want)
 		}
 	}
 }
