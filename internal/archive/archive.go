@@ -19,6 +19,10 @@
 // bytes, so Verify can prove — without any external reference — that
 // unpacking reproduces exactly what WriteJSON published.
 //
+// commit.go is the store's one write seam: a day file (and query's
+// timeline.idx and its .agg sidecar) appears whole through CommitFile's
+// tmp-and-rename, and index.jsonl is opened, repaired and appended there.
+//
 // The reader (Archive) is a stateless, lock-free store: it caches
 // nothing, so a decoded document is the caller's own, and callers that
 // re-read days keep their own cache (internal/api's decoded-day LRU). A
@@ -29,7 +33,6 @@
 package archive
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -175,55 +178,42 @@ func newWriter(dir string, opts Options, resume *Archive) (*Writer, error) {
 	if opts.SnapshotEvery <= 0 {
 		opts.SnapshotEvery = DefaultSnapshotEvery
 	}
-	f, err := os.OpenFile(filepath.Join(dir, IndexFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("archive: opening index: %w", err)
-	}
-	w := &Writer{dir: dir, opts: opts, index: f, fams: make(map[string]*famState)}
+	w := &Writer{dir: dir, opts: opts, fams: make(map[string]*famState)}
 	if resume != nil {
-		// Open skipped a torn final index line (an append that died
-		// mid-write); O_APPEND would glue the next record onto it and the
-		// archive would stop opening. Cut the index back to the records
-		// Open accepted, and terminate a last record that lost only its
-		// newline.
-		if err := f.Truncate(resume.indexEnd); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("archive: truncating torn index tail: %w", err)
-		}
-		if resume.indexOpen {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("archive: terminating index: %w", err)
-			}
-		}
-		w.seq = len(resume.recs)
-		for _, fam := range resume.Families() {
-			days := resume.Days(fam)
-			last := days[len(days)-1]
-			doc, err := resume.Document(fam, last)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("archive: replaying %s day %d for append: %w", fam, last, err)
-			}
-			rec, _ := resume.Record(fam, last)
-			since := 0
-			if rec.Kind == KindDelta {
-				// Count days back to the chain's snapshot so the cadence
-				// keeps its rhythm across writer restarts.
-				for i := len(days) - 1; i >= 0; i-- {
-					r, _ := resume.Record(fam, days[i])
-					since++
-					if r.Kind == KindSnapshot {
-						break
-					}
-				}
-			} else {
-				since = 1
-			}
-			w.fams[fam] = &famState{lastDay: last, sinceSnap: since, lastDoc: doc}
+		if err := w.replay(resume); err != nil {
+			return nil, err
 		}
 	}
+	f, err := openIndexLog(dir, resume)
+	if err != nil {
+		return nil, err
+	}
+	w.index = f
 	return w, nil
+}
+
+// replay takes up each family's delta chain where the archive left it:
+// the last document, and the days since its snapshot, so the cadence
+// keeps its rhythm across writer restarts.
+func (w *Writer) replay(a *Archive) error {
+	w.seq = len(a.recs)
+	for _, fam := range a.Families() {
+		idxs := a.byFam[fam]
+		last := a.recs[idxs[len(idxs)-1]].Day
+		doc, err := a.Document(fam, last)
+		if err != nil {
+			return fmt.Errorf("archive: replaying %s day %d for append: %w", fam, last, err)
+		}
+		since := 0
+		for i := len(idxs) - 1; i >= 0; i-- {
+			since++
+			if a.recs[idxs[i]].Kind == KindSnapshot {
+				break
+			}
+		}
+		w.fams[fam] = &famState{lastDay: last, sinceSnap: since, lastDoc: doc}
+	}
+	return nil
 }
 
 // countingWriter tallies bytes written through it.
@@ -234,143 +224,142 @@ func (c *countingWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); re
 // Append stores one census day. Days must be appended in strictly
 // increasing order per family; the writer retains doc for the next delta,
 // so the caller must not mutate it afterwards. Writer implements Sink.
+//
+// An append is four phases: admit the day, encode its file (committed
+// whole by CommitFile), append its index record, advance the chain. A
+// day is part of the archive only once its record lands, so a file
+// already at the day's name can only be the orphan of an append that
+// died before its record: the commit replaces it. A failed encode leaves
+// nothing behind; a failed record append leaves such an orphan.
 func (w *Writer) Append(day int, doc *core.Document) error {
-	if w.index == nil {
-		return fmt.Errorf("archive: writer is closed")
-	}
-	fam := doc.Family
-	if fam != "ipv4" && fam != "ipv6" {
-		return fmt.Errorf("archive: document family %q is not ipv4 or ipv6", fam)
-	}
-	st := w.fams[fam]
-	if st != nil && day <= st.lastDay {
-		return fmt.Errorf("archive: day %d (%s) appended after day %d — the archive is append-only", day, fam, st.lastDay)
-	}
-
-	// One streaming pass over the canonical bytes yields the checksum,
-	// the full-JSON size and (for snapshots) the stored file itself.
-	crc := crc32.New(castagnoli)
-	count := &countingWriter{}
-	kind := KindSnapshot
-	if st != nil && st.sinceSnap < w.opts.SnapshotEvery {
-		kind = KindDelta
-	}
-	name := dayFileName(fam, day, kind)
-	path := filepath.Join(w.dir, name)
-	// A day is part of the archive only once its index record lands, so a
-	// pre-existing file here can only be the orphan of an append that died
-	// between writing the day file and the index line — overwrite it
-	// (O_TRUNC, not O_EXCL); indexed days are already rejected above.
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	st, err := w.admit(day, doc)
 	if err != nil {
-		return fmt.Errorf("archive: creating day file: %w", err)
+		return err
 	}
-	// Similarly, drop the partial file if this append fails before its
-	// index record is written, so a retry starts clean.
-	committed := false
-	defer func() {
-		if !committed {
-			os.Remove(path)
-		}
-	}()
-	bw := bufio.NewWriter(f)
-
-	canonical := io.MultiWriter(crc, count)
-	var stored int64
-	if kind == KindSnapshot {
-		stc := &countingWriter{}
-		if err := core.StreamDocument(io.MultiWriter(canonical, bw, stc), doc); err != nil {
-			f.Close()
-			return fmt.Errorf("archive: streaming snapshot: %w", err)
-		}
-		stored = stc.n
-	} else {
-		if err := core.StreamDocument(canonical, doc); err != nil {
-			f.Close()
-			return fmt.Errorf("archive: checksumming day: %w", err)
-		}
-		delta := core.DiffDocuments(st.lastDoc, doc)
-		// Prove the delta reconstructs this day byte-for-byte BEFORE the
-		// index record commits it: delta application assumes canonical
-		// entry order, and a document packed from foreign JSON (e.g. an
-		// older lexicographically-sorted census file) would otherwise
-		// become a permanently unreconstructable day in the append-only
-		// store. Failing the append keeps the archive sound.
-		back, err := delta.Apply(st.lastDoc)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("archive: delta does not apply to the previous day: %w", err)
-		}
-		backCRC := crc32.New(castagnoli)
-		if err := core.StreamDocument(backCRC, back); err != nil {
-			f.Close()
-			return fmt.Errorf("archive: checksumming delta reconstruction: %w", err)
-		}
-		if backCRC.Sum32() != crc.Sum32() {
-			f.Close()
-			return fmt.Errorf("archive: day %d (%s) does not survive delta encoding — are the document's entries in canonical numeric prefix order?", day, fam)
-		}
-		b, err := json.Marshal(delta)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("archive: encoding delta: %w", err)
-		}
-		b = append(b, '\n')
-		if _, err := bw.Write(b); err != nil {
-			f.Close()
-			return fmt.Errorf("archive: writing delta: %w", err)
-		}
-		stored = int64(len(b))
+	kind, prev := KindSnapshot, (*core.Document)(nil)
+	if st != nil && st.sinceSnap < w.opts.SnapshotEvery {
+		kind, prev = KindDelta, st.lastDoc
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("archive: flushing day file: %w", err)
+	name := dayFileName(doc.Family, day, kind)
+	var c dayCode
+	if err := CommitFile(filepath.Join(w.dir, name), func(f io.Writer) (err error) {
+		c, err = encodeDay(f, day, doc, prev)
+		return err
+	}); err != nil {
+		return err
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("archive: closing day file: %w", err)
-	}
-
 	rec := Record{
 		Seq:       w.seq,
 		Day:       day,
-		Family:    fam,
+		Family:    doc.Family,
 		Date:      doc.Date,
 		Kind:      kind,
 		File:      name,
-		Bytes:     stored,
-		FullBytes: count.n,
-		CRC:       crc.Sum32(),
+		Bytes:     c.stored,
+		FullBytes: c.full,
+		CRC:       c.crc,
 		Entries:   len(doc.Entries),
 		GCount:    doc.GCount,
 		MCount:    doc.MCount,
 		Probes:    doc.ProbesTotal(),
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
+	if err := appendIndex(w.index, rec); err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	if _, err := w.index.Write(line); err != nil {
-		return fmt.Errorf("archive: appending index record: %w", err)
-	}
-	committed = true
-	w.appends.Add(1)
-	w.storedBytes.Add(stored)
-	w.fullBytes.Add(count.n)
+	w.advance(rec, doc)
+	return nil
+}
 
+// admit checks an append against the writer: open, a family the archive
+// stores, and a day after the family's last. It returns the family's
+// chain, nil before its first day.
+func (w *Writer) admit(day int, doc *core.Document) (*famState, error) {
+	if w.index == nil {
+		return nil, fmt.Errorf("archive: writer is closed")
+	}
+	fam := doc.Family
+	if fam != "ipv4" && fam != "ipv6" {
+		return nil, fmt.Errorf("archive: document family %q is not ipv4 or ipv6", fam)
+	}
+	st := w.fams[fam]
+	if st != nil && day <= st.lastDay {
+		return nil, fmt.Errorf("archive: day %d (%s) appended after day %d — the archive is append-only", day, fam, st.lastDay)
+	}
+	return st, nil
+}
+
+// dayCode is what encoding a day measures: the stored file's size, and
+// the size and CRC-32C of the day's canonical WriteJSON bytes.
+type dayCode struct {
+	stored, full int64
+	crc          uint32
+}
+
+// encodeDay writes the day's stored form to f: the canonical bytes
+// themselves for a snapshot (prev nil), the delta against prev otherwise.
+// One streaming pass over the canonical bytes yields the checksum, the
+// full-JSON size and, for a snapshot, the stored file itself.
+func encodeDay(f io.Writer, day int, doc, prev *core.Document) (dayCode, error) {
+	crc := crc32.New(castagnoli)
+	full := &countingWriter{}
+	canonical := io.MultiWriter(crc, full)
+	if prev == nil {
+		stored := &countingWriter{}
+		if err := core.StreamDocument(io.MultiWriter(canonical, f, stored), doc); err != nil {
+			return dayCode{}, fmt.Errorf("archive: streaming snapshot: %w", err)
+		}
+		return dayCode{stored: stored.n, full: full.n, crc: crc.Sum32()}, nil
+	}
+	if err := core.StreamDocument(canonical, doc); err != nil {
+		return dayCode{}, fmt.Errorf("archive: checksumming day: %w", err)
+	}
+	delta := core.DiffDocuments(prev, doc)
+	// Prove the delta reconstructs this day byte-for-byte BEFORE the
+	// index record commits it: delta application assumes canonical
+	// entry order, and a document packed from foreign JSON (e.g. an
+	// older lexicographically-sorted census file) would otherwise
+	// become a permanently unreconstructable day in the append-only
+	// store. Failing the append keeps the archive sound.
+	back, err := delta.Apply(prev)
+	if err != nil {
+		return dayCode{}, fmt.Errorf("archive: delta does not apply to the previous day: %w", err)
+	}
+	backCRC := crc32.New(castagnoli)
+	if err := core.StreamDocument(backCRC, back); err != nil {
+		return dayCode{}, fmt.Errorf("archive: checksumming delta reconstruction: %w", err)
+	}
+	if backCRC.Sum32() != crc.Sum32() {
+		return dayCode{}, fmt.Errorf("archive: day %d (%s) does not survive delta encoding — are the document's entries in canonical numeric prefix order?", day, doc.Family)
+	}
+	b, err := json.Marshal(delta)
+	if err != nil {
+		return dayCode{}, fmt.Errorf("archive: encoding delta: %w", err)
+	}
+	b = append(b, '\n')
+	if _, err := f.Write(b); err != nil {
+		return dayCode{}, fmt.Errorf("archive: writing delta: %w", err)
+	}
+	return dayCode{stored: int64(len(b)), full: full.n, crc: crc.Sum32()}, nil
+}
+
+// advance records a committed day: the writer's telemetry, the family's
+// chain and the next sequence number.
+func (w *Writer) advance(rec Record, doc *core.Document) {
+	w.appends.Add(1)
+	w.storedBytes.Add(rec.Bytes)
+	w.fullBytes.Add(rec.FullBytes)
+	st := w.fams[rec.Family]
 	if st == nil {
 		st = &famState{}
-		w.fams[fam] = st
+		w.fams[rec.Family] = st
 	}
-	st.lastDay = day
-	st.lastDoc = doc
-	if kind == KindSnapshot {
+	st.lastDay, st.lastDoc = rec.Day, doc
+	if rec.Kind == KindSnapshot {
 		st.sinceSnap = 1
 	} else {
 		st.sinceSnap++
 	}
 	w.seq++
-	return nil
 }
 
 // LastDay returns the last appended day for a family, or false when the

@@ -31,9 +31,7 @@
 //	          for every listed prefix on today's hitlist that detect missed.
 //	confirm   stage 3: fetches the GCD VP pool and measures the day's rows
 //	          under gcdmeas's §4.3 protocol rule; folds the verdicts.
-//	annotate  optional stage 4 (IncludeChaos): CHAOS identities of the
-//	          DNS-responsive rows.
-//	screen    optional stage 5 (ConfirmGlobalBGP): traceroute screening of ℳ.
+//	screen    optional stage 4 (ConfirmGlobalBGP): traceroute screening of ℳ.
 //	publish   the governance block, then the only writes to Pipeline state:
 //	          today's confirmations join the feedback list, today's |𝒢|
 //	          joins the monitoring baseline (after the alerts were
@@ -60,7 +58,6 @@ import (
 
 	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/chaos"
-	"github.com/laces-project/laces/internal/gcdmeas"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
@@ -100,22 +97,12 @@ type Entry struct {
 	// ICMP-unresponsive candidates); meaningful when GCDMeasured.
 	GCDProto packet.Protocol
 
-	// PartialAnycast is set by the periodic GCD_IPv4 /32 sweep when the
-	// prefix holds both unicast and anycast addresses (§5.7).
-	PartialAnycast bool
-
 	// GlobalBGP marks ℳ prefixes whose traceroute screening shows the
 	// §5.1.3 signature: forward paths ingress the origin network at two
 	// or more PoPs yet terminate at a single server — a globally
 	// announced, internally unicast prefix (the paper's Microsoft case;
 	// publishing the flag is its stated future work).
 	GlobalBGP bool
-
-	// ChaosRecords holds the distinct RFC 4892 identity strings collected
-	// from DNS-responsive prefixes when the pipeline's CHAOS census is
-	// enabled (§8: "we intend on including it in our daily scanning as it
-	// provides insightful information for nameservers").
-	ChaosRecords []string
 }
 
 // IsCandidate reports whether any protocol's anycast-based stage flagged
@@ -220,10 +207,6 @@ type Config struct {
 	// GCDVPs supplies the latency-stage VP pool for a census day (Ark,
 	// which grows over time).
 	GCDVPs func(day int, v6 bool) ([]netsim.VP, error)
-	// IncludeChaos adds a CHAOS TXT identity census over DNS-responsive
-	// census prefixes (§8 extension; App C shows the records are a weak
-	// anycast indicator but a useful nameserver annotation).
-	IncludeChaos bool
 	// ConfirmGlobalBGP adds a traceroute screening stage over ℳ: prefixes
 	// whose paths ingress at multiple PoPs but terminate at one server
 	// are published with the GlobalBGP flag (§5.1.3 future work).
@@ -341,19 +324,4 @@ func (c *DailyCensus) entry(tg *netsim.Target) *Entry {
 	e := &Entry{TargetID: tg.ID, Prefix: tg.Prefix, Origin: tg.Origin}
 	c.Entries[tg.ID] = e
 	return e
-}
-
-// ApplySweep marks partial-anycast prefixes found by a GCD_IPv4 address
-// sweep (§5.7) on the census.
-func (c *DailyCensus) ApplySweep(outcomes []gcdmeas.AddrSweepOutcome, w *netsim.World) {
-	for _, o := range outcomes {
-		if !o.Partial() {
-			continue
-		}
-		e, ok := c.Entries[o.TargetID]
-		if !ok {
-			e = c.entry(w.TargetAt(c.V6, o.TargetID))
-		}
-		e.PartialAnycast = true
-	}
 }

@@ -385,57 +385,6 @@ func TestIPv6Census(t *testing.T) {
 	}
 }
 
-func TestChaosAnnotationStage(t *testing.T) {
-	d, _ := platform.Tangled(testWorld, netsim.PolicyUnmodified)
-	p, err := NewPipeline(testWorld, Config{
-		Deployment: d,
-		GCDVPs: func(day int, v6 bool) ([]netsim.VP, error) {
-			return platform.Ark(testWorld, day, v6)
-		},
-		IncludeChaos: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := p.RunDaily(90, false, DayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	annotated, multi := 0, 0
-	for id, e := range c.Entries {
-		if len(e.ChaosRecords) == 0 {
-			continue
-		}
-		annotated++
-		if len(e.ChaosRecords) > 1 {
-			multi++
-		}
-		if !testWorld.TargetsV4[id].Responsive[packet.DNS] {
-			t.Fatalf("CHAOS records on non-DNS target %d", id)
-		}
-	}
-	if annotated == 0 {
-		t.Fatal("CHAOS stage annotated nothing")
-	}
-	if multi == 0 {
-		t.Fatal("no multi-record (per-site) nameservers annotated")
-	}
-	// The stage is optional: a default pipeline must not annotate.
-	p2, _ := NewPipeline(testWorld, Config{Deployment: d,
-		GCDVPs: func(day int, v6 bool) ([]netsim.VP, error) {
-			return platform.Ark(testWorld, day, v6)
-		}})
-	c2, err := p2.RunDaily(90, false, DayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range c2.Entries {
-		if len(e.ChaosRecords) != 0 {
-			t.Fatal("default pipeline annotated CHAOS records")
-		}
-	}
-}
-
 func TestScreenGlobalBGPFlags(t *testing.T) {
 	d, err := platform.Tangled(testWorld, netsim.PolicyUnmodified)
 	if err != nil {

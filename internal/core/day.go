@@ -3,13 +3,11 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strconv"
 	"time"
 
 	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/chaos"
-	"github.com/laces-project/laces/internal/chaosdns"
 	"github.com/laces-project/laces/internal/gcdmeas"
 	"github.com/laces-project/laces/internal/hitlist"
 	"github.com/laces-project/laces/internal/manycast"
@@ -56,9 +54,9 @@ type censusDay struct {
 	span *obs.ActiveSpan
 	obs  *obs.Registry
 
-	census              *DailyCensus
-	vps                 []netsim.VP // the GCD pool, fetched by confirm
-	anycast, gcd, chaos budget.Usage
+	census       *DailyCensus
+	vps          []netsim.VP // the GCD pool, fetched by confirm
+	anycast, gcd budget.Usage
 }
 
 // RunDaily executes the full pipeline for one census day and family.
@@ -76,9 +74,6 @@ func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus,
 	d.feedBack()
 	if err := d.confirm(); err != nil {
 		return nil, fmt.Errorf("core: GCD VP pool: %w", err)
-	}
-	if p.Cfg.IncludeChaos {
-		d.annotate()
 	}
 	if p.Cfg.ConfirmGlobalBGP {
 		if err := d.screen(); err != nil {
@@ -294,40 +289,11 @@ func (e *Entry) confirm(out gcdmeas.TargetOutcome) {
 	}
 }
 
-// annotate is optional stage 4 (§8 extension): RFC 4892 identities of the
-// day's DNS-responsive rows, queried from every deployment site, in
-// ascending target ID like every governed stage.
-func (d *censusDay) annotate() {
-	sp, reg := d.phase("annotate")
-	defer sp.End()
-	sub := &hitlist.Hitlist{V6: d.v6, Day: d.hl.Day}
-	for _, id := range d.census.ids() {
-		if tg := d.w.TargetAt(d.v6, id); tg.Responsive[packet.DNS] {
-			sub.Entries = append(sub.Entries, hitlist.EntryOf(tg))
-		}
-	}
-	if sub.Len() == 0 {
-		return
-	}
-	recs, usage := chaosdns.Census(d.w, d.p.Cfg.Deployment, sub, d.census.Day.Add(9*time.Hour), d.gate, d.p.Cfg.Parallelism, reg)
-	d.chaos = usage
-	for id, o := range recs {
-		if !o.Supported {
-			continue
-		}
-		e := d.census.Entries[id]
-		for rec := range o.Records {
-			e.ChaosRecords = append(e.ChaosRecords, rec)
-		}
-		sort.Strings(e.ChaosRecords)
-	}
-}
-
 // globalBGPVPs caps the traceroute vantage points drawn from the GCD pool
 // (the paper's manual confirmation used a handful).
 const globalBGPVPs = 12
 
-// screen is optional stage 5 (§5.1.3 future work): traceroutes from a
+// screen is optional stage 4 (§5.1.3 future work): traceroutes from a
 // spread of the GCD pool towards the ℳ rows worth tracing — multi-receiver
 // candidates that GCD measured and judged unicast — and flags the
 // global-BGP unicast signature. It is operator-triggered and outside the
@@ -404,7 +370,6 @@ func (d *censusDay) responsibility() *Responsibility {
 	resp := &Responsibility{
 		Anycast:         d.anycast,
 		GCD:             d.gcd,
-		Chaos:           d.chaos,
 		BudgetRemaining: -1,
 		RateSteps:       d.rateSteps,
 	}

@@ -41,10 +41,9 @@ func govPipeline(t testing.TB, w *netsim.World, b budget.Budget, reg *budget.Reg
 		GCDVPs: func(day int, v6 bool) ([]netsim.VP, error) {
 			return platform.Ark(w, day, v6)
 		},
-		IncludeChaos: true,
-		Parallelism:  par,
-		Budget:       b,
-		OptOut:       reg,
+		Parallelism: par,
+		Budget:      b,
+		OptOut:      reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ type DocumentEntry struct {
 	GCDSites       int      `json:"gcd_sites,omitempty"`
 	GCDCities      []string `json:"gcd_cities,omitempty"`
 	GCDVPs         int      `json:"gcd_vps,omitempty"`
-	PartialAnycast bool     `json:"partial_anycast,omitempty"`
+	PartialAnycast bool     `json:"partial_anycast,omitempty"` // reserved for the §5.7 /32 sweep; no census path sets it yet
 	GlobalBGP      bool     `json:"global_bgp,omitempty"`
 }
 
@@ -69,7 +69,9 @@ type Responsibility struct {
 	RateSteps     int     `json:"rate_steps,omitempty"`
 	RateEffective float64 `json:"rate_effective,omitempty"`
 
-	// Per-stage accounting (each reconciles independently).
+	// Per-stage accounting (each reconciles independently). Chaos is
+	// the zero block: no census stage sends CHAOS queries, and the field
+	// keeps governed documents' schema and bytes.
 	Anycast budget.Usage `json:"anycast_stage"`
 	GCD     budget.Usage `json:"gcd_stage"`
 	Chaos   budget.Usage `json:"chaos_stage"`
@@ -173,22 +175,21 @@ func (c *DailyCensus) Document() *Document {
 		doc.Responsibility = &r
 	}
 	for _, e := range c.sortedEntries() {
-		if !e.IsCandidate() && !e.GCDAnycast && !e.PartialAnycast {
+		if !e.IsCandidate() && !e.GCDAnycast {
 			continue // only anycast findings are published (§4.4)
 		}
 		doc.Entries = append(doc.Entries, DocumentEntry{
-			Prefix:         e.Prefix.String(),
-			OriginASN:      uint32(e.Origin),
-			ACProtocols:    protoNames(e.ACProtocols),
-			MaxReceivers:   e.MaxReceivers,
-			FromFeedback:   e.FromFeedback,
-			GCDMeasured:    e.GCDMeasured,
-			GCDAnycast:     e.GCDAnycast,
-			GCDSites:       e.GCDSites,
-			GCDCities:      e.GCDCities,
-			GCDVPs:         e.GCDVPs,
-			PartialAnycast: e.PartialAnycast,
-			GlobalBGP:      e.GlobalBGP,
+			Prefix:       e.Prefix.String(),
+			OriginASN:    uint32(e.Origin),
+			ACProtocols:  protoNames(e.ACProtocols),
+			MaxReceivers: e.MaxReceivers,
+			FromFeedback: e.FromFeedback,
+			GCDMeasured:  e.GCDMeasured,
+			GCDAnycast:   e.GCDAnycast,
+			GCDSites:     e.GCDSites,
+			GCDCities:    e.GCDCities,
+			GCDVPs:       e.GCDVPs,
+			GlobalBGP:    e.GlobalBGP,
 		})
 	}
 	return doc

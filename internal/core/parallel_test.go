@@ -19,10 +19,9 @@ func runCensusAt(t *testing.T, w *netsim.World, parallelism int, sc *chaos.Scena
 		t.Fatal(err)
 	}
 	pipe, err := NewPipeline(w, Config{
-		Deployment:   dep,
-		GCDVPs:       func(day int, v6 bool) ([]netsim.VP, error) { return platform.Ark(w, day, v6) },
-		IncludeChaos: true,
-		Parallelism:  parallelism,
+		Deployment:  dep,
+		GCDVPs:      func(day int, v6 bool) ([]netsim.VP, error) { return platform.Ark(w, day, v6) },
+		Parallelism: parallelism,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,10 @@ package query
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+
+	"github.com/laces-project/laces/internal/archive"
 )
 
 // aggSchema names the sidecar's JSON schema version.
@@ -151,20 +154,18 @@ func (ix *Index) computeAggregates() (*Aggregates, error) {
 	return ag, nil
 }
 
-// writeAggregates commits the sidecar atomically (tmp + rename), like
-// the index itself: it appears complete or not at all.
+// writeAggregates commits the sidecar like the index itself: it appears
+// complete or not at all.
 func writeAggregates(path string, ag *Aggregates) error {
 	b, err := json.MarshalIndent(ag, "", " ")
 	if err != nil {
 		return fmt.Errorf("query: encoding aggregates: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
+	if err := archive.CommitFile(path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("query: writing aggregates: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("query: committing aggregates: %w", err)
 	}
 	return nil
 }

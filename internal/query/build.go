@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -284,8 +285,11 @@ func Build(a *archive.Archive, path string) (*BuildResult, error) {
 	}
 	res.DaysDecoded = a.Decodes() - decoded
 	image := encodeIndex(fams)
-	if err := writeIndex(path, image); err != nil {
-		return nil, err
+	if err := archive.CommitFile(path, func(w io.Writer) error {
+		_, err := w.Write(image)
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("query: writing index: %w", err)
 	}
 	res.Bytes = int64(len(image))
 	for _, st := range a.Stats() {
@@ -489,25 +493,4 @@ func sealIndex(toc, rows []byte) []byte {
 		rowsCRC: crc32.Checksum(rows, castagnoli),
 	}
 	return slices.Concat(h.encode(), toc, rows)
-}
-
-// writeIndex commits the file image at path: tmp + rename.
-func writeIndex(path string, image []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("query: creating index: %w", err)
-	}
-	defer os.Remove(tmp)
-	if _, err := f.Write(image); err != nil {
-		f.Close()
-		return fmt.Errorf("query: writing index: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("query: closing index: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("query: committing index: %w", err)
-	}
-	return nil
 }
