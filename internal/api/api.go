@@ -340,9 +340,14 @@ func (s *Server) handleRange(v *view, r *http.Request) (answer, error) {
 	}
 	a.ctype = ctNDJSON
 	a.stream = func(w io.Writer, flush func()) error {
-		enc := json.NewEncoder(w)
+		var line []byte // one day's NDJSON line, reused
 		return v.arch.Range(family(v6), from, to, func(day int, doc *core.Document) error {
-			if err := enc.Encode(doc); err != nil {
+			var err error
+			if line, err = doc.AppendJSON(line[:0]); err != nil {
+				return err
+			}
+			line = append(line, '\n')
+			if _, err := w.Write(line); err != nil {
 				return err
 			}
 			// Flush per record so long spans stream incrementally instead

@@ -29,11 +29,13 @@
 // day file is read whole and decoded by core.DecodeDocument or
 // core.DecodeDelta: one reflection-free scan of the writer's grammar.
 // encoding/json runs on the small header object, and on the whole file
-// only when the file holds something the writer never emits.
+// only when the file holds something the writer never emits. The writer
+// is reflection-free the same way: a snapshot streams through
+// core.StreamDocument and a delta is DocumentDelta.AppendJSON, both
+// core's entry appender, with encoding/json left the header.
 package archive
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -331,7 +333,7 @@ func encodeDay(f io.Writer, day int, doc, prev *core.Document) (dayCode, error) 
 	if backCRC.Sum32() != crc.Sum32() {
 		return dayCode{}, fmt.Errorf("archive: day %d (%s) does not survive delta encoding — are the document's entries in canonical numeric prefix order?", day, doc.Family)
 	}
-	b, err := json.Marshal(delta)
+	b, err := delta.AppendJSON(nil)
 	if err != nil {
 		return dayCode{}, fmt.Errorf("archive: encoding delta: %w", err)
 	}

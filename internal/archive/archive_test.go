@@ -436,6 +436,69 @@ func TestAppendRejectsNonCanonicalOrder(t *testing.T) {
 	}
 }
 
+// TestArchiveKeepsEmptyEntriesArray: a published document with
+// `"entries": []` is archived as it was published, not as `null`. As a
+// snapshot it round-trips its bytes; as a delta day it cannot (applying
+// a delta rebuilds zero entries as nil), so its append fails.
+func TestArchiveKeepsEmptyEntriesArray(t *testing.T) {
+	published := func(date string) []byte {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(&core.Document{Date: date, Family: "ipv4", Entries: []core.DocumentEntry{}}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	parse := func(b []byte) *core.Document {
+		d, err := core.ParseDocument(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	day0 := published("2024-03-21")
+	if !bytes.Contains(day0, []byte(`"entries": []`)) {
+		t.Fatalf("fixture is not an empty entries array: %s", day0)
+	}
+	dir := t.TempDir()
+	w, err := Create(dir, Options{SnapshotEvery: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(0, parse(day0)); err != nil {
+		t.Fatal(err)
+	}
+	err = w.Append(1, parse(published("2024-03-22")))
+	if err == nil || !strings.Contains(err.Error(), "does not survive delta encoding") {
+		t.Fatalf("delta day with empty non-nil entries: Append = %v, want the delta-encoding refusal", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := a.Document("ipv4", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canonicalBytes(t, back); !bytes.Equal(got, day0) {
+		t.Fatalf("snapshot day re-encodes as\n%s\npublished as\n%s", got, day0)
+	}
+	if stored, err := os.ReadFile(filepath.Join(dir, "ipv4-000000.snap.json")); err != nil || !bytes.Equal(stored, day0) {
+		t.Fatalf("stored snapshot (%v)\n%s\npublished as\n%s", err, stored, day0)
+	}
+	if res, err := a.Verify(); err != nil || res.Days != 1 {
+		t.Fatalf("verify: %v (%+v)", err, res)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ipv4-000001.delta.json")); !os.IsNotExist(err) {
+		t.Fatalf("refused append left a day file behind (stat err %v)", err)
+	}
+}
+
 // TestOrphanDayFileRecovered simulates an append that died between
 // writing the day file and the index line: the orphan must not wedge the
 // archive — re-appending the day overwrites it.

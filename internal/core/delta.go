@@ -146,9 +146,10 @@ func (d *DocumentDelta) Apply(prev *Document) (*Document, error) {
 	}
 	if len(out.Entries) == 0 {
 		// A zero-entry day must reconstruct with nil entries: the
-		// canonical form is `"entries": null`, and encoding/json writes
-		// `[]` for an empty non-nil slice — which would break the
-		// byte-identity contract for fully-withdrawn days.
+		// census publishes `"entries": null`, and the codec (like
+		// encoding/json) writes `[]` for an empty non-nil slice. A day
+		// published with `[]` therefore cannot be a delta day; the
+		// archive's round-trip proof refuses it.
 		out.Entries = nil
 	}
 	return &out, nil

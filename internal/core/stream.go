@@ -3,18 +3,23 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/netip"
+	"slices"
+	"strings"
 )
 
 // This file is the write half of the published-document codec: encode
 // one DocumentEntry at a time so no layer has to materialize a whole
-// census day to move it (decode.go is the read half). The byte format is
-// exactly the one Document.WriteJSON produces — a DocumentWriter's output
-// is bit-for-bit the document the public repository carries, which is the
-// contract the archive layer (internal/archive) builds its integrity
-// checks on.
+// census day to move it (decode.go is the read half). Each row goes
+// through the reflection-free entry appender in encode.go into one
+// reusable buffer; only the header is rendered by encoding/json, and a
+// string the appender cannot copy as-is goes through json.Marshal on
+// its own. The bytes are exactly those of a json.Encoder with
+// SetIndent("", "  ") — a DocumentWriter's output is bit-for-bit the
+// document the public repository carries, `"entries": []` and
+// `"entries": null` included, which is the contract the archive layer
+// (internal/archive) builds its integrity checks on.
 
 // ComparePrefix orders prefixes numerically: by address family, then
 // address bytes, then prefix length. This is the canonical census order —
@@ -55,34 +60,70 @@ func ComparePrefixStrings(a, b string) int {
 	return 0
 }
 
-// WriteJSON encodes the document exactly as the public repository carries
-// it: two-space indent, entries last, trailing newline. It is the
-// canonical byte form — DailyCensus.WriteJSON, the streaming
-// DocumentWriter and the archive round-trip all produce or reproduce
-// these bytes.
-func (d *Document) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
+// SortPrefixStrings sorts prefix strings into ComparePrefixStrings order,
+// parsing each once rather than twice per comparison. Distinct strings
+// that parse to one prefix ("::1/128", "0::1/128") fall back to string
+// order, so the result never depends on the input's order.
+func SortPrefixStrings(ps []string) {
+	type key struct {
+		p  netip.Prefix
+		ok bool
+		s  string
+	}
+	keys := make([]key, len(ps))
+	for i, s := range ps {
+		p, err := netip.ParsePrefix(s)
+		keys[i] = key{p, err == nil, s}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		switch {
+		case a.ok && b.ok:
+			if c := ComparePrefix(a.p, b.p); c != 0 {
+				return c
+			}
+		case a.ok:
+			return -1
+		case b.ok:
+			return 1
+		}
+		return strings.Compare(a.s, b.s)
+	})
+	for i := range keys {
+		ps[i] = keys[i].s
+	}
 }
+
+// WriteJSON encodes the document exactly as the public repository carries
+// it: two-space indent, entries last, trailing newline — the bytes of a
+// json.Encoder with SetIndent("", "  "). It is the canonical byte form;
+// DailyCensus.WriteJSON, the archive and /v1/census all write it through
+// the streaming DocumentWriter.
+func (d *Document) WriteJSON(w io.Writer) error { return StreamDocument(w, d) }
 
 // entryElementIndent is the line prefix of an entry element inside the
 // canonical document ("entries" array elements sit two levels deep).
 const entryElementIndent = "    "
+
+// flushAt is how many encoded bytes a DocumentWriter gathers before it
+// writes them on.
+const flushAt = 16 << 10
 
 // DocumentWriter streams a census document entry by entry, producing
 // bytes identical to Document.WriteJSON without ever holding the entry
 // slice. The header scalars must be known up front (the census pipeline
 // always knows its counts before publication).
 type DocumentWriter struct {
-	w   io.Writer
-	hdr []byte // canonical header bytes up to and including `"entries": `
-	n   int    // entries written
-	err error
+	w     io.Writer
+	buf   []byte // encoded and not yet written: the header, then whole rows
+	n     int    // entries written
+	empty bool   // zero entries close as `[]`, not `null`
+	err   error
 }
 
 // NewDocumentWriter prepares a streaming writer from the document's
-// header scalars; hdr.Entries is ignored.
+// header scalars. Of hdr.Entries only its nil-ness counts: a document
+// with zero entries closes as `"entries": null` when it is nil and as
+// `"entries": []` when it is not, as encoding/json writes them.
 func NewDocumentWriter(w io.Writer, hdr *Document) (*DocumentWriter, error) {
 	// Render the canonical header by encoding the scalar fields with a
 	// nil entry slice and splitting at the trailing `null` — this keeps
@@ -90,16 +131,16 @@ func NewDocumentWriter(w io.Writer, hdr *Document) (*DocumentWriter, error) {
 	// hand-maintained field list.
 	shell := *hdr
 	shell.Entries = nil
-	var buf bytes.Buffer
-	if err := shell.WriteJSON(&buf); err != nil {
+	b, err := json.MarshalIndent(&shell, "", "  ")
+	if err != nil {
 		return nil, err
 	}
-	b := buf.Bytes()
-	suffix := []byte("null\n}\n")
+	suffix := []byte("null\n}")
 	if !bytes.HasSuffix(b, suffix) {
-		return nil, fmt.Errorf("core: document header did not end in an empty entries field (entries must be the last field)")
+		return nil, errEntriesNotLast
 	}
-	return &DocumentWriter{w: w, hdr: b[:len(b)-len(suffix)]}, nil
+	buf := append(make([]byte, 0, flushAt+1<<10), b[:len(b)-len(suffix)]...)
+	return &DocumentWriter{w: w, buf: buf, empty: hdr.Entries != nil}, nil
 }
 
 // WriteEntry appends one census row to the stream.
@@ -108,43 +149,38 @@ func (dw *DocumentWriter) WriteEntry(e *DocumentEntry) error {
 		return dw.err
 	}
 	if dw.n == 0 {
-		if _, dw.err = dw.w.Write(dw.hdr); dw.err != nil {
-			return dw.err
-		}
-		if _, dw.err = io.WriteString(dw.w, "[\n"+entryElementIndent); dw.err != nil {
-			return dw.err
-		}
+		dw.buf = append(dw.buf, "[\n"+entryElementIndent...)
 	} else {
-		if _, dw.err = io.WriteString(dw.w, ",\n"+entryElementIndent); dw.err != nil {
-			return dw.err
-		}
+		dw.buf = append(dw.buf, ",\n"+entryElementIndent...)
 	}
-	b, err := json.MarshalIndent(e, entryElementIndent, "  ")
-	if err != nil {
-		dw.err = err
-		return err
-	}
-	if _, dw.err = dw.w.Write(b); dw.err != nil {
-		return dw.err
-	}
+	dw.buf = appendEntry(dw.buf, e, &indentLayout)
 	dw.n++
-	return nil
+	if len(dw.buf) >= flushAt {
+		dw.flush()
+	}
+	return dw.err
 }
 
-// Close terminates the document. A document with zero entries reproduces
-// the canonical `"entries": null` form.
+// flush writes the gathered bytes on.
+func (dw *DocumentWriter) flush() {
+	_, dw.err = dw.w.Write(dw.buf)
+	dw.buf = dw.buf[:0]
+}
+
+// Close terminates the document and writes what is left of it.
 func (dw *DocumentWriter) Close() error {
 	if dw.err != nil {
 		return dw.err
 	}
-	if dw.n == 0 {
-		if _, dw.err = dw.w.Write(dw.hdr); dw.err != nil {
-			return dw.err
-		}
-		_, dw.err = io.WriteString(dw.w, "null\n}\n")
-		return dw.err
+	switch {
+	case dw.n > 0:
+		dw.buf = append(dw.buf, "\n  ]\n}\n"...)
+	case dw.empty:
+		dw.buf = append(dw.buf, "[]\n}\n"...)
+	default:
+		dw.buf = append(dw.buf, "null\n}\n"...)
 	}
-	_, dw.err = io.WriteString(dw.w, "\n  ]\n}\n")
+	dw.flush()
 	return dw.err
 }
 

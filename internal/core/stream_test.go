@@ -84,20 +84,24 @@ func sortEntriesCanonical(d *Document) {
 }
 
 // TestStreamWriterByteIdentical pins the streaming codec's contract: a
-// DocumentWriter must produce exactly the canonical WriteJSON bytes.
+// DocumentWriter must produce exactly the bytes encoding/json writes for
+// the canonical document, `"entries": []` for empty non-nil entries
+// included.
 func TestStreamWriterByteIdentical(t *testing.T) {
-	for _, entries := range []int{0, 1, 2, 57} {
-		doc := synthDoc(3, entries)
-		var want, got bytes.Buffer
-		if err := doc.WriteJSON(&want); err != nil {
+	emptied := synthDoc(3, 0)
+	emptied.Entries = []DocumentEntry{}
+	for _, doc := range []*Document{synthDoc(3, 0), emptied, synthDoc(3, 1), synthDoc(3, 2), synthDoc(3, 57)} {
+		want, err := refIndented(doc)
+		if err != nil {
 			t.Fatal(err)
 		}
+		var got bytes.Buffer
 		if err := StreamDocument(&got, doc); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("entries=%d: streamed bytes differ from WriteJSON\nwant: %q\ngot:  %q",
-				entries, want.String(), got.String())
+		if !bytes.Equal(want, got.Bytes()) {
+			t.Fatalf("entries=%d (nil %v): streamed bytes differ from encoding/json\nwant: %q\ngot:  %q",
+				len(doc.Entries), doc.Entries == nil, want, got.String())
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/core"
@@ -446,9 +445,7 @@ func encodeIndex(fams []*famBuilder) []byte {
 		for p := range fb.rows {
 			prefixes = append(prefixes, p)
 		}
-		sort.Slice(prefixes, func(i, j int) bool {
-			return core.ComparePrefixStrings(prefixes[i], prefixes[j]) < 0
-		})
+		core.SortPrefixStrings(prefixes)
 		for _, p := range prefixes {
 			rb := fb.rows[p]
 			off := uint64(len(rows.b))
