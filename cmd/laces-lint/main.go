@@ -1,13 +1,15 @@
 // Command laces-lint runs the project's static-analysis suite
 // (internal/lint) over the requested packages and exits non-zero when
-// any finding survives //laces:allow suppression.
+// any finding survives //laces:allow suppression. go test ./... runs the
+// same suite over the module (internal/lint's TestTreeIsLintClean); this
+// command runs it by hand, on any package pattern or module root.
 //
 // Usage:
 //
 //	laces-lint [flags] [packages]
 //
 //	laces-lint ./...                 lint the whole module
-//	laces-lint -json ./...           machine-readable findings (CI artifact)
+//	laces-lint -json ./...           machine-readable findings
 //	laces-lint -list                 print the analyzer suite and exit
 //	laces-lint -dir path ./...       lint a different module root
 //

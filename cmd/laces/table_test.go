@@ -3,10 +3,15 @@ package main
 import (
 	"bytes"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -23,8 +28,10 @@ func walk(c *command, path []string, visit func(c *command, path []string)) {
 // TestCommandTable pins the table's own invariants: every node is
 // reachable by a unique lower-case name and documented, every runnable
 // node has a usage line and declares its flags without panicking (a flag
-// declared twice would), and `laces help` is the table, nothing else.
+// declared twice would), `laces help` is the table, nothing else, and no
+// command goes in beside it (see dispatchBesideTable).
 func TestCommandTable(t *testing.T) {
+	dispatchBesideTable(t)
 	leaves := 0
 	walk(root, nil, func(c *command, path []string) {
 		name := strings.Join(path, " ")
@@ -79,6 +86,62 @@ func TestCommandTable(t *testing.T) {
 			t.Errorf("help omits %q", s.name)
 		}
 	}
+}
+
+// dispatchBesideTable fails on a hand-written dispatch in any file under
+// cmd/, tests included: a `switch args[0]` or `switch cmd`, or a `case`
+// string literal that names a command `laces help` lists. Command names
+// live in the table only.
+func dispatchBesideTable(t *testing.T) {
+	t.Helper()
+	names := map[string]bool{}
+	for _, s := range root.sub {
+		names[s.name] = true
+	}
+	paths, err := filepath.Glob("../*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 10 {
+		t.Fatalf("found %d files under cmd/; the check is looking in the wrong place", len(paths))
+	}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SwitchStmt:
+				if isDispatchTag(n.Tag) {
+					t.Errorf("%s: a dispatch switch beside the command table", fset.Position(n.Pos()))
+				}
+			case *ast.CaseClause:
+				for _, e := range n.List {
+					if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if name, _ := strconv.Unquote(lit.Value); names[name] {
+							t.Errorf("%s: case %s names a command; commands are rows of the table", fset.Position(lit.Pos()), lit.Value)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// isDispatchTag reports whether a switch tag is `args[0]` or `cmd`.
+func isDispatchTag(tag ast.Expr) bool {
+	switch tag := tag.(type) {
+	case *ast.Ident:
+		return tag.Name == "cmd"
+	case *ast.IndexExpr:
+		x, ok := tag.X.(*ast.Ident)
+		i, isLit := tag.Index.(*ast.BasicLit)
+		return ok && x.Name == "args" && isLit && i.Value == "0"
+	}
+	return false
 }
 
 // inlineCode matches a Markdown code span.

@@ -41,7 +41,6 @@ import (
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/core"
-	"github.com/laces-project/laces/internal/lru"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/query"
@@ -97,7 +96,7 @@ type Server struct {
 	// cache is the bounded decoded-day LRU, sized on first use so
 	// CacheSize can be set any time before the first request. Cached
 	// documents are shared across requests and never mutated.
-	cache *lru.Cache[censusKey, *core.Document]
+	cache *lru[censusKey, *core.Document]
 	// cacheHits/cacheMisses tally census lookups by whether the LRU
 	// answered them; /metrics exposes them as laces_api_day_cache_total.
 	cacheHits, cacheMisses atomic.Int64
@@ -260,13 +259,13 @@ func (s *Server) newestDay(v *view, v6 bool, today int) int {
 
 // dayCache returns the decoded-day LRU, creating it at the configured
 // bound on first use. Callers hold s.mu.
-func (s *Server) dayCache() *lru.Cache[censusKey, *core.Document] {
+func (s *Server) dayCache() *lru[censusKey, *core.Document] {
 	if s.cache == nil {
 		bound := s.CacheSize
 		if bound <= 0 {
 			bound = DefaultCacheSize
 		}
-		s.cache = lru.New[censusKey, *core.Document](bound)
+		s.cache = newLRU[censusKey, *core.Document](bound)
 	}
 	return s.cache
 }

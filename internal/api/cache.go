@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"github.com/laces-project/laces/internal/archive"
-	"github.com/laces-project/laces/internal/lru"
 	"github.com/laces-project/laces/internal/query"
 )
 
@@ -70,7 +69,7 @@ type view struct {
 	famTags map[string]*resTag
 	idxTag  *resTag
 
-	events *lru.Cache[eventsKey, []query.Event] // guarded by the owning Server's mu
+	events *lru[eventsKey, []query.Event] // guarded by the owning Server's mu
 }
 
 // newView builds a serving generation over the given handles. ETags are
@@ -84,7 +83,7 @@ func (s *Server) newView(a *archive.Archive, q *query.Index) *view {
 		q:       q,
 		dayTags: make(map[censusKey]*resTag),
 		famTags: make(map[string]*resTag),
-		events:  lru.New[eventsKey, []query.Event](eventsCacheSize),
+		events:  newLRU[eventsKey, []query.Event](eventsCacheSize),
 	}
 	if a != nil {
 		for _, fam := range a.Families() {

@@ -1,12 +1,12 @@
-package lru
+package api
 
 import "testing"
 
-// TestLRUBounded pins the bound and the eviction order every cache in
-// the tree relies on: at most capacity entries, least recently used
+// TestLRUBounded pins the bound and the eviction order both of the
+// server's caches rely on: at most capacity entries, least recently used
 // (by Get or Put) evicted first.
 func TestLRUBounded(t *testing.T) {
-	c := New[int, string](3)
+	c := newLRU[int, string](3)
 	for day := 0; day < 20; day++ {
 		c.Put(day, "doc")
 		if c.Len() > 3 {
@@ -37,7 +37,7 @@ func TestLRUBounded(t *testing.T) {
 	if v, _ := c.Get(17); v != "new" || c.Len() != 3 {
 		t.Fatalf("refresh: value %q, len %d", v, c.Len())
 	}
-	if New[int, int](0).cap != 1 {
+	if newLRU[int, int](0).cap != 1 {
 		t.Fatal("capacity below 1 not clamped to 1")
 	}
 }

@@ -16,7 +16,8 @@ import (
 // An allow applies to findings of the named analyzer on the directive's
 // own line (trailing-comment form) or on the next code line below it
 // (standalone or doc-comment form). The reason is mandatory: an
-// exemption nobody can explain is a finding, not a waiver.
+// exemption nobody can explain is a finding, not a waiver; and so is an
+// allow that suppresses nothing.
 
 const directivePrefix = "//laces:"
 
@@ -28,14 +29,46 @@ type allowKey struct {
 }
 
 // directiveSet is the per-package directive index the runner consults.
+// allowed maps each allow target to whether it has suppressed a finding
+// yet; allows lists the allow directives in source order.
 type directiveSet struct {
 	allowed   map[allowKey]bool
+	allows    []allowDirective
 	malformed []Diagnostic
 }
 
-// allows reports whether a finding by analyzer at pos is suppressed.
-func (ds *directiveSet) allows(analyzer string, pos token.Position) bool {
-	return ds.allowed[allowKey{analyzer, pos.Filename, pos.Line}]
+// allowDirective is one well-formed allow: what it targets and where it
+// is written.
+type allowDirective struct {
+	key allowKey
+	pos token.Position
+}
+
+// suppresses reports whether a finding by analyzer at pos is allowed,
+// and marks the allow as used.
+func (ds *directiveSet) suppresses(analyzer string, pos token.Position) bool {
+	k := allowKey{analyzer, pos.Filename, pos.Line}
+	if _, ok := ds.allowed[k]; !ok {
+		return false
+	}
+	ds.allowed[k] = true
+	return true
+}
+
+// stale reports every allow that suppressed nothing: an exemption for a
+// finding that no longer exists is itself a finding, so the allowlist
+// cannot outlive the code it excused.
+func (ds *directiveSet) stale() []Diagnostic {
+	var out []Diagnostic
+	for _, a := range ds.allows {
+		if !ds.allowed[a.key] {
+			out = append(out, Diagnostic{
+				Analyzer: "directive", Pos: a.pos,
+				Message: fmt.Sprintf("//laces:allow %s suppresses nothing; delete it", a.key.analyzer),
+			})
+		}
+	}
+	return out
 }
 
 // collectDirectives scans every comment in the package for //laces:
@@ -82,10 +115,14 @@ func collectDirectives(p *Package, known map[string]bool) *directiveSet {
 						// Trailing comments cover their own line; standalone
 						// (or doc-comment) directives cover the code line
 						// below them.
-						if hasLine(codeLines, pos.Line) {
-							ds.allowed[allowKey{fields[0], pos.Filename, pos.Line}] = true
-						} else if next, ok := nextCodeLine(codeLines, pos.Line); ok {
-							ds.allowed[allowKey{fields[0], pos.Filename, next}] = true
+						line, ok := pos.Line, hasLine(codeLines, pos.Line)
+						if !ok {
+							line, ok = nextCodeLine(codeLines, pos.Line)
+						}
+						if ok {
+							k := allowKey{fields[0], pos.Filename, line}
+							ds.allowed[k] = false
+							ds.allows = append(ds.allows, allowDirective{k, pos})
 						}
 					}
 				default:

@@ -1,9 +1,11 @@
 // Package lint is the project's static-analysis suite: a dependency-free
 // (stdlib go/ast + go/parser + go/types only) analyzer framework that
 // moves LACeS's mechanical invariants — seed→byte-identical documents,
-// zero-alloc probe paths, nil-safe telemetry instruments — from runtime
-// golden tests into checks that run on every package on every CI run,
-// via cmd/laces-lint.
+// zero-alloc probe paths, nil-safe telemetry instruments, and the
+// architecture's "one mechanism" rules in the fence table — from runtime
+// golden tests into checks over every package. go test ./... runs the
+// whole suite over the module (TestTreeIsLintClean); cmd/laces-lint
+// runs it by hand.
 //
 // Each Analyzer inspects one type-checked package and reports typed
 // diagnostics with file:line positions. Findings fail the build; the
@@ -40,8 +42,10 @@ func (d Diagnostic) String() string {
 // Package is one loaded, type-checked package as the analyzers see it:
 // syntax with comments, full type information, and enough identity
 // (module and import path) for analyzers to scope themselves. Test
-// files are excluded — the invariants the suite enforces are about
-// shipped census code, and tests legitimately use wall clocks and maps.
+// files are not type-checked — the invariants the suite enforces are
+// about shipped code, and tests legitimately use wall clocks and maps —
+// but their syntax rides along in TestFiles for the fence rows that
+// keep a deleted name out of tests too.
 type Package struct {
 	// Path is the package's import path; Module is the module path it
 	// belongs to (analyzers scope on the relation between the two).
@@ -49,10 +53,11 @@ type Package struct {
 	Module string
 	Dir    string
 
-	Fset  *token.FileSet
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	Fset      *token.FileSet
+	Files     []*ast.File
+	TestFiles []*ast.File // _test.go files, syntax only
+	Types     *types.Package
+	Info      *types.Info
 }
 
 // InternalTo reports whether the package is part of the module's
@@ -87,6 +92,7 @@ func Suite() []Analyzer {
 		Maporder{},
 		Nilsafe{},
 		Hotalloc{},
+		Fence{},
 	}
 }
 
@@ -100,8 +106,8 @@ func AnalyzerNames() []string {
 }
 
 // Run executes the analyzers over the packages, applies directive
-// suppression, folds in directive-syntax findings, and returns the
-// surviving diagnostics sorted by position.
+// suppression, folds in directive findings (malformed and stale allows),
+// and returns the surviving diagnostics sorted by position.
 func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 	known := make(map[string]bool)
 	for _, a := range analyzers {
@@ -113,11 +119,12 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 		out = append(out, dirs.malformed...)
 		for _, a := range analyzers {
 			for _, d := range a.Run(p) {
-				if !dirs.allows(a.Name(), d.Pos) {
+				if !dirs.suppresses(a.Name(), d.Pos) {
 					out = append(out, d)
 				}
 			}
 		}
+		out = append(out, dirs.stale()...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

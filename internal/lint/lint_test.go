@@ -14,11 +14,19 @@ import (
 // package-scoped analyzers fire exactly as they do on the real module.
 const corpusModule = "example.com/corpus"
 
+// laces is the real module path: the fence corpora load under it so that
+// the table's module-relative scopes and targets apply to them.
+const laces = "github.com/laces-project/laces"
+
 // loadCorpus loads one testdata package through the same pipeline as
-// real packages.
+// real packages, under the module that owns asPath.
 func loadCorpus(t *testing.T, dir, asPath string) *Package {
 	t.Helper()
-	p, err := LoadDir(filepath.Join("testdata", "src", dir), ".", corpusModule, asPath)
+	module := corpusModule
+	if strings.HasPrefix(asPath, laces+"/") {
+		module = laces
+	}
+	p, err := LoadDir(filepath.Join("testdata", "src", dir), ".", module, asPath)
 	if err != nil {
 		t.Fatalf("loading corpus %s: %v", dir, err)
 	}
@@ -79,6 +87,11 @@ func TestCorpora(t *testing.T) {
 		{"maporder", corpusModule + "/internal/maporder"},
 		{"nilsafe", corpusModule + "/internal/obs"},
 		{"hotalloc", corpusModule + "/internal/hotalloc"},
+		{"fence/api", laces + "/internal/api"},
+		{"fence/core", laces + "/internal/core"},
+		{"fence/manycast", laces + "/internal/manycast"},
+		{"fence/orchestrator", laces + "/internal/orchestrator"},
+		{"fence/archive", laces + "/internal/archive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -108,11 +121,11 @@ func TestCorpora(t *testing.T) {
 	}
 }
 
-// TestDirectiveParsing asserts that malformed //laces: directives are
-// findings of the non-suppressible "directive" pseudo-analyzer, and a
-// well-formed allow suppresses its target. Expectations live here
-// rather than as `// want` markers because a directive and a marker
-// cannot share a line.
+// TestDirectiveParsing asserts that malformed and stale //laces:
+// directives are findings of the non-suppressible "directive"
+// pseudo-analyzer, and a well-formed allow suppresses its target.
+// Expectations live here rather than as `// want` markers because a
+// directive and a marker cannot share a line.
 func TestDirectiveParsing(t *testing.T) {
 	p := loadCorpus(t, "directive", corpusModule+"/internal/directive")
 	diags := Run([]*Package{p}, Suite())
@@ -122,6 +135,7 @@ func TestDirectiveParsing(t *testing.T) {
 		"needs an analyzer name",
 		`unknown analyzer "gremlins"`,
 		"needs a reason",
+		"//laces:allow detnow suppresses nothing",
 	}
 	var directiveDiags, otherDiags []Diagnostic
 	for _, d := range diags {
@@ -161,7 +175,7 @@ func TestDirectiveParsing(t *testing.T) {
 // TestSuiteNames pins the analyzer set: directives reference analyzers
 // by name, so renames are breaking changes.
 func TestSuiteNames(t *testing.T) {
-	want := []string{"detnow", "maporder", "nilsafe", "hotalloc"}
+	want := []string{"detnow", "maporder", "nilsafe", "hotalloc", "fence"}
 	got := AnalyzerNames()
 	if len(got) != len(want) {
 		t.Fatalf("AnalyzerNames() = %v, want %v", got, want)
@@ -189,7 +203,7 @@ func TestLoadRealPackage(t *testing.T) {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
 	p := pkgs[0]
-	if p.Module != "github.com/laces-project/laces" {
+	if p.Module != laces {
 		t.Errorf("module = %q", p.Module)
 	}
 	if !p.InternalTo() {

@@ -27,12 +27,14 @@ import (
 
 // listPackage is the subset of `go list -json` the loader consumes.
 type listPackage struct {
-	Dir        string
-	ImportPath string
-	Export     string
-	Module     *struct{ Path string }
-	Standard   bool
-	GoFiles    []string
+	Dir          string
+	ImportPath   string
+	Export       string
+	Module       *struct{ Path string }
+	Standard     bool
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
 }
 
 // goList runs `go list` in dir with the given arguments and decodes the
@@ -114,7 +116,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		wanted[r.ImportPath] = true
 	}
 	all, err := goList(dir, append([]string{"-export", "-deps",
-		"-json=ImportPath,Export,Dir,GoFiles,Standard,Module"}, patterns...)...)
+		"-json=ImportPath,Export,Dir,GoFiles,TestGoFiles,XTestGoFiles,Standard,Module"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -141,21 +143,40 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		testFiles, err := parseTests(fset, t.Dir, append(t.TestGoFiles, t.XTestGoFiles...))
+		if err != nil {
+			return nil, err
+		}
 		module := ""
 		if t.Module != nil {
 			module = t.Module.Path
 		}
 		pkgs = append(pkgs, &Package{
-			Path:   t.ImportPath,
-			Module: module,
-			Dir:    t.Dir,
-			Fset:   fset,
-			Files:  files,
-			Types:  tpkg,
-			Info:   info,
+			Path:      t.ImportPath,
+			Module:    module,
+			Dir:       t.Dir,
+			Fset:      fset,
+			Files:     files,
+			TestFiles: testFiles,
+			Types:     tpkg,
+			Info:      info,
 		})
 	}
 	return pkgs, nil
+}
+
+// parseTests parses a package's _test.go files, syntax only: they are
+// never type-checked, so only the fence's identifier rows read them.
+func parseTests(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 // LoadDir loads a single directory as one package under a caller-chosen
@@ -170,13 +191,16 @@ func LoadDir(dir, moduleDir, asModule, asPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	var goFiles []string
+	var goFiles, testFiles []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+		switch {
+		case e.IsDir() || !strings.HasSuffix(name, ".go"):
+		case strings.HasSuffix(name, "_test.go"):
+			testFiles = append(testFiles, name)
+		default:
+			goFiles = append(goFiles, name)
 		}
-		goFiles = append(goFiles, name)
 	}
 	if len(goFiles) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
@@ -218,13 +242,18 @@ func LoadDir(dir, moduleDir, asModule, asPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	tests, err := parseTests(fset, dir, testFiles)
+	if err != nil {
+		return nil, err
+	}
 	return &Package{
-		Path:   asPath,
-		Module: asModule,
-		Dir:    dir,
-		Fset:   fset,
-		Files:  files,
-		Types:  tpkg,
-		Info:   info,
+		Path:      asPath,
+		Module:    asModule,
+		Dir:       dir,
+		Fset:      fset,
+		Files:     files,
+		TestFiles: tests,
+		Types:     tpkg,
+		Info:      info,
 	}, nil
 }

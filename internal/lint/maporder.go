@@ -228,11 +228,11 @@ func sortedAfter(p *Package, fd *ast.FuncDecl, pos token.Pos, targetKey string) 
 }
 
 // isSortCall recognizes sorting calls: the sort and slices packages,
-// and any function or method whose name contains "sort" (the repo's
-// sortedEntries idiom).
+// and any function or method whose name contains "sort", qualified or
+// not (the repo's sortedEntries and core.SortPrefixStrings idioms).
 func isSortCall(info *types.Info, call *ast.CallExpr) bool {
-	if pkgPath, _, ok := pkgFunc(info, call); ok {
-		return pkgPath == "sort" || pkgPath == "slices"
+	if pkgPath, _, ok := pkgFunc(info, call); ok && (pkgPath == "sort" || pkgPath == "slices") {
+		return true
 	}
 	var name string
 	switch fun := call.Fun.(type) {

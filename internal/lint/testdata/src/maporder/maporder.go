@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"github.com/laces-project/laces/internal/core"
 )
 
 func unsortedAccumulation(m map[string]int) []string {
@@ -39,6 +41,23 @@ func helperSortCounts(m map[string]int) []string {
 		keys = append(keys, k)
 	}
 	return sortedKeys(keys)
+}
+
+func qualifiedHelperSortCounts(m map[string]int) []string {
+	var prefixes []string
+	for p := range m {
+		prefixes = append(prefixes, p)
+	}
+	core.SortPrefixStrings(prefixes)
+	return prefixes
+}
+
+func qualifiedNonSortStillFires(m map[string]int) []string {
+	var prefixes []string
+	for p := range m {
+		prefixes = append(prefixes, p) // want `append to "prefixes" inside iteration over a map`
+	}
+	return strings.Split(strings.Join(prefixes, ","), ",")
 }
 
 func sortedKeys(keys []string) []string {

@@ -136,7 +136,7 @@ func (e *TraceExport) WriteChrome(w io.Writer) error {
 		componentPid[name(ev.Component)] = 0
 	}
 	components := make([]string, 0, len(componentPid))
-	for c := range componentPid { //laces:allow maporder sorted immediately below
+	for c := range componentPid {
 		components = append(components, c)
 	}
 	sort.Strings(components)
