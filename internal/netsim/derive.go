@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/laces-project/laces/internal/cities"
@@ -61,37 +63,78 @@ func (bw *blockWalker) next() {
 
 // seek positions the walker on the block containing batch-local index
 // bl, jumping to the nearest preceding checkpoint first so the replay is
-// bounded by ckptEvery blocks.
-func (bw *blockWalker) seek(seed uint64, v6 bool, b *targetBatch, bl int) {
+// bounded by ckptEvery blocks. It returns the batch-local index of the
+// first checkpoint past that block (b.count when there is none): the
+// point from which seeking again beats stepping forward.
+func (bw *blockWalker) seek(seed uint64, v6 bool, b *targetBatch, bl int) (nextCkpt int) {
 	bw.seed, bw.v6, bw.b = seed, v6, b
 	bw.i, bw.slot, bw.bgp = 0, b.startSlot, b.startBGP
-	if n := len(b.ckpts); n > 0 {
-		k := sort.Search(n, func(k int) bool { return b.ckpts[k].i > bl })
-		if k > 0 {
-			ck := b.ckpts[k-1]
-			bw.i, bw.slot, bw.bgp = ck.i, ck.slot, ck.bgp
-		}
+	n := len(b.ckpts)
+	k := sort.Search(n, func(k int) bool { return b.ckpts[k].i > bl })
+	if k > 0 {
+		ck := b.ckpts[k-1]
+		bw.i, bw.slot, bw.bgp = ck.i, ck.slot, ck.bgp
 	}
 	bw.load()
 	for bl >= bw.i+bw.fill {
 		bw.next()
 	}
+	// Checkpoints sit on block starts, so none lies inside (bw.i, bl].
+	if k < n {
+		return b.ckpts[k].i
+	}
+	return b.count
+}
+
+// targetBufs backs the slice fields of a Target that is derived again
+// and again into the same memory (a Walker's). Every class rule that
+// sets TempWindows, PartialAddrs or a hijack's Sites appends at least one
+// element to the empty slice these methods return, so a field the class
+// leaves unset stays nil and the reused target is DeepEqual to a fresh
+// one. A nil *targetBufs returns nil slices and append allocates: the
+// derivation of a target its caller keeps.
+type targetBufs struct {
+	windows [4]DayRange
+	partial [6]uint8
+	hijack  [2]Site
+}
+
+func (o *targetBufs) windowsBuf() []DayRange {
+	if o == nil {
+		return nil
+	}
+	return o.windows[:0]
+}
+
+func (o *targetBufs) partialBuf() []uint8 {
+	if o == nil {
+		return nil
+	}
+	return o.partial[:0]
+}
+
+func (o *targetBufs) hijackBuf() []Site {
+	if o == nil {
+		return nil
+	}
+	return o.hijack[:0]
 }
 
 // deriveInto computes the complete target at batch-local index bl of
 // batch b: class fields first, then the address/announcement fields from
-// the block walk. bw must be positioned on the block containing bl.
-func (w *World) deriveInto(L *famLayout, b *targetBatch, bw *blockWalker, bl int, t *Target) {
+// the block walk. bw must be positioned on the block containing bl; o
+// backs t's slice fields when t is reused (nil when the caller keeps t).
+func (w *World) deriveInto(L *famLayout, b *targetBatch, bw *blockWalker, bl int, t *Target, o *targetBufs) {
 	*t = Target{}
 	switch b.class {
 	case classOperator:
-		w.deriveOperatorTarget(L, b, bl, t)
+		w.deriveOperatorTarget(L, b, bl, t, o)
 	case classEvent:
 		w.deriveEventTarget(L, b, bl, t)
 	case classGeneric:
-		w.deriveGenericTarget(L, b, t)
+		w.deriveGenericTarget(L, b, t, o)
 	case classUnicast:
-		w.deriveUnicastTarget(L, b, bl, t)
+		w.deriveUnicastTarget(L, b, bl, t, o)
 	}
 	j := bl - bw.i
 	rep := uint8(1 + pick(mix(bw.h, uint64(j), 0x4e9), 254))
@@ -111,13 +154,13 @@ func (w *World) deriveTargetID(L *famLayout, id int, t *Target) {
 	var bw blockWalker
 	bl := id - b.startID
 	bw.seek(w.seed, L.v6, b, bl)
-	w.deriveInto(L, b, &bw, bl, t)
+	w.deriveInto(L, b, &bw, bl, t, nil)
 }
 
 // deriveOperatorTarget fills the class fields of one operator prefix
 // (Table 5 hypergiants, DNS operators, ccTLDs, the Microsoft-style
 // global-unicast AS).
-func (w *World) deriveOperatorTarget(L *famLayout, b *targetBatch, bl int, t *Target) {
+func (w *World) deriveOperatorTarget(L *famLayout, b *targetBatch, bl int, t *Target, o *targetBufs) {
 	oi := b.param
 	spec := &w.Cfg.Operators[oi]
 	op := &w.Operators[oi]
@@ -149,6 +192,7 @@ func (w *World) deriveOperatorTarget(L *famLayout, b *targetBatch, bl int, t *Ta
 	case spec.Temp && unitFloat(splitmix64(h^0x7e47)) < 0.8:
 		// Imperva-style on-demand anycast windows.
 		nw := 1 + pick(h>>9, 3)
+		t.TempWindows = o.windowsBuf()
 		for k := 0; k < nw; k++ {
 			hk := mix(h, uint64(k))
 			start := pick(hk, 520)
@@ -156,14 +200,13 @@ func (w *World) deriveOperatorTarget(L *famLayout, b *targetBatch, bl int, t *Ta
 				From: start, To: start + 1 + pick(hk>>11, 9),
 			})
 		}
-		sort.Slice(t.TempWindows, func(a, b int) bool {
-			return t.TempWindows[a].From < t.TempWindows[b].From
-		})
+		slices.SortFunc(t.TempWindows, func(a, b DayRange) int { return cmp.Compare(a.From, b.From) })
 	case spec.PartialFrac > 0 && unitFloat(splitmix64(h^0x9a47)) < spec.PartialFrac:
 		// Partial anycast: representative address unicast, a run of 6
 		// anycast addresses hidden inside the /24 (§5.7).
 		t.Kind = PartialAnycast
 		start := uint8(8 + pick(h>>7, 200))
+		t.PartialAddrs = o.partialBuf()
 		for k := uint8(0); k < 6; k++ {
 			t.PartialAddrs = append(t.PartialAddrs, start+k)
 		}
@@ -179,6 +222,7 @@ func (w *World) deriveOperatorTarget(L *famLayout, b *targetBatch, bl int, t *Ta
 		// announcement toggles on multi-week duty cycles, active for
 		// roughly 20–80% of the census period.
 		cursor := pick(h>>19, 140)
+		t.TempWindows = o.windowsBuf()
 		for k := 0; cursor < 500 && k < 4; k++ {
 			hk := mix(h, uint64(k), 0xd077)
 			length := 30 + pick(hk, 90)
@@ -216,7 +260,7 @@ func (w *World) deriveEventTarget(L *famLayout, b *targetBatch, bl int, t *Targe
 
 // deriveGenericTarget fills the class fields of one generic anycast
 // deployment (medium/small/regional, deployment lifecycle dynamics).
-func (w *World) deriveGenericTarget(L *famLayout, b *targetBatch, t *Target) {
+func (w *World) deriveGenericTarget(L *famLayout, b *targetBatch, t *Target, o *targetBufs) {
 	i := b.param
 	h := mix(w.seed, L.fam, 0x9e9e, uint64(i))
 	t.Origin = b.asn
@@ -239,6 +283,7 @@ func (w *World) deriveGenericTarget(L *famLayout, b *targetBatch, t *Target) {
 		t.AnycastUntilDay = 60 + pick(h>>21, 400)
 	case u < 0.30:
 		cursor := pick(h>>19, 140)
+		t.TempWindows = o.windowsBuf()
 		for k := 0; cursor < 500 && k < 4; k++ {
 			hk := mix(h, uint64(k), 0x9d7)
 			length := 30 + pick(hk, 90)
@@ -287,7 +332,7 @@ func (w *World) genericSites(L *famLayout, i int, h uint64) []Site {
 
 // deriveUnicastTarget fills the class fields of one unicast-fill target
 // (CHAOS behaviour mix, hijack events, quarterly IPv6 hitlist growth).
-func (w *World) deriveUnicastTarget(L *famLayout, b *targetBatch, j int, t *Target) {
+func (w *World) deriveUnicastTarget(L *famLayout, b *targetBatch, j int, t *Target, o *targetBufs) {
 	a := &w.ASes[b.param]
 	h := mix(w.seed, L.fam, 0xf111, uint64(a.Number), uint64(j))
 	t.Origin = a.Number
@@ -314,11 +359,10 @@ func (w *World) deriveUnicastTarget(L *famLayout, b *targetBatch, j int, t *Targ
 	if L.hijacks[hijackKey(a.Number, j)] {
 		day := pick(h>>23, 500)
 		remote := w.sampleCityWeighted(splitmix64(h ^ 0x7e))
-		t.TempWindows = []DayRange{{From: day, To: day}}
-		t.Sites = []Site{
-			{City: a.City, CityIdx: a.CityIdx},
-			{City: w.DB.All()[remote], CityIdx: remote},
-		}
+		t.TempWindows = append(o.windowsBuf(), DayRange{From: day, To: day})
+		t.Sites = append(o.hijackBuf(),
+			Site{City: a.City, CityIdx: a.CityIdx},
+			Site{City: w.DB.All()[remote], CityIdx: remote})
 	}
 	// Quarterly IPv6 hitlist growth.
 	if L.v6 && chance(splitmix64(h^0x6406), w.Cfg.V6GrowthPerQuarter*float64(len(quarterDays))) {

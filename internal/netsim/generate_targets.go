@@ -86,7 +86,7 @@ func (w *World) materialize(L *famLayout) {
 			}
 			for j := 0; j < bw.fill; j++ {
 				var t Target
-				w.deriveInto(L, b, &bw, bl, &t)
+				w.deriveInto(L, b, &bw, bl, &t, nil)
 				bp.Targets = append(bp.Targets, t.ID)
 				targets = append(targets, t)
 				bl++

@@ -10,7 +10,12 @@ import (
 // by the materialized slices) and lazy worlds (backed by the layout, the
 // derivation path and the bounded arena):
 //
-//   - NumTargets / TargetAt: random access by family-wide target ID.
+//   - NumTargets / TargetAt: random access by family-wide target ID; on a
+//     lazy world the arena serves it (detect's fold, feedback, Confirm's
+//     split, screen, the fabric).
+//   - Walker: one goroutine's pass over an ascending ID sequence, dense
+//     or sparse (each internal/par shard has one); the target At returns
+//     is valid until the next At.
 //   - IterTargets / IterTargetsRange: ID-ordered batched streaming; the
 //     batch slice is reused between invocations, so callers must not
 //     retain it (copy what outlives the callback).
@@ -94,6 +99,84 @@ func (w *World) targetAtMiss(a *targetArena, L *famLayout, id int) *Target {
 	return t
 }
 
+// Walker derives one address family's targets for a single goroutine in
+// the order an internal/par shard visits them: ascending IDs, dense or
+// sparse. It owns one Target and derives every requested target into it
+// — no arena lookup, no arena publish, no allocation — so the pointer At
+// returns is valid only until the next At. While the next ID lies ahead
+// in the current batch the walker steps its block cursor forward; it
+// seeks (batch binary search plus checkpoint replay, as TargetAt's
+// derivation does) only when the ID is behind it, in another batch, or
+// past a checkpoint the seek would jump to. Any order is correct;
+// ascending order is what is cheap. On an eager world At is TargetAt's
+// slice index.
+type Walker struct {
+	all []Target // eager world: the materialized family
+
+	w    *World // lazy world; nil on an eager one
+	L    *famLayout
+	b    *targetBatch // the batch bw is on; nil before the first derivation
+	ckpt int          // batch-local index of b's first checkpoint past bw's block
+	bw   blockWalker
+	t    Target
+	bufs targetBufs
+}
+
+// Walker returns a new walker over the family's targets. A walker is not
+// safe for concurrent use: make one per goroutine.
+func (w *World) Walker(v6 bool) *Walker {
+	if !w.Cfg.LazyTargets {
+		return &Walker{all: w.Targets(v6)}
+	}
+	return &Walker{w: w, L: w.layout(v6)}
+}
+
+// At returns the target with the given family-wide ID; it panics on an
+// ID outside the family, as TargetAt does. On a lazy world the result
+// is the walker's own Target, overwritten by the next At.
+//
+//laces:hotpath inlined slice index on an eager world
+func (wk *Walker) At(id int) *Target {
+	if wk.w == nil {
+		return &wk.all[id]
+	}
+	return wk.walk(id)
+}
+
+// walk is At on a lazy world.
+//
+//laces:hotpath a forward step within a batch replays blocks, nothing else
+func (wk *Walker) walk(id int) *Target {
+	b, bl := wk.b, 0
+	if b != nil {
+		bl = id - b.startID
+	}
+	if b == nil || bl < wk.bw.i || bl >= wk.ckpt {
+		b, bl = wk.seek(id)
+	} else {
+		for bl >= wk.bw.i+wk.bw.fill {
+			wk.bw.next()
+		}
+	}
+	wk.w.deriveInto(wk.L, b, &wk.bw, bl, &wk.t, &wk.bufs)
+	if tel := wk.w.tel; tel != nil {
+		tel.walk.Add(uint64(id), 1)
+	}
+	return &wk.t
+}
+
+// seek positions the walker on the block of target id from scratch and
+// returns its batch and batch-local index.
+func (wk *Walker) seek(id int) (*targetBatch, int) {
+	b := wk.L.batchFor(id)
+	if b == nil {
+		panic("netsim: TargetAt index out of range")
+	}
+	bl := id - b.startID
+	wk.b, wk.ckpt = b, wk.bw.seek(wk.w.seed, wk.L.v6, b, bl)
+	return b, bl
+}
+
 // IterTargets streams the family's whole target universe in ID order,
 // invoking fn with consecutive batches of up to batchSize targets
 // (DefaultIterBatch when <= 0). fn returning false stops the iteration.
@@ -143,7 +226,7 @@ func (w *World) IterTargetsRange(v6 bool, lo, hi, batchSize int, fn func(batch [
 				bw.next()
 			}
 			buf = append(buf, Target{})
-			w.deriveInto(L, b, &bw, bl, &buf[len(buf)-1])
+			w.deriveInto(L, b, &bw, bl, &buf[len(buf)-1], nil)
 			if len(buf) == batchSize {
 				if !fn(buf) {
 					return

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/laces-project/laces/internal/packet"
 )
 
 // paperWorld builds the Internet-scale lazy world once and shares it
@@ -149,8 +151,11 @@ func BenchmarkTargetAtWarm(b *testing.B) {
 // paper-scale IPv6 universe (the family with every class: operator,
 // event, generic and unicast batches). random derives a class's targets
 // by ID in scattered order, the arena's miss path; stream sweeps the
-// class's contiguous ID range the way a census stage does. Both report
-// ns per derived target on a warm world.
+// class's contiguous ID range the way IterTargetsRange consumers do; walk
+// visits, in ascending order through one Walker, the class's targets a
+// protocol's hitlist holds (those responsive to it), the way a par.Run
+// shard does at that protocol's density. All report ns per derived
+// target on a warm world.
 func BenchmarkDeriveTarget(b *testing.B) {
 	w := getPaperWorld(b)
 	L := w.layout(true)
@@ -182,6 +187,30 @@ func BenchmarkDeriveTarget(b *testing.B) {
 				left -= n
 			}
 		})
+		for _, proto := range packet.Protocols() {
+			var ids []int
+			w.IterTargetsRange(true, lo, hi, 0, func(batch []Target) bool {
+				for i := range batch {
+					if batch[i].Responsive[proto] {
+						ids = append(ids, batch[i].ID)
+					}
+				}
+				return true
+			})
+			if len(ids) == 0 {
+				continue
+			}
+			b.Run(c.name+"/walk/"+proto.String(), func(b *testing.B) {
+				var wk *Walker
+				for i := 0; i < b.N; i++ {
+					k := i % len(ids)
+					if k == 0 {
+						wk = w.Walker(true) // each pass starts a fresh walk
+					}
+					wk.At(ids[k])
+				}
+			})
+		}
 	}
 }
 

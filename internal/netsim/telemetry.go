@@ -45,6 +45,10 @@ type Telemetry struct {
 	// derivation misses). Eager worlds never touch it.
 	arena obs.Striped
 
+	// walk counts Walker derivations on lazy worlds; eager worlds never
+	// touch it.
+	walk obs.Striped
+
 	// live reads the world's materialized-target occupancy; installed by
 	// SetTelemetry, read at scrape time by the targets-live gauge.
 	live func() int64
@@ -164,6 +168,14 @@ func (t *Telemetry) ArenaMisses() int64 {
 	return m
 }
 
+// WalkDerivations returns the targets Walkers derived.
+func (t *Telemetry) WalkDerivations() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.walk.Value()
+}
+
 // LiveTargets returns the number of targets currently materialized in
 // the world the telemetry is installed on (0 before installation).
 func (t *Telemetry) LiveTargets() int64 {
@@ -205,6 +217,9 @@ func (t *Telemetry) Register(r *obs.Registry) {
 	r.CounterFunc("laces_netsim_arena_misses_total",
 		"Target-arena lookups that derived the target.",
 		func() float64 { return float64(t.ArenaMisses()) })
+	r.CounterFunc("laces_netsim_walk_derivations_total",
+		"Targets derived by shard walkers, without the arena.",
+		func() float64 { return float64(t.WalkDerivations()) })
 	r.GaugeFunc("laces_netsim_targets_live",
 		"Targets currently materialized in memory.",
 		func() float64 { return float64(t.LiveTargets()) })

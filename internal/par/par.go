@@ -18,9 +18,13 @@
 //     observation counter and the totals land in the stage series.
 //
 // Run also resolves every item's target, so a stage body is only "what to
-// do with one *netsim.Target". An item whose ID is outside the world is
-// not demand: it passes admission uncharged, is never probed, and still
-// ticks progress (the stage total counts it).
+// do with one *netsim.Target". Resolution walks: the admission pre-pass
+// and each shard derive their items in order through their own
+// netsim.Walker, never through the world's target arena, so the target
+// a body (or demand) is handed is valid only for the duration of the
+// call — copy what must outlive it. An item whose ID is outside the
+// world is not demand: it passes admission uncharged, is never probed,
+// and still ticks progress (the stage total counts it).
 //
 // A body must write only its own Shard, scratch it made for that shard,
 // and data-race-free shared structures (netsim.World's routing caches are
@@ -87,25 +91,27 @@ type Shard[O any] struct {
 // under a gate, with every decision recorded into usage).
 // body is called once per shard, on the shard's goroutine, and returns
 // what to do with one admitted target — i is the item's index among the
-// admitted items (what a pacer schedules by), and scratch the returned
-// closure captures is that shard's alone.
+// admitted items (what a pacer schedules by), scratch the returned
+// closure captures is that shard's alone, and tg — like demand's
+// argument — must not be kept past the call.
 //
 // Run returns the shards merged in shard order — outputs in item order,
 // probes and replies summed — and the number of admitted items.
 func Run[I, O any](st Stage, items []I, usage *budget.Usage, id func(I) int, demand func(*netsim.Target) int64,
 	body func(sh *Shard[O]) func(i int, tg *netsim.Target)) (sum Shard[O], admitted int) {
 	numTargets := st.World.NumTargets(st.V6)
-	target := func(it I) *netsim.Target {
+	target := func(wk *netsim.Walker, it I) *netsim.Target {
 		if id := id(it); id >= 0 && id < numTargets {
-			return st.World.TargetAt(st.V6, id)
+			return wk.At(id)
 		}
 		return nil
 	}
 	presented := len(items)
 	if st.Gate != nil {
+		wk := st.World.Walker(st.V6)
 		kept := items[:0:0] // never aliases the caller's backing array
 		for _, it := range items {
-			if tg := target(it); tg != nil {
+			if tg := target(wk, it); tg != nil {
 				units := demand(tg)
 				dec := st.Gate.Admit(tg, units)
 				usage.Record(dec, units)
@@ -124,9 +130,9 @@ func Run[I, O any](st Stage, items []I, usage *budget.Usage, id func(I) int, dem
 	shards := make([]Shard[O], NumShards(len(items), st.Parallelism))
 	Do(len(items), st.Parallelism, func(s, start, end int) {
 		span := si.Span.Child("shard" + strconv.Itoa(s))
-		each := body(&shards[s])
+		each, wk := body(&shards[s]), st.World.Walker(st.V6)
 		for i := start; i < end; i++ {
-			if tg := target(items[i]); tg != nil {
+			if tg := target(wk, items[i]); tg != nil {
 				each(i, tg)
 			}
 			si.Done.Inc()
