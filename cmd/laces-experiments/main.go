@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 		return 1, err
 	}
 	fmt.Fprintf(stderr, "world generated in %.1fs (%d IPv4 /24s, %d IPv6 /48s)\n",
-		time.Since(start).Seconds(), len(env.World.TargetsV4), len(env.World.TargetsV6))
+		time.Since(start).Seconds(), env.World.NumTargets(false), env.World.NumTargets(true))
 	if o.obsOut != "" {
 		env.Obs = obs.New()
 		tel := &netsim.Telemetry{}

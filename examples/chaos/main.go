@@ -72,10 +72,9 @@ func runCensus(world *laces.World, sc *laces.ChaosScenario) (*laces.DailyCensus,
 // responsiveTruth is the anycast oracle restricted to probe-able targets.
 func responsiveTruth(world *laces.World) map[int]bool {
 	truth := world.GroundTruthAnycast(false, day)
-	targets := world.Targets(false)
 	out := make(map[int]bool, len(truth))
 	for id := range truth {
-		tg := &targets[id]
+		tg := world.TargetAt(false, id)
 		if tg.Responsive[laces.ICMP] || tg.Responsive[laces.TCP] || tg.Responsive[laces.DNS] {
 			out[id] = true
 		}

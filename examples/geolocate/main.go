@@ -27,10 +27,11 @@ func main() {
 	// CDN prefix.
 	cf := world.OperatorByName("Cloudflare")
 	var target *netsim.Target
-	for i := range world.TargetsV4 {
-		tg := &world.TargetsV4[i]
-		if tg.Operator == cf && tg.Responsive[packet.ICMP] {
-			target = tg
+	wk := world.Walker(false)
+	for id := range world.NumTargets(false) {
+		if tg := wk.At(id); tg.Operator == cf && tg.Responsive[packet.ICMP] {
+			found := *tg // the walker reuses its target
+			target = &found
 			break
 		}
 	}

@@ -30,10 +30,11 @@ func main() {
 	// unicast (netsim.GlobalUnicast is the generator's ground truth; the
 	// measurement side below never consults it).
 	var target *netsim.Target
-	for i := range world.TargetsV4 {
-		tg := &world.TargetsV4[i]
-		if tg.Kind == netsim.GlobalUnicast && tg.Responsive[packet.ICMP] {
-			target = tg
+	wk := world.Walker(false)
+	for id := range world.NumTargets(false) {
+		if tg := wk.At(id); tg.Kind == netsim.GlobalUnicast && tg.Responsive[packet.ICMP] {
+			found := *tg // the walker reuses its target
+			target = &found
 			break
 		}
 	}
@@ -113,8 +114,8 @@ func main() {
 	}
 
 	// Contrast: a plain unicast prefix never shows the signature.
-	for i := range world.TargetsV4 {
-		tg := &world.TargetsV4[i]
+	for id := range world.NumTargets(false) {
+		tg := wk.At(id)
 		if tg.Kind == netsim.Unicast && tg.Responsive[packet.ICMP] && len(tg.TempWindows) == 0 {
 			f, err := traceroute.Measure(world, vps, tg, traceroute.Options{At: at})
 			if err != nil {

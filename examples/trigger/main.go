@@ -24,12 +24,14 @@ func main() {
 
 	// Find the census days on which hijack-style one-day events occur.
 	eventDays := map[int]bool{}
-	for i := range world.TargetsV4 {
-		tg := &world.TargetsV4[i]
-		if tg.Operator < 0 && len(tg.TempWindows) == 1 && tg.TempWindows[0].From == tg.TempWindows[0].To {
-			eventDays[tg.TempWindows[0].From] = true
+	world.IterTargets(false, 0, func(batch []laces.Target) bool {
+		for i := range batch {
+			if tg := &batch[i]; tg.Operator < 0 && len(tg.TempWindows) == 1 && tg.TempWindows[0].From == tg.TempWindows[0].To {
+				eventDays[tg.TempWindows[0].From] = true
+			}
 		}
-	}
+		return true
+	})
 	fmt.Printf("ground truth: one-day anycast events on %d distinct days\n\n", len(eventDays))
 
 	// Walk the event days in calendar order so the report reads
@@ -72,7 +74,7 @@ func main() {
 	}
 	caught := 0
 	for id, n := range hist.DaysDetected(false) {
-		tg := &world.TargetsV4[id]
+		tg := world.TargetAt(false, id)
 		if tg.Operator < 0 && len(tg.TempWindows) == 1 &&
 			tg.TempWindows[0].From == tg.TempWindows[0].To && n > 0 {
 			caught++

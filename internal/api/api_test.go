@@ -101,8 +101,8 @@ func TestCensusValidation(t *testing.T) {
 // anycastPrefix returns a wide, ICMP-responsive anycast prefix.
 func anycastPrefix(t *testing.T) *netsim.Target {
 	t.Helper()
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind == netsim.Anycast && len(tg.Sites) >= 20 &&
 			tg.AnycastBornDay == 0 && tg.Responsive[packet.ICMP] {
 			return tg
@@ -128,8 +128,8 @@ func TestPrefixLookup(t *testing.T) {
 
 func TestPrefixLookupUnicast(t *testing.T) {
 	// A clean unicast prefix is not in the census at all.
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind != netsim.Unicast || len(tg.TempWindows) > 0 {
 			continue
 		}

@@ -22,8 +22,8 @@ func mustWorld() *netsim.World {
 // world.
 func firstHijackDay(t *testing.T) (int, int) {
 	t.Helper()
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Operator >= 0 || len(tg.TempWindows) != 1 {
 			continue
 		}
@@ -69,7 +69,7 @@ func TestFeedQuietOnStableDays(t *testing.T) {
 	// reported.
 	events := Feed(testWorld, false, 200)
 	for _, ev := range events {
-		tg := &testWorld.TargetsV4[ev.TargetID]
+		tg := testWorld.TargetAt(false, ev.TargetID)
 		if tg.IsAnycastAt(199) == tg.IsAnycastAt(200) {
 			t.Fatalf("event for unchanged target %d", ev.TargetID)
 		}
@@ -100,7 +100,7 @@ func TestTriggerCatchesSingleDayEvent(t *testing.T) {
 	if hit == nil {
 		t.Fatal("hijacked prefix not measured")
 	}
-	tg := &testWorld.TargetsV4[id]
+	tg := testWorld.TargetAt(false, id)
 	if !tg.Responsive[packet.ICMP] {
 		t.Skip("hijacked prefix not ICMP-responsive; GCD cannot confirm")
 	}
@@ -118,8 +118,8 @@ func TestKnownOperatorsNotFlagged(t *testing.T) {
 	ii := testWorld.OperatorByName("Incapsula")
 	asn := testWorld.Operators[ii].ASN
 	day := -1
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Origin == asn && len(tg.TempWindows) > 0 && tg.Responsive[packet.ICMP] {
 			day = tg.TempWindows[0].From
 			break

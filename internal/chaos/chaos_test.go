@@ -32,9 +32,9 @@ func testDeployment(t *testing.T) *netsim.Deployment {
 
 func icmpTarget(t *testing.T) *netsim.Target {
 	t.Helper()
-	for i := range testWorld.TargetsV4 {
-		if testWorld.TargetsV4[i].Responsive[packet.ICMP] {
-			return &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		if testWorld.TargetAt(false, i).Responsive[packet.ICMP] {
+			return testWorld.TargetAt(false, i)
 		}
 	}
 	t.Fatal("no ICMP-responsive target")
@@ -152,8 +152,8 @@ func TestEngineBlackholeAndScopes(t *testing.T) {
 		t.Fatal("origin-scoped probe not dropped")
 	}
 	var other *netsim.Target
-	for i := range testWorld.TargetsV4 {
-		cand := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		cand := testWorld.TargetAt(false, i)
 		if cand.Origin != tg.Origin && cand.Responsive[packet.ICMP] {
 			other = cand
 			break
@@ -213,8 +213,8 @@ func TestEngineLossFractionAndDeterminism(t *testing.T) {
 	}})
 	drops := 0
 	n := 0
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if !tg.Responsive[packet.ICMP] {
 			continue
 		}

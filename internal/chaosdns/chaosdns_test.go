@@ -44,7 +44,7 @@ func TestPerSiteRecordsEnumerateSites(t *testing.T) {
 	// distinct identities across the 32 workers.
 	found := false
 	for id, obs := range testCensus {
-		tg := &testWorld.TargetsV4[id]
+		tg := testWorld.TargetAt(false, id)
 		if tg.Chaos != netsim.ChaosPerSite || !tg.IsAnycastAt(40) || len(tg.Sites) < 8 {
 			continue
 		}
@@ -70,7 +70,7 @@ func TestCoLocatedServersConfoundChaos(t *testing.T) {
 	// servers return multiple distinct records — a false anycast signal.
 	confounded := 0
 	for id, obs := range testCensus {
-		tg := &testWorld.TargetsV4[id]
+		tg := testWorld.TargetAt(false, id)
 		if tg.Chaos == netsim.ChaosPerServer && tg.Kind == netsim.Unicast && obs.MultiRecord() {
 			confounded++
 		}
@@ -82,7 +82,7 @@ func TestCoLocatedServersConfoundChaos(t *testing.T) {
 
 func TestReplicatedRecordsSingle(t *testing.T) {
 	for id, obs := range testCensus {
-		tg := &testWorld.TargetsV4[id]
+		tg := testWorld.TargetAt(false, id)
 		if tg.Chaos == netsim.ChaosReplicated && obs.Supported && obs.UniqueRecords() != 1 {
 			t.Fatalf("replicated-record NS %d returned %d records", id, obs.UniqueRecords())
 		}
@@ -112,7 +112,7 @@ func TestGRootDetectableOnlyViaDNS(t *testing.T) {
 	asn := testWorld.Operators[gi].ASN
 	seen := false
 	for id, obs := range testCensus {
-		if testWorld.TargetsV4[id].Origin == asn && obs.Supported {
+		if testWorld.TargetAt(false, id).Origin == asn && obs.Supported {
 			seen = true
 		}
 	}

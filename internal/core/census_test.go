@@ -116,7 +116,7 @@ func TestCensusAccuracyAgainstGroundTruth(t *testing.T) {
 		gs[id] = true
 	}
 	for id := range truth {
-		tg := &testWorld.TargetsV4[id]
+		tg := testWorld.TargetAt(false, id)
 		if !tg.Responsive[packet.ICMP] && !tg.Responsive[packet.TCP] {
 			continue // GCD cannot measure DNS-only targets (§5.3.1)
 		}
@@ -141,7 +141,7 @@ func TestMDominatedByGlobalUnicast(t *testing.T) {
 	ms := 0
 	m := c.M()
 	for _, id := range m {
-		if testWorld.TargetsV4[id].Kind == netsim.GlobalUnicast {
+		if testWorld.TargetAt(false, id).Kind == netsim.GlobalUnicast {
 			ms++
 		}
 	}
@@ -166,7 +166,7 @@ func TestFeedbackLoopCoversFNs(t *testing.T) {
 	}
 	var fns []int
 	for id := range truth {
-		tg := &testWorld.TargetsV4[id]
+		tg := testWorld.TargetAt(false, id)
 		if tg.Responsive[packet.ICMP] && !inG1[id] {
 			fns = append(fns, id)
 		}
@@ -375,11 +375,11 @@ func TestIPv6Census(t *testing.T) {
 		t.Fatal("no IPv6 anycast confirmed")
 	}
 	for _, id := range c.G() {
-		if !testWorld.TargetsV6[id].IsAnycastAt(100) {
+		if !testWorld.TargetAt(true, id).IsAnycastAt(100) {
 			// Backing anycast can false-positive through filtering VPs
 			// (§6) — that is the expected exception.
-			if testWorld.TargetsV6[id].Kind != netsim.BackingAnycast {
-				t.Fatalf("v6 G member %d not anycast (kind %v)", id, testWorld.TargetsV6[id].Kind)
+			if testWorld.TargetAt(true, id).Kind != netsim.BackingAnycast {
+				t.Fatalf("v6 G member %d not anycast (kind %v)", id, testWorld.TargetAt(true, id).Kind)
 			}
 		}
 	}
@@ -407,7 +407,6 @@ func TestScreenGlobalBGPFlags(t *testing.T) {
 	if c.ProbesTracerouteStage == 0 {
 		t.Fatal("screening stage sent no probes")
 	}
-	targets := testWorld.Targets(false)
 	flagged := 0
 	for id, e := range c.Entries {
 		if !e.GlobalBGP {
@@ -417,7 +416,7 @@ func TestScreenGlobalBGPFlags(t *testing.T) {
 		if !e.InM() {
 			t.Fatalf("GlobalBGP flag on a non-M entry %d", id)
 		}
-		if kind := targets[id].Kind; kind != netsim.GlobalUnicast {
+		if kind := testWorld.TargetAt(false, id).Kind; kind != netsim.GlobalUnicast {
 			t.Fatalf("GlobalBGP flag on a %v target %d — screening is misfiring", kind, id)
 		}
 	}

@@ -69,12 +69,13 @@ func (e *Env) EnumComparison() ([]EnumCompareRow, error) {
 }
 
 // representativePrefix returns an ICMP-responsive prefix of the operator
-// that is anycast on the measurement day.
+// that is anycast on the measurement day, as a copy.
 func (e *Env) representativePrefix(oi, day int) *netsim.Target {
-	for i := range e.World.TargetsV4 {
-		tg := &e.World.TargetsV4[i]
-		if tg.Operator == oi && tg.Responsive[packet.ICMP] && tg.KindAt(day) == netsim.Anycast {
-			return tg
+	wk := e.World.Walker(false)
+	for id := range e.World.NumTargets(false) {
+		if tg := wk.At(id); tg.Operator == oi && tg.Responsive[packet.ICMP] && tg.KindAt(day) == netsim.Anycast {
+			found := *tg // the walker reuses its target
+			return &found
 		}
 	}
 	return nil

@@ -511,6 +511,39 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
+// TestCatalogLazyWorld pins that the catalog rows which sweep or index
+// the target universe render byte-identically on a lazy world: they
+// reach targets only through the streaming accessors, which work in both
+// modes.
+func TestCatalogLazyWorld(t *testing.T) {
+	cfg := netsim.TestConfig()
+	cfg.LazyTargets = true
+	lazy, err := NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{"fig6": true, "fig11": true, "fig12": true, "sweep": true, "enum": true}
+	for _, x := range Catalog {
+		if !rows[x.Name] {
+			continue
+		}
+		delete(rows, x.Name)
+		var want, got bytes.Buffer
+		if err := x.Run(env(t), &want); err != nil {
+			t.Fatalf("%s on the eager world: %v", x.Name, err)
+		}
+		if err := x.Run(lazy, &got); err != nil {
+			t.Fatalf("%s on the lazy world: %v", x.Name, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s differs on the lazy world:\n%s\nwant:\n%s", x.Name, got.String(), want.String())
+		}
+	}
+	if len(rows) != 0 {
+		t.Fatalf("catalog rows %v not found", rows)
+	}
+}
+
 func TestMDecompositionShape(t *testing.T) {
 	r, err := env(t).MDecomposition()
 	if err != nil {

@@ -105,7 +105,7 @@ func (e *Env) Fig6() (*Fig6Result, error) {
 	// Restrict to ICMP-responsive candidates (both platforms ping).
 	var ids []int
 	for _, id := range c.Candidates() {
-		if e.World.TargetsV4[id].Responsive[packet.ICMP] {
+		if e.World.TargetAt(false, id).Responsive[packet.ICMP] {
 			ids = append(ids, id)
 		}
 	}
@@ -131,7 +131,7 @@ func (e *Env) Fig6() (*Fig6Result, error) {
 			n := o.Result.NumSites()
 			counts = append(counts, n) //laces:allow maporder stats.NewCDF sorts a copy of the values, so accumulation order never reaches the output
 			if platformIdx == 0 {
-				tg := &e.World.TargetsV4[id]
+				tg := e.World.TargetAt(false, id)
 				if tg.Operator >= 0 {
 					name := e.World.Operators[tg.Operator].Name
 					if n > out.Hypergiant[name] {
@@ -323,10 +323,10 @@ func (e *Env) Fig11() ([]Fig11Row, error) {
 	// Reference prefix: widest Cloudflare-like deployment.
 	cf := e.World.OperatorByName("Cloudflare")
 	refID := -1
-	for i := range e.World.TargetsV4 {
-		tg := &e.World.TargetsV4[i]
-		if tg.Operator == cf && tg.Responsive[packet.ICMP] {
-			refID = tg.ID
+	wk := e.World.Walker(false)
+	for id := range e.World.NumTargets(false) {
+		if tg := wk.At(id); tg.Operator == cf && tg.Responsive[packet.ICMP] {
+			refID = id
 			break
 		}
 	}
@@ -421,7 +421,7 @@ func (e *Env) Fig12() (*Fig12Result, error) {
 	}
 	var dnsIDs []int
 	for id, obs := range chaos {
-		if obs.Supported && e.World.TargetsV4[id].Responsive[packet.ICMP] {
+		if obs.Supported && e.World.TargetAt(false, id).Responsive[packet.ICMP] {
 			dnsIDs = append(dnsIDs, id)
 		}
 	}
@@ -503,12 +503,14 @@ func (e *Env) PartialAnycastSweep() (*SweepResult, error) {
 	}
 	vps := ark[:13] // §5.7: "we used 13 VPs spanning multiple continents"
 	var ids []int
-	for i := range e.World.TargetsV4 {
-		tg := &e.World.TargetsV4[i]
-		if tg.Operator >= 0 || tg.Kind == netsim.PartialAnycast {
-			ids = append(ids, tg.ID)
+	e.World.IterTargets(false, 0, func(batch []netsim.Target) bool {
+		for i := range batch {
+			if tg := &batch[i]; tg.Operator >= 0 || tg.Kind == netsim.PartialAnycast {
+				ids = append(ids, tg.ID)
+			}
 		}
-	}
+		return true
+	})
 	outcomes, probes, _ := gcdmeas.SweepAddrs(e.World, ids, false, gcdmeas.DefaultSweepOffsets(),
 		gcdmeas.Campaign{VPs: vps, Proto: packet.ICMP, At: netsim.DayTime(daySweep)})
 	res := &SweepResult{Probes: probes}

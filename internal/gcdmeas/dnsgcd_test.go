@@ -20,8 +20,8 @@ import (
 // DNS.
 func dnsAnycastIDs(n int) []int {
 	var ids []int
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind == netsim.Anycast && len(tg.Sites) >= 25 && tg.AnycastBornDay == 0 &&
 			tg.Responsive[packet.ICMP] && tg.Responsive[packet.DNS] {
 			ids = append(ids, tg.ID)
@@ -71,8 +71,8 @@ func TestDNSGCDNeverConfirmsUnicast(t *testing.T) {
 	// Jitter inflates radii, so it can only *hide* violations, never
 	// manufacture them: unicast stays unicast under DNS GCD.
 	var ids []int
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind == netsim.Unicast && len(tg.TempWindows) == 0 && tg.Responsive[packet.DNS] {
 			ids = append(ids, tg.ID)
 			if len(ids) == 150 {

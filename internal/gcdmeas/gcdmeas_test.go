@@ -32,8 +32,8 @@ func arkCampaign(t testing.TB, day int, v6 bool) Campaign {
 // sampleIDs returns n target IDs of each anycast/unicast class responsive
 // to ICMP.
 func sampleIDs(n int) (anycast, unicast []int) {
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if !tg.Responsive[packet.ICMP] {
 			continue
 		}
@@ -78,8 +78,8 @@ func TestGlobalUnicastNotGCDConfirmed(t *testing.T) {
 	// §5.1.3: Microsoft-style prefixes are ACs of the anycast-based stage
 	// but must remain unicast under GCD.
 	var ids []int
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind == netsim.GlobalUnicast && tg.Responsive[packet.ICMP] {
 			ids = append(ids, tg.ID)
 		}
@@ -108,8 +108,8 @@ func TestProbeAccounting(t *testing.T) {
 
 func TestUnresponsiveTargetsSkipped(t *testing.T) {
 	var dnsOnly []int
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if !tg.Responsive[packet.ICMP] && tg.Responsive[packet.DNS] {
 			dnsOnly = append(dnsOnly, tg.ID)
 		}
@@ -176,8 +176,8 @@ func TestEnumerationGrowsWithVPs(t *testing.T) {
 	var cf int
 	cfIdx := testWorld.OperatorByName("Cloudflare")
 	asn := testWorld.Operators[cfIdx].ASN
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Origin == asn && tg.Responsive[packet.ICMP] {
 			cf = tg.ID
 			break
@@ -196,8 +196,8 @@ func TestBackingAnycastFPWithFilteringVPs(t *testing.T) {
 	// §6: Fastly's backing-anycast /48s are misclassified when filtering
 	// VPs are present, and correct after excluding them.
 	var ids []int
-	for i := range testWorld.TargetsV6 {
-		tg := &testWorld.TargetsV6[i]
+	for i := range testWorld.NumTargets(true) {
+		tg := testWorld.TargetAt(true, i)
 		if tg.Kind == netsim.BackingAnycast && tg.Responsive[packet.ICMP] {
 			ids = append(ids, tg.ID)
 		}
@@ -227,8 +227,8 @@ func TestBackingAnycastFPWithFilteringVPs(t *testing.T) {
 
 func TestAddrSweepFindsPartialAnycast(t *testing.T) {
 	var partials, unicasts []int
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		switch {
 		case tg.Kind == netsim.PartialAnycast && tg.Responsive[packet.ICMP]:
 			partials = append(partials, tg.ID)

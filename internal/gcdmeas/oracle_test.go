@@ -71,8 +71,8 @@ func TestGreedyWithinExactWithinTrueSites(t *testing.T) {
 		c := Campaign{VPs: vps, Proto: packet.ICMP, At: netsim.DayTime(day).Add(6 * time.Hour), Attempts: 1}
 		table, itable := netsim.NewVPTable(vps), c.igreedyTable()
 		best := make([]time.Duration, len(vps))
-		for id := range w.TargetsV4 {
-			tg := &w.TargetsV4[id]
+		for id := range w.NumTargets(false) {
+			tg := w.TargetAt(false, id)
 			if !tg.Responsive[packet.ICMP] || (!tg.IsAnycastAt(day) && id%8 != 0) {
 				continue
 			}

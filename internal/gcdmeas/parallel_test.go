@@ -32,8 +32,8 @@ func TestRunParallelByteIdentical(t *testing.T) {
 // TestSweepAddrsParallelByteIdentical covers the /32-granularity sweep.
 func TestSweepAddrsParallelByteIdentical(t *testing.T) {
 	var ids []int
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Responsive[packet.ICMP] && len(ids) < 80 {
 			ids = append(ids, tg.ID)
 		}
@@ -62,8 +62,8 @@ func TestSweepAddrsDeduplicatesRepresentative(t *testing.T) {
 	// Any responsive target works; the probe count is what matters.
 	var id int = -1
 	var rep uint8
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Responsive[packet.ICMP] {
 			id = tg.ID
 			b := tg.Addr.AsSlice()
@@ -117,12 +117,12 @@ func TestDedupeOffsets(t *testing.T) {
 // out-of-range target IDs.
 func TestRunParallelOutOfRangeIDs(t *testing.T) {
 	anycast, _ := sampleIDs(5)
-	ids := append([]int{-5, len(testWorld.TargetsV4) + 10}, anycast...)
+	ids := append([]int{-5, testWorld.NumTargets(false) + 10}, anycast...)
 	camp := arkCampaign(t, 10, false)
 	camp.Parallelism = 4
 	rep := Run(testWorld, ids, false, camp)
 	for id := range rep.Outcomes {
-		if id < 0 || id >= len(testWorld.TargetsV4) {
+		if id < 0 || id >= testWorld.NumTargets(false) {
 			t.Fatalf("outcome for out-of-range id %d", id)
 		}
 	}

@@ -114,7 +114,7 @@ func TestScanMatchesResponsiveness(t *testing.T) {
 		t.Fatal("empty ICMP scan")
 	}
 	for _, e := range h.Entries {
-		tg := &testWorld.TargetsV4[e.TargetID]
+		tg := testWorld.TargetAt(false, e.TargetID)
 		if !tg.Responsive[packet.ICMP] {
 			t.Fatalf("ICMP scan included ICMP-unresponsive target %d", e.TargetID)
 		}
@@ -137,11 +137,11 @@ func TestMergeUnionsProtocols(t *testing.T) {
 	}
 	// The union must equal the number of targets responsive to >= 1
 	// scanned protocol (= all targets, by world construction).
-	if merged.Len() != len(testWorld.TargetsV4) {
-		t.Fatalf("merged %d entries, world has %d responsive targets", merged.Len(), len(testWorld.TargetsV4))
+	if merged.Len() != testWorld.NumTargets(false) {
+		t.Fatalf("merged %d entries, world has %d responsive targets", merged.Len(), testWorld.NumTargets(false))
 	}
 	for i, e := range merged.Entries {
-		if tg := &testWorld.TargetsV4[e.TargetID]; e.Protocols != tg.Responsive {
+		if tg := testWorld.TargetAt(false, e.TargetID); e.Protocols != tg.Responsive {
 			t.Fatalf("target %d: protocols %v, responsive %v", e.TargetID, e.Protocols, tg.Responsive)
 		}
 		if i > 0 && e.TargetID <= merged.Entries[i-1].TargetID {
@@ -188,13 +188,13 @@ func TestForDayMatchesScanMerge(t *testing.T) {
 // nothing is on no source's list, so it is not on the union either.
 func TestForDaySkipsUnresponsiveTargets(t *testing.T) {
 	w := mustWorld()
-	silenced := []int{0, 1, 1024, len(w.TargetsV4) - 1}
+	silenced := []int{0, 1, 1024, w.NumTargets(false) - 1}
 	for _, id := range silenced {
-		w.TargetsV4[id].Responsive = [3]bool{}
+		w.TargetAt(false, id).Responsive = [3]bool{}
 	}
 	requireOracleEqual(t, w, false, 0)
-	if got := ForDay(w, false, 0).Len(); got != len(w.TargetsV4)-len(silenced) {
-		t.Fatalf("%d entries for %d targets with %d silenced", got, len(w.TargetsV4), len(silenced))
+	if got := ForDay(w, false, 0).Len(); got != w.NumTargets(false)-len(silenced) {
+		t.Fatalf("%d entries for %d targets with %d silenced", got, w.NumTargets(false), len(silenced))
 	}
 }
 

@@ -178,7 +178,7 @@ func TestAstoundBirthVisible(t *testing.T) {
 	h := shortHistory
 	cnt := 0
 	for id, n := range h.DaysDetected(true) {
-		if testWorld.TargetsV6[id].Origin == 46690 && n > 0 {
+		if testWorld.TargetAt(true, id).Origin == 46690 && n > 0 {
 			cnt++
 		}
 	}

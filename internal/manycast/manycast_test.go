@@ -75,7 +75,7 @@ func TestCandidatesSupersetOfDetectableAnycast(t *testing.T) {
 
 	tp, fn := 0, 0
 	for id := range truth {
-		if !testWorld.TargetsV4[id].Responsive[packet.ICMP] {
+		if !testWorld.TargetAt(false, id).Responsive[packet.ICMP] {
 			continue
 		}
 		if cands[id] {

@@ -19,7 +19,7 @@ import (
 func TestConcurrentProbesMatchSequential(t *testing.T) {
 	d := tangled(t, testWorld, PolicyUnmodified)
 	at := DayTime(3)
-	nTargets := len(testWorld.TargetsV4)
+	nTargets := testWorld.NumTargets(false)
 	if nTargets > 2000 {
 		nTargets = 2000
 	}
@@ -42,7 +42,7 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 	}
 	seq := make([]probeRes, nTargets*nWorkers)
 	for id := 0; id < nTargets; id++ {
-		tg := &testWorld.TargetsV4[id]
+		tg := testWorld.TargetAt(false, id)
 		for wk := 0; wk < nWorkers; wk++ {
 			del, ok := testWorld.ProbeAnycast(d, wk, tg, ctxFor(id, wk))
 			seq[id*nWorkers+wk] = probeRes{del, ok}
@@ -63,7 +63,7 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 		go func(wk int) {
 			defer wg.Done()
 			for id := 0; id < nTargets; id++ {
-				tg := &testWorld.TargetsV4[id]
+				tg := testWorld.TargetAt(false, id)
 				del, ok := testWorld.ProbeAnycast(d, wk, tg, ctxFor(id, wk))
 				conc[id*nWorkers+wk] = probeRes{del, ok}
 			}
@@ -97,7 +97,7 @@ func TestConcurrentUnicastProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := DayTime(5)
-	nTargets := len(testWorld.TargetsV4)
+	nTargets := testWorld.NumTargets(false)
 	if nTargets > 2000 {
 		nTargets = 2000
 	}
@@ -110,7 +110,7 @@ func TestConcurrentUnicastProbes(t *testing.T) {
 	}
 	seq := make([]sample, nTargets)
 	for id := 0; id < nTargets; id++ {
-		rtt, site, ok := testWorld.ProbeUnicast(vp, &testWorld.TargetsV4[id], packet.ICMP, at, 0)
+		rtt, site, ok := testWorld.ProbeUnicast(vp, testWorld.TargetAt(false, id), packet.ICMP, at, 0)
 		seq[id] = sample{rtt, site, ok}
 	}
 
@@ -123,7 +123,7 @@ func TestConcurrentUnicastProbes(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for id := g; id < nTargets; id += goroutines {
-				rtt, site, ok := testWorld.ProbeUnicast(vp, &testWorld.TargetsV4[id], packet.ICMP, at, 0)
+				rtt, site, ok := testWorld.ProbeUnicast(vp, testWorld.TargetAt(false, id), packet.ICMP, at, 0)
 				conc[id] = sample{rtt, site, ok}
 			}
 		}(g)
@@ -181,7 +181,7 @@ func runFans(w *World, vps *VPTable, n, from int, at time.Time) [][]time.Duratio
 	for k := 0; k < n; k++ {
 		id := (from + k) % n
 		out[id] = make([]time.Duration, vps.Len())
-		w.UnicastFan(vps, &w.TargetsV4[id], packet.ICMP, at, 2, out[id])
+		w.UnicastFan(vps, w.TargetAt(false, id), packet.ICMP, at, 2, out[id])
 	}
 	return out
 }

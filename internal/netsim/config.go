@@ -138,9 +138,8 @@ type Config struct {
 	// (memory proportional to ASes and operators, not targets) and
 	// targets are derived on demand from (seed, ID) through a bounded
 	// arena. Census results are byte-identical to an eager world with the
-	// same configuration; the materialized Targets/BGPPrefixes slices are
-	// unavailable (their accessors panic) — consumers use the streaming
-	// API in stream.go, which works in both modes.
+	// same configuration, and the streaming API in stream.go works the
+	// same in both modes.
 	LazyTargets bool
 
 	Operators []OperatorSpec

@@ -11,7 +11,7 @@ import (
 
 // Derivation: every Target is a pure function of (world seed, batch,
 // in-batch index). The class rules below are the single source of truth
-// for target content — eager materialization (generate_targets.go) and
+// for target content — eager pre-derivation (generate_targets.go) and
 // lazy lookup (arena.go, stream.go) both call deriveInto, which is what
 // makes the two modes byte-identical.
 //

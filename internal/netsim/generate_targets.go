@@ -40,68 +40,30 @@ const hijackEventsV4 = 19
 // genTargets builds the target universe for one address family. The
 // heavy lifting is split between the layout pass (layout.go — batch,
 // slot and announcement geometry, AS quota/flag marking) and per-target
-// derivation (derive.go). Eager worlds (the default) materialize every
-// target and announcement through the derivation path; lazy worlds stop
-// after the layout and derive targets on demand, so the two modes are
-// byte-identical by construction.
+// derivation (derive.go). It is the one place Config.LazyTargets is
+// read: eager worlds (the default) pre-derive every target into a
+// private slice by streaming the layout once, lazy worlds keep only the
+// layout and an arena and derive targets on demand, so the two modes are
+// byte-identical by construction. The announcement table is derived from
+// the layout in both modes (BGPPrefixAt).
 func (w *World) genTargets(v6 bool) error {
 	L, err := w.buildLayout(v6)
-	if err != nil {
+	if err != nil || L == nil {
 		return err
 	}
-	if L == nil {
-		return nil
-	}
-	if v6 {
-		w.layoutV6 = L
-	} else {
-		w.layoutV4 = L
-	}
+	f := w.fam(v6)
+	f.L = L
 	if w.Cfg.LazyTargets {
-		arena := newTargetArena(arenaSlots)
-		if v6 {
-			w.arenaV6 = arena
-		} else {
-			w.arenaV4 = arena
-		}
+		f.arena = newTargetArena(arenaSlots)
 		return nil
 	}
-	w.materialize(L)
-	return nil
-}
-
-// materialize builds the family's full target and announcement slices by
-// walking every batch through the derivation path.
-func (w *World) materialize(L *famLayout) {
 	targets := make([]Target, 0, L.total)
-	bgps := make([]BGPPrefix, 0, L.nBGP)
-	var bw blockWalker
-	for bi := range L.batches {
-		b := &L.batches[bi]
-		bw.seek(w.seed, L.v6, b, 0)
-		for bl := 0; bl < b.count; {
-			bp := BGPPrefix{
-				Prefix: blockPrefix(L.v6, bw.start, bw.log2),
-				Origin: b.asn,
-			}
-			for j := 0; j < bw.fill; j++ {
-				var t Target
-				w.deriveInto(L, b, &bw, bl, &t, nil)
-				bp.Targets = append(bp.Targets, t.ID)
-				targets = append(targets, t)
-				bl++
-			}
-			bgps = append(bgps, bp)
-			if bl < b.count {
-				bw.next()
-			}
-		}
-	}
-	if L.v6 {
-		w.TargetsV6, w.BGPPrefixesV6 = targets, bgps
-	} else {
-		w.TargetsV4, w.BGPPrefixesV4 = targets, bgps
-	}
+	w.IterTargets(v6, 0, func(batch []Target) bool {
+		targets = append(targets, batch...)
+		return true
+	})
+	f.targets = targets
+	return nil
 }
 
 // smallGlobalSites picks ns sites in ns distinct continents.

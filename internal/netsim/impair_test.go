@@ -32,9 +32,9 @@ func (f *fakeImpairer) ImpairUnicast(vp VP, tg *Target, proto packet.Protocol, a
 // responsiveTarget returns some ICMP-responsive target.
 func responsiveTarget(t *testing.T, w *World) *Target {
 	t.Helper()
-	for i := range w.TargetsV4 {
-		if w.TargetsV4[i].Responsive[packet.ICMP] {
-			return &w.TargetsV4[i]
+	for i := range w.NumTargets(false) {
+		if w.TargetAt(false, i).Responsive[packet.ICMP] {
+			return w.TargetAt(false, i)
 		}
 	}
 	t.Fatal("no ICMP-responsive target")
@@ -179,8 +179,8 @@ func assertFansNoAllocs(t *testing.T, w *World, label string) {
 	tab := NewVPTable(vps)
 	best := make([]time.Duration, tab.Len())
 	targets := map[TargetKind]*Target{Anycast: nil, Unicast: nil}
-	for i := range w.TargetsV4 {
-		tg := &w.TargetsV4[i]
+	for i := range w.NumTargets(false) {
+		tg := w.TargetAt(false, i)
 		if k := tg.KindAt(3); tg.Responsive[packet.ICMP] && targets[k] == nil {
 			if _, want := targets[k]; want {
 				targets[k] = tg
@@ -206,8 +206,8 @@ func assertTrainsNoAllocs(t *testing.T, w *World, d *Deployment, ctx ProbeCtx, l
 	t.Helper()
 	tr := Train{First: ctx.At, Offset: ctx.Gap, Gap: ctx.Gap, Flow: ctx.Flow}
 	var steady, stepped *Target
-	for i := range w.TargetsV4 {
-		tg := &w.TargetsV4[i]
+	for i := range w.NumTargets(false) {
+		tg := w.TargetAt(false, i)
 		if !tg.Responsive[packet.ICMP] {
 			continue
 		}

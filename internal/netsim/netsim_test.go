@@ -53,11 +53,11 @@ func TestGenerationDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w2.TargetsV4) != len(testWorld.TargetsV4) || len(w2.TargetsV6) != len(testWorld.TargetsV6) {
+	if w2.NumTargets(false) != testWorld.NumTargets(false) || w2.NumTargets(true) != testWorld.NumTargets(true) {
 		t.Fatal("target counts differ across runs with the same seed")
 	}
-	for i := range w2.TargetsV4 {
-		a, b := &w2.TargetsV4[i], &testWorld.TargetsV4[i]
+	for i := range w2.NumTargets(false) {
+		a, b := w2.TargetAt(false, i), testWorld.TargetAt(false, i)
 		if a.Prefix != b.Prefix || a.Kind != b.Kind || a.Origin != b.Origin || a.Addr != b.Addr {
 			t.Fatalf("target %d differs: %+v vs %+v", i, a, b)
 		}
@@ -72,31 +72,31 @@ func TestGenerationDifferentSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := 0
-	for i := range w2.TargetsV4 {
-		if w2.TargetsV4[i].Addr == testWorld.TargetsV4[i].Addr {
+	for i := range w2.NumTargets(false) {
+		if w2.TargetAt(false, i).Addr == testWorld.TargetAt(false, i).Addr {
 			same++
 		}
 	}
-	if same == len(w2.TargetsV4) {
+	if same == w2.NumTargets(false) {
 		t.Fatal("different seeds produced identical address plans")
 	}
 }
 
 func TestTargetCountsMatchConfig(t *testing.T) {
 	cfg := TestConfig()
-	if len(testWorld.TargetsV4) != cfg.V4Targets {
-		t.Fatalf("V4 targets = %d, want %d", len(testWorld.TargetsV4), cfg.V4Targets)
+	if testWorld.NumTargets(false) != cfg.V4Targets {
+		t.Fatalf("V4 targets = %d, want %d", testWorld.NumTargets(false), cfg.V4Targets)
 	}
-	if len(testWorld.TargetsV6) != cfg.V6Targets {
-		t.Fatalf("V6 targets = %d, want %d", len(testWorld.TargetsV6), cfg.V6Targets)
+	if testWorld.NumTargets(true) != cfg.V6Targets {
+		t.Fatalf("V6 targets = %d, want %d", testWorld.NumTargets(true), cfg.V6Targets)
 	}
 }
 
 func TestPrefixesUniqueAndContainRepresentative(t *testing.T) {
 	for _, v6 := range []bool{false, true} {
 		seen := make(map[string]bool)
-		for i := range testWorld.Targets(v6) {
-			tg := &testWorld.Targets(v6)[i]
+		for i := range testWorld.NumTargets(v6) {
+			tg := testWorld.TargetAt(v6, i)
 			key := tg.Prefix.String()
 			if seen[key] {
 				t.Fatalf("duplicate prefix %s", key)
@@ -116,23 +116,45 @@ func TestPrefixesUniqueAndContainRepresentative(t *testing.T) {
 	}
 }
 
+// TestBGPPrefixesCoverTheirTargets is the announcement oracle, run on
+// eager and lazy worlds: the BGPPrefixAt target runs tile [0, NumTargets)
+// in ascending order, and every target in a run points back at its
+// announcement, lies inside its prefix and shares its origin.
 func TestBGPPrefixesCoverTheirTargets(t *testing.T) {
-	for _, v6 := range []bool{false, true} {
-		targets := testWorld.Targets(v6)
-		for bi, bp := range testWorld.BGPPrefixes(v6) {
-			if len(bp.Targets) == 0 {
-				t.Fatalf("BGP prefix %s has no targets", bp.Prefix)
+	for _, seed := range equivalenceSeeds {
+		for _, lazy := range []bool{false, true} {
+			cfg := TestConfig()
+			cfg.Seed, cfg.LazyTargets = seed, lazy
+			w, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, id := range bp.Targets {
-				tg := &targets[id]
-				if !bp.Prefix.Contains(tg.Addr) {
-					t.Fatalf("BGP prefix %s does not contain target %s", bp.Prefix, tg.Addr)
+			for _, v6 := range []bool{false, true} {
+				wk, next := w.Walker(v6), 0
+				for bi := range w.NumBGPPrefixes(v6) {
+					bp := w.BGPPrefixAt(v6, bi)
+					if len(bp.Targets) == 0 {
+						t.Fatalf("seed %#x lazy=%v: BGP prefix %s has no targets", seed, lazy, bp.Prefix)
+					}
+					for _, id := range bp.Targets {
+						if id != next {
+							t.Fatalf("seed %#x lazy=%v v6=%v: announcement %d holds target %d, want %d", seed, lazy, v6, bi, id, next)
+						}
+						next++
+						tg := wk.At(id)
+						if tg.BGPPrefix != bi {
+							t.Fatalf("seed %#x lazy=%v: target %d back-reference %d, want %d", seed, lazy, id, tg.BGPPrefix, bi)
+						}
+						if !bp.Prefix.Contains(tg.Addr) {
+							t.Fatalf("seed %#x lazy=%v: BGP prefix %s does not contain target %s", seed, lazy, bp.Prefix, tg.Addr)
+						}
+						if tg.Origin != bp.Origin {
+							t.Fatalf("seed %#x lazy=%v: target %d origin %d but announcement origin %d", seed, lazy, id, tg.Origin, bp.Origin)
+						}
+					}
 				}
-				if tg.BGPPrefix != bi {
-					t.Fatalf("target %d back-reference %d, want %d", id, tg.BGPPrefix, bi)
-				}
-				if tg.Origin != bp.Origin {
-					t.Fatalf("target %d origin %d but announcement origin %d", id, tg.Origin, bp.Origin)
+				if n := w.NumTargets(v6); next != n {
+					t.Fatalf("seed %#x lazy=%v v6=%v: announcements cover %d of %d targets", seed, lazy, v6, next, n)
 				}
 			}
 		}
@@ -148,8 +170,8 @@ func TestOperatorLandscape(t *testing.T) {
 	gi := testWorld.OperatorByName("G-Root")
 	groot := testWorld.Operators[gi]
 	found := false
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Origin != groot.ASN {
 			continue
 		}
@@ -174,8 +196,8 @@ func TestOperatorLandscape(t *testing.T) {
 
 func TestEveryTargetRespondsToSomething(t *testing.T) {
 	for _, v6 := range []bool{false, true} {
-		for i := range testWorld.Targets(v6) {
-			tg := &testWorld.Targets(v6)[i]
+		for i := range testWorld.NumTargets(v6) {
+			tg := testWorld.TargetAt(v6, i)
 			if !tg.Responsive[packet.ICMP] && !tg.Responsive[packet.TCP] && !tg.Responsive[packet.DNS] {
 				t.Fatalf("target %d (v6=%v) responds to nothing — cannot be on a hitlist", i, v6)
 			}
@@ -190,8 +212,8 @@ func TestTemporaryAnycastWindows(t *testing.T) {
 	}
 	asn := testWorld.Operators[ii].ASN
 	temp, static := 0, 0
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Origin != asn {
 			continue
 		}
@@ -218,8 +240,8 @@ func TestTemporaryAnycastWindows(t *testing.T) {
 
 func TestAnycastBornDay(t *testing.T) {
 	var born *Target
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind == Anycast && tg.AnycastBornDay > 0 {
 			born = tg
 			break
@@ -240,8 +262,8 @@ func TestUnicastSingleReceiver(t *testing.T) {
 	d := tangled(t, testWorld, PolicyUnmodified)
 	at := DayTime(3)
 	checked := 0
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind != Unicast || !tg.Responsive[packet.ICMP] || len(tg.TempWindows) > 0 {
 			continue
 		}
@@ -269,8 +291,8 @@ func TestTieSplitTwoReceivers(t *testing.T) {
 	d := tangled(t, testWorld, PolicyUnmodified)
 	at := DayTime(3)
 	splits := 0
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		a, ok := testWorld.ASByNumber(tg.Origin)
 		if !ok || !a.TieSplit || tg.Kind != Unicast || !tg.Responsive[packet.ICMP] {
 			continue
@@ -294,8 +316,8 @@ func TestGlobalUnicastFewReceivers(t *testing.T) {
 	at := DayTime(3)
 	multi, n := 0, 0
 	everMulti := make(map[int]bool)
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind != GlobalUnicast || !tg.Responsive[packet.ICMP] {
 			continue
 		}
@@ -322,8 +344,8 @@ func TestGlobalUnicastFewReceivers(t *testing.T) {
 	// least once — the rotation that keeps Fig 10's all-days core small.
 	for day := 3; day < 24; day += 4 {
 		at := DayTime(day)
-		for i := range testWorld.TargetsV4 {
-			tg := &testWorld.TargetsV4[i]
+		for i := range testWorld.NumTargets(false) {
+			tg := testWorld.TargetAt(false, i)
 			if tg.Kind != GlobalUnicast || !tg.Responsive[packet.ICMP] || everMulti[i] {
 				continue
 			}
@@ -344,8 +366,8 @@ func TestHypergiantManyReceivers(t *testing.T) {
 	at := DayTime(3)
 	cf := testWorld.Operators[testWorld.OperatorByName("Cloudflare")]
 	best := 0
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Origin != cf.ASN || !tg.Responsive[packet.ICMP] {
 			continue
 		}
@@ -363,8 +385,8 @@ func TestFPsGrowWithProbeInterval(t *testing.T) {
 	at := DayTime(4)
 	fpsAt := func(gap time.Duration) int {
 		fp := 0
-		for i := range testWorld.TargetsV4 {
-			tg := &testWorld.TargetsV4[i]
+		for i := range testWorld.NumTargets(false) {
+			tg := testWorld.TargetAt(false, i)
 			if tg.IsAnycastAt(4) || !tg.Responsive[packet.ICMP] {
 				continue
 			}
@@ -396,8 +418,8 @@ func TestStaticProbesMatchVaryingProbes(t *testing.T) {
 	d := tangled(t, testWorld, PolicyUnmodified)
 	at := DayTime(5)
 	diff, n := 0, 0
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if !tg.Responsive[packet.ICMP] {
 			continue
 		}
@@ -426,8 +448,8 @@ func TestStaticProbesMatchVaryingProbes(t *testing.T) {
 
 func TestRouteFlippedConstantWithinPeriod(t *testing.T) {
 	var drifty *Target
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		a, ok := testWorld.ASByNumber(tg.Origin)
 		if ok && a.Drifty && !a.Wobbly {
 			drifty = tg
@@ -454,8 +476,8 @@ func TestPolicyChangesCandidateSets(t *testing.T) {
 	acs := func(policy RoutingPolicy) map[int]bool {
 		d := tangled(t, testWorld, policy)
 		out := make(map[int]bool)
-		for i := range testWorld.TargetsV4[:4000] {
-			tg := &testWorld.TargetsV4[i]
+		for i := range 4000 {
+			tg := testWorld.TargetAt(false, i)
 			if !tg.Responsive[packet.ICMP] {
 				continue
 			}
@@ -494,8 +516,8 @@ func TestProbeUnicastRTTPhysicallySound(t *testing.T) {
 	}
 	at := DayTime(8)
 	var asked, lost int
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if !tg.Responsive[packet.ICMP] {
 			continue
 		}
@@ -530,8 +552,8 @@ func TestPartialAnycastAddrProbing(t *testing.T) {
 	vpB, _ := testWorld.NewVP("ark-b", "Sydney", 0)
 	at := DayTime(9)
 	found := false
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind != PartialAnycast || !tg.Responsive[packet.ICMP] {
 			continue
 		}
@@ -556,8 +578,8 @@ func TestPartialAnycastAddrProbing(t *testing.T) {
 
 func TestChaosRecords(t *testing.T) {
 	perSite, perServer, replicated := 0, 0, 0
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if !tg.Responsive[packet.DNS] {
 			if _, ok := testWorld.ChaosRecord(tg, 0, 1); ok {
 				t.Fatal("non-DNS target answered CHAOS")
@@ -593,16 +615,16 @@ func TestChaosRecords(t *testing.T) {
 
 func TestV6HitlistGrowth(t *testing.T) {
 	late := 0
-	for i := range testWorld.TargetsV6 {
-		if testWorld.TargetsV6[i].HitlistFromDay > 0 {
+	for i := range testWorld.NumTargets(true) {
+		if testWorld.TargetAt(true, i).HitlistFromDay > 0 {
 			late++
 		}
 	}
 	if late == 0 {
 		t.Fatal("no late-arriving IPv6 targets; quarterly hitlist growth missing")
 	}
-	if late > len(testWorld.TargetsV6)/2 {
-		t.Fatalf("%d of %d v6 targets arrive late — too many", late, len(testWorld.TargetsV6))
+	if late > testWorld.NumTargets(true)/2 {
+		t.Fatalf("%d of %d v6 targets arrive late — too many", late, testWorld.NumTargets(true))
 	}
 }
 
@@ -619,8 +641,8 @@ func TestEventASWindows(t *testing.T) {
 	}
 	// Astound: v6 targets become anycast mid-census.
 	cnt := 0
-	for i := range testWorld.TargetsV6 {
-		tg := &testWorld.TargetsV6[i]
+	for i := range testWorld.NumTargets(true) {
+		tg := testWorld.TargetAt(true, i)
 		if tg.Origin == 46690 && tg.Kind == Anycast {
 			cnt++
 			if tg.IsAnycastAt(100) {
@@ -654,7 +676,7 @@ func BenchmarkProbeAnycast(b *testing.B) {
 	ctx := ProbeCtx{At: at, Flow: FlowKey{Proto: packet.ICMP, VaryingPayload: 9}, Gap: time.Second}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tg := &testWorld.TargetsV4[i%len(testWorld.TargetsV4)]
+		tg := testWorld.TargetAt(false, i%testWorld.NumTargets(false))
 		testWorld.ProbeAnycast(d, i%32, tg, ctx)
 	}
 }
@@ -667,7 +689,7 @@ func BenchmarkAnycastTrain(b *testing.B) {
 		Flow: FlowKey{Proto: packet.ICMP, VaryingPayload: 1}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		testWorld.AnycastTrain(d, &testWorld.TargetsV4[i%len(testWorld.TargetsV4)], tr)
+		testWorld.AnycastTrain(d, testWorld.TargetAt(false, i%testWorld.NumTargets(false)), tr)
 	}
 }
 
@@ -675,7 +697,7 @@ func BenchmarkCatchmentCache(b *testing.B) {
 	// Ablation: catchment memoisation. Probing with a cold cache per
 	// iteration shows the cost the cache avoids.
 	d := tangled(b, testWorld, PolicyUnmodified)
-	tg := &testWorld.TargetsV4[100]
+	tg := testWorld.TargetAt(false, 100)
 	b.Run("warm", func(b *testing.B) {
 		ctx := ProbeCtx{At: DayTime(3), Flow: FlowKey{Proto: packet.ICMP}, Gap: time.Second}
 		for i := 0; i < b.N; i++ {
@@ -699,12 +721,12 @@ func TestWorldGenerationDefaultScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w.TargetsV4) != DefaultConfig().V4Targets {
-		t.Fatalf("default world v4 targets = %d", len(w.TargetsV4))
+	if w.NumTargets(false) != DefaultConfig().V4Targets {
+		t.Fatalf("default world v4 targets = %d", w.NumTargets(false))
 	}
 	anycast := 0
-	for i := range w.TargetsV4 {
-		if w.TargetsV4[i].IsAnycastAt(0) {
+	for i := range w.NumTargets(false) {
+		if w.TargetAt(false, i).IsAnycastAt(0) {
 			anycast++
 		}
 	}
@@ -719,7 +741,7 @@ func TestReceiverAlwaysInRange(t *testing.T) {
 	// reply lands at a valid deployment site.
 	d := tangled(t, testWorld, PolicyUnmodified)
 	f := func(tgIdx uint16, wk uint8, dayRaw uint16, payload uint64) bool {
-		tg := &testWorld.TargetsV4[int(tgIdx)%len(testWorld.TargetsV4)]
+		tg := testWorld.TargetAt(false, int(tgIdx)%testWorld.NumTargets(false))
 		day := int(dayRaw) % 534
 		ctx := ProbeCtx{
 			At:   DayTime(day).Add(time.Duration(wk) * time.Second),
@@ -749,7 +771,7 @@ func TestReceiverAlwaysInRange(t *testing.T) {
 
 func TestKindAtNeverPanicsProperty(t *testing.T) {
 	f := func(tgIdx uint16, day int16) bool {
-		tg := &testWorld.TargetsV4[int(tgIdx)%len(testWorld.TargetsV4)]
+		tg := testWorld.TargetAt(false, int(tgIdx)%testWorld.NumTargets(false))
 		k := tg.KindAt(int(day))
 		return k <= BackingAnycast
 	}
@@ -796,8 +818,8 @@ func TestLifecycleDynamicsPopulated(t *testing.T) {
 	// The generator must produce all three lifecycle classes (§7): born,
 	// retired and duty-cycled anycast.
 	var born, retired, windowed int
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind != Anycast {
 			continue
 		}
@@ -820,8 +842,8 @@ func TestTransientDisturbanceRotates(t *testing.T) {
 	// targets each day — the rotating FP pool behind Fig 10.
 	dayA := make(map[int]bool)
 	dayB := make(map[int]bool)
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if testWorld.transientDisturbed(tg, 50) {
 			dayA[tg.ID] = true
 		}
@@ -829,7 +851,7 @@ func TestTransientDisturbanceRotates(t *testing.T) {
 			dayB[tg.ID] = true
 		}
 	}
-	n := len(testWorld.TargetsV4)
+	n := testWorld.NumTargets(false)
 	frac := testWorld.Cfg.TransientDisturbFrac
 	if len(dayA) == 0 || float64(len(dayA)) > 3*frac*float64(n) {
 		t.Fatalf("day-50 disturbance set size %d implausible for frac %.4f of %d", len(dayA), frac, n)
@@ -853,8 +875,8 @@ func TestGCDLossIsPerDay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lostOnce, lostAlways int
-	for i := 0; i < 2000 && i < len(testWorld.TargetsV4); i++ {
-		tg := &testWorld.TargetsV4[i]
+	for i := 0; i < 2000 && i < testWorld.NumTargets(false); i++ {
+		tg := testWorld.TargetAt(false, i)
 		if !tg.Responsive[packet.ICMP] {
 			continue
 		}

@@ -18,8 +18,8 @@ func pathAt(t *testing.T, tg *Target, day int) []Hop {
 
 func findKind(t *testing.T, kind TargetKind) *Target {
 	t.Helper()
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind == kind && tg.Responsive[packet.ICMP] && len(tg.TempWindows) == 0 {
 			return tg
 		}
@@ -83,8 +83,8 @@ func TestGlobalUnicastIngressFanout(t *testing.T) {
 	at := DayTime(5)
 	sources := []string{"Amsterdam", "Tokyo", "Los Angeles", "Sao Paulo", "Sydney", "Johannesburg"}
 	found := false
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if tg.Kind != GlobalUnicast || !tg.Responsive[packet.ICMP] {
 			continue
 		}
@@ -160,11 +160,11 @@ func TestForwardPathRTTPhysicallySound(t *testing.T) {
 	}
 	at := DayTime(12)
 	checked := 0
-	for i := range testWorld.TargetsV4 {
+	for i := range testWorld.NumTargets(false) {
 		if checked >= 300 {
 			break
 		}
-		tg := &testWorld.TargetsV4[i]
+		tg := testWorld.TargetAt(false, i)
 		if !tg.Responsive[packet.ICMP] {
 			continue
 		}
@@ -184,8 +184,8 @@ func TestForwardPathRTTPhysicallySound(t *testing.T) {
 
 func TestTracePathBackingAnycastFilteringVP(t *testing.T) {
 	var tg *Target
-	for i := range testWorld.TargetsV6 {
-		cand := &testWorld.TargetsV6[i]
+	for i := range testWorld.NumTargets(true) {
+		cand := testWorld.TargetAt(true, i)
 		if cand.Kind == BackingAnycast && cand.Responsive[packet.ICMP] {
 			tg = cand
 			break
@@ -220,8 +220,8 @@ func TestForwardPathTransitHopsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := DayTime(3)
-	for i := 0; i < 200 && i < len(testWorld.TargetsV4); i++ {
-		tg := &testWorld.TargetsV4[i]
+	for i := 0; i < 200 && i < testWorld.NumTargets(false); i++ {
+		tg := testWorld.TargetAt(false, i)
 		hops := testWorld.TracePath(vp, tg, at)
 		if len(hops) > 2+maxTransitHops+3 {
 			t.Fatalf("target %d: %d hops, too long", tg.ID, len(hops))

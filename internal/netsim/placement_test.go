@@ -123,7 +123,7 @@ func TestPickSitesBiasedMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v6 := range []bool{false, true} {
-			L := w.layout(v6)
+			L := w.fam(v6).L
 			if len(L.generic) == 0 {
 				t.Fatalf("%s v6=%v: no generic deployments", name, v6)
 			}
@@ -216,7 +216,7 @@ func TestGenericFirstDerivationRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v6 := range []bool{false, true} {
-		L := lazy.layout(v6)
+		L := lazy.fam(v6).L
 		lo, hi := classRange(L, classGeneric)
 		check := func(path string, got *Target) {
 			if want := eager.TargetAt(v6, got.ID); !reflect.DeepEqual(got, want) {
@@ -264,7 +264,7 @@ func TestDeriveGenericAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	L := w.layout(true)
+	L := w.fam(true).L
 	lo, hi := classRange(L, classGeneric)
 	id := -1
 	for i := lo; i < hi && id < 0; i++ {

@@ -5,10 +5,10 @@ import (
 	"sort"
 )
 
-// Streaming target access. These accessors are the family-universe API
-// every census stage uses; they work identically on eager worlds (backed
-// by the materialized slices) and lazy worlds (backed by the layout, the
-// derivation path and the bounded arena):
+// Streaming target access. These accessors are the only way to reach a
+// world's targets and announcements; they work identically on eager
+// worlds (backed by the family's pre-derived targets) and lazy worlds
+// (backed by the layout, the derivation path and the bounded arena):
 //
 //   - NumTargets / TargetAt: random access by family-wide target ID; on a
 //     lazy world the arena serves it (detect's fold, feedback, Confirm's
@@ -20,7 +20,8 @@ import (
 //     batch slice is reused between invocations, so callers must not
 //     retain it (copy what outlives the callback).
 //   - FindTarget: lookup by prefix or address.
-//   - NumBGPPrefixes / BGPPrefixAt: the announcement table.
+//   - NumBGPPrefixes / BGPPrefixAt: the announcement table, derived
+//     from the layout in both modes.
 //
 // Determinism: iteration order is always ascending target ID, and every
 // derived target is a pure function of (seed, ID), so eager and lazy
@@ -30,28 +31,31 @@ import (
 // DefaultIterBatch is the streaming batch size when the caller passes 0.
 const DefaultIterBatch = 1024
 
-// NumTargets returns the number of targets in the address family.
-func (w *World) NumTargets(v6 bool) int {
-	if !w.Cfg.LazyTargets {
-		if v6 {
-			return len(w.TargetsV6)
-		}
-		return len(w.TargetsV4)
-	}
-	L := w.layout(v6)
-	if L == nil {
-		return 0
-	}
-	return L.total
+// family is one address family's universe: its generation layout (nil
+// for an empty family) and either every target pre-derived (targets,
+// eager worlds) or the bounded cache of hot ones (arena, lazy worlds).
+// genTargets picks the mode; the accessors branch on whether targets
+// exists.
+type family struct {
+	L       *famLayout
+	targets []Target
+	arena   *targetArena
 }
 
-// layout returns the family's generation layout (nil for an empty
-// family).
-func (w *World) layout(v6 bool) *famLayout {
+// fam returns the address family's universe.
+func (w *World) fam(v6 bool) *family {
 	if v6 {
-		return w.layoutV6
+		return &w.fams[1]
 	}
-	return w.layoutV4
+	return &w.fams[0]
+}
+
+// NumTargets returns the number of targets in the address family.
+func (w *World) NumTargets(v6 bool) int {
+	if L := w.fam(v6).L; L != nil {
+		return L.total
+	}
+	return 0
 }
 
 // TargetAt returns the target with the given family-wide ID. On an eager
@@ -63,36 +67,30 @@ func (w *World) layout(v6 bool) *famLayout {
 //
 //laces:hotpath warm arena hit is one atomic load plus an ID compare
 func (w *World) TargetAt(v6 bool, id int) *Target {
-	if !w.Cfg.LazyTargets {
-		if v6 {
-			return &w.TargetsV6[id]
-		}
-		return &w.TargetsV4[id]
+	f := w.fam(v6)
+	if f.targets != nil {
+		return &f.targets[id]
 	}
-	a := w.arenaV4
-	if v6 {
-		a = w.arenaV6
-	}
-	if a != nil {
-		if t := a.get(id); t != nil {
+	if f.arena != nil {
+		if t := f.arena.get(id); t != nil {
 			if tel := w.tel; tel != nil {
 				countLookup(&tel.arena, uint64(id), true)
 			}
 			return t
 		}
 	}
-	return w.targetAtMiss(a, w.layout(v6), id)
+	return w.targetAtMiss(f, id)
 }
 
 // targetAtMiss is TargetAt's cold path: derive, publish to the arena,
 // account the miss.
-func (w *World) targetAtMiss(a *targetArena, L *famLayout, id int) *Target {
-	if L == nil || id < 0 || id >= L.total {
+func (w *World) targetAtMiss(f *family, id int) *Target {
+	if f.L == nil || id < 0 || id >= f.L.total {
 		panic("netsim: TargetAt index out of range")
 	}
 	t := new(Target)
-	w.deriveTargetID(L, id, t)
-	a.put(t)
+	w.deriveTargetID(f.L, id, t)
+	f.arena.put(t)
 	if tel := w.tel; tel != nil {
 		countLookup(&tel.arena, uint64(id), false)
 	}
@@ -111,7 +109,7 @@ func (w *World) targetAtMiss(a *targetArena, L *famLayout, id int) *Target {
 // ascending order is what is cheap. On an eager world At is TargetAt's
 // slice index.
 type Walker struct {
-	all []Target // eager world: the materialized family
+	all []Target // eager world: the family's pre-derived targets
 
 	w    *World // lazy world; nil on an eager one
 	L    *famLayout
@@ -125,10 +123,11 @@ type Walker struct {
 // Walker returns a new walker over the family's targets. A walker is not
 // safe for concurrent use: make one per goroutine.
 func (w *World) Walker(v6 bool) *Walker {
-	if !w.Cfg.LazyTargets {
-		return &Walker{all: w.Targets(v6)}
+	f := w.fam(v6)
+	if f.targets != nil {
+		return &Walker{all: f.targets}
 	}
-	return &Walker{w: w, L: w.layout(v6)}
+	return &Walker{w: w, L: f.L}
 }
 
 // At returns the target with the given family-wide ID; it panics on an
@@ -192,7 +191,7 @@ func (w *World) IterTargets(v6 bool, batchSize int, fn func(batch []Target) bool
 // targets. On a lazy world the batch buffer is reused and derivation
 // walks each announcement block once, so a full sweep is O(n) with O(1)
 // live targets; on an eager world batches are subslices of the
-// materialized universe (no copying).
+// pre-derived targets (no copying).
 func (w *World) IterTargetsRange(v6 bool, lo, hi, batchSize int, fn func(batch []Target) bool) {
 	n := w.NumTargets(v6)
 	lo, hi = max(lo, 0), min(hi, n)
@@ -202,8 +201,8 @@ func (w *World) IterTargetsRange(v6 bool, lo, hi, batchSize int, fn func(batch [
 	if batchSize <= 0 {
 		batchSize = DefaultIterBatch
 	}
-	if !w.Cfg.LazyTargets {
-		all := w.Targets(v6)
+	f := w.fam(v6)
+	if all := f.targets; all != nil {
 		for start := lo; start < hi; start += batchSize {
 			if !fn(all[start:min(start+batchSize, hi)]) {
 				return
@@ -211,7 +210,7 @@ func (w *World) IterTargetsRange(v6 bool, lo, hi, batchSize int, fn func(batch [
 		}
 		return
 	}
-	L := w.layout(v6)
+	L := f.L
 	buf := make([]Target, 0, batchSize)
 	bi := sort.Search(len(L.batches), func(k int) bool {
 		return L.batches[k].startID > lo
@@ -263,25 +262,18 @@ func (w *World) FindTarget(p netip.Prefix) *Target {
 
 // NumBGPPrefixes returns the number of BGP announcements in the family.
 func (w *World) NumBGPPrefixes(v6 bool) int {
-	if !w.Cfg.LazyTargets {
-		return len(w.BGPPrefixes(v6))
+	if L := w.fam(v6).L; L != nil {
+		return L.nBGP
 	}
-	L := w.layout(v6)
-	if L == nil {
-		return 0
-	}
-	return L.nBGP
+	return 0
 }
 
 // BGPPrefixAt returns the BGP announcement with the given family-wide
-// index. On a lazy world the announcement (including its contiguous
-// target-ID run) is derived on demand; the returned value is fresh, not
-// cached.
+// index. The announcement (including its contiguous target-ID run) is
+// derived from the layout on demand in both modes; the returned value is
+// fresh, not cached.
 func (w *World) BGPPrefixAt(v6 bool, bi int) BGPPrefix {
-	if !w.Cfg.LazyTargets {
-		return w.BGPPrefixes(v6)[bi]
-	}
-	L := w.layout(v6)
+	L := w.fam(v6).L
 	b := L.batchForBGP(bi)
 	if b == nil {
 		panic("netsim: BGPPrefixAt index out of range")
@@ -321,8 +313,9 @@ func (bw *blockWalker) seekBGP(seed uint64, v6 bool, b *targetBatch, bi int) {
 // in memory: the full universe on an eager world, the arena occupancy on
 // a lazy world. It backs the laces_netsim_targets_live gauge.
 func (w *World) MaterializedTargets() int64 {
-	if !w.Cfg.LazyTargets {
-		return int64(len(w.TargetsV4) + len(w.TargetsV6))
+	var n int64
+	for i := range w.fams {
+		n += int64(len(w.fams[i].targets)) + w.fams[i].arena.Live()
 	}
-	return w.arenaV4.Live() + w.arenaV6.Live()
+	return n
 }

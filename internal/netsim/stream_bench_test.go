@@ -158,7 +158,7 @@ func BenchmarkTargetAtWarm(b *testing.B) {
 // target on a warm world.
 func BenchmarkDeriveTarget(b *testing.B) {
 	w := getPaperWorld(b)
-	L := w.layout(true)
+	L := w.fam(true).L
 	for _, c := range []struct {
 		name  string
 		class batchClass

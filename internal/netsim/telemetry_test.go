@@ -54,7 +54,7 @@ func TestTelemetryCounts(t *testing.T) {
 	replyLookups := func() int64 { return tel.CacheHitsReply() + tel.CacheMissesReply() }
 	tr := Train{First: ctx.At, Offset: time.Second, Gap: ctx.Gap, Flow: ctx.Flow}
 	for tg.KindAt(3) != Unicast || !tg.Responsive[packet.ICMP] {
-		tg = &w.TargetsV4[tg.ID+1]
+		tg = w.TargetAt(false, tg.ID+1)
 	}
 	probes0, replies0, lookups0 := tel.ProbesAnycast(), tel.RepliesAnycast(), replyLookups()
 	for wk := 0; wk < d.NumSites(); wk++ {
@@ -102,8 +102,8 @@ func TestTelemetryCounts(t *testing.T) {
 		vps = append(vps, vp, vp) // two monitors per metro: one row entry
 	}
 	var multi *Target // the last such target: the probes above did not warm its row
-	for i := len(w.TargetsV4) - 1; multi == nil; i-- {
-		if tg := &w.TargetsV4[i]; tg.KindAt(3) == Anycast && len(tg.Sites) > 1 && tg.Responsive[packet.ICMP] {
+	for i := w.NumTargets(false) - 1; multi == nil; i-- {
+		if tg := w.TargetAt(false, i); tg.KindAt(3) == Anycast && len(tg.Sites) > 1 && tg.Responsive[packet.ICMP] {
 			multi = tg
 		}
 	}

@@ -93,7 +93,7 @@ func FuzzTargetWalk(f *testing.F) {
 	f.Add(false, []byte{4, 0, 4, 1, 0, 3, 4, 7, 1, 200, 4, 2})
 	f.Add(true, []byte{1, 255, 1, 255, 1, 255, 2, 255, 0, 7, 4, 9})
 	w := mustWalkWorld(f)
-	bounds := map[bool][]int{false: walkBoundaries(w.layout(false)), true: walkBoundaries(w.layout(true))}
+	bounds := map[bool][]int{false: walkBoundaries(w.fam(false).L), true: walkBoundaries(w.fam(true).L)}
 	f.Fuzz(func(t *testing.T, v6 bool, data []byte) {
 		wk := w.Walker(v6)
 		for _, id := range walkIDs(data, w.NumTargets(v6), bounds[v6]) {
@@ -120,7 +120,7 @@ func TestWalkBoundariesCoverCheckpoints(t *testing.T) {
 	w := mustWalkWorld(t)
 	ckpts := 0
 	for _, v6 := range []bool{false, true} {
-		for _, b := range w.layout(v6).batches {
+		for _, b := range w.fam(v6).L.batches {
 			ckpts += len(b.ckpts)
 		}
 	}

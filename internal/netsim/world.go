@@ -23,12 +23,6 @@ type World struct {
 	ASes      []AS
 	Operators []Operator
 
-	TargetsV4 []Target
-	TargetsV6 []Target
-
-	BGPPrefixesV4 []BGPPrefix
-	BGPPrefixesV6 []BGPPrefix
-
 	seed    uint64
 	opASNs  map[ASN]bool
 	asIdx   map[ASN]int
@@ -43,15 +37,9 @@ type World struct {
 	globalPool []int     // every city by descending population, then name
 	contPools  [][]int   // globalPool split by Continent, same order
 
-	// Generation layouts (batch, slot and announcement geometry). Always
-	// built — eager worlds materialize through them, lazy worlds derive
-	// targets from them on demand (see stream.go).
-	layoutV4 *famLayout
-	layoutV6 *famLayout
-
-	// Bounded caches of materialized targets; non-nil only on lazy worlds.
-	arenaV4 *targetArena
-	arenaV6 *targetArena
+	// The target universe per address family, indexed by famIndex; reach
+	// it through the streaming accessors (stream.go).
+	fams [2]family
 
 	imp Impairer
 	tel *Telemetry
@@ -147,33 +135,6 @@ func (w *World) OperatorByName(name string) int {
 		}
 	}
 	return -1
-}
-
-// Targets returns the materialized target universe for the given address
-// family. It panics on a lazy world — materializing the full slice is
-// exactly what Config.LazyTargets avoids; use NumTargets, TargetAt or
-// IterTargets instead (stream.go), which work in both modes.
-func (w *World) Targets(v6 bool) []Target {
-	if w.Cfg.LazyTargets {
-		panic("netsim: Targets() on a lazy world; use NumTargets/TargetAt/IterTargets")
-	}
-	if v6 {
-		return w.TargetsV6
-	}
-	return w.TargetsV4
-}
-
-// BGPPrefixes returns the materialized announcement table for the address
-// family. Like Targets, it panics on a lazy world; use NumBGPPrefixes and
-// BGPPrefixAt instead.
-func (w *World) BGPPrefixes(v6 bool) []BGPPrefix {
-	if w.Cfg.LazyTargets {
-		panic("netsim: BGPPrefixes() on a lazy world; use NumBGPPrefixes/BGPPrefixAt")
-	}
-	if v6 {
-		return w.BGPPrefixesV6
-	}
-	return w.BGPPrefixesV4
 }
 
 // NewDeployment builds a measurement deployment whose sites are at the

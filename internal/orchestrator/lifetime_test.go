@@ -134,12 +134,12 @@ func (o *Orchestrator) framesTo(idx int) int64 {
 func firstTargets(t *testing.T, n int) []netip.Addr {
 	t.Helper()
 	w := world(t)
-	if len(w.TargetsV4) < n {
-		t.Fatalf("test world has %d targets, need %d", len(w.TargetsV4), n)
+	if w.NumTargets(false) < n {
+		t.Fatalf("test world has %d targets, need %d", w.NumTargets(false), n)
 	}
 	addrs := make([]netip.Addr, n)
 	for i := range addrs {
-		addrs[i] = w.TargetsV4[i].Addr
+		addrs[i] = w.TargetAt(false, i).Addr
 	}
 	return addrs
 }

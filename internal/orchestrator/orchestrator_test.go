@@ -117,8 +117,8 @@ func pickTargets(w *netsim.World, nEach int) (addrs []netip.Addr, anycastAddrs, 
 	anycastAddrs = make(map[netip.Addr]bool)
 	unicastAddrs = make(map[netip.Addr]bool)
 	var nAny, nUni int
-	for i := range w.TargetsV4 {
-		tg := &w.TargetsV4[i]
+	for i := range w.NumTargets(false) {
+		tg := w.TargetAt(false, i)
 		if !tg.Responsive[packet.ICMP] {
 			continue
 		}
@@ -205,8 +205,8 @@ func TestEndToEndTCPAndDNS(t *testing.T) {
 	for _, proto := range []string{"TCP", "DNS"} {
 		var addrs []netip.Addr
 		p, _ := packet.ParseProtocol(proto)
-		for i := range w.TargetsV4 {
-			tg := &w.TargetsV4[i]
+		for i := range w.NumTargets(false) {
+			tg := w.TargetAt(false, i)
 			if tg.Responsive[p] && tg.Kind == netsim.Anycast && len(tg.Sites) >= 20 {
 				addrs = append(addrs, tg.Addr)
 				if len(addrs) >= 10 {

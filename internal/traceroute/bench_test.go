@@ -14,8 +14,8 @@ func BenchmarkRun(b *testing.B) {
 	w := testWorld(b)
 	vp := vpAt(b, w, "bench-vp", "Amsterdam")
 	var tg *netsim.Target
-	for i := range w.TargetsV4 {
-		cand := &w.TargetsV4[i]
+	for i := range w.NumTargets(false) {
+		cand := w.TargetAt(false, i)
 		if cand.Kind == netsim.GlobalUnicast && cand.Responsive[packet.ICMP] {
 			tg = cand
 			break
@@ -46,8 +46,8 @@ func BenchmarkMeasureFanout(b *testing.B) {
 		vps = append(vps, vpAt(b, w, "bench-fan-"+string(rune('a'+i)), c))
 	}
 	var tg *netsim.Target
-	for i := range w.TargetsV4 {
-		cand := &w.TargetsV4[i]
+	for i := range w.NumTargets(false) {
+		cand := w.TargetAt(false, i)
 		if cand.Kind == netsim.GlobalUnicast && cand.Responsive[packet.ICMP] {
 			tg = cand
 			break

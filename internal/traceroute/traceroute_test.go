@@ -36,8 +36,8 @@ func vpAt(t testing.TB, w *netsim.World, name, city string) netsim.VP {
 
 func firstTarget(t testing.TB, w *netsim.World, keep func(*netsim.Target) bool) *netsim.Target {
 	t.Helper()
-	for i := range w.TargetsV4 {
-		tg := &w.TargetsV4[i]
+	for i := range w.NumTargets(false) {
+		tg := w.TargetAt(false, i)
 		if keep(tg) {
 			return tg
 		}
@@ -94,11 +94,11 @@ func TestRunIdentityMismatchCaught(t *testing.T) {
 	w := testWorld(t)
 	vp := vpAt(t, w, "tr-syd", "Sydney")
 	n := 0
-	for i := range w.TargetsV4 {
+	for i := range w.NumTargets(false) {
 		if n >= 120 {
 			break
 		}
-		tg := &w.TargetsV4[i]
+		tg := w.TargetAt(false, i)
 		if !tg.Responsive[packet.ICMP] {
 			continue
 		}
@@ -157,8 +157,8 @@ func TestMeasureGlobalBGPSignature(t *testing.T) {
 
 	confirmed := 0
 	checked := 0
-	for i := range w.TargetsV4 {
-		tg := &w.TargetsV4[i]
+	for i := range w.NumTargets(false) {
+		tg := w.TargetAt(false, i)
 		if tg.Kind != netsim.GlobalUnicast || !tg.Responsive[packet.ICMP] {
 			continue
 		}
@@ -193,8 +193,8 @@ func TestUnicastNeverConfirmsGlobalBGP(t *testing.T) {
 	}
 	opts := Options{At: netsim.DayTime(5)}
 	checked := 0
-	for i := range w.TargetsV4 {
-		tg := &w.TargetsV4[i]
+	for i := range w.NumTargets(false) {
+		tg := w.TargetAt(false, i)
 		if tg.Kind != netsim.Unicast || !tg.Responsive[packet.ICMP] || len(tg.TempWindows) > 0 {
 			continue
 		}
@@ -227,8 +227,8 @@ func TestEnumerateSitesTracksTruthForAnycast(t *testing.T) {
 	}
 	opts := Options{At: netsim.DayTime(5)}
 	tested := 0
-	for i := range w.TargetsV4 {
-		tg := &w.TargetsV4[i]
+	for i := range w.NumTargets(false) {
+		tg := w.TargetAt(false, i)
 		if tg.Kind != netsim.Anycast || !tg.Responsive[packet.ICMP] ||
 			len(tg.Sites) < 3 || len(tg.Sites) > 8 || len(tg.TempWindows) > 0 {
 			continue
@@ -259,8 +259,8 @@ func TestConfirmGlobalBGPScreensCandidates(t *testing.T) {
 		vpAt(t, w, "scr-5", "Sydney"), vpAt(t, w, "scr-6", "Johannesburg"),
 	}
 	var cands []*netsim.Target
-	for i := range w.TargetsV4 {
-		tg := &w.TargetsV4[i]
+	for i := range w.NumTargets(false) {
+		tg := w.TargetAt(false, i)
 		if tg.Kind == netsim.GlobalUnicast || (tg.Kind == netsim.Unicast && len(tg.TempWindows) == 0) {
 			cands = append(cands, tg)
 		}
@@ -290,8 +290,8 @@ func TestRunIPv6Target(t *testing.T) {
 	w := testWorld(t)
 	vp := vpAt(t, w, "tr-v6", "Frankfurt")
 	var tg *netsim.Target
-	for i := range w.TargetsV6 {
-		cand := &w.TargetsV6[i]
+	for i := range w.NumTargets(true) {
+		cand := w.TargetAt(true, i)
 		if cand.Responsive[packet.ICMP] && cand.Kind == netsim.Anycast && len(cand.TempWindows) == 0 {
 			tg = cand
 			break

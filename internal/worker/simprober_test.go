@@ -80,8 +80,8 @@ func workerUnion(t *testing.T, def wire.MeasurementDef, tg *netsim.Target) map[i
 // protoTargets returns a responsive target of each interesting kind for a
 // protocol.
 func protoTargets(proto packet.Protocol) (anycast, unicast *netsim.Target) {
-	for i := range testWorld.TargetsV4 {
-		tg := &testWorld.TargetsV4[i]
+	for i := range testWorld.NumTargets(false) {
+		tg := testWorld.TargetAt(false, i)
 		if !tg.Responsive[proto] {
 			continue
 		}
@@ -154,7 +154,7 @@ func TestProbeTargetUnknownAddress(t *testing.T) {
 func TestProbeTargetBadProtocol(t *testing.T) {
 	p, _ := NewSimProber(testWorld, testDep, 0)
 	def := wire.MeasurementDef{ID: 8, Protocol: "QUIC"}
-	if _, err := p.ProbeTarget(def, testWorld.TargetsV4[0].Addr, time.Now()); err == nil {
+	if _, err := p.ProbeTarget(def, testWorld.TargetAt(false, 0).Addr, time.Now()); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
 }

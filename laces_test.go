@@ -139,8 +139,7 @@ func TestFacadeTracerouteAndDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := world.Targets(false)
-	p, err := laces.Traceroute(world, vp, &targets[0], laces.CensusEpoch)
+	p, err := laces.Traceroute(world, vp, world.TargetAt(false, 0), laces.CensusEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
