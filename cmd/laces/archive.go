@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	laces "github.com/laces-project/laces"
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/core"
 	"github.com/laces-project/laces/internal/netsim"
@@ -73,7 +72,7 @@ func setupArchivePack(fs *flag.FlagSet) func() error {
 			return errUsage
 		}
 		var from, to int
-		var pipe *laces.Pipeline
+		var pipe *core.Pipeline
 		if *gen != "" {
 			var err error
 			if from, to, err = parseGen(*gen); err != nil {
@@ -82,7 +81,7 @@ func setupArchivePack(fs *flag.FlagSet) func() error {
 			if *stride < 1 {
 				return fmt.Errorf("laces archive pack: -stride must be at least 1, got %d", *stride)
 			}
-			if pipe, err = world.pipeline(laces.PipelineConfig{}); err != nil {
+			if pipe, err = world.pipeline(core.Config{}); err != nil {
 				return err
 			}
 		} else if fs.NArg() == 0 {
@@ -106,9 +105,9 @@ func setupArchivePack(fs *flag.FlagSet) func() error {
 
 // packDays runs the pipeline for every stride-th day of from..to and
 // appends each census as it is published.
-func packDays(w *archive.Writer, pipe *laces.Pipeline, from, to, stride int, v6 bool) error {
+func packDays(w *archive.Writer, pipe *core.Pipeline, from, to, stride int, v6 bool) error {
 	for day := from; day <= to; day += stride {
-		c, err := pipe.RunDaily(day, v6, laces.DayOptions{})
+		c, err := pipe.RunDaily(day, v6, core.DayOptions{})
 		if err != nil {
 			return err
 		}

@@ -11,9 +11,12 @@ import (
 	"strings"
 	"time"
 
-	laces "github.com/laces-project/laces"
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/core"
+	"github.com/laces-project/laces/internal/geo"
+	"github.com/laces-project/laces/internal/hitlist"
+	"github.com/laces-project/laces/internal/igreedy"
+	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
 )
 
@@ -38,9 +41,9 @@ func setupCensus(fs *flag.FlagSet) func() error {
 			telemetry.SetTraceComponent("census")
 			telemetry.EnableFlight("census", 4096)
 		} else if *progress || *obsOut != "" {
-			telemetry = laces.NewObsRegistry()
+			telemetry = obs.New()
 		}
-		pipe, err := world.pipeline(laces.PipelineConfig{
+		pipe, err := world.pipeline(core.Config{
 			Budget:     b,
 			OptOut:     reg,
 			Obs:        telemetry,
@@ -54,7 +57,7 @@ func setupCensus(fs *flag.FlagSet) func() error {
 		if *progress {
 			stopProgress = telemetry.StartProgress(os.Stderr, 200*time.Millisecond).Stop
 		}
-		c, err := pipe.RunDaily(*day, *v6, laces.DayOptions{})
+		c, err := pipe.RunDaily(*day, *v6, core.DayOptions{})
 		stopProgress()
 		if err != nil {
 			return err
@@ -143,7 +146,7 @@ func setupIGreedy(fs *flag.FlagSet) func() error {
 		if err != nil {
 			return fmt.Errorf("igreedy: %w", err)
 		}
-		res := laces.AnalyzeGCD(samples)
+		res := igreedy.Analyze(samples, igreedy.Options{})
 		fmt.Printf("samples: %d\nanycast: %v\nsites: %d\n", res.Samples, res.Anycast, res.NumSites())
 		for _, s := range res.Sites {
 			fmt.Printf("  site via %-20s radius %7.0f km  →  %s\n", s.VP, s.Disc.RadiusKm, s.City)
@@ -156,8 +159,8 @@ func setupIGreedy(fs *flag.FlagSet) func() error {
 // a "vp,…" header are skipped. Every number is checked before it reaches
 // the geometry: a coordinate off the globe or an RTT that is negative, not
 // finite or too large for a time.Duration is an error naming its line.
-func readSamples(r io.Reader) ([]laces.GCDSample, error) {
-	var samples []laces.GCDSample
+func readSamples(r io.Reader) ([]igreedy.Sample, error) {
+	var samples []igreedy.Sample
 	sc := bufio.NewScanner(r)
 	for line := 1; sc.Scan(); line++ {
 		text := strings.TrimSpace(sc.Text())
@@ -174,7 +177,7 @@ func readSamples(r io.Reader) ([]laces.GCDSample, error) {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("line %d: bad number", line)
 		}
-		loc := laces.Coordinate{Lat: lat, Lon: lon}
+		loc := geo.Coordinate{Lat: lat, Lon: lon}
 		if !loc.IsValid() {
 			return nil, fmt.Errorf("line %d: coordinate %v,%v is not on the globe (|lat| ≤ 90, |lon| ≤ 180)", line, lat, lon)
 		}
@@ -182,7 +185,7 @@ func readSamples(r io.Reader) ([]laces.GCDSample, error) {
 		if !(ns >= 0 && ns < math.MaxInt64) { // also false for NaN
 			return nil, fmt.Errorf("line %d: rtt_ms %v is not a non-negative duration", line, ms)
 		}
-		samples = append(samples, laces.GCDSample{VP: parts[0], Loc: loc, RTT: time.Duration(ns)})
+		samples = append(samples, igreedy.Sample{VP: parts[0], Loc: loc, RTT: time.Duration(ns)})
 	}
 	return samples, sc.Err()
 }
@@ -222,7 +225,7 @@ func setupBudgetShow(fs *flag.FlagSet) func() error {
 		if err != nil {
 			return err
 		}
-		hl := laces.HitlistForDay(w, *v6, *day)
+		hl := hitlist.ForDay(w, *v6, *day)
 		var total int64
 		fmt.Printf("estimated anycast-stage demand, day %d (%d sites, hitlist %d):\n",
 			*day, dep.NumSites(), hl.Len())

@@ -7,8 +7,8 @@ import (
 	"os"
 	"time"
 
-	laces "github.com/laces-project/laces"
 	"github.com/laces-project/laces/internal/client"
+	"github.com/laces-project/laces/internal/hitlist"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/orchestrator"
 	"github.com/laces-project/laces/internal/wire"
@@ -105,7 +105,7 @@ func setupMeasure(fs *flag.FlagSet) func() error {
 		if err != nil {
 			return err
 		}
-		hl := laces.HitlistForDay(w, *v6, 0)
+		hl := hitlist.ForDay(w, *v6, 0)
 		var addrs []netip.Addr
 		for _, e := range hl.Entries {
 			addrs = append(addrs, e.Addr)
@@ -145,7 +145,7 @@ func setupMeasure(fs *flag.FlagSet) func() error {
 
 // simDeployment builds the n-site measurement deployment the distributed
 // components must agree on.
-func simDeployment(w *laces.World, n int) (*laces.Deployment, error) {
+func simDeployment(w *netsim.World, n int) (*netsim.Deployment, error) {
 	cities := []string{
 		"Amsterdam", "New York", "Tokyo", "Sydney", "Sao Paulo",
 		"Johannesburg", "Frankfurt", "Singapore", "London", "Los Angeles",

@@ -13,9 +13,9 @@ import (
 	"strings"
 	"time"
 
-	laces "github.com/laces-project/laces"
 	"github.com/laces-project/laces/internal/api"
 	"github.com/laces-project/laces/internal/load"
+	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/query"
 )
 
@@ -41,7 +41,7 @@ func setupServe(fs *flag.FlagSet) func() error {
 		}
 		srv.CacheSize = *cache
 		if *metrics {
-			srv.Instrument(laces.NewObsRegistry())
+			srv.Instrument(obs.New())
 			fmt.Printf("serving Prometheus metrics at /metrics\n")
 		}
 		if *pprofFlag {

@@ -11,11 +11,13 @@ import (
 	"path/filepath"
 	"syscall"
 
-	laces "github.com/laces-project/laces"
 	"github.com/laces-project/laces/internal/api"
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/budget"
+	"github.com/laces-project/laces/internal/core"
+	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
+	"github.com/laces-project/laces/internal/platform"
 	"github.com/laces-project/laces/internal/query"
 )
 
@@ -40,33 +42,33 @@ func simFlags(fs *flag.FlagSet, seedFlag string) sim {
 }
 
 // world builds the simulated Internet the flags select.
-func (s sim) world() (*laces.World, error) { return simWorld(*s.seed, *s.scale) }
+func (s sim) world() (*netsim.World, error) { return simWorld(*s.seed, *s.scale) }
 
 // tangled is world plus the TANGLED measurement deployment on it.
-func (s sim) tangled() (*laces.World, *laces.Deployment, error) {
+func (s sim) tangled() (*netsim.World, *netsim.Deployment, error) {
 	w, err := s.world()
 	if err != nil {
 		return nil, nil, err
 	}
-	dep, err := laces.Tangled(w)
+	dep, err := platform.Tangled(w, netsim.PolicyUnmodified)
 	return w, dep, err
 }
 
 // pipeline builds the census pipeline over tangled, with Ark as the GCD
 // VP source; cfg carries whatever else the caller configures. With cfg.Obs
 // set, the world's probe accounting is registered on it too.
-func (s sim) pipeline(cfg laces.PipelineConfig) (*laces.Pipeline, error) {
+func (s sim) pipeline(cfg core.Config) (*core.Pipeline, error) {
 	w, dep, err := s.tangled()
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Obs != nil {
-		tel := &laces.NetsimTelemetry{}
+		tel := &netsim.Telemetry{}
 		w.SetTelemetry(tel)
 		tel.Register(cfg.Obs)
 	}
-	cfg.Deployment, cfg.GCDVPs = dep, laces.ArkVPs(w)
-	return laces.NewPipeline(w, cfg)
+	cfg.Deployment, cfg.GCDVPs = dep, arkVPs(w)
+	return core.NewPipeline(w, cfg)
 }
 
 // server builds the census API over tangled; today is the day it serves
@@ -76,23 +78,28 @@ func (s sim) server(today func() int) (*api.Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return api.NewServer(w, dep, laces.ArkVPs(w), today)
+	return api.NewServer(w, dep, arkVPs(w), today)
 }
 
 // simWorld builds the shared simulated Internet for the given seed and
 // scale.
-func simWorld(seed uint64, scale string) (*laces.World, error) {
-	var cfg laces.WorldConfig
+func simWorld(seed uint64, scale string) (*netsim.World, error) {
+	var cfg netsim.Config
 	switch scale {
 	case "test":
-		cfg = laces.TestConfig()
+		cfg = netsim.TestConfig()
 	case "default":
-		cfg = laces.DefaultConfig()
+		cfg = netsim.DefaultConfig()
 	default:
 		return nil, fmt.Errorf("unknown -scale %q (test, default)", scale)
 	}
 	cfg.Seed = seed
-	return laces.NewWorld(cfg)
+	return netsim.New(cfg)
+}
+
+// arkVPs is the GCD VP source backed by the (growing) Ark platform model.
+func arkVPs(w *netsim.World) func(day int, v6 bool) ([]netsim.VP, error) {
+	return func(day int, v6 bool) ([]netsim.VP, error) { return platform.Ark(w, day, v6) }
 }
 
 // governance is the -budget/-optout group.

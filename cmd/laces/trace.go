@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	laces "github.com/laces-project/laces"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/traceroute"
@@ -31,7 +30,7 @@ func setupMetrics(fs *flag.FlagSet) func() error {
 			return err
 		}
 		defer f.Close()
-		snap, err := laces.ReadObsSnapshot(f)
+		snap, err := obs.ReadSnapshot(f)
 		if err != nil {
 			return fmt.Errorf("%s: %w", fs.Arg(0), err)
 		}
@@ -158,20 +157,20 @@ func setupTraceExport(fs *flag.FlagSet) func() error {
 		if fs.NArg() == 0 {
 			return errUsage
 		}
-		var parts []*laces.ObsTraceExport
+		var parts []*obs.TraceExport
 		for _, path := range fs.Args() {
 			f, err := os.Open(path)
 			if err != nil {
 				return err
 			}
-			ex, err := laces.ReadTraceJSONL(f)
+			ex, err := obs.ReadTraceJSONL(f)
 			f.Close()
 			if err != nil {
 				return fmt.Errorf("%s: %w", path, err)
 			}
 			parts = append(parts, ex)
 		}
-		merged := laces.MergeTraces(parts...)
+		merged := obs.MergeTraces(parts...)
 		var write func(io.Writer) error
 		switch *format {
 		case "chrome":
@@ -194,7 +193,7 @@ func setupTraceExport(fs *flag.FlagSet) func() error {
 
 // findTarget resolves a prefix or address string to a hitlist target; the
 // string's own address family selects the universe searched.
-func findTarget(w *laces.World, s string) (*netsim.Target, error) {
+func findTarget(w *netsim.World, s string) (*netsim.Target, error) {
 	if pfx, err := netip.ParsePrefix(s); err == nil {
 		if tg := w.FindTarget(pfx); tg != nil {
 			return tg, nil
