@@ -1,10 +1,8 @@
 package laces_test
 
 import (
-	"bytes"
 	"sync"
 	"testing"
-	"time"
 
 	laces "github.com/laces-project/laces"
 )
@@ -53,42 +51,15 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-func TestFacadeHitlistAndGCD(t *testing.T) {
-	world, err := laces.NewWorld(laces.TestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hl := laces.HitlistForDay(world, false, 0)
-	if hl.Len() == 0 {
+// TestFacadeHitlist builds a census day's hitlist through the facade.
+func TestFacadeHitlist(t *testing.T) {
+	if hl := laces.HitlistForDay(facadeWorld(t), false, 0); hl.Len() == 0 {
 		t.Fatal("empty hitlist")
 	}
-	// A hand-built GCD analysis through the facade.
-	res := laces.AnalyzeGCD([]laces.GCDSample{
-		{VP: "ams", Loc: mustCity(t, world, "Amsterdam"), RTT: 2 * time.Millisecond},
-		{VP: "syd", Loc: mustCity(t, world, "Sydney"), RTT: 2 * time.Millisecond},
-	})
-	if !res.Anycast || res.NumSites() != 2 {
-		t.Fatalf("facade GCD analysis: %+v", res)
-	}
 }
 
-func TestFacadeEpoch(t *testing.T) {
-	want := time.Date(2024, 3, 21, 0, 0, 0, 0, time.UTC)
-	if !laces.CensusEpoch.Equal(want) {
-		t.Fatalf("census epoch = %v", laces.CensusEpoch)
-	}
-}
-
-func mustCity(t *testing.T, w *laces.World, name string) laces.Coordinate {
-	t.Helper()
-	loc, ok := laces.CityLocation(w, name)
-	if !ok {
-		t.Fatalf("city %s missing", name)
-	}
-	return loc
-}
-
-func TestFacadeTracerouteAndDiff(t *testing.T) {
+// TestFacadeDiff compares two census days through the facade.
+func TestFacadeDiff(t *testing.T) {
 	world := facadeWorld(t)
 	dep, err := laces.Tangled(world)
 	if err != nil {
@@ -112,39 +83,6 @@ func TestFacadeTracerouteAndDiff(t *testing.T) {
 	d := laces.DiffCensus(a.Document(), b.Document())
 	if d.From == d.To {
 		t.Fatal("diff did not carry dates")
-	}
-	var buf bytes.Buffer
-	if err := laces.RenderDashboard(&buf, []*laces.CensusDocument{a.Document(), b.Document()}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("empty dashboard")
-	}
-
-	// Round-trip a document through the facade parser.
-	buf.Reset()
-	if err := a.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := laces.ParseCensusDocument(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.GCount != len(a.G()) {
-		t.Fatalf("parsed GCount %d, census has %d", doc.GCount, len(a.G()))
-	}
-
-	// Traceroute through the facade.
-	vp, err := world.NewVP("facade-vp", "Amsterdam", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := laces.Traceroute(world, vp, world.TargetAt(false, 0), laces.CensusEpoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Hops) == 0 {
-		t.Fatal("empty trace")
 	}
 }
 
@@ -182,15 +120,6 @@ func TestFacadeArchive(t *testing.T) {
 	if doc.GCount == 0 || doc.ProbesAnycastStage == 0 {
 		t.Fatalf("archived day degenerate: %+v", doc)
 	}
-	// Append more days through the facade's resume path.
-	w2, err := laces.OpenArchiveWriter(dir, laces.CensusArchiveOptions{SnapshotEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := laces.RunLongitudinalInto(world, 3, 1, w2); err == nil {
-		t.Fatal("re-running days 0–2 must violate append-only ordering")
-	}
-	_ = w2.Close()
 }
 
 // TestFacadeQueryEngine exercises the longitudinal query surface:
@@ -246,13 +175,9 @@ func TestFacadeQueryEngine(t *testing.T) {
 }
 
 // TestFacadeGovernance exercises the exported responsible-probing
-// surface: budget parsing, a governed pipeline run, the responsibility
-// block and the opt-out audit trail.
+// surface: a governed pipeline run and the responsibility block.
 func TestFacadeGovernance(t *testing.T) {
-	b, err := laces.ParseProbeBudget("daily:5000000,prefix:200")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := laces.ProbeBudget{DailyProbes: 5000000, PerPrefixProbes: 200}
 	world := facadeWorld(t)
 	dep, err := laces.Tangled(world)
 	if err != nil {
@@ -280,21 +205,5 @@ func TestFacadeGovernance(t *testing.T) {
 	}
 	if r.ProbesSpent+r.ProbesSkipped != r.ProbesDemanded {
 		t.Fatalf("responsibility does not reconcile: %+v", r)
-	}
-	// Round-trip through the facade parser keeps the block.
-	var buf bytes.Buffer
-	if err := doc.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := laces.ParseCensusDocument(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Responsibility == nil || *parsed.Responsibility != *r {
-		t.Fatal("responsibility block lost in round trip")
-	}
-	// Rate controller floor.
-	if rate, steps := laces.StepProbeRate(8000, 10); rate != 1000 || steps != 3 {
-		t.Fatalf("StepProbeRate floor = %v/%d, want 1000/3", rate, steps)
 	}
 }
