@@ -11,7 +11,7 @@
 //     clock skew, reply throttling) bounded by a Scope (target set, origin
 //     AS, worker site, protocol, continent, day range);
 //   - a Scenario is a named schedule of impairments over the census
-//     timeline; a registry ships ≥6 built-ins (see registry.go);
+//     timeline; the suite is the fixed Builtins list (see registry.go);
 //   - an Engine compiles a scenario against a world and implements
 //     netsim.Impairer, the nil-checked hook on the probe hot path;
 //   - a Report compares census accuracy (precision/recall of 𝒢 and ℳ
@@ -193,39 +193,28 @@ func (s Scenario) FirstActiveDay(horizon int) int {
 	return -1
 }
 
-// registry holds named scenarios. Access is not synchronised: Register
-// from init functions or before measurements start.
-var registry = map[string]Scenario{}
-
-// Register adds (or replaces) a named scenario in the registry.
-func Register(s Scenario) {
-	if s.Name == "" {
-		panic("chaos: scenario needs a name")
-	}
-	registry[s.Name] = s
-}
-
-// Lookup returns a registered scenario by name.
+// Lookup returns a built-in scenario by name.
 func Lookup(name string) (Scenario, bool) {
-	s, ok := registry[name]
-	return s, ok
+	for _, s := range Builtins() {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Scenario{}, false
 }
 
-// Names returns the registered scenario names, sorted.
+// Names returns the built-in scenario names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	var out []string
+	for _, s := range Scenarios() {
+		out = append(out, s.Name)
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Scenarios returns all registered scenarios in name order.
+// Scenarios returns the built-in scenarios in name order.
 func Scenarios() []Scenario {
-	out := make([]Scenario, 0, len(registry))
-	for _, n := range Names() {
-		out = append(out, registry[n])
-	}
+	out := Builtins()
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

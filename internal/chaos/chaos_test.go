@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -51,33 +52,38 @@ func probeCtx(day int, proto packet.Protocol, tg *netsim.Target) netsim.ProbeCtx
 }
 
 func TestRegistryBuiltins(t *testing.T) {
-	names := Names()
-	if len(names) < 6 {
-		t.Fatalf("registry has %d scenarios, want >= 6", len(names))
+	want := []string{
+		ScenarioAbuseComplaints, ScenarioClockSkew, ScenarioFlappingUpstream,
+		ScenarioLatencyStorm, ScenarioLossyTransit, ScenarioRegionalBlackout,
+		ScenarioReplyThrottle, ScenarioSiteOutage,
 	}
-	for _, want := range []string{
-		ScenarioSiteOutage, ScenarioRegionalBlackout, ScenarioLossyTransit,
-		ScenarioLatencyStorm, ScenarioFlappingUpstream, ScenarioClockSkew,
-		ScenarioReplyThrottle,
-	} {
-		sc, ok := Lookup(want)
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want the 8 built-ins sorted: %v", got, want)
+	}
+	if n := len(Builtins()); n != len(want) {
+		t.Fatalf("Builtins() has %d scenarios, want %d", n, len(want))
+	}
+	scenarios := Scenarios()
+	if len(scenarios) != len(want) {
+		t.Fatalf("Scenarios() returned %d, want %d", len(scenarios), len(want))
+	}
+	for i, name := range want {
+		sc, ok := Lookup(name)
 		if !ok {
-			t.Fatalf("built-in %q not registered", want)
+			t.Fatalf("built-in %q not found", name)
+		}
+		if sc.Name != name || scenarios[i].Name != name {
+			t.Fatalf("built-in %q: Lookup gave %q, Scenarios()[%d] gave %q", name, sc.Name, i, scenarios[i].Name)
 		}
 		if sc.Description == "" || len(sc.Impairments) == 0 {
-			t.Fatalf("built-in %q is empty", want)
+			t.Fatalf("built-in %q is empty", name)
 		}
 		if !sc.ActiveOn(180) {
-			t.Fatalf("built-in %q not active on the resilience day 180", want)
+			t.Fatalf("built-in %q not active on the resilience day 180", name)
 		}
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i] <= names[i-1] {
-			t.Fatal("Names() not sorted")
-		}
-	}
-	if got := len(Scenarios()); got != len(names) {
-		t.Fatalf("Scenarios() returned %d, want %d", got, len(names))
+	if _, ok := Lookup("no-such-scenario"); ok {
+		t.Fatal("Lookup found a scenario that is not built in")
 	}
 }
 

@@ -19,8 +19,8 @@ const (
 	ScenarioAbuseComplaints  = "abuse-complaints"
 )
 
-// Builtins returns the shipped scenario suite. They are registered at
-// init; the slice is in registration order. Windowed scenarios are all
+// Builtins returns the shipped scenario suite, the only one Lookup, Names
+// and Scenarios know, in declaration order. Windowed scenarios are all
 // active around census day 180 (the Sep-2024 mark the paper's own
 // incidents cluster around) so one mid-census day exercises every one.
 func Builtins() []Scenario {
@@ -86,11 +86,5 @@ func Builtins() []Scenario {
 				{Kind: Throttle, Frac: 0.5, Scope: Scope{Protocols: []packet.Protocol{packet.ICMP}}},
 			},
 		},
-	}
-}
-
-func init() {
-	for _, s := range Builtins() {
-		Register(s)
 	}
 }
