@@ -659,6 +659,9 @@ func TestEventASWindows(t *testing.T) {
 }
 
 func TestDayHelpers(t *testing.T) {
+	if want := time.Date(2024, 3, 21, 0, 0, 0, 0, time.UTC); !CensusEpoch.Equal(want) {
+		t.Fatalf("census epoch = %v, want %v", CensusEpoch, want)
+	}
 	if DayOf(CensusEpoch) != 0 {
 		t.Fatal("census epoch should be day 0")
 	}
