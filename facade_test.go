@@ -65,27 +65,19 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 		t.Fatalf("no examples found (%v)", err)
 	}
 	for _, path := range mains {
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly|parser.ParseComments)
+		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := ""
 		for _, imp := range f.Imports {
 			if p, _ := strconv.Unquote(imp.Path.Value); p == "github.com/laces-project/laces" {
-				name = "laces"
+				name := "laces"
 				if imp.Name != nil {
 					name = imp.Name.Name
 				}
+				collectSelectors(f, name, used)
 			}
 		}
-		if name == "" {
-			continue
-		}
-		f, err = parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		collectSelectors(f, name, used)
 	}
 	f, err := parser.ParseFile(fset, "README.md#quickstart", "package p\nfunc _() {\n"+readmeQuickStart(t)+"\n}", 0)
 	if err != nil {
@@ -187,30 +179,33 @@ func structHasField(t *testing.T, facade *ast.File, alias ast.Expr, field string
 	if dir == "" {
 		return false
 	}
-	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != sel.Sel.Name {
-					return true
-				}
-				if st, ok := ts.Type.(*ast.StructType); ok {
-					for _, fl := range st.Fields.List {
-						for _, n := range fl.Names {
-							found = found || n.Name == field
-						}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != sel.Sel.Name {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, fl := range st.Fields.List {
+					for _, n := range fl.Names {
+						found = found || n.Name == field
 					}
 				}
-				return false
-			})
-		}
+			}
+			return false
+		})
 	}
 	return found
 }
