@@ -13,6 +13,9 @@
 //	laces-lint -list                 print the analyzer suite and exit
 //	laces-lint -dir path ./...       lint a different module root
 //
+// On ./... it also runs the callers check (lint.Callers), which needs
+// every package at once.
+//
 // Findings print as file:line:col: [analyzer] message. The audited
 // escape hatch is a `//laces:allow <analyzer> <reason>` comment on, or
 // immediately above, the offending line; malformed directives are
@@ -61,6 +64,9 @@ func main() {
 		os.Exit(2)
 	}
 	diags := lint.Run(pkgs, suite)
+	if len(patterns) == 1 && patterns[0] == "./..." {
+		diags = append(diags, lint.Callers(pkgs, *dir, lint.KeepList)...)
+	}
 
 	if *jsonOut {
 		// Always an array, never null — consumers index without guarding.

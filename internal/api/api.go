@@ -270,17 +270,6 @@ func (s *Server) dayCache() *lru[censusKey, *core.Document] {
 	return s.cache
 }
 
-// CachedDays reports the decoded-day LRU's current size (for tests and
-// monitoring).
-func (s *Server) CachedDays() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cache == nil {
-		return 0
-	}
-	return s.cache.Len()
-}
-
 // handleDays lists the archived census days for a family. The ETag
 // covers the day list and every day's content hash; the list grows as
 // days are appended, so the policy is revalidate (a 304 when nothing

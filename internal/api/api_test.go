@@ -287,7 +287,7 @@ func TestCensusServedFromArchive(t *testing.T) {
 			t.Fatalf("day %d: served census is not byte-identical to the archive's canonical form", day)
 		}
 	}
-	if n := s.CachedDays(); n > 2 {
+	if n := cachedDays(s); n > 2 {
 		t.Fatalf("decoded-day LRU holds %d days, bound is 2", n)
 	}
 }
@@ -322,7 +322,7 @@ func TestCensusConcurrentColdAndHot(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := s.CachedDays(); n > 2 {
+	if n := cachedDays(s); n > 2 {
 		t.Fatalf("decoded-day LRU holds %d days, bound is 2", n)
 	}
 }
@@ -587,4 +587,11 @@ func TestEventsAndStabilityEndpoints(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK || st.Prefix != prefix || st.DaysIndexed != 6 {
 		t.Fatalf("stability: %d %+v", resp2.StatusCode, st)
 	}
+}
+
+// cachedDays reports the decoded-day LRU's current size.
+func cachedDays(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dayCache().order.Len()
 }

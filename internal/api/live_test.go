@@ -101,7 +101,7 @@ func TestLiveDayBoundedByClock(t *testing.T) {
 			t.Errorf("%s: code %d, body %.60q; want a 404 naming day 7", path, resp.StatusCode, raw)
 		}
 	}
-	if n, days := s.CachedDays(), censusDays(); n != 0 || days != 0 {
+	if n, days := cachedDays(s), censusDays(); n != 0 || days != 0 {
 		t.Fatalf("refused days left %d cached documents and laces_census_days_total = %v", n, days)
 	}
 	// The clock's own day is servable.
@@ -110,7 +110,7 @@ func TestLiveDayBoundedByClock(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if n, days := s.CachedDays(), censusDays(); n != 1 || days != 1 {
+	if n, days := cachedDays(s), censusDays(); n != 1 || days != 1 {
 		t.Fatalf("served day left %d cached documents and laces_census_days_total = %v, want 1 and 1", n, days)
 	}
 }

@@ -53,6 +53,3 @@ func (l *lru[K, V]) Put(k K, v V) {
 		delete(l.byKey, el.Value.(*lruEntry[K, V]).key)
 	}
 }
-
-// Len reports the number of cached entries.
-func (l *lru[K, V]) Len() int { return l.order.Len() }

@@ -9,8 +9,8 @@ func TestLRUBounded(t *testing.T) {
 	c := newLRU[int, string](3)
 	for day := 0; day < 20; day++ {
 		c.Put(day, "doc")
-		if c.Len() > 3 {
-			t.Fatalf("cache holds %d entries after %d puts, bound is 3", c.Len(), day+1)
+		if c.order.Len() > 3 {
+			t.Fatalf("cache holds %d entries after %d puts, bound is 3", c.order.Len(), day+1)
 		}
 	}
 	for _, day := range []int{17, 18, 19} {
@@ -34,8 +34,8 @@ func TestLRUBounded(t *testing.T) {
 	}
 	// Refreshing an existing key replaces the value without growing.
 	c.Put(17, "new")
-	if v, _ := c.Get(17); v != "new" || c.Len() != 3 {
-		t.Fatalf("refresh: value %q, len %d", v, c.Len())
+	if v, _ := c.Get(17); v != "new" || c.order.Len() != 3 {
+		t.Fatalf("refresh: value %q, len %d", v, c.order.Len())
 	}
 	if newLRU[int, int](0).cap != 1 {
 		t.Fatal("capacity below 1 not clamped to 1")

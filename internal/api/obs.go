@@ -60,9 +60,6 @@ func (s *Server) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("laces_query_lookups_total",
 		"Timeline lookups answered by the columnar index.",
 		func() float64 { l, _, _ := s.peekQuery().Stats(); return float64(l) })
-	reg.CounterFunc("laces_query_decode_fallbacks_total",
-		"Full-entry queries that fell back to document decoding.",
-		func() float64 { _, _, d := s.peekQuery().Stats(); return float64(d) })
 	reg.CounterFunc("laces_query_event_rows_total",
 		"Rows considered by family-wide event scans, by outcome (scanned includes pruned).",
 		func() float64 { n, _ := s.peekQuery().EventScanStats(); return float64(n) },

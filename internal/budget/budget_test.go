@@ -76,7 +76,7 @@ func TestLedgerCaps(t *testing.T) {
 	if d := g.Admit(b1, 30); d != Admitted {
 		t.Fatalf("b1 within all caps: %v", d)
 	}
-	if got := l.Spent(0); got != 90 {
+	if got := l.day(0).spent.Load(); got != 90 {
 		t.Fatalf("spent = %d, want 90", got)
 	}
 	if got := l.Remaining(0); got != 10 {
@@ -86,7 +86,7 @@ func TestLedgerCaps(t *testing.T) {
 	if d := l.Gate(1).Admit(a1, 30); d != Admitted {
 		t.Fatalf("day 1 a1: %v", d)
 	}
-	if got := l.Spent(0); got != 90 {
+	if got := l.day(0).spent.Load(); got != 90 {
 		t.Fatalf("day 0 spent changed to %d", got)
 	}
 }
@@ -109,7 +109,7 @@ func TestLedgerZeroValueAdmitsEverything(t *testing.T) {
 	if nilLedger.Gate(0) != nil {
 		t.Fatal("nil ledger must yield nil gate")
 	}
-	if nilLedger.Remaining(3) != -1 || nilLedger.Spent(3) != 0 {
+	if nilLedger.Remaining(3) != -1 {
 		t.Fatal("nil ledger accounting")
 	}
 }
@@ -186,7 +186,7 @@ func TestLedgerOptOutAuditTrail(t *testing.T) {
 		t.Fatalf("clean target: %v", d)
 	}
 	// Opt-out denials are never charged to the budget.
-	if got := l.Spent(0); got != 16 {
+	if got := l.day(0).spent.Load(); got != 16 {
 		t.Fatalf("spent = %d, want 16", got)
 	}
 	touched := r.Touched()
@@ -266,10 +266,10 @@ func TestLedgerConcurrentAccounting(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := l.Spent(0) + l.Spent(1); got != 8*500*2 {
+	if got := l.day(0).spent.Load() + l.day(1).spent.Load(); got != 8*500*2 {
 		t.Fatalf("spent = %d, want %d", got, 8*500*2)
 	}
-	if got := l.Observed(0) + l.Observed(1); got != 8*500*3 {
+	if got := l.day(0).observed.Load() + l.day(1).observed.Load(); got != 8*500*3 {
 		t.Fatalf("observed = %d, want %d", got, 8*500*3)
 	}
 	var targets int64

@@ -75,14 +75,6 @@ func NewLedger(b Budget, reg *Registry) *Ledger {
 // Budget returns the configured caps.
 func (l *Ledger) Budget() Budget { return l.budget }
 
-// Registry returns the attached opt-out registry (nil when none).
-func (l *Ledger) Registry() *Registry {
-	if l == nil {
-		return nil
-	}
-	return l.reg
-}
-
 // day returns (creating if needed) the state for a census day.
 func (l *Ledger) day(d int) *dayState {
 	l.mu.Lock()
@@ -96,23 +88,6 @@ func (l *Ledger) day(d int) *dayState {
 		l.days[d] = st
 	}
 	return st
-}
-
-// Spent returns the budget units charged on a census day.
-func (l *Ledger) Spent(day int) int64 {
-	if l == nil {
-		return 0
-	}
-	return l.day(day).spent.Load()
-}
-
-// Observed returns the probes parallel shards reported actually
-// transmitting on a census day.
-func (l *Ledger) Observed(day int) int64 {
-	if l == nil {
-		return 0
-	}
-	return l.day(day).observed.Load()
 }
 
 // Remaining returns the unspent global daily budget, or -1 when the

@@ -95,9 +95,6 @@ func NewEngine(w *netsim.World, sc Scenario) *Engine {
 	return e
 }
 
-// Scenario returns the scenario the engine was compiled from.
-func (e *Engine) Scenario() Scenario { return e.sc }
-
 // matchCommon checks the day window and target-side scopes.
 func (c *compiled) matchCommon(day int, tg *netsim.Target, proto packet.Protocol, contOf []cities.Continent) bool {
 	if !c.allDays && !c.days.Contains(day) {

@@ -39,7 +39,6 @@ const (
 	Africa
 	Asia
 	Oceania
-	numContinents
 )
 
 // String returns the two-letter continent code used in tables.
@@ -280,27 +279,6 @@ func (db *DB) scanByPop(c *geo.Cap) (City, bool) {
 		}
 	}
 	return City{}, false
-}
-
-// WithinKm returns all cities within radius km of p, ordered by distance.
-func (db *DB) WithinKm(p geo.Coordinate, radius float64) []City {
-	type cd struct {
-		c City
-		d float64
-	}
-	var hits []cd
-	within := geo.NewCap(geo.Disc{Center: p, RadiusKm: radius}, p.Vec())
-	for i, c := range db.cities {
-		if within.Contains(c.Location, db.vecs[i]) {
-			hits = append(hits, cd{c, c.Location.DistanceKm(p)})
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].d < hits[j].d })
-	out := make([]City, len(hits))
-	for i, h := range hits {
-		out[i] = h.c
-	}
-	return out
 }
 
 // VultrMetros lists the 32 Vultr data-centre metros used by the TANGLED

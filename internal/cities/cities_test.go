@@ -22,7 +22,7 @@ func TestDefaultDBBasics(t *testing.T) {
 		if c.Population <= 0 {
 			t.Errorf("city %s has non-positive population", c)
 		}
-		if c.Continent >= numContinents {
+		if c.Continent > Oceania {
 			t.Errorf("city %s has unknown continent %d", c, c.Continent)
 		}
 	}
@@ -146,29 +146,6 @@ func TestHighestPopulationInIsInDisc(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWithinKmSortedAndComplete(t *testing.T) {
-	db := Default()
-	ams, _ := db.ByName("Amsterdam")
-	got := db.WithinKm(ams.Location, 500)
-	if len(got) < 5 {
-		t.Fatalf("expected several cities within 500km of AMS, got %d", len(got))
-	}
-	if got[0].Name != "Amsterdam" {
-		t.Fatalf("closest city to AMS should be AMS, got %s", got[0])
-	}
-	prev := -1.0
-	for _, c := range got {
-		d := c.Location.DistanceKm(ams.Location)
-		if d > 500 {
-			t.Fatalf("city %s at %.0f km > 500 km", c, d)
-		}
-		if d < prev {
-			t.Fatal("WithinKm result not sorted by distance")
-		}
-		prev = d
 	}
 }
 

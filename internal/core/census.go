@@ -180,12 +180,6 @@ func (c *DailyCensus) Candidates() []int {
 	return c.filter(func(e *Entry) bool { return e.IsCandidate() })
 }
 
-// CandidatesFor returns the sorted IDs of candidates detected with one
-// protocol.
-func (c *DailyCensus) CandidatesFor(p packet.Protocol) []int {
-	return c.filter(func(e *Entry) bool { return e.ACProtocols[p] })
-}
-
 // ids returns the sorted target IDs of every row.
 func (c *DailyCensus) ids() []int { return c.filter(func(*Entry) bool { return true }) }
 
@@ -312,9 +306,6 @@ func (p *Pipeline) SeedFeedback(v6 bool, ids []int) {
 		p.feedback[famIdx(v6)][id] = true
 	}
 }
-
-// FeedbackSize returns the current feedback-list length.
-func (p *Pipeline) FeedbackSize(v6 bool) int { return len(p.feedback[famIdx(v6)]) }
 
 // entry returns (creating if needed) the census entry for a target.
 func (c *DailyCensus) entry(tg *netsim.Target) *Entry {

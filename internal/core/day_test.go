@@ -60,7 +60,7 @@ func TestFailedDayChangesNothing(t *testing.T) {
 		if !bytes.Equal(docs[0].Bytes(), docs[1].Bytes()) {
 			t.Fatalf("day %d: the pipeline that failed day %d publishes a different document", day, failing)
 		}
-		if a, b := flaky.FeedbackSize(false), steady.FeedbackSize(false); a != b || a == 0 {
+		if a, b := len(flaky.feedback[famIdx(false)]), len(steady.feedback[famIdx(false)]); a != b || a == 0 {
 			t.Fatalf("after day %d: feedback list %d vs %d", day, a, b)
 		}
 		if !reflect.DeepEqual(flaky.baseline, steady.baseline) {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/laces-project/laces/internal/gcdmeas"
 	"github.com/laces-project/laces/internal/hitlist"
@@ -48,16 +47,6 @@ func (r *GCDLSResult) IDs() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Duration models the wall-clock duration of the sweep at the given
-// responsible probing rate in packets per second (§5.1.1 used 100 pps
-// "over a period of several days").
-func (r *GCDLSResult) Duration(pps float64) time.Duration {
-	if pps <= 0 {
-		return 0
-	}
-	return time.Duration(float64(r.ProbesSent) / pps * float64(time.Second))
 }
 
 // Compare summarises the agreement between anycast-based candidates and a

@@ -99,13 +99,3 @@ func (p *Pipeline) monitor(c *DailyCensus) []Alert {
 	}
 	return alerts
 }
-
-// HasAlert reports whether the census carries an alert of the given kind.
-func (c *DailyCensus) HasAlert(kind AlertKind) bool {
-	for _, a := range c.Alerts {
-		if a.Kind == kind {
-			return true
-		}
-	}
-	return false
-}

@@ -173,7 +173,7 @@ func TestWorkersCountIgnoresBogusMissingEntries(t *testing.T) {
 	if bogus.Workers != dep.NumSites() {
 		t.Fatalf("bogus-scope workers = %d, want full %d", bogus.Workers, dep.NumSites())
 	}
-	if bogus.HasAlert(AlertFewWorkers) {
+	if hasAlert(bogus, AlertFewWorkers) {
 		t.Fatal("bogus site-outage scope fired AlertFewWorkers")
 	}
 	var cleanJSON, bogusJSON bytes.Buffer

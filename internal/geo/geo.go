@@ -104,15 +104,6 @@ func MaxDistanceKm(rtt time.Duration) float64 {
 	return rtt.Seconds() / 2 * FibreSpeedKmPerSec
 }
 
-// MinRTT returns the smallest physically possible round-trip time for a
-// target at the given one-way distance: the inverse of MaxDistanceKm.
-func MinRTT(distanceKm float64) time.Duration {
-	if distanceKm <= 0 {
-		return 0
-	}
-	return time.Duration(distanceKm * 2 / FibreSpeedKmPerSec * float64(time.Second))
-}
-
 // Disc is a spherical cap: every point within RadiusKm great circle
 // kilometres of Center. iGreedy represents each vantage point measurement
 // as a disc that must contain the responding anycast site.

@@ -243,3 +243,12 @@ func BenchmarkDistanceKm(b *testing.B) {
 		_ = amsterdam.DistanceKm(sydney)
 	}
 }
+
+// MinRTT returns the smallest physically possible round-trip time for a
+// target at the given one-way distance: the inverse of MaxDistanceKm.
+func MinRTT(distanceKm float64) time.Duration {
+	if distanceKm <= 0 {
+		return 0
+	}
+	return time.Duration(distanceKm * 2 / FibreSpeedKmPerSec * float64(time.Second))
+}

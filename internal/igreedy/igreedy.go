@@ -723,21 +723,3 @@ func (sc *scratch) sites(opts Options) []Site {
 	}
 	return out
 }
-
-// DetectNaive is the reference O(n²) detector without the common-point
-// fast path; used by tests as ground truth and by the ordering ablation
-// benchmark.
-func DetectNaive(samples []Sample, opts Options) bool {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	sc.build(samples, opts)
-	discs := sc.discs
-	for a := 0; a < len(discs); a++ {
-		for b := a + 1; b < len(discs); b++ {
-			if !discs[a].Disc.Overlaps(discs[b].Disc) {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -18,7 +18,7 @@ func TestTreeIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run(pkgs, Suite()) {
+	for _, d := range append(Run(pkgs, Suite()), Callers(pkgs, "../..", KeepList)...) {
 		t.Error(d)
 	}
 	for _, r := range fences {

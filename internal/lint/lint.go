@@ -3,9 +3,9 @@
 // moves LACeS's mechanical invariants — seed→byte-identical documents,
 // zero-alloc probe paths, nil-safe telemetry instruments, and the
 // architecture's "one mechanism" rules in the fence table — from runtime
-// golden tests into checks over every package. go test ./... runs the
-// whole suite over the module (TestTreeIsLintClean); cmd/laces-lint
-// runs it by hand.
+// golden tests into checks over every package; Callers checks that every
+// declaration has a caller. go test ./... runs the whole suite over the
+// module (TestTreeIsLintClean); cmd/laces-lint runs it by hand.
 //
 // Each Analyzer inspects one type-checked package and reports typed
 // diagnostics with file:line positions. Findings fail the build; the
@@ -45,7 +45,7 @@ func (d Diagnostic) String() string {
 // files are not type-checked — the invariants the suite enforces are
 // about shipped code, and tests legitimately use wall clocks and maps —
 // but their syntax rides along in TestFiles for the fence rows that
-// keep a deleted name out of tests too.
+// keep a deleted name out of tests too, and for the callers check.
 type Package struct {
 	// Path is the package's import path; Module is the module path it
 	// belongs to (analyzers scope on the relation between the two).
@@ -96,15 +96,6 @@ func Suite() []Analyzer {
 	}
 }
 
-// AnalyzerNames returns the names valid in //laces:allow directives.
-func AnalyzerNames() []string {
-	var names []string
-	for _, a := range Suite() {
-		names = append(names, a.Name())
-	}
-	return names
-}
-
 // Run executes the analyzers over the packages, applies directive
 // suppression, folds in directive findings (malformed and stale allows),
 // and returns the surviving diagnostics sorted by position.
@@ -126,6 +117,11 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 		}
 		out = append(out, dirs.stale()...)
 	}
+	return sorted(out)
+}
+
+// sorted orders diagnostics by position, then analyzer.
+func sorted(out []Diagnostic) []Diagnostic {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {

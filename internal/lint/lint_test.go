@@ -2,9 +2,12 @@ package lint
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -215,4 +218,92 @@ func TestLoadRealPackage(t *testing.T) {
 	if p.Types == nil || p.Info == nil || len(p.Files) == 0 {
 		t.Error("loaded package is missing syntax or type information")
 	}
+}
+
+// AnalyzerNames returns the names valid in //laces:allow directives.
+func AnalyzerNames() []string {
+	var names []string
+	for _, a := range Suite() {
+		names = append(names, a.Name())
+	}
+	return names
+}
+
+// LoadDir loads a single directory as one package under a caller-chosen
+// synthetic import path — how the golden-diagnostic corpora under
+// testdata/ (which `go list` refuses to enumerate) are loaded with the
+// same type-checking pipeline as real packages. moduleDir anchors the
+// `go list` run that locates export data for the corpus's (stdlib)
+// imports; asPath and asModule set the identity package-scoped
+// analyzers see.
+func LoadDir(dir, moduleDir, asModule, asPath string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var goFiles, testFiles []string
+	for _, e := range entries {
+		name := e.Name()
+		switch {
+		case e.IsDir() || !strings.HasSuffix(name, ".go"):
+		case strings.HasSuffix(name, "_test.go"):
+			testFiles = append(testFiles, name)
+		default:
+			goFiles = append(goFiles, name)
+		}
+	}
+	if len(goFiles) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	sort.Strings(goFiles)
+
+	// Pre-parse to discover imports, then resolve their export data.
+	fset := token.NewFileSet()
+	imports := make(map[string]bool)
+	for _, name := range goFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
+		if err != nil {
+			return nil, err
+		}
+		for _, im := range f.Imports {
+			imports[strings.Trim(im.Path.Value, `"`)] = true
+		}
+	}
+	exports := make(map[string]string)
+	if len(imports) > 0 {
+		args := []string{"-export", "-deps", "-json=ImportPath,Export"}
+		for path := range imports {
+			args = append(args, path)
+		}
+		sort.Strings(args[3:])
+		listed, err := goList(moduleDir, args...)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range listed {
+			if p.Export != "" {
+				exports[p.ImportPath] = p.Export
+			}
+		}
+	}
+
+	fset = token.NewFileSet()
+	files, tpkg, info, err := typecheck(fset, exportImporter(fset, exports), asPath, dir, goFiles)
+	if err != nil {
+		return nil, err
+	}
+	tests, err := parseTests(fset, dir, testFiles)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{
+		Path:      asPath,
+		Module:    asModule,
+		Dir:       dir,
+		Fset:      fset,
+		Files:     files,
+		TestFiles: tests,
+		Types:     tpkg,
+		Info:      info,
+	}, nil
 }

@@ -97,11 +97,6 @@ type Config struct {
 	Revalidate float64
 	// PageSize is the ?limit= for event scans (default 100).
 	PageSize int
-
-	// Clock abstracts time for tests; nil means wall clock.
-	Clock rate.Clock
-	// Obs receives the latency histograms; nil means a private registry.
-	Obs *obs.Registry
 }
 
 // Defaults for unset knobs.
@@ -117,26 +112,6 @@ const (
 var latencyBounds = []float64{
 	1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4,
 	1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.5, 1, 2, 5, 10,
-}
-
-// wallClock is the one place real time enters the load generator: the
-// generator's whole purpose is measuring real request latency.
-type wallClock struct{}
-
-func (wallClock) Now() time.Time { return time.Now() } //laces:allow detnow the load generator measures wall-clock request latency by design
-
-func (wallClock) Sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // op is one preplanned request.
@@ -299,10 +274,7 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Revalidate < 0 || cfg.Revalidate > 1 {
 		return nil, fmt.Errorf("load: revalidate fraction %v outside [0,1]", cfg.Revalidate)
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = wallClock{}
-	}
+	var clock rate.WallClock
 	total := cfg.Requests
 	if total <= 0 {
 		if cfg.Rate > 0 && cfg.Duration > 0 {
@@ -325,10 +297,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	schedule := buildSchedule(cfg, total, pr)
 
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.New()
-	}
+	reg := obs.New()
 	hists := make(map[string]*obs.Histogram)
 	for _, kind := range []string{OpDay, OpTimeline, OpEvents, OpStability, OpAggregates} {
 		hists[kind] = reg.Histogram("laces_loadgen_request_seconds",

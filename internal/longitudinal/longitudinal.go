@@ -23,7 +23,7 @@ import (
 //
 // For backwards compatibility, Run substitutes DefaultEvents() when it
 // receives an all-zero Events value; callers that want a genuinely
-// incident-free census say so explicitly with NoEvents() (the None field),
+// incident-free census say so explicitly with Events{None: true},
 // instead of the former workaround of passing -1 sentinels.
 type Events struct {
 	// None explicitly requests an incident-free census: Run applies no
@@ -53,10 +53,6 @@ func DefaultEvents() Events {
 		GCDLSDays:        []int{0, 270, 510},
 	}
 }
-
-// NoEvents returns an explicitly empty event calendar: Run executes a
-// clean census instead of substituting DefaultEvents().
-func NoEvents() Events { return Events{None: true} }
 
 // isZero reports whether the calendar is the ambiguous all-zero value.
 func (ev Events) isZero() bool {
@@ -367,26 +363,6 @@ func (h *History) Summaries(v6 bool) []DaySummary {
 		return h.SummariesV6
 	}
 	return h.SummariesV4
-}
-
-// SeriesAC returns the Fig 9 (top) series: AC counts per day for one
-// protocol.
-func (h *History) SeriesAC(v6 bool, p packet.Protocol) (days, counts []int) {
-	for _, s := range h.Summaries(v6) {
-		days = append(days, s.Day)
-		counts = append(counts, s.AC[p])
-	}
-	return
-}
-
-// SeriesGCD returns the Fig 9 (bottom) series: GCD-confirmed counts per
-// day for one latency protocol.
-func (h *History) SeriesGCD(v6 bool, p packet.Protocol) (days, counts []int) {
-	for _, s := range h.Summaries(v6) {
-		days = append(days, s.Day)
-		counts = append(counts, s.GCD[p])
-	}
-	return
 }
 
 // PersistenceCDF returns the Fig 10 distribution: for each prefix ever

@@ -122,18 +122,13 @@ func TestPersistenceShape(t *testing.T) {
 
 func TestSeriesAccessors(t *testing.T) {
 	h := shortHistory
-	days, counts := h.SeriesAC(false, packet.ICMP)
-	if len(days) != len(h.SummariesV4) || len(counts) != len(days) {
-		t.Fatal("series length mismatch")
-	}
-	for i := 1; i < len(days); i++ {
-		if days[i] <= days[i-1] {
+	for i := 1; i < len(h.SummariesV4); i++ {
+		if h.SummariesV4[i].Day <= h.SummariesV4[i-1].Day {
 			t.Fatal("series days not increasing")
 		}
 	}
-	_, gcdCounts := h.SeriesGCD(false, packet.ICMP)
-	for i, c := range gcdCounts {
-		if c == 0 {
+	for i, s := range h.SummariesV4 {
+		if s.GCD[packet.ICMP] == 0 {
 			t.Fatalf("no ICMP GCD confirmations on run %d", i)
 		}
 	}
@@ -199,7 +194,7 @@ func TestStrideDefaults(t *testing.T) {
 }
 
 func TestNoEventsExplicit(t *testing.T) {
-	h, err := Run(testWorld, Config{Days: 2, Stride: 1, V4Only: true, Events: NoEvents()})
+	h, err := Run(testWorld, Config{Days: 2, Stride: 1, V4Only: true, Events: Events{None: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +213,7 @@ func TestNoEventsExplicit(t *testing.T) {
 		t.Fatal("NoEvents ran GCD_LS sweeps")
 	}
 	// The ambiguous zero value still substitutes the default calendar.
-	if !(Events{}).isZero() || (NoEvents()).isZero() || (DefaultEvents()).isZero() {
+	if !(Events{}).isZero() || (Events{None: true}).isZero() || (DefaultEvents()).isZero() {
 		t.Fatal("isZero misclassifies calendars")
 	}
 }
@@ -260,7 +255,7 @@ func TestEventsScenarioBundle(t *testing.T) {
 			}
 		}
 	}
-	if nothing := NoEvents().Scenario(32); len(nothing.Impairments) != 0 {
+	if nothing := (Events{None: true}).Scenario(32); len(nothing.Impairments) != 0 {
 		t.Fatal("NoEvents produced impairments")
 	}
 }

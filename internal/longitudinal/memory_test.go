@@ -60,7 +60,7 @@ func liveHeapAfterRun(t *testing.T, days int) (uint64, *History) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := Run(w, Config{Days: days, Stride: 1, V4Only: true, Events: NoEvents()})
+	h, err := Run(w, Config{Days: days, Stride: 1, V4Only: true, Events: Events{None: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunStreamsIntoSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := Run(testWorld, Config{Days: 5, Stride: 1, Events: NoEvents(), Sink: w})
+	h, err := Run(testWorld, Config{Days: 5, Stride: 1, Events: Events{None: true}, Sink: w})
 	if err != nil {
 		t.Fatal(err)
 	}

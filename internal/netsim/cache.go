@@ -49,29 +49,6 @@ func (c *routingCache) init() {
 	}
 }
 
-// reset drops every cached entry, rows included (test/ablation hook).
-func (c *routingCache) reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.reply = make(map[replyKey]replyVal)
-		sh.rows = make(map[uint64]siteRow)
-		sh.mu.Unlock()
-	}
-}
-
-// resetReply drops only the reply-catchment entries, keeping target
-// catchments warm — the cold-cache ablation benchmark isolates
-// replyCatchment recomputation this way.
-func (c *routingCache) resetReply() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.reply = make(map[replyKey]replyVal)
-		sh.mu.Unlock()
-	}
-}
-
 // shardOf hashes a key fingerprint to its shard. splitmix64 scrambles the
 // low bits so dense IDs (city and target indices) spread evenly.
 func (c *routingCache) shardOf(h uint64) *routingShard {

@@ -180,7 +180,7 @@ func runFans(w *World, vps *VPTable, n, from int, at time.Time) [][]time.Duratio
 	out := make([][]time.Duration, n)
 	for k := 0; k < n; k++ {
 		id := (from + k) % n
-		out[id] = make([]time.Duration, vps.Len())
+		out[id] = make([]time.Duration, len(vps.vps))
 		w.UnicastFan(vps, w.TargetAt(false, id), packet.ICMP, at, 2, out[id])
 	}
 	return out

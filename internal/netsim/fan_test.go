@@ -154,7 +154,7 @@ func checkFan(t *testing.T, c fanCase) fanSeen {
 		return probes, replies
 	}
 	fan := func() (int, int) {
-		got = make([]time.Duration, e.vps.Len())
+		got = make([]time.Duration, len(e.pool))
 		return e.w.UnicastFan(e.vps, tg, proto, at, attempts, got)
 	}
 	var foldN, foldTel, fanN, fanTel [2]int64

@@ -129,7 +129,7 @@ func TestImpairerHookUnicast(t *testing.T) {
 		return ProbeImpairment{Drop: true}
 	}})
 	for off := 0; off < 256; off++ {
-		if _, _, ok := w.ProbeUnicastAddr(vp, tg, uint8(off), packet.ICMP, at, 1); ok {
+		if _, _, ok := w.probeAddrCounted(&vp, hashString(vp.Name), tg, uint8(off), packet.ICMP, at, 1); ok {
 			t.Fatalf("blackholed sweep probe at offset %d still answered", off)
 		}
 	}
@@ -177,7 +177,7 @@ func assertFansNoAllocs(t *testing.T, w *World, label string) {
 		vps = append(vps, vp, vp) // two monitors per metro share a row entry
 	}
 	tab := NewVPTable(vps)
-	best := make([]time.Duration, tab.Len())
+	best := make([]time.Duration, len(tab.vps))
 	targets := map[TargetKind]*Target{Anycast: nil, Unicast: nil}
 	for i := range w.NumTargets(false) {
 		tg := w.TargetAt(false, i)

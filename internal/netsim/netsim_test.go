@@ -131,7 +131,7 @@ func TestBGPPrefixesCoverTheirTargets(t *testing.T) {
 			}
 			for _, v6 := range []bool{false, true} {
 				wk, next := w.Walker(v6), 0
-				for bi := range w.NumBGPPrefixes(v6) {
+				for bi := range w.fam(v6).L.nBGP {
 					bp := w.BGPPrefixAt(v6, bi)
 					if len(bp.Targets) == 0 {
 						t.Fatalf("seed %#x lazy=%v: BGP prefix %s has no targets", seed, lazy, bp.Prefix)
@@ -565,8 +565,8 @@ func TestPartialAnycastAddrProbing(t *testing.T) {
 		// The hidden anycast addresses answer from (possibly different)
 		// sites.
 		off := tg.PartialAddrs[0]
-		_, siteA, okA := testWorld.ProbeUnicastAddr(vpA, tg, off, packet.ICMP, at, 0)
-		_, siteB, okB := testWorld.ProbeUnicastAddr(vpB, tg, off, packet.ICMP, at, 0)
+		_, siteA, okA := testWorld.probeAddrCounted(&vpA, hashString(vpA.Name), tg, off, packet.ICMP, at, 0)
+		_, siteB, okB := testWorld.probeAddrCounted(&vpB, hashString(vpB.Name), tg, off, packet.ICMP, at, 0)
 		if !okA || !okB || siteA < 0 || siteB < 0 {
 			t.Fatalf("hidden anycast address did not answer from a site (%d,%d)", siteA, siteB)
 		}
@@ -633,10 +633,10 @@ func TestEventASWindows(t *testing.T) {
 	if !ok {
 		t.Fatal("China Unicom event AS missing")
 	}
-	if !a.WobblyAt(20) {
+	if !(a.Wobbly || a.windowActive(20)) {
 		t.Error("event AS should be unstable during its window")
 	}
-	if a.WobblyAt(200) {
+	if a.Wobbly || a.windowActive(200) {
 		t.Error("event AS should be stable outside its window")
 	}
 	// Astound: v6 targets become anycast mid-census.

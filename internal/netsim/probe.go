@@ -238,9 +238,6 @@ func NewVPTable(vps []VP) *VPTable {
 	return t
 }
 
-// Len returns the number of VPs in the table.
-func (t *VPTable) Len() int { return len(t.vps) }
-
 // UnicastFan probes tg from every VP of the table the way the GCD stage
 // does: up to `attempts` probes per VP (fewer than 1 means 1), stopping at
 // a VP's first unanswered probe, since one that goes unanswered on a day
@@ -406,17 +403,13 @@ func (w *World) unicastPath(p *unicastPlan, tg *Target, vp *VP, key uint64) (dis
 	return w.distKm(vp.CityIdx, tg.CityIdx), -1, true
 }
 
-// ProbeUnicastAddr is ProbeUnicast at /32 (or /128) granularity: offset
-// selects an address within the target prefix. For partial-anycast
-// prefixes the hidden anycast addresses behave as anycast; all other
-// non-representative addresses are unicast and only probabilistically
-// responsive. This is the primitive behind the GCD_IPv4 sweep (§5.7).
-func (w *World) ProbeUnicastAddr(vp VP, tg *Target, offset uint8, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {
-	return w.probeAddrCounted(&vp, hashString(vp.Name), tg, offset, proto, at, seq)
-}
-
-// ProbeAddrFrom is ProbeUnicastAddr from VP i of a campaign's table, which
-// carries the VP's identity hash: the sweep's probe.
+// ProbeAddrFrom is ProbeUnicast at /32 (or /128) granularity, from VP i
+// of a campaign's table, which carries the VP's identity hash: the
+// sweep's probe. offset selects an address within the target prefix. For
+// partial-anycast prefixes the hidden anycast addresses behave as
+// anycast; all other non-representative addresses are unicast and only
+// probabilistically responsive. This is the primitive behind the GCD_IPv4
+// sweep (§5.7).
 func (w *World) ProbeAddrFrom(t *VPTable, i int, tg *Target, offset uint8, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {
 	return w.probeAddrCounted(&t.vps[i], t.hash[i], tg, offset, proto, at, seq)
 }
@@ -430,8 +423,8 @@ func (w *World) probeAddrCounted(vp *VP, h uint64, tg *Target, offset uint8, pro
 	return rtt, site, ok
 }
 
-// probeUnicastAddr is ProbeUnicastAddr without the accounting wrapper; h
-// is hashString(vp.Name).
+// probeUnicastAddr is ProbeAddrFrom without the accounting wrapper; h is
+// hashString(vp.Name).
 //
 //laces:hotpath called once per address in the /24 sweep
 func (w *World) probeUnicastAddr(vp *VP, h uint64, tg *Target, offset uint8, proto packet.Protocol, at time.Time, seq uint64) (time.Duration, int, bool) {

@@ -34,11 +34,6 @@ func unitFloat(h uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// rangeFloat maps a hash to [lo, hi).
-func rangeFloat(h uint64, lo, hi float64) float64 {
-	return lo + unitFloat(h)*(hi-lo)
-}
-
 // pick maps a hash to an index in [0, n).
 func pick(h uint64, n int) int {
 	if n <= 0 {

@@ -20,8 +20,8 @@ import (
 //     batch slice is reused between invocations, so callers must not
 //     retain it (copy what outlives the callback).
 //   - FindTarget: lookup by prefix or address.
-//   - NumBGPPrefixes / BGPPrefixAt: the announcement table, derived
-//     from the layout in both modes.
+//   - BGPPrefixAt: the announcement table, derived from the layout in
+//     both modes.
 //
 // Determinism: iteration order is always ascending target ID, and every
 // derived target is a pure function of (seed, ID), so eager and lazy
@@ -258,14 +258,6 @@ func (w *World) FindTarget(p netip.Prefix) *Target {
 		return true
 	})
 	return found
-}
-
-// NumBGPPrefixes returns the number of BGP announcements in the family.
-func (w *World) NumBGPPrefixes(v6 bool) int {
-	if L := w.fam(v6).L; L != nil {
-		return L.nBGP
-	}
-	return 0
 }
 
 // BGPPrefixAt returns the BGP announcement with the given family-wide

@@ -84,7 +84,7 @@ func TestTelemetryCounts(t *testing.T) {
 	}
 	// The /32 sweep's representative-offset delegation must count once.
 	before := tel.ProbesUnicast()
-	w.ProbeUnicastAddr(vp, tg, repOffset(tg), packet.ICMP, DayTime(3), 1)
+	w.probeAddrCounted(&vp, hashString(vp.Name), tg, repOffset(tg), packet.ICMP, DayTime(3), 1)
 	if got := tel.ProbesUnicast() - before; got != 1 {
 		t.Fatalf("sweep probe counted %d times, want 1", got)
 	}

@@ -58,11 +58,6 @@ type AS struct {
 	WobblyWindows []DayRange
 }
 
-// WobblyAt reports whether the AS routes unstably on census day d.
-func (a *AS) WobblyAt(day int) bool {
-	return a.Wobbly || a.windowActive(day)
-}
-
 // windowActive reports whether an exceptional-instability window covers
 // day d.
 func (a *AS) windowActive(day int) bool {

@@ -93,9 +93,6 @@ func (w *World) SetTelemetry(t *Telemetry) {
 	w.cache.tel = t
 }
 
-// Telemetry returns the currently installed probe accounting, or nil.
-func (w *World) Telemetry() *Telemetry { return w.tel }
-
 // Seed exposes the world's derived seed so deterministic subsystems
 // (internal/chaos) can key their hash decisions off it.
 func (w *World) Seed() uint64 { return w.seed }

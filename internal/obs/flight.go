@@ -99,14 +99,6 @@ func (f *Recorder) Ingest(events []FlightEvent) {
 	}
 }
 
-// Component returns the component name the recorder was created with.
-func (f *Recorder) Component() string {
-	if f == nil {
-		return ""
-	}
-	return f.component
-}
-
 // Total returns the number of events ever recorded.
 func (f *Recorder) Total() int64 {
 	if f == nil {

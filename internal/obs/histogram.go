@@ -13,12 +13,6 @@ var DefLatencyBuckets = []float64{
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// DefSizeBuckets are the default size bounds in bytes: exponential from
-// 64 B (one small wire frame) to 16 MiB (the wire frame cap).
-var DefSizeBuckets = []float64{
-	64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216,
-}
-
 // Histogram is a fixed-bucket histogram with atomic bucket counts, an
 // atomic observation count and a lock-free float sum. Bucket bounds are
 // immutable after construction, so Observe is allocation-free. Nil-safe

@@ -7,8 +7,8 @@
 // The design contract mirrors internal/netsim's Impairer hook: hot-path
 // instrumentation must be zero-alloc, and a disabled registry must
 // compile down to near-no-ops. Every instrument type is nil-safe — a
-// *Counter, *Gauge, *Histogram or *ActiveSpan obtained from a nil *Registry
-// is nil, and calling its methods costs exactly one branch — so
+// *Counter, *Histogram or *ActiveSpan obtained from a nil *Registry is
+// nil, and calling its methods costs exactly one branch — so
 // measurement loops carry a single pre-resolved handle and no
 // conditional wiring. Telemetry never feeds back into measurement
 // results: a census Document is byte-identical with observation on or
@@ -52,36 +52,6 @@ func (c *Counter) reset() {
 	if c != nil {
 		c.v.Store(0)
 	}
-}
-
-// Gauge is an atomically updated instantaneous value. Nil-safe like
-// Counter.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-//
-//laces:hotpath one branch plus one atomic store per event
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adjusts the gauge by n (negative to decrement).
-//
-//laces:hotpath one branch plus one atomic add per event
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value (0 for a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // FloatCounter is a monotonically increasing float64 counter (seconds

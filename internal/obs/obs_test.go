@@ -27,20 +27,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if cl == c {
 		t.Fatal("labelled series aliases the unlabelled one")
 	}
-	g := r.Gauge("laces_test_gauge", "test gauge")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
-	}
-	fc := r.FloatCounter("laces_test_seconds_total", "seconds")
+	var fc FloatCounter
 	fc.Add(0.25)
 	fc.Add(0.5)
 	if got := fc.Value(); got != 0.75 {
 		t.Fatalf("float counter = %v, want 0.75", got)
 	}
-	if r.NumSeries() != 4 {
-		t.Fatalf("NumSeries = %d, want 4", r.NumSeries())
+	if r.NumSeries() != 2 {
+		t.Fatalf("NumSeries = %d, want 2", r.NumSeries())
 	}
 }
 
@@ -65,12 +59,10 @@ func TestNilRegistryNoOps(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter holds a value")
 	}
-	g := r.Gauge("x", "")
-	g.Set(3)
 	h := r.Histogram("x", "", nil)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	fc := r.FloatCounter("x", "")
+	var fc *FloatCounter
 	fc.Add(1)
 	var st *Striped
 	st.Add(3, 5)
@@ -210,7 +202,7 @@ var promLine = regexp.MustCompile(
 func TestPrometheusExposition(t *testing.T) {
 	r := New()
 	r.Counter("laces_a_total", "a counter", L("stage", `q"uo\te`)).Add(3)
-	r.Gauge("laces_b", "a gauge").Set(-2)
+	r.GaugeFunc("laces_b", "a gauge", func() float64 { return -2 })
 	h := r.Histogram("laces_c_seconds", "a histogram", []float64{0.5, 1})
 	h.Observe(0.2)
 	h.Observe(0.7)
@@ -373,7 +365,6 @@ func TestConcurrentRegistryWrites(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				r.Counter("laces_conc_total", "c", L("g", fmt.Sprint(g%4))).Inc()
 				r.Histogram("laces_conc_seconds", "h", nil, L("g", fmt.Sprint(g%4))).Observe(float64(i) / 100)
-				r.Gauge("laces_conc_gauge", "g").Set(int64(i))
 				if i%50 == 0 {
 					r.Flight().Record("tick", "", nil, int64(g))
 					r.StartTrace("conc").End()

@@ -22,19 +22,17 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
-	kindFloatCounter
 )
 
 // promType maps the stored kind to its exposition type.
 func (k metricKind) promType() string {
 	switch k {
-	case kindCounter, kindCounterFunc, kindFloatCounter:
+	case kindCounter, kindCounterFunc:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
 	case kindHistogram:
 		return "histogram"
@@ -49,8 +47,6 @@ type metric struct {
 	kind   metricKind
 
 	counter *Counter
-	gauge   *Gauge
-	fcount  *FloatCounter
 	hist    *Histogram
 	fn      func() float64
 }
@@ -60,10 +56,6 @@ func (m *metric) value() float64 {
 	switch m.kind {
 	case kindCounter:
 		return float64(m.counter.Value())
-	case kindGauge:
-		return float64(m.gauge.Value())
-	case kindFloatCounter:
-		return m.fcount.Value()
 	case kindCounterFunc, kindGaugeFunc:
 		return m.fn()
 	}
@@ -183,10 +175,6 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *m
 		switch kind {
 		case kindCounter:
 			m.counter = new(Counter)
-		case kindGauge:
-			m.gauge = new(Gauge)
-		case kindFloatCounter:
-			m.fcount = new(FloatCounter)
 		case kindHistogram:
 			// hist filled by caller (bounds vary)
 		}
@@ -203,22 +191,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		return nil
 	}
 	return r.lookup(name, help, kindCounter, labels).counter
-}
-
-// Gauge returns the gauge series (name, labels).
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindGauge, labels).gauge
-}
-
-// FloatCounter returns a float-valued counter series (seconds totals).
-func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounter {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindFloatCounter, labels).fcount
 }
 
 // Histogram returns the histogram series (name, labels) over the given

@@ -2,16 +2,14 @@ package packet
 
 import (
 	"fmt"
-	"net/netip"
 	"strings"
 )
 
 // DNS record types and classes used by LACeS (§4.2.3: A and CHAOS TXT
-// queries; §5.3.2: AAAA for IPv6 hitlists).
+// queries).
 const (
-	DNSTypeA    uint16 = 1
-	DNSTypeTXT  uint16 = 16
-	DNSTypeAAAA uint16 = 28
+	DNSTypeA   uint16 = 1
+	DNSTypeTXT uint16 = 16
 
 	DNSClassIN    uint16 = 1
 	DNSClassCHAOS uint16 = 3
@@ -43,34 +41,6 @@ type DNSRecord struct {
 	Class uint16
 	TTL   uint32
 	Data  []byte
-}
-
-// TXT returns the record data interpreted as a TXT character-string
-// sequence, decoded into its strings.
-func (r DNSRecord) TXT() ([]string, error) {
-	if r.Type != DNSTypeTXT {
-		return nil, fmt.Errorf("dns: record type %d is not TXT", r.Type)
-	}
-	var out []string
-	b := r.Data
-	for len(b) > 0 {
-		n := int(b[0])
-		if 1+n > len(b) {
-			return nil, fmt.Errorf("dns: TXT string: %w", ErrTruncated)
-		}
-		out = append(out, string(b[1:1+n]))
-		b = b[1+n:]
-	}
-	return out, nil
-}
-
-// Addr returns the record data interpreted as an IP address (A or AAAA).
-func (r DNSRecord) Addr() (netip.Addr, error) {
-	a, ok := netip.AddrFromSlice(r.Data)
-	if !ok {
-		return netip.Addr{}, fmt.Errorf("dns: %d-byte rdata is not an address", len(r.Data))
-	}
-	return a, nil
 }
 
 // DNSMessage is a DNS query or response with the sections LACeS uses.

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"errors"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -257,4 +258,32 @@ func BenchmarkDNSDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TXT returns the record data interpreted as a TXT character-string
+// sequence, decoded into its strings.
+func (r DNSRecord) TXT() ([]string, error) {
+	if r.Type != DNSTypeTXT {
+		return nil, fmt.Errorf("dns: record type %d is not TXT", r.Type)
+	}
+	var out []string
+	b := r.Data
+	for len(b) > 0 {
+		n := int(b[0])
+		if 1+n > len(b) {
+			return nil, fmt.Errorf("dns: TXT string: %w", ErrTruncated)
+		}
+		out = append(out, string(b[1:1+n]))
+		b = b[1+n:]
+	}
+	return out, nil
+}
+
+// Addr returns the record data interpreted as an IP address (A or AAAA).
+func (r DNSRecord) Addr() (netip.Addr, error) {
+	a, ok := netip.AddrFromSlice(r.Data)
+	if !ok {
+		return netip.Addr{}, fmt.Errorf("dns: %d-byte rdata is not an address", len(r.Data))
+	}
+	return a, nil
 }

@@ -23,17 +23,6 @@ type ICMPEcho struct {
 	Payload []byte
 }
 
-// IsRequest reports whether the message is an echo request in either
-// family.
-func (m *ICMPEcho) IsRequest() bool {
-	return m.Type == ICMPv4EchoRequest || m.Type == ICMPv6EchoRequest
-}
-
-// IsReply reports whether the message is an echo reply in either family.
-func (m *ICMPEcho) IsReply() bool {
-	return m.Type == ICMPv4EchoReply || m.Type == ICMPv6EchoReply
-}
-
 // AppendTo appends the encoded ICMPv4 message with correct checksum.
 //
 //laces:hotpath encodes every outgoing ICMPv4 probe; appends into the caller's buffer

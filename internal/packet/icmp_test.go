@@ -22,7 +22,7 @@ func TestICMPv4RoundTrip(t *testing.T) {
 	if err := got.DecodeFrom(buf); err != nil {
 		t.Fatal(err)
 	}
-	if !got.IsRequest() || got.IsReply() {
+	if got.Type != ICMPv4EchoRequest {
 		t.Fatalf("decoded type %d should be a request", got.Type)
 	}
 	if got.ID != req.ID || got.Seq != req.Seq {
@@ -69,7 +69,7 @@ func TestICMPv6RequiresV6Addrs(t *testing.T) {
 func TestICMPEchoReplyEchoesPayload(t *testing.T) {
 	req := NewICMPProbe(testIdentity, false)
 	reply := req.EchoReply(false)
-	if !reply.IsReply() {
+	if reply.Type != ICMPv4EchoReply {
 		t.Fatal("EchoReply should produce a reply type")
 	}
 	if reply.ID != req.ID || reply.Seq != req.Seq {

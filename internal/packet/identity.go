@@ -88,16 +88,6 @@ func TCPAck(worker uint8, txTime time.Time) uint32 {
 // number (the sequence number of the RST reply).
 func TCPAckWorker(ack uint32) uint8 { return uint8(ack >> tcpAckMicrosBits) }
 
-// TCPAckRTT recovers the round-trip time from an echoed acknowledgement
-// number given the receive time, handling the 24-bit wrap. The result is
-// accurate to 1 µs for RTTs below ~16.8 s.
-func TCPAckRTT(ack uint32, rxTime time.Time) time.Duration {
-	txMicros := ack & tcpAckMicrosMask
-	rxMicros := uint32(rxTime.UnixMicro()) & tcpAckMicrosMask
-	delta := (rxMicros - txMicros) & tcpAckMicrosMask
-	return time.Duration(delta) * time.Microsecond
-}
-
 // dnsLabelPrefix starts every LACeS DNS probe label.
 const dnsLabelPrefix = "lx"
 

@@ -9,7 +9,6 @@ import (
 const (
 	ProtoICMP   = 1
 	ProtoTCP    = 6
-	ProtoUDP    = 17
 	ProtoICMPv6 = 58
 )
 

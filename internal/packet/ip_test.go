@@ -128,7 +128,7 @@ func TestIPv6DecodeTruncated(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 	// Declared payload longer than buffer.
-	h := IPv6{Src: v6src, Dst: v6dst, NextHeader: ProtoUDP}
+	h := IPv6{Src: v6src, Dst: v6dst, NextHeader: 17} // UDP
 	buf, _ := h.AppendTo(nil, 100)
 	if _, err := got.DecodeFrom(buf); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)

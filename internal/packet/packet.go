@@ -27,8 +27,7 @@ type Protocol uint8
 const (
 	ICMP Protocol = iota // ICMP echo (ping)
 	TCP                  // TCP SYN/ACK to a high port, expecting RST
-	DNS                  // DNS over UDP: A/AAAA or CHAOS TXT query
-	numProtocols
+	DNS                  // DNS over UDP: A or CHAOS TXT query
 )
 
 // Protocols lists all probing protocols once.

@@ -7,12 +7,9 @@ import (
 
 // TCP flag bits.
 const (
-	TCPFlagFIN = 1 << iota
-	TCPFlagSYN
-	TCPFlagRST
-	TCPFlagPSH
-	TCPFlagACK
-	TCPFlagURG
+	TCPFlagSYN = 0x02
+	TCPFlagRST = 0x04
+	TCPFlagACK = 0x10
 )
 
 // TCPHeaderLen is the length of a TCP header without options; LACeS probes

@@ -167,3 +167,13 @@ func BenchmarkTCPProbeEncode(b *testing.B) {
 		}
 	}
 }
+
+// TCPAckRTT recovers the round-trip time from an echoed acknowledgement
+// number given the receive time, handling the 24-bit wrap. The result is
+// accurate to 1 µs for RTTs below ~16.8 s.
+func TCPAckRTT(ack uint32, rxTime time.Time) time.Duration {
+	txMicros := ack & tcpAckMicrosMask
+	rxMicros := uint32(rxTime.UnixMicro()) & tcpAckMicrosMask
+	delta := (rxMicros - txMicros) & tcpAckMicrosMask
+	return time.Duration(delta) * time.Microsecond
+}

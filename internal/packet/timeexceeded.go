@@ -39,12 +39,6 @@ func NewTimeExceeded(v6 bool, quote []byte) *TimeExceeded {
 	return &TimeExceeded{Type: typ, Quote: quote}
 }
 
-// IsTimeExceeded reports whether the type is a time-exceeded error in
-// either family.
-func (m *TimeExceeded) IsTimeExceeded() bool {
-	return m.Type == ICMPv4TimeExceeded || m.Type == ICMPv6TimeExceeded
-}
-
 // AppendTo appends the encoded ICMPv4 error with correct checksum.
 func (m *TimeExceeded) AppendTo(dst []byte) []byte {
 	off := len(dst)

@@ -37,7 +37,7 @@ func TestTimeExceededRoundTripV4(t *testing.T) {
 	if err := m.DecodeFrom(wire); err != nil {
 		t.Fatal(err)
 	}
-	if !m.IsTimeExceeded() {
+	if m.Type != ICMPv4TimeExceeded {
 		t.Fatalf("type %d not recognised as time-exceeded", m.Type)
 	}
 	got, err := m.QuotedIdentity()

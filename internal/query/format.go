@@ -80,7 +80,6 @@ func decodeHeader(b []byte) (*header, error) {
 // bufWriter serializes the TOC and row records.
 type bufWriter struct{ b []byte }
 
-func (w *bufWriter) u8(v uint8)   { w.b = append(w.b, v) }
 func (w *bufWriter) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
 func (w *bufWriter) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *bufWriter) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
@@ -117,14 +116,6 @@ func (r *bufReader) take(n int) []byte {
 	b := r.b[r.off : r.off+n]
 	r.off += n
 	return b
-}
-
-func (r *bufReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
 }
 
 func (r *bufReader) u16() uint16 {
@@ -219,7 +210,7 @@ func anyBit(b []byte, lo, hi int) bool {
 // cityHash digests a published city list into the 32-bit geo signature
 // the index stores per present day: geo-shift detection only needs "did
 // the enumerated site set move", not the names themselves (those remain
-// one document decode away via FullEntries).
+// one document decode away in the archive).
 func cityHash(cities []string) uint32 {
 	if len(cities) == 0 {
 		return 0

@@ -15,8 +15,7 @@
 // the aggregate census counts and membership churn. The query layer
 // (Index) answers Timeline, Events (onset / offset / flap / site-churn
 // / geo-shift, with hysteresis), Stability scoring and aggregate Series
-// from the index alone — document decode happens only when a caller
-// explicitly asks for full entries (FullEntries), and the archive's
+// from the index alone — no query decodes a document, and the archive's
 // decode counter proves it. The Index caches no decoded rows: a row read
 // and decode is a few microseconds, and every result is the caller's
 // own.
@@ -33,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"github.com/laces-project/laces/internal/archive"
-	"github.com/laces-project/laces/internal/core"
 )
 
 // Errors the query layer distinguishes for its HTTP mapping: unknown
@@ -87,10 +85,8 @@ type Index struct {
 	aggErr      error
 
 	// Lookup telemetry, atomically updated per query and never consulted
-	// by query logic. decodeFallbacks counts FullEntries calls — the one
-	// path that abandons the index for document decoding. Read via Stats.
-	lookups         atomic.Int64
-	decodeFallbacks atomic.Int64
+	// by query logic. Read via Stats.
+	lookups atomic.Int64
 
 	// Event-scan telemetry: rows considered by Events and rows the
 	// day-range presence-prefix check skipped without a full decode.
@@ -114,17 +110,17 @@ func (ix *Index) EventScanStats() (scanned, pruned int64) {
 	return ix.eventRows.Load(), ix.eventRowsPruned.Load()
 }
 
-// Stats reports the index's lifetime query telemetry: Timeline lookups
-// and how many FullEntries calls fell back to document decoding. Zero
-// for a nil index. The middle value is always zero — the Index keeps no
-// timeline cache — and survives only because the frozen bench/ module
-// compiles against three results; the next benchmark PR retires it
-// together with the query.cache_hit_share column.
+// Stats reports the index's lifetime Timeline lookups, zero for a nil
+// index. The other two values are always zero — the Index keeps no
+// timeline cache, and no query falls back to document decoding — and
+// survive only because the frozen bench/ module compiles against three
+// results; the next benchmark PR retires them together with the
+// query.cache_hit_share and query.decode_fallbacks columns.
 func (ix *Index) Stats() (lookups, cacheHits, decodeFallbacks int64) {
 	if ix == nil {
 		return 0, 0, 0
 	}
-	return ix.lookups.Load(), 0, ix.decodeFallbacks.Load()
+	return ix.lookups.Load(), 0, 0
 }
 
 // Open loads a timeline index file: it validates the header, checks
@@ -270,8 +266,8 @@ func (ix *Index) VerifyCoverage(a *archive.Archive) error {
 	return nil
 }
 
-// AttachArchive wires the document store behind full-entry fallback
-// queries (FullEntries). Index-answered queries never touch it.
+// AttachArchive wires the document store the index was built from, so
+// callers can read its decode counter. Queries never touch it.
 func (ix *Index) AttachArchive(a *archive.Archive) { ix.arch = a }
 
 // Archive returns the attached fallback store, if any.
@@ -285,17 +281,6 @@ func (ix *Index) Close() error {
 	err := ix.f.Close()
 	ix.f = nil
 	return err
-}
-
-// Families lists the indexed address families in sorted order.
-func (ix *Index) Families() []string { return ix.order }
-
-// Days lists one family's indexed census days in ascending order.
-func (ix *Index) Days(family string) []int {
-	if fam := ix.fams[family]; fam != nil {
-		return fam.days
-	}
-	return nil
 }
 
 // Prefixes returns one family's indexed prefixes in canonical order.
@@ -436,36 +421,4 @@ func decodeRow(family string, ref prefixRef, days []int, b []byte) (*Timeline, e
 		return nil, fmt.Errorf("query: row for %s: %w", ref.prefix, r.err)
 	}
 	return tl, nil
-}
-
-// DayEntry is one full published census row on one day — the fallback
-// result that does require document decoding.
-type DayEntry struct {
-	Day   int                `json:"day"`
-	Entry core.DocumentEntry `json:"entry"`
-}
-
-// FullEntries decodes the prefix's complete published rows for days in
-// [from, to] (to < 0 means through the last day). This is the one
-// query that touches the document store: everything the index carries
-// is answered by Timeline without a single decode.
-func (ix *Index) FullEntries(family, prefix string, from, to int) ([]DayEntry, error) {
-	if ix.arch == nil {
-		return nil, fmt.Errorf("query: no archive attached for full-entry decode")
-	}
-	if _, err := ix.Timeline(family, prefix); err != nil {
-		return nil, err
-	}
-	ix.decodeFallbacks.Add(1)
-	var out []DayEntry
-	err := ix.arch.Range(family, from, to, func(day int, doc *core.Document) error {
-		if e := doc.Find(prefix); e != nil {
-			out = append(out, DayEntry{Day: day, Entry: *e})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -263,7 +262,7 @@ func TestTimelineMatchesDocuments(t *testing.T) {
 
 // TestQueriesAnswerFromIndexAlone is the decode-counter contract:
 // Timeline, Events, Stability and Series must not materialize a single
-// document, while the FullEntries fallback must.
+// document.
 func TestQueriesAnswerFromIndexAlone(t *testing.T) {
 	docs := synthChain(30, 60)
 	dir, _ := buildIndex(t, docs)
@@ -295,29 +294,6 @@ func TestQueriesAnswerFromIndexAlone(t *testing.T) {
 	}
 	if n := a.Decodes(); n != 0 {
 		t.Fatalf("index-answered queries decoded %d documents, want 0", n)
-	}
-
-	full, err := ix.FullEntries("ipv4", prefix, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) == 0 {
-		t.Fatal("FullEntries returned nothing")
-	}
-	if a.Decodes() == 0 {
-		t.Fatal("FullEntries did not touch the document store (decode counter stuck at 0)")
-	}
-	// The rows are exactly what a linear scan of the source documents finds.
-	var want []DayEntry
-	for day := 0; day <= 5; day++ {
-		for _, e := range docs[day].Entries {
-			if e.Prefix == prefix {
-				want = append(want, DayEntry{Day: day, Entry: e})
-			}
-		}
-	}
-	if !reflect.DeepEqual(full, want) {
-		t.Fatalf("FullEntries = %+v, want %+v", full, want)
 	}
 }
 

@@ -199,9 +199,9 @@ func TestResumeEqualsScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.Close()
-	if !late || !gone || tl.OriginASN != 65550 || moved.OriginASN == 65550 || ix.Days("ipv6")[0] != 3 {
+	if !late || !gone || tl.OriginASN != 65550 || moved.OriginASN == 65550 || ix.fams["ipv6"].days[0] != 3 {
 		t.Fatalf("fixture lost a shape: late arrival %v, vanished prefix %v, origin AS%d (was AS%d), ipv6 days %v",
-			late, gone, tl.OriginASN, moved.OriginASN, ix.Days("ipv6"))
+			late, gone, tl.OriginASN, moved.OriginASN, ix.fams["ipv6"].days)
 	}
 	CheckResumeEqualsScratch(t, days)
 }
@@ -477,7 +477,7 @@ func FuzzIndexState(f *testing.F) {
 		}
 		defer ix.Close()
 		calls := 2 // Open and state
-		for _, family := range ix.Families() {
+		for _, family := range ix.order {
 			for _, p := range ix.Prefixes(family) {
 				ix.Timeline(family, p) // a row that does not decode is an error, not a crash
 				calls++

@@ -132,7 +132,7 @@ func TestPacerZeroOffsetAndDuration(t *testing.T) {
 	if p.Duration(0, 8) != 0 || p.Duration(-3, 8) != 0 {
 		t.Fatal("non-positive target counts must have zero duration")
 	}
-	if got, want := p.Duration(1, 1), p.Period(); got != want {
+	if got, want := p.Duration(1, 1), p.period; got != want {
 		t.Fatalf("single probe duration = %v, want one period %v", got, want)
 	}
 }

@@ -5,9 +5,9 @@
 //
 // Two abstractions are provided:
 //
-//   - Limiter: a classic token bucket, safe for concurrent use, with both
-//     blocking (Wait) and non-blocking (Allow) acquisition and an
-//     injectable clock so simulations and tests never sleep.
+//   - Limiter: a classic token bucket, safe for concurrent use, with
+//     blocking (Wait) acquisition and an injectable clock so simulations
+//     and tests never sleep.
 //   - Pacer: converts a desired packets-per-second rate into the precise
 //     send timestamp for the i-th probe, which is what the Orchestrator
 //     uses to schedule synchronized probes with per-worker offsets.
@@ -22,8 +22,8 @@ import (
 	"time"
 )
 
-// Clock abstracts time for testability. The zero Limiter uses the real
-// clock.
+// Clock abstracts time for testability. A Limiter built without one
+// uses WallClock.
 type Clock interface {
 	Now() time.Time
 	// Sleep waits for d or until ctx is done, returning ctx.Err() in the
@@ -31,11 +31,15 @@ type Clock interface {
 	Sleep(ctx context.Context, d time.Duration) error
 }
 
-type realClock struct{}
+// WallClock is real time: the one place wall time enters; everything
+// else injects a Clock.
+type WallClock struct{}
 
-func (realClock) Now() time.Time { return time.Now() } //laces:allow detnow realClock is the one place wall time enters; everything else injects Clock
+// Now returns the wall-clock time.
+func (WallClock) Now() time.Time { return time.Now() } //laces:allow detnow WallClock is the one place wall time enters; everything else injects Clock
 
-func (realClock) Sleep(ctx context.Context, d time.Duration) error {
+// Sleep waits for d or until ctx is done.
+func (WallClock) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
@@ -82,7 +86,7 @@ func (l *Limiter) WaitStats() (waits int64, total time.Duration) {
 }
 
 // NewLimiter returns a token bucket producing perSecond tokens per second
-// with the given burst capacity (minimum 1). A nil clock uses real time.
+// with the given burst capacity (minimum 1). A nil clock uses WallClock.
 func NewLimiter(perSecond float64, burst int, clock Clock) (*Limiter, error) {
 	if perSecond <= 0 {
 		return nil, ErrRateZero
@@ -91,7 +95,7 @@ func NewLimiter(perSecond float64, burst int, clock Clock) (*Limiter, error) {
 		burst = 1
 	}
 	if clock == nil {
-		clock = realClock{}
+		clock = WallClock{}
 	}
 	return &Limiter{
 		perSecond: perSecond,
@@ -101,9 +105,6 @@ func NewLimiter(perSecond float64, burst int, clock Clock) (*Limiter, error) {
 		last:      clock.Now(),
 	}, nil
 }
-
-// Rate returns the configured tokens-per-second rate.
-func (l *Limiter) Rate() float64 { return l.perSecond }
 
 // refillLocked advances the bucket to now. Caller holds l.mu.
 func (l *Limiter) refillLocked(now time.Time) {
@@ -116,19 +117,6 @@ func (l *Limiter) refillLocked(now time.Time) {
 	if l.tokens > l.burst {
 		l.tokens = l.burst
 	}
-}
-
-// Allow reports whether one token is immediately available, consuming it
-// if so.
-func (l *Limiter) Allow() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.refillLocked(l.clock.Now())
-	if l.tokens >= 1 {
-		l.tokens--
-		return true
-	}
-	return false
 }
 
 // Wait blocks until a token is available or ctx is done.
@@ -196,49 +184,4 @@ func (p *Pacer) Duration(n, nWorkers int) time.Duration {
 	}
 	last := time.Duration(n-1)*p.period + time.Duration(nWorkers-1)*p.offset
 	return last + p.period
-}
-
-// Period returns the inter-target spacing.
-func (p *Pacer) Period() time.Duration { return p.period }
-
-// Offset returns the inter-worker spacing.
-func (p *Pacer) Offset() time.Duration { return p.offset }
-
-// FakeClock is a manually advanced clock for tests and simulation. It
-// implements Clock. Sleep advances the clock instead of blocking, which
-// lets rate-limited pipelines run at full speed deterministically.
-type FakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-// NewFakeClock returns a FakeClock starting at start.
-func NewFakeClock(start time.Time) *FakeClock {
-	return &FakeClock{now: start}
-}
-
-// Now returns the current fake time.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Sleep advances the fake clock by d immediately.
-func (c *FakeClock) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.Advance(d)
-	return nil
-}
-
-// Advance moves the clock forward by d (negative d is ignored).
-func (c *FakeClock) Advance(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package rate
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -189,13 +190,13 @@ func TestFakeClockSleepCancelled(t *testing.T) {
 }
 
 func TestRealClockSleep(t *testing.T) {
-	var c realClock
+	var c WallClock
 	start := c.Now()
 	if err := c.Sleep(context.Background(), time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if c.Now().Sub(start) < time.Millisecond {
-		t.Fatal("realClock.Sleep returned too early")
+		t.Fatal("WallClock.Sleep returned too early")
 	}
 	if err := c.Sleep(context.Background(), -time.Second); err != nil {
 		t.Fatal("negative sleep should return immediately without error")
@@ -209,4 +210,56 @@ func BenchmarkLimiterAllow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.Allow()
 	}
+}
+
+// Allow reports whether one token is immediately available, consuming it
+// if so.
+func (l *Limiter) Allow() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.refillLocked(l.clock.Now())
+	if l.tokens >= 1 {
+		l.tokens--
+		return true
+	}
+	return false
+}
+
+// FakeClock is a manually advanced clock for tests and simulation. It
+// implements Clock. Sleep advances the clock instead of blocking, which
+// lets rate-limited pipelines run at full speed deterministically.
+type FakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+// NewFakeClock returns a FakeClock starting at start.
+func NewFakeClock(start time.Time) *FakeClock {
+	return &FakeClock{now: start}
+}
+
+// Now returns the current fake time.
+func (c *FakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// Sleep advances the fake clock by d immediately.
+func (c *FakeClock) Sleep(ctx context.Context, d time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c.Advance(d)
+	return nil
+}
+
+// Advance moves the clock forward by d (negative d is ignored).
+func (c *FakeClock) Advance(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
 }

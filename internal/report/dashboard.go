@@ -63,9 +63,6 @@ func (b *DashboardBuilder) Add(doc *core.Document) {
 	b.prev, b.latest = b.latest, doc
 }
 
-// Snapshots reports how many days have been folded in.
-func (b *DashboardBuilder) Snapshots() int { return len(b.rows) }
-
 // Render writes the dashboard.
 func (b *DashboardBuilder) Render(w io.Writer) error {
 	if b.latest == nil {

@@ -223,8 +223,8 @@ func TestDashboardBuilderMatchesBatch(t *testing.T) {
 		t.Fatalf("streamed dashboard diverges from batch:\n--- batch\n%s\n--- streamed\n%s",
 			batch.String(), streamed.String())
 	}
-	if builder.Snapshots() != 2 {
-		t.Fatalf("builder counted %d snapshots", builder.Snapshots())
+	if len(builder.rows) != 2 {
+		t.Fatalf("builder counted %d snapshots", len(builder.rows))
 	}
 }
 

@@ -65,19 +65,6 @@ func (c *CDF) Max() int {
 	return c.values[len(c.values)-1]
 }
 
-// Points returns (value, cumulative probability) pairs at each distinct
-// value — the plot series of a CDF figure.
-func (c *CDF) Points() (xs []int, ps []float64) {
-	for i, v := range c.values {
-		if i+1 < len(c.values) && c.values[i+1] == v {
-			continue
-		}
-		xs = append(xs, v)
-		ps = append(ps, float64(i+1)/float64(len(c.values)))
-	}
-	return
-}
-
 // Set is a set of target IDs.
 type Set map[int]bool
 
@@ -102,29 +89,6 @@ func (a Set) Intersect(b Set) int {
 		}
 	}
 	return n
-}
-
-// Minus returns |a \ b|.
-func (a Set) Minus(b Set) int {
-	n := 0
-	for id := range a {
-		if !b[id] {
-			n++
-		}
-	}
-	return n
-}
-
-// Union returns a ∪ b as a new set.
-func (a Set) Union(b Set) Set {
-	out := make(Set, len(a)+len(b))
-	for id := range a {
-		out[id] = true
-	}
-	for id := range b {
-		out[id] = true
-	}
-	return out
 }
 
 // UpSetRow is one intersection bucket of an UpSet plot: the exclusive

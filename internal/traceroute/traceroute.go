@@ -72,17 +72,6 @@ type Path struct {
 	ProbesSent int64
 }
 
-// Terminal returns the last replying hop, or ok=false for an entirely
-// silent path.
-func (p *Path) Terminal() (Hop, bool) {
-	for i := len(p.Hops) - 1; i >= 0; i-- {
-		if p.Hops[i].Router != "" {
-			return p.Hops[i], true
-		}
-	}
-	return Hop{}, false
-}
-
 // Run traces the forward path from vp to the target. Probe packets are
 // fully encoded and the identity is recovered from the quoted datagram in
 // each time-exceeded answer, so the probe-matching path is exercised on
