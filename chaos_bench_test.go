@@ -149,8 +149,8 @@ func paperBenchWorld(b *testing.B) *netsim.World {
 // lazy ~1M-prefix world, every stage sharded across all cores. A single
 // iteration is tens of seconds — CI runs it with -benchtime 1x as a
 // wall-clock gauge alongside the test-scale ratio benchmarks; streaming
-// derivation keeps the live heap bounded by the target arena, not the
-// hitlist (see netsim's stream benchmarks for the per-layer numbers).
+// derivation keeps the live heap bounded by the hitlist, not the
+// universe (see netsim's stream benchmarks for the per-layer numbers).
 func BenchmarkDailyCensusPaperScale(b *testing.B) {
 	w := paperBenchWorld(b)
 	b.ResetTimer()

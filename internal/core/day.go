@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"time"
 
@@ -189,7 +190,9 @@ func (d *censusDay) phase(name string) (*obs.ActiveSpan, *obs.Registry) {
 }
 
 // detect is stage 1: the anycast-based measurement, one run per protocol
-// back to back on the day's clock (§4.2), folded into candidate rows.
+// back to back on the day's clock (§4.2), folded into candidate rows. Each
+// run's observations are in hitlist order, ascending target ID, so the
+// fold walks them.
 func (d *censusDay) detect(protos []packet.Protocol) error {
 	sp, reg := d.phase("detect")
 	defer sp.End()
@@ -207,6 +210,7 @@ func (d *censusDay) detect(protos []packet.Protocol) error {
 		return err
 	}
 	c := d.census
+	wk := d.w.Walker(d.v6)
 	for _, proto := range protos {
 		res := results[proto]
 		c.Workers = res.Workers
@@ -218,7 +222,7 @@ func (d *censusDay) detect(protos []packet.Protocol) error {
 			if !candidate && !d.everyReply {
 				continue
 			}
-			e := c.entry(d.w.TargetAt(d.v6, ob.TargetID))
+			e := c.entry(wk.At(ob.TargetID))
 			e.ACProtocols[proto] = candidate
 			e.MaxReceivers = max(e.MaxReceivers, ob.NumReceivers())
 		}
@@ -227,17 +231,22 @@ func (d *censusDay) detect(protos []packet.Protocol) error {
 }
 
 // feedBack is stage 2: the feedback list joins the candidates so
-// anycast-based false negatives stay covered (§4.3). It reads the list;
-// publish is what extends it.
+// anycast-based false negatives stay covered (§4.3). It reads the list,
+// walking it in ascending target ID; publish is what extends it.
 func (d *censusDay) feedBack() {
 	sp := d.span.Child("feedback")
 	defer sp.End()
 	numTargets := d.w.NumTargets(d.v6)
+	var ids []int
 	for id := range d.p.feedback[famIdx(d.v6)] {
-		if id < 0 || id >= numTargets {
-			continue
+		if id >= 0 && id < numTargets {
+			ids = append(ids, id)
 		}
-		tg := d.w.TargetAt(d.v6, id)
+	}
+	slices.Sort(ids)
+	wk := d.w.Walker(d.v6)
+	for _, id := range ids {
+		tg := wk.At(id)
 		if tg.HitlistFromDay > d.hl.Day {
 			continue
 		}

@@ -88,22 +88,24 @@ func TestCensusLazyEagerEquivalence(t *testing.T) {
 	}
 }
 
-// TestLazyDayDerivationCounts pins shard-local derivation as exact
-// counts on one ungoverned lazy day per family: every item presented to
-// the day's par.Run calls (three anycast-stage runs over the protocol
-// hitlists, the ICMP and TCP GCD campaigns over the rows) is derived
-// exactly once, by a shard's walker, and the target arena is left to the
-// random access around the stages — detect's fold and Confirm's split —
-// so it misses at most once per published row. Stages that resolved
-// through the arena missed it about once per hitlist entry. Telemetry
-// must not move the census bytes.
+// TestLazyDayDerivationCounts pins lazy target access as exact counts
+// over two consecutive ungoverned lazy days per family on one pipeline,
+// the second walking a non-empty feedback list. Every target a day
+// reaches is one walker derivation: each item presented to its par.Run
+// calls (three anycast-stage runs over the protocol hitlists, the ICMP
+// and TCP GCD campaigns over the rows) and each ID walked around them
+// (detect's fold of the candidate observations, the feedback list,
+// Confirm's protocol split). Telemetry must not move the census bytes.
 func TestLazyDayDerivationCounts(t *testing.T) {
 	const day = 100
 	cfg := netsim.TestConfig()
 	cfg.LazyTargets = true
 	for _, v6 := range []bool{false, true} {
-		runDay := func(tel *netsim.Telemetry) (*netsim.World, *DailyCensus, []byte) {
-			w, err := netsim.New(cfg) // a cold arena for every run
+		// runDays runs both days on a fresh world and returns their
+		// census bytes, the walker derivations each made and the count
+		// each should have made.
+		runDays := func(tel *netsim.Telemetry) (docs [2][]byte, walked, want [2]int64) {
+			w, err := netsim.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,39 +124,56 @@ func TestLazyDayDerivationCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := p.RunDaily(day, v6, DayOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := c.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return w, c, buf.Bytes()
-		}
-		tel := &netsim.Telemetry{}
-		w, c, got := runDay(tel)
-		misses, walked := tel.ArenaMisses(), tel.WalkDerivations()
-		if _, _, bare := runDay(nil); !bytes.Equal(got, bare) {
-			t.Fatalf("v6=%v: census bytes differ with telemetry on", v6)
-		}
+			for i := range docs {
+				fed := int64(len(p.feedback[famIdx(v6)]))
+				if i == 1 && fed == 0 {
+					t.Fatalf("v6=%v: day %d walks an empty feedback list", v6, day+i)
+				}
+				before := tel.WalkDerivations()
+				c, err := p.RunDaily(day+i, v6, DayOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				walked[i] = tel.WalkDerivations() - before
+				var buf bytes.Buffer
+				if err := c.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				docs[i] = buf.Bytes()
 
-		hl := hitlist.ForDay(w, v6, day)
-		presented := 0
-		for _, proto := range packet.Protocols() {
-			presented += len(hl.FilterProtocol(proto))
+				var lists, folded, split, gcd int64
+				hl := hitlist.ForDay(w, v6, day+i)
+				for _, proto := range packet.Protocols() {
+					lists += int64(len(hl.FilterProtocol(proto)))
+				}
+				for id, e := range c.Entries {
+					for _, ac := range e.ACProtocols {
+						if ac {
+							folded++
+						}
+					}
+					split++
+					if tg := w.TargetAt(v6, id); tg.Responsive[packet.ICMP] || tg.Responsive[packet.TCP] {
+						gcd++
+					}
+				}
+				want[i] = lists + folded + fed + split + gcd
+				if tel != nil {
+					t.Logf("v6=%v day %d: lists %d, folded %d, feedback %d, split %d, GCD items %d; walker derivations %d",
+						v6, day+i, lists, folded, fed, split, gcd, walked[i])
+				}
+			}
+			return docs, walked, want
 		}
-		for id := range c.Entries {
-			if tg := w.TargetAt(v6, id); tg.Responsive[packet.ICMP] || tg.Responsive[packet.TCP] {
-				presented++
+		docs, walked, want := runDays(&netsim.Telemetry{})
+		bare, _, _ := runDays(nil)
+		for i := range docs {
+			if !bytes.Equal(docs[i], bare[i]) {
+				t.Fatalf("v6=%v day %d: census bytes differ with telemetry on", v6, day+i)
+			}
+			if walked[i] != want[i] {
+				t.Errorf("v6=%v day %d: %d walker derivations, want %d", v6, day+i, walked[i], want[i])
 			}
 		}
-		if rows := int64(len(c.Entries)); rows == 0 || misses > rows {
-			t.Errorf("v6=%v: %d arena misses for %d published rows; want at most one per row", v6, misses, rows)
-		}
-		if walked != int64(presented) {
-			t.Errorf("v6=%v: %d walker derivations, want %d (one per item presented to the day's stages)", v6, walked, presented)
-		}
-		t.Logf("v6=%v: hitlist %d, rows %d, arena misses %d, walker derivations %d", v6, hl.Len(), len(c.Entries), misses, walked)
 	}
 }

@@ -102,14 +102,16 @@ func (r *Report) Anycast() map[int]bool {
 // order; DNS-only, unresponsive and out-of-range IDs are left out. The
 // report is the two campaigns' merged — every outcome names its protocol.
 // Admission is order-sensitive by design (first come, first charged), so
-// callers present IDs in a reproducible order.
+// callers present IDs in a reproducible order; the split walks the list,
+// which is cheapest in ascending ID order.
 func Confirm(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
 	var byProto [2][]int // indexed by packet.ICMP, packet.TCP
+	wk := w.Walker(v6)
 	for _, id := range targetIDs {
 		if id < 0 || id >= w.NumTargets(v6) {
 			continue
 		}
-		switch tg := w.TargetAt(v6, id); {
+		switch tg := wk.At(id); {
 		case tg.Responsive[packet.ICMP]:
 			byProto[packet.ICMP] = append(byProto[packet.ICMP], id)
 		case tg.Responsive[packet.TCP]:

@@ -48,19 +48,16 @@ func TestLargeWorldCensusSmoke(t *testing.T) {
 	if cands := res.Candidates(); len(cands) == 0 {
 		t.Fatal("anycast-based stage found no candidates at paper scale")
 	}
-	// The world must stay streaming-bounded: live targets capped by the
-	// arena, and total live heap (world + hitlist + observations) far
-	// under the ~several-hundred-MB an eager 1M-target universe costs.
-	if live := w.MaterializedTargets(); live > 1<<17 {
-		t.Fatalf("%d targets live, want <= %d (2 families x the default arena)", live, 1<<17)
-	}
+	// The world must stay streaming-bounded: total live heap (world +
+	// hitlist + observations) far under the ~several-hundred-MB an eager
+	// 1M-target universe costs.
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	if heap := ms.HeapAlloc >> 20; heap > 512 {
 		t.Fatalf("live heap %d MB after at-scale census stage, want <= 512 MB", heap)
 	}
-	t.Logf("probed %d entries (%d probes), %d candidates, %d targets live, heap %d MB",
-		hl.Len(), res.ProbesSent, len(res.Candidates()), w.MaterializedTargets(), ms.HeapAlloc>>20)
+	t.Logf("probed %d entries (%d probes), %d candidates, heap %d MB",
+		hl.Len(), res.ProbesSent, len(res.Candidates()), ms.HeapAlloc>>20)
 	runtime.KeepAlive(w)
 }

@@ -136,10 +136,10 @@ type Config struct {
 	// LazyTargets switches world generation from eager materialization to
 	// seed-derived streaming: New builds only the generation layout
 	// (memory proportional to ASes and operators, not targets) and
-	// targets are derived on demand from (seed, ID) through a bounded
-	// arena. Census results are byte-identical to an eager world with the
-	// same configuration, and the streaming API in stream.go works the
-	// same in both modes.
+	// targets are derived on demand from (seed, ID), none kept between
+	// lookups. Census results are byte-identical to an eager world with
+	// the same configuration, and the streaming API in stream.go works
+	// the same in both modes.
 	LazyTargets bool
 
 	Operators []OperatorSpec

@@ -12,8 +12,8 @@ import (
 // Derivation: every Target is a pure function of (world seed, batch,
 // in-batch index). The class rules below are the single source of truth
 // for target content — eager pre-derivation (generate_targets.go) and
-// lazy lookup (arena.go, stream.go) both call deriveInto, which is what
-// makes the two modes byte-identical.
+// lazy access (stream.go: TargetAt, Walker, IterTargets) all call
+// deriveInto, which is what makes the two modes byte-identical.
 //
 // Cost contract: on a warm world every class derives in O(block replay)
 // with no per-call sort of the city DB. Sites that a batch shares are
@@ -148,9 +148,12 @@ func (w *World) deriveInto(L *famLayout, b *targetBatch, bw *blockWalker, bl int
 
 // deriveTargetID derives the target with the given family-wide ID from
 // scratch (random access: batch binary search plus a bounded block
-// replay). The arena caches the result for hot targets.
+// replay). It panics on an ID outside the family, as Walker.At does.
 func (w *World) deriveTargetID(L *famLayout, id int, t *Target) {
 	b := L.batchFor(id)
+	if b == nil {
+		panic("netsim: TargetAt index out of range")
+	}
 	var bw blockWalker
 	bl := id - b.startID
 	bw.seek(w.seed, L.v6, b, bl)

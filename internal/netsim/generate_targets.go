@@ -43,7 +43,7 @@ const hijackEventsV4 = 19
 // derivation (derive.go). It is the one place Config.LazyTargets is
 // read: eager worlds (the default) pre-derive every target into a
 // private slice by streaming the layout once, lazy worlds keep only the
-// layout and an arena and derive targets on demand, so the two modes are
+// layout and derive targets on demand, so the two modes are
 // byte-identical by construction. The announcement table is derived from
 // the layout in both modes (BGPPrefixAt).
 func (w *World) genTargets(v6 bool) error {
@@ -54,7 +54,6 @@ func (w *World) genTargets(v6 bool) error {
 	f := w.fam(v6)
 	f.L = L
 	if w.Cfg.LazyTargets {
-		f.arena = newTargetArena(arenaSlots)
 		return nil
 	}
 	targets := make([]Target, 0, L.total)

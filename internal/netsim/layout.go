@@ -13,10 +13,10 @@ import (
 // per-target field is a pure function of (world seed, batch identity,
 // in-batch index), so once the layout is known any target can be derived
 // on demand (derive.go). Eager worlds materialize all targets through
-// that same derivation path; lazy worlds keep only the layout plus a
-// bounded arena of hot targets (arena.go). Both modes therefore produce
-// byte-identical universes by construction — the equivalence tests pin
-// it across seeds.
+// that same derivation path; lazy worlds keep only the layout and derive
+// each target when it is asked for (stream.go). Both modes therefore
+// produce byte-identical universes by construction — the equivalence
+// tests pin it across seeds.
 //
 // Layout memory is proportional to the number of ASes and deployments
 // (one batch record each, plus sparse block checkpoints), never to the

@@ -232,21 +232,22 @@ func TestGenericFirstDerivationRace(t *testing.T) {
 				<-start
 				switch g % 3 {
 				case 0:
-					for id := lo; id < hi; id++ {
+					for id := hi - 1; id >= lo; id-- {
 						check("TargetAt", lazy.TargetAt(v6, id))
 					}
 				case 1:
-					lazy.IterTargetsRange(v6, lo, hi, 7, func(batch []Target) bool {
+					lazy.IterTargets(v6, 7, func(batch []Target) bool {
 						for i := range batch {
-							check("IterTargetsRange", &batch[i])
+							if id := batch[i].ID; id >= lo && id < hi {
+								check("IterTargets", &batch[i])
+							}
 						}
-						return true
+						return batch[len(batch)-1].ID < hi
 					})
 				case 2:
-					for id := hi - 1; id >= lo; id-- {
-						var tg Target
-						lazy.deriveTargetID(L, id, &tg)
-						check("deriveTargetID", &tg)
+					wk := lazy.Walker(v6)
+					for id := lo; id < hi; id++ {
+						check("Walker", wk.At(id))
 					}
 				}
 			}()

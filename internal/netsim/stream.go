@@ -8,16 +8,17 @@ import (
 // Streaming target access. These accessors are the only way to reach a
 // world's targets and announcements; they work identically on eager
 // worlds (backed by the family's pre-derived targets) and lazy worlds
-// (backed by the layout, the derivation path and the bounded arena):
+// (backed by the layout and the derivation path):
 //
 //   - NumTargets / TargetAt: random access by family-wide target ID; on a
-//     lazy world the arena serves it (detect's fold, feedback, Confirm's
-//     split, screen, the fabric).
+//     lazy world each call derives a fresh copy (screen, the fabric, the
+//     experiments' spot lookups).
 //   - Walker: one goroutine's pass over an ascending ID sequence, dense
-//     or sparse (each internal/par shard has one); the target At returns
-//     is valid until the next At.
-//   - IterTargets / IterTargetsRange: ID-ordered batched streaming; the
-//     batch slice is reused between invocations, so callers must not
+//     or sparse (each internal/par shard has one, as do detect's fold,
+//     feedback and Confirm's split); the target At returns is valid until
+//     the next At.
+//   - IterTargets: ID-ordered batched streaming over the whole family;
+//     the batch slice is reused between invocations, so callers must not
 //     retain it (copy what outlives the callback).
 //   - FindTarget: lookup by prefix or address.
 //   - BGPPrefixAt: the announcement table, derived from the layout in
@@ -32,14 +33,12 @@ import (
 const DefaultIterBatch = 1024
 
 // family is one address family's universe: its generation layout (nil
-// for an empty family) and either every target pre-derived (targets,
-// eager worlds) or the bounded cache of hot ones (arena, lazy worlds).
-// genTargets picks the mode; the accessors branch on whether targets
-// exists.
+// for an empty family) and, on an eager world, every target pre-derived
+// (nil on a lazy world). genTargets picks the mode; the accessors branch
+// on whether targets exists.
 type family struct {
 	L       *famLayout
 	targets []Target
-	arena   *targetArena
 }
 
 // fam returns the address family's universe.
@@ -59,55 +58,38 @@ func (w *World) NumTargets(v6 bool) int {
 }
 
 // TargetAt returns the target with the given family-wide ID. On an eager
-// world this is a slice index; on a lazy world a warm (arena-hit) lookup
-// is one atomic load plus an ID compare, and a miss derives the target
-// and caches it. The returned pointer stays valid after eviction, but
-// distinct calls may return distinct (equal-valued) pointers — identity
-// comparisons must use Target.ID.
+// world this is a slice index into the pre-derived targets; on a lazy
+// world every call derives a fresh copy the caller may keep (batch binary
+// search plus a bounded block replay), so distinct calls return distinct,
+// equal-valued pointers and identity comparisons must use Target.ID. A
+// pass over many IDs in ascending order walks instead (Walker).
 //
-//laces:hotpath warm arena hit is one atomic load plus an ID compare
+//laces:hotpath an eager lookup is a slice index
 func (w *World) TargetAt(v6 bool, id int) *Target {
 	f := w.fam(v6)
 	if f.targets != nil {
 		return &f.targets[id]
 	}
-	if f.arena != nil {
-		if t := f.arena.get(id); t != nil {
-			if tel := w.tel; tel != nil {
-				countLookup(&tel.arena, uint64(id), true)
-			}
-			return t
-		}
-	}
-	return w.targetAtMiss(f, id)
+	return w.freshTarget(f.L, id)
 }
 
-// targetAtMiss is TargetAt's cold path: derive, publish to the arena,
-// account the miss.
-func (w *World) targetAtMiss(f *family, id int) *Target {
-	if f.L == nil || id < 0 || id >= f.L.total {
-		panic("netsim: TargetAt index out of range")
-	}
+// freshTarget is TargetAt on a lazy world.
+func (w *World) freshTarget(L *famLayout, id int) *Target {
 	t := new(Target)
-	w.deriveTargetID(f.L, id, t)
-	f.arena.put(t)
-	if tel := w.tel; tel != nil {
-		countLookup(&tel.arena, uint64(id), false)
-	}
+	w.deriveTargetID(L, id, t)
 	return t
 }
 
 // Walker derives one address family's targets for a single goroutine in
 // the order an internal/par shard visits them: ascending IDs, dense or
 // sparse. It owns one Target and derives every requested target into it
-// — no arena lookup, no arena publish, no allocation — so the pointer At
-// returns is valid only until the next At. While the next ID lies ahead
-// in the current batch the walker steps its block cursor forward; it
-// seeks (batch binary search plus checkpoint replay, as TargetAt's
-// derivation does) only when the ID is behind it, in another batch, or
-// past a checkpoint the seek would jump to. Any order is correct;
-// ascending order is what is cheap. On an eager world At is TargetAt's
-// slice index.
+// without allocating, so the pointer At returns is valid only until the
+// next At. While the next ID lies ahead in the current batch the walker
+// steps its block cursor forward; it seeks (batch binary search plus
+// checkpoint replay, as TargetAt's derivation does) only when the ID is
+// behind it, in another batch, or past a checkpoint the seek would jump
+// to. Any order is correct; ascending order is what is cheap. On an
+// eager world At is TargetAt's slice index.
 type Walker struct {
 	all []Target // eager world: the family's pre-derived targets
 
@@ -179,48 +161,33 @@ func (wk *Walker) seek(id int) (*targetBatch, int) {
 // IterTargets streams the family's whole target universe in ID order,
 // invoking fn with consecutive batches of up to batchSize targets
 // (DefaultIterBatch when <= 0). fn returning false stops the iteration.
-// The batch slice is only valid during the callback.
+// The batch slice is only valid during the callback. On a lazy world the
+// batch buffer is reused and derivation walks each announcement block
+// once, so a full sweep is O(n) with O(1) live targets; on an eager world
+// batches are subslices of the pre-derived targets (no copying).
 func (w *World) IterTargets(v6 bool, batchSize int, fn func(batch []Target) bool) {
-	w.IterTargetsRange(v6, 0, w.NumTargets(v6), batchSize, fn)
-}
-
-// IterTargetsRange streams targets with IDs in [lo, hi), in ID order, in
-// batches of up to batchSize. Contiguous ID ranges are exactly the
-// shards internal/par plans (shard s covers [s·n/k, (s+1)·n/k)), so a
-// sharded consumer streams its range without touching any other shard's
-// targets. On a lazy world the batch buffer is reused and derivation
-// walks each announcement block once, so a full sweep is O(n) with O(1)
-// live targets; on an eager world batches are subslices of the
-// pre-derived targets (no copying).
-func (w *World) IterTargetsRange(v6 bool, lo, hi, batchSize int, fn func(batch []Target) bool) {
-	n := w.NumTargets(v6)
-	lo, hi = max(lo, 0), min(hi, n)
-	if lo >= hi {
-		return
-	}
 	if batchSize <= 0 {
 		batchSize = DefaultIterBatch
 	}
 	f := w.fam(v6)
 	if all := f.targets; all != nil {
-		for start := lo; start < hi; start += batchSize {
-			if !fn(all[start:min(start+batchSize, hi)]) {
+		for start := 0; start < len(all); start += batchSize {
+			if !fn(all[start:min(start+batchSize, len(all))]) {
 				return
 			}
 		}
 		return
 	}
 	L := f.L
+	if L == nil {
+		return
+	}
 	buf := make([]Target, 0, batchSize)
-	bi := sort.Search(len(L.batches), func(k int) bool {
-		return L.batches[k].startID > lo
-	}) - 1
 	var bw blockWalker
-	for id := lo; id < hi; bi++ {
+	for bi := range L.batches {
 		b := &L.batches[bi]
-		bl := id - b.startID
-		bw.seek(w.seed, L.v6, b, bl)
-		for ; bl < b.count && id < hi; bl, id = bl+1, id+1 {
+		bw.seek(w.seed, L.v6, b, 0)
+		for bl := 0; bl < b.count; bl++ {
 			for bl >= bw.i+bw.fill {
 				bw.next()
 			}
@@ -299,15 +266,4 @@ func (bw *blockWalker) seekBGP(seed uint64, v6 bool, b *targetBatch, bi int) {
 	for bw.bgp < bi {
 		bw.next()
 	}
-}
-
-// MaterializedTargets returns the number of targets currently resident
-// in memory: the full universe on an eager world, the arena occupancy on
-// a lazy world. It backs the laces_netsim_targets_live gauge.
-func (w *World) MaterializedTargets() int64 {
-	var n int64
-	for i := range w.fams {
-		n += int64(len(w.fams[i].targets)) + w.fams[i].arena.Live()
-	}
-	return n
 }

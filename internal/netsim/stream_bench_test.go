@@ -96,8 +96,7 @@ func BenchmarkIterTargetsLazyPaper(b *testing.B) {
 
 // BenchmarkProbeAnycastLazyPaper measures probing throughput against the
 // lazy paper-scale world: a 4-site deployment probing a slice of the
-// universe through the streaming API, the hot loop of an at-scale
-// census.
+// universe through one Walker, the hot loop of an at-scale census shard.
 func BenchmarkProbeAnycastLazyPaper(b *testing.B) {
 	w := getPaperWorld(b)
 	d, err := w.NewDeployment("bench", []string{"Amsterdam", "New York", "Singapore", "Sao Paulo"}, PolicyUnmodified)
@@ -110,22 +109,20 @@ func BenchmarkProbeAnycastLazyPaper(b *testing.B) {
 	var probes int64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		w.IterTargetsRange(false, 0, span, 0, func(batch []Target) bool {
-			for j := range batch {
-				tg := &batch[j]
-				for wk := 0; wk < d.NumSites(); wk++ {
-					ctx := ProbeCtx{
-						At:   at.Add(time.Duration(wk) * time.Second),
-						Flow: FlowKey{Proto: 0, StaticFlow: 1, VaryingPayload: uint64(wk + 1)},
-						Gap:  time.Second,
-						Seq:  uint64(tg.ID),
-					}
-					w.ProbeAnycast(d, wk, tg, ctx)
-					probes++
+		walker := w.Walker(false)
+		for id := 0; id < span; id++ {
+			tg := walker.At(id)
+			for wk := 0; wk < d.NumSites(); wk++ {
+				ctx := ProbeCtx{
+					At:   at.Add(time.Duration(wk) * time.Second),
+					Flow: FlowKey{Proto: 0, StaticFlow: 1, VaryingPayload: uint64(wk + 1)},
+					Gap:  time.Second,
+					Seq:  uint64(tg.ID),
 				}
+				w.ProbeAnycast(d, wk, tg, ctx)
+				probes++
 			}
-			return true
-		})
+		}
 	}
 	if secs := time.Since(start).Seconds(); secs > 0 {
 		b.ReportMetric(float64(probes)/secs, "probes/s")
@@ -133,29 +130,15 @@ func BenchmarkProbeAnycastLazyPaper(b *testing.B) {
 	b.ReportMetric(heapMB(), "live_heap_MB")
 }
 
-// BenchmarkTargetAtWarm measures the warm arena-hit lookup — the lazy
-// random-access hot path (0 allocs, pinned by TestTargetAtWarmNoAllocs).
-func BenchmarkTargetAtWarm(b *testing.B) {
-	w := getPaperWorld(b)
-	id := w.NumTargets(false) / 2
-	w.TargetAt(false, id)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if w.TargetAt(false, id).ID != id {
-			b.Fatal("wrong target")
-		}
-	}
-}
-
 // BenchmarkDeriveTarget measures per-class derivation cost on the lazy
 // paper-scale IPv6 universe (the family with every class: operator,
 // event, generic and unicast batches). random derives a class's targets
-// by ID in scattered order, the arena's miss path; stream sweeps the
-// class's contiguous ID range the way IterTargetsRange consumers do; walk
-// visits, in ascending order through one Walker, the class's targets a
-// protocol's hitlist holds (those responsive to it), the way a par.Run
-// shard does at that protocol's density. All report ns per derived
-// target on a warm world.
+// by ID in scattered order, a lazy TargetAt's path; dense walks the
+// class's contiguous ID range through one Walker; walk visits, in
+// ascending order through one Walker, the class's targets a protocol's
+// hitlist holds (those responsive to it), the way a par.Run shard does at
+// that protocol's density. All report ns per derived target on a warm
+// world.
 func BenchmarkDeriveTarget(b *testing.B) {
 	w := getPaperWorld(b)
 	L := w.fam(true).L
@@ -180,23 +163,24 @@ func BenchmarkDeriveTarget(b *testing.B) {
 				w.deriveTargetID(L, lo+(i*7919)%n, &t)
 			}
 		})
-		b.Run(c.name+"/stream", func(b *testing.B) {
-			for left := b.N; left > 0; {
-				n := min(left, hi-lo)
-				w.IterTargetsRange(true, lo, lo+n, 0, func([]Target) bool { return true })
-				left -= n
+		b.Run(c.name+"/dense", func(b *testing.B) {
+			var wk *Walker
+			for i := 0; i < b.N; i++ {
+				k := i % (hi - lo)
+				if k == 0 {
+					wk = w.Walker(true) // each pass starts a fresh walk
+				}
+				wk.At(lo + k)
 			}
 		})
 		for _, proto := range packet.Protocols() {
 			var ids []int
-			w.IterTargetsRange(true, lo, hi, 0, func(batch []Target) bool {
-				for i := range batch {
-					if batch[i].Responsive[proto] {
-						ids = append(ids, batch[i].ID)
-					}
+			wk := w.Walker(true)
+			for id := lo; id < hi; id++ {
+				if wk.At(id).Responsive[proto] {
+					ids = append(ids, id)
 				}
-				return true
-			})
+			}
 			if len(ids) == 0 {
 				continue
 			}

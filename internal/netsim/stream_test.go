@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -65,8 +66,8 @@ func TestLazyEagerEquivalence(t *testing.T) {
 			if e, l := streamFingerprint(eager, v6), streamFingerprint(lazy, v6); e != l {
 				t.Errorf("seed %#x v6=%v: universe fingerprints differ: eager=%x lazy=%x", seed, v6, e, l)
 			}
-			// Random access agrees with streaming, and is stable across
-			// repeated lookups (arena hit after miss).
+			// Random access agrees with streaming, and repeated lookups
+			// derive the same target.
 			n := lazy.NumTargets(v6)
 			for _, id := range []int{0, 1, n / 3, n / 2, n - 2, n - 1} {
 				a, b := lazy.TargetAt(v6, id), lazy.TargetAt(v6, id)
@@ -83,43 +84,30 @@ func TestLazyEagerEquivalence(t *testing.T) {
 	}
 }
 
-// TestIterTargetsRangeShards pins the sharding contract: contiguous
-// ranges concatenated in order reproduce the full iteration exactly, so
-// internal/par shards see the same universe as a sequential sweep.
-func TestIterTargetsRangeShards(t *testing.T) {
+// TestWalkerShardsMatchIterTargets pins the sharding contract: one
+// Walker per contiguous ID range, the shards internal/par plans, walks
+// exactly the targets a sequential IterTargets sweep yields, in order.
+func TestWalkerShardsMatchIterTargets(t *testing.T) {
 	w, err := New(lazyConfig(0x1ace5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := w.NumTargets(false)
-	var full []int
+	var full []Target
 	w.IterTargets(false, 100, func(batch []Target) bool {
-		for i := range batch {
-			full = append(full, batch[i].ID)
-		}
+		full = append(full, batch...)
 		return true
 	})
 	if len(full) != n {
 		t.Fatalf("full iteration yielded %d of %d targets", len(full), n)
 	}
-	var sharded []int
 	for _, shards := range []int{3, 7} {
-		sharded = sharded[:0]
 		for s := 0; s < shards; s++ {
-			lo, hi := s*n/shards, (s+1)*n/shards
-			w.IterTargetsRange(false, lo, hi, 64, func(batch []Target) bool {
-				for i := range batch {
-					sharded = append(sharded, batch[i].ID)
+			wk := w.Walker(false)
+			for id := s * n / shards; id < (s+1)*n/shards; id++ {
+				if got := wk.At(id); !reflect.DeepEqual(got, &full[id]) {
+					t.Fatalf("%d shards: shard %d walks target %d unlike the sweep", shards, s, id)
 				}
-				return true
-			})
-		}
-		if len(sharded) != len(full) {
-			t.Fatalf("%d shards yielded %d of %d targets", shards, len(sharded), len(full))
-		}
-		for i := range full {
-			if sharded[i] != full[i] {
-				t.Fatalf("%d shards: position %d has ID %d, want %d", shards, i, sharded[i], full[i])
 			}
 		}
 	}
@@ -177,64 +165,45 @@ func TestFindTarget(t *testing.T) {
 	}
 }
 
-// TestTargetAtWarmNoAllocs pins the satellite hot-path guarantee: a warm
-// arena-hit lookup performs zero allocations.
-func TestTargetAtWarmNoAllocs(t *testing.T) {
-	w, err := New(lazyConfig(0x1ace5))
+// TestTargetAtFreshCopy pins a lazy TargetAt: every call derives a
+// fresh copy, DeepEqual to a walker's target and to the eager world's,
+// that the caller may keep and change without touching the next call's.
+func TestTargetAtFreshCopy(t *testing.T) {
+	eager, err := New(TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := w.NumTargets(false) / 2
-	w.TargetAt(false, id) // prime the arena
-	if n := testing.AllocsPerRun(100, func() {
-		if w.TargetAt(false, id).ID != id {
-			t.Fatal("wrong target")
+	lazy, err := New(lazyConfig(TestConfig().Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v6 := range []bool{false, true} {
+		wk := lazy.Walker(v6)
+		for id := range lazy.NumTargets(v6) {
+			got := lazy.TargetAt(v6, id)
+			if want := eager.TargetAt(v6, id); !reflect.DeepEqual(got, want) {
+				t.Fatalf("v6=%v: TargetAt(%d) differs from the eager world's", v6, id)
+			}
+			if walked := wk.At(id); !reflect.DeepEqual(got, walked) {
+				t.Fatalf("v6=%v: TargetAt(%d) differs from the walker's", v6, id)
+			}
+			// The slices a derivation fills are the copy's own.
+			for i := range got.TempWindows {
+				got.TempWindows[i] = DayRange{}
+			}
+			for i := range got.PartialAddrs {
+				got.PartialAddrs[i] = 0
+			}
+			*got = Target{}
+			if next := lazy.TargetAt(v6, id); next == got || !reflect.DeepEqual(next, eager.TargetAt(v6, id)) {
+				t.Fatalf("v6=%v: changing TargetAt(%d)'s result changed the next call's", v6, id)
+			}
 		}
-	}); n != 0 {
-		t.Fatalf("warm TargetAt allocates %.1f per run, want 0", n)
-	}
-	// The same holds with telemetry installed (one striped add).
-	w.SetTelemetry(&Telemetry{})
-	if n := testing.AllocsPerRun(100, func() {
-		w.TargetAt(false, id)
-	}); n != 0 {
-		t.Fatalf("warm TargetAt with telemetry allocates %.1f per run, want 0", n)
 	}
 }
 
-// TestArenaTelemetry pins the satellite observability contract: arena
-// hits/misses and the live-target gauge count lazy lookups, nil-safely.
-func TestArenaTelemetry(t *testing.T) {
-	var nilTel *Telemetry
-	if nilTel.ArenaHits() != 0 || nilTel.ArenaMisses() != 0 || nilTel.LiveTargets() != 0 {
-		t.Fatal("nil telemetry must report zeros")
-	}
-	w, err := New(lazyConfig(0x1ace5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tel := &Telemetry{}
-	w.SetTelemetry(tel)
-	w.TargetAt(false, 10) // miss: derive + publish
-	w.TargetAt(false, 10) // hit
-	w.TargetAt(false, 10) // hit
-	if m := tel.ArenaMisses(); m != 1 {
-		t.Fatalf("ArenaMisses = %d, want 1", m)
-	}
-	if h := tel.ArenaHits(); h != 2 {
-		t.Fatalf("ArenaHits = %d, want 2", h)
-	}
-	if l := tel.LiveTargets(); l != 1 {
-		t.Fatalf("LiveTargets = %d, want 1", l)
-	}
-	if live := w.MaterializedTargets(); live != 1 {
-		t.Fatalf("MaterializedTargets = %d, want 1", live)
-	}
-}
-
-// TestLazyBoundedMemory pins the tentpole memory contract: peak live heap
-// of a lazy world stays under a fixed ceiling regardless of the target
-// count, and the arena occupancy never exceeds its configured bound.
+// TestLazyBoundedMemory pins the lazy memory contract: peak live heap
+// of a lazy world stays under a fixed ceiling regardless of the target count.
 func TestLazyBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large worlds: skipped in -short")
@@ -253,7 +222,7 @@ func TestLazyBoundedMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Sweep the whole universe and scatter random lookups: the world
-		// must not accumulate targets beyond the arena.
+		// must not accumulate the targets it derives.
 		count := 0
 		w.IterTargets(false, 0, func(batch []Target) bool { count += len(batch); return true })
 		if count != targets {
@@ -261,9 +230,6 @@ func TestLazyBoundedMemory(t *testing.T) {
 		}
 		for id := 0; id < targets; id += targets / 1000 {
 			w.TargetAt(false, id)
-		}
-		if live, bound := w.MaterializedTargets(), int64(2*arenaSlots); live > bound {
-			t.Fatalf("%d targets: %d live exceeds arena bound %d", targets, live, bound)
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)

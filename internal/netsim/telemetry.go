@@ -41,17 +41,9 @@ type Telemetry struct {
 	cacheReply obs.Striped // lo: lookups, hi: misses
 	cacheSite  obs.Striped // lo: lookups, hi: misses
 
-	// arena counts TargetAt lookups on lazy worlds (lo: lookups, hi:
-	// derivation misses). Eager worlds never touch it.
-	arena obs.Striped
-
 	// walk counts Walker derivations on lazy worlds; eager worlds never
 	// touch it.
 	walk obs.Striped
-
-	// live reads the world's materialized-target occupancy; installed by
-	// SetTelemetry, read at scrape time by the targets-live gauge.
-	live func() int64
 }
 
 // countProbe records one probe (and its reply, when delivered) with a
@@ -150,39 +142,12 @@ func (t *Telemetry) CacheMissesSite() int64 {
 	return m
 }
 
-// ArenaHits returns target-arena lookups answered from the arena.
-func (t *Telemetry) ArenaHits() int64 {
-	if t == nil {
-		return 0
-	}
-	n, m := t.arena.Split()
-	return n - m
-}
-
-// ArenaMisses returns target-arena lookups that derived the target.
-func (t *Telemetry) ArenaMisses() int64 {
-	if t == nil {
-		return 0
-	}
-	_, m := t.arena.Split()
-	return m
-}
-
 // WalkDerivations returns the targets Walkers derived.
 func (t *Telemetry) WalkDerivations() int64 {
 	if t == nil {
 		return 0
 	}
 	return t.walk.Value()
-}
-
-// LiveTargets returns the number of targets currently materialized in
-// the world the telemetry is installed on (0 before installation).
-func (t *Telemetry) LiveTargets() int64 {
-	if t == nil || t.live == nil {
-		return 0
-	}
-	return t.live()
 }
 
 // Register exposes the telemetry as func-backed registry series, read
@@ -211,16 +176,7 @@ func (t *Telemetry) Register(r *obs.Registry) {
 		func() float64 { return float64(t.CacheMissesReply()) }, obs.L("cache", "reply"))
 	r.CounterFunc("laces_netsim_cache_misses_total", misses,
 		func() float64 { return float64(t.CacheMissesSite()) }, obs.L("cache", "site"))
-	r.CounterFunc("laces_netsim_arena_hits_total",
-		"Target-arena lookups answered from the arena.",
-		func() float64 { return float64(t.ArenaHits()) })
-	r.CounterFunc("laces_netsim_arena_misses_total",
-		"Target-arena lookups that derived the target.",
-		func() float64 { return float64(t.ArenaMisses()) })
 	r.CounterFunc("laces_netsim_walk_derivations_total",
-		"Targets derived by shard walkers, without the arena.",
+		"Targets derived by walkers on a lazy world.",
 		func() float64 { return float64(t.WalkDerivations()) })
-	r.GaugeFunc("laces_netsim_targets_live",
-		"Targets currently materialized in memory.",
-		func() float64 { return float64(t.LiveTargets()) })
 }

@@ -86,9 +86,6 @@ func (w *World) Impairer() Impairer { return w.imp }
 // telemetry installed the probe hot path pays a single nil check;
 // counting never alters measurement results.
 func (w *World) SetTelemetry(t *Telemetry) {
-	if t != nil {
-		t.live = w.MaterializedTargets
-	}
 	w.tel = t
 	w.cache.tel = t
 }

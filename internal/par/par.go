@@ -20,9 +20,9 @@
 // Run also resolves every item's target, so a stage body is only "what to
 // do with one *netsim.Target". Resolution walks: the admission pre-pass
 // and each shard derive their items in order through their own
-// netsim.Walker, never through the world's target arena, so the target
-// a body (or demand) is handed is valid only for the duration of the
-// call — copy what must outlive it. An item whose ID is outside the
+// netsim.Walker, never through World.TargetAt, so the target a body (or
+// demand) is handed is valid only for the duration of the call — copy
+// what must outlive it. An item whose ID is outside the
 // world is not demand: it passes admission uncharged, is never probed,
 // and still ticks progress (the stage total counts it).
 //
