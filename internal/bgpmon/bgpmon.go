@@ -19,7 +19,6 @@ package bgpmon
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"github.com/laces-project/laces/internal/gcdmeas"
@@ -62,8 +61,9 @@ type Event struct {
 	Origin   netsim.ASN
 }
 
-// Feed replays the routing-visible changes of one census day, in target
-// order — the simulated equivalent of a RouteViews/RIS update stream.
+// Feed replays the routing-visible changes of one census day, in
+// ascending target ID order (IterTargets' own) — the simulated
+// equivalent of a RouteViews/RIS update stream.
 func Feed(w *netsim.World, v6 bool, day int) []Event {
 	var out []Event
 	w.IterTargets(v6, 0, func(batch []netsim.Target) bool {
@@ -85,7 +85,6 @@ func Feed(w *netsim.World, v6 bool, day int) []Event {
 		}
 		return true
 	})
-	sort.Slice(out, func(a, b int) bool { return out[a].TargetID < out[b].TargetID })
 	return out
 }
 

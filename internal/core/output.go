@@ -137,17 +137,17 @@ func protoNames(flags [3]bool) []string {
 	return out
 }
 
-// sortedEntries returns entries in canonical census order: numerically by
-// prefix (address, then length) — not by Prefix.String(), which would
-// sort "10.0.0.0/24" before "2.0.0.0/24".
+// sortedEntries returns entries in canonical census order, numerically
+// by prefix (ComparePrefix), which is target ID order: the simulated
+// world allocates one prefix length per family in strictly ascending
+// address order by ID (pinned by netsim's TestTargetIDOrderIsPrefixOrder),
+// so an integer sort gives the same bytes without parsing a prefix.
 func (c *DailyCensus) sortedEntries() []*Entry {
 	out := make([]*Entry, 0, len(c.Entries))
 	for _, e := range c.Entries {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return ComparePrefix(out[i].Prefix, out[j].Prefix) < 0
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].TargetID < out[j].TargetID })
 	return out
 }
 

@@ -11,7 +11,7 @@ import (
 // (backed by the layout and the derivation path):
 //
 //   - NumTargets / TargetAt: random access by family-wide target ID; on a
-//     lazy world each call derives a fresh copy (screen, the fabric, the
+//     lazy world each call derives a fresh copy (screen, the
 //     experiments' spot lookups).
 //   - Walker: one goroutine's pass over an ascending ID sequence, dense
 //     or sparse (each internal/par shard has one, as do detect's fold,
@@ -20,7 +20,8 @@ import (
 //   - IterTargets: ID-ordered batched streaming over the whole family;
 //     the batch slice is reused between invocations, so callers must not
 //     retain it (copy what outlives the callback).
-//   - FindTarget: lookup by prefix or address.
+//   - FindTarget: lookup by prefix or address, a binary search over IDs
+//     (target ID order is prefix address order).
 //   - BGPPrefixAt: the announcement table, derived from the layout in
 //     both modes.
 //
@@ -208,23 +209,25 @@ func (w *World) IterTargets(v6 bool, batchSize int, fn func(batch []Target) bool
 
 // FindTarget returns the target whose prefix is p or, when p is a single
 // address (/32, /128), whose prefix covers it; nil when there is none.
-// The address family is p's own. The search streams the universe, so it
-// works on a lazy world without materializing it, and the result is a
+// The address family is p's own. The layout allocates prefixes in
+// ascending address order by target ID, without overlap, so the search
+// is binary: it derives about log₂ n targets through one Walker and
+// takes the last one whose prefix address is ≤ p's. The result is a
 // copy the caller may keep.
 func (w *World) FindTarget(p netip.Prefix) *Target {
 	a, single := p.Addr(), p.IsSingleIP()
-	var found *Target
-	w.IterTargets(a.Is6() && !a.Is4In6(), 0, func(batch []Target) bool {
-		for i := range batch {
-			if tp := batch[i].Prefix; tp == p || single && tp.Contains(a) {
-				tg := batch[i] // the batch buffer is reused
-				found = &tg
-				return false
-			}
-		}
-		return true
+	v6 := a.Is6() && !a.Is4In6()
+	wk := w.Walker(v6)
+	i := sort.Search(w.NumTargets(v6), func(id int) bool {
+		return wk.At(id).Prefix.Addr().Compare(a) > 0
 	})
-	return found
+	if i == 0 {
+		return nil // no target's prefix starts at or below a
+	}
+	if tg := *wk.At(i - 1); tg.Prefix == p || single && tg.Prefix.Contains(a) {
+		return &tg
+	}
+	return nil
 }
 
 // BGPPrefixAt returns the BGP announcement with the given family-wide

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"net/netip"
 	"runtime"
 	"sync"
 	"testing"
@@ -92,6 +93,30 @@ func BenchmarkIterTargetsLazyPaper(b *testing.B) {
 		b.ReportMetric(float64(derived)/secs, "targets/s")
 	}
 	b.ReportMetric(heapMB(), "live_heap_MB")
+}
+
+// BenchmarkFindTargetLazyPaper measures one lookup by representative
+// address on the lazy paper-scale IPv4 universe, for the first, middle
+// and last target ID: a binary search over IDs, about log₂ n derivations
+// and a constant allocation count whatever the world's size.
+func BenchmarkFindTargetLazyPaper(b *testing.B) {
+	w := getPaperWorld(b)
+	n := w.NumTargets(false)
+	for _, c := range []struct {
+		name string
+		id   int
+	}{{"first", 0}, {"middle", n / 2}, {"last", n - 1}} {
+		tg := w.TargetAt(false, c.id)
+		addr := netip.PrefixFrom(tg.Addr, tg.Addr.BitLen())
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := w.FindTarget(addr); got == nil || got.ID != c.id {
+					b.Fatalf("FindTarget(%s) missed target %d", addr, c.id)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkProbeAnycastLazyPaper measures probing throughput against the

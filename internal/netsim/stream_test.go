@@ -122,8 +122,53 @@ func TestWalkerShardsMatchIterTargets(t *testing.T) {
 	}
 }
 
+// TestTargetIDOrderIsPrefixOrder pins the layout's address allocation,
+// which FindTarget's binary search and the census's row order rely on:
+// in every shipped config each family has one prefix length, and masked
+// prefix addresses strictly ascend with target ID, so no two prefixes
+// overlap. The paper-scale world is lazy.
+func TestTargetIDOrderIsPrefixOrder(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"test", TestConfig()}, {"default", DefaultConfig()}, {"paper", PaperScaleConfig()}} {
+		w, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v6 := range []bool{false, true} {
+			var prev netip.Prefix
+			n := 0
+			w.IterTargets(v6, 0, func(batch []Target) bool {
+				for i := range batch {
+					p := batch[i].Prefix
+					switch {
+					case batch[i].ID != n:
+						t.Fatalf("%s v6=%v: target %d streamed at position %d", c.name, v6, batch[i].ID, n)
+					case p != p.Masked() || p.Addr().Is6() != v6 || p.Addr().Is4In6():
+						t.Fatalf("%s v6=%v: target %d has prefix %s, not a masked prefix of its family", c.name, v6, n, p)
+					case n > 0 && p.Bits() != prev.Bits():
+						t.Fatalf("%s v6=%v: target %d is a /%d, target %d a /%d", c.name, v6, n, p.Bits(), n-1, prev.Bits())
+					case n > 0 && p.Addr().Compare(prev.Addr()) <= 0:
+						t.Fatalf("%s v6=%v: target %d (%s) does not follow target %d (%s)", c.name, v6, n, p, n-1, prev)
+					}
+					prev = p
+					n++
+				}
+				return true
+			})
+			if n != w.NumTargets(v6) || n == 0 {
+				t.Fatalf("%s v6=%v: streamed %d of %d targets", c.name, v6, n, w.NumTargets(v6))
+			}
+		}
+	}
+}
+
 // TestFindTarget covers v4/v6 × prefix/address/miss on an eager and a
-// lazy world: the family searched is the argument's own.
+// lazy world: the family searched is the argument's own. The edge rows
+// steer the binary search to its ends: ID 0, an address below every
+// target, one above the last target, and a 4-in-6-mapped IPv4 address,
+// which matches neither family.
 func TestFindTarget(t *testing.T) {
 	eager, err := New(TestConfig())
 	if err != nil {
@@ -134,31 +179,39 @@ func TestFindTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	single := func(a netip.Addr) netip.Prefix { return netip.PrefixFrom(a, a.BitLen()) }
+	pick := func(v4, v6 string, isV6 bool) string { return map[bool]string{false: v4, true: v6}[isV6] }
 	for name, w := range map[string]*World{"eager": eager, "lazy": lazy} {
+		mapped := single(netip.AddrFrom16(w.TargetAt(false, 0).Addr.As16()))
 		for _, v6 := range []bool{false, true} {
 			// A late target, so the search crosses batch boundaries.
-			want := *w.TargetAt(v6, w.NumTargets(v6)-7)
+			late := *w.TargetAt(v6, w.NumTargets(v6)-7)
+			first := *w.TargetAt(v6, 0)
 			for _, c := range []struct {
 				what string
 				arg  netip.Prefix
-				hit  bool
+				want *Target // nil: no target
 			}{
-				{"prefix", want.Prefix, true},
-				{"representative address", single(want.Addr), true},
-				{"other covered address", single(want.Prefix.Addr()), true},
-				{"wider prefix", netip.PrefixFrom(want.Prefix.Addr(), want.Prefix.Bits()-1), false},
-				{"unrouted prefix", netip.MustParsePrefix(map[bool]string{false: "240.0.0.0/24", true: "fe80::/48"}[v6]), false},
-				{"unrouted address", single(netip.MustParseAddr(map[bool]string{false: "240.0.0.1", true: "fe80::1"}[v6])), false},
+				{"prefix", late.Prefix, &late},
+				{"representative address", single(late.Addr), &late},
+				{"other covered address", single(late.Prefix.Addr()), &late},
+				{"wider prefix", netip.PrefixFrom(late.Prefix.Addr(), late.Prefix.Bits()-1), nil},
+				{"unrouted prefix", netip.MustParsePrefix(pick("240.0.0.0/24", "fe80::/48", v6)), nil},
+				{"unrouted address", single(netip.MustParseAddr(pick("240.0.0.1", "fe80::1", v6))), nil},
+				{"ID 0's prefix", first.Prefix, &first},
+				{"ID 0's representative address", single(first.Addr), &first},
+				{"address below every target", single(netip.MustParseAddr(pick("0.0.0.1", "::1", v6))), nil},
+				{"address above the last target", single(netip.MustParseAddr(pick("255.255.255.255", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff", v6))), nil},
+				{"4-in-6-mapped address of ID 0", mapped, nil},
 			} {
 				got := w.FindTarget(c.arg)
 				switch {
-				case !c.hit && got != nil:
+				case c.want == nil && got != nil:
 					t.Errorf("%s v6=%v %s %s: found target %d, want none", name, v6, c.what, c.arg, got.ID)
-				case c.hit && got == nil:
+				case c.want != nil && got == nil:
 					t.Errorf("%s v6=%v %s %s: not found", name, v6, c.what, c.arg)
-				case c.hit && (got.ID != want.ID || got.Prefix != want.Prefix || got.Addr != want.Addr):
+				case c.want != nil && (got.ID != c.want.ID || got.Prefix != c.want.Prefix || got.Addr != c.want.Addr):
 					t.Errorf("%s v6=%v %s %s: found target %d (%s), want %d (%s)",
-						name, v6, c.what, c.arg, got.ID, got.Prefix, want.ID, want.Prefix)
+						name, v6, c.what, c.arg, got.ID, got.Prefix, c.want.ID, c.want.Prefix)
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
+	"net/netip"
 	"reflect"
 	"sync"
 	"testing"
@@ -84,7 +86,7 @@ func panicOf(f func()) (v any) {
 // sequence — dense and sparse ascending runs, backward jumps, batch and
 // checkpoint crossings, IDs outside the family — every At is DeepEqual to
 // TargetAt's fresh derivation, and an ID TargetAt rejects, At rejects with
-// the same panic.
+// the same panic. Two successive IDs of the sequence keep prefix order.
 func FuzzTargetWalk(f *testing.F) {
 	f.Add(false, []byte{0, 31, 0, 31, 1, 3, 0, 5, 2, 4, 0, 2})
 	f.Add(true, []byte{0, 31, 0, 31, 1, 3, 0, 5, 2, 4, 0, 2})
@@ -96,6 +98,7 @@ func FuzzTargetWalk(f *testing.F) {
 	bounds := map[bool][]int{false: walkBoundaries(w.fam(false).L), true: walkBoundaries(w.fam(true).L)}
 	f.Fuzz(func(t *testing.T, v6 bool, data []byte) {
 		wk := w.Walker(v6)
+		prevID, prev := -1, netip.Prefix{}
 		for _, id := range walkIDs(data, w.NumTargets(v6), bounds[v6]) {
 			var got, want *Target
 			gotPanic := panicOf(func() { got = wk.At(id) })
@@ -109,6 +112,11 @@ func FuzzTargetWalk(f *testing.F) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("v6=%v id %d: At differs from TargetAt\n got %+v\nwant %+v", v6, id, *got, *want)
 			}
+			// Target ID order is prefix order (TestTargetIDOrderIsPrefixOrder).
+			if p := got.Prefix; prevID >= 0 && (p.Bits() != prev.Bits() || prev.Addr().Compare(p.Addr()) != cmp.Compare(prevID, id)) {
+				t.Fatalf("v6=%v: target %d (%s) and target %d (%s) are out of prefix order", v6, prevID, prev, id, p)
+			}
+			prevID, prev = id, got.Prefix
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -155,6 +156,72 @@ func TestAggregatesDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("aggregates sidecar bytes differ across identical builds")
 	}
+}
+
+// FuzzAggOpen feeds arbitrary bytes to a real index's aggregates sidecar.
+// Open and Aggregates must not panic; a rejected sidecar must give the
+// same Aggregates as computing them from the rows, and an accepted one
+// must carry this index's schema and fingerprint. Open plus Aggregates
+// may allocate at most twice what the real sidecar or a row scan costs,
+// plus a fixed multiple of the input's length.
+func FuzzAggOpen(f *testing.F) {
+	dir, ix := buildIndex(f, synthChain(8, 20))
+	path := filepath.Join(dir, IndexFileName)
+	want, err := ix.computeAggregates()
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, err := os.ReadFile(AggregatesPath(path))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])                                                       // torn
+	f.Add(bytes.Replace(good, []byte(aggSchema), []byte("laces-aggregates/v0"), 1)) // other schema
+	f.Add(bytes.Replace(good, []byte(ix.Fingerprint()), []byte("stale"), 1))        // other index
+	f.Add([]byte(`{"schema":"laces-aggregates/v1","families":[{"series":[{}]}]}`))
+
+	// What reading the real sidecar, or scanning the rows, allocates: the
+	// fixed part of the bound.
+	_, _, accepted := openAggregates(f, path, good)
+	_, _, scanned := openAggregates(f, path, []byte("{"))
+	base := max(accepted, scanned)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ag, precomputed, alloc := openAggregates(t, path, data)
+		if limit := 2*base + 64*uint64(len(data)); alloc > limit {
+			t.Fatalf("Open+Aggregates with a %d-byte sidecar allocated %d bytes, over the bound %d", len(data), alloc, limit)
+		}
+		switch {
+		case !precomputed && !reflect.DeepEqual(ag, want):
+			t.Fatal("a rejected sidecar gave aggregates unlike a row scan's")
+		case precomputed && (ag.Schema != aggSchema || ag.Fingerprint != want.Fingerprint):
+			t.Fatalf("accepted a sidecar of schema %q, fingerprint %q", ag.Schema, ag.Fingerprint)
+		}
+	})
+}
+
+// openAggregates writes sidecar next to the index at path, opens the
+// index and asks for its aggregates. It returns them, whether they came
+// from the sidecar, and the bytes Open and Aggregates allocated.
+func openAggregates(t testing.TB, path string, sidecar []byte) (*Aggregates, bool, uint64) {
+	t.Helper()
+	if err := os.WriteFile(AggregatesPath(path), sidecar, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ix, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	ag, err := ix.Aggregates()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ag, ix.AggregatesPrecomputed(), after.TotalAlloc - before.TotalAlloc
 }
 
 // BenchmarkQueryEventsWindow measures the windowed event scan: the

@@ -25,9 +25,6 @@ type SimProber struct {
 	World      *netsim.World
 	Deployment *netsim.Deployment
 	Self       int
-
-	index map[netip.Addr]int // representative address → target ID, per family
-	v6    bool
 }
 
 // NewSimProber builds a prober for one worker site.
@@ -38,33 +35,19 @@ func NewSimProber(w *netsim.World, d *netsim.Deployment, self int) (*SimProber, 
 	return &SimProber{World: w, Deployment: d, Self: self}, nil
 }
 
-// buildIndex maps representative addresses to targets for one family.
-func (p *SimProber) buildIndex(v6 bool) {
-	if p.index != nil && p.v6 == v6 {
-		return
-	}
-	p.index = make(map[netip.Addr]int, p.World.NumTargets(v6))
-	p.World.IterTargets(v6, 0, func(batch []netsim.Target) bool {
-		for i := range batch {
-			p.index[batch[i].Addr] = batch[i].ID
-		}
-		return true
-	})
-	p.v6 = v6
-}
-
 // ProbeTarget implements Prober.
 func (p *SimProber) ProbeTarget(def wire.MeasurementDef, addr netip.Addr, txTime time.Time) ([]Reply, error) {
 	proto, err := packet.ParseProtocol(def.Protocol)
 	if err != nil {
 		return nil, err
 	}
-	p.buildIndex(def.V6)
-	id, ok := p.index[addr]
-	if !ok {
-		return nil, nil // address not part of the simulated world: silence
+	// Only a target's representative address answers, and only under a
+	// definition of its own family (the definition arrives over the
+	// wire); any other address is silent.
+	tg := p.World.FindTarget(netip.PrefixFrom(addr, addr.BitLen()))
+	if tg == nil || tg.Addr != addr || addr.Is6() != def.V6 {
+		return nil, nil
 	}
-	tg := p.World.TargetAt(def.V6, id)
 	offset := time.Duration(def.OffsetMS) * time.Millisecond
 
 	var replies []Reply
@@ -78,7 +61,7 @@ func (p *SimProber) ProbeTarget(def wire.MeasurementDef, addr netip.Addr, txTime
 			At:   identity.TxTime,
 			Flow: netsim.FlowKey{Proto: proto, StaticFlow: uint64(def.ID) + 1, VaryingPayload: uint64(wk + 1)},
 			Gap:  offset,
-			Seq:  uint64(id),
+			Seq:  uint64(tg.ID),
 		}
 		del, ok := p.World.ProbeAnycast(p.Deployment, wk, tg, ctx)
 		if !ok || del.WorkerIdx != p.Self {

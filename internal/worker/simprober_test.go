@@ -2,6 +2,7 @@ package worker
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -148,6 +149,67 @@ func TestProbeTargetUnknownAddress(t *testing.T) {
 	replies, err := p.ProbeTarget(def, netip.MustParseAddr("203.0.113.99"), time.Now())
 	if err != nil || len(replies) != 0 {
 		t.Fatalf("unknown address: %v, %d replies", err, len(replies))
+	}
+}
+
+// answering returns a target of def's family whose representative
+// address answers def's probe at prober p's site, with the replies it gets.
+func answering(t *testing.T, p *SimProber, def wire.MeasurementDef, at time.Time) (*netsim.Target, []Reply) {
+	t.Helper()
+	for i := range testWorld.NumTargets(def.V6) {
+		tg := testWorld.TargetAt(def.V6, i)
+		if tg.Addr == tg.Prefix.Addr() {
+			continue // the silence test needs a covered, non-representative address
+		}
+		replies, err := p.ProbeTarget(def, tg.Addr, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(replies) > 0 {
+			return tg, replies
+		}
+	}
+	t.Fatalf("v6=%v: no target answers at site %d", def.V6, p.Self)
+	return nil, nil
+}
+
+// TestProbeTargetSilence pins which addresses answer: only a target's
+// representative address, under a definition of its own family. A
+// covered but non-representative address, an unrouted address, and a
+// representative address under the other family's definition are silent
+// (no replies, no error). One prober alternating IPv4 and IPv6
+// definitions answers both, as fresh probers do.
+func TestProbeTargetSilence(t *testing.T) {
+	at := time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)
+	fresh := func() *SimProber {
+		p, err := NewSimProber(testWorld, testDep, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p := fresh()
+	for _, v6 := range []bool{false, true, false, true} {
+		def := wire.MeasurementDef{ID: 9, Protocol: "ICMP", OffsetMS: 1000, V6: v6}
+		tg, want := answering(t, fresh(), def, at)
+		if got, err := p.ProbeTarget(def, tg.Addr, at); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("v6=%v: alternating prober got %v (err %v) from target %d, a fresh one %v", v6, got, err, tg.ID, want)
+		}
+		other := def
+		other.V6 = !v6
+		for _, c := range []struct {
+			what string
+			def  wire.MeasurementDef
+			addr netip.Addr
+		}{
+			{"covered, non-representative address", def, tg.Prefix.Addr()},
+			{"unrouted address", def, netip.MustParseAddr(map[bool]string{false: "240.0.0.1", true: "fe80::1"}[v6])},
+			{"representative address, other family's definition", other, tg.Addr},
+		} {
+			if got, err := p.ProbeTarget(c.def, c.addr, at); got != nil || err != nil {
+				t.Errorf("v6=%v %s %s: got %v, err %v; want silence", v6, c.what, c.addr, got, err)
+			}
+		}
 	}
 }
 
