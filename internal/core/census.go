@@ -19,11 +19,12 @@
 // usages — and each phase is a child of the day's census span, with the
 // measurement stages' spans under the phase that runs them:
 //
-//	begin     opens the census span, then (as the hitlist child) builds the
-//	          hitlist; compiles the chaos plan into the world's impairer,
-//	          the missing-site mask and the complaint count; takes the
-//	          ledger's gate for the day and steps the rate. Reads Pipeline
-//	          configuration only.
+//	begin     opens the census span, then (as the hitlist child) takes the
+//	          hitlist the pipeline kept for the day's quarter, or builds
+//	          the quarter's per-protocol ID lists; compiles the chaos plan
+//	          into the world's impairer, the missing-site mask and the
+//	          complaint count; takes the ledger's gate for the day and
+//	          steps the rate. Reads Pipeline state only.
 //	detect    stage 1: one anycast-based run per protocol, in
 //	          packet.Protocols() order, back to back on the day's clock;
 //	          folds candidates into rows.
@@ -33,17 +34,19 @@
 //	          under gcdmeas's §4.3 protocol rule; folds the verdicts.
 //	screen    optional stage 4 (ConfirmGlobalBGP): traceroute screening of ℳ.
 //	publish   the governance block, then the only writes to Pipeline state:
+//	          the day's hitlist is kept for the rest of its quarter,
 //	          today's confirmations join the feedback list, today's |𝒢|
 //	          joins the monitoring baseline (after the alerts were
 //	          evaluated against it).
 //
 // Phases before publish write the day and nothing else, which is what
 // makes a day abandonable: when detect, confirm or screen returns an
-// error, RunDaily returns it and the pipeline's feedback list and baseline
-// are what they were — the next day's document is the one a pipeline that
-// never attempted the failed day would publish. What a failed day does
-// leave behind is what its stages already charged the ledger (the probes
-// were sent), and the world's impairer is always uninstalled.
+// error, RunDaily returns it and the pipeline's feedback list, baseline
+// and kept hitlist are what they were — the next day's document is the
+// one a pipeline that never attempted the failed day would publish. What
+// a failed day does leave behind is what its stages already charged the
+// ledger (the probes were sent), and the world's impairer is always
+// uninstalled.
 //
 // Measure is the same detect and confirm on a day whose hitlist is one
 // target: the API's live measurement.
@@ -58,6 +61,7 @@ import (
 
 	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/chaos"
+	"github.com/laces-project/laces/internal/hitlist"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
@@ -247,8 +251,9 @@ type Pipeline struct {
 	World *netsim.World
 	Cfg   Config
 
-	feedback [2]map[int]bool // [v4, v6] fed-back target IDs
-	baseline [2][]int        // trailing 𝒢 sizes for monitoring
+	feedback [2]map[int]bool   // [v4, v6] fed-back target IDs
+	baseline [2][]int          // trailing 𝒢 sizes for monitoring
+	lists    [2]*hitlist.Lists // [v4, v6] the last published day's hitlist
 
 	// ledger is the probe-budget accountant, nil when the configuration
 	// carries no budget and no opt-outs (the ungoverned fast path).
@@ -297,6 +302,14 @@ func famIdx(v6 bool) int {
 		return 1
 	}
 	return 0
+}
+
+// family names an address family as documents and metric labels do.
+func family(v6 bool) string {
+	if v6 {
+		return "ipv6"
+	}
+	return "ipv4"
 }
 
 // SeedFeedback injects prefixes into the feedback loop — typically the

@@ -41,9 +41,9 @@ type censusDay struct {
 	// reports the receiving-VP count whatever it is.
 	everyReply bool
 
-	hl      *hitlist.Hitlist
-	gate    *budget.Gate // nil when ungoverned
-	missing uint64       // deployment sites down today (chaos site outages)
+	hl      *hitlist.Lists // the quarter's lists, built or kept by begin
+	gate    *budget.Gate   // nil when ungoverned
+	missing uint64         // deployment sites down today (chaos site outages)
 	// rate is the effective hitlist rate after rateSteps complaint-driven
 	// halvings of manycast.DefaultRate.
 	rate      float64
@@ -61,9 +61,11 @@ type censusDay struct {
 }
 
 // RunDaily executes the full pipeline for one census day and family.
-// When the day's options carry a chaos plan, the compiled engine is
-// installed on the world for the duration of the run; the world must not
-// serve concurrent measurements meanwhile. A day that returns an error
+// The day's hitlist is the one the pipeline kept from an earlier day of
+// the same quarter; the first day of a quarter builds it, and publish
+// keeps it. When the day's options carry a chaos plan, the compiled
+// engine is installed on the world for the duration of the run; the
+// world must not serve concurrent measurements meanwhile. A day that returns an error
 // leaves the pipeline as it found it, apart from what its stages charged
 // the ledger.
 func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus, error) {
@@ -100,7 +102,7 @@ func (p *Pipeline) Measure(tg *netsim.Target, day int) (*Entry, int64, error) {
 		p: p, w: p.World, v6: v6, day: day,
 		start: noon, gcdAt: noon.Add(time.Hour), mid: uint16(day) ^ 0xa91,
 		everyReply: true,
-		hl:         &hitlist.Hitlist{V6: v6, Day: day, Entries: []hitlist.Entry{hitlist.EntryOf(tg)}},
+		hl:         (&hitlist.Hitlist{V6: v6, Day: day, Entries: []hitlist.Entry{hitlist.EntryOf(tg)}}).Lists(),
 		rate:       manycast.DefaultRate,
 		census:     newCensus(day, v6, 1),
 	}
@@ -135,7 +137,9 @@ func newCensus(day int, v6 bool, hitlistSize int) *DailyCensus {
 }
 
 // begin opens the day: the census span first, so everything after it is
-// on the trace, then the hitlist and the day's conditions.
+// on the trace, then the hitlist and the day's conditions. The hitlist is
+// the kept one while the day is in its quarter; otherwise begin builds
+// the quarter's, which publish keeps.
 func (p *Pipeline) begin(day int, v6 bool, dayOpts DayOptions) *censusDay {
 	d := &censusDay{
 		p: p, w: p.World, v6: v6, day: day,
@@ -143,9 +147,17 @@ func (p *Pipeline) begin(day int, v6 bool, dayOpts DayOptions) *censusDay {
 		span: p.Cfg.Obs.StartTrace("census"), obs: p.Cfg.Obs,
 	}
 	sp := d.span.Child("hitlist")
-	d.hl = hitlist.ForDay(d.w, v6, day)
+	d.hl = p.lists[famIdx(v6)]
+	reused := d.hl != nil && d.hl.Day == hitlist.QuarterOf(day)
+	if !reused {
+		d.hl = hitlist.ForDay(d.w, v6, day).Lists()
+		d.obs.Counter("laces_hitlist_builds_total",
+			"Quarterly hitlists built by this pipeline, by family.",
+			obs.L("family", family(v6))).Inc()
+	}
+	sp.SetAttr("reused", strconv.FormatBool(reused))
 	sp.End()
-	d.census = newCensus(day, v6, d.hl.Len())
+	d.census = newCensus(day, v6, d.hl.Len)
 	d.obs.SetBudgetFunc(func() int64 { return p.ledger.Remaining(day) })
 
 	// Resolve the day's fault plan: site outages become missing workers
@@ -349,11 +361,13 @@ func spreadVPs(pool []netsim.VP, n int) []netsim.VP {
 }
 
 // publish closes the day and is the only phase that writes pipeline
-// state: the governance block, today's confirmations into the feedback
-// list (the Fig 3 purple arrow), the monitoring baseline and its alerts.
+// state: the governance block, the day's hitlist as the family's kept
+// one, today's confirmations into the feedback list (the Fig 3 purple
+// arrow), the monitoring baseline and its alerts.
 func (d *censusDay) publish() {
 	sp := d.span.Child("publish")
 	defer sp.End()
+	d.p.lists[famIdx(d.v6)] = d.hl
 	c := d.census
 	c.Responsibility = d.responsibility()
 	feedback := d.p.feedback[famIdx(d.v6)]

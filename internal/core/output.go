@@ -154,13 +154,9 @@ func (c *DailyCensus) sortedEntries() []*Entry {
 // Document builds the published form of the census: only anycast findings
 // are included (§4.4).
 func (c *DailyCensus) Document() *Document {
-	fam := "ipv4"
-	if c.V6 {
-		fam = "ipv6"
-	}
 	doc := &Document{
 		Date:        c.Day.Format(time.DateOnly),
-		Family:      fam,
+		Family:      family(c.V6),
 		HitlistSize: c.HitlistSize,
 		Workers:     c.Workers,
 		GCount:      c.CountG(),

@@ -16,7 +16,7 @@ import (
 // obsPipeline builds a fresh pipeline on a fresh test world (lazily
 // derived when lazy is set) with the CHAOS stage on and the given
 // registry attached.
-func obsPipeline(t *testing.T, parallelism int, lazy bool, cfg Config) *Pipeline {
+func obsPipeline(t testing.TB, parallelism int, lazy bool, cfg Config) *Pipeline {
 	t.Helper()
 	wcfg := netsim.TestConfig()
 	wcfg.LazyTargets = lazy

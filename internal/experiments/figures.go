@@ -191,7 +191,7 @@ type ProtocolVennResult struct {
 // ProtocolVenn runs the anycast-based stage per protocol and intersects
 // the candidate sets.
 func (e *Env) ProtocolVenn(v6 bool) (*ProtocolVennResult, error) {
-	hl := hitlist.ForDay(e.World, v6, dayFig7)
+	hl := hitlist.ForDay(e.World, v6, dayFig7).Lists()
 	results, err := manycast.MultiProtocol(e.World, e.Tangled, hl, manycast.Options{
 		Start:         netsim.DayTime(dayFig7),
 		Offset:        time.Second,

@@ -14,6 +14,11 @@
 // DNS-responsive ones. In the simulator a target's Responsive flags
 // already say which of those sources would have found it, so the union
 // is one pass over the universe.
+//
+// A list depends on nothing but the world and the quarter: targets derive
+// from (seed, ID) and chaos impairs probes, never the list. The census
+// pipeline therefore builds it once per quarter and family, and keeps it
+// as Lists, the per-protocol target IDs its stages walk.
 package hitlist
 
 import (
@@ -59,9 +64,9 @@ func QuarterOf(day int) int {
 
 // ForDay builds the hitlist for a census day: one entry per target that
 // is in the day's quarterly snapshot and answers at least one protocol,
-// in target-ID order. Entries is allocated once, for the whole universe:
-// nearly every target is on the list, and counting first would derive a
-// lazy world twice.
+// in target-ID order. Every day of a quarter gets the same list. Entries
+// is allocated once, for the whole universe: nearly every target is on
+// the list, and counting first would derive a lazy world twice.
 func ForDay(w *netsim.World, v6 bool, day int) *Hitlist {
 	h := &Hitlist{V6: v6, Day: QuarterOf(day), Entries: make([]Entry, 0, w.NumTargets(v6))}
 	w.IterTargets(v6, 0, func(batch []netsim.Target) bool {
@@ -75,6 +80,44 @@ func ForDay(w *netsim.World, v6 bool, day int) *Hitlist {
 		return true
 	})
 	return h
+}
+
+// Lists is a hitlist in the compact form a census keeps for a quarter:
+// per protocol, the ascending IDs of the targets that answer it.
+type Lists struct {
+	V6  bool
+	Day int // quarterly snapshot day the list was built for
+	Len int // entries on the list, whatever they answer
+	// IDs holds, indexed by packet.Protocol, exact-size ascending target
+	// IDs.
+	IDs [3][]int
+}
+
+// Lists derives the compact form of the list.
+func (h *Hitlist) Lists() *Lists {
+	l := &Lists{V6: h.V6, Day: h.Day, Len: len(h.Entries)}
+	for p := range l.IDs {
+		l.IDs[p] = h.ProtocolIDs(packet.Protocol(p))
+	}
+	return l
+}
+
+// ProtocolIDs returns the ascending IDs of the entries answering the given
+// protocol, in a slice of exactly that length.
+func (h *Hitlist) ProtocolIDs(p packet.Protocol) []int {
+	n := 0
+	for i := range h.Entries {
+		if h.Entries[i].Protocols[p] {
+			n++
+		}
+	}
+	out := make([]int, 0, n)
+	for i := range h.Entries {
+		if h.Entries[i].Protocols[p] {
+			out = append(out, h.Entries[i].TargetID)
+		}
+	}
+	return out
 }
 
 // FilterProtocol returns the entries answering the given protocol — the

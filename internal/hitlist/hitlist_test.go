@@ -315,3 +315,25 @@ func TestIDsOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestListsAreTheProtocolFilters: the compact form carries the list's
+// quarter and length and, per protocol, exactly the IDs FilterProtocol
+// keeps, in order, in a slice of exactly that size.
+func TestListsAreTheProtocolFilters(t *testing.T) {
+	for _, v6 := range []bool{false, true} {
+		h := ForDay(testWorld, v6, 200)
+		l := h.Lists()
+		if l.V6 != v6 || l.Day != h.Day || l.Len != h.Len() {
+			t.Fatalf("v6=%v: Lists is (%v, day %d, len %d), want (%v, day %d, len %d)", v6, l.V6, l.Day, l.Len, v6, h.Day, h.Len())
+		}
+		for _, p := range packet.Protocols() {
+			want := []int{}
+			for _, e := range h.FilterProtocol(p) {
+				want = append(want, e.TargetID)
+			}
+			if got := l.IDs[p]; !reflect.DeepEqual(got, want) || cap(got) != len(got) {
+				t.Fatalf("v6=%v %v: %d IDs (cap %d), want FilterProtocol's %d", v6, p, len(got), cap(got), len(want))
+			}
+		}
+	}
+}

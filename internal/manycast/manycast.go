@@ -161,8 +161,35 @@ func (r *Result) ReceiverHistogram() map[int]int {
 }
 
 // Run executes an anycast-based measurement of the hitlist entries
-// answering opts.Protocol against the deployment.
+// answering opts.Protocol against the deployment: the one-protocol entry,
+// which takes that protocol's target IDs from hl.
 func Run(w *netsim.World, d *netsim.Deployment, hl *hitlist.Hitlist, opts Options) (*Result, error) {
+	return run(w, d, hl.V6, hl.ProtocolIDs(opts.Protocol), opts)
+}
+
+// MultiProtocol runs one measurement per protocol over that protocol's
+// list in hl and returns them keyed by protocol — the daily census probes
+// ICMP, TCP and DNS (§4.3).
+func MultiProtocol(w *netsim.World, d *netsim.Deployment, hl *hitlist.Lists, base Options, protos []packet.Protocol) (map[packet.Protocol]*Result, error) {
+	out := make(map[packet.Protocol]*Result, len(protos))
+	for _, p := range protos {
+		opts := base
+		opts.Protocol = p
+		// Protocol runs are sequential: offset each start by the previous
+		// run's duration.
+		r, err := run(w, d, hl.V6, hl.IDs[p], opts)
+		if err != nil {
+			return nil, err
+		}
+		out[p] = r
+		base.Start = base.Start.Add(r.Duration)
+	}
+	return out, nil
+}
+
+// run is the probing loop: one train per admitted ID of ids, the
+// ascending targets answering opts.Protocol. It never writes ids.
+func run(w *netsim.World, d *netsim.Deployment, v6 bool, ids []int, opts Options) (*Result, error) {
 	if d.NumSites() > 64 {
 		return nil, fmt.Errorf("manycast: deployment has %d sites, receiver bitmask supports 64", d.NumSites())
 	}
@@ -180,7 +207,7 @@ func Run(w *netsim.World, d *netsim.Deployment, hl *hitlist.Hitlist, opts Option
 		Start:      opts.Start,
 		Workers:    d.NumSites() - bits.OnesCount64(missing),
 	}
-	// One admitted entry: one probe train — a probe from every
+	// One admitted target: one probe train — a probe from every
 	// participating site, which is what the gate charges for it — folded
 	// into a receiver bitmask.
 	train := netsim.Train{
@@ -205,31 +232,11 @@ func Run(w *netsim.World, d *netsim.Deployment, hl *hitlist.Hitlist, opts Option
 		}
 	}
 	sum, admitted := par.Run(par.Stage{
-		Label: StageLabel(opts.Protocol), World: w, V6: hl.V6,
+		Label: StageLabel(opts.Protocol), World: w, V6: v6,
 		Gate: opts.Gate, Obs: opts.Obs, Parallelism: opts.Parallelism,
-	}, hl.FilterProtocol(opts.Protocol), &res.Usage,
-		func(e hitlist.Entry) int { return e.TargetID },
+	}, ids, &res.Usage, func(id int) int { return id },
 		func(*netsim.Target) int64 { return int64(res.Workers) }, probe)
 	res.Observations, res.ProbesSent = sum.Out, sum.Probes
 	res.Duration = pacer.Duration(admitted, d.NumSites())
 	return res, nil
-}
-
-// MultiProtocol runs one measurement per protocol and returns them keyed
-// by protocol — the daily census probes ICMP, TCP and DNS (§4.3).
-func MultiProtocol(w *netsim.World, d *netsim.Deployment, hl *hitlist.Hitlist, base Options, protos []packet.Protocol) (map[packet.Protocol]*Result, error) {
-	out := make(map[packet.Protocol]*Result, len(protos))
-	for _, p := range protos {
-		opts := base
-		opts.Protocol = p
-		// Protocol runs are sequential: offset each start by the previous
-		// run's duration.
-		r, err := Run(w, d, hl, opts)
-		if err != nil {
-			return nil, err
-		}
-		out[p] = r
-		base.Start = base.Start.Add(r.Duration)
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package manycast
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -234,9 +235,23 @@ func TestMultiProtocolCoverage(t *testing.T) {
 	// Fig 7: ICMP finds the most candidates; TCP and DNS add exclusive
 	// ones.
 	d := tangled(t)
-	results, err := MultiProtocol(testWorld, d, testHL, baseOpts(), packet.Protocols())
+	results, err := MultiProtocol(testWorld, d, testHL.Lists(), baseOpts(), packet.Protocols())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Each protocol's run is Run over the full hitlist, started where the
+	// previous protocol's run ended.
+	opts := baseOpts()
+	for _, p := range packet.Protocols() {
+		opts.Protocol = p
+		r, err := Run(testWorld, d, testHL, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r, results[p]) {
+			t.Fatalf("%v: MultiProtocol's run differs from Run's", p)
+		}
+		opts.Start = opts.Start.Add(r.Duration)
 	}
 	icmp := results[packet.ICMP].CandidateSet()
 	tcp := results[packet.TCP].CandidateSet()
