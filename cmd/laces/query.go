@@ -107,7 +107,10 @@ func setupQueryTimeline(fs *flag.FlagSet) func() error {
 			}
 			fmt.Printf("  first day %d, last day %d; enumerated sites %d..%d\n", first, last, minS, maxS)
 		}
-		st := query.ScoreTimeline(tl, query.EventOptions{})
+		st, err := ix.Stability(*famFlag, *prefix)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("  stability %.4f (onsets %d, offsets %d, flaps %d, site changes %d, geo shifts %d)\n",
 			st.Score, st.Onsets, st.Offsets, st.Flaps, st.SiteChanges, st.GeoShifts)
 		return nil

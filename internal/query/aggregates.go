@@ -103,6 +103,10 @@ func (ix *Index) AggregatesPrecomputed() bool { return ix.aggFromDisk }
 // fingerprint always yields byte-identical aggregates.
 func (ix *Index) computeAggregates() (*Aggregates, error) {
 	ag := &Aggregates{Schema: aggSchema, Fingerprint: ix.fingerprint}
+	var (
+		buf  []byte
+		scan rowScan
+	)
 	for _, family := range ix.order {
 		fam := ix.fams[family]
 		fa := FamilyAggregates{Family: family, Days: len(fam.days), Prefixes: len(fam.prefixes)}
@@ -125,12 +129,14 @@ func (ix *Index) computeAggregates() (*Aggregates, error) {
 			buckets[b].LE = round4(float64(b+1) / 10)
 		}
 		var scoreSum float64
-		for pos := range fam.prefixes {
-			tl, err := ix.loadRow(family, fam, pos)
-			if err != nil {
+		for _, ref := range fam.prefixes {
+			if buf, err = ix.readRow(buf, ref, len(fam.days)); err != nil {
 				return nil, err
 			}
-			st := ScoreTimeline(tl, EventOptions{})
+			if err := scan.load(ref, len(fam.days), buf); err != nil {
+				return nil, err
+			}
+			st := scan.score(family, ref.prefix, fam.days, EventOptions{})
 			fa.Churn.Onsets += st.Onsets
 			fa.Churn.Offsets += st.Offsets
 			fa.Churn.Flaps += st.Flaps

@@ -5,10 +5,13 @@ package query
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -56,6 +59,95 @@ func TestEventsWindowEquivalence(t *testing.T) {
 	}
 	if pruned > scanned {
 		t.Fatalf("pruned %d > scanned %d", pruned, scanned)
+	}
+}
+
+// withRowLen returns a copy of toc whose directory entry for prefix
+// declares a row of length bytes. The entry is the prefix's str16 —
+// matched with its length prefix, so 2.1.7.0/24 does not match inside
+// 192.1.7.0/24 — then origin, offset and length.
+func withRowLen(t testing.TB, toc []byte, prefix string, length uint32) []byte {
+	t.Helper()
+	name := binary.LittleEndian.AppendUint16(nil, uint16(len(prefix)))
+	at := bytes.Index(toc, append(name, prefix...))
+	if at < 0 {
+		t.Fatalf("no directory entry for %s", prefix)
+	}
+	out := bytes.Clone(toc)
+	binary.LittleEndian.PutUint32(out[at+len(name)+len(prefix)+4+8:], length)
+	return out
+}
+
+// TestShortRowFailsEveryWindow: a row too short for its flag bitmaps is
+// an error on every event window, in Stability and in the aggregates
+// pass — never a prefix the presence prune skips in silence. The row cut
+// short is 2.1.7.0/24's, absent on days 0–9, so a prune that read the
+// bytes at the row's offset without checking its length dropped it on
+// those windows.
+func TestShortRowFailsEveryWindow(t *testing.T) {
+	const prefix = "2.1.7.0/24"
+	dir, _ := buildIndex(t, synthChain(20, 40))
+	image, _ := indexFiles(t, filepath.Join(dir, IndexFileName))
+	toc, rows := splitIndex(t, image)
+	path := filepath.Join(t.TempDir(), IndexFileName)
+	if err := os.WriteFile(path, sealIndex(withRowLen(t, toc, prefix, 1), rows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	const want = "row for " + prefix + " shorter than its bitmaps"
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want %q", what, err, want)
+		}
+	}
+	_, err = ix.Events("ipv4", nil, 0, -1, EventOptions{})
+	check("full scan", err)
+	for d := 0; d < 20; d++ {
+		_, err := ix.Events("ipv4", nil, d, d, EventOptions{})
+		check(fmt.Sprintf("window [%d,%d]", d, d), err)
+	}
+	_, err = ix.Stability("ipv4", prefix)
+	check("Stability", err)
+	_, err = ix.Timeline("ipv4", prefix)
+	check("Timeline", err)
+	_, err = ix.computeAggregates()
+	check("aggregates", err)
+}
+
+// TestEventScanAllocs: the event scan and the aggregates pass read rows
+// in place through reused buffers, so their allocation count is a
+// constant — the same for 150 and 600 prefixes — not a number per row.
+func TestEventScanAllocs(t *testing.T) {
+	const bound = 64
+	for _, entries := range []int{150, 600} {
+		_, ix := buildIndex(t, synthChain(40, entries))
+		for _, tc := range []struct {
+			name string
+			run  func() error
+		}{
+			{"Events full", func() error { _, err := ix.Events("ipv4", nil, 0, -1, EventOptions{}); return err }},
+			{"Events 3-day window", func() error { _, err := ix.Events("ipv4", nil, 20, 22, EventOptions{}); return err }},
+			{"computeAggregates", func() error { _, err := ix.computeAggregates(); return err }},
+		} {
+			var err error
+			allocs := testing.AllocsPerRun(5, func() {
+				if e := tc.run(); e != nil {
+					err = e
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s over %d prefixes: %v", tc.name, entries, err)
+			}
+			t.Logf("%s over %d prefixes: %.0f allocations", tc.name, entries, allocs)
+			if allocs > bound {
+				t.Errorf("%s over %d prefixes: %.0f allocations, want ≤ %d", tc.name, entries, allocs, bound)
+			}
+		}
 	}
 }
 

@@ -125,10 +125,10 @@ func (rb *rowBuilder) encode(w *bufWriter) {
 // accepted — no bit set past the last day, minimal varints, no trailing
 // bytes — and an accepted row re-encodes to exactly b.
 func decodeRowState(ref prefixRef, nDays int, b []byte) (*rowBuilder, error) {
-	bl := bitmapLen(nDays)
-	if len(b) < nFlags*bl {
-		return nil, fmt.Errorf("query: row for %s shorter than its bitmaps", ref.prefix)
+	if err := checkRowLen(ref, nDays, b); err != nil {
+		return nil, err
 	}
+	bl := bitmapLen(nDays)
 	rb := newRowBuilder(ref.prefix, nDays)
 	rb.origin = ref.origin
 	for i, bm := range rb.flags {

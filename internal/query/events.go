@@ -1,8 +1,10 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -107,53 +109,50 @@ func (o EventOptions) withDefaults() EventOptions {
 	return o
 }
 
-// TimelineEvents detects every event on one timeline. Events come out
-// in day order; detection is a pure function of the timeline and the
-// options, so the same index always yields byte-identical event lists.
-func TimelineEvents(tl *Timeline, opts EventOptions) []Event {
+// detect appends the row's events to out in day order; days is the
+// family's indexed day list. Detection is a pure function of the row and
+// the options, so the same index always yields byte-identical event
+// lists.
+func (s *rowScan) detect(out []Event, family, prefix string, days []int, opts EventOptions) []Event {
 	opts = opts.withDefaults()
-	var out []Event
-	n := len(tl.Days)
+	n := len(days)
 	ev := func(kind EventKind, day int) Event {
-		return Event{Kind: kind, Family: tl.Family, Prefix: tl.Prefix, Day: day, PrevDay: -1}
+		return Event{Kind: kind, Family: family, Prefix: prefix, Day: day, PrevDay: -1}
 	}
 
 	prev := -1 // last present position
-	for i := 0; i < n; i++ {
-		if !tl.Present[i] {
-			continue
-		}
+	for k, i := range s.present {
 		gap := i - prev - 1 // absent indexed days since last presence
 		switch {
 		case prev < 0 && i > 0:
 			// Absent from the window start: a genuine appearance.
-			out = append(out, ev(EventOnset, tl.Days[i]))
+			out = append(out, ev(EventOnset, days[i]))
 		case prev >= 0 && gap >= opts.Hysteresis:
-			off := ev(EventOffset, tl.Days[prev+1])
-			off.PrevDay = tl.Days[prev]
+			off := ev(EventOffset, days[prev+1])
+			off.PrevDay = days[prev]
 			off.GapDays = gap
-			on := ev(EventOnset, tl.Days[i])
-			on.PrevDay = tl.Days[prev]
+			on := ev(EventOnset, days[i])
+			on.PrevDay = days[prev]
 			on.GapDays = gap
 			out = append(out, off, on)
 		case prev >= 0 && gap > 0:
-			fl := ev(EventFlap, tl.Days[i])
-			fl.PrevDay = tl.Days[prev]
+			fl := ev(EventFlap, days[i])
+			fl.PrevDay = days[prev]
 			fl.GapDays = gap
 			out = append(out, fl)
 		}
 		if prev >= 0 && gap == 0 {
 			// Consecutive present days: compare the GCD enumeration.
-			ps, cs := tl.Sites[prev], tl.Sites[i]
+			ps, cs := s.sites[k-1], s.sites[k]
 			switch {
 			case ps > 0 && cs > 0 && abs(cs-ps) >= opts.MinSiteDelta:
-				e := ev(EventSiteChurn, tl.Days[i])
-				e.PrevDay = tl.Days[prev]
+				e := ev(EventSiteChurn, days[i])
+				e.PrevDay = days[prev]
 				e.PrevSites, e.Sites = ps, cs
 				out = append(out, e)
-			case ps > 0 && cs == ps && tl.CityHash[prev] != tl.CityHash[i]:
-				e := ev(EventGeoShift, tl.Days[i])
-				e.PrevDay = tl.Days[prev]
+			case ps > 0 && cs == ps && s.city[k-1] != s.city[k]:
+				e := ev(EventGeoShift, days[i])
+				e.PrevDay = days[prev]
 				e.PrevSites, e.Sites = ps, cs
 				out = append(out, e)
 			}
@@ -163,13 +162,13 @@ func TimelineEvents(tl *Timeline, opts EventOptions) []Event {
 	// Trailing absence: an offset only once the gap clears hysteresis;
 	// a shorter trailing gap is still undecided and emits nothing.
 	if prev >= 0 && prev < n-1 && n-1-prev >= opts.Hysteresis {
-		off := ev(EventOffset, tl.Days[prev+1])
-		off.PrevDay = tl.Days[prev]
+		off := ev(EventOffset, days[prev+1])
+		off.PrevDay = days[prev]
 		off.GapDays = n - 1 - prev
 		out = append(out, off)
 	}
 	// Day order: interleaved offset/onset pairs above already emit in
-	// ascending day order per timeline.
+	// ascending day order per row.
 	return out
 }
 
@@ -183,16 +182,18 @@ func abs(v int) int {
 // Events scans every indexed prefix of a family and returns the events
 // of the requested kinds with effect days in [from, to] (to < 0 means
 // through the last indexed day). A nil or empty kind set selects every
-// kind. Rows stream through one at a time — O(1) timelines in memory —
-// and no document is decoded.
+// kind. Each row is read once into one reused buffer and scanned in
+// place — no Timeline is built, nothing is allocated per row once the
+// buffers have grown — and no document is decoded.
 //
 // The day window is pushed into the scan: every event with an effect
 // day in [from, to] requires the prefix to be present on some indexed
 // day at position [fromPos-1, toPos] (onset/flap/churn/shift days are
 // present days inside the window; an offset day is the first absent day
 // after a present day, so its predecessor sits at fromPos-1 or later).
-// For a narrow window, reading just the presence bitmap — the first
-// bytes of the row — rejects most prefixes without decoding their rows.
+// For a narrow window, the presence bitmap — the first bytes of the row
+// — rejects most prefixes before their series are parsed. A row too
+// short for its bitmaps is an error on every window.
 func (ix *Index) Events(family string, kinds []EventKind, from, to int, opts EventOptions) ([]Event, error) {
 	fam := ix.fams[family]
 	if fam == nil {
@@ -212,50 +213,41 @@ func (ix *Index) Events(family string, kinds []EventKind, from, to int, opts Eve
 	if fromPos > toPos {
 		return nil, nil
 	}
-	lo := fromPos - 1
-	if lo < 0 {
-		lo = 0
-	}
+	lo := max(fromPos-1, 0)
 	full := fromPos == 0 && toPos == n-1
-	var bm []byte
-	if !full {
-		bm = make([]byte, bitmapLen(n))
-	}
-	want := make(map[EventKind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []Event
-	for pos := range fam.prefixes {
+	var (
+		out  []Event
+		buf  []byte
+		scan rowScan
+		err  error
+	)
+	for _, ref := range fam.prefixes {
 		ix.eventRows.Add(1)
-		if !full {
-			ref := fam.prefixes[pos]
-			if _, err := ix.f.ReadAt(bm, ix.rowsOff+ref.off); err != nil {
-				return nil, fmt.Errorf("query: reading presence bitmap for %s: %w", ref.prefix, err)
-			}
-			if !anyBit(bm, lo, toPos) {
-				ix.eventRowsPruned.Add(1)
-				continue
-			}
-		}
-		tl, err := ix.loadRow(family, fam, pos)
-		if err != nil {
+		if buf, err = ix.readRow(buf, ref, n); err != nil {
 			return nil, err
 		}
-		for _, e := range TimelineEvents(tl, opts) {
-			if e.Day < from || e.Day > to {
-				continue
-			}
-			if len(want) > 0 && !want[e.Kind] {
-				continue
-			}
-			out = append(out, e)
+		if !full && !anyBit(buf, lo, toPos) {
+			ix.eventRowsPruned.Add(1)
+			continue
 		}
+		if err := scan.load(ref, n, buf); err != nil {
+			return nil, err
+		}
+		// Detect straight into out, then keep the row's in-filter events.
+		kept := len(out)
+		out = scan.detect(out, family, ref.prefix, fam.days, opts)
+		for _, e := range out[kept:] {
+			if e.Day >= from && e.Day <= to && (len(kinds) == 0 || slices.Contains(kinds, e.Kind)) {
+				out[kept] = e
+				kept++
+			}
+		}
+		out = out[:kept]
 	}
-	// Prefixes are scanned in canonical order and each timeline emits
-	// in day order; re-sort into (day, prefix-scan, emission) order so
-	// the list reads chronologically. Stable by construction: sort by
-	// day only, ties keep canonical prefix order.
+	// Prefixes are scanned in canonical order and each row emits in day
+	// order; re-sort into (day, prefix-scan, emission) order so the list
+	// reads chronologically. Stable by construction: sort by day only,
+	// ties keep canonical prefix order.
 	return sortEventsByDay(out), nil
 }
 
@@ -263,7 +255,10 @@ func (ix *Index) Events(family string, kinds []EventKind, from, to int, opts Eve
 // per-prefix runs concatenated in canonical prefix order, each run
 // already day-ordered — a stable sort on day alone keeps canonical
 // prefix order within a day. It counts events per day over the span the
-// events cover and places each one once: no comparisons, no swaps.
+// events cover and places each one once: no comparisons, no swaps. A
+// span far wider than the event count — a sparse or hostile day list —
+// takes a stable comparison sort instead, so memory stays proportional
+// to the events.
 func sortEventsByDay(events []Event) []Event {
 	if len(events) < 2 {
 		return events
@@ -271,6 +266,10 @@ func sortEventsByDay(events []Event) []Event {
 	lo, hi := events[0].Day, events[0].Day
 	for i := range events {
 		lo, hi = min(lo, events[i].Day), max(hi, events[i].Day)
+	}
+	if hi-lo > 4*len(events) {
+		slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Day, b.Day) })
+		return events
 	}
 	next := make([]int, hi-lo+2) // next[d]: where day lo+d's next event goes
 	for i := range events {
@@ -307,30 +306,38 @@ type Stability struct {
 	Score float64 `json:"score"`
 }
 
-// Stability computes the score for one prefix from the index alone.
+// Stability computes the score for one prefix from the index alone:
+// one row read, scanned in place.
 func (ix *Index) Stability(family, prefix string) (*Stability, error) {
-	tl, err := ix.Timeline(family, prefix)
+	fam, ref, err := ix.find(family, prefix)
 	if err != nil {
 		return nil, err
 	}
-	return ScoreTimeline(tl, EventOptions{}), nil
+	b, err := ix.readRow(nil, ref, len(fam.days))
+	if err != nil {
+		return nil, err
+	}
+	var scan rowScan
+	if err := scan.load(ref, len(fam.days), b); err != nil {
+		return nil, err
+	}
+	st := scan.score(family, prefix, fam.days, EventOptions{})
+	return &st, nil
 }
 
-// ScoreTimeline derives the stability record from a timeline.
-func ScoreTimeline(tl *Timeline, opts EventOptions) *Stability {
-	st := &Stability{Family: tl.Family, Prefix: tl.Prefix, DaysIndexed: len(tl.Days)}
+// score derives the row's stability record; days is the family's
+// indexed day list.
+func (s *rowScan) score(family, prefix string, days []int, opts EventOptions) Stability {
+	st := Stability{Family: family, Prefix: prefix, DaysIndexed: len(days), DaysPresent: len(s.present)}
 	siteSum := 0
-	for i := range tl.Days {
-		if !tl.Present[i] {
-			continue
-		}
-		st.DaysPresent++
-		if tl.GCDAnycast[i] {
+	for k, gcd := range s.gcd {
+		if gcd {
 			st.GCDDays++
-			siteSum += tl.Sites[i]
+			siteSum += s.sites[k]
 		}
 	}
-	for _, e := range TimelineEvents(tl, opts) {
+	s.scratch = s.detect(s.scratch[:0], family, prefix, days, opts)
+	for _, e := range s.scratch {
 		switch e.Kind {
 		case EventOnset:
 			st.Onsets++

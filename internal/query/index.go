@@ -16,9 +16,12 @@
 // (Index) answers Timeline, Events (onset / offset / flap / site-churn
 // / geo-shift, with hysteresis), Stability scoring and aggregate Series
 // from the index alone — no query decodes a document, and the archive's
-// decode counter proves it. The Index caches no decoded rows: a row read
-// and decode is a few microseconds, and every result is the caller's
-// own.
+// decode counter proves it. The Index caches no rows, and every result
+// is the caller's own. Only Timeline expands a row record into a
+// Timeline; Events, Stability and the aggregates pass scan the record in
+// place (rowScan: the present days with their site count, GCD bit and
+// geo signature) through buffers reused row after row, so a family-wide
+// pass allocates nothing per row.
 package query
 
 import (
@@ -26,8 +29,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -356,35 +361,57 @@ func (tl *Timeline) LastPresent() (int, bool) {
 // read and decode per call. The result is the caller's own, except that
 // its Days column is the index's shared day list (read-only).
 func (ix *Index) Timeline(family, prefix string) (*Timeline, error) {
+	fam, ref, err := ix.find(family, prefix)
+	if err != nil {
+		return nil, err
+	}
+	b, err := ix.readRow(nil, ref, len(fam.days))
+	if err != nil {
+		return nil, err
+	}
+	return decodeRow(family, ref, fam.days, b)
+}
+
+// find resolves one prefix's directory entry and counts the lookup.
+func (ix *Index) find(family, prefix string) (*famIndex, prefixRef, error) {
 	fam := ix.fams[family]
 	if fam == nil {
-		return nil, fmt.Errorf("query: no %s timelines: %w", family, ErrUnknownFamily)
+		return nil, prefixRef{}, fmt.Errorf("query: no %s timelines: %w", family, ErrUnknownFamily)
 	}
 	pos, ok := fam.byPrefix[prefix]
 	if !ok {
-		return nil, fmt.Errorf("query: %s (%s): %w", prefix, family, ErrUnknownPrefix)
+		return nil, prefixRef{}, fmt.Errorf("query: %s (%s): %w", prefix, family, ErrUnknownPrefix)
 	}
 	ix.lookups.Add(1)
-	return ix.loadRow(family, fam, pos)
+	return fam, fam.prefixes[pos], nil
 }
 
-// loadRow reads and decodes one prefix's row record.
-func (ix *Index) loadRow(family string, fam *famIndex, pos int) (*Timeline, error) {
-	ref := fam.prefixes[pos]
-	b := make([]byte, ref.length)
-	if _, err := ix.f.ReadAt(b, ix.rowsOff+ref.off); err != nil {
-		return nil, fmt.Errorf("query: reading row for %s: %w", ref.prefix, err)
+// readRow reads one prefix's row record into buf, growing it only when
+// the row does not fit, and checks that the record holds its flag
+// bitmaps over nDays day positions.
+func (ix *Index) readRow(buf []byte, ref prefixRef, nDays int) ([]byte, error) {
+	buf = slices.Grow(buf[:0], ref.length)[:ref.length]
+	if _, err := ix.f.ReadAt(buf, ix.rowsOff+ref.off); err != nil {
+		return buf, fmt.Errorf("query: reading row for %s: %w", ref.prefix, err)
 	}
-	return decodeRow(family, ref, fam.days, b)
+	return buf, checkRowLen(ref, nDays, buf)
+}
+
+// checkRowLen fails a row record too short for its flag bitmaps.
+func checkRowLen(ref prefixRef, nDays int, b []byte) error {
+	if len(b) < nFlags*bitmapLen(nDays) {
+		return fmt.Errorf("query: row for %s shorter than its bitmaps", ref.prefix)
+	}
+	return nil
 }
 
 // decodeRow expands a columnar row record into a Timeline.
 func decodeRow(family string, ref prefixRef, days []int, b []byte) (*Timeline, error) {
 	nDays := len(days)
-	bl := bitmapLen(nDays)
-	if len(b) < 10*bl {
-		return nil, fmt.Errorf("query: row for %s shorter than its bitmaps", ref.prefix)
+	if err := checkRowLen(ref, nDays, b); err != nil {
+		return nil, err
 	}
+	bl := bitmapLen(nDays)
 	tl := &Timeline{
 		Family: family, Prefix: ref.prefix, OriginASN: ref.origin, Days: days,
 		Sites:     make([]int, nDays),
@@ -404,7 +431,7 @@ func decodeRow(family string, ref prefixRef, days []int, b []byte) (*Timeline, e
 			(*col)[i] = getBit(bm, i)
 		}
 	}
-	r := &bufReader{b: b, off: 10 * bl}
+	r := &bufReader{b: b, off: nFlags * bl}
 	for _, series := range []*[]int{&tl.Sites, &tl.Receivers, &tl.VPs} {
 		for i := 0; i < nDays; i++ {
 			if tl.Present[i] {
@@ -421,4 +448,57 @@ func decodeRow(family string, ref prefixRef, days []int, b []byte) (*Timeline, e
 		return nil, fmt.Errorf("query: row for %s: %w", ref.prefix, r.err)
 	}
 	return tl, nil
+}
+
+// rowScan is a row record read in place: the positions of the days the
+// prefix is present on and, per present day, its GCD site count,
+// GCD-anycast bit and city hash — everything event detection and
+// stability scoring look at, in the row's own present-days-only layout.
+// One scan serves row after row, so a pass over a family allocates
+// nothing per row once the slices have grown.
+type rowScan struct {
+	present []int // present day positions, ascending
+	sites   []int
+	gcd     []bool
+	city    []uint32
+
+	scratch []Event // score's detection buffer
+}
+
+// load fills the scan from the row record b over nDays day positions. It
+// accepts exactly the records decodeRow accepts and reads the values
+// decodeRow puts in the Timeline's Present, Sites, GCDAnycast and
+// CityHash columns.
+func (s *rowScan) load(ref prefixRef, nDays int, b []byte) error {
+	if err := checkRowLen(ref, nDays, b); err != nil {
+		return err
+	}
+	bl := bitmapLen(nDays)
+	s.present = s.present[:0]
+	for i, x := range b[:bl] {
+		for ; x != 0; x &= x - 1 {
+			p := i*8 + bits.TrailingZeros8(x)
+			if p >= nDays {
+				break
+			}
+			s.present = append(s.present, p)
+		}
+	}
+	gcd := b[flagGCDAnycast*bl:]
+	s.sites, s.gcd, s.city = s.sites[:0], s.gcd[:0], s.city[:0]
+	r := bufReader{b: b, off: nFlags * bl}
+	for _, p := range s.present {
+		s.sites = append(s.sites, int(r.uvarint()))
+		s.gcd = append(s.gcd, getBit(gcd, p))
+	}
+	for range 2 * len(s.present) { // the receiver and GCD-VP series
+		r.uvarint()
+	}
+	for range s.present {
+		s.city = append(s.city, r.u32())
+	}
+	if r.err != nil {
+		return fmt.Errorf("query: row for %s: %w", ref.prefix, r.err)
+	}
+	return nil
 }

@@ -318,6 +318,21 @@ func mkTimeline(present []bool, sites []int, hashes []uint32) *Timeline {
 	return tl
 }
 
+// scanOf loads a hand-built timeline into the row scan the detectors
+// read: its present days with their sites, GCD bit and city hash.
+func scanOf(tl *Timeline) *rowScan {
+	s := &rowScan{}
+	for i, p := range tl.Present {
+		if p {
+			s.present = append(s.present, i)
+			s.sites = append(s.sites, tl.Sites[i])
+			s.gcd = append(s.gcd, tl.GCDAnycast[i])
+			s.city = append(s.city, tl.CityHash[i])
+		}
+	}
+	return s
+}
+
 // TestEventDetectionGolden pins the exact event stream for hand-built
 // timelines covering every kind and the hysteresis boundary.
 func TestEventDetectionGolden(t *testing.T) {
@@ -400,7 +415,7 @@ func TestEventDetectionGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := TimelineEvents(tc.tl, tc.opts)
+			got := scanOf(tc.tl).detect(nil, tc.tl.Family, tc.tl.Prefix, tc.tl.Days, tc.opts)
 			if len(got) != len(tc.want) {
 				t.Fatalf("events = %+v, want %+v", got, tc.want)
 			}
@@ -466,17 +481,21 @@ func TestEventsFilters(t *testing.T) {
 // TestSortEventsByDayMatchesStableSort holds the counting sort to the
 // sort.SliceStable it replaced, on what Events feeds it: per-prefix runs,
 // each in day order, concatenated — with ties across runs, single-event
-// and empty inputs, and days that start far from zero.
+// and empty inputs, days that start far from zero, and (every third
+// trial) day spans far wider than the event count.
 func TestSortEventsByDayMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 300; trial++ {
 		var events []Event
-		base := rng.IntN(1000)
+		base, stride := rng.IntN(1000), 1
+		if trial%3 == 2 {
+			stride = 1 << 30
+		}
 		for p := rng.IntN(40); p > 0; p-- {
-			day := base + rng.IntN(5)
+			day := base + rng.IntN(5)*stride
 			for n := rng.IntN(6); n > 0; n-- {
 				events = append(events, Event{Kind: EventKinds()[rng.IntN(5)], Prefix: fmt.Sprintf("10.%d.0.0/16", p), Day: day, PrevDay: rng.IntN(3)})
-				day += rng.IntN(4)
+				day += rng.IntN(4) * stride
 			}
 		}
 		want := slices.Clone(events)
@@ -494,7 +513,7 @@ func TestStabilityScoring(t *testing.T) {
 		[]bool{true, true, true, true, true},
 		[]int{3, 3, 3, 3, 3},
 		[]uint32{9, 9, 9, 9, 9})
-	st := ScoreTimeline(steady, EventOptions{})
+	st := scanOf(steady).score(steady.Family, steady.Prefix, steady.Days, EventOptions{})
 	if st.Score != 1.0 || st.DaysPresent != 5 || st.MeanSites != 3 {
 		t.Fatalf("steady prefix scored %+v", st)
 	}
@@ -502,7 +521,7 @@ func TestStabilityScoring(t *testing.T) {
 		[]bool{true, false, true, false, true},
 		[]int{3, 0, 3, 0, 3},
 		[]uint32{9, 0, 9, 0, 9})
-	fst := ScoreTimeline(flappy, EventOptions{})
+	fst := scanOf(flappy).score(flappy.Family, flappy.Prefix, flappy.Days, EventOptions{})
 	if fst.Score >= st.Score {
 		t.Fatalf("flappy prefix (%v) scored no worse than steady (%v)", fst.Score, st.Score)
 	}

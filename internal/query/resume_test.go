@@ -438,14 +438,17 @@ func TestOpenDirRejectsIndexOfVanishedFamily(t *testing.T) {
 	}
 }
 
-// FuzzIndexState: the committed index is input to the next build, so its
-// decoders face whatever is on disk. The sections are mutated and
-// re-sealed (sealIndex: true lengths and CRCs), which gets them past
-// Open's integrity checks. Nothing may panic; Open, every Timeline and the
-// row-state loader together may allocate no more than a multiple of the
-// file's length per call; and a state the loader accepts must encode to
-// exactly the file it was read from — that is what makes resuming from
-// it equal to rebuilding.
+// FuzzIndexState: the committed index is input to the next build and to
+// every query, so its decoders face whatever is on disk. The sections
+// are mutated and re-sealed (sealIndex: true lengths and CRCs), which
+// gets them past Open's integrity checks. Nothing may panic; Open, every
+// Timeline, both event scans, the aggregates pass and the row-state
+// loader together may allocate no more than a multiple of the file's
+// length per call, a scan counting one call per row it visits; the
+// in-place row scan must accept a row exactly when decodeRow does and
+// read the values decodeRow puts in the Timeline; and a state the loader
+// accepts must encode to exactly the file it was read from — that is
+// what makes resuming from it equal to rebuilding.
 func FuzzIndexState(f *testing.F) {
 	v4 := synthChain(9, 5)
 	dir := f.TempDir()
@@ -461,6 +464,7 @@ func FuzzIndexState(f *testing.F) {
 	f.Add(toc, append(bytes.Clone(rows), 0xAA))
 	f.Add(toc[:len(toc)-1], rows)
 	f.Add([]byte{1, 0, 0, 0, 4, 0, 'i', 'p', 'v', '4', 0xFF, 0xFF, 0xFF, 0xFF}, []byte{})
+	f.Add(withRowLen(f, toc, synthPrefix(3), 1), rows)
 
 	// One scratch file per fuzzing process, rewritten by every execution.
 	path := filepath.Join(f.TempDir(), "fuzzed.idx")
@@ -476,13 +480,22 @@ func FuzzIndexState(f *testing.F) {
 			return
 		}
 		defer ix.Close()
-		calls := 2 // Open and state
+		calls := 3 // Open, state and the aggregates pass
+		var scan rowScan
 		for _, family := range ix.order {
-			for _, p := range ix.Prefixes(family) {
-				ix.Timeline(family, p) // a row that does not decode is an error, not a crash
-				calls++
+			fam := ix.fams[family]
+			for _, ref := range fam.prefixes {
+				ix.Timeline(family, ref.prefix) // a row that does not decode is an error, not a crash
+				checkRowScan(t, ix, family, ref, &scan)
+				calls += 2
 			}
+			ix.Events(family, nil, 0, -1, EventOptions{})
+			if n := len(fam.days); n > 0 {
+				ix.Events(family, nil, fam.days[n/2], fam.days[n/2], EventOptions{})
+			}
+			calls += 3 * len(fam.prefixes) // two event scans and the aggregates pass
 		}
+		ix.computeAggregates()
 		fams, why := ix.state()
 		runtime.ReadMemStats(&after)
 		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(calls)*(64*uint64(len(image))+4096); got > bound {
@@ -492,4 +505,29 @@ func FuzzIndexState(f *testing.F) {
 			t.Fatal("the loader accepted a state that does not encode to the file it was read from")
 		}
 	})
+}
+
+// checkRowScan holds the in-place scan of one row, loaded into the
+// reused scan, to decodeRow: the same verdict and, when both accept, the
+// present positions with their sites, GCD bits and city hashes.
+func checkRowScan(t *testing.T, ix *Index, family string, ref prefixRef, scan *rowScan) {
+	t.Helper()
+	days := ix.fams[family].days
+	b := make([]byte, ref.length)
+	if _, err := ix.f.ReadAt(b, ix.rowsOff+ref.off); err != nil {
+		t.Fatal(err) // Open proved every row lies inside the rows section
+	}
+	tl, decodeErr := decodeRow(family, ref, days, b)
+	scanErr := scan.load(ref, len(days), b)
+	if (decodeErr == nil) != (scanErr == nil) {
+		t.Fatalf("row for %s: decodeRow error %v, scan error %v", ref.prefix, decodeErr, scanErr)
+	}
+	if decodeErr != nil {
+		return
+	}
+	want := scanOf(tl)
+	if !slices.Equal(scan.present, want.present) || !slices.Equal(scan.sites, want.sites) ||
+		!slices.Equal(scan.gcd, want.gcd) || !slices.Equal(scan.city, want.city) {
+		t.Fatalf("row for %s: scan %+v, decodeRow %+v", ref.prefix, scan, want)
+	}
 }
