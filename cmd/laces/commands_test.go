@@ -163,7 +163,8 @@ func TestOpenStore(t *testing.T) {
 // TestCLICensusKeepsIndexCurrent: the morning after a daily census the
 // archive still answers longitudinal queries — `census -archive` extends
 // an index that is there (and only then), so nobody reruns build-index
-// by hand, and the extension decodes the new day's chain, not the history.
+// by hand, and the extension decodes the new day-file alone, not the
+// chain under it or the history.
 func TestCLICensusKeepsIndexCurrent(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ar")
 	if code, out := run(t, "archive", "pack", "-dir", dir, "-gen", "0:2"); code != 0 {
@@ -181,9 +182,9 @@ func TestCLICensusKeepsIndexCurrent(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "+4 day-files, 4 decoded — built from scratch (no index)") {
 		t.Fatalf("build-index: exit %d:\n%s", code, out)
 	}
-	// Day 4 is the fifth of a 7-day chain: snapshot plus four deltas.
+	// Day 4 is the fifth of a 7-day chain; only its own delta is decoded.
 	code, out = run(t, "census", "-day", "4", "-archive", dir)
-	if code != 0 || !strings.Contains(out, "indexed day 4: +1 day-files, 5 decoded — resumed from the committed index") {
+	if code != 0 || !strings.Contains(out, "indexed day 4: +1 day-files, 1 decoded — resumed from the committed index") {
 		t.Fatalf("census over an indexed archive: exit %d:\n%s", code, out)
 	}
 	code, out = run(t, "query", "events", "-archive", dir)
@@ -208,7 +209,7 @@ func TestCLIArchivePackKeepsIndexCurrent(t *testing.T) {
 		t.Fatalf("build-index: exit %d:\n%s", code, out)
 	}
 	code, out := run(t, "archive", "pack", "-dir", dir, "-gen", "4:5")
-	if code != 0 || !strings.Contains(out, "indexed the packed days: +2 day-files, 6 decoded — resumed from the committed index") {
+	if code != 0 || !strings.Contains(out, "indexed the packed days: +2 day-files, 2 decoded — resumed from the committed index") {
 		t.Fatalf("pack into an indexed archive: exit %d:\n%s", code, out)
 	}
 	a, err := archive.Open(dir)

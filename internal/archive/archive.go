@@ -25,9 +25,12 @@
 //
 // The reader (Archive) is a stateless, lock-free store: it caches
 // nothing, so a decoded document is the caller's own, and callers that
-// re-read days keep their own cache (internal/api's decoded-day LRU). A
-// day file is read whole and decoded by core.DecodeDocument or
-// core.DecodeDelta: one reflection-free scan of the writer's grammar.
+// re-read days keep their own cache (internal/api's decoded-day LRU).
+// Every read of a day file goes through ReadDay, the one day-file
+// decoder: the file is read whole, once, and decoded by
+// core.DecodeDocument or core.DecodeDelta in one reflection-free scan of
+// the writer's grammar. Document, Range and Verify apply its deltas to
+// the day before; the query indexer takes them as they are.
 // encoding/json runs on the small header object, and on the whole file
 // only when the file holds something the writer never emits. The writer
 // is reflection-free the same way: a snapshot streams through

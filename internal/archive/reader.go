@@ -38,10 +38,10 @@ type Archive struct {
 	indexEnd  int64
 	indexOpen bool
 
-	// decodes counts document materializations (snapshot parses and
-	// delta applications). The query layer's index-only guarantee is
-	// asserted against this counter: answering a timeline from the
-	// columnar index must leave it untouched.
+	// decodes counts day-files decoded (ReadDay calls). The query
+	// layer's index-only guarantee is asserted against this counter:
+	// answering a timeline from the columnar index must leave it
+	// untouched.
 	decodes atomic.Int64
 }
 
@@ -177,7 +177,7 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 // in order and hands each to fn: it rewinds to the snapshot the first
 // one derives from, then applies deltas forward (a snapshot met on the
 // way simply restarts the chain). Every random-access and streaming read
-// goes through here.
+// goes through here, and every day-file it reads through ReadDay.
 func (a *Archive) walk(family string, first, last int, fn func(rec Record, doc *core.Document) error) error {
 	if first > last {
 		return nil
@@ -190,17 +190,18 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, doc *
 	var doc *core.Document
 	for i := base; i <= last; i++ {
 		rec := a.recs[idxs[i]]
-		var err error
-		switch {
-		case rec.Kind == KindSnapshot:
-			doc, err = a.loadSnapshot(rec)
-		case doc == nil:
+		if rec.Kind == KindDelta && doc == nil {
 			return fmt.Errorf("archive: %s chain starts with a delta (corrupt index)", family)
-		default:
-			doc, err = a.applyDelta(doc, rec)
 		}
-		if err != nil {
+		switch snap, delta, err := a.ReadDay(rec); {
+		case err != nil:
 			return err
+		case snap != nil:
+			doc = snap
+		default:
+			if doc, err = delta.Apply(doc); err != nil {
+				return fmt.Errorf("archive: %s: %w", rec.File, err)
+			}
 		}
 		if i >= first {
 			if err := fn(rec, doc); err != nil {
@@ -211,40 +212,29 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, doc *
 	return nil
 }
 
-// Decodes reports how many document materializations (snapshot parses
-// plus delta applications) the archive has performed since Open.
+// Decodes reports how many day-files the archive has decoded since
+// Open: every read goes through ReadDay, one count per file.
 func (a *Archive) Decodes() int64 { return a.decodes.Load() }
 
-// loadSnapshot decodes one snapshot file.
-func (a *Archive) loadSnapshot(rec Record) (*core.Document, error) {
+// ReadDay is the one decoder of a stored day-file: it reads rec's file
+// once and returns a snapshot's document or a delta's changes against
+// the family's day before, as rec's kind says. Both are the caller's
+// own.
+func (a *Archive) ReadDay(rec Record) (snap *core.Document, delta *core.DocumentDelta, err error) {
 	a.decodes.Add(1)
 	b, err := os.ReadFile(filepath.Join(a.dir, rec.File))
 	if err != nil {
-		return nil, fmt.Errorf("archive: reading snapshot: %w", err)
+		return nil, nil, fmt.Errorf("archive: reading %s: %w", rec.Kind, err)
 	}
-	doc, err := core.DecodeDocument(b)
+	if rec.Kind == KindSnapshot {
+		snap, err = core.DecodeDocument(b)
+	} else {
+		delta, err = core.DecodeDelta(b)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("archive: %s: %w", rec.File, err)
+		return nil, nil, fmt.Errorf("archive: %s: %w", rec.File, err)
 	}
-	return doc, nil
-}
-
-// applyDelta advances the chain by one delta day.
-func (a *Archive) applyDelta(prev *core.Document, rec Record) (*core.Document, error) {
-	a.decodes.Add(1)
-	b, err := os.ReadFile(filepath.Join(a.dir, rec.File))
-	if err != nil {
-		return nil, fmt.Errorf("archive: reading delta: %w", err)
-	}
-	delta, err := core.DecodeDelta(b)
-	if err != nil {
-		return nil, fmt.Errorf("archive: %s: %w", rec.File, err)
-	}
-	doc, err := delta.Apply(prev)
-	if err != nil {
-		return nil, fmt.Errorf("archive: %s: %w", rec.File, err)
-	}
-	return doc, nil
+	return snap, delta, nil
 }
 
 // Range streams one family's documents for days in [from, to] (inclusive;

@@ -178,6 +178,10 @@ func FuzzDecodeDelta(f *testing.F) {
 		edit(f, delta, `"header":{`, `"header":{"entries":[{}],`),
 		edit(f, delta, `"header":`, `"header":{},"header":`),
 		[]byte(`{"header":{"family":"ipv4"},"removed":["10.0.0.0/24","10.0.0.0/24"],"upserts":[{"prefix":"1.0.0.0/8"}]}`),
+		// A prefix named twice: Apply refuses all three.
+		[]byte(`{"header":{"family":"ipv4"},"upserts":[{"prefix":"1.0.1.0/24","gcd_sites":1},{"prefix":"1.0.1.0/24","gcd_sites":2}]}`),
+		[]byte(`{"header":{"family":"ipv4"},"removed":["`+prev.Entries[0].Prefix+`"],"upserts":[{"prefix":"`+prev.Entries[0].Prefix+`"}]}`),
+		[]byte(`{"header":{"family":"ipv4"},"removed":["`+prev.Entries[0].Prefix+`","`+prev.Entries[0].Prefix+`"]}`),
 	)
 	for _, s := range seeds {
 		f.Add(s)

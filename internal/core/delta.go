@@ -94,8 +94,10 @@ func (d *Document) Find(prefix string) *DocumentEntry {
 }
 
 // Apply reconstructs the new day's document from the previous day's. It
-// is strict: a removal that names an absent prefix or a family mismatch
-// means the delta does not belong to this document chain.
+// is strict: a family mismatch, a removal that names an absent prefix,
+// or a prefix the delta names twice (removed twice, upserted twice, or
+// both removed and upserted) means the delta does not belong to this
+// document chain.
 func (d *DocumentDelta) Apply(prev *Document) (*Document, error) {
 	if prev.Family != d.Header.Family {
 		return nil, fmt.Errorf("core: delta for family %q applied to %q document", d.Header.Family, prev.Family)
@@ -104,9 +106,15 @@ func (d *DocumentDelta) Apply(prev *Document) (*Document, error) {
 	for _, p := range d.Removed {
 		removed[p] = true
 	}
+	if len(removed) != len(d.Removed) {
+		return nil, fmt.Errorf("core: delta removes %q twice", firstRepeat(len(d.Removed), func(i int) string { return d.Removed[i] }))
+	}
 	upsert := make(map[string]*DocumentEntry, len(d.Upserts))
 	for i := range d.Upserts {
 		upsert[d.Upserts[i].Prefix] = &d.Upserts[i]
+	}
+	if len(upsert) != len(d.Upserts) {
+		return nil, fmt.Errorf("core: delta upserts %q twice", firstRepeat(len(d.Upserts), func(i int) string { return d.Upserts[i].Prefix }))
 	}
 
 	out := *d.Header.DeepCopy()
@@ -119,6 +127,9 @@ func (d *DocumentDelta) Apply(prev *Document) (*Document, error) {
 	for i := range prev.Entries {
 		p := prev.Entries[i].Prefix
 		if removed[p] {
+			if _, ok := upsert[p]; ok {
+				return nil, fmt.Errorf("core: delta both removes and upserts %q", p)
+			}
 			delete(removed, p)
 			continue
 		}
@@ -153,6 +164,18 @@ func (d *DocumentDelta) Apply(prev *Document) (*Document, error) {
 		out.Entries = nil
 	}
 	return &out, nil
+}
+
+// firstRepeat returns the first of n names that repeats an earlier one.
+func firstRepeat(n int, name func(i int) string) string {
+	seen := make(map[string]bool, n)
+	for i := range n {
+		if seen[name(i)] {
+			return name(i)
+		}
+		seen[name(i)] = true
+	}
+	return ""
 }
 
 // DeepCopy clones the document so a derived day can be mutated without

@@ -105,6 +105,37 @@ func TestDeltaStrictness(t *testing.T) {
 	}
 }
 
+// TestDeltaNamesEachPrefixOnce: a delta that names a prefix twice —
+// upserts it twice, removes it twice, or removes and upserts it — does
+// not belong to any chain (DiffDocuments never writes one), so Apply
+// refuses it and names the prefix rather than returning a document with
+// two rows for it or a silently replaced row.
+func TestDeltaNamesEachPrefixOnce(t *testing.T) {
+	prev := synthDoc(0, 4)
+	present, absent := prev.Entries[1].Prefix, "198.51.100.0/24"
+	if prev.Find(absent) != nil {
+		t.Fatalf("fixture carries %s", absent)
+	}
+	row := func(prefix string, sites int) DocumentEntry {
+		return DocumentEntry{Prefix: prefix, GCDSites: sites}
+	}
+	for name, tc := range map[string]struct {
+		prefix  string
+		removed []string
+		upserts []DocumentEntry
+	}{
+		"new prefix upserted twice":     {absent, nil, []DocumentEntry{row(absent, 1), row(absent, 2)}},
+		"carried prefix upserted twice": {present, nil, []DocumentEntry{row(present, 1), row(present, 2)}},
+		"removed and upserted":          {present, []string{present}, []DocumentEntry{row(present, 1)}},
+		"removed twice":                 {present, []string{present, present}, nil},
+	} {
+		d := &DocumentDelta{Header: Document{Family: prev.Family}, Removed: tc.removed, Upserts: tc.upserts}
+		if _, err := d.Apply(prev); err == nil || !strings.Contains(err.Error(), tc.prefix) {
+			t.Errorf("%s: Apply error %v, want one naming %s", name, err, tc.prefix)
+		}
+	}
+}
+
 // TestDeltaToEmptyDay reconstructs a fully-withdrawn day byte-for-byte:
 // the result must carry nil entries (canonical `"entries": null`), not
 // an empty slice (`[]`).

@@ -65,32 +65,45 @@ func ComparePrefixStrings(a, b string) int {
 // that parse to one prefix ("::1/128", "0::1/128") fall back to string
 // order, so the result never depends on the input's order.
 func SortPrefixStrings(ps []string) {
-	type key struct {
-		p  netip.Prefix
-		ok bool
-		s  string
-	}
-	keys := make([]key, len(ps))
+	keys := make([]PrefixKey, len(ps))
 	for i, s := range ps {
-		p, err := netip.ParsePrefix(s)
-		keys[i] = key{p, err == nil, s}
+		keys[i] = ParsePrefixKey(s)
 	}
-	slices.SortFunc(keys, func(a, b key) int {
-		switch {
-		case a.ok && b.ok:
-			if c := ComparePrefix(a.p, b.p); c != 0 {
-				return c
-			}
-		case a.ok:
-			return -1
-		case b.ok:
-			return 1
-		}
-		return strings.Compare(a.s, b.s)
-	})
+	slices.SortFunc(keys, PrefixKey.Compare)
 	for i := range keys {
 		ps[i] = keys[i].s
 	}
+}
+
+// PrefixKey is a prefix string parsed once, for callers that compare it
+// more than once in SortPrefixStrings' order.
+type PrefixKey struct {
+	p  netip.Prefix
+	ok bool
+	s  string
+}
+
+// ParsePrefixKey parses s into its key.
+func ParsePrefixKey(s string) PrefixKey {
+	p, err := netip.ParsePrefix(s)
+	return PrefixKey{p, err == nil, s}
+}
+
+// Compare orders two keys as SortPrefixStrings does: ComparePrefixStrings
+// order, ties between distinct strings broken by string order, so it is
+// zero only for equal strings.
+func (a PrefixKey) Compare(b PrefixKey) int {
+	switch {
+	case a.ok && b.ok:
+		if c := ComparePrefix(a.p, b.p); c != 0 {
+			return c
+		}
+	case a.ok:
+		return -1
+	case b.ok:
+		return 1
+	}
+	return strings.Compare(a.s, b.s)
 }
 
 // WriteJSON encodes the document exactly as the public repository carries

@@ -189,10 +189,11 @@ func BenchmarkIndexBuild(b *testing.B) {
 // BenchmarkIndexExtend times the daily step: the archive holds `days`
 // days, the committed index all but the last, and BuildDir brings it up
 // to date. The days-scaling measurement: the decode work (decodes/op) is
-// the same at both sizes — the snapshot cadence of 6 puts day 59 and day
-// 239 alike at the end of a chain, snapshot plus five deltas — so what
-// grows from days=60 to days=240 is what a step still pays per day kept:
-// reading the old index back, rewriting it and the aggregates pass.
+// one day-file at both sizes — day 59 and day 239 are alike the last
+// delta of a snapshot-plus-five chain at cadence 6, and the build reads
+// that delta alone — so what grows from days=60 to days=240 is what a
+// step still pays per day kept: reading the old index back, rewriting it
+// and the aggregates pass.
 func BenchmarkIndexExtend(b *testing.B) {
 	for _, days := range []int{60, 240} {
 		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {

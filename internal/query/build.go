@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 
 	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/core"
@@ -41,6 +42,10 @@ type rowBuilder struct {
 	// Series over present days, in day order.
 	sites, receivers, vps []uint64
 	cities                []uint32
+
+	// named is the last delta day position whose delta names the prefix
+	// (a delta day is never position 0, so the zero value names none).
+	named int
 }
 
 func newRowBuilder(prefix string, nDays int) *rowBuilder {
@@ -98,6 +103,22 @@ func (rb *rowBuilder) add(pos int, e *core.DocumentEntry) {
 	rb.receivers = append(rb.receivers, uint64(e.MaxReceivers))
 	rb.vps = append(rb.vps, uint64(e.GCDVPs))
 	rb.cities = append(rb.cities, cityHash(e.GCDCities))
+}
+
+// carry repeats the row's day pos-1 on day pos, the prefix present on
+// both with an unchanged entry: what add(pos, e) writes for the entry
+// add(pos-1, e) wrote.
+func (rb *rowBuilder) carry(pos int) {
+	for _, bm := range rb.flags {
+		if getBit(bm, pos-1) {
+			setBit(bm, pos)
+		}
+	}
+	last := len(rb.sites) - 1
+	rb.sites = append(rb.sites, rb.sites[last])
+	rb.receivers = append(rb.receivers, rb.receivers[last])
+	rb.vps = append(rb.vps, rb.vps[last])
+	rb.cities = append(rb.cities, rb.cities[last])
 }
 
 // encode serializes the row record.
@@ -173,60 +194,153 @@ type famBuilder struct {
 	days                          []int
 	entries, g, m, added, removed []int
 	rows                          map[string]*rowBuilder
+	// order lists the rows: the first sorted in canonical prefix order
+	// (the committed index's rows, as state proved them), then the rows
+	// this build added, in the order it met their prefixes.
+	order  []*rowBuilder
+	sorted int
+}
+
+// row returns the prefix's row, adding a new one when it has none.
+func (fb *famBuilder) row(prefix string) *rowBuilder {
+	rb := fb.rows[prefix]
+	if rb == nil {
+		rb = newRowBuilder(prefix, len(fb.days))
+		fb.rows[prefix] = rb
+		fb.order = append(fb.order, rb)
+	}
+	return rb
 }
 
 // extend indexes the archived days of the family that fb does not cover
-// yet: it widens every row to the archive's day count and streams the
-// missing tail through archive.Range, which decodes from the snapshot the
-// first missing day derives from and nothing before it.
+// yet: it widens every row to the archive's day count and reads each
+// missing day-file once, through archive.ReadDay, from the first day fb
+// lacks — never from the snapshot under it. A snapshot day adds its
+// document's entries; a delta day applies to the rows directly, so no
+// document is built for it.
 func (fb *famBuilder) extend(a *archive.Archive) error {
 	days := a.Days(fb.family)
 	pos := len(fb.days)
 	if pos == len(days) {
 		return nil
 	}
-	// prev is the previous day's membership, for the churn columns: on a
-	// resumed build, the present bit at the last covered position.
-	prev := make(map[string]bool)
-	for pfx, rb := range fb.rows {
-		if pos > 0 && getBit(rb.flags[flagPresent], pos-1) {
-			prev[pfx] = true
-		}
+	fb.days = days
+	for _, rb := range fb.order {
 		rb.grow(len(days))
 	}
-	fb.days = days
-	return a.Range(fb.family, days[pos], -1, func(_ int, doc *core.Document) error {
-		cur := make(map[string]bool, len(doc.Entries))
-		var added, removed int
-		for i := range doc.Entries {
-			e := &doc.Entries[i]
-			cur[e.Prefix] = true
-			if pos > 0 && !prev[e.Prefix] {
-				added++
-			}
-			rb := fb.rows[e.Prefix]
-			if rb == nil {
-				rb = newRowBuilder(e.Prefix, len(days))
-				fb.rows[e.Prefix] = rb
-			}
-			rb.add(pos, e)
+	// family is the one the day before's document carries, which a
+	// delta must name: what Apply checks on archive.Range's chain.
+	family := fb.family
+	for ; pos < len(days); pos++ {
+		rec, _ := a.Record(fb.family, days[pos])
+		if rec.Kind == archive.KindDelta && pos == 0 {
+			return fmt.Errorf("%s chain starts with a delta (corrupt index)", fb.family)
 		}
-		if pos > 0 {
-			for pfx := range prev {
-				if !cur[pfx] {
-					removed++
-				}
-			}
+		snap, delta, err := a.ReadDay(rec)
+		if err != nil {
+			return err
 		}
-		fb.entries = append(fb.entries, len(doc.Entries))
-		fb.g = append(fb.g, doc.GCount)
-		fb.m = append(fb.m, doc.MCount)
-		fb.added = append(fb.added, added)
-		fb.removed = append(fb.removed, removed)
-		prev = cur
-		pos++
-		return nil
-	})
+		if snap != nil {
+			family = snap.Family
+			fb.addSnapshot(pos, snap)
+			continue
+		}
+		if err := fb.applyDelta(pos, family, delta); err != nil {
+			return fmt.Errorf("%s: %w", rec.File, err)
+		}
+	}
+	return nil
+}
+
+// addSnapshot indexes a snapshot day at position pos.
+func (fb *famBuilder) addSnapshot(pos int, doc *core.Document) {
+	for i := range doc.Entries {
+		fb.row(doc.Entries[i].Prefix).add(pos, &doc.Entries[i])
+	}
+	fb.closeDay(pos, doc.GCount, doc.MCount)
+}
+
+// applyDelta indexes a delta day at position pos ≥ 1 from the rows of
+// day pos-1: rows present then carry over, upserts are added, removals
+// drop out. It refuses the deltas core.DocumentDelta.Apply refuses: a
+// family other than the day before's, a removal of a prefix absent the
+// day before, and a prefix named twice.
+func (fb *famBuilder) applyDelta(pos int, family string, d *core.DocumentDelta) error {
+	if d.Header.Family != family {
+		return fmt.Errorf("delta for family %q applied to %q document", d.Header.Family, family)
+	}
+	for _, p := range d.Removed {
+		rb := fb.rows[p]
+		switch {
+		case rb == nil || !getBit(rb.flags[flagPresent], pos-1):
+			return fmt.Errorf("delta removes %q which the previous document does not carry", p)
+		case rb.named == pos:
+			return fmt.Errorf("delta names %q twice", p)
+		}
+		rb.named = pos
+	}
+	for i := range d.Upserts {
+		rb := fb.row(d.Upserts[i].Prefix)
+		if rb.named == pos {
+			return fmt.Errorf("delta names %q twice", rb.prefix)
+		}
+		rb.named = pos
+		rb.add(pos, &d.Upserts[i])
+	}
+	for _, rb := range fb.order {
+		if rb.named != pos && getBit(rb.flags[flagPresent], pos-1) {
+			rb.carry(pos)
+		}
+	}
+	fb.closeDay(pos, d.Header.GCount, d.Header.MCount)
+	return nil
+}
+
+// closeDay appends day pos's aggregate columns: the G and M counts the
+// day's header publishes, and the entry count and membership churn the
+// rows' presence bits give.
+func (fb *famBuilder) closeDay(pos, g, m int) {
+	var entries, added, removed int
+	for _, rb := range fb.order {
+		now := getBit(rb.flags[flagPresent], pos)
+		before := pos > 0 && getBit(rb.flags[flagPresent], pos-1)
+		switch {
+		case now && !before && pos > 0:
+			added++
+		case before && !now:
+			removed++
+		}
+		if now {
+			entries++
+		}
+	}
+	fb.entries = append(fb.entries, entries)
+	fb.g = append(fb.g, g)
+	fb.m = append(fb.m, m)
+	fb.added = append(fb.added, added)
+	fb.removed = append(fb.removed, removed)
+}
+
+// canonical returns the rows in canonical prefix order: the rows this
+// build added, sorted and merged into the already sorted ones.
+func (fb *famBuilder) canonical() []*rowBuilder {
+	old, fresh := fb.order[:fb.sorted], fb.order[fb.sorted:]
+	if len(fresh) == 0 {
+		return old
+	}
+	prefixes := make([]string, len(fresh))
+	for i, rb := range fresh {
+		prefixes[i] = rb.prefix
+	}
+	core.SortPrefixStrings(prefixes)
+	out := make([]*rowBuilder, 0, len(fb.order))
+	for _, p := range prefixes {
+		key := core.ParsePrefixKey(p)
+		n := sort.Search(len(old), func(i int) bool { return core.ParsePrefixKey(old[i].prefix).Compare(key) > 0 })
+		out = append(append(out, old[:n]...), fb.rows[p])
+		old = old[n:]
+	}
+	return append(out, old...)
 }
 
 // BuildResult summarises one index build.
@@ -252,9 +366,9 @@ type BuildResult struct {
 	Resumed     bool
 	FromScratch string
 	// DaysAdded counts the day-files this build indexed beyond the state
-	// it started from, DaysDecoded the archive documents it materialized
-	// to do so: per family, the chain from the snapshot under the first
-	// added day — not the history.
+	// it started from, DaysDecoded the day-files it decoded to do so:
+	// each appended day-file once — not the chain under it, not the
+	// history — so the two are equal.
 	DaysAdded   int
 	DaysDecoded int64
 }
@@ -263,12 +377,12 @@ type BuildResult struct {
 // with the archive. It starts from the state of the index already
 // committed there — empty when there is none, or when it fails any check
 // (see BuildResult.FromScratch; deleting the file forces a full build) —
-// streams only the days that state does not cover through archive.Range,
-// and writes the whole index again: a resumed build and a from-scratch
-// build of the same archive produce the same bytes. A daily step
-// therefore decodes the new day's delta chain, not the history;
-// answering queries afterwards decodes nothing. The write is atomic: the
-// index appears at path complete and CRC'd, or not at all.
+// decodes each day-file that state does not cover once, and writes the
+// whole index again: a resumed build and a from-scratch build of the
+// same archive produce the same bytes. A daily step therefore decodes
+// the appended day-files alone, not the chain under them and not the
+// history; answering queries afterwards decodes nothing. The write is
+// atomic: the index appears at path complete and CRC'd, or not at all.
 func Build(a *archive.Archive, path string) (*BuildResult, error) {
 	decoded := a.Decodes()
 	fams, why := loadState(a, path)
@@ -296,14 +410,13 @@ func Build(a *archive.Archive, path string) (*BuildResult, error) {
 	}
 	// Materialize the dashboard aggregates next to the index: the
 	// serving tier answers its hot queries from this sidecar without
-	// touching row storage. Computed by re-opening the committed file so
-	// the sidecar is a pure function of the index bytes (and carries
-	// their fingerprint).
-	ix, err := Open(path)
+	// touching row storage. Computed over the committed image, so the
+	// sidecar is a pure function of the index bytes (and carries their
+	// fingerprint).
+	ix, err := openImage(image)
 	if err != nil {
 		return nil, err
 	}
-	defer ix.Close()
 	ag, err := ix.computeAggregates()
 	if err != nil {
 		return nil, err
@@ -340,20 +453,22 @@ func loadState(a *archive.Archive, path string) (fams []*famBuilder, why string)
 }
 
 // committedState reads the index at path back into builders, or says
-// why a build of a cannot start from it.
+// why a build of a cannot start from it. The file is read once: Open's
+// checks and the rows run on that one buffer, and the aggregates
+// sidecar is not read at all.
 func committedState(a *archive.Archive, path string) (fams []*famBuilder, why string) {
-	ix, err := Open(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
+	image, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
 		return nil, "no index"
-	case err != nil:
+	}
+	ix, err := openImage(image)
+	if err != nil {
 		return nil, "checksum"
 	}
-	defer ix.Close()
 	if _, why := ix.behind(a); why != "" {
 		return nil, why
 	}
-	return ix.state()
+	return ix.state(image[ix.rowsOff:])
 }
 
 // behind compares the index with an archive: how many archived day-files
@@ -382,20 +497,13 @@ func (ix *Index) behind(a *archive.Archive) (missing int, why string) {
 	return missing, ""
 }
 
-// state reads the whole index back into the builders that wrote it. It
-// accepts only the layout encodeIndex produces — families and prefixes in
-// strictly ascending order, rows contiguous and covering the rows section
-// — so an accepted state encodes to the file it was read from; otherwise
-// why names the first row that does not fit.
-func (ix *Index) state() (fams []*famBuilder, why string) {
-	st, err := ix.f.Stat()
-	if err != nil {
-		return nil, "checksum"
-	}
-	rows := make([]byte, st.Size()-ix.rowsOff) // Open checked the size against the header
-	if _, err := ix.f.ReadAt(rows, ix.rowsOff); err != nil {
-		return nil, "checksum"
-	}
+// state reads the index, whose rows section is rows, back into the
+// builders that wrote it. It accepts only the layout encodeIndex produces
+// — families and prefixes in strictly ascending order, rows contiguous
+// and covering the rows section — so an accepted state encodes to the
+// file it was read from; otherwise why names the first row that does not
+// fit.
+func (ix *Index) state(rows []byte) (fams []*famBuilder, why string) {
 	n, off := 0, 0
 	for i, family := range ix.order {
 		if i > 0 && family <= ix.order[i-1] {
@@ -405,21 +513,26 @@ func (ix *Index) state() (fams []*famBuilder, why string) {
 		fb := &famBuilder{
 			family: family, days: fam.days,
 			entries: fam.entries, g: fam.g, m: fam.m, added: fam.added, removed: fam.removed,
-			rows: make(map[string]*rowBuilder, len(fam.prefixes)),
+			rows:  make(map[string]*rowBuilder, len(fam.prefixes)),
+			order: make([]*rowBuilder, 0, len(fam.prefixes)),
 		}
+		var last core.PrefixKey
 		for p, ref := range fam.prefixes {
-			if p > 0 && core.ComparePrefixStrings(fam.prefixes[p-1].prefix, ref.prefix) >= 0 ||
-				ref.off != int64(off) || ref.length > len(rows)-off {
+			key := core.ParsePrefixKey(ref.prefix)
+			if p > 0 && last.Compare(key) >= 0 || ref.off != int64(off) || ref.length > len(rows)-off {
 				return nil, fmt.Sprintf("row %d", n)
 			}
+			last = key
 			rb, err := decodeRowState(ref, len(fam.days), rows[off:off+ref.length])
 			if err != nil {
 				return nil, fmt.Sprintf("row %d", n)
 			}
 			fb.rows[ref.prefix] = rb
+			fb.order = append(fb.order, rb)
 			off += ref.length
 			n++
 		}
+		fb.sorted = len(fb.order)
 		fams = append(fams, fb)
 	}
 	if off != len(rows) {
@@ -441,17 +554,11 @@ func encodeIndex(fams []*famBuilder) []byte {
 	rows := &bufWriter{}
 	refs := make([][]rowRef, len(fams))
 	for fi, fb := range fams {
-		prefixes := make([]string, 0, len(fb.rows))
-		for p := range fb.rows {
-			prefixes = append(prefixes, p)
-		}
-		core.SortPrefixStrings(prefixes)
-		for _, p := range prefixes {
-			rb := fb.rows[p]
+		for _, rb := range fb.canonical() {
 			off := uint64(len(rows.b))
 			rb.encode(rows)
 			refs[fi] = append(refs[fi], rowRef{
-				prefix: p, origin: rb.origin,
+				prefix: rb.prefix, origin: rb.origin,
 				off: off, length: uint32(uint64(len(rows.b)) - off),
 			})
 		}

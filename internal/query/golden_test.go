@@ -183,6 +183,17 @@ func TestResumeEqualsScratchAcrossSeedsAndScenarios(t *testing.T) {
 	})
 }
 
+// TestIndexIsCadenceIndependentOnPipelineOutput runs the snapshot-cadence
+// property (resume_test.go) on one seed's real pipeline output.
+func TestIndexIsCadenceIndependentOnPipelineOutput(t *testing.T) {
+	_, docs := runArchive(t, 1, nil, 4)
+	days := make([]query.DayDoc, len(docs))
+	for d, doc := range docs {
+		days[d] = query.DayDoc{Day: d, Doc: doc}
+	}
+	query.CheckCadenceIndependent(t, days)
+}
+
 // validateTimelines checks every indexed prefix against the documents.
 func validateTimelines(t *testing.T, ix *query.Index, docs []*core.Document) {
 	t.Helper()

@@ -7,9 +7,10 @@
 // It has two halves. The indexer (Build) streams an archive into a
 // compact columnar prefix-timeline index on disk next to index.jsonl. It
 // is resumable: the committed index is the state the next build starts
-// from, so a daily step decodes the appended day's delta chain rather
-// than the history, and a full build is the same code resuming from
-// nothing. Per prefix the index holds a presence bitmap over the
+// from, so a daily step decodes each appended day-file once — a delta
+// applied to the rows, not to a document rebuilt from its snapshot —
+// rather than the history, and a full build is the same code resuming
+// from nothing. Per prefix the index holds a presence bitmap over the
 // indexed days, per-day anycast-based and GCD verdict bits, protocol
 // bits, and site-count / receiver / VP / geo-signature series; per day
 // the aggregate census counts and membership churn. The query layer
@@ -25,6 +26,7 @@
 package query
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -69,7 +71,10 @@ type famIndex struct {
 // records read and decoded on demand (ReadAt, no mmap). Memory stays
 // bounded by the directory no matter how many rows are queried.
 type Index struct {
-	path    string
+	// src holds the index file: the open file, or an image in memory.
+	// Row records are read through it; f is the file to close, nil for
+	// an image.
+	src     io.ReaderAt
 	f       *os.File
 	rowsOff int64
 	fams    map[string]*famIndex
@@ -137,53 +142,73 @@ func Open(path string) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
-	hb := make([]byte, headerLen)
-	if _, err := io.ReadFull(f, hb); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
 		f.Close()
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	ix, err := openReader(f, fi.Size())
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	ix.f = f
+	// A matching aggregates sidecar (written by Build) lets the hot
+	// dashboard queries skip row storage entirely; a missing, stale or
+	// unreadable sidecar just means Aggregates computes on first use.
+	if ag := loadAggregates(AggregatesPath(path), ix.fingerprint); ag != nil {
+		ix.agg, ix.aggFromDisk = ag, true
+	}
+	return ix, nil
+}
+
+// openImage opens an index file image held in memory with Open's checks,
+// reading rows from the image. It does not look for a sidecar.
+func openImage(image []byte) (*Index, error) {
+	return openReader(bytes.NewReader(image), int64(len(image)))
+}
+
+// openReader checks the index file held by src, size bytes long — header,
+// section lengths against the size, both section CRCs — and parses its
+// TOC into an Index reading rows from src.
+func openReader(src io.ReaderAt, size int64) (*Index, error) {
+	hb := make([]byte, headerLen)
+	if _, err := src.ReadAt(hb, 0); err != nil {
 		return nil, fmt.Errorf("query: reading index header: %w", err)
 	}
 	h, err := decodeHeader(hb)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	// Bound the declared section lengths against the actual file size
 	// before allocating: a bit-flipped header must fail cleanly, not
 	// drive a multi-GiB allocation.
-	if fi, err := f.Stat(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("query: %w", err)
-	} else if want := int64(headerLen) + int64(h.tocLen) + int64(h.rowsLen); want != fi.Size() {
-		f.Close()
-		return nil, fmt.Errorf("query: index sections declare %d bytes but the file holds %d (corrupt header or truncated file)", want, fi.Size())
+	if want := int64(headerLen) + int64(h.tocLen) + int64(h.rowsLen); want != size {
+		return nil, fmt.Errorf("query: index sections declare %d bytes but the file holds %d (corrupt header or truncated file)", want, size)
 	}
 	tocBytes := make([]byte, h.tocLen)
-	if _, err := io.ReadFull(f, tocBytes); err != nil {
-		f.Close()
+	if _, err := src.ReadAt(tocBytes, headerLen); err != nil {
 		return nil, fmt.Errorf("query: reading index TOC: %w", err)
 	}
 	if crc := crc32.Checksum(tocBytes, castagnoli); crc != h.tocCRC {
-		f.Close()
 		return nil, fmt.Errorf("query: index TOC checksum mismatch (%08x/%08x)", crc, h.tocCRC)
 	}
 	// Stream the rows section once to prove its checksum — O(buffer)
 	// memory however large the section.
+	rowsOff := int64(headerLen) + int64(h.tocLen)
 	rowsCRC := crc32.New(castagnoli)
-	n, err := io.Copy(rowsCRC, io.LimitReader(f, int64(h.rowsLen)))
+	n, err := io.Copy(rowsCRC, io.NewSectionReader(src, rowsOff, int64(h.rowsLen)))
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("query: checksumming index rows: %w", err)
 	}
 	if uint64(n) != h.rowsLen || rowsCRC.Sum32() != h.rowsCRC {
-		f.Close()
 		return nil, fmt.Errorf("query: index rows section corrupt (%d/%d bytes, crc %08x/%08x)",
 			n, h.rowsLen, rowsCRC.Sum32(), h.rowsCRC)
 	}
 
 	ix := &Index{
-		path:        path,
-		f:           f,
-		rowsOff:     int64(headerLen) + int64(h.tocLen),
+		src:         src,
+		rowsOff:     rowsOff,
 		fams:        make(map[string]*famIndex),
 		fingerprint: fmt.Sprintf("%08x%08x", h.tocCRC, h.rowsCRC),
 	}
@@ -221,14 +246,7 @@ func Open(path string) (*Index, error) {
 		r.err = fmt.Errorf("query: index TOC has %d trailing bytes", len(tocBytes)-r.off)
 	}
 	if r.err != nil {
-		f.Close()
 		return nil, r.err
-	}
-	// A matching aggregates sidecar (written by Build) lets the hot
-	// dashboard queries skip row storage entirely; a missing, stale or
-	// unreadable sidecar just means Aggregates computes on first use.
-	if ag := loadAggregates(AggregatesPath(path), ix.fingerprint); ag != nil {
-		ix.agg, ix.aggFromDisk = ag, true
 	}
 	return ix, nil
 }
@@ -260,7 +278,7 @@ func OpenDir(dir string) (*Index, error) {
 // store regenerated) after the index was built; serving longitudinal
 // answers from it would silently misreport the new days, or days no
 // archived file backs. Build/BuildDir bring it up to date — by decoding
-// only the appended days when that is all that happened.
+// each appended day-file once when that is all that happened.
 func (ix *Index) VerifyCoverage(a *archive.Archive) error {
 	switch missing, why := ix.behind(a); {
 	case why != "":
@@ -278,7 +296,7 @@ func (ix *Index) AttachArchive(a *archive.Archive) { ix.arch = a }
 // Archive returns the attached fallback store, if any.
 func (ix *Index) Archive() *archive.Archive { return ix.arch }
 
-// Close releases the index file handle.
+// Close releases the index file handle; row reads fail afterwards.
 func (ix *Index) Close() error {
 	if ix.f == nil {
 		return nil
@@ -391,7 +409,7 @@ func (ix *Index) find(family, prefix string) (*famIndex, prefixRef, error) {
 // bitmaps over nDays day positions.
 func (ix *Index) readRow(buf []byte, ref prefixRef, nDays int) ([]byte, error) {
 	buf = slices.Grow(buf[:0], ref.length)[:ref.length]
-	if _, err := ix.f.ReadAt(buf, ix.rowsOff+ref.off); err != nil {
+	if _, err := ix.src.ReadAt(buf, ix.rowsOff+ref.off); err != nil {
 		return buf, fmt.Errorf("query: reading row for %s: %w", ref.prefix, err)
 	}
 	return buf, checkRowLen(ref, nDays, buf)
