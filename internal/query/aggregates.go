@@ -105,7 +105,7 @@ func (ix *Index) computeAggregates() (*Aggregates, error) {
 	ag := &Aggregates{Schema: aggSchema, Fingerprint: ix.fingerprint}
 	var (
 		buf  []byte
-		scan rowScan
+		scan row
 	)
 	for _, family := range ix.order {
 		fam := ix.fams[family]
@@ -130,7 +130,7 @@ func (ix *Index) computeAggregates() (*Aggregates, error) {
 		}
 		var scoreSum float64
 		for _, ref := range fam.prefixes {
-			if buf, err = ix.readRow(buf, ref, len(fam.days)); err != nil {
+			if buf, err = ix.readRow(buf, ref); err != nil {
 				return nil, err
 			}
 			if err := scan.load(ref, len(fam.days), buf); err != nil {

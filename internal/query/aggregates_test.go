@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,61 +79,114 @@ func withRowLen(t testing.TB, toc []byte, prefix string, length uint32) []byte {
 	return out
 }
 
-// TestShortRowFailsEveryWindow: a row too short for its flag bitmaps is
-// an error on every event window, in Stability and in the aggregates
-// pass — never a prefix the presence prune skips in silence. The row cut
-// short is 2.1.7.0/24's, absent on days 0–9, so a prune that read the
-// bytes at the row's offset without checking its length dropped it on
-// those windows.
-func TestShortRowFailsEveryWindow(t *testing.T) {
-	const prefix = "2.1.7.0/24"
-	dir, _ := buildIndex(t, synthChain(20, 40))
-	image, _ := indexFiles(t, filepath.Join(dir, IndexFileName))
-	toc, rows := splitIndex(t, image)
-	path := filepath.Join(t.TempDir(), IndexFileName)
-	if err := os.WriteFile(path, sealIndex(withRowLen(t, toc, prefix, 1), rows), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := Open(path)
+// withRow returns the ipv4 index image with prefix's row record
+// replaced by rec, re-encoded — the TOC offsets and lengths follow — and
+// sealed with true CRCs.
+func withRow(t testing.TB, image []byte, prefix string, rec []byte) []byte {
+	t.Helper()
+	ix, err := openImage(image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
-	const want = "row for " + prefix + " shorter than its bitmaps"
-	check := func(what string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: error %v, want %q", what, err, want)
-		}
+	fams, why := ix.state(image[ix.rowsOff:])
+	if why != "" || fams[0].rows[prefix] == nil {
+		t.Fatalf("no ipv4 row for %s to replace (%s)", prefix, why)
 	}
-	_, err = ix.Events("ipv4", nil, 0, -1, EventOptions{})
-	check("full scan", err)
-	for d := 0; d < 20; d++ {
-		_, err := ix.Events("ipv4", nil, d, d, EventOptions{})
-		check(fmt.Sprintf("window [%d,%d]", d, d), err)
+	rb := fams[0].rows[prefix]
+	rb.flags, rb.series = [nFlags][]byte{}, [4][]byte{rec}
+	return encodeIndex(fams)
+}
+
+// TestShortRowFailsEveryWindow: every reader refuses a row record in a
+// form encode does not write — Timeline, Stability, the full event
+// scan, the aggregates pass and the state a build resumes from. A row
+// too short for its flag bitmaps is also an error on every narrow event
+// window, never a prefix the presence prune skips in silence; the other
+// forms hold whole bitmaps, which the prune reads. The row is
+// 2.1.7.0/24's, absent on days 0–9, so a prune that read the bytes at
+// the row's offset without checking its length dropped it on those
+// windows.
+func TestShortRowFailsEveryWindow(t *testing.T) {
+	const prefix, nDays = "2.1.7.0/24", 20
+	dir, ix := buildIndex(t, synthChain(nDays, 40))
+	image, _ := indexFiles(t, filepath.Join(dir, IndexFileName))
+	pos := ix.fams["ipv4"].byPrefix[prefix]
+	rec, err := ix.readRow(nil, ix.fams["ipv4"].prefixes[pos])
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err = ix.Stability("ipv4", prefix)
-	check("Stability", err)
-	_, err = ix.Timeline("ipv4", prefix)
-	check("Timeline", err)
-	_, err = ix.computeAggregates()
-	check("aggregates", err)
+	bl := bitmapLen(nDays)
+	series := nFlags * bl // the first sites varint: 0, one byte
+	pastLast := bytes.Clone(rec)
+	pastLast[2*bl-1] |= 1 << (nDays % 8) // day 20 of 0..19, in the candidate bitmap
+	for _, tc := range []struct {
+		name  string
+		rec   []byte
+		short bool
+	}{
+		{"shorter than flags", rec[:series-1], true},
+		{"trailing byte", append(bytes.Clone(rec), 0), false},
+		{"truncated", rec[:len(rec)-1], false},
+		{"padded varint", slices.Concat(rec[:series], []byte{rec[series] | 0x80, 0x00}, rec[series+1:]), false},
+		{"flag past last day", pastLast, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := withRow(t, image, prefix, tc.rec)
+			path := filepath.Join(t.TempDir(), IndexFileName)
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			want := "row for " + prefix
+			if tc.short {
+				want += " shorter than its bitmaps"
+			}
+			check := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %v, want %q", what, err, want)
+				}
+			}
+			_, err = ix.Events("ipv4", nil, 0, -1, EventOptions{})
+			check("full scan", err)
+			for d := 0; tc.short && d < nDays; d++ {
+				_, err := ix.Events("ipv4", nil, d, d, EventOptions{})
+				check(fmt.Sprintf("window [%d,%d]", d, d), err)
+			}
+			_, err = ix.Stability("ipv4", prefix)
+			check("Stability", err)
+			_, err = ix.Timeline("ipv4", prefix)
+			check("Timeline", err)
+			_, err = ix.computeAggregates()
+			check("aggregates", err)
+			if _, why := ix.state(bad[ix.rowsOff:]); why != fmt.Sprintf("row %d", pos) {
+				t.Errorf("state: %q, want row %d", why, pos)
+			}
+		})
+	}
 }
 
 // TestEventScanAllocs: the event scan and the aggregates pass read rows
 // in place through reused buffers, so their allocation count is a
 // constant — the same for 150 and 600 prefixes — not a number per row.
+// A Timeline makes a constant few: the row and the columns it fills.
 func TestEventScanAllocs(t *testing.T) {
-	const bound = 64
 	for _, entries := range []int{150, 600} {
 		_, ix := buildIndex(t, synthChain(40, entries))
+		prefix := ix.Prefixes("ipv4")[entries/2]
 		for _, tc := range []struct {
-			name string
-			run  func() error
+			name  string
+			bound float64
+			run   func() error
 		}{
-			{"Events full", func() error { _, err := ix.Events("ipv4", nil, 0, -1, EventOptions{}); return err }},
-			{"Events 3-day window", func() error { _, err := ix.Events("ipv4", nil, 20, 22, EventOptions{}); return err }},
-			{"computeAggregates", func() error { _, err := ix.computeAggregates(); return err }},
+			{"Events full", 64, func() error { _, err := ix.Events("ipv4", nil, 0, -1, EventOptions{}); return err }},
+			{"Events 3-day window", 64, func() error { _, err := ix.Events("ipv4", nil, 20, 22, EventOptions{}); return err }},
+			{"computeAggregates", 64, func() error { _, err := ix.computeAggregates(); return err }},
+			{"Timeline", 16, func() error { _, err := ix.Timeline("ipv4", prefix); return err }},
 		} {
 			var err error
 			allocs := testing.AllocsPerRun(5, func() {
@@ -144,8 +198,8 @@ func TestEventScanAllocs(t *testing.T) {
 				t.Fatalf("%s over %d prefixes: %v", tc.name, entries, err)
 			}
 			t.Logf("%s over %d prefixes: %.0f allocations", tc.name, entries, allocs)
-			if allocs > bound {
-				t.Errorf("%s over %d prefixes: %.0f allocations, want ≤ %d", tc.name, entries, allocs, bound)
+			if allocs > tc.bound {
+				t.Errorf("%s over %d prefixes: %.0f allocations, want ≤ %.0f", tc.name, entries, allocs, tc.bound)
 			}
 		}
 	}

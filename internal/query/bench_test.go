@@ -189,13 +189,13 @@ func BenchmarkIndexBuild(b *testing.B) {
 // BenchmarkIndexExtend times the daily step: the archive holds `days`
 // days, the committed index all but the last, and BuildDir brings it up
 // to date. The days-scaling measurement: the decode work (decodes/op) is
-// one day-file at both sizes — day 59 and day 239 are alike the last
+// one day-file at every size — days 59, 239 and 959 are alike the last
 // delta of a snapshot-plus-five chain at cadence 6, and the build reads
-// that delta alone — so what grows from days=60 to days=240 is what a
+// that delta alone — so what grows from days=60 to days=960 is what a
 // step still pays per day kept: reading the old index back, rewriting it
 // and the aggregates pass.
 func BenchmarkIndexExtend(b *testing.B) {
-	for _, days := range []int{60, 240} {
+	for _, days := range []int{60, 240, 960} {
 		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
 			docs := synthChain(days, benchEntries)
 			dir := b.TempDir()

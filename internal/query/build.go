@@ -1,11 +1,11 @@
 package query
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,8 +15,8 @@ import (
 	"github.com/laces-project/laces/internal/core"
 )
 
-// The row's flag bitmaps, in their serialized order — the one contract
-// decodeRow mirrors.
+// The row's flag bitmaps, in their serialized order: the order
+// rowBuilder.encode writes and row.load reads.
 const (
 	flagPresent = iota
 	flagCandidate
@@ -39,9 +39,12 @@ type rowBuilder struct {
 	// Flag bitmaps over day positions.
 	flags [nFlags][]byte
 
-	// Series over present days, in day order.
-	sites, receivers, vps []uint64
-	cities                []uint32
+	// series are the row's series over present days in day order, as
+	// encode writes them: the site, receiver and GCD-VP counts as
+	// uvarints, then the city hashes. last holds the latest present
+	// day's four values, which carry repeats.
+	series [4][]byte
+	last   [4]uint64
 
 	// named is the last delta day position whose delta names the prefix
 	// (a delta day is never position 0, so the zero value names none).
@@ -99,10 +102,7 @@ func (rb *rowBuilder) add(pos int, e *core.DocumentEntry) {
 	if e.FromFeedback {
 		setBit(rb.flags[flagFromFeedback], pos)
 	}
-	rb.sites = append(rb.sites, uint64(e.GCDSites))
-	rb.receivers = append(rb.receivers, uint64(e.MaxReceivers))
-	rb.vps = append(rb.vps, uint64(e.GCDVPs))
-	rb.cities = append(rb.cities, cityHash(e.GCDCities))
+	rb.push([4]uint64{uint64(e.GCDSites), uint64(e.MaxReceivers), uint64(e.GCDVPs), uint64(cityHash(e.GCDCities))})
 }
 
 // carry repeats the row's day pos-1 on day pos, the prefix present on
@@ -114,11 +114,16 @@ func (rb *rowBuilder) carry(pos int) {
 			setBit(bm, pos)
 		}
 	}
-	last := len(rb.sites) - 1
-	rb.sites = append(rb.sites, rb.sites[last])
-	rb.receivers = append(rb.receivers, rb.receivers[last])
-	rb.vps = append(rb.vps, rb.vps[last])
-	rb.cities = append(rb.cities, rb.cities[last])
+	rb.push(rb.last)
+}
+
+// push appends one present day's values to the series.
+func (rb *rowBuilder) push(v [4]uint64) {
+	for k := range 3 {
+		rb.series[k] = binary.AppendUvarint(rb.series[k], v[k])
+	}
+	rb.series[3] = binary.LittleEndian.AppendUint32(rb.series[3], uint32(v[3]))
+	rb.last = v
 }
 
 // encode serializes the row record.
@@ -126,64 +131,29 @@ func (rb *rowBuilder) encode(w *bufWriter) {
 	for _, bm := range rb.flags {
 		w.b = append(w.b, bm...)
 	}
-	for _, s := range rb.sites {
-		w.uvarint(s)
-	}
-	for _, s := range rb.receivers {
-		w.uvarint(s)
-	}
-	for _, s := range rb.vps {
-		w.uvarint(s)
-	}
-	for _, c := range rb.cities {
-		w.u32(c)
+	for _, s := range rb.series {
+		w.b = append(w.b, s...)
 	}
 }
 
-// decodeRowState is encode's inverse: it reads a row record written over
-// nDays day positions back into the builder that wrote it. The committed
-// index is the next build's input, so only the canonical form is
-// accepted — no bit set past the last day, minimal varints, no trailing
-// bytes — and an accepted row re-encodes to exactly b.
-func decodeRowState(ref prefixRef, nDays int, b []byte) (*rowBuilder, error) {
-	if err := checkRowLen(ref, nDays, b); err != nil {
-		return nil, err
-	}
-	bl := bitmapLen(nDays)
+// builder returns the builder that wrote the loaded row, over nDays day
+// positions: encode's inverse. Its series are the record's own bytes,
+// capped so that the next add or carry copies them rather than writing
+// into the record.
+func (r *row) builder(ref prefixRef, nDays int) *rowBuilder {
 	rb := newRowBuilder(ref.prefix, nDays)
 	rb.origin = ref.origin
-	for i, bm := range rb.flags {
-		copy(bm, b[i*bl:])
-		if nDays%8 != 0 && bm[bl-1]>>(nDays%8) != 0 {
-			return nil, fmt.Errorf("query: row for %s flags a day past the last", ref.prefix)
-		}
+	bl := bitmapLen(nDays)
+	for c, bm := range rb.flags {
+		copy(bm, r.b[c*bl:])
 	}
-	present := 0
-	for _, x := range rb.flags[flagPresent] {
-		present += bits.OnesCount8(x)
+	for k := range rb.series {
+		rb.series[k] = r.b[r.start[k]:r.start[k+1]:r.start[k+1]]
 	}
-	r := &bufReader{b: b, off: nFlags * bl}
-	for _, series := range []*[]uint64{&rb.sites, &rb.receivers, &rb.vps} {
-		*series = make([]uint64, present)
-		for i := range *series {
-			start := r.off
-			(*series)[i] = r.uvarint()
-			if r.off-start > 1 && b[r.off-1] == 0 {
-				return nil, fmt.Errorf("query: row for %s holds a padded varint", ref.prefix)
-			}
-		}
+	if k := len(r.present) - 1; k >= 0 {
+		rb.last = [4]uint64{uint64(r.sites[k]), uint64(r.receivers[k]), uint64(r.vps[k]), uint64(r.city[k])}
 	}
-	rb.cities = make([]uint32, present)
-	for i := range rb.cities {
-		rb.cities[i] = r.u32()
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("query: row for %s: %w", ref.prefix, r.err)
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("query: row for %s has %d trailing bytes", ref.prefix, len(b)-r.off)
-	}
-	return rb, nil
+	return rb
 }
 
 // famBuilder accumulates one family's section.
@@ -398,6 +368,12 @@ func Build(a *archive.Archive, path string) (*BuildResult, error) {
 	}
 	res.DaysDecoded = a.Decodes() - decoded
 	image := encodeIndex(fams)
+	// Open the image before committing it: an index its own Open refuses
+	// must not replace the one the next build resumes from.
+	ix, err := openImage(image)
+	if err != nil {
+		return nil, fmt.Errorf("query: not committing the built index: %w", err)
+	}
 	if err := archive.CommitFile(path, func(w io.Writer) error {
 		_, err := w.Write(image)
 		return err
@@ -413,10 +389,6 @@ func Build(a *archive.Archive, path string) (*BuildResult, error) {
 	// touching row storage. Computed over the committed image, so the
 	// sidecar is a pure function of the index bytes (and carries their
 	// fingerprint).
-	ix, err := openImage(image)
-	if err != nil {
-		return nil, err
-	}
 	ag, err := ix.computeAggregates()
 	if err != nil {
 		return nil, err
@@ -505,6 +477,7 @@ func (ix *Index) behind(a *archive.Archive) (missing int, why string) {
 // fit.
 func (ix *Index) state(rows []byte) (fams []*famBuilder, why string) {
 	n, off := 0, 0
+	var r row
 	for i, family := range ix.order {
 		if i > 0 && family <= ix.order[i-1] {
 			return nil, "family set"
@@ -519,14 +492,12 @@ func (ix *Index) state(rows []byte) (fams []*famBuilder, why string) {
 		var last core.PrefixKey
 		for p, ref := range fam.prefixes {
 			key := core.ParsePrefixKey(ref.prefix)
-			if p > 0 && last.Compare(key) >= 0 || ref.off != int64(off) || ref.length > len(rows)-off {
+			if p > 0 && last.Compare(key) >= 0 || ref.off != int64(off) || ref.length > len(rows)-off ||
+				r.load(ref, len(fam.days), rows[off:off+ref.length]) != nil {
 				return nil, fmt.Sprintf("row %d", n)
 			}
 			last = key
-			rb, err := decodeRowState(ref, len(fam.days), rows[off:off+ref.length])
-			if err != nil {
-				return nil, fmt.Sprintf("row %d", n)
-			}
+			rb := r.builder(ref, len(fam.days))
 			fb.rows[ref.prefix] = rb
 			fb.order = append(fb.order, rb)
 			off += ref.length

@@ -113,7 +113,7 @@ func (o EventOptions) withDefaults() EventOptions {
 // family's indexed day list. Detection is a pure function of the row and
 // the options, so the same index always yields byte-identical event
 // lists.
-func (s *rowScan) detect(out []Event, family, prefix string, days []int, opts EventOptions) []Event {
+func (s *row) detect(out []Event, family, prefix string, days []int, opts EventOptions) []Event {
 	opts = opts.withDefaults()
 	n := len(days)
 	ev := func(kind EventKind, day int) Event {
@@ -192,8 +192,8 @@ func abs(v int) int {
 // present days inside the window; an offset day is the first absent day
 // after a present day, so its predecessor sits at fromPos-1 or later).
 // For a narrow window, the presence bitmap — the first bytes of the row
-// — rejects most prefixes before their series are parsed. A row too
-// short for its bitmaps is an error on every window.
+// — rejects most prefixes before their row is loaded. A row too short
+// for its bitmaps is never pruned, so it is an error on every window.
 func (ix *Index) Events(family string, kinds []EventKind, from, to int, opts EventOptions) ([]Event, error) {
 	fam := ix.fams[family]
 	if fam == nil {
@@ -218,15 +218,15 @@ func (ix *Index) Events(family string, kinds []EventKind, from, to int, opts Eve
 	var (
 		out  []Event
 		buf  []byte
-		scan rowScan
+		scan row
 		err  error
 	)
 	for _, ref := range fam.prefixes {
 		ix.eventRows.Add(1)
-		if buf, err = ix.readRow(buf, ref, n); err != nil {
+		if buf, err = ix.readRow(buf, ref); err != nil {
 			return nil, err
 		}
-		if !full && !anyBit(buf, lo, toPos) {
+		if !full && len(buf) >= nFlags*bitmapLen(n) && !anyBit(buf, lo, toPos) {
 			ix.eventRowsPruned.Add(1)
 			continue
 		}
@@ -313,11 +313,11 @@ func (ix *Index) Stability(family, prefix string) (*Stability, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := ix.readRow(nil, ref, len(fam.days))
+	b, err := ix.readRow(nil, ref)
 	if err != nil {
 		return nil, err
 	}
-	var scan rowScan
+	var scan row
 	if err := scan.load(ref, len(fam.days), b); err != nil {
 		return nil, err
 	}
@@ -327,11 +327,11 @@ func (ix *Index) Stability(family, prefix string) (*Stability, error) {
 
 // score derives the row's stability record; days is the family's
 // indexed day list.
-func (s *rowScan) score(family, prefix string, days []int, opts EventOptions) Stability {
+func (s *row) score(family, prefix string, days []int, opts EventOptions) Stability {
 	st := Stability{Family: family, Prefix: prefix, DaysIndexed: len(days), DaysPresent: len(s.present)}
 	siteSum := 0
-	for k, gcd := range s.gcd {
-		if gcd {
+	for k, p := range s.present {
+		if getBit(s.gcd, p) {
 			st.GCDDays++
 			siteSum += s.sites[k]
 		}

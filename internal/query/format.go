@@ -83,9 +83,6 @@ type bufWriter struct{ b []byte }
 func (w *bufWriter) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
 func (w *bufWriter) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *bufWriter) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *bufWriter) uvarint(v uint64) {
-	w.b = binary.AppendUvarint(w.b, v)
-}
 
 // str16 writes a length-prefixed string (≤ 64 KiB).
 func (w *bufWriter) str16(s string) {
@@ -93,9 +90,8 @@ func (w *bufWriter) str16(s string) {
 	w.b = append(w.b, s...)
 }
 
-// bufReader decodes the TOC and row records; the first malformed field
-// latches err and subsequent reads return zeros, so callers check err
-// once at the end.
+// bufReader decodes the TOC; the first malformed field latches err and
+// subsequent reads return zeros, so callers check err once at the end.
 type bufReader struct {
 	b   []byte
 	off int
@@ -154,19 +150,6 @@ func (r *bufReader) count(size int) int {
 		return 0
 	}
 	return n
-}
-
-func (r *bufReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
 }
 
 func (r *bufReader) str16() string {

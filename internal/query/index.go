@@ -18,15 +18,17 @@
 // / geo-shift, with hysteresis), Stability scoring and aggregate Series
 // from the index alone — no query decodes a document, and the archive's
 // decode counter proves it. The Index caches no rows, and every result
-// is the caller's own. Only Timeline expands a row record into a
-// Timeline; Events, Stability and the aggregates pass scan the record in
-// place (rowScan: the present days with their site count, GCD bit and
-// geo signature) through buffers reused row after row, so a family-wide
-// pass allocates nothing per row.
+// is the caller's own. One reader parses a row record (row.load), and it
+// accepts only the form the builder writes. Timeline expands the loaded
+// row into day-aligned columns; Events, Stability and the aggregates
+// pass scan it in place through buffers reused row after row, so a
+// family-wide pass allocates nothing per row; a resumed Build takes the
+// row's encoded series as its builder's own.
 package query
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -383,11 +385,45 @@ func (ix *Index) Timeline(family, prefix string) (*Timeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := ix.readRow(nil, ref, len(fam.days))
+	n := len(fam.days)
+	b, err := ix.readRow(nil, ref)
 	if err != nil {
 		return nil, err
 	}
-	return decodeRow(family, ref, fam.days, b)
+	var r row
+	if err := r.load(ref, n, b); err != nil {
+		return nil, err
+	}
+	// The fresh row's slices are the columns: load sized them to the day
+	// list and packed the present days' values at their front.
+	tl := &Timeline{
+		Family: family, Prefix: ref.prefix, OriginASN: ref.origin, Days: fam.days,
+		Sites: r.sites[:n], Receivers: r.receivers[:n], VPs: r.vps[:n], CityHash: r.city[:n],
+	}
+	bl, flags := bitmapLen(n), make([]bool, nFlags*n)
+	for c, col := range [nFlags]*[]bool{
+		&tl.Present, &tl.AnycastBased, &tl.GCDMeasured, &tl.GCDAnycast,
+		&tl.ICMP, &tl.TCP, &tl.DNS,
+		&tl.Partial, &tl.GlobalBGP, &tl.FromFeedback,
+	} {
+		fc := flags[c*n : (c+1)*n : (c+1)*n]
+		for i, x := range b[c*bl : (c+1)*bl] {
+			for ; x != 0; x &= x - 1 {
+				fc[i*8+bits.TrailingZeros8(x)] = true // load refused bits past the last day
+			}
+		}
+		*col = fc
+	}
+	// Move each present day's values to its day position, the last
+	// first: a position is never below its rank among the present days,
+	// so no value is overwritten before it is moved.
+	for k := len(r.present) - 1; k >= 0; k-- {
+		p := r.present[k]
+		s, rc, v, c := tl.Sites[k], tl.Receivers[k], tl.VPs[k], tl.CityHash[k]
+		tl.Sites[k], tl.Receivers[k], tl.VPs[k], tl.CityHash[k] = 0, 0, 0, 0
+		tl.Sites[p], tl.Receivers[p], tl.VPs[p], tl.CityHash[p] = s, rc, v, c
+	}
+	return tl, nil
 }
 
 // find resolves one prefix's directory entry and counts the lookup.
@@ -405,118 +441,86 @@ func (ix *Index) find(family, prefix string) (*famIndex, prefixRef, error) {
 }
 
 // readRow reads one prefix's row record into buf, growing it only when
-// the row does not fit, and checks that the record holds its flag
-// bitmaps over nDays day positions.
-func (ix *Index) readRow(buf []byte, ref prefixRef, nDays int) ([]byte, error) {
+// the row does not fit.
+func (ix *Index) readRow(buf []byte, ref prefixRef) ([]byte, error) {
 	buf = slices.Grow(buf[:0], ref.length)[:ref.length]
 	if _, err := ix.src.ReadAt(buf, ix.rowsOff+ref.off); err != nil {
 		return buf, fmt.Errorf("query: reading row for %s: %w", ref.prefix, err)
 	}
-	return buf, checkRowLen(ref, nDays, buf)
+	return buf, nil
 }
 
-// checkRowLen fails a row record too short for its flag bitmaps.
-func checkRowLen(ref prefixRef, nDays int, b []byte) error {
-	if len(b) < nFlags*bitmapLen(nDays) {
-		return fmt.Errorf("query: row for %s shorter than its bitmaps", ref.prefix)
-	}
-	return nil
-}
+// row is a row record read in place, by the one reader of the form
+// rowBuilder.encode writes. load fills the positions of the days the
+// prefix is present on and, per present day, its site, receiver and
+// GCD-VP counts and city hash, into slices sized once to the day list
+// and reused row after row, so a pass over a family allocates nothing
+// per row.
+type row struct {
+	b   []byte // the record
+	gcd []byte // its GCD-anycast bitmap
+	// start[k] is where series k (sites, receivers, GCD VPs, cities)
+	// begins in b; start[4] is len(b).
+	start [5]int
 
-// decodeRow expands a columnar row record into a Timeline.
-func decodeRow(family string, ref prefixRef, days []int, b []byte) (*Timeline, error) {
-	nDays := len(days)
-	if err := checkRowLen(ref, nDays, b); err != nil {
-		return nil, err
-	}
-	bl := bitmapLen(nDays)
-	tl := &Timeline{
-		Family: family, Prefix: ref.prefix, OriginASN: ref.origin, Days: days,
-		Sites:     make([]int, nDays),
-		Receivers: make([]int, nDays),
-		VPs:       make([]int, nDays),
-		CityHash:  make([]uint32, nDays),
-	}
-	cols := []*[]bool{
-		&tl.Present, &tl.AnycastBased, &tl.GCDMeasured, &tl.GCDAnycast,
-		&tl.ICMP, &tl.TCP, &tl.DNS,
-		&tl.Partial, &tl.GlobalBGP, &tl.FromFeedback,
-	}
-	for c, col := range cols {
-		bm := b[c*bl : (c+1)*bl]
-		*col = make([]bool, nDays)
-		for i := 0; i < nDays; i++ {
-			(*col)[i] = getBit(bm, i)
-		}
-	}
-	r := &bufReader{b: b, off: nFlags * bl}
-	for _, series := range []*[]int{&tl.Sites, &tl.Receivers, &tl.VPs} {
-		for i := 0; i < nDays; i++ {
-			if tl.Present[i] {
-				(*series)[i] = int(r.uvarint())
-			}
-		}
-	}
-	for i := 0; i < nDays; i++ {
-		if tl.Present[i] {
-			tl.CityHash[i] = r.u32()
-		}
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("query: row for %s: %w", ref.prefix, r.err)
-	}
-	return tl, nil
-}
-
-// rowScan is a row record read in place: the positions of the days the
-// prefix is present on and, per present day, its GCD site count,
-// GCD-anycast bit and city hash — everything event detection and
-// stability scoring look at, in the row's own present-days-only layout.
-// One scan serves row after row, so a pass over a family allocates
-// nothing per row once the slices have grown.
-type rowScan struct {
-	present []int // present day positions, ascending
-	sites   []int
-	gcd     []bool
-	city    []uint32
+	present               []int // present day positions, ascending
+	sites, receivers, vps []int
+	city                  []uint32
 
 	scratch []Event // score's detection buffer
 }
 
-// load fills the scan from the row record b over nDays day positions. It
-// accepts exactly the records decodeRow accepts and reads the values
-// decodeRow puts in the Timeline's Present, Sites, GCDAnycast and
-// CityHash columns.
-func (s *rowScan) load(ref prefixRef, nDays int, b []byte) error {
-	if err := checkRowLen(ref, nDays, b); err != nil {
-		return err
-	}
+// load reads the row record b over nDays day positions. It accepts only
+// what encode writes: nFlags bitmaps with no bit set past the last day;
+// per present day the site, receiver and GCD-VP counts as minimal
+// uvarints; then the city hashes; nothing after.
+func (r *row) load(ref prefixRef, nDays int, b []byte) error {
 	bl := bitmapLen(nDays)
-	s.present = s.present[:0]
-	for i, x := range b[:bl] {
-		for ; x != 0; x &= x - 1 {
-			p := i*8 + bits.TrailingZeros8(x)
-			if p >= nDays {
-				break
+	if len(b) < nFlags*bl {
+		return fmt.Errorf("query: row for %s shorter than its bitmaps", ref.prefix)
+	}
+	if tail := nDays % 8; tail != 0 {
+		for c := 1; c <= nFlags; c++ {
+			if b[c*bl-1]>>tail != 0 {
+				return fmt.Errorf("query: row for %s flags a day past the last", ref.prefix)
 			}
-			s.present = append(s.present, p)
 		}
 	}
-	gcd := b[flagGCDAnycast*bl:]
-	s.sites, s.gcd, s.city = s.sites[:0], s.gcd[:0], s.city[:0]
-	r := bufReader{b: b, off: nFlags * bl}
-	for _, p := range s.present {
-		s.sites = append(s.sites, int(r.uvarint()))
-		s.gcd = append(s.gcd, getBit(gcd, p))
+	if cap(r.present) < nDays {
+		// Size every slice for the day list at once: no append below
+		// grows one, since no bit is set past the last day.
+		ints := make([]int, 4*nDays)
+		r.present, r.sites = ints[:0:nDays], ints[nDays:nDays:2*nDays]
+		r.receivers, r.vps = ints[2*nDays:2*nDays:3*nDays], ints[3*nDays:3*nDays]
+		r.city = make([]uint32, 0, nDays)
 	}
-	for range 2 * len(s.present) { // the receiver and GCD-VP series
-		r.uvarint()
+	r.b, r.gcd = b, b[flagGCDAnycast*bl:(flagGCDAnycast+1)*bl]
+	r.present = r.present[:0]
+	for i, x := range b[:bl] {
+		for ; x != 0; x &= x - 1 {
+			r.present = append(r.present, i*8+bits.TrailingZeros8(x))
+		}
 	}
-	for range s.present {
-		s.city = append(s.city, r.u32())
+	off := nFlags * bl
+	for k, s := range [...]*[]int{&r.sites, &r.receivers, &r.vps} {
+		r.start[k] = off
+		*s = (*s)[:0]
+		for range r.present {
+			v, n := binary.Uvarint(b[off:])
+			if n <= 0 || n > 1 && b[off+n-1] == 0 {
+				return fmt.Errorf("query: row for %s holds a truncated or padded varint at byte %d", ref.prefix, off)
+			}
+			*s = append(*s, int(v))
+			off += n
+		}
 	}
-	if r.err != nil {
-		return fmt.Errorf("query: row for %s: %w", ref.prefix, r.err)
+	r.start[3], r.start[4] = off, len(b)
+	if len(b)-off != 4*len(r.present) {
+		return fmt.Errorf("query: row for %s holds %d bytes of city hashes for %d present days", ref.prefix, len(b)-off, len(r.present))
+	}
+	r.city = r.city[:0]
+	for ; off < len(b); off += 4 {
+		r.city = append(r.city, binary.LittleEndian.Uint32(b[off:]))
 	}
 	return nil
 }

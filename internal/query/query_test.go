@@ -318,19 +318,21 @@ func mkTimeline(present []bool, sites []int, hashes []uint32) *Timeline {
 	return tl
 }
 
-// scanOf loads a hand-built timeline into the row scan the detectors
-// read: its present days with their sites, GCD bit and city hash.
-func scanOf(tl *Timeline) *rowScan {
-	s := &rowScan{}
+// scanOf loads a hand-built timeline into the row the detectors read:
+// its present days with their sites and city hash, and the GCD bitmap.
+func scanOf(tl *Timeline) *row {
+	r := &row{gcd: make([]byte, bitmapLen(len(tl.Present)))}
 	for i, p := range tl.Present {
 		if p {
-			s.present = append(s.present, i)
-			s.sites = append(s.sites, tl.Sites[i])
-			s.gcd = append(s.gcd, tl.GCDAnycast[i])
-			s.city = append(s.city, tl.CityHash[i])
+			r.present = append(r.present, i)
+			r.sites = append(r.sites, tl.Sites[i])
+			r.city = append(r.city, tl.CityHash[i])
+		}
+		if tl.GCDAnycast[i] {
+			setBit(r.gcd, i)
 		}
 	}
-	return s
+	return r
 }
 
 // TestEventDetectionGolden pins the exact event stream for hand-built

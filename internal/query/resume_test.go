@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/laces-project/laces/internal/archive"
@@ -415,9 +416,50 @@ func TestBuildFallsBackToScratch(t *testing.T) {
 	}
 }
 
-// TestRowStateAcceptsOnlyWhatEncodeWrites: the read path tolerates a row
-// with slack in it (decodeRow stops at the last column); the state
-// loader may not, because the next build re-encodes what it loaded.
+// TestFailedBuildKeepsTheCommittedIndex: a build whose image its own
+// Open refuses — here a prefix too long for the TOC's 16-bit name
+// length — fails before it commits anything. The index of the day
+// before stays in place byte for byte, so the archive it describes
+// still opens.
+func TestFailedBuildKeepsTheCommittedIndex(t *testing.T) {
+	docs := synthChain(4, 10)
+	long := *docs[3]
+	long.Entries = append(slices.Clone(long.Entries), core.DocumentEntry{Prefix: "10.0.0.0/24" + strings.Repeat("0", 70000)})
+	long.MCount++
+	dir, grown := t.TempDir(), t.TempDir()
+	for d := range 3 {
+		appendDays(t, dir, []DayDoc{{d, docs[d]}})
+		appendDays(t, grown, []DayDoc{{d, docs[d]}})
+	}
+	appendDays(t, grown, []DayDoc{{3, &long}})
+	if _, err := BuildDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, IndexFileName)
+	idx, agg := indexFiles(t, path)
+	a, err := archive.Open(grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(a, path); err == nil || !strings.Contains(err.Error(), "not committing") {
+		t.Fatalf("Build over a 70,000-byte prefix: error %v, want one refusing the commit", err)
+	}
+	if gotIdx, gotAgg := indexFiles(t, path); !bytes.Equal(gotIdx, idx) || !bytes.Equal(gotAgg, agg) {
+		t.Fatal("the failed build replaced the committed index or its sidecar")
+	}
+	ix, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+}
+
+// TestRowStateAcceptsOnlyWhatEncodeWrites: the builder the state loader
+// makes from a loaded row is the one that wrote it — it re-encodes to
+// the row's bytes and carries the same last day — and growing it copies
+// the series it took from the record instead of writing into them.
+// TestShortRowFailsEveryWindow holds every reader to refusing the forms
+// encode does not write.
 func TestRowStateAcceptsOnlyWhatEncodeWrites(t *testing.T) {
 	const nDays = 9
 	rb := newRowBuilder("192.0.2.0/24", nDays)
@@ -427,30 +469,29 @@ func TestRowStateAcceptsOnlyWhatEncodeWrites(t *testing.T) {
 	}
 	w := &bufWriter{}
 	rb.encode(w)
+	record := bytes.Clone(w.b)
 	ref := prefixRef{prefix: rb.prefix, origin: rb.origin}
-	back, err := decodeRowState(ref, nDays, w.b)
-	if err != nil {
+	var r row
+	if err := r.load(ref, nDays, w.b); err != nil {
 		t.Fatal(err)
 	}
+	back := r.builder(ref, nDays)
 	again := &bufWriter{}
-	if back.encode(again); !bytes.Equal(again.b, w.b) {
-		t.Fatal("a decoded row does not re-encode to its bytes")
+	if back.encode(again); !bytes.Equal(again.b, record) {
+		t.Fatal("a loaded row does not re-encode to its bytes")
 	}
-
-	series := nFlags * bitmapLen(nDays) // the first sites varint: 3, one byte
-	for name, bad := range map[string][]byte{
-		"trailing byte":      append(bytes.Clone(w.b), 0),
-		"truncated":          w.b[:len(w.b)-1],
-		"shorter than flags": w.b[:series-1],
-		"padded varint":      slices.Concat(w.b[:series], []byte{0x83, 0x00}, w.b[series+1:]),
-		"flag past last day": slices.Concat(w.b[:3], []byte{w.b[3] | 0x02}, w.b[4:]), // day 9 of 0..8, in the candidate bitmap
-	} {
-		if _, err := decodeRowState(ref, nDays, bad); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-		// What the read path makes of the same bytes is its own business,
-		// but it must not panic.
-		decodeRow("ipv4", ref, make([]int, nDays), bad)
+	for _, b := range []*rowBuilder{rb, back} {
+		b.grow(nDays + 1)
+		b.carry(nDays)
+	}
+	want, got := &bufWriter{}, &bufWriter{}
+	rb.encode(want)
+	back.encode(got)
+	if !bytes.Equal(got.b, want.b) {
+		t.Fatal("the loaded row carries another day than the row that wrote it")
+	}
+	if !bytes.Equal(w.b, record) {
+		t.Fatal("carrying the loaded row wrote into the record it was loaded from")
 	}
 }
 
@@ -505,11 +546,12 @@ func TestOpenDirRejectsIndexOfVanishedFamily(t *testing.T) {
 // gets them past Open's integrity checks. Nothing may panic; Open, every
 // Timeline, both event scans, the aggregates pass and the row-state
 // loader together may allocate no more than a multiple of the file's
-// length per call, a scan counting one call per row it visits; the
-// in-place row scan must accept a row exactly when decodeRow does and
-// read the values decodeRow puts in the Timeline; and a state the loader
-// accepts must encode to exactly the file it was read from — that is
-// what makes resuming from it equal to rebuilding.
+// length per call, a scan counting one call per row it visits; every row
+// the row reader accepts must re-encode, through the builder the state
+// loader makes from it, to exactly its bytes, even when the state as a
+// whole is refused; and a state the loader accepts must encode to
+// exactly the file it was read from — that is what makes resuming from
+// it equal to rebuilding.
 func FuzzIndexState(f *testing.F) {
 	v4 := synthChain(9, 5)
 	dir := f.TempDir()
@@ -542,12 +584,12 @@ func FuzzIndexState(f *testing.F) {
 		}
 		defer ix.Close()
 		calls := 3 // Open, state and the aggregates pass
-		var scan rowScan
+		var r row
 		for _, family := range ix.order {
 			fam := ix.fams[family]
 			for _, ref := range fam.prefixes {
 				ix.Timeline(family, ref.prefix) // a row that does not decode is an error, not a crash
-				checkRowScan(t, ix, family, ref, &scan)
+				checkRowRoundTrip(t, ix, len(fam.days), ref, &r)
 				calls += 2
 			}
 			ix.Events(family, nil, 0, -1, EventOptions{})
@@ -568,27 +610,29 @@ func FuzzIndexState(f *testing.F) {
 	})
 }
 
-// checkRowScan holds the in-place scan of one row, loaded into the
-// reused scan, to decodeRow: the same verdict and, when both accept, the
-// present positions with their sites, GCD bits and city hashes.
-func checkRowScan(t *testing.T, ix *Index, family string, ref prefixRef, scan *rowScan) {
+// checkRowRoundTrip loads one row into the reused r and, when the
+// reader accepts it, requires the builder made from it to encode the
+// row's exact bytes. So must a builder that pushes the values the reader
+// read, and both must carry the same last day: the reader accepts only
+// what encode writes.
+func checkRowRoundTrip(t *testing.T, ix *Index, nDays int, ref prefixRef, r *row) {
 	t.Helper()
-	days := ix.fams[family].days
-	b := make([]byte, ref.length)
-	if _, err := ix.src.ReadAt(b, ix.rowsOff+ref.off); err != nil {
+	b, err := ix.readRow(nil, ref)
+	if err != nil {
 		t.Fatal(err) // Open proved every row lies inside the rows section
 	}
-	tl, decodeErr := decodeRow(family, ref, days, b)
-	scanErr := scan.load(ref, len(days), b)
-	if (decodeErr == nil) != (scanErr == nil) {
-		t.Fatalf("row for %s: decodeRow error %v, scan error %v", ref.prefix, decodeErr, scanErr)
-	}
-	if decodeErr != nil {
+	if r.load(ref, nDays, b) != nil {
 		return
 	}
-	want := scanOf(tl)
-	if !slices.Equal(scan.present, want.present) || !slices.Equal(scan.sites, want.sites) ||
-		!slices.Equal(scan.gcd, want.gcd) || !slices.Equal(scan.city, want.city) {
-		t.Fatalf("row for %s: scan %+v, decodeRow %+v", ref.prefix, scan, want)
+	rb := r.builder(ref, nDays)
+	values := &rowBuilder{flags: rb.flags}
+	for k := range r.present {
+		values.push([4]uint64{uint64(r.sites[k]), uint64(r.receivers[k]), uint64(r.vps[k]), uint64(r.city[k])})
+	}
+	for _, wb := range []*rowBuilder{rb, values} {
+		w := &bufWriter{}
+		if wb.encode(w); !bytes.Equal(w.b, b) || wb.last != rb.last {
+			t.Fatalf("row for %s: the reader accepts %x, which re-encodes to %x", ref.prefix, b, w.b)
+		}
 	}
 }
