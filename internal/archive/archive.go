@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -276,8 +277,10 @@ func (w *Writer) Append(day int, doc *core.Document) error {
 }
 
 // admit checks an append against the writer: open, a family the archive
-// stores, and a day after the family's last. It returns the family's
-// chain, nil before its first day.
+// stores, a day after the family's last, and entries whose prefixes
+// parse as IP prefixes — what the timeline index can hold, so that one
+// stored day cannot stop every later index build. It returns the
+// family's chain, nil before its first day.
 func (w *Writer) admit(day int, doc *core.Document) (*famState, error) {
 	if w.index == nil {
 		return nil, fmt.Errorf("archive: writer is closed")
@@ -289,6 +292,12 @@ func (w *Writer) admit(day int, doc *core.Document) (*famState, error) {
 	st := w.fams[fam]
 	if st != nil && day <= st.lastDay {
 		return nil, fmt.Errorf("archive: day %d (%s) appended after day %d — the archive is append-only", day, fam, st.lastDay)
+	}
+	for i := range doc.Entries {
+		p := doc.Entries[i].Prefix
+		if _, err := netip.ParsePrefix(p); err != nil {
+			return nil, fmt.Errorf("archive: day %d (%s) entry %d: prefix %.64q (%d bytes) is not an IP prefix", day, fam, i, p, len(p))
+		}
 	}
 	return st, nil
 }

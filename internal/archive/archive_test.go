@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -385,6 +386,50 @@ func TestAppendOnly(t *testing.T) {
 	}
 	if _, err := Create(dir, Options{}); err == nil {
 		t.Fatal("Create over a live archive accepted")
+	}
+}
+
+// TestAppendRejectsUnparsablePrefix: a document carrying a prefix that is
+// not an IP prefix — here 70,000 bytes long, more than the timeline
+// index's 16-bit name length holds — is refused by name before anything
+// is written, and the archive stays openable and appendable.
+func TestAppendRejectsUnparsablePrefix(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := synthDoc(10)
+	if err := w.Append(0, d); err != nil {
+		t.Fatal(err)
+	}
+	bad := evolve(d, 1)
+	bad.Entries = append(slices.Clone(bad.Entries), core.DocumentEntry{Prefix: "10.0.0.0/24" + strings.Repeat("0", 70000)})
+	if err := w.Append(1, bad); err == nil || !strings.Contains(err.Error(), `prefix "10.0.0.0/24000`) {
+		t.Fatalf("Append of a 70,000-byte prefix: error %v, want one naming it", err)
+	}
+	if err := w.Append(1, evolve(d, 1)); err != nil {
+		t.Fatalf("append after the refused one: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := a.Verify(); err != nil || res.Days != 2 {
+		t.Fatalf("verify after the refused append: %v (%+v)", err, res)
+	}
+	w, err = OpenWriter(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(2, evolve(d, 2)); err != nil {
+		t.Fatalf("append after reopening: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

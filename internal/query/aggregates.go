@@ -1,12 +1,15 @@
 package query
 
 // Materialized aggregates: the dashboard-shaped hot queries — per-day
-// aggregate series, churn summary, stability histogram — precomputed at
-// index-build time into a small JSON sidecar next to timeline.idx. The
-// serving tier answers GET /v1/aggregates from this file without
-// touching row storage; the sidecar carries the index fingerprint, so a
-// stale or hand-edited file is detected at Open and silently ignored
-// (Aggregates then recomputes from rows once and caches the result).
+// aggregate series, churn summary, stability histogram — computed while
+// Build writes the rows and kept in a small JSON sidecar next to
+// timeline.idx. The serving tier answers GET /v1/aggregates from this
+// file without touching row storage. The sidecar carries the index
+// fingerprint; it is read and checked on the first Aggregates or
+// AggregatesPrecomputed call, not at Open, so that opening an index
+// reads nothing it does not need. A stale or hand-edited sidecar is
+// ignored: Aggregates then computes the set from the rows once and
+// caches it.
 
 import (
 	"encoding/json"
@@ -84,18 +87,27 @@ func (ag *Aggregates) Family(name string) *FamilyAggregates {
 // the set is computed from rows exactly once and cached for the life of
 // the Index. The result is shared; treat it as immutable.
 func (ix *Index) Aggregates() (*Aggregates, error) {
-	ix.aggOnce.Do(func() {
-		if ix.agg != nil {
-			return // preloaded from the sidecar at Open
-		}
-		ix.agg, ix.aggErr = ix.computeAggregates()
-	})
+	if ag := ix.sidecar(); ag != nil {
+		return ag, nil
+	}
+	ix.aggOnce.Do(func() { ix.agg, ix.aggErr = ix.computeAggregates() })
 	return ix.agg, ix.aggErr
 }
 
 // AggregatesPrecomputed reports whether Aggregates is backed by the
 // build-time sidecar (true) or would need a row scan (false).
-func (ix *Index) AggregatesPrecomputed() bool { return ix.aggFromDisk }
+func (ix *Index) AggregatesPrecomputed() bool { return ix.sidecar() != nil }
+
+// sidecar reads the aggregates sidecar on first use: nil when the index
+// has none that matches it.
+func (ix *Index) sidecar() *Aggregates {
+	ix.sideOnce.Do(func() {
+		if ix.aggPath != "" {
+			ix.side = loadAggregates(ix.aggPath, ix.fingerprint)
+		}
+	})
+	return ix.side
+}
 
 // computeAggregates derives the full set from the TOC columns and one
 // streaming pass over every row. Detection options are the defaults, so
@@ -106,29 +118,11 @@ func (ix *Index) computeAggregates() (*Aggregates, error) {
 	var (
 		buf  []byte
 		scan row
+		err  error
 	)
 	for _, family := range ix.order {
 		fam := ix.fams[family]
-		fa := FamilyAggregates{Family: family, Days: len(fam.days), Prefixes: len(fam.prefixes)}
-
-		series, err := ix.Series(family)
-		if err != nil {
-			return nil, err
-		}
-		fa.Series = series
-		var churnSum float64
-		for _, p := range series {
-			churnSum += p.ChurnRate
-		}
-		if len(series) > 0 {
-			fa.Churn.MeanChurnRate = round4(churnSum / float64(len(series)))
-		}
-
-		buckets := make([]StabilityBucket, 10)
-		for b := range buckets {
-			buckets[b].LE = round4(float64(b+1) / 10)
-		}
-		var scoreSum float64
+		agg := newFamAgg(family, fam)
 		for _, ref := range fam.prefixes {
 			if buf, err = ix.readRow(buf, ref); err != nil {
 				return nil, err
@@ -136,28 +130,63 @@ func (ix *Index) computeAggregates() (*Aggregates, error) {
 			if err := scan.load(ref, len(fam.days), buf); err != nil {
 				return nil, err
 			}
-			st := scan.score(family, ref.prefix, fam.days, EventOptions{})
-			fa.Churn.Onsets += st.Onsets
-			fa.Churn.Offsets += st.Offsets
-			fa.Churn.Flaps += st.Flaps
-			fa.Churn.SiteChanges += st.SiteChanges
-			fa.Churn.GeoShifts += st.GeoShifts
-			scoreSum += st.Score
-			bi := 0
-			for bi < len(buckets)-1 && st.Score > buckets[bi].LE {
-				bi++
-			}
-			buckets[bi].Count++
+			agg.add(scan.score(family, ref.prefix, fam.days, EventOptions{}))
 		}
-		fa.Churn.Events = fa.Churn.Onsets + fa.Churn.Offsets + fa.Churn.Flaps +
-			fa.Churn.SiteChanges + fa.Churn.GeoShifts
-		fa.Stability.Buckets = buckets
-		if len(fam.prefixes) > 0 {
-			fa.Stability.Mean = round4(scoreSum / float64(len(fam.prefixes)))
-		}
-		ag.Families = append(ag.Families, fa)
+		ag.Families = append(ag.Families, agg.done())
 	}
 	return ag, nil
+}
+
+// famAgg accumulates one family's block from its per-day columns and
+// its rows' stability records, added in canonical order: the one
+// accumulator of the aggregates pass and of Build.
+type famAgg struct {
+	fa       FamilyAggregates
+	scoreSum float64
+}
+
+func newFamAgg(family string, fam *famIndex) *famAgg {
+	agg := &famAgg{fa: FamilyAggregates{Family: family, Days: len(fam.days), Series: fam.series()}}
+	var churnSum float64
+	for _, p := range agg.fa.Series {
+		churnSum += p.ChurnRate
+	}
+	if n := len(agg.fa.Series); n > 0 {
+		agg.fa.Churn.MeanChurnRate = round4(churnSum / float64(n))
+	}
+	buckets := make([]StabilityBucket, 10)
+	for b := range buckets {
+		buckets[b].LE = round4(float64(b+1) / 10)
+	}
+	agg.fa.Stability.Buckets = buckets
+	return agg
+}
+
+// add counts one row's stability record.
+func (agg *famAgg) add(st Stability) {
+	c, buckets := &agg.fa.Churn, agg.fa.Stability.Buckets
+	c.Onsets += st.Onsets
+	c.Offsets += st.Offsets
+	c.Flaps += st.Flaps
+	c.SiteChanges += st.SiteChanges
+	c.GeoShifts += st.GeoShifts
+	agg.scoreSum += st.Score
+	bi := 0
+	for bi < len(buckets)-1 && st.Score > buckets[bi].LE {
+		bi++
+	}
+	buckets[bi].Count++
+	agg.fa.Prefixes++
+}
+
+// done returns the family's block once every row is added.
+func (agg *famAgg) done() FamilyAggregates {
+	fa := agg.fa
+	fa.Churn.Events = fa.Churn.Onsets + fa.Churn.Offsets + fa.Churn.Flaps + fa.Churn.SiteChanges + fa.Churn.GeoShifts
+	if fa.Prefixes > 0 {
+		fa.Stability.Mean = round4(agg.scoreSum / float64(fa.Prefixes))
+	}
+	return fa
 }
 
 // writeAggregates commits the sidecar like the index itself: it appears

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -88,18 +89,29 @@ func withRow(t testing.TB, image []byte, prefix string, rec []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fams, why := ix.state(image[ix.rowsOff:])
-	if why != "" || fams[0].rows[prefix] == nil {
-		t.Fatalf("no ipv4 row for %s to replace (%s)", prefix, why)
+	var rows []byte
+	replaced := false
+	for _, family := range ix.order {
+		refs := ix.fams[family].prefixes
+		for i, ref := range refs {
+			b := image[ix.rowsOff+ref.off:][:ref.length]
+			if family == "ipv4" && ref.prefix == prefix {
+				b, replaced = rec, true
+			}
+			refs[i].off, refs[i].length = int64(len(rows)), len(b)
+			rows = append(rows, b...)
+		}
 	}
-	rb := fams[0].rows[prefix]
-	rb.flags, rb.series = [nFlags][]byte{}, [4][]byte{rec}
-	return encodeIndex(fams)
+	if !replaced {
+		t.Fatalf("no ipv4 row for %s to replace", prefix)
+	}
+	return sealIndex(ix.encodeTOC(), rows)
 }
 
 // TestShortRowFailsEveryWindow: every reader refuses a row record in a
 // form encode does not write — Timeline, Stability, the full event
-// scan, the aggregates pass and the state a build resumes from. A row
+// scan, the aggregates pass and a build that would resume from the
+// index, which builds from scratch instead. A row
 // too short for its flag bitmaps is also an error on every narrow event
 // window, never a prefix the presence prune skips in silence; the other
 // forms hold whole bitmaps, which the prune reads. The row is
@@ -109,8 +121,9 @@ func withRow(t testing.TB, image []byte, prefix string, rec []byte) []byte {
 func TestShortRowFailsEveryWindow(t *testing.T) {
 	const prefix, nDays = "2.1.7.0/24", 20
 	dir, ix := buildIndex(t, synthChain(nDays, 40))
-	image, _ := indexFiles(t, filepath.Join(dir, IndexFileName))
-	pos := ix.fams["ipv4"].byPrefix[prefix]
+	committed := filepath.Join(dir, IndexFileName)
+	image, _ := indexFiles(t, committed)
+	pos := slices.Index(ix.Prefixes("ipv4"), prefix)
 	rec, err := ix.readRow(nil, ix.fams["ipv4"].prefixes[pos])
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +176,15 @@ func TestShortRowFailsEveryWindow(t *testing.T) {
 			check("Timeline", err)
 			_, err = ix.computeAggregates()
 			check("aggregates", err)
-			if _, why := ix.state(bad[ix.rowsOff:]); why != fmt.Sprintf("row %d", pos) {
-				t.Errorf("state: %q, want row %d", why, pos)
+			// Committed in the archive's directory, it is not resumed from.
+			if err := os.WriteFile(committed+".bad", bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(committed+".bad", committed); err != nil {
+				t.Fatal(err)
+			}
+			if res := buildAndCompare(t, dir, tc.name); res.FromScratch != fmt.Sprintf("row %d", pos) {
+				t.Errorf("build: %+v, want FromScratch row %d", res, pos)
 			}
 		})
 	}
@@ -281,6 +301,48 @@ func TestAggregatesSidecar(t *testing.T) {
 	defer corrupt.Close()
 	if corrupt.AggregatesPrecomputed() {
 		t.Fatal("corrupt sidecar accepted")
+	}
+}
+
+// TestFirstUseIsConcurrent: an opened index makes its prefix map on the
+// first lookup and reads its sidecar on the first aggregates call, so
+// requests racing to be first — as a server's do after a reload — must
+// all get the same answers. Run under -race.
+func TestFirstUseIsConcurrent(t *testing.T) {
+	dir, _ := buildIndex(t, synthChain(12, 30))
+	ix, err := Open(filepath.Join(dir, IndexFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	prefixes := ix.Prefixes("ipv4")
+	var wg sync.WaitGroup
+	ags := make([]*Aggregates, 8)
+	for g := range ags {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range prefixes[g:] {
+				if _, err := ix.Timeline("ipv4", p); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if !ix.AggregatesPrecomputed() {
+				t.Error("the sidecar Build wrote was not used")
+			}
+			ag, err := ix.Aggregates()
+			if err != nil {
+				t.Error(err)
+			}
+			ags[g] = ag
+		}()
+	}
+	wg.Wait()
+	for _, ag := range ags[1:] {
+		if ag != ags[0] {
+			t.Fatal("concurrent first calls got different aggregates")
+		}
 	}
 }
 

@@ -192,8 +192,8 @@ func BenchmarkIndexBuild(b *testing.B) {
 // one day-file at every size — days 59, 239 and 959 are alike the last
 // delta of a snapshot-plus-five chain at cadence 6, and the build reads
 // that delta alone — so what grows from days=60 to days=960 is what a
-// step still pays per day kept: reading the old index back, rewriting it
-// and the aggregates pass.
+// step still pays per day kept: reading the old index back and checking
+// its rows, and writing and scoring each row again.
 func BenchmarkIndexExtend(b *testing.B) {
 	for _, days := range []int{60, 240, 960} {
 		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {

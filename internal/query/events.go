@@ -385,6 +385,11 @@ func (ix *Index) Series(family string) ([]SeriesPoint, error) {
 	if fam == nil {
 		return nil, fmt.Errorf("query: no %s timelines: %w", family, ErrUnknownFamily)
 	}
+	return fam.series(), nil
+}
+
+// series derives the aggregate series from the family's per-day columns.
+func (fam *famIndex) series() []SeriesPoint {
 	out := make([]SeriesPoint, len(fam.days))
 	for i, day := range fam.days {
 		p := SeriesPoint{
@@ -400,5 +405,5 @@ func (ix *Index) Series(family string) ([]SeriesPoint, error) {
 		}
 		out[i] = p
 	}
-	return out, nil
+	return out
 }

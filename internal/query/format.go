@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 )
 
 // The on-disk index format (version 1). One file, laid out as
@@ -92,8 +91,10 @@ func (w *bufWriter) str16(s string) {
 
 // bufReader decodes the TOC; the first malformed field latches err and
 // subsequent reads return zeros, so callers check err once at the end.
+// s holds b's bytes as a string, which str16 returns substrings of.
 type bufReader struct {
 	b   []byte
+	s   string
 	off int
 	err error
 }
@@ -154,11 +155,10 @@ func (r *bufReader) count(size int) int {
 
 func (r *bufReader) str16() string {
 	n := int(r.u16())
-	b := r.take(n)
-	if b == nil {
+	if r.take(n) == nil {
 		return ""
 	}
-	return string(b)
+	return r.s[r.off-n : r.off]
 }
 
 // bitmapLen is the byte length of a bitmap over n day positions.
@@ -194,14 +194,19 @@ func anyBit(b []byte, lo, hi int) bool {
 // the index stores per present day: geo-shift detection only needs "did
 // the enumerated site set move", not the names themselves (those remain
 // one document decode away in the archive).
+// The hash is FNV-1a over each name and a NUL after it, computed in
+// place so that indexing an entry allocates nothing.
 func cityHash(cities []string) uint32 {
 	if len(cities) == 0 {
 		return 0
 	}
-	h := fnv.New32a()
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
 	for _, c := range cities {
-		h.Write([]byte(c))
-		h.Write([]byte{0})
+		for i := 0; i < len(c); i++ {
+			h = (h ^ uint32(c[i])) * prime32
+		}
+		h *= prime32 // the NUL: h ^ 0 is h
 	}
-	return h.Sum32()
+	return h
 }

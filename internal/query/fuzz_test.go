@@ -2,9 +2,11 @@ package query
 
 import (
 	"bytes"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/laces-project/laces/internal/archive"
@@ -19,7 +21,9 @@ import (
 // resumed from the index of the days before — must not panic, must fail
 // exactly when archive.Range over ipv4 fails, and when it succeeds must
 // write the timeline.idx and .agg a from-scratch build writes over
-// Range's documents re-packed at cadence 1, where no day is a delta.
+// Range's documents re-packed at cadence 1, where no day is a delta (a
+// document carrying a prefix the writer refuses is planted in its
+// day-file).
 // Each build allocates at most twice what it does on the real file plus
 // 64 bytes per input byte: FuzzArchiveOpen's bound.
 func FuzzBuildDeltaDay(f *testing.F) {
@@ -143,8 +147,42 @@ func buildDeltaDay(t testing.TB, dir string, prevIdx, prevAgg []byte) (alloc [2]
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// The writer refuses a prefix that does not parse, which a fuzzed
+	// delta can upsert: such a day is packed with a stand-in prefix, and
+	// then its document, as Range gave it, is planted in its snapshot
+	// day-file.
 	ref := t.TempDir()
-	appendDaysEvery(t, ref, days, 1)
+	packed, planted := make([]DayDoc, len(days)), []DayDoc{}
+	for i, d := range days {
+		doc := *d.Doc
+		doc.Entries = slices.Clone(doc.Entries)
+		for j := range doc.Entries {
+			if _, err := netip.ParsePrefix(doc.Entries[j].Prefix); err != nil {
+				doc.Entries[j].Prefix = "0.0.0.0/0"
+			}
+		}
+		if !slices.EqualFunc(doc.Entries, d.Doc.Entries, func(a, b core.DocumentEntry) bool { return a.Prefix == b.Prefix }) {
+			planted = append(planted, d)
+		}
+		packed[i] = DayDoc{d.Day, &doc}
+	}
+	appendDaysEvery(t, ref, packed, 1)
+	if len(planted) > 0 {
+		stored, err := archive.Open(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range planted {
+			rec, _ := stored.Record(d.Doc.Family, d.Day)
+			var b bytes.Buffer
+			if err := d.Doc.WriteJSON(&b); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(ref, rec.File), b.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	if _, err := BuildDir(ref); err != nil {
 		t.Fatalf("building the cadence-1 re-pack: %v", err)
 	}

@@ -9,21 +9,26 @@
 // is resumable: the committed index is the state the next build starts
 // from, so a daily step decodes each appended day-file once — a delta
 // applied to the rows, not to a document rebuilt from its snapshot —
-// rather than the history, and a full build is the same code resuming
-// from nothing. Per prefix the index holds a presence bitmap over the
-// indexed days, per-day anycast-based and GCD verdict bits, protocol
-// bits, and site-count / receiver / VP / geo-signature series; per day
-// the aggregate census counts and membership churn. The query layer
+// rather than the history, and holds state only for the rows the new
+// days name or carry. The write is one pass over the rows in canonical
+// order that splices each committed row (bitmaps widened, the new days'
+// values appended to its series) and scores it for the aggregates
+// sidecar; a full build is the same code resuming from nothing. Per
+// prefix the index holds a presence bitmap over the indexed days, per-day
+// anycast-based and GCD verdict bits, protocol bits, and site-count /
+// receiver / VP / geo-signature series; per day the aggregate census
+// counts and membership churn. The query layer
 // (Index) answers Timeline, Events (onset / offset / flap / site-churn
 // / geo-shift, with hysteresis), Stability scoring and aggregate Series
 // from the index alone — no query decodes a document, and the archive's
 // decode counter proves it. The Index caches no rows, and every result
 // is the caller's own. One reader parses a row record (row.load), and it
 // accepts only the form the builder writes. Timeline expands the loaded
-// row into day-aligned columns; Events, Stability and the aggregates
-// pass scan it in place through buffers reused row after row, so a
-// family-wide pass allocates nothing per row; a resumed Build takes the
-// row's encoded series as its builder's own.
+// row into day-aligned columns; Events, Stability, the aggregates pass
+// and Build scan it in place through buffers reused row after row, so a
+// family-wide pass allocates nothing per row. Opening an index parses
+// only its TOC: the prefix map is made on a family's first lookup and
+// the sidecar is read on the first aggregates call.
 package query
 
 import (
@@ -66,7 +71,23 @@ type famIndex struct {
 	// Per-day aggregate columns (aligned to days).
 	entries, g, m, added, removed []int
 	prefixes                      []prefixRef
-	byPrefix                      map[string]int
+
+	// byPrefix maps each prefix to its directory position, made on the
+	// family's first lookup: a build or an aggregates pass never needs it.
+	byPrefix     map[string]int
+	byPrefixOnce sync.Once
+}
+
+// lookup returns the directory position of prefix.
+func (fam *famIndex) lookup(prefix string) (int, bool) {
+	fam.byPrefixOnce.Do(func() {
+		fam.byPrefix = make(map[string]int, len(fam.prefixes))
+		for p, ref := range fam.prefixes {
+			fam.byPrefix[ref.prefix] = p
+		}
+	})
+	p, ok := fam.byPrefix[prefix]
+	return p, ok
 }
 
 // Index is an opened timeline index: the TOC directory in memory, row
@@ -88,13 +109,15 @@ type Index struct {
 
 	arch *archive.Archive // optional: full-entry fallback
 
-	// agg is the materialized dashboard aggregate set: preloaded from
-	// the sidecar file when its fingerprint matches, otherwise computed
-	// once on first use (aggOnce).
-	agg         *Aggregates
-	aggFromDisk bool
-	aggOnce     sync.Once
-	aggErr      error
+	// side is the aggregates sidecar at aggPath, read on first use
+	// (sideOnce) and nil unless its fingerprint matches; agg is the set
+	// computed from the rows, once (aggOnce), when there is no side.
+	aggPath  string
+	side     *Aggregates
+	sideOnce sync.Once
+	agg      *Aggregates
+	aggOnce  sync.Once
+	aggErr   error
 
 	// Lookup telemetry, atomically updated per query and never consulted
 	// by query logic. Read via Stats.
@@ -137,8 +160,8 @@ func (ix *Index) Stats() (lookups, cacheHits, decodeFallbacks int64) {
 
 // Open loads a timeline index file: it validates the header, checks
 // both section CRCs (the rows section is streamed through a small
-// buffer, never held), and keeps the file handle for on-demand row
-// reads.
+// buffer, never held), parses the TOC, and keeps the file handle for
+// on-demand row reads. The aggregates sidecar is read on first use.
 func Open(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -154,13 +177,7 @@ func Open(path string) (*Index, error) {
 		f.Close()
 		return nil, err
 	}
-	ix.f = f
-	// A matching aggregates sidecar (written by Build) lets the hot
-	// dashboard queries skip row storage entirely; a missing, stale or
-	// unreadable sidecar just means Aggregates computes on first use.
-	if ag := loadAggregates(AggregatesPath(path), ix.fingerprint); ag != nil {
-		ix.agg, ix.aggFromDisk = ag, true
-	}
+	ix.f, ix.aggPath = f, AggregatesPath(path)
 	return ix, nil
 }
 
@@ -172,7 +189,8 @@ func openImage(image []byte) (*Index, error) {
 
 // openReader checks the index file held by src, size bytes long — header,
 // section lengths against the size, both section CRCs — and parses its
-// TOC into an Index reading rows from src.
+// TOC into an Index reading rows from src. The names in the directory
+// are substrings of one copy of the TOC.
 func openReader(src io.ReaderAt, size int64) (*Index, error) {
 	hb := make([]byte, headerLen)
 	if _, err := src.ReadAt(hb, 0); err != nil {
@@ -196,10 +214,12 @@ func openReader(src io.ReaderAt, size int64) (*Index, error) {
 		return nil, fmt.Errorf("query: index TOC checksum mismatch (%08x/%08x)", crc, h.tocCRC)
 	}
 	// Stream the rows section once to prove its checksum — O(buffer)
-	// memory however large the section.
+	// memory however large the section, and no more than the section
+	// for a small one.
 	rowsOff := int64(headerLen) + int64(h.tocLen)
 	rowsCRC := crc32.New(castagnoli)
-	n, err := io.Copy(rowsCRC, io.NewSectionReader(src, rowsOff, int64(h.rowsLen)))
+	buf := make([]byte, max(min(h.rowsLen, 32<<10), 1))
+	n, err := io.CopyBuffer(rowsCRC, io.NewSectionReader(src, rowsOff, int64(h.rowsLen)), buf)
 	if err != nil {
 		return nil, fmt.Errorf("query: checksumming index rows: %w", err)
 	}
@@ -214,12 +234,12 @@ func openReader(src io.ReaderAt, size int64) (*Index, error) {
 		fams:        make(map[string]*famIndex),
 		fingerprint: fmt.Sprintf("%08x%08x", h.tocCRC, h.rowsCRC),
 	}
-	r := &bufReader{b: tocBytes}
+	r := &bufReader{b: tocBytes, s: string(tocBytes)}
 	nFams := int(r.u32())
 	for i := 0; i < nFams && r.err == nil; i++ {
 		family := r.str16()
 		nDays := r.count(6 * 4) // the day list and five columns
-		fam := &famIndex{days: make([]int, nDays), byPrefix: make(map[string]int)}
+		fam := &famIndex{days: make([]int, nDays)}
 		for d := 0; d < nDays; d++ {
 			fam.days[d] = int(r.u32())
 		}
@@ -239,7 +259,6 @@ func openReader(src io.ReaderAt, size int64) (*Index, error) {
 			}
 			ref.off, ref.length = int64(off), int(length)
 			fam.prefixes[p] = ref
-			fam.byPrefix[ref.prefix] = p
 		}
 		ix.fams[family] = fam
 		ix.order = append(ix.order, family)
@@ -432,7 +451,7 @@ func (ix *Index) find(family, prefix string) (*famIndex, prefixRef, error) {
 	if fam == nil {
 		return nil, prefixRef{}, fmt.Errorf("query: no %s timelines: %w", family, ErrUnknownFamily)
 	}
-	pos, ok := fam.byPrefix[prefix]
+	pos, ok := fam.lookup(prefix)
 	if !ok {
 		return nil, prefixRef{}, fmt.Errorf("query: %s (%s): %w", prefix, family, ErrUnknownPrefix)
 	}
@@ -451,7 +470,7 @@ func (ix *Index) readRow(buf []byte, ref prefixRef) ([]byte, error) {
 }
 
 // row is a row record read in place, by the one reader of the form
-// rowBuilder.encode writes. load fills the positions of the days the
+// famBuilder.splice writes. load fills the positions of the days the
 // prefix is present on and, per present day, its site, receiver and
 // GCD-VP counts and city hash, into slices sized once to the day list
 // and reused row after row, so a pass over a family allocates nothing
@@ -471,7 +490,7 @@ type row struct {
 }
 
 // load reads the row record b over nDays day positions. It accepts only
-// what encode writes: nFlags bitmaps with no bit set past the last day;
+// what splice writes: nFlags bitmaps with no bit set past the last day;
 // per present day the site, receiver and GCD-VP counts as minimal
 // uvarints; then the city hashes; nothing after.
 func (r *row) load(ref prefixRef, nDays int, b []byte) error {
@@ -504,23 +523,29 @@ func (r *row) load(ref prefixRef, nDays int, b []byte) error {
 	off := nFlags * bl
 	for k, s := range [...]*[]int{&r.sites, &r.receivers, &r.vps} {
 		r.start[k] = off
-		*s = (*s)[:0]
-		for range r.present {
+		vals := (*s)[:len(r.present)]
+		for i := range vals {
+			if off < len(b) && b[off] < 0x80 { // the one-byte varint, most of them
+				vals[i] = int(b[off])
+				off++
+				continue
+			}
 			v, n := binary.Uvarint(b[off:])
-			if n <= 0 || n > 1 && b[off+n-1] == 0 {
+			if n <= 0 || b[off+n-1] == 0 {
 				return fmt.Errorf("query: row for %s holds a truncated or padded varint at byte %d", ref.prefix, off)
 			}
-			*s = append(*s, int(v))
+			vals[i] = int(v)
 			off += n
 		}
+		*s = vals
 	}
 	r.start[3], r.start[4] = off, len(b)
 	if len(b)-off != 4*len(r.present) {
 		return fmt.Errorf("query: row for %s holds %d bytes of city hashes for %d present days", ref.prefix, len(b)-off, len(r.present))
 	}
-	r.city = r.city[:0]
-	for ; off < len(b); off += 4 {
-		r.city = append(r.city, binary.LittleEndian.Uint32(b[off:]))
+	r.city = r.city[:len(r.present)]
+	for i := range r.city {
+		r.city[i] = binary.LittleEndian.Uint32(b[off+4*i:])
 	}
 	return nil
 }

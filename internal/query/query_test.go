@@ -243,6 +243,14 @@ func timelinesEqual(a, b *Timeline) bool {
 // timeline against the brute-force answer derived from the documents.
 func TestTimelineMatchesDocuments(t *testing.T) {
 	docs := synthChain(40, 90)
+	for d, doc := range docs { // the flags synthChain leaves clear
+		for i := range doc.Entries {
+			e := &doc.Entries[i]
+			e.FromFeedback = i%3 == 0
+			e.PartialAnycast = i%4 == 1 && d >= 5
+			e.GlobalBGP = (i+d)%5 == 2
+		}
+	}
 	_, ix := buildIndex(t, docs)
 	prefixes := ix.Prefixes("ipv4")
 	if len(prefixes) != 90 {

@@ -9,6 +9,7 @@ package query
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,14 +65,39 @@ func indexFiles(t testing.TB, path string) (idx, agg []byte) {
 	return idx, agg
 }
 
+// checkSidecar requires the .agg next to the index at path to be the
+// aggregates pass over that index, as Build serializes it: so a fault
+// the resumed and the from-scratch build share still fails.
+func checkSidecar(t testing.TB, path string) {
+	t.Helper()
+	idx, agg := indexFiles(t, path)
+	ix, err := openImage(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := ix.computeAggregates()
+	if err != nil {
+		t.Fatalf("the aggregates pass over the committed index: %v", err)
+	}
+	want, err := json.MarshalIndent(ag, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(agg, append(want, '\n')) {
+		t.Fatalf("the .agg sidecar at %s is not the aggregates pass over its index", path)
+	}
+}
+
 // buildAndCompare runs BuildDir on dir and requires its two files to
-// equal those of a Build of the same archive into an empty directory.
+// equal those of a Build of the same archive into an empty directory,
+// and the sidecar to be the aggregates pass over the index.
 func buildAndCompare(t testing.TB, dir, step string) *BuildResult {
 	t.Helper()
 	res, err := BuildDir(dir)
 	if err != nil {
 		t.Fatalf("%s: %v", step, err)
 	}
+	checkSidecar(t, filepath.Join(dir, IndexFileName))
 	a, err := archive.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +181,7 @@ func CheckCadenceIndependent(t *testing.T, days []DayDoc) {
 			if _, err := BuildDir(dir); err != nil {
 				t.Fatalf("cadence %d, day-file %d: %v", k, n, err)
 			}
+			checkSidecar(t, path)
 			idx, agg := indexFiles(t, path)
 			if k == 1 {
 				want = append(want, [2][]byte{idx, agg})
@@ -168,6 +195,7 @@ func CheckCadenceIndependent(t *testing.T, days []DayDoc) {
 		if res, err := BuildDir(dir); err != nil || res.Resumed {
 			t.Fatalf("cadence %d: from-scratch build: %+v, %v", k, res, err)
 		}
+		checkSidecar(t, path)
 		if idx, agg := indexFiles(t, path); !bytes.Equal(idx, want[len(days)-1][0]) || !bytes.Equal(agg, want[len(days)-1][1]) {
 			t.Fatalf("cadence %d: built from scratch, the index or sidecar differs from cadence 1's", k)
 		}
@@ -316,6 +344,61 @@ func TestBuildDecodesOnlyTheNewDayFiles(t *testing.T) {
 	}
 }
 
+// TestExtendAllocatesNothingPerCommittedRow pins the one-day step's
+// allocations as a count that does not grow with the rows history left
+// behind: two archives end in the same days, and one of them held 4× the
+// prefixes in its first half. A resumed one-day Build makes row state
+// only for the rows the new day names or carries, so the two counts
+// differ by less than a handful of buffer doublings.
+func TestExtendAllocatesNothingPerCommittedRow(t *testing.T) {
+	const days, entries = 20, 40
+	var allocs [2]float64
+	for i, extra := range []int{0, 3 * entries} {
+		docs := synthChain(days, entries)
+		for d := range days / 2 {
+			for j := range extra {
+				e := synthEntry(j, d)
+				e.Prefix = fmt.Sprintf("172.%d.%d.0/24", 16+j/250, j%250)
+				docs[d].Entries = append(docs[d].Entries, e)
+				if e.GCDAnycast {
+					docs[d].GCount++
+				} else {
+					docs[d].MCount++
+				}
+			}
+			sortCanonical(docs[d])
+		}
+		dir := t.TempDir()
+		for d := range days - 1 {
+			appendDays(t, dir, []DayDoc{{d, docs[d]}})
+		}
+		if _, err := BuildDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, IndexFileName)
+		idx, _ := indexFiles(t, path)
+		appendDays(t, dir, []DayDoc{{days - 1, docs[days-1]}})
+		a, err := archive.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *BuildResult
+		allocs[i] = testing.AllocsPerRun(5, func() {
+			if err = os.WriteFile(path, idx, 0o644); err == nil {
+				res, err = Build(a, path)
+			}
+		})
+		if err != nil || !res.Resumed || res.DaysAdded != 1 || res.Prefixes != entries+extra {
+			t.Fatalf("%d prefixes: not a one-day extension: %+v, %v", entries+extra, res, err)
+		}
+	}
+	t.Logf("a one-day step over %d and %d prefixes: %.0f and %.0f allocations", entries, 4*entries, allocs[0], allocs[1])
+	if d := allocs[1] - allocs[0]; d >= 16 || d <= -16 {
+		t.Fatalf("a one-day step allocates %.0f times over %d prefixes and %.0f over %d: it allocates per committed row",
+			allocs[0], entries, allocs[1], 4*entries)
+	}
+}
+
 // splitIndex cuts an index file image into its TOC and rows sections.
 func splitIndex(t testing.TB, image []byte) (toc, rows []byte) {
 	t.Helper()
@@ -420,18 +503,16 @@ func TestBuildFallsBackToScratch(t *testing.T) {
 // Open refuses — here a prefix too long for the TOC's 16-bit name
 // length — fails before it commits anything. The index of the day
 // before stays in place byte for byte, so the archive it describes
-// still opens.
+// still opens. The archive writer refuses such a prefix, so the test
+// plants it in a stored day-file.
 func TestFailedBuildKeepsTheCommittedIndex(t *testing.T) {
 	docs := synthChain(4, 10)
-	long := *docs[3]
-	long.Entries = append(slices.Clone(long.Entries), core.DocumentEntry{Prefix: "10.0.0.0/24" + strings.Repeat("0", 70000)})
-	long.MCount++
 	dir, grown := t.TempDir(), t.TempDir()
 	for d := range 3 {
 		appendDays(t, dir, []DayDoc{{d, docs[d]}})
 		appendDays(t, grown, []DayDoc{{d, docs[d]}})
 	}
-	appendDays(t, grown, []DayDoc{{3, &long}})
+	appendDays(t, grown, []DayDoc{{3, docs[3]}})
 	if _, err := BuildDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -439,6 +520,14 @@ func TestFailedBuildKeepsTheCommittedIndex(t *testing.T) {
 	idx, agg := indexFiles(t, path)
 	a, err := archive.Open(grown)
 	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := a.Record("ipv4", 3)
+	if rec.Kind != archive.KindDelta {
+		t.Fatalf("day 3 is a %s, want a delta", rec.Kind)
+	}
+	long := `{"header":{"date":"2024-03-04","family":"ipv4"},"upserts":[{"prefix":"10.0.0.0/24` + strings.Repeat("0", 70000) + `"}]}`
+	if err := os.WriteFile(filepath.Join(grown, rec.File), []byte(long), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Build(a, path); err == nil || !strings.Contains(err.Error(), "not committing") {
@@ -454,45 +543,83 @@ func TestFailedBuildKeepsTheCommittedIndex(t *testing.T) {
 	ix.Close()
 }
 
-// TestRowStateAcceptsOnlyWhatEncodeWrites: the builder the state loader
-// makes from a loaded row is the one that wrote it — it re-encodes to
-// the row's bytes and carries the same last day — and growing it copies
-// the series it took from the record instead of writing into them.
+// TestRowStateAcceptsOnlyWhatEncodeWrites: a row the builder writes
+// loads back to the values it was given, and the splice that extends
+// it by a carried day writes what a build adding all four days writes —
+// copying the committed record, never writing into it.
 // TestShortRowFailsEveryWindow holds every reader to refusing the forms
-// encode does not write.
+// the builder does not write.
 func TestRowStateAcceptsOnlyWhatEncodeWrites(t *testing.T) {
 	const nDays = 9
-	rb := newRowBuilder("192.0.2.0/24", nDays)
-	for _, pos := range []int{0, 3, 8} {
-		rb.add(pos, &core.DocumentEntry{Prefix: rb.prefix, OriginASN: 64500, ACProtocols: []string{"ICMP"},
+	prefix := "192.0.2.0/24"
+	add := func(rb *rowBuilder, pos int) {
+		rb.add(pos, &core.DocumentEntry{Prefix: prefix, OriginASN: 64500, ACProtocols: []string{"ICMP"},
 			GCDMeasured: true, GCDAnycast: true, GCDSites: 3 + pos, MaxReceivers: 300, GCDVPs: 40, GCDCities: []string{"Oslo"}})
 	}
-	w := &bufWriter{}
-	rb.encode(w)
-	record := bytes.Clone(w.b)
-	ref := prefixRef{prefix: rb.prefix, origin: rb.origin}
+	fb, rb := scratchRow(nDays)
+	for _, pos := range []int{0, 3, 8} {
+		add(rb, pos)
+	}
+	record := fb.splice(nil, nil, [3]int{}, rb)
+	ref := prefixRef{prefix: prefix, origin: rb.origin, length: len(record)}
 	var r row
-	if err := r.load(ref, nDays, w.b); err != nil {
+	if err := r.load(ref, nDays, record); err != nil {
 		t.Fatal(err)
 	}
-	back := r.builder(ref, nDays)
-	again := &bufWriter{}
-	if back.encode(again); !bytes.Equal(again.b, record) {
-		t.Fatal("a loaded row does not re-encode to its bytes")
+	if !slices.Equal(r.present, []int{0, 3, 8}) || !slices.Equal(r.sites, []int{3, 6, 11}) || r.receivers[2] != 300 || r.vps[1] != 40 {
+		t.Fatalf("the written row loads as present %v, sites %v", r.present, r.sites)
 	}
-	for _, b := range []*rowBuilder{rb, back} {
-		b.grow(nDays + 1)
-		b.carry(nDays)
+	kept := bytes.Clone(record)
+	checkRowRoundTrip(t, nDays, ref, record, &r)
+	if !bytes.Equal(record, kept) {
+		t.Fatal("splicing the loaded row wrote into the record it was loaded from")
 	}
-	want, got := &bufWriter{}, &bufWriter{}
-	rb.encode(want)
-	back.encode(got)
-	if !bytes.Equal(got.b, want.b) {
-		t.Fatal("the loaded row carries another day than the row that wrote it")
+	fb, rb = scratchRow(nDays + 1)
+	for _, pos := range []int{0, 3, 8} {
+		add(rb, pos)
 	}
-	if !bytes.Equal(w.b, record) {
-		t.Fatal("carrying the loaded row wrote into the record it was loaded from")
+	rb.carry(nDays)
+	want := fb.splice(nil, nil, [3]int{}, rb)
+	got, _ := extendRow(t, nDays, ref, record)
+	if !bytes.Equal(got, want) {
+		t.Fatal("the committed row extended by a carried day differs from the row built over all its days")
 	}
+}
+
+// scratchRow returns a from-scratch builder over nDays days and the row
+// state of one prefix new to it.
+func scratchRow(nDays int) (*famBuilder, *rowBuilder) {
+	fb := &famBuilder{base: &famIndex{}, out: famIndex{days: make([]int, nDays)}, byPrefix: make(map[string]*rowBuilder)}
+	return fb, fb.track("", 0, -1)
+}
+
+// extendRow writes the committed row record b, over nDays days and
+// loaded in r, into an index one day longer: the prefix present on the
+// new day when it was on the last, as a delta naming nothing carries
+// it. It returns the row written and the row state that carried it, nil
+// when none did.
+func extendRow(t testing.TB, nDays int, ref prefixRef, b []byte) ([]byte, *rowBuilder) {
+	t.Helper()
+	ref.off, ref.length = 0, len(b)
+	var r row
+	if err := r.load(ref, nDays, b); err != nil {
+		t.Fatal(err)
+	}
+	fb := &famBuilder{
+		base: &famIndex{days: make([]int, nDays), prefixes: []prefixRef{ref}}, rows: b,
+		cuts: make([][3]int, 1), out: famIndex{days: make([]int, nDays+1)}, byPrefix: make(map[string]*rowBuilder),
+	}
+	fb.resume(0, &r)
+	var rb *rowBuilder
+	if len(fb.touched) > 0 {
+		rb = fb.touched[0]
+		rb.carry(nDays)
+	}
+	out, err := fb.write(nil, &r, newFamAgg("", &famIndex{}))
+	if err != nil {
+		t.Fatalf("row for %s: the extended row does not load: %v", ref.prefix, err)
+	}
+	return out, rb
 }
 
 // TestOpenDirRejectsIndexOfVanishedFamily: the store was regenerated
@@ -544,14 +671,15 @@ func TestOpenDirRejectsIndexOfVanishedFamily(t *testing.T) {
 // every query, so its decoders face whatever is on disk. The sections
 // are mutated and re-sealed (sealIndex: true lengths and CRCs), which
 // gets them past Open's integrity checks. Nothing may panic; Open, every
-// Timeline, both event scans, the aggregates pass and the row-state
-// loader together may allocate no more than a multiple of the file's
+// Timeline, both event scans, the aggregates pass and the splice of
+// every row together may allocate no more than a multiple of the file's
 // length per call, a scan counting one call per row it visits; every row
-// the row reader accepts must re-encode, through the builder the state
-// loader makes from it, to exactly its bytes, even when the state as a
-// whole is refused; and a state the loader accepts must encode to
-// exactly the file it was read from — that is what makes resuming from
-// it equal to rebuilding.
+// the row reader accepts must re-encode, through the splice, to exactly
+// its bytes. Then Build, over the archive the fixture index was built
+// from, starts from the fuzzed file: it either names why it built from
+// scratch and writes the from-scratch bytes, or resumes and — having no
+// day to add — writes the fuzzed file back byte for byte. The sidecar it
+// writes is the aggregates pass over what it committed.
 func FuzzIndexState(f *testing.F) {
 	v4 := synthChain(9, 5)
 	dir := f.TempDir()
@@ -561,13 +689,18 @@ func FuzzIndexState(f *testing.F) {
 	if _, err := BuildDir(dir); err != nil {
 		f.Fatal(err)
 	}
-	image, _ := indexFiles(f, filepath.Join(dir, IndexFileName))
-	toc, rows := splitIndex(f, image)
+	idxPath := filepath.Join(dir, IndexFileName)
+	scratch, _ := indexFiles(f, idxPath)
+	toc, rows := splitIndex(f, scratch)
 	f.Add(toc, rows)
 	f.Add(toc, append(bytes.Clone(rows), 0xAA))
 	f.Add(toc[:len(toc)-1], rows)
 	f.Add([]byte{1, 0, 0, 0, 4, 0, 'i', 'p', 'v', '4', 0xFF, 0xFF, 0xFF, 0xFF}, []byte{})
 	f.Add(withRowLen(f, toc, synthPrefix(3), 1), rows)
+	a, err := archive.Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	// One scratch file per fuzzing process, rewritten by every execution.
 	path := filepath.Join(f.TempDir(), "fuzzed.idx")
@@ -582,14 +715,19 @@ func FuzzIndexState(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer ix.Close()
-		calls := 3 // Open, state and the aggregates pass
+		calls := 2 // Open and the aggregates pass
 		var r row
 		for _, family := range ix.order {
 			fam := ix.fams[family]
 			for _, ref := range fam.prefixes {
 				ix.Timeline(family, ref.prefix) // a row that does not decode is an error, not a crash
-				checkRowRoundTrip(t, ix, len(fam.days), ref, &r)
+				b, err := ix.readRow(nil, ref)
+				if err != nil {
+					t.Fatal(err) // Open proved every row lies inside the rows section
+				}
+				if r.load(ref, len(fam.days), b) == nil {
+					checkRowRoundTrip(t, len(fam.days), ref, b, &r)
+				}
 				calls += 2
 			}
 			ix.Events(family, nil, 0, -1, EventOptions{})
@@ -599,40 +737,71 @@ func FuzzIndexState(f *testing.F) {
 			calls += 3 * len(fam.prefixes) // two event scans and the aggregates pass
 		}
 		ix.computeAggregates()
-		fams, why := ix.state(image[ix.rowsOff:])
 		runtime.ReadMemStats(&after)
+		ix.Close()
 		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(calls)*(64*uint64(len(image))+4096); got > bound {
 			t.Fatalf("%d calls over a %d-byte index allocated %d bytes, bound %d", calls, len(image), got, bound)
 		}
-		if why == "" && !bytes.Equal(encodeIndex(fams), image) {
-			t.Fatal("the loader accepted a state that does not encode to the file it was read from")
+
+		if err := os.WriteFile(idxPath, image, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		res, err := Build(a, idxPath)
+		if err != nil {
+			// A resumable file can still disagree with the day-files that
+			// extend it; the build then fails without committing.
+			if got, _ := os.ReadFile(idxPath); !bytes.Equal(got, image) {
+				t.Fatalf("a failed build (%v) replaced the committed index", err)
+			}
+			return
+		}
+		got, _ := indexFiles(t, idxPath)
+		switch {
+		case !res.Resumed && !bytes.Equal(got, scratch):
+			t.Fatalf("built from scratch (%s), the index differs from the from-scratch build", res.FromScratch)
+		case res.Resumed && res.DaysAdded == 0 && !bytes.Equal(got, image):
+			t.Fatal("resumed with nothing to add, the build did not write the committed file back")
+		}
+		checkSidecar(t, idxPath)
 	})
 }
 
-// checkRowRoundTrip loads one row into the reused r and, when the
-// reader accepts it, requires the builder made from it to encode the
-// row's exact bytes. So must a builder that pushes the values the reader
-// read, and both must carry the same last day: the reader accepts only
-// what encode writes.
-func checkRowRoundTrip(t *testing.T, ix *Index, nDays int, ref prefixRef, r *row) {
+// checkRowRoundTrip holds a row record b, which r loaded over nDays
+// days, to the splice: copied into an index of the same days it is
+// unchanged, and written from the values r read it is the same bytes.
+// Copied into an index one day longer, it is what the builder writes
+// for those values and, when present on the last day, that day carried.
+// The reader accepts only what the builder writes.
+func checkRowRoundTrip(t *testing.T, nDays int, ref prefixRef, b []byte, r *row) {
 	t.Helper()
-	b, err := ix.readRow(nil, ref)
-	if err != nil {
-		t.Fatal(err) // Open proved every row lies inside the rows section
+	same := &famBuilder{base: &famIndex{days: make([]int, nDays)}, out: famIndex{days: make([]int, nDays)}}
+	if got := same.splice(nil, b, [3]int{r.start[1], r.start[2], r.start[3]}, nil); !bytes.Equal(got, b) {
+		t.Fatalf("row for %s: the reader accepts %x, which the splice copies as %x", ref.prefix, b, got)
 	}
-	if r.load(ref, nDays, b) != nil {
-		return
-	}
-	rb := r.builder(ref, nDays)
-	values := &rowBuilder{flags: rb.flags}
-	for k := range r.present {
-		values.push([4]uint64{uint64(r.sites[k]), uint64(r.receivers[k]), uint64(r.vps[k]), uint64(r.city[k])})
-	}
-	for _, wb := range []*rowBuilder{rb, values} {
-		w := &bufWriter{}
-		if wb.encode(w); !bytes.Equal(w.b, b) || wb.last != rb.last {
-			t.Fatalf("row for %s: the reader accepts %x, which re-encodes to %x", ref.prefix, b, w.b)
+	values := func(days int) ([]byte, *rowBuilder) {
+		fb, rb := scratchRow(days)
+		bl := bitmapLen(nDays)
+		for pos := range nDays {
+			for c := range nFlags {
+				if getBit(b[c*bl:], pos) {
+					rb.flags[pos-rb.first] |= 1 << c
+				}
+			}
 		}
+		for k := range r.present {
+			rb.push([4]uint64{uint64(r.sites[k]), uint64(r.receivers[k]), uint64(r.vps[k]), uint64(r.city[k])})
+		}
+		if days > nDays && rb.present(nDays-1) {
+			rb.carry(nDays)
+		}
+		return fb.splice(nil, nil, [3]int{}, rb), rb
+	}
+	if got, _ := values(nDays); !bytes.Equal(got, b) {
+		t.Fatalf("row for %s: the reader accepts %x, which re-encodes to %x", ref.prefix, b, got)
+	}
+	want, wb := values(nDays + 1)
+	got, rb := extendRow(t, nDays, ref, b)
+	if !bytes.Equal(got, want) || rb != nil && rb.last != wb.last {
+		t.Fatalf("row for %s: extended by a day, %x splices to %x, want %x", ref.prefix, b, got, want)
 	}
 }
