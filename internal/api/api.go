@@ -669,7 +669,8 @@ func (s *Server) handleStability(v *view, r *http.Request) (answer, error) {
 // handleAggregates serves one family's materialized dashboard block —
 // per-day aggregate series, churn summary, stability histogram —
 // precomputed at index-build time and served without touching row
-// storage (the sidecar is loaded at Open; see query.Aggregates).
+// storage (the sidecar is read on the first aggregates call; see
+// query.Aggregates).
 func (s *Server) handleAggregates(v *view, r *http.Request) (answer, error) {
 	if v.q == nil {
 		return answer{}, errNoIndex

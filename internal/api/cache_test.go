@@ -587,7 +587,6 @@ func TestSnapshotIsolatedReadsDuringAppend(t *testing.T) {
 	_, err = longitudinal.Run(testWorld, longitudinal.Config{
 		Days:   4,
 		Stride: 1,
-		V4Only: true,
 		Sink:   &reloadSink{t: t, aw: aw, dir: dir, s: s},
 	})
 	close(done)

@@ -111,18 +111,11 @@ type Scope struct {
 	// Workers lists deployment site indices; nil matches all sites.
 	// Worker-scoped impairments never apply to unicast (GCD) probes.
 	Workers []int
-	// TargetIDs lists target IDs; nil matches all targets.
-	TargetIDs []int
-	// Origins lists origin ASNs; nil matches all.
-	Origins []netsim.ASN
 	// Protocols lists probe protocols; nil matches all.
 	Protocols []packet.Protocol
 	// WorkerContinents constrains the probing side (deployment site or
 	// unicast VP) by continent; nil matches all.
 	WorkerContinents []cities.Continent
-	// TargetContinents constrains the responder side by the target's
-	// canonical location; nil matches all.
-	TargetContinents []cities.Continent
 }
 
 // Days builds an inclusive day window. A window of [0, 0] would collide

@@ -150,36 +150,6 @@ func TestEngineBlackholeAndScopes(t *testing.T) {
 		t.Fatal("worker-scoped impairment hit a unicast VP")
 	}
 
-	// Origin-AS scope.
-	eng = NewEngine(testWorld, Scenario{Name: "bh-as", Impairments: []Impairment{
-		{Kind: Blackhole, Scope: Scope{Origins: []netsim.ASN{tg.Origin}}},
-	}})
-	if !eng.ImpairAnycast(d, 0, tg, probeCtx(5, packet.ICMP, tg)).Drop {
-		t.Fatal("origin-scoped probe not dropped")
-	}
-	var other *netsim.Target
-	for i := range testWorld.NumTargets(false) {
-		cand := testWorld.TargetAt(false, i)
-		if cand.Origin != tg.Origin && cand.Responsive[packet.ICMP] {
-			other = cand
-			break
-		}
-	}
-	if other == nil {
-		t.Fatal("no second origin in the test world")
-	}
-	if eng.ImpairAnycast(d, 0, other, probeCtx(5, packet.ICMP, other)).Drop {
-		t.Fatal("other-origin probe dropped")
-	}
-
-	// Target-ID scope.
-	eng = NewEngine(testWorld, Scenario{Name: "bh-tg", Impairments: []Impairment{
-		{Kind: Blackhole, Scope: Scope{TargetIDs: []int{tg.ID}}},
-	}})
-	if !eng.ImpairAnycast(d, 0, tg, probeCtx(5, packet.ICMP, tg)).Drop ||
-		eng.ImpairAnycast(d, 0, other, probeCtx(5, packet.ICMP, other)).Drop {
-		t.Fatal("target-ID scope mismatch")
-	}
 }
 
 func TestEnginePartitionByContinent(t *testing.T) {

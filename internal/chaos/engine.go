@@ -33,12 +33,10 @@ type compiled struct {
 	allDays bool
 	salt    uint64
 
-	workers      map[int]bool        // nil = all sites
-	workerScoped bool                // site-index scope set (anycast-only)
-	targets      map[int]bool        // nil = all targets
-	origins      map[netsim.ASN]bool // nil = all origins
-	protoMask    uint8               // 0 = all protocols
-	wCont, tCont uint8               // continent bitmasks, 0 = all
+	workers      map[int]bool // nil = all sites
+	workerScoped bool         // site-index scope set (anycast-only)
+	protoMask    uint8        // 0 = all protocols
+	wCont        uint8        // worker continent bitmask, 0 = all
 }
 
 // NewEngine compiles a scenario against a world.
@@ -69,50 +67,21 @@ func NewEngine(w *netsim.World, sc Scenario) *Engine {
 				c.workers[wk] = true
 			}
 		}
-		if imp.Scope.TargetIDs != nil {
-			c.targets = make(map[int]bool, len(imp.Scope.TargetIDs))
-			for _, id := range imp.Scope.TargetIDs {
-				c.targets[id] = true
-			}
-		}
-		if imp.Scope.Origins != nil {
-			c.origins = make(map[netsim.ASN]bool, len(imp.Scope.Origins))
-			for _, a := range imp.Scope.Origins {
-				c.origins[a] = true
-			}
-		}
 		for _, p := range imp.Scope.Protocols {
 			c.protoMask |= 1 << uint(p)
 		}
 		for _, ct := range imp.Scope.WorkerContinents {
 			c.wCont |= 1 << uint(ct)
 		}
-		for _, ct := range imp.Scope.TargetContinents {
-			c.tCont |= 1 << uint(ct)
-		}
 		e.comp = append(e.comp, c)
 	}
 	return e
 }
 
-// matchCommon checks the day window and target-side scopes.
-func (c *compiled) matchCommon(day int, tg *netsim.Target, proto packet.Protocol, contOf []cities.Continent) bool {
-	if !c.allDays && !c.days.Contains(day) {
-		return false
-	}
-	if c.targets != nil && !c.targets[tg.ID] {
-		return false
-	}
-	if c.origins != nil && !c.origins[tg.Origin] {
-		return false
-	}
-	if c.protoMask != 0 && c.protoMask&(1<<uint(proto)) == 0 {
-		return false
-	}
-	if c.tCont != 0 && c.tCont&(1<<uint(contOf[tg.CityIdx])) == 0 {
-		return false
-	}
-	return true
+// matchCommon checks the day window and the protocol scope.
+func (c *compiled) matchCommon(day int, proto packet.Protocol) bool {
+	return (c.allDays || c.days.Contains(day)) &&
+		(c.protoMask == 0 || c.protoMask&(1<<uint(proto)) != 0)
 }
 
 // ImpairAnycast implements netsim.Impairer for the anycast-based stage.
@@ -122,7 +91,7 @@ func (e *Engine) ImpairAnycast(d *netsim.Deployment, worker int, tg *netsim.Targ
 	var out netsim.ProbeImpairment
 	for i := range e.comp {
 		c := &e.comp[i]
-		if !c.matchCommon(day, tg, ctx.Flow.Proto, e.contOf) {
+		if !c.matchCommon(day, ctx.Flow.Proto) {
 			continue
 		}
 		if c.workers != nil && !c.workers[worker] {
@@ -184,7 +153,7 @@ func (e *Engine) ImpairUnicast(vp netsim.VP, tg *netsim.Target, proto packet.Pro
 		case SiteOutage, ClockSkew, RouteFlap, AbuseComplaint:
 			continue
 		}
-		if !c.matchCommon(day, tg, proto, e.contOf) {
+		if !c.matchCommon(day, proto) {
 			continue
 		}
 		if c.wCont != 0 && c.wCont&(1<<uint(e.contOf[vp.CityIdx])) == 0 {

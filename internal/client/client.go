@@ -9,7 +9,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"net"
 	"net/netip"
 	"slices"
 	"strconv"
@@ -23,8 +22,6 @@ import (
 type Client struct {
 	// Addr is the Orchestrator's TCP address.
 	Addr string
-	// Dialer allows tests to intercept connections; nil uses net.Dialer.
-	Dialer func(ctx context.Context, addr string) (net.Conn, error)
 	// Obs, when set, makes the CLI the origin of a distributed trace: it
 	// mints the trace context carried on the Run frame and ingests the
 	// assembled cross-process spans handed back on Complete, so after
@@ -73,7 +70,7 @@ func (o *Outcome) Candidates() []netip.Addr {
 // Run submits the measurement and blocks until completion, invoking
 // onResult (if non-nil) per streamed result.
 func (c *Client) Run(ctx context.Context, def wire.MeasurementDef, targets []netip.Addr, onResult func(wire.Result)) (*Outcome, error) {
-	conn, err := new(wire.Endpoint).Dial(ctx, c.Dialer, c.Addr)
+	conn, err := new(wire.Endpoint).Dial(ctx, nil, c.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dialing orchestrator: %w", err)
 	}

@@ -6,9 +6,7 @@ import (
 
 	"github.com/laces-project/laces/internal/chaos"
 	"github.com/laces-project/laces/internal/core"
-	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/packet"
-	"github.com/laces-project/laces/internal/platform"
 	"github.com/laces-project/laces/internal/stats"
 )
 
@@ -64,12 +62,7 @@ func (e *Env) chaosCensus(day int, v6 bool, sc chaos.Scenario) (*core.DailyCensu
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := core.NewPipeline(e.World, core.Config{
-		Deployment: e.Tangled,
-		GCDVPs: func(day int, v6 bool) ([]netsim.VP, error) {
-			return platform.Ark(e.World, day, v6)
-		},
-	})
+	pipe, err := e.pipeline(false)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/laces-project/laces/internal/chaos"
+	"github.com/laces-project/laces/internal/netsim"
+	"github.com/laces-project/laces/internal/obs"
 )
 
 // TestChaosResilienceSuite exercises every registered scenario through a
@@ -57,5 +60,39 @@ func TestChaosResilienceSuite(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "baseline") || !strings.Contains(out, chaos.ScenarioSiteOutage) {
 		t.Fatal("rendered table missing rows")
+	}
+}
+
+// TestEnvObsSeesChaosCensus: Env.Obs receives the telemetry of every
+// census pipeline the environment builds, the chaos scenarios' included.
+// A fresh environment runs one chaos census; its registry must hold that
+// run's census span and its stage series.
+func TestEnvObsSeesChaosCensus(t *testing.T) {
+	e, err := NewEnv(netsim.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Obs = obs.New()
+	sc := chaos.Builtins()[0]
+	if _, err := e.chaosCensus(dayChaosResilience, false, sc); err != nil {
+		t.Fatal(err)
+	}
+	censuses := 0
+	for _, sp := range e.Obs.ExportTrace().Spans {
+		if sp.Name == "census" {
+			censuses++
+		}
+	}
+	if censuses != 1 {
+		t.Fatalf("registry holds %d census spans after one %s census, want 1", censuses, sc.Name)
+	}
+	probes := 0.0
+	for _, m := range e.Obs.Snapshot().Metrics {
+		if m.Name == "laces_stage_probes_total" && slices.Contains(m.Labels, obs.L("stage", "anycast_icmp")) {
+			probes = m.Value
+		}
+	}
+	if probes == 0 {
+		t.Fatalf("registry holds no anycast_icmp probes after the %s census", sc.Name)
 	}
 }

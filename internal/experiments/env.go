@@ -117,13 +117,7 @@ func (e *Env) DailyCensus(day int, v6 bool) (*core.DailyCensus, error) {
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := core.NewPipeline(e.World, core.Config{
-		Deployment: e.Tangled,
-		GCDVPs: func(day int, v6 bool) ([]netsim.VP, error) {
-			return platform.Ark(e.World, day, v6)
-		},
-		Obs: e.Obs,
-	})
+	pipe, err := e.pipeline(false)
 	if err != nil {
 		return nil, err
 	}
@@ -136,6 +130,20 @@ func (e *Env) DailyCensus(day int, v6 bool) (*core.DailyCensus, error) {
 	e.censuses[key] = c
 	e.mu.Unlock()
 	return c, nil
+}
+
+// pipeline builds a census pipeline the way every experiment runs one:
+// the Tangled deployment, Ark GCD VPs and the environment's telemetry,
+// with the traceroute screening stage when confirmGlobalBGP is set.
+func (e *Env) pipeline(confirmGlobalBGP bool) (*core.Pipeline, error) {
+	return core.NewPipeline(e.World, core.Config{
+		Deployment: e.Tangled,
+		GCDVPs: func(day int, v6 bool) ([]netsim.VP, error) {
+			return platform.Ark(e.World, day, v6)
+		},
+		ConfirmGlobalBGP: confirmGlobalBGP,
+		Obs:              e.Obs,
+	})
 }
 
 // anycastRun executes one anycast-based ICMP measurement with the given

@@ -6,7 +6,6 @@ import (
 
 	"github.com/laces-project/laces/internal/core"
 	"github.com/laces-project/laces/internal/netsim"
-	"github.com/laces-project/laces/internal/platform"
 	"github.com/laces-project/laces/internal/stats"
 )
 
@@ -59,13 +58,7 @@ func (e *Env) runMDecomposition(day int) (*MDecompResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := core.NewPipeline(e.World, core.Config{
-		Deployment: e.Tangled,
-		GCDVPs: func(day int, v6 bool) ([]netsim.VP, error) {
-			return platform.Ark(e.World, day, v6)
-		},
-		ConfirmGlobalBGP: true,
-	})
+	pipe, err := e.pipeline(true)
 	if err != nil {
 		return nil, err
 	}

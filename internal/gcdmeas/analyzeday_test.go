@@ -83,7 +83,7 @@ func recordDay(tb testing.TB) recordedDay {
 					continue
 				}
 				best := make([]time.Duration, len(vps))
-				if _, replies := w.UnicastFan(table, tg, proto, at, 1, best); replies > 0 {
+				if _, replies := w.UnicastFan(table, tg, proto, at, best); replies > 0 {
 					dayRec.fans = append(dayRec.fans, best)
 				}
 			}

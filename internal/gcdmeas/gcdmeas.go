@@ -44,19 +44,15 @@ type Campaign struct {
 	// the §4.3 rule and ignores the caller's value.
 	Proto packet.Protocol
 	At    time.Time
-	// Attempts per VP; the smallest RTT is kept (retries only shrink
-	// discs). Zero means 1.
-	Attempts int
 	// Parallelism shards the target loop across this many goroutines
 	// (<= 0 means GOMAXPROCS, 1 is sequential); results are byte-identical
 	// at every worker count.
 	Parallelism int
 	// Gate is the responsible-probing admission gate (R3 governance),
 	// consulted once per target in list order before the sharded probing
-	// runs. Each target demands VPs × Attempts budget units (the
-	// worst-case transmission count; unresponsive targets send fewer).
-	// Denied targets are skipped and accounted in Report.Usage. A nil
-	// gate admits everything.
+	// runs. Each target demands one budget unit per VP, the one probe
+	// each VP sends it. Denied targets are skipped and accounted in
+	// Report.Usage. A nil gate admits everything.
 	Gate *budget.Gate
 	// Obs receives the stage's telemetry (laces_stage_* series, the RTT
 	// histogram, the pipeline span and live progress). Nil disables
@@ -141,24 +137,20 @@ func Confirm(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
 // Run measures the listed targets from every VP with c.Proto and
 // analyses each with iGreedy.
 func Run(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
-	attempts := c.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	rep := &Report{Outcomes: make(map[int]TargetOutcome, len(targetIDs))}
-	// The RTT histogram records each VP's best sample; a no-op when Obs is
+	// The RTT histogram records each VP's sample; a no-op when Obs is
 	// nil, and nothing in it feeds back into the report.
 	rtts := c.Obs.Histogram("laces_gcd_rtt_seconds",
-		"Best per-VP RTT samples collected by the GCD stage.", nil)
+		"Per-VP RTT samples collected by the GCD stage.", nil)
 
-	// One admitted target: one fan of up to `attempts` probes from every VP
-	// (the worst case is what the gate charges), the best RTT per VP kept
-	// in the shard's buffer and analysed with iGreedy by VP index.
+	// One admitted target: one probe from every VP (what the gate
+	// charges), each VP's RTT kept in the shard's buffer and analysed with
+	// iGreedy by VP index.
 	vps, table := netsim.NewVPTable(c.VPs), c.igreedyTable()
 	measure := func(sh *par.Shard[TargetOutcome]) func(int, *netsim.Target) {
 		best := make([]time.Duration, len(c.VPs))
 		return func(_ int, tg *netsim.Target) {
-			probes, replies := w.UnicastFan(vps, tg, c.Proto, c.At, attempts, best)
+			probes, replies := w.UnicastFan(vps, tg, c.Proto, c.At, best)
 			sh.Probes += int64(probes)
 			sh.Replies += int64(replies)
 			answered := 0
@@ -181,7 +173,7 @@ func Run(w *netsim.World, targetIDs []int, v6 bool, c Campaign) *Report {
 	}
 	sum, _ := par.Run(c.stage(StageLabel(c.Proto), w, v6), targetIDs, &rep.Usage,
 		func(id int) int { return id },
-		func(*netsim.Target) int64 { return int64(len(c.VPs)) * int64(attempts) }, measure)
+		func(*netsim.Target) int64 { return int64(len(c.VPs)) }, measure)
 	rep.ProbesSent = sum.Probes
 	for _, o := range sum.Out {
 		rep.Outcomes[o.TargetID] = o

@@ -26,7 +26,7 @@ func arkCampaign(t testing.TB, day int, v6 bool) Campaign {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Campaign{VPs: vps, Proto: packet.ICMP, At: netsim.DayTime(day), Attempts: 1}
+	return Campaign{VPs: vps, Proto: packet.ICMP, At: netsim.DayTime(day)}
 }
 
 // sampleIDs returns n target IDs of each anycast/unicast class responsive
@@ -98,11 +98,9 @@ func TestGlobalUnicastNotGCDConfirmed(t *testing.T) {
 func TestProbeAccounting(t *testing.T) {
 	anycast, _ := sampleIDs(10)
 	camp := arkCampaign(t, 10, false)
-	camp.Attempts = 3
 	rep := Run(testWorld, anycast, false, camp)
-	maxProbes := int64(len(anycast) * len(camp.VPs) * 3)
-	if rep.ProbesSent == 0 || rep.ProbesSent > maxProbes {
-		t.Fatalf("probes sent = %d, want (0, %d]", rep.ProbesSent, maxProbes)
+	if want := int64(len(anycast) * len(camp.VPs)); rep.ProbesSent != want {
+		t.Fatalf("probes sent = %d, want %d (one per target and VP)", rep.ProbesSent, want)
 	}
 }
 

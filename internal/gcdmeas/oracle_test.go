@@ -68,7 +68,7 @@ func TestGreedyWithinExactWithinTrueSites(t *testing.T) {
 		for i := range vps {
 			vps[i] = all[i*len(all)/oracleVPs]
 		}
-		c := Campaign{VPs: vps, Proto: packet.ICMP, At: netsim.DayTime(day).Add(6 * time.Hour), Attempts: 1}
+		c := Campaign{VPs: vps, Proto: packet.ICMP, At: netsim.DayTime(day).Add(6 * time.Hour)}
 		table, itable := netsim.NewVPTable(vps), c.igreedyTable()
 		best := make([]time.Duration, len(vps))
 		for id := range w.NumTargets(false) {
@@ -76,7 +76,7 @@ func TestGreedyWithinExactWithinTrueSites(t *testing.T) {
 			if !tg.Responsive[packet.ICMP] || (!tg.IsAnycastAt(day) && id%8 != 0) {
 				continue
 			}
-			if _, replies := w.UnicastFan(table, tg, packet.ICMP, c.At, 1, best); replies == 0 {
+			if _, replies := w.UnicastFan(table, tg, packet.ICMP, c.At, best); replies == 0 {
 				continue
 			}
 			greedy := itable.Analyze(best, igreedy.Options{}).NumSites()

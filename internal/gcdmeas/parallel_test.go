@@ -13,7 +13,6 @@ func TestRunParallelByteIdentical(t *testing.T) {
 	anycast, unicast := sampleIDs(40)
 	ids := append(append([]int{}, anycast...), unicast...)
 	camp := arkCampaign(t, 10, false)
-	camp.Attempts = 2
 
 	camp.Parallelism = 1
 	seq := Run(testWorld, ids, false, camp)

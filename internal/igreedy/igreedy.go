@@ -65,20 +65,11 @@ type Sample struct {
 
 // Options tunes the analysis. The zero value is ready to use.
 type Options struct {
-	// DB is the geolocation city database; nil uses the embedded default.
-	DB *cities.DB
 	// ProcessingAllowance is subtracted from each RTT before computing
 	// the disc radius, discounting target processing delay. Zero (the
 	// iGreedy default) is conservative: it can only overestimate radii
 	// and therefore never produces a false violation.
 	ProcessingAllowance time.Duration
-}
-
-func (o Options) db() *cities.DB {
-	if o.DB != nil {
-		return o.DB
-	}
-	return cities.Default()
 }
 
 // Site is one enumerated anycast site.
@@ -691,7 +682,7 @@ func (sc *scratch) analyze(opts Options) Result {
 			sc.pickDisjoint(vi, vj)
 		}
 	}
-	res.Sites = sc.sites(opts)
+	res.Sites = sc.sites()
 	return res
 }
 
@@ -705,8 +696,8 @@ func Analyze(samples []Sample, opts Options) Result {
 
 // sites geolocates the enumeration in sc.picked: each disc to the most
 // populous city inside it.
-func (sc *scratch) sites(opts Options) []Site {
-	db := opts.db()
+func (sc *scratch) sites() []Site {
+	db := cities.Default()
 	out := make([]Site, 0, len(sc.picked))
 	for _, i := range sc.picked {
 		sc.ready(i)

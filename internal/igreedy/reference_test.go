@@ -142,7 +142,7 @@ func refAnalyze(samples []Sample, opts Options) Result {
 	if anycast && len(picked) < 2 {
 		picked = grow([]int{vi, vj}, vi, vj)
 	}
-	db := opts.db()
+	db := cities.Default()
 	for _, i := range picked {
 		s := Site{VP: discs[i].vp, Disc: discs[i].d}
 		if c, ok := refHighestPopulationIn(db, discs[i].d); ok {

@@ -30,7 +30,7 @@ func analyzeSorting(samples []Sample, opts Options) Result {
 		sc.picked = append(sc.picked[:0], vi, vj)
 		sc.pickDisjoint(vi, vj)
 	}
-	res.Sites = sc.sites(opts)
+	res.Sites = sc.sites()
 	return res
 }
 

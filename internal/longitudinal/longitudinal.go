@@ -106,8 +106,6 @@ type Config struct {
 	// keep experiment wall-clock bounded; persistence counts scale by the
 	// stride.
 	Stride int
-	// Families selects address families; default both.
-	V4Only bool
 	Events Events
 	// Sink, when set, receives each finished day's published document as
 	// it completes — typically an archive.Writer, which delta-encodes the
@@ -211,10 +209,7 @@ func Run(w *netsim.World, cfg Config) (*History, error) {
 	h.daysG[0] = make(map[int]int)
 	h.daysG[1] = make(map[int]int)
 
-	families := []bool{false}
-	if !cfg.V4Only {
-		families = []bool{false, true}
-	}
+	families := []bool{false, true}
 	gcdlsAt := make(map[int]bool, len(cfg.Events.GCDLSDays))
 	for _, d := range cfg.Events.GCDLSDays {
 		gcdlsAt[d] = true

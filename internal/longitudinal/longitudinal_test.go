@@ -183,25 +183,25 @@ func TestAstoundBirthVisible(t *testing.T) {
 }
 
 func TestStrideDefaults(t *testing.T) {
-	h, err := Run(testWorld, Config{Days: 3, Stride: 1, V4Only: true,
+	h, err := Run(testWorld, Config{Days: 3, Stride: 1,
 		Events: Events{GCDLSDays: []int{0}, WorkerLossFixDay: -1, WorkerLossPeriod: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.SummariesV4) != 3 || len(h.SummariesV6) != 0 {
-		t.Fatalf("V4Only run produced %d/%d summaries", len(h.SummariesV4), len(h.SummariesV6))
+	if len(h.SummariesV4) != 3 || len(h.SummariesV6) != 3 {
+		t.Fatalf("stride-1 run of 3 days produced %d/%d summaries", len(h.SummariesV4), len(h.SummariesV6))
 	}
 }
 
 func TestNoEventsExplicit(t *testing.T) {
-	h, err := Run(testWorld, Config{Days: 2, Stride: 1, V4Only: true, Events: Events{None: true}})
+	h, err := Run(testWorld, Config{Days: 2, Stride: 1, Events: Events{None: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.SummariesV4) != 2 {
-		t.Fatalf("produced %d summaries, want 2", len(h.SummariesV4))
+	if len(h.SummariesV4) != 2 || len(h.SummariesV6) != 2 {
+		t.Fatalf("produced %d/%d summaries, want 2 per family", len(h.SummariesV4), len(h.SummariesV6))
 	}
-	for _, s := range h.SummariesV4 {
+	for _, s := range append(h.SummariesV4, h.SummariesV6...) {
 		if s.Workers != 32 {
 			t.Fatalf("day %d lost workers without events", s.Day)
 		}

@@ -52,7 +52,7 @@ func TestHistoryHoldsNoCensus(t *testing.T) {
 	walk(reflect.TypeOf(History{}), "History")
 }
 
-// liveHeapAfterRun executes a V4-only clean run of the given length on a
+// liveHeapAfterRun executes a clean run of the given length on a
 // fresh world and returns the live heap with only the History retained.
 func liveHeapAfterRun(t *testing.T, days int) (uint64, *History) {
 	t.Helper()
@@ -60,7 +60,7 @@ func liveHeapAfterRun(t *testing.T, days int) (uint64, *History) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := Run(w, Config{Days: days, Stride: 1, V4Only: true, Events: Events{None: true}})
+	h, err := Run(w, Config{Days: days, Stride: 1, Events: Events{None: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,11 +56,9 @@ type Options struct {
 	// Rate is the hitlist consumption rate in targets per second (R3).
 	// Zero means 10,000/s, the paper-equivalent daily-census rate.
 	Rate float64
-	// StaticProbes disables per-worker payload variation, reproducing the
-	// §5.1.4 load-balancer control experiment.
-	StaticProbes bool
-	// MeasurementID seeds flow headers; runs with the same ID share flow
-	// hashing.
+	// MeasurementID goes into the train's flow key as
+	// netsim.FlowKey.StaticFlow, which the simulator never reads, so it
+	// changes no result. It remains because bench/census.go sets it.
 	MeasurementID uint16
 	// MissingWorkers is the mask of deployment sites (bit i = site i) that
 	// are disconnected for the duration of the run (failure awareness,
@@ -215,9 +213,6 @@ func run(w *netsim.World, d *netsim.Deployment, v6 bool, ids []int, opts Options
 		Gap:     opts.Offset,
 		Flow:    netsim.FlowKey{Proto: opts.Protocol, StaticFlow: uint64(opts.MeasurementID) + 1, VaryingPayload: 1},
 		Missing: missing,
-	}
-	if opts.StaticProbes {
-		train.Flow.VaryingPayload = 0
 	}
 	probe := func(sh *par.Shard[TargetObs]) func(int, *netsim.Target) {
 		return func(i int, tg *netsim.Target) {

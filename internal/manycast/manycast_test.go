@@ -201,36 +201,6 @@ func TestMissingWorkersReduceCoverage(t *testing.T) {
 	}
 }
 
-func TestStaticProbesOption(t *testing.T) {
-	// §5.1.4's control: static probes yield (nearly) identical results.
-	d := tangled(t)
-	varying, err := Run(testWorld, d, testHL, baseOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := baseOpts()
-	opts.StaticProbes = true
-	static, err := Run(testWorld, d, testHL, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := varying.CandidateSet(), static.CandidateSet()
-	diff := 0
-	for id := range a {
-		if !b[id] {
-			diff++
-		}
-	}
-	for id := range b {
-		if !a[id] {
-			diff++
-		}
-	}
-	if float64(diff) > 0.01*float64(len(a)+1) {
-		t.Fatalf("static vs varying candidate sets differ by %d of %d", diff, len(a))
-	}
-}
-
 func TestMultiProtocolCoverage(t *testing.T) {
 	// Fig 7: ICMP finds the most candidates; TCP and DNS add exclusive
 	// ones.

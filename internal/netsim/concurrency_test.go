@@ -173,15 +173,14 @@ func fanVPs(t *testing.T, w *World) *VPTable {
 	return NewVPTable(vps)
 }
 
-// runFans fans ICMP with two attempts over the first n IPv4 targets,
-// starting at target `from` and wrapping around, and returns each
-// target's best RTTs by ID.
+// runFans fans ICMP over the first n IPv4 targets, starting at target
+// `from` and wrapping around, and returns each target's RTTs by ID.
 func runFans(w *World, vps *VPTable, n, from int, at time.Time) [][]time.Duration {
 	out := make([][]time.Duration, n)
 	for k := 0; k < n; k++ {
 		id := (from + k) % n
 		out[id] = make([]time.Duration, len(vps.vps))
-		w.UnicastFan(vps, w.TargetAt(false, id), packet.ICMP, at, 2, out[id])
+		w.UnicastFan(vps, w.TargetAt(false, id), packet.ICMP, at, out[id])
 	}
 	return out
 }

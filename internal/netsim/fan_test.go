@@ -90,7 +90,6 @@ type fanCase struct {
 	proto    uint8
 	day      uint16
 	startSec uint32 // seconds into the day
-	attempts uint8  // modulo 4; 0 means 1, as in gcdmeas
 	cold     bool   // drop every cached catchment before the fan runs
 	tel      bool   // count with telemetry installed
 }
@@ -102,30 +101,22 @@ type fanSeen struct {
 	filtered   bool // a FiltersSpecifics VP answered a backing-anycast target
 }
 
-// foldProbes is the GCD stage's retry rule applied probe by probe: one
-// ProbeUnicast per VP and attempt, stopping at a VP's first unanswered
-// probe, keeping its fastest reply.
-func foldProbes(w *netsim.World, pool []netsim.VP, tg *netsim.Target, proto packet.Protocol, at time.Time, attempts int) (best []time.Duration, probes, replies int) {
+// foldProbes is the GCD stage's fan applied probe by probe: one
+// ProbeUnicast per VP, keeping its reply's RTT.
+func foldProbes(w *netsim.World, pool []netsim.VP, tg *netsim.Target, proto packet.Protocol, at time.Time) (best []time.Duration, probes, replies int) {
 	best = make([]time.Duration, len(pool))
 	for i, vp := range pool {
-		set := false
-		for a := 0; a < max(attempts, 1); a++ {
-			probes++
-			rtt, _, ok := w.ProbeUnicast(vp, tg, proto, at, uint64(a))
-			if !ok {
-				break
-			}
+		probes++
+		if rtt, _, ok := w.ProbeUnicast(vp, tg, proto, at, 0); ok {
+			best[i] = rtt
 			replies++
-			if !set || rtt < best[i] {
-				best[i], set = rtt, true
-			}
 		}
 	}
 	return best, probes, replies
 }
 
-// checkFan asserts the tentpole contract for one case: UnicastFan's best
-// RTTs, probes and replies are the fold of per-VP ProbeUnicast, cold rows
+// checkFan asserts the contract for one case: UnicastFan's RTTs, probes
+// and replies are the fold of per-VP ProbeUnicast, cold rows
 // or warm, and telemetry counts each the same.
 func checkFan(t *testing.T, c fanCase) fanSeen {
 	t.Helper()
@@ -140,7 +131,7 @@ func checkFan(t *testing.T, c fanCase) fanSeen {
 	}
 	tg := e.w.TargetAt(e.v6, int(c.id)%e.w.NumTargets(e.v6))
 	at := netsim.DayTime(int(c.day) % 534).Add(time.Duration(c.startSec%86400) * time.Second)
-	proto, attempts := packet.Protocol(c.proto%3), int(c.attempts%4)
+	proto := packet.Protocol(c.proto % 3)
 	counted := func(f func() (int, int)) (n, got [2]int64) {
 		p0, r0 := tel.ProbesUnicast(), tel.RepliesUnicast()
 		probes, replies := f()
@@ -150,12 +141,12 @@ func checkFan(t *testing.T, c fanCase) fanSeen {
 	var want, got []time.Duration
 	fold := func() (int, int) {
 		var probes, replies int
-		want, probes, replies = foldProbes(e.w, e.pool, tg, proto, at, attempts)
+		want, probes, replies = foldProbes(e.w, e.pool, tg, proto, at)
 		return probes, replies
 	}
 	fan := func() (int, int) {
 		got = make([]time.Duration, len(e.pool))
-		return e.w.UnicastFan(e.vps, tg, proto, at, attempts, got)
+		return e.w.UnicastFan(e.vps, tg, proto, at, got)
 	}
 	var foldN, foldTel, fanN, fanTel [2]int64
 	if c.cold {
@@ -182,8 +173,7 @@ func checkFan(t *testing.T, c fanCase) fanSeen {
 
 // fanCases draws n cases: both families, GCD loss on and off, every
 // protocol, the train grid's days (ordinary, chaos, temporary-anycast and
-// event days) at midday or 10 s before midnight, 0–3 attempts, every
-// built-in chaos scenario plus a day-shifting impairer, cold and warm
+// event days) at midday or 10 s before midnight, every built-in chaos scenario plus a day-shifting impairer, cold and warm
 // rows, telemetry on and off.
 func fanCases(n int) []fanCase {
 	rng := rand.New(rand.NewSource(26))
@@ -203,7 +193,6 @@ func fanCases(n int) []fanCase {
 		c.proto = uint8(rng.Intn(3))
 		c.day = uint16(e.days[rng.Intn(len(e.days))])
 		c.startSec = [...]uint32{12 * 3600, 86400 - 10}[rng.Intn(2)]
-		c.attempts = uint8(rng.Intn(4))
 		c.cold = rng.Intn(4) == 0
 		c.tel = rng.Intn(2) == 0
 	}
@@ -241,9 +230,9 @@ func TestUnicastFanMatchesProbes(t *testing.T) {
 // from the property test's grid.
 func FuzzUnicastFan(f *testing.F) {
 	for _, c := range fanCases(64) {
-		f.Add(c.lazyV6, c.lossless, c.engine, c.id, c.proto, c.day, c.startSec, c.attempts, c.cold, c.tel)
+		f.Add(c.lazyV6, c.lossless, c.engine, c.id, c.proto, c.day, c.startSec, c.cold, c.tel)
 	}
-	f.Fuzz(func(t *testing.T, lazyV6, lossless bool, engine uint8, id uint32, proto uint8, day uint16, startSec uint32, attempts uint8, cold, tel bool) {
-		checkFan(t, fanCase{lazyV6, lossless, engine, id, proto, day, startSec, attempts, cold, tel})
+	f.Fuzz(func(t *testing.T, lazyV6, lossless bool, engine uint8, id uint32, proto uint8, day uint16, startSec uint32, cold, tel bool) {
+		checkFan(t, fanCase{lazyV6, lossless, engine, id, proto, day, startSec, cold, tel})
 	})
 }

@@ -191,8 +191,8 @@ func assertFansNoAllocs(t *testing.T, w *World, label string) {
 		if tg == nil {
 			t.Fatalf("world lacks an ICMP-responsive %v target", kind)
 		}
-		w.UnicastFan(tab, tg, packet.ICMP, DayTime(3), 2, best) // warm the row
-		if allocs := testing.AllocsPerRun(200, func() { w.UnicastFan(tab, tg, packet.ICMP, DayTime(3), 2, best) }); allocs != 0 {
+		w.UnicastFan(tab, tg, packet.ICMP, DayTime(3), best) // warm the row
+		if allocs := testing.AllocsPerRun(200, func() { w.UnicastFan(tab, tg, packet.ICMP, DayTime(3), best) }); allocs != 0 {
 			t.Fatalf("%s warm fan to a %v target allocates %.1f objects per run, want 0", label, kind, allocs)
 		}
 	}

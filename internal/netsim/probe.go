@@ -239,17 +239,15 @@ func NewVPTable(vps []VP) *VPTable {
 }
 
 // UnicastFan probes tg from every VP of the table the way the GCD stage
-// does: up to `attempts` probes per VP (fewer than 1 means 1), stopping at
-// a VP's first unanswered probe, since one that goes unanswered on a day
-// stays unanswered. It writes each VP's smallest RTT to best[i] — 0 for a
-// VP without a reply; a modelled RTT is at least 0.15 ms — and returns the
-// probes sent and the replies received. It is the fold of one ProbeUnicast
-// per VP and attempt under that rule, with what those probes share —
-// responsiveness, the day and the target's kind on it, its catchment row —
-// resolved once. best must hold at least t.Len() entries.
-func (w *World) UnicastFan(t *VPTable, tg *Target, proto packet.Protocol, at time.Time, attempts int, best []time.Duration) (probes, replies int) {
+// does: one probe per VP. It writes each VP's RTT to best[i] — 0 for a VP
+// without a reply; a modelled RTT is at least 0.15 ms — and returns the
+// probes sent (one per VP) and the replies received. It is the fold of one
+// ProbeUnicast per VP, with what those probes share — responsiveness, the
+// day and the target's kind on it, its catchment row — resolved once.
+// best must hold at least t.Len() entries.
+func (w *World) UnicastFan(t *VPTable, tg *Target, proto packet.Protocol, at time.Time, best []time.Duration) (probes, replies int) {
 	var p unicastPlan
-	probes, replies = w.unicastFan(&p, t, tg, proto, at, max(attempts, 1), best[:len(t.vps)])
+	probes, replies = len(t.vps), w.unicastFan(&p, t, tg, proto, at, best[:len(t.vps)])
 	if tel := w.tel; tel != nil {
 		tel.unicast.Add(uint64(tg.ID), int64(probes)+int64(replies)*telReply)
 	}
@@ -258,20 +256,20 @@ func (w *World) UnicastFan(t *VPTable, tg *Target, proto packet.Protocol, at tim
 }
 
 // unicastFan is UnicastFan without the accounting wrapper; best has one
-// entry per VP of t, and p is the zero plan the fan resolves.
+// entry per VP of t, p is the zero plan the fan resolves, and it returns
+// the replies received.
 //
 //laces:hotpath called once per GCD-stage target
-func (w *World) unicastFan(p *unicastPlan, t *VPTable, tg *Target, proto packet.Protocol, at time.Time, attempts int, best []time.Duration) (probes, replies int) {
+func (w *World) unicastFan(p *unicastPlan, t *VPTable, tg *Target, proto packet.Protocol, at time.Time, best []time.Duration) (replies int) {
 	clear(best)
 	if !tg.Responsive[proto] {
-		return len(best), 0 // every VP's first probe goes unanswered
+		return 0 // every VP's probe goes unanswered
 	}
 	w.planUnicast(p, tg, DayOf(at))
 	for i := range best {
 		vp := &t.vps[i]
 		sent, extraRTT, drop := w.impairUnicast(vp, tg, proto, at)
 		if drop {
-			probes++
 			continue
 		}
 		if w.imp != nil && DayOf(sent) != p.day {
@@ -280,18 +278,12 @@ func (w *World) unicastFan(p *unicastPlan, t *VPTable, tg *Target, proto packet.
 		key := mix(w.seed, t.hash[i], uint64(tg.ID))
 		dist, _, ok := w.unicastPath(p, tg, vp, key)
 		if !ok {
-			probes++
 			continue
 		}
-		b := w.rttOverDistance(dist, key, proto, 0)
-		for a := 1; a < attempts; a++ {
-			b = min(b, w.rttOverDistance(dist, key, proto, uint64(a)))
-		}
-		best[i] = b + extraRTT
-		probes += attempts
-		replies += attempts
+		best[i] = w.rttOverDistance(dist, key, proto, 0) + extraRTT
+		replies++
 	}
-	return probes, replies
+	return replies
 }
 
 // ProbeUnicast simulates one latency probe from a unicast vantage point

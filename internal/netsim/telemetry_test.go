@@ -107,14 +107,13 @@ func TestTelemetryCounts(t *testing.T) {
 			multi = tg
 		}
 	}
-	const attempts = 2
 	siteLookups := func() [2]int64 {
 		return [2]int64{tel.CacheHitsSite() + tel.CacheMissesSite(), tel.CacheMissesSite()}
 	}
 	unicast := func() [2]int64 { return [2]int64{tel.ProbesUnicast(), tel.RepliesUnicast()} }
 	u0, l0 := unicast(), siteLookups()
 	best := make([]time.Duration, len(vps))
-	fanProbes, fanReplies := w.UnicastFan(NewVPTable(vps), multi, packet.ICMP, DayTime(3), attempts, best)
+	fanProbes, fanReplies := w.UnicastFan(NewVPTable(vps), multi, packet.ICMP, DayTime(3), best)
 	u1, l1 := unicast(), siteLookups()
 	answered := int64(0)
 	for _, rtt := range best {
@@ -129,17 +128,13 @@ func TestTelemetryCounts(t *testing.T) {
 		t.Fatalf("cold fan made (site lookups, misses) = %v, want %v", got, want)
 	}
 	for _, vp := range vps {
-		for a := 0; a < attempts; a++ {
-			if _, _, ok := w.ProbeUnicast(vp, multi, packet.ICMP, DayTime(3), uint64(a)); !ok {
-				break
-			}
-		}
+		w.ProbeUnicast(vp, multi, packet.ICMP, DayTime(3), 0)
 	}
 	u2, l2 := unicast(), siteLookups()
 	if u2[0]-u1[0] != u1[0]-u0[0] || u2[1]-u1[1] != u1[1]-u0[1] {
 		t.Fatalf("fold counted (probes, replies) %v, the fan %v", [2]int64{u2[0] - u1[0], u2[1] - u1[1]}, [2]int64{u1[0] - u0[0], u1[1] - u0[1]})
 	}
-	if got, want := [2]int64{l2[0] - l1[0], l2[1] - l1[1]}, [2]int64{answered * attempts, 0}; got != want {
+	if got, want := [2]int64{l2[0] - l1[0], l2[1] - l1[1]}, [2]int64{answered, 0}; got != want {
 		t.Fatalf("warm fold made (site lookups, misses) = %v, want %v", got, want)
 	}
 

@@ -331,9 +331,11 @@ type BGPPrefix struct {
 // worker (the ICMP payload checksum effect).
 type FlowKey struct {
 	Proto packet.Protocol
-	// StaticFlow is derived from the measurement's flow headers.
+	// StaticFlow stands for the measurement's flow headers. The
+	// simulator never reads it, so it changes no result; it remains
+	// because bench/census.go sets it.
 	StaticFlow uint64
 	// VaryingPayload is derived from per-probe fields (payload bytes /
-	// checksum); zero when the operator configures static probes.
+	// checksum); zero means static probes.
 	VaryingPayload uint64
 }

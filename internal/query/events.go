@@ -24,8 +24,8 @@ const (
 	// EventFlap: the prefix reappears after a short gap (< hysteresis
 	// days) — instability, not a deployment change.
 	EventFlap EventKind = "flap"
-	// EventSiteChurn: the enumerated site count moves by ≥ MinSiteDelta
-	// between consecutive present days.
+	// EventSiteChurn: the enumerated site count changes between
+	// consecutive present days.
 	EventSiteChurn EventKind = "site-churn"
 	// EventGeoShift: the site count holds but the enumerated city set
 	// changes — the deployment moved.
@@ -94,17 +94,11 @@ type EventOptions struct {
 	// (default 2 — a single missed day is instability, not a
 	// deployment ending).
 	Hysteresis int
-	// MinSiteDelta is the site-count movement that counts as churn
-	// (default 1: any change).
-	MinSiteDelta int
 }
 
 func (o EventOptions) withDefaults() EventOptions {
 	if o.Hysteresis <= 0 {
 		o.Hysteresis = 2
-	}
-	if o.MinSiteDelta <= 0 {
-		o.MinSiteDelta = 1
 	}
 	return o
 }
@@ -145,7 +139,7 @@ func (s *row) detect(out []Event, family, prefix string, days []int, opts EventO
 			// Consecutive present days: compare the GCD enumeration.
 			ps, cs := s.sites[k-1], s.sites[k]
 			switch {
-			case ps > 0 && cs > 0 && abs(cs-ps) >= opts.MinSiteDelta:
+			case ps > 0 && cs > 0 && cs != ps:
 				e := ev(EventSiteChurn, days[i])
 				e.PrevDay = days[prev]
 				e.PrevSites, e.Sites = ps, cs
@@ -170,13 +164,6 @@ func (s *row) detect(out []Event, family, prefix string, days []int, opts EventO
 	// Day order: interleaved offset/onset pairs above already emit in
 	// ascending day order per row.
 	return out
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Events scans every indexed prefix of a family and returns the events

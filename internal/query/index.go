@@ -107,7 +107,7 @@ type Index struct {
 	// fixed at build time. See Fingerprint.
 	fingerprint string
 
-	arch *archive.Archive // optional: full-entry fallback
+	arch *archive.Archive // optional: the source store, for its decode counter
 
 	// side is the aggregates sidecar at aggPath, read on first use
 	// (sideOnce) and nil unless its fingerprint matches; agg is the set
@@ -273,8 +273,9 @@ func openReader(src io.ReaderAt, size int64) (*Index, error) {
 }
 
 // OpenDir opens the timeline index of the archive at dir and attaches
-// the archive itself for full-entry fallback queries. It refuses a
-// stale index: one that no longer covers the archive's day list.
+// the archive itself, whose decode counter shows that no query decodes a
+// document. It refuses a stale index: one that no longer covers the
+// archive's day list.
 func OpenDir(dir string) (*Index, error) {
 	ix, err := Open(filepath.Join(dir, IndexFileName))
 	if err != nil {
@@ -314,7 +315,7 @@ func (ix *Index) VerifyCoverage(a *archive.Archive) error {
 // callers can read its decode counter. Queries never touch it.
 func (ix *Index) AttachArchive(a *archive.Archive) { ix.arch = a }
 
-// Archive returns the attached fallback store, if any.
+// Archive returns the attached store, if any; queries never read it.
 func (ix *Index) Archive() *archive.Archive { return ix.arch }
 
 // Close releases the index file handle; row reads fail afterwards.

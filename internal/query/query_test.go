@@ -350,7 +350,6 @@ func TestEventDetectionGolden(t *testing.T) {
 	cases := []struct {
 		name string
 		tl   *Timeline
-		opts EventOptions
 		want []Event
 	}{
 		{
@@ -406,15 +405,6 @@ func TestEventDetectionGolden(t *testing.T) {
 			want: []Event{{Kind: EventSiteChurn, Family: "ipv4", Prefix: pfx, Day: 102, PrevDay: 101, PrevSites: 3, Sites: 5}},
 		},
 		{
-			name: "site-churn-below-min-delta",
-			tl: mkTimeline(
-				[]bool{true, true, true},
-				[]int{3, 4, 4},
-				[]uint32{9, 9, 9}),
-			opts: EventOptions{MinSiteDelta: 2},
-			want: nil,
-		},
-		{
 			name: "geo-shift",
 			tl: mkTimeline(
 				[]bool{true, true, true},
@@ -425,7 +415,7 @@ func TestEventDetectionGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := scanOf(tc.tl).detect(nil, tc.tl.Family, tc.tl.Prefix, tc.tl.Days, tc.opts)
+			got := scanOf(tc.tl).detect(nil, tc.tl.Family, tc.tl.Prefix, tc.tl.Days, EventOptions{})
 			if len(got) != len(tc.want) {
 				t.Fatalf("events = %+v, want %+v", got, tc.want)
 			}

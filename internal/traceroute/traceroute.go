@@ -30,18 +30,12 @@ import (
 type Options struct {
 	// At positions the trace on the census timeline.
 	At time.Time
-	// MaxTTL bounds the probe TTL (default 30).
-	MaxTTL int
 	// Measurement tags probe identities.
 	Measurement uint16
 }
 
-func (o Options) maxTTL() int {
-	if o.MaxTTL <= 0 {
-		return 30
-	}
-	return o.MaxTTL
-}
+// maxTTL bounds the probe TTL.
+const maxTTL = 30
 
 // Hop is one answered (or silent) TTL step.
 type Hop struct {
@@ -81,7 +75,7 @@ func Run(w *netsim.World, vp netsim.VP, tg *netsim.Target, opts Options) (*Path,
 	p := &Path{VP: vp.Name, TargetID: tg.ID}
 	v6 := tg.Addr.Is6() && !tg.Addr.Is4In6()
 
-	for ttl := 1; ttl <= len(hops) && ttl <= opts.maxTTL(); ttl++ {
+	for ttl := 1; ttl <= len(hops) && ttl <= maxTTL; ttl++ {
 		h := hops[ttl-1]
 		id := packet.Identity{
 			Measurement: opts.Measurement,

@@ -127,24 +127,6 @@ func TestRunUnresponsiveTargetEndsSilent(t *testing.T) {
 	}
 }
 
-func TestMaxTTLTruncates(t *testing.T) {
-	w := testWorld(t)
-	vp := vpAt(t, w, "tr-lon", "London")
-	tg := firstTarget(t, w, func(tg *netsim.Target) bool {
-		return tg.Responsive[packet.ICMP]
-	})
-	p, err := Run(w, vp, tg, Options{At: netsim.DayTime(4), MaxTTL: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Hops) > 2 {
-		t.Fatalf("MaxTTL=2 but %d hops recorded", len(p.Hops))
-	}
-	if p.Reached {
-		t.Fatal("2-hop budget cannot reach any target (gateway + transit)")
-	}
-}
-
 func TestMeasureGlobalBGPSignature(t *testing.T) {
 	w := testWorld(t)
 	vps := []netsim.VP{

@@ -48,9 +48,9 @@ type Config struct {
 	Name         string
 	Orchestrator string // TCP address of the Orchestrator
 	NewProber    ProberFactory
-	// ReconnectMin/Max bound the exponential reconnect backoff.
+	// ReconnectMin is the first reconnect backoff; it doubles per failed
+	// session up to reconnectMax.
 	ReconnectMin time.Duration
-	ReconnectMax time.Duration
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
 	// Dialer allows tests to intercept connections; nil uses net.Dialer.
@@ -74,6 +74,9 @@ type Config struct {
 	FlightSink io.Writer
 }
 
+// reconnectMax caps the exponential reconnect backoff.
+const reconnectMax = 10 * time.Second
+
 // Worker runs the worker loop.
 type Worker struct {
 	cfg Config
@@ -95,9 +98,6 @@ func New(cfg Config) (*Worker, error) {
 	}
 	if cfg.ReconnectMin <= 0 {
 		cfg.ReconnectMin = 100 * time.Millisecond
-	}
-	if cfg.ReconnectMax < cfg.ReconnectMin {
-		cfg.ReconnectMax = 10 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -130,7 +130,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return ctx.Err()
 		case <-time.After(backoff):
 		}
-		backoff = min(2*backoff, w.cfg.ReconnectMax)
+		backoff = min(2*backoff, reconnectMax)
 	}
 }
 

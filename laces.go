@@ -224,7 +224,8 @@ func OpenArchive(dir string) (*CensusArchive, error) { return archive.Open(dir) 
 func BuildCensusIndex(dir string) (*CensusIndexBuild, error) { return query.BuildDir(dir) }
 
 // OpenCensusIndex opens the timeline index of the archive at dir, with
-// the archive attached for full-entry fallback queries.
+// the archive attached for its decode counter: no query decodes a
+// document.
 func OpenCensusIndex(dir string) (*CensusTimelineIndex, error) { return query.OpenDir(dir) }
 
 // QueryTimeline answers one prefix's longitudinal timeline from the
