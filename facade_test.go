@@ -148,8 +148,8 @@ func TestOptionsHaveProductionWriters(t *testing.T) {
 	}
 }
 
-// fieldWrites names, as "pkg.Type.Field" with pkg the last element of the
-// import path, every struct field f writes.
+// fieldWrites names, as "pkg.Type.Field" with pkg the package name,
+// every field of a named struct type that f writes.
 func fieldWrites(info *types.Info, f *ast.File) []string {
 	var out []string
 	field := func(recv types.Type, name string) {
@@ -165,17 +165,10 @@ func fieldWrites(info *types.Info, f *ast.File) []string {
 		if !ok {
 			return
 		}
+		// A promoted field is named after the outer type, so a guarded
+		// field written only through embedding reads as unwritten.
 		if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-			// The field's owner is the receiver, or the embedded struct
-			// the selection path ends in.
-			recv := s.Recv()
-			for _, i := range s.Index()[:len(s.Index())-1] {
-				if ptr, ok := recv.(*types.Pointer); ok {
-					recv = ptr.Elem()
-				}
-				recv = recv.Underlying().(*types.Struct).Field(i).Type()
-			}
-			field(recv, sel.Sel.Name)
+			field(s.Recv(), sel.Sel.Name)
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -185,17 +178,13 @@ func fieldWrites(info *types.Info, f *ast.File) []string {
 			if !ok {
 				break
 			}
-			typ := tv.Type
-			if ptr, ok := typ.(*types.Pointer); ok {
-				typ = ptr.Elem() // an elided &T in a []*T literal
-			}
-			if _, ok := typ.Underlying().(*types.Struct); !ok {
+			if _, ok := tv.Type.Underlying().(*types.Struct); !ok {
 				break
 			}
 			for _, elt := range n.Elts {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					if key, ok := kv.Key.(*ast.Ident); ok {
-						field(typ, key.Name)
+						field(tv.Type, key.Name)
 					}
 				}
 			}

@@ -8,8 +8,8 @@
 //
 //   - an Impairment is one fault (packet loss, delay+jitter, blackhole,
 //     site outage, regional partition, route-flap amplification, worker
-//     clock skew, reply throttling) bounded by a Scope (target set, origin
-//     AS, worker site, protocol, continent, day range);
+//     clock skew, reply throttling) bounded by a Scope (worker site,
+//     worker or VP continent, protocol, day range);
 //   - a Scenario is a named schedule of impairments over the census
 //     timeline; the suite is the fixed Builtins list (see registry.go);
 //   - an Engine compiles a scenario against a world and implements

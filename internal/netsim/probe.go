@@ -371,7 +371,7 @@ func (w *World) unicastPath(p *unicastPlan, tg *Target, vp *VP, key uint64) (dis
 	// Transient per-(VP, target, day) measurement failure: the path from
 	// this monitor yields no samples today (§5.1.2's "probe measurement
 	// failures"). Retries within the day cannot recover it, which is why
-	// gcdmeas gives up on the first failed attempt.
+	// gcdmeas sends one probe per VP.
 	if w.Cfg.GCDLossFrac > 0 &&
 		chance(mixFrom(key, uint64(p.day), 0x6e55), w.Cfg.GCDLossFrac) {
 		return 0, -1, false
