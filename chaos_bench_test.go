@@ -34,9 +34,9 @@ func chaosBenchWorld(b *testing.B) *netsim.World {
 }
 
 // runDailyOnce executes one day-0 census on a fresh pipeline at the given
-// stage parallelism (1 = sequential baseline, 0 = all cores), with reg
-// (nil: uninstrumented) wired into every stage.
-func runDailyOnce(b testing.TB, w *netsim.World, sc *chaos.Scenario, parallelism int, reg *obs.Registry) {
+// stage parallelism (1 = sequential baseline, 0 = all cores), reporting
+// to w's registry when w is instrumented.
+func runDailyOnce(b testing.TB, w *netsim.World, sc *chaos.Scenario, parallelism int) {
 	b.Helper()
 	dep, err := platform.Tangled(w, netsim.PolicyUnmodified)
 	if err != nil {
@@ -48,7 +48,6 @@ func runDailyOnce(b testing.TB, w *netsim.World, sc *chaos.Scenario, parallelism
 			return platform.Ark(w, day, v6)
 		},
 		Parallelism: parallelism,
-		Obs:         reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -68,10 +67,10 @@ func runDailyOnce(b testing.TB, w *netsim.World, sc *chaos.Scenario, parallelism
 // see netsim's TestProbeHotPathNoAllocs).
 func BenchmarkDailyCensus(b *testing.B) {
 	w := chaosBenchWorld(b)
-	runDailyOnce(b, w, nil, 1, nil) // warm routing caches outside the timer
+	runDailyOnce(b, w, nil, 1) // warm routing caches outside the timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runDailyOnce(b, w, nil, 1, nil)
+		runDailyOnce(b, w, nil, 1)
 	}
 }
 
@@ -83,15 +82,12 @@ func BenchmarkDailyCensus(b *testing.B) {
 // TestProbeHotPathNoAllocsInstrumented).
 func BenchmarkDailyCensusObs(b *testing.B) {
 	w := chaosBenchWorld(b)
-	reg := obs.New()
-	tel := &netsim.Telemetry{}
-	w.SetTelemetry(tel)
-	tel.Register(reg)
-	defer w.SetTelemetry(nil) // the shared bench world stays bare for the other benchmarks
-	runDailyOnce(b, w, nil, 1, reg)
+	w.Instrument(obs.New())
+	b.Cleanup(func() { w.Instrument(nil) }) // the shared bench world stays bare for the other benchmarks
+	runDailyOnce(b, w, nil, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runDailyOnce(b, w, nil, 1, reg)
+		runDailyOnce(b, w, nil, 1)
 	}
 }
 
@@ -100,10 +96,10 @@ func BenchmarkDailyCensusObs(b *testing.B) {
 // baseline (byte-identical output; see TestParallelCensusDeterminism).
 func BenchmarkDailyCensusParallel(b *testing.B) {
 	w := chaosBenchWorld(b)
-	runDailyOnce(b, w, nil, 0, nil)
+	runDailyOnce(b, w, nil, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runDailyOnce(b, w, nil, 0, nil)
+		runDailyOnce(b, w, nil, 0)
 	}
 }
 
@@ -117,10 +113,10 @@ func BenchmarkDailyCensusChaos(b *testing.B) {
 	if !ok {
 		b.Fatal("lossy-transit scenario missing")
 	}
-	runDailyOnce(b, w, &sc, 1, nil)
+	runDailyOnce(b, w, &sc, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runDailyOnce(b, w, &sc, 1, nil)
+		runDailyOnce(b, w, &sc, 1)
 	}
 }
 
@@ -155,7 +151,7 @@ func BenchmarkDailyCensusPaperScale(b *testing.B) {
 	w := paperBenchWorld(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runDailyOnce(b, w, nil, 0, nil)
+		runDailyOnce(b, w, nil, 0)
 	}
 }
 

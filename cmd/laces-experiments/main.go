@@ -87,10 +87,7 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	fmt.Fprintf(stderr, "world generated in %.1fs (%d IPv4 /24s, %d IPv6 /48s)\n",
 		time.Since(start).Seconds(), env.World.NumTargets(false), env.World.NumTargets(true))
 	if o.obsOut != "" {
-		env.Obs = obs.New()
-		tel := &netsim.Telemetry{}
-		env.World.SetTelemetry(tel)
-		tel.Register(env.Obs)
+		env.World.Instrument(obs.New())
 	}
 	if len(o.only) == 0 {
 		err = env.RunAll(stdout, !o.longitudinal)
@@ -106,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	}
 	if o.obsOut != "" {
 		var snap bytes.Buffer
-		if err := env.Obs.Snapshot().WriteJSON(&snap); err != nil {
+		if err := env.World.Registry().Snapshot().WriteJSON(&snap); err != nil {
 			return 1, err
 		}
 		if err := os.WriteFile(o.obsOut, snap.Bytes(), 0o666); err != nil {

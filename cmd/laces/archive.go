@@ -81,7 +81,7 @@ func setupArchivePack(fs *flag.FlagSet) func() error {
 			if *stride < 1 {
 				return fmt.Errorf("laces archive pack: -stride must be at least 1, got %d", *stride)
 			}
-			if pipe, err = world.pipeline(core.Config{}); err != nil {
+			if pipe, err = world.pipeline(nil, core.Config{}); err != nil {
 				return err
 			}
 		} else if fs.NArg() == 0 {
@@ -346,6 +346,6 @@ func setupDashboard(fs *flag.FlagSet) func() error {
 		if err != nil {
 			return err
 		}
-		return report.ChurnAndEvents(os.Stdout, series, events, 0, 0)
+		return report.ChurnAndEvents(os.Stdout, series, events)
 	}
 }

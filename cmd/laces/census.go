@@ -43,10 +43,9 @@ func setupCensus(fs *flag.FlagSet) func() error {
 		} else if *progress || *obsOut != "" {
 			telemetry = obs.New()
 		}
-		pipe, err := world.pipeline(core.Config{
+		pipe, err := world.pipeline(telemetry, core.Config{
 			Budget:     b,
 			OptOut:     reg,
-			Obs:        telemetry,
 			FlightSink: flightSink,
 		})
 		if err != nil {

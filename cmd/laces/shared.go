@@ -55,18 +55,14 @@ func (s sim) tangled() (*netsim.World, *netsim.Deployment, error) {
 }
 
 // pipeline builds the census pipeline over tangled, with Ark as the GCD
-// VP source; cfg carries whatever else the caller configures. With cfg.Obs
-// set, the world's probe accounting is registered on it too.
-func (s sim) pipeline(cfg core.Config) (*core.Pipeline, error) {
+// VP source, on a world instrumented with reg (nil: none); cfg carries
+// whatever else the caller configures.
+func (s sim) pipeline(reg *obs.Registry, cfg core.Config) (*core.Pipeline, error) {
 	w, dep, err := s.tangled()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Obs != nil {
-		tel := &netsim.Telemetry{}
-		w.SetTelemetry(tel)
-		tel.Register(cfg.Obs)
-	}
+	w.Instrument(reg)
 	cfg.Deployment, cfg.GCDVPs = dep, arkVPs(w)
 	return core.NewPipeline(w, cfg)
 }

@@ -114,7 +114,7 @@ func setupTrace(fs *flag.FlagSet) func() error {
 		if err != nil {
 			return err
 		}
-		vp, err := w.NewVP("trace-cli", *from, 0)
+		vp, err := w.NewVP("trace-cli", *from)
 		if err != nil {
 			return err
 		}

@@ -2,8 +2,10 @@
 // sampled every 14 days, with the paper's operational events injected (the
 // Sep–Dec 2024 DNS tooling bug, pre-fix worker disconnections, periodic
 // GCD_LS feedback reruns). Every finished day streams into the
-// delta-encoded census archive (the §4.4 public repository); the program
-// prints the Fig 9-style series and the Fig 10 persistence summary.
+// delta-encoded census archive (the §4.4 public repository) and reports
+// to the telemetry registry the world is instrumented with; the program
+// prints the Fig 9-style series and the Fig 10 persistence summary, and
+// exits non-zero unless the registry holds a census span for every run.
 package main
 
 import (
@@ -20,6 +22,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	reg := laces.NewObsRegistry()
+	world.Instrument(reg)
 
 	dir, err := os.MkdirTemp("", "laces-census-*")
 	if err != nil {
@@ -39,8 +43,20 @@ func main() {
 	if err := sink.Close(); err != nil {
 		log.Fatal(err)
 	}
+	runs := len(history.Summaries(false))
 	fmt.Printf("longitudinal census: %d runs across 534 days in %.1fs\n",
-		len(history.Summaries(false)), time.Since(start).Seconds())
+		runs, time.Since(start).Seconds())
+	censuses := 0
+	for _, sp := range reg.TraceSpans() {
+		if sp.Name == "census" {
+			censuses++
+		}
+	}
+	// A span log that hit its cap may have dropped late census spans.
+	if censuses == 0 || censuses != 2*runs && reg.TraceDropped() == 0 {
+		log.Fatalf("telemetry holds %d census spans for %d runs of both families", censuses, runs)
+	}
+	fmt.Printf("telemetry: %d census spans\n", censuses)
 	if a, err := laces.OpenArchive(dir); err == nil {
 		for _, st := range a.Stats() {
 			fmt.Printf("archived %s: %d days, %.0f%% of full-JSON size\n",

@@ -47,7 +47,7 @@ func main() {
 	sources := []string{"Amsterdam", "Tokyo", "Los Angeles", "Sao Paulo", "Sydney", "Johannesburg"}
 	var vps []netsim.VP
 	for i, city := range sources {
-		vp, err := world.NewVP(fmt.Sprintf("vp-%02d", i), city, 0)
+		vp, err := world.NewVP(fmt.Sprintf("vp-%02d", i), city)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -120,6 +120,7 @@ func TestOptionsHaveProductionWriters(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d guarded values in %d option structs", len(fields), len(optionStructs))
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, w := range fieldWrites(p.Info, f) {

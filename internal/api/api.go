@@ -42,7 +42,6 @@ import (
 	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/core"
 	"github.com/laces-project/laces/internal/netsim"
-	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/query"
 )
 
@@ -73,10 +72,6 @@ type Server struct {
 	// CacheSize bounds the decoded-day LRU (default DefaultCacheSize).
 	// Set before the first request.
 	CacheSize int
-	// Obs, when set (via Instrument), is the telemetry registry behind
-	// GET /metrics and the per-route request metrics. Set before Handler
-	// is called; nil leaves every route uninstrumented and unregistered.
-	Obs *obs.Registry
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ when Handler
 	// is called. Off by default: profiling endpoints expose heap and CPU
 	// internals and belong behind an operator's explicit opt-in.
@@ -129,13 +124,12 @@ func (s *Server) newPipeline() (*core.Pipeline, error) {
 		GCDVPs:     s.GCDVPs,
 		Budget:     s.govBudget,
 		OptOut:     s.govOptOut,
-		Obs:        s.Obs,
 	})
 }
 
 // routes is the route table: every endpoint the server answers itself
 // (pprof's handlers are net/http's own). /metrics and /debug/trace exist
-// only with a registry attached (Instrument).
+// only when the world is instrumented (Instrument).
 func (s *Server) routes() []route {
 	table := []route{
 		{"GET /v1/census", s.handleCensus},
@@ -152,7 +146,7 @@ func (s *Server) routes() []route {
 			return answer{body: map[string]string{"status": "ok"}}, nil
 		}},
 	}
-	if s.Obs != nil {
+	if s.World.Registry() != nil {
 		table = append(table,
 			route{"GET /metrics", s.handleMetrics},
 			route{"GET /debug/trace", s.handleTrace})
@@ -162,8 +156,8 @@ func (s *Server) routes() []route {
 
 // Handler mounts the route table, each route behind the one response
 // path with its per-route request metrics (respond.go), plus
-// /debug/pprof/ per EnablePprof. Obs and EnablePprof must be set before
-// Handler is called.
+// /debug/pprof/ per EnablePprof. Instrument and EnablePprof must come
+// before Handler is called.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"github.com/laces-project/laces/internal/netsim"
-	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
 	"github.com/laces-project/laces/internal/platform"
 )
@@ -73,8 +72,7 @@ func TestLiveDayIsAFunctionOfTheDay(t *testing.T) {
 // before any pipeline is built — nothing is computed, cached or counted.
 func TestLiveDayBoundedByClock(t *testing.T) {
 	s := liveServer(t, 7)
-	reg := obs.New()
-	s.Instrument(reg)
+	reg := instrument(t, s)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	censusDays := func() float64 {

@@ -13,29 +13,18 @@ import (
 	"net/http/pprof"
 
 	"github.com/laces-project/laces/internal/archive"
-	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/query"
 )
 
-// Instrument attaches a telemetry registry to the server: live census
-// days run with stage instrumentation, probe-level netsim telemetry is
-// installed on the world, and the archive's and query index's internal
-// tallies are bridged into registry series. Call before the first
-// request (and before Handler, which snapshots the registry when wiring
-// routes); GET /metrics serves the exposition.
+// Instrument attaches a telemetry registry to the server's world
+// (netsim.World.Instrument), so live census days and the world's probes
+// report to it, and bridges the decoded-day LRU's, the archive's and
+// the query index's internal tallies into registry series. Call before
+// the first request and before Handler, which takes the world's
+// registry when wiring routes; GET /metrics serves the exposition.
 func (s *Server) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s.mu.Lock()
-	s.Obs = reg
-	s.mu.Unlock()
-
-	tel := &netsim.Telemetry{}
-	s.World.SetTelemetry(tel)
-	tel.Register(reg)
-
+	s.World.Instrument(reg)
 	// Archive and query handles may be attached after Instrument (both
 	// are set-before-first-request fields) and swapped by Reload, so the
 	// bridges read the current serving generation at scrape time — an
@@ -92,7 +81,7 @@ func (s *Server) peekQuery() *query.Index {
 // handleMetrics serves the registry in Prometheus text format 0.0.4.
 func (s *Server) handleMetrics(*view, *http.Request) (answer, error) {
 	return answer{ctype: ctProm, stream: func(w io.Writer, _ func()) error {
-		return s.Obs.WritePrometheus(w)
+		return s.World.Registry().WritePrometheus(w)
 	}}, nil
 }
 
@@ -105,11 +94,11 @@ func (s *Server) handleTrace(_ *view, r *http.Request) (answer, error) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "jsonl":
 		return answer{ctype: ctNDJSON, stream: func(w io.Writer, _ func()) error {
-			return s.Obs.ExportTrace().WriteJSONL(w)
+			return s.World.Registry().ExportTrace().WriteJSONL(w)
 		}}, nil
 	case "chrome":
 		return answer{ctype: ctJSON, stream: func(w io.Writer, _ func()) error {
-			return s.Obs.ExportTrace().WriteChrome(w)
+			return s.World.Registry().ExportTrace().WriteChrome(w)
 		}}, nil
 	default:
 		return answer{}, badRequest(fmt.Errorf("invalid format %q (jsonl, chrome)", format))

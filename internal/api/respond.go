@@ -106,11 +106,12 @@ func statusOf(err error) int {
 // (no-ops without a registry). Recording is deferred, so a response that
 // panics — an aborted stream — is still counted, and as an error.
 func (s *Server) serve(rt route) http.HandlerFunc {
-	reqs := s.Obs.Counter("laces_http_requests_total",
+	reg := s.World.Registry()
+	reqs := reg.Counter("laces_http_requests_total",
 		"HTTP requests served, by route.", obs.L("route", rt.pattern))
-	lat := s.Obs.Histogram("laces_http_request_seconds",
+	lat := reg.Histogram("laces_http_request_seconds",
 		"HTTP request latency, by route.", nil, obs.L("route", rt.pattern))
-	errs := s.Obs.Counter("laces_http_errors_total",
+	errs := reg.Counter("laces_http_errors_total",
 		"HTTP responses with status >= 400 or aborted mid-body, by route.", obs.L("route", rt.pattern))
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now() //laces:allow detnow request latency histograms are wall-clock telemetry, not census content

@@ -82,6 +82,17 @@ func serveStrict(h http.Handler, r *http.Request) (w *strictRW, aborted bool) {
 	return w, false
 }
 
+// instrument attaches a fresh registry to s's world until the test ends:
+// the servers of this package share testWorld, which every test must
+// leave bare whatever order the tests run in.
+func instrument(t testing.TB, s *Server) *obs.Registry {
+	t.Helper()
+	reg := obs.New()
+	s.Instrument(reg)
+	t.Cleanup(func() { s.World.Instrument(nil) })
+	return reg
+}
+
 // bareServer has neither an archive nor an index attached; its clock pins
 // day 0.
 func bareServer(t *testing.T) *Server {
@@ -145,7 +156,7 @@ func TestErrorsCarryNoValidators(t *testing.T) {
 // than end the body cleanly, and the route's error counter must see it.
 func TestAbortedStreamCountsAsError(t *testing.T) {
 	s := brokenServer(t)
-	s.Obs = obs.New()
+	reg := instrument(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/range?from=0&to=2")
@@ -158,11 +169,11 @@ func TestAbortedStreamCountsAsError(t *testing.T) {
 		t.Fatalf("status %d, body read error %v; want 200 and a broken stream", resp.StatusCode, err)
 	}
 	for name, want := range map[string]int64{"laces_http_requests_total": 1, "laces_http_errors_total": 1} {
-		if got := s.Obs.Counter(name, "", obs.L("route", "GET /v1/range")).Value(); got != want {
+		if got := reg.Counter(name, "", obs.L("route", "GET /v1/range")).Value(); got != want {
 			t.Errorf("%s{route=GET /v1/range} = %d, want %d", name, got, want)
 		}
 	}
-	if n := s.Obs.Histogram("laces_http_request_seconds", "", nil, obs.L("route", "GET /v1/range")).Count(); n != 1 {
+	if n := reg.Histogram("laces_http_request_seconds", "", nil, obs.L("route", "GET /v1/range")).Count(); n != 1 {
 		t.Errorf("latency histogram saw %d requests, want 1", n)
 	}
 }
@@ -301,8 +312,7 @@ func checkHeaders(t *testing.T, w *strictRW, o outcome, status int) {
 // checks which headers each outcome carries.
 func TestResponseOrder(t *testing.T) {
 	full, _ := queryServer(t)
-	full.Obs = obs.New()
-	full.Obs.StartTrace("serve").End() // an empty trace exports as an empty body
+	instrument(t, full).StartTrace("serve").End() // an empty trace exports as an empty body
 	governed := bareServer(t)
 	governed.Govern(budget.Budget{DailyProbes: 1 << 50}, nil)
 	handlers := map[string]http.Handler{
@@ -419,7 +429,7 @@ func TestReadmeListsEveryRoute(t *testing.T) {
 		}
 	}
 	s := bareServer(t)
-	s.Obs = obs.New()
+	instrument(t, s)
 	registered := map[string]bool{}
 	for _, rt := range s.routes() {
 		registered[strings.Replace(rt.pattern, "...}", "}", 1)] = true

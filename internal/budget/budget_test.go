@@ -223,23 +223,23 @@ func TestUsageRecordReconciles(t *testing.T) {
 
 func TestStepRate(t *testing.T) {
 	cases := []struct {
-		complaints, maxSteps int
-		want                 float64
-		wantSteps            int
+		complaints int
+		want       float64
+		wantSteps  int
 	}{
-		{0, 0, 8000, 0},
-		{1, 0, 4000, 1},
-		{2, 0, 2000, 2},
-		{3, 0, 1000, 3},
-		{9, 0, 1000, 3}, // floored at 1/8th
-		{-2, 0, 8000, 0},
-		{5, 5, 250, 5},
+		{0, 8000, 0},
+		{1, 4000, 1},
+		{2, 2000, 2},
+		{3, 1000, 3},
+		{4, 1000, 3}, // one past the cap
+		{9, 1000, 3}, // floored at 1/8th
+		{-2, 8000, 0},
 	}
 	for _, c := range cases {
-		got, steps := StepRate(8000, c.complaints, c.maxSteps)
+		got, steps := StepRate(8000, c.complaints)
 		if got != c.want || steps != c.wantSteps {
-			t.Errorf("StepRate(8000, %d, %d) = %v/%d, want %v/%d",
-				c.complaints, c.maxSteps, got, steps, c.want, c.wantSteps)
+			t.Errorf("StepRate(8000, %d) = %v/%d, want %v/%d",
+				c.complaints, got, steps, c.want, c.wantSteps)
 		}
 	}
 }

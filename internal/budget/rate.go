@@ -7,22 +7,13 @@ const DefaultMaxRateSteps = 3
 
 // StepRate is the adaptive rate controller: each complaint signal steps
 // the effective probing rate down by a power of two, floored after
-// maxSteps halvings (<= 0 selects DefaultMaxRateSteps, i.e. 1/8th).
-// It returns the effective rate and the number of steps actually taken.
+// DefaultMaxRateSteps halvings (1/8th). It returns the effective rate
+// and the number of steps actually taken.
 //
 // The controller is memoryless and deterministic: the effective rate is
 // a pure function of (base, complaints), so a census day re-run with the
 // same chaos scenario paces identically.
-func StepRate(base float64, complaints, maxSteps int) (float64, int) {
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxRateSteps
-	}
-	steps := complaints
-	if steps < 0 {
-		steps = 0
-	}
-	if steps > maxSteps {
-		steps = maxSteps
-	}
+func StepRate(base float64, complaints int) (float64, int) {
+	steps := min(max(complaints, 0), DefaultMaxRateSteps)
 	return base / float64(int64(1)<<uint(steps)), steps
 }

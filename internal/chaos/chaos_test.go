@@ -142,7 +142,7 @@ func TestEngineBlackholeAndScopes(t *testing.T) {
 		t.Fatal("unscoped worker dropped")
 	}
 	// Worker-index scopes never apply to unicast probes.
-	vp, err := testWorld.NewVP("chaos-vp", "Amsterdam", 0)
+	vp, err := testWorld.NewVP("chaos-vp", "Amsterdam")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestEnginePartitionByContinent(t *testing.T) {
 		t.Fatal("Asian site partitioned")
 	}
 	// Unicast VPs partition by their own continent.
-	ams, err := testWorld.NewVP("part-ams", "Amsterdam", 0)
+	ams, err := testWorld.NewVP("part-ams", "Amsterdam")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok, err := testWorld.NewVP("part-tok", "Tokyo", 0)
+	tok, err := testWorld.NewVP("part-tok", "Tokyo")
 	if err != nil {
 		t.Fatal(err)
 	}

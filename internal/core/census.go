@@ -224,17 +224,10 @@ type Config struct {
 	// OptOut is the opt-out registry honoured before any budget cap;
 	// nil means none.
 	OptOut *budget.Registry
-	// Obs receives the pipeline's telemetry: per-stage laces_stage_*
-	// series, one census → phase → stage → shard span tree per RunDaily,
-	// operational events, live progress and (when governance is
-	// active) the budget decision counters. Nil disables instrumentation.
-	// Telemetry never feeds back into measurement: the census document is
-	// byte-identical with Obs set or nil.
-	Obs *obs.Registry
 	// FlightSink receives a flight-recorder JSONL dump when a census run
 	// trips a failure trigger (currently: the governance ledger's
 	// Spent+Skipped==Demanded reconciliation identity breaking). Requires
-	// Obs; nil disables automatic dumps.
+	// an instrumented world; nil disables automatic dumps.
 	FlightSink io.Writer
 }
 
@@ -264,7 +257,15 @@ type Pipeline struct {
 // configuration enables no governance) for monitoring and the CLI.
 func (p *Pipeline) Ledger() *budget.Ledger { return p.ledger }
 
-// NewPipeline validates the configuration and prepares a pipeline.
+// NewPipeline validates the configuration and prepares a pipeline. The
+// pipeline reports to the registry its world is instrumented with
+// (netsim.World.Instrument): per-stage laces_stage_* series, one
+// census → phase → stage → shard span tree per RunDaily, operational
+// events, live progress and, when governance is active, the budget
+// decision counters. The registry is read when each day begins, the
+// budget bridge when the pipeline is built. Telemetry never feeds back
+// into measurement: the census document is byte-identical with the
+// world instrumented or not.
 func NewPipeline(w *netsim.World, cfg Config) (*Pipeline, error) {
 	if cfg.Deployment == nil {
 		return nil, fmt.Errorf("core: config needs a deployment")
@@ -276,18 +277,18 @@ func NewPipeline(w *netsim.World, cfg Config) (*Pipeline, error) {
 	if !cfg.Budget.IsZero() || cfg.OptOut != nil {
 		p.ledger = budget.NewLedger(cfg.Budget, cfg.OptOut)
 	}
-	if cfg.Obs != nil && p.ledger != nil {
+	if reg := w.Registry(); reg != nil && p.ledger != nil {
 		// Bridge the ledger's lifetime decision telemetry into the
 		// registry; the ledger itself stays obs-free.
 		led := p.ledger
-		cfg.Obs.CounterFunc("laces_budget_admitted_total",
+		reg.CounterFunc("laces_budget_admitted_total",
 			"Targets admitted by the responsible-probing ledger.",
 			func() float64 { a, _, _ := led.Decisions(); return float64(a) })
-		cfg.Obs.CounterFunc("laces_budget_denied_total",
+		reg.CounterFunc("laces_budget_denied_total",
 			"Targets denied by the responsible-probing ledger, by reason.",
 			func() float64 { _, d, _ := led.Decisions(); return float64(d) },
 			obs.L("reason", "budget"))
-		cfg.Obs.CounterFunc("laces_budget_denied_total",
+		reg.CounterFunc("laces_budget_denied_total",
 			"Targets denied by the responsible-probing ledger, by reason.",
 			func() float64 { _, _, o := led.Decisions(); return float64(o) },
 			obs.L("reason", "optout"))

@@ -136,15 +136,17 @@ func newCensus(day int, v6 bool, hitlistSize int) *DailyCensus {
 	}
 }
 
-// begin opens the day: the census span first, so everything after it is
-// on the trace, then the hitlist and the day's conditions. The hitlist is
+// begin opens the day on the registry the world is instrumented with:
+// the census span first, so everything after it is on the trace, then
+// the hitlist and the day's conditions. The hitlist is
 // the kept one while the day is in its quarter; otherwise begin builds
 // the quarter's, which publish keeps.
 func (p *Pipeline) begin(day int, v6 bool, dayOpts DayOptions) *censusDay {
+	reg := p.World.Registry()
 	d := &censusDay{
 		p: p, w: p.World, v6: v6, day: day,
 		start: netsim.DayTime(day), gcdAt: netsim.DayTime(day).Add(6 * time.Hour), mid: uint16(day),
-		span: p.Cfg.Obs.StartTrace("census"), obs: p.Cfg.Obs,
+		span: reg.StartTrace("census"), obs: reg,
 	}
 	sp := d.span.Child("hitlist")
 	d.hl = p.lists[famIdx(v6)]
@@ -182,7 +184,7 @@ func (p *Pipeline) begin(day int, v6 bool, dayOpts DayOptions) *censusDay {
 	// steps the effective hitlist rate down in powers of two (floored at
 	// the paper's 1/8th-rate operating point, §5.5.2).
 	d.gate = p.ledger.Gate(day)
-	d.rate, d.rateSteps = budget.StepRate(manycast.DefaultRate, complaints, 0)
+	d.rate, d.rateSteps = budget.StepRate(manycast.DefaultRate, complaints)
 	return d
 }
 
@@ -414,7 +416,7 @@ func (d *censusDay) responsibility() *Responsibility {
 	resp.OptOutTargets = total.OptOutTargets
 	resp.BudgetTargets = total.BudgetTargets
 	if !total.Reconciles() {
-		d.p.reportMismatch(d.span, d.day, total)
+		d.reportMismatch(total)
 	}
 	return resp
 }
@@ -424,12 +426,12 @@ func (d *censusDay) responsibility() *Responsibility {
 // construction; breaking it means a stage charged probes outside the
 // gate, so it is surfaced loudly rather than silently publishing broken
 // accounting.
-func (p *Pipeline) reportMismatch(censusSpan *obs.ActiveSpan, day int, total budget.Usage) {
-	p.Cfg.Obs.Flight().Record("reconcile_mismatch", "census", censusSpan.Context(),
+func (d *censusDay) reportMismatch(total budget.Usage) {
+	d.obs.Flight().Record("reconcile_mismatch", "census", d.span.Context(),
 		total.Demanded-total.Spent-total.Skipped,
-		obs.L("day", strconv.Itoa(day)),
+		obs.L("day", strconv.Itoa(d.day)),
 		obs.L("demanded", strconv.FormatInt(total.Demanded, 10)),
 		obs.L("spent", strconv.FormatInt(total.Spent, 10)),
 		obs.L("skipped", strconv.FormatInt(total.Skipped, 10)))
-	_ = p.Cfg.Obs.Flight().Dump(p.Cfg.FlightSink, "reconcile_mismatch", nil)
+	_ = d.obs.Flight().Dump(d.p.Cfg.FlightSink, "reconcile_mismatch", nil)
 }

@@ -86,8 +86,8 @@ func TestQuarterlyHitlistReuse(t *testing.T) {
 	const first, last = 268, 271
 	for _, lazy := range []bool{false, true} {
 		reg := obs.New()
-		warm := obsPipeline(t, 2, lazy, Config{Obs: reg})
-		cold := obsPipeline(t, 2, lazy, Config{})
+		warm := obsPipeline(t, 2, lazy, reg, Config{})
+		cold := obsPipeline(t, 2, lazy, nil, Config{})
 		for _, v6 := range []bool{false, true} {
 			fam := famIdx(v6)
 			for day := first; day <= last; day++ {
@@ -155,7 +155,7 @@ func BenchmarkRunDailyWarm(b *testing.B) {
 		lazy, v6 bool
 	}{{"v4-eager", false, false}, {"v6-lazy", true, true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			p := obsPipeline(b, 1, bc.lazy, Config{})
+			p := obsPipeline(b, 1, bc.lazy, nil, Config{})
 			const first = 180 // a quarter's first day
 			if _, err := p.RunDaily(first, bc.v6, DayOptions{}); err != nil {
 				b.Fatal(err)

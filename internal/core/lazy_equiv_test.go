@@ -8,6 +8,7 @@ import (
 	"github.com/laces-project/laces/internal/chaos"
 	"github.com/laces-project/laces/internal/hitlist"
 	"github.com/laces-project/laces/internal/netsim"
+	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
 	"github.com/laces-project/laces/internal/platform"
 )
@@ -104,12 +105,12 @@ func TestLazyDayDerivationCounts(t *testing.T) {
 		// runDays runs both days on a fresh world and returns their
 		// census bytes, the walker derivations each made and the count
 		// each should have made.
-		runDays := func(tel *netsim.Telemetry) (docs [2][]byte, walked, want [2]int64) {
+		runDays := func(reg *obs.Registry) (docs [2][]byte, walked, want [2]int64) {
 			w, err := netsim.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.SetTelemetry(tel)
+			w.Instrument(reg)
 			d, err := platform.Tangled(w, netsim.PolicyUnmodified)
 			if err != nil {
 				t.Fatal(err)
@@ -129,12 +130,12 @@ func TestLazyDayDerivationCounts(t *testing.T) {
 				if i == 1 && fed == 0 {
 					t.Fatalf("v6=%v: day %d walks an empty feedback list", v6, day+i)
 				}
-				before := tel.WalkDerivations()
+				before := walkDerivations(reg)
 				c, err := p.RunDaily(day+i, v6, DayOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				walked[i] = tel.WalkDerivations() - before
+				walked[i] = walkDerivations(reg) - before
 				var buf bytes.Buffer
 				if err := c.WriteJSON(&buf); err != nil {
 					t.Fatal(err)
@@ -158,14 +159,14 @@ func TestLazyDayDerivationCounts(t *testing.T) {
 					}
 				}
 				want[i] = lists + folded + fed + split + gcd
-				if tel != nil {
+				if reg != nil {
 					t.Logf("v6=%v day %d: lists %d, folded %d, feedback %d, split %d, GCD items %d; walker derivations %d",
 						v6, day+i, lists, folded, fed, split, gcd, walked[i])
 				}
 			}
 			return docs, walked, want
 		}
-		docs, walked, want := runDays(&netsim.Telemetry{})
+		docs, walked, want := runDays(obs.New())
 		bare, _, _ := runDays(nil)
 		for i := range docs {
 			if !bytes.Equal(docs[i], bare[i]) {
@@ -176,4 +177,14 @@ func TestLazyDayDerivationCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// walkDerivations reads the walker derivations reg's world counted.
+func walkDerivations(reg *obs.Registry) int64 {
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "laces_netsim_walk_derivations_total" {
+			return int64(m.Value)
+		}
+	}
+	return 0
 }

@@ -14,9 +14,8 @@ import (
 )
 
 // obsPipeline builds a fresh pipeline on a fresh test world (lazily
-// derived when lazy is set) with the CHAOS stage on and the given
-// registry attached.
-func obsPipeline(t testing.TB, parallelism int, lazy bool, cfg Config) *Pipeline {
+// derived when lazy is set) instrumented with reg (nil: bare).
+func obsPipeline(t testing.TB, parallelism int, lazy bool, reg *obs.Registry, cfg Config) *Pipeline {
 	t.Helper()
 	wcfg := netsim.TestConfig()
 	wcfg.LazyTargets = lazy
@@ -24,6 +23,7 @@ func obsPipeline(t testing.TB, parallelism int, lazy bool, cfg Config) *Pipeline
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.Instrument(reg)
 	dep, err := platform.Tangled(w, netsim.PolicyUnmodified)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestCensusSpansFormOneTreePerDay(t *testing.T) {
 		lazy        bool
 	}{{1, false}, {4, true}} {
 		reg := obs.New()
-		pipe := obsPipeline(t, tc.parallelism, tc.lazy, Config{Obs: reg, ConfirmGlobalBGP: true})
+		pipe := obsPipeline(t, tc.parallelism, tc.lazy, reg, Config{ConfirmGlobalBGP: true})
 		const days = 2
 		for day := 0; day < days; day++ {
 			if _, err := pipe.RunDaily(day, false, DayOptions{}); err != nil {
@@ -159,9 +159,10 @@ func TestCensusSpansFormOneTreePerDay(t *testing.T) {
 func TestReconcileMismatchRecordedOnce(t *testing.T) {
 	reg := obs.New()
 	var sink bytes.Buffer
-	pipe := obsPipeline(t, 1, false, Config{Obs: reg, FlightSink: &sink})
+	pipe := obsPipeline(t, 1, false, reg, Config{FlightSink: &sink})
 	censusSpan := reg.StartTrace("census")
-	pipe.reportMismatch(censusSpan, 3, budget.Usage{Demanded: 10, Spent: 5, Skipped: 2})
+	d := &censusDay{p: pipe, day: 3, span: censusSpan, obs: reg}
+	d.reportMismatch(budget.Usage{Demanded: 10, Spent: 5, Skipped: 2})
 	censusSpan.End()
 
 	var got []obs.FlightEvent

@@ -63,22 +63,24 @@ func TestChaosResilienceSuite(t *testing.T) {
 	}
 }
 
-// TestEnvObsSeesChaosCensus: Env.Obs receives the telemetry of every
-// census pipeline the environment builds, the chaos scenarios' included.
-// A fresh environment runs one chaos census; its registry must hold that
-// run's census span and its stage series.
+// TestEnvObsSeesChaosCensus: the registry an environment's world is
+// instrumented with receives the telemetry of every census pipeline the
+// environment builds, the chaos scenarios' included. A fresh environment
+// runs one chaos census; its registry must hold that run's census span
+// and its stage series.
 func TestEnvObsSeesChaosCensus(t *testing.T) {
 	e, err := NewEnv(netsim.TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Obs = obs.New()
+	reg := obs.New()
+	e.World.Instrument(reg)
 	sc := chaos.Builtins()[0]
 	if _, err := e.chaosCensus(dayChaosResilience, false, sc); err != nil {
 		t.Fatal(err)
 	}
 	censuses := 0
-	for _, sp := range e.Obs.ExportTrace().Spans {
+	for _, sp := range reg.ExportTrace().Spans {
 		if sp.Name == "census" {
 			censuses++
 		}
@@ -87,7 +89,7 @@ func TestEnvObsSeesChaosCensus(t *testing.T) {
 		t.Fatalf("registry holds %d census spans after one %s census, want 1", censuses, sc.Name)
 	}
 	probes := 0.0
-	for _, m := range e.Obs.Snapshot().Metrics {
+	for _, m := range reg.Snapshot().Metrics {
 		if m.Name == "laces_stage_probes_total" && slices.Contains(m.Labels, obs.L("stage", "anycast_icmp")) {
 			probes = m.Value
 		}

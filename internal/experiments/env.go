@@ -15,20 +15,18 @@ import (
 	"github.com/laces-project/laces/internal/longitudinal"
 	"github.com/laces-project/laces/internal/manycast"
 	"github.com/laces-project/laces/internal/netsim"
-	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
 	"github.com/laces-project/laces/internal/platform"
 )
 
 // Env bundles the world and the cached expensive intermediates shared
-// between experiments (GCD_LS sweeps, daily censuses).
+// between experiments (GCD_LS sweeps, daily censuses). Every census
+// pipeline the environment builds, the longitudinal run's included,
+// reports to the registry World is instrumented with; results are
+// byte-identical with or without one.
 type Env struct {
 	World   *netsim.World
 	Tangled *netsim.Deployment
-	// Obs, when set before the first experiment runs, receives telemetry
-	// from every census pipeline the environment builds. Results are
-	// byte-identical with or without it.
-	Obs *obs.Registry
 
 	mu       sync.Mutex
 	gcdls    map[lsKey]*core.GCDLSResult
@@ -133,8 +131,8 @@ func (e *Env) DailyCensus(day int, v6 bool) (*core.DailyCensus, error) {
 }
 
 // pipeline builds a census pipeline the way every experiment runs one:
-// the Tangled deployment, Ark GCD VPs and the environment's telemetry,
-// with the traceroute screening stage when confirmGlobalBGP is set.
+// the Tangled deployment and Ark GCD VPs, with the traceroute screening
+// stage when confirmGlobalBGP is set.
 func (e *Env) pipeline(confirmGlobalBGP bool) (*core.Pipeline, error) {
 	return core.NewPipeline(e.World, core.Config{
 		Deployment: e.Tangled,
@@ -142,7 +140,6 @@ func (e *Env) pipeline(confirmGlobalBGP bool) (*core.Pipeline, error) {
 			return platform.Ark(e.World, day, v6)
 		},
 		ConfirmGlobalBGP: confirmGlobalBGP,
-		Obs:              e.Obs,
 	})
 }
 

@@ -345,7 +345,7 @@ func (e *Env) Fig11() ([]Fig11Row, error) {
 		rows = append(rows, Fig11Row{
 			SpacingKm:   sp,
 			VPs:         len(vps),
-			Credits:     platform.AtlasCredits(1, len(vps), 1),
+			Credits:     platform.AtlasCredits(1, len(vps)),
 			Enumeration: rep.Outcomes[refID].Result.NumSites(),
 		})
 	}
@@ -413,7 +413,7 @@ func (e *Env) Fig12() (*Fig12Result, error) {
 	// GCD enumeration with the same deployment's sites as unicast VPs.
 	var vps []netsim.VP
 	for i, name := range platform.TangledCities() {
-		vp, err := e.World.NewVP(fmt.Sprintf("tangled-gcd-%02d", i), name, 0)
+		vp, err := e.World.NewVP(fmt.Sprintf("tangled-gcd-%02d", i), name)
 		if err != nil {
 			return nil, err
 		}

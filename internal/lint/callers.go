@@ -39,8 +39,6 @@ var KeepList = []Keep{
 	{"laces.ProbeBudget", "PipelineConfig.Budget", fieldSetter},
 	{"laces.OptOutRegistry", "PipelineConfig.OptOut", fieldSetter},
 	{"laces.LoadOptOutRegistry", "PipelineConfig.OptOut", fieldSetter},
-	{"laces.ObsRegistry", "PipelineConfig.Obs", fieldSetter},
-	{"laces.NewObsRegistry", "PipelineConfig.Obs", fieldSetter},
 	{"laces.LoadMix", "LoadConfig.Mix", fieldSetter},
 	{"api.Server.Reload", "", "the seam `laces serve -follow` will call to serve a grown archive and index"},
 	{"api.Server.Generation", "", "the seam `laces serve -follow` will call to tell whether a reload took"},

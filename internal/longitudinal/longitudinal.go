@@ -286,7 +286,7 @@ func arkParticipation(day int) float64 {
 func vultrVPs(w *netsim.World) ([]netsim.VP, error) {
 	var out []netsim.VP
 	for i, name := range platformVultrMetros() {
-		vp, err := w.NewVP(fmt.Sprintf("tangled-vp-%02d", i), name, 0)
+		vp, err := w.NewVP(fmt.Sprintf("tangled-vp-%02d", i), name)
 		if err != nil {
 			return nil, err
 		}

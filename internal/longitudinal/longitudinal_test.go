@@ -5,6 +5,7 @@ import (
 
 	"github.com/laces-project/laces/internal/chaos"
 	"github.com/laces-project/laces/internal/netsim"
+	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
 )
 
@@ -28,6 +29,45 @@ func mustHistory() *History {
 		panic(err)
 	}
 	return h
+}
+
+// TestRunReportsEveryDay: a run on an instrumented world reports each
+// day it runs to the world's registry, with no option of its own — one
+// census span per family per day, each family's hitlist build and the
+// stage probe series.
+func TestRunReportsEveryDay(t *testing.T) {
+	reg := obs.New()
+	testWorld.Instrument(reg)
+	t.Cleanup(func() { testWorld.Instrument(nil) })
+	const days = 2
+	if _, err := Run(testWorld, Config{Days: days, Stride: 1, Events: Events{None: true}}); err != nil {
+		t.Fatal(err)
+	}
+	censuses := 0
+	for _, sp := range reg.TraceSpans() {
+		if sp.Name == "census" {
+			censuses++
+		}
+	}
+	if censuses != 2*days {
+		t.Fatalf("registry holds %d census spans after a %d-day run of both families, want %d", censuses, days, 2*days)
+	}
+	var probes float64
+	builds := map[string]float64{}
+	for _, m := range reg.Snapshot().Metrics {
+		switch m.Name {
+		case "laces_stage_probes_total":
+			probes += m.Value
+		case "laces_hitlist_builds_total":
+			builds[m.Labels[0].Value] += m.Value
+		}
+	}
+	if probes == 0 {
+		t.Fatal("registry holds no laces_stage_probes_total after the run")
+	}
+	if builds["ipv4"] != 1 || builds["ipv6"] != 1 {
+		t.Fatalf("hitlist builds by family = %v, want one each", builds)
+	}
 }
 
 func TestRunProducesBothFamilies(t *testing.T) {

@@ -32,13 +32,13 @@ type routingShard struct {
 type siteRow []atomic.Uint32
 
 // routingCache is the sharded memoisation store embedded in World.
-// tel, when installed via World.SetTelemetry, receives hit/miss
+// tel, when installed via World.Instrument, receives hit/miss
 // accounting: one packed striped add per reply-catchment lookup, and one
 // per probe, train or GCD fan for the row entries it resolved (siteCount).
 // Counting never changes what a lookup returns.
 type routingCache struct {
 	shards [numCacheShards]routingShard
-	tel    *Telemetry
+	tel    *telemetry
 }
 
 // init allocates the shard maps (called once from New).

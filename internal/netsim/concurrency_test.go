@@ -92,7 +92,7 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 // TestConcurrentUnicastProbes covers the GCD probe path (target-catchment
 // rows) under concurrency, single probes and whole fans.
 func TestConcurrentUnicastProbes(t *testing.T) {
-	vp, err := testWorld.NewVP("probe-vp", "Amsterdam", 0)
+	vp, err := testWorld.NewVP("probe-vp", "Amsterdam")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func fanVPs(t *testing.T, w *World) *VPTable {
 	t.Helper()
 	var vps []VP
 	for i, city := range cities.VultrMetros()[:8] {
-		vp, err := w.NewVP(fmt.Sprintf("race-%d", i), city, 0)
+		vp, err := w.NewVP(fmt.Sprintf("race-%d", i), city)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,12 @@ package netsim
 // external tests can start a property case on cold rows.
 func ResetRoutingCaches(w *World) { w.cache.reset() }
 
+// UnicastCounts returns the unicast probes and replies w's telemetry
+// counted, zeros when w is not instrumented.
+func UnicastCounts(w *World) (probes, replies int64) {
+	return w.tel.ProbesUnicast(), w.tel.RepliesUnicast()
+}
+
 // reset drops every cached entry, rows included (test/ablation hook).
 func (c *routingCache) reset() {
 	for i := range c.shards {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/laces-project/laces/internal/netsim"
+	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
 	"github.com/laces-project/laces/internal/platform"
 )
@@ -123,19 +124,18 @@ func checkFan(t *testing.T, c fanCase) fanSeen {
 	e := fanEnvs()[fanEnvIdx(c.lazyV6, c.lossless)]
 	e.w.SetImpairer(e.engines[int(c.engine)%len(e.engines)])
 	defer e.w.SetImpairer(nil)
-	var tel *netsim.Telemetry
 	if c.tel {
-		tel = &netsim.Telemetry{}
-		e.w.SetTelemetry(tel)
-		defer e.w.SetTelemetry(nil)
+		e.w.Instrument(obs.New())
+		defer e.w.Instrument(nil)
 	}
 	tg := e.w.TargetAt(e.v6, int(c.id)%e.w.NumTargets(e.v6))
 	at := netsim.DayTime(int(c.day) % 534).Add(time.Duration(c.startSec%86400) * time.Second)
 	proto := packet.Protocol(c.proto % 3)
 	counted := func(f func() (int, int)) (n, got [2]int64) {
-		p0, r0 := tel.ProbesUnicast(), tel.RepliesUnicast()
+		p0, r0 := netsim.UnicastCounts(e.w)
 		probes, replies := f()
-		return [2]int64{int64(probes), int64(replies)}, [2]int64{tel.ProbesUnicast() - p0, tel.RepliesUnicast() - r0}
+		p1, r1 := netsim.UnicastCounts(e.w)
+		return [2]int64{int64(probes), int64(replies)}, [2]int64{p1 - p0, r1 - r0}
 	}
 
 	var want, got []time.Duration

@@ -99,7 +99,7 @@ func TestImpairerHookUnicast(t *testing.T) {
 		t.Fatal(err)
 	}
 	tg := responsiveTarget(t, w)
-	vp, err := w.NewVP("impair-vp", "Amsterdam", 0)
+	vp, err := w.NewVP("impair-vp", "Amsterdam")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func assertFansNoAllocs(t *testing.T, w *World, label string) {
 	t.Helper()
 	var vps []VP
 	for i, city := range cities.VultrMetros()[:8] {
-		vp, err := w.NewVP(fmt.Sprintf("fan-%d", i), city, 0)
+		vp, err := w.NewVP(fmt.Sprintf("fan-%d", i), city)
 		if err != nil {
 			t.Fatal(err)
 		}

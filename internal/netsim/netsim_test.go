@@ -510,7 +510,7 @@ func TestPolicyChangesCandidateSets(t *testing.T) {
 }
 
 func TestProbeUnicastRTTPhysicallySound(t *testing.T) {
-	vp, err := testWorld.NewVP("ark-ams", "Amsterdam", 0)
+	vp, err := testWorld.NewVP("ark-ams", "Amsterdam")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,8 +548,8 @@ func TestProbeUnicastRTTPhysicallySound(t *testing.T) {
 }
 
 func TestPartialAnycastAddrProbing(t *testing.T) {
-	vpA, _ := testWorld.NewVP("ark-a", "Amsterdam", 0)
-	vpB, _ := testWorld.NewVP("ark-b", "Sydney", 0)
+	vpA, _ := testWorld.NewVP("ark-a", "Amsterdam")
+	vpB, _ := testWorld.NewVP("ark-b", "Sydney")
 	at := DayTime(9)
 	found := false
 	for i := range testWorld.NumTargets(false) {
@@ -873,7 +873,7 @@ func TestTransientDisturbanceRotates(t *testing.T) {
 
 func TestGCDLossIsPerDay(t *testing.T) {
 	// Loss must be deterministic within a day and re-drawn across days.
-	vp, err := testWorld.NewVP("loss-vp", "Madrid", 0)
+	vp, err := testWorld.NewVP("loss-vp", "Madrid")
 	if err != nil {
 		t.Fatal(err)
 	}

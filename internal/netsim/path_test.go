@@ -9,7 +9,7 @@ import (
 
 func pathAt(t *testing.T, tg *Target, day int) []Hop {
 	t.Helper()
-	vp, err := testWorld.NewVP("path-vp", "Amsterdam", 0)
+	vp, err := testWorld.NewVP("path-vp", "Amsterdam")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestGlobalUnicastIngressFanout(t *testing.T) {
 		ingress := make(map[int]bool)
 		servers := make(map[int]bool)
 		for _, s := range sources {
-			vp, err := testWorld.NewVP("fan-"+s, s, 0)
+			vp, err := testWorld.NewVP("fan-"+s, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestGlobalUnicastIngressFanout(t *testing.T) {
 
 func TestForwardPathAnycastEndsAtCatchmentSite(t *testing.T) {
 	tg := findKind(t, Anycast)
-	vp, err := testWorld.NewVP("path-vp-2", "Tokyo", 0)
+	vp, err := testWorld.NewVP("path-vp-2", "Tokyo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestForwardPathDeterministic(t *testing.T) {
 }
 
 func TestForwardPathRTTPhysicallySound(t *testing.T) {
-	vp, err := testWorld.NewVP("path-sound", "Frankfurt", 0)
+	vp, err := testWorld.NewVP("path-sound", "Frankfurt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestTracePathBackingAnycastFilteringVP(t *testing.T) {
 	if tg == nil {
 		t.Skip("no backing-anycast target in test world")
 	}
-	plain, err := testWorld.NewVP("back-plain", "Amsterdam", 0)
+	plain, err := testWorld.NewVP("back-plain", "Amsterdam")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestTracePathBackingAnycastFilteringVP(t *testing.T) {
 }
 
 func TestForwardPathTransitHopsBounded(t *testing.T) {
-	vp, err := testWorld.NewVP("path-bound", "Singapore", 0)
+	vp, err := testWorld.NewVP("path-bound", "Singapore")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,10 @@ const (
 	telMiss  = int64(1) << 32
 )
 
-// Telemetry is the simulator's probe-level accounting: issued probes,
+// telemetry is the simulator's probe-level accounting: issued probes,
 // delivered replies and routing-cache hit/miss counts, all striped
 // counters so the parallel census engine updates them without
-// contention. A World carries no telemetry by default; SetTelemetry
+// contention. A World carries none by default; World.Instrument
 // installs it under the same contract as SetImpairer (swap only
 // between measurements), and the probe hot path pays a single nil
 // check when disabled — the allocation guard in telemetry_test.go pins
@@ -25,7 +25,7 @@ const (
 // Counting never feeds back into routing, latency or responsiveness
 // decisions, so census output is byte-identical with telemetry on or
 // off.
-type Telemetry struct {
+type telemetry struct {
 	anycast obs.Striped // lo: probes issued, hi: replies delivered
 	unicast obs.Striped // lo: probes issued, hi: replies delivered
 
@@ -71,7 +71,7 @@ func countLookup(s *obs.Striped, key uint64, hit bool) {
 }
 
 // ProbesAnycast returns the number of anycast-stage probes issued.
-func (t *Telemetry) ProbesAnycast() int64 {
+func (t *telemetry) ProbesAnycast() int64 {
 	if t == nil {
 		return 0
 	}
@@ -80,7 +80,7 @@ func (t *Telemetry) ProbesAnycast() int64 {
 }
 
 // RepliesAnycast returns the number of anycast-stage replies delivered.
-func (t *Telemetry) RepliesAnycast() int64 {
+func (t *telemetry) RepliesAnycast() int64 {
 	if t == nil {
 		return 0
 	}
@@ -89,7 +89,7 @@ func (t *Telemetry) RepliesAnycast() int64 {
 }
 
 // ProbesUnicast returns the number of unicast (GCD/sweep) probes issued.
-func (t *Telemetry) ProbesUnicast() int64 {
+func (t *telemetry) ProbesUnicast() int64 {
 	if t == nil {
 		return 0
 	}
@@ -98,7 +98,7 @@ func (t *Telemetry) ProbesUnicast() int64 {
 }
 
 // RepliesUnicast returns the number of unicast replies delivered.
-func (t *Telemetry) RepliesUnicast() int64 {
+func (t *telemetry) RepliesUnicast() int64 {
 	if t == nil {
 		return 0
 	}
@@ -107,7 +107,7 @@ func (t *Telemetry) RepliesUnicast() int64 {
 }
 
 // CacheHitsReply returns reply-catchment cache lookups answered from cache.
-func (t *Telemetry) CacheHitsReply() int64 {
+func (t *telemetry) CacheHitsReply() int64 {
 	if t == nil {
 		return 0
 	}
@@ -116,7 +116,7 @@ func (t *Telemetry) CacheHitsReply() int64 {
 }
 
 // CacheMissesReply returns reply-catchment cache lookups that recomputed.
-func (t *Telemetry) CacheMissesReply() int64 {
+func (t *telemetry) CacheMissesReply() int64 {
 	if t == nil {
 		return 0
 	}
@@ -125,7 +125,7 @@ func (t *Telemetry) CacheMissesReply() int64 {
 }
 
 // CacheHitsSite returns target-catchment cache lookups answered from cache.
-func (t *Telemetry) CacheHitsSite() int64 {
+func (t *telemetry) CacheHitsSite() int64 {
 	if t == nil {
 		return 0
 	}
@@ -134,7 +134,7 @@ func (t *Telemetry) CacheHitsSite() int64 {
 }
 
 // CacheMissesSite returns target-catchment cache lookups that recomputed.
-func (t *Telemetry) CacheMissesSite() int64 {
+func (t *telemetry) CacheMissesSite() int64 {
 	if t == nil {
 		return 0
 	}
@@ -143,19 +143,17 @@ func (t *Telemetry) CacheMissesSite() int64 {
 }
 
 // WalkDerivations returns the targets Walkers derived.
-func (t *Telemetry) WalkDerivations() int64 {
+func (t *telemetry) WalkDerivations() int64 {
 	if t == nil {
 		return 0
 	}
 	return t.walk.Value()
 }
 
-// Register exposes the telemetry as func-backed registry series, read
-// at scrape/snapshot time.
-func (t *Telemetry) Register(r *obs.Registry) {
-	if t == nil || r == nil {
-		return
-	}
+// newTelemetry returns fresh accounting exposed on r as func-backed
+// series, read at scrape/snapshot time.
+func newTelemetry(r *obs.Registry) *telemetry {
+	t := &telemetry{}
 	probes := "Probes issued against the simulated Internet."
 	replies := "Probe replies delivered by the simulated Internet."
 	hits := "Routing-cache lookups answered from cache."
@@ -179,4 +177,5 @@ func (t *Telemetry) Register(r *obs.Registry) {
 	r.CounterFunc("laces_netsim_walk_derivations_total",
 		"Targets derived by walkers on a lazy world.",
 		func() float64 { return float64(t.WalkDerivations()) })
+	return t
 }

@@ -12,9 +12,9 @@ import (
 	"github.com/laces-project/laces/internal/packet"
 )
 
-// TestTelemetryCounts pins the probe accounting: issued and delivered
-// counts move, cache lookups split into hits and misses, and counting
-// does not change what a probe returns.
+// TestTelemetryCounts pins the probe accounting Instrument installs:
+// issued and delivered counts move, cache lookups split into hits and
+// misses, and counting does not change what a probe returns.
 func TestTelemetryCounts(t *testing.T) {
 	w, err := New(TestConfig())
 	if err != nil {
@@ -30,8 +30,12 @@ func TestTelemetryCounts(t *testing.T) {
 	}
 	base, baseOK := w.ProbeAnycast(d, 0, tg, ctx)
 
-	tel := &Telemetry{}
-	w.SetTelemetry(tel)
+	reg := obs.New()
+	w.Instrument(reg)
+	if w.Registry() != reg {
+		t.Fatal("Instrument did not attach its registry")
+	}
+	tel := w.tel
 	del, ok := w.ProbeAnycast(d, 0, tg, ctx)
 	if ok != baseOK || del != base {
 		t.Fatal("telemetry changed the probe result")
@@ -74,7 +78,7 @@ func TestTelemetryCounts(t *testing.T) {
 			train, probes, replies, [3]int64{perProbe[0], perProbe[1], 1})
 	}
 
-	vp, err := w.NewVP("tel-vp", "Amsterdam", 0)
+	vp, err := w.NewVP("tel-vp", "Amsterdam")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +99,7 @@ func TestTelemetryCounts(t *testing.T) {
 	// resolves one per answered probe.
 	var vps []VP
 	for i, city := range cities.VultrMetros()[:6] {
-		vp, err := w.NewVP(fmt.Sprintf("tel-fan-%d", i), city, 0)
+		vp, err := w.NewVP(fmt.Sprintf("tel-fan-%d", i), city)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,9 +142,7 @@ func TestTelemetryCounts(t *testing.T) {
 		t.Fatalf("warm fold made (site lookups, misses) = %v, want %v", got, want)
 	}
 
-	// Registration exposes the eight netsim series.
-	reg := obs.New()
-	tel.Register(reg)
+	// Instrument exposes the eight netsim series on its registry.
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -157,8 +159,11 @@ func TestTelemetryCounts(t *testing.T) {
 		}
 	}
 
-	// Uninstalling stops the counting.
-	w.SetTelemetry(nil)
+	// Detaching stops the counting and forgets the registry.
+	w.Instrument(nil)
+	if w.Registry() != nil {
+		t.Fatal("Instrument(nil) left the registry attached")
+	}
 	probes0 = tel.ProbesAnycast()
 	w.ProbeAnycast(d, 0, tg, ctx)
 	w.AnycastTrain(d, tg, tr)
@@ -168,9 +173,9 @@ func TestTelemetryCounts(t *testing.T) {
 }
 
 // TestProbeHotPathNoAllocsInstrumented extends the Impairer guard to
-// telemetry (the observability satellite): with a live Telemetry
-// installed, the warm anycast and unicast probe paths must stay
-// allocation-free — instrumentation may not tax the census hot loop.
+// telemetry: on an instrumented world, the warm anycast and unicast
+// probe paths must stay allocation-free — instrumentation may not tax
+// the census hot loop.
 func TestProbeHotPathNoAllocsInstrumented(t *testing.T) {
 	w, err := New(TestConfig())
 	if err != nil {
@@ -184,8 +189,8 @@ func TestProbeHotPathNoAllocsInstrumented(t *testing.T) {
 		Gap:  time.Second,
 		Seq:  uint64(tg.ID),
 	}
-	w.SetTelemetry(&Telemetry{})
-	defer w.SetTelemetry(nil)
+	w.Instrument(obs.New())
+	defer w.Instrument(nil)
 	w.ProbeAnycast(d, 0, tg, ctx) // warm the routing caches
 	if allocs := testing.AllocsPerRun(200, func() {
 		w.ProbeAnycast(d, 0, tg, ctx)
@@ -194,7 +199,7 @@ func TestProbeHotPathNoAllocsInstrumented(t *testing.T) {
 	}
 	assertTrainsNoAllocs(t, w, d, ctx, "instrumented")
 
-	vp, err := w.NewVP("alloc-vp", "Amsterdam", 0)
+	vp, err := w.NewVP("alloc-vp", "Amsterdam")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/laces-project/laces/internal/obs"
 )
 
 // walkWorld is the lazy TestConfig world the walker tests share
@@ -181,12 +183,12 @@ func TestWalkDerivationTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var none *Telemetry
+	var none *telemetry
 	if none.WalkDerivations() != 0 {
 		t.Fatal("nil telemetry reports walk derivations")
 	}
-	tel := &Telemetry{}
-	w.SetTelemetry(tel)
+	w.Instrument(obs.New())
+	tel := w.tel
 	wk := w.Walker(true)
 	for id := 0; id < 100; id += 3 {
 		wk.At(id)

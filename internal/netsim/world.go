@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/laces-project/laces/internal/cities"
+	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
 )
 
@@ -14,8 +15,8 @@ import (
 // concurrent use — the routing memoisation behind probes is sharded
 // (see cache.go), so the parallel census engine can probe from every core
 // without serialising on a global lock. The exceptions remain SetImpairer
-// and SetTelemetry: they swap the fault-injection and accounting hooks
-// and must not race with in-flight probes.
+// and Instrument: they swap the fault-injection and telemetry hooks and
+// must not race with in-flight probes.
 type World struct {
 	Cfg Config
 	DB  *cities.DB
@@ -42,7 +43,8 @@ type World struct {
 	fams [2]family
 
 	imp Impairer
-	tel *Telemetry
+	reg *obs.Registry
+	tel *telemetry
 
 	cache routingCache
 }
@@ -81,14 +83,23 @@ func (w *World) SetImpairer(i Impairer) { w.imp = i }
 // Impairer returns the currently installed fault-injection hook, or nil.
 func (w *World) Impairer() Impairer { return w.imp }
 
-// SetTelemetry installs (or, with nil, removes) the probe-accounting
-// hook. Like SetImpairer, call it only between measurements. With no
-// telemetry installed the probe hot path pays a single nil check;
-// counting never alters measurement results.
-func (w *World) SetTelemetry(t *Telemetry) {
-	w.tel = t
-	w.cache.tel = t
+// Instrument attaches reg to the world, the one place a telemetry
+// registry attaches: it installs fresh probe accounting registered on
+// reg as the laces_netsim_* series, and keeps reg for everything that
+// runs on the world (a census pipeline reports each day it runs to it).
+// Instrument(nil) detaches. Like SetImpairer, call it only between
+// measurements. With no registry attached the probe hot path pays a
+// single nil check; counting never alters measurement results.
+func (w *World) Instrument(reg *obs.Registry) {
+	w.reg, w.tel = reg, nil
+	if reg != nil {
+		w.tel = newTelemetry(reg)
+	}
+	w.cache.tel = w.tel
 }
+
+// Registry returns the registry Instrument attached, or nil.
+func (w *World) Registry() *obs.Registry { return w.reg }
 
 // Seed exposes the world's derived seed so deterministic subsystems
 // (internal/chaos) can key their hash decisions off it.
@@ -151,22 +162,18 @@ func (w *World) NewDeployment(name string, cityNames []string, policy RoutingPol
 }
 
 // NewVP builds a unicast vantage point at the named city. The host AS is
-// chosen deterministically from the world's AS population unless hostASN
-// is non-zero.
-func (w *World) NewVP(name, cityName string, hostASN ASN) (VP, error) {
+// chosen deterministically from the world's AS population by name.
+func (w *World) NewVP(name, cityName string) (VP, error) {
 	idx, err := w.cityIndex(cityName)
 	if err != nil {
 		return VP{}, err
 	}
-	if hostASN == 0 {
-		h := mix(w.seed, hashString("vp-host"), hashString(name))
-		hostASN = w.ASes[pick(h, len(w.ASes))].Number
-	}
+	h := mix(w.seed, hashString("vp-host"), hashString(name))
 	return VP{
 		Name:    name,
 		Loc:     w.DB.All()[idx].Location,
 		CityIdx: idx,
-		Host:    hostASN,
+		Host:    w.ASes[pick(h, len(w.ASes))].Number,
 	}, nil
 }
 

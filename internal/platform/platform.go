@@ -123,7 +123,7 @@ func Ark(w *netsim.World, day int, v6 bool) ([]netsim.VP, error) {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("ark-%s-%03d", fam, i)
 		city := all[w.SampleCity(uint64(i), "ark-"+fam)]
-		vp, err := w.NewVP(name, city.Name, 0)
+		vp, err := w.NewVP(name, city.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +151,7 @@ func Atlas(w *netsim.World, minSpacingKm float64) ([]netsim.VP, error) {
 		if !ok {
 			continue
 		}
-		vp, err := w.NewVP("atlas-"+c.Name, c.Name, 0)
+		vp, err := w.NewVP("atlas-"+c.Name, c.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -187,9 +187,9 @@ func Participating(vps []netsim.VP, salt uint64, rate float64) []netsim.VP {
 // (App B: the 23,821-target campaign against 481 VPs cost 37 M credits).
 const AtlasCreditsPerProbe = 3
 
-// AtlasCredits returns the credit cost of a campaign.
-func AtlasCredits(targets, vps, attempts int) int64 {
-	return int64(targets) * int64(vps) * int64(attempts) * AtlasCreditsPerProbe
+// AtlasCredits returns the credit cost of a one-attempt campaign.
+func AtlasCredits(targets, vps int) int64 {
+	return int64(targets) * int64(vps) * AtlasCreditsPerProbe
 }
 
 // TangledCities returns the TANGLED metro list (the Vultr data centres).

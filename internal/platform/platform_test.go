@@ -181,7 +181,7 @@ func TestParticipation(t *testing.T) {
 func TestAtlasCredits(t *testing.T) {
 	// App B: 23,821 targets × 481 VPs × 3 credits ≈ 34 M ≈ the paper's
 	// 37 M credit campaign.
-	got := AtlasCredits(23821, 481, 1)
+	got := AtlasCredits(23821, 481)
 	if got < 30_000_000 || got > 40_000_000 {
 		t.Fatalf("credit model = %d, want ~34M", got)
 	}

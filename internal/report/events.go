@@ -7,25 +7,21 @@ import (
 	"github.com/laces-project/laces/internal/query"
 )
 
+// churnDays bounds the dashboard's churn table and recentEvents its
+// event listing; the most recent days and events win.
+const (
+	churnDays    = 10
+	recentEvents = 12
+)
+
 // ChurnAndEvents renders the dashboard's longitudinal section from
 // timeline-index query results — aggregate churn per indexed day plus
 // the detected event stream — instead of re-scanning census documents.
-// maxDays bounds the churn table (most recent days win) and maxEvents
-// the event listing; zero means a small default for each.
-func ChurnAndEvents(w io.Writer, series []query.SeriesPoint, events []query.Event, maxDays, maxEvents int) error {
-	if maxDays <= 0 {
-		maxDays = 10
-	}
-	if maxEvents <= 0 {
-		maxEvents = 12
-	}
+func ChurnAndEvents(w io.Writer, series []query.SeriesPoint, events []query.Event) error {
 	if _, err := fmt.Fprintln(w, "\nchurn per day (from the timeline index):"); err != nil {
 		return err
 	}
-	start := 0
-	if len(series) > maxDays {
-		start = len(series) - maxDays
-	}
+	start := max(len(series)-churnDays, 0)
 	for _, pt := range series[start:] {
 		if _, err := fmt.Fprintf(w, "  day %4d  entries %-6d G %-6d M %-6d +%-4d −%-4d churn %.2f%%\n",
 			pt.Day, pt.Entries, pt.GCDConfirmed, pt.AnycastOnly,
@@ -53,7 +49,7 @@ func ChurnAndEvents(w io.Writer, series []query.SeriesPoint, events []query.Even
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err
 	}
-	return RenderEvents(w, events, maxEvents)
+	return RenderEvents(w, events, recentEvents)
 }
 
 // RenderEvents writes the event listing capped to the max most recent
@@ -61,7 +57,7 @@ func ChurnAndEvents(w io.Writer, series []query.SeriesPoint, events []query.Even
 // dashboard section and the CLI's `laces query events`.
 func RenderEvents(w io.Writer, events []query.Event, max int) error {
 	if max <= 0 {
-		max = 12
+		max = recentEvents
 	}
 	start := 0
 	if len(events) > max {

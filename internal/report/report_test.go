@@ -313,36 +313,45 @@ func TestDiffSymmetryProperty(t *testing.T) {
 }
 
 // TestChurnAndEvents renders the index-backed longitudinal section and
-// checks the load-bearing lines are present and bounded.
+// checks the load-bearing lines are present and bounded: 12 indexed days
+// and 14 events exceed both caps, so the section shows the churnDays
+// most recent days and the recentEvents most recent events.
 func TestChurnAndEvents(t *testing.T) {
-	series := []query.SeriesPoint{
-		{Day: 0, Entries: 100, GCDConfirmed: 60, AnycastOnly: 40},
-		{Day: 1, Entries: 101, GCDConfirmed: 61, AnycastOnly: 40, Added: 3, Removed: 2, ChurnRate: 0.0495},
-		{Day: 2, Entries: 99, GCDConfirmed: 60, AnycastOnly: 39, Added: 1, Removed: 3, ChurnRate: 0.0404},
+	var series []query.SeriesPoint
+	for day := range churnDays + 2 {
+		series = append(series, query.SeriesPoint{Day: day, Entries: 100 + day, GCDConfirmed: 60, AnycastOnly: 40 + day,
+			Added: 3, Removed: 2, ChurnRate: 0.0495})
 	}
-	events := []query.Event{
-		{Kind: query.EventOnset, Family: "ipv4", Prefix: "2.0.0.0/24", Day: 1},
-		{Kind: query.EventSiteChurn, Family: "ipv4", Prefix: "10.0.0.0/24", Day: 2, PrevDay: 1, PrevSites: 3, Sites: 5},
+	var events []query.Event
+	for i := range recentEvents + 1 {
+		events = append(events, query.Event{Kind: query.EventOnset, Family: "ipv4", Prefix: fmt.Sprintf("2.0.%d.0/24", i), Day: i % churnDays})
 	}
+	events = append(events, query.Event{Kind: query.EventSiteChurn, Family: "ipv4", Prefix: "10.0.0.0/24", Day: 11, PrevDay: 10, PrevSites: 3, Sites: 5})
 	var buf bytes.Buffer
-	if err := ChurnAndEvents(&buf, series, events, 2, 10); err != nil {
+	if err := ChurnAndEvents(&buf, series, events); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
 		"churn per day",
-		"events: 2 total",
-		"onset 1",
+		"day    2  entries 102",
+		"day   11  entries 111",
+		"events: 14 total",
+		"onset 13",
 		"site-churn 1",
+		"(showing the 12 most recent)",
+		"2.0.2.0/24",
+		"2.0.12.0/24",
 		"sites 3 → 5",
-		"day    2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("section missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "day    0") {
-		t.Fatalf("maxDays=2 should have dropped day 0:\n%s", out)
+	for _, gone := range []string{"day    0  entries", "day    1  entries", "2.0.0.0/24", "2.0.1.0/24"} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("the caps should have dropped %q:\n%s", gone, out)
+		}
 	}
 }
 

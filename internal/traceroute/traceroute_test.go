@@ -27,7 +27,7 @@ func testWorld(t testing.TB) *netsim.World {
 
 func vpAt(t testing.TB, w *netsim.World, name, city string) netsim.VP {
 	t.Helper()
-	vp, err := w.NewVP(name, city, 0)
+	vp, err := w.NewVP(name, city)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -292,9 +292,9 @@ func DiffCensus(old, cur *CensusDocument) *CensusDiff {
 }
 
 // ObsRegistry is the telemetry root: counters, gauges, histograms, spans
-// and census progress. A nil registry disables every instrument at one
-// branch per call site, and census output is byte-identical with or
-// without one — set it on PipelineConfig.Obs.
+// and census progress. Attach it with World.Instrument, and every
+// pipeline on that world reports to it; census output is byte-identical
+// with or without one.
 type ObsRegistry = obs.Registry
 
 // NewObsRegistry returns an empty telemetry registry.

@@ -11,10 +11,13 @@ import (
 	"github.com/laces-project/laces/internal/platform"
 )
 
-// obsCensusBytes runs one day-0 census with the given registry and
-// parallelism and returns the published document's canonical bytes.
+// obsCensusBytes runs one day-0 census on w instrumented with reg (nil:
+// bare) at the given parallelism and returns the published document's
+// canonical bytes. It leaves w detached.
 func obsCensusBytes(t *testing.T, w *netsim.World, sc *chaos.Scenario, parallelism int, reg *obs.Registry) []byte {
 	t.Helper()
+	w.Instrument(reg)
+	defer w.Instrument(nil)
 	dep, err := platform.Tangled(w, netsim.PolicyUnmodified)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +28,6 @@ func obsCensusBytes(t *testing.T, w *netsim.World, sc *chaos.Scenario, paralleli
 			return platform.Ark(w, day, v6)
 		},
 		Parallelism: parallelism,
-		Obs:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,11 +77,7 @@ func TestObsDoesNotPerturbCensus(t *testing.T) {
 				bare := obsCensusBytes(t, w, tc.sc, parallelism, nil)
 
 				reg := obs.New()
-				tel := &netsim.Telemetry{}
-				w.SetTelemetry(tel)
-				tel.Register(reg)
 				instrumented := obsCensusBytes(t, w, tc.sc, parallelism, reg)
-				w.SetTelemetry(nil)
 
 				if !bytes.Equal(bare, instrumented) {
 					t.Errorf("seed %#x %s parallelism=%d: census bytes differ with telemetry on (%d vs %d bytes)",
@@ -96,11 +94,7 @@ func TestObsDoesNotPerturbCensus(t *testing.T) {
 				traced := obs.New()
 				traced.SetTraceComponent("census")
 				traced.EnableFlight("census", 1024)
-				tel = &netsim.Telemetry{}
-				w.SetTelemetry(tel)
-				tel.Register(traced)
 				withTrace := obsCensusBytes(t, w, tc.sc, parallelism, traced)
-				w.SetTelemetry(nil)
 
 				if !bytes.Equal(bare, withTrace) {
 					t.Errorf("seed %#x %s parallelism=%d: census bytes differ with tracing on (%d vs %d bytes)",
