@@ -85,6 +85,7 @@ var optionKeep = map[string]string{
 	"igreedy.Options.ProcessingAllowance": "bench/census.go sets it; bench/ is its own module",
 	"worker.Config.Dialer":                "fault-injection seam: the fabric tests intercept the worker's connection",
 	"worker.Config.FailAfterTargets":      "fault-injection seam: the fabric tests drop a worker mid-measurement",
+	"worker.Config.ReconnectMin":          "fault-injection seam: the fabric tests reconnect a worker within 10–20 ms, or keep a dropped one away for a minute",
 	"wire.MeasurementDef.Zone":            "wire contract: TestParentFramesStayCompatible pins the field in the frame",
 }
 
@@ -150,30 +151,62 @@ func TestOptionsHaveProductionWriters(t *testing.T) {
 }
 
 // fieldWrites names, as "pkg.Type.Field" with pkg the package name,
-// every field of a named struct type that f writes.
+// every field of a named struct type that f writes. An assignment inside
+// an if whose condition reads the same field is the field's own
+// defaulting (if cfg.X <= 0 { cfg.X = … }), not a writer.
 func fieldWrites(info *types.Info, f *ast.File) []string {
 	var out []string
-	field := func(recv types.Type, name string) {
+	field := func(recv types.Type, name string) string {
 		if ptr, ok := recv.(*types.Pointer); ok {
 			recv = ptr.Elem()
 		}
 		if n, ok := recv.(*types.Named); ok && n.Obj().Pkg() != nil {
-			out = append(out, n.Obj().Pkg().Name()+"."+n.Obj().Name()+"."+name)
+			return n.Obj().Pkg().Name() + "." + n.Obj().Name() + "." + name
 		}
+		return ""
 	}
-	selected := func(e ast.Expr) {
+	selected := func(e ast.Expr) string {
 		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 		if !ok {
-			return
+			return ""
 		}
 		// A promoted field is named after the outer type, so a guarded
 		// field written only through embedding reads as unwritten.
 		if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-			field(s.Recv(), sel.Sel.Name)
+			return field(s.Recv(), sel.Sel.Name)
 		}
+		return ""
+	}
+	// tested holds, per node on the inspection path, the fields an if
+	// condition reads (nil for every other node).
+	var tested [][]string
+	write := func(name string) {
+		if name == "" {
+			return
+		}
+		for _, fs := range tested {
+			if slices.Contains(fs, name) {
+				return
+			}
+		}
+		out = append(out, name)
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			tested = tested[:len(tested)-1]
+			return true
+		}
+		var reads []string
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			ast.Inspect(n.Cond, func(c ast.Node) bool {
+				if e, ok := c.(ast.Expr); ok {
+					if name := selected(e); name != "" {
+						reads = append(reads, name)
+					}
+				}
+				return true
+			})
 		case *ast.CompositeLit:
 			tv, ok := info.Types[n]
 			if !ok {
@@ -185,21 +218,22 @@ func fieldWrites(info *types.Info, f *ast.File) []string {
 			for _, elt := range n.Elts {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					if key, ok := kv.Key.(*ast.Ident); ok {
-						field(tv.Type, key.Name)
+						write(field(tv.Type, key.Name))
 					}
 				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				selected(lhs)
+				write(selected(lhs))
 			}
 		case *ast.IncDecStmt:
-			selected(n.X)
+			write(selected(n.X))
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				selected(n.X)
+				write(selected(n.X))
 			}
 		}
+		tested = append(tested, reads)
 		return true
 	})
 	return out

@@ -70,7 +70,37 @@ type view struct {
 	idxTag  *resTag
 
 	events *lru[eventsKey, []query.Event] // guarded by the owning Server's mu
+
+	// retired is what earlier generations' handles counted before Reload
+	// dropped them, so the registry bridges (obs.go) never go backwards.
+	retired tallies
 }
+
+// tallies are the archive's and the index's running counts the registry
+// bridges expose.
+type tallies struct {
+	decodes, lookups, eventRows, eventRowsPruned int64
+}
+
+// counts returns the running counts of the handles a and q, either of
+// which may be nil.
+func counts(a *archive.Archive, q *query.Index) tallies {
+	var t tallies
+	if a != nil {
+		t.decodes = a.Decodes()
+	}
+	t.lookups, _, _ = q.Stats()
+	t.eventRows, t.eventRowsPruned = q.EventScanStats()
+	return t
+}
+
+func (t tallies) plus(u tallies) tallies {
+	return tallies{t.decodes + u.decodes, t.lookups + u.lookups,
+		t.eventRows + u.eventRows, t.eventRowsPruned + u.eventRowsPruned}
+}
+
+// tallies returns v's running counts: its retired ones plus its handles'.
+func (v *view) tallies() tallies { return v.retired.plus(counts(v.arch, v.q)) }
 
 // newView builds a serving generation over the given handles. ETags are
 // derived from content hashes fixed at pack/build time, so two views
@@ -176,12 +206,27 @@ func (s *Server) currentView() *view {
 // across generations of the same growing archive. Reload is for
 // re-opening the same archive directory after appends; pointing it at
 // an unrelated directory would serve the old generation's cached days.
+//
+// The new generation inherits the running counts of every handle it
+// drops, so the bridged counters stay monotonic; a handle it keeps goes
+// on counting for itself. A request still in flight on a dropped handle
+// after the swap goes uncounted.
 func (s *Server) Reload(a *archive.Archive, q *query.Index) {
-	v := s.newView(a, q)
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	v := s.newView(a, q)
+	if old := s.viewPtr.Load(); old != nil {
+		dropA, dropQ := old.arch, old.q
+		if dropA == a {
+			dropA = nil
+		}
+		if dropQ == q {
+			dropQ = nil
+		}
+		v.retired = old.retired.plus(counts(dropA, dropQ))
+	}
 	s.Archive, s.Query = a, q
 	s.viewPtr.Store(v)
-	s.mu.Unlock()
 }
 
 // Generation reports the current serving generation (0 before the first

@@ -12,9 +12,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/obs"
-	"github.com/laces-project/laces/internal/query"
 )
 
 // Instrument attaches a telemetry registry to the server's world
@@ -27,17 +25,10 @@ func (s *Server) Instrument(reg *obs.Registry) {
 	s.World.Instrument(reg)
 	// Archive and query handles may be attached after Instrument (both
 	// are set-before-first-request fields) and swapped by Reload, so the
-	// bridges read the current serving generation at scrape time — an
-	// atomic load, racing neither requests nor reloads — and report zero
-	// while absent.
+	// bridges read the serving generation's tallies at scrape time.
 	reg.CounterFunc("laces_archive_decodes_total",
-		"Document materializations (snapshot parses plus delta applications).",
-		func() float64 {
-			if a := s.peekArchive(); a != nil {
-				return float64(a.Decodes())
-			}
-			return 0
-		})
+		"Day-files read by archive.ReadDay, one per snapshot or delta file.",
+		func() float64 { return float64(s.tallies().decodes) })
 	reg.CounterFunc("laces_api_day_cache_total",
 		"Decoded-day LRU lookups, by outcome.",
 		func() float64 { return float64(s.cacheHits.Load()) },
@@ -48,34 +39,28 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		obs.L("outcome", "miss"))
 	reg.CounterFunc("laces_query_lookups_total",
 		"Timeline lookups answered by the columnar index.",
-		func() float64 { l, _, _ := s.peekQuery().Stats(); return float64(l) })
+		func() float64 { return float64(s.tallies().lookups) })
 	reg.CounterFunc("laces_query_event_rows_total",
 		"Rows considered by family-wide event scans, by outcome (scanned includes pruned).",
-		func() float64 { n, _ := s.peekQuery().EventScanStats(); return float64(n) },
+		func() float64 { return float64(s.tallies().eventRows) },
 		obs.L("outcome", "scanned"))
 	reg.CounterFunc("laces_query_event_rows_total",
 		"Rows considered by family-wide event scans, by outcome (scanned includes pruned).",
-		func() float64 { _, p := s.peekQuery().EventScanStats(); return float64(p) },
+		func() float64 { return float64(s.tallies().eventRowsPruned) },
 		obs.L("outcome", "pruned"))
 }
 
-// peekArchive and peekQuery read the current serving generation's
-// handles without forcing one to exist: scrapes may precede the first
-// request, and bridges must not race Reload by touching the
-// set-before-first-request fields directly. Both may return nil; the
-// accessors the bridges call are nil-safe or guarded.
-func (s *Server) peekArchive() *archive.Archive {
+// tallies reads the current serving generation's running counts — an
+// atomic load, racing neither requests nor reloads — without forcing one
+// to exist: a scrape may precede the first request, and the bridges must
+// not touch the set-before-first-request fields. Zero before the first
+// generation; a generation carries the counts of the handles earlier
+// ones dropped, so a Reload never moves a counter back.
+func (s *Server) tallies() tallies {
 	if v := s.viewPtr.Load(); v != nil {
-		return v.arch
+		return v.tallies()
 	}
-	return nil
-}
-
-func (s *Server) peekQuery() *query.Index {
-	if v := s.viewPtr.Load(); v != nil {
-		return v.q
-	}
-	return nil
+	return tallies{}
 }
 
 // handleMetrics serves the registry in Prometheus text format 0.0.4.

@@ -3,15 +3,19 @@ package api
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
 
+	"github.com/laces-project/laces/internal/archive"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/platform"
+	"github.com/laces-project/laces/internal/query"
 )
 
 // newInstrumentedServer builds a server on its own small world (the
@@ -310,6 +314,113 @@ func TestErrorCounterIncrements(t *testing.T) {
 	if reqs.Value() != 1 {
 		t.Fatalf("request counter = %d, want 1", reqs.Value())
 	}
+}
+
+// TestBridgedCountersSurviveReload: the archive and index bridges count
+// across serving generations. After requests on one generation, a Reload
+// onto freshly opened handles moves no counter back, and a Reload onto
+// the same handles counts nothing twice.
+func TestBridgedCountersSurviveReload(t *testing.T) {
+	s, dir := packedServer(t, 4)
+	if _, err := query.BuildDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	s.Query = openIndexDir(t, dir)
+	reg := instrument(t, s)
+	h := s.Handler()
+	prefix := s.Query.Prefixes("ipv4")[0]
+	for _, path := range []string{"/v1/census?day=3", "/v1/timeline/" + prefix, "/v1/events?from=2&to=3"} {
+		if rec := fetch(t, h, path, ""); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+	}
+	before := counterValues(reg)
+	for _, name := range []string{
+		"laces_archive_decodes_total",
+		"laces_query_lookups_total",
+		`laces_query_event_rows_total{outcome="scanned"}`,
+	} {
+		if before[name] == 0 {
+			t.Fatalf("%s is 0 before the reload; the requests did not reach it", name)
+		}
+	}
+	// A scraper runs through reloads onto fresh handles, and every
+	// counter it reads is at least what it read the time before.
+	done, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for last := before; ; {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			cur := counterValues(reg)
+			for name, v := range last {
+				if cur[name] < v {
+					t.Errorf("%s went from %v to %v across a Reload onto fresh handles", name, v, cur[name])
+					return
+				}
+			}
+			last = cur
+		}
+	}()
+	var (
+		a   *archive.Archive
+		q   *query.Index
+		err error
+	)
+	for range 3 {
+		if a, err = archive.Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		q = openIndexDir(t, dir)
+		s.Reload(a, q)
+	}
+	close(done)
+	<-scraped
+	after := counterValues(reg)
+	for name, v := range before {
+		if after[name] < v {
+			t.Errorf("%s went from %v to %v across Reloads onto fresh handles", name, v, after[name])
+		}
+	}
+	s.Reload(a, q)
+	if again := counterValues(reg); !maps.Equal(after, again) {
+		t.Errorf("a Reload onto the same handles moved the counters: %v, then %v", after, again)
+	}
+}
+
+// openIndexDir opens dir's timeline index until the test ends.
+func openIndexDir(t *testing.T, dir string) *query.Index {
+	t.Helper()
+	ix, err := query.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	return ix
+}
+
+// counterValues reads every counter series of reg, keyed as the
+// exposition names it.
+func counterValues(reg *obs.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Type != "counter" {
+			continue
+		}
+		key := m.Name
+		if len(m.Labels) > 0 {
+			var ls []string
+			for _, l := range m.Labels {
+				ls = append(ls, fmt.Sprintf("%s=%q", l.Name, l.Value))
+			}
+			key += "{" + strings.Join(ls, ",") + "}"
+		}
+		out[key] = m.Value
+	}
+	return out
 }
 
 // getURL is get() against an arbitrary server, also checking the typed

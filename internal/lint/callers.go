@@ -40,7 +40,6 @@ var KeepList = []Keep{
 	{"laces.OptOutRegistry", "PipelineConfig.OptOut", fieldSetter},
 	{"laces.LoadOptOutRegistry", "PipelineConfig.OptOut", fieldSetter},
 	{"laces.LoadMix", "LoadConfig.Mix", fieldSetter},
-	{"api.Server.Reload", "", "the seam `laces serve -follow` will call to serve a grown archive and index"},
 	{"api.Server.Generation", "", "the seam `laces serve -follow` will call to tell whether a reload took"},
 }
 
