@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/laces-project/laces/internal/archive"
+	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/platform"
@@ -388,6 +389,62 @@ func TestBridgedCountersSurviveReload(t *testing.T) {
 	s.Reload(a, q)
 	if again := counterValues(reg); !maps.Equal(after, again) {
 		t.Errorf("a Reload onto the same handles moved the counters: %v, then %v", after, again)
+	}
+}
+
+// TestBudgetCountersAddUpAcrossPipelines pins the laces_budget_* series
+// on a governed server: every live day and every /v1/measure builds its
+// own pipeline, and the series sum the decisions of all of them. A
+// measure, which is ungoverned, leaves them as they are; the next live
+// day adds to them.
+func TestBudgetCountersAddUpAcrossPipelines(t *testing.T) {
+	tg := anycastPrefix(t)
+	optOut := budget.NewRegistry()
+	optOut.AddAS(tg.Origin)
+	s := liveServer(t, 1)
+	s.Govern(budget.Budget{DailyProbes: 20_000}, optOut)
+	reg := instrument(t, s)
+	h := s.Handler()
+	series := []string{
+		"laces_budget_admitted_total",
+		`laces_budget_denied_total{reason="budget"}`,
+		`laces_budget_denied_total{reason="optout"}`,
+	}
+	var last map[string]float64
+	step := func(name string, r *http.Request) map[string]float64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", name, rec.Code)
+		}
+		cur := counterValues(reg)
+		for _, k := range series {
+			if cur[k] < last[k] {
+				t.Errorf("%s: %s went from %v to %v", name, k, last[k], cur[k])
+			}
+		}
+		last = cur
+		return cur
+	}
+	day0 := step("live day 0", httptest.NewRequest("GET", "/v1/census?day=0", nil))
+	for _, k := range series {
+		if day0[k] == 0 {
+			t.Fatalf("%s is 0 after a governed live day", k)
+		}
+	}
+	measured := step("measure", httptest.NewRequest("POST", "/v1/measure",
+		strings.NewReader(`{"prefix":"`+tg.Prefix.String()+`"}`)))
+	for _, k := range series {
+		if measured[k] != day0[k] {
+			t.Errorf("an ungoverned measure moved %s from %v to %v", k, day0[k], measured[k])
+		}
+	}
+	day1 := step("live day 1", httptest.NewRequest("GET", "/v1/census?day=1", nil))
+	for _, k := range series {
+		if day1[k] <= measured[k] {
+			t.Errorf("live day 1 did not add to %s: %v, then %v", k, measured[k], day1[k])
+		}
 	}
 }
 

@@ -12,9 +12,8 @@
 // decisions in a sequential pre-pass over each stage's target list (the
 // same total order the sequential loop uses), so the set of admitted
 // targets — and therefore the census document — is byte-identical at
-// every Parallelism setting. The ledger's counters are atomic, so the
-// parallel shards that later execute the admitted probes can charge
-// actual-transmission accounting concurrently without a lock.
+// every Parallelism setting. The ledger only admits and charges; par.Run
+// counts the decisions where it takes them.
 //
 // All budget accounting is in probe units of demand: a target presented
 // to the ledger demands its worst-case transmission count (sites for the

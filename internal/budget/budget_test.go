@@ -104,7 +104,6 @@ func TestLedgerZeroValueAdmitsEverything(t *testing.T) {
 	if d := nilGate.Admit(tg, 1); d != Admitted {
 		t.Fatalf("nil gate: %v", d)
 	}
-	nilGate.Observe(5) // must not panic
 	var nilLedger *Ledger
 	if nilLedger.Gate(0) != nil {
 		t.Fatal("nil ledger must yield nil gate")
@@ -244,8 +243,8 @@ func TestStepRate(t *testing.T) {
 	}
 }
 
-// TestLedgerConcurrentAccounting hammers Admit/Observe from goroutines;
-// run under -race this pins the shard-safe accounting claim.
+// TestLedgerConcurrentAccounting hammers Admit from goroutines on two
+// days; run under -race this pins that concurrent gates charge safely.
 func TestLedgerConcurrentAccounting(t *testing.T) {
 	r := NewRegistry()
 	r.AddAS(64500)
@@ -261,16 +260,12 @@ func TestLedgerConcurrentAccounting(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				g.Admit(tg, 2)
 				g.Admit(opted, 1)
-				g.Observe(3)
 			}
 		}(w)
 	}
 	wg.Wait()
 	if got := l.day(0).spent.Load() + l.day(1).spent.Load(); got != 8*500*2 {
 		t.Fatalf("spent = %d, want %d", got, 8*500*2)
-	}
-	if got := l.day(0).observed.Load() + l.day(1).observed.Load(); got != 8*500*3 {
-		t.Fatalf("observed = %d, want %d", got, 8*500*3)
 	}
 	var targets int64
 	for _, tc := range r.Touched() {

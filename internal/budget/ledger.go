@@ -16,52 +16,20 @@ import (
 // MUST be called in a deterministic target order — par.Run, the loop
 // every measurement stage runs on, guarantees this with a sequential
 // pre-pass over the stage's target list before sharding the probing
-// itself. Observation counters
-// (Gate.Observe) are atomic and may be charged concurrently from
-// parallel shards.
+// itself. The ledger keeps no tally of its verdicts: par.Run records
+// each one into the stage's Usage and the laces_budget_* series.
 type Ledger struct {
 	budget Budget
 	reg    *Registry
 
-	// Lifetime decision telemetry across all days, atomically updated
-	// at each admission verdict. Read via Decisions; never consulted by
-	// admission logic, so counting cannot change what is admitted.
-	admitted     atomic.Int64
-	deniedBudget atomic.Int64
-	deniedOptOut atomic.Int64
-
 	mu   sync.Mutex
 	days map[int]*dayState
-}
-
-// Decisions returns the ledger's lifetime admission telemetry: how many
-// presentations were admitted, denied by a cap and denied by the
-// opt-out registry. Zero for a nil ledger.
-func (l *Ledger) Decisions() (admitted, deniedBudget, deniedOptOut int64) {
-	if l == nil {
-		return 0, 0, 0
-	}
-	return l.admitted.Load(), l.deniedBudget.Load(), l.deniedOptOut.Load()
-}
-
-// count records one decision into the lifetime telemetry.
-func (l *Ledger) count(d Decision) Decision {
-	switch d {
-	case Admitted:
-		l.admitted.Add(1)
-	case DeniedBudget:
-		l.deniedBudget.Add(1)
-	case DeniedOptOut:
-		l.deniedOptOut.Add(1)
-	}
-	return d
 }
 
 // dayState is one census day's charge counters.
 type dayState struct {
 	mu        sync.Mutex
 	spent     atomic.Int64 // budget units charged (admitted demand)
-	observed  atomic.Int64 // probes actually transmitted (shard-charged)
 	perAS     map[netsim.ASN]int64
 	perPrefix map[netip.Prefix]int64
 }
@@ -129,11 +97,6 @@ func (g *Gate) Admit(tg *netsim.Target, probes int64) Decision {
 	if g == nil {
 		return Admitted
 	}
-	return g.led.count(g.admit(tg, probes))
-}
-
-// admit is Admit without the decision telemetry.
-func (g *Gate) admit(tg *netsim.Target, probes int64) Decision {
 	if entry, ok := g.led.reg.Match(tg.Prefix, tg.Origin); ok {
 		g.led.reg.touch(entry, probes)
 		return DeniedOptOut
@@ -171,11 +134,6 @@ func (g *Gate) AdmitAddr(addr netip.Addr, probes int64) Decision {
 	if g == nil {
 		return Admitted
 	}
-	return g.led.count(g.admitAddr(addr, probes))
-}
-
-// admitAddr is AdmitAddr without the decision telemetry.
-func (g *Gate) admitAddr(addr netip.Addr, probes int64) Decision {
 	if entry, ok := g.led.reg.MatchAddr(addr); ok {
 		g.led.reg.touch(entry, probes)
 		return DeniedOptOut
@@ -192,13 +150,4 @@ func (g *Gate) admitAddr(addr netip.Addr, probes int64) Decision {
 	}
 	st.spent.Add(probes)
 	return Admitted
-}
-
-// Observe charges actually-transmitted probes to the day's observation
-// counter. Atomic: parallel shards call it concurrently.
-func (g *Gate) Observe(probes int64) {
-	if g == nil || probes == 0 {
-		return
-	}
-	g.st.observed.Add(probes)
 }

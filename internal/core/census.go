@@ -63,7 +63,6 @@ import (
 	"github.com/laces-project/laces/internal/chaos"
 	"github.com/laces-project/laces/internal/hitlist"
 	"github.com/laces-project/laces/internal/netsim"
-	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
 )
 
@@ -253,19 +252,14 @@ type Pipeline struct {
 	ledger *budget.Ledger
 }
 
-// Ledger exposes the pipeline's probe-budget ledger (nil when the
-// configuration enables no governance) for monitoring and the CLI.
-func (p *Pipeline) Ledger() *budget.Ledger { return p.ledger }
-
 // NewPipeline validates the configuration and prepares a pipeline. The
 // pipeline reports to the registry its world is instrumented with
-// (netsim.World.Instrument): per-stage laces_stage_* series, one
-// census → phase → stage → shard span tree per RunDaily, operational
-// events, live progress and, when governance is active, the budget
-// decision counters. The registry is read when each day begins, the
-// budget bridge when the pipeline is built. Telemetry never feeds back
-// into measurement: the census document is byte-identical with the
-// world instrumented or not.
+// (netsim.World.Instrument) when each day begins: per-stage
+// laces_stage_* series, one census → phase → stage → shard span tree per
+// RunDaily, operational events, live progress and, when governance is
+// active, the laces_budget_* decision counters par.Run adds to.
+// Telemetry never feeds back into measurement: the census document is
+// byte-identical with the world instrumented or not.
 func NewPipeline(w *netsim.World, cfg Config) (*Pipeline, error) {
 	if cfg.Deployment == nil {
 		return nil, fmt.Errorf("core: config needs a deployment")
@@ -276,22 +270,6 @@ func NewPipeline(w *netsim.World, cfg Config) (*Pipeline, error) {
 	p := &Pipeline{World: w, Cfg: cfg}
 	if !cfg.Budget.IsZero() || cfg.OptOut != nil {
 		p.ledger = budget.NewLedger(cfg.Budget, cfg.OptOut)
-	}
-	if reg := w.Registry(); reg != nil && p.ledger != nil {
-		// Bridge the ledger's lifetime decision telemetry into the
-		// registry; the ledger itself stays obs-free.
-		led := p.ledger
-		reg.CounterFunc("laces_budget_admitted_total",
-			"Targets admitted by the responsible-probing ledger.",
-			func() float64 { a, _, _ := led.Decisions(); return float64(a) })
-		reg.CounterFunc("laces_budget_denied_total",
-			"Targets denied by the responsible-probing ledger, by reason.",
-			func() float64 { _, d, _ := led.Decisions(); return float64(d) },
-			obs.L("reason", "budget"))
-		reg.CounterFunc("laces_budget_denied_total",
-			"Targets denied by the responsible-probing ledger, by reason.",
-			func() float64 { _, _, o := led.Decisions(); return float64(o) },
-			obs.L("reason", "optout"))
 	}
 	p.feedback[0] = make(map[int]bool)
 	p.feedback[1] = make(map[int]bool)

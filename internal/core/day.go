@@ -94,7 +94,8 @@ func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus,
 // measurement ID rather than the daily census's. It returns the row
 // (MaxReceivers is 0 when nothing answered, and 1 for a unicast reply
 // that a census would not list) and the probes sent. The measurement is
-// ungoverned and uninstrumented, and touches no pipeline state.
+// ungoverned and records no stage series or spans, but its probes count
+// in the world's laces_netsim_* series; it touches no pipeline state.
 func (p *Pipeline) Measure(tg *netsim.Target, day int) (*Entry, int64, error) {
 	v6 := tg.Addr.Is6()
 	noon := netsim.DayTime(day).Add(12 * time.Hour)

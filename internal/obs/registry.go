@@ -212,9 +212,10 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 
 // CounterFunc registers a counter series whose value is read from fn at
 // exposition time — the bridge for packages that keep their own atomic
-// accounting (netsim telemetry, the budget ledger, archive decode
-// counts) without importing obs. Re-registering the same series
-// replaces the function.
+// accounting (netsim telemetry, archive decode counts) without
+// importing obs. Re-registering the same series
+// replaces the function, so a series several owners feed is a Counter
+// each adds to instead.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return

@@ -7,15 +7,18 @@
 //   - admission: with a gate, items are presented sequentially in slice
 //     order (the order a sequential loop probes in) and each decision is
 //     recorded into the stage's budget.Usage, so the admitted set — and
-//     the census — is the same at every Parallelism;
+//     the census — is the same at every Parallelism; the run's decisions
+//     are then added to laces_budget_admitted_total and
+//     laces_budget_denied_total{reason}, which every pipeline on the
+//     world adds to;
 //   - telemetry: the stage's laces_stage_* series, its span with one
 //     shardN child per shard, a live-progress tick per admitted item;
 //   - sharding: shard s of k covers items [s*n/k, (s+1)*n/k) — contiguous,
 //     ordered, exhaustive, disjoint — and fills its own Shard; outputs
 //     concatenate and counters sum in shard order, reproducing the
 //     sequential run byte-for-byte;
-//   - accounting: after the join the probe total is charged to the gate's
-//     observation counter and the totals land in the stage series.
+//   - accounting: after the join the probe, reply and denial totals land
+//     in the stage series.
 //
 // Run also resolves every item's target, so a stage body is only "what to
 // do with one *netsim.Target". Resolution walks: the admission pre-pass
@@ -110,11 +113,13 @@ func Run[I, O any](st Stage, items []I, usage *budget.Usage, id func(I) int, dem
 	if st.Gate != nil {
 		wk := st.World.Walker(st.V6)
 		kept := items[:0:0] // never aliases the caller's backing array
+		var decided [budget.DeniedOptOut + 1]int64
 		for _, it := range items {
 			if tg := target(wk, it); tg != nil {
 				units := demand(tg)
 				dec := st.Gate.Admit(tg, units)
 				usage.Record(dec, units)
+				decided[dec]++
 				if dec != budget.Admitted {
 					continue
 				}
@@ -122,6 +127,11 @@ func Run[I, O any](st Stage, items []I, usage *budget.Usage, id func(I) int, dem
 			kept = append(kept, it)
 		}
 		items = kept
+		const denied = "Targets denied by the responsible-probing ledger, by reason."
+		st.Obs.Counter("laces_budget_admitted_total",
+			"Targets admitted by the responsible-probing ledger.").Add(decided[budget.Admitted])
+		st.Obs.Counter("laces_budget_denied_total", denied, obs.L("reason", "budget")).Add(decided[budget.DeniedBudget])
+		st.Obs.Counter("laces_budget_denied_total", denied, obs.L("reason", "optout")).Add(decided[budget.DeniedOptOut])
 	}
 
 	// Every handle is a no-op when Obs is nil, and the hot-loop counting
@@ -145,7 +155,6 @@ func Run[I, O any](st Stage, items []I, usage *budget.Usage, id func(I) int, dem
 		sum.Probes += shards[i].Probes
 		sum.Replies += shards[i].Replies
 	}
-	st.Gate.Observe(sum.Probes)
 	si.Probes.Add(sum.Probes)
 	si.Replies.Add(sum.Replies)
 	si.Denied.Add(int64(presented - len(items)))

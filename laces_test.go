@@ -191,9 +191,6 @@ func TestFacadeGovernance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pipe.Ledger() == nil {
-		t.Fatal("governed pipeline exposes no ledger")
-	}
 	census, err := pipe.RunDaily(0, false, laces.DayOptions{})
 	if err != nil {
 		t.Fatal(err)
