@@ -293,8 +293,8 @@ func (s *Server) handleDays(v *view, r *http.Request) (answer, error) {
 }
 
 // handleRange streams a span of archived days as NDJSON, one compact
-// census document per line, decoded incrementally from the delta store —
-// O(1) documents in memory no matter how long the span.
+// census document per line, built from the stored rows' bytes
+// (Archive.RangeJSON) — O(1) days in memory no matter how long the span.
 func (s *Server) handleRange(v *view, r *http.Request) (answer, error) {
 	if v.arch == nil {
 		return answer{}, errNoArchive
@@ -322,24 +322,24 @@ func (s *Server) handleRange(v *view, r *http.Request) (answer, error) {
 	}
 	a.ctype = ctNDJSON
 	a.stream = func(w io.Writer, flush func()) error {
-		var line []byte // one day's NDJSON line, reused
-		return v.arch.Range(family(v6), from, to, func(day int, doc *core.Document) error {
-			var err error
-			if line, err = doc.AppendJSON(line[:0]); err != nil {
-				return err
-			}
-			line = append(line, '\n')
+		return v.arch.RangeJSON(family(v6), from, to, func(day int, line []byte) error {
 			if _, err := w.Write(line); err != nil {
 				return err
 			}
+			if _, err := w.Write(newline); err != nil {
+				return err
+			}
 			// Flush per record so long spans stream incrementally instead
-			// of buffering the whole decoded range server-side.
+			// of buffering the whole range server-side.
 			flush()
 			return nil
 		})
 	}
 	return a, nil
 }
+
+// newline ends each /v1/range record.
+var newline = []byte("\n")
 
 // parseFromTo extracts the optional ?from=/?to= day window shared by
 // /v1/range and /v1/events: from defaults to 0, to to -1 ("through the

@@ -27,7 +27,7 @@ func (s *Server) Instrument(reg *obs.Registry) {
 	// are set-before-first-request fields) and swapped by Reload, so the
 	// bridges read the serving generation's tallies at scrape time.
 	reg.CounterFunc("laces_archive_decodes_total",
-		"Day-files read by archive.ReadDay, one per snapshot or delta file.",
+		"Day-files the archive read, one per snapshot or delta file.",
 		func() float64 { return float64(s.tallies().decodes) })
 	reg.CounterFunc("laces_api_day_cache_total",
 		"Decoded-day LRU lookups, by outcome.",

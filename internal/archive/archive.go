@@ -26,14 +26,17 @@
 // The reader (Archive) is a stateless, lock-free store: it caches
 // nothing, so a decoded document is the caller's own, and callers that
 // re-read days keep their own cache (internal/api's decoded-day LRU).
-// Every read of a day file goes through ReadDay, the one day-file
-// decoder: the file is read whole, once, and decoded by
-// core.DecodeDocument or core.DecodeDelta in one reflection-free scan of
-// the writer's grammar. Document, Range and Verify apply its deltas to
-// the day before; the query indexer takes them as they are.
-// encoding/json runs on the small header object, and on the whole file
-// only when the file holds something the writer never emits. The writer
-// is reflection-free the same way: a snapshot streams through
+// Every day-file is read whole, once per walk. Document, Range,
+// RangeJSON and Verify rebuild days from stored rows: core.SplitDocument
+// and core.SplitDelta split a file into rows (a prefix and the row's
+// bytes) in one reflection-free scan that accepts only the writer's form,
+// core.RowDelta.Apply merges a delta's rows into the day before, and the
+// readers decode the rows they hand out or, for /v1/range, copy their
+// bytes. ReadDay decodes a file whole (core.DecodeDocument,
+// core.DecodeDelta) for the query indexer, which takes deltas as they
+// are. encoding/json runs on the small header object, and on the whole
+// file only when the file holds something the writer never emits. The
+// writer is reflection-free the same way: a snapshot streams through
 // core.StreamDocument and a delta is DocumentDelta.AppendJSON, both
 // core's entry appender, with encoding/json left the header.
 package archive

@@ -16,10 +16,12 @@ import (
 
 // TestDecodeTakesFastPath: every day file the writer produces decodes
 // through core's schema scanner — no decline to encoding/json — and to
-// exactly what encoding/json makes of it. The files come from a
+// exactly what encoding/json makes of it, and splits into rows on the
+// row split's fast path, with no fallback to the decoders. The files come from a
 // longitudinal run over both families (its incident calendar included)
 // and from the seed × chaos-scenario matrix. A decoder that always fell
-// back would pass every other archive test.
+// back, or a splitter that always fell back, would pass every other
+// archive test.
 func TestDecodeTakesFastPath(t *testing.T) {
 	t.Run("longitudinal", func(t *testing.T) {
 		w, err := netsim.New(netsim.TestConfig())
@@ -74,16 +76,21 @@ func checkFastPath(t *testing.T, dir string, wantDays int) {
 			t.Fatal(err)
 		}
 		var got, want any
-		var ok bool
+		var ok, split bool
 		if rec.Kind == archive.KindSnapshot {
 			got, ok = core.ScanDocument(b)
 			want = &core.Document{}
+			_, split = core.ScanDocumentRows(b)
 		} else {
 			got, ok = core.ScanDelta(b)
 			want = &core.DocumentDelta{}
+			_, split = core.ScanDeltaRows(b)
 		}
 		if !ok {
 			t.Fatalf("%s: the scanner declined a file the writer made", rec.File)
+		}
+		if !split {
+			t.Fatalf("%s: the row split declined a file the writer made", rec.File)
 		}
 		if err := json.Unmarshal(b, want); err != nil {
 			t.Fatal(err)

@@ -14,10 +14,10 @@ import (
 
 // FuzzArchiveOpen feeds arbitrary index.jsonl bytes to Open over the day
 // files of a real two-family archive: the index is the archive's trust
-// boundary. Open, Verify and Range must not panic, every record Open
-// accepts must name a file inside the directory, and what the three
-// allocate must stay within a fixed multiple of the input's length on
-// top of what reading the real archive costs.
+// boundary. Open, Verify, Range and RangeJSON must not panic, every
+// record Open accepts must name a file inside the directory, and what
+// the four allocate must stay within a fixed multiple of the input's
+// length on top of what reading the real archive costs.
 func FuzzArchiveOpen(f *testing.F) {
 	src := f.TempDir()
 	w, err := Create(src, Options{SnapshotEvery: 3})
@@ -83,8 +83,9 @@ func FuzzArchiveOpen(f *testing.F) {
 
 // openVerifyRange writes index as dir's index.jsonl, opens the archive,
 // checks every accepted record names a file inside dir, then verifies it
-// and ranges over each family. It returns the bytes all of that
-// allocated; errors other than an escaping record are the input's own.
+// and ranges over each family, as documents and as lines. It returns the
+// bytes all of that allocated; errors other than an escaping record are
+// the input's own.
 func openVerifyRange(t testing.TB, dir string, index []byte) uint64 {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, IndexFile), index, 0o644); err != nil {
@@ -102,6 +103,7 @@ func openVerifyRange(t testing.TB, dir string, index []byte) uint64 {
 		a.Verify()
 		for _, fam := range a.Families() {
 			a.Range(fam, 0, -1, func(int, *core.Document) error { return nil })
+			a.RangeJSON(fam, 0, -1, func(int, []byte) error { return nil })
 		}
 	}
 	runtime.ReadMemStats(&after)

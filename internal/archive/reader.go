@@ -19,9 +19,12 @@ import (
 // carry — as opposed to a decode or integrity failure on a day it does.
 var ErrNotFound = errors.New("day not archived")
 
-// Archive reads an archived census repository. Random access decodes
-// from the nearest snapshot at or before the requested day and applies
-// deltas forward. Nothing is cached and nothing but an atomic counter
+// Archive reads an archived census repository. A day is rebuilt from
+// stored rows: the walk reads each day-file from the nearest snapshot at
+// or before the day once, splits it into rows (a prefix and the row's
+// bytes) and merges each delta's rows into the day before; a reader
+// decodes only the rows it hands out (Document, Range) or copies their
+// bytes (RangeJSON). Nothing is cached and nothing but an atomic counter
 // changes after Open, so the handle is safe for concurrent use without a
 // lock and every document it returns is the caller's own; a caller that
 // re-reads days caches them itself (internal/api holds the one
@@ -38,7 +41,7 @@ type Archive struct {
 	indexEnd  int64
 	indexOpen bool
 
-	// decodes counts day-files decoded (ReadDay calls). The query
+	// decodes counts day-files read, split or decoded. The query
 	// layer's index-only guarantee is asserted against this counter:
 	// answering a timeline from the columnar index must leave it
 	// untouched.
@@ -166,19 +169,23 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 		return nil, fmt.Errorf("archive: no %s census for day %d: %w", family, day, ErrNotFound)
 	}
 	var out *core.Document
-	err := a.walk(family, pos, pos, func(_ Record, doc *core.Document) error {
-		out = doc
+	err := a.walk(family, pos, pos, true, func(_ Record, d *core.RowDay) error {
+		out = new(core.RowDecoder).Document(d)
 		return nil
 	})
 	return out, err
 }
 
-// walk decodes the days at positions first..last of the family's chain
-// in order and hands each to fn: it rewinds to the snapshot the first
-// one derives from, then applies deltas forward (a snapshot met on the
-// way simply restarts the chain). Every random-access and streaming read
-// goes through here, and every day-file it reads through ReadDay.
-func (a *Archive) walk(family string, first, last int, fn func(rec Record, doc *core.Document) error) error {
+// walk rebuilds the days at positions first..last of the family's chain
+// in order and hands each to fn as stored rows: it rewinds to the
+// snapshot the first one derives from, reads each day-file once, splits
+// it into rows and merges each delta into the day before (a snapshot met
+// on the way simply restarts the chain). With decode set, the day-files
+// of the days fn is handed are decoded whole, for a reader that reads
+// every row; the days before them are only split, and a row of theirs is
+// decoded only if a later day carries it. Every read goes through here,
+// and every day-file it reads through read.
+func (a *Archive) walk(family string, first, last int, decode bool, fn func(rec Record, d *core.RowDay) error) error {
 	if first > last {
 		return nil
 	}
@@ -187,24 +194,29 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, doc *
 	for base > 0 && a.recs[idxs[base]].Kind != KindSnapshot {
 		base--
 	}
-	var doc *core.Document
+	var day *core.RowDay
 	for i := base; i <= last; i++ {
 		rec := a.recs[idxs[i]]
-		if rec.Kind == KindDelta && doc == nil {
+		if rec.Kind == KindDelta && day == nil {
 			return fmt.Errorf("archive: %s chain starts with a delta (corrupt index)", family)
 		}
-		switch snap, delta, err := a.ReadDay(rec); {
-		case err != nil:
+		b, err := a.read(rec)
+		if err != nil {
 			return err
-		case snap != nil:
-			doc = snap
-		default:
-			if doc, err = delta.Apply(doc); err != nil {
-				return fmt.Errorf("archive: %s: %w", rec.File, err)
+		}
+		if rec.Kind == KindSnapshot {
+			day, err = core.SplitDocument(b, decode && i >= first)
+		} else {
+			var delta *core.RowDelta
+			if delta, err = core.SplitDelta(b, decode && i >= first); err == nil {
+				day, err = delta.Apply(day)
 			}
 		}
+		if err != nil {
+			return fmt.Errorf("archive: %s: %w", rec.File, err)
+		}
 		if i >= first {
-			if err := fn(rec, doc); err != nil {
+			if err := fn(rec, day); err != nil {
 				return err
 			}
 		}
@@ -212,19 +224,28 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, doc *
 	return nil
 }
 
-// Decodes reports how many day-files the archive has decoded since
-// Open: every read goes through ReadDay, one count per file.
+// Decodes reports how many day-files the archive has read since Open:
+// one count per day-file read, whether its rows were split or decoded.
 func (a *Archive) Decodes() int64 { return a.decodes.Load() }
 
-// ReadDay is the one decoder of a stored day-file: it reads rec's file
-// once and returns a snapshot's document or a delta's changes against
-// the family's day before, as rec's kind says. Both are the caller's
-// own.
-func (a *Archive) ReadDay(rec Record) (snap *core.Document, delta *core.DocumentDelta, err error) {
+// read reads rec's day-file whole. Every read of a day-file goes
+// through here.
+func (a *Archive) read(rec Record) ([]byte, error) {
 	a.decodes.Add(1)
 	b, err := os.ReadFile(filepath.Join(a.dir, rec.File))
 	if err != nil {
-		return nil, nil, fmt.Errorf("archive: reading %s: %w", rec.Kind, err)
+		return nil, fmt.Errorf("archive: reading %s: %w", rec.Kind, err)
+	}
+	return b, nil
+}
+
+// ReadDay decodes one stored day-file: it reads rec's file once and
+// returns a snapshot's document or a delta's changes against the
+// family's day before, as rec's kind says. Both are the caller's own.
+func (a *Archive) ReadDay(rec Record) (snap *core.Document, delta *core.DocumentDelta, err error) {
+	b, err := a.read(rec)
+	if err != nil {
+		return nil, nil, err
 	}
 	if rec.Kind == KindSnapshot {
 		snap, err = core.DecodeDocument(b)
@@ -239,21 +260,51 @@ func (a *Archive) ReadDay(rec Record) (snap *core.Document, delta *core.Document
 
 // Range streams one family's documents for days in [from, to] (inclusive;
 // to < 0 means "through the last day") in ascending order, holding O(1)
-// documents in memory regardless of the span. The documents passed to fn
+// days in memory regardless of the span. Each distinct row is decoded
+// once and reused while it stays unchanged. The documents passed to fn
 // are owned by the iteration; copy what outlives the callback.
 func (a *Archive) Range(family string, from, to int, fn func(day int, doc *core.Document) error) error {
+	first, last, err := a.window(family, from, to)
+	if err != nil {
+		return err
+	}
+	var dec core.RowDecoder
+	return a.walk(family, first, last, true, func(rec Record, d *core.RowDay) error {
+		return fn(rec.Day, dec.Document(d))
+	})
+}
+
+// RangeJSON is Range with each day as the line Document.AppendJSON writes
+// for its document, built from the stored rows' bytes without decoding
+// them. The line is valid only until fn returns.
+func (a *Archive) RangeJSON(family string, from, to int, fn func(day int, line []byte) error) error {
+	first, last, err := a.window(family, from, to)
+	if err != nil {
+		return err
+	}
+	var line []byte
+	return a.walk(family, first, last, false, func(rec Record, d *core.RowDay) (err error) {
+		if line, err = d.AppendJSON(line[:0]); err != nil {
+			return err
+		}
+		return fn(rec.Day, line)
+	})
+}
+
+// window returns the chain positions of the family's first and last day
+// in [from, to] (to < 0: through the last day); first > last when none
+// is.
+func (a *Archive) window(family string, from, to int) (first, last int, err error) {
 	idxs := a.byFam[family]
 	if len(idxs) == 0 {
-		return fmt.Errorf("archive: no %s days archived: %w", family, ErrNotFound)
+		return 0, 0, fmt.Errorf("archive: no %s days archived: %w", family, ErrNotFound)
 	}
-	start := sort.Search(len(idxs), func(i int) bool { return a.recs[idxs[i]].Day >= from })
+	first = sort.Search(len(idxs), func(i int) bool { return a.recs[idxs[i]].Day >= from })
 	end := len(idxs)
 	if to >= 0 {
 		end = sort.Search(len(idxs), func(i int) bool { return a.recs[idxs[i]].Day > to })
 	}
-	return a.walk(family, start, end-1, func(rec Record, doc *core.Document) error {
-		return fn(rec.Day, doc)
-	})
+	return first, end - 1, nil
 }
 
 // VerifyResult summarises an integrity pass.
@@ -267,7 +318,9 @@ type VerifyResult struct {
 func (a *Archive) Verify() (*VerifyResult, error) {
 	res := &VerifyResult{}
 	for _, fam := range a.Families() {
-		err := a.walk(fam, 0, len(a.byFam[fam])-1, func(rec Record, doc *core.Document) error {
+		var dec core.RowDecoder
+		err := a.walk(fam, 0, len(a.byFam[fam])-1, true, func(rec Record, d *core.RowDay) error {
+			doc := dec.Document(d)
 			crc := crc32.New(castagnoli)
 			count := &countingWriter{}
 			if err := core.StreamDocument(io.MultiWriter(crc, count), doc); err != nil {

@@ -58,6 +58,32 @@ func DecodeDelta(b []byte) (*DocumentDelta, error) {
 // field.
 func ScanDocument(b []byte) (*Document, bool) {
 	s := newScanner(b)
+	var entries []DocumentEntry
+	d, ok := s.document(func() { entries = s.entries() })
+	if !ok {
+		return nil, false
+	}
+	d.Entries = entries
+	return d, true
+}
+
+// ScanDelta is DecodeDelta's fast path: it decodes b when b is in the
+// archive writer's grammar and reports false otherwise. What it accepts
+// it decodes exactly as json.Unmarshal does.
+func ScanDelta(b []byte) (*DocumentDelta, bool) {
+	s := newScanner(b)
+	d := &DocumentDelta{}
+	if !s.delta(&d.Header, &d.Removed, func() { d.Upserts = s.entries() }) {
+		return nil, false
+	}
+	return d, true
+}
+
+// document walks a snapshot: the header's members are stepped over and
+// then decoded together by encoding/json, and the entries field, which
+// must come last, is read by entries unless it is `null`. It returns
+// the header alone.
+func (s *scanner) document(entries func()) (*Document, bool) {
 	s.expect('{')
 	hdrEnd := s.i // the header's members end here (just after '{' while there are none)
 	for s.ok {
@@ -73,11 +99,10 @@ func ScanDocument(b []byte) (*Document, bool) {
 			}
 			return nil, false // no entries field: not a document the writer made
 		}
-		var entries []DocumentEntry
 		if s.peek() == 'n' {
 			s.literal("null")
 		} else {
-			entries = s.entries()
+			entries()
 		}
 		s.expect('}')
 		s.end()
@@ -85,23 +110,20 @@ func ScanDocument(b []byte) (*Document, bool) {
 			break
 		}
 		hdr := make([]byte, 0, hdrEnd+1)
-		hdr = append(append(hdr, b[:hdrEnd]...), '}')
+		hdr = append(append(hdr, s.b[:hdrEnd]...), '}')
 		var d Document
 		if json.Unmarshal(hdr, &d) != nil {
 			break
 		}
-		d.Entries = entries
 		return &d, true
 	}
 	return nil, false
 }
 
-// ScanDelta is DecodeDelta's fast path: it decodes b when b is in the
-// archive writer's grammar and reports false otherwise. What it accepts
-// it decodes exactly as json.Unmarshal does.
-func ScanDelta(b []byte) (*DocumentDelta, bool) {
-	s := newScanner(b)
-	d := &DocumentDelta{}
+// delta walks a delta: each of its three fields at most once, the
+// header decoded into hdr by encoding/json, the removals into removed
+// and the upserts read by upserts.
+func (s *scanner) delta(hdr *Document, removed *[]string, upserts func()) bool {
 	var seen uint8
 	s.expect('{')
 	for s.ok {
@@ -112,24 +134,24 @@ func ScanDelta(b []byte) (*DocumentDelta, bool) {
 		case "header":
 			bit = 1
 			if s.peek() != '{' {
-				return nil, false
+				return false
 			}
 			start := s.i
 			s.skip()
-			if s.ok && json.Unmarshal(b[start:s.i], &d.Header) != nil {
-				return nil, false
+			if s.ok && json.Unmarshal(s.b[start:s.i], hdr) != nil {
+				return false
 			}
 		case "removed":
 			bit = 2
-			d.Removed = s.stringList()
+			*removed = s.stringList()
 		case "upserts":
 			bit = 4
-			d.Upserts = s.entries()
+			upserts()
 		default:
-			return nil, false
+			return false
 		}
 		if seen&bit != 0 {
-			return nil, false
+			return false
 		}
 		seen |= bit
 		if !s.more('}') {
@@ -137,10 +159,7 @@ func ScanDelta(b []byte) (*DocumentDelta, bool) {
 		}
 	}
 	s.end()
-	if !s.ok {
-		return nil, false
-	}
-	return d, true
+	return s.ok
 }
 
 // namesChunk is how many protocol and city names one allocation holds:

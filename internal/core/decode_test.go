@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -41,6 +42,7 @@ func checkDecodeDocument(t *testing.T, b []byte) {
 	case jerr == nil && (err != nil || !reflect.DeepEqual(*got, want)):
 		t.Fatalf("DecodeDocument = %+v, %v\nencoding/json: %+v", got, err, want)
 	}
+	checkSplitDocument(t, b, got, err)
 	scanned, ok := ScanDocument(b)
 	if !ok {
 		return
@@ -60,6 +62,29 @@ func checkDecodeDocument(t *testing.T, b []byte) {
 	}
 	if !reflect.DeepEqual(*ref, want) {
 		t.Fatalf("former reader = %+v\nencoding/json: %+v", ref, want)
+	}
+}
+
+// checkSplitDocument holds SplitDocument to what DecodeDocument made of b
+// (doc, or derr), split or decoded: the same error, or the same
+// AppendJSON bytes and the same document.
+func checkSplitDocument(t *testing.T, b []byte, doc *Document, derr error) {
+	for _, decode := range []bool{false, true} {
+		d, err := SplitDocument(b, decode)
+		if fmt.Sprint(err) != fmt.Sprint(derr) {
+			t.Fatalf("decode %v: SplitDocument fails with %v, DecodeDocument with %v", decode, err, derr)
+		}
+		if derr != nil {
+			continue
+		}
+		line, err := d.AppendJSON(nil)
+		want, werr := doc.AppendJSON(nil)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || !bytes.Equal(line, want) {
+			t.Fatalf("decode %v: the split's line (%v)\n%s\nAppendJSON's (%v)\n%s", decode, err, line, werr, want)
+		}
+		if got := new(RowDecoder).Document(d); !reflect.DeepEqual(got, doc) {
+			t.Fatalf("decode %v: the split's document\n%+v\nDecodeDocument's\n%+v", decode, got, doc)
+		}
 	}
 }
 
@@ -141,8 +166,9 @@ func decodeSeeds(t testing.TB, b []byte, sep string) [][]byte {
 }
 
 // FuzzDecodeDocument: on any bytes DecodeDocument agrees with
-// encoding/json, and whatever its scanner accepts, encoding/json and the
-// archive's former streaming reader decode alike.
+// encoding/json, whatever its scanner accepts, encoding/json and the
+// archive's former streaming reader decode alike, and SplitDocument's
+// rows make the same document and the same AppendJSON bytes.
 func FuzzDecodeDocument(f *testing.F) {
 	_, snap, _ := decodeFixture(f, 10)
 	seeds := decodeSeeds(f, snap, ": ")
@@ -172,21 +198,89 @@ func FuzzDecodeDocument(f *testing.F) {
 // a decoded delta to the day before never panics.
 func FuzzDecodeDelta(f *testing.F) {
 	prev, _, delta := decodeFixture(f, 10)
-	seeds := append(decodeSeeds(f, delta, ":"),
-		edit(f, delta, `"removed":[`, `"removed":[],"x":[`),
-		edit(f, delta, `"removed":[`, `"upserts":null,"removed":[`),
-		edit(f, delta, `"header":{`, `"header":{"entries":[{}],`),
-		edit(f, delta, `"header":`, `"header":{},"header":`),
+	for _, s := range deltaSeeds(f, prev, delta) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) { checkDecodeDelta(t, prev, b) })
+}
+
+// deltaSeeds are decodeSeeds for the fixture's delta, with edits of its
+// three fields and deltas that name a prefix of prev twice.
+func deltaSeeds(t testing.TB, prev *Document, delta []byte) [][]byte {
+	return append(decodeSeeds(t, delta, ":"),
+		edit(t, delta, `"removed":[`, `"removed":[],"x":[`),
+		edit(t, delta, `"removed":[`, `"upserts":null,"removed":[`),
+		edit(t, delta, `"header":{`, `"header":{"entries":[{}],`),
+		edit(t, delta, `"header":`, `"header":{},"header":`),
 		[]byte(`{"header":{"family":"ipv4"},"removed":["10.0.0.0/24","10.0.0.0/24"],"upserts":[{"prefix":"1.0.0.0/8"}]}`),
 		// A prefix named twice: Apply refuses all three.
 		[]byte(`{"header":{"family":"ipv4"},"upserts":[{"prefix":"1.0.1.0/24","gcd_sites":1},{"prefix":"1.0.1.0/24","gcd_sites":2}]}`),
 		[]byte(`{"header":{"family":"ipv4"},"removed":["`+prev.Entries[0].Prefix+`"],"upserts":[{"prefix":"`+prev.Entries[0].Prefix+`"}]}`),
 		[]byte(`{"header":{"family":"ipv4"},"removed":["`+prev.Entries[0].Prefix+`","`+prev.Entries[0].Prefix+`"]}`),
 	)
+}
+
+// FuzzSplitDelta: on any delta bytes against the fixture's previous day,
+// the archive walk's row path (SplitDelta, then RowDelta.Apply) fails
+// exactly when DecodeDelta and Apply do, with the same error, and
+// otherwise gives the same AppendJSON bytes and the same document, split
+// or decoded. The extra seeds are in the scanner's grammar but not in
+// the writer's form, which the split must leave to the decoders.
+func FuzzSplitDelta(f *testing.F) {
+	prev, snap, delta := decodeFixture(f, 10)
+	seeds := append(deltaSeeds(f, prev, delta),
+		edit(f, delta, `"origin_asn":`, `"origin_asn": `),
+		edit(f, delta, `,"origin_asn":64500`, ``),
+		edit(f, delta, `"gcd_measured":true,`, `"from_feedback":false,"gcd_measured":true,`),
+		edit(f, delta, `"gcd_measured":true,`, `"gcd_sites":0,"gcd_measured":true,`),
+		edit(f, delta, `"gcd_measured":true,"gcd_anycast":true`, `"gcd_anycast":true,"gcd_measured":true`),
+		edit(f, delta, `"Tokyo"`, `"Tok<yo"`),
+		edit(f, delta, `"Tokyo"`, "\"Tok\u2028yo\""),
+		edit(f, delta, `"Tokyo"`, `"Tokyo","Tokyo"`),
+	)
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, b []byte) { checkDecodeDelta(t, prev, b) })
+	f.Fuzz(func(t *testing.T, b []byte) { checkSplitDelta(t, snap, b) })
+}
+
+// checkSplitDelta holds the row path to DecodeDelta and Apply for delta
+// bytes b against the snapshot snap.
+func checkSplitDelta(t *testing.T, snap, b []byte) {
+	prev, err := DecodeDocument(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, werr := DecodeDelta(b)
+	var wantDoc *Document
+	if werr == nil {
+		wantDoc, werr = want.Apply(prev)
+	}
+	for _, decode := range []bool{false, true} {
+		day, err := SplitDocument(snap, decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, gerr := SplitDelta(b, decode)
+		var got *RowDay
+		if gerr == nil {
+			got, gerr = d.Apply(day)
+		}
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("decode %v: the row path fails with %v, DecodeDelta and Apply with %v", decode, gerr, werr)
+		}
+		if werr != nil {
+			continue
+		}
+		line, err := got.AppendJSON(nil)
+		wantLine, lerr := wantDoc.AppendJSON(nil)
+		if fmt.Sprint(err) != fmt.Sprint(lerr) || !bytes.Equal(line, wantLine) {
+			t.Fatalf("decode %v: the row path's line (%v)\n%s\nAppendJSON's (%v)\n%s", decode, err, line, lerr, wantLine)
+		}
+		if doc := new(RowDecoder).Document(got); !reflect.DeepEqual(doc, wantDoc) {
+			t.Fatalf("decode %v: the row path's document\n%+v\nApply's\n%+v", decode, doc, wantDoc)
+		}
+	}
 }
 
 // TestDecodeAllocations pins what a decoded row costs: the prefix

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -99,71 +100,154 @@ func (d *Document) Find(prefix string) *DocumentEntry {
 // both removed and upserted) means the delta does not belong to this
 // document chain.
 func (d *DocumentDelta) Apply(prev *Document) (*Document, error) {
-	if prev.Family != d.Header.Family {
-		return nil, fmt.Errorf("core: delta for family %q applied to %q document", d.Header.Family, prev.Family)
+	entries, err := applyRows(d.Header.Family, prev.Family, prev.Entries, d.Removed, d.Upserts,
+		func(e *DocumentEntry) PrefixKey { return ParsePrefixKey(e.Prefix) })
+	if err != nil {
+		return nil, err
 	}
-	removed := make(map[string]bool, len(d.Removed))
-	for _, p := range d.Removed {
-		removed[p] = true
+	out := d.Header.DeepCopy()
+	out.Entries = entries
+	return out, nil
+}
+
+// applyRows is the one strict merge of a day's rows with a delta, for
+// decoded entries (DocumentDelta.Apply) and for stored rows
+// (RowDelta.Apply) alike; key parses a row's prefix. prev's rows keep
+// their order, are dropped when removed and replaced in place when
+// upserted; the upserts the previous day lacks are then inserted in
+// delta order, each where a binary search of the rows so far puts it.
+// On a chain the writer made that is one ordered pass (mergeRows).
+func applyRows[R any](family, prevFamily string, prev []R, removed []string, upserts []R, key func(*R) PrefixKey) ([]R, error) {
+	if prevFamily != family {
+		return nil, fmt.Errorf("core: delta for family %q applied to %q document", family, prevFamily)
 	}
-	if len(removed) != len(d.Removed) {
-		return nil, fmt.Errorf("core: delta removes %q twice", firstRepeat(len(d.Removed), func(i int) string { return d.Removed[i] }))
+	if out, err := mergeRows(prev, removed, upserts, key); err != errOutOfOrder {
+		return out, err
 	}
-	upsert := make(map[string]*DocumentEntry, len(d.Upserts))
-	for i := range d.Upserts {
-		upsert[d.Upserts[i].Prefix] = &d.Upserts[i]
+	gone := make(map[string]bool, len(removed))
+	for _, p := range removed {
+		gone[p] = true
 	}
-	if len(upsert) != len(d.Upserts) {
-		return nil, fmt.Errorf("core: delta upserts %q twice", firstRepeat(len(d.Upserts), func(i int) string { return d.Upserts[i].Prefix }))
+	if len(gone) != len(removed) {
+		return nil, fmt.Errorf("core: delta removes %q twice", firstRepeat(len(removed), func(i int) string { return removed[i] }))
+	}
+	upsert := make(map[string]int, len(upserts))
+	for i := range upserts {
+		upsert[key(&upserts[i]).s] = i
+	}
+	if len(upsert) != len(upserts) {
+		return nil, fmt.Errorf("core: delta upserts %q twice", firstRepeat(len(upserts), func(i int) string { return key(&upserts[i]).s }))
 	}
 
-	out := *d.Header.DeepCopy()
-	out.Entries = make([]DocumentEntry, 0, len(prev.Entries)+len(d.Upserts))
-
-	// Walk the previous day in canonical order: drop removals, replace
-	// changed rows in place. Entries only present today are collected and
-	// merged afterwards — on a typical day there are few or none, which
-	// keeps the per-day apply cost close to a copy.
-	for i := range prev.Entries {
-		p := prev.Entries[i].Prefix
-		if removed[p] {
+	out := make([]R, 0, len(prev)+len(upserts))
+	for i := range prev {
+		p := key(&prev[i]).s
+		if gone[p] {
 			if _, ok := upsert[p]; ok {
 				return nil, fmt.Errorf("core: delta both removes and upserts %q", p)
 			}
-			delete(removed, p)
+			delete(gone, p)
 			continue
 		}
-		if ue, ok := upsert[p]; ok {
-			out.Entries = append(out.Entries, *ue)
+		if j, ok := upsert[p]; ok {
+			out = append(out, upserts[j])
 			delete(upsert, p)
 			continue
 		}
-		out.Entries = append(out.Entries, prev.Entries[i])
+		out = append(out, prev[i])
 	}
-	if len(removed) > 0 {
-		for p := range removed {
+	for _, p := range removed {
+		if gone[p] {
 			return nil, fmt.Errorf("core: delta removes %q which the previous document does not carry", p)
 		}
 	}
-	if len(upsert) > 0 {
-		// Genuinely new prefixes: insert each at its canonical position.
-		for i := range d.Upserts {
-			e := &d.Upserts[i]
-			if _, ok := upsert[e.Prefix]; !ok {
-				continue
-			}
-			out.Entries = slices.Insert(out.Entries, searchEntries(out.Entries, e.Prefix), *e)
+	for i := range upserts {
+		if _, ok := upsert[key(&upserts[i]).s]; ok {
+			// Genuinely new: inserted at its canonical position.
+			k := key(&upserts[i])
+			at := sort.Search(len(out), func(j int) bool { return key(&out[j]).order(k) >= 0 })
+			out = slices.Insert(out, at, upserts[i])
 		}
 	}
-	if len(out.Entries) == 0 {
-		// A zero-entry day must reconstruct with nil entries: the
-		// census publishes `"entries": null`, and the codec (like
-		// encoding/json) writes `[]` for an empty non-nil slice. A day
-		// published with `[]` therefore cannot be a delta day; the
-		// archive's round-trip proof refuses it.
-		out.Entries = nil
+	return emptyIsNil(out), nil
+}
+
+// mergeRows is applyRows as one ordered pass. It applies when the
+// previous day's rows, the removals and the upserts each strictly ascend
+// and no two distinct prefixes tie (as "::1/128" and "0::1/128" do):
+// then nothing is named twice, a removal or upsert matches the one row
+// the pass meets it at, and a new row's binary-search position is where
+// the pass meets it. Otherwise it returns errOutOfOrder.
+func mergeRows[R any](prev []R, removed []string, upserts []R, key func(*R) PrefixKey) ([]R, error) {
+	rk := make([]PrefixKey, len(removed))
+	for i, p := range removed {
+		if rk[i] = ParsePrefixKey(p); i > 0 && rk[i-1].order(rk[i]) >= 0 {
+			return nil, errOutOfOrder
+		}
 	}
-	return &out, nil
+	uk := make([]PrefixKey, len(upserts))
+	for i := range upserts {
+		if uk[i] = key(&upserts[i]); i > 0 && uk[i-1].order(uk[i]) >= 0 {
+			return nil, errOutOfOrder
+		}
+	}
+	out := make([]R, 0, len(prev)+len(upserts))
+	missing := -1 // the first removal the previous day lacks
+	r, u := 0, 0
+	var last PrefixKey
+	for i := range prev {
+		pk := key(&prev[i])
+		if i > 0 && last.order(pk) >= 0 {
+			return nil, errOutOfOrder
+		}
+		last = pk
+		for ; r < len(rk) && rk[r].order(pk) < 0; r++ {
+			if missing < 0 {
+				missing = r
+			}
+		}
+		for ; u < len(uk) && uk[u].order(pk) < 0; u++ {
+			out = append(out, upserts[u])
+		}
+		del := r < len(rk) && rk[r].order(pk) == 0
+		up := u < len(uk) && uk[u].order(pk) == 0
+		if del && rk[r].s != pk.s || up && uk[u].s != pk.s {
+			return nil, errOutOfOrder
+		}
+		switch {
+		case del && up:
+			return nil, fmt.Errorf("core: delta both removes and upserts %q", pk.s)
+		case del:
+			r++
+		case up:
+			out = append(out, upserts[u])
+			u++
+		default:
+			out = append(out, prev[i])
+		}
+	}
+	if r < len(rk) && missing < 0 {
+		missing = r
+	}
+	if missing >= 0 {
+		return nil, fmt.Errorf("core: delta removes %q which the previous document does not carry", removed[missing])
+	}
+	return emptyIsNil(append(out, upserts[u:]...)), nil
+}
+
+// errOutOfOrder is mergeRows declining a merge it cannot do in one pass.
+var errOutOfOrder = errors.New("core: rows out of canonical order")
+
+// emptyIsNil returns nil for no rows. A zero-entry day must reconstruct
+// with nil entries: the census publishes `"entries": null`, and the
+// codec (like encoding/json) writes `[]` for an empty non-nil slice. A
+// day published with `[]` therefore cannot be a delta day; the
+// archive's round-trip proof refuses it.
+func emptyIsNil[R any](rows []R) []R {
+	if len(rows) == 0 {
+		return nil
+	}
+	return rows
 }
 
 // firstRepeat returns the first of n names that repeats an earlier one.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"slices"
 	"strings"
@@ -78,7 +79,44 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaStrictness rejects deltas applied to the wrong base.
+// applyBoth applies d to prev with Apply and the way the archive walk
+// does — both as stored bytes, split into rows and merged — and fails
+// unless the two give the same error or documents with the same bytes.
+func applyBoth(t *testing.T, d *DocumentDelta, prev *Document) (*Document, error) {
+	t.Helper()
+	want, werr := d.Apply(prev)
+	var snap bytes.Buffer
+	if err := StreamDocument(&snap, prev); err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	day, err := SplitDocument(snap.Bytes(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := SplitDelta(b, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rd.Apply(day)
+	if fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Fatalf("Apply fails with %v, the row merge with %v", werr, err)
+	}
+	if werr == nil {
+		line, err := got.AppendJSON(nil)
+		wantLine, werr := want.AppendJSON(nil)
+		if err != nil || werr != nil || !bytes.Equal(line, wantLine) {
+			t.Fatalf("the row merge's day (%v)\n%s\nApply's (%v)\n%s", err, line, werr, wantLine)
+		}
+	}
+	return want, werr
+}
+
+// TestDeltaStrictness rejects deltas applied to the wrong base, through
+// Apply and the row merge alike.
 func TestDeltaStrictness(t *testing.T) {
 	a := synthDoc(0, 30)
 	b := evolve(a, 1)
@@ -86,7 +124,7 @@ func TestDeltaStrictness(t *testing.T) {
 
 	wrongFam := a.DeepCopy()
 	wrongFam.Family = "ipv6"
-	if _, err := delta.Apply(wrongFam); err == nil {
+	if _, err := applyBoth(t, delta, wrongFam); err == nil {
 		t.Fatal("family mismatch accepted")
 	}
 
@@ -99,19 +137,25 @@ func TestDeltaStrictness(t *testing.T) {
 			}
 		}
 		stripped.Entries = kept
-		if _, err := delta.Apply(stripped); err == nil {
+		if _, err := applyBoth(t, delta, stripped); err == nil {
 			t.Fatal("removal of an absent prefix accepted")
+		}
+		slices.Reverse(stripped.Entries) // out of canonical order: no ordered pass
+		if _, err := applyBoth(t, delta, stripped); err == nil {
+			t.Fatal("removal of an absent prefix from a day out of order accepted")
 		}
 	}
 }
 
 // TestDeltaNamesEachPrefixOnce: a delta that names a prefix twice —
 // upserts it twice, removes it twice, or removes and upserts it — does
-// not belong to any chain (DiffDocuments never writes one), so Apply
-// refuses it and names the prefix rather than returning a document with
-// two rows for it or a silently replaced row.
+// not belong to any chain (DiffDocuments never writes one), so Apply and
+// the row merge refuse it with one message naming the prefix rather than
+// returning a document with two rows for it or a silently replaced row.
 func TestDeltaNamesEachPrefixOnce(t *testing.T) {
 	prev := synthDoc(0, 4)
+	reversed := prev.DeepCopy() // out of canonical order: no ordered pass
+	slices.Reverse(reversed.Entries)
 	present, absent := prev.Entries[1].Prefix, "198.51.100.0/24"
 	if prev.Find(absent) != nil {
 		t.Fatalf("fixture carries %s", absent)
@@ -120,18 +164,21 @@ func TestDeltaNamesEachPrefixOnce(t *testing.T) {
 		return DocumentEntry{Prefix: prefix, GCDSites: sites}
 	}
 	for name, tc := range map[string]struct {
-		prefix  string
 		removed []string
 		upserts []DocumentEntry
+		want    string
 	}{
-		"new prefix upserted twice":     {absent, nil, []DocumentEntry{row(absent, 1), row(absent, 2)}},
-		"carried prefix upserted twice": {present, nil, []DocumentEntry{row(present, 1), row(present, 2)}},
-		"removed and upserted":          {present, []string{present}, []DocumentEntry{row(present, 1)}},
-		"removed twice":                 {present, []string{present, present}, nil},
+		"new prefix upserted twice":     {nil, []DocumentEntry{row(absent, 1), row(absent, 2)}, `core: delta upserts "` + absent + `" twice`},
+		"carried prefix upserted twice": {nil, []DocumentEntry{row(present, 1), row(present, 2)}, `core: delta upserts "` + present + `" twice`},
+		"removed and upserted":          {[]string{present}, []DocumentEntry{row(present, 1)}, `core: delta both removes and upserts "` + present + `"`},
+		"removed twice":                 {[]string{present, present}, nil, `core: delta removes "` + present + `" twice`},
 	} {
 		d := &DocumentDelta{Header: Document{Family: prev.Family}, Removed: tc.removed, Upserts: tc.upserts}
-		if _, err := d.Apply(prev); err == nil || !strings.Contains(err.Error(), tc.prefix) {
-			t.Errorf("%s: Apply error %v, want one naming %s", name, err, tc.prefix)
+		if _, err := applyBoth(t, d, prev); fmt.Sprint(err) != tc.want {
+			t.Errorf("%s: Apply error %v, want %s", name, err, tc.want)
+		}
+		if _, err := applyBoth(t, d, reversed); fmt.Sprint(err) != tc.want {
+			t.Errorf("%s, previous day out of order: Apply error %v, want %s", name, err, tc.want)
 		}
 	}
 }

@@ -127,6 +127,19 @@ func plainString(s string) bool {
 // AppendJSON appends the document as json.Marshal writes it: one compact
 // line with no trailing newline, the form /v1/range serves.
 func (d *Document) AppendJSON(b []byte) ([]byte, error) {
+	b, err := appendHeader(b, d)
+	if err != nil {
+		return b, err
+	}
+	if d.Entries == nil {
+		return append(b, "null}"...), nil
+	}
+	return append(appendEntries(b, d.Entries), '}'), nil
+}
+
+// appendHeader appends the compact document up to its entries' value:
+// the header's fields as json.Marshal writes them, then `"entries":`.
+func appendHeader(b []byte, d *Document) ([]byte, error) {
 	shell := *d
 	shell.Entries = nil
 	hdr, err := json.Marshal(&shell)
@@ -137,11 +150,7 @@ func (d *Document) AppendJSON(b []byte) ([]byte, error) {
 	if !bytes.HasSuffix(hdr, []byte(tail)) {
 		return b, errEntriesNotLast
 	}
-	b = append(b, hdr[:len(hdr)-len(tail)]...)
-	if d.Entries == nil {
-		return append(b, tail...), nil
-	}
-	return append(appendEntries(b, d.Entries), '}'), nil
+	return append(b, hdr[:len(hdr)-len(tail)]...), nil
 }
 
 // AppendJSON appends the delta as json.Marshal writes it, with no

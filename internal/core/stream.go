@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/netip"
@@ -21,43 +23,14 @@ import (
 // `"entries": null` included, which is the contract the archive layer
 // (internal/archive) builds its integrity checks on.
 
-// ComparePrefix orders prefixes numerically: by address family, then
-// address bytes, then prefix length. This is the canonical census order —
-// lexicographic ordering of Prefix.String() would sort "10.0.0.0/24"
-// before "2.0.0.0/24".
-func ComparePrefix(a, b netip.Prefix) int {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c
-	}
-	switch {
-	case a.Bits() < b.Bits():
-		return -1
-	case a.Bits() > b.Bits():
-		return 1
-	}
-	return 0
-}
-
-// ComparePrefixStrings orders two published prefix strings canonically.
-// Unparsable strings (never produced by the census itself) sort after
-// valid prefixes, between themselves by plain string comparison, so the
-// order stays total and deterministic.
+// ComparePrefixStrings orders two published prefix strings canonically:
+// numerically, by address family, then address bytes, then prefix
+// length — lexicographic order would sort "10.0.0.0/24" before
+// "2.0.0.0/24". Unparsable strings (never produced by the census itself)
+// sort after valid prefixes, between themselves by plain string
+// comparison, so the order stays total and deterministic.
 func ComparePrefixStrings(a, b string) int {
-	pa, ea := netip.ParsePrefix(a)
-	pb, eb := netip.ParsePrefix(b)
-	switch {
-	case ea == nil && eb == nil:
-		return ComparePrefix(pa, pb)
-	case ea == nil:
-		return -1
-	case eb == nil:
-		return 1
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
+	return ParsePrefixKey(a).order(ParsePrefixKey(b))
 }
 
 // SortPrefixStrings sorts prefix strings into ComparePrefixStrings order,
@@ -78,32 +51,57 @@ func SortPrefixStrings(ps []string) {
 // PrefixKey is a prefix string parsed once, for callers that compare it
 // more than once in SortPrefixStrings' order.
 type PrefixKey struct {
-	p  netip.Prefix
-	ok bool
-	s  string
+	hi, lo uint64 // the address's 16 bytes (netip.Addr.As16)
+	rank   uint8  // keyIPv4, keyIPv6 or keyInvalid, in canonical order
+	bits   uint8
+	s      string
 }
+
+// Ranks of a PrefixKey; a zero rank is a key not parsed yet.
+const (
+	keyIPv4 = iota + 1
+	keyIPv6
+	keyInvalid // not a prefix: after every prefix, in string order
+)
 
 // ParsePrefixKey parses s into its key.
 func ParsePrefixKey(s string) PrefixKey {
 	p, err := netip.ParsePrefix(s)
-	return PrefixKey{p, err == nil, s}
+	if err != nil {
+		return PrefixKey{rank: keyInvalid, s: s}
+	}
+	a := p.Addr().As16()
+	k := PrefixKey{binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:]), keyIPv4, uint8(p.Bits()), s}
+	if p.Addr().Is6() {
+		k.rank = keyIPv6
+	}
+	return k
 }
 
 // Compare orders two keys as SortPrefixStrings does: ComparePrefixStrings
 // order, ties between distinct strings broken by string order, so it is
 // zero only for equal strings.
 func (a PrefixKey) Compare(b PrefixKey) int {
-	switch {
-	case a.ok && b.ok:
-		if c := ComparePrefix(a.p, b.p); c != 0 {
-			return c
-		}
-	case a.ok:
-		return -1
-	case b.ok:
-		return 1
+	if c := a.order(b); c != 0 {
+		return c
 	}
 	return strings.Compare(a.s, b.s)
+}
+
+// order is ComparePrefixStrings on parsed keys: zero also for distinct
+// strings of one prefix ("::1/128", "0::1/128").
+func (a PrefixKey) order(b PrefixKey) int {
+	switch {
+	case a.rank != b.rank:
+		return cmp.Compare(a.rank, b.rank)
+	case a.rank == keyInvalid:
+		return strings.Compare(a.s, b.s)
+	case a.hi != b.hi:
+		return cmp.Compare(a.hi, b.hi)
+	case a.lo != b.lo:
+		return cmp.Compare(a.lo, b.lo)
+	}
+	return cmp.Compare(a.bits, b.bits)
 }
 
 // WriteJSON encodes the document exactly as the public repository carries

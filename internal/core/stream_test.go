@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"net/netip"
+	"strings"
 	"testing"
 )
 
@@ -155,5 +158,38 @@ func TestComparePrefixNumeric(t *testing.T) {
 	}
 	if ComparePrefixStrings("10.0.0.0/24", "2.0.0.0/24") < 0 {
 		t.Fatal("lexicographic ordering leaked back in")
+	}
+}
+
+// TestPrefixKeyOrder holds the parsed keys' order to the comparison of
+// netip prefixes ComparePrefixStrings made before keys did: IPv4 before
+// IPv6 (4in6 included), then address and length, and the strings that
+// do not parse after every prefix, in string order.
+func TestPrefixKeyOrder(t *testing.T) {
+	ref := func(a, b string) int {
+		pa, ea := netip.ParsePrefix(a)
+		pb, eb := netip.ParsePrefix(b)
+		switch {
+		case ea == nil && eb == nil:
+			if c := pa.Addr().Compare(pb.Addr()); c != 0 {
+				return c
+			}
+			return cmp.Compare(pa.Bits(), pb.Bits())
+		case ea == nil:
+			return -1
+		case eb == nil:
+			return 1
+		}
+		return strings.Compare(a, b)
+	}
+	ps := []string{"0.0.0.0/0", "1.2.3.0/24", "1.2.3.0/25", "1.2.3.4/32", "2.0.0.0/8", "255.255.255.255/32",
+		"::/0", "::/128", "::1/128", "0::1/128", "::ffff:1.2.3.4/128", "::ffff:1.2.3.0/120", "2001:db8::/32",
+		"2001:db8::/48", "2001:0db8::/32", "ffff::/16", "", "bogus", "1.2.3.0/33", "x/24"}
+	for _, a := range ps {
+		for _, b := range ps {
+			if got, want := ParsePrefixKey(a).order(ParsePrefixKey(b)), ref(a, b); got != want {
+				t.Errorf("order(%q, %q) = %d, want %d", a, b, got, want)
+			}
+		}
 	}
 }
