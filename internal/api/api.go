@@ -30,6 +30,7 @@ import (
 	"io"
 	"net/http"
 	"net/netip"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -272,7 +273,7 @@ func (s *Server) handleDays(v *view, r *http.Request) (answer, error) {
 	if v.arch == nil {
 		return answer{}, errNoArchive
 	}
-	_, v6, err := s.parseDayFamily(r)
+	_, v6, err := s.parseDayFamily(queryValues(r))
 	if err != nil {
 		return answer{}, err
 	}
@@ -299,11 +300,12 @@ func (s *Server) handleRange(v *view, r *http.Request) (answer, error) {
 	if v.arch == nil {
 		return answer{}, errNoArchive
 	}
-	_, v6, err := s.parseDayFamily(r)
+	q := queryValues(r)
+	_, v6, err := s.parseDayFamily(q)
 	if err != nil {
 		return answer{}, err
 	}
-	from, to, err := parseFromTo(r)
+	from, to, err := parseFromTo(q)
 	if err != nil {
 		return answer{}, err
 	}
@@ -341,17 +343,29 @@ func (s *Server) handleRange(v *view, r *http.Request) (answer, error) {
 // newline ends each /v1/range record.
 var newline = []byte("\n")
 
+// queryValues parses the request's query string, once per request: the
+// route passes the values to every parser it calls. An empty query
+// string parses to nil, whose Get reads "" — url.Values allocates even
+// for an empty query string, and the conditional-GET 304 path must stay
+// zero-alloc.
+func queryValues(r *http.Request) url.Values {
+	if r.URL.RawQuery == "" {
+		return nil
+	}
+	return r.URL.Query()
+}
+
 // parseFromTo extracts the optional ?from=/?to= day window shared by
 // /v1/range and /v1/events: from defaults to 0, to to -1 ("through the
 // last day"), and an inverted window is a client error (400).
-func parseFromTo(r *http.Request) (from, to int, err error) {
+func parseFromTo(q url.Values) (from, to int, err error) {
 	from, to = 0, -1
-	if v := r.URL.Query().Get("from"); v != "" {
+	if v := q.Get("from"); v != "" {
 		if from, err = strconv.Atoi(v); err != nil || from < 0 {
 			return 0, 0, badRequest(fmt.Errorf("invalid from %q", v))
 		}
 	}
-	if v := r.URL.Query().Get("to"); v != "" {
+	if v := q.Get("to"); v != "" {
 		if to, err = strconv.Atoi(v); err != nil || to < from {
 			return 0, 0, badRequest(fmt.Errorf("invalid to %q", v))
 		}
@@ -361,14 +375,9 @@ func parseFromTo(r *http.Request) (from, to int, err error) {
 
 // parseDayFamily extracts ?day= and ?family= query parameters; a
 // malformed one is a 400.
-func (s *Server) parseDayFamily(r *http.Request) (int, bool, error) {
-	if r.URL.RawQuery == "" {
-		// Fast path: url.Values allocates even for an empty query string,
-		// and the conditional-GET 304 path must stay zero-alloc.
-		return s.Clock(), false, nil
-	}
+func (s *Server) parseDayFamily(q url.Values) (int, bool, error) {
 	day := s.Clock()
-	if v := r.URL.Query().Get("day"); v != "" {
+	if v := q.Get("day"); v != "" {
 		d, err := strconv.Atoi(v)
 		if err != nil || d < 0 {
 			return 0, false, badRequest(fmt.Errorf("invalid day %q", v))
@@ -376,7 +385,7 @@ func (s *Server) parseDayFamily(r *http.Request) (int, bool, error) {
 		day = d
 	}
 	v6 := false
-	switch fam := r.URL.Query().Get("family"); fam {
+	switch fam := q.Get("family"); fam {
 	case "", "ipv4":
 	case "ipv6":
 		v6 = true
@@ -392,7 +401,7 @@ func (s *Server) parseDayFamily(r *http.Request) (int, bool, error) {
 // policy — and a matching If-None-Match turns around as a 304 before
 // any document is decoded.
 func (s *Server) handleCensus(v *view, r *http.Request) (answer, error) {
-	day, v6, err := s.parseDayFamily(r)
+	day, v6, err := s.parseDayFamily(queryValues(r))
 	if err != nil {
 		return answer{}, err
 	}
@@ -427,7 +436,7 @@ type prefixView struct {
 // that were measured but not published (e.g. feedback targets GCD-judged
 // unicast) report in_census=false; use /v1/measure for a live verdict.
 func (s *Server) handlePrefix(v *view, r *http.Request) (answer, error) {
-	day, v6, err := s.parseDayFamily(r)
+	day, v6, err := s.parseDayFamily(queryValues(r))
 	if err != nil {
 		return answer{}, err
 	}
@@ -479,7 +488,7 @@ func (s *Server) handleTimeline(v *view, r *http.Request) (answer, error) {
 	if v.q == nil {
 		return answer{}, errNoIndex
 	}
-	_, v6, err := s.parseDayFamily(r)
+	_, v6, err := s.parseDayFamily(queryValues(r))
 	if err != nil {
 		return answer{}, err
 	}
@@ -506,6 +515,29 @@ type eventsPage struct {
 	NextPageToken string        `json:"next_page_token,omitempty"`
 }
 
+// AppendJSON appends the page as json.Marshal writes it, with no
+// trailing newline.
+func (p *eventsPage) AppendJSON(b []byte) ([]byte, error) {
+	b = core.AppendJSONString(append(b, `{"family":`...), p.Family)
+	b = strconv.AppendInt(append(b, `,"count":`...), int64(p.Count), 10)
+	if p.Events == nil {
+		b = append(b, `,"events":null`...)
+	} else {
+		b = append(b, `,"events":[`...)
+		for i := range p.Events {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = p.Events[i].AppendJSON(b)
+		}
+		b = append(b, ']')
+	}
+	if p.NextPageToken != "" {
+		b = core.AppendJSONString(append(b, `,"next_page_token":`...), p.NextPageToken)
+	}
+	return append(b, '}'), nil
+}
+
 // handleEvents serves the family-wide longitudinal event scan:
 // onset/offset/flap/site-churn/geo-shift, filtered by kind and day
 // range, answered entirely from the index.
@@ -521,7 +553,7 @@ func (s *Server) handleEvents(v *view, r *http.Request) (answer, error) {
 	if v.q == nil {
 		return answer{}, errNoIndex
 	}
-	q := r.URL.Query()
+	q := queryValues(r)
 	var t pageToken
 	if raw := q.Get("page_token"); raw != "" {
 		var err error
@@ -529,7 +561,7 @@ func (s *Server) handleEvents(v *view, r *http.Request) (answer, error) {
 			return answer{}, badRequest(err)
 		}
 	} else {
-		_, v6, err := s.parseDayFamily(r)
+		_, v6, err := s.parseDayFamily(q)
 		if err != nil {
 			return answer{}, err
 		}
@@ -537,7 +569,7 @@ func (s *Server) handleEvents(v *view, r *http.Request) (answer, error) {
 		if err != nil {
 			return answer{}, err
 		}
-		from, to, err := parseFromTo(r)
+		from, to, err := parseFromTo(q)
 		if err != nil {
 			return answer{}, err
 		}
@@ -585,7 +617,7 @@ func (s *Server) handleEvents(v *view, r *http.Request) (answer, error) {
 	if events == nil {
 		events = []query.Event{}
 	}
-	a.body = eventsPage{
+	a.body = &eventsPage{
 		Family:        t.family,
 		Count:         total,
 		Events:        events,
@@ -640,11 +672,12 @@ func (s *Server) handleStability(v *view, r *http.Request) (answer, error) {
 	if v.q == nil {
 		return answer{}, errNoIndex
 	}
-	_, v6, err := s.parseDayFamily(r)
+	q := queryValues(r)
+	_, v6, err := s.parseDayFamily(q)
 	if err != nil {
 		return answer{}, err
 	}
-	raw := r.URL.Query().Get("prefix")
+	raw := q.Get("prefix")
 	if raw == "" {
 		return answer{}, badRequest(errors.New("missing prefix parameter"))
 	}
@@ -669,7 +702,7 @@ func (s *Server) handleAggregates(v *view, r *http.Request) (answer, error) {
 	if v.q == nil {
 		return answer{}, errNoIndex
 	}
-	_, v6, err := s.parseDayFamily(r)
+	_, v6, err := s.parseDayFamily(queryValues(r))
 	if err != nil {
 		return answer{}, err
 	}
@@ -710,7 +743,7 @@ func (s *Server) Govern(b budget.Budget, reg *budget.Registry) {
 // steps taken. Days produced without governance carry no block and
 // answer 404.
 func (s *Server) handleResponsibility(v *view, r *http.Request) (answer, error) {
-	day, v6, err := s.parseDayFamily(r)
+	day, v6, err := s.parseDayFamily(queryValues(r))
 	if err != nil {
 		return answer{}, err
 	}

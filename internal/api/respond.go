@@ -29,6 +29,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"github.com/laces-project/laces/internal/obs"
@@ -128,6 +129,40 @@ func (s *Server) serve(rt route) http.HandlerFunc {
 	}
 }
 
+// bodyAppender is a body that appends its own JSON, byte for byte what
+// json.Marshal writes for it: the index-served bodies (a timeline, a
+// stability record, an events page).
+type bodyAppender interface {
+	AppendJSON(b []byte) ([]byte, error)
+}
+
+// bodyBufs holds the buffers appended bodies are written from. A new one
+// starts at 16 KiB, which holds a timeline or a stability record whole,
+// so it is not grown a few bytes at a time.
+var bodyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 16<<10)
+	return &b
+}}
+
+// writeBody writes body as json.NewEncoder(w).Encode does — its JSON and
+// a newline, in one Write — appending a bodyAppender into a reused
+// buffer and encoding anything else through encoding/json.
+func writeBody(w io.Writer, body any) error {
+	ap, ok := body.(bodyAppender)
+	if !ok {
+		return json.NewEncoder(w).Encode(body)
+	}
+	buf := bodyBufs.Get().(*[]byte)
+	b, err := ap.AppendJSON((*buf)[:0])
+	if err == nil {
+		b = append(b, '\n')
+		_, err = w.Write(b)
+	}
+	*buf = b[:0]
+	bodyBufs.Put(buf)
+	return err
+}
+
 // respond writes one response and returns its status.
 func respond(w http.ResponseWriter, a answer, err error) int {
 	status := http.StatusOK
@@ -152,7 +187,7 @@ func respond(w http.ResponseWriter, a answer, err error) int {
 		return status
 	}
 	if a.stream == nil {
-		err = json.NewEncoder(w).Encode(a.body)
+		err = writeBody(w, a.body)
 	} else {
 		flush := func() {}
 		if f, ok := w.(http.Flusher); ok {

@@ -9,7 +9,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"github.com/laces-project/laces/internal/core"
@@ -185,6 +187,12 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 // every row; the days before them are only split, and a row of theirs is
 // decoded only if a later day carries it. Every read goes through here,
 // and every day-file it reads through read.
+//
+// The day-files are read into one buffer, taken from a pool and given
+// back when the walk returns. Rows alias it, but only until the next
+// snapshot restarts the chain and the reads start over at its front; and
+// nothing fn is handed outlives the walk in it: Document and Range hand
+// out decoded copies, and RangeJSON's line is valid only during fn.
 func (a *Archive) walk(family string, first, last int, decode bool, fn func(rec Record, d *core.RowDay) error) error {
 	if first > last {
 		return nil
@@ -194,16 +202,27 @@ func (a *Archive) walk(family string, first, last int, decode bool, fn func(rec 
 	for base > 0 && a.recs[idxs[base]].Kind != KindSnapshot {
 		base--
 	}
+	arena := arenas.Get().(*[]byte)
+	buf := (*arena)[:0]
+	defer func() {
+		*arena = buf[:0]
+		arenas.Put(arena)
+	}()
 	var day *core.RowDay
 	for i := base; i <= last; i++ {
 		rec := a.recs[idxs[i]]
 		if rec.Kind == KindDelta && day == nil {
 			return fmt.Errorf("archive: %s chain starts with a delta (corrupt index)", family)
 		}
-		b, err := a.read(rec)
-		if err != nil {
+		if rec.Kind == KindSnapshot {
+			buf = buf[:0] // no row of the days before it is read again
+		}
+		n := len(buf)
+		var err error
+		if buf, err = a.read(rec, buf); err != nil {
 			return err
 		}
+		b := buf[n:len(buf):len(buf)]
 		if rec.Kind == KindSnapshot {
 			day, err = core.SplitDocument(b, decode && i >= first)
 		} else {
@@ -228,22 +247,36 @@ func (a *Archive) walk(family string, first, last int, decode bool, fn func(rec 
 // one count per day-file read, whether its rows were split or decoded.
 func (a *Archive) Decodes() int64 { return a.decodes.Load() }
 
-// read reads rec's day-file whole. Every read of a day-file goes
-// through here.
-func (a *Archive) read(rec Record) ([]byte, error) {
+// arenas holds the buffers walks read day-files into.
+var arenas = sync.Pool{New: func() any { return new([]byte) }}
+
+// read appends rec's day-file, read whole, to buf. Every read of a
+// day-file goes through here. The file's size is taken from the file,
+// not from the index record, which is only as trustworthy as the index.
+func (a *Archive) read(rec Record, buf []byte) ([]byte, error) {
 	a.decodes.Add(1)
-	b, err := os.ReadFile(filepath.Join(a.dir, rec.File))
+	f, err := os.Open(filepath.Join(a.dir, rec.File))
 	if err != nil {
-		return nil, fmt.Errorf("archive: reading %s: %w", rec.Kind, err)
+		return buf, fmt.Errorf("archive: reading %s: %w", rec.Kind, err)
 	}
-	return b, nil
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return buf, fmt.Errorf("archive: reading %s: %w", rec.Kind, err)
+	}
+	n, size := len(buf), int(fi.Size())
+	buf = slices.Grow(buf, size)[:n+size]
+	if _, err := io.ReadFull(f, buf[n:]); err != nil {
+		return buf[:n], fmt.Errorf("archive: reading %s: %w", rec.Kind, err)
+	}
+	return buf, nil
 }
 
 // ReadDay decodes one stored day-file: it reads rec's file once and
 // returns a snapshot's document or a delta's changes against the
 // family's day before, as rec's kind says. Both are the caller's own.
 func (a *Archive) ReadDay(rec Record) (snap *core.Document, delta *core.DocumentDelta, err error) {
-	b, err := a.read(rec)
+	b, err := a.read(rec, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -55,7 +55,7 @@ func (l *entryLayout) names(b []byte, names []string) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendString(append(b, l.elem...), s)
+		b = AppendJSONString(append(b, l.elem...), s)
 	}
 	return append(append(b, l.member...), ']')
 }
@@ -63,7 +63,7 @@ func (l *entryLayout) names(b []byte, names []string) []byte {
 // appendEntry appends e in layout l.
 func appendEntry(b []byte, e *DocumentEntry, l *entryLayout) []byte {
 	b = append(append(b, '{'), l.member...)
-	b = appendString(append(append(b, `"prefix"`...), l.colon...), e.Prefix)
+	b = AppendJSONString(append(append(b, `"prefix"`...), l.colon...), e.Prefix)
 	b = strconv.AppendUint(l.key(b, `"origin_asn"`), uint64(e.OriginASN), 10)
 	if len(e.ACProtocols) > 0 {
 		b = l.names(l.key(b, `"anycast_based_protocols"`), e.ACProtocols)
@@ -94,8 +94,9 @@ func appendEntry(b []byte, e *DocumentEntry, l *entryLayout) []byte {
 	return append(append(b, l.end...), '}')
 }
 
-// appendString appends s quoted as encoding/json quotes it.
-func appendString(b []byte, s string) []byte {
+// AppendJSONString appends s quoted as encoding/json quotes it: the one
+// string appender of every body written without reflection.
+func AppendJSONString(b []byte, s string) []byte {
 	if !plainString(s) {
 		q, _ := json.Marshal(s) // a string always marshals
 		return append(b, q...)

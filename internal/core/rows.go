@@ -338,7 +338,7 @@ func (s *scanner) lit(tok string) {
 	s.i += len(tok)
 }
 
-// plain reads a string appendString copies as it is, and returns its
+// plain reads a string AppendJSONString copies as it is, and returns its
 // content.
 func (s *scanner) plain() []byte {
 	b, i := s.b, s.i

@@ -110,24 +110,17 @@ func (ix *Index) sidecar() *Aggregates {
 }
 
 // computeAggregates derives the full set from the TOC columns and one
-// streaming pass over every row. Detection options are the defaults, so
+// pass over every row record in the image. Detection options are the defaults, so
 // the result is a pure function of the index bytes — the same
 // fingerprint always yields byte-identical aggregates.
 func (ix *Index) computeAggregates() (*Aggregates, error) {
 	ag := &Aggregates{Schema: aggSchema, Fingerprint: ix.fingerprint}
-	var (
-		buf  []byte
-		scan row
-		err  error
-	)
+	var scan row
 	for _, family := range ix.order {
 		fam := ix.fams[family]
 		agg := newFamAgg(family, fam)
 		for _, ref := range fam.prefixes {
-			if buf, err = ix.readRow(buf, ref); err != nil {
-				return nil, err
-			}
-			if err := scan.load(ref, len(fam.days), buf); err != nil {
+			if err := scan.load(ref, len(fam.days), ix.record(ref)); err != nil {
 				return nil, err
 			}
 			agg.add(scan.score(family, ref.prefix, fam.days, EventOptions{}))

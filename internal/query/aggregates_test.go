@@ -94,7 +94,7 @@ func withRow(t testing.TB, image []byte, prefix string, rec []byte) []byte {
 	for _, family := range ix.order {
 		refs := ix.fams[family].prefixes
 		for i, ref := range refs {
-			b := image[ix.rowsOff+ref.off:][:ref.length]
+			b := ix.record(ref)
 			if family == "ipv4" && ref.prefix == prefix {
 				b, replaced = rec, true
 			}
@@ -124,10 +124,7 @@ func TestShortRowFailsEveryWindow(t *testing.T) {
 	committed := filepath.Join(dir, IndexFileName)
 	image, _ := indexFiles(t, committed)
 	pos := slices.Index(ix.Prefixes("ipv4"), prefix)
-	rec, err := ix.readRow(nil, ix.fams["ipv4"].prefixes[pos])
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := ix.record(ix.fams["ipv4"].prefixes[pos])
 	bl := bitmapLen(nDays)
 	series := nFlags * bl // the first sites varint: 0, one byte
 	pastLast := bytes.Clone(rec)

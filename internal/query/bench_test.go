@@ -20,8 +20,7 @@ const (
 	benchDays    = 120
 	benchEntries = 400
 	// benchLookups is the number of distinct prefixes each iteration
-	// resolves — past the timeline LRU when disabled, so the index
-	// path pays its ReadAt every time.
+	// resolves.
 	benchLookups = 8
 )
 

@@ -567,7 +567,7 @@ func committedState(a *archive.Archive, path string) (fams []*famBuilder, why st
 	if _, why := ix.behind(a); why != "" {
 		return nil, why
 	}
-	rows := image[ix.rowsOff:]
+	rows := ix.rows
 	n, off := 0, 0
 	var r row
 	for i, family := range ix.order {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // EventKind names one longitudinal event class.
@@ -169,9 +170,9 @@ func (s *row) detect(out []Event, family, prefix string, days []int, opts EventO
 // Events scans every indexed prefix of a family and returns the events
 // of the requested kinds with effect days in [from, to] (to < 0 means
 // through the last indexed day). A nil or empty kind set selects every
-// kind. Each row is read once into one reused buffer and scanned in
-// place — no Timeline is built, nothing is allocated per row once the
-// buffers have grown — and no document is decoded.
+// kind. Each row record is scanned in place in the image — no Timeline
+// is built, nothing is allocated per row once the buffers have grown —
+// and no document is decoded.
 //
 // The day window is pushed into the scan: every event with an effect
 // day in [from, to] requires the prefix to be present on some indexed
@@ -204,15 +205,11 @@ func (ix *Index) Events(family string, kinds []EventKind, from, to int, opts Eve
 	full := fromPos == 0 && toPos == n-1
 	var (
 		out  []Event
-		buf  []byte
 		scan row
-		err  error
 	)
 	for _, ref := range fam.prefixes {
 		ix.eventRows.Add(1)
-		if buf, err = ix.readRow(buf, ref); err != nil {
-			return nil, err
-		}
+		buf := ix.record(ref)
 		if !full && len(buf) >= nFlags*bitmapLen(n) && !anyBit(buf, lo, toPos) {
 			ix.eventRowsPruned.Add(1)
 			continue
@@ -294,23 +291,24 @@ type Stability struct {
 }
 
 // Stability computes the score for one prefix from the index alone:
-// one row read, scanned in place.
+// its row record scanned in place, through a row reused across calls.
 func (ix *Index) Stability(family, prefix string) (*Stability, error) {
 	fam, ref, err := ix.find(family, prefix)
 	if err != nil {
 		return nil, err
 	}
-	b, err := ix.readRow(nil, ref)
-	if err != nil {
-		return nil, err
-	}
-	var scan row
-	if err := scan.load(ref, len(fam.days), b); err != nil {
+	scan := rowPool.Get().(*row)
+	defer rowPool.Put(scan)
+	if err := scan.load(ref, len(fam.days), ix.record(ref)); err != nil {
 		return nil, err
 	}
 	st := scan.score(family, prefix, fam.days, EventOptions{})
 	return &st, nil
 }
+
+// rowPool holds the rows Stability scans with, so a request reuses the
+// slices an earlier one grew.
+var rowPool = sync.Pool{New: func() any { return new(row) }}
 
 // score derives the row's stability record; days is the family's
 // indexed day list.

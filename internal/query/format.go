@@ -16,8 +16,9 @@ import (
 // keeps in memory: per family the indexed day list, the per-day
 // aggregate columns, and per prefix a (name, origin, row offset, row
 // length) entry. The rows section holds one compact columnar record per
-// prefix — flag bitmaps over day positions plus varint series — read on
-// demand with ReadAt, never mapped and never loaded wholesale.
+// prefix — flag bitmaps over day positions plus varint series. Open
+// reads the whole file once into memory (no mmap) and a row record is a
+// subslice of that image, decoded on demand.
 
 // IndexFileName is the timeline index's file name inside an archive
 // directory, next to the archive's index.jsonl.

@@ -26,22 +26,20 @@
 // accepts only the form the builder writes. Timeline expands the loaded
 // row into day-aligned columns; Events, Stability, the aggregates pass
 // and Build scan it in place through buffers reused row after row, so a
-// family-wide pass allocates nothing per row. Opening an index parses
-// only its TOC: the prefix map is made on a family's first lookup and
+// family-wide pass allocates nothing per row. Opening an index reads
+// the file once and parses only its TOC; a row record is a subslice of
+// that image. The prefix map is made on a family's first lookup and
 // the sidecar is read on the first aggregates call.
 package query
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math/bits"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -90,18 +88,14 @@ func (fam *famIndex) lookup(prefix string) (int, bool) {
 	return p, ok
 }
 
-// Index is an opened timeline index: the TOC directory in memory, row
-// records read and decoded on demand (ReadAt, no mmap). Memory stays
-// bounded by the directory no matter how many rows are queried.
+// Index is an opened timeline index: the file's image in memory, its
+// TOC parsed into a directory and each row record a subslice of the
+// image, decoded on demand. It holds no file descriptor; what stays
+// resident is the image, the size of the file.
 type Index struct {
-	// src holds the index file: the open file, or an image in memory.
-	// Row records are read through it; f is the file to close, nil for
-	// an image.
-	src     io.ReaderAt
-	f       *os.File
-	rowsOff int64
-	fams    map[string]*famIndex
-	order   []string // family names, sorted
+	rows  []byte // the image's rows section
+	fams  map[string]*famIndex
+	order []string // family names, sorted
 
 	// fingerprint is the build identity: the header's two section CRCs,
 	// fixed at build time. See Fingerprint.
@@ -158,79 +152,50 @@ func (ix *Index) Stats() (lookups, cacheHits, decodeFallbacks int64) {
 	return ix.lookups.Load(), 0, 0
 }
 
-// Open loads a timeline index file: it validates the header, checks
-// both section CRCs (the rows section is streamed through a small
-// buffer, never held), parses the TOC, and keeps the file handle for
-// on-demand row reads. The aggregates sidecar is read on first use.
+// Open reads a timeline index file once and opens its image: it
+// validates the header, checks both section CRCs and parses the TOC.
+// Rows are answered from the image; the aggregates sidecar is read on
+// first use.
 func Open(path string) (*Index, error) {
-	f, err := os.Open(path)
+	image, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
-	fi, err := f.Stat()
+	ix, err := openImage(image)
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("query: %w", err)
-	}
-	ix, err := openReader(f, fi.Size())
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	ix.f, ix.aggPath = f, AggregatesPath(path)
+	ix.aggPath = AggregatesPath(path)
 	return ix, nil
 }
 
-// openImage opens an index file image held in memory with Open's checks,
-// reading rows from the image. It does not look for a sidecar.
+// openImage checks an index file image — header, section lengths
+// against the image's size, both section CRCs — and parses its TOC into
+// an Index whose rows are subslices of the image, which it must not
+// change afterwards. The names in the directory are substrings of one
+// copy of the TOC. It does not look for a sidecar.
 func openImage(image []byte) (*Index, error) {
-	return openReader(bytes.NewReader(image), int64(len(image)))
-}
-
-// openReader checks the index file held by src, size bytes long — header,
-// section lengths against the size, both section CRCs — and parses its
-// TOC into an Index reading rows from src. The names in the directory
-// are substrings of one copy of the TOC.
-func openReader(src io.ReaderAt, size int64) (*Index, error) {
-	hb := make([]byte, headerLen)
-	if _, err := src.ReadAt(hb, 0); err != nil {
-		return nil, fmt.Errorf("query: reading index header: %w", err)
-	}
-	h, err := decodeHeader(hb)
+	h, err := decodeHeader(image)
 	if err != nil {
 		return nil, err
 	}
-	// Bound the declared section lengths against the actual file size
-	// before allocating: a bit-flipped header must fail cleanly, not
-	// drive a multi-GiB allocation.
-	if want := int64(headerLen) + int64(h.tocLen) + int64(h.rowsLen); want != size {
-		return nil, fmt.Errorf("query: index sections declare %d bytes but the file holds %d (corrupt header or truncated file)", want, size)
+	// The declared section lengths must add up to the image's size,
+	// compared so that no sum can wrap: a bit-flipped header must fail
+	// cleanly, not lead a row reference past the rows section.
+	if body := uint64(len(image) - headerLen); uint64(h.tocLen) > body || h.rowsLen != body-uint64(h.tocLen) {
+		return nil, fmt.Errorf("query: index sections declare %d + %d bytes but the file holds %d after its header (corrupt header or truncated file)", h.tocLen, h.rowsLen, body)
 	}
-	tocBytes := make([]byte, h.tocLen)
-	if _, err := src.ReadAt(tocBytes, headerLen); err != nil {
-		return nil, fmt.Errorf("query: reading index TOC: %w", err)
-	}
+	tocBytes := image[headerLen : headerLen+int(h.tocLen)]
 	if crc := crc32.Checksum(tocBytes, castagnoli); crc != h.tocCRC {
 		return nil, fmt.Errorf("query: index TOC checksum mismatch (%08x/%08x)", crc, h.tocCRC)
 	}
-	// Stream the rows section once to prove its checksum — O(buffer)
-	// memory however large the section, and no more than the section
-	// for a small one.
-	rowsOff := int64(headerLen) + int64(h.tocLen)
-	rowsCRC := crc32.New(castagnoli)
-	buf := make([]byte, max(min(h.rowsLen, 32<<10), 1))
-	n, err := io.CopyBuffer(rowsCRC, io.NewSectionReader(src, rowsOff, int64(h.rowsLen)), buf)
-	if err != nil {
-		return nil, fmt.Errorf("query: checksumming index rows: %w", err)
-	}
-	if uint64(n) != h.rowsLen || rowsCRC.Sum32() != h.rowsCRC {
-		return nil, fmt.Errorf("query: index rows section corrupt (%d/%d bytes, crc %08x/%08x)",
-			n, h.rowsLen, rowsCRC.Sum32(), h.rowsCRC)
+	rows := image[headerLen+int(h.tocLen):]
+	if crc := crc32.Checksum(rows, castagnoli); crc != h.rowsCRC {
+		return nil, fmt.Errorf("query: index rows section corrupt (crc %08x/%08x)", crc, h.rowsCRC)
 	}
 
 	ix := &Index{
-		src:         src,
-		rowsOff:     rowsOff,
+		rows:        rows,
 		fams:        make(map[string]*famIndex),
 		fingerprint: fmt.Sprintf("%08x%08x", h.tocCRC, h.rowsCRC),
 	}
@@ -318,15 +283,10 @@ func (ix *Index) AttachArchive(a *archive.Archive) { ix.arch = a }
 // Archive returns the attached store, if any; queries never read it.
 func (ix *Index) Archive() *archive.Archive { return ix.arch }
 
-// Close releases the index file handle; row reads fail afterwards.
-func (ix *Index) Close() error {
-	if ix.f == nil {
-		return nil
-	}
-	err := ix.f.Close()
-	ix.f = nil
-	return err
-}
+// Close does nothing: an Index holds no file descriptor, and its image
+// goes with the Index. It stays for the callers that close what they
+// open.
+func (ix *Index) Close() error { return nil }
 
 // Prefixes returns one family's indexed prefixes in canonical order.
 func (ix *Index) Prefixes(family string) []string {
@@ -398,7 +358,7 @@ func (tl *Timeline) LastPresent() (int, bool) {
 }
 
 // Timeline answers one prefix's timeline from the index alone: one row
-// read and decode per call. The result is the caller's own, except that
+// record decoded per call. The result is the caller's own, except that
 // its Days column is the index's shared day list (read-only).
 func (ix *Index) Timeline(family, prefix string) (*Timeline, error) {
 	fam, ref, err := ix.find(family, prefix)
@@ -406,10 +366,7 @@ func (ix *Index) Timeline(family, prefix string) (*Timeline, error) {
 		return nil, err
 	}
 	n := len(fam.days)
-	b, err := ix.readRow(nil, ref)
-	if err != nil {
-		return nil, err
-	}
+	b := ix.record(ref)
 	var r row
 	if err := r.load(ref, n, b); err != nil {
 		return nil, err
@@ -460,14 +417,9 @@ func (ix *Index) find(family, prefix string) (*famIndex, prefixRef, error) {
 	return fam, fam.prefixes[pos], nil
 }
 
-// readRow reads one prefix's row record into buf, growing it only when
-// the row does not fit.
-func (ix *Index) readRow(buf []byte, ref prefixRef) ([]byte, error) {
-	buf = slices.Grow(buf[:0], ref.length)[:ref.length]
-	if _, err := ix.src.ReadAt(buf, ix.rowsOff+ref.off); err != nil {
-		return buf, fmt.Errorf("query: reading row for %s: %w", ref.prefix, err)
-	}
-	return buf, nil
+// record returns one prefix's row record: a subslice of the image.
+func (ix *Index) record(ref prefixRef) []byte {
+	return ix.rows[ref.off : ref.off+int64(ref.length) : ref.off+int64(ref.length)]
 }
 
 // row is a row record read in place, by the one reader of the form

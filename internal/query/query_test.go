@@ -631,6 +631,20 @@ func TestOpenDetectsCorruption(t *testing.T) {
 	if _, err := Open(path); err == nil {
 		t.Fatal("Open accepted a truncated index")
 	}
+	// So must section lengths whose sum wraps around to the file's size:
+	// the TOC declared one byte longer than TOC and rows together.
+	h, err := decodeHeader(pristine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := h.rowsLen + 1
+	h.tocLen += uint32(d)
+	h.rowsLen -= d // wraps: the sum is unchanged modulo 2^64
+	// The image is clipped, so that a TOC sliced past its end cannot
+	// pass unseen in spare capacity.
+	if _, err := openImage(slices.Clip(append(h.encode(), pristine[headerLen:]...))); err == nil {
+		t.Fatal("Open accepted section lengths whose sum wraps")
+	}
 }
 
 // TestUnknownLookups pins the typed errors the HTTP layer maps to 404.
