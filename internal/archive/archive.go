@@ -28,11 +28,11 @@
 // re-read days keep their own cache (internal/api's decoded-day LRU).
 // Every day-file is read whole, once per walk. Document, Range,
 // RangeJSON and Verify rebuild days from stored rows: core.SplitDocument
-// and core.SplitDelta split a file into rows (a prefix and the row's
-// bytes) in one reflection-free scan that accepts only the writer's form,
-// core.RowDelta.Apply merges a delta's rows into the day before, and the
-// readers decode the rows they hand out or, for /v1/range, copy their
-// bytes. ReadDay decodes a file whole (core.DecodeDocument,
+// and core.SplitDelta split a file into rows (a prefix, parsed for the
+// merge, and the row's bytes) in one table-driven, reflection-free pass
+// that accepts only the writer's form, core.RowDelta.Apply merges a
+// delta's rows into the day before, and the readers decode the rows they
+// hand out or, for /v1/range, copy their bytes. ReadDay decodes a file whole (core.DecodeDocument,
 // core.DecodeDelta) for the query indexer, which takes deltas as they
 // are. encoding/json runs on the small header object, and on the whole
 // file only when the file holds something the writer never emits. The

@@ -77,6 +77,49 @@ func BenchmarkArchivePack(b *testing.B) {
 // BenchmarkArchiveDecodeRange times streaming every day of the packed
 // archive back out (snapshot parse + delta application).
 func BenchmarkArchiveDecodeRange(b *testing.B) {
+	a := benchArchive(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entries := 0
+		err := a.Range("ipv4", 0, -1, func(day int, doc *core.Document) error {
+			entries += len(doc.Entries)
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if entries == 0 {
+			b.Fatal("empty decode")
+		}
+	}
+}
+
+// BenchmarkRangeJSON times /v1/range's read: 7-day windows of the packed
+// archive as AppendJSON lines, the window's start stepping through the
+// run so every offset from a snapshot is met.
+func BenchmarkRangeJSON(b *testing.B) {
+	a := benchArchive(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := i % (benchDays - 6)
+		n := 0
+		err := a.RangeJSON("ipv4", from, from+6, func(day int, line []byte) error {
+			n += len(line)
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n == 0 {
+			b.Fatal("empty range")
+		}
+	}
+}
+
+// benchArchive packs the 120-day run at SnapshotEvery 7 and opens it.
+func benchArchive(b *testing.B) *Archive {
 	docs, _ := benchChain(b)
 	dir := b.TempDir()
 	w, err := Create(dir, Options{SnapshotEvery: 7})
@@ -95,21 +138,7 @@ func BenchmarkArchiveDecodeRange(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		entries := 0
-		err := a.Range("ipv4", 0, -1, func(day int, doc *core.Document) error {
-			entries += len(doc.Entries)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if entries == 0 {
-			b.Fatal("empty decode")
-		}
-	}
+	return a
 }
 
 // BenchmarkFullJSONDecode is the baseline the archive competes with:

@@ -80,11 +80,11 @@ func checkFastPath(t *testing.T, dir string, wantDays int) {
 		if rec.Kind == archive.KindSnapshot {
 			got, ok = core.ScanDocument(b)
 			want = &core.Document{}
-			_, split = core.ScanDocumentRows(b)
+			_, split = core.ScanDocumentRows(b, new(core.RowArena))
 		} else {
 			got, ok = core.ScanDelta(b)
 			want = &core.DocumentDelta{}
-			_, split = core.ScanDeltaRows(b)
+			_, split = core.ScanDeltaRows(b, new(core.RowArena))
 		}
 		if !ok {
 			t.Fatalf("%s: the scanner declined a file the writer made", rec.File)

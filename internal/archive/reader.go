@@ -23,12 +23,17 @@ var ErrNotFound = errors.New("day not archived")
 
 // Archive reads an archived census repository. A day is rebuilt from
 // stored rows: the walk reads each day-file from the nearest snapshot at
-// or before the day once, splits it into rows (a prefix and the row's
-// bytes) and merges each delta's rows into the day before; a reader
+// or before the day once, splits it into rows (a prefix, parsed for the
+// merge, and the row's bytes) in core's one table-driven pass, which
+// accepts only the writer's form and leaves any other file to the
+// decoders, and merges each delta's rows into the day before; a reader
 // decodes only the rows it hands out (Document, Range) or copies their
-// bytes (RangeJSON). Nothing is cached and nothing but an atomic counter
-// changes after Open, so the handle is safe for concurrent use without a
-// lock and every document it returns is the caller's own; a caller that
+// bytes (RangeJSON). What a read fills — the day-files' bytes, the
+// split rows with the snapshot rows compacted for RangeJSON, and
+// RangeJSON's line — comes from pools and goes back when the read
+// returns. Nothing is cached and nothing but an atomic counter changes
+// after Open, so the handle is safe for concurrent use without a lock
+// and every document it returns is the caller's own; a caller that
 // re-reads days caches them itself (internal/api holds the one
 // decoded-day LRU).
 type Archive struct {
@@ -164,14 +169,15 @@ func (a *Archive) find(family string, day int) (int, bool) {
 }
 
 // Document decodes one archived day. The result is the caller's own:
-// nothing else holds it.
+// nothing else holds it. Its day-files are only split, so the day's rows
+// are decoded once, with the prefix strings the split made.
 func (a *Archive) Document(family string, day int) (*core.Document, error) {
 	pos, ok := a.find(family, day)
 	if !ok {
 		return nil, fmt.Errorf("archive: no %s census for day %d: %w", family, day, ErrNotFound)
 	}
 	var out *core.Document
-	err := a.walk(family, pos, pos, true, func(_ Record, d *core.RowDay) error {
+	err := a.walk(family, pos, pos, false, func(_ Record, d *core.RowDay) error {
 		out = new(core.RowDecoder).Document(d)
 		return nil
 	})
@@ -184,15 +190,17 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 // it into rows and merges each delta into the day before (a snapshot met
 // on the way simply restarts the chain). With decode set, the day-files
 // of the days fn is handed are decoded whole, for a reader that reads
-// every row; the days before them are only split, and a row of theirs is
-// decoded only if a later day carries it. Every read goes through here,
-// and every day-file it reads through read.
+// every row of every day (Range, Verify); otherwise every day-file is
+// only split, and a row is decoded only if a reader asks for it. Every
+// read goes through here, and every day-file it reads through read.
 //
-// The day-files are read into one buffer, taken from a pool and given
-// back when the walk returns. Rows alias it, but only until the next
-// snapshot restarts the chain and the reads start over at its front; and
-// nothing fn is handed outlives the walk in it: Document and Range hand
-// out decoded copies, and RangeJSON's line is valid only during fn.
+// The day-files are read into one buffer and split into one
+// core.RowArena, which also holds the rows AppendJSON compacts; both are
+// taken from a pool and given back when the walk returns. Rows live in
+// them, but only until the next snapshot restarts the chain and both
+// start over at their front; and nothing fn is handed outlives the walk
+// in them: Document and Range hand out decoded copies, and RangeJSON's
+// line, itself from a pool, is valid only during fn.
 func (a *Archive) walk(family string, first, last int, decode bool, fn func(rec Record, d *core.RowDay) error) error {
 	if first > last {
 		return nil
@@ -202,11 +210,13 @@ func (a *Archive) walk(family string, first, last int, decode bool, fn func(rec 
 	for base > 0 && a.recs[idxs[base]].Kind != KindSnapshot {
 		base--
 	}
-	arena := arenas.Get().(*[]byte)
-	buf := (*arena)[:0]
+	files, rows := buffers.Get().(*[]byte), rowArenas.Get().(*core.RowArena)
+	buf := (*files)[:0]
 	defer func() {
-		*arena = buf[:0]
-		arenas.Put(arena)
+		*files = buf[:0]
+		buffers.Put(files)
+		rows.Reset()
+		rowArenas.Put(rows)
 	}()
 	var day *core.RowDay
 	for i := base; i <= last; i++ {
@@ -215,7 +225,9 @@ func (a *Archive) walk(family string, first, last int, decode bool, fn func(rec 
 			return fmt.Errorf("archive: %s chain starts with a delta (corrupt index)", family)
 		}
 		if rec.Kind == KindSnapshot {
-			buf = buf[:0] // no row of the days before it is read again
+			// No row of the days before it is read again.
+			buf = buf[:0]
+			rows.Reset()
 		}
 		n := len(buf)
 		var err error
@@ -224,10 +236,10 @@ func (a *Archive) walk(family string, first, last int, decode bool, fn func(rec 
 		}
 		b := buf[n:len(buf):len(buf)]
 		if rec.Kind == KindSnapshot {
-			day, err = core.SplitDocument(b, decode && i >= first)
+			day, err = core.SplitDocument(b, decode && i >= first, rows)
 		} else {
 			var delta *core.RowDelta
-			if delta, err = core.SplitDelta(b, decode && i >= first); err == nil {
+			if delta, err = core.SplitDelta(b, decode && i >= first, rows); err == nil {
 				day, err = delta.Apply(day)
 			}
 		}
@@ -247,8 +259,12 @@ func (a *Archive) walk(family string, first, last int, decode bool, fn func(rec 
 // one count per day-file read, whether its rows were split or decoded.
 func (a *Archive) Decodes() int64 { return a.decodes.Load() }
 
-// arenas holds the buffers walks read day-files into.
-var arenas = sync.Pool{New: func() any { return new([]byte) }}
+// buffers holds the buffers walks read day-files into and RangeJSON
+// writes its lines to, and rowArenas the arenas walks split them into.
+var (
+	buffers   = sync.Pool{New: func() any { return new([]byte) }}
+	rowArenas = sync.Pool{New: func() any { return new(core.RowArena) }}
+)
 
 // read appends rec's day-file, read whole, to buf. Every read of a
 // day-file goes through here. The file's size is taken from the file,
@@ -315,7 +331,12 @@ func (a *Archive) RangeJSON(family string, from, to int, fn func(day int, line [
 	if err != nil {
 		return err
 	}
-	var line []byte
+	lines := buffers.Get().(*[]byte)
+	line := (*lines)[:0]
+	defer func() {
+		*lines = line[:0]
+		buffers.Put(lines)
+	}()
 	return a.walk(family, first, last, false, func(rec Record, d *core.RowDay) (err error) {
 		if line, err = d.AppendJSON(line[:0]); err != nil {
 			return err

@@ -256,9 +256,9 @@ func TestEdgeChainReachesEveryPath(t *testing.T) {
 			}
 			var ok bool
 			if rec.Kind == archive.KindSnapshot {
-				_, ok = core.ScanDocumentRows(b)
+				_, ok = core.ScanDocumentRows(b, new(core.RowArena))
 			} else {
-				_, ok = core.ScanDeltaRows(b)
+				_, ok = core.ScanDeltaRows(b, new(core.RowArena))
 			}
 			if ok != c.split {
 				t.Fatalf("every=%d: day %d (%s) splits on the fast path: %v, want %v", every, c.day, rec.Kind, ok, c.split)

@@ -73,7 +73,7 @@ func ScanDocument(b []byte) (*Document, bool) {
 func ScanDelta(b []byte) (*DocumentDelta, bool) {
 	s := newScanner(b)
 	d := &DocumentDelta{}
-	if !s.delta(&d.Header, &d.Removed, func() { d.Upserts = s.entries() }) {
+	if !s.delta(&d.Header, func() { d.Removed = s.stringList() }, func() { d.Upserts = s.entries() }) {
 		return nil, false
 	}
 	return d, true
@@ -121,9 +121,9 @@ func (s *scanner) document(entries func()) (*Document, bool) {
 }
 
 // delta walks a delta: each of its three fields at most once, the
-// header decoded into hdr by encoding/json, the removals into removed
-// and the upserts read by upserts.
-func (s *scanner) delta(hdr *Document, removed *[]string, upserts func()) bool {
+// header decoded into hdr by encoding/json, the removals read by removed
+// and the upserts by upserts.
+func (s *scanner) delta(hdr *Document, removed, upserts func()) bool {
 	var seen uint8
 	s.expect('{')
 	for s.ok {
@@ -143,7 +143,7 @@ func (s *scanner) delta(hdr *Document, removed *[]string, upserts func()) bool {
 			}
 		case "removed":
 			bit = 2
-			*removed = s.stringList()
+			removed()
 		case "upserts":
 			bit = 4
 			upserts()
@@ -177,6 +177,7 @@ type scanner struct {
 	names map[string]string // interned protocol and city names, this call's only
 	chunk []string          // where name lists are carved from
 	list  []string          // the name list being read
+	known string            // the prefix of the row being decoded, when a split already holds it
 }
 
 // newScanner prepares a scan of b. Every row is an object, so the count
@@ -294,6 +295,15 @@ func (s *scanner) lowerKey() []byte {
 
 // str reads a string value.
 func (s *scanner) str() string { return string(s.raw()) }
+
+// prefixStr reads a row's prefix: s.known when the bytes are its, so a
+// row split before it is decoded keeps the prefix string the split made.
+func (s *scanner) prefixStr() string {
+	if r := s.raw(); string(r) != s.known {
+		return string(r)
+	}
+	return s.known
+}
 
 // stringList reads an array of strings.
 func (s *scanner) stringList() []string {
@@ -432,7 +442,7 @@ func (s *scanner) entry(e *DocumentEntry) {
 		var bit uint16
 		switch string(k) {
 		case "prefix":
-			bit, e.Prefix = 1<<0, s.str()
+			bit, e.Prefix = 1<<0, s.prefixStr()
 		case "origin_asn":
 			bit, e.OriginASN = 1<<1, s.uint32()
 		case "anycast_based_protocols":

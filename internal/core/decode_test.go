@@ -67,10 +67,12 @@ func checkDecodeDocument(t *testing.T, b []byte) {
 
 // checkSplitDocument holds SplitDocument to what DecodeDocument made of b
 // (doc, or derr), split or decoded: the same error, or the same
-// AppendJSON bytes and the same document.
+// AppendJSON bytes and the same document; and its fast path to the
+// reference splitter (checkSplitMatchesReference).
 func checkSplitDocument(t *testing.T, b []byte, doc *Document, derr error) {
+	checkSplitMatchesReference(t, b, true)
 	for _, decode := range []bool{false, true} {
-		d, err := SplitDocument(b, decode)
+		d, err := SplitDocument(b, decode, new(RowArena))
 		if fmt.Sprint(err) != fmt.Sprint(derr) {
 			t.Fatalf("decode %v: SplitDocument fails with %v, DecodeDocument with %v", decode, err, derr)
 		}
@@ -167,8 +169,9 @@ func decodeSeeds(t testing.TB, b []byte, sep string) [][]byte {
 
 // FuzzDecodeDocument: on any bytes DecodeDocument agrees with
 // encoding/json, whatever its scanner accepts, encoding/json and the
-// archive's former streaming reader decode alike, and SplitDocument's
-// rows make the same document and the same AppendJSON bytes.
+// archive's former streaming reader decode alike, SplitDocument's rows
+// make the same document and the same AppendJSON bytes, and the split
+// accepts and splits exactly what the reference splitter does.
 func FuzzDecodeDocument(f *testing.F) {
 	_, snap, _ := decodeFixture(f, 10)
 	seeds := decodeSeeds(f, snap, ": ")
@@ -224,8 +227,10 @@ func deltaSeeds(t testing.TB, prev *Document, delta []byte) [][]byte {
 // the archive walk's row path (SplitDelta, then RowDelta.Apply) fails
 // exactly when DecodeDelta and Apply do, with the same error, and
 // otherwise gives the same AppendJSON bytes and the same document, split
-// or decoded. The extra seeds are in the scanner's grammar but not in
-// the writer's form, which the split must leave to the decoders.
+// or decoded; and the split accepts and splits exactly what the
+// reference splitter does. The extra seeds are in the scanner's grammar
+// but not in the writer's form, which the split must leave to the
+// decoders.
 func FuzzSplitDelta(f *testing.F) {
 	prev, snap, delta := decodeFixture(f, 10)
 	seeds := append(deltaSeeds(f, prev, delta),
@@ -245,8 +250,10 @@ func FuzzSplitDelta(f *testing.F) {
 }
 
 // checkSplitDelta holds the row path to DecodeDelta and Apply for delta
-// bytes b against the snapshot snap.
+// bytes b against the snapshot snap, and the split of b to the reference
+// splitter.
 func checkSplitDelta(t *testing.T, snap, b []byte) {
+	checkSplitMatchesReference(t, b, false)
 	prev, err := DecodeDocument(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -257,11 +264,11 @@ func checkSplitDelta(t *testing.T, snap, b []byte) {
 		wantDoc, werr = want.Apply(prev)
 	}
 	for _, decode := range []bool{false, true} {
-		day, err := SplitDocument(snap, decode)
+		day, err := SplitDocument(snap, decode, new(RowArena))
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, gerr := SplitDelta(b, decode)
+		d, gerr := SplitDelta(b, decode, new(RowArena))
 		var got *RowDay
 		if gerr == nil {
 			got, gerr = d.Apply(day)

@@ -100,7 +100,15 @@ func (d *Document) Find(prefix string) *DocumentEntry {
 // both removed and upserted) means the delta does not belong to this
 // document chain.
 func (d *DocumentDelta) Apply(prev *Document) (*Document, error) {
-	entries, err := applyRows(d.Header.Family, prev.Family, prev.Entries, d.Removed, d.Upserts,
+	removed := make([]PrefixKey, len(d.Removed))
+	for i, p := range d.Removed {
+		removed[i] = ParsePrefixKey(p)
+	}
+	upserted := make([]PrefixKey, len(d.Upserts))
+	for i := range d.Upserts {
+		upserted[i] = ParsePrefixKey(d.Upserts[i].Prefix)
+	}
+	entries, err := applyRows(d.Header.Family, prev.Family, prev.Entries, removed, d.Upserts, upserted,
 		func(e *DocumentEntry) PrefixKey { return ParsePrefixKey(e.Prefix) })
 	if err != nil {
 		return nil, err
@@ -112,31 +120,32 @@ func (d *DocumentDelta) Apply(prev *Document) (*Document, error) {
 
 // applyRows is the one strict merge of a day's rows with a delta, for
 // decoded entries (DocumentDelta.Apply) and for stored rows
-// (RowDelta.Apply) alike; key parses a row's prefix. prev's rows keep
-// their order, are dropped when removed and replaced in place when
-// upserted; the upserts the previous day lacks are then inserted in
-// delta order, each where a binary search of the rows so far puts it.
-// On a chain the writer made that is one ordered pass (mergeRows).
-func applyRows[R any](family, prevFamily string, prev []R, removed []string, upserts []R, key func(*R) PrefixKey) ([]R, error) {
+// (RowDelta.Apply) alike; removed holds the removals' keys, uk the
+// upserts' and key returns a previous row's. prev's rows keep their order, are dropped when
+// removed and replaced in place when upserted; the upserts the previous
+// day lacks are then inserted in delta order, each where a binary
+// search of the rows so far puts it. On a chain the writer made that is
+// one ordered pass (mergeRows).
+func applyRows[R any](family, prevFamily string, prev []R, removed []PrefixKey, upserts []R, uk []PrefixKey, key func(*R) PrefixKey) ([]R, error) {
 	if prevFamily != family {
 		return nil, fmt.Errorf("core: delta for family %q applied to %q document", family, prevFamily)
 	}
-	if out, err := mergeRows(prev, removed, upserts, key); err != errOutOfOrder {
+	if out, err := mergeRows(prev, removed, upserts, uk, key); err != errOutOfOrder {
 		return out, err
 	}
 	gone := make(map[string]bool, len(removed))
-	for _, p := range removed {
-		gone[p] = true
+	for _, k := range removed {
+		gone[k.s] = true
 	}
 	if len(gone) != len(removed) {
-		return nil, fmt.Errorf("core: delta removes %q twice", firstRepeat(len(removed), func(i int) string { return removed[i] }))
+		return nil, fmt.Errorf("core: delta removes %q twice", firstRepeat(len(removed), func(i int) string { return removed[i].s }))
 	}
 	upsert := make(map[string]int, len(upserts))
 	for i := range upserts {
-		upsert[key(&upserts[i]).s] = i
+		upsert[uk[i].s] = i
 	}
 	if len(upsert) != len(upserts) {
-		return nil, fmt.Errorf("core: delta upserts %q twice", firstRepeat(len(upserts), func(i int) string { return key(&upserts[i]).s }))
+		return nil, fmt.Errorf("core: delta upserts %q twice", firstRepeat(len(upserts), func(i int) string { return uk[i].s }))
 	}
 
 	out := make([]R, 0, len(prev)+len(upserts))
@@ -156,15 +165,15 @@ func applyRows[R any](family, prevFamily string, prev []R, removed []string, ups
 		}
 		out = append(out, prev[i])
 	}
-	for _, p := range removed {
-		if gone[p] {
-			return nil, fmt.Errorf("core: delta removes %q which the previous document does not carry", p)
+	for _, k := range removed {
+		if gone[k.s] {
+			return nil, fmt.Errorf("core: delta removes %q which the previous document does not carry", k.s)
 		}
 	}
 	for i := range upserts {
-		if _, ok := upsert[key(&upserts[i]).s]; ok {
+		if _, ok := upsert[uk[i].s]; ok {
 			// Genuinely new: inserted at its canonical position.
-			k := key(&upserts[i])
+			k := uk[i]
 			at := sort.Search(len(out), func(j int) bool { return key(&out[j]).order(k) >= 0 })
 			out = slices.Insert(out, at, upserts[i])
 		}
@@ -178,16 +187,14 @@ func applyRows[R any](family, prevFamily string, prev []R, removed []string, ups
 // then nothing is named twice, a removal or upsert matches the one row
 // the pass meets it at, and a new row's binary-search position is where
 // the pass meets it. Otherwise it returns errOutOfOrder.
-func mergeRows[R any](prev []R, removed []string, upserts []R, key func(*R) PrefixKey) ([]R, error) {
-	rk := make([]PrefixKey, len(removed))
-	for i, p := range removed {
-		if rk[i] = ParsePrefixKey(p); i > 0 && rk[i-1].order(rk[i]) >= 0 {
+func mergeRows[R any](prev []R, rk []PrefixKey, upserts []R, uk []PrefixKey, key func(*R) PrefixKey) ([]R, error) {
+	for i := 1; i < len(rk); i++ {
+		if rk[i-1].order(rk[i]) >= 0 {
 			return nil, errOutOfOrder
 		}
 	}
-	uk := make([]PrefixKey, len(upserts))
-	for i := range upserts {
-		if uk[i] = key(&upserts[i]); i > 0 && uk[i-1].order(uk[i]) >= 0 {
+	for i := 1; i < len(uk); i++ {
+		if uk[i-1].order(uk[i]) >= 0 {
 			return nil, errOutOfOrder
 		}
 	}
@@ -230,7 +237,7 @@ func mergeRows[R any](prev []R, removed []string, upserts []R, key func(*R) Pref
 		missing = r
 	}
 	if missing >= 0 {
-		return nil, fmt.Errorf("core: delta removes %q which the previous document does not carry", removed[missing])
+		return nil, fmt.Errorf("core: delta removes %q which the previous document does not carry", rk[missing].s)
 	}
 	return emptyIsNil(append(out, upserts[u:]...)), nil
 }

@@ -93,11 +93,11 @@ func applyBoth(t *testing.T, d *DocumentDelta, prev *Document) (*Document, error
 	if err != nil {
 		t.Fatal(err)
 	}
-	day, err := SplitDocument(snap.Bytes(), false)
+	day, err := SplitDocument(snap.Bytes(), false, new(RowArena))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := SplitDelta(b, false)
+	rd, err := SplitDelta(b, false, new(RowArena))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,47 +11,69 @@ import (
 // This file holds a census day as its stored rows: each row is a prefix
 // plus the row's bytes as the day-file carries them, so a chain of
 // day-files can be rebuilt with one merge per delta and nothing decoded.
-// The split runs the read half's scanner over a day-file and accepts a
-// row only in the exact form the entry appender writes it (compact in a
-// delta, indented in a snapshot), which is what makes its bytes the
-// row's canonical encoding: copied, or stripped of the snapshot's
-// indentation, they are what AppendJSON writes for the decoded row. A
-// file holding anything else is decoded by DecodeDocument or DecodeDelta,
-// so every file splits to the rows those decoders make of it. Row bytes
-// alias the file read; prefix strings and decoded entries are copies.
+// The split is one table-driven pass over a day-file's row array
+// (storedRows): rowFields lists DocumentEntry's twelve fields in struct
+// order with each value's form, and a rowLayout holds, per layout, the
+// whitespace that makes up each field's key literal (`,"origin_asn":`
+// compact, `,\n      "origin_asn": ` indented) and each name's bytes as
+// words to match it with. A row is accepted only in the exact form the
+// entry appender writes it (compact in a delta, indented in a snapshot):
+// every field behind its key literal in that order, an omitempty field
+// only when set, each value in the appender's form. Each name list is
+// stepped over in one loop, eight bytes at a time, and each row's prefix
+// is parsed into its PrefixKey in the same pass, so the merge parses
+// nothing. That exactness is what
+// makes a row's bytes its canonical encoding: copied, or stripped of the
+// snapshot's indentation, they are what AppendJSON writes for the
+// decoded row. A file holding anything else is decoded whole by
+// DecodeDocument or DecodeDelta, so every file splits to the rows those
+// decoders make of it. Row bytes alias the file read; prefix strings and
+// decoded entries are copies.
 
 // RowDay is one census day as stored rows in document order, and its
 // header. Its rows are shared with the days rebuilt from it, and so is
-// out, where rows are compacted or encoded for AppendJSON.
+// the arena they were split into.
 type RowDay struct {
-	hdr  Document // Entries nil
-	rows []*row   // nil for `"entries": null`
-	out  *[]byte
+	hdr   Document // Entries nil
+	rows  []*row   // nil for `"entries": null`
+	arena *RowArena
+}
+
+// RowArena is where a chain of split days keeps its rows and the bytes
+// AppendJSON compacts them to. A reader hands every split of a chain the
+// same arena, empties it (Reset) where a snapshot restarts the chain, as
+// no row of the days before is read again, and may reuse it for another
+// chain once nothing split into it is read any more.
+type RowArena struct {
+	out    []byte // rows compacted or encoded for AppendJSON
+	rows   []row
+	ptrs   []*row
+	keys   []PrefixKey // deltas' removals and upserts
+	prefix []byte      // scratch: a file's prefixes, before they become one string
+	ends   []int       // scratch: where each of them ends
+}
+
+// Reset empties the arena for a new chain.
+func (a *RowArena) Reset() {
+	a.out, a.rows, a.ptrs, a.keys = a.out[:0], a.rows[:0], a.ptrs[:0], a.keys[:0]
 }
 
 // RowDelta is one delta day-file split into rows.
 type RowDelta struct {
 	hdr     Document // Entries nil
-	removed []string
+	removed []PrefixKey
 	upserts []*row
+	keys    []PrefixKey // the upserts' keys, for the merge
 }
 
-// row is one published row. A split row holds its bytes and a decoded
-// one its entry; the other, and the parsed prefix, are filled in when
-// first needed and kept for every day that carries the row.
+// row is one published row, its prefix parsed. A split row holds its
+// bytes and a decoded one its entry; the other is filled in when first
+// needed and kept for every day that carries the row.
 type row struct {
-	key      PrefixKey      // key.s is the prefix; the rest is parsed when first compared
+	key      PrefixKey      // key.s is the prefix
 	indented bool           // raw is a snapshot's indented form
 	raw      []byte         // the row's JSON; nil until encoded
 	entry    *DocumentEntry // nil until decoded
-}
-
-// sortKey returns the row's parsed prefix.
-func (r *row) sortKey() PrefixKey {
-	if r.key.rank == 0 {
-		r.key = ParsePrefixKey(r.key.s)
-	}
-	return r.key
 }
 
 // json returns the row as compact JSON: its stored bytes, or, the first
@@ -72,11 +94,11 @@ func (r *row) json(out *[]byte) []byte {
 }
 
 // SplitDocument splits a snapshot day-file into its rows, as
-// DecodeDocument reads it. With decode set it decodes the file whole,
-// for a day whose every row will be read.
-func SplitDocument(b []byte, decode bool) (*RowDay, error) {
+// DecodeDocument reads it, into the chain's arena a. With decode set it
+// decodes the file whole, for a day whose every row will be read.
+func SplitDocument(b []byte, decode bool, a *RowArena) (*RowDay, error) {
 	if !decode {
-		if d, ok := ScanDocumentRows(b); ok {
+		if d, ok := ScanDocumentRows(b, a); ok {
 			return d, nil
 		}
 	}
@@ -84,16 +106,17 @@ func SplitDocument(b []byte, decode bool) (*RowDay, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &RowDay{hdr: *doc, rows: decodedRows(doc.Entries), out: new([]byte)}
+	d := &RowDay{hdr: *doc, rows: decodedRows(doc.Entries), arena: a}
 	d.hdr.Entries = nil
 	return d, nil
 }
 
 // SplitDelta splits a delta day-file into its rows, as DecodeDelta reads
-// it. With decode set it decodes the file whole.
-func SplitDelta(b []byte, decode bool) (*RowDelta, error) {
+// it, into the chain's arena a. With decode set it decodes the file
+// whole.
+func SplitDelta(b []byte, decode bool, a *RowArena) (*RowDelta, error) {
 	if !decode {
-		if d, ok := ScanDeltaRows(b); ok {
+		if d, ok := ScanDeltaRows(b, a); ok {
 			return d, nil
 		}
 	}
@@ -101,32 +124,32 @@ func SplitDelta(b []byte, decode bool) (*RowDelta, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &RowDelta{hdr: dd.Header, removed: dd.Removed, upserts: decodedRows(dd.Upserts)}
-	d.hdr.Entries = nil
+	d := &RowDelta{hdr: dd.Header, removed: prefixKeys(dd.Removed), upserts: decodedRows(dd.Upserts)}
+	d.hdr.Entries, d.keys = nil, a.rowKeys(d.upserts)
 	return d, nil
 }
 
 // ScanDocumentRows is SplitDocument's fast path: it splits b when b is a
 // snapshot in the writer's form and reports false otherwise.
-func ScanDocumentRows(b []byte) (*RowDay, bool) {
+func ScanDocumentRows(b []byte, a *RowArena) (*RowDay, bool) {
 	s := newScanner(b)
 	var rows []*row
-	hdr, ok := s.document(func() { rows = s.storedRows(&indentLayout) })
+	hdr, ok := s.document(func() { rows = s.storedRows(indentRows, a) })
 	if !ok {
 		return nil, false
 	}
-	return &RowDay{hdr: *hdr, rows: rows, out: new([]byte)}, true
+	return &RowDay{hdr: *hdr, rows: rows, arena: a}, true
 }
 
 // ScanDeltaRows is SplitDelta's fast path: it splits b when b is a delta
 // in the writer's form and reports false otherwise.
-func ScanDeltaRows(b []byte) (*RowDelta, bool) {
+func ScanDeltaRows(b []byte, a *RowArena) (*RowDelta, bool) {
 	s := newScanner(b)
 	d := &RowDelta{}
-	if !s.delta(&d.hdr, &d.removed, func() { d.upserts = s.storedRows(&compactLayout) }) {
+	if !s.delta(&d.hdr, func() { d.removed = s.removedKeys(a) }, func() { d.upserts = s.storedRows(compactRows, a) }) {
 		return nil, false
 	}
-	d.hdr.Entries = nil
+	d.hdr.Entries, d.keys = nil, a.rowKeys(d.upserts)
 	return d, true
 }
 
@@ -139,21 +162,74 @@ func decodedRows(es []DocumentEntry) []*row {
 	rows := make([]row, len(es))
 	out := make([]*row, len(es))
 	for i := range es {
-		rows[i] = row{key: PrefixKey{s: es[i].Prefix}, entry: &es[i]}
+		rows[i] = row{key: ParsePrefixKey(es[i].Prefix), entry: &es[i]}
 		out[i] = &rows[i]
 	}
 	return out
 }
 
+// removedKeys reads a delta's removals as stringList does and keys them,
+// into arena a, their strings carved from one.
+func (s *scanner) removedKeys(a *RowArena) []PrefixKey {
+	s.expect('[')
+	if s.peek() == ']' {
+		s.i++
+		return []PrefixKey{}
+	}
+	first := len(a.keys)
+	prefixes, ends := a.prefix[:0], a.ends[:0]
+	for s.ok {
+		r := s.raw()
+		prefixes = append(prefixes, r...)
+		ends = append(ends, len(prefixes))
+		key, end, ok := prefixKeyAt(r, 0)
+		if !ok || end != len(r) {
+			key = PrefixKey{} // ParsePrefixKey parses it below
+		}
+		a.keys = append(a.keys, key)
+		if !s.more(']') {
+			break
+		}
+	}
+	a.prefix, a.ends = prefixes, ends
+	keys := a.keys[first:len(a.keys):len(a.keys)]
+	all, start := string(prefixes), 0
+	for i := range keys {
+		k := &keys[i]
+		if k.s, start = all[start:ends[i]], ends[i]; k.rank == 0 {
+			*k = ParsePrefixKey(k.s)
+		}
+	}
+	return keys
+}
+
+// rowKeys copies the rows' keys into the arena.
+func (a *RowArena) rowKeys(rows []*row) []PrefixKey {
+	first := len(a.keys)
+	for _, r := range rows {
+		a.keys = append(a.keys, r.key)
+	}
+	return a.keys[first:len(a.keys):len(a.keys)]
+}
+
+// prefixKeys parses a delta's removals.
+func prefixKeys(ps []string) []PrefixKey {
+	keys := make([]PrefixKey, len(ps))
+	for i, p := range ps {
+		keys[i] = ParsePrefixKey(p)
+	}
+	return keys
+}
+
 // Apply rebuilds the new day from the previous one with the merge
 // DocumentDelta.Apply runs: the same rows, or the same error.
 func (d *RowDelta) Apply(prev *RowDay) (*RowDay, error) {
-	rows, err := applyRows(d.hdr.Family, prev.hdr.Family, prev.rows, d.removed, d.upserts,
-		func(r **row) PrefixKey { return (*r).sortKey() })
+	rows, err := applyRows(d.hdr.Family, prev.hdr.Family, prev.rows, d.removed, d.upserts, d.keys,
+		func(r **row) PrefixKey { return (*r).key })
 	if err != nil {
 		return nil, err
 	}
-	return &RowDay{hdr: d.hdr, rows: rows, out: prev.out}, nil
+	return &RowDay{hdr: d.hdr, rows: rows, arena: prev.arena}, nil
 }
 
 // AppendJSON appends the day as Document.AppendJSON writes its decoded
@@ -171,14 +247,15 @@ func (d *RowDay) AppendJSON(b []byte) ([]byte, error) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, r.json(d.out)...)
+		b = append(b, r.json(&d.arena.out)...)
 	}
 	return append(b, "]}"...), nil
 }
 
 // RowDecoder decodes stored rows into a day's document. Protocol and city
-// names are interned for the decoder's life, and each row is decoded
-// once, however many days carry it.
+// names are interned for the decoder's life, each row is decoded once,
+// however many days carry it, and a split row's entry takes the prefix
+// string the split made.
 type RowDecoder struct {
 	s    scanner
 	slab []DocumentEntry // where decoded entries are carved from
@@ -202,7 +279,7 @@ func (dec *RowDecoder) Document(d *RowDay) *Document {
 			}
 			dec.slab = dec.slab[:len(dec.slab)+1]
 			r.entry = &dec.slab[len(dec.slab)-1]
-			s.b, s.i, s.ok = r.raw, 0, true
+			s.b, s.i, s.ok, s.known = r.raw, 0, true, r.key.s
 			s.entry(r.entry)
 		}
 		doc.Entries[i] = *r.entry
@@ -210,23 +287,135 @@ func (dec *RowDecoder) Document(d *RowDay) *Document {
 	return &doc
 }
 
+// A stored row's value forms. The fields without omitempty come first,
+// so a form below valNames is a field every row carries.
+const (
+	valPrefix  = iota // a plain string: the row's prefix
+	valASN            // a uint32
+	valBool           // true or false
+	valNames          // a non-empty list of plain strings
+	valNonzero        // an int other than zero
+	valTrue           // true
+)
+
+// rowFields is DocumentEntry's fields in struct order, with the form
+// appendEntry writes each value in: the one table the split runs.
+var rowFields = [...]struct {
+	name string
+	val  uint8
+}{
+	{"prefix", valPrefix},
+	{"origin_asn", valASN},
+	{"anycast_based_protocols", valNames},
+	{"anycast_based_vps", valNonzero},
+	{"from_feedback", valTrue},
+	{"gcd_measured", valBool},
+	{"gcd_anycast", valBool},
+	{"gcd_sites", valNonzero},
+	{"gcd_cities", valNames},
+	{"gcd_vps", valNonzero},
+	{"partial_anycast", valTrue},
+	{"global_bgp", valTrue},
+}
+
+// rowLayout is an entryLayout as the split matches it: the layout's
+// whitespace, and each field's quoted name as words.
+type rowLayout struct {
+	member   space // before each member, and before a name list's ']'
+	elem     space // before each element of a name list
+	end      space // before the row's '}'
+	colon    bool  // a space follows each key's ':'
+	name     [len(rowFields)]wordName
+	indented bool
+}
+
+// space is a layout's whitespace before a token: nothing, or a line
+// break and at most eight spaces (every layout's indentation is), which
+// one masked word matches.
+type space struct {
+	s    string
+	mask uint64 // the spaces' bytes in the word after the line break
+}
+
+// newSpace prepares ws to be matched.
+func newSpace(ws string) space {
+	if ws == "" {
+		return space{}
+	}
+	return space{s: ws, mask: 1<<(8*(len(ws)-1)) - 1}
+}
+
+// skip returns where b[i:] continues after the whitespace, or -1 when it
+// does not come next.
+func (w *space) skip(b []byte, i int) int {
+	switch {
+	case w.s == "":
+		return i
+	case len(b)-i >= 9:
+		if b[i] == '\n' && (binary.LittleEndian.Uint64(b[i+1:])^0x2020202020202020)&w.mask == 0 {
+			return i + len(w.s)
+		}
+	case len(b)-i >= len(w.s) && string(b[i:i+len(w.s)]) == w.s:
+		return i + len(w.s)
+	}
+	return -1
+}
+
+// wordName is a field's name and its closing '"', at most 24 bytes, as
+// three little-endian words and the masks of the bytes each holds.
+type wordName struct {
+	q    string
+	w, m [3]uint64
+}
+
+// newRowLayout spells out layout l.
+func newRowLayout(l *entryLayout, indented bool) *rowLayout {
+	r := &rowLayout{member: newSpace(l.member), elem: newSpace(l.elem), end: newSpace(l.end), colon: l.colon == ": ", indented: indented}
+	for f, fd := range rowFields {
+		nm := wordName{q: fd.name + `"`}
+		for k := 0; 8*k < len(nm.q); k++ {
+			var w [8]byte
+			n := copy(w[:], nm.q[8*k:])
+			nm.w[k], nm.m[k] = binary.LittleEndian.Uint64(w[:]), ^uint64(0)>>(64-8*n)
+		}
+		r.name[f] = nm
+	}
+	return r
+}
+
+var (
+	compactRows = newRowLayout(&compactLayout, false) // a delta's upserts
+	indentRows  = newRowLayout(&indentLayout, true)   // a snapshot's entries
+)
+
 // storedRows splits an array of rows, each exactly as appendEntry writes
-// it in layout l. The rows' bytes alias the input; their prefixes are
-// carved from one string.
-func (s *scanner) storedRows(l *entryLayout) []*row {
+// it in layout l, into arena a. The rows' bytes alias the input; their
+// prefixes are carved from one string, and their keys are parsed as they
+// are split.
+func (s *scanner) storedRows(l *rowLayout, a *RowArena) []*row {
 	s.expect('[')
-	rows := make([]row, 0, s.hint)
 	if s.peek() == ']' {
 		s.i++
 		return []*row{}
 	}
-	prefixes, ends := make([]byte, 0, 24*s.hint), make([]int, 0, s.hint)
+	n := s.hint // rows from the arena up to this many, which bounds them in any file the writer made
+	if cap(a.rows)-len(a.rows) < n {
+		a.rows = make([]row, 0, max(n, 2*cap(a.rows)))
+	}
+	rows := a.rows[len(a.rows) : len(a.rows) : len(a.rows)+n]
+	prefixes, ends := a.prefix[:0], a.ends[:0]
+	defer func() { a.prefix, a.ends = prefixes, ends }()
 	for s.ok {
 		s.ws()
 		start := s.i
-		prefixes = append(prefixes, s.storedRow(l)...)
+		prefix, key := s.storedRow(l)
+		prefixes = append(prefixes, prefix...)
 		ends = append(ends, len(prefixes))
-		rows = append(rows, row{raw: s.b[start:s.i], indented: l == &indentLayout})
+		rows = append(rows, row{key: key, raw: s.b[start:s.i], indented: l.indented})
+		if s.i < len(s.b) && s.b[s.i] == ',' {
+			s.i++
+			continue
+		}
 		if !s.more(']') {
 			break
 		}
@@ -234,99 +423,352 @@ func (s *scanner) storedRows(l *entryLayout) []*row {
 	if !s.ok {
 		return nil
 	}
+	a.rows = a.rows[:len(a.rows)+min(len(rows), n)]
+	if cap(a.ptrs)-len(a.ptrs) < len(rows) {
+		a.ptrs = make([]*row, 0, max(len(rows), 2*cap(a.ptrs)))
+	}
+	a.ptrs = a.ptrs[:len(a.ptrs)+len(rows)]
+	ptrs := a.ptrs[len(a.ptrs)-len(rows) : len(a.ptrs) : len(a.ptrs)]
 	all, start := string(prefixes), 0
-	ptrs := make([]*row, len(rows))
 	for i := range rows {
-		rows[i].key.s, start = all[start:ends[i]], ends[i]
-		ptrs[i] = &rows[i]
+		r := &rows[i]
+		r.key.s, start = all[start:ends[i]], ends[i]
+		if r.key.rank == 0 { // a prefix prefixKeyAt leaves to ParsePrefixKey
+			r.key = ParsePrefixKey(r.key.s)
+		}
+		ptrs[i] = r
 	}
 	return ptrs
 }
 
 // storedRow steps over one row if it is exactly what appendEntry writes
-// in layout l — its fields in the struct's order, each omitempty field
-// only when set, every value in the form the appender gives it — and
-// returns its prefix's bytes.
-func (s *scanner) storedRow(l *entryLayout) (prefix []byte) {
-	s.want('{')
-	next, seen := 0, 0
-	for s.ok {
-		s.lit(l.member)
-		k := s.keyName()
-		s.lit(l.colon)
-		f := 0
-		switch string(k) {
-		case "prefix":
-			prefix = s.plain()
-		case "origin_asn":
-			f = 1
-			s.digits(math.MaxUint32)
-		case "anycast_based_protocols":
-			f = 2
-			s.plainList(l)
-		case "anycast_based_vps":
-			f = 3
-			s.nonzero()
-		case "from_feedback":
-			f = 4
-			s.lit("true")
-		case "gcd_measured":
-			f = 5
-			s.boolLit()
-		case "gcd_anycast":
-			f = 6
-			s.boolLit()
-		case "gcd_sites":
-			f = 7
-			s.nonzero()
-		case "gcd_cities":
-			f = 8
-			s.plainList(l)
-		case "gcd_vps":
-			f = 9
-			s.nonzero()
-		case "partial_anycast":
-			f = 10
-			s.lit("true")
-		case "global_bgp":
-			f = 11
-			s.lit("true")
-		default:
-			s.ok = false
-		}
-		if f < next { // out of order, or repeated
-			s.ok = false
-		}
-		next, seen = f+1, seen|1<<f
-		if !s.char(',') {
-			break
-		}
-	}
-	const always = 1<<0 | 1<<1 | 1<<5 | 1<<6 // the fields without omitempty
-	if seen&always != always {
+// in layout l — its fields in rowFields' order, each omitempty field only
+// when set, every value in the form the appender gives it, the layout's
+// whitespace around them — and returns its prefix's bytes and key. The
+// key's string is unset, and its rank is zero when ParsePrefixKey has to
+// parse the prefix. A key is told from the fields it could be by the
+// first eight bytes of its name.
+func (s *scanner) storedRow(l *rowLayout) (prefix []byte, key PrefixKey) {
+	b, i := s.b, s.i
+	if i >= len(b) || b[i] != '{' {
 		s.ok = false
+		return nil, key
 	}
-	s.lit(l.end)
-	s.want('}')
-	return prefix
+	if i = l.keyAt(b, i+1, 0); i < 0 {
+		s.ok = false
+		return nil, key
+	}
+	s.i = i
+	prefix, key = s.prefix()
+	f := 1
+	for s.ok && s.i < len(b) && b[s.i] == ',' {
+		w := word(b, s.i+1+len(l.member.s)+1) // the name's first eight bytes, past ',', the whitespace and '"'
+		v := -1
+		for ; f < len(rowFields); f++ {
+			if w == l.name[f].w[0] {
+				if v = l.keyAt(b, s.i+1, f); v >= 0 {
+					break
+				}
+			}
+			if rowFields[f].val < valNames { // a field without omitempty
+				break
+			}
+		}
+		if v < 0 { // missing, unknown, out of order or repeated
+			s.ok = false
+			return nil, key
+		}
+		s.i = v
+		switch rowFields[f].val {
+		case valASN:
+			s.number(false, math.MaxUint32)
+		case valBool:
+			s.boolLit()
+		case valNames:
+			s.nameSpan(l)
+		case valNonzero:
+			s.nonzero()
+		case valTrue:
+			s.lit("true")
+		}
+		f++
+	}
+	for ; f < len(rowFields); f++ {
+		if rowFields[f].val < valNames {
+			s.ok = false
+		}
+	}
+	if !s.ok {
+		return nil, key
+	}
+	if i = l.end.skip(b, s.i); i < 0 || i >= len(b) || b[i] != '}' {
+		s.ok = false
+		return nil, key
+	}
+	s.i = i + 1
+	return prefix, key
 }
 
-// char consumes c when it is next, with no whitespace before it.
-func (s *scanner) char(c byte) bool {
-	if s.ok && s.i < len(s.b) && s.b[s.i] == c {
-		s.i++
-		return true
+// keyAt returns where field f's value starts when its key follows b[i:]
+// in layout l — the member's whitespace, the quoted name and the colon —
+// or -1.
+func (l *rowLayout) keyAt(b []byte, i, f int) int {
+	if i = l.member.skip(b, i); i < 0 || i >= len(b) || b[i] != '"' {
+		return -1
 	}
-	return false
+	i++
+	nm := &l.name[f]
+	if len(b)-i >= 24 {
+		if binary.LittleEndian.Uint64(b[i:])&nm.m[0] != nm.w[0] ||
+			binary.LittleEndian.Uint64(b[i+8:])&nm.m[1] != nm.w[1] ||
+			binary.LittleEndian.Uint64(b[i+16:])&nm.m[2] != nm.w[2] {
+			return -1
+		}
+	} else if len(b)-i < len(nm.q) || string(b[i:i+len(nm.q)]) != nm.q {
+		return -1
+	}
+	if i += len(nm.q); i >= len(b) || b[i] != ':' {
+		return -1
+	}
+	if i++; l.colon {
+		if i >= len(b) || b[i] != ' ' {
+			return -1
+		}
+		i++
+	}
+	return i
 }
 
-// want consumes c, with no whitespace before it.
-func (s *scanner) want(c byte) {
-	if s.i < len(s.b) && s.b[s.i] == c {
-		s.i++
+// word returns the eight bytes at b[i:], little-endian, zero past the
+// end.
+func word(b []byte, i int) uint64 {
+	if len(b)-i >= 8 {
+		return binary.LittleEndian.Uint64(b[i:])
+	}
+	var w [8]byte
+	copy(w[:], b[min(i, len(b)):])
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// prefix reads a row's prefix, a plain string, and parses its key when
+// prefixKeyAt can; otherwise the key's rank is zero.
+func (s *scanner) prefix() ([]byte, PrefixKey) {
+	b, i := s.b, s.i
+	if i < len(b) && b[i] == '"' {
+		// A prefix netip writes holds only plain bytes.
+		if key, j, ok := prefixKeyAt(b, i+1); ok && j < len(b) && b[j] == '"' {
+			s.i = j + 1
+			return b[i+1 : j], key
+		}
+	}
+	return s.plain(), PrefixKey{}
+}
+
+// nameSpan steps over a non-empty list of plain strings in layout l in
+// one loop over the list's bytes, eight at a time: each byte a string may
+// not hold as it is is marked, a closing quote's separator is checked
+// where it stands, and the loop goes on past the next string's opening
+// quote, in the same eight bytes while they reach it.
+func (s *scanner) nameSpan(l *rowLayout) {
+	b, i := s.b, s.i
+	if i >= len(b) || b[i] != '[' {
+		s.ok = false
 		return
 	}
-	s.ok = false
+	if i = l.elem.skip(b, i+1); i < 0 || i >= len(b) || b[i] != '"' {
+		s.ok = false
+		return
+	}
+	i++
+	start, ascii := i, true
+words:
+	for {
+		// Past the end the bytes read as '"', which p >= len(b) refuses.
+		var x uint64
+		if i+8 <= len(b) {
+			x = binary.LittleEndian.Uint64(b[i:])
+		} else {
+			w := [8]byte{'"', '"', '"', '"', '"', '"', '"', '"'}
+			copy(w[:], b[i:])
+			x = binary.LittleEndian.Uint64(w[:])
+		}
+		for m := plainBytes(x); m != 0; m &= m - 1 {
+			p := i + bits.TrailingZeros64(m)>>3
+			if p >= len(b) {
+				s.ok = false // unterminated
+				return
+			}
+			if c := b[p]; c != '"' {
+				if c < utf8.RuneSelf {
+					s.ok = false // a byte encoding/json escapes
+					return
+				}
+				ascii = false // part of a multi-byte rune
+				continue
+			}
+			// A closing quote: ',' and the next string's opening quote,
+			// or the list's end.
+			j := p + 1
+			if j < len(b) && b[j] == ',' {
+				if j = l.elem.skip(b, j+1); j < 0 || j >= len(b) || b[j] != '"' {
+					s.ok = false
+					return
+				}
+				if d := j - i; d < 7 {
+					m &= ^uint64(0) << (8 * d) // the loop's m &= m-1 clears the opening quote's mark
+					continue
+				}
+				i = j + 1
+				continue words
+			}
+			if j = l.member.skip(b, j); j < 0 || j >= len(b) || b[j] != ']' {
+				s.ok = false
+				return
+			}
+			// The separators are ASCII: the strings are plain exactly
+			// when the span holding them all is.
+			if !ascii && !plainRunes(b[start:p]) {
+				s.ok = false
+				return
+			}
+			s.i = j + 1
+			return
+		}
+		i += 8
+	}
+}
+
+// plainBytes sets the high bit of exactly those bytes of x (in memory
+// order, little-endian) that a plain string may not hold as they are: a
+// byte that is not ASCII, a control byte, '"', '\\', '<', '>' or '&'.
+// Each term below has a byte's high bit clear where the byte matches: no
+// carry crosses a byte. '"' and '&' differ only in bit 2, and '<' and
+// '>' only in bit 1.
+func plainBytes(x uint64) uint64 {
+	const ones, low7, highs = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	q := x&^(0x04*ones) ^ '"'*ones
+	a := x&^(0x02*ones) ^ '<'*ones
+	e := x ^ '\\'*ones
+	return (x | ^((x&low7 + 0x60*ones) & (q&low7 + low7 | q) & (a&low7 + low7 | a) & (e&low7 + low7 | e))) & highs
+}
+
+// prefixKeyAt parses the prefix at p[i:] as ParsePrefixKey does, for the
+// forms netip writes — four decimal fields, or hex groups with at most
+// one "::" and no embedded IPv4, then '/' and the bits — and returns the
+// key, its string unset, and where the prefix ends; whatever follows is
+// the caller's to check. It reports false for any other form, which it
+// leaves to ParsePrefixKey.
+func prefixKeyAt(p []byte, i int) (key PrefixKey, end int, ok bool) {
+	maxBits := 32
+	if key, end, ok = quadAt(p, i); !ok {
+		if key, end, ok = ipv6At(p, i); !ok {
+			return PrefixKey{}, 0, false
+		}
+		maxBits = 128
+	}
+	if end >= len(p) || p[end] != '/' {
+		return PrefixKey{}, 0, false
+	}
+	bits, end, ok := decimalAt(p, end+1)
+	if !ok || bits > maxBits {
+		return PrefixKey{}, 0, false
+	}
+	key.bits = uint8(bits)
+	return key, end, true
+}
+
+// decimalAt reads one to three digits at p[i:] with no leading zero.
+func decimalAt(p []byte, i int) (v, end int, ok bool) {
+	for end = i; end < len(p) && end-i < 3 && '0' <= p[end] && p[end] <= '9'; end++ {
+		v = v*10 + int(p[end]-'0')
+	}
+	return v, end, end > i && (end-i == 1 || p[i] != '0')
+}
+
+// quadAt reads an IPv4 address at p[i:]: four decimal fields of at most
+// 255 with no leading zero, as netip reads them.
+func quadAt(p []byte, i int) (PrefixKey, int, bool) {
+	var v uint64
+	for f := 0; f < 4; f++ {
+		if f > 0 {
+			if i >= len(p) || p[i] != '.' {
+				return PrefixKey{}, i, false
+			}
+			i++
+		}
+		field, end, ok := decimalAt(p, i)
+		if !ok || field > 255 {
+			return PrefixKey{}, i, false
+		}
+		v, i = v<<8|uint64(field), end
+	}
+	return PrefixKey{lo: 0xffff<<32 | v, rank: keyIPv4}, i, true
+}
+
+// ipv6At reads an IPv6 address at p[i:] as netip's parseIPv6 does, with
+// no zone and no embedded IPv4 address: up to eight groups of one to
+// four hex digits, at most one "::" standing for one group of zeros or
+// more. The address ends at the first byte that continues neither.
+func ipv6At(p []byte, j int) (PrefixKey, int, bool) {
+	var ip [16]byte
+	ellipsis, i := -1, 0
+	if j+1 < len(p) && p[j] == ':' && p[j+1] == ':' {
+		ellipsis, j = 0, j+2
+	}
+	for i < 16 {
+		if ellipsis == i && (j >= len(p) || hexDigit(p[j]) < 0) {
+			break // the address ends in its "::"
+		}
+		n, acc := 0, 0
+		for ; j < len(p); j++ {
+			d := hexDigit(p[j])
+			if d < 0 {
+				break
+			}
+			if n == 4 {
+				return PrefixKey{}, j, false
+			}
+			acc, n = acc<<4|d, n+1
+		}
+		if n == 0 {
+			return PrefixKey{}, j, false
+		}
+		ip[i], ip[i+1] = byte(acc>>8), byte(acc)
+		i += 2
+		if j >= len(p) || p[j] != ':' {
+			break
+		}
+		j++
+		if j < len(p) && p[j] == ':' {
+			if ellipsis >= 0 {
+				return PrefixKey{}, j, false
+			}
+			ellipsis = i
+			j++
+		}
+	}
+	switch {
+	case i < 16 && ellipsis < 0, i == 16 && ellipsis >= 0:
+		return PrefixKey{}, j, false // too short, or a "::" standing for no group
+	case i < 16:
+		n := 16 - i
+		copy(ip[ellipsis+n:], ip[ellipsis:i])
+		clear(ip[ellipsis : ellipsis+n])
+	}
+	return PrefixKey{hi: binary.BigEndian.Uint64(ip[:8]), lo: binary.BigEndian.Uint64(ip[8:]), rank: keyIPv6}, j, true
+}
+
+// hexDigit is c's value as a hex digit, or -1.
+func hexDigit(c byte) int {
+	switch {
+	case '0' <= c && c <= '9':
+		return int(c - '0')
+	case 'a' <= c && c <= 'f':
+		return int(c-'a') + 10
+	case 'A' <= c && c <= 'F':
+		return int(c-'A') + 10
+	}
+	return -1
 }
 
 // lit consumes tok, with no whitespace before it.
@@ -359,7 +801,7 @@ func (s *scanner) plain() []byte {
 			copy(w[:], b[i:])
 			x = binary.LittleEndian.Uint64(w[:])
 		}
-		if m := plainSpecial(x); m != 0 {
+		if m := plainBytes(x); m != 0 {
 			i += bits.TrailingZeros64(m) >> 3
 		} else {
 			i += 8
@@ -383,62 +825,29 @@ func (s *scanner) plain() []byte {
 	return r
 }
 
-// plainSpecial sets the high bit of each of x's bytes (in memory order,
-// little-endian) that plain has to look at: a byte that is not ASCII, a
-// control byte, '"', '\\', '<', '>' or '&'. The lowest bit set marks the
-// first such byte exactly; bits above it may be spurious.
-func plainSpecial(x uint64) uint64 {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	zero := func(y uint64) uint64 { return (y - ones) &^ y }
-	return (x | (x-0x20*ones)&^x | zero(x^'"'*ones) | zero(x^'\\'*ones) |
-		zero(x^'<'*ones) | zero(x^'>'*ones) | zero(x^'&'*ones)) & highs
-}
-
-// keyName reads an object key: the bytes up to the next '"', which the
-// caller matches against the schema's names.
-func (s *scanner) keyName() []byte {
-	b, i := s.b, s.i
-	if i >= len(b) || b[i] != '"' {
-		s.ok = false
-		return nil
-	}
-	j := i + 1
-	for j < len(b) && b[j] != '"' {
-		j++
-	}
-	if j == len(b) {
-		s.ok = false
-		return nil
-	}
-	s.i = j + 1
-	return b[i+1 : j]
-}
-
-// plainList reads a non-empty list of plain strings in layout l.
-func (s *scanner) plainList(l *entryLayout) {
-	s.want('[')
-	for s.ok {
-		s.lit(l.elem)
-		s.plain()
-		if !s.char(',') {
-			break
-		}
-	}
-	s.lit(l.member)
-	s.want(']')
-}
-
 // nonzero reads an int other than zero as strconv.AppendInt writes it.
 func (s *scanner) nonzero() {
+	limit := uint64(math.MaxInt)
+	if s.i < len(s.b) && s.b[s.i] == '-' {
+		s.i, limit = s.i+1, limit+1
+	}
+	s.number(true, limit)
+}
+
+// number reads a JSON integer's digits ("0" or no leading zero) whose
+// value is at most limit, which is below 10^19, so nineteen digits never
+// overflow and twenty are always too many; nonzero refuses a zero.
+func (s *scanner) number(nonzero bool, limit uint64) {
+	b, i := s.b, s.i
 	var v uint64
-	if s.char('-') {
-		v = s.digits(uint64(math.MaxInt) + 1)
-	} else {
-		v = s.digits(math.MaxInt)
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9' && i-s.i < 20; i++ {
+		v = v*10 + uint64(b[i]-'0')
 	}
-	if v == 0 {
+	if n := i - s.i; n == 0 || n > 19 || n > 1 && b[s.i] == '0' || v > limit || nonzero && v == 0 {
 		s.ok = false
+		return
 	}
+	s.i = i
 }
 
 // boolLit reads true or false.
@@ -460,18 +869,24 @@ func plainRunes(b []byte) bool {
 // appendCompact appends an indented row without its layout's
 // whitespace: each line break with the indentation after it, and the
 // space after each key's colon. The row's strings are plain, so none
-// holds a line break or a '"', and `": ` follows only a key.
+// holds a line break or a '"': a line that opens with a key ends its name
+// at the line's second '"', and a colon and a space follow only a key.
 func appendCompact(b, raw []byte) []byte {
 	for len(raw) > 0 {
 		line := raw
 		if i := bytes.IndexByte(raw, '\n'); i >= 0 {
-			line, raw = raw[:i], bytes.TrimLeft(raw[i+1:], " ")
+			line, raw = raw[:i], raw[i+1:]
+			for len(raw) > 0 && raw[0] == ' ' {
+				raw = raw[1:]
+			}
 		} else {
 			raw = nil
 		}
-		if k := bytes.Index(line, []byte(`": `)); k >= 0 {
-			b = append(b, line[:k+2]...)
-			line = line[k+3:]
+		if len(line) > 0 && line[0] == '"' {
+			if k := bytes.IndexByte(line[1:], '"') + 2; k > 1 && len(line) > k+1 && line[k] == ':' && line[k+1] == ' ' {
+				b = append(b, line[:k+1]...)
+				line = line[k+2:]
+			}
 		}
 		b = append(b, line...)
 	}

@@ -1,0 +1,294 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand/v2"
+	"net/netip"
+	"sync"
+	"testing"
+)
+
+// dayFile is one day-file as the archive writer makes it.
+type dayFile struct {
+	name string
+	b    []byte
+	snap bool
+}
+
+var (
+	writerFilesOnce sync.Once
+	writerDocs      []*Document
+)
+
+// writerFiles returns the day-files an archive packed at the given
+// snapshot cadence holds for eight consecutive TestConfig census days of
+// both families: a snapshot is StreamDocument's bytes, a delta
+// DiffDocuments' compact JSON and a newline, as the archive writer
+// writes them.
+func writerFiles(t testing.TB, every int) []dayFile {
+	t.Helper()
+	writerFilesOnce.Do(func() {
+		p := newPipeline(t)
+		for day := 100; day < 108; day++ {
+			for _, v6 := range []bool{false, true} {
+				c, err := p.RunDaily(day, v6, DayOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				writerDocs = append(writerDocs, c.Document())
+			}
+		}
+	})
+	var files []dayFile
+	for i, doc := range writerDocs {
+		day := i / 2
+		name := fmt.Sprintf("%s day %d", doc.Family, day)
+		if day%every == 0 {
+			var buf bytes.Buffer
+			if err := StreamDocument(&buf, doc); err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, dayFile{name + " snapshot", buf.Bytes(), true})
+			continue
+		}
+		b, err := DiffDocuments(writerDocs[i-2], doc).AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, dayFile{name + " delta", append(b, '\n'), false})
+	}
+	return files
+}
+
+// refScanRows is ScanDocumentRows (snap) or ScanDeltaRows on the
+// reference splitter: the rows only, their keys unparsed.
+func refScanRows(b []byte, snap bool) ([]*row, bool) {
+	s := newScanner(b)
+	var rows []*row
+	if snap {
+		_, ok := s.document(func() { rows = s.refStoredRows(&indentLayout) })
+		return rows, ok
+	}
+	var hdr Document
+	ok := s.delta(&hdr, func() { s.stringList() }, func() { rows = s.refStoredRows(&compactLayout) })
+	return rows, ok
+}
+
+// scanRows is the split's fast path on a snapshot (snap) or a delta,
+// into a new arena.
+func scanRows(b []byte, snap bool) ([]*row, bool) { return scanRowsInto(b, snap, new(RowArena)) }
+
+// scanRowsInto is scanRows into arena a.
+func scanRowsInto(b []byte, snap bool, a *RowArena) ([]*row, bool) {
+	if snap {
+		d, ok := ScanDocumentRows(b, a)
+		if !ok {
+			return nil, false
+		}
+		return d.rows, true
+	}
+	d, ok := ScanDeltaRows(b, a)
+	if !ok {
+		return nil, false
+	}
+	return d.upserts, true
+}
+
+// checkSplitMatchesReference holds the split of b to the reference
+// splitter: both accept b or both decline it, and what they accept
+// splits into the same rows — the same bounds in b, the same prefixes —
+// each keyed as ParsePrefixKey keys its prefix. A delta's removals are
+// keyed as ParsePrefixKey keys them.
+func checkSplitMatchesReference(t *testing.T, b []byte, snap bool) {
+	t.Helper()
+	want, wok := refScanRows(b, snap)
+	got, ok := scanRows(b, snap)
+	if ok != wok {
+		t.Fatalf("the split accepts: %v, the reference: %v\n%q", ok, wok, b)
+	}
+	if !ok {
+		return
+	}
+	if !snap {
+		d, _ := ScanDeltaRows(b, new(RowArena))
+		for _, k := range d.removed {
+			if k != ParsePrefixKey(k.s) {
+				t.Fatalf("removal keyed %+v, ParsePrefixKey(%q) = %+v", k, k.s, ParsePrefixKey(k.s))
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("the split makes %d rows, the reference %d", len(got), len(want))
+	}
+	for i, r := range got {
+		w := want[i]
+		if &r.raw[0] != &w.raw[0] || len(r.raw) != len(w.raw) || r.indented != w.indented {
+			t.Fatalf("row %d: the split's bytes\n%q\nthe reference's\n%q", i, r.raw, w.raw)
+		}
+		if r.key.s != w.key.s {
+			t.Fatalf("row %d: prefix %q, the reference's %q", i, r.key.s, w.key.s)
+		}
+		if k := ParsePrefixKey(r.key.s); r.key != k {
+			t.Fatalf("row %d: key %+v, ParsePrefixKey(%q) = %+v", i, r.key, r.key.s, k)
+		}
+	}
+}
+
+// TestSplitMatchesReference holds the table-driven split to the
+// splitter it replaced (rows_ref_test.go) on every day-file the writer
+// makes of eight TestConfig census days of both families, packed at
+// SnapshotEvery 1 and 7, and on each of their rows alone after seeded
+// single-byte edits, deletions and insertions, some in the prefix: the
+// same accept or decline, the same row bounds and prefixes, and each
+// key ParsePrefixKey's. Every writer-made file splits.
+func TestSplitMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(56, 7))
+	alphabet := []byte(`0123456789abcdefxyz.:/"{}[],- ` + "\n\t\\<&\x00\x7f\x80\xc3\xe2")
+	rows := 0
+	for _, every := range []int{1, 7} {
+		for _, f := range writerFiles(t, every) {
+			checkSplitMatchesReference(t, f.b, f.snap)
+			split, ok := scanRows(f.b, f.snap)
+			if !ok {
+				t.Fatalf("every=%d %s: the split declined a file the writer made", every, f.name)
+			}
+			layout := &compactLayout
+			if f.snap {
+				layout = &indentLayout
+			}
+			for _, r := range split {
+				rows++
+				for _, mut := range mutations(rng, r.raw, alphabet) {
+					checkRowMatchesReference(t, mut, layout)
+				}
+			}
+		}
+	}
+	if rows < 1000 {
+		t.Fatalf("%d rows split, want a fixture of 1,000 or more", rows)
+	}
+}
+
+// mutations returns seeded variants of a row: three single-byte edits
+// anywhere, one in the prefix, a deletion and an insertion, and the row
+// without one of its fields after the first, or with one of its fields'
+// value replaced by a zero.
+func mutations(rng *rand.Rand, raw, alphabet []byte) [][]byte {
+	var out [][]byte
+	edit := func(at int) {
+		m := bytes.Clone(raw)
+		m[at] = alphabet[rng.IntN(len(alphabet))]
+		out = append(out, m)
+	}
+	for range 3 {
+		edit(rng.IntN(len(raw)))
+	}
+	if p := bytes.Index(raw, []byte(`"prefix"`)); p >= 0 {
+		start := p + len(`"prefix"`) + bytes.IndexByte(raw[p+len(`"prefix"`):], '"') + 1
+		end := start + bytes.IndexByte(raw[start:], '"')
+		edit(start + rng.IntN(end-start+1))
+	}
+	at := rng.IntN(len(raw))
+	out = append(out, append(bytes.Clone(raw[:at]), raw[at+1:]...))
+	at = rng.IntN(len(raw) + 1)
+	ins := append(append(bytes.Clone(raw[:at]), alphabet[rng.IntN(len(alphabet))]), raw[at:]...)
+	out = append(out, ins)
+	// Where each field after the first starts (its ','), and where the
+	// last one ends.
+	var starts []int
+	for _, fd := range rowFields[1:] {
+		if k := bytes.Index(raw, []byte(`"`+fd.name+`"`)); k >= 0 {
+			starts = append(starts, bytes.LastIndexByte(raw[:k], ','))
+		}
+	}
+	starts = append(starts, bytes.LastIndexAny(raw[:len(raw)-1], `]"0123456789el`)+1)
+	k := rng.IntN(len(starts) - 1)
+	out = append(out, append(bytes.Clone(raw[:starts[k]]), raw[starts[k+1]:]...))
+	value := starts[k] + bytes.IndexByte(raw[starts[k]:], ':') + 1
+	for raw[value] == ' ' {
+		value++
+	}
+	return append(out, append(append(bytes.Clone(raw[:value]), '0'), raw[starts[k+1]:]...))
+}
+
+// checkRowMatchesReference splits one row, or what an edit made of it,
+// alone in an array with the split and the reference in layout l.
+func checkRowMatchesReference(t *testing.T, raw []byte, l *entryLayout) {
+	t.Helper()
+	b := append(append([]byte{'['}, raw...), ']')
+	rl := compactRows
+	if l == &indentLayout {
+		rl = indentRows
+	}
+	s, ref := newScanner(b), newScanner(b)
+	got, want := s.storedRows(rl, new(RowArena)), ref.refStoredRows(l)
+	if s.ok != ref.ok || s.ok && (len(got) != len(want) || s.i != ref.i) {
+		t.Fatalf("the split accepts: %v (%d rows), the reference: %v (%d rows)\n%q", s.ok, len(got), ref.ok, len(want), raw)
+	}
+	for i, r := range got {
+		w := want[i]
+		if !bytes.Equal(r.raw, w.raw) || r.key.s != w.key.s || r.key != ParsePrefixKey(w.key.s) {
+			t.Fatalf("the split makes %q keyed %+v, the reference %q of %q", r.raw, r.key, w.raw, w.key.s)
+		}
+	}
+}
+
+// TestPrefixKeyAt holds prefixKeyAt to ParsePrefixKey on the forms it
+// reads and at the edges of each, and requires it to read the forms
+// netip writes.
+func TestPrefixKeyAt(t *testing.T) {
+	for _, p := range []string{
+		"0.0.0.0/0", "1.2.3.4/32", "255.255.255.255/24", "10.0.0.0/8", "1.0.0.0/33", "256.0.0.0/8",
+		"01.2.3.4/8", "1.2.3/8", "1.2.3.4.5/8", "1.2.3.4/08", "1.2.3.4/", "1.2.3.4", "1..3.4/8", "1.2.3.4/24/8",
+		"::/0", "::1/128", "::ffff:1.2.3.4/96", "2001:db8::/32", "2001:DB8::/32", "2a0a::/48", "1::/16",
+		"1:2:3:4:5:6:7:8/128", "1:2:3:4:5:6:7:8::/128", "1:2:3:4:5:6:7::8/128", "::1:2:3:4:5:6:7:8/128",
+		"1:2:3:4:5:6:7/112", "12345::/16", "1:::2/64", "1::2::3/64", ":1::/16", "1:/16", "1::/129", "fe80::1%eth0/64",
+		"0::1/128", "::0/128", "a.b.c.d/8", "", "/", "/24", "x",
+	} {
+		want := ParsePrefixKey(p)
+		if k, end, ok := prefixKeyAt([]byte(p), 0); ok && end == len(p) {
+			k.s = p
+			if k != want {
+				t.Errorf("prefixKeyAt(%q) = %+v, ParsePrefixKey %+v", p, k, want)
+			}
+		} else if pp, err := netip.ParsePrefix(p); err == nil && pp.String() == p && !pp.Addr().Is4In6() {
+			t.Errorf("prefixKeyAt declines %q, a prefix in netip's form", p)
+		}
+	}
+}
+
+// BenchmarkSplit splits one fixture delta and one fixture snapshot with
+// the table-driven pass, into one arena emptied each time as a walk
+// empties it at a snapshot, and with the reference splitter it replaced.
+func BenchmarkSplit(b *testing.B) {
+	var delta, snap dayFile
+	for _, f := range writerFiles(b, 7) {
+		if f.snap && snap.b == nil && f.name[:4] == "ipv4" {
+			snap = f
+		} else if !f.snap && delta.b == nil && f.name[:4] == "ipv4" {
+			delta = f
+		}
+	}
+	var arena RowArena
+	for _, f := range []dayFile{delta, snap} {
+		kind := "delta"
+		if f.snap {
+			kind = "snapshot"
+		}
+		for _, c := range []struct {
+			name  string
+			split func([]byte, bool) ([]*row, bool)
+		}{{"table", func(b []byte, snap bool) ([]*row, bool) { arena.Reset(); return scanRowsInto(b, snap, &arena) }}, {"reference", refScanRows}} {
+			b.Run(kind+"/"+c.name, func(b *testing.B) {
+				b.SetBytes(int64(len(f.b)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, ok := c.split(f.b, f.snap); !ok {
+						b.Fatal("declined")
+					}
+				}
+			})
+		}
+	}
+}

@@ -171,8 +171,10 @@ func (s *row) detect(out []Event, family, prefix string, days []int, opts EventO
 // of the requested kinds with effect days in [from, to] (to < 0 means
 // through the last indexed day). A nil or empty kind set selects every
 // kind. Each row record is scanned in place in the image — no Timeline
-// is built, nothing is allocated per row once the buffers have grown —
-// and no document is decoded.
+// is built, nothing is allocated per row once the pooled buffers have
+// grown — and no document is decoded. The events are detected into the
+// pooled row's scratch list and placed once, in day order, into the one
+// list returned, which is exactly as long as the events it holds.
 //
 // The day window is pushed into the scan: every event with an effect
 // day in [from, to] requires the prefix to be present on some indexed
@@ -203,10 +205,10 @@ func (ix *Index) Events(family string, kinds []EventKind, from, to int, opts Eve
 	}
 	lo := max(fromPos-1, 0)
 	full := fromPos == 0 && toPos == n-1
-	var (
-		out  []Event
-		scan row
-	)
+	scan := rowPool.Get().(*row)
+	defer rowPool.Put(scan)
+	out := scan.scratch[:0]
+	defer func() { scan.scratch = out[:0] }()
 	for _, ref := range fam.prefixes {
 		ix.eventRows.Add(1)
 		buf := ix.record(ref)
@@ -235,25 +237,30 @@ func (ix *Index) Events(family string, kinds []EventKind, from, to int, opts Eve
 	return sortEventsByDay(out), nil
 }
 
-// sortEventsByDay orders events chronologically. The input is P
-// per-prefix runs concatenated in canonical prefix order, each run
-// already day-ordered — a stable sort on day alone keeps canonical
-// prefix order within a day. It counts events per day over the span the
-// events cover and places each one once: no comparisons, no swaps. A
-// span far wider than the event count — a sparse or hostile day list —
-// takes a stable comparison sort instead, so memory stays proportional
-// to the events.
+// sortEventsByDay returns the events in chronological order, in a new
+// list of exactly their number (nil for none); the input is left as it
+// was. The input is P per-prefix runs concatenated in canonical prefix
+// order, each run already day-ordered — a stable sort on day alone keeps
+// canonical prefix order within a day. It counts events per day over the
+// span the events cover and places each one once: no comparisons, no
+// swaps. A span far wider than the event count — a sparse or hostile day
+// list — takes a stable comparison sort of a copy instead, so memory
+// stays proportional to the events.
 func sortEventsByDay(events []Event) []Event {
-	if len(events) < 2 {
-		return events
+	switch len(events) {
+	case 0:
+		return nil
+	case 1:
+		return []Event{events[0]}
 	}
 	lo, hi := events[0].Day, events[0].Day
 	for i := range events {
 		lo, hi = min(lo, events[i].Day), max(hi, events[i].Day)
 	}
 	if hi-lo > 4*len(events) {
-		slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Day, b.Day) })
-		return events
+		out := slices.Clone(events)
+		slices.SortStableFunc(out, func(a, b Event) int { return cmp.Compare(a.Day, b.Day) })
+		return out
 	}
 	next := make([]int, hi-lo+2) // next[d]: where day lo+d's next event goes
 	for i := range events {
