@@ -4,7 +4,7 @@
 //
 // Day-over-day censuses are highly redundant — most prefixes persist
 // (Fig 10) — so the archive stores a full snapshot every K days and, in
-// between, only the day's changes (core.DocumentDelta). The layout is a
+// between, only the day's changes (core.RowDelta). The layout is a
 // directory:
 //
 //	index.jsonl            one JSON line per appended day (the only
@@ -23,25 +23,29 @@
 // timeline.idx and its .agg sidecar) appears whole through CommitFile's
 // tmp-and-rename, and index.jsonl is opened, repaired and appended there.
 //
+// Rows are the one form a day takes here. core.SplitDocument and
+// core.SplitDelta split a day-file into rows (a prefix, parsed for the
+// merge, and the row's bytes) in one table-driven, reflection-free pass
+// that accepts only the writer's form; encoding/json reads the small
+// header object, and the whole file only when the file holds something
+// the writer never emits. The writer streams each day's canonical bytes
+// once (core.StreamDocument), keeps them and their rows for the next
+// day, and stores a delta day as core.DiffRows of the two days' rows,
+// proven to rebuild the day before its record is written. The readers
+// rebuild days from stored rows: core.RowDelta.Apply merges a delta's
+// rows into the day before, and a reader decodes only the rows it hands
+// out (core.RowDecoder) or, for /v1/range, copies their bytes.
+// ReadDay splits one day-file for the query indexer, which takes a
+// delta's changes as they are.
+//
 // The reader (Archive) is a stateless, lock-free store: it caches
 // nothing, so a decoded document is the caller's own, and callers that
 // re-read days keep their own cache (internal/api's decoded-day LRU).
-// Every day-file is read whole, once per walk. Document, Range,
-// RangeJSON and Verify rebuild days from stored rows: core.SplitDocument
-// and core.SplitDelta split a file into rows (a prefix, parsed for the
-// merge, and the row's bytes) in one table-driven, reflection-free pass
-// that accepts only the writer's form, core.RowDelta.Apply merges a
-// delta's rows into the day before, and the readers decode the rows they
-// hand out or, for /v1/range, copy their bytes. ReadDay decodes a file whole (core.DecodeDocument,
-// core.DecodeDelta) for the query indexer, which takes deltas as they
-// are. encoding/json runs on the small header object, and on the whole
-// file only when the file holds something the writer never emits. The
-// writer is reflection-free the same way: a snapshot streams through
-// core.StreamDocument and a delta is DocumentDelta.AppendJSON, both
-// core's entry appender, with encoding/json left the header.
+// Every day-file is read whole, once per walk.
 package archive
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -119,9 +123,32 @@ type Options struct {
 
 // famState tracks one family's delta chain inside a Writer.
 type famState struct {
-	lastDay   int
-	sinceSnap int // days appended since the last snapshot
-	lastDoc   *core.Document
+	lastDay    int
+	sinceSnap  int      // days appended since the last snapshot
+	last, next *dayRows // the last day, and the buffers the next one reuses
+}
+
+// dayRows is one day as the writer keeps it: its canonical bytes and
+// their rows.
+type dayRows struct {
+	b     []byte
+	rows  *core.RowDay
+	arena core.RowArena
+}
+
+// stream streams doc's canonical bytes into d, over what d held, and
+// splits them.
+func (d *dayRows) stream(doc *core.Document) (err error) {
+	buf := bytes.NewBuffer(d.b[:0])
+	if err := core.StreamDocument(buf, doc); err != nil {
+		return fmt.Errorf("archive: streaming day: %w", err)
+	}
+	d.b = buf.Bytes()
+	d.arena.Reset()
+	if d.rows, err = core.SplitDocument(d.b, &d.arena); err != nil {
+		return fmt.Errorf("archive: splitting day: %w", err)
+	}
+	return nil
 }
 
 // Writer appends census days to an archive directory. It is single-writer:
@@ -132,6 +159,7 @@ type Writer struct {
 	index *os.File
 	seq   int
 	fams  map[string]*famState
+	delta []byte // where a delta day's file is encoded
 
 	// Lifetime append telemetry, atomically updated after each committed
 	// day. Read via AppendStats; never consulted by the append logic.
@@ -202,37 +230,36 @@ func newWriter(dir string, opts Options, resume *Archive) (*Writer, error) {
 }
 
 // replay takes up each family's delta chain where the archive left it:
-// the last document, and the days since its snapshot, so the cadence
-// keeps its rhythm across writer restarts.
+// the last day's canonical bytes, and the days since its snapshot, so
+// the cadence keeps its rhythm across writer restarts.
 func (w *Writer) replay(a *Archive) error {
 	w.seq = len(a.recs)
 	for _, fam := range a.Families() {
 		idxs := a.byFam[fam]
 		last := a.recs[idxs[len(idxs)-1]].Day
 		doc, err := a.Document(fam, last)
+		st := &famState{lastDay: last, last: new(dayRows), next: new(dayRows)}
+		if err == nil {
+			err = st.last.stream(doc)
+		}
 		if err != nil {
 			return fmt.Errorf("archive: replaying %s day %d for append: %w", fam, last, err)
 		}
-		since := 0
 		for i := len(idxs) - 1; i >= 0; i-- {
-			since++
+			st.sinceSnap++
 			if a.recs[idxs[i]].Kind == KindSnapshot {
 				break
 			}
 		}
-		w.fams[fam] = &famState{lastDay: last, sinceSnap: since, lastDoc: doc}
+		w.fams[fam] = st
 	}
 	return nil
 }
 
-// countingWriter tallies bytes written through it.
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }
-
 // Append stores one census day. Days must be appended in strictly
-// increasing order per family; the writer retains doc for the next delta,
-// so the caller must not mutate it afterwards. Writer implements Sink.
+// increasing order per family. The writer keeps the day's canonical
+// bytes for the next delta, not doc: nothing of doc is held after Append
+// returns. Writer implements Sink.
 //
 // An append is four phases: admit the day, encode its file (committed
 // whole by CommitFile), append its index record, advance the chain. A
@@ -245,14 +272,20 @@ func (w *Writer) Append(day int, doc *core.Document) error {
 	if err != nil {
 		return err
 	}
-	kind, prev := KindSnapshot, (*core.Document)(nil)
-	if st != nil && st.sinceSnap < w.opts.SnapshotEvery {
-		kind, prev = KindDelta, st.lastDoc
+	kind, cur, last := KindSnapshot, new(dayRows), (*dayRows)(nil)
+	if st != nil {
+		cur = st.next
+		if st.sinceSnap < w.opts.SnapshotEvery {
+			kind, last = KindDelta, st.last
+		}
+	}
+	stored, err := w.encodeDay(day, doc, cur, last)
+	if err != nil {
+		return err
 	}
 	name := dayFileName(doc.Family, day, kind)
-	var c dayCode
-	if err := CommitFile(filepath.Join(w.dir, name), func(f io.Writer) (err error) {
-		c, err = encodeDay(f, day, doc, prev)
+	if err := CommitFile(filepath.Join(w.dir, name), func(f io.Writer) error {
+		_, err := f.Write(stored)
 		return err
 	}); err != nil {
 		return err
@@ -264,9 +297,9 @@ func (w *Writer) Append(day int, doc *core.Document) error {
 		Date:      doc.Date,
 		Kind:      kind,
 		File:      name,
-		Bytes:     c.stored,
-		FullBytes: c.full,
-		CRC:       c.crc,
+		Bytes:     int64(len(stored)),
+		FullBytes: int64(len(cur.b)),
+		CRC:       crc32.Checksum(cur.b, castagnoli),
 		Entries:   len(doc.Entries),
 		GCount:    doc.GCount,
 		MCount:    doc.MCount,
@@ -275,7 +308,7 @@ func (w *Writer) Append(day int, doc *core.Document) error {
 	if err := appendIndex(w.index, rec); err != nil {
 		return err
 	}
-	w.advance(rec, doc)
+	w.advance(rec, cur)
 	return nil
 }
 
@@ -305,72 +338,43 @@ func (w *Writer) admit(day int, doc *core.Document) (*famState, error) {
 	return st, nil
 }
 
-// dayCode is what encoding a day measures: the stored file's size, and
-// the size and CRC-32C of the day's canonical WriteJSON bytes.
-type dayCode struct {
-	stored, full int64
-	crc          uint32
-}
-
-// encodeDay writes the day's stored form to f: the canonical bytes
-// themselves for a snapshot (prev nil), the delta against prev otherwise.
-// One streaming pass over the canonical bytes yields the checksum, the
-// full-JSON size and, for a snapshot, the stored file itself.
-func encodeDay(f io.Writer, day int, doc, prev *core.Document) (dayCode, error) {
-	crc := crc32.New(castagnoli)
-	full := &countingWriter{}
-	canonical := io.MultiWriter(crc, full)
-	if prev == nil {
-		stored := &countingWriter{}
-		if err := core.StreamDocument(io.MultiWriter(canonical, f, stored), doc); err != nil {
-			return dayCode{}, fmt.Errorf("archive: streaming snapshot: %w", err)
-		}
-		return dayCode{stored: stored.n, full: full.n, crc: crc.Sum32()}, nil
+// encodeDay streams doc's canonical bytes once, into cur, splits them,
+// and returns the day's stored form: those bytes for a snapshot (last
+// nil), or the delta from the last day's rows, which core.DiffRows
+// proves rebuilds this day before the index record commits it. A day in
+// another than canonical order (a census file sorted lexicographically,
+// say) would otherwise become a day the append-only store cannot
+// reconstruct.
+func (w *Writer) encodeDay(day int, doc *core.Document, cur, last *dayRows) ([]byte, error) {
+	if err := cur.stream(doc); err != nil {
+		return nil, err
 	}
-	if err := core.StreamDocument(canonical, doc); err != nil {
-		return dayCode{}, fmt.Errorf("archive: checksumming day: %w", err)
+	if last == nil {
+		return cur.b, nil
 	}
-	delta := core.DiffDocuments(prev, doc)
-	// Prove the delta reconstructs this day byte-for-byte BEFORE the
-	// index record commits it: delta application assumes canonical
-	// entry order, and a document packed from foreign JSON (e.g. an
-	// older lexicographically-sorted census file) would otherwise
-	// become a permanently unreconstructable day in the append-only
-	// store. Failing the append keeps the archive sound.
-	back, err := delta.Apply(prev)
+	delta, err := core.DiffRows(last.rows, cur.rows)
 	if err != nil {
-		return dayCode{}, fmt.Errorf("archive: delta does not apply to the previous day: %w", err)
+		return nil, fmt.Errorf("archive: day %d (%s): %w", day, doc.Family, err)
 	}
-	backCRC := crc32.New(castagnoli)
-	if err := core.StreamDocument(backCRC, back); err != nil {
-		return dayCode{}, fmt.Errorf("archive: checksumming delta reconstruction: %w", err)
+	if w.delta, err = delta.AppendJSON(w.delta[:0]); err != nil {
+		return nil, fmt.Errorf("archive: encoding delta: %w", err)
 	}
-	if backCRC.Sum32() != crc.Sum32() {
-		return dayCode{}, fmt.Errorf("archive: day %d (%s) does not survive delta encoding — are the document's entries in canonical numeric prefix order?", day, doc.Family)
-	}
-	b, err := delta.AppendJSON(nil)
-	if err != nil {
-		return dayCode{}, fmt.Errorf("archive: encoding delta: %w", err)
-	}
-	b = append(b, '\n')
-	if _, err := f.Write(b); err != nil {
-		return dayCode{}, fmt.Errorf("archive: writing delta: %w", err)
-	}
-	return dayCode{stored: int64(len(b)), full: full.n, crc: crc.Sum32()}, nil
+	w.delta = append(w.delta, '\n')
+	return w.delta, nil
 }
 
 // advance records a committed day: the writer's telemetry, the family's
 // chain and the next sequence number.
-func (w *Writer) advance(rec Record, doc *core.Document) {
+func (w *Writer) advance(rec Record, cur *dayRows) {
 	w.appends.Add(1)
 	w.storedBytes.Add(rec.Bytes)
 	w.fullBytes.Add(rec.FullBytes)
 	st := w.fams[rec.Family]
 	if st == nil {
-		st = &famState{}
+		st = &famState{last: new(dayRows)}
 		w.fams[rec.Family] = st
 	}
-	st.lastDay, st.lastDoc = rec.Day, doc
+	st.lastDay, st.last, st.next = rec.Day, cur, st.last
 	if rec.Kind == KindSnapshot {
 		st.sinceSnap = 1
 	} else {

@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -263,40 +264,81 @@ func TestArchiveSmallerThanFullJSON(t *testing.T) {
 }
 
 // TestOpenWriterResume appends across writer restarts and keeps the
-// delta chain intact.
+// delta chain intact: at each snapshot cadence, a writer reopened after
+// every day writes the day-files and index.jsonl an uninterrupted writer
+// writes, byte for byte, over a chain holding a row with an escaped
+// city (its day-files split through encoding/json), a row with every
+// optional field and a zero-entry day.
 func TestOpenWriterResume(t *testing.T) {
 	docs := chain(11, 80)
-	dir := t.TempDir()
-	packChain(t, dir, docs[:5], 4)
+	for day := 3; day <= 4; day++ {
+		docs[day].Entries[0].GCDCities = []string{"A<B & C", "Riga"}
+	}
+	for day := 5; day <= 6; day++ {
+		e := &docs[day].Entries[1]
+		e.ACProtocols, e.MaxReceivers, e.FromFeedback, e.GCDMeasured, e.GCDAnycast = []string{"ICMP", "TCP", "DNS"}, -2, true, true, true
+		e.GCDSites, e.GCDCities, e.GCDVPs, e.PartialAnycast, e.GlobalBGP = 3, []string{"São Paulo", "Zürich", "Tokyo"}, 17+day, true, true
+	}
+	docs[8].Entries, docs[8].GCount, docs[8].MCount = nil, 0, 0
+	for _, every := range []int{1, 2, 3, 7} {
+		t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
+			whole := t.TempDir()
+			packChain(t, whole, docs, every)
+			dir := t.TempDir()
+			for i, d := range docs {
+				w, err := OpenOrCreate(dir, Options{SnapshotEvery: every})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Append(i, d); err != nil {
+					t.Fatalf("day %d: %v", i, err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadDir(whole)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || len(want) != len(docs)+1 {
+				t.Fatalf("resumed writer left %d files, uninterrupted %d, want %d", len(got), len(want), len(docs)+1)
+			}
+			for i, f := range want {
+				wb, err := os.ReadFile(filepath.Join(whole, f.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gb, err := os.ReadFile(filepath.Join(dir, got[i].Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i].Name() != f.Name() || !bytes.Equal(gb, wb) {
+					t.Fatalf("%s: the resumed writer's %s differs from the uninterrupted writer's", f.Name(), got[i].Name())
+				}
+			}
 
-	w, err := OpenWriter(dir, Options{SnapshotEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 5; i < len(docs); i++ {
-		if err := w.Append(i, docs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := a.Verify(); err != nil || res.Days != len(docs) {
-		t.Fatalf("verify after resume: %v (%+v)", err, res)
-	}
-	for i, d := range docs {
-		got, err := a.Document("ipv4", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(canonicalBytes(t, got), canonicalBytes(t, d)) {
-			t.Fatalf("day %d diverged across writer restart", i)
-		}
+			a, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := a.Verify(); err != nil || res.Days != len(docs) {
+				t.Fatalf("verify after resume: %v (%+v)", err, res)
+			}
+			for i, d := range docs {
+				got, err := a.Document("ipv4", i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(canonicalBytes(t, got), canonicalBytes(t, d)) {
+					t.Fatalf("day %d diverged across writer restart", i)
+				}
+			}
+		})
 	}
 }
 

@@ -14,14 +14,12 @@ import (
 	"github.com/laces-project/laces/internal/netsim"
 )
 
-// TestDecodeTakesFastPath: every day file the writer produces decodes
-// through core's schema scanner — no decline to encoding/json — and to
-// exactly what encoding/json makes of it, and splits into rows on the
-// row split's fast path, with no fallback to the decoders. The files come from a
-// longitudinal run over both families (its incident calendar included)
-// and from the seed × chaos-scenario matrix. A decoder that always fell
-// back, or a splitter that always fell back, would pass every other
-// archive test.
+// TestDecodeTakesFastPath: every day file the writer produces splits
+// into rows on the row split's fast path — no decline to encoding/json —
+// and its rows decode to exactly what encoding/json makes of the file.
+// The files come from a longitudinal run over both families (its
+// incident calendar included) and from the seed × chaos-scenario matrix.
+// A splitter that always fell back would pass every other archive test.
 func TestDecodeTakesFastPath(t *testing.T) {
 	t.Run("longitudinal", func(t *testing.T) {
 		w, err := netsim.New(netsim.TestConfig())
@@ -76,18 +74,22 @@ func checkFastPath(t *testing.T, dir string, wantDays int) {
 			t.Fatal(err)
 		}
 		var got, want any
-		var ok, split bool
+		var split bool
+		var dec core.RowDecoder
 		if rec.Kind == archive.KindSnapshot {
-			got, ok = core.ScanDocument(b)
+			var d *core.RowDay
+			d, split = core.ScanDocumentRows(b, new(core.RowArena))
+			if split {
+				got = dec.Document(d)
+			}
 			want = &core.Document{}
-			_, split = core.ScanDocumentRows(b, new(core.RowArena))
 		} else {
-			got, ok = core.ScanDelta(b)
+			var d *core.RowDelta
+			d, split = core.ScanDeltaRows(b, new(core.RowArena))
+			if split {
+				got = dec.Delta(d)
+			}
 			want = &core.DocumentDelta{}
-			_, split = core.ScanDeltaRows(b, new(core.RowArena))
-		}
-		if !ok {
-			t.Fatalf("%s: the scanner declined a file the writer made", rec.File)
 		}
 		if !split {
 			t.Fatalf("%s: the row split declined a file the writer made", rec.File)
@@ -96,7 +98,7 @@ func checkFastPath(t *testing.T, dir string, wantDays int) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: the scanner's decode differs from encoding/json's", rec.File)
+			t.Fatalf("%s: the rows' decode differs from encoding/json's", rec.File)
 		}
 		kinds[rec.Kind]++
 	}

@@ -25,8 +25,8 @@ var ErrNotFound = errors.New("day not archived")
 // stored rows: the walk reads each day-file from the nearest snapshot at
 // or before the day once, splits it into rows (a prefix, parsed for the
 // merge, and the row's bytes) in core's one table-driven pass, which
-// accepts only the writer's form and leaves any other file to the
-// decoders, and merges each delta's rows into the day before; a reader
+// accepts only the writer's form and leaves any other file to
+// encoding/json, and merges each delta's rows into the day before; a reader
 // decodes only the rows it hands out (Document, Range) or copies their
 // bytes (RangeJSON). What a read fills — the day-files' bytes, the
 // split rows with the snapshot rows compacted for RangeJSON, and
@@ -177,7 +177,7 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 		return nil, fmt.Errorf("archive: no %s census for day %d: %w", family, day, ErrNotFound)
 	}
 	var out *core.Document
-	err := a.walk(family, pos, pos, false, func(_ Record, d *core.RowDay) error {
+	err := a.walk(family, pos, pos, func(_ Record, d *core.RowDay) error {
 		out = new(core.RowDecoder).Document(d)
 		return nil
 	})
@@ -188,11 +188,9 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 // in order and hands each to fn as stored rows: it rewinds to the
 // snapshot the first one derives from, reads each day-file once, splits
 // it into rows and merges each delta into the day before (a snapshot met
-// on the way simply restarts the chain). With decode set, the day-files
-// of the days fn is handed are decoded whole, for a reader that reads
-// every row of every day (Range, Verify); otherwise every day-file is
-// only split, and a row is decoded only if a reader asks for it. Every
-// read goes through here, and every day-file it reads through read.
+// on the way simply restarts the chain). A row is decoded only if a
+// reader asks for it. Every read goes through here or ReadDay, and every
+// day-file it reads through read.
 //
 // The day-files are read into one buffer and split into one
 // core.RowArena, which also holds the rows AppendJSON compacts; both are
@@ -201,7 +199,7 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 // start over at their front; and nothing fn is handed outlives the walk
 // in them: Document and Range hand out decoded copies, and RangeJSON's
 // line, itself from a pool, is valid only during fn.
-func (a *Archive) walk(family string, first, last int, decode bool, fn func(rec Record, d *core.RowDay) error) error {
+func (a *Archive) walk(family string, first, last int, fn func(rec Record, d *core.RowDay) error) error {
 	if first > last {
 		return nil
 	}
@@ -234,18 +232,16 @@ func (a *Archive) walk(family string, first, last int, decode bool, fn func(rec 
 		if buf, err = a.read(rec, buf); err != nil {
 			return err
 		}
-		b := buf[n:len(buf):len(buf)]
-		if rec.Kind == KindSnapshot {
-			day, err = core.SplitDocument(b, decode && i >= first, rows)
-		} else {
-			var delta *core.RowDelta
-			if delta, err = core.SplitDelta(b, decode && i >= first, rows); err == nil {
-				day, err = delta.Apply(day)
+		snap, delta, err := split(rec, buf[n:len(buf):len(buf)], rows)
+		if err != nil {
+			return err
+		}
+		if delta != nil {
+			if snap, err = delta.Apply(day); err != nil {
+				return fmt.Errorf("archive: %s: %w", rec.File, err)
 			}
 		}
-		if err != nil {
-			return fmt.Errorf("archive: %s: %w", rec.File, err)
-		}
+		day = snap
 		if i >= first {
 			if err := fn(rec, day); err != nil {
 				return err
@@ -288,18 +284,23 @@ func (a *Archive) read(rec Record, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadDay decodes one stored day-file: it reads rec's file once and
-// returns a snapshot's document or a delta's changes against the
-// family's day before, as rec's kind says. Both are the caller's own.
-func (a *Archive) ReadDay(rec Record) (snap *core.Document, delta *core.DocumentDelta, err error) {
+// ReadDay reads rec's day-file once and splits it into rows, into arena
+// rows: a snapshot's day or a delta's changes against the family's day
+// before, as rec's kind says. Their rows alias a buffer of their own.
+func (a *Archive) ReadDay(rec Record, rows *core.RowArena) (snap *core.RowDay, delta *core.RowDelta, err error) {
 	b, err := a.read(rec, nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	return split(rec, b, rows)
+}
+
+// split splits rec's day-file b, as rec's kind says, into arena rows.
+func split(rec Record, b []byte, rows *core.RowArena) (snap *core.RowDay, delta *core.RowDelta, err error) {
 	if rec.Kind == KindSnapshot {
-		snap, err = core.DecodeDocument(b)
+		snap, err = core.SplitDocument(b, rows)
 	} else {
-		delta, err = core.DecodeDelta(b)
+		delta, err = core.SplitDelta(b, rows)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("archive: %s: %w", rec.File, err)
@@ -318,7 +319,7 @@ func (a *Archive) Range(family string, from, to int, fn func(day int, doc *core.
 		return err
 	}
 	var dec core.RowDecoder
-	return a.walk(family, first, last, true, func(rec Record, d *core.RowDay) error {
+	return a.walk(family, first, last, func(rec Record, d *core.RowDay) error {
 		return fn(rec.Day, dec.Document(d))
 	})
 }
@@ -337,7 +338,7 @@ func (a *Archive) RangeJSON(family string, from, to int, fn func(day int, line [
 		*lines = line[:0]
 		buffers.Put(lines)
 	}()
-	return a.walk(family, first, last, false, func(rec Record, d *core.RowDay) (err error) {
+	return a.walk(family, first, last, func(rec Record, d *core.RowDay) (err error) {
 		if line, err = d.AppendJSON(line[:0]); err != nil {
 			return err
 		}
@@ -371,18 +372,18 @@ type VerifyResult struct {
 // match the CRC-32C and size recorded at pack time.
 func (a *Archive) Verify() (*VerifyResult, error) {
 	res := &VerifyResult{}
+	var buf bytes.Buffer
 	for _, fam := range a.Families() {
 		var dec core.RowDecoder
-		err := a.walk(fam, 0, len(a.byFam[fam])-1, true, func(rec Record, d *core.RowDay) error {
+		err := a.walk(fam, 0, len(a.byFam[fam])-1, func(rec Record, d *core.RowDay) error {
 			doc := dec.Document(d)
-			crc := crc32.New(castagnoli)
-			count := &countingWriter{}
-			if err := core.StreamDocument(io.MultiWriter(crc, count), doc); err != nil {
+			buf.Reset()
+			if err := core.StreamDocument(&buf, doc); err != nil {
 				return err
 			}
-			if crc.Sum32() != rec.CRC || count.n != rec.FullBytes {
+			if crc, n := crc32.Checksum(buf.Bytes(), castagnoli), int64(buf.Len()); crc != rec.CRC || n != rec.FullBytes {
 				return fmt.Errorf("archive: %s day %d: reconstructed census does not match packed checksum (crc %08x/%08x, %d/%d bytes)",
-					fam, rec.Day, crc.Sum32(), rec.CRC, count.n, rec.FullBytes)
+					fam, rec.Day, crc, rec.CRC, n, rec.FullBytes)
 			}
 			if len(doc.Entries) != rec.Entries || doc.GCount != rec.GCount || doc.MCount != rec.MCount {
 				return fmt.Errorf("archive: %s day %d: counts diverge from index", fam, rec.Day)

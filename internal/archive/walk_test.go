@@ -2,6 +2,7 @@ package archive_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,12 +29,12 @@ func (r *recorder) Append(day int, doc *core.Document) error {
 	return nil
 }
 
-// TestRowWalkMatchesReference holds the row walk to the decode-and-Apply
-// walk it replaced (walk_ref_test.go) on three chains packed at four
+// TestRowWalkMatchesReference holds the row walk to the encoding/json
+// reference walk (walk_ref_test.go) on three chains packed at four
 // snapshot cadences: a longitudinal run over both families with its
 // incident calendar, and two edge chains (below). For every day and
 // every window, Document and Range's documents equal the reference's,
-// RangeJSON's lines equal the reference documents' AppendJSON bytes, and
+// RangeJSON's lines equal the reference documents' json.Marshal bytes, and
 // each read counts the day-files it reads.
 func TestRowWalkMatchesReference(t *testing.T) {
 	w, err := netsim.New(netsim.TestConfig())
@@ -88,7 +89,7 @@ func day(n int, date string, rows ...core.DocumentEntry) packedDay {
 // edgeChain covers what the writer's own census never publishes: a
 // previous day out of canonical order that a delta inserts into, a
 // zero-entry day (`"entries": null`), a row whose strings the appender
-// escapes (the split falls back to the decoders), a header holding
+// escapes (the split falls back to encoding/json), a header holding
 // `<>&`, every optional field set, and two spellings of one prefix that
 // tie in canonical order.
 func edgeChain() []packedDay {
@@ -136,10 +137,10 @@ func checkRowWalk(t *testing.T, dir string) {
 	for _, fam := range a.Families() {
 		days := a.Days(fam)
 		var ref []packedDay // the reference walk's days, in order
-		var lines [][]byte  // their AppendJSON bytes
+		var lines [][]byte  // their json.Marshal bytes
 		reads := a.Decodes()
 		if err := a.RefRange(fam, 0, -1, func(d int, doc *core.Document) error {
-			line, err := doc.AppendJSON(nil)
+			line, err := json.Marshal(doc)
 			ref, lines = append(ref, packedDay{d, doc}), append(lines, line)
 			return err
 		}); err != nil {
@@ -189,7 +190,7 @@ func checkRowWalk(t *testing.T, dir string) {
 				reads = a.Decodes()
 				if err := a.RangeJSON(fam, days[i], to, func(d int, line []byte) error {
 					if k > j || d != days[k] || !bytes.Equal(line, lines[k]) {
-						t.Fatalf("%s [%d, %d]: RangeJSON line for day %d\n%s\nthe reference's AppendJSON\n%s", fam, days[i], to, d, line, lines[min(k, j)])
+						t.Fatalf("%s [%d, %d]: RangeJSON line for day %d\n%s\nthe reference's json.Marshal\n%s", fam, days[i], to, d, line, lines[min(k, j)])
 					}
 					k++
 					return nil

@@ -3,81 +3,22 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"strings"
 	"unicode/utf8"
 )
 
-// This file is the read half of the archive codec: DecodeDocument and
-// DecodeDelta turn a day file's bytes back into a Document or a
-// DocumentDelta. Both run one schema scanner over the whole []byte first.
-// It understands exactly the grammar the archive writer emits — JSON
-// whitespace, DocumentEntry's lower-case keys each at most once, strings
-// that are valid UTF-8 with no escapes or control bytes, integers in range
-// with no fraction or exponent, true and false — and uses no reflection.
-// On anything else the scanner declines, and the same bytes go through
-// encoding/json instead, so every input decodes to exactly what
-// json.Unmarshal makes of it. The small header object (scalars and the
-// governance block) is handed to encoding/json even on the fast path.
-// Protocol and city names are interned for the one call only, so nothing
-// is shared between calls, and the rows' name lists are capped slices of
+// This file is the scanner the split (rows.go) and RowDecoder run on:
+// it walks a day-file's bytes with no reflection, in exactly the grammar
+// the archive writer emits — JSON whitespace, DocumentEntry's lower-case
+// keys each at most once, strings that are valid UTF-8 with no escapes
+// or control bytes, integers in range with no fraction or exponent, true
+// and false. The small header object (scalars and the governance block)
+// is handed to encoding/json. On anything else the scanner declines, and
+// the split decodes the whole file with encoding/json instead, so every
+// file reads as json.Unmarshal reads it. Protocol and city names are
+// interned per decoder, and the rows' name lists are capped slices of
 // shared arrays: appending to one copies it.
-
-// DecodeDocument decodes one census document held whole in b, as
-// json.Unmarshal would. ParseDocument remains the path for documents read
-// from a stream.
-func DecodeDocument(b []byte) (*Document, error) {
-	if d, ok := ScanDocument(b); ok {
-		return d, nil
-	}
-	var d Document
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, fmt.Errorf("core: decoding census document: %w", err)
-	}
-	return &d, nil
-}
-
-// DecodeDelta decodes one day-over-day delta held whole in b, as
-// json.Unmarshal would.
-func DecodeDelta(b []byte) (*DocumentDelta, error) {
-	if d, ok := ScanDelta(b); ok {
-		return d, nil
-	}
-	var d DocumentDelta
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, fmt.Errorf("core: decoding census delta: %w", err)
-	}
-	return &d, nil
-}
-
-// ScanDocument is DecodeDocument's fast path: it decodes b when b is in
-// the archive writer's grammar and reports false otherwise. What it
-// accepts it decodes exactly as json.Unmarshal does: `"entries": null`
-// stays nil, `[]` stays empty, and entries must be the document's last
-// field.
-func ScanDocument(b []byte) (*Document, bool) {
-	s := newScanner(b)
-	var entries []DocumentEntry
-	d, ok := s.document(func() { entries = s.entries() })
-	if !ok {
-		return nil, false
-	}
-	d.Entries = entries
-	return d, true
-}
-
-// ScanDelta is DecodeDelta's fast path: it decodes b when b is in the
-// archive writer's grammar and reports false otherwise. What it accepts
-// it decodes exactly as json.Unmarshal does.
-func ScanDelta(b []byte) (*DocumentDelta, bool) {
-	s := newScanner(b)
-	d := &DocumentDelta{}
-	if !s.delta(&d.Header, func() { d.Removed = s.stringList() }, func() { d.Upserts = s.entries() }) {
-		return nil, false
-	}
-	return d, true
-}
 
 // document walks a snapshot: the header's members are stepped over and
 // then decoded together by encoding/json, and the entries field, which
@@ -173,7 +114,7 @@ type scanner struct {
 	b     []byte
 	i     int
 	ok    bool
-	hint  int               // rows in the file, to size the entry slice
+	hint  int               // rows in the file, to size the row slices
 	names map[string]string // interned protocol and city names, this call's only
 	chunk []string          // where name lists are carved from
 	list  []string          // the name list being read
@@ -293,9 +234,6 @@ func (s *scanner) lowerKey() []byte {
 	return k
 }
 
-// str reads a string value.
-func (s *scanner) str() string { return string(s.raw()) }
-
 // prefixStr reads a row's prefix: s.known when the bytes are its, so a
 // row split before it is decoded keeps the prefix string the split made.
 func (s *scanner) prefixStr() string {
@@ -303,23 +241,6 @@ func (s *scanner) prefixStr() string {
 		return string(r)
 	}
 	return s.known
-}
-
-// stringList reads an array of strings.
-func (s *scanner) stringList() []string {
-	s.expect('[')
-	if s.peek() == ']' {
-		s.i++
-		return []string{}
-	}
-	var out []string
-	for s.ok {
-		out = append(out, s.str())
-		if !s.more(']') {
-			break
-		}
-	}
-	return out
 }
 
 // name reads a protocol or city name, interned for the call. Bytes that
@@ -408,24 +329,6 @@ func (s *scanner) bool() bool {
 	}
 	s.literal("false")
 	return false
-}
-
-// entries reads an array of rows.
-func (s *scanner) entries() []DocumentEntry {
-	s.expect('[')
-	out := make([]DocumentEntry, 0, s.hint)
-	if s.peek() == ']' {
-		s.i++
-		return out
-	}
-	for s.ok {
-		out = append(out, DocumentEntry{})
-		s.entry(&out[len(out)-1])
-		if !s.more(']') {
-			break
-		}
-	}
-	return out
 }
 
 // entry reads one row.

@@ -29,90 +29,32 @@ func decodeFixture(t testing.TB, n int) (prev *Document, snap, delta []byte) {
 	return prev, buf.Bytes(), append(d, '\n')
 }
 
-// checkDecodeDocument holds DecodeDocument and its scanner to
-// encoding/json on b: the same document, or the same error. Whatever the
-// scanner accepts, the archive's former streaming reader reads alike.
+// checkDecodeDocument holds the row path a snapshot is read by —
+// SplitDocument, then RowDecoder — to encoding/json on b: the same
+// document and the same compact line as json.Marshal, or the same
+// error; and the split's fast path to the reference splitter
+// (checkSplitMatchesReference).
 func checkDecodeDocument(t *testing.T, b []byte) {
+	checkSplitMatchesReference(t, b, true)
 	var want Document
 	jerr := json.Unmarshal(b, &want)
-	got, err := DecodeDocument(b)
-	switch {
-	case jerr != nil && (got != nil || err == nil || err.Error() != "core: decoding census document: "+jerr.Error()):
-		t.Fatalf("DecodeDocument = %v, %v; encoding/json fails with %v", got, err, jerr)
-	case jerr == nil && (err != nil || !reflect.DeepEqual(*got, want)):
-		t.Fatalf("DecodeDocument = %+v, %v\nencoding/json: %+v", got, err, want)
-	}
-	checkSplitDocument(t, b, got, err)
-	scanned, ok := ScanDocument(b)
-	if !ok {
+	d, err := SplitDocument(b, new(RowArena))
+	if jerr != nil {
+		if d != nil || err == nil || err.Error() != "core: decoding census document: "+jerr.Error() {
+			t.Fatalf("SplitDocument = %v, %v; encoding/json fails with %v", d, err, jerr)
+		}
 		return
 	}
-	if jerr != nil {
-		t.Fatalf("the scanner accepted what encoding/json rejects (%v)", jerr)
-	}
-	if !reflect.DeepEqual(*scanned, want) {
-		t.Fatalf("ScanDocument = %+v\nencoding/json: %+v", scanned, want)
-	}
-	ref, err := refReadDocument(b)
 	if err != nil {
-		t.Fatalf("the scanner accepted what the former reader rejects (%v)", err)
+		t.Fatalf("SplitDocument fails with %v, encoding/json decodes %+v", err, want)
 	}
-	if ref.Entries == nil && want.Entries != nil && len(want.Entries) == 0 {
-		ref.Entries = want.Entries // the former reader left `[]` nil
+	if got := new(RowDecoder).Document(d); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("the split's document\n%+v\nencoding/json's\n%+v", got, want)
 	}
-	if !reflect.DeepEqual(*ref, want) {
-		t.Fatalf("former reader = %+v\nencoding/json: %+v", ref, want)
-	}
-}
-
-// checkSplitDocument holds SplitDocument to what DecodeDocument made of b
-// (doc, or derr), split or decoded: the same error, or the same
-// AppendJSON bytes and the same document; and its fast path to the
-// reference splitter (checkSplitMatchesReference).
-func checkSplitDocument(t *testing.T, b []byte, doc *Document, derr error) {
-	checkSplitMatchesReference(t, b, true)
-	for _, decode := range []bool{false, true} {
-		d, err := SplitDocument(b, decode, new(RowArena))
-		if fmt.Sprint(err) != fmt.Sprint(derr) {
-			t.Fatalf("decode %v: SplitDocument fails with %v, DecodeDocument with %v", decode, err, derr)
-		}
-		if derr != nil {
-			continue
-		}
-		line, err := d.AppendJSON(nil)
-		want, werr := doc.AppendJSON(nil)
-		if fmt.Sprint(err) != fmt.Sprint(werr) || !bytes.Equal(line, want) {
-			t.Fatalf("decode %v: the split's line (%v)\n%s\nAppendJSON's (%v)\n%s", decode, err, line, werr, want)
-		}
-		if got := new(RowDecoder).Document(d); !reflect.DeepEqual(got, doc) {
-			t.Fatalf("decode %v: the split's document\n%+v\nDecodeDocument's\n%+v", decode, got, doc)
-		}
-	}
-}
-
-// checkDecodeDelta holds DecodeDelta and its scanner to encoding/json on
-// b, and applies what decodes to prev: hostile deltas may fail, never
-// panic.
-func checkDecodeDelta(t *testing.T, prev *Document, b []byte) {
-	var want DocumentDelta
-	jerr := json.Unmarshal(b, &want)
-	got, err := DecodeDelta(b)
-	switch {
-	case jerr != nil && (got != nil || err == nil || err.Error() != "core: decoding census delta: "+jerr.Error()):
-		t.Fatalf("DecodeDelta = %v, %v; encoding/json fails with %v", got, err, jerr)
-	case jerr == nil && (err != nil || !reflect.DeepEqual(*got, want)):
-		t.Fatalf("DecodeDelta = %+v, %v\nencoding/json: %+v", got, err, want)
-	}
-	if scanned, ok := ScanDelta(b); ok {
-		if jerr != nil {
-			t.Fatalf("the scanner accepted what encoding/json rejects (%v)", jerr)
-		}
-		if !reflect.DeepEqual(*scanned, want) {
-			t.Fatalf("ScanDelta = %+v\nencoding/json: %+v", scanned, want)
-		}
-	}
-	if got != nil {
-		got.Apply(prev)
+	line, err := d.AppendJSON(nil)
+	wantLine, werr := json.Marshal(&want)
+	if fmt.Sprint(err) != fmt.Sprint(werr) || !bytes.Equal(line, wantLine) {
+		t.Fatalf("the split's line (%v)\n%s\njson.Marshal's (%v)\n%s", err, line, werr, wantLine)
 	}
 }
 
@@ -167,11 +109,9 @@ func decodeSeeds(t testing.TB, b []byte, sep string) [][]byte {
 	}
 }
 
-// FuzzDecodeDocument: on any bytes DecodeDocument agrees with
-// encoding/json, whatever its scanner accepts, encoding/json and the
-// archive's former streaming reader decode alike, SplitDocument's rows
-// make the same document and the same AppendJSON bytes, and the split
-// accepts and splits exactly what the reference splitter does.
+// FuzzDecodeDocument: on any bytes the row path a snapshot is read by
+// agrees with encoding/json, and the split accepts and splits exactly
+// what the reference splitter does.
 func FuzzDecodeDocument(f *testing.F) {
 	_, snap, _ := decodeFixture(f, 10)
 	seeds := decodeSeeds(f, snap, ": ")
@@ -196,17 +136,6 @@ func FuzzDecodeDocument(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) { checkDecodeDocument(t, b) })
 }
 
-// FuzzDecodeDelta: on any bytes DecodeDelta agrees with encoding/json,
-// whatever its scanner accepts encoding/json decodes alike, and applying
-// a decoded delta to the day before never panics.
-func FuzzDecodeDelta(f *testing.F) {
-	prev, _, delta := decodeFixture(f, 10)
-	for _, s := range deltaSeeds(f, prev, delta) {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, b []byte) { checkDecodeDelta(t, prev, b) })
-}
-
 // deltaSeeds are decodeSeeds for the fixture's delta, with edits of its
 // three fields and deltas that name a prefix of prev twice.
 func deltaSeeds(t testing.TB, prev *Document, delta []byte) [][]byte {
@@ -223,14 +152,49 @@ func deltaSeeds(t testing.TB, prev *Document, delta []byte) [][]byte {
 	)
 }
 
+// FuzzDecodeDelta: on any bytes the row path a delta is read by —
+// SplitDelta, then RowDecoder.Delta — agrees with encoding/json: the
+// same delta, nil and empty lists kept apart, or the same error.
+func FuzzDecodeDelta(f *testing.F) {
+	prev, _, delta := decodeFixture(f, 10)
+	for _, s := range deltaSeeds(f, prev, delta) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) { checkDecodeDelta(t, b) })
+}
+
+// checkDecodeDelta holds SplitDelta and RowDecoder.Delta to
+// encoding/json on b and returns the split, nil when encoding/json
+// refuses b.
+func checkDecodeDelta(t *testing.T, b []byte) *RowDelta {
+	var want DocumentDelta
+	jerr := json.Unmarshal(b, &want)
+	d, err := SplitDelta(b, new(RowArena))
+	if jerr != nil {
+		if d != nil || err == nil || err.Error() != "core: decoding census delta: "+jerr.Error() {
+			t.Fatalf("SplitDelta = %v, %v; encoding/json fails with %v", d, err, jerr)
+		}
+		return nil
+	}
+	if err != nil {
+		t.Fatalf("SplitDelta fails with %v, encoding/json decodes %+v", err, want)
+	}
+	want.Header.Entries = nil // a split delta's header carries no rows
+	if got := new(RowDecoder).Delta(d); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("RowDecoder.Delta\n%+v\nencoding/json\n%+v", got, want)
+	}
+	return d
+}
+
 // FuzzSplitDelta: on any delta bytes against the fixture's previous day,
 // the archive walk's row path (SplitDelta, then RowDelta.Apply) fails
-// exactly when DecodeDelta and Apply do, with the same error, and
-// otherwise gives the same AppendJSON bytes and the same document, split
-// or decoded; and the split accepts and splits exactly what the
+// exactly when encoding/json and the reference Apply (delta_ref_test.go)
+// do, with the same error, and otherwise gives the same compact line
+// and the same document; RowDecoder.Delta reads the delta as
+// encoding/json does; and the split accepts and splits exactly what the
 // reference splitter does. The extra seeds are in the scanner's grammar
-// but not in the writer's form, which the split must leave to the
-// decoders.
+// but not in the writer's form, which the split must leave to
+// encoding/json.
 func FuzzSplitDelta(f *testing.F) {
 	prev, snap, delta := decodeFixture(f, 10)
 	seeds := append(deltaSeeds(f, prev, delta),
@@ -249,68 +213,76 @@ func FuzzSplitDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) { checkSplitDelta(t, snap, b) })
 }
 
-// checkSplitDelta holds the row path to DecodeDelta and Apply for delta
-// bytes b against the snapshot snap, and the split of b to the reference
-// splitter.
+// checkSplitDelta holds the row path to encoding/json and the reference
+// Apply for delta bytes b against the snapshot snap, and the split of b
+// to the reference splitter.
 func checkSplitDelta(t *testing.T, snap, b []byte) {
 	checkSplitMatchesReference(t, b, false)
-	prev, err := DecodeDocument(snap)
+	var prev Document
+	if err := json.Unmarshal(snap, &prev); err != nil {
+		t.Fatal(err)
+	}
+	var want DocumentDelta
+	var wantDoc *Document
+	werr := json.Unmarshal(b, &want)
+	if werr != nil {
+		werr = fmt.Errorf("core: decoding census delta: %w", werr)
+	} else {
+		wantDoc, werr = want.Apply(&prev)
+	}
+	day, err := SplitDocument(snap, new(RowArena))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, werr := DecodeDelta(b)
-	var wantDoc *Document
-	if werr == nil {
-		wantDoc, werr = want.Apply(prev)
+	var got *RowDay
+	gerr := werr
+	if d := checkDecodeDelta(t, b); d != nil {
+		got, gerr = d.Apply(day)
 	}
-	for _, decode := range []bool{false, true} {
-		day, err := SplitDocument(snap, decode, new(RowArena))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, gerr := SplitDelta(b, decode, new(RowArena))
-		var got *RowDay
-		if gerr == nil {
-			got, gerr = d.Apply(day)
-		}
-		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
-			t.Fatalf("decode %v: the row path fails with %v, DecodeDelta and Apply with %v", decode, gerr, werr)
-		}
-		if werr != nil {
-			continue
-		}
-		line, err := got.AppendJSON(nil)
-		wantLine, lerr := wantDoc.AppendJSON(nil)
-		if fmt.Sprint(err) != fmt.Sprint(lerr) || !bytes.Equal(line, wantLine) {
-			t.Fatalf("decode %v: the row path's line (%v)\n%s\nAppendJSON's (%v)\n%s", decode, err, line, lerr, wantLine)
-		}
-		if doc := new(RowDecoder).Document(got); !reflect.DeepEqual(doc, wantDoc) {
-			t.Fatalf("decode %v: the row path's document\n%+v\nApply's\n%+v", decode, doc, wantDoc)
-		}
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		t.Fatalf("the row path fails with %v, encoding/json and Apply with %v", gerr, werr)
+	}
+	if werr != nil {
+		return
+	}
+	line, err := got.AppendJSON(nil)
+	wantLine, lerr := json.Marshal(wantDoc)
+	if fmt.Sprint(err) != fmt.Sprint(lerr) || !bytes.Equal(line, wantLine) {
+		t.Fatalf("the row path's line (%v)\n%s\njson.Marshal's (%v)\n%s", err, line, lerr, wantLine)
+	}
+	if doc := new(RowDecoder).Document(got); !reflect.DeepEqual(doc, wantDoc) {
+		t.Fatalf("the row path's document\n%+v\nApply's\n%+v", doc, wantDoc)
 	}
 }
 
-// TestDecodeAllocations pins what a decoded row costs: the prefix
-// string, the row's share of the entry slice and of the name chunks, and
-// the per-file header decode spread over the rows. encoding/json spends
-// 4.7 (snapshot) and 5.8 (delta) allocations per row on the same bytes.
+// TestDecodeAllocations pins what reading a row costs on the row path:
+// the row's share of the split's arena and prefix string, of the decoded
+// entries and of the name chunks, and the per-file header decode spread
+// over the rows. encoding/json spends 4.7 (snapshot) and 5.8 (delta)
+// allocations per row on the same bytes.
 func TestDecodeAllocations(t *testing.T) {
 	_, snap, delta := decodeFixture(t, 400)
-	doc, ok := ScanDocument(snap)
+	day, ok := ScanDocumentRows(snap, new(RowArena))
 	if !ok {
-		t.Fatal("the scanner declined the fixture snapshot")
+		t.Fatal("the split declined the fixture snapshot")
 	}
-	dd, ok := ScanDelta(delta)
+	dd, ok := ScanDeltaRows(delta, new(RowArena))
 	if !ok {
-		t.Fatal("the scanner declined the fixture delta")
+		t.Fatal("the split declined the fixture delta")
 	}
 	for _, c := range []struct {
 		name string
 		rows int
 		run  func()
 	}{
-		{"snapshot", len(doc.Entries), func() { DecodeDocument(snap) }},
-		{"delta", len(dd.Upserts) + len(dd.Removed), func() { DecodeDelta(delta) }},
+		{"snapshot", len(day.rows), func() {
+			d, _ := SplitDocument(snap, new(RowArena))
+			new(RowDecoder).Document(d)
+		}},
+		{"delta", len(dd.upserts) + len(dd.removed), func() {
+			d, _ := SplitDelta(delta, new(RowArena))
+			new(RowDecoder).Delta(d)
+		}},
 	} {
 		perRow := testing.AllocsPerRun(20, c.run) / float64(c.rows)
 		t.Logf("%s: %d rows, %.2f allocations per row", c.name, c.rows, perRow)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -11,12 +12,14 @@ import (
 // Consecutive censuses are highly redundant — the paper's persistence
 // analysis (Fig 10) shows most prefixes stay anycast day after day — so
 // the archive stores a full snapshot every K days and, between snapshots,
-// only what changed. A DocumentDelta applied to the previous day's
-// document reproduces the next day's Document exactly, so the canonical
-// WriteJSON bytes survive a pack/unpack cycle bit-for-bit.
+// only what changed. Both halves work on a day's stored rows (rows.go):
+// DiffRows makes the delta from two days' rows, proven by RowDelta.Apply
+// to rebuild the second, so the canonical WriteJSON bytes survive a
+// pack/unpack cycle bit-for-bit.
 
-// DocumentDelta is the difference between two consecutive published
-// census documents of the same family.
+// DocumentDelta is a delta day-file as encoding/json decodes it: the
+// form a file outside the writer's is read in, and the form the index
+// build reads a delta's changes in (RowDecoder.Delta).
 type DocumentDelta struct {
 	// Header carries the new day's scalar fields (Entries stays nil):
 	// counts change daily even when no entry does.
@@ -29,50 +32,51 @@ type DocumentDelta struct {
 	Upserts []DocumentEntry `json:"upserts,omitempty"`
 }
 
-// entryEqual reports whether two published rows are identical. Nil and
-// empty slices compare equal — under omitempty they encode identically,
-// so the distinction cannot survive a JSON round-trip anyway.
-func entryEqual(a, b *DocumentEntry) bool {
-	return a.Prefix == b.Prefix &&
-		a.OriginASN == b.OriginASN &&
-		slices.Equal(a.ACProtocols, b.ACProtocols) &&
-		a.MaxReceivers == b.MaxReceivers &&
-		a.FromFeedback == b.FromFeedback &&
-		a.GCDMeasured == b.GCDMeasured &&
-		a.GCDAnycast == b.GCDAnycast &&
-		a.GCDSites == b.GCDSites &&
-		slices.Equal(a.GCDCities, b.GCDCities) &&
-		a.GCDVPs == b.GCDVPs &&
-		a.PartialAnycast == b.PartialAnycast &&
-		a.GlobalBGP == b.GlobalBGP
-}
-
-// DiffDocuments computes the delta that transforms prev into cur. Both
-// documents must be in canonical entry order (as Document() produces).
-func DiffDocuments(prev, cur *Document) *DocumentDelta {
-	d := &DocumentDelta{Header: *cur}
-	d.Header.Entries = nil
-
-	curBy := make(map[string]*DocumentEntry, len(cur.Entries))
-	for i := range cur.Entries {
-		curBy[cur.Entries[i].Prefix] = &cur.Entries[i]
+// DiffRows returns the delta that rebuilds cur from prev: prev's rows
+// whose prefix cur lacks are removed, and cur's rows that prev lacks or
+// holds with other bytes are upserted, each in its day's order. Rows are
+// matched by prefix, which holds whatever order either day is in (a
+// prefix prev holds twice is matched with its last row), and compared in
+// compact form, where a nil and an empty name list are the same omitted
+// field. DiffRows proves the delta before returning it: applied to prev,
+// it must give cur's rows (the header is cur's by construction), which
+// a day in another than canonical order usually does not.
+func DiffRows(prev, cur *RowDay) (*RowDelta, error) {
+	d := &RowDelta{hdr: cur.hdr, arena: cur.arena}
+	in := make(map[string]bool, len(cur.rows))
+	for _, r := range cur.rows {
+		r.json(&cur.arena.out) // in cur's own arena: the proof below compacts into prev's
+		in[r.key.s] = true
 	}
-	prevBy := make(map[string]*DocumentEntry, len(prev.Entries))
-	for i := range prev.Entries {
-		e := &prev.Entries[i]
-		prevBy[e.Prefix] = e
-		if _, ok := curBy[e.Prefix]; !ok {
-			d.Removed = append(d.Removed, e.Prefix)
+	was := make(map[string]*row, len(prev.rows))
+	for _, r := range prev.rows {
+		was[r.key.s] = r
+		if !in[r.key.s] {
+			d.removed = append(d.removed, r.key)
 		}
 	}
-	for i := range cur.Entries {
-		e := &cur.Entries[i]
-		if pe, ok := prevBy[e.Prefix]; !ok || !entryEqual(pe, e) {
-			d.Upserts = append(d.Upserts, *e)
+	for _, r := range cur.rows {
+		if p := was[r.key.s]; p == nil || !bytes.Equal(p.json(&prev.arena.out), r.raw) {
+			d.upserts = append(d.upserts, r)
 		}
 	}
-	return d
+	back, err := d.Apply(prev)
+	if err != nil {
+		return nil, fmt.Errorf("core: delta does not apply to the previous day: %w", err)
+	}
+	if (back.rows == nil) != (cur.rows == nil) || len(back.rows) != len(cur.rows) {
+		return nil, errNotRebuilt
+	}
+	for i, r := range back.rows {
+		if r != cur.rows[i] && !bytes.Equal(r.json(&prev.arena.out), cur.rows[i].raw) {
+			return nil, errNotRebuilt
+		}
+	}
+	return d, nil
 }
+
+// errNotRebuilt is DiffRows refusing a delta that does not rebuild its day.
+var errNotRebuilt = errors.New("core: day does not survive delta encoding — are its entries in canonical numeric prefix order?")
 
 // searchEntries returns the position of the first entry ordered at or
 // after prefix — where the prefix sits, or where it would be inserted.
@@ -94,43 +98,20 @@ func (d *Document) Find(prefix string) *DocumentEntry {
 	return nil
 }
 
-// Apply reconstructs the new day's document from the previous day's. It
+// applyRows is the one strict merge of a day's rows with a delta
+// (RowDelta.Apply): removed holds the removals' keys. prev's rows keep
+// their order, are dropped when removed and replaced in place when
+// upserted; the upserts the previous day lacks are then inserted in
+// delta order, each where a binary search of the rows so far puts it. It
 // is strict: a family mismatch, a removal that names an absent prefix,
 // or a prefix the delta names twice (removed twice, upserted twice, or
 // both removed and upserted) means the delta does not belong to this
-// document chain.
-func (d *DocumentDelta) Apply(prev *Document) (*Document, error) {
-	removed := make([]PrefixKey, len(d.Removed))
-	for i, p := range d.Removed {
-		removed[i] = ParsePrefixKey(p)
-	}
-	upserted := make([]PrefixKey, len(d.Upserts))
-	for i := range d.Upserts {
-		upserted[i] = ParsePrefixKey(d.Upserts[i].Prefix)
-	}
-	entries, err := applyRows(d.Header.Family, prev.Family, prev.Entries, removed, d.Upserts, upserted,
-		func(e *DocumentEntry) PrefixKey { return ParsePrefixKey(e.Prefix) })
-	if err != nil {
-		return nil, err
-	}
-	out := d.Header.DeepCopy()
-	out.Entries = entries
-	return out, nil
-}
-
-// applyRows is the one strict merge of a day's rows with a delta, for
-// decoded entries (DocumentDelta.Apply) and for stored rows
-// (RowDelta.Apply) alike; removed holds the removals' keys, uk the
-// upserts' and key returns a previous row's. prev's rows keep their order, are dropped when
-// removed and replaced in place when upserted; the upserts the previous
-// day lacks are then inserted in delta order, each where a binary
-// search of the rows so far puts it. On a chain the writer made that is
-// one ordered pass (mergeRows).
-func applyRows[R any](family, prevFamily string, prev []R, removed []PrefixKey, upserts []R, uk []PrefixKey, key func(*R) PrefixKey) ([]R, error) {
+// chain. On a chain the writer made it is one ordered pass (mergeRows).
+func applyRows(family, prevFamily string, prev []*row, removed []PrefixKey, upserts []*row) ([]*row, error) {
 	if prevFamily != family {
 		return nil, fmt.Errorf("core: delta for family %q applied to %q document", family, prevFamily)
 	}
-	if out, err := mergeRows(prev, removed, upserts, uk, key); err != errOutOfOrder {
+	if out, err := mergeRows(prev, removed, upserts); err != errOutOfOrder {
 		return out, err
 	}
 	gone := make(map[string]bool, len(removed))
@@ -140,42 +121,41 @@ func applyRows[R any](family, prevFamily string, prev []R, removed []PrefixKey, 
 	if len(gone) != len(removed) {
 		return nil, fmt.Errorf("core: delta removes %q twice", firstRepeat(len(removed), func(i int) string { return removed[i].s }))
 	}
-	upsert := make(map[string]int, len(upserts))
-	for i := range upserts {
-		upsert[uk[i].s] = i
+	upsert := make(map[string]*row, len(upserts))
+	for _, r := range upserts {
+		upsert[r.key.s] = r
 	}
 	if len(upsert) != len(upserts) {
-		return nil, fmt.Errorf("core: delta upserts %q twice", firstRepeat(len(upserts), func(i int) string { return uk[i].s }))
+		return nil, fmt.Errorf("core: delta upserts %q twice", firstRepeat(len(upserts), func(i int) string { return upserts[i].key.s }))
 	}
 
-	out := make([]R, 0, len(prev)+len(upserts))
-	for i := range prev {
-		p := key(&prev[i]).s
+	out := make([]*row, 0, len(prev)+len(upserts))
+	for _, r := range prev {
+		p := r.key.s
 		if gone[p] {
-			if _, ok := upsert[p]; ok {
+			if upsert[p] != nil {
 				return nil, fmt.Errorf("core: delta both removes and upserts %q", p)
 			}
 			delete(gone, p)
 			continue
 		}
-		if j, ok := upsert[p]; ok {
-			out = append(out, upserts[j])
+		if u := upsert[p]; u != nil {
+			out = append(out, u)
 			delete(upsert, p)
 			continue
 		}
-		out = append(out, prev[i])
+		out = append(out, r)
 	}
 	for _, k := range removed {
 		if gone[k.s] {
 			return nil, fmt.Errorf("core: delta removes %q which the previous document does not carry", k.s)
 		}
 	}
-	for i := range upserts {
-		if _, ok := upsert[uk[i].s]; ok {
+	for _, r := range upserts {
+		if upsert[r.key.s] != nil {
 			// Genuinely new: inserted at its canonical position.
-			k := uk[i]
-			at := sort.Search(len(out), func(j int) bool { return key(&out[j]).order(k) >= 0 })
-			out = slices.Insert(out, at, upserts[i])
+			at := sort.Search(len(out), func(j int) bool { return out[j].key.order(r.key) >= 0 })
+			out = slices.Insert(out, at, r)
 		}
 	}
 	return emptyIsNil(out), nil
@@ -187,23 +167,23 @@ func applyRows[R any](family, prevFamily string, prev []R, removed []PrefixKey, 
 // then nothing is named twice, a removal or upsert matches the one row
 // the pass meets it at, and a new row's binary-search position is where
 // the pass meets it. Otherwise it returns errOutOfOrder.
-func mergeRows[R any](prev []R, rk []PrefixKey, upserts []R, uk []PrefixKey, key func(*R) PrefixKey) ([]R, error) {
+func mergeRows(prev []*row, rk []PrefixKey, upserts []*row) ([]*row, error) {
 	for i := 1; i < len(rk); i++ {
 		if rk[i-1].order(rk[i]) >= 0 {
 			return nil, errOutOfOrder
 		}
 	}
-	for i := 1; i < len(uk); i++ {
-		if uk[i-1].order(uk[i]) >= 0 {
+	for i := 1; i < len(upserts); i++ {
+		if upserts[i-1].key.order(upserts[i].key) >= 0 {
 			return nil, errOutOfOrder
 		}
 	}
-	out := make([]R, 0, len(prev)+len(upserts))
+	out := make([]*row, 0, len(prev)+len(upserts))
 	missing := -1 // the first removal the previous day lacks
 	r, u := 0, 0
 	var last PrefixKey
-	for i := range prev {
-		pk := key(&prev[i])
+	for i, p := range prev {
+		pk := p.key
 		if i > 0 && last.order(pk) >= 0 {
 			return nil, errOutOfOrder
 		}
@@ -213,12 +193,12 @@ func mergeRows[R any](prev []R, rk []PrefixKey, upserts []R, uk []PrefixKey, key
 				missing = r
 			}
 		}
-		for ; u < len(uk) && uk[u].order(pk) < 0; u++ {
+		for ; u < len(upserts) && upserts[u].key.order(pk) < 0; u++ {
 			out = append(out, upserts[u])
 		}
 		del := r < len(rk) && rk[r].order(pk) == 0
-		up := u < len(uk) && uk[u].order(pk) == 0
-		if del && rk[r].s != pk.s || up && uk[u].s != pk.s {
+		up := u < len(upserts) && upserts[u].key.order(pk) == 0
+		if del && rk[r].s != pk.s || up && upserts[u].key.s != pk.s {
 			return nil, errOutOfOrder
 		}
 		switch {
@@ -230,7 +210,7 @@ func mergeRows[R any](prev []R, rk []PrefixKey, upserts []R, uk []PrefixKey, key
 			out = append(out, upserts[u])
 			u++
 		default:
-			out = append(out, prev[i])
+			out = append(out, p)
 		}
 	}
 	if r < len(rk) && missing < 0 {
@@ -250,7 +230,7 @@ var errOutOfOrder = errors.New("core: rows out of canonical order")
 // codec (like encoding/json) writes `[]` for an empty non-nil slice. A
 // day published with `[]` therefore cannot be a delta day; the
 // archive's round-trip proof refuses it.
-func emptyIsNil[R any](rows []R) []R {
+func emptyIsNil(rows []*row) []*row {
 	if len(rows) == 0 {
 		return nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -50,17 +51,14 @@ func evolve(d *Document, day int) *Document {
 	return out
 }
 
-// TestDeltaRoundTrip packs a chain of evolving documents into deltas and
-// proves each day reconstructs byte-for-byte.
+// TestDeltaRoundTrip packs a chain of evolving documents into deltas as
+// the archive writer does and proves each day reconstructs byte-for-byte
+// when its stored delta is read back.
 func TestDeltaRoundTrip(t *testing.T) {
 	prev := synthDoc(0, 60)
 	for day := 1; day <= 12; day++ {
 		cur := evolve(prev, day)
-		delta := DiffDocuments(prev, cur)
-		back, err := delta.Apply(prev)
-		if err != nil {
-			t.Fatalf("day %d: %v", day, err)
-		}
+		back, delta := rowRoundTrip(t, prev, cur)
 		var want, got bytes.Buffer
 		if err := cur.WriteJSON(&want); err != nil {
 			t.Fatal(err)
@@ -71,33 +69,52 @@ func TestDeltaRoundTrip(t *testing.T) {
 		if !bytes.Equal(want.Bytes(), got.Bytes()) {
 			t.Fatalf("day %d: delta apply did not reproduce the document", day)
 		}
-		if len(delta.Upserts) >= len(cur.Entries) {
+		if len(delta.upserts) >= len(cur.Entries) {
 			t.Fatalf("day %d: delta degenerated to a full snapshot (%d upserts / %d entries)",
-				day, len(delta.Upserts), len(cur.Entries))
+				day, len(delta.upserts), len(cur.Entries))
 		}
 		prev = cur
 	}
 }
 
-// applyBoth applies d to prev with Apply and the way the archive walk
-// does — both as stored bytes, split into rows and merged — and fails
-// unless the two give the same error or documents with the same bytes.
+// rowRoundTrip diffs two days as the archive writer does (their
+// canonical bytes split, then DiffRows), stores the delta as bytes and
+// reads it back onto the previous day's rows as the archive walk does.
+// It returns the day that rebuilds, decoded, and the delta.
+func rowRoundTrip(t *testing.T, prev, cur *Document) (*Document, *RowDelta) {
+	t.Helper()
+	delta, err := DiffRows(splitCanonical(t, prev), splitCanonical(t, cur))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := delta.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := SplitDelta(b, new(RowArena))
+	if err != nil {
+		t.Fatal(err)
+	}
+	day, err := rd.Apply(splitCanonical(t, prev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return new(RowDecoder).Document(day), delta
+}
+
+// applyBoth applies d to prev with the reference Apply
+// (delta_ref_test.go) and the way the archive walk does — both as stored
+// bytes, split into rows and merged — and fails unless the two give the
+// same error or documents with the same bytes.
 func applyBoth(t *testing.T, d *DocumentDelta, prev *Document) (*Document, error) {
 	t.Helper()
 	want, werr := d.Apply(prev)
-	var snap bytes.Buffer
-	if err := StreamDocument(&snap, prev); err != nil {
-		t.Fatal(err)
-	}
-	b, err := d.AppendJSON(nil)
+	b, err := refDelta(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	day, err := SplitDocument(snap.Bytes(), false, new(RowArena))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := SplitDelta(b, false, new(RowArena))
+	day := splitCanonical(t, prev)
+	rd, err := SplitDelta(b, new(RowArena))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +124,7 @@ func applyBoth(t *testing.T, d *DocumentDelta, prev *Document) (*Document, error
 	}
 	if werr == nil {
 		line, err := got.AppendJSON(nil)
-		wantLine, werr := want.AppendJSON(nil)
+		wantLine, werr := json.Marshal(want)
 		if err != nil || werr != nil || !bytes.Equal(line, wantLine) {
 			t.Fatalf("the row merge's day (%v)\n%s\nApply's (%v)\n%s", err, line, werr, wantLine)
 		}
@@ -116,7 +133,7 @@ func applyBoth(t *testing.T, d *DocumentDelta, prev *Document) (*Document, error
 }
 
 // TestDeltaStrictness rejects deltas applied to the wrong base, through
-// Apply and the row merge alike.
+// the reference Apply and the row merge alike.
 func TestDeltaStrictness(t *testing.T) {
 	a := synthDoc(0, 30)
 	b := evolve(a, 1)
@@ -149,8 +166,8 @@ func TestDeltaStrictness(t *testing.T) {
 
 // TestDeltaNamesEachPrefixOnce: a delta that names a prefix twice —
 // upserts it twice, removes it twice, or removes and upserts it — does
-// not belong to any chain (DiffDocuments never writes one), so Apply and
-// the row merge refuse it with one message naming the prefix rather than
+// not belong to any chain (DiffRows never writes one), so the reference
+// Apply and the row merge refuse it with one message naming the prefix rather than
 // returning a document with two rows for it or a silently replaced row.
 func TestDeltaNamesEachPrefixOnce(t *testing.T) {
 	prev := synthDoc(0, 4)
@@ -192,11 +209,7 @@ func TestDeltaToEmptyDay(t *testing.T) {
 	b.Date = "2024-03-22"
 	b.Entries = nil
 	b.GCount, b.MCount = 0, 0
-	delta := DiffDocuments(a, b)
-	back, err := delta.Apply(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back, _ := rowRoundTrip(t, a, b)
 	if back.Entries != nil {
 		t.Fatalf("empty day reconstructed with non-nil entries (len %d)", len(back.Entries))
 	}
@@ -218,13 +231,9 @@ func TestDeltaEmpty(t *testing.T) {
 	a := synthDoc(0, 20)
 	b := a.DeepCopy()
 	b.Date = "2024-03-22"
-	delta := DiffDocuments(a, b)
-	if len(delta.Removed) != 0 || len(delta.Upserts) != 0 {
-		t.Fatalf("no-change delta carries %d removals, %d upserts", len(delta.Removed), len(delta.Upserts))
-	}
-	back, err := delta.Apply(a)
-	if err != nil {
-		t.Fatal(err)
+	back, delta := rowRoundTrip(t, a, b)
+	if len(delta.removed) != 0 || len(delta.upserts) != 0 {
+		t.Fatalf("no-change delta carries %d removals, %d upserts", len(delta.removed), len(delta.upserts))
 	}
 	var want, got bytes.Buffer
 	if err := b.WriteJSON(&want); err != nil {

@@ -9,8 +9,9 @@ import (
 )
 
 // This file is the entry appender the write half of the codec runs on:
-// DocumentEntry rows, compact documents and deltas appended to a []byte
-// exactly as encoding/json writes them, with no reflection. It follows
+// DocumentEntry rows and the compact header of a document or delta
+// appended to a []byte exactly as encoding/json writes them, with no
+// reflection. It follows
 // the struct's field order and its omitempty rules (an empty name list
 // is omitted whether nil or not; Document.Entries, which has no
 // omitempty, is `null` when nil and `[]` when empty). A string with
@@ -125,19 +126,6 @@ func plainString(s string) bool {
 	return true
 }
 
-// AppendJSON appends the document as json.Marshal writes it: one compact
-// line with no trailing newline, the form /v1/range serves.
-func (d *Document) AppendJSON(b []byte) ([]byte, error) {
-	b, err := appendHeader(b, d)
-	if err != nil {
-		return b, err
-	}
-	if d.Entries == nil {
-		return append(b, "null}"...), nil
-	}
-	return append(appendEntries(b, d.Entries), '}'), nil
-}
-
 // appendHeader appends the compact document up to its entries' value:
 // the header's fields as json.Marshal writes them, then `"entries":`.
 func appendHeader(b []byte, d *Document) ([]byte, error) {
@@ -152,34 +140,6 @@ func appendHeader(b []byte, d *Document) ([]byte, error) {
 		return b, errEntriesNotLast
 	}
 	return append(b, hdr[:len(hdr)-len(tail)]...), nil
-}
-
-// AppendJSON appends the delta as json.Marshal writes it, with no
-// trailing newline: the archive's delta file.
-func (d *DocumentDelta) AppendJSON(b []byte) ([]byte, error) {
-	b, err := d.Header.AppendJSON(append(b, `{"header":`...))
-	if err != nil {
-		return b, err
-	}
-	if len(d.Removed) > 0 {
-		b = compactLayout.names(append(b, `,"removed":`...), d.Removed)
-	}
-	if len(d.Upserts) > 0 {
-		b = appendEntries(append(b, `,"upserts":`...), d.Upserts)
-	}
-	return append(b, '}'), nil
-}
-
-// appendEntries appends a compact array of rows.
-func appendEntries(b []byte, es []DocumentEntry) []byte {
-	b = append(b, '[')
-	for i := range es {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendEntry(b, &es[i], &compactLayout)
-	}
-	return append(b, ']')
 }
 
 // errEntriesNotLast is what a header that does not end in its entries

@@ -310,14 +310,14 @@ func TestResponsibilityDocumentRoundTrip(t *testing.T) {
 		t.Fatalf("responsibility did not survive ParseDocument: %+v", parsed.Responsibility)
 	}
 
-	// The archive's scanner must carry the block in its header, and the
+	// The archive's split must carry the block in its header, and the
 	// streaming writer must reproduce the canonical bytes.
-	scanned, ok := ScanDocument(canonical)
+	split, ok := ScanDocumentRows(canonical, new(RowArena))
 	if !ok {
-		t.Fatal("the scanner declined a governed document")
+		t.Fatal("the split declined a governed document")
 	}
-	if scanned.Responsibility == nil || *scanned.Responsibility != *doc.Responsibility {
-		t.Fatalf("responsibility lost by ScanDocument: %+v", scanned.Responsibility)
+	if scanned := new(RowDecoder).Document(split); scanned.Responsibility == nil || *scanned.Responsibility != *doc.Responsibility {
+		t.Fatalf("responsibility lost by the split: %+v", scanned.Responsibility)
 	}
 	var streamed bytes.Buffer
 	if err := StreamDocument(&streamed, doc); err != nil {
@@ -334,11 +334,7 @@ func TestResponsibilityDocumentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc2 := c2.Document()
-	delta := DiffDocuments(doc, doc2)
-	rebuilt, err := delta.Apply(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt, _ := rowRoundTrip(t, doc, doc2)
 	var want, got bytes.Buffer
 	if err := doc2.WriteJSON(&want); err != nil {
 		t.Fatal(err)

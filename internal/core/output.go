@@ -90,8 +90,8 @@ func (r *Responsibility) Total() budget.Usage {
 // public repository carries and downstream consumers (the dashboard, the
 // diff tool) operate on. Entries must stay the last field: the streaming
 // writer (DocumentWriter) depends on every scalar preceding the entry
-// array, and the archive's scanner (ScanDocument) declines any other
-// order.
+// array, and the archive's split (SplitDocument) decodes any other order
+// whole.
 type Document struct {
 	Date        string `json:"date"`
 	Family      string `json:"family"`

@@ -3,14 +3,19 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/bits"
 	"unicode/utf8"
 )
 
-// This file holds a census day as its stored rows: each row is a prefix
-// plus the row's bytes as the day-file carries them, so a chain of
-// day-files can be rebuilt with one merge per delta and nothing decoded.
+// This file holds a census day as its stored rows, the one form every
+// day takes in the archive: each row is a prefix plus the row's bytes as
+// the day-file carries them. The writer splits a day's canonical bytes
+// into rows and diffs them against the day before's (DiffRows); readers
+// rebuild a chain of day-files with one merge per delta and nothing
+// decoded, and decode only the rows they hand out (RowDecoder).
 // The split is one table-driven pass over a day-file's row array
 // (storedRows): rowFields lists DocumentEntry's twelve fields in struct
 // order with each value's form, and a rowLayout holds, per layout, the
@@ -26,9 +31,9 @@ import (
 // makes a row's bytes its canonical encoding: copied, or stripped of the
 // snapshot's indentation, they are what AppendJSON writes for the
 // decoded row. A file holding anything else is decoded whole by
-// DecodeDocument or DecodeDelta, so every file splits to the rows those
-// decoders make of it. Row bytes alias the file read; prefix strings and
-// decoded entries are copies.
+// encoding/json, so every file splits to the rows json.Unmarshal makes
+// of it. Row bytes alias the file read; prefix strings and decoded
+// entries are copies.
 
 // RowDay is one census day as stored rows in document order, and its
 // header. Its rows are shared with the days rebuilt from it, and so is
@@ -48,7 +53,7 @@ type RowArena struct {
 	out    []byte // rows compacted or encoded for AppendJSON
 	rows   []row
 	ptrs   []*row
-	keys   []PrefixKey // deltas' removals and upserts
+	keys   []PrefixKey // deltas' removals
 	prefix []byte      // scratch: a file's prefixes, before they become one string
 	ends   []int       // scratch: where each of them ends
 }
@@ -58,12 +63,13 @@ func (a *RowArena) Reset() {
 	a.out, a.rows, a.ptrs, a.keys = a.out[:0], a.rows[:0], a.ptrs[:0], a.keys[:0]
 }
 
-// RowDelta is one delta day-file split into rows.
+// RowDelta is one delta day-file split into rows, or a delta DiffRows
+// made. Its upserts are compacted into arena when they are written.
 type RowDelta struct {
 	hdr     Document // Entries nil
 	removed []PrefixKey
 	upserts []*row
-	keys    []PrefixKey // the upserts' keys, for the merge
+	arena   *RowArena
 }
 
 // row is one published row, its prefix parsed. A split row holds its
@@ -93,39 +99,35 @@ func (r *row) json(out *[]byte) []byte {
 	return r.raw
 }
 
-// SplitDocument splits a snapshot day-file into its rows, as
-// DecodeDocument reads it, into the chain's arena a. With decode set it
-// decodes the file whole, for a day whose every row will be read.
-func SplitDocument(b []byte, decode bool, a *RowArena) (*RowDay, error) {
-	if !decode {
-		if d, ok := ScanDocumentRows(b, a); ok {
-			return d, nil
-		}
+// SplitDocument splits a snapshot day-file into its rows, into the
+// chain's arena a. A file outside the writer's form is decoded whole by
+// encoding/json, so every file splits to the rows json.Unmarshal makes
+// of it.
+func SplitDocument(b []byte, a *RowArena) (*RowDay, error) {
+	if d, ok := ScanDocumentRows(b, a); ok {
+		return d, nil
 	}
-	doc, err := DecodeDocument(b)
-	if err != nil {
-		return nil, err
+	var doc Document
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return nil, fmt.Errorf("core: decoding census document: %w", err)
 	}
-	d := &RowDay{hdr: *doc, rows: decodedRows(doc.Entries), arena: a}
+	d := &RowDay{hdr: doc, rows: decodedRows(doc.Entries), arena: a}
 	d.hdr.Entries = nil
 	return d, nil
 }
 
-// SplitDelta splits a delta day-file into its rows, as DecodeDelta reads
-// it, into the chain's arena a. With decode set it decodes the file
-// whole.
-func SplitDelta(b []byte, decode bool, a *RowArena) (*RowDelta, error) {
-	if !decode {
-		if d, ok := ScanDeltaRows(b, a); ok {
-			return d, nil
-		}
+// SplitDelta splits a delta day-file into its rows, into the chain's
+// arena a, as SplitDocument splits a snapshot.
+func SplitDelta(b []byte, a *RowArena) (*RowDelta, error) {
+	if d, ok := ScanDeltaRows(b, a); ok {
+		return d, nil
 	}
-	dd, err := DecodeDelta(b)
-	if err != nil {
-		return nil, err
+	var dd DocumentDelta
+	if err := json.Unmarshal(b, &dd); err != nil {
+		return nil, fmt.Errorf("core: decoding census delta: %w", err)
 	}
-	d := &RowDelta{hdr: dd.Header, removed: prefixKeys(dd.Removed), upserts: decodedRows(dd.Upserts)}
-	d.hdr.Entries, d.keys = nil, a.rowKeys(d.upserts)
+	d := &RowDelta{hdr: dd.Header, removed: prefixKeys(dd.Removed), upserts: decodedRows(dd.Upserts), arena: a}
+	d.hdr.Entries = nil
 	return d, nil
 }
 
@@ -145,11 +147,11 @@ func ScanDocumentRows(b []byte, a *RowArena) (*RowDay, bool) {
 // in the writer's form and reports false otherwise.
 func ScanDeltaRows(b []byte, a *RowArena) (*RowDelta, bool) {
 	s := newScanner(b)
-	d := &RowDelta{}
+	d := &RowDelta{arena: a}
 	if !s.delta(&d.hdr, func() { d.removed = s.removedKeys(a) }, func() { d.upserts = s.storedRows(compactRows, a) }) {
 		return nil, false
 	}
-	d.hdr.Entries, d.keys = nil, a.rowKeys(d.upserts)
+	d.hdr.Entries = nil
 	return d, true
 }
 
@@ -168,8 +170,8 @@ func decodedRows(es []DocumentEntry) []*row {
 	return out
 }
 
-// removedKeys reads a delta's removals as stringList does and keys them,
-// into arena a, their strings carved from one.
+// removedKeys reads a delta's removals, an array of plain strings, and
+// keys them, into arena a, their strings carved from one.
 func (s *scanner) removedKeys(a *RowArena) []PrefixKey {
 	s.expect('[')
 	if s.peek() == ']' {
@@ -203,17 +205,11 @@ func (s *scanner) removedKeys(a *RowArena) []PrefixKey {
 	return keys
 }
 
-// rowKeys copies the rows' keys into the arena.
-func (a *RowArena) rowKeys(rows []*row) []PrefixKey {
-	first := len(a.keys)
-	for _, r := range rows {
-		a.keys = append(a.keys, r.key)
-	}
-	return a.keys[first:len(a.keys):len(a.keys)]
-}
-
-// prefixKeys parses a delta's removals.
+// prefixKeys parses a delta's removals. nil stays nil.
 func prefixKeys(ps []string) []PrefixKey {
+	if ps == nil {
+		return nil
+	}
 	keys := make([]PrefixKey, len(ps))
 	for i, p := range ps {
 		keys[i] = ParsePrefixKey(p)
@@ -221,19 +217,20 @@ func prefixKeys(ps []string) []PrefixKey {
 	return keys
 }
 
-// Apply rebuilds the new day from the previous one with the merge
-// DocumentDelta.Apply runs: the same rows, or the same error.
+// Apply rebuilds the new day from the previous one (applyRows): the
+// merged rows, or the error that says why the delta does not belong to
+// the chain.
 func (d *RowDelta) Apply(prev *RowDay) (*RowDay, error) {
-	rows, err := applyRows(d.hdr.Family, prev.hdr.Family, prev.rows, d.removed, d.upserts, d.keys,
-		func(r **row) PrefixKey { return (*r).key })
+	rows, err := applyRows(d.hdr.Family, prev.hdr.Family, prev.rows, d.removed, d.upserts)
 	if err != nil {
 		return nil, err
 	}
 	return &RowDay{hdr: d.hdr, rows: rows, arena: prev.arena}, nil
 }
 
-// AppendJSON appends the day as Document.AppendJSON writes its decoded
-// document, copying the rows' compact bytes.
+// AppendJSON appends the day as json.Marshal writes its decoded
+// document, copying the rows' compact bytes: one compact line with no
+// trailing newline, the form /v1/range serves.
 func (d *RowDay) AppendJSON(b []byte) ([]byte, error) {
 	b, err := appendHeader(b, &d.hdr)
 	if err != nil {
@@ -242,14 +239,44 @@ func (d *RowDay) AppendJSON(b []byte) ([]byte, error) {
 	if d.rows == nil {
 		return append(b, "null}"...), nil
 	}
+	return append(appendRows(b, d.rows, d.arena), '}'), nil
+}
+
+// AppendJSON appends the delta as json.Marshal writes its decoded form
+// (DocumentDelta), with no trailing newline: the archive's delta file.
+func (d *RowDelta) AppendJSON(b []byte) ([]byte, error) {
+	b, err := appendHeader(append(b, `{"header":`...), &d.hdr)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, "null}"...)
+	if len(d.removed) > 0 {
+		b = append(b, `,"removed":[`...)
+		for i, k := range d.removed {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = AppendJSONString(b, k.s)
+		}
+		b = append(b, ']')
+	}
+	if len(d.upserts) > 0 {
+		b = appendRows(append(b, `,"upserts":`...), d.upserts, d.arena)
+	}
+	return append(b, '}'), nil
+}
+
+// appendRows appends rows as a compact array, compacting them into arena
+// a where they are not compact yet.
+func appendRows(b []byte, rows []*row, a *RowArena) []byte {
 	b = append(b, '[')
-	for i, r := range d.rows {
+	for i, r := range rows {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, r.json(&d.arena.out)...)
+		b = append(b, r.json(&a.out)...)
 	}
-	return append(b, "]}"...), nil
+	return append(b, ']')
 }
 
 // RowDecoder decodes stored rows into a day's document. Protocol and city
@@ -261,30 +288,50 @@ type RowDecoder struct {
 	slab []DocumentEntry // where decoded entries are carved from
 }
 
-// Document returns the day as DecodeDocument and DocumentDelta.Apply
-// would have made it. The document is new; its entries' name lists may
-// share arrays with other documents from the same decoder. A split row
-// is in the writer's form, which the scanner always reads.
+// Document returns the day as json.Unmarshal makes the snapshot it
+// rebuilds. The document is new; its entries' name lists may share
+// arrays with other documents from the same decoder.
 func (dec *RowDecoder) Document(d *RowDay) *Document {
 	doc := d.hdr
-	if d.rows == nil {
-		return &doc
+	doc.Entries = dec.entries(d.rows)
+	return &doc
+}
+
+// Delta returns the delta as json.Unmarshal makes its day-file: its
+// removals are the split's prefix strings, and only its upserts are
+// decoded.
+func (dec *RowDecoder) Delta(d *RowDelta) *DocumentDelta {
+	dd := &DocumentDelta{Header: d.hdr, Upserts: dec.entries(d.upserts)}
+	if d.removed != nil {
+		dd.Removed = make([]string, len(d.removed))
+		for i, k := range d.removed {
+			dd.Removed[i] = k.s
+		}
 	}
-	doc.Entries = make([]DocumentEntry, len(d.rows))
+	return dd
+}
+
+// entries decodes rows into new entries; nil stays nil. A split row is
+// in the writer's form, which the scanner always reads.
+func (dec *RowDecoder) entries(rows []*row) []DocumentEntry {
+	if rows == nil {
+		return nil
+	}
+	out := make([]DocumentEntry, len(rows))
 	s := &dec.s
-	for i, r := range d.rows {
+	for i, r := range rows {
 		if r.entry == nil {
 			if len(dec.slab) == cap(dec.slab) {
-				dec.slab = make([]DocumentEntry, 0, len(d.rows)-i)
+				dec.slab = make([]DocumentEntry, 0, len(rows)-i)
 			}
 			dec.slab = dec.slab[:len(dec.slab)+1]
 			r.entry = &dec.slab[len(dec.slab)-1]
 			s.b, s.i, s.ok, s.known = r.raw, 0, true, r.key.s
 			s.entry(r.entry)
 		}
-		doc.Entries[i] = *r.entry
+		out[i] = *r.entry
 	}
-	return &doc
+	return out
 }
 
 // A stored row's value forms. The fields without omitempty come first,

@@ -176,3 +176,19 @@ func (s *scanner) plainList(l *entryLayout) {
 	s.lit(l.member)
 	s.want(']')
 }
+
+// refStringList steps over a delta's removals, an array of strings with
+// no escape, as the scanner read them before the split keyed them.
+func (s *scanner) refStringList() {
+	s.expect('[')
+	if s.peek() == ']' {
+		s.i++
+		return
+	}
+	for s.ok {
+		s.raw()
+		if !s.more(']') {
+			break
+		}
+	}
+}

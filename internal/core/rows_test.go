@@ -23,9 +23,9 @@ var (
 
 // writerFiles returns the day-files an archive packed at the given
 // snapshot cadence holds for eight consecutive TestConfig census days of
-// both families: a snapshot is StreamDocument's bytes, a delta
-// DiffDocuments' compact JSON and a newline, as the archive writer
-// writes them.
+// both families: a snapshot is StreamDocument's bytes, a delta the
+// compact JSON of DiffRows over both days' split bytes and a newline, as
+// the archive writer writes them.
 func writerFiles(t testing.TB, every int) []dayFile {
 	t.Helper()
 	writerFilesOnce.Do(func() {
@@ -52,13 +52,32 @@ func writerFiles(t testing.TB, every int) []dayFile {
 			files = append(files, dayFile{name + " snapshot", buf.Bytes(), true})
 			continue
 		}
-		b, err := DiffDocuments(writerDocs[i-2], doc).AppendJSON(nil)
+		delta, err := DiffRows(splitCanonical(t, writerDocs[i-2]), splitCanonical(t, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := delta.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, dayFile{name + " delta", append(b, '\n'), false})
 	}
 	return files
+}
+
+// splitCanonical splits doc's canonical bytes into rows, as the archive
+// writer splits each day it appends.
+func splitCanonical(t testing.TB, doc *Document) *RowDay {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := StreamDocument(&buf, doc); err != nil {
+		t.Fatal(err)
+	}
+	d, err := SplitDocument(buf.Bytes(), new(RowArena))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // refScanRows is ScanDocumentRows (snap) or ScanDeltaRows on the
@@ -71,7 +90,7 @@ func refScanRows(b []byte, snap bool) ([]*row, bool) {
 		return rows, ok
 	}
 	var hdr Document
-	ok := s.delta(&hdr, func() { s.stringList() }, func() { rows = s.refStoredRows(&compactLayout) })
+	ok := s.delta(&hdr, s.refStringList, func() { rows = s.refStoredRows(&compactLayout) })
 	return rows, ok
 }
 

@@ -220,30 +220,34 @@ func (fb *famBuilder) row(prefix string) *rowBuilder {
 }
 
 // extend indexes the archived days of the family that the committed
-// section does not cover: it reads each missing day-file once, through
-// archive.ReadDay, from the first day the section lacks — never from
-// the snapshot under it. A snapshot day adds its document's entries; a
-// delta day applies to the rows directly, so no document is built for
-// it.
+// section does not cover: it reads each missing day-file once, split
+// into rows by archive.ReadDay, from the first day the section lacks —
+// never from the snapshot under it. A snapshot day adds its decoded
+// rows; a delta day decodes only its upserts and applies to the rows
+// directly, so no document is built for it.
 func (fb *famBuilder) extend(a *archive.Archive) error {
 	// family is the one the day before's document carries, which a
 	// delta must name: what Apply checks on archive.Range's chain.
 	family := fb.family
+	var rows core.RowArena
+	var dec core.RowDecoder
 	for pos := len(fb.base.days); pos < len(fb.out.days); pos++ {
 		rec, _ := a.Record(fb.family, fb.out.days[pos])
 		if rec.Kind == archive.KindDelta && pos == 0 {
 			return fmt.Errorf("%s chain starts with a delta (corrupt index)", fb.family)
 		}
-		snap, delta, err := a.ReadDay(rec)
+		rows.Reset()
+		snap, delta, err := a.ReadDay(rec, &rows)
 		if err != nil {
 			return err
 		}
 		if snap != nil {
-			family = snap.Family
-			fb.addSnapshot(pos, snap)
+			doc := dec.Document(snap)
+			family = doc.Family
+			fb.addSnapshot(pos, doc)
 			continue
 		}
-		if err := fb.applyDelta(pos, family, delta); err != nil {
+		if err := fb.applyDelta(pos, family, dec.Delta(delta)); err != nil {
 			return fmt.Errorf("%s: %w", rec.File, err)
 		}
 	}
@@ -260,9 +264,10 @@ func (fb *famBuilder) addSnapshot(pos int, doc *core.Document) {
 
 // applyDelta indexes a delta day at position pos ≥ 1 from the rows of
 // day pos-1: rows present then carry over, upserts are added, removals
-// drop out. It refuses the deltas core.DocumentDelta.Apply refuses: a
-// family other than the day before's, a removal of a prefix absent the
-// day before, and a prefix named twice.
+// drop out. It does not walk from the snapshot, so it keeps its own
+// copy of the refusals core.RowDelta.Apply makes: a family other than
+// the day before's, a removal of a prefix absent the day before, and a
+// prefix named twice.
 func (fb *famBuilder) applyDelta(pos int, family string, d *core.DocumentDelta) error {
 	if d.Header.Family != family {
 		return fmt.Errorf("delta for family %q applied to %q document", d.Header.Family, family)

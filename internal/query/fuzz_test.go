@@ -14,8 +14,9 @@ import (
 )
 
 // FuzzBuildDeltaDay: a build applies a delta day-file to the rows
-// directly, never to a document, so its reading of a delta has to agree
-// with core.DocumentDelta.Apply on every input. Fuzzed bytes replace
+// directly, never to a document and without walking from the snapshot,
+// so its reading of a delta has to agree with core.RowDelta.Apply on
+// every input. Fuzzed bytes replace
 // the ipv4 family's last delta of a small two-family archive (snapshot
 // cadence 3; that delta is the newest day). Build — from scratch, and
 // resumed from the index of the days before — must not panic, must fail

@@ -62,7 +62,8 @@ const allocPrefix = "allocs/"
 //   - both families over days 265–273, across the day-270 hitlist
 //     refresh;
 //   - one governed day on a second pipeline with a small daily budget;
-//   - the days appended at SnapshotEvery 7 (265 and 272 are snapshots);
+//   - the days appended at SnapshotEvery 7 (265 and 272 are snapshots),
+//     the two day-273 appends, both deltas, as steps;
 //   - query.BuildDir over days 265–272, then the extension to 273;
 //   - Server.Reload onto the extended index and a fixed request mix
 //     through Handler.
@@ -219,9 +220,11 @@ func runLedger(t *testing.T) map[string]string {
 	// The last day appended, the index extended by it, and the server
 	// reloaded onto both.
 	for _, doc := range held {
-		if err := aw.Append(last, doc); err != nil {
-			t.Fatal(err)
-		}
+		l.step(fmt.Sprintf("archive/append/%s/%d", doc.Family, last), func() {
+			if err := aw.Append(last, doc); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 	appends, stored, full := aw.AppendStats()
 	l.add("archive/appends", appends)
