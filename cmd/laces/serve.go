@@ -26,7 +26,7 @@ func setupServe(fs *flag.FlagSet) func() error {
 	world := simFlags(fs, "seed")
 	day := fs.Int("day", 0, "census day served as \"today\"")
 	archiveDir := fs.String("archive", "", "serve archived days straight from this delta-encoded store")
-	cache := fs.Int("cache", api.DefaultCacheSize, "decoded-day LRU size")
+	cache := fs.Int("cache", api.DefaultCacheSize, "day LRU size")
 	gov := governanceFlags(fs)
 	metrics := fs.Bool("metrics", false, "expose Prometheus metrics at /metrics")
 	pprofFlag := fs.Bool("pprof", false, "expose profiling endpoints under /debug/pprof/")

@@ -6,11 +6,18 @@
 // (R1's confidence-through-independence, applied to a single prefix).
 //
 // Published days are served straight from the longitudinal archive when
-// one is attached (Server.Archive): decoding from the delta store is
-// orders of magnitude cheaper than re-running the pipeline, and one
-// bounded LRU of decoded days — the only decoded-day cache on the read
+// one is attached (Server.Archive): rebuilding a day from the delta
+// store's rows is orders of magnitude cheaper than re-running the
+// pipeline, and one bounded LRU of days — the only day cache on the read
 // path; the archive and the query index underneath keep none — means
-// serving a 500-day archive never holds 500 censuses in memory.
+// serving a 500-day archive never holds 500 censuses in memory. The LRU
+// holds each day in its canonical form (core.CanonicalDay): the bytes
+// the day was published as (an archived day's checked against the CRC
+// its record holds before it enters the cache) and the rows that alias
+// them.
+// /v1/census writes those bytes as they are, /v1/prefix decodes only the
+// one row it answers with, and /v1/responsibility reads the header; no
+// request decodes a whole day or re-encodes one.
 //
 // A day the archive does not carry is computed live, and a live day is a
 // function of the day: every computation runs on a fresh core.Pipeline
@@ -46,11 +53,13 @@ import (
 	"github.com/laces-project/laces/internal/query"
 )
 
-// DefaultCacheSize bounds the server's decoded-day LRU. It is the only
-// cache of decoded days, so passing cold days evict hot ones from it and
-// nothing underneath re-finds them: at 8 — the size of the bench's
-// serve_mix hot set — traced hot-day p50 reads 1.17–1.28 ms and 5,796
-// archive decodes per run, at 16 0.80–0.85 ms and 5,426.
+// DefaultCacheSize bounds the server's day LRU. It is the only cache of
+// days, so passing cold days evict hot ones from it and nothing
+// underneath re-finds them: serve_mix's hot set is 8 days, and at 16 its
+// run reads 5,426 day-files (5,796 at 8). On a 2-core guest its traced
+// hot-day p50 reads 0.021–0.023 ms at 16, writing the cached bytes, and
+// its cold-day p50 0.50–0.57 ms. A cached day is its canonical bytes and
+// their rows, at most about 128 KB and 50 KB on that fixture.
 const DefaultCacheSize = 16
 
 // Server exposes census data and live measurements over HTTP.
@@ -70,7 +79,7 @@ type Server struct {
 	// no document decodes on the hot path. Set before the first
 	// request.
 	Query *query.Index
-	// CacheSize bounds the decoded-day LRU (default DefaultCacheSize).
+	// CacheSize bounds the day LRU (default DefaultCacheSize).
 	// Set before the first request.
 	CacheSize int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ when Handler
@@ -89,10 +98,13 @@ type Server struct {
 	// Governance knobs applied to live census computation (Govern).
 	govBudget budget.Budget
 	govOptOut *budget.Registry
-	// cache is the bounded decoded-day LRU, sized on first use so
-	// CacheSize can be set any time before the first request. Cached
-	// documents are shared across requests and never mutated.
-	cache *lru[censusKey, *core.Document]
+	// cache is the bounded day LRU, sized on first use so CacheSize can
+	// be set any time before the first request. It holds each day in its
+	// canonical form (core.CanonicalDay): its published bytes and the rows
+	// that alias them, shared across requests and never changed — a
+	// request only reads the bytes, the header or one row, decoded into
+	// an entry of its own.
+	cache *lru[censusKey, *core.CanonicalDay]
 	// cacheHits/cacheMisses tally census lookups by whether the LRU
 	// answered them; /metrics exposes them as laces_api_day_cache_total.
 	cacheHits, cacheMisses atomic.Int64
@@ -177,44 +189,47 @@ func family(v6 bool) string {
 	return "ipv4"
 }
 
-// census returns the published document for a day — from the pinned
-// view's archive when it carries the day, otherwise by running the
-// pipeline if the server's clock has reached the day — through a bounded
-// LRU of decoded days. The LRU is shared across serving generations: it
-// is keyed by day, archived days are immutable and live days a function
-// of the day, so Reload never invalidates it.
+// census returns a day's published census in canonical form — rebuilt
+// from the pinned view's archive when it carries the day, otherwise
+// streamed from a pipeline run if the server's clock has reached the
+// day, and split once — through the bounded day LRU. The LRU is shared
+// across serving generations: it is keyed by day, archived days are
+// immutable and live days a function of the day, so Reload never
+// invalidates it.
 //
-// An archived day decodes outside s.mu (the Archive takes no lock), so a
-// cold day never queues the hot ones, /v1/events or Reload behind it;
-// two requests racing on the same cold day both decode it, which is
+// An archived day is rebuilt outside s.mu (the Archive takes no lock), so
+// a cold day never queues the hot ones, /v1/events or Reload behind it;
+// two requests racing on the same cold day both rebuild it, which is
 // harmless for an immutable day. A live computation keeps the lock for
 // its whole run: live days are computed one at a time (each already
 // shards its stages over every core), and a request that waited for the
 // same day finds it cached instead of computing it again.
-func (s *Server) census(v *view, day int, v6 bool) (*core.Document, error) {
+func (s *Server) census(v *view, day int, v6 bool) (*core.CanonicalDay, error) {
 	key := censusKey{day, v6}
 	s.mu.Lock()
-	doc, ok := s.dayCache().Get(key)
+	d, ok := s.dayCache().Get(key)
 	s.mu.Unlock()
 	if ok {
 		s.cacheHits.Add(1)
-		return doc, nil
+		return d, nil
 	}
 	s.cacheMisses.Add(1)
 	if v.arch != nil {
-		doc, err := v.arch.Document(family(v6), day)
+		d, err := v.arch.Day(family(v6), day)
 		switch {
 		case err == nil:
 			s.mu.Lock()
-			s.dayCache().Put(key, doc)
+			s.dayCache().Put(key, d)
 			s.mu.Unlock()
-			return doc, nil
+			return d, nil
 		case errors.Is(err, archive.ErrNotFound):
 			// Not archived: fall through to the live pipeline.
 		default:
-			// The archive carries the day but cannot decode it —
-			// surfacing the failure beats silently serving a freshly
-			// recomputed census that may differ from the published one.
+			// The archive carries the day but cannot rebuild it, or its
+			// bytes are not the ones packed — surfacing the failure beats
+			// serving other bytes under the day's immutable validator, or
+			// a freshly recomputed census that may differ from the
+			// published one.
 			return nil, err
 		}
 	}
@@ -224,9 +239,9 @@ func (s *Server) census(v *view, day int, v6 bool) (*core.Document, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if doc, ok := s.dayCache().Get(key); ok {
+	if d, ok := s.dayCache().Get(key); ok {
 		// Computed by another request while this one waited for the lock.
-		return doc, nil
+		return d, nil
 	}
 	pipe, err := s.newPipeline()
 	if err != nil {
@@ -236,9 +251,12 @@ func (s *Server) census(v *view, day int, v6 bool) (*core.Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc = c.Document()
-	s.dayCache().Put(key, doc)
-	return doc, nil
+	d = new(core.CanonicalDay)
+	if err := d.Stream(c.Document()); err != nil {
+		return nil, err
+	}
+	s.dayCache().Put(key, d)
+	return d, nil
 }
 
 // newestDay is the last day census can serve for a family: today by the
@@ -252,15 +270,15 @@ func (s *Server) newestDay(v *view, v6 bool, today int) int {
 	return today
 }
 
-// dayCache returns the decoded-day LRU, creating it at the configured
-// bound on first use. Callers hold s.mu.
-func (s *Server) dayCache() *lru[censusKey, *core.Document] {
+// dayCache returns the day LRU, creating it at the configured bound on
+// first use. Callers hold s.mu.
+func (s *Server) dayCache() *lru[censusKey, *core.CanonicalDay] {
 	if s.cache == nil {
 		bound := s.CacheSize
 		if bound <= 0 {
 			bound = DefaultCacheSize
 		}
-		s.cache = newLRU[censusKey, *core.Document](bound)
+		s.cache = newLRU[censusKey, *core.CanonicalDay](bound)
 	}
 	return s.cache
 }
@@ -399,7 +417,7 @@ func (s *Server) parseDayFamily(q url.Values) (int, bool, error) {
 // published byte form. Archived days are immutable, so they carry the
 // pack-time content hash as a strong ETag plus an immutable cache
 // policy — and a matching If-None-Match turns around as a 304 before
-// any document is decoded.
+// any day is read.
 func (s *Server) handleCensus(v *view, r *http.Request) (answer, error) {
 	day, v6, err := s.parseDayFamily(queryValues(r))
 	if err != nil {
@@ -409,13 +427,16 @@ func (s *Server) handleCensus(v *view, r *http.Request) (answer, error) {
 	if a.current(r) {
 		return a, nil
 	}
-	doc, err := s.census(v, day, v6)
+	d, err := s.census(v, day, v6)
 	if err != nil {
 		return answer{}, err
 	}
-	// The document's own canonical bytes, not a re-encoding of it.
+	// The day's canonical bytes as they are, not a re-encoding of it.
 	a.ctype = ctJSON
-	a.stream = func(w io.Writer, _ func()) error { return doc.WriteJSON(w) }
+	a.stream = func(w io.Writer, _ func()) error {
+		_, err := w.Write(d.Bytes())
+		return err
+	}
 	return a, nil
 }
 
@@ -450,12 +471,12 @@ func (s *Server) handlePrefix(v *view, r *http.Request) (answer, error) {
 	if a.current(r) {
 		return a, nil
 	}
-	doc, err := s.census(v, day, v6)
+	d, err := s.census(v, day, v6)
 	if err != nil {
 		return answer{}, err
 	}
 	pv := prefixView{Prefix: prefix.String(), Day: day}
-	if e := doc.Find(pv.Prefix); e != nil {
+	if e, ok := d.Rows().Find(pv.Prefix); ok {
 		pv.InCensus = true
 		pv.AnycastBased = len(e.ACProtocols) > 0
 		pv.GCDAnycast = e.GCDAnycast
@@ -747,18 +768,19 @@ func (s *Server) handleResponsibility(v *view, r *http.Request) (answer, error) 
 	if err != nil {
 		return answer{}, err
 	}
-	doc, err := s.census(v, day, v6)
+	d, err := s.census(v, day, v6)
 	if err != nil {
 		return answer{}, err
 	}
-	if doc.Responsibility == nil {
+	hdr := d.Rows().Header()
+	if hdr.Responsibility == nil {
 		return answer{}, notFound(
 			fmt.Errorf("census day %d (%s) carries no responsibility block (ran without probing governance)", day, family(v6)))
 	}
 	return answer{body: map[string]any{
 		"day":            day,
 		"family":         family(v6),
-		"responsibility": doc.Responsibility,
+		"responsibility": hdr.Responsibility,
 	}}, nil
 }
 

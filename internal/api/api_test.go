@@ -267,7 +267,7 @@ func archiveServer(t testing.TB) (*Server, *httptest.Server, [][]byte) {
 
 // TestCensusServedFromArchive proves archived days come back
 // byte-identical to the published WriteJSON form, without re-running the
-// pipeline, and that the decoded-day cache stays bounded.
+// pipeline, and that the day cache stays bounded.
 func TestCensusServedFromArchive(t *testing.T) {
 	s, ts, want := archiveServer(t)
 	for _, day := range []int{5, 0, 3, 1, 4, 2, 5} {
@@ -288,17 +288,42 @@ func TestCensusServedFromArchive(t *testing.T) {
 		}
 	}
 	if n := cachedDays(s); n > 2 {
-		t.Fatalf("decoded-day LRU holds %d days, bound is 2", n)
+		t.Fatalf("day LRU holds %d days, bound is 2", n)
 	}
 }
 
-// TestCensusConcurrentColdAndHot: archived days decode outside the
+// TestCensusConcurrentColdAndHot: archived days are rebuilt outside the
 // server mutex, so readers of cold days, readers of a hot day and Reload
-// run side by side (run under -race). Every response must equal the
-// sequential one and the decoded-day LRU must hold its bound.
+// run side by side (run under -race). The hot day's readers share its
+// cached rows across /v1/census, /v1/prefix and /v1/responsibility.
+// Every response must equal the sequential one and the day LRU must hold
+// its bound.
 func TestCensusConcurrentColdAndHot(t *testing.T) {
 	s, _, want := archiveServer(t) // 6 archived days behind a 2-entry LRU
 	h := s.Handler()
+	var hot core.Document
+	if err := json.Unmarshal(want[5], &hot); err != nil {
+		t.Fatal(err)
+	}
+	prefix := ""
+	for _, e := range hot.Entries {
+		if len(e.GCDCities) > 0 {
+			prefix = e.Prefix
+		}
+	}
+	if prefix == "" {
+		t.Fatal("day 5 confirms no prefix")
+	}
+	// The hot day's three routes, and their bodies served one at a time.
+	routes := []string{"/v1/census?day=5", "/v1/prefix/" + prefix + "?day=5", "/v1/responsibility?day=5"}
+	hotWant := make([]*httptest.ResponseRecorder, len(routes))
+	for i, target := range routes {
+		hotWant[i] = httptest.NewRecorder()
+		h.ServeHTTP(hotWant[i], httptest.NewRequest("GET", target, nil))
+	}
+	if !bytes.Equal(hotWant[0].Body.Bytes(), want[5]) || hotWant[1].Code != http.StatusOK || hotWant[2].Code != http.StatusNotFound {
+		t.Fatalf("hot day served one at a time: census %d, prefix %d, responsibility %d", hotWant[0].Code, hotWant[1].Code, hotWant[2].Code)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -306,13 +331,15 @@ func TestCensusConcurrentColdAndHot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 12; i++ {
 				day := (g + i) % len(want) // a sweep: mostly cold
-				if g%2 == 0 {
-					day = 5 // half the readers stay on one hot day
+				target, code, body := "/v1/census?day="+strconv.Itoa(day), http.StatusOK, want[day]
+				if g%2 == 0 { // half the readers stay on one hot day
+					r := (g/2 + i) % len(routes)
+					target, code, body = routes[r], hotWant[r].Code, hotWant[r].Body.Bytes()
 				}
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/census?day="+strconv.Itoa(day), nil))
-				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want[day]) {
-					t.Errorf("reader %d, day %d: status %d, body differs from the sequential response", g, day, rec.Code)
+				h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+				if rec.Code != code || !bytes.Equal(rec.Body.Bytes(), body) {
+					t.Errorf("reader %d, %s: status %d, body differs from the sequential response", g, target, rec.Code)
 					return
 				}
 				if g == 1 && i%4 == 0 {
@@ -323,7 +350,7 @@ func TestCensusConcurrentColdAndHot(t *testing.T) {
 	}
 	wg.Wait()
 	if n := cachedDays(s); n > 2 {
-		t.Fatalf("decoded-day LRU holds %d days, bound is 2", n)
+		t.Fatalf("day LRU holds %d days, bound is 2", n)
 	}
 }
 
@@ -589,7 +616,7 @@ func TestEventsAndStabilityEndpoints(t *testing.T) {
 	}
 }
 
-// cachedDays reports the decoded-day LRU's current size.
+// cachedDays reports the day LRU's current size.
 func cachedDays(s *Server) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

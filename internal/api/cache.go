@@ -201,7 +201,7 @@ func (s *Server) currentView() *view {
 // Reload atomically publishes a new serving generation over fresh
 // archive/index handles. In-flight requests finish on the generation
 // they pinned; new requests see the new one — an appending census can
-// never tear a concurrent reader. The decoded-day LRU is kept: it is
+// never tear a concurrent reader. The day LRU is kept: it is
 // keyed by day, and archived days are immutable, so entries stay valid
 // across generations of the same growing archive. Reload is for
 // re-opening the same archive directory after appends; pointing it at

@@ -14,6 +14,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"sync"
@@ -152,6 +154,68 @@ func TestEtagStableAcrossRestart(t *testing.T) {
 	}
 	if d1 == "" || d1 != d2 {
 		t.Fatalf("days ETag not restart-stable: %q vs %q", d1, d2)
+	}
+}
+
+// TestChangedDayFileIsNotServed: a day-file changed after it was packed
+// (one city letter of a snapshot, in a row the next day's delta leaves
+// as it is) rebuilds to other bytes than its record's CRC covers, so
+// that snapshot and the delta day built on it answer 500 with no
+// validator on every route that reads the day, never 200 under the
+// packed, immutable ETag; the days before it still serve.
+func TestChangedDayFileIsNotServed(t *testing.T) {
+	s, dir := packedServer(t, 6) // snapshots on days 0 and 3
+	rec, _ := s.Archive.Record("ipv4", 3)
+	next, _ := s.Archive.Record("ipv4", 4)
+	if rec.Kind != archive.KindSnapshot || next.Kind != archive.KindDelta {
+		t.Fatalf("days 3 and 4 are a %s and a %s, want a snapshot and a delta", rec.Kind, next.Kind)
+	}
+	path := filepath.Join(dir, rec.File)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := os.ReadFile(filepath.Join(dir, next.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc core.Document
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	i := -1 // the first letter of a city in a row day 4 carries unchanged
+	for _, e := range doc.Entries {
+		if len(e.GCDCities) > 0 && !bytes.Contains(delta, []byte(`"`+e.Prefix+`"`)) {
+			i = bytes.Index(b, []byte(`"prefix": "`+e.Prefix+`"`))
+			i += bytes.Index(b[i:], []byte(`"gcd_cities": [`)) + len(`"gcd_cities": [`)
+			i += bytes.IndexByte(b[i:], '"') + 1
+			break
+		}
+	}
+	if i < 0 {
+		t.Fatal("no row of the snapshot with a city outlives day 4's delta")
+	}
+	if b[i] == 'X' {
+		b[i] = 'Y'
+	} else {
+		b[i] = 'X'
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, day := range []int{3, 4} {
+		for _, route := range []string{"/v1/census", "/v1/responsibility"} {
+			target := route + "?day=" + strconv.Itoa(day)
+			rec := fetch(t, h, target, "")
+			if rec.Code != http.StatusInternalServerError || rec.Header().Get("Etag") != "" || rec.Header().Get("Cache-Control") != "" {
+				t.Fatalf("GET %s over a changed day-file: status %d, ETag %q, Cache-Control %q; want 500 and no validator",
+					target, rec.Code, rec.Header().Get("Etag"), rec.Header().Get("Cache-Control"))
+			}
+		}
+	}
+	if rec := fetch(t, h, "/v1/census?day=2", ""); rec.Code != http.StatusOK {
+		t.Fatalf("day 2, before the changed snapshot: status %d", rec.Code)
 	}
 }
 

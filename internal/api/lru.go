@@ -3,7 +3,7 @@ package api
 import "container/list"
 
 // lru is a small bounded least-recently-used map: the one primitive
-// behind the server's decoded-day and events-list caches, so eviction
+// behind the server's day and events-list caches, so eviction
 // behaviour has a single implementation. Being unexported, it cannot be
 // built outside this package, so no other layer stacks a cache on it. It
 // is not safe for concurrent use; the Server guards its caches with its

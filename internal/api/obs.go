@@ -2,7 +2,7 @@ package api
 
 // Observability for the HTTP server: the Prometheus text exposition and
 // trace export routes, optional pprof handlers, and the bridges that
-// expose the decoded-day LRU's, the archive's and the query index's
+// expose the day LRU's, the archive's and the query index's
 // internal tallies as registry series. The per-route request, latency and
 // error series are recorded by the one response path (respond.go).
 
@@ -17,7 +17,7 @@ import (
 
 // Instrument attaches a telemetry registry to the server's world
 // (netsim.World.Instrument), so live census days and the world's probes
-// report to it, and bridges the decoded-day LRU's, the archive's and
+// report to it, and bridges the day LRU's, the archive's and
 // the query index's internal tallies into registry series. Call before
 // the first request and before Handler, which takes the world's
 // registry when wiring routes; GET /metrics serves the exposition.

@@ -62,7 +62,7 @@ func TestMetricsEndpointLiveCensus(t *testing.T) {
 	ts, _ := newInstrumentedServer(t)
 
 	// Twice: the first request computes the day, the second is served
-	// from the decoded-day LRU — one miss, one hit.
+	// from the day LRU — one miss, one hit.
 	for i := 0; i < 2; i++ {
 		resp, err := http.Get(ts.URL + "/v1/census?day=3")
 		if err != nil {
@@ -151,7 +151,7 @@ func TestMetricsEndpointLiveCensus(t *testing.T) {
 		}
 	}
 	// The cache /metrics reports is the one that exists: the server's
-	// decoded-day LRU. The archive and timeline caches are gone, and so
+	// day LRU. The archive and timeline caches are gone, and so
 	// are their series.
 	for _, outcome := range []string{"hit", "miss"} {
 		if got := series[`laces_api_day_cache_total{outcome="`+outcome+`"}`]; got != "1" {

@@ -28,24 +28,26 @@
 // merge, and the row's bytes) in one table-driven, reflection-free pass
 // that accepts only the writer's form; encoding/json reads the small
 // header object, and the whole file only when the file holds something
-// the writer never emits. The writer streams each day's canonical bytes
-// once (core.StreamDocument), keeps them and their rows for the next
-// day, and stores a delta day as core.DiffRows of the two days' rows,
-// proven to rebuild the day before its record is written. The readers
-// rebuild days from stored rows: core.RowDelta.Apply merges a delta's
-// rows into the day before, and a reader decodes only the rows it hands
-// out (core.RowDecoder) or, for /v1/range, copies their bytes.
-// ReadDay splits one day-file for the query indexer, which takes a
-// delta's changes as they are.
+// the writer never emits. A day outside a day-file takes one form,
+// core.CanonicalDay: its canonical bytes and the rows that alias them.
+// The writer streams each day into it once (core.StreamDocument), keeps
+// it for the next day, and stores a delta day as core.DiffRows of the
+// two days' rows, proven to rebuild the day before its record is
+// written; a resumed writer takes the last day in it from the reader.
+// The readers rebuild days from stored rows: core.RowDelta.Apply merges
+// a delta's rows into the day before, and a reader appends the day's
+// canonical bytes from them (Day, for /v1/census and the writer), decodes
+// only the rows it hands out (core.RowDecoder) or, for /v1/range, copies
+// their bytes. ReadDay splits one day-file for the query indexer, which
+// takes a delta's changes as they are.
 //
 // The reader (Archive) is a stateless, lock-free store: it caches
-// nothing, so a decoded document is the caller's own, and callers that
-// re-read days keep their own cache (internal/api's decoded-day LRU).
-// Every day-file is read whole, once per walk.
+// nothing, so a day it returns is the caller's own, and callers that
+// re-read days keep their own cache (internal/api's day LRU). Every
+// day-file is read whole, once per walk.
 package archive
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -124,31 +126,8 @@ type Options struct {
 // famState tracks one family's delta chain inside a Writer.
 type famState struct {
 	lastDay    int
-	sinceSnap  int      // days appended since the last snapshot
-	last, next *dayRows // the last day, and the buffers the next one reuses
-}
-
-// dayRows is one day as the writer keeps it: its canonical bytes and
-// their rows.
-type dayRows struct {
-	b     []byte
-	rows  *core.RowDay
-	arena core.RowArena
-}
-
-// stream streams doc's canonical bytes into d, over what d held, and
-// splits them.
-func (d *dayRows) stream(doc *core.Document) (err error) {
-	buf := bytes.NewBuffer(d.b[:0])
-	if err := core.StreamDocument(buf, doc); err != nil {
-		return fmt.Errorf("archive: streaming day: %w", err)
-	}
-	d.b = buf.Bytes()
-	d.arena.Reset()
-	if d.rows, err = core.SplitDocument(d.b, &d.arena); err != nil {
-		return fmt.Errorf("archive: splitting day: %w", err)
-	}
-	return nil
+	sinceSnap  int                // days appended since the last snapshot
+	last, next *core.CanonicalDay // the last day, and the buffers the next one reuses
 }
 
 // Writer appends census days to an archive directory. It is single-writer:
@@ -230,21 +209,18 @@ func newWriter(dir string, opts Options, resume *Archive) (*Writer, error) {
 }
 
 // replay takes up each family's delta chain where the archive left it:
-// the last day's canonical bytes, and the days since its snapshot, so
-// the cadence keeps its rhythm across writer restarts.
+// the last day as Day rebuilds and checks it, and the days since its
+// snapshot, so the cadence keeps its rhythm across writer restarts.
 func (w *Writer) replay(a *Archive) error {
 	w.seq = len(a.recs)
 	for _, fam := range a.Families() {
 		idxs := a.byFam[fam]
 		last := a.recs[idxs[len(idxs)-1]].Day
-		doc, err := a.Document(fam, last)
-		st := &famState{lastDay: last, last: new(dayRows), next: new(dayRows)}
-		if err == nil {
-			err = st.last.stream(doc)
-		}
+		day, err := a.Day(fam, last)
 		if err != nil {
 			return fmt.Errorf("archive: replaying %s day %d for append: %w", fam, last, err)
 		}
+		st := &famState{lastDay: last, last: day, next: new(core.CanonicalDay)}
 		for i := len(idxs) - 1; i >= 0; i-- {
 			st.sinceSnap++
 			if a.recs[idxs[i]].Kind == KindSnapshot {
@@ -272,7 +248,7 @@ func (w *Writer) Append(day int, doc *core.Document) error {
 	if err != nil {
 		return err
 	}
-	kind, cur, last := KindSnapshot, new(dayRows), (*dayRows)(nil)
+	kind, cur, last := KindSnapshot, new(core.CanonicalDay), (*core.CanonicalDay)(nil)
 	if st != nil {
 		cur = st.next
 		if st.sinceSnap < w.opts.SnapshotEvery {
@@ -298,8 +274,8 @@ func (w *Writer) Append(day int, doc *core.Document) error {
 		Kind:      kind,
 		File:      name,
 		Bytes:     int64(len(stored)),
-		FullBytes: int64(len(cur.b)),
-		CRC:       crc32.Checksum(cur.b, castagnoli),
+		FullBytes: int64(len(cur.Bytes())),
+		CRC:       crc32.Checksum(cur.Bytes(), castagnoli),
 		Entries:   len(doc.Entries),
 		GCount:    doc.GCount,
 		MCount:    doc.MCount,
@@ -345,14 +321,14 @@ func (w *Writer) admit(day int, doc *core.Document) (*famState, error) {
 // another than canonical order (a census file sorted lexicographically,
 // say) would otherwise become a day the append-only store cannot
 // reconstruct.
-func (w *Writer) encodeDay(day int, doc *core.Document, cur, last *dayRows) ([]byte, error) {
-	if err := cur.stream(doc); err != nil {
+func (w *Writer) encodeDay(day int, doc *core.Document, cur, last *core.CanonicalDay) ([]byte, error) {
+	if err := cur.Stream(doc); err != nil {
 		return nil, err
 	}
 	if last == nil {
-		return cur.b, nil
+		return cur.Bytes(), nil
 	}
-	delta, err := core.DiffRows(last.rows, cur.rows)
+	delta, err := core.DiffRows(last.Rows(), cur.Rows())
 	if err != nil {
 		return nil, fmt.Errorf("archive: day %d (%s): %w", day, doc.Family, err)
 	}
@@ -365,13 +341,13 @@ func (w *Writer) encodeDay(day int, doc *core.Document, cur, last *dayRows) ([]b
 
 // advance records a committed day: the writer's telemetry, the family's
 // chain and the next sequence number.
-func (w *Writer) advance(rec Record, cur *dayRows) {
+func (w *Writer) advance(rec Record, cur *core.CanonicalDay) {
 	w.appends.Add(1)
 	w.storedBytes.Add(rec.Bytes)
 	w.fullBytes.Add(rec.FullBytes)
 	st := w.fams[rec.Family]
 	if st == nil {
-		st = &famState{last: new(dayRows)}
+		st = &famState{last: new(core.CanonicalDay)}
 		w.fams[rec.Family] = st
 	}
 	st.lastDay, st.last, st.next = rec.Day, cur, st.last

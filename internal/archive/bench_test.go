@@ -119,6 +119,43 @@ func BenchmarkRangeJSON(b *testing.B) {
 	}
 }
 
+// BenchmarkArchiveDay times /v1/census's cold read of one day, the day
+// stepping through the run so every offset from a snapshot is met:
+// "rows" is Archive.Day, the canonical bytes rebuilt from the stored
+// rows and checked against the day's record; "decode" is the decode and
+// re-encode it replaced (Document, then StreamDocument).
+func BenchmarkArchiveDay(b *testing.B) {
+	a := benchArchive(b)
+	for _, c := range []struct {
+		name string
+		read func(day int) error
+	}{
+		{"rows", func(day int) error {
+			d, err := a.Day("ipv4", day)
+			if err == nil && len(d.Bytes()) == 0 {
+				b.Fatal("empty day")
+			}
+			return err
+		}},
+		{"decode", func(day int) error {
+			doc, err := a.Document("ipv4", day)
+			if err != nil {
+				return err
+			}
+			return core.StreamDocument(io.Discard, doc)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.read(i % benchDays); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchArchive packs the 120-day run at SnapshotEvery 7 and opens it.
 func benchArchive(b *testing.B) *Archive {
 	docs, _ := benchChain(b)

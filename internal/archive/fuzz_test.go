@@ -14,9 +14,9 @@ import (
 
 // FuzzArchiveOpen feeds arbitrary index.jsonl bytes to Open over the day
 // files of a real two-family archive: the index is the archive's trust
-// boundary. Open, Verify, Range and RangeJSON must not panic, every
+// boundary. Open, Verify, Range, RangeJSON and Day must not panic, every
 // record Open accepts must name a file inside the directory, and what
-// the four allocate must stay within a fixed multiple of the input's
+// the five allocate must stay within a fixed multiple of the input's
 // length on top of what reading the real archive costs.
 func FuzzArchiveOpen(f *testing.F) {
 	src := f.TempDir()
@@ -63,6 +63,7 @@ func FuzzArchiveOpen(f *testing.F) {
 	f.Add(append(bytes.Clone(index), `{"seq":10,"day":5,"fam`...))                                                 // torn tail
 	f.Add(forge(2, func(r *Record) { r.File = "../" + filepath.Base(src) + "/" + r.File }))                        // a `..` file
 	f.Add(forge(3, func(r *Record) { r.Kind, r.File = "full", dayFileName(r.Family, r.Day, "full") }))             // unknown kind
+	f.Add(forge(4, func(r *Record) { r.FullBytes = 64 << 20 }))                                                    // a size no day has
 	f.Add(bytes.Join([][]byte{lines[0], lines[1], lines[4], lines[3], lines[2], bytes.Join(lines[5:], nil)}, nil)) // ipv4 days 0, 2, 1
 
 	// What reading the real archive allocates: the fixed part of the bound.
@@ -82,10 +83,10 @@ func FuzzArchiveOpen(f *testing.F) {
 }
 
 // openVerifyRange writes index as dir's index.jsonl, opens the archive,
-// checks every accepted record names a file inside dir, then verifies it
-// and ranges over each family, as documents and as lines. It returns the
-// bytes all of that allocated; errors other than an escaping record are
-// the input's own.
+// checks every accepted record names a file inside dir, then verifies it,
+// ranges over each family, as documents and as lines, and rebuilds each
+// day in canonical form. It returns the bytes all of that allocated;
+// errors other than an escaping record are the input's own.
 func openVerifyRange(t testing.TB, dir string, index []byte) uint64 {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, IndexFile), index, 0o644); err != nil {
@@ -104,6 +105,9 @@ func openVerifyRange(t testing.TB, dir string, index []byte) uint64 {
 		for _, fam := range a.Families() {
 			a.Range(fam, 0, -1, func(int, *core.Document) error { return nil })
 			a.RangeJSON(fam, 0, -1, func(int, []byte) error { return nil })
+			for _, d := range a.Days(fam) {
+				a.Day(fam, d)
+			}
 		}
 	}
 	runtime.ReadMemStats(&after)

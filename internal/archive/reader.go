@@ -27,15 +27,15 @@ var ErrNotFound = errors.New("day not archived")
 // merge, and the row's bytes) in core's one table-driven pass, which
 // accepts only the writer's form and leaves any other file to
 // encoding/json, and merges each delta's rows into the day before; a reader
-// decodes only the rows it hands out (Document, Range) or copies their
-// bytes (RangeJSON). What a read fills — the day-files' bytes, the
-// split rows with the snapshot rows compacted for RangeJSON, and
-// RangeJSON's line — comes from pools and goes back when the read
-// returns. Nothing is cached and nothing but an atomic counter changes
-// after Open, so the handle is safe for concurrent use without a lock
-// and every document it returns is the caller's own; a caller that
-// re-reads days caches them itself (internal/api holds the one
-// decoded-day LRU).
+// appends the day's canonical bytes from the rows (Day), decodes only
+// the rows it hands out (Document, Range) or copies their bytes
+// (RangeJSON). What a read fills — the day-files' bytes, the split rows
+// with the snapshot rows compacted for RangeJSON, and RangeJSON's line —
+// comes from pools and goes back when the read returns. Nothing is
+// cached and nothing but an atomic counter changes after Open, so the
+// handle is safe for concurrent use without a lock and every day or
+// document it returns is the caller's own; a caller that re-reads days
+// caches them itself (internal/api holds the one day LRU).
 type Archive struct {
 	dir   string
 	recs  []Record
@@ -184,6 +184,41 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 	return out, err
 }
 
+// Day rebuilds one archived day in its canonical form
+// (core.RowDay.Canonical), in buffers the caller owns: its bytes are
+// appended from the stored rows, with no row decoded and none
+// re-encoded, and the rows alias them. Before it returns the day it
+// checks the bytes against the CRC and size the day's record holds, as
+// Verify does, so a day-file changed since it was packed is an error and
+// never the packed day's bytes.
+func (a *Archive) Day(family string, day int) (*core.CanonicalDay, error) {
+	pos, ok := a.find(family, day)
+	if !ok {
+		return nil, fmt.Errorf("archive: no %s census for day %d: %w", family, day, ErrNotFound)
+	}
+	var out *core.CanonicalDay
+	err := a.walk(family, pos, pos, func(rec Record, d *core.RowDay) (err error) {
+		if out, err = d.Canonical(int(rec.FullBytes)); err != nil {
+			return err
+		}
+		return rec.matches(out.Bytes())
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// matches checks a rebuilt day's canonical bytes against the CRC-32C and
+// size rec recorded at pack time.
+func (rec *Record) matches(b []byte) error {
+	if crc, n := crc32.Checksum(b, castagnoli), int64(len(b)); crc != rec.CRC || n != rec.FullBytes {
+		return fmt.Errorf("archive: %s day %d: reconstructed census does not match packed checksum (crc %08x/%08x, %d/%d bytes)",
+			rec.Family, rec.Day, crc, rec.CRC, n, rec.FullBytes)
+	}
+	return nil
+}
+
 // walk rebuilds the days at positions first..last of the family's chain
 // in order and hands each to fn as stored rows: it rewinds to the
 // snapshot the first one derives from, reads each day-file once, splits
@@ -197,8 +232,9 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 // taken from a pool and given back when the walk returns. Rows live in
 // them, but only until the next snapshot restarts the chain and both
 // start over at their front; and nothing fn is handed outlives the walk
-// in them: Document and Range hand out decoded copies, and RangeJSON's
-// line, itself from a pool, is valid only during fn.
+// in them: Document and Range hand out decoded copies, Day the day's
+// bytes appended to a buffer of its own, and RangeJSON's line, itself
+// from a pool, is valid only during fn.
 func (a *Archive) walk(family string, first, last int, fn func(rec Record, d *core.RowDay) error) error {
 	if first > last {
 		return nil
@@ -381,9 +417,8 @@ func (a *Archive) Verify() (*VerifyResult, error) {
 			if err := core.StreamDocument(&buf, doc); err != nil {
 				return err
 			}
-			if crc, n := crc32.Checksum(buf.Bytes(), castagnoli), int64(buf.Len()); crc != rec.CRC || n != rec.FullBytes {
-				return fmt.Errorf("archive: %s day %d: reconstructed census does not match packed checksum (crc %08x/%08x, %d/%d bytes)",
-					fam, rec.Day, crc, rec.CRC, n, rec.FullBytes)
+			if err := rec.matches(buf.Bytes()); err != nil {
+				return err
 			}
 			if len(doc.Entries) != rec.Entries || doc.GCount != rec.GCount || doc.MCount != rec.MCount {
 				return fmt.Errorf("archive: %s day %d: counts diverge from index", fam, rec.Day)

@@ -34,7 +34,9 @@ func (r *recorder) Append(day int, doc *core.Document) error {
 // snapshot cadences: a longitudinal run over both families with its
 // incident calendar, and two edge chains (below). For every day and
 // every window, Document and Range's documents equal the reference's,
-// RangeJSON's lines equal the reference documents' json.Marshal bytes, and
+// RangeJSON's lines equal the reference documents' json.Marshal bytes, Day's
+// bytes (what /v1/census serves) equal StreamDocument of the reference
+// document and each of its rows is found as the reference holds it, and
 // each read counts the day-files it reads.
 func TestRowWalkMatchesReference(t *testing.T) {
 	w, err := netsim.New(netsim.TestConfig())
@@ -168,6 +170,7 @@ func checkRowWalk(t *testing.T, dir string) {
 			if reads = a.Decodes() - reads; reads != files(i, i) || !reflect.DeepEqual(got, ref[i].doc) {
 				t.Fatalf("%s day %d: Document (%d day-files read) differs from the reference (%d)", fam, d, reads, files(i, i))
 			}
+			checkDay(t, a, fam, d, ref[i].doc, files(i, i))
 		}
 		for i := range days {
 			for j := i; j < len(days); j++ {
@@ -202,6 +205,41 @@ func checkRowWalk(t *testing.T, dir string) {
 				}
 			}
 		}
+	}
+}
+
+// checkDay holds Day to the reference document want: its bytes are
+// StreamDocument's of want, read from the given number of day-files, its
+// header is want's, and its rows' Find finds each of want's prefixes as
+// Document.Find finds it in want (a day out of canonical order may hide
+// a row from both), and no prefix want lacks.
+func checkDay(t *testing.T, a *archive.Archive, fam string, d int, want *core.Document, files int64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := core.StreamDocument(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	reads := a.Decodes()
+	got, err := a.Day(fam, d)
+	if err != nil {
+		t.Fatalf("%s day %d: Day: %v", fam, d, err)
+	}
+	if reads = a.Decodes() - reads; reads != files || !bytes.Equal(got.Bytes(), buf.Bytes()) {
+		t.Fatalf("%s day %d: Day (%d day-files read, want %d)\n%s\nStreamDocument of the reference\n%s", fam, d, reads, files, got.Bytes(), buf.Bytes())
+	}
+	hdr := *want
+	hdr.Entries = nil
+	if h := got.Rows().Header(); !reflect.DeepEqual(h, hdr) {
+		t.Fatalf("%s day %d: header %+v, the reference's %+v", fam, d, h, hdr)
+	}
+	for _, e := range want.Entries {
+		row, ok := got.Rows().Find(e.Prefix)
+		if w := want.Find(e.Prefix); ok != (w != nil) || ok && !reflect.DeepEqual(row, *w) {
+			t.Fatalf("%s day %d: Find(%q) = %+v, %v; Document.Find of the reference %+v", fam, d, e.Prefix, row, ok, w)
+		}
+	}
+	if row, ok := got.Rows().Find("192.0.2.0/24"); ok {
+		t.Fatalf("%s day %d: Find of a prefix no day holds gives %+v", fam, d, row)
 	}
 }
 

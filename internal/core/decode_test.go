@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // decodeFixture is a governed snapshot of n rows and the delta that
@@ -31,8 +33,9 @@ func decodeFixture(t testing.TB, n int) (prev *Document, snap, delta []byte) {
 
 // checkDecodeDocument holds the row path a snapshot is read by —
 // SplitDocument, then RowDecoder — to encoding/json on b: the same
-// document and the same compact line as json.Marshal, or the same
-// error; and the split's fast path to the reference splitter
+// document, the same compact line as json.Marshal and the same canonical
+// bytes as StreamDocument (checkCanonical), or the same error; and the
+// split's fast path to the reference splitter
 // (checkSplitMatchesReference).
 func checkDecodeDocument(t *testing.T, b []byte) {
 	checkSplitMatchesReference(t, b, true)
@@ -51,6 +54,7 @@ func checkDecodeDocument(t *testing.T, b []byte) {
 	if got := new(RowDecoder).Document(d); !reflect.DeepEqual(*got, want) {
 		t.Fatalf("the split's document\n%+v\nencoding/json's\n%+v", got, want)
 	}
+	checkCanonical(t, d, &want)
 	line, err := d.AppendJSON(nil)
 	wantLine, werr := json.Marshal(&want)
 	if fmt.Sprint(err) != fmt.Sprint(werr) || !bytes.Equal(line, wantLine) {
@@ -127,6 +131,7 @@ func FuzzDecodeDocument(f *testing.F) {
 		edit(f, snap, `"date"`, `"entries": null, "date"`),
 		edit(f, snap, `"responsibility": {`, `"responsibility": null, "responsibility": {`),
 		edit(f, snap, "\n  ]\n}", "\n  ], \"date\": \"x\"\n}"),
+		edit(f, snap, `"date": "`, `"date": "`+strings.Repeat("x", 5<<10)), // a header past Canonical's allowance
 		[]byte(`{"entries":[{}]}`),
 		[]byte(`{"entries":[{"prefix":"10.0.0.0/24","gcd_cities":[]}]}`),
 	)
@@ -214,8 +219,10 @@ func FuzzSplitDelta(f *testing.F) {
 }
 
 // checkSplitDelta holds the row path to encoding/json and the reference
-// Apply for delta bytes b against the snapshot snap, and the split of b
-// to the reference splitter.
+// Apply for delta bytes b against the snapshot snap, the day's canonical
+// bytes rebuilt from rows to StreamDocument of the reference's document,
+// the split of b to the reference splitter, and each upsert the split
+// accepts to checkReindent.
 func checkSplitDelta(t *testing.T, snap, b []byte) {
 	checkSplitMatchesReference(t, b, false)
 	var prev Document
@@ -252,6 +259,44 @@ func checkSplitDelta(t *testing.T, snap, b []byte) {
 	}
 	if doc := new(RowDecoder).Document(got); !reflect.DeepEqual(doc, wantDoc) {
 		t.Fatalf("the row path's document\n%+v\nApply's\n%+v", doc, wantDoc)
+	}
+	checkCanonical(t, got, wantDoc)
+	if d, ok := ScanDeltaRows(b, new(RowArena)); ok {
+		for _, r := range d.upserts {
+			checkReindent(t, r)
+		}
+	}
+}
+
+// checkCanonical holds d's canonical form to StreamDocument of want, the
+// document d decodes to: the same bytes or the same error, and rows that
+// alias the bytes, one per entry.
+func checkCanonical(t *testing.T, d *RowDay, want *Document) {
+	t.Helper()
+	var buf bytes.Buffer
+	werr := StreamDocument(&buf, want)
+	c, err := d.Canonical(0)
+	if fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Fatalf("Canonical fails with %v, StreamDocument with %v", err, werr)
+	}
+	if err != nil {
+		return
+	}
+	if !bytes.Equal(c.Bytes(), buf.Bytes()) {
+		t.Fatalf("the canonical bytes rebuilt from rows\n%s\nStreamDocument's\n%s", c.Bytes(), buf.Bytes())
+	}
+	if (c.day.rows == nil) != (want.Entries == nil) || len(c.day.rows) != len(want.Entries) {
+		t.Fatalf("%d rows rebuilt for %d entries", len(c.day.rows), len(want.Entries))
+	}
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(c.Bytes())))
+	end := start + uintptr(len(c.Bytes()))
+	for i, r := range c.day.rows {
+		if p := uintptr(unsafe.Pointer(unsafe.SliceData(r.raw))); r.raw != nil && (!r.indented || p < start || p+uintptr(len(r.raw)) > end) {
+			t.Fatalf("row %d does not alias the canonical bytes", i)
+		}
+		if r.key.s != want.Entries[i].Prefix {
+			t.Fatalf("row %d is keyed %q, entry %q", i, r.key.s, want.Entries[i].Prefix)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -260,7 +261,8 @@ func linearFind(d *Document, prefix string) *DocumentEntry {
 // checkFind compares Find with the linear scan on every row of the
 // document (first and last included), on each row's neighbours in prefix
 // space — one bit longer, one bit shorter, the adjacent blocks — and on
-// probes ordered before and after everything a census can carry.
+// probes ordered before and after everything a census can carry; and
+// RowDay.Find over the document's rows with the scan on the same probes.
 func checkFind(t *testing.T, d *Document, extra ...string) {
 	t.Helper()
 	probes := append([]string{
@@ -286,9 +288,14 @@ func checkFind(t *testing.T, d *Document, extra ...string) {
 			probes = append(probes, netip.PrefixFrom(prev, pfx.Bits()).Masked().String())
 		}
 	}
+	rows := &RowDay{rows: decodedRows(d.Entries)}
 	for _, p := range probes {
-		if got, want := d.Find(p), linearFind(d, p); got != want {
+		want := linearFind(d, p)
+		if got := d.Find(p); got != want {
 			t.Fatalf("Find(%q) = %v, linear scan finds %v", p, got, want)
+		}
+		if got, ok := rows.Find(p); ok != (want != nil) || ok && !reflect.DeepEqual(got, *want) {
+			t.Fatalf("RowDay.Find(%q) = %v, %v; linear scan finds %v", p, got, ok, want)
 		}
 	}
 }

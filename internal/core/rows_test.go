@@ -160,7 +160,8 @@ func checkSplitMatchesReference(t *testing.T, b []byte, snap bool) {
 // SnapshotEvery 1 and 7, and on each of their rows alone after seeded
 // single-byte edits, deletions and insertions, some in the prefix: the
 // same accept or decline, the same row bounds and prefixes, and each
-// key ParsePrefixKey's. Every writer-made file splits.
+// key ParsePrefixKey's. Every writer-made file splits, and each of its
+// rows re-indents as checkReindent requires.
 func TestSplitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(56, 7))
 	alphabet := []byte(`0123456789abcdefxyz.:/"{}[],- ` + "\n\t\\<&\x00\x7f\x80\xc3\xe2")
@@ -178,6 +179,7 @@ func TestSplitMatchesReference(t *testing.T) {
 			}
 			for _, r := range split {
 				rows++
+				checkReindent(t, r)
 				for _, mut := range mutations(rng, r.raw, alphabet) {
 					checkRowMatchesReference(t, mut, layout)
 				}
@@ -186,6 +188,31 @@ func TestSplitMatchesReference(t *testing.T) {
 	}
 	if rows < 1000 {
 		t.Fatalf("%d rows split, want a fixture of 1,000 or more", rows)
+	}
+}
+
+// checkReindent holds appendIndented to the entry appender on one row
+// the split accepted: re-indented from its compact form, the row is what
+// appendEntry writes for it decoded in the indented layout (a
+// snapshot's row as stored), and compacting that gives back the compact
+// form (a delta's row as stored).
+func checkReindent(t *testing.T, r *row) {
+	t.Helper()
+	compact := r.raw
+	if r.indented {
+		compact = appendCompact(nil, r.raw)
+	}
+	var e DocumentEntry
+	s := scanner{b: r.raw, ok: true}
+	if s.entry(&e); !s.ok {
+		t.Fatalf("the scanner does not read the split's row\n%s", r.raw)
+	}
+	ind := appendIndented(nil, compact)
+	if want := appendEntry(nil, &e, &indentLayout); !bytes.Equal(ind, want) || r.indented && !bytes.Equal(ind, r.raw) {
+		t.Fatalf("the row re-indented\n%s\nappendEntry's indented form\n%s", ind, want)
+	}
+	if back := appendCompact(nil, ind); !bytes.Equal(back, compact) {
+		t.Fatalf("the re-indented row compacted\n%s\nthe compact row\n%s", back, compact)
 	}
 }
 

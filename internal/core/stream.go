@@ -136,22 +136,53 @@ type DocumentWriter struct {
 // with zero entries closes as `"entries": null` when it is nil and as
 // `"entries": []` when it is not, as encoding/json writes them.
 func NewDocumentWriter(w io.Writer, hdr *Document) (*DocumentWriter, error) {
-	// Render the canonical header by encoding the scalar fields with a
-	// nil entry slice and splitting at the trailing `null` — this keeps
-	// the streamed bytes in lockstep with the Document struct without a
-	// hand-maintained field list.
-	shell := *hdr
-	shell.Entries = nil
-	b, err := json.MarshalIndent(&shell, "", "  ")
+	buf, err := appendIndentHeader(make([]byte, 0, flushAt+1<<10), hdr)
 	if err != nil {
 		return nil, err
 	}
-	suffix := []byte("null\n}")
-	if !bytes.HasSuffix(b, suffix) {
-		return nil, errEntriesNotLast
-	}
-	buf := append(make([]byte, 0, flushAt+1<<10), b[:len(b)-len(suffix)]...)
 	return &DocumentWriter{w: w, buf: buf, empty: hdr.Entries != nil}, nil
+}
+
+// appendIndentHeader appends the canonical document up to its entries'
+// value. It renders the header by encoding the scalar fields with a nil
+// entry slice and cutting off the trailing `null`, which keeps the bytes
+// in lockstep with the Document struct without a hand-maintained field
+// list.
+func appendIndentHeader(b []byte, hdr *Document) ([]byte, error) {
+	shell := *hdr
+	shell.Entries = nil
+	h, err := json.MarshalIndent(&shell, "", "  ")
+	if err != nil {
+		return b, err
+	}
+	suffix := []byte("null\n}")
+	if !bytes.HasSuffix(h, suffix) {
+		return b, errEntriesNotLast
+	}
+	return append(b, h[:len(h)-len(suffix)]...), nil
+}
+
+// appendEntrySep appends what comes before the canonical document's i-th
+// row: the array's opening or the comma after the row before, and the
+// row's indentation.
+func appendEntrySep(b []byte, i int) []byte {
+	if i == 0 {
+		return append(b, "[\n"+entryElementIndent...)
+	}
+	return append(b, ",\n"+entryElementIndent...)
+}
+
+// appendDocumentEnd appends what ends the canonical document after its n
+// rows: the array's close, or, with no rows, `[]` when the entries are
+// not nil (notNil) and `null` when they are.
+func appendDocumentEnd(b []byte, n int, notNil bool) []byte {
+	switch {
+	case n > 0:
+		return append(b, "\n  ]\n}\n"...)
+	case notNil:
+		return append(b, "[]\n}\n"...)
+	}
+	return append(b, "null\n}\n"...)
 }
 
 // WriteEntry appends one census row to the stream.
@@ -159,12 +190,7 @@ func (dw *DocumentWriter) WriteEntry(e *DocumentEntry) error {
 	if dw.err != nil {
 		return dw.err
 	}
-	if dw.n == 0 {
-		dw.buf = append(dw.buf, "[\n"+entryElementIndent...)
-	} else {
-		dw.buf = append(dw.buf, ",\n"+entryElementIndent...)
-	}
-	dw.buf = appendEntry(dw.buf, e, &indentLayout)
+	dw.buf = appendEntry(appendEntrySep(dw.buf, dw.n), e, &indentLayout)
 	dw.n++
 	if len(dw.buf) >= flushAt {
 		dw.flush()
@@ -183,14 +209,7 @@ func (dw *DocumentWriter) Close() error {
 	if dw.err != nil {
 		return dw.err
 	}
-	switch {
-	case dw.n > 0:
-		dw.buf = append(dw.buf, "\n  ]\n}\n"...)
-	case dw.empty:
-		dw.buf = append(dw.buf, "[]\n}\n"...)
-	default:
-		dw.buf = append(dw.buf, "null\n}\n"...)
-	}
+	dw.buf = appendDocumentEnd(dw.buf, dw.n, dw.empty)
 	dw.flush()
 	return dw.err
 }
