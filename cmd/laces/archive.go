@@ -66,7 +66,7 @@ func setupArchivePack(fs *flag.FlagSet) func() error {
 	gen := fs.String("gen", "", "generate days by running the pipeline, e.g. 0:30")
 	stride := fs.Int("stride", 1, "day stride with -gen")
 	v6 := fs.Bool("v6", false, "IPv6 census with -gen")
-	world := simFlags(fs, "seed") // with -gen
+	world := simFlags(fs) // with -gen
 	return func() error {
 		if *dir == "" {
 			return errUsage

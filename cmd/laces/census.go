@@ -23,7 +23,7 @@ import (
 func setupCensus(fs *flag.FlagSet) func() error {
 	day := fs.Int("day", 0, "census day (0 = March 21, 2024)")
 	v6 := fs.Bool("v6", false, "IPv6 census")
-	world := simFlags(fs, "seed")
+	world := simFlags(fs)
 	jsonOut := fs.String("json", "", "write census JSON to this file")
 	csvOut := fs.String("csv", "", "write census CSV to this file")
 	archiveDir := fs.String("archive", "", "append the census day to this archive")
@@ -197,7 +197,7 @@ func setupBudgetShow(fs *flag.FlagSet) func() error {
 	gov := governanceFlags(fs)
 	day := fs.Int("day", 0, "census day for the demand estimate")
 	v6 := fs.Bool("v6", false, "IPv6 hitlist")
-	world := simFlags(fs, "seed")
+	world := simFlags(fs)
 	return func() error {
 		b, reg, err := gov.load()
 		if err != nil {

@@ -50,7 +50,7 @@ func setupOrchestrator(fs *flag.FlagSet) func() error {
 func setupWorker(fs *flag.FlagSet) func() error {
 	name := fs.String("name", "worker", "worker name")
 	orch := fs.String("orchestrator", "127.0.0.1:4000", "orchestrator address")
-	world := simFlags(fs, "seed")
+	world := simFlags(fs)
 	sites := fs.Int("sites", 8, "deployment size (must match across components)")
 	tr := tracingFlags(fs)
 	return func() error {
@@ -85,7 +85,7 @@ func setupMeasure(fs *flag.FlagSet) func() error {
 	proto := fs.String("protocol", "ICMP", "probing protocol: ICMP, TCP or DNS")
 	nTargets := fs.Int("targets", 1000, "number of hitlist targets to probe")
 	v6 := fs.Bool("v6", false, "probe the IPv6 hitlist")
-	world := simFlags(fs, "seed")
+	world := simFlags(fs)
 	rate := fs.Float64("rate", 10000, "targets per second")
 	offsetMS := fs.Int64("offset-ms", 1000, "inter-worker probe offset (ms)")
 	out := fs.String("out", "", "write results CSV to this file")

@@ -112,9 +112,6 @@ var root = &command{
 		{name: "metrics", setup: setupMetrics,
 			summary: "render a telemetry snapshot written with 'census -obs'",
 			usage:   "[-spans=false] [-events=false] <snapshot.json>"},
-		{name: "loadgen", setup: setupLoadgen,
-			summary: "drive the HTTP serving tier with a deterministic workload",
-			usage:   "-archive DIR [-url BASE] [-duration 20s] [-rate N] [-out BENCH_api.json]"},
 	},
 }
 

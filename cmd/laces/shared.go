@@ -32,11 +32,10 @@ type sim struct {
 	scale *string
 }
 
-// simFlags declares the group; seedFlag is "seed" everywhere but loadgen,
-// where -seed is the workload schedule's and the world's is -world-seed.
-func simFlags(fs *flag.FlagSet, seedFlag string) sim {
+// simFlags declares the group.
+func simFlags(fs *flag.FlagSet) sim {
 	return sim{
-		seed:  fs.Uint64(seedFlag, 1, "simulated-world seed (must match across components)"),
+		seed:  fs.Uint64("seed", 1, "simulated-world seed (must match across components)"),
 		scale: fs.String("scale", "test", "simulated-world scale: test or default"),
 	}
 }

@@ -101,7 +101,7 @@ func setupTrace(fs *flag.FlagSet) func() error {
 	target := fs.String("target", "", "hitlist prefix or address to trace, IPv4 or IPv6 (e.g. 1.2.3.0/24)")
 	from := fs.String("from", "Amsterdam", "vantage city")
 	day := fs.Int("day", 0, "census day")
-	world := simFlags(fs, "seed")
+	world := simFlags(fs)
 	return func() error {
 		if *target == "" {
 			return errUsage

@@ -1,18 +1,22 @@
 // Serving: the high-traffic serving tier end to end — archive a census
 // run, build the timeline index (which materializes the aggregates
-// sidecar), stand up the HTTP API in-process, and drive it with the
-// deterministic load generator. The run demonstrates the tier's three
-// contracts: archived days answer conditional requests with a 304 and
-// an immutable cache policy, /v1/events paginates with opaque cursors
-// that replay byte-identically, and the loadgen report proves both
-// (determinism_ok) while measuring sustained req/s and tail latency.
+// sidecar), stand up the HTTP API in-process, and send it a few requests
+// through net/http/httptest. They show two of the tier's contracts: an
+// archived day carries a strong ETag, and revalidating it answers 304
+// with no body; and /v1/events paginates with opaque cursors, so walking
+// the pages twice by next_page_token yields byte-identical pages. Any
+// other status exits non-zero.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"log"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
-	"time"
 
 	laces "github.com/laces-project/laces"
 )
@@ -74,27 +78,55 @@ func main() {
 	srv.Archive = a
 	srv.Query = ix
 
-	// Drive it: a dashboard-shaped mix, 40% conditional revalidation.
-	rep, err := laces.RunLoadTest(laces.LoadConfig{
-		Handler:    srv.Handler(),
-		Days:       a.Days("ipv4"),
-		Prefixes:   ix.Prefixes("ipv4")[:8],
-		Requests:   2000,
-		Workers:    4,
-		Seed:       1,
-		Revalidate: 0.4,
-		PageSize:   50,
-		Duration:   time.Minute,
-	})
-	if err != nil {
-		log.Fatal(err)
+	h := srv.Handler()
+
+	// One archived day, then its revalidation.
+	day := fmt.Sprintf("/v1/census?day=%d&family=ipv4", a.Days("ipv4")[days/2])
+	etag, b := get(h, day, "", http.StatusOK)
+	fmt.Printf("%s: 200, %d bytes, ETag %s\n", day, len(b), etag)
+	get(h, day, etag, http.StatusNotModified)
+	fmt.Printf("%s with If-None-Match: 304 Not Modified\n", day)
+
+	// The events list, paged twice by next_page_token.
+	walk := func() (pages [][]byte) {
+		path := "/v1/events?limit=50"
+		for {
+			_, b := get(h, path, "", http.StatusOK)
+			pages = append(pages, b)
+			var page struct {
+				NextPageToken string `json:"next_page_token"`
+			}
+			if err := json.Unmarshal(b, &page); err != nil {
+				log.Fatal(err)
+			}
+			if page.NextPageToken == "" {
+				return pages
+			}
+			path = "/v1/events?page_token=" + url.QueryEscape(page.NextPageToken)
+		}
 	}
-	fmt.Printf("loadgen: %d requests at %.0f req/s — p50 %.3fms p95 %.3fms p99 %.3fms\n",
-		rep.Requests, rep.ReqPerSec, rep.P50Ms, rep.P95Ms, rep.P99Ms)
-	fmt.Printf("caching: %.0f%% of responses were 304 revalidations; %d errors\n",
-		100*rep.NotModifiedRate, rep.Errors)
-	fmt.Printf("determinism probe (stable ETags, reproducible pagination): ok=%v\n", rep.DeterminismOK)
-	if !rep.DeterminismOK || rep.Errors > 0 {
-		log.Fatalf("serving-tier contract violated: %s", rep.DeterminismNote)
+	first, second := walk(), walk()
+	same := len(first) == len(second)
+	for i := 0; same && i < len(first); i++ {
+		same = bytes.Equal(first[i], second[i])
 	}
+	fmt.Printf("/v1/events?limit=50: %d pages, second walk byte-identical: %v\n", len(first), same)
+	if !same {
+		log.Fatal("serving-tier contract violated: the events walk did not replay")
+	}
+}
+
+// get sends one GET to h, conditional on inm when it is set, and exits
+// unless the answer has status want; it returns the ETag and the body.
+func get(h http.Handler, path, inm string, want int) (string, []byte) {
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != want {
+		log.Fatalf("%s: status %d, want %d: %s", path, rec.Code, want, rec.Body.Bytes())
+	}
+	return rec.Header().Get("Etag"), rec.Body.Bytes()
 }

@@ -68,7 +68,6 @@ var optionStructs = []string{
 	"core.Config",
 	"gcdmeas.Campaign",
 	"igreedy.Options",
-	"load.Config",
 	"longitudinal.Config",
 	"manycast.Options",
 	"orchestrator.Config",

@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -176,17 +177,44 @@ func TestIndexBodiesMatchEncodingJSON(t *testing.T) {
 // TestIndexBodiesConcurrent: requests running side by side share the
 // pooled body buffers, the pooled scan rows, the index image and the
 // archive's read buffers (run under -race); every body must equal the
-// one the same request got alone.
+// one the same request got alone, under the ETag it had alone. The
+// readers call the handler in process, or go through a real socket with
+// one shared http.Client; those send every other request with that
+// ETag, which must answer 304 with an empty body.
 func TestIndexBodiesConcurrent(t *testing.T) {
 	s := twoFamilyServer(t)
 	h := s.Handler()
-	get := func(path string) []byte {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusOK {
-			return nil
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	inProcess := func(path, inm string) (int, string, []byte) {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
 		}
-		return rec.Body.Bytes()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Header().Get("Etag"), rec.Body.Bytes()
+	}
+	overSocket := func(path, inm string) (int, string, []byte) {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Error(err)
+			return 0, "", nil
+		}
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Error(err)
+			return 0, "", nil
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Etag"), body
 	}
 	var paths []string
 	for _, fam := range []string{"ipv4", "ipv6"} {
@@ -199,24 +227,47 @@ func TestIndexBodiesConcurrent(t *testing.T) {
 			"/v1/range?from=1&to=4&family="+fam, "/v1/census?day=2&family="+fam)
 	}
 	want := make([][]byte, len(paths))
+	etags := make([]string, len(paths))
 	for i, p := range paths {
-		if want[i] = get(p); want[i] == nil {
+		var status int
+		if status, etags[i], want[i] = inProcess(p, ""); status != http.StatusOK {
 			t.Fatalf("%s: not a 200", p)
 		}
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := range paths {
-				k := (i*(g+1) + g) % len(paths)
-				if got := get(paths[k]); !bytes.Equal(got, want[k]) {
-					t.Errorf("reader %d, %s: body differs from the one served alone", g, paths[k])
-					return
+	for _, c := range []struct {
+		name       string
+		get        func(path, inm string) (int, string, []byte)
+		revalidate bool
+	}{
+		{"in-process", inProcess, false},
+		{"socket", overSocket, true},
+	} {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range paths {
+					k := (i*(g+1) + g) % len(paths)
+					inm := ""
+					if c.revalidate && i%2 == 1 {
+						inm = etags[k]
+					}
+					status, tag, got := c.get(paths[k], inm)
+					switch {
+					case tag != etags[k]:
+						t.Errorf("%s reader %d, %s: ETag %s, want the %s it had alone", c.name, g, paths[k], tag, etags[k])
+						return
+					case inm != "" && (status != http.StatusNotModified || len(got) != 0):
+						t.Errorf("%s reader %d, %s with its ETag: status %d, %d body bytes; want 304 and none", c.name, g, paths[k], status, len(got))
+						return
+					case inm == "" && (status != http.StatusOK || !bytes.Equal(got, want[k])):
+						t.Errorf("%s reader %d, %s: status %d, body differs from the one served alone", c.name, g, paths[k], status)
+						return
+					}
 				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }

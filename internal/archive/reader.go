@@ -198,10 +198,8 @@ func (a *Archive) Day(family string, day int) (*core.CanonicalDay, error) {
 	}
 	var out *core.CanonicalDay
 	err := a.walk(family, pos, pos, func(rec Record, d *core.RowDay) (err error) {
-		if out, err = d.Canonical(int(rec.FullBytes)); err != nil {
-			return err
-		}
-		return rec.matches(out.Bytes())
+		out, err = rec.canonical(d)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -209,14 +207,20 @@ func (a *Archive) Day(family string, day int) (*core.CanonicalDay, error) {
 	return out, nil
 }
 
-// matches checks a rebuilt day's canonical bytes against the CRC-32C and
-// size rec recorded at pack time.
-func (rec *Record) matches(b []byte) error {
+// canonical rebuilds rec's day from its rows d in canonical form and
+// checks its bytes against the CRC-32C and size rec recorded at pack
+// time.
+func (rec *Record) canonical(d *core.RowDay) (*core.CanonicalDay, error) {
+	c, err := d.Canonical(int(rec.FullBytes))
+	if err != nil {
+		return nil, err
+	}
+	b := c.Bytes()
 	if crc, n := crc32.Checksum(b, castagnoli), int64(len(b)); crc != rec.CRC || n != rec.FullBytes {
-		return fmt.Errorf("archive: %s day %d: reconstructed census does not match packed checksum (crc %08x/%08x, %d/%d bytes)",
+		return nil, fmt.Errorf("archive: %s day %d: reconstructed census does not match packed checksum (crc %08x/%08x, %d/%d bytes)",
 			rec.Family, rec.Day, crc, rec.CRC, n, rec.FullBytes)
 	}
-	return nil
+	return c, nil
 }
 
 // walk rebuilds the days at positions first..last of the family's chain
@@ -404,23 +408,17 @@ type VerifyResult struct {
 }
 
 // Verify re-derives every archived day and proves the round-trip
-// contract: the reconstructed document's canonical WriteJSON bytes must
-// match the CRC-32C and size recorded at pack time.
+// contract: the day's canonical bytes, rebuilt from its rows as Day
+// rebuilds them, must match the CRC-32C and size recorded at pack time,
+// and its header counts and row count the record's.
 func (a *Archive) Verify() (*VerifyResult, error) {
 	res := &VerifyResult{}
-	var buf bytes.Buffer
 	for _, fam := range a.Families() {
-		var dec core.RowDecoder
 		err := a.walk(fam, 0, len(a.byFam[fam])-1, func(rec Record, d *core.RowDay) error {
-			doc := dec.Document(d)
-			buf.Reset()
-			if err := core.StreamDocument(&buf, doc); err != nil {
+			if _, err := rec.canonical(d); err != nil {
 				return err
 			}
-			if err := rec.matches(buf.Bytes()); err != nil {
-				return err
-			}
-			if len(doc.Entries) != rec.Entries || doc.GCount != rec.GCount || doc.MCount != rec.MCount {
+			if hdr := d.Header(); d.Len() != rec.Entries || hdr.GCount != rec.GCount || hdr.MCount != rec.MCount {
 				return fmt.Errorf("archive: %s day %d: counts diverge from index", fam, rec.Day)
 			}
 			res.Days++

@@ -172,6 +172,9 @@ func appendIndented(b, raw []byte) []byte {
 // Header returns the day's header: its document without entries.
 func (d *RowDay) Header() Document { return d.hdr }
 
+// Len returns the number of the day's rows: its entry count.
+func (d *RowDay) Len() int { return len(d.rows) }
+
 // Find returns the day's row for prefix, decoded into a new entry, or
 // false when the day does not carry it: Document.Find's binary search,
 // over the rows' keys. Nothing in d is filled in, so readers may share d.

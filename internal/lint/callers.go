@@ -39,7 +39,6 @@ var KeepList = []Keep{
 	{"laces.ProbeBudget", "PipelineConfig.Budget", fieldSetter},
 	{"laces.OptOutRegistry", "PipelineConfig.OptOut", fieldSetter},
 	{"laces.LoadOptOutRegistry", "PipelineConfig.OptOut", fieldSetter},
-	{"laces.LoadMix", "LoadConfig.Mix", fieldSetter},
 	{"api.Server.Generation", "", "the seam `laces serve -follow` will call to tell whether a reload took"},
 }
 

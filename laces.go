@@ -22,7 +22,6 @@ import (
 	"github.com/laces-project/laces/internal/chaos"
 	"github.com/laces-project/laces/internal/core"
 	"github.com/laces-project/laces/internal/hitlist"
-	"github.com/laces-project/laces/internal/load"
 	"github.com/laces-project/laces/internal/longitudinal"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
@@ -253,24 +252,12 @@ func QueryAggregates(ix *CensusTimelineIndex) (*CensusAggregates, error) {
 	return ix.Aggregates()
 }
 
-// HTTP serving tier types (the internal/api server and the
-// internal/load workload generator that drives it).
-type (
-	// CensusAPIServer serves the census, archive and longitudinal query
-	// layers over HTTP with conditional-request caching, cursor
-	// pagination and snapshot-isolated reads (Reload publishes a new
-	// generation; in-flight requests keep theirs).
-	CensusAPIServer = api.Server
-	// LoadConfig parameterises one deterministic load run.
-	LoadConfig = load.Config
-	// LoadMix weights the workload by op kind (day fetch, timeline,
-	// events, stability, aggregates).
-	LoadMix = load.Mix
-	// LoadReport is the BENCH_api.json document: sustained req/s,
-	// interpolated p50/p95/p99, 304 hit rate, alloc/op and the
-	// determinism-probe verdict.
-	LoadReport = load.Report
-)
+// CensusAPIServer is the HTTP serving tier (internal/api): it serves the
+// census, archive and longitudinal query layers over HTTP with
+// conditional-request caching, cursor pagination and snapshot-isolated
+// reads (Reload publishes a new generation; in-flight requests keep
+// theirs).
+type CensusAPIServer = api.Server
 
 // NewCensusAPIServer builds the HTTP serving tier over a world and its
 // deployment. Attach an archive and timeline index via the Server's
@@ -279,12 +266,6 @@ type (
 func NewCensusAPIServer(w *World, d *Deployment, gcdVPs func(day int, v6 bool) ([]VP, error), clock func() int) (*CensusAPIServer, error) {
 	return api.NewServer(w, d, gcdVPs, clock)
 }
-
-// RunLoadTest drives a serving tier (in-process handler or live base
-// URL) with a deterministic mixed workload and returns the measured
-// report. The schedule is a pure function of the config, and the run's
-// probe phase verifies stable ETags and reproducible pagination.
-func RunLoadTest(cfg LoadConfig) (*LoadReport, error) { return load.Run(cfg) }
 
 // DiffCensus compares two published census documents day-over-day.
 func DiffCensus(old, cur *CensusDocument) *CensusDiff {
