@@ -461,7 +461,7 @@ func (s *Server) handlePrefix(v *view, r *http.Request) (answer, error) {
 	if err != nil {
 		return answer{}, err
 	}
-	prefix, err := parsePrefix(r.PathValue("prefix"))
+	prefix, err := parsePrefix(r.PathValue("prefix"), family(v6))
 	if err != nil {
 		return answer{}, err
 	}
@@ -493,12 +493,18 @@ var (
 	errNoIndex   = notFound(errors.New("no timeline index attached to this server (build one with `laces query build-index`)"))
 )
 
-// parsePrefix parses a prefix from the path or the query; a malformed
-// one is a 400.
-func parsePrefix(raw string) (netip.Prefix, error) {
+// parsePrefix parses a prefix from the path or the query. A malformed
+// one is a 400, and so is one no census row of the family fam ("" for
+// either) is keyed by: one with host bits set, or of the other family.
+func parsePrefix(raw, fam string) (netip.Prefix, error) {
 	prefix, err := netip.ParsePrefix(raw)
-	if err != nil {
+	switch {
+	case err != nil:
 		return prefix, badRequest(fmt.Errorf("invalid prefix: %w", err))
+	case prefix != prefix.Masked():
+		return prefix, badRequest(fmt.Errorf("prefix %s has host bits set (census rows are keyed %s)", prefix, prefix.Masked()))
+	case fam != "" && family(prefix.Addr().Is6()) != fam:
+		return prefix, badRequest(fmt.Errorf("prefix %s is %s, not %s", prefix, family(prefix.Addr().Is6()), fam))
 	}
 	return prefix, nil
 }
@@ -513,7 +519,7 @@ func (s *Server) handleTimeline(v *view, r *http.Request) (answer, error) {
 	if err != nil {
 		return answer{}, err
 	}
-	prefix, err := parsePrefix(r.PathValue("prefix"))
+	prefix, err := parsePrefix(r.PathValue("prefix"), family(v6))
 	if err != nil {
 		return answer{}, err
 	}
@@ -702,7 +708,7 @@ func (s *Server) handleStability(v *view, r *http.Request) (answer, error) {
 	if raw == "" {
 		return answer{}, badRequest(errors.New("missing prefix parameter"))
 	}
-	prefix, err := parsePrefix(raw)
+	prefix, err := parsePrefix(raw, family(v6))
 	if err != nil {
 		return answer{}, err
 	}
@@ -811,7 +817,7 @@ func (s *Server) handleMeasure(_ *view, r *http.Request) (answer, error) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		return answer{}, badRequest(fmt.Errorf("invalid body: %w", err))
 	}
-	prefix, err := parsePrefix(req.Prefix)
+	prefix, err := parsePrefix(req.Prefix, "")
 	if err != nil {
 		return answer{}, err
 	}

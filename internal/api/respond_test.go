@@ -220,11 +220,15 @@ func routeOutcomes(prefix string) map[string][]outcome {
 		"GET /v1/prefix/{prefix...}": {
 			{srv: "full", path: "/v1/prefix/" + prefix + "?day=2", want: 200, validated: true},
 			{srv: "full", path: "/v1/prefix/not-a-prefix", want: 400},
+			{srv: "full", path: "/v1/prefix/10.0.0.5/24?day=2", want: 400},                // host bits set
+			{srv: "full", path: "/v1/prefix/" + prefix + "?day=2&family=ipv6", want: 400}, // the other family
 			{srv: "broken", path: "/v1/prefix/" + prefix + "?day=1", want: 500},
 		},
 		"GET /v1/timeline/{prefix...}": {
 			{srv: "full", path: "/v1/timeline/" + prefix, want: 200, validated: true},
 			{srv: "full", path: "/v1/timeline/not-a-prefix", want: 400},
+			{srv: "full", path: "/v1/timeline/10.0.0.5/24", want: 400},
+			{srv: "full", path: "/v1/timeline/2001:db8::/32", want: 400},
 			{srv: "full", path: "/v1/timeline/203.0.113.0/24", want: 404},
 			{srv: "bare", path: "/v1/timeline/" + prefix, want: 404},
 		},
@@ -238,6 +242,8 @@ func routeOutcomes(prefix string) map[string][]outcome {
 		"GET /v1/stability": {
 			{srv: "full", path: "/v1/stability?prefix=" + esc, want: 200, validated: true},
 			{srv: "full", path: "/v1/stability", want: 400},
+			{srv: "full", path: "/v1/stability?prefix=10.0.0.5%2F24", want: 400},
+			{srv: "full", path: "/v1/stability?family=ipv6&prefix=" + esc, want: 400},
 			{srv: "full", path: "/v1/stability?prefix=203.0.113.0/24", want: 404},
 			{srv: "bare", path: "/v1/stability?prefix=" + esc, want: 404},
 		},

@@ -31,14 +31,14 @@ func (c *CanonicalDay) Bytes() []byte { return c.b }
 // Rows returns the day as rows that alias its bytes.
 func (c *CanonicalDay) Rows() *RowDay { return c.day }
 
-// Stream makes c, over what it held, doc's day: it streams doc's
-// canonical bytes (StreamDocument) into c's buffer and splits them.
-func (c *CanonicalDay) Stream(doc *Document) (err error) {
-	buf := bytes.NewBuffer(c.b[:0])
-	if err := StreamDocument(buf, doc); err != nil {
+// Stream makes c, over what it held, doc's day: it appends doc's
+// canonical bytes (appendDocument) into c's buffer and splits them.
+func (c *CanonicalDay) Stream(doc *Document) error {
+	b, err := appendDocument(c.b[:0], doc, nil)
+	if err != nil {
 		return fmt.Errorf("core: streaming day: %w", err)
 	}
-	c.b = buf.Bytes()
+	c.b = b
 	c.arena.Reset()
 	if c.day, err = SplitDocument(c.b, &c.arena); err != nil {
 		return fmt.Errorf("core: splitting day: %w", err)
@@ -51,68 +51,55 @@ func (c *CanonicalDay) Stream(doc *Document) (err error) {
 // of d, appended from d's rows with nothing decoded — a snapshot's row
 // copied as stored, a delta's compact row re-indented (appendIndented),
 // a row that holds its entry (the fallback decoded it) appended from the
-// entry — and, as they are appended, the rows that alias them. size is
-// the length the bytes are expected to have, which sizes their buffer up
-// to what d's rows can come to (lenBound), so that a size read from an
-// untrusted record allocates no more than the day. d is only read.
+// entry — and the rows that alias them. size is the length the bytes are
+// expected to have, which sizes their buffer up to what d's rows can
+// come to (lenBound), so that a size read from an untrusted record
+// allocates no more than the day. d is only read.
 func (d *RowDay) Canonical(size int) (*CanonicalDay, error) {
-	c, n, err := d.canonical(min(max(size, 0), d.lenBound()))
-	if c != nil || err != nil {
-		return c, err
-	}
-	// The bytes outgrew their buffer, and the rows' bytes moved with
-	// them: again, into a buffer of the length they came to.
-	c, _, err = d.canonical(n)
-	return c, err
-}
-
-// canonical is Canonical into a buffer of size bytes. When the bytes
-// outgrow it, it returns no day and the length they came to.
-func (d *RowDay) canonical(size int) (*CanonicalDay, int, error) {
-	b, err := appendIndentHeader(make([]byte, 0, size), &d.hdr)
+	b, err := appendHeader(make([]byte, 0, min(max(size, 0), d.lenBound())), &d.hdr, true)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
+	start := len(b)
 	var rows []row
+	var ptrs []*row
 	if d.rows != nil {
-		rows = make([]row, len(d.rows))
+		rows, ptrs = make([]row, len(d.rows)), make([]*row, len(d.rows))
 	}
 	for i, r := range d.rows {
 		b = appendEntrySep(b, i)
 		n := len(b)
 		switch {
-		case r.entry != nil: // its raw, if any, is AppendJSON's encoding of it, which may hold escapes
+		case r.entry != nil:
 			b = appendEntry(b, r.entry, &indentLayout)
-			rows[i] = row{key: r.key, entry: r.entry}
-			continue
 		case r.indented:
 			b = append(b, r.raw...)
 		default:
 			b = appendIndented(b, r.raw)
 		}
-		rows[i] = row{key: r.key, raw: b[n:len(b):len(b)], indented: true}
+		rows[i], ptrs[i] = row{key: r.key, entry: r.entry, raw: b[n:], indented: r.entry == nil}, &rows[i]
 	}
 	b = appendDocumentEnd(b, len(d.rows), d.rows != nil)
-	if cap(b) != size {
-		return nil, len(b), nil
+	for i := range rows { // b has stopped growing: each row's raw, so far only its length, aliases it
+		r := &rows[i]
+		start += len(",\n" + entryElementIndent)
+		end := start + len(r.raw)
+		if r.raw = b[start:end:end]; r.entry != nil {
+			r.raw = nil // its bytes may hold escapes, which a row's raw never does
+		}
+		start = end
 	}
 	c := &CanonicalDay{b: b}
-	c.day = &RowDay{hdr: d.hdr, arena: &c.arena}
-	if rows != nil {
-		c.day.rows = make([]*row, len(rows))
-		for i := range rows {
-			c.day.rows[i] = &rows[i]
-		}
-	}
-	return c, len(b), nil
+	c.day = &RowDay{hdr: d.hdr, rows: ptrs, arena: &c.arena}
+	return c, nil
 }
 
 // lenBound is a length d's canonical bytes stay within unless its header
 // or a row that holds its entry is unusually long: an allowance for the
 // header, and per row its separator and its bytes as stored, four times
 // a compact row's (re-indenting one at most about triples it), or an
-// allowance for a row encoded from its entry. Past it, Canonical
-// appends the day twice.
+// allowance for a row encoded from its entry. Past it, Canonical's
+// buffer grows as append grows it.
 func (d *RowDay) lenBound() int {
 	n := 4 << 10
 	for _, r := range d.rows {
@@ -188,9 +175,7 @@ func (d *RowDay) Find(prefix string) (DocumentEntry, bool) {
 	if r.entry != nil {
 		return *r.entry, true
 	}
-	// A split row is in the writer's form, which the scanner always reads.
 	var e DocumentEntry
-	s := scanner{b: r.raw, ok: true, known: r.key.s, chunk: make([]string, 0, 16)}
-	s.entry(&e)
+	new(RowDecoder).row(r, &e) // one row: no name is interned
 	return e, true
 }

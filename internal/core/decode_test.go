@@ -222,7 +222,7 @@ func FuzzSplitDelta(f *testing.F) {
 // Apply for delta bytes b against the snapshot snap, the day's canonical
 // bytes rebuilt from rows to StreamDocument of the reference's document,
 // the split of b to the reference splitter, and each upsert the split
-// accepts to checkReindent.
+// accepts to checkReindent and checkRowDecode.
 func checkSplitDelta(t *testing.T, snap, b []byte) {
 	checkSplitMatchesReference(t, b, false)
 	var prev Document
@@ -264,6 +264,7 @@ func checkSplitDelta(t *testing.T, snap, b []byte) {
 	if d, ok := ScanDeltaRows(b, new(RowArena)); ok {
 		for _, r := range d.upserts {
 			checkReindent(t, r)
+			checkRowDecode(t, r)
 		}
 	}
 }
@@ -333,6 +334,29 @@ func TestDecodeAllocations(t *testing.T) {
 		t.Logf("%s: %d rows, %.2f allocations per row", c.name, c.rows, perRow)
 		if perRow > 1.3 {
 			t.Errorf("%s: %.2f allocations per decoded row, want ≤ 1.3", c.name, perRow)
+		}
+	}
+}
+
+// TestFindAllocations pins what RowDay.Find costs on a split row: one
+// copy of the row for its names and one chunk for its name lists,
+// nothing interned, and nothing for a row without names. Interning the
+// names (a map per call, and a list grown name by name) cost 9
+// allocations on a row with four names.
+func TestFindAllocations(t *testing.T) {
+	_, snap, _ := decodeFixture(t, 30)
+	day, ok := ScanDocumentRows(snap, new(RowArena))
+	if !ok {
+		t.Fatal("the split declined the fixture snapshot")
+	}
+	for _, r := range day.rows[:3] {
+		e, _ := day.Find(r.key.s)
+		want := 0.0
+		if len(e.ACProtocols)+len(e.GCDCities) > 0 {
+			want = 2
+		}
+		if n := testing.AllocsPerRun(50, func() { day.Find(r.key.s) }); n > want {
+			t.Errorf("Find(%q), %d+%d names: %.0f allocations, want ≤ %.0f", r.key.s, len(e.ACProtocols), len(e.GCDCities), n, want)
 		}
 	}
 }

@@ -126,20 +126,30 @@ func plainString(s string) bool {
 	return true
 }
 
-// appendHeader appends the compact document up to its entries' value:
-// the header's fields as json.Marshal writes them, then `"entries":`.
-func appendHeader(b []byte, d *Document) ([]byte, error) {
+// appendHeader appends the document up to its entries' value, in the
+// canonical indented form (indent) or as json.Marshal writes it. It
+// encodes the header with a nil entry slice and cuts off the trailing
+// `null`, which keeps the bytes in lockstep with the Document struct
+// without a hand-maintained field list.
+func appendHeader(b []byte, d *Document, indent bool) ([]byte, error) {
 	shell := *d
 	shell.Entries = nil
-	hdr, err := json.Marshal(&shell)
+	var h []byte
+	var err error
+	tail := "null}"
+	if indent {
+		h, err = json.MarshalIndent(&shell, "", "  ")
+		tail = "null\n}"
+	} else {
+		h, err = json.Marshal(&shell)
+	}
 	if err != nil {
 		return b, err
 	}
-	const tail = "null}"
-	if !bytes.HasSuffix(hdr, []byte(tail)) {
+	if !bytes.HasSuffix(h, []byte(tail)) {
 		return b, errEntriesNotLast
 	}
-	return append(b, hdr[:len(hdr)-len(tail)]...), nil
+	return append(b, h[:len(h)-len(tail)]...), nil
 }
 
 // errEntriesNotLast is what a header that does not end in its entries

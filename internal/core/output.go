@@ -88,10 +88,9 @@ func (r *Responsibility) Total() budget.Usage {
 
 // Document is the JSON schema of one daily census file — the unit the
 // public repository carries and downstream consumers (the dashboard, the
-// diff tool) operate on. Entries must stay the last field: the streaming
-// writer (DocumentWriter) depends on every scalar preceding the entry
-// array, and the archive's split (SplitDocument) decodes any other order
-// whole.
+// diff tool) operate on. Entries must stay the last field: the writer
+// (appendDocument) renders every scalar before the entry array, and the
+// archive's split (SplitDocument) decodes any other order whole.
 type Document struct {
 	Date        string `json:"date"`
 	Family      string `json:"family"`

@@ -16,24 +16,27 @@ import (
 // into rows and diffs them against the day before's (DiffRows); readers
 // rebuild a chain of day-files with one merge per delta and nothing
 // decoded, and decode only the rows they hand out (RowDecoder).
-// The split is one table-driven pass over a day-file's row array
-// (storedRows): rowFields lists DocumentEntry's twelve fields in struct
-// order with each value's form, and a rowLayout holds, per layout, the
-// whitespace that makes up each field's key literal (`,"origin_asn":`
-// compact, `,\n      "origin_asn": ` indented) and each name's bytes as
-// words to match it with. A row is accepted only in the exact form the
-// entry appender writes it (compact in a delta, indented in a snapshot):
-// every field behind its key literal in that order, an omitempty field
-// only when set, each value in the appender's form. Each name list is
-// stepped over in one loop, eight bytes at a time, and each row's prefix
-// is parsed into its PrefixKey in the same pass, so the merge parses
-// nothing. That exactness is what
-// makes a row's bytes its canonical encoding: copied, or stripped of the
-// snapshot's indentation, they are what AppendJSON writes for the
-// decoded row. A file holding anything else is decoded whole by
-// encoding/json, so every file splits to the rows json.Unmarshal makes
-// of it. Row bytes alias the file read; prefix strings and decoded
-// entries are copies.
+//
+// A row has one grammar, and it is a table: rowFields lists
+// DocumentEntry's twelve fields in struct order with each value's form,
+// and a rowLayout holds, per layout, the whitespace that makes up each
+// field's key literal (`,"origin_asn":` compact, `,\n      "origin_asn": `
+// indented) and each name's bytes as words to match it with. The split
+// checks rows against the table in one pass over a day-file's row array
+// (storedRows), and RowDecoder decodes a row the split accepted by
+// walking the same table in the row's own layout (rowLayout.keyAt),
+// relying on what the split checked. A row is accepted only in the exact
+// form the entry appender writes it (compact in a delta, indented in a
+// snapshot): every field behind its key literal in that order, an
+// omitempty field only when set, each value in the appender's form. Each
+// name list is stepped over in one loop, eight bytes at a time, and each
+// row's prefix is parsed into its PrefixKey in the same pass, so the
+// merge parses nothing. That exactness is what makes a row's bytes its
+// canonical encoding: copied, or stripped of the snapshot's indentation,
+// they are what AppendJSON writes for the decoded row. A file holding
+// anything else is decoded whole by encoding/json, so every file splits
+// to the rows json.Unmarshal makes of it. Row bytes alias the file read;
+// prefix strings and decoded entries are copies.
 
 // RowDay is one census day as stored rows in document order, and its
 // header. Its rows are shared with the days rebuilt from it, and so is
@@ -232,7 +235,7 @@ func (d *RowDelta) Apply(prev *RowDay) (*RowDay, error) {
 // document, copying the rows' compact bytes: one compact line with no
 // trailing newline, the form /v1/range serves.
 func (d *RowDay) AppendJSON(b []byte) ([]byte, error) {
-	b, err := appendHeader(b, &d.hdr)
+	b, err := appendHeader(b, &d.hdr, false)
 	if err != nil {
 		return b, err
 	}
@@ -245,7 +248,7 @@ func (d *RowDay) AppendJSON(b []byte) ([]byte, error) {
 // AppendJSON appends the delta as json.Marshal writes its decoded form
 // (DocumentDelta), with no trailing newline: the archive's delta file.
 func (d *RowDelta) AppendJSON(b []byte) ([]byte, error) {
-	b, err := appendHeader(append(b, `{"header":`...), &d.hdr)
+	b, err := appendHeader(append(b, `{"header":`...), &d.hdr, false)
 	if err != nil {
 		return b, err
 	}
@@ -281,12 +284,19 @@ func appendRows(b []byte, rows []*row, a *RowArena) []byte {
 
 // RowDecoder decodes stored rows into a day's document. Protocol and city
 // names are interned for the decoder's life, each row is decoded once,
-// however many days carry it, and a split row's entry takes the prefix
-// string the split made.
+// however many days carry it, and an entry takes the prefix string the
+// split made. The entries' name lists are capped slices of shared
+// chunks: appending to one copies it.
 type RowDecoder struct {
-	s    scanner
-	slab []DocumentEntry // where decoded entries are carved from
+	names map[string]string // interned protocol and city names; nil interns none
+	text  string            // with names nil, the row's bytes, once it has a name
+	chunk []string          // where name lists are carved from
+	slab  []DocumentEntry   // where decoded entries are carved from
 }
+
+// namesChunk is how many protocol and city names one allocation holds
+// once a decoder's chunks have grown.
+const namesChunk = 256
 
 // Document returns the day as json.Unmarshal makes the snapshot it
 // rebuilds. The document is new; its entries' name lists may share
@@ -311,27 +321,124 @@ func (dec *RowDecoder) Delta(d *RowDelta) *DocumentDelta {
 	return dd
 }
 
-// entries decodes rows into new entries; nil stays nil. A split row is
-// in the writer's form, which the scanner always reads.
+// entries decodes rows into new entries; nil stays nil.
 func (dec *RowDecoder) entries(rows []*row) []DocumentEntry {
 	if rows == nil {
 		return nil
 	}
 	out := make([]DocumentEntry, len(rows))
-	s := &dec.s
 	for i, r := range rows {
 		if r.entry == nil {
 			if len(dec.slab) == cap(dec.slab) {
 				dec.slab = make([]DocumentEntry, 0, len(rows)-i)
 			}
+			if dec.names == nil {
+				dec.names = make(map[string]string)
+			}
 			dec.slab = dec.slab[:len(dec.slab)+1]
 			r.entry = &dec.slab[len(dec.slab)-1]
-			s.b, s.i, s.ok, s.known = r.raw, 0, true, r.key.s
-			s.entry(r.entry)
+			dec.row(r, r.entry)
 		}
 		out[i] = *r.entry
 	}
 	return out
+}
+
+// row decodes r, a row the split accepted (or its bytes compacted by
+// json), into e: rowFields in order, each field read where keyAt finds
+// its key in r's own layout, and one whose key is not there (an
+// omitempty field the writer left out) left zero. The prefix is the
+// split's string, which holds the bytes between the value's quotes.
+func (dec *RowDecoder) row(r *row, e *DocumentEntry) {
+	l, b := compactRows, r.raw
+	if r.indented {
+		l = indentRows
+	}
+	dec.text = ""
+	i := 1 // past '{'
+	for f := range rowFields {
+		v := l.keyAt(b, i, f)
+		if v < 0 {
+			continue
+		}
+		switch p := e.field(f).(type) {
+		case *string:
+			*p, i = r.key.s, v+len(r.key.s)+2
+		case *uint32:
+			var n int64
+			n, i = intAt(b, v)
+			*p = uint32(n)
+		case *int:
+			var n int64
+			n, i = intAt(b, v)
+			*p = int(n)
+		case *bool:
+			*p, i = b[v] == 't', v+len("false")
+			if *p {
+				i = v + len("true")
+			}
+		case *[]string:
+			*p, i = dec.nameList(b, v, l)
+		}
+		if i < len(b) && b[i] == ',' {
+			i++
+		}
+	}
+}
+
+// intAt reads the integer strconv.AppendInt wrote at b[i:] and returns
+// it and where it ends.
+func intAt(b []byte, i int) (int64, int) {
+	neg := b[i] == '-'
+	if neg {
+		i++
+	}
+	var u uint64
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		u = u*10 + uint64(b[i]-'0')
+	}
+	if neg {
+		return -int64(u), i
+	}
+	return int64(u), i
+}
+
+// nameList reads the non-empty name list at b[i:] in layout l, carved
+// from the decoder's chunk, and returns it and where it ends.
+func (dec *RowDecoder) nameList(b []byte, i int, l *rowLayout) ([]string, int) {
+	start := len(dec.chunk)
+	for b[i] != ']' { // '[' or ',' before each name
+		i = l.elem.skip(b, i+1) + 1 // past the whitespace and the name's opening quote
+		n := bytes.IndexByte(b[i:], '"')
+		if len(dec.chunk) == cap(dec.chunk) { // a new chunk, twice the last up to namesChunk, with the list so far
+			size := max(min(2*cap(dec.chunk), namesChunk), 16, 2*(len(dec.chunk)-start))
+			dec.chunk = append(make([]string, 0, size), dec.chunk[start:]...)
+			start = 0
+		}
+		dec.chunk = append(dec.chunk, dec.name(b, i, i+n))
+		if i += n + 1; b[i] != ',' {
+			i = l.member.skip(b, i)
+		}
+	}
+	return dec.chunk[start:len(dec.chunk):len(dec.chunk)], i + 1
+}
+
+// name returns the protocol or city name b[i:j] of the row b: interned
+// when the decoder interns, and otherwise cut from one copy of the row,
+// so a row decoded alone (RowDay.Find) copies its bytes once.
+func (dec *RowDecoder) name(b []byte, i, j int) string {
+	if dec.names == nil {
+		if dec.text == "" {
+			dec.text = string(b)
+		}
+		return dec.text[i:j]
+	}
+	if v, ok := dec.names[string(b[i:j])]; ok {
+		return v
+	}
+	v := string(b[i:j])
+	dec.names[v] = v
+	return v
 }
 
 // A stored row's value forms. The fields without omitempty come first,
@@ -346,7 +453,8 @@ const (
 )
 
 // rowFields is DocumentEntry's fields in struct order, with the form
-// appendEntry writes each value in: the one table the split runs.
+// appendEntry writes each value in: the one table the split and
+// RowDecoder run.
 var rowFields = [...]struct {
 	name string
 	val  uint8
@@ -363,6 +471,14 @@ var rowFields = [...]struct {
 	{"gcd_vps", valNonzero},
 	{"partial_anycast", valTrue},
 	{"global_bgp", valTrue},
+}
+
+// field returns a pointer to the field of e that rowFields[f] names.
+func (e *DocumentEntry) field(f int) any {
+	return [len(rowFields)]any{
+		&e.Prefix, &e.OriginASN, &e.ACProtocols, &e.MaxReceivers, &e.FromFeedback, &e.GCDMeasured,
+		&e.GCDAnycast, &e.GCDSites, &e.GCDCities, &e.GCDVPs, &e.PartialAnycast, &e.GlobalBGP,
+	}[f]
 }
 
 // rowLayout is an entryLayout as the split matches it: the layout's

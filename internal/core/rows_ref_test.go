@@ -111,6 +111,25 @@ func (s *scanner) refStoredRow(l *entryLayout) (prefix []byte) {
 	return prefix
 }
 
+// digits reads a JSON integer's digits ("0" or no leading zero) whose
+// value is at most max.
+func (s *scanner) digits(max uint64) uint64 {
+	start := s.i
+	var v uint64
+	for ; s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9'; s.i++ {
+		d := uint64(s.b[s.i] - '0')
+		if v > (max-d)/10 {
+			s.ok = false
+			return 0
+		}
+		v = v*10 + d
+	}
+	if n := s.i - start; n == 0 || n > 1 && s.b[start] == '0' {
+		s.ok = false
+	}
+	return v
+}
+
 // refNonzero reads an int other than zero as strconv.AppendInt writes
 // it.
 func (s *scanner) refNonzero() {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -161,7 +163,8 @@ func checkSplitMatchesReference(t *testing.T, b []byte, snap bool) {
 // single-byte edits, deletions and insertions, some in the prefix: the
 // same accept or decline, the same row bounds and prefixes, and each
 // key ParsePrefixKey's. Every writer-made file splits, and each of its
-// rows re-indents as checkReindent requires.
+// rows re-indents as checkReindent requires and decodes as
+// checkRowDecode requires.
 func TestSplitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(56, 7))
 	alphabet := []byte(`0123456789abcdefxyz.:/"{}[],- ` + "\n\t\\<&\x00\x7f\x80\xc3\xe2")
@@ -180,6 +183,7 @@ func TestSplitMatchesReference(t *testing.T) {
 			for _, r := range split {
 				rows++
 				checkReindent(t, r)
+				checkRowDecode(t, r)
 				for _, mut := range mutations(rng, r.raw, alphabet) {
 					checkRowMatchesReference(t, mut, layout)
 				}
@@ -203,9 +207,8 @@ func checkReindent(t *testing.T, r *row) {
 		compact = appendCompact(nil, r.raw)
 	}
 	var e DocumentEntry
-	s := scanner{b: r.raw, ok: true}
-	if s.entry(&e); !s.ok {
-		t.Fatalf("the scanner does not read the split's row\n%s", r.raw)
+	if err := json.Unmarshal(r.raw, &e); err != nil {
+		t.Fatalf("the split's row is not JSON: %v\n%s", err, r.raw)
 	}
 	ind := appendIndented(nil, compact)
 	if want := appendEntry(nil, &e, &indentLayout); !bytes.Equal(ind, want) || r.indented && !bytes.Equal(ind, r.raw) {
@@ -213,6 +216,29 @@ func checkReindent(t *testing.T, r *row) {
 	}
 	if back := appendCompact(nil, ind); !bytes.Equal(back, compact) {
 		t.Fatalf("the re-indented row compacted\n%s\nthe compact row\n%s", back, compact)
+	}
+}
+
+// checkRowDecode holds RowDecoder to encoding/json on one row the split
+// accepted: decoded as split (indented in a snapshot, compact in a
+// delta), and again after json has compacted a copy of it in place, the
+// entry is json.Unmarshal's of the row's bytes.
+func checkRowDecode(t *testing.T, r *row) {
+	t.Helper()
+	var want DocumentEntry
+	if err := json.Unmarshal(r.raw, &want); err != nil {
+		t.Fatalf("the split's row is not JSON: %v\n%s", err, r.raw)
+	}
+	c := *r
+	for _, form := range []string{"as split", "compacted"} {
+		if form == "compacted" {
+			c.json(new([]byte))
+		}
+		var got DocumentEntry
+		new(RowDecoder).row(&c, &got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("the row %s (indented: %v) decodes to\n%+v\nencoding/json's\n%+v\n%s", form, c.indented, got, want, c.raw)
+		}
 	}
 }
 
@@ -336,5 +362,39 @@ func BenchmarkSplit(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkRowDecode decodes, with a new RowDecoder each time as a walk
+// does, every row of one fixture snapshot (indented rows) and of the
+// day one fixture delta rebuilds from it (its upserts compact, the rest
+// as the snapshot holds them).
+func BenchmarkRowDecode(b *testing.B) {
+	files := writerFiles(b, 7)
+	snap, err := SplitDocument(files[0].b, new(RowArena))
+	if err != nil {
+		b.Fatal(err)
+	}
+	delta, err := SplitDelta(files[2].b, snap.arena)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next, err := delta.Apply(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		day  *RowDay
+	}{{files[0].name, snap}, {files[2].name, next}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, r := range c.day.rows {
+					r.entry = nil
+				}
+				new(RowDecoder).Document(c.day)
+			}
+		})
 	}
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"io"
 	"net/netip"
 	"slices"
@@ -13,15 +11,15 @@ import (
 
 // This file is the write half of the published-document codec: encode
 // one DocumentEntry at a time so no layer has to materialize a whole
-// census day to move it (decode.go is the read half). Each row goes
-// through the reflection-free entry appender in encode.go into one
-// reusable buffer; only the header is rendered by encoding/json, and a
-// string the appender cannot copy as-is goes through json.Marshal on
-// its own. The bytes are exactly those of a json.Encoder with
-// SetIndent("", "  ") — a DocumentWriter's output is bit-for-bit the
-// document the public repository carries, `"entries": []` and
-// `"entries": null` included, which is the contract the archive layer
-// (internal/archive) builds its integrity checks on.
+// census day to move it (rows.go and decode.go are the read half). Each
+// row goes through the reflection-free entry appender in encode.go into
+// one buffer (appendDocument); only the header is rendered by
+// encoding/json, and a string the appender cannot copy as-is goes
+// through json.Marshal on its own. The bytes are exactly those of a
+// json.Encoder with SetIndent("", "  ") — bit-for-bit the document the
+// public repository carries, `"entries": []` and `"entries": null`
+// included, which is the contract the archive layer (internal/archive)
+// builds its integrity checks on.
 
 // ComparePrefixStrings orders two published prefix strings canonically:
 // numerically, by address family, then address bytes, then prefix
@@ -107,59 +105,50 @@ func (a PrefixKey) order(b PrefixKey) int {
 // WriteJSON encodes the document exactly as the public repository carries
 // it: two-space indent, entries last, trailing newline — the bytes of a
 // json.Encoder with SetIndent("", "  "). It is the canonical byte form;
-// DailyCensus.WriteJSON, the archive and /v1/census all write it through
-// the streaming DocumentWriter.
+// DailyCensus.WriteJSON, the archive writer and a live day the API
+// serves all write it through appendDocument.
 func (d *Document) WriteJSON(w io.Writer) error { return StreamDocument(w, d) }
 
 // entryElementIndent is the line prefix of an entry element inside the
 // canonical document ("entries" array elements sit two levels deep).
 const entryElementIndent = "    "
 
-// flushAt is how many encoded bytes a DocumentWriter gathers before it
+// flushAt is how many encoded bytes StreamDocument gathers before it
 // writes them on.
 const flushAt = 16 << 10
 
-// DocumentWriter streams a census document entry by entry, producing
-// bytes identical to Document.WriteJSON without ever holding the entry
-// slice. The header scalars must be known up front (the census pipeline
-// always knows its counts before publication).
-type DocumentWriter struct {
-	w     io.Writer
-	buf   []byte // encoded and not yet written: the header, then whole rows
-	n     int    // entries written
-	empty bool   // zero entries close as `[]`, not `null`
-	err   error
+// StreamDocument writes d's canonical bytes to w, flushAt bytes or more
+// at a time, so the document is never held whole.
+func StreamDocument(w io.Writer, d *Document) error {
+	_, err := appendDocument(make([]byte, 0, flushAt+1<<10), d, w)
+	return err
 }
 
-// NewDocumentWriter prepares a streaming writer from the document's
-// header scalars. Of hdr.Entries only its nil-ness counts: a document
-// with zero entries closes as `"entries": null` when it is nil and as
-// `"entries": []` when it is not, as encoding/json writes them.
-func NewDocumentWriter(w io.Writer, hdr *Document) (*DocumentWriter, error) {
-	buf, err := appendIndentHeader(make([]byte, 0, flushAt+1<<10), hdr)
-	if err != nil {
-		return nil, err
-	}
-	return &DocumentWriter{w: w, buf: buf, empty: hdr.Entries != nil}, nil
-}
-
-// appendIndentHeader appends the canonical document up to its entries'
-// value. It renders the header by encoding the scalar fields with a nil
-// entry slice and cutting off the trailing `null`, which keeps the bytes
-// in lockstep with the Document struct without a hand-maintained field
-// list.
-func appendIndentHeader(b []byte, hdr *Document) ([]byte, error) {
-	shell := *hdr
-	shell.Entries = nil
-	h, err := json.MarshalIndent(&shell, "", "  ")
+// appendDocument appends d's canonical bytes to b, row by row, and
+// returns b. With a writer w it writes them on each time flushAt or more
+// have gathered, and at the end, and b starts again after each write.
+// Of d.Entries only its nil-ness counts when it is empty: zero entries
+// close as `null` when it is nil and as `[]` when it is not, as
+// encoding/json writes them.
+func appendDocument(b []byte, d *Document, w io.Writer) ([]byte, error) {
+	b, err := appendHeader(b, d, true)
 	if err != nil {
 		return b, err
 	}
-	suffix := []byte("null\n}")
-	if !bytes.HasSuffix(h, suffix) {
-		return b, errEntriesNotLast
+	for i := range d.Entries {
+		b = appendEntry(appendEntrySep(b, i), &d.Entries[i], &indentLayout)
+		if w != nil && len(b) >= flushAt {
+			if _, err := w.Write(b); err != nil {
+				return b, err
+			}
+			b = b[:0]
+		}
 	}
-	return append(b, h[:len(h)-len(suffix)]...), nil
+	b = appendDocumentEnd(b, len(d.Entries), d.Entries != nil)
+	if w != nil {
+		_, err = w.Write(b)
+	}
+	return b, err
 }
 
 // appendEntrySep appends what comes before the canonical document's i-th
@@ -183,49 +172,4 @@ func appendDocumentEnd(b []byte, n int, notNil bool) []byte {
 		return append(b, "[]\n}\n"...)
 	}
 	return append(b, "null\n}\n"...)
-}
-
-// WriteEntry appends one census row to the stream.
-func (dw *DocumentWriter) WriteEntry(e *DocumentEntry) error {
-	if dw.err != nil {
-		return dw.err
-	}
-	dw.buf = appendEntry(appendEntrySep(dw.buf, dw.n), e, &indentLayout)
-	dw.n++
-	if len(dw.buf) >= flushAt {
-		dw.flush()
-	}
-	return dw.err
-}
-
-// flush writes the gathered bytes on.
-func (dw *DocumentWriter) flush() {
-	_, dw.err = dw.w.Write(dw.buf)
-	dw.buf = dw.buf[:0]
-}
-
-// Close terminates the document and writes what is left of it.
-func (dw *DocumentWriter) Close() error {
-	if dw.err != nil {
-		return dw.err
-	}
-	dw.buf = appendDocumentEnd(dw.buf, dw.n, dw.empty)
-	dw.flush()
-	return dw.err
-}
-
-// StreamDocument writes an already-materialized document through the
-// streaming codec — the archive writer uses it to tee canonical bytes
-// into checksums without a second buffer.
-func StreamDocument(w io.Writer, d *Document) error {
-	dw, err := NewDocumentWriter(w, d)
-	if err != nil {
-		return err
-	}
-	for i := range d.Entries {
-		if err := dw.WriteEntry(&d.Entries[i]); err != nil {
-			return err
-		}
-	}
-	return dw.Close()
 }

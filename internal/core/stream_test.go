@@ -86,14 +86,14 @@ func sortEntriesCanonical(d *Document) {
 	}
 }
 
-// TestStreamWriterByteIdentical pins the streaming codec's contract: a
-// DocumentWriter must produce exactly the bytes encoding/json writes for
-// the canonical document, `"entries": []` for empty non-nil entries
-// included.
+// TestStreamWriterByteIdentical pins the codec's contract: StreamDocument
+// (past its flush size too) and CanonicalDay.Stream must produce exactly
+// the bytes encoding/json writes for the canonical document,
+// `"entries": []` for empty non-nil entries included.
 func TestStreamWriterByteIdentical(t *testing.T) {
 	emptied := synthDoc(3, 0)
 	emptied.Entries = []DocumentEntry{}
-	for _, doc := range []*Document{synthDoc(3, 0), emptied, synthDoc(3, 1), synthDoc(3, 2), synthDoc(3, 57)} {
+	for _, doc := range []*Document{synthDoc(3, 0), emptied, synthDoc(3, 1), synthDoc(3, 2), synthDoc(3, 57), synthDoc(3, 400)} {
 		want, err := refIndented(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -105,6 +105,11 @@ func TestStreamWriterByteIdentical(t *testing.T) {
 		if !bytes.Equal(want, got.Bytes()) {
 			t.Fatalf("entries=%d (nil %v): streamed bytes differ from encoding/json\nwant: %q\ngot:  %q",
 				len(doc.Entries), doc.Entries == nil, want, got.String())
+		}
+		var c CanonicalDay
+		if err := c.Stream(doc); err != nil || !bytes.Equal(want, c.Bytes()) {
+			t.Fatalf("entries=%d (nil %v): CanonicalDay.Stream (%v) differs from encoding/json\nwant: %q\ngot:  %q",
+				len(doc.Entries), doc.Entries == nil, err, want, c.Bytes())
 		}
 	}
 }

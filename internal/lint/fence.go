@@ -152,6 +152,11 @@ var fences = []fenceRow{
 		why: "the missing-site set is a mask, not a map with rules about which of its entries count",
 	},
 	{
+		rule: "one row grammar", in: []string{"..."}, tests: true,
+		names: []string{"DocumentWriter", "NewDocumentWriter", "WriteEntry"},
+		why:   "a stored row is read through the split's one table (rowFields) and the canonical document is written by one loop (appendDocument); the streaming writer that loop replaced must not come back",
+	},
+	{
 		rule: "one commit seam", in: []string{"internal/archive", "internal/query"}, except: []string{"internal/archive/commit.go"},
 		uses: []string{"os.Create", "os.OpenFile", "os.WriteFile", "os.Rename", "os.Remove", "os.RemoveAll", "os.Truncate", "os.CreateTemp"},
 		why:  "a whole file commits through archive.CommitFile, and index.jsonl is opened and appended in commit.go: one seam where a store write can be made crash-safe",
