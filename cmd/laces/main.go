@@ -58,7 +58,7 @@ var root = &command{
 			usage:   "[-listen 127.0.0.1:8080] [-archive dir] [-cache N] [-day N] [-budget spec] [-optout file] [-metrics] [-pprof]"},
 		{name: "trace", setup: setupTrace,
 			summary: "traceroute a hitlist prefix; 'trace export' merges -trace files",
-			usage:   "-target <prefix|addr> [-from City] [-day N]",
+			usage:   "-target <prefix|addr> [-from City] [-day N] [-optout file]",
 			sub: []*command{
 				{name: "export", setup: setupTraceExport,
 					summary: "merge per-component -trace files into one Chrome trace or JSONL",

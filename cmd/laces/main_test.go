@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 )
 
@@ -293,6 +295,44 @@ func TestCLITraceFamilyFromTarget(t *testing.T) {
 	}
 	if code, out := run(t, "trace", "-target", "fe80::/48"); code != 1 || !strings.Contains(out, "not on the hitlist") {
 		t.Fatalf("trace of an unrouted prefix: exit %d, output:\n%s", code, out)
+	}
+}
+
+// TestCLITraceHonoursOptOut: `laces trace -optout` asks the registry's
+// gate before it sends a probe. A target the registry covers, by prefix
+// or by origin AS, exits 1 naming the entry and prints no hop; any other
+// target is traced.
+func TestCLITraceHonoursOptOut(t *testing.T) {
+	w, err := simWorld(1, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPrefix, byAS, free := w.TargetAt(false, 0), (*netsim.Target)(nil), (*netsim.Target)(nil)
+	for i := 1; free == nil; i++ {
+		switch tg := w.TargetAt(false, i); {
+		case tg.Origin == byPrefix.Origin:
+		case byAS == nil:
+			byAS = tg
+		case tg.Origin != byAS.Origin:
+			free = tg
+		}
+	}
+	asEntry := fmt.Sprintf("AS%d", byAS.Origin)
+	path := filepath.Join(t.TempDir(), "optout.txt")
+	if err := os.WriteFile(path, []byte(byPrefix.Prefix.String()+"\n"+asEntry+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tg    *netsim.Target
+		entry string
+	}{{byPrefix, byPrefix.Prefix.String()}, {byAS, asEntry}} {
+		code, out := run(t, "trace", "-target", c.tg.Prefix.String(), "-optout", path)
+		if code != 1 || !strings.Contains(out, "opt-out entry "+c.entry) || strings.Contains(out, "traceroute to") {
+			t.Errorf("trace of %s opted out as %s: exit %d, output:\n%s", c.tg.Prefix, c.entry, code, out)
+		}
+	}
+	if code, out := run(t, "trace", "-target", free.Prefix.String(), "-optout", path); code != 0 || !strings.Contains(out, "traceroute to") {
+		t.Errorf("trace of %s, not opted out: exit %d, output:\n%s", free.Prefix, code, out)
 	}
 }
 

@@ -45,7 +45,7 @@ func setupServe(fs *flag.FlagSet) func() error {
 		}
 		if !b.IsZero() || reg != nil {
 			srv.Govern(b, reg)
-			fmt.Printf("governing live census runs: budget %s, opt-out entries %d (/v1/responsibility)\n",
+			fmt.Printf("governing live census runs and /v1/measure: budget %s, opt-out entries %d (/v1/responsibility)\n",
 				b.String(), reg.Len())
 		}
 		if *archiveDir != "" {

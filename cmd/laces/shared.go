@@ -97,13 +97,16 @@ func arkVPs(w *netsim.World) func(day int, v6 bool) ([]netsim.VP, error) {
 	return func(day int, v6 bool) ([]netsim.VP, error) { return platform.Ark(w, day, v6) }
 }
 
+// optOutUsage is -optout's help, for every command that probes.
+const optOutUsage = "opt-out registry file (prefixes and AS entries)"
+
 // governance is the -budget/-optout group.
 type governance struct{ budget, optOut *string }
 
 func governanceFlags(fs *flag.FlagSet) governance {
 	return governance{
 		budget: fs.String("budget", "", "probe budget (e.g. 250000 or daily:250000,as:5000,prefix:200)"),
-		optOut: fs.String("optout", "", "opt-out registry file (prefixes and AS entries)"),
+		optOut: fs.String("optout", "", optOutUsage),
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/traceroute"
@@ -101,6 +102,7 @@ func setupTrace(fs *flag.FlagSet) func() error {
 	target := fs.String("target", "", "hitlist prefix or address to trace, IPv4 or IPv6 (e.g. 1.2.3.0/24)")
 	from := fs.String("from", "Amsterdam", "vantage city")
 	day := fs.Int("day", 0, "census day")
+	gov := governance{budget: new(string), optOut: fs.String("optout", "", optOutUsage)} // a trace takes no budget
 	world := simFlags(fs)
 	return func() error {
 		if *target == "" {
@@ -113,6 +115,14 @@ func setupTrace(fs *flag.FlagSet) func() error {
 		tg, err := findTarget(w, *target)
 		if err != nil {
 			return err
+		}
+		_, reg, err := gov.load()
+		if err != nil {
+			return err
+		}
+		if dec := budget.NewLedger(budget.Budget{}, reg).Gate(*day).Admit(tg, traceroute.MaxTTL); dec != budget.Admitted {
+			entry, _ := reg.Match(tg.Prefix, tg.Origin)
+			return fmt.Errorf("%s: %s (opt-out entry %s); no probe sent", tg.Prefix, dec, entry)
 		}
 		vp, err := w.NewVP("trace-cli", *from)
 		if err != nil {

@@ -753,12 +753,11 @@ func (s *Server) handleAggregates(v *view, r *http.Request) (answer, error) {
 	return a, nil
 }
 
-// Govern applies responsible-probing governance to the server's live
-// census computation: a probe budget and/or an opt-out registry.
-// Archived days are always served exactly as published (their
-// responsibility block, if any, rides along); governance affects only
-// days the server computes itself, each on its own ledger like every
-// other piece of pipeline state. Call before the first request.
+// Govern applies a probe budget and/or an opt-out registry to what the
+// server probes itself: live days and POST /v1/measure, each on its own
+// ledger like every other piece of pipeline state. Archived days are
+// always served exactly as published (their responsibility block, if
+// any, rides along). Call before the first request.
 func (s *Server) Govern(b budget.Budget, reg *budget.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -811,7 +810,8 @@ type measureResponse struct {
 
 // handleMeasure runs a live single-prefix measurement — one synchronized
 // anycast-based round plus a GCD confirmation (core.Pipeline.Measure) —
-// and renders the row it returns.
+// and renders the row it returns. A prefix the governance denies answers
+// 403 (opted out) or 429 (over a budget cap), naming the decision.
 func (s *Server) handleMeasure(_ *view, r *http.Request) (answer, error) {
 	var req measureRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -831,9 +831,16 @@ func (s *Server) handleMeasure(_ *view, r *http.Request) (answer, error) {
 	if err != nil {
 		return answer{}, err
 	}
-	e, probes, err := pipe.Measure(target, resp.Day)
+	e, probes, dec, err := pipe.Measure(target, resp.Day)
 	if err != nil {
 		return answer{}, err
+	}
+	if dec != budget.Admitted {
+		status := http.StatusTooManyRequests
+		if dec == budget.DeniedOptOut {
+			status = http.StatusForbidden
+		}
+		return answer{}, &httpError{status, fmt.Errorf("%s: %s by the server's probing governance (%d probes sent); no verdict", prefix, dec, probes)}
 	}
 	resp.Responsive = e.MaxReceivers > 0
 	resp.ReceivingVPs = e.MaxReceivers

@@ -395,8 +395,8 @@ func TestBridgedCountersSurviveReload(t *testing.T) {
 // TestBudgetCountersAddUpAcrossPipelines pins the laces_budget_* series
 // on a governed server: every live day and every /v1/measure builds its
 // own pipeline, and the series sum the decisions of all of them. A
-// measure, which is ungoverned, leaves them as they are; the next live
-// day adds to them.
+// measure, which records no series, leaves them as they are (its target
+// is opted out, so it answers 403); the next live day adds to them.
 func TestBudgetCountersAddUpAcrossPipelines(t *testing.T) {
 	tg := anycastPrefix(t)
 	optOut := budget.NewRegistry()
@@ -411,12 +411,12 @@ func TestBudgetCountersAddUpAcrossPipelines(t *testing.T) {
 		`laces_budget_denied_total{reason="optout"}`,
 	}
 	var last map[string]float64
-	step := func(name string, r *http.Request) map[string]float64 {
+	step := func(name string, r *http.Request, status int) map[string]float64 {
 		t.Helper()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, r)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d", name, rec.Code)
+		if rec.Code != status {
+			t.Fatalf("%s: status %d, want %d", name, rec.Code, status)
 		}
 		cur := counterValues(reg)
 		for _, k := range series {
@@ -427,20 +427,20 @@ func TestBudgetCountersAddUpAcrossPipelines(t *testing.T) {
 		last = cur
 		return cur
 	}
-	day0 := step("live day 0", httptest.NewRequest("GET", "/v1/census?day=0", nil))
+	day0 := step("live day 0", httptest.NewRequest("GET", "/v1/census?day=0", nil), http.StatusOK)
 	for _, k := range series {
 		if day0[k] == 0 {
 			t.Fatalf("%s is 0 after a governed live day", k)
 		}
 	}
 	measured := step("measure", httptest.NewRequest("POST", "/v1/measure",
-		strings.NewReader(`{"prefix":"`+tg.Prefix.String()+`"}`)))
+		strings.NewReader(`{"prefix":"`+tg.Prefix.String()+`"}`)), http.StatusForbidden)
 	for _, k := range series {
 		if measured[k] != day0[k] {
-			t.Errorf("an ungoverned measure moved %s from %v to %v", k, day0[k], measured[k])
+			t.Errorf("a measure moved %s from %v to %v", k, day0[k], measured[k])
 		}
 	}
-	day1 := step("live day 1", httptest.NewRequest("GET", "/v1/census?day=1", nil))
+	day1 := step("live day 1", httptest.NewRequest("GET", "/v1/census?day=1", nil), http.StatusOK)
 	for _, k := range series {
 		if day1[k] <= measured[k] {
 			t.Errorf("live day 1 did not add to %s: %v, then %v", k, measured[k], day1[k])

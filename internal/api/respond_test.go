@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -262,6 +263,8 @@ func routeOutcomes(prefix string) map[string][]outcome {
 		"POST /v1/measure": {
 			{srv: "bare", path: "/v1/measure", body: `{"prefix":"203.0.113.0/24"}`, want: 200},
 			{srv: "bare", path: "/v1/measure", body: `{`, want: 400},
+			{srv: "optout", path: "/v1/measure", body: `{"prefix":"` + prefix + `"}`, want: 403},
+			{srv: "capped", path: "/v1/measure", body: `{"prefix":"` + prefix + `"}`, want: 429},
 		},
 		"GET /v1/healthz": {{srv: "bare", path: "/v1/healthz", want: 200}},
 		"GET /metrics": {
@@ -321,13 +324,21 @@ func TestResponseOrder(t *testing.T) {
 	instrument(t, full).StartTrace("serve").End() // an empty trace exports as an empty body
 	governed := bareServer(t)
 	governed.Govern(budget.Budget{DailyProbes: 1 << 50}, nil)
+	prefix := full.Query.Prefixes("ipv4")[0]
+	optOut := budget.NewRegistry()
+	optOut.AddPrefix(netip.MustParsePrefix(prefix))
+	optedOut, capped := bareServer(t), bareServer(t)
+	optedOut.Govern(budget.Budget{}, optOut)
+	capped.Govern(budget.Budget{DailyProbes: 1}, nil)
 	handlers := map[string]http.Handler{
 		"full":     full.Handler(),
 		"bare":     bareServer(t).Handler(),
 		"broken":   brokenServer(t).Handler(),
 		"governed": governed.Handler(),
+		"optout":   optedOut.Handler(),
+		"capped":   capped.Handler(),
 	}
-	outcomes := routeOutcomes(full.Query.Prefixes("ipv4")[0])
+	outcomes := routeOutcomes(prefix)
 	seen := map[int]bool{}
 	for _, rt := range full.routes() {
 		if len(outcomes[rt.pattern]) == 0 {
@@ -371,7 +382,7 @@ func TestResponseOrder(t *testing.T) {
 			})
 		}
 	}
-	for _, status := range []int{0, 200, 304, 400, 404, 500} {
+	for _, status := range []int{0, 200, 304, 400, 403, 404, 429, 500} {
 		if !seen[status] {
 			t.Errorf("no outcome exercised status %d (0 = mid-stream abort)", status)
 		}

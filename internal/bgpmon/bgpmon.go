@@ -9,7 +9,8 @@
 // hijacks. Each interesting event triggers an immediate, targeted GCD
 // measurement instead of waiting for the next daily census, which is what
 // catches the paper's single-day events (§7 found 191 prefixes anycast
-// for one day only, suspected misconfigurations or hijacks).
+// for one day only, suspected misconfigurations or hijacks), asking the
+// same responsible-probing gate every census stage asks (Monitor.Gate).
 //
 // The feed itself is derived from the simulated world's ground truth: the
 // simulator plays the role of RouteViews/RIS, emitting one update per
@@ -21,6 +22,7 @@ import (
 	"net/netip"
 	"time"
 
+	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/gcdmeas"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/packet"
@@ -108,9 +110,9 @@ type Monitor struct {
 	// legitimately toggle anycast (Imperva-style on-demand DDoS
 	// mitigation).
 	KnownAnycastOrigins map[netsim.ASN]bool
-
-	// ProbesSent accounts the trigger measurements' cost.
-	ProbesSent int64
+	// Gate admits each triggered target (nil admits everything); a denied
+	// one is not measured, and its finding carries no verdict.
+	Gate *budget.Gate
 }
 
 // React processes one day's feed: every turn-up triggers an immediate GCD
@@ -135,8 +137,8 @@ func (m *Monitor) React(v6 bool, events []Event) []Finding {
 		VPs:   m.VPs,
 		Proto: packet.ICMP,
 		At:    at,
+		Gate:  m.Gate,
 	})
-	m.ProbesSent += rep.ProbesSent
 	var out []Finding
 	for _, id := range ids {
 		ev := byID[id]

@@ -3,6 +3,7 @@ package bgpmon
 import (
 	"testing"
 
+	"github.com/laces-project/laces/internal/budget"
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/packet"
 	"github.com/laces-project/laces/internal/platform"
@@ -82,14 +83,17 @@ func TestTriggerCatchesSingleDayEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const daily = 1 << 40
+	led := budget.NewLedger(budget.Budget{DailyProbes: daily}, nil)
 	m := &Monitor{
 		World:               testWorld,
 		VPs:                 vps,
 		KnownAnycastOrigins: KnownOperators(testWorld),
+		Gate:                led.Gate(day),
 	}
 	findings := m.React(false, Feed(testWorld, false, day))
-	if m.ProbesSent == 0 {
-		t.Fatal("trigger sent no probes")
+	if led.Remaining(day) == daily {
+		t.Fatal("the trigger charged its gate nothing")
 	}
 	var hit *Finding
 	for i := range findings {

@@ -32,7 +32,8 @@
 //	          for every listed prefix on today's hitlist that detect missed.
 //	confirm   stage 3: fetches the GCD VP pool and measures the day's rows
 //	          under gcdmeas's §4.3 protocol rule; folds the verdicts.
-//	screen    optional stage 4 (ConfirmGlobalBGP): traceroute screening of ℳ.
+//	screen    optional stage 4 (ConfirmGlobalBGP): traceroute screening of ℳ,
+//	          gated and counted like the others (its own usage block).
 //	publish   the governance block, then the only writes to Pipeline state:
 //	          the day's hitlist is kept for the rest of its quarter,
 //	          today's confirmations join the feedback list, today's |𝒢|
@@ -48,8 +49,8 @@
 // ledger (the probes were sent), and the world's impairer is always
 // uninstalled.
 //
-// Measure is the same detect and confirm on a day whose hitlist is one
-// target: the API's live measurement.
+// Measure is the same detect and confirm, under the same gate, on a day
+// whose hitlist is one target: the API's live measurement.
 package core
 
 import (

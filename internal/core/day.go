@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -15,6 +16,7 @@ import (
 	"github.com/laces-project/laces/internal/netsim"
 	"github.com/laces-project/laces/internal/obs"
 	"github.com/laces-project/laces/internal/packet"
+	"github.com/laces-project/laces/internal/par"
 	"github.com/laces-project/laces/internal/traceroute"
 )
 
@@ -58,6 +60,7 @@ type censusDay struct {
 	census       *DailyCensus
 	vps          []netsim.VP // the GCD pool, fetched by confirm
 	anycast, gcd budget.Usage
+	screened     *budget.Usage // nil unless the screen ran
 }
 
 // RunDaily executes the full pipeline for one census day and family.
@@ -91,12 +94,14 @@ func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus,
 // /v1/measure): a census day whose hitlist is that target — one
 // anycast-based round over the first protocol it answers, then the GCD
 // confirmation — on the API's own schedule (noon, GCD an hour later) and
-// measurement ID rather than the daily census's. It returns the row
-// (MaxReceivers is 0 when nothing answered, and 1 for a unicast reply
-// that a census would not list) and the probes sent. The measurement is
-// ungoverned and records no stage series or spans, but its probes count
-// in the world's laces_netsim_* series; it touches no pipeline state.
-func (p *Pipeline) Measure(tg *netsim.Target, day int) (*Entry, int64, error) {
+// measurement ID rather than the daily census's, under the ledger's gate
+// for the day. It returns the row (MaxReceivers is 0 when nothing
+// answered, and 1 for a unicast reply that a census would not list), the
+// probes sent and budget.Admitted — or, for a target the gate denies, no
+// row and the decision, with no GCD after a denied first round. It
+// records no stage series or spans, but its probes count in the world's
+// laces_netsim_* series; of the pipeline's state it touches the ledger.
+func (p *Pipeline) Measure(tg *netsim.Target, day int) (*Entry, int64, budget.Decision, error) {
 	v6 := tg.Addr.Is6()
 	noon := netsim.DayTime(day).Add(12 * time.Hour)
 	d := &censusDay{
@@ -104,6 +109,7 @@ func (p *Pipeline) Measure(tg *netsim.Target, day int) (*Entry, int64, error) {
 		start: noon, gcdAt: noon.Add(time.Hour), mid: uint16(day) ^ 0xa91,
 		everyReply: true,
 		hl:         (&hitlist.Hitlist{V6: v6, Day: day, Entries: []hitlist.Entry{hitlist.EntryOf(tg)}}).Lists(),
+		gate:       p.ledger.Gate(day),
 		rate:       manycast.DefaultRate,
 		census:     newCensus(day, v6, 1),
 	}
@@ -118,12 +124,21 @@ func (p *Pipeline) Measure(tg *netsim.Target, day int) (*Entry, int64, error) {
 		}
 	}
 	if err := d.detect(first); err != nil {
-		return nil, 0, err
+		return nil, 0, budget.Admitted, err
 	}
-	if err := d.confirm(); err != nil {
-		return nil, 0, err
+	if d.anycast.Skipped == 0 {
+		if err := d.confirm(); err != nil {
+			return nil, 0, budget.Admitted, err
+		}
 	}
-	return e, d.census.ProbesAnycastStage + d.census.ProbesGCDStage, nil
+	probes := d.census.ProbesAnycastStage + d.census.ProbesGCDStage
+	switch {
+	case d.anycast.OptOutTargets+d.gcd.OptOutTargets > 0:
+		return nil, probes, budget.DeniedOptOut, nil
+	case d.anycast.BudgetTargets+d.gcd.BudgetTargets > 0:
+		return nil, probes, budget.DeniedBudget, nil
+	}
+	return e, probes, budget.Admitted, nil
 }
 
 func newCensus(day int, v6 bool, hitlistSize int) *DailyCensus {
@@ -319,26 +334,28 @@ const globalBGPVPs = 12
 
 // screen is optional stage 4 (§5.1.3 future work): traceroutes from a
 // spread of the GCD pool towards the ℳ rows worth tracing — multi-receiver
-// candidates that GCD measured and judged unicast — and flags the
-// global-BGP unicast signature. It is operator-triggered and outside the
-// ledger.
+// candidates that GCD measured and judged unicast and that answer the
+// trace's ICMP echo — and flags the global-BGP unicast signature.
 func (d *censusDay) screen() error {
-	sp := d.span.Child("screen")
+	sp, reg := d.phase("screen")
 	defer sp.End()
 	vps := spreadVPs(d.vps, globalBGPVPs)
 	if len(vps) == 0 {
 		return nil
 	}
-	// Ascending target ID: the traceroute stage consumes its candidates
-	// sequentially, and a stable order keeps any mid-stage cutoff
-	// reproducible.
-	var cands []*netsim.Target
+	wk := d.w.Walker(d.v6)
+	var cands []int
 	for _, id := range d.census.filter(func(e *Entry) bool {
 		return e.InM() && e.MaxReceivers >= 2 && e.GCDMeasured
 	}) {
-		cands = append(cands, d.w.TargetAt(d.v6, id))
+		if wk.At(id).Responsive[packet.ICMP] {
+			cands = append(cands, id)
+		}
 	}
-	ids, probes, err := traceroute.ConfirmGlobalBGP(d.w, vps, cands, d.census.Day.Add(12*time.Hour))
+	d.screened = new(budget.Usage)
+	ids, probes, err := screenGlobalBGP(par.Stage{
+		Label: "screen", World: d.w, V6: d.v6, Gate: d.gate, Obs: reg, Parallelism: d.p.Cfg.Parallelism,
+	}, vps, cands, d.census.Day.Add(12*time.Hour), d.screened)
 	if err != nil {
 		return err
 	}
@@ -347,6 +364,31 @@ func (d *censusDay) screen() error {
 		d.census.Entries[id].GlobalBGP = true
 	}
 	return nil
+}
+
+// screenGlobalBGP is the screen's stage run over candidate IDs: each
+// admitted target is traced from every VP, demanding one probe per TTL
+// step from each at worst. It returns the IDs whose fan-out shows the
+// global-BGP signature, in candidate order, and the probes sent; a trace
+// error fails the run.
+func screenGlobalBGP(st par.Stage, vps []netsim.VP, ids []int, at time.Time, usage *budget.Usage) ([]int, int64, error) {
+	opts := traceroute.Options{At: at, Measurement: uint16(netsim.DayOf(at))}
+	errs := make([]error, len(ids)) // by admitted index, each written by one shard
+	sum, _ := par.Run(st, ids, usage, func(id int) int { return id },
+		func(*netsim.Target) int64 { return int64(len(vps) * traceroute.MaxTTL) },
+		func(sh *par.Shard[int]) func(int, *netsim.Target) {
+			return func(i int, tg *netsim.Target) {
+				f, err := traceroute.Measure(st.World, vps, tg, opts)
+				if errs[i] = err; err != nil {
+					return
+				}
+				sh.Probes += f.ProbesSent
+				if f.GlobalBGP() {
+					sh.Out = append(sh.Out, tg.ID)
+				}
+			}
+		})
+	return sum.Out, sum.Probes, errors.Join(errs...)
 }
 
 // spreadVPs picks up to n VPs evenly spaced through the pool (the pool is
@@ -396,6 +438,7 @@ func (d *censusDay) responsibility() *Responsibility {
 	resp := &Responsibility{
 		Anycast:         d.anycast,
 		GCD:             d.gcd,
+		Screen:          d.screened,
 		BudgetRemaining: -1,
 		RateSteps:       d.rateSteps,
 	}

@@ -116,7 +116,7 @@ func TestQuarterlyHitlistReuse(t *testing.T) {
 				}
 				tg := warm.World.TargetAt(v6, want.IDs[0][0])
 				for _, at := range []int{day, 5} {
-					if _, _, err := warm.Measure(tg, at); err != nil {
+					if _, _, _, err := warm.Measure(tg, at); err != nil {
 						t.Fatal(err)
 					}
 					if warm.lists != before || !reflect.DeepEqual(*warm.lists[fam], want) {

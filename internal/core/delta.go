@@ -260,6 +260,10 @@ func (d *Document) DeepCopy() *Document {
 	}
 	if d.Responsibility != nil {
 		r := *d.Responsibility
+		if r.Screen != nil {
+			u := *r.Screen
+			r.Screen = &u
+		}
 		out.Responsibility = &r
 	}
 	return &out

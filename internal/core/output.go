@@ -44,8 +44,7 @@ func (e *DocumentEntry) InM() bool { return len(e.ACProtocols) > 0 && !e.GCDAnyc
 // controller did to the census day. All probe figures are in budget
 // units of demand (worst-case transmissions presented to the ledger);
 // the identity ProbesSpent + ProbesSkipped == ProbesDemanded holds
-// exactly — it is the reconciliation audits check. The traceroute
-// screening stage is operator-triggered and outside the ledger.
+// exactly — it is the reconciliation audits check.
 type Responsibility struct {
 	// The configured caps (zero = unlimited).
 	BudgetDailyProbes     int64 `json:"budget_daily_probes,omitempty"`
@@ -71,10 +70,12 @@ type Responsibility struct {
 
 	// Per-stage accounting (each reconciles independently). Chaos is
 	// the zero block: no census stage sends CHAOS queries, and the field
-	// keeps governed documents' schema and bytes.
-	Anycast budget.Usage `json:"anycast_stage"`
-	GCD     budget.Usage `json:"gcd_stage"`
-	Chaos   budget.Usage `json:"chaos_stage"`
+	// keeps governed documents' schema and bytes. Screen is the global-BGP
+	// screen's, omitted on a day the screen did not run.
+	Anycast budget.Usage  `json:"anycast_stage"`
+	GCD     budget.Usage  `json:"gcd_stage"`
+	Chaos   budget.Usage  `json:"chaos_stage"`
+	Screen  *budget.Usage `json:"screen_stage,omitempty"`
 }
 
 // Total sums the per-stage usages (the block's headline figures).
@@ -83,6 +84,9 @@ func (r *Responsibility) Total() budget.Usage {
 	u.Add(r.Anycast)
 	u.Add(r.GCD)
 	u.Add(r.Chaos)
+	if r.Screen != nil {
+		u.Add(*r.Screen)
+	}
 	return u
 }
 

@@ -42,13 +42,13 @@ func obsPipeline(t testing.TB, parallelism int, lazy bool, reg *obs.Registry, cf
 // the parallelism and the world's derivation mode, the spans a registry
 // exports after n RunDaily calls are exactly n trees of four levels — one
 // parentless census span per run that starts no later than anything under
-// it; under it the day's phases, exactly and in order; under detect
-// and confirm their stage spans; under each stage its shard
+// it; under it the day's phases, exactly and in order; under detect,
+// confirm and screen their stage spans; under each stage its shard
 // spans — every span carrying its run's non-zero trace ID and no parent
 // missing, so the ancestor chain of every stage and shard ends at census.
 func TestCensusSpansFormOneTreePerDay(t *testing.T) {
 	wantPhases := []string{"hitlist", "detect", "feedback", "confirm", "screen", "publish"}
-	stagePhases := map[string]bool{"detect": true, "confirm": true}
+	stagePhases := map[string]bool{"detect": true, "confirm": true, "screen": true}
 	for _, tc := range []struct {
 		parallelism int
 		lazy        bool

@@ -1,12 +1,6 @@
 package traceroute
 
-import (
-	"sort"
-	"time"
-
-	"github.com/laces-project/laces/internal/netsim"
-	"github.com/laces-project/laces/internal/packet"
-)
+import "github.com/laces-project/laces/internal/netsim"
 
 // Fanout summarises traces to one target from many vantage points.
 type Fanout struct {
@@ -112,32 +106,4 @@ func EnumerateSites(w *netsim.World, vps []netsim.VP, tg *netsim.Target, opts Op
 		}
 	}
 	return n, nil
-}
-
-// ConfirmGlobalBGP screens census candidates: for each listed target it
-// traces from the vantage points and reports the IDs whose paths show the
-// global-BGP unicast signature. The census publishes the flag so data
-// consumers can separate globally announced unicast from anycast (§5.1.3:
-// "Knowing of globally announced prefixes that route to a single location
-// is valuable"; future work: "include global BGP in our census").
-func ConfirmGlobalBGP(w *netsim.World, vps []netsim.VP, targets []*netsim.Target, at time.Time) (confirmed []int, probes int64, err error) {
-	opts := Options{At: at, Measurement: uint16(netsim.DayOf(at))}
-	for _, tg := range targets {
-		if !tg.Responsive[packet.ICMP] {
-			// Traceroute's terminal confirmation needs an echo responder;
-			// candidate screening skips silent targets like the GCD stage
-			// does.
-			continue
-		}
-		f, err := Measure(w, vps, tg, opts)
-		if err != nil {
-			return nil, probes, err
-		}
-		probes += f.ProbesSent
-		if f.GlobalBGP() {
-			confirmed = append(confirmed, tg.ID)
-		}
-	}
-	sort.Ints(confirmed)
-	return confirmed, probes, nil
 }

@@ -4,8 +4,8 @@
 //   - confirming global-BGP unicast: §5.1.3 uses traceroute to show that
 //     Microsoft-style ℳ prefixes ingress the operator network at distinct
 //     PoPs while terminating at a single server, and names "include global
-//     BGP in our census" as future work — implemented here and surfaced as
-//     the census GlobalBGP flag (internal/core);
+//     BGP in our census" as future work — the Fanout signature, which the
+//     census's screen stage (internal/core) publishes as the GlobalBGP flag;
 //   - ACE-style site enumeration from router fingerprints (Fan et al.,
 //     §2.3), the paper's §5.2 future-work route to separating anycast
 //     sites that GCD merges (the Prague/Bratislava/Vienna case of §6).
@@ -34,8 +34,8 @@ type Options struct {
 	Measurement uint16
 }
 
-// maxTTL bounds the probe TTL.
-const maxTTL = 30
+// MaxTTL bounds the probe TTL, and so the probes one trace sends.
+const MaxTTL = 30
 
 // Hop is one answered (or silent) TTL step.
 type Hop struct {
@@ -75,7 +75,7 @@ func Run(w *netsim.World, vp netsim.VP, tg *netsim.Target, opts Options) (*Path,
 	p := &Path{VP: vp.Name, TargetID: tg.ID}
 	v6 := tg.Addr.Is6() && !tg.Addr.Is4In6()
 
-	for ttl := 1; ttl <= len(hops) && ttl <= maxTTL; ttl++ {
+	for ttl := 1; ttl <= len(hops) && ttl <= MaxTTL; ttl++ {
 		h := hops[ttl-1]
 		id := packet.Identity{
 			Measurement: opts.Measurement,

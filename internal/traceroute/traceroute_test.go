@@ -233,41 +233,6 @@ func TestEnumerateSitesTracksTruthForAnycast(t *testing.T) {
 	}
 }
 
-func TestConfirmGlobalBGPScreensCandidates(t *testing.T) {
-	w := testWorld(t)
-	vps := []netsim.VP{
-		vpAt(t, w, "scr-1", "Amsterdam"), vpAt(t, w, "scr-2", "Tokyo"),
-		vpAt(t, w, "scr-3", "Los Angeles"), vpAt(t, w, "scr-4", "Sao Paulo"),
-		vpAt(t, w, "scr-5", "Sydney"), vpAt(t, w, "scr-6", "Johannesburg"),
-	}
-	var cands []*netsim.Target
-	for i := range w.NumTargets(false) {
-		tg := w.TargetAt(false, i)
-		if tg.Kind == netsim.GlobalUnicast || (tg.Kind == netsim.Unicast && len(tg.TempWindows) == 0) {
-			cands = append(cands, tg)
-		}
-		if len(cands) >= 50 {
-			break
-		}
-	}
-	ids, probes, err := ConfirmGlobalBGP(w, vps, cands, netsim.DayTime(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probes == 0 {
-		t.Fatal("no probes accounted")
-	}
-	byID := make(map[int]*netsim.Target)
-	for _, tg := range cands {
-		byID[tg.ID] = tg
-	}
-	for _, id := range ids {
-		if byID[id].Kind != netsim.GlobalUnicast {
-			t.Fatalf("confirmed %v target %d as global BGP", byID[id].Kind, id)
-		}
-	}
-}
-
 func TestRunIPv6Target(t *testing.T) {
 	w := testWorld(t)
 	vp := vpAt(t, w, "tr-v6", "Frankfurt")

@@ -66,7 +66,8 @@ const allocPrefix = "allocs/"
 //     the two day-273 appends, both deltas, as steps;
 //   - query.BuildDir over days 265–272, then the extension to 273;
 //   - Server.Reload onto the extended index and a fixed request mix
-//     through Handler.
+//     through Handler, each GET served twice at once: the repeat counts
+//     only for its steady allocation row.
 //
 // A row is an identity (the SHA-256 of a census document, day-file,
 // index file or response body), a count (a registry series a step moved,
@@ -275,11 +276,17 @@ func runLedger(t *testing.T) map[string]string {
 		{"aggregates", "/v1/aggregates"},
 		{"responsibility-ipv4-273", "/v1/responsibility?day=273"},
 	} {
-		r := httptest.NewRequest("GET", rq.target, nil)
-		if strings.HasSuffix(rq.name, "-revalidate") {
-			r.Header.Set("If-None-Match", etag)
+		get := func() *http.Request {
+			r := httptest.NewRequest("GET", rq.target, nil)
+			if strings.HasSuffix(rq.name, "-revalidate") {
+				r.Header.Set("If-None-Match", etag)
+			}
+			return r
 		}
-		etag = l.request(h, fmt.Sprintf("serve/%02d-%s", i+1, rq.name), r).Header().Get("Etag")
+		name := fmt.Sprintf("serve/%02d-%s", i+1, rq.name)
+		rec := l.request(h, name, get())
+		l.steady(h, name, get())
+		etag = rec.Header().Get("Etag")
 	}
 	measure := httptest.NewRequest("POST", "/v1/measure", strings.NewReader(`{"prefix":"`+prefix+`"}`))
 	l.request(h, "serve/15-measure", measure)
@@ -311,17 +318,31 @@ func (l *ledger) hash(name string, b []byte) {
 func (l *ledger) step(name string, fn func()) {
 	l.t.Helper()
 	before := l.series()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocs := ms.Mallocs
-	fn()
-	runtime.ReadMemStats(&ms)
-	l.add(allocPrefix+name, ms.Mallocs-mallocs)
+	l.add(allocPrefix+name, mallocs(fn))
 	for k, v := range l.series() {
 		if d := v - before[k]; d != 0 {
 			l.add(name+"/"+k, int64(d))
 		}
 	}
+}
+
+// steady serves r, a repeat of step name's request, through h and
+// records the allocations it made as name's steady row: what the request
+// costs once nothing is left to warm. No count row sees the repeat.
+func (l *ledger) steady(h http.Handler, name string, r *http.Request) {
+	l.t.Helper()
+	rec := httptest.NewRecorder()
+	l.add(allocPrefix+name+"/steady", mallocs(func() { h.ServeHTTP(rec, r) }))
+}
+
+// mallocs returns the heap allocations fn makes.
+func mallocs(fn func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	fn()
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs - before
 }
 
 // series reads the ledger series, keyed as the exposition names them.
