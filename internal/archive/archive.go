@@ -16,19 +16,25 @@
 //	                       per family
 //
 // Every index record carries a CRC-32C over the day's canonical JSON
-// bytes, so Verify can prove — without any external reference — that
-// unpacking reproduces exactly what WriteJSON published.
+// bytes, so every read can prove — without any external reference — that
+// unpacking reproduces exactly what WriteJSON published: the reader's
+// walk proves each day it rebuilds, and a day-file changed since it was
+// packed is an error on every read path (Day, Document, Range,
+// RangeJSON, Verify), never a day served.
 //
 // commit.go is the store's one write seam: a day file (and query's
 // timeline.idx and its .agg sidecar) appears whole through CommitFile's
 // tmp-and-rename, and index.jsonl is opened, repaired and appended there.
 //
 // Rows are the one form a day takes here. core.SplitDocument and
-// core.SplitDelta split a day-file into rows (a prefix, parsed for the
-// merge, and the row's bytes) in one table-driven, reflection-free pass
-// that accepts only the writer's form; encoding/json reads the small
-// header object, and the whole file only when the file holds something
-// the writer never emits. A day outside a day-file takes one form,
+// core.SplitDelta, the checking split, split a day-file into rows (a
+// prefix, parsed for the merge, and the row's bytes) in one
+// table-driven, reflection-free pass that accepts only the writer's
+// form; encoding/json reads the small header object, and the whole file
+// only when the file holds something the writer never emits. A day-file
+// the checking split's rows took once and whose day was proven is split
+// by core's proven split when its bytes come back unchanged, which finds
+// the rows and checks no field. A day outside a day-file takes one form,
 // core.CanonicalDay: its canonical bytes and the rows that alias them.
 // The writer streams each day into it once (core.StreamDocument), keeps
 // it for the next day, and stores a delta day as core.DiffRows of the
@@ -41,10 +47,12 @@
 // their bytes. ReadDay splits one day-file for the query indexer, which
 // takes a delta's changes as they are.
 //
-// The reader (Archive) is a stateless, lock-free store: it caches
-// nothing, so a day it returns is the caller's own, and callers that
-// re-read days keep their own cache (internal/api's day LRU). Every
-// day-file is read whole, once per walk.
+// The reader (Archive) is a lock-free store: it caches no day and no
+// day-file's bytes, so a day it returns is the caller's own, and callers
+// that re-read days keep their own cache (internal/api's day LRU). Every
+// day-file is read whole, once per walk. What changes after Open is a
+// decode counter and, per record, the keyed hash of the bytes its day
+// was last proven from: one atomic word each.
 package archive
 
 import (

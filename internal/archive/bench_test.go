@@ -98,57 +98,56 @@ func BenchmarkArchiveDecodeRange(b *testing.B) {
 
 // BenchmarkRangeJSON times /v1/range's read: 7-day windows of the packed
 // archive as AppendJSON lines, the window's start stepping through the
-// run so every offset from a snapshot is met.
+// run so every offset from a snapshot is met, on a first and on a
+// proven handle (benchReads).
 func BenchmarkRangeJSON(b *testing.B) {
-	a := benchArchive(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchReads(b, benchDir(b), func(a *Archive, i int) error {
 		from := i % (benchDays - 6)
 		n := 0
 		err := a.RangeJSON("ipv4", from, from+6, func(day int, line []byte) error {
 			n += len(line)
 			return nil
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n == 0 {
+		if err == nil && n == 0 {
 			b.Fatal("empty range")
 		}
-	}
+		return err
+	})
 }
 
-// BenchmarkArchiveDay times /v1/census's cold read of one day, the day
-// stepping through the run so every offset from a snapshot is met:
-// "rows" is Archive.Day, the canonical bytes rebuilt from the stored
-// rows and checked against the day's record; "decode" is the decode and
-// re-encode it replaced (Document, then StreamDocument).
+// BenchmarkArchiveDay times /v1/census's cold read of one day,
+// Archive.Day, the canonical bytes rebuilt from the stored rows, the day
+// stepping through the run so every offset from a snapshot is met, on a
+// first and on a proven handle (benchReads).
 func BenchmarkArchiveDay(b *testing.B) {
-	a := benchArchive(b)
-	for _, c := range []struct {
-		name string
-		read func(day int) error
-	}{
-		{"rows", func(day int) error {
-			d, err := a.Day("ipv4", day)
-			if err == nil && len(d.Bytes()) == 0 {
-				b.Fatal("empty day")
-			}
-			return err
-		}},
-		{"decode", func(day int) error {
-			doc, err := a.Document("ipv4", day)
-			if err != nil {
-				return err
-			}
-			return core.StreamDocument(io.Discard, doc)
-		}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
+	benchReads(b, benchDir(b), func(a *Archive, i int) error {
+		d, err := a.Day("ipv4", i%benchDays)
+		if err == nil && len(d.Bytes()) == 0 {
+			b.Fatal("empty day")
+		}
+		return err
+	})
+}
+
+// benchReads times read(a, i) on the archive in dir in two cases:
+// "first" opens a new handle, untimed, before each read, so the read
+// proves every day-file it reads (a delta day rebuilt and checked
+// against its record); "proven" reads on one handle throughout, whose
+// day-files are proven after the first reads, so a read takes the
+// proven split and rebuilds nothing to prove.
+func benchReads(b *testing.B, dir string, read func(a *Archive, i int) error) {
+	for _, c := range []string{"first", "proven"} {
+		b.Run(c, func(b *testing.B) {
+			a := openBench(b, dir)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := c.read(i % benchDays); err != nil {
+				if c == "first" {
+					b.StopTimer()
+					a = openBench(b, dir)
+					b.StartTimer()
+				}
+				if err := read(a, i); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -156,8 +155,9 @@ func BenchmarkArchiveDay(b *testing.B) {
 	}
 }
 
-// benchArchive packs the 120-day run at SnapshotEvery 7 and opens it.
-func benchArchive(b *testing.B) *Archive {
+// benchDir packs the 120-day run at SnapshotEvery 7 and returns its
+// directory.
+func benchDir(b *testing.B) string {
 	docs, _ := benchChain(b)
 	dir := b.TempDir()
 	w, err := Create(dir, Options{SnapshotEvery: 7})
@@ -172,6 +172,14 @@ func benchArchive(b *testing.B) *Archive {
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
+	return dir
+}
+
+// benchArchive packs the 120-day run at SnapshotEvery 7 and opens it.
+func benchArchive(b *testing.B) *Archive { return openBench(b, benchDir(b)) }
+
+// openBench opens the archive in dir.
+func openBench(b *testing.B, dir string) *Archive {
 	a, err := Open(dir)
 	if err != nil {
 		b.Fatal(err)

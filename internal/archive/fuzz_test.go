@@ -2,7 +2,9 @@ package archive
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,9 +17,11 @@ import (
 // FuzzArchiveOpen feeds arbitrary index.jsonl bytes to Open over the day
 // files of a real two-family archive: the index is the archive's trust
 // boundary. Open, Verify, Range, RangeJSON and Day must not panic, every
-// record Open accepts must name a file inside the directory, and what
-// the five allocate must stay within a fixed multiple of the input's
-// length on top of what reading the real archive costs.
+// record Open accepts must name a file inside the directory, every day
+// read a second time on the handle, through the proofs the first reading
+// stored, must read as it did the first time, and what all of that
+// allocates must stay within a fixed multiple of the input's length on
+// top of what reading the real archive costs.
 func FuzzArchiveOpen(f *testing.F) {
 	src := f.TempDir()
 	w, err := Create(src, Options{SnapshotEvery: 3})
@@ -83,10 +87,12 @@ func FuzzArchiveOpen(f *testing.F) {
 }
 
 // openVerifyRange writes index as dir's index.jsonl, opens the archive,
-// checks every accepted record names a file inside dir, then verifies it,
-// ranges over each family, as documents and as lines, and rebuilds each
-// day in canonical form. It returns the bytes all of that allocated;
-// errors other than an escaping record are the input's own.
+// checks every accepted record names a file inside dir, then reads every
+// day twice on the handle (readAll), the second time through the proofs
+// the first stored: after a Verify that passes, every record holds one,
+// as every day-file in dir is in the writer's form. The two readings
+// must agree. It returns the bytes all of that allocated; errors other
+// than an escaping record or a reading that differs are the input's own.
 func openVerifyRange(t testing.TB, dir string, index []byte) uint64 {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, IndexFile), index, 0o644); err != nil {
@@ -101,15 +107,45 @@ func openVerifyRange(t testing.TB, dir string, index []byte) uint64 {
 				t.Fatalf("Open accepted a record naming %q, outside the archive directory", rec.File)
 			}
 		}
-		a.Verify()
-		for _, fam := range a.Families() {
-			a.Range(fam, 0, -1, func(int, *core.Document) error { return nil })
-			a.RangeJSON(fam, 0, -1, func(int, []byte) error { return nil })
-			for _, d := range a.Days(fam) {
-				a.Day(fam, d)
+		first, verified := readAll(a)
+		for i := range a.proofs {
+			if verified && a.proofs[i].Load() == 0 {
+				t.Fatalf("Verify passed, but %s holds no proof", a.recs[i].File)
 			}
+		}
+		if second, _ := readAll(a); second != first {
+			t.Fatal("a second reading of the days on one handle differs from the first")
 		}
 	}
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// readAll verifies a, ranges over each family, as documents and as
+// lines, and rebuilds each day in canonical form. It returns a digest of
+// everything those reads gave, errors included, and whether Verify
+// passed.
+func readAll(a *Archive) (digest [sha256.Size]byte, verified bool) {
+	h := sha256.New()
+	res, verr := a.Verify()
+	fmt.Fprintln(h, res.Days, verr)
+	enc := json.NewEncoder(h)
+	for _, fam := range a.Families() {
+		err := a.Range(fam, 0, -1, func(d int, doc *core.Document) error { return enc.Encode(doc) })
+		fmt.Fprintln(h, err)
+		err = a.RangeJSON(fam, 0, -1, func(d int, line []byte) error {
+			_, err := h.Write(line)
+			return err
+		})
+		fmt.Fprintln(h, err)
+		for _, d := range a.Days(fam) {
+			c, err := a.Day(fam, d)
+			if err == nil {
+				h.Write(c.Bytes())
+			}
+			fmt.Fprintln(h, err)
+		}
+	}
+	h.Sum(digest[:0])
+	return digest, verr == nil
 }

@@ -1,0 +1,200 @@
+package archive_test
+
+import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"github.com/laces-project/laces/internal/api"
+	"github.com/laces-project/laces/internal/archive"
+	"github.com/laces-project/laces/internal/core"
+	"github.com/laces-project/laces/internal/netsim"
+	"github.com/laces-project/laces/internal/platform"
+)
+
+// TestEveryReadPathRefusesAChangedDayFile: a day-file changed after it
+// was packed — one gcd_sites digit of a delta (TestVerifyDetectsCorruption's
+// edit, which keeps the writer's form) or one city letter of a snapshot —
+// is refused by every read path. Day, Document, Range, RangeJSON and
+// Verify fail for the changed day and for every later day of its chain,
+// and /v1/range through api's Handler streams the days before it and
+// then aborts; the days before it, and the chain after the next
+// snapshot, still read. Each case runs on a fresh handle and on one that
+// proved every day-file before the change, whose stored proofs the
+// changed bytes must miss.
+func TestEveryReadPathRefusesAChangedDayFile(t *testing.T) {
+	w, err := netsim.New(netsim.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := platform.Tangled(w, netsim.PolicyUnmodified)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		day, chainEnd int // the changed day, and the next snapshot's
+		field         string
+	}{
+		{"delta", 2, 4, `"gcd_sites":`},
+		{"snapshot", 4, 8, `"gcd_cities": [` + "\n" + `        "`},
+	} {
+		for _, proven := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/proven=%v", c.name, proven), func(t *testing.T) {
+				dir := t.TempDir()
+				packProofChain(t, dir)
+				a, err := archive.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if proven {
+					if _, err := a.Verify(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rec, _ := a.Record("ipv4", c.day)
+				if rec.Kind != c.name {
+					t.Fatalf("day %d is a %s, want a %s", c.day, rec.Kind, c.name)
+				}
+				changeByteAfter(t, filepath.Join(dir, rec.File), c.field)
+				if !proven {
+					if a, err = archive.Open(dir); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s, err := api.NewServer(w, dep, func(day int, v6 bool) ([]netsim.VP, error) { return platform.Ark(w, day, v6) }, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Archive = a
+				checkRefused(t, a, s.Handler(), c.day, c.chainEnd)
+			})
+		}
+	}
+}
+
+// checkRefused holds every read path of a, and /v1/range through h, to
+// refusing the ipv4 days [changed, chainEnd) and serving every other.
+func checkRefused(t *testing.T, a *archive.Archive, h http.Handler, changed, chainEnd int) {
+	t.Helper()
+	days := a.Days("ipv4")
+	for _, d := range days {
+		refused := changed <= d && d < chainEnd
+		_, dayErr := a.Day("ipv4", d)
+		_, docErr := a.Document("ipv4", d)
+		rangeErr := a.Range("ipv4", d, d, func(int, *core.Document) error { return nil })
+		lineErr := a.RangeJSON("ipv4", d, d, func(int, []byte) error { return nil })
+		for _, r := range []struct {
+			path string
+			err  error
+		}{{"Day", dayErr}, {"Document", docErr}, {"Range", rangeErr}, {"RangeJSON", lineErr}} {
+			if (r.err != nil) != refused {
+				t.Errorf("%s of day %d: error %v, want one: %v", r.path, d, r.err, refused)
+			}
+		}
+		lines, aborted := serveRange(h, fmt.Sprintf("/v1/range?from=%d&to=%d", d, d))
+		if aborted != refused || !refused && lines != 1 {
+			t.Errorf("/v1/range of day %d: %d lines, aborted %v; want an abort: %v", d, lines, aborted, refused)
+		}
+	}
+	var seen []int
+	rangeErr := a.Range("ipv4", 0, -1, func(d int, _ *core.Document) error {
+		seen = append(seen, d)
+		return nil
+	})
+	if rangeErr == nil || len(seen) != changed {
+		t.Errorf("Range of every day: days %v, error %v; want days before %d, then an error", seen, rangeErr, changed)
+	}
+	seen = seen[:0]
+	lineErr := a.RangeJSON("ipv4", 0, -1, func(d int, _ []byte) error {
+		seen = append(seen, d)
+		return nil
+	})
+	if lineErr == nil || len(seen) != changed {
+		t.Errorf("RangeJSON of every day: days %v, error %v; want days before %d, then an error", seen, lineErr, changed)
+	}
+	if lines, aborted := serveRange(h, "/v1/range"); !aborted || lines != changed {
+		t.Errorf("/v1/range of every day: %d lines, aborted %v; want %d lines, then an abort", lines, aborted, changed)
+	}
+	if res, err := a.Verify(); err == nil {
+		t.Errorf("Verify accepted a changed day-file (%d days)", res.Days)
+	}
+}
+
+// serveRange GETs target from h and returns the lines the response
+// carries and whether the handler aborted it mid-body.
+func serveRange(h http.Handler, target string) (lines int, aborted bool) {
+	rec := httptest.NewRecorder()
+	defer func() {
+		if p := recover(); p != nil {
+			if p != http.ErrAbortHandler {
+				panic(p)
+			}
+			lines, aborted = bytes.Count(rec.Body.Bytes(), []byte("\n")), true
+		}
+	}()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+	if rec.Code != http.StatusOK {
+		return 0, true
+	}
+	return bytes.Count(rec.Body.Bytes(), []byte("\n")), false
+}
+
+// packProofChain packs nine ipv4 days at snapshot cadence 4 (snapshots
+// on days 0, 4 and 8), each day changing some rows' site counts, so each
+// delta upserts rows with a gcd_sites field.
+func packProofChain(t *testing.T, dir string) {
+	t.Helper()
+	aw, err := archive.Create(dir, archive.Options{SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 9; n++ {
+		var rows []core.DocumentEntry
+		for i := 0; i < 20; i++ {
+			rows = append(rows, row(fmt.Sprintf("1.0.%d.0/24", i), 2+(i+n/(1+i%3))%7, "London", "Paris"))
+		}
+		d := day(n, fmt.Sprintf("2024-03-%02d", n+1), rows...)
+		if err := aw.Append(d.day, d.doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// changeByteAfter changes the byte that follows the first field in the
+// file at path, a digit to another digit and a letter to another letter,
+// so the file keeps the writer's form.
+func changeByteAfter(t *testing.T, path, field string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(b, []byte(field))
+	if i < 0 {
+		t.Fatalf("%s holds no %q", path, field)
+	}
+	i += len(field)
+	switch b[i] {
+	case '9':
+		b[i] = '8'
+	case 'X':
+		b[i] = 'Y'
+	default:
+		if '0' <= b[i] && b[i] <= '9' {
+			b[i] = '9'
+		} else {
+			b[i] = 'X'
+		}
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"io"
 	"os"
 	"path/filepath"
@@ -24,18 +25,23 @@ var ErrNotFound = errors.New("day not archived")
 // Archive reads an archived census repository. A day is rebuilt from
 // stored rows: the walk reads each day-file from the nearest snapshot at
 // or before the day once, splits it into rows (a prefix, parsed for the
-// merge, and the row's bytes) in core's one table-driven pass, which
-// accepts only the writer's form and leaves any other file to
-// encoding/json, and merges each delta's rows into the day before; a reader
+// merge, and the row's bytes) and merges each delta's rows into the day
+// before, and proves each day against its record (walk); a reader
 // appends the day's canonical bytes from the rows (Day), decodes only
 // the rows it hands out (Document, Range) or copies their bytes
-// (RangeJSON). What a read fills — the day-files' bytes, the split rows
-// with the snapshot rows compacted for RangeJSON, and RangeJSON's line —
-// comes from pools and goes back when the read returns. Nothing is
-// cached and nothing but an atomic counter changes after Open, so the
-// handle is safe for concurrent use without a lock and every day or
-// document it returns is the caller's own; a caller that re-reads days
-// caches them itself (internal/api holds the one day LRU).
+// (RangeJSON). The first read of a day-file splits it in core's checking
+// split, which accepts only the writer's form and leaves any other file
+// to encoding/json; once its day is proven, a keyed hash of the file's
+// bytes is kept for its record, and a later read of the same bytes takes
+// core's proven split, which only finds the rows. What a read fills —
+// the day-files' bytes, the split rows with the snapshot rows compacted
+// for RangeJSON, a delta day rebuilt to be proven, and RangeJSON's line
+// — comes from pools and goes back when the read returns. No day-file's
+// bytes are cached, and nothing but an atomic counter and the per-record
+// proofs (one atomic word each) changes after Open, so the handle is
+// safe for concurrent use without a lock and every day or document it
+// returns is the caller's own; a caller that re-reads days caches them
+// itself (internal/api holds the one day LRU).
 type Archive struct {
 	dir   string
 	recs  []Record
@@ -53,6 +59,13 @@ type Archive struct {
 	// answering a timeline from the columnar index must leave it
 	// untouched.
 	decodes atomic.Int64
+
+	// proofs holds, per record, the hash under seed of the day-file bytes
+	// its day was last proven from (walk), or zero: the record's
+	// day-file has not been proven in this handle, or was split by
+	// encoding/json.
+	seed   maphash.Seed
+	proofs []atomic.Uint64
 }
 
 // CacheStats always reports zero: the Archive keeps no cache. The
@@ -99,6 +112,7 @@ func Open(dir string) (*Archive, error) {
 		a.byFam[rec.Family] = append(a.byFam[rec.Family], len(a.recs))
 		a.recs = append(a.recs, rec)
 	}
+	a.seed, a.proofs = maphash.MakeSeed(), make([]atomic.Uint64, len(a.recs))
 	for fam, idxs := range a.byFam {
 		for i := 1; i < len(idxs); i++ {
 			if a.recs[idxs[i]].Day <= a.recs[idxs[i-1]].Day {
@@ -187,10 +201,9 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 // Day rebuilds one archived day in its canonical form
 // (core.RowDay.Canonical), in buffers the caller owns: its bytes are
 // appended from the stored rows, with no row decoded and none
-// re-encoded, and the rows alias them. Before it returns the day it
-// checks the bytes against the CRC and size the day's record holds, as
-// Verify does, so a day-file changed since it was packed is an error and
-// never the packed day's bytes.
+// re-encoded, and the rows alias them. The walk has proven the day
+// against its record, so a day-file changed since it was packed is an
+// error and never the packed day's bytes.
 func (a *Archive) Day(family string, day int) (*core.CanonicalDay, error) {
 	pos, ok := a.find(family, day)
 	if !ok {
@@ -198,7 +211,7 @@ func (a *Archive) Day(family string, day int) (*core.CanonicalDay, error) {
 	}
 	var out *core.CanonicalDay
 	err := a.walk(family, pos, pos, func(rec Record, d *core.RowDay) (err error) {
-		out, err = rec.canonical(d)
+		out, err = d.Canonical(int(rec.FullBytes))
 		return err
 	})
 	if err != nil {
@@ -207,38 +220,52 @@ func (a *Archive) Day(family string, day int) (*core.CanonicalDay, error) {
 	return out, nil
 }
 
-// canonical rebuilds rec's day from its rows d in canonical form and
-// checks its bytes against the CRC-32C and size rec recorded at pack
-// time.
-func (rec *Record) canonical(d *core.RowDay) (*core.CanonicalDay, error) {
-	c, err := d.Canonical(int(rec.FullBytes))
-	if err != nil {
-		return nil, err
+// prove checks day, rebuilt from rec's day-file b, against the CRC-32C
+// and size rec recorded at pack time: a snapshot's file is its day's
+// canonical bytes, and a delta's day is rebuilt in canonical form into
+// canon to be checked.
+func (rec *Record) prove(b []byte, day *core.RowDay, canon *[]byte) error {
+	if rec.Kind == KindDelta {
+		var err error
+		if *canon, err = day.AppendCanonical((*canon)[:0], int(rec.FullBytes)); err != nil {
+			return err
+		}
+		b = *canon
 	}
-	b := c.Bytes()
 	if crc, n := crc32.Checksum(b, castagnoli), int64(len(b)); crc != rec.CRC || n != rec.FullBytes {
-		return nil, fmt.Errorf("archive: %s day %d: reconstructed census does not match packed checksum (crc %08x/%08x, %d/%d bytes)",
+		return fmt.Errorf("archive: %s day %d: reconstructed census does not match packed checksum (crc %08x/%08x, %d/%d bytes)",
 			rec.Family, rec.Day, crc, rec.CRC, n, rec.FullBytes)
 	}
-	return c, nil
+	return nil
 }
 
 // walk rebuilds the days at positions first..last of the family's chain
-// in order and hands each to fn as stored rows: it rewinds to the
-// snapshot the first one derives from, reads each day-file once, splits
-// it into rows and merges each delta into the day before (a snapshot met
-// on the way simply restarts the chain). A row is decoded only if a
-// reader asks for it. Every read goes through here or ReadDay, and every
-// day-file it reads through read.
+// in order, proves each against its record, and hands each to fn as
+// stored rows: it rewinds to the snapshot the first one derives from,
+// reads each day-file once, splits it into rows and merges each delta
+// into the day before (a snapshot met on the way simply restarts the
+// chain). A row is decoded only if a reader asks for it. Every read goes
+// through here or ReadDay, and every day-file it reads through read.
+//
+// Every day the walk meets is proven before fn sees it or the walk goes
+// on, and the first that fails ends the walk with its error, so no
+// reader hands out a day rebuilt from a changed day-file or from one
+// built on it. A day-file whose bytes hash as the ones its record was
+// last proven from (proofs) is split by core's proven split, and its day
+// counts as proven: the rows and the CRC are functions of those bytes
+// and of the day before, which the walk has just proven. Any other is
+// split by the checking split and proven (prove); a file the row split
+// took then records its hash, and one encoding/json decoded never does.
 //
 // The day-files are read into one buffer and split into one
-// core.RowArena, which also holds the rows AppendJSON compacts; both are
-// taken from a pool and given back when the walk returns. Rows live in
-// them, but only until the next snapshot restarts the chain and both
-// start over at their front; and nothing fn is handed outlives the walk
-// in them: Document and Range hand out decoded copies, Day the day's
-// bytes appended to a buffer of its own, and RangeJSON's line, itself
-// from a pool, is valid only during fn.
+// core.RowArena, which also holds the rows AppendJSON compacts; both
+// are taken from a pool and given back when the walk returns, as is the
+// buffer a delta day is rebuilt into to be proven. Rows live in them,
+// but only until the next snapshot restarts the chain and both start
+// over at their front; and nothing fn is handed outlives the walk in
+// them: Document and Range hand out decoded copies, Day the day's bytes
+// appended to a buffer of its own, and RangeJSON's line, itself from a
+// pool, is valid only during fn.
 func (a *Archive) walk(family string, first, last int, fn func(rec Record, d *core.RowDay) error) error {
 	if first > last {
 		return nil
@@ -249,16 +276,20 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, d *co
 		base--
 	}
 	files, rows := buffers.Get().(*[]byte), rowArenas.Get().(*core.RowArena)
+	var canon *[]byte // taken from the pool by the first delta proven
 	buf := (*files)[:0]
 	defer func() {
 		*files = buf[:0]
 		buffers.Put(files)
+		if canon != nil {
+			buffers.Put(canon)
+		}
 		rows.Reset()
 		rowArenas.Put(rows)
 	}()
 	var day *core.RowDay
 	for i := base; i <= last; i++ {
-		rec := a.recs[idxs[i]]
+		rec, proof := a.recs[idxs[i]], &a.proofs[idxs[i]]
 		if rec.Kind == KindDelta && day == nil {
 			return fmt.Errorf("archive: %s chain starts with a delta (corrupt index)", family)
 		}
@@ -272,7 +303,10 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, d *co
 		if buf, err = a.read(rec, buf); err != nil {
 			return err
 		}
-		snap, delta, err := split(rec, buf[n:len(buf):len(buf)], rows)
+		b := buf[n:len(buf):len(buf)]
+		sum := maphash.Bytes(a.seed, b)
+		proven := sum != 0 && proof.Load() == sum
+		snap, delta, scanned, err := split(rec, b, rows, proven)
 		if err != nil {
 			return err
 		}
@@ -282,6 +316,17 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, d *co
 			}
 		}
 		day = snap
+		if !proven {
+			if rec.Kind == KindDelta && canon == nil {
+				canon = buffers.Get().(*[]byte)
+			}
+			if err := rec.prove(b, day, canon); err != nil {
+				return err
+			}
+			if scanned {
+				proof.Store(sum)
+			}
+		}
 		if i >= first {
 			if err := fn(rec, day); err != nil {
 				return err
@@ -332,20 +377,37 @@ func (a *Archive) ReadDay(rec Record, rows *core.RowArena) (snap *core.RowDay, d
 	if err != nil {
 		return nil, nil, err
 	}
-	return split(rec, b, rows)
+	snap, delta, _, err = split(rec, b, rows, false)
+	return snap, delta, err
 }
 
-// split splits rec's day-file b, as rec's kind says, into arena rows.
-func split(rec Record, b []byte, rows *core.RowArena) (snap *core.RowDay, delta *core.RowDelta, err error) {
-	if rec.Kind == KindSnapshot {
-		snap, err = core.SplitDocument(b, rows)
-	} else {
-		delta, err = core.SplitDelta(b, rows)
+// split splits rec's day-file b, as rec's kind says, into arena rows:
+// by core's proven split when proven, and otherwise by the checking
+// split. scanned reports that a row split took b, and not encoding/json.
+// The proven split takes every file the checking split's rows took, so
+// bytes it declines merely hash as proven ones, and are an error.
+func split(rec Record, b []byte, rows *core.RowArena, proven bool) (snap *core.RowDay, delta *core.RowDelta, scanned bool, err error) {
+	switch {
+	case proven && rec.Kind == KindSnapshot:
+		snap, scanned = core.ProvenDocumentRows(b, rows)
+	case proven:
+		delta, scanned = core.ProvenDeltaRows(b, rows)
+	case rec.Kind == KindSnapshot:
+		if snap, scanned = core.ScanDocumentRows(b, rows); !scanned {
+			snap, err = core.SplitDocument(b, rows)
+		}
+	default:
+		if delta, scanned = core.ScanDeltaRows(b, rows); !scanned {
+			delta, err = core.SplitDelta(b, rows)
+		}
+	}
+	if proven && !scanned {
+		err = errors.New("bytes hash as a proven day-file's but do not split")
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("archive: %s: %w", rec.File, err)
+		return nil, nil, false, fmt.Errorf("archive: %s: %w", rec.File, err)
 	}
-	return snap, delta, nil
+	return snap, delta, scanned, nil
 }
 
 // Range streams one family's documents for days in [from, to] (inclusive;
@@ -408,16 +470,14 @@ type VerifyResult struct {
 }
 
 // Verify re-derives every archived day and proves the round-trip
-// contract: the day's canonical bytes, rebuilt from its rows as Day
-// rebuilds them, must match the CRC-32C and size recorded at pack time,
-// and its header counts and row count the record's.
+// contract: each day, which the walk proves against the CRC-32C and size
+// its record holds (a snapshot's file, or a delta day's canonical bytes
+// rebuilt from its rows as Day rebuilds them), must also match the
+// record's header counts and row count.
 func (a *Archive) Verify() (*VerifyResult, error) {
 	res := &VerifyResult{}
 	for _, fam := range a.Families() {
 		err := a.walk(fam, 0, len(a.byFam[fam])-1, func(rec Record, d *core.RowDay) error {
-			if _, err := rec.canonical(d); err != nil {
-				return err
-			}
 			if hdr := d.Header(); d.Len() != rec.Entries || hdr.GCount != rec.GCount || hdr.MCount != rec.MCount {
 				return fmt.Errorf("archive: %s day %d: counts diverge from index", fam, rec.Day)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -56,16 +57,52 @@ func (c *CanonicalDay) Stream(doc *Document) error {
 // come to (lenBound), so that a size read from an untrusted record
 // allocates no more than the day. d is only read.
 func (d *RowDay) Canonical(size int) (*CanonicalDay, error) {
-	b, err := appendHeader(make([]byte, 0, min(max(size, 0), d.lenBound())), &d.hdr, true)
-	if err != nil {
-		return nil, err
-	}
-	start := len(b)
 	var rows []row
 	var ptrs []*row
 	if d.rows != nil {
 		rows, ptrs = make([]row, len(d.rows)), make([]*row, len(d.rows))
 	}
+	b, start, err := d.appendCanonical(make([]byte, 0, d.sizeFor(size)), rows)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows { // b has stopped growing: each row's raw, so far only its length, aliases it
+		r := &rows[i]
+		start += len(",\n" + entryElementIndent)
+		end := start + len(r.raw)
+		if r.raw = b[start:end:end]; r.entry != nil {
+			r.raw = nil // its bytes may hold escapes, which a row's raw never does
+		}
+		start = end
+		ptrs[i] = r
+	}
+	c := &CanonicalDay{b: b}
+	c.day = &RowDay{hdr: d.hdr, rows: ptrs, arena: &c.arena}
+	return c, nil
+}
+
+// AppendCanonical appends the day's canonical bytes, as Canonical makes
+// them, to b, first growing b as Canonical sizes its buffer for size: a
+// reader that only checks the bytes rebuilds them into a buffer it
+// reuses.
+func (d *RowDay) AppendCanonical(b []byte, size int) ([]byte, error) {
+	b, _, err := d.appendCanonical(slices.Grow(b, d.sizeFor(size)), nil)
+	return b, err
+}
+
+// sizeFor is the room Canonical makes for a day expected to be size
+// bytes long: size, within what d's rows can come to (lenBound).
+func (d *RowDay) sizeFor(size int) int { return min(max(size, 0), d.lenBound()) }
+
+// appendCanonical appends the day's canonical bytes to b and returns
+// them and where its rows start. With rows, each rows[i] is set to d's
+// i-th row with its raw the bytes appended for it.
+func (d *RowDay) appendCanonical(b []byte, rows []row) ([]byte, int, error) {
+	b, err := appendHeader(b, &d.hdr, true)
+	if err != nil {
+		return b, 0, err
+	}
+	start := len(b)
 	for i, r := range d.rows {
 		b = appendEntrySep(b, i)
 		n := len(b)
@@ -77,21 +114,11 @@ func (d *RowDay) Canonical(size int) (*CanonicalDay, error) {
 		default:
 			b = appendIndented(b, r.raw)
 		}
-		rows[i], ptrs[i] = row{key: r.key, entry: r.entry, raw: b[n:], indented: r.entry == nil}, &rows[i]
-	}
-	b = appendDocumentEnd(b, len(d.rows), d.rows != nil)
-	for i := range rows { // b has stopped growing: each row's raw, so far only its length, aliases it
-		r := &rows[i]
-		start += len(",\n" + entryElementIndent)
-		end := start + len(r.raw)
-		if r.raw = b[start:end:end]; r.entry != nil {
-			r.raw = nil // its bytes may hold escapes, which a row's raw never does
+		if rows != nil {
+			rows[i] = row{key: r.key, entry: r.entry, raw: b[n:], indented: r.entry == nil}
 		}
-		start = end
 	}
-	c := &CanonicalDay{b: b}
-	c.day = &RowDay{hdr: d.hdr, rows: ptrs, arena: &c.arena}
-	return c, nil
+	return appendDocumentEnd(b, len(d.rows), d.rows != nil), start, nil
 }
 
 // lenBound is a length d's canonical bytes stay within unless its header

@@ -100,7 +100,9 @@ func (p *Pipeline) RunDaily(day int, v6 bool, dayOpts DayOptions) (*DailyCensus,
 // probes sent and budget.Admitted — or, for a target the gate denies, no
 // row and the decision, with no GCD after a denied first round. It
 // records no stage series or spans, but its probes count in the world's
-// laces_netsim_* series; of the pipeline's state it touches the ledger.
+// laces_netsim_* series and its admission decisions in its
+// laces_budget_* series (par.Run); of the pipeline's state it touches
+// the ledger.
 func (p *Pipeline) Measure(tg *netsim.Target, day int) (*Entry, int64, budget.Decision, error) {
 	v6 := tg.Addr.Is6()
 	noon := netsim.DayTime(day).Add(12 * time.Hour)

@@ -105,18 +105,28 @@ func (s *scanner) delta(hdr *Document, removed, upserts func()) bool {
 // the grammar and stays false; every method is safe to call after that
 // and does nothing useful, so callers check ok once per loop.
 type scanner struct {
-	b    []byte
-	i    int
-	ok   bool
-	hint int // rows in the file, to size the row slices
+	b      []byte
+	i      int
+	ok     bool
+	hint   int  // rows in the file, to size the row slices
+	proven bool // the proven split: rows are found (rowSpan), not checked
 }
 
-// newScanner prepares a scan of b. Every row is an object, so the count
-// of '{' bounds the rows from above; no row the writer emits is shorter
-// than 64 bytes, which keeps the hint within the input's size whatever
-// the bytes are.
-func newScanner(b []byte) *scanner {
-	return &scanner{b: b, ok: true, hint: min(bytes.Count(b, []byte("{")), len(b)/64)}
+// newScanner prepares a scan of b, for the proven split when proven.
+func newScanner(b []byte, proven bool) scanner {
+	return scanner{b: b, ok: true, hint: rowHint(b, proven), proven: proven}
+}
+
+// rowHint bounds the rows in b from above. No row the writer emits is
+// shorter than 64 bytes, so len(b)/64 bounds the rows of the writer's
+// bytes, which the proven split reads, and keeps the hint within the
+// input's size whatever the bytes are. Every row is an object, so the
+// checking split takes the count of '{' as well.
+func rowHint(b []byte, proven bool) int {
+	if proven {
+		return len(b) / 64
+	}
+	return min(bytes.Count(b, []byte("{")), len(b)/64)
 }
 
 // ws skips JSON whitespace.

@@ -35,8 +35,8 @@ func decodeFixture(t testing.TB, n int) (prev *Document, snap, delta []byte) {
 // SplitDocument, then RowDecoder — to encoding/json on b: the same
 // document, the same compact line as json.Marshal and the same canonical
 // bytes as StreamDocument (checkCanonical), or the same error; and the
-// split's fast path to the reference splitter
-// (checkSplitMatchesReference).
+// split's fast path to the reference splitter, and the proven split to
+// the fast path (checkSplitMatchesReference).
 func checkDecodeDocument(t *testing.T, b []byte) {
 	checkSplitMatchesReference(t, b, true)
 	var want Document
@@ -114,8 +114,9 @@ func decodeSeeds(t testing.TB, b []byte, sep string) [][]byte {
 }
 
 // FuzzDecodeDocument: on any bytes the row path a snapshot is read by
-// agrees with encoding/json, and the split accepts and splits exactly
-// what the reference splitter does.
+// agrees with encoding/json, the split accepts and splits exactly what
+// the reference splitter does, and the proven split does not panic and
+// splits what the split accepts as the split does.
 func FuzzDecodeDocument(f *testing.F) {
 	_, snap, _ := decodeFixture(f, 10)
 	seeds := decodeSeeds(f, snap, ": ")
@@ -132,6 +133,7 @@ func FuzzDecodeDocument(f *testing.F) {
 		edit(f, snap, `"responsibility": {`, `"responsibility": null, "responsibility": {`),
 		edit(f, snap, "\n  ]\n}", "\n  ], \"date\": \"x\"\n}"),
 		edit(f, snap, `"date": "`, `"date": "`+strings.Repeat("x", 5<<10)), // a header past Canonical's allowance
+		edit(f, snap, `"Tokyo"`, `"To}kyo"`),                               // a '}' in a name
 		[]byte(`{"entries":[{}]}`),
 		[]byte(`{"entries":[{"prefix":"10.0.0.0/24","gcd_cities":[]}]}`),
 	)
@@ -197,9 +199,10 @@ func checkDecodeDelta(t *testing.T, b []byte) *RowDelta {
 // do, with the same error, and otherwise gives the same compact line
 // and the same document; RowDecoder.Delta reads the delta as
 // encoding/json does; and the split accepts and splits exactly what the
-// reference splitter does. The extra seeds are in the scanner's grammar
-// but not in the writer's form, which the split must leave to
-// encoding/json.
+// reference splitter does, and the proven split does not panic and
+// splits what the split accepts as the split does. The extra seeds are
+// in the scanner's grammar but not in the writer's form, which the split
+// must leave to encoding/json.
 func FuzzSplitDelta(f *testing.F) {
 	prev, snap, delta := decodeFixture(f, 10)
 	seeds := append(deltaSeeds(f, prev, delta),
@@ -211,6 +214,7 @@ func FuzzSplitDelta(f *testing.F) {
 		edit(f, delta, `"Tokyo"`, `"Tok<yo"`),
 		edit(f, delta, `"Tokyo"`, "\"Tok\u2028yo\""),
 		edit(f, delta, `"Tokyo"`, `"Tokyo","Tokyo"`),
+		edit(f, delta, `"Tokyo"`, `"To}kyo","}]}"`), // a '}' in a name, which only the proven split's quote count tells from a row's end
 	)
 	for _, s := range seeds {
 		f.Add(s)

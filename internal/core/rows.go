@@ -17,6 +17,17 @@ import (
 // rebuild a chain of day-files with one merge per delta and nothing
 // decoded, and decode only the rows they hand out (RowDecoder).
 //
+// A day-file is split by one of two splits, which give the same rows.
+// The checking split (SplitDocument, SplitDelta) is for bytes nothing
+// has vouched for: it checks every row against the grammar below, and
+// leaves a file outside it to encoding/json. The proven split
+// (ProvenDocumentRows, ProvenDeltaRows) is for bytes the checking split
+// accepted before, which a reader has since proven to be the day its
+// record covers (the archive proves each day-file once and recognises
+// its bytes after that): it finds only each row's extent, its prefix key
+// and the removals, checking no field, and stays within bounds on any
+// input.
+//
 // A row has one grammar, and it is a table: rowFields lists
 // DocumentEntry's twelve fields in struct order with each value's form,
 // and a rowLayout holds, per layout, the whitespace that makes up each
@@ -137,7 +148,20 @@ func SplitDelta(b []byte, a *RowArena) (*RowDelta, error) {
 // ScanDocumentRows is SplitDocument's fast path: it splits b when b is a
 // snapshot in the writer's form and reports false otherwise.
 func ScanDocumentRows(b []byte, a *RowArena) (*RowDay, bool) {
-	s := newScanner(b)
+	return scanDocumentRows(b, a, false)
+}
+
+// ProvenDocumentRows is the proven split of a snapshot: for bytes
+// ScanDocumentRows accepted before, the rows it makes of them. On other
+// bytes it may split rows ScanDocumentRows would not, or report false.
+func ProvenDocumentRows(b []byte, a *RowArena) (*RowDay, bool) {
+	return scanDocumentRows(b, a, true)
+}
+
+// scanDocumentRows splits the snapshot b into arena a, by the proven
+// split when proven.
+func scanDocumentRows(b []byte, a *RowArena, proven bool) (*RowDay, bool) {
+	s := newScanner(b, proven)
 	var rows []*row
 	hdr, ok := s.document(func() { rows = s.storedRows(indentRows, a) })
 	if !ok {
@@ -149,7 +173,19 @@ func ScanDocumentRows(b []byte, a *RowArena) (*RowDay, bool) {
 // ScanDeltaRows is SplitDelta's fast path: it splits b when b is a delta
 // in the writer's form and reports false otherwise.
 func ScanDeltaRows(b []byte, a *RowArena) (*RowDelta, bool) {
-	s := newScanner(b)
+	return scanDeltaRows(b, a, false)
+}
+
+// ProvenDeltaRows is the proven split of a delta, as ProvenDocumentRows
+// is of a snapshot.
+func ProvenDeltaRows(b []byte, a *RowArena) (*RowDelta, bool) {
+	return scanDeltaRows(b, a, true)
+}
+
+// scanDeltaRows splits the delta b into arena a, by the proven split
+// when proven.
+func scanDeltaRows(b []byte, a *RowArena, proven bool) (*RowDelta, bool) {
+	s := newScanner(b, proven)
 	d := &RowDelta{arena: a}
 	if !s.delta(&d.hdr, func() { d.removed = s.removedKeys(a) }, func() { d.upserts = s.storedRows(compactRows, a) }) {
 		return nil, false
@@ -173,8 +209,9 @@ func decodedRows(es []DocumentEntry) []*row {
 	return out
 }
 
-// removedKeys reads a delta's removals, an array of plain strings, and
-// keys them, into arena a, their strings carved from one.
+// removedKeys reads a delta's removals, an array of plain strings (taken
+// as they stand when the scan is proven), and keys them, into arena a,
+// their strings carved from one.
 func (s *scanner) removedKeys(a *RowArena) []PrefixKey {
 	s.expect('[')
 	if s.peek() == ']' {
@@ -184,14 +221,18 @@ func (s *scanner) removedKeys(a *RowArena) []PrefixKey {
 	first := len(a.keys)
 	prefixes, ends := a.prefix[:0], a.ends[:0]
 	for s.ok {
-		r := s.raw()
+		var r []byte
+		if s.proven {
+			r = s.quoted()
+		} else {
+			r = s.raw()
+		}
 		prefixes = append(prefixes, r...)
 		ends = append(ends, len(prefixes))
-		key, end, ok := prefixKeyAt(r, 0)
-		if !ok || end != len(r) {
-			key = PrefixKey{} // ParsePrefixKey parses it below
+		a.keys = append(a.keys, PrefixKey{})
+		if end, ok := prefixKeyAt(r, 0, &a.keys[len(a.keys)-1]); !ok || end != len(r) {
+			a.keys[len(a.keys)-1] = PrefixKey{} // ParsePrefixKey parses it below
 		}
-		a.keys = append(a.keys, key)
 		if !s.more(']') {
 			break
 		}
@@ -552,7 +593,8 @@ var (
 )
 
 // storedRows splits an array of rows, each exactly as appendEntry writes
-// it in layout l, into arena a. The rows' bytes alias the input; their
+// it in layout l (storedRow), or each only found (rowSpan) when the scan
+// is proven, into arena a. The rows' bytes alias the input; their
 // prefixes are carved from one string, and their keys are parsed as they
 // are split.
 func (s *scanner) storedRows(l *rowLayout, a *RowArena) []*row {
@@ -571,10 +613,22 @@ func (s *scanner) storedRows(l *rowLayout, a *RowArena) []*row {
 	for s.ok {
 		s.ws()
 		start := s.i
-		prefix, key := s.storedRow(l)
+		if len(rows) < cap(rows) {
+			rows = rows[:len(rows)+1]
+		} else {
+			rows = append(rows, row{})
+		}
+		r := &rows[len(rows)-1] // from the arena: every field is set below
+		r.indented, r.entry = l.indented, nil
+		var prefix []byte
+		if s.proven {
+			prefix = s.rowSpan(l, &r.key)
+		} else {
+			prefix = s.storedRow(l, &r.key)
+		}
 		prefixes = append(prefixes, prefix...)
 		ends = append(ends, len(prefixes))
-		rows = append(rows, row{key: key, raw: s.b[start:s.i], indented: l.indented})
+		r.raw = s.b[start:s.i]
 		if s.i < len(s.b) && s.b[s.i] == ',' {
 			s.i++
 			continue
@@ -607,22 +661,12 @@ func (s *scanner) storedRows(l *rowLayout, a *RowArena) []*row {
 // storedRow steps over one row if it is exactly what appendEntry writes
 // in layout l — its fields in rowFields' order, each omitempty field only
 // when set, every value in the form the appender gives it, the layout's
-// whitespace around them — and returns its prefix's bytes and key. The
-// key's string is unset, and its rank is zero when ParsePrefixKey has to
-// parse the prefix. A key is told from the fields it could be by the
-// first eight bytes of its name.
-func (s *scanner) storedRow(l *rowLayout) (prefix []byte, key PrefixKey) {
-	b, i := s.b, s.i
-	if i >= len(b) || b[i] != '{' {
-		s.ok = false
-		return nil, key
-	}
-	if i = l.keyAt(b, i+1, 0); i < 0 {
-		s.ok = false
-		return nil, key
-	}
-	s.i = i
-	prefix, key = s.prefix()
+// whitespace around them — and returns its prefix's bytes and parses
+// its key into key (rowPrefix). A key is told from the fields it could be
+// by the first eight bytes of its name.
+func (s *scanner) storedRow(l *rowLayout, key *PrefixKey) []byte {
+	b := s.b
+	prefix := s.rowPrefix(l, key)
 	f := 1
 	for s.ok && s.i < len(b) && b[s.i] == ',' {
 		w := word(b, s.i+1+len(l.member.s)+1) // the name's first eight bytes, past ',', the whitespace and '"'
@@ -639,7 +683,7 @@ func (s *scanner) storedRow(l *rowLayout) (prefix []byte, key PrefixKey) {
 		}
 		if v < 0 { // missing, unknown, out of order or repeated
 			s.ok = false
-			return nil, key
+			return nil
 		}
 		s.i = v
 		switch rowFields[f].val {
@@ -662,15 +706,64 @@ func (s *scanner) storedRow(l *rowLayout) (prefix []byte, key PrefixKey) {
 		}
 	}
 	if !s.ok {
-		return nil, key
+		return nil
 	}
-	if i = l.end.skip(b, s.i); i < 0 || i >= len(b) || b[i] != '}' {
+	i := l.end.skip(b, s.i)
+	if i < 0 || i >= len(b) || b[i] != '}' {
 		s.ok = false
-		return nil, key
+		return nil
 	}
 	s.i = i + 1
-	return prefix, key
+	return prefix
 }
+
+// rowSpan steps over one row of bytes storedRow accepted before and
+// returns its prefix's bytes and key, as storedRow does, reading nothing
+// past the prefix but where the row ends: at the first '}' outside a
+// string, which a string's plain bytes (no '"', no escape) make the
+// first '}' with an even count of '"' before it in the row.
+func (s *scanner) rowSpan(l *rowLayout, key *PrefixKey) []byte {
+	b := s.b
+	prefix := s.rowPrefix(l, key)
+	for i := s.i; s.ok; {
+		e := bytes.IndexByte(b[i:], '}')
+		if e < 0 {
+			s.ok = false
+			break
+		}
+		if e += i; bytes.Count(b[i:e], quote)%2 == 0 {
+			s.i = e + 1
+			return prefix
+		}
+		q := bytes.IndexByte(b[e:], '"') // the '}' is in a string: go on past its end
+		if q < 0 {
+			s.ok = false
+			break
+		}
+		i = e + q + 1
+	}
+	return nil
+}
+
+// rowPrefix steps over a row's '{' and its prefix field in layout l, and
+// returns the prefix's bytes and parses its key into key: the string
+// unset, and the rank zero when ParsePrefixKey has to parse the prefix.
+func (s *scanner) rowPrefix(l *rowLayout, key *PrefixKey) []byte {
+	b, i := s.b, s.i
+	if i >= len(b) || b[i] != '{' {
+		s.ok = false
+		return nil
+	}
+	if i = l.keyAt(b, i+1, 0); i < 0 {
+		s.ok = false
+		return nil
+	}
+	s.i = i
+	return s.prefix(key)
+}
+
+// quote is the byte rowSpan counts.
+var quote = []byte{'"'}
 
 // keyAt returns where field f's value starts when its key follows b[i:]
 // in layout l — the member's whitespace, the quoted name and the colon —
@@ -713,18 +806,19 @@ func word(b []byte, i int) uint64 {
 	return binary.LittleEndian.Uint64(w[:])
 }
 
-// prefix reads a row's prefix, a plain string, and parses its key when
-// prefixKeyAt can; otherwise the key's rank is zero.
-func (s *scanner) prefix() ([]byte, PrefixKey) {
+// prefix reads a row's prefix, a plain string, and parses its key into
+// key when prefixKeyAt can; otherwise the key is zero.
+func (s *scanner) prefix(key *PrefixKey) []byte {
 	b, i := s.b, s.i
 	if i < len(b) && b[i] == '"' {
 		// A prefix netip writes holds only plain bytes.
-		if key, j, ok := prefixKeyAt(b, i+1); ok && j < len(b) && b[j] == '"' {
+		if j, ok := prefixKeyAt(b, i+1, key); ok && j < len(b) && b[j] == '"' {
 			s.i = j + 1
-			return b[i+1 : j], key
+			return b[i+1 : j]
 		}
 	}
-	return s.plain(), PrefixKey{}
+	*key = PrefixKey{}
+	return s.plain()
 }
 
 // nameSpan steps over a non-empty list of plain strings in layout l in
@@ -818,26 +912,26 @@ func plainBytes(x uint64) uint64 {
 // prefixKeyAt parses the prefix at p[i:] as ParsePrefixKey does, for the
 // forms netip writes — four decimal fields, or hex groups with at most
 // one "::" and no embedded IPv4, then '/' and the bits — and returns the
-// key, its string unset, and where the prefix ends; whatever follows is
-// the caller's to check. It reports false for any other form, which it
-// leaves to ParsePrefixKey.
-func prefixKeyAt(p []byte, i int) (key PrefixKey, end int, ok bool) {
+// key into key, its string unset, and where the prefix ends; whatever
+// follows is the caller's to check. It reports false for any other form,
+// which it leaves to ParsePrefixKey, and then key holds nothing to use.
+func prefixKeyAt(p []byte, i int, key *PrefixKey) (end int, ok bool) {
 	maxBits := 32
-	if key, end, ok = quadAt(p, i); !ok {
-		if key, end, ok = ipv6At(p, i); !ok {
-			return PrefixKey{}, 0, false
+	if end, ok = quadAt(p, i, key); !ok {
+		if end, ok = ipv6At(p, i, key); !ok {
+			return 0, false
 		}
 		maxBits = 128
 	}
 	if end >= len(p) || p[end] != '/' {
-		return PrefixKey{}, 0, false
+		return 0, false
 	}
 	bits, end, ok := decimalAt(p, end+1)
 	if !ok || bits > maxBits {
-		return PrefixKey{}, 0, false
+		return 0, false
 	}
 	key.bits = uint8(bits)
-	return key, end, true
+	return end, true
 }
 
 // decimalAt reads one to three digits at p[i:] with no leading zero.
@@ -848,31 +942,33 @@ func decimalAt(p []byte, i int) (v, end int, ok bool) {
 	return v, end, end > i && (end-i == 1 || p[i] != '0')
 }
 
-// quadAt reads an IPv4 address at p[i:]: four decimal fields of at most
-// 255 with no leading zero, as netip reads them.
-func quadAt(p []byte, i int) (PrefixKey, int, bool) {
+// quadAt reads an IPv4 address at p[i:] into key: four decimal fields of
+// at most 255 with no leading zero, as netip reads them.
+func quadAt(p []byte, i int, key *PrefixKey) (int, bool) {
 	var v uint64
 	for f := 0; f < 4; f++ {
 		if f > 0 {
 			if i >= len(p) || p[i] != '.' {
-				return PrefixKey{}, i, false
+				return i, false
 			}
 			i++
 		}
 		field, end, ok := decimalAt(p, i)
 		if !ok || field > 255 {
-			return PrefixKey{}, i, false
+			return i, false
 		}
 		v, i = v<<8|uint64(field), end
 	}
-	return PrefixKey{lo: 0xffff<<32 | v, rank: keyIPv4}, i, true
+	key.hi, key.lo, key.rank = 0, 0xffff<<32|v, keyIPv4
+	return i, true
 }
 
 // ipv6At reads an IPv6 address at p[i:] as netip's parseIPv6 does, with
 // no zone and no embedded IPv4 address: up to eight groups of one to
 // four hex digits, at most one "::" standing for one group of zeros or
-// more. The address ends at the first byte that continues neither.
-func ipv6At(p []byte, j int) (PrefixKey, int, bool) {
+// more, into key. The address ends at the first byte that continues
+// neither.
+func ipv6At(p []byte, j int, key *PrefixKey) (int, bool) {
 	var ip [16]byte
 	ellipsis, i := -1, 0
 	if j+1 < len(p) && p[j] == ':' && p[j+1] == ':' {
@@ -889,12 +985,12 @@ func ipv6At(p []byte, j int) (PrefixKey, int, bool) {
 				break
 			}
 			if n == 4 {
-				return PrefixKey{}, j, false
+				return j, false
 			}
 			acc, n = acc<<4|d, n+1
 		}
 		if n == 0 {
-			return PrefixKey{}, j, false
+			return j, false
 		}
 		ip[i], ip[i+1] = byte(acc>>8), byte(acc)
 		i += 2
@@ -904,7 +1000,7 @@ func ipv6At(p []byte, j int) (PrefixKey, int, bool) {
 		j++
 		if j < len(p) && p[j] == ':' {
 			if ellipsis >= 0 {
-				return PrefixKey{}, j, false
+				return j, false
 			}
 			ellipsis = i
 			j++
@@ -912,13 +1008,14 @@ func ipv6At(p []byte, j int) (PrefixKey, int, bool) {
 	}
 	switch {
 	case i < 16 && ellipsis < 0, i == 16 && ellipsis >= 0:
-		return PrefixKey{}, j, false // too short, or a "::" standing for no group
+		return j, false // too short, or a "::" standing for no group
 	case i < 16:
 		n := 16 - i
 		copy(ip[ellipsis+n:], ip[ellipsis:i])
 		clear(ip[ellipsis : ellipsis+n])
 	}
-	return PrefixKey{hi: binary.BigEndian.Uint64(ip[:8]), lo: binary.BigEndian.Uint64(ip[8:]), rank: keyIPv6}, j, true
+	key.hi, key.lo, key.rank = binary.BigEndian.Uint64(ip[:8]), binary.BigEndian.Uint64(ip[8:]), keyIPv6
+	return j, true
 }
 
 // hexDigit is c's value as a hex digit, or -1.

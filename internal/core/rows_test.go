@@ -85,7 +85,7 @@ func splitCanonical(t testing.TB, doc *Document) *RowDay {
 // refScanRows is ScanDocumentRows (snap) or ScanDeltaRows on the
 // reference splitter: the rows only, their keys unparsed.
 func refScanRows(b []byte, snap bool) ([]*row, bool) {
-	s := newScanner(b)
+	s := newScanner(b, false)
 	var rows []*row
 	if snap {
 		_, ok := s.document(func() { rows = s.refStoredRows(&indentLayout) })
@@ -116,13 +116,31 @@ func scanRowsInto(b []byte, snap bool, a *RowArena) ([]*row, bool) {
 	return d.upserts, true
 }
 
+// provenRowsInto is scanRowsInto on the proven split.
+func provenRowsInto(b []byte, snap bool, a *RowArena) ([]*row, bool) {
+	if snap {
+		d, ok := ProvenDocumentRows(b, a)
+		if !ok {
+			return nil, false
+		}
+		return d.rows, true
+	}
+	d, ok := ProvenDeltaRows(b, a)
+	if !ok {
+		return nil, false
+	}
+	return d.upserts, true
+}
+
 // checkSplitMatchesReference holds the split of b to the reference
 // splitter: both accept b or both decline it, and what they accept
 // splits into the same rows — the same bounds in b, the same prefixes —
 // each keyed as ParsePrefixKey keys its prefix. A delta's removals are
-// keyed as ParsePrefixKey keys them.
+// keyed as ParsePrefixKey keys them. It holds the proven split of b to
+// the split too (checkProvenSplit).
 func checkSplitMatchesReference(t *testing.T, b []byte, snap bool) {
 	t.Helper()
+	checkProvenSplit(t, b, snap)
 	want, wok := refScanRows(b, snap)
 	got, ok := scanRows(b, snap)
 	if ok != wok {
@@ -152,6 +170,47 @@ func checkSplitMatchesReference(t *testing.T, b []byte, snap bool) {
 		}
 		if k := ParsePrefixKey(r.key.s); r.key != k {
 			t.Fatalf("row %d: key %+v, ParsePrefixKey(%q) = %+v", i, r.key, r.key.s, k)
+		}
+	}
+}
+
+// checkProvenSplit runs the proven split on b, whatever b holds, and
+// where the split's fast path accepts b requires it to accept b too and
+// give the same header, the same rows — the same bytes in b, layout and
+// key — and the same removals, nil and empty kept apart.
+func checkProvenSplit(t *testing.T, b []byte, snap bool) {
+	t.Helper()
+	var got, want []*row
+	var ok bool
+	if snap {
+		p, pok := ProvenDocumentRows(b, new(RowArena))
+		d, dok := ScanDocumentRows(b, new(RowArena))
+		if ok = dok; dok && (!pok || !reflect.DeepEqual(p.hdr, d.hdr)) {
+			t.Fatalf("the proven split of a snapshot the split accepts: accepted %v, header %+v; the split's %+v", pok, p, d.hdr)
+		}
+		if ok {
+			got, want = p.rows, d.rows
+		}
+	} else {
+		p, pok := ProvenDeltaRows(b, new(RowArena))
+		d, dok := ScanDeltaRows(b, new(RowArena))
+		if ok = dok; dok && (!pok || !reflect.DeepEqual(p.hdr, d.hdr) || !reflect.DeepEqual(p.removed, d.removed)) {
+			t.Fatalf("the proven split of a delta the split accepts: accepted %v, %+v; the split's header %+v, removals %v", pok, p, d.hdr, d.removed)
+		}
+		if ok {
+			got, want = p.upserts, d.upserts
+		}
+	}
+	if !ok {
+		return
+	}
+	if (got == nil) != (want == nil) || len(got) != len(want) {
+		t.Fatalf("the proven split makes %d rows (nil %v), the split %d (nil %v)", len(got), got == nil, len(want), want == nil)
+	}
+	for i, r := range got {
+		w := want[i]
+		if len(r.raw) != len(w.raw) || len(r.raw) > 0 && &r.raw[0] != &w.raw[0] || r.indented != w.indented || r.key != w.key {
+			t.Fatalf("row %d: the proven split's\n%q keyed %+v\nthe split's\n%q keyed %+v", i, r.raw, r.key, w.raw, w.key)
 		}
 	}
 }
@@ -293,7 +352,7 @@ func checkRowMatchesReference(t *testing.T, raw []byte, l *entryLayout) {
 	if l == &indentLayout {
 		rl = indentRows
 	}
-	s, ref := newScanner(b), newScanner(b)
+	s, ref := newScanner(b, false), newScanner(b, false)
 	got, want := s.storedRows(rl, new(RowArena)), ref.refStoredRows(l)
 	if s.ok != ref.ok || s.ok && (len(got) != len(want) || s.i != ref.i) {
 		t.Fatalf("the split accepts: %v (%d rows), the reference: %v (%d rows)\n%q", s.ok, len(got), ref.ok, len(want), raw)
@@ -319,7 +378,8 @@ func TestPrefixKeyAt(t *testing.T) {
 		"0::1/128", "::0/128", "a.b.c.d/8", "", "/", "/24", "x",
 	} {
 		want := ParsePrefixKey(p)
-		if k, end, ok := prefixKeyAt([]byte(p), 0); ok && end == len(p) {
+		var k PrefixKey
+		if end, ok := prefixKeyAt([]byte(p), 0, &k); ok && end == len(p) {
 			k.s = p
 			if k != want {
 				t.Errorf("prefixKeyAt(%q) = %+v, ParsePrefixKey %+v", p, k, want)
@@ -331,8 +391,9 @@ func TestPrefixKeyAt(t *testing.T) {
 }
 
 // BenchmarkSplit splits one fixture delta and one fixture snapshot with
-// the table-driven pass, into one arena emptied each time as a walk
-// empties it at a snapshot, and with the reference splitter it replaced.
+// the table-driven pass and with the proven split, each into one arena
+// emptied each time as a walk empties it at a snapshot, and with the
+// reference splitter the table-driven pass replaced.
 func BenchmarkSplit(b *testing.B) {
 	var delta, snap dayFile
 	for _, f := range writerFiles(b, 7) {
@@ -351,7 +412,11 @@ func BenchmarkSplit(b *testing.B) {
 		for _, c := range []struct {
 			name  string
 			split func([]byte, bool) ([]*row, bool)
-		}{{"table", func(b []byte, snap bool) ([]*row, bool) { arena.Reset(); return scanRowsInto(b, snap, &arena) }}, {"reference", refScanRows}} {
+		}{
+			{"table", func(b []byte, snap bool) ([]*row, bool) { arena.Reset(); return scanRowsInto(b, snap, &arena) }},
+			{"proven", func(b []byte, snap bool) ([]*row, bool) { arena.Reset(); return provenRowsInto(b, snap, &arena) }},
+			{"reference", refScanRows},
+		} {
 			b.Run(kind+"/"+c.name, func(b *testing.B) {
 				b.SetBytes(int64(len(f.b)))
 				b.ReportAllocs()

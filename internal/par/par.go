@@ -9,8 +9,9 @@
 //     recorded into the stage's budget.Usage, so the admitted set — and
 //     the census — is the same at every Parallelism; the run's decisions
 //     are then added to laces_budget_admitted_total and
-//     laces_budget_denied_total{reason}, which every pipeline on the
-//     world adds to;
+//     laces_budget_denied_total{reason} on the world's registry, which
+//     every pipeline on the world adds to, the stage observed or not (a
+//     live measurement is not);
 //   - telemetry: the stage's laces_stage_* series, its span with one
 //     shardN child per shard, a live-progress tick per admitted item;
 //   - sharding: shard s of k covers items [s*n/k, (s+1)*n/k) — contiguous,
@@ -74,7 +75,7 @@ type Stage struct {
 	World       *netsim.World
 	V6          bool
 	Gate        *budget.Gate  // nil admits everything at zero cost
-	Obs         *obs.Registry // nil disables telemetry, which never feeds back into results
+	Obs         *obs.Registry // nil disables the stage's telemetry, which never feeds back into results
 	Parallelism int           // <= 0 means GOMAXPROCS, 1 runs on the calling goroutine
 }
 
@@ -128,10 +129,11 @@ func Run[I, O any](st Stage, items []I, usage *budget.Usage, id func(I) int, dem
 		}
 		items = kept
 		const denied = "Targets denied by the responsible-probing ledger, by reason."
-		st.Obs.Counter("laces_budget_admitted_total",
+		reg := st.World.Registry()
+		reg.Counter("laces_budget_admitted_total",
 			"Targets admitted by the responsible-probing ledger.").Add(decided[budget.Admitted])
-		st.Obs.Counter("laces_budget_denied_total", denied, obs.L("reason", "budget")).Add(decided[budget.DeniedBudget])
-		st.Obs.Counter("laces_budget_denied_total", denied, obs.L("reason", "optout")).Add(decided[budget.DeniedOptOut])
+		reg.Counter("laces_budget_denied_total", denied, obs.L("reason", "budget")).Add(decided[budget.DeniedBudget])
+		reg.Counter("laces_budget_denied_total", denied, obs.L("reason", "optout")).Add(decided[budget.DeniedOptOut])
 	}
 
 	// Every handle is a no-op when Obs is nil, and the hot-loop counting

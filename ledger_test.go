@@ -31,7 +31,7 @@ import (
 
 var (
 	updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.golden's identity and count rows from this run")
-	lowerLedger  = flag.String("lower", "", "with -update, lower each allocs/ ceiling whose name matches this regexp to the headroom over this run's count")
+	lowerLedger  = flag.String("lower", "", "with -update, lower each allocs/ or bytes/ ceiling whose name matches this regexp to the headroom over this run's count")
 )
 
 const ledgerGolden = "testdata/ledger.golden"
@@ -51,9 +51,18 @@ var ledgerSeries = []string{
 	"laces_stage_probes_total",
 }
 
-// allocPrefix starts the name of every allocation row. Its value is a
-// ceiling: a run passes with at most that many allocations.
-const allocPrefix = "allocs/"
+// allocPrefix starts the name of every allocation row, and bytesPrefix
+// that of every allocated-bytes row. Their values are ceilings: a run
+// passes with at most that many allocations, or bytes allocated.
+const (
+	allocPrefix = "allocs/"
+	bytesPrefix = "bytes/"
+)
+
+// isCeiling reports whether the row name holds a ceiling.
+func isCeiling(name string) bool {
+	return strings.HasPrefix(name, allocPrefix) || strings.HasPrefix(name, bytesPrefix)
+}
 
 // TestLedger runs one fixed piece of work end to end and compares what
 // it produced, row by row, with testdata/ledger.golden:
@@ -67,21 +76,22 @@ const allocPrefix = "allocs/"
 //   - query.BuildDir over days 265–272, then the extension to 273;
 //   - Server.Reload onto the extended index and a fixed request mix
 //     through Handler, each GET served twice at once: the repeat counts
-//     only for its steady allocation row.
+//     only for its steady allocation and allocated-bytes rows.
 //
 // A row is an identity (the SHA-256 of a census document, day-file,
 // index file or response body), a count (a registry series a step moved,
-// or a value a call returned) or an allocation ceiling. Counts come from
-// the telemetry the system emits anyway: one registry attached through
-// api.Server.Instrument. Allocation rows are checked only without -race.
-// -update rewrites the golden's identity and count rows and adds a
-// ceiling for an allocation row the golden lacks; it lowers a ceiling
-// only when -lower matches its name, and never raises one: a run over a
-// ceiling fails with -update too, and only a hand edit raises it.
+// or a value a call returned) or a ceiling on allocations or on bytes
+// allocated. Counts come from the telemetry the system emits anyway: one
+// registry attached through api.Server.Instrument. Ceiling rows are
+// checked only without -race. -update rewrites the golden's identity and
+// count rows and adds a ceiling for a ceiling row the golden lacks; it
+// lowers a ceiling only when -lower matches its name, and never raises
+// one: a run over a ceiling fails with -update too, and only a hand edit
+// raises it.
 //
 // Two rows say where the golden was recorded. On another platform the
 // test skips: the compiler may fuse multiply-adds there and move census
-// bytes. With another Go release the allocation ceilings, which are the
+// bytes. With another Go release the ceilings, which are the
 // toolchain's as much as the code's, go unchecked.
 func TestLedger(t *testing.T) {
 	golden, err := os.ReadFile(ledgerGolden)
@@ -98,7 +108,7 @@ func TestLedger(t *testing.T) {
 	delete(want, "go")
 	switch {
 	case *updateLedger && raceEnabled:
-		t.Fatal("-update records allocation ceilings; run it without -race")
+		t.Fatal("-update records ceilings; run it without -race")
 	case *updateLedger:
 	case recordedOn == "" || recordedWith == "":
 		t.Fatalf("%s has no platform or go row; -update writes them", ledgerGolden)
@@ -107,7 +117,7 @@ func TestLedger(t *testing.T) {
 	}
 	checkAllocs := !raceEnabled && recordedWith == release
 	if !checkAllocs && !*updateLedger {
-		t.Logf("allocation ceilings go unchecked: recorded with %s, this is %s (race detector: %v)", recordedWith, release, raceEnabled)
+		t.Logf("ceilings go unchecked: recorded with %s, this is %s (race detector: %v)", recordedWith, release, raceEnabled)
 	}
 
 	lower, err := regexp.Compile(*lowerLedger)
@@ -136,7 +146,7 @@ func TestLedger(t *testing.T) {
 	}
 	if testing.Verbose() {
 		for _, name := range slices.Sorted(maps.Keys(got)) {
-			if strings.HasPrefix(name, allocPrefix) {
+			if isCeiling(name) {
 				t.Logf("%s %s, ceiling %s", name, got[name], want[name])
 			}
 		}
@@ -259,6 +269,11 @@ func runLedger(t *testing.T) map[string]string {
 	if prefix == "" {
 		t.Fatal("the last IPv4 day confirms no prefix")
 	}
+	// The mix runs on one P. A request takes its buffers from pools,
+	// which are per P, so on one P its repeat finds the buffers it gave
+	// back, and the steady rows count what a request costs and not which
+	// P it ran on.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	etag := ""
 	for i, rq := range []struct{ name, target string }{
 		{"healthz", "/v1/healthz"},
@@ -318,7 +333,8 @@ func (l *ledger) hash(name string, b []byte) {
 func (l *ledger) step(name string, fn func()) {
 	l.t.Helper()
 	before := l.series()
-	l.add(allocPrefix+name, mallocs(fn))
+	n, _ := allocated(fn)
+	l.add(allocPrefix+name, n)
 	for k, v := range l.series() {
 		if d := v - before[k]; d != 0 {
 			l.add(name+"/"+k, int64(d))
@@ -327,22 +343,26 @@ func (l *ledger) step(name string, fn func()) {
 }
 
 // steady serves r, a repeat of step name's request, through h and
-// records the allocations it made as name's steady row: what the request
-// costs once nothing is left to warm. No count row sees the repeat.
+// records the allocations it made and the bytes they hold as name's
+// steady rows: what the request costs once nothing is left to warm. No
+// count row sees the repeat.
 func (l *ledger) steady(h http.Handler, name string, r *http.Request) {
 	l.t.Helper()
 	rec := httptest.NewRecorder()
-	l.add(allocPrefix+name+"/steady", mallocs(func() { h.ServeHTTP(rec, r) }))
+	n, size := allocated(func() { h.ServeHTTP(rec, r) })
+	l.add(allocPrefix+name+"/steady", n)
+	l.add(bytesPrefix+name+"/steady", size)
 }
 
-// mallocs returns the heap allocations fn makes.
-func mallocs(fn func()) uint64 {
+// allocated returns the heap allocations fn makes and the bytes they
+// hold, from the same two runtime.MemStats reads.
+func allocated(fn func()) (n, size uint64) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	before := ms.Mallocs
+	n, size = ms.Mallocs, ms.TotalAlloc
 	fn()
 	runtime.ReadMemStats(&ms)
-	return ms.Mallocs - before
+	return ms.Mallocs - n, ms.TotalAlloc - size
 }
 
 // series reads the ledger series, keyed as the exposition names them.
@@ -495,23 +515,23 @@ func formatLedger(rows map[string]string) []byte {
 }
 
 // checkLedger compares a run's rows with the golden's and returns one
-// problem per row that differs, each naming its row. An allocation row
-// is compared as a ceiling, and only when allocs is set.
-func checkLedger(golden, got map[string]string, allocs bool) []string {
+// problem per row that differs, each naming its row. A ceiling row is
+// compared as a ceiling, and only when ceilings is set.
+func checkLedger(golden, got map[string]string, ceilings bool) []string {
 	var problems []string
 	for name, want := range golden {
 		v, ok := got[name]
 		switch {
 		case !ok:
 			problems = append(problems, fmt.Sprintf("%s: in the golden, but the run does not produce it", name))
-		case strings.HasPrefix(name, allocPrefix):
-			if !allocs {
+		case isCeiling(name):
+			if !ceilings {
 				continue
 			}
 			n, err1 := strconv.ParseUint(v, 10, 64)
 			ceiling, err2 := strconv.ParseUint(want, 10, 64)
 			if err1 != nil || err2 != nil || n > ceiling {
-				problems = append(problems, fmt.Sprintf("%s: %s allocations, ceiling %s (only a hand edit raises it)", name, v, want))
+				problems = append(problems, fmt.Sprintf("%s: %s, ceiling %s (only a hand edit raises it)", name, v, want))
 			}
 		case v != want:
 			problems = append(problems, fmt.Sprintf("%s: %s, golden %s", name, v, want))
@@ -527,16 +547,16 @@ func checkLedger(golden, got map[string]string, allocs bool) []string {
 }
 
 // updatedLedger is the golden -update writes: the run's identity and
-// count rows, and for each allocation row a ceiling. A row the golden
-// lacks gets the headroom over the run's count; any other keeps the
-// golden's ceiling, lowered to that headroom when lower (nil: none)
-// matches its name and the headroom is the lower of the two. No ceiling
-// is raised, so a count over its ceiling stays a failure.
+// count rows, and for each ceiling row a ceiling. A row the golden lacks
+// gets the headroom over the run's count; any other keeps the golden's
+// ceiling, lowered to that headroom when lower (nil: none) matches its
+// name and the headroom is the lower of the two. No ceiling is raised,
+// so a count over its ceiling stays a failure.
 func updatedLedger(golden, got map[string]string, lower *regexp.Regexp) map[string]string {
 	out := map[string]string{}
 	for name, v := range got {
 		out[name] = v
-		if !strings.HasPrefix(name, allocPrefix) {
+		if !isCeiling(name) {
 			continue
 		}
 		n, err := strconv.ParseUint(v, 10, 64)
@@ -555,9 +575,10 @@ func updatedLedger(golden, got map[string]string, lower *regexp.Regexp) map[stri
 	return out
 }
 
-// allocHeadroom is the ceiling recorded over n allocations: a quarter
-// more, plus 16 for a small count, rounded up to two significant digits.
-// Parallel census days and pooled encoders vary by a few.
+// allocHeadroom is the ceiling recorded over n allocations, or n bytes
+// allocated: a quarter more, plus 16 for a small count, rounded up to two
+// significant digits. Parallel census days and pooled encoders vary by a
+// few.
 func allocHeadroom(n uint64) uint64 {
 	c := n + n/4 + 16
 	step := uint64(1)
@@ -629,5 +650,13 @@ func TestLedgerChecks(t *testing.T) {
 	}
 	if rows := updatedLedger(old, got, nil); rows["allocs/lowered"] != "100" || rows["allocs/new"] != "66" {
 		t.Errorf("-update without -lower set lowered 10 → %s, new 40 → %s; want 100, 66", rows["allocs/lowered"], rows["allocs/new"])
+	}
+
+	// A bytes/ row is a ceiling as an allocs/ row is.
+	if problems := checkLedger(map[string]string{"bytes/step": "1000"}, map[string]string{"bytes/step": "1001"}, true); len(problems) != 1 || !strings.HasPrefix(problems[0], "bytes/step:") {
+		t.Errorf("a bytes/ row over its ceiling: %v, want one problem naming it", problems)
+	}
+	if rows := updatedLedger(map[string]string{"bytes/kept": "900"}, map[string]string{"bytes/kept": "10", "bytes/new": "4000"}, nil); rows["bytes/kept"] != "900" || rows["bytes/new"] != "5100" {
+		t.Errorf("-update set bytes/kept 10 → %s, bytes/new 4000 → %s; want 900, 5100", rows["bytes/kept"], rows["bytes/new"])
 	}
 }
