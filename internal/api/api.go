@@ -476,7 +476,11 @@ func (s *Server) handlePrefix(v *view, r *http.Request) (answer, error) {
 		return answer{}, err
 	}
 	pv := prefixView{Prefix: prefix.String(), Day: day}
-	if e, ok := d.Rows().Find(pv.Prefix); ok {
+	e, ok, err := d.Rows().Find(pv.Prefix)
+	if err != nil {
+		return answer{}, err
+	}
+	if ok {
 		pv.InCensus = true
 		pv.AnycastBased = len(e.ACProtocols) > 0
 		pv.GCDAnycast = e.GCDAnycast

@@ -30,11 +30,11 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		"Day-files the archive read, one per snapshot or delta file.",
 		func() float64 { return float64(s.tallies().decodes) })
 	reg.CounterFunc("laces_api_day_cache_total",
-		"Decoded-day LRU lookups, by outcome.",
+		"Day LRU lookups, by outcome.",
 		func() float64 { return float64(s.cacheHits.Load()) },
 		obs.L("outcome", "hit"))
 	reg.CounterFunc("laces_api_day_cache_total",
-		"Decoded-day LRU lookups, by outcome.",
+		"Day LRU lookups, by outcome.",
 		func() float64 { return float64(s.cacheMisses.Load()) },
 		obs.L("outcome", "miss"))
 	reg.CounterFunc("laces_query_lookups_total",

@@ -27,25 +27,24 @@
 // tmp-and-rename, and index.jsonl is opened, repaired and appended there.
 //
 // Rows are the one form a day takes here. core.SplitDocument and
-// core.SplitDelta, the checking split, split a day-file into rows (a
-// prefix, parsed for the merge, and the row's bytes) in one
-// table-driven, reflection-free pass that accepts only the writer's
-// form; encoding/json reads the small header object, and the whole file
-// only when the file holds something the writer never emits. A day-file
-// the checking split's rows took once and whose day was proven is split
-// by core's proven split when its bytes come back unchanged, which finds
-// the rows and checks no field. A day outside a day-file takes one form,
-// core.CanonicalDay: its canonical bytes and the rows that alias them.
-// The writer streams each day into it once (core.StreamDocument), keeps
-// it for the next day, and stores a delta day as core.DiffRows of the
-// two days' rows, proven to rebuild the day before its record is
-// written; a resumed writer takes the last day in it from the reader.
-// The readers rebuild days from stored rows: core.RowDelta.Apply merges
-// a delta's rows into the day before, and a reader appends the day's
+// core.SplitDelta, the one split, split a day-file into rows (a prefix,
+// parsed for the merge, and the row's bytes) by finding each row's
+// extent and checking no other field; encoding/json reads the small
+// header object, and the whole file only when the split cannot find its
+// rows. A row's grammar is checked where it is decoded (core.RowDecoder).
+// A day outside a day-file takes one form, core.CanonicalDay: its
+// canonical bytes and the rows that alias them. The writer streams each
+// day into it once (core.StreamDocument), keeps it for the next day, and
+// stores a delta day as core.DiffRows of the two days' rows, proven to
+// rebuild the day before its record is written; a resumed writer takes
+// the last day in it from the reader. The readers rebuild days from
+// stored rows: core.RowDelta.Apply merges a delta's rows into the day
+// before, the walk proves the day, and a reader appends the day's
 // canonical bytes from them (Day, for /v1/census and the writer), decodes
 // only the rows it hands out (core.RowDecoder) or, for /v1/range, copies
-// their bytes. ReadDay splits one day-file for the query indexer, which
-// takes a delta's changes as they are.
+// their bytes. ReadDay, which proves nothing, decodes one day-file for
+// the query indexer as encoding/json reads it, and the indexer takes a
+// delta's changes as they are.
 //
 // The reader (Archive) is a lock-free store: it caches no day and no
 // day-file's bytes, so a day it returns is the caller's own, and callers

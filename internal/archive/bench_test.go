@@ -133,8 +133,8 @@ func BenchmarkArchiveDay(b *testing.B) {
 // "first" opens a new handle, untimed, before each read, so the read
 // proves every day-file it reads (a delta day rebuilt and checked
 // against its record); "proven" reads on one handle throughout, whose
-// day-files are proven after the first reads, so a read takes the
-// proven split and rebuilds nothing to prove.
+// day-files are proven after the first reads, so a read rebuilds
+// nothing to prove.
 func benchReads(b *testing.B, dir string, read func(a *Archive, i int) error) {
 	for _, c := range []string{"first", "proven"} {
 		b.Run(c, func(b *testing.B) {

@@ -1,6 +1,7 @@
 package archive_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -15,8 +16,8 @@ import (
 )
 
 // TestDecodeTakesFastPath: every day file the writer produces splits
-// into rows on the row split's fast path — no decline to encoding/json —
-// and its rows decode to exactly what encoding/json makes of the file.
+// into rows — no decline to encoding/json — and every row decodes by the
+// row grammar to exactly what encoding/json makes of the file.
 // The files come from a longitudinal run over both families (its
 // incident calendar included) and from the seed × chaos-scenario matrix.
 // A splitter that always fell back would pass every other archive test.
@@ -59,8 +60,10 @@ func TestDecodeTakesFastPath(t *testing.T) {
 	})
 }
 
-// checkFastPath scans every day file of the archive in dir, which must
-// hold wantDays days of both kinds.
+// checkFastPath splits and decodes every day file of the archive in dir,
+// which must hold wantDays days of both kinds: each file splits into rows
+// (splitsIntoRows), and its rows decode to what encoding/json makes of
+// it.
 func checkFastPath(t *testing.T, dir string, wantDays int) {
 	t.Helper()
 	a, err := archive.Open(dir)
@@ -74,25 +77,28 @@ func checkFastPath(t *testing.T, dir string, wantDays int) {
 			t.Fatal(err)
 		}
 		var got, want any
-		var split bool
 		var dec core.RowDecoder
 		if rec.Kind == archive.KindSnapshot {
-			var d *core.RowDay
-			d, split = core.ScanDocumentRows(b, new(core.RowArena))
-			if split {
-				got = dec.Document(d)
+			d, err := core.SplitDocument(b, new(core.RowArena))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err = dec.Document(d); err != nil {
+				t.Fatalf("%s: %v", rec.File, err)
 			}
 			want = &core.Document{}
 		} else {
-			var d *core.RowDelta
-			d, split = core.ScanDeltaRows(b, new(core.RowArena))
-			if split {
-				got = dec.Delta(d)
+			d, err := core.SplitDelta(b, new(core.RowArena))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err = dec.Delta(d); err != nil {
+				t.Fatalf("%s: %v", rec.File, err)
 			}
 			want = &core.DocumentDelta{}
 		}
-		if !split {
-			t.Fatalf("%s: the row split declined a file the writer made", rec.File)
+		if bytes.Contains(b, originASN) && !splitsIntoRows(t, rec, b) {
+			t.Fatalf("%s: the split left a file the writer made to encoding/json", rec.File)
 		}
 		if err := json.Unmarshal(b, want); err != nil {
 			t.Fatal(err)
@@ -105,4 +111,37 @@ func checkFastPath(t *testing.T, dir string, wantDays int) {
 	if len(a.Records()) != wantDays || kinds[archive.KindSnapshot] == 0 || kinds[archive.KindDelta] == 0 {
 		t.Fatalf("archive holds %d days (%v), want %d of both kinds", len(a.Records()), kinds, wantDays)
 	}
+}
+
+// originASN is the key every row carries.
+var originASN = []byte(`"origin_asn":`)
+
+// splitsIntoRows reports whether the split takes rec's day-file b into
+// rows, each decoded by the row grammar, rather than leaving the file to
+// encoding/json. The split finds rows or declines the file whatever the
+// rows hold, so b tells it by a copy with a space after each
+// `"origin_asn":`, which encoding/json takes and the grammar refuses: the
+// copy's rows fail to decode exactly when the split took them. b must
+// hold a row.
+func splitsIntoRows(t *testing.T, rec archive.Record, b []byte) bool {
+	t.Helper()
+	spaced := bytes.ReplaceAll(b, originASN, []byte(`"origin_asn": `))
+	if len(spaced) == len(b) {
+		t.Fatalf("%s holds no row", rec.File)
+	}
+	var err error
+	if rec.Kind == archive.KindSnapshot {
+		d, serr := core.SplitDocument(spaced, new(core.RowArena))
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		_, err = new(core.RowDecoder).Document(d)
+	} else {
+		d, serr := core.SplitDelta(spaced, new(core.RowArena))
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		_, err = new(core.RowDecoder).Delta(d)
+	}
+	return err != nil
 }

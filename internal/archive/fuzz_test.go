@@ -89,8 +89,8 @@ func FuzzArchiveOpen(f *testing.F) {
 // openVerifyRange writes index as dir's index.jsonl, opens the archive,
 // checks every accepted record names a file inside dir, then reads every
 // day twice on the handle (readAll), the second time through the proofs
-// the first stored: after a Verify that passes, every record holds one,
-// as every day-file in dir is in the writer's form. The two readings
+// the first stored: after a Verify that passes, every record holds one.
+// The two readings
 // must agree. It returns the bytes all of that allocated; errors other
 // than an escaping record or a reading that differs are the input's own.
 func openVerifyRange(t testing.TB, dir string, index []byte) uint64 {

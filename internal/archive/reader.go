@@ -29,11 +29,11 @@ var ErrNotFound = errors.New("day not archived")
 // before, and proves each day against its record (walk); a reader
 // appends the day's canonical bytes from the rows (Day), decodes only
 // the rows it hands out (Document, Range) or copies their bytes
-// (RangeJSON). The first read of a day-file splits it in core's checking
-// split, which accepts only the writer's form and leaves any other file
-// to encoding/json; once its day is proven, a keyed hash of the file's
-// bytes is kept for its record, and a later read of the same bytes takes
-// core's proven split, which only finds the rows. What a read fills —
+// (RangeJSON). A day-file is split by core's one split, which finds the
+// rows and checks no field; a row's grammar is checked where it is
+// decoded. Once its day is proven, a keyed hash of the file's bytes is
+// kept for its record, and a later read of the same bytes proves nothing
+// again. What a read fills —
 // the day-files' bytes, the split rows with the snapshot rows compacted
 // for RangeJSON, a delta day rebuilt to be proven, and RangeJSON's line
 // — comes from pools and goes back when the read returns. No day-file's
@@ -62,8 +62,7 @@ type Archive struct {
 
 	// proofs holds, per record, the hash under seed of the day-file bytes
 	// its day was last proven from (walk), or zero: the record's
-	// day-file has not been proven in this handle, or was split by
-	// encoding/json.
+	// day-file has not been proven in this handle.
 	seed   maphash.Seed
 	proofs []atomic.Uint64
 }
@@ -184,18 +183,22 @@ func (a *Archive) find(family string, day int) (int, bool) {
 
 // Document decodes one archived day. The result is the caller's own:
 // nothing else holds it. Its day-files are only split, so the day's rows
-// are decoded once, with the prefix strings the split made.
+// are decoded once, with the prefix strings the split made; a row outside
+// the row grammar is an error.
 func (a *Archive) Document(family string, day int) (*core.Document, error) {
 	pos, ok := a.find(family, day)
 	if !ok {
 		return nil, fmt.Errorf("archive: no %s census for day %d: %w", family, day, ErrNotFound)
 	}
 	var out *core.Document
-	err := a.walk(family, pos, pos, func(_ Record, d *core.RowDay) error {
-		out = new(core.RowDecoder).Document(d)
-		return nil
+	err := a.walk(family, pos, pos, func(_ Record, d *core.RowDay) (err error) {
+		out, err = new(core.RowDecoder).Document(d)
+		return err
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Day rebuilds one archived day in its canonical form
@@ -249,13 +252,15 @@ func (rec *Record) prove(b []byte, day *core.RowDay, canon *[]byte) error {
 //
 // Every day the walk meets is proven before fn sees it or the walk goes
 // on, and the first that fails ends the walk with its error, so no
-// reader hands out a day rebuilt from a changed day-file or from one
-// built on it. A day-file whose bytes hash as the ones its record was
-// last proven from (proofs) is split by core's proven split, and its day
-// counts as proven: the rows and the CRC are functions of those bytes
-// and of the day before, which the walk has just proven. Any other is
-// split by the checking split and proven (prove); a file the row split
-// took then records its hash, and one encoding/json decoded never does.
+// reader hands out or copies the rows of a day rebuilt from a changed
+// day-file or from one built on it (prove): a snapshot by its file's
+// CRC, and a delta by its day's canonical bytes, in which each row it
+// upserts is re-indented, so a row that is not the canonical compact
+// encoding of what it decodes to does not re-indent to the proven bytes.
+// A proven day-file's record keeps the hash of its bytes (proofs), and a
+// day-file whose bytes hash as those counts as proven: the split and the
+// CRC are functions of those bytes and of the day before, which the walk
+// has just proven.
 //
 // The day-files are read into one buffer and split into one
 // core.RowArena, which also holds the rows AppendJSON compacts; both
@@ -305,8 +310,7 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, d *co
 		}
 		b := buf[n:len(buf):len(buf)]
 		sum := maphash.Bytes(a.seed, b)
-		proven := sum != 0 && proof.Load() == sum
-		snap, delta, scanned, err := split(rec, b, rows, proven)
+		snap, delta, err := split(rec, b, rows)
 		if err != nil {
 			return err
 		}
@@ -316,16 +320,14 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, d *co
 			}
 		}
 		day = snap
-		if !proven {
+		if sum == 0 || proof.Load() != sum {
 			if rec.Kind == KindDelta && canon == nil {
 				canon = buffers.Get().(*[]byte)
 			}
 			if err := rec.prove(b, day, canon); err != nil {
 				return err
 			}
-			if scanned {
-				proof.Store(sum)
-			}
+			proof.Store(sum)
 		}
 		if i >= first {
 			if err := fn(rec, day); err != nil {
@@ -340,11 +342,14 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, d *co
 // one count per day-file read, whether its rows were split or decoded.
 func (a *Archive) Decodes() int64 { return a.decodes.Load() }
 
-// buffers holds the buffers walks read day-files into and RangeJSON
-// writes its lines to, and rowArenas the arenas walks split them into.
+// buffers holds the buffers walks and ReadDay read day-files into and
+// RangeJSON writes its lines to, rowArenas the arenas they split them
+// into, and decoders ReadDay's row decoders, which keep the names they
+// intern from one day-file to the next.
 var (
 	buffers   = sync.Pool{New: func() any { return new([]byte) }}
 	rowArenas = sync.Pool{New: func() any { return new(core.RowArena) }}
+	decoders  = sync.Pool{New: func() any { return new(core.RowDecoder) }}
 )
 
 // read appends rec's day-file, read whole, to buf. Every read of a
@@ -369,52 +374,66 @@ func (a *Archive) read(rec Record, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadDay reads rec's day-file once and splits it into rows, into arena
-// rows: a snapshot's day or a delta's changes against the family's day
-// before, as rec's kind says. Their rows alias a buffer of their own.
-func (a *Archive) ReadDay(rec Record, rows *core.RowArena) (snap *core.RowDay, delta *core.RowDelta, err error) {
-	b, err := a.read(rec, nil)
+// ReadDay reads rec's day-file once and decodes it: a snapshot's
+// document, or a delta's changes against the family's day before, as
+// rec's kind says. It is the one read that does not prove the day, so the
+// file is read as encoding/json reads it: split and its rows decoded
+// (core.RowDecoder), or, when a row is outside the row grammar, decoded
+// whole by encoding/json. The file's bytes, its rows and the decoder come
+// from pools and go back when it returns: what it returns holds copies.
+func (a *Archive) ReadDay(rec Record) (snap *core.Document, delta *core.DocumentDelta, err error) {
+	file, rows, dec := buffers.Get().(*[]byte), rowArenas.Get().(*core.RowArena), decoders.Get().(*core.RowDecoder)
+	b, err := a.read(rec, (*file)[:0])
+	defer func() {
+		*file = b[:0]
+		buffers.Put(file)
+		rows.Reset()
+		rowArenas.Put(rows)
+		decoders.Put(dec)
+	}()
 	if err != nil {
 		return nil, nil, err
 	}
-	snap, delta, _, err = split(rec, b, rows, false)
-	return snap, delta, err
-}
-
-// split splits rec's day-file b, as rec's kind says, into arena rows:
-// by core's proven split when proven, and otherwise by the checking
-// split. scanned reports that a row split took b, and not encoding/json.
-// The proven split takes every file the checking split's rows took, so
-// bytes it declines merely hash as proven ones, and are an error.
-func split(rec Record, b []byte, rows *core.RowArena, proven bool) (snap *core.RowDay, delta *core.RowDelta, scanned bool, err error) {
-	switch {
-	case proven && rec.Kind == KindSnapshot:
-		snap, scanned = core.ProvenDocumentRows(b, rows)
-	case proven:
-		delta, scanned = core.ProvenDeltaRows(b, rows)
-	case rec.Kind == KindSnapshot:
-		if snap, scanned = core.ScanDocumentRows(b, rows); !scanned {
-			snap, err = core.SplitDocument(b, rows)
-		}
-	default:
-		if delta, scanned = core.ScanDeltaRows(b, rows); !scanned {
-			delta, err = core.SplitDelta(b, rows)
-		}
+	s, d, err := split(rec, b, rows)
+	if err != nil {
+		return nil, nil, err
 	}
-	if proven && !scanned {
-		err = errors.New("bytes hash as a proven day-file's but do not split")
+	if s != nil {
+		if snap, err = dec.Document(s); err != nil {
+			snap = new(core.Document)
+			err = json.Unmarshal(b, snap)
+		}
+	} else if delta, err = dec.Delta(d); err != nil {
+		delta = new(core.DocumentDelta)
+		if err = json.Unmarshal(b, delta); err == nil {
+			delta.Header.Entries = nil // as the split holds a delta's header
+		}
 	}
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("archive: %s: %w", rec.File, err)
+		return nil, nil, fmt.Errorf("archive: %s: %w", rec.File, err)
 	}
-	return snap, delta, scanned, nil
+	return snap, delta, nil
+}
+
+// split splits rec's day-file b, as rec's kind says, into arena rows.
+func split(rec Record, b []byte, rows *core.RowArena) (snap *core.RowDay, delta *core.RowDelta, err error) {
+	if rec.Kind == KindSnapshot {
+		snap, err = core.SplitDocument(b, rows)
+	} else {
+		delta, err = core.SplitDelta(b, rows)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("archive: %s: %w", rec.File, err)
+	}
+	return snap, delta, nil
 }
 
 // Range streams one family's documents for days in [from, to] (inclusive;
 // to < 0 means "through the last day") in ascending order, holding O(1)
 // days in memory regardless of the span. Each distinct row is decoded
 // once and reused while it stays unchanged. The documents passed to fn
-// are owned by the iteration; copy what outlives the callback.
+// are owned by the iteration; copy what outlives the callback. A row
+// outside the row grammar ends the range with its error.
 func (a *Archive) Range(family string, from, to int, fn func(day int, doc *core.Document) error) error {
 	first, last, err := a.window(family, from, to)
 	if err != nil {
@@ -422,7 +441,11 @@ func (a *Archive) Range(family string, from, to int, fn func(day int, doc *core.
 	}
 	var dec core.RowDecoder
 	return a.walk(family, first, last, func(rec Record, d *core.RowDay) error {
-		return fn(rec.Day, dec.Document(d))
+		doc, err := dec.Document(d)
+		if err != nil {
+			return err
+		}
+		return fn(rec.Day, doc)
 	})
 }
 

@@ -233,12 +233,12 @@ func checkDay(t *testing.T, a *archive.Archive, fam string, d int, want *core.Do
 		t.Fatalf("%s day %d: header %+v, the reference's %+v", fam, d, h, hdr)
 	}
 	for _, e := range want.Entries {
-		row, ok := got.Rows().Find(e.Prefix)
-		if w := want.Find(e.Prefix); ok != (w != nil) || ok && !reflect.DeepEqual(row, *w) {
-			t.Fatalf("%s day %d: Find(%q) = %+v, %v; Document.Find of the reference %+v", fam, d, e.Prefix, row, ok, w)
+		row, ok, err := got.Rows().Find(e.Prefix)
+		if w := want.Find(e.Prefix); err != nil || ok != (w != nil) || ok && !reflect.DeepEqual(row, *w) {
+			t.Fatalf("%s day %d: Find(%q) = %+v, %v, %v; Document.Find of the reference %+v", fam, d, e.Prefix, row, ok, err, w)
 		}
 	}
-	if row, ok := got.Rows().Find("192.0.2.0/24"); ok {
+	if row, ok, _ := got.Rows().Find("192.0.2.0/24"); ok {
 		t.Fatalf("%s day %d: Find of a prefix no day holds gives %+v", fam, d, row)
 	}
 }
@@ -293,14 +293,8 @@ func TestEdgeChainReachesEveryPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var ok bool
-			if rec.Kind == archive.KindSnapshot {
-				_, ok = core.ScanDocumentRows(b, new(core.RowArena))
-			} else {
-				_, ok = core.ScanDeltaRows(b, new(core.RowArena))
-			}
-			if ok != c.split {
-				t.Fatalf("every=%d: day %d (%s) splits on the fast path: %v, want %v", every, c.day, rec.Kind, ok, c.split)
+			if ok := splitsIntoRows(t, rec, b); ok != c.split {
+				t.Fatalf("every=%d: day %d (%s) splits into rows: %v, want %v", every, c.day, rec.Kind, ok, c.split)
 			}
 		}
 	}

@@ -191,18 +191,21 @@ func (d *RowDay) Len() int { return len(d.rows) }
 
 // Find returns the day's row for prefix, decoded into a new entry, or
 // false when the day does not carry it: Document.Find's binary search,
-// over the rows' keys. Nothing in d is filled in, so readers may share d.
-func (d *RowDay) Find(prefix string) (DocumentEntry, bool) {
+// over the rows' keys. A row outside the row grammar is an error. Nothing
+// in d is filled in, so readers may share d.
+func (d *RowDay) Find(prefix string) (DocumentEntry, bool, error) {
 	k := ParsePrefixKey(prefix)
 	i := sort.Search(len(d.rows), func(i int) bool { return d.rows[i].key.order(k) >= 0 })
 	if i == len(d.rows) || d.rows[i].key.s != prefix {
-		return DocumentEntry{}, false
+		return DocumentEntry{}, false, nil
 	}
 	r := d.rows[i]
 	if r.entry != nil {
-		return *r.entry, true
+		return *r.entry, true, nil
 	}
 	var e DocumentEntry
-	new(RowDecoder).row(r, &e) // one row: no name is interned
-	return e, true
+	if err := new(RowDecoder).row(r, &e); err != nil { // one row: no name is interned
+		return DocumentEntry{}, false, err
+	}
+	return e, true, nil
 }

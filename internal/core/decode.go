@@ -13,10 +13,11 @@ import (
 // (document), and a delta's header, removals and upserts, each at most
 // once (delta). Whitespace may stand between any two tokens. The header
 // object (scalars and the governance block) is stepped over and handed
-// to encoding/json; the row arrays are the split's (storedRows) and the
+// to encoding/json; the row arrays are found row by row (storedRows),
+// each row checked only where it is decoded (RowDecoder), and the
 // removals are strings with no escape or control byte. On anything else
 // the scanner declines, and the split decodes the whole file with
-// encoding/json instead, so every file reads as json.Unmarshal reads it.
+// encoding/json instead. RowDecoder's row walk runs on the same scanner.
 
 // document walks a snapshot: the header's members are stepped over and
 // then decoded together by encoding/json, and the entries field, which
@@ -105,28 +106,17 @@ func (s *scanner) delta(hdr *Document, removed, upserts func()) bool {
 // the grammar and stays false; every method is safe to call after that
 // and does nothing useful, so callers check ok once per loop.
 type scanner struct {
-	b      []byte
-	i      int
-	ok     bool
-	hint   int  // rows in the file, to size the row slices
-	proven bool // the proven split: rows are found (rowSpan), not checked
+	b    []byte
+	i    int
+	ok   bool
+	hint int // rows in the file, to size the row slices
 }
 
-// newScanner prepares a scan of b, for the proven split when proven.
-func newScanner(b []byte, proven bool) scanner {
-	return scanner{b: b, ok: true, hint: rowHint(b, proven), proven: proven}
-}
-
-// rowHint bounds the rows in b from above. No row the writer emits is
-// shorter than 64 bytes, so len(b)/64 bounds the rows of the writer's
-// bytes, which the proven split reads, and keeps the hint within the
-// input's size whatever the bytes are. Every row is an object, so the
-// checking split takes the count of '{' as well.
-func rowHint(b []byte, proven bool) int {
-	if proven {
-		return len(b) / 64
-	}
-	return min(bytes.Count(b, []byte("{")), len(b)/64)
+// newScanner prepares a scan of b. No row the writer emits is shorter
+// than 64 bytes, so len(b)/64 bounds the rows of the writer's bytes, and
+// stays within the input's size whatever the bytes are.
+func newScanner(b []byte) scanner {
+	return scanner{b: b, ok: true, hint: len(b) / 64}
 }
 
 // ws skips JSON whitespace.

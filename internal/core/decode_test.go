@@ -31,28 +31,55 @@ func decodeFixture(t testing.TB, n int) (prev *Document, snap, delta []byte) {
 	return prev, buf.Bytes(), append(d, '\n')
 }
 
+// readDocument reads the snapshot b as archive.ReadDay does: split and
+// its rows decoded, or, when a row is outside the row grammar, decoded
+// whole by encoding/json.
+func readDocument(b []byte) (*Document, error) {
+	d, err := SplitDocument(b, new(RowArena))
+	if err != nil {
+		return nil, err
+	}
+	doc, err := new(RowDecoder).Document(d)
+	if err != nil {
+		doc = new(Document)
+		if err := json.Unmarshal(b, doc); err != nil {
+			return nil, err
+		}
+	}
+	return doc, nil
+}
+
 // checkDecodeDocument holds the row path a snapshot is read by —
-// SplitDocument, then RowDecoder — to encoding/json on b: the same
-// document, the same compact line as json.Marshal and the same canonical
-// bytes as StreamDocument (checkCanonical), or the same error; and the
-// split's fast path to the reference splitter, and the proven split to
-// the fast path (checkSplitMatchesReference).
+// SplitDocument, then RowDecoder, with ReadDay's fallback — to
+// encoding/json on b: the same document or an error exactly when
+// encoding/json fails, whose message SplitDocument's own fallback keeps.
+// Where every row the split finds decodes, the split's rows, not
+// decoded, give json.Marshal's compact line and StreamDocument's
+// canonical bytes (checkCanonical). The split and RowDecoder are held to
+// the reference splitter (checkSplitMatchesReference).
 func checkDecodeDocument(t *testing.T, b []byte) {
 	checkSplitMatchesReference(t, b, true)
 	var want Document
 	jerr := json.Unmarshal(b, &want)
-	d, err := SplitDocument(b, new(RowArena))
+	got, err := readDocument(b)
 	if jerr != nil {
-		if d != nil || err == nil || err.Error() != "core: decoding census document: "+jerr.Error() {
-			t.Fatalf("SplitDocument = %v, %v; encoding/json fails with %v", d, err, jerr)
+		if err == nil {
+			t.Fatalf("the row path decodes %+v; encoding/json fails with %v", got, jerr)
+		}
+		if _, serr := SplitDocument(b, new(RowArena)); serr != nil && serr.Error() != "core: decoding census document: "+jerr.Error() {
+			t.Fatalf("SplitDocument fails with %v, encoding/json with %v", serr, jerr)
 		}
 		return
 	}
 	if err != nil {
-		t.Fatalf("SplitDocument fails with %v, encoding/json decodes %+v", err, want)
+		t.Fatalf("the row path fails with %v, encoding/json decodes %+v", err, want)
 	}
-	if got := new(RowDecoder).Document(d); !reflect.DeepEqual(*got, want) {
-		t.Fatalf("the split's document\n%+v\nencoding/json's\n%+v", got, want)
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("the row path's document\n%+v\nencoding/json's\n%+v", got, want)
+	}
+	d, err := SplitDocument(b, new(RowArena))
+	if err != nil || !decodesAll(d.rows) {
+		return
 	}
 	checkCanonical(t, d, &want)
 	line, err := d.AppendJSON(nil)
@@ -113,10 +140,10 @@ func decodeSeeds(t testing.TB, b []byte, sep string) [][]byte {
 	}
 }
 
-// FuzzDecodeDocument: on any bytes the row path a snapshot is read by
-// agrees with encoding/json, the split accepts and splits exactly what
-// the reference splitter does, and the proven split does not panic and
-// splits what the split accepts as the split does.
+// FuzzDecodeDocument: on any bytes the split does not panic, the row
+// path a snapshot is read by agrees with encoding/json, and the split
+// and RowDecoder accept and split exactly what the reference splitter
+// does.
 func FuzzDecodeDocument(f *testing.F) {
 	_, snap, _ := decodeFixture(f, 10)
 	seeds := decodeSeeds(f, snap, ": ")
@@ -160,8 +187,9 @@ func deltaSeeds(t testing.TB, prev *Document, delta []byte) [][]byte {
 }
 
 // FuzzDecodeDelta: on any bytes the row path a delta is read by —
-// SplitDelta, then RowDecoder.Delta — agrees with encoding/json: the
-// same delta, nil and empty lists kept apart, or the same error.
+// SplitDelta, then RowDecoder.Delta, with ReadDay's fallback — does not
+// panic and agrees with encoding/json: the same delta, nil and empty
+// lists kept apart, or an error exactly when encoding/json fails.
 func FuzzDecodeDelta(f *testing.F) {
 	prev, _, delta := decodeFixture(f, 10)
 	for _, s := range deltaSeeds(f, prev, delta) {
@@ -170,43 +198,71 @@ func FuzzDecodeDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) { checkDecodeDelta(t, b) })
 }
 
-// checkDecodeDelta holds SplitDelta and RowDecoder.Delta to
-// encoding/json on b and returns the split, nil when encoding/json
-// refuses b.
+// readDelta reads the delta b as archive.ReadDay does, as readDocument
+// reads a snapshot.
+func readDelta(b []byte) (*DocumentDelta, error) {
+	d, err := SplitDelta(b, new(RowArena))
+	if err != nil {
+		return nil, err
+	}
+	dd, err := new(RowDecoder).Delta(d)
+	if err != nil {
+		dd = new(DocumentDelta)
+		if err := json.Unmarshal(b, dd); err != nil {
+			return nil, err
+		}
+		dd.Header.Entries = nil
+	}
+	return dd, nil
+}
+
+// checkDecodeDelta holds the row path a delta is read by to
+// encoding/json on b, as checkDecodeDocument holds a snapshot's, and
+// returns b split, nil when encoding/json refuses b.
 func checkDecodeDelta(t *testing.T, b []byte) *RowDelta {
 	var want DocumentDelta
 	jerr := json.Unmarshal(b, &want)
-	d, err := SplitDelta(b, new(RowArena))
+	got, err := readDelta(b)
+	d, serr := SplitDelta(b, new(RowArena))
 	if jerr != nil {
-		if d != nil || err == nil || err.Error() != "core: decoding census delta: "+jerr.Error() {
-			t.Fatalf("SplitDelta = %v, %v; encoding/json fails with %v", d, err, jerr)
+		if err == nil {
+			t.Fatalf("the row path decodes %+v; encoding/json fails with %v", got, jerr)
+		}
+		if serr != nil && serr.Error() != "core: decoding census delta: "+jerr.Error() {
+			t.Fatalf("SplitDelta fails with %v, encoding/json with %v", serr, jerr)
 		}
 		return nil
 	}
 	if err != nil {
-		t.Fatalf("SplitDelta fails with %v, encoding/json decodes %+v", err, want)
+		t.Fatalf("the row path fails with %v, encoding/json decodes %+v", err, want)
 	}
 	want.Header.Entries = nil // a split delta's header carries no rows
-	if got := new(RowDecoder).Delta(d); !reflect.DeepEqual(*got, want) {
-		t.Fatalf("RowDecoder.Delta\n%+v\nencoding/json\n%+v", got, want)
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("the row path's delta\n%+v\nencoding/json's\n%+v", got, want)
 	}
 	return d
 }
 
 // FuzzSplitDelta: on any delta bytes against the fixture's previous day,
-// the archive walk's row path (SplitDelta, then RowDelta.Apply) fails
-// exactly when encoding/json and the reference Apply (delta_ref_test.go)
-// do, with the same error, and otherwise gives the same compact line
-// and the same document; RowDecoder.Delta reads the delta as
-// encoding/json does; and the split accepts and splits exactly what the
-// reference splitter does, and the proven split does not panic and
-// splits what the split accepts as the split does. The extra seeds are
-// in the scanner's grammar but not in the writer's form, which the split
-// must leave to encoding/json.
+// the split does not panic; the archive walk's row path (SplitDelta,
+// then RowDelta.Apply), where every upsert decodes, fails exactly when
+// encoding/json and the reference Apply (delta_ref_test.go) do, with the
+// same error, and otherwise gives the same compact line, canonical bytes
+// and document, and where an upsert does not decode, the day it rebuilds
+// does not decode either; the row path with ReadDay's fallback reads the
+// delta as encoding/json does; the split and RowDecoder accept and split
+// exactly what the reference splitter does; and a found upsert that
+// re-indents to its entry's indented encoding is its entry's compact
+// encoding (checkReindentIsOneToOne). The extra seeds are valid JSON but
+// not in the writer's form, which RowDecoder refuses and ReadDay leaves
+// to encoding/json.
 func FuzzSplitDelta(f *testing.F) {
 	prev, snap, delta := decodeFixture(f, 10)
 	seeds := append(deltaSeeds(f, prev, delta),
 		edit(f, delta, `"origin_asn":`, `"origin_asn": `),
+		edit(f, delta, `"gcd_sites":`, `"gcd_sites": `),
+		edit(f, delta, `,"gcd_sites"`, `, "gcd_sites"`),
+		edit(f, delta, `,"gcd_sites"`, ",\n\"gcd_sites\""),
 		edit(f, delta, `,"origin_asn":64500`, ``),
 		edit(f, delta, `"gcd_measured":true,`, `"from_feedback":false,"gcd_measured":true,`),
 		edit(f, delta, `"gcd_measured":true,`, `"gcd_sites":0,"gcd_measured":true,`),
@@ -214,7 +270,7 @@ func FuzzSplitDelta(f *testing.F) {
 		edit(f, delta, `"Tokyo"`, `"Tok<yo"`),
 		edit(f, delta, `"Tokyo"`, "\"Tok\u2028yo\""),
 		edit(f, delta, `"Tokyo"`, `"Tokyo","Tokyo"`),
-		edit(f, delta, `"Tokyo"`, `"To}kyo","}]}"`), // a '}' in a name, which only the proven split's quote count tells from a row's end
+		edit(f, delta, `"Tokyo"`, `"To}kyo","}]}"`), // a '}' in a name, which only the split's quote count tells from a row's end
 	)
 	for _, s := range seeds {
 		f.Add(s)
@@ -225,10 +281,12 @@ func FuzzSplitDelta(f *testing.F) {
 // checkSplitDelta holds the row path to encoding/json and the reference
 // Apply for delta bytes b against the snapshot snap, the day's canonical
 // bytes rebuilt from rows to StreamDocument of the reference's document,
-// the split of b to the reference splitter, and each upsert the split
-// accepts to checkReindent and checkRowDecode.
+// the split of b and RowDecoder to the reference splitter, each upsert
+// in the row grammar to checkReindent and checkRowDecode, and each upsert
+// the split finds to checkReindentIsOneToOne.
 func checkSplitDelta(t *testing.T, snap, b []byte) {
 	checkSplitMatchesReference(t, b, false)
+	checkReindentIsOneToOne(t, b)
 	var prev Document
 	if err := json.Unmarshal(snap, &prev); err != nil {
 		t.Fatal(err)
@@ -247,8 +305,17 @@ func checkSplitDelta(t *testing.T, snap, b []byte) {
 	}
 	var got *RowDay
 	gerr := werr
-	if d := checkDecodeDelta(t, b); d != nil {
+	d := checkDecodeDelta(t, b)
+	if d != nil {
 		got, gerr = d.Apply(day)
+		if !decodesAll(d.upserts) {
+			if gerr == nil {
+				if _, err := new(RowDecoder).Document(got); err == nil {
+					t.Fatalf("the day rebuilt with an upsert outside the row grammar decodes\n%q", b)
+				}
+			}
+			return
+		}
 	}
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 		t.Fatalf("the row path fails with %v, encoding/json and Apply with %v", gerr, werr)
@@ -256,19 +323,44 @@ func checkSplitDelta(t *testing.T, snap, b []byte) {
 	if werr != nil {
 		return
 	}
+	checkCanonical(t, got, wantDoc)
 	line, err := got.AppendJSON(nil)
 	wantLine, lerr := json.Marshal(wantDoc)
 	if fmt.Sprint(err) != fmt.Sprint(lerr) || !bytes.Equal(line, wantLine) {
 		t.Fatalf("the row path's line (%v)\n%s\njson.Marshal's (%v)\n%s", err, line, lerr, wantLine)
 	}
-	if doc := new(RowDecoder).Document(got); !reflect.DeepEqual(doc, wantDoc) {
-		t.Fatalf("the row path's document\n%+v\nApply's\n%+v", doc, wantDoc)
+	if doc, err := new(RowDecoder).Document(got); err != nil || !reflect.DeepEqual(doc, wantDoc) {
+		t.Fatalf("the row path's document (%v)\n%+v\nApply's\n%+v", err, doc, wantDoc)
 	}
-	checkCanonical(t, got, wantDoc)
-	if d, ok := ScanDeltaRows(b, new(RowArena)); ok {
-		for _, r := range d.upserts {
+	if rows, ok := scanRows(b, false); ok { // d's upserts, each in the row grammar
+		for _, r := range rows {
 			checkReindent(t, r)
 			checkRowDecode(t, r)
+		}
+	}
+}
+
+// checkReindentIsOneToOne holds, for each upsert the split finds in the
+// delta b, the property a delta's proof rests on: a row that re-indents
+// (appendIndented) to what appendEntry writes in the indented layout for
+// json.Unmarshal's entry of it is that entry's compact encoding. So a
+// delta day whose re-indented canonical bytes match its record holds
+// only canonical compact rows.
+func checkReindentIsOneToOne(t *testing.T, b []byte) {
+	t.Helper()
+	rows, ok := scanRows(b, false)
+	if !ok {
+		return
+	}
+	for _, r := range rows {
+		var e DocumentEntry
+		if json.Unmarshal(r.raw, &e) != nil {
+			continue
+		}
+		if bytes.Equal(appendIndented(nil, r.raw), appendEntry(nil, &e, &indentLayout)) {
+			if compact := appendEntry(nil, &e, &compactLayout); !bytes.Equal(r.raw, compact) {
+				t.Fatalf("the row\n%s\nre-indents to its entry's indented encoding, but its compact encoding is\n%s", r.raw, compact)
+			}
 		}
 	}
 }
@@ -312,26 +404,31 @@ func checkCanonical(t *testing.T, d *RowDay, want *Document) {
 // allocations per row on the same bytes.
 func TestDecodeAllocations(t *testing.T) {
 	_, snap, delta := decodeFixture(t, 400)
-	day, ok := ScanDocumentRows(snap, new(RowArena))
-	if !ok {
-		t.Fatal("the split declined the fixture snapshot")
+	rows, ok := scanRows(snap, true)
+	upserts, dok := scanRows(delta, false)
+	if !ok || !dok {
+		t.Fatal("the split left a fixture file to encoding/json")
 	}
-	dd, ok := ScanDeltaRows(delta, new(RowArena))
-	if !ok {
-		t.Fatal("the split declined the fixture delta")
+	dd, err := SplitDelta(delta, new(RowArena))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		name string
 		rows int
 		run  func()
 	}{
-		{"snapshot", len(day.rows), func() {
+		{"snapshot", len(rows), func() {
 			d, _ := SplitDocument(snap, new(RowArena))
-			new(RowDecoder).Document(d)
+			if _, err := new(RowDecoder).Document(d); err != nil {
+				t.Fatal(err)
+			}
 		}},
-		{"delta", len(dd.upserts) + len(dd.removed), func() {
+		{"delta", len(upserts) + len(dd.removed), func() {
 			d, _ := SplitDelta(delta, new(RowArena))
-			new(RowDecoder).Delta(d)
+			if _, err := new(RowDecoder).Delta(d); err != nil {
+				t.Fatal(err)
+			}
 		}},
 	} {
 		perRow := testing.AllocsPerRun(20, c.run) / float64(c.rows)
@@ -349,12 +446,18 @@ func TestDecodeAllocations(t *testing.T) {
 // allocations on a row with four names.
 func TestFindAllocations(t *testing.T) {
 	_, snap, _ := decodeFixture(t, 30)
-	day, ok := ScanDocumentRows(snap, new(RowArena))
-	if !ok {
-		t.Fatal("the split declined the fixture snapshot")
+	if _, ok := scanRows(snap, true); !ok {
+		t.Fatal("the split left the fixture snapshot to encoding/json")
+	}
+	day, err := SplitDocument(snap, new(RowArena))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, r := range day.rows[:3] {
-		e, _ := day.Find(r.key.s)
+		e, ok, err := day.Find(r.key.s)
+		if !ok || err != nil {
+			t.Fatalf("Find(%q) = %v, %v", r.key.s, ok, err)
+		}
 		want := 0.0
 		if len(e.ACProtocols)+len(e.GCDCities) > 0 {
 			want = 2

@@ -100,7 +100,11 @@ func rowRoundTrip(t *testing.T, prev, cur *Document) (*Document, *RowDelta) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return new(RowDecoder).Document(day), delta
+	doc, err := new(RowDecoder).Document(day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc, delta
 }
 
 // applyBoth applies d to prev with the reference Apply
@@ -294,8 +298,8 @@ func checkFind(t *testing.T, d *Document, extra ...string) {
 		if got := d.Find(p); got != want {
 			t.Fatalf("Find(%q) = %v, linear scan finds %v", p, got, want)
 		}
-		if got, ok := rows.Find(p); ok != (want != nil) || ok && !reflect.DeepEqual(got, *want) {
-			t.Fatalf("RowDay.Find(%q) = %v, %v; linear scan finds %v", p, got, ok, want)
+		if got, ok, err := rows.Find(p); err != nil || ok != (want != nil) || ok && !reflect.DeepEqual(got, *want) {
+			t.Fatalf("RowDay.Find(%q) = %v, %v, %v; linear scan finds %v", p, got, ok, err, want)
 		}
 	}
 }

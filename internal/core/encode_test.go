@@ -262,8 +262,8 @@ func FuzzEncodeDocument(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back, norm := new(RowDecoder).Document(split), decodedForm(doc); !reflect.DeepEqual(back, norm) {
-			t.Fatalf("decoded\ngot:  %+v\nwant: %+v", back, norm)
+		if back, err := new(RowDecoder).Document(split); err != nil || !reflect.DeepEqual(back, decodedForm(doc)) {
+			t.Fatalf("decoded (%v)\ngot:  %+v\nwant: %+v", err, back, decodedForm(doc))
 		}
 	})
 }

@@ -17,37 +17,32 @@ import (
 // rebuild a chain of day-files with one merge per delta and nothing
 // decoded, and decode only the rows they hand out (RowDecoder).
 //
-// A day-file is split by one of two splits, which give the same rows.
-// The checking split (SplitDocument, SplitDelta) is for bytes nothing
-// has vouched for: it checks every row against the grammar below, and
-// leaves a file outside it to encoding/json. The proven split
-// (ProvenDocumentRows, ProvenDeltaRows) is for bytes the checking split
-// accepted before, which a reader has since proven to be the day its
-// record covers (the archive proves each day-file once and recognises
-// its bytes after that): it finds only each row's extent, its prefix key
-// and the removals, checking no field, and stays within bounds on any
-// input.
+// A day-file is split one way (SplitDocument, SplitDelta): the split
+// finds each row's extent and parses its prefix into its PrefixKey, so
+// the merge parses nothing, and checks no other field (rowSpan). It stays
+// within bounds on any input. A file it cannot find rows in — one that
+// holds a backslash in a row, or is not shaped as a day-file — is decoded
+// whole by encoding/json. Row bytes alias the file read; prefix strings
+// and decoded entries are copies.
 //
 // A row has one grammar, and it is a table: rowFields lists
 // DocumentEntry's twelve fields in struct order with each value's form,
 // and a rowLayout holds, per layout, the whitespace that makes up each
 // field's key literal (`,"origin_asn":` compact, `,\n      "origin_asn": `
-// indented) and each name's bytes as words to match it with. The split
-// checks rows against the table in one pass over a day-file's row array
-// (storedRows), and RowDecoder decodes a row the split accepted by
-// walking the same table in the row's own layout (rowLayout.keyAt),
-// relying on what the split checked. A row is accepted only in the exact
-// form the entry appender writes it (compact in a delta, indented in a
-// snapshot): every field behind its key literal in that order, an
-// omitempty field only when set, each value in the appender's form. Each
-// name list is stepped over in one loop, eight bytes at a time, and each
-// row's prefix is parsed into its PrefixKey in the same pass, so the
-// merge parses nothing. That exactness is what makes a row's bytes its
-// canonical encoding: copied, or stripped of the snapshot's indentation,
-// they are what AppendJSON writes for the decoded row. A file holding
-// anything else is decoded whole by encoding/json, so every file splits
-// to the rows json.Unmarshal makes of it. Row bytes alias the file read;
-// prefix strings and decoded entries are copies.
+// indented) and each name's bytes as words to match it with. The grammar
+// is checked where a row is decoded: RowDecoder walks the table once in
+// the row's own layout (rowLayout.keyAt), checking each field and filling
+// the entry, and a row outside the grammar is an error. A row is in it
+// only in the exact form the entry appender writes it (compact in a
+// delta, indented in a snapshot): every field behind its key literal in
+// that order, an omitempty field only when set, each value in the
+// appender's form, and the row's '}' right after the last. Each name list
+// is stepped over in one loop, eight bytes at a time. That exactness is
+// what makes a row's bytes its canonical encoding: copied, or stripped of
+// the snapshot's indentation, they are what AppendJSON writes for the
+// decoded row. Nothing else needs the grammar checked before it copies a
+// row: a reader proves each day against its record first (the archive's
+// walk), and the writer splits bytes it has just encoded.
 
 // RowDay is one census day as stored rows in document order, and its
 // header. Its rows are shared with the days rebuilt from it, and so is
@@ -114,12 +109,13 @@ func (r *row) json(out *[]byte) []byte {
 }
 
 // SplitDocument splits a snapshot day-file into its rows, into the
-// chain's arena a. A file outside the writer's form is decoded whole by
-// encoding/json, so every file splits to the rows json.Unmarshal makes
-// of it.
+// chain's arena a. A file the split cannot find rows in is decoded whole
+// by encoding/json.
 func SplitDocument(b []byte, a *RowArena) (*RowDay, error) {
-	if d, ok := ScanDocumentRows(b, a); ok {
-		return d, nil
+	s := newScanner(b)
+	var rows []*row
+	if hdr, ok := s.document(func() { rows = s.storedRows(indentRows, a) }); ok {
+		return &RowDay{hdr: *hdr, rows: rows, arena: a}, nil
 	}
 	var doc Document
 	if err := json.Unmarshal(b, &doc); err != nil {
@@ -133,65 +129,19 @@ func SplitDocument(b []byte, a *RowArena) (*RowDay, error) {
 // SplitDelta splits a delta day-file into its rows, into the chain's
 // arena a, as SplitDocument splits a snapshot.
 func SplitDelta(b []byte, a *RowArena) (*RowDelta, error) {
-	if d, ok := ScanDeltaRows(b, a); ok {
+	s := newScanner(b)
+	d := &RowDelta{arena: a}
+	if s.delta(&d.hdr, func() { d.removed = s.removedKeys(a) }, func() { d.upserts = s.storedRows(compactRows, a) }) {
+		d.hdr.Entries = nil
 		return d, nil
 	}
 	var dd DocumentDelta
 	if err := json.Unmarshal(b, &dd); err != nil {
 		return nil, fmt.Errorf("core: decoding census delta: %w", err)
 	}
-	d := &RowDelta{hdr: dd.Header, removed: prefixKeys(dd.Removed), upserts: decodedRows(dd.Upserts), arena: a}
+	d = &RowDelta{hdr: dd.Header, removed: prefixKeys(dd.Removed), upserts: decodedRows(dd.Upserts), arena: a}
 	d.hdr.Entries = nil
 	return d, nil
-}
-
-// ScanDocumentRows is SplitDocument's fast path: it splits b when b is a
-// snapshot in the writer's form and reports false otherwise.
-func ScanDocumentRows(b []byte, a *RowArena) (*RowDay, bool) {
-	return scanDocumentRows(b, a, false)
-}
-
-// ProvenDocumentRows is the proven split of a snapshot: for bytes
-// ScanDocumentRows accepted before, the rows it makes of them. On other
-// bytes it may split rows ScanDocumentRows would not, or report false.
-func ProvenDocumentRows(b []byte, a *RowArena) (*RowDay, bool) {
-	return scanDocumentRows(b, a, true)
-}
-
-// scanDocumentRows splits the snapshot b into arena a, by the proven
-// split when proven.
-func scanDocumentRows(b []byte, a *RowArena, proven bool) (*RowDay, bool) {
-	s := newScanner(b, proven)
-	var rows []*row
-	hdr, ok := s.document(func() { rows = s.storedRows(indentRows, a) })
-	if !ok {
-		return nil, false
-	}
-	return &RowDay{hdr: *hdr, rows: rows, arena: a}, true
-}
-
-// ScanDeltaRows is SplitDelta's fast path: it splits b when b is a delta
-// in the writer's form and reports false otherwise.
-func ScanDeltaRows(b []byte, a *RowArena) (*RowDelta, bool) {
-	return scanDeltaRows(b, a, false)
-}
-
-// ProvenDeltaRows is the proven split of a delta, as ProvenDocumentRows
-// is of a snapshot.
-func ProvenDeltaRows(b []byte, a *RowArena) (*RowDelta, bool) {
-	return scanDeltaRows(b, a, true)
-}
-
-// scanDeltaRows splits the delta b into arena a, by the proven split
-// when proven.
-func scanDeltaRows(b []byte, a *RowArena, proven bool) (*RowDelta, bool) {
-	s := newScanner(b, proven)
-	d := &RowDelta{arena: a}
-	if !s.delta(&d.hdr, func() { d.removed = s.removedKeys(a) }, func() { d.upserts = s.storedRows(compactRows, a) }) {
-		return nil, false
-	}
-	d.hdr.Entries = nil
-	return d, true
 }
 
 // decodedRows holds entries a decoder made as rows. nil stays nil and
@@ -209,9 +159,8 @@ func decodedRows(es []DocumentEntry) []*row {
 	return out
 }
 
-// removedKeys reads a delta's removals, an array of plain strings (taken
-// as they stand when the scan is proven), and keys them, into arena a,
-// their strings carved from one.
+// removedKeys reads a delta's removals, an array of strings with no
+// escape, and keys them, into arena a, their strings carved from one.
 func (s *scanner) removedKeys(a *RowArena) []PrefixKey {
 	s.expect('[')
 	if s.peek() == ']' {
@@ -221,12 +170,7 @@ func (s *scanner) removedKeys(a *RowArena) []PrefixKey {
 	first := len(a.keys)
 	prefixes, ends := a.prefix[:0], a.ends[:0]
 	for s.ok {
-		var r []byte
-		if s.proven {
-			r = s.quoted()
-		} else {
-			r = s.raw()
-		}
+		r := s.raw()
 		prefixes = append(prefixes, r...)
 		ends = append(ends, len(prefixes))
 		a.keys = append(a.keys, PrefixKey{})
@@ -340,32 +284,42 @@ type RowDecoder struct {
 const namesChunk = 256
 
 // Document returns the day as json.Unmarshal makes the snapshot it
-// rebuilds. The document is new; its entries' name lists may share
-// arrays with other documents from the same decoder.
-func (dec *RowDecoder) Document(d *RowDay) *Document {
+// rebuilds, or the error of its first row outside the row grammar. The
+// document is new; its entries' name lists may share arrays with other
+// documents from the same decoder.
+func (dec *RowDecoder) Document(d *RowDay) (*Document, error) {
+	es, err := dec.entries(d.rows)
+	if err != nil {
+		return nil, err
+	}
 	doc := d.hdr
-	doc.Entries = dec.entries(d.rows)
-	return &doc
+	doc.Entries = es
+	return &doc, nil
 }
 
-// Delta returns the delta as json.Unmarshal makes its day-file: its
-// removals are the split's prefix strings, and only its upserts are
-// decoded.
-func (dec *RowDecoder) Delta(d *RowDelta) *DocumentDelta {
-	dd := &DocumentDelta{Header: d.hdr, Upserts: dec.entries(d.upserts)}
+// Delta returns the delta as json.Unmarshal makes its day-file, or the
+// error of its first upsert outside the row grammar: its removals are the
+// split's prefix strings, and only its upserts are decoded.
+func (dec *RowDecoder) Delta(d *RowDelta) (*DocumentDelta, error) {
+	es, err := dec.entries(d.upserts)
+	if err != nil {
+		return nil, err
+	}
+	dd := &DocumentDelta{Header: d.hdr, Upserts: es}
 	if d.removed != nil {
 		dd.Removed = make([]string, len(d.removed))
 		for i, k := range d.removed {
 			dd.Removed[i] = k.s
 		}
 	}
-	return dd
+	return dd, nil
 }
 
-// entries decodes rows into new entries; nil stays nil.
-func (dec *RowDecoder) entries(rows []*row) []DocumentEntry {
+// entries decodes rows into new entries; nil stays nil. A row keeps its
+// entry only once it has decoded.
+func (dec *RowDecoder) entries(rows []*row) ([]DocumentEntry, error) {
 	if rows == nil {
-		return nil
+		return nil, nil
 	}
 	out := make([]DocumentEntry, len(rows))
 	for i, r := range rows {
@@ -376,110 +330,192 @@ func (dec *RowDecoder) entries(rows []*row) []DocumentEntry {
 			if dec.names == nil {
 				dec.names = make(map[string]string)
 			}
-			dec.slab = dec.slab[:len(dec.slab)+1]
-			r.entry = &dec.slab[len(dec.slab)-1]
-			dec.row(r, r.entry)
+			e := &dec.slab[:len(dec.slab)+1][len(dec.slab)]
+			if err := dec.row(r, e); err != nil {
+				*e = DocumentEntry{}
+				return nil, err
+			}
+			dec.slab, r.entry = dec.slab[:len(dec.slab)+1], e
 		}
 		out[i] = *r.entry
 	}
-	return out
+	return out, nil
 }
 
-// row decodes r, a row the split accepted (or its bytes compacted by
-// json), into e: rowFields in order, each field read where keyAt finds
-// its key in r's own layout, and one whose key is not there (an
-// omitempty field the writer left out) left zero. The prefix is the
-// split's string, which holds the bytes between the value's quotes.
-func (dec *RowDecoder) row(r *row, e *DocumentEntry) {
-	l, b := compactRows, r.raw
+// row decodes r into e in one walk over rowFields that checks r against
+// the row grammar as it goes: each field where keyAt finds its key in r's
+// own layout, in rowFields' order, an omitempty field only when set, each
+// value in the form appendEntry writes it, and the row's '}' right after
+// the last. A key is told from the fields it could be by the first eight
+// bytes of its name. The prefix is the split's string, which holds the
+// bytes between the value's quotes. A row outside the grammar is an
+// error, and e is then partly filled.
+func (dec *RowDecoder) row(r *row, e *DocumentEntry) error {
+	l := compactRows
 	if r.indented {
 		l = indentRows
 	}
 	dec.text = ""
-	i := 1 // past '{'
-	for f := range rowFields {
-		v := l.keyAt(b, i, f)
-		if v < 0 {
-			continue
-		}
-		switch p := e.field(f).(type) {
-		case *string:
-			*p, i = r.key.s, v+len(r.key.s)+2
-		case *uint32:
-			var n int64
-			n, i = intAt(b, v)
-			*p = uint32(n)
-		case *int:
-			var n int64
-			n, i = intAt(b, v)
-			*p = int(n)
-		case *bool:
-			*p, i = b[v] == 't', v+len("false")
-			if *p {
-				i = v + len("true")
+	s := scanner{b: r.raw, ok: true}
+	b := s.b
+	if len(b) == 0 || b[0] != '{' {
+		s.ok = false
+	} else if v := l.keyAt(b, 1, 0); v < 0 {
+		s.ok = false
+	} else {
+		e.Prefix, s.i = r.key.s, v+len(r.key.s)+2
+	}
+	f := 1
+	for s.ok && s.i < len(b) && b[s.i] == ',' {
+		w := word(b, s.i+1+len(l.member.s)+1) // the name's first eight bytes, past ',', the whitespace and '"'
+		v := -1
+		for ; f < len(rowFields); f++ {
+			if w == l.name[f].w[0] {
+				if v = l.keyAt(b, s.i+1, f); v >= 0 {
+					break
+				}
 			}
+			if rowFields[f].val < valNames { // a field without omitempty
+				break
+			}
+		}
+		if v < 0 { // missing, unknown, out of order or repeated
+			s.ok = false
+			break
+		}
+		s.i = v
+		switch p := e.field(f).(type) {
+		case *uint32:
+			*p = uint32(s.number(false, math.MaxUint32))
+		case *int:
+			*p = s.nonzero()
+		case *bool:
+			*p = s.boolLit()
+			s.ok = s.ok && (*p || rowFields[f].val == valBool)
 		case *[]string:
-			*p, i = dec.nameList(b, v, l)
+			*p = dec.nameList(&s, l)
 		}
-		if i < len(b) && b[i] == ',' {
-			i++
+		f++
+	}
+	for ; f < len(rowFields); f++ {
+		if rowFields[f].val < valNames {
+			s.ok = false
 		}
+	}
+	if s.ok {
+		i := l.end.skip(b, s.i)
+		s.ok = i >= 0 && i == len(b)-1 && b[i] == '}'
+	}
+	if !s.ok {
+		return fmt.Errorf("core: the row of %q is not in the writer's form", r.key.s)
+	}
+	return nil
+}
+
+// nameList reads the non-empty list of plain strings at s's position in
+// layout l, carved from the decoder's chunk, in one loop over the list's
+// bytes, eight at a time: each byte a string may not hold as it is is
+// marked, a closing quote ends a name and has its separator checked where
+// it stands, and the loop goes on past the next string's opening quote,
+// in the same eight bytes while they reach it.
+func (dec *RowDecoder) nameList(s *scanner, l *rowLayout) []string {
+	b, i := s.b, s.i
+	if i >= len(b) || b[i] != '[' {
+		s.ok = false
+		return nil
+	}
+	if i = l.elem.skip(b, i+1); i < 0 || i >= len(b) || b[i] != '"' {
+		s.ok = false
+		return nil
+	}
+	i++
+	first, start, open, ascii := len(dec.chunk), i, i, true
+words:
+	for {
+		// Past the end the bytes read as '"', which p >= len(b) refuses.
+		var x uint64
+		if i+8 <= len(b) {
+			x = binary.LittleEndian.Uint64(b[i:])
+		} else {
+			w := [8]byte{'"', '"', '"', '"', '"', '"', '"', '"'}
+			copy(w[:], b[i:])
+			x = binary.LittleEndian.Uint64(w[:])
+		}
+		for m := plainBytes(x); m != 0; m &= m - 1 {
+			p := i + bits.TrailingZeros64(m)>>3
+			if p >= len(b) {
+				s.ok = false // unterminated
+				return nil
+			}
+			if c := b[p]; c != '"' {
+				if c < utf8.RuneSelf {
+					s.ok = false // a byte encoding/json escapes
+					return nil
+				}
+				ascii = false // part of a multi-byte rune
+				continue
+			}
+			// A closing quote: the name b[open:p], then ',' and the next
+			// string's opening quote, or the list's end.
+			first = dec.name(b, open, p, first)
+			j := p + 1
+			if j < len(b) && b[j] == ',' {
+				if j = l.elem.skip(b, j+1); j < 0 || j >= len(b) || b[j] != '"' {
+					s.ok = false
+					return nil
+				}
+				open = j + 1
+				if d := j - i; d < 7 {
+					m &= ^uint64(0) << (8 * d) // the loop's m &= m-1 clears the opening quote's mark
+					continue
+				}
+				i = j + 1
+				continue words
+			}
+			if j = l.member.skip(b, j); j < 0 || j >= len(b) || b[j] != ']' {
+				s.ok = false
+				return nil
+			}
+			// The separators are ASCII: the strings are plain exactly
+			// when the span holding them all is.
+			if !ascii && !plainRunes(b[start:p]) {
+				s.ok = false
+				return nil
+			}
+			s.i = j + 1
+			return dec.chunk[first:len(dec.chunk):len(dec.chunk)]
+		}
+		i += 8
 	}
 }
 
-// intAt reads the integer strconv.AppendInt wrote at b[i:] and returns
-// it and where it ends.
-func intAt(b []byte, i int) (int64, int) {
-	neg := b[i] == '-'
-	if neg {
-		i++
+// name appends the protocol or city name b[i:j] of the row b to the
+// list that starts at first in the decoder's chunk, and returns where the
+// list starts: a full chunk moves it to a new one, twice the last up to
+// namesChunk. The name is interned when the decoder interns, and
+// otherwise cut from one copy of the row, so a row decoded alone
+// (RowDay.Find) copies its bytes once.
+func (dec *RowDecoder) name(b []byte, i, j, first int) int {
+	if len(dec.chunk) == cap(dec.chunk) {
+		size := max(min(2*cap(dec.chunk), namesChunk), 16, 2*(len(dec.chunk)-first))
+		dec.chunk = append(make([]string, 0, size), dec.chunk[first:]...)
+		first = 0
 	}
-	var u uint64
-	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		u = u*10 + uint64(b[i]-'0')
-	}
-	if neg {
-		return -int64(u), i
-	}
-	return int64(u), i
-}
-
-// nameList reads the non-empty name list at b[i:] in layout l, carved
-// from the decoder's chunk, and returns it and where it ends.
-func (dec *RowDecoder) nameList(b []byte, i int, l *rowLayout) ([]string, int) {
-	start := len(dec.chunk)
-	for b[i] != ']' { // '[' or ',' before each name
-		i = l.elem.skip(b, i+1) + 1 // past the whitespace and the name's opening quote
-		n := bytes.IndexByte(b[i:], '"')
-		if len(dec.chunk) == cap(dec.chunk) { // a new chunk, twice the last up to namesChunk, with the list so far
-			size := max(min(2*cap(dec.chunk), namesChunk), 16, 2*(len(dec.chunk)-start))
-			dec.chunk = append(make([]string, 0, size), dec.chunk[start:]...)
-			start = 0
-		}
-		dec.chunk = append(dec.chunk, dec.name(b, i, i+n))
-		if i += n + 1; b[i] != ',' {
-			i = l.member.skip(b, i)
-		}
-	}
-	return dec.chunk[start:len(dec.chunk):len(dec.chunk)], i + 1
-}
-
-// name returns the protocol or city name b[i:j] of the row b: interned
-// when the decoder interns, and otherwise cut from one copy of the row,
-// so a row decoded alone (RowDay.Find) copies its bytes once.
-func (dec *RowDecoder) name(b []byte, i, j int) string {
-	if dec.names == nil {
+	v, ok := "", false
+	switch {
+	case dec.names == nil:
 		if dec.text == "" {
 			dec.text = string(b)
 		}
-		return dec.text[i:j]
+		v = dec.text[i:j]
+	default:
+		if v, ok = dec.names[string(b[i:j])]; !ok {
+			v = string(b[i:j])
+			dec.names[v] = v
+		}
 	}
-	if v, ok := dec.names[string(b[i:j])]; ok {
-		return v
-	}
-	v := string(b[i:j])
-	dec.names[v] = v
-	return v
+	dec.chunk = append(dec.chunk, v)
+	return first
 }
 
 // A stored row's value forms. The fields without omitempty come first,
@@ -592,17 +628,18 @@ var (
 	indentRows  = newRowLayout(&indentLayout, true)   // a snapshot's entries
 )
 
-// storedRows splits an array of rows, each exactly as appendEntry writes
-// it in layout l (storedRow), or each only found (rowSpan) when the scan
-// is proven, into arena a. The rows' bytes alias the input; their
-// prefixes are carved from one string, and their keys are parsed as they
-// are split.
+// storedRows splits an array of rows in layout l (rowSpan) into arena a,
+// and declines an array that holds a backslash: a row without one holds
+// no escape, so no '"' inside a string, which is what lets rowSpan find
+// its end. The rows' bytes alias the input; their prefixes are carved
+// from one string, and their keys are parsed as they are split.
 func (s *scanner) storedRows(l *rowLayout, a *RowArena) []*row {
 	s.expect('[')
 	if s.peek() == ']' {
 		s.i++
 		return []*row{}
 	}
+	first := s.i
 	n := s.hint // rows from the arena up to this many, which bounds them in any file the writer made
 	if cap(a.rows)-len(a.rows) < n {
 		a.rows = make([]row, 0, max(n, 2*cap(a.rows)))
@@ -620,13 +657,7 @@ func (s *scanner) storedRows(l *rowLayout, a *RowArena) []*row {
 		}
 		r := &rows[len(rows)-1] // from the arena: every field is set below
 		r.indented, r.entry = l.indented, nil
-		var prefix []byte
-		if s.proven {
-			prefix = s.rowSpan(l, &r.key)
-		} else {
-			prefix = s.storedRow(l, &r.key)
-		}
-		prefixes = append(prefixes, prefix...)
+		prefixes = append(prefixes, s.rowSpan(l, &r.key)...)
 		ends = append(ends, len(prefixes))
 		r.raw = s.b[start:s.i]
 		if s.i < len(s.b) && s.b[s.i] == ',' {
@@ -637,7 +668,8 @@ func (s *scanner) storedRows(l *rowLayout, a *RowArena) []*row {
 			break
 		}
 	}
-	if !s.ok {
+	if !s.ok || bytes.IndexByte(s.b[first:s.i], '\\') >= 0 {
+		s.ok = false
 		return nil
 	}
 	a.rows = a.rows[:len(a.rows)+min(len(rows), n)]
@@ -658,73 +690,23 @@ func (s *scanner) storedRows(l *rowLayout, a *RowArena) []*row {
 	return ptrs
 }
 
-// storedRow steps over one row if it is exactly what appendEntry writes
-// in layout l — its fields in rowFields' order, each omitempty field only
-// when set, every value in the form the appender gives it, the layout's
-// whitespace around them — and returns its prefix's bytes and parses
-// its key into key (rowPrefix). A key is told from the fields it could be
-// by the first eight bytes of its name.
-func (s *scanner) storedRow(l *rowLayout, key *PrefixKey) []byte {
-	b := s.b
-	prefix := s.rowPrefix(l, key)
-	f := 1
-	for s.ok && s.i < len(b) && b[s.i] == ',' {
-		w := word(b, s.i+1+len(l.member.s)+1) // the name's first eight bytes, past ',', the whitespace and '"'
-		v := -1
-		for ; f < len(rowFields); f++ {
-			if w == l.name[f].w[0] {
-				if v = l.keyAt(b, s.i+1, f); v >= 0 {
-					break
-				}
-			}
-			if rowFields[f].val < valNames { // a field without omitempty
-				break
-			}
-		}
-		if v < 0 { // missing, unknown, out of order or repeated
-			s.ok = false
-			return nil
-		}
-		s.i = v
-		switch rowFields[f].val {
-		case valASN:
-			s.number(false, math.MaxUint32)
-		case valBool:
-			s.boolLit()
-		case valNames:
-			s.nameSpan(l)
-		case valNonzero:
-			s.nonzero()
-		case valTrue:
-			s.lit("true")
-		}
-		f++
+// rowSpan steps over one row — a '{', its prefix field in layout l, and
+// the rest up to the row's end — and returns its prefix's bytes and
+// parses its key into key (prefix), checking nothing else of the row.
+// The row ends at the first '}' outside a string, which a row without a
+// backslash makes the first '}' with an even count of '"' before it in
+// the row.
+func (s *scanner) rowSpan(l *rowLayout, key *PrefixKey) []byte {
+	b, v := s.b, -1
+	if s.i < len(b) && b[s.i] == '{' {
+		v = l.keyAt(b, s.i+1, 0)
 	}
-	for ; f < len(rowFields); f++ {
-		if rowFields[f].val < valNames {
-			s.ok = false
-		}
-	}
-	if !s.ok {
-		return nil
-	}
-	i := l.end.skip(b, s.i)
-	if i < 0 || i >= len(b) || b[i] != '}' {
+	if v < 0 {
 		s.ok = false
 		return nil
 	}
-	s.i = i + 1
-	return prefix
-}
-
-// rowSpan steps over one row of bytes storedRow accepted before and
-// returns its prefix's bytes and key, as storedRow does, reading nothing
-// past the prefix but where the row ends: at the first '}' outside a
-// string, which a string's plain bytes (no '"', no escape) make the
-// first '}' with an even count of '"' before it in the row.
-func (s *scanner) rowSpan(l *rowLayout, key *PrefixKey) []byte {
-	b := s.b
-	prefix := s.rowPrefix(l, key)
+	s.i = v
+	prefix := s.prefix(key)
 	for i := s.i; s.ok; {
 		e := bytes.IndexByte(b[i:], '}')
 		if e < 0 {
@@ -743,23 +725,6 @@ func (s *scanner) rowSpan(l *rowLayout, key *PrefixKey) []byte {
 		i = e + q + 1
 	}
 	return nil
-}
-
-// rowPrefix steps over a row's '{' and its prefix field in layout l, and
-// returns the prefix's bytes and parses its key into key: the string
-// unset, and the rank zero when ParsePrefixKey has to parse the prefix.
-func (s *scanner) rowPrefix(l *rowLayout, key *PrefixKey) []byte {
-	b, i := s.b, s.i
-	if i >= len(b) || b[i] != '{' {
-		s.ok = false
-		return nil
-	}
-	if i = l.keyAt(b, i+1, 0); i < 0 {
-		s.ok = false
-		return nil
-	}
-	s.i = i
-	return s.prefix(key)
 }
 
 // quote is the byte rowSpan counts.
@@ -819,80 +784,6 @@ func (s *scanner) prefix(key *PrefixKey) []byte {
 	}
 	*key = PrefixKey{}
 	return s.plain()
-}
-
-// nameSpan steps over a non-empty list of plain strings in layout l in
-// one loop over the list's bytes, eight at a time: each byte a string may
-// not hold as it is is marked, a closing quote's separator is checked
-// where it stands, and the loop goes on past the next string's opening
-// quote, in the same eight bytes while they reach it.
-func (s *scanner) nameSpan(l *rowLayout) {
-	b, i := s.b, s.i
-	if i >= len(b) || b[i] != '[' {
-		s.ok = false
-		return
-	}
-	if i = l.elem.skip(b, i+1); i < 0 || i >= len(b) || b[i] != '"' {
-		s.ok = false
-		return
-	}
-	i++
-	start, ascii := i, true
-words:
-	for {
-		// Past the end the bytes read as '"', which p >= len(b) refuses.
-		var x uint64
-		if i+8 <= len(b) {
-			x = binary.LittleEndian.Uint64(b[i:])
-		} else {
-			w := [8]byte{'"', '"', '"', '"', '"', '"', '"', '"'}
-			copy(w[:], b[i:])
-			x = binary.LittleEndian.Uint64(w[:])
-		}
-		for m := plainBytes(x); m != 0; m &= m - 1 {
-			p := i + bits.TrailingZeros64(m)>>3
-			if p >= len(b) {
-				s.ok = false // unterminated
-				return
-			}
-			if c := b[p]; c != '"' {
-				if c < utf8.RuneSelf {
-					s.ok = false // a byte encoding/json escapes
-					return
-				}
-				ascii = false // part of a multi-byte rune
-				continue
-			}
-			// A closing quote: ',' and the next string's opening quote,
-			// or the list's end.
-			j := p + 1
-			if j < len(b) && b[j] == ',' {
-				if j = l.elem.skip(b, j+1); j < 0 || j >= len(b) || b[j] != '"' {
-					s.ok = false
-					return
-				}
-				if d := j - i; d < 7 {
-					m &= ^uint64(0) << (8 * d) // the loop's m &= m-1 clears the opening quote's mark
-					continue
-				}
-				i = j + 1
-				continue words
-			}
-			if j = l.member.skip(b, j); j < 0 || j >= len(b) || b[j] != ']' {
-				s.ok = false
-				return
-			}
-			// The separators are ASCII: the strings are plain exactly
-			// when the span holding them all is.
-			if !ascii && !plainRunes(b[start:p]) {
-				s.ok = false
-				return
-			}
-			s.i = j + 1
-			return
-		}
-		i += 8
-	}
 }
 
 // plainBytes sets the high bit of exactly those bytes of x (in memory
@@ -1086,18 +977,23 @@ func (s *scanner) plain() []byte {
 }
 
 // nonzero reads an int other than zero as strconv.AppendInt writes it.
-func (s *scanner) nonzero() {
-	limit := uint64(math.MaxInt)
+func (s *scanner) nonzero() int {
+	limit, neg := uint64(math.MaxInt), false
 	if s.i < len(s.b) && s.b[s.i] == '-' {
-		s.i, limit = s.i+1, limit+1
+		s.i, limit, neg = s.i+1, limit+1, true
 	}
-	s.number(true, limit)
+	v := int(s.number(true, limit))
+	if neg {
+		return -v
+	}
+	return v
 }
 
 // number reads a JSON integer's digits ("0" or no leading zero) whose
 // value is at most limit, which is below 10^19, so nineteen digits never
-// overflow and twenty are always too many; nonzero refuses a zero.
-func (s *scanner) number(nonzero bool, limit uint64) {
+// overflow and twenty are always too many; nonzero refuses a zero. It
+// returns the value.
+func (s *scanner) number(nonzero bool, limit uint64) uint64 {
 	b, i := s.b, s.i
 	var v uint64
 	for ; i < len(b) && '0' <= b[i] && b[i] <= '9' && i-s.i < 20; i++ {
@@ -1105,18 +1001,20 @@ func (s *scanner) number(nonzero bool, limit uint64) {
 	}
 	if n := i - s.i; n == 0 || n > 19 || n > 1 && b[s.i] == '0' || v > limit || nonzero && v == 0 {
 		s.ok = false
-		return
+		return 0
 	}
 	s.i = i
+	return v
 }
 
-// boolLit reads true or false.
-func (s *scanner) boolLit() {
+// boolLit reads true or false and returns it.
+func (s *scanner) boolLit() bool {
 	if len(s.b)-s.i >= len("true") && string(s.b[s.i:s.i+len("true")]) == "true" {
 		s.i += len("true")
-		return
+		return true
 	}
 	s.lit("false")
+	return false
 }
 
 // plainRunes reports whether a string's non-ASCII bytes are runes

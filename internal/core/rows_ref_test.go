@@ -3,12 +3,12 @@ package core
 import "math"
 
 // The row splitter the archive walk ran before the split became one
-// table-driven pass, kept as the reference the pass is held to
-// (TestSplitMatchesReference, FuzzSplitDelta, FuzzDecodeDocument): a
-// loop over the row's members that reads each key by name, matches it
-// in a switch, keeps the field order in a bitmask and steps over each
-// name-list element with its own calls. It returns the rows' bounds and
-// prefixes and leaves their keys unparsed.
+// table-driven pass, kept as the reference the split and RowDecoder's
+// grammar walk are held to (TestSplitMatchesReference, FuzzSplitDelta,
+// FuzzDecodeDocument): a loop over the row's members that reads each key
+// by name, matches it in a switch, keeps the field order in a bitmask
+// and steps over each name-list element with its own calls. It returns
+// the rows' bounds and prefixes and leaves their keys unparsed.
 
 // refStoredRows splits an array of rows, each exactly as appendEntry
 // writes it in layout l. The rows' bytes alias the input; their

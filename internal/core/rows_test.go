@@ -82,10 +82,10 @@ func splitCanonical(t testing.TB, doc *Document) *RowDay {
 	return d
 }
 
-// refScanRows is ScanDocumentRows (snap) or ScanDeltaRows on the
-// reference splitter: the rows only, their keys unparsed.
+// refScanRows is scanRows on the reference splitter: the rows only,
+// their keys unparsed.
 func refScanRows(b []byte, snap bool) ([]*row, bool) {
-	s := newScanner(b, false)
+	s := newScanner(b)
 	var rows []*row
 	if snap {
 		_, ok := s.document(func() { rows = s.refStoredRows(&indentLayout) })
@@ -96,61 +96,69 @@ func refScanRows(b []byte, snap bool) ([]*row, bool) {
 	return rows, ok
 }
 
-// scanRows is the split's fast path on a snapshot (snap) or a delta,
-// into a new arena.
+// scanRows is the split of a snapshot (snap) or a delta into a new arena
+// without its fallback to encoding/json: the rows it finds, or false
+// where it leaves the file to encoding/json.
 func scanRows(b []byte, snap bool) ([]*row, bool) { return scanRowsInto(b, snap, new(RowArena)) }
 
 // scanRowsInto is scanRows into arena a.
 func scanRowsInto(b []byte, snap bool, a *RowArena) ([]*row, bool) {
+	s := newScanner(b)
+	var rows []*row
 	if snap {
-		d, ok := ScanDocumentRows(b, a)
-		if !ok {
-			return nil, false
-		}
-		return d.rows, true
+		_, ok := s.document(func() { rows = s.storedRows(indentRows, a) })
+		return rows, ok
 	}
-	d, ok := ScanDeltaRows(b, a)
-	if !ok {
-		return nil, false
-	}
-	return d.upserts, true
+	var hdr Document
+	ok := s.delta(&hdr, func() { s.removedKeys(a) }, func() { rows = s.storedRows(compactRows, a) })
+	return rows, ok
 }
 
-// provenRowsInto is scanRowsInto on the proven split.
-func provenRowsInto(b []byte, snap bool, a *RowArena) ([]*row, bool) {
-	if snap {
-		d, ok := ProvenDocumentRows(b, a)
-		if !ok {
-			return nil, false
-		}
-		return d.rows, true
+// splitOnRows splits the snapshot b, failing the test when the split
+// leaves it to encoding/json.
+func splitOnRows(t testing.TB, b []byte) *RowDay {
+	t.Helper()
+	if _, ok := scanRows(b, true); !ok {
+		t.Fatal("the split left the snapshot to encoding/json")
 	}
-	d, ok := ProvenDeltaRows(b, a)
-	if !ok {
-		return nil, false
+	d, err := SplitDocument(b, new(RowArena))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return d.upserts, true
+	return d
 }
 
-// checkSplitMatchesReference holds the split of b to the reference
-// splitter: both accept b or both decline it, and what they accept
-// splits into the same rows — the same bounds in b, the same prefixes —
-// each keyed as ParsePrefixKey keys its prefix. A delta's removals are
-// keyed as ParsePrefixKey keys them. It holds the proven split of b to
-// the split too (checkProvenSplit).
+// decodesAll reports whether every row that holds no entry decodes
+// (RowDecoder.row), each decoded from a copy, so the rows stay as split.
+func decodesAll(rows []*row) bool {
+	for _, r := range rows {
+		c := *r
+		var e DocumentEntry
+		if r.entry == nil && new(RowDecoder).row(&c, &e) != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSplitMatchesReference holds the split of b and RowDecoder to the
+// reference splitter: the split finds rows in b and every one decodes
+// exactly when the reference accepts b, and then the rows are the same
+// — the same bounds in b, the same prefixes — each keyed as
+// ParsePrefixKey keys its prefix. A delta's removals are keyed as
+// ParsePrefixKey keys them.
 func checkSplitMatchesReference(t *testing.T, b []byte, snap bool) {
 	t.Helper()
-	checkProvenSplit(t, b, snap)
 	want, wok := refScanRows(b, snap)
 	got, ok := scanRows(b, snap)
-	if ok != wok {
-		t.Fatalf("the split accepts: %v, the reference: %v\n%q", ok, wok, b)
+	if accepted := ok && decodesAll(got); accepted != wok {
+		t.Fatalf("the split finds rows: %v, and they decode: %v; the reference accepts: %v\n%q", ok, accepted, wok, b)
 	}
-	if !ok {
+	if !wok {
 		return
 	}
 	if !snap {
-		d, _ := ScanDeltaRows(b, new(RowArena))
+		d, _ := SplitDelta(b, new(RowArena))
 		for _, k := range d.removed {
 			if k != ParsePrefixKey(k.s) {
 				t.Fatalf("removal keyed %+v, ParsePrefixKey(%q) = %+v", k, k.s, ParsePrefixKey(k.s))
@@ -174,56 +182,16 @@ func checkSplitMatchesReference(t *testing.T, b []byte, snap bool) {
 	}
 }
 
-// checkProvenSplit runs the proven split on b, whatever b holds, and
-// where the split's fast path accepts b requires it to accept b too and
-// give the same header, the same rows — the same bytes in b, layout and
-// key — and the same removals, nil and empty kept apart.
-func checkProvenSplit(t *testing.T, b []byte, snap bool) {
-	t.Helper()
-	var got, want []*row
-	var ok bool
-	if snap {
-		p, pok := ProvenDocumentRows(b, new(RowArena))
-		d, dok := ScanDocumentRows(b, new(RowArena))
-		if ok = dok; dok && (!pok || !reflect.DeepEqual(p.hdr, d.hdr)) {
-			t.Fatalf("the proven split of a snapshot the split accepts: accepted %v, header %+v; the split's %+v", pok, p, d.hdr)
-		}
-		if ok {
-			got, want = p.rows, d.rows
-		}
-	} else {
-		p, pok := ProvenDeltaRows(b, new(RowArena))
-		d, dok := ScanDeltaRows(b, new(RowArena))
-		if ok = dok; dok && (!pok || !reflect.DeepEqual(p.hdr, d.hdr) || !reflect.DeepEqual(p.removed, d.removed)) {
-			t.Fatalf("the proven split of a delta the split accepts: accepted %v, %+v; the split's header %+v, removals %v", pok, p, d.hdr, d.removed)
-		}
-		if ok {
-			got, want = p.upserts, d.upserts
-		}
-	}
-	if !ok {
-		return
-	}
-	if (got == nil) != (want == nil) || len(got) != len(want) {
-		t.Fatalf("the proven split makes %d rows (nil %v), the split %d (nil %v)", len(got), got == nil, len(want), want == nil)
-	}
-	for i, r := range got {
-		w := want[i]
-		if len(r.raw) != len(w.raw) || len(r.raw) > 0 && &r.raw[0] != &w.raw[0] || r.indented != w.indented || r.key != w.key {
-			t.Fatalf("row %d: the proven split's\n%q keyed %+v\nthe split's\n%q keyed %+v", i, r.raw, r.key, w.raw, w.key)
-		}
-	}
-}
-
-// TestSplitMatchesReference holds the table-driven split to the
-// splitter it replaced (rows_ref_test.go) on every day-file the writer
+// TestSplitMatchesReference holds the split and RowDecoder to the
+// splitter they replaced (rows_ref_test.go) on every day-file the writer
 // makes of eight TestConfig census days of both families, packed at
 // SnapshotEvery 1 and 7, and on each of their rows alone after seeded
 // single-byte edits, deletions and insertions, some in the prefix: the
-// same accept or decline, the same row bounds and prefixes, and each
-// key ParsePrefixKey's. Every writer-made file splits, and each of its
-// rows re-indents as checkReindent requires and decodes as
-// checkRowDecode requires.
+// same accept or decline, the same row bounds and prefixes, each key
+// ParsePrefixKey's, and each accepted row decoded as encoding/json
+// decodes it. Every writer-made file splits, and each of its rows
+// re-indents as checkReindent requires and decodes as checkRowDecode
+// requires.
 func TestSplitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(56, 7))
 	alphabet := []byte(`0123456789abcdefxyz.:/"{}[],- ` + "\n\t\\<&\x00\x7f\x80\xc3\xe2")
@@ -278,8 +246,8 @@ func checkReindent(t *testing.T, r *row) {
 	}
 }
 
-// checkRowDecode holds RowDecoder to encoding/json on one row the split
-// accepted: decoded as split (indented in a snapshot, compact in a
+// checkRowDecode holds RowDecoder to encoding/json on one row in the row
+// grammar: decoded as split (indented in a snapshot, compact in a
 // delta), and again after json has compacted a copy of it in place, the
 // entry is json.Unmarshal's of the row's bytes.
 func checkRowDecode(t *testing.T, r *row) {
@@ -294,7 +262,9 @@ func checkRowDecode(t *testing.T, r *row) {
 			c.json(new([]byte))
 		}
 		var got DocumentEntry
-		new(RowDecoder).row(&c, &got)
+		if err := new(RowDecoder).row(&c, &got); err != nil {
+			t.Fatalf("the row %s (indented: %v): %v\n%s", form, c.indented, err, c.raw)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("the row %s (indented: %v) decodes to\n%+v\nencoding/json's\n%+v\n%s", form, c.indented, got, want, c.raw)
 		}
@@ -344,7 +314,11 @@ func mutations(rng *rand.Rand, raw, alphabet []byte) [][]byte {
 }
 
 // checkRowMatchesReference splits one row, or what an edit made of it,
-// alone in an array with the split and the reference in layout l.
+// alone in an array in layout l, and holds the split and RowDecoder to
+// the reference: the split finds the row and it decodes exactly when the
+// reference accepts it, and then the row has the same bytes and prefix,
+// is keyed as ParsePrefixKey keys it, and decodes to json.Unmarshal's
+// entry.
 func checkRowMatchesReference(t *testing.T, raw []byte, l *entryLayout) {
 	t.Helper()
 	b := append(append([]byte{'['}, raw...), ']')
@@ -352,16 +326,20 @@ func checkRowMatchesReference(t *testing.T, raw []byte, l *entryLayout) {
 	if l == &indentLayout {
 		rl = indentRows
 	}
-	s, ref := newScanner(b, false), newScanner(b, false)
+	s, ref := newScanner(b), newScanner(b)
 	got, want := s.storedRows(rl, new(RowArena)), ref.refStoredRows(l)
-	if s.ok != ref.ok || s.ok && (len(got) != len(want) || s.i != ref.i) {
-		t.Fatalf("the split accepts: %v (%d rows), the reference: %v (%d rows)\n%q", s.ok, len(got), ref.ok, len(want), raw)
+	if ok := s.ok && decodesAll(got); ok != ref.ok || ok && (len(got) != len(want) || s.i != ref.i) {
+		t.Fatalf("the split and RowDecoder accept: %v (%d rows), the reference: %v (%d rows)\n%q", ok, len(got), ref.ok, len(want), raw)
+	}
+	if !ref.ok {
+		return
 	}
 	for i, r := range got {
 		w := want[i]
 		if !bytes.Equal(r.raw, w.raw) || r.key.s != w.key.s || r.key != ParsePrefixKey(w.key.s) {
 			t.Fatalf("the split makes %q keyed %+v, the reference %q of %q", r.raw, r.key, w.raw, w.key.s)
 		}
+		checkRowDecode(t, r)
 	}
 }
 
@@ -391,9 +369,9 @@ func TestPrefixKeyAt(t *testing.T) {
 }
 
 // BenchmarkSplit splits one fixture delta and one fixture snapshot with
-// the table-driven pass and with the proven split, each into one arena
-// emptied each time as a walk empties it at a snapshot, and with the
-// reference splitter the table-driven pass replaced.
+// the split, into one arena emptied each time as a walk empties it at a
+// snapshot, and with the reference splitter, which also checks each row
+// against the row grammar.
 func BenchmarkSplit(b *testing.B) {
 	var delta, snap dayFile
 	for _, f := range writerFiles(b, 7) {
@@ -413,8 +391,7 @@ func BenchmarkSplit(b *testing.B) {
 			name  string
 			split func([]byte, bool) ([]*row, bool)
 		}{
-			{"table", func(b []byte, snap bool) ([]*row, bool) { arena.Reset(); return scanRowsInto(b, snap, &arena) }},
-			{"proven", func(b []byte, snap bool) ([]*row, bool) { arena.Reset(); return provenRowsInto(b, snap, &arena) }},
+			{"split", func(b []byte, snap bool) ([]*row, bool) { arena.Reset(); return scanRowsInto(b, snap, &arena) }},
 			{"reference", refScanRows},
 		} {
 			b.Run(kind+"/"+c.name, func(b *testing.B) {
@@ -458,7 +435,9 @@ func BenchmarkRowDecode(b *testing.B) {
 				for _, r := range c.day.rows {
 					r.entry = nil
 				}
-				new(RowDecoder).Document(c.day)
+				if _, err := new(RowDecoder).Document(c.day); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

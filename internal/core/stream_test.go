@@ -123,11 +123,10 @@ func TestStreamReaderRoundTrip(t *testing.T) {
 		if err := StreamDocument(&buf, doc); err != nil {
 			t.Fatal(err)
 		}
-		split, ok := ScanDocumentRows(buf.Bytes(), new(RowArena))
-		if !ok {
-			t.Fatalf("entries=%d: the split declined a streamed document", entries)
+		back, err := new(RowDecoder).Document(splitOnRows(t, buf.Bytes()))
+		if err != nil {
+			t.Fatalf("entries=%d: %v", entries, err)
 		}
-		back := new(RowDecoder).Document(split)
 		var again bytes.Buffer
 		if err := back.WriteJSON(&again); err != nil {
 			t.Fatal(err)

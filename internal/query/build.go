@@ -220,34 +220,30 @@ func (fb *famBuilder) row(prefix string) *rowBuilder {
 }
 
 // extend indexes the archived days of the family that the committed
-// section does not cover: it reads each missing day-file once, split
-// into rows by archive.ReadDay, from the first day the section lacks —
-// never from the snapshot under it. A snapshot day adds its decoded
-// rows; a delta day decodes only its upserts and applies to the rows
-// directly, so no document is built for it.
+// section does not cover: it reads each missing day-file once, decoded
+// by archive.ReadDay, from the first day the section lacks — never from
+// the snapshot under it. A snapshot day adds its document's rows; a
+// delta day decodes only its upserts and applies to the rows directly,
+// so no document is built for it.
 func (fb *famBuilder) extend(a *archive.Archive) error {
 	// family is the one the day before's document carries, which a
 	// delta must name: what Apply checks on archive.Range's chain.
 	family := fb.family
-	var rows core.RowArena
-	var dec core.RowDecoder
 	for pos := len(fb.base.days); pos < len(fb.out.days); pos++ {
 		rec, _ := a.Record(fb.family, fb.out.days[pos])
 		if rec.Kind == archive.KindDelta && pos == 0 {
 			return fmt.Errorf("%s chain starts with a delta (corrupt index)", fb.family)
 		}
-		rows.Reset()
-		snap, delta, err := a.ReadDay(rec, &rows)
+		snap, delta, err := a.ReadDay(rec)
 		if err != nil {
 			return err
 		}
 		if snap != nil {
-			doc := dec.Document(snap)
-			family = doc.Family
-			fb.addSnapshot(pos, doc)
+			family = snap.Family
+			fb.addSnapshot(pos, snap)
 			continue
 		}
-		if err := fb.applyDelta(pos, family, dec.Delta(delta)); err != nil {
+		if err := fb.applyDelta(pos, family, delta); err != nil {
 			return fmt.Errorf("%s: %w", rec.File, err)
 		}
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -108,8 +109,10 @@ func FuzzBuildDeltaDay(f *testing.F) {
 // rowPathDays reads the ipv4 days of the archive a in dir, whose last
 // day is a delta, by the row path: Range through the day before it, then
 // the last day-file split (core.SplitDelta) and applied to that day's
-// rows as Day rebuilds them. It returns the error either step fails
-// with.
+// rows as Day rebuilds them. A delta with an upsert outside the row
+// grammar is read as ReadDay reads it, as encoding/json does: what
+// json.Marshal writes for its decoding is split instead. It returns the
+// error either step fails with.
 func rowPathDays(a *archive.Archive, dir string) ([]DayDoc, error) {
 	var days []DayDoc
 	all := a.Days("ipv4")
@@ -133,11 +136,27 @@ func rowPathDays(a *archive.Archive, dir string) ([]DayDoc, error) {
 	if err != nil {
 		return days, err
 	}
+	if _, err := new(core.RowDecoder).Delta(delta); err != nil {
+		var dd core.DocumentDelta
+		if err := json.Unmarshal(b, &dd); err != nil {
+			return days, err
+		}
+		if b, err = json.Marshal(&dd); err != nil {
+			return days, err
+		}
+		if delta, err = core.SplitDelta(b, new(core.RowArena)); err != nil {
+			return days, err
+		}
+	}
 	day, err := delta.Apply(prev.Rows())
 	if err != nil {
 		return days, err
 	}
-	return append(days, DayDoc{last, new(core.RowDecoder).Document(day)}), nil
+	doc, err := new(core.RowDecoder).Document(day)
+	if err != nil {
+		return days, err
+	}
+	return append(days, DayDoc{last, doc}), nil
 }
 
 // buildDeltaDay holds the archive at dir to FuzzBuildDeltaDay's
