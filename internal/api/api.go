@@ -624,11 +624,10 @@ func (s *Server) handleEvents(v *view, r *http.Request) (answer, error) {
 	if a.current(r) {
 		return a, nil
 	}
-	all, err := s.eventList(v, t.family, t.hysteresis, t.from, t.to)
+	events, err := v.q.Events(t.family, kindList(t.kinds), t.from, t.to, query.EventOptions{Hysteresis: t.hysteresis})
 	if err != nil {
 		return answer{}, err
 	}
-	events := filterKinds(all, t.kinds)
 	total := len(events)
 	next := ""
 	if t.limit > 0 {
@@ -679,21 +678,15 @@ func parseKinds(raw []string) (string, error) {
 	return strings.Join(kinds, ","), nil
 }
 
-// filterKinds selects the events matching a canonical kind set ("" =
-// all). The shared all-kinds list is never mutated.
-func filterKinds(events []query.Event, kinds string) []query.Event {
+// kindList splits a canonical kind set ("" = all) into the kinds
+// Index.Events filters by.
+func kindList(kinds string) []query.EventKind {
 	if kinds == "" {
-		return events
+		return nil
 	}
-	want := make(map[query.EventKind]bool)
+	var out []query.EventKind
 	for _, k := range strings.Split(kinds, ",") {
-		want[query.EventKind(k)] = true
-	}
-	var out []query.Event
-	for _, e := range events {
-		if want[e.Kind] {
-			out = append(out, e)
-		}
+		out = append(out, query.EventKind(k))
 	}
 	return out
 }

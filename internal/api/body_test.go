@@ -3,10 +3,13 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -19,8 +22,9 @@ import (
 )
 
 // twoFamilyServer builds a server over a six-day archive of both
-// families (snapshot cadence 3) and its timeline index.
-func twoFamilyServer(t *testing.T) *Server {
+// families (snapshot cadence 3) and its timeline index, and returns the
+// archive's directory.
+func twoFamilyServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	d, err := platform.Tangled(testWorld, netsim.PolicyUnmodified)
 	if err != nil {
@@ -62,7 +66,7 @@ func twoFamilyServer(t *testing.T) *Server {
 		t.Fatal(err)
 	}
 	s.Archive, s.Query = ix.Archive(), ix
-	return s
+	return s, dir
 }
 
 // encoded is the body json.NewEncoder writes for v.
@@ -81,7 +85,7 @@ func encoded(t *testing.T, v any) []byte {
 // families, and events pages over several windows, kind sets and page
 // sizes, followed to their last page.
 func TestIndexBodiesMatchEncodingJSON(t *testing.T) {
-	s := twoFamilyServer(t)
+	s, _ := twoFamilyServer(t)
 	h, ix := s.Handler(), s.Query
 	get := func(path string) []byte {
 		t.Helper()
@@ -119,12 +123,11 @@ func TestIndexBodiesMatchEncodingJSON(t *testing.T) {
 	pages := 0
 	for _, fam := range []string{"ipv4", "ipv6"} {
 		for _, w := range []struct{ from, to int }{{0, -1}, {1, 3}, {4, 4}, {5, -1}, {0, 0}} {
-			all, err := ix.Events(fam, nil, w.from, w.to, query.EventOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, kinds := range []string{"", "onset", "flap,offset", "geo-shift,site-churn"} {
-				events := filterKinds(all, kinds)
+				events, err := ix.Events(fam, kindList(kinds), w.from, w.to, query.EventOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, limit := range []int{0, 1, 3} {
 					q := url.Values{"family": {fam}, "from": {strconv.Itoa(w.from)}}
 					if w.to >= 0 {
@@ -182,7 +185,7 @@ func TestIndexBodiesMatchEncodingJSON(t *testing.T) {
 // one shared http.Client; those send every other request with that
 // ETag, which must answer 304 with an empty body.
 func TestIndexBodiesConcurrent(t *testing.T) {
-	s := twoFamilyServer(t)
+	s, _ := twoFamilyServer(t)
 	h := s.Handler()
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -269,5 +272,106 @@ func TestIndexBodiesConcurrent(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+	}
+}
+
+// TestEventsPagesConcatenateToTheWindow: for every window of the
+// archive's days, closed or open-ended, and two page sizes, the
+// /v1/events pages followed to the last concatenate to the events of the
+// family's full-history list that fall in the window, in order.
+func TestEventsPagesConcatenateToTheWindow(t *testing.T) {
+	s, _ := twoFamilyServer(t)
+	h := s.Handler()
+	for _, fam := range []string{"ipv4", "ipv6"} {
+		full := eventsPageOf(t, fetch(t, h, "/v1/events?family="+fam, ""))
+		if full.Count == 0 {
+			t.Fatalf("no %s events: the test is vacuous", fam)
+		}
+		days := s.Archive.Days(fam)
+		for a, from := range days {
+			for _, to := range append(slices.Clone(days[a:]), -1) {
+				var want []query.Event
+				for _, e := range full.Events {
+					if e.Day >= from && (to < 0 || e.Day <= to) {
+						want = append(want, e)
+					}
+				}
+				for _, limit := range []int{1, 4} {
+					path := fmt.Sprintf("/v1/events?family=%s&from=%d&limit=%d", fam, from, limit)
+					if to >= 0 {
+						path += fmt.Sprintf("&to=%d", to)
+					}
+					var got []query.Event
+					for {
+						rec := fetch(t, h, path, "")
+						if rec.Code != http.StatusOK {
+							t.Fatalf("%s: status %d (%s)", path, rec.Code, rec.Body.Bytes())
+						}
+						p := eventsPageOf(t, rec)
+						if p.Count != len(want) {
+							t.Fatalf("%s: count %d, want %d", path, p.Count, len(want))
+						}
+						got = append(got, p.Events...)
+						if p.NextPageToken == "" {
+							break
+						}
+						path = "/v1/events?page_token=" + url.QueryEscape(p.NextPageToken)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s [%d,%d] in pages of %d: %d events, want the window's %d", fam, from, to, limit, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEventsConcurrentFirstRequests: first requests for both families
+// and three hysteresis values, side by side on a fresh index (run under
+// -race), each get the body a second fresh index serves alone, and each
+// family's list is scanned once per hysteresis however many requests
+// ask for it at once.
+func TestEventsConcurrentFirstRequests(t *testing.T) {
+	s, dir := twoFamilyServer(t)
+	ref := serverOver(t, dir)
+	ref.Query = openIndexDir(t, dir)
+	var paths []string
+	for _, fam := range []string{"ipv4", "ipv6"} {
+		for _, hy := range []int{1, 2, 3} {
+			for _, w := range []string{"", "&from=1&to=3", "&from=4&limit=2", "&kind=onset,offset"} {
+				paths = append(paths, fmt.Sprintf("/v1/events?family=%s&hysteresis=%d%s", fam, hy, w))
+			}
+		}
+	}
+	const readers = 3
+	h := s.Handler()
+	got := make([][]byte, readers*len(paths))
+	var wg sync.WaitGroup
+	for g := range readers {
+		for i := range paths {
+			wg.Add(1)
+			go func(k int, path string) {
+				defer wg.Done()
+				rec := fetch(t, h, path, "")
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s: status %d", path, rec.Code)
+				}
+				got[k] = rec.Body.Bytes()
+			}(g*len(paths)+i, paths[(i+g)%len(paths)])
+		}
+	}
+	wg.Wait()
+	rh := ref.Handler()
+	for g := range readers {
+		for i := range paths {
+			path := paths[(i+g)%len(paths)]
+			if want := fetch(t, rh, path, "").Body.Bytes(); !bytes.Equal(got[g*len(paths)+i], want) {
+				t.Errorf("%s asked side by side: body differs from the one a fresh index serves alone", path)
+			}
+		}
+	}
+	rows := int64(len(s.Query.Prefixes("ipv4")) + len(s.Query.Prefixes("ipv6")))
+	if scanned, _ := s.Query.EventScanStats(); scanned != 3*rows {
+		t.Errorf("%d rows scanned, want each family's %d rows once per hysteresis (%d)", scanned, rows, 3*rows)
 	}
 }

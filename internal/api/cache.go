@@ -14,12 +14,18 @@ package api
 // fingerprint) use `public, no-cache`: cache, but revalidate — a 304
 // costs no body bytes and no row reads.
 //
+// The caches stack under a response: the client's, revalidated by the
+// validators here; the Server's day LRU (api.go), which holds canonical
+// days across generations; and the query index's event lists, one per
+// family and hysteresis (at most eight), of which every /v1/events window
+// is a slice — they live as long as the index, so each generation's
+// index starts its own.
+//
 // Snapshot isolation: every request resolves one immutable view at
-// start — archive handle, query index, precomputed validators, the
-// per-view events cache — via an atomic pointer. A census appending to
-// the archive publishes a new generation with Reload; in-flight
-// requests keep the generation they pinned and can never observe a
-// half-appended day.
+// start — archive handle, query index, precomputed validators — via an
+// atomic pointer. A census appending to the archive publishes a new
+// generation with Reload; in-flight requests keep the generation they
+// pinned and can never observe a half-appended day.
 
 import (
 	"fmt"
@@ -32,10 +38,6 @@ import (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// eventsCacheSize bounds the per-view cache of computed event lists
-// (one entry per distinct family/hysteresis/window combination).
-const eventsCacheSize = 8
-
 // resTag is one precomputed HTTP validator: the quoted ETag and its
 // ready-made single-element header value, so the conditional-GET path
 // allocates nothing.
@@ -45,15 +47,6 @@ type resTag struct {
 }
 
 func newResTag(etag string) *resTag { return &resTag{etag: etag, hdr: []string{etag}} }
-
-// eventsKey identifies one computed event list inside a view. The kind
-// filter is deliberately absent: the view caches the all-kinds list and
-// handlers filter per request, so kind permutations share one scan.
-type eventsKey struct {
-	family     string
-	hysteresis int
-	from, to   int
-}
 
 // view is one serving generation: everything a request needs, resolved
 // once at request start and immutable for the request's lifetime.
@@ -69,8 +62,6 @@ type view struct {
 	famTags map[string]*resTag
 	idxTag  *resTag
 
-	events *lru[eventsKey, []query.Event] // guarded by the owning Server's mu
-
 	// retired is what earlier generations' handles counted before Reload
 	// dropped them, so the registry bridges (obs.go) never go backwards.
 	retired tallies
@@ -79,7 +70,7 @@ type view struct {
 // tallies are the archive's and the index's running counts the registry
 // bridges expose.
 type tallies struct {
-	decodes, lookups, eventRows, eventRowsPruned int64
+	decodes, lookups, eventRows int64
 }
 
 // counts returns the running counts of the handles a and q, either of
@@ -90,13 +81,12 @@ func counts(a *archive.Archive, q *query.Index) tallies {
 		t.decodes = a.Decodes()
 	}
 	t.lookups, _, _ = q.Stats()
-	t.eventRows, t.eventRowsPruned = q.EventScanStats()
+	t.eventRows, _ = q.EventScanStats()
 	return t
 }
 
 func (t tallies) plus(u tallies) tallies {
-	return tallies{t.decodes + u.decodes, t.lookups + u.lookups,
-		t.eventRows + u.eventRows, t.eventRowsPruned + u.eventRowsPruned}
+	return tallies{t.decodes + u.decodes, t.lookups + u.lookups, t.eventRows + u.eventRows}
 }
 
 // tallies returns v's running counts: its retired ones plus its handles'.
@@ -113,7 +103,6 @@ func (s *Server) newView(a *archive.Archive, q *query.Index) *view {
 		q:       q,
 		dayTags: make(map[censusKey]*resTag),
 		famTags: make(map[string]*resTag),
-		events:  newLRU[eventsKey, []query.Event](eventsCacheSize),
 	}
 	if a != nil {
 		for _, fam := range a.Families() {
@@ -159,26 +148,6 @@ func (v *view) rangeTag(fam string, from, to int) *resTag {
 		return nil
 	}
 	return newResTag(fmt.Sprintf("\"%s-range-%d-%08x\"", fam, n, sum.Sum32()))
-}
-
-// eventList returns the view's all-kinds event list for one
-// family/hysteresis/window, computing it at most once per view.
-func (s *Server) eventList(v *view, family string, hysteresis, from, to int) ([]query.Event, error) {
-	key := eventsKey{family, hysteresis, from, to}
-	s.mu.Lock()
-	ev, ok := v.events.Get(key)
-	s.mu.Unlock()
-	if ok {
-		return ev, nil
-	}
-	ev, err := v.q.Events(family, nil, from, to, query.EventOptions{Hysteresis: hysteresis})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	v.events.Put(key, ev)
-	s.mu.Unlock()
-	return ev, nil
 }
 
 // currentView returns the serving snapshot this request pins. The first

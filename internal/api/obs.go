@@ -41,13 +41,9 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		"Timeline lookups answered by the columnar index.",
 		func() float64 { return float64(s.tallies().lookups) })
 	reg.CounterFunc("laces_query_event_rows_total",
-		"Rows considered by family-wide event scans, by outcome (scanned includes pruned).",
+		"Rows scanned to compute the index's memoized full-history event lists.",
 		func() float64 { return float64(s.tallies().eventRows) },
 		obs.L("outcome", "scanned"))
-	reg.CounterFunc("laces_query_event_rows_total",
-		"Rows considered by family-wide event scans, by outcome (scanned includes pruned).",
-		func() float64 { return float64(s.tallies().eventRowsPruned) },
-		obs.L("outcome", "pruned"))
 }
 
 // tallies reads the current serving generation's running counts — an

@@ -89,14 +89,18 @@ func serve(t *testing.T, w *netsim.World, dep *netsim.Deployment, a *archive.Arc
 	return s.Handler()
 }
 
-// TestForgedRecordGetsTheProvenBytesOrAnError: a snapshot with one row
-// out of the writer's form — a space after its `"origin_asn":` — under a
-// record forged to the file's CRC-32C and sizes is served as the file's
-// own bytes or not at all. Day and /v1/census give exactly the file, so
-// the body's CRC-32C is the one in its ETag; Document, Range and
-// /v1/prefix for that row fail, /v1/prefix with a 500 that carries no
-// validator; the day's other rows still answer. Each read runs twice on
-// one handle: first, and again once the day-file is proven.
+// TestForgedRecordGetsTheProvenBytesOrAnError: snapshot day 4 changed
+// out of the writer's bytes under a record forged to the file's CRC-32C
+// and sizes is served as the file's own bytes or not at all. Day and
+// /v1/census give exactly the file, so the body's CRC-32C is the record
+// CRC its ETag names, and never the bytes its rows re-encode to: for one
+// row out of the writer's form (a space after its `"origin_asn":`), a
+// header reformatted (two spaces after `"date":`) and a name written
+// with an escape (`"\u004condon"` for "London"). For the row out of
+// form, Document, Range and /v1/prefix for that row fail, /v1/prefix
+// with a 500 that carries no validator, and the day's other rows still
+// answer. Each read runs twice on one handle: first, and again once the
+// day-file is proven.
 func TestForgedRecordGetsTheProvenBytesOrAnError(t *testing.T) {
 	w, err := netsim.New(netsim.TestConfig())
 	if err != nil {
@@ -106,58 +110,80 @@ func TestForgedRecordGetsTheProvenBytesOrAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	packProofChain(t, dir)
-	a, err := archive.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, _ := a.Record("ipv4", 4)
-	if rec.Kind != archive.KindSnapshot {
-		t.Fatalf("day 4 is a %s, want a snapshot", rec.Kind)
-	}
-	path := filepath.Join(dir, rec.File)
-	insertAfter(t, path, `"origin_asn":`, " ")
-	file, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forgeRecord(t, dir, rec.Seq, func(r *archive.Record) {
-		r.CRC, r.Bytes, r.FullBytes = crc32.Checksum(file, crc32.MakeTable(crc32.Castagnoli)), int64(len(file)), int64(len(file))
-	})
-	var doc core.Document
-	if err := json.Unmarshal(file, &doc); err != nil {
-		t.Fatal(err)
-	}
-	bad, good := doc.Entries[0].Prefix, doc.Entries[1].Prefix
-	if a, err = archive.Open(dir); err != nil {
-		t.Fatal(err)
-	}
-	h := serve(t, w, dep, a)
-	for _, pass := range []string{"first", "proven"} {
-		if d, err := a.Day("ipv4", 4); err != nil || !bytes.Equal(d.Bytes(), file) {
-			t.Fatalf("%s: Day = %v; want the file's %d bytes", pass, err, len(file))
-		}
-		res := get(h, "/v1/census?day=4")
-		if crc := crc32.Checksum(res.Body.Bytes(), crc32.MakeTable(crc32.Castagnoli)); res.Code != http.StatusOK || !bytes.Equal(res.Body.Bytes(), file) ||
-			res.Header().Get("Etag") != fmt.Sprintf(`"ipv4-4-%08x"`, crc) {
-			t.Fatalf("%s: /v1/census: %d, %d bytes under %s; want 200 with the file's %d bytes under %q",
-				pass, res.Code, res.Body.Len(), res.Header().Get("Etag"), len(file), fmt.Sprintf(`"ipv4-4-%08x"`, crc))
-		}
-		if _, err := a.Document("ipv4", 4); err == nil {
-			t.Errorf("%s: Document decodes the row out of the writer's form", pass)
-		}
-		if err := a.Range("ipv4", 4, 4, func(int, *core.Document) error { return nil }); err == nil {
-			t.Errorf("%s: Range decodes the row out of the writer's form", pass)
-		}
-		res = get(h, "/v1/prefix/"+bad+"?day=4")
-		if res.Code != http.StatusInternalServerError || res.Header().Get("Etag") != "" || res.Header().Get("Cache-Control") != "" {
-			t.Errorf("%s: /v1/prefix of the row out of the writer's form: %d, ETag %q, Cache-Control %q; want a 500 with neither",
-				pass, res.Code, res.Header().Get("Etag"), res.Header().Get("Cache-Control"))
-		}
-		if res = get(h, "/v1/prefix/"+good+"?day=4"); res.Code != http.StatusOK {
-			t.Errorf("%s: /v1/prefix of another row: %d %s", pass, res.Code, res.Body)
-		}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for _, tc := range []struct {
+		name, old, new string
+		rowOutOfForm   bool
+	}{
+		{"row_out_of_form", `"origin_asn":`, `"origin_asn": `, true},
+		{"header_reformatted", `"date":`, `"date": `, false},
+		{"name_escaped", `"London"`, `"\u004condon"`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			packProofChain(t, dir)
+			a, err := archive.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, _ := a.Record("ipv4", 4)
+			if rec.Kind != archive.KindSnapshot {
+				t.Fatalf("day 4 is a %s, want a snapshot", rec.Kind)
+			}
+			path := filepath.Join(dir, rec.File)
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(file, []byte(tc.old)) {
+				t.Fatalf("day 4 holds no %s", tc.old)
+			}
+			file = bytes.Replace(file, []byte(tc.old), []byte(tc.new), 1)
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			crc := crc32.Checksum(file, castagnoli)
+			forgeRecord(t, dir, rec.Seq, func(r *archive.Record) {
+				r.CRC, r.Bytes, r.FullBytes = crc, int64(len(file)), int64(len(file))
+			})
+			var doc core.Document
+			if err := json.Unmarshal(file, &doc); err != nil {
+				t.Fatal(err)
+			}
+			bad, good := doc.Entries[0].Prefix, doc.Entries[1].Prefix
+			if a, err = archive.Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			h := serve(t, w, dep, a)
+			etag := fmt.Sprintf(`"ipv4-4-%08x"`, crc)
+			for _, pass := range []string{"first", "proven"} {
+				if d, err := a.Day("ipv4", 4); err != nil || !bytes.Equal(d.Bytes(), file) {
+					t.Fatalf("%s: Day = %v; want the file's %d bytes", pass, err, len(file))
+				}
+				res := get(h, "/v1/census?day=4")
+				if body := res.Body.Bytes(); res.Code != http.StatusOK || res.Header().Get("Etag") != etag || crc32.Checksum(body, castagnoli) != crc {
+					t.Fatalf("%s: /v1/census: %d, %d bytes (crc %08x) under %s; want 200 with the file's %d bytes under %s",
+						pass, res.Code, len(body), crc32.Checksum(body, castagnoli), res.Header().Get("Etag"), len(file), etag)
+				}
+				if !tc.rowOutOfForm {
+					continue
+				}
+				if _, err := a.Document("ipv4", 4); err == nil {
+					t.Errorf("%s: Document decodes the row out of the writer's form", pass)
+				}
+				if err := a.Range("ipv4", 4, 4, func(int, *core.Document) error { return nil }); err == nil {
+					t.Errorf("%s: Range decodes the row out of the writer's form", pass)
+				}
+				res = get(h, "/v1/prefix/"+bad+"?day=4")
+				if res.Code != http.StatusInternalServerError || res.Header().Get("Etag") != "" || res.Header().Get("Cache-Control") != "" {
+					t.Errorf("%s: /v1/prefix of the row out of the writer's form: %d, ETag %q, Cache-Control %q; want a 500 with neither",
+						pass, res.Code, res.Header().Get("Etag"), res.Header().Get("Cache-Control"))
+				}
+				if res = get(h, "/v1/prefix/"+good+"?day=4"); res.Code != http.StatusOK {
+					t.Errorf("%s: /v1/prefix of another row: %d %s", pass, res.Code, res.Body)
+				}
+			}
+		})
 	}
 }
 

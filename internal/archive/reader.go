@@ -191,7 +191,7 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 		return nil, fmt.Errorf("archive: no %s census for day %d: %w", family, day, ErrNotFound)
 	}
 	var out *core.Document
-	err := a.walk(family, pos, pos, func(_ Record, d *core.RowDay) (err error) {
+	err := a.walk(family, pos, pos, nil, func(_ Record, d *core.RowDay) (err error) {
 		out, err = new(core.RowDecoder).Document(d)
 		return err
 	})
@@ -201,40 +201,40 @@ func (a *Archive) Document(family string, day int) (*core.Document, error) {
 	return out, nil
 }
 
-// Day rebuilds one archived day in its canonical form
-// (core.RowDay.Canonical), in buffers the caller owns: its bytes are
-// appended from the stored rows, with no row decoded and none
-// re-encoded, and the rows alias them. The walk has proven the day
-// against its record, so a day-file changed since it was packed is an
-// error and never the packed day's bytes.
+// Day returns one archived day in its canonical form, in buffers the
+// caller owns: the bytes the walk proved against the day's record, and
+// the rows that alias them. They are rebuilt from the stored rows
+// (core.RowDay.Canonical), with no row decoded and none re-encoded, and a
+// delta day the walk proves is proven by these very bytes, so it is
+// rebuilt once. A snapshot whose file is not what its rows rebuild to —
+// which only a record forged to the file can let through — is its file's
+// bytes, split again (core.NewCanonicalDay). A day-file changed since it
+// was packed is an error and never the packed day's bytes.
 func (a *Archive) Day(family string, day int) (*core.CanonicalDay, error) {
 	pos, ok := a.find(family, day)
 	if !ok {
 		return nil, fmt.Errorf("archive: no %s census for day %d: %w", family, day, ErrNotFound)
 	}
 	var out *core.CanonicalDay
-	err := a.walk(family, pos, pos, func(rec Record, d *core.RowDay) (err error) {
-		out, err = d.Canonical(int(rec.FullBytes))
-		return err
-	})
-	if err != nil {
+	if err := a.walk(family, pos, pos, &out, func(Record, *core.RowDay) error { return nil }); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// prove checks day, rebuilt from rec's day-file b, against the CRC-32C
-// and size rec recorded at pack time: a snapshot's file is its day's
-// canonical bytes, and a delta's day is rebuilt in canonical form into
-// canon to be checked.
-func (rec *Record) prove(b []byte, day *core.RowDay, canon *[]byte) error {
-	if rec.Kind == KindDelta {
-		var err error
-		if *canon, err = day.AppendCanonical((*canon)[:0], int(rec.FullBytes)); err != nil {
-			return err
-		}
-		b = *canon
+// canonical returns day, rebuilt from rec's day-file b, in canonical
+// form in buffers of its own: a snapshot's is b itself, copied.
+func (rec *Record) canonical(b []byte, day *core.RowDay) (*core.CanonicalDay, error) {
+	c, err := day.Canonical(int(rec.FullBytes))
+	if err == nil && rec.Kind == KindSnapshot && !bytes.Equal(c.Bytes(), b) {
+		c, err = core.NewCanonicalDay(slices.Clone(b))
 	}
+	return c, err
+}
+
+// prove checks a day's canonical bytes b against the CRC-32C and size
+// rec recorded at pack time.
+func (rec *Record) prove(b []byte) error {
 	if crc, n := crc32.Checksum(b, castagnoli), int64(len(b)); crc != rec.CRC || n != rec.FullBytes {
 		return fmt.Errorf("archive: %s day %d: reconstructed census does not match packed checksum (crc %08x/%08x, %d/%d bytes)",
 			rec.Family, rec.Day, crc, rec.CRC, n, rec.FullBytes)
@@ -244,11 +244,13 @@ func (rec *Record) prove(b []byte, day *core.RowDay, canon *[]byte) error {
 
 // walk rebuilds the days at positions first..last of the family's chain
 // in order, proves each against its record, and hands each to fn as
-// stored rows: it rewinds to the snapshot the first one derives from,
-// reads each day-file once, splits it into rows and merges each delta
-// into the day before (a snapshot met on the way simply restarts the
-// chain). A row is decoded only if a reader asks for it. Every read goes
-// through here or ReadDay, and every day-file it reads through read.
+// stored rows; with keep, it also sets *keep to the last day in
+// canonical form (Record.canonical), in buffers the caller owns. It
+// rewinds to the snapshot the first one derives from, reads each
+// day-file once, splits it into rows and merges each delta into the day
+// before (a snapshot met on the way simply restarts the chain). A row is
+// decoded only if a reader asks for it. Every read goes through here or
+// ReadDay, and every day-file it reads through read.
 //
 // Every day the walk meets is proven before fn sees it or the walk goes
 // on, and the first that fails ends the walk with its error, so no
@@ -256,7 +258,8 @@ func (rec *Record) prove(b []byte, day *core.RowDay, canon *[]byte) error {
 // day-file or from one built on it (prove): a snapshot by its file's
 // CRC, and a delta by its day's canonical bytes, in which each row it
 // upserts is re-indented, so a row that is not the canonical compact
-// encoding of what it decodes to does not re-indent to the proven bytes.
+// encoding of what it decodes to does not re-indent to the proven bytes;
+// the last day's are *keep's bytes when keep asks for them.
 // A proven day-file's record keeps the hash of its bytes (proofs), and a
 // day-file whose bytes hash as those counts as proven: the split and the
 // CRC are functions of those bytes and of the day before, which the walk
@@ -268,10 +271,10 @@ func (rec *Record) prove(b []byte, day *core.RowDay, canon *[]byte) error {
 // buffer a delta day is rebuilt into to be proven. Rows live in them,
 // but only until the next snapshot restarts the chain and both start
 // over at their front; and nothing fn is handed outlives the walk in
-// them: Document and Range hand out decoded copies, Day the day's bytes
-// appended to a buffer of its own, and RangeJSON's line, itself from a
-// pool, is valid only during fn.
-func (a *Archive) walk(family string, first, last int, fn func(rec Record, d *core.RowDay) error) error {
+// them: Document and Range hand out decoded copies, Day the day *keep
+// holds, and RangeJSON's line, itself from a pool, is valid only during
+// fn.
+func (a *Archive) walk(family string, first, last int, keep **core.CanonicalDay, fn func(rec Record, d *core.RowDay) error) error {
 	if first > last {
 		return nil
 	}
@@ -320,11 +323,25 @@ func (a *Archive) walk(family string, first, last int, fn func(rec Record, d *co
 			}
 		}
 		day = snap
-		if sum == 0 || proof.Load() != sum {
-			if rec.Kind == KindDelta && canon == nil {
-				canon = buffers.Get().(*[]byte)
+		if keep != nil && i == last {
+			if *keep, err = rec.canonical(b, day); err != nil {
+				return err
 			}
-			if err := rec.prove(b, day, canon); err != nil {
+		}
+		if sum == 0 || proof.Load() != sum {
+			proven := b // a snapshot's file is its day's canonical bytes
+			if rec.Kind == KindDelta && keep != nil && i == last {
+				proven = (*keep).Bytes()
+			} else if rec.Kind == KindDelta {
+				if canon == nil {
+					canon = buffers.Get().(*[]byte)
+				}
+				if *canon, err = day.AppendCanonical((*canon)[:0], int(rec.FullBytes)); err != nil {
+					return err
+				}
+				proven = *canon
+			}
+			if err := rec.prove(proven); err != nil {
 				return err
 			}
 			proof.Store(sum)
@@ -440,7 +457,7 @@ func (a *Archive) Range(family string, from, to int, fn func(day int, doc *core.
 		return err
 	}
 	var dec core.RowDecoder
-	return a.walk(family, first, last, func(rec Record, d *core.RowDay) error {
+	return a.walk(family, first, last, nil, func(rec Record, d *core.RowDay) error {
 		doc, err := dec.Document(d)
 		if err != nil {
 			return err
@@ -463,7 +480,7 @@ func (a *Archive) RangeJSON(family string, from, to int, fn func(day int, line [
 		*lines = line[:0]
 		buffers.Put(lines)
 	}()
-	return a.walk(family, first, last, func(rec Record, d *core.RowDay) (err error) {
+	return a.walk(family, first, last, nil, func(rec Record, d *core.RowDay) (err error) {
 		if line, err = d.AppendJSON(line[:0]); err != nil {
 			return err
 		}
@@ -500,7 +517,7 @@ type VerifyResult struct {
 func (a *Archive) Verify() (*VerifyResult, error) {
 	res := &VerifyResult{}
 	for _, fam := range a.Families() {
-		err := a.walk(fam, 0, len(a.byFam[fam])-1, func(rec Record, d *core.RowDay) error {
+		err := a.walk(fam, 0, len(a.byFam[fam])-1, nil, func(rec Record, d *core.RowDay) error {
 			if hdr := d.Header(); d.Len() != rec.Entries || hdr.GCount != rec.GCount || hdr.MCount != rec.MCount {
 				return fmt.Errorf("archive: %s day %d: counts diverge from index", fam, rec.Day)
 			}

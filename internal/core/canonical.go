@@ -40,6 +40,21 @@ func (c *CanonicalDay) Stream(doc *Document) error {
 		return fmt.Errorf("core: streaming day: %w", err)
 	}
 	c.b = b
+	return c.split()
+}
+
+// NewCanonicalDay makes a day of b, which it keeps, split into rows that
+// alias it: a reader hands out a day-file's bytes as they are.
+func NewCanonicalDay(b []byte) (*CanonicalDay, error) {
+	c := &CanonicalDay{b: b}
+	if err := c.split(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// split splits c's bytes into c's arena.
+func (c *CanonicalDay) split() (err error) {
 	c.arena.Reset()
 	if c.day, err = SplitDocument(c.b, &c.arena); err != nil {
 		return fmt.Errorf("core: splitting day: %w", err)

@@ -1,7 +1,7 @@
 package query
 
-// Tests for the materialized aggregates sidecar and the day-window
-// pruning path of family-wide event scans.
+// Tests for the materialized aggregates sidecar and the memoized
+// event lists of family-wide event scans.
 
 import (
 	"bytes"
@@ -12,55 +12,111 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// TestEventsWindowEquivalence: a windowed scan must return exactly the
-// in-window slice of the full scan — the presence-bitmap pruning is an
-// optimization, never a semantic change — and must prune rows whose
-// prefixes have no presence near the window.
-func TestEventsWindowEquivalence(t *testing.T) {
-	_, ix := buildIndex(t, synthChain(40, 150))
-	full, err := ix.Events("ipv4", nil, 0, -1, EventOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) == 0 {
-		t.Fatal("synthetic chain produced no events")
-	}
-	for _, w := range [][2]int{{0, 5}, {8, 12}, {35, 39}, {10, 10}, {0, 39}, {38, 100}} {
-		from, to := w[0], w[1]
-		got, err := ix.Events("ipv4", nil, from, to, EventOptions{})
-		if err != nil {
-			t.Fatalf("window [%d,%d]: %v", from, to, err)
+// referenceEvents is Events as a reference computes it: every row
+// detected over the whole day list, the events filtered by window and
+// kind, and a stable sort by day.
+func referenceEvents(t *testing.T, ix *Index, family string, kinds []EventKind, from, to int, opts EventOptions) []Event {
+	t.Helper()
+	fam := ix.fams[family]
+	var all []Event
+	for _, ref := range fam.prefixes {
+		var r row
+		if err := r.load(ref, len(fam.days), ix.record(ref)); err != nil {
+			t.Fatal(err)
 		}
-		var want []Event
-		for _, e := range full {
-			if e.Day >= from && e.Day <= to {
-				want = append(want, e)
+		all = r.detect(all, family, ref.prefix, fam.days, opts)
+	}
+	var out []Event
+	for _, e := range all {
+		if e.Day >= from && (to < 0 || e.Day <= to) && (len(kinds) == 0 || slices.Contains(kinds, e.Kind)) {
+			out = append(out, e)
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Day < out[b].Day })
+	return out
+}
+
+// TestEventsMatchReference: every window Events answers from the
+// memoized full-history list equals the reference's scan of that window
+// — every (from, to) pair of the fixture's days, an open end, an empty
+// window and one past the last day, at every hysteresis from 1 to one
+// past the day count (so the memo drops and recomputes lists), for
+// every kind subset.
+func TestEventsMatchReference(t *testing.T) {
+	_, ix := buildIndex(t, synthChain(12, 60))
+	days := ix.fams["ipv4"].days
+	n := len(days)
+	var windows [][2]int
+	for a := range days {
+		for b := a; b < n; b++ {
+			windows = append(windows, [2]int{days[a], days[b]})
+		}
+		windows = append(windows, [2]int{days[a], -1})
+	}
+	windows = append(windows, [2]int{5, 4}, [2]int{days[n-1] + 1, days[n-1] + 50})
+	all := EventKinds()
+	for h := 1; h <= n+1; h++ {
+		opts := EventOptions{Hysteresis: h}
+		for mask := 0; mask < 1<<len(all); mask++ {
+			var kinds []EventKind
+			for k := range all {
+				if mask&(1<<k) != 0 {
+					kinds = append(kinds, all[k])
+				}
+			}
+			for _, w := range windows {
+				got, err := ix.Events("ipv4", kinds, w[0], w[1], opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referenceEvents(t, ix, "ipv4", kinds, w[0], w[1], opts); !reflect.DeepEqual(got, want) {
+					t.Fatalf("hysteresis %d, kinds %v, window [%d,%d]: %d events, want %d", h, kinds, w[0], w[1], len(got), len(want))
+				}
+				if len(got) != cap(got) {
+					t.Fatalf("hysteresis %d, kinds %v, window [%d,%d]: capacity %d past its %d events", h, kinds, w[0], w[1], cap(got), len(got))
+				}
 			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("window [%d,%d]: %d events, want %d (pruned scan diverges from filtered full scan)",
-				from, to, len(got), len(want))
+	}
+	if scanned, pruned := ix.EventScanStats(); scanned == 0 || pruned != 0 {
+		t.Fatalf("EventScanStats = %d, %d; want rows scanned and none pruned", scanned, pruned)
+	}
+}
+
+// TestEventMemoIsBounded: twenty distinct hysteresis values leave at
+// most eventMemoSize lists memoized, the most recently asked for first,
+// and a list still memoized is not scanned again.
+func TestEventMemoIsBounded(t *testing.T) {
+	_, ix := buildIndex(t, synthChain(12, 60))
+	rows := int64(len(ix.fams["ipv4"].prefixes))
+	for h := 1; h <= 20; h++ {
+		if _, err := ix.Events("ipv4", nil, 0, -1, EventOptions{Hysteresis: h}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// A window between indexed days but out of every timeline is empty.
-	empty, err := ix.Events("ipv4", nil, 500, 900, EventOptions{})
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("out-of-range window: %d events, err %v", len(empty), err)
+	if got := len(ix.events.lists); got > eventMemoSize {
+		t.Fatalf("%d lists memoized after 20 hysteresis values, bound %d", got, eventMemoSize)
 	}
-	scanned, pruned := ix.EventScanStats()
-	if scanned == 0 {
-		t.Fatal("no rows counted as scanned")
+	if got := ix.events.lists[0].key; got != (eventsKey{"ipv4", 20}) {
+		t.Fatalf("front of the memo is %+v, want the last asked for", got)
 	}
-	if pruned == 0 {
-		t.Fatal("narrow windows pruned no rows — the bitmap-prefix check never fired")
+	if scanned, _ := ix.EventScanStats(); scanned != 20*rows {
+		t.Fatalf("%d rows scanned for 20 lists of %d rows", scanned, rows)
 	}
-	if pruned > scanned {
-		t.Fatalf("pruned %d > scanned %d", pruned, scanned)
+	if _, err := ix.Events("ipv4", nil, 3, 7, EventOptions{Hysteresis: 20}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Events("ipv4", nil, 3, 7, EventOptions{Hysteresis: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if scanned, _ := ix.EventScanStats(); scanned != 21*rows {
+		t.Fatalf("%d rows scanned: a memoized list was scanned again, or a dropped one was not", scanned)
 	}
 }
 
@@ -190,7 +246,8 @@ func TestShortRowFailsEveryWindow(t *testing.T) {
 // TestEventScanAllocs: the event scan and the aggregates pass read rows
 // in place through reused buffers, so their allocation count is a
 // constant — the same for 150 and 600 prefixes — not a number per row.
-// A Timeline makes a constant few: the row and the columns it fills.
+// A window of a memoized event list makes none. A Timeline makes a
+// constant few: the row and the columns it fills.
 func TestEventScanAllocs(t *testing.T) {
 	for _, entries := range []int{150, 600} {
 		_, ix := buildIndex(t, synthChain(40, entries))
@@ -200,8 +257,11 @@ func TestEventScanAllocs(t *testing.T) {
 			bound float64
 			run   func() error
 		}{
-			{"Events full", 64, func() error { _, err := ix.Events("ipv4", nil, 0, -1, EventOptions{}); return err }},
-			{"Events 3-day window", 64, func() error { _, err := ix.Events("ipv4", nil, 20, 22, EventOptions{}); return err }},
+			{"event list scan", 64, func() error {
+				_, err := ix.allEvents("ipv4", ix.fams["ipv4"], EventOptions{}.withDefaults())
+				return err
+			}},
+			{"Events 3-day window, memoized", 0, func() error { _, err := ix.Events("ipv4", nil, 20, 22, EventOptions{}); return err }},
 			{"computeAggregates", 64, func() error { _, err := ix.computeAggregates(); return err }},
 			{"Timeline", 16, func() error { _, err := ix.Timeline("ipv4", prefix); return err }},
 		} {
@@ -427,27 +487,4 @@ func openAggregates(t testing.TB, path string, sidecar []byte) (*Aggregates, boo
 		t.Fatal(err)
 	}
 	return ag, ix.AggregatesPrecomputed(), after.TotalAlloc - before.TotalAlloc
-}
-
-// BenchmarkQueryEventsWindow measures the windowed event scan: the
-// narrow window should beat the full scan by skipping row decodes via
-// the presence-bitmap prefix check.
-func BenchmarkQueryEventsWindow(b *testing.B) {
-	_, ix := buildIndex(b, synthChain(60, 400))
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ix.Events("ipv4", nil, 0, -1, EventOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("narrow-window", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ix.Events("ipv4", nil, 20, 24, EventOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -131,25 +131,41 @@ func BenchmarkQueryTimeline(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryEvents times the family-wide event scan — every
-// indexed prefix's full timeline — against the same decode baseline.
+// BenchmarkQueryEvents times /v1/events's read of the index, windows of
+// eventsWindow days stepping through the run: "window/first" asks a
+// fresh Index (opened untimed) each time, so it scans every indexed
+// prefix's full timeline to compute the family's event list, and
+// "window/memo" asks one Index throughout, so each window is a slice of
+// the list it computed once.
 func BenchmarkQueryEvents(b *testing.B) {
-	dir := benchArchive(b)
-	ix, err := Open(filepath.Join(dir, IndexFileName))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ix.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		events, err := ix.Events("ipv4", nil, 0, -1, EventOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(events) == 0 {
-			b.Fatal("no events")
-		}
+	path := filepath.Join(benchArchive(b), IndexFileName)
+	const eventsWindow = 30
+	for _, c := range []string{"window/first", "window/memo"} {
+		b.Run(c, func(b *testing.B) {
+			ix, err := Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c == "window/first" {
+					b.StopTimer()
+					if ix, err = Open(path); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				from := i % (benchDays - eventsWindow + 1)
+				events, err := ix.Events("ipv4", nil, from, from+eventsWindow-1, EventOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(events) == 0 {
+					b.Fatal("no events")
+				}
+			}
+		})
 	}
 }
 

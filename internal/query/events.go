@@ -167,23 +167,18 @@ func (s *row) detect(out []Event, family, prefix string, days []int, opts EventO
 	return out
 }
 
-// Events scans every indexed prefix of a family and returns the events
-// of the requested kinds with effect days in [from, to] (to < 0 means
-// through the last indexed day). A nil or empty kind set selects every
-// kind. Each row record is scanned in place in the image — no Timeline
-// is built, nothing is allocated per row once the pooled buffers have
-// grown — and no document is decoded. The events are detected into the
-// pooled row's scratch list and placed once, in day order, into the one
-// list returned, which is exactly as long as the events it holds.
+// Events returns a family's events of the requested kinds with effect
+// days in [from, to] (to < 0 means through the last indexed day). A nil
+// or empty kind set selects every kind. No document is decoded.
 //
-// The day window is pushed into the scan: every event with an effect
-// day in [from, to] requires the prefix to be present on some indexed
-// day at position [fromPos-1, toPos] (onset/flap/churn/shift days are
-// present days inside the window; an offset day is the first absent day
-// after a present day, so its predecessor sits at fromPos-1 or later).
-// For a narrow window, the presence bitmap — the first bytes of the row
-// — rejects most prefixes before their row is loaded. A row too short
-// for its bitmaps is never pruned, so it is an error on every window.
+// The answer is a slice of the family's full-history, all-kinds list
+// under the options' hysteresis, which the Index computes once and keeps
+// (eventMemo): every row detects over the whole day list, whatever the
+// window, and the list is in day order with ties in canonical prefix
+// order, so a window's events are the contiguous run with from ≤ Day ≤
+// to, found by two binary searches. Without a kind filter the returned
+// list is that shared run, its capacity clipped: treat it as immutable.
+// A kind filter returns a new list. An empty answer is nil.
 func (ix *Index) Events(family string, kinds []EventKind, from, to int, opts EventOptions) ([]Event, error) {
 	fam := ix.fams[family]
 	if fam == nil {
@@ -196,45 +191,103 @@ func (ix *Index) Events(family string, kinds []EventKind, from, to int, opts Eve
 	if to < 0 {
 		to = fam.days[n-1]
 	}
-	// Resolve the window to day-list positions once. An empty resolved
-	// window means no indexed day — hence no event day — can fall in it.
-	fromPos := sort.SearchInts(fam.days, from)
-	toPos := sort.SearchInts(fam.days, to+1) - 1
-	if fromPos > toPos {
+	// A window holding no indexed day holds no event day either.
+	if sort.SearchInts(fam.days, from) > sort.SearchInts(fam.days, to+1)-1 {
 		return nil, nil
 	}
-	lo := max(fromPos-1, 0)
-	full := fromPos == 0 && toPos == n-1
+	opts = opts.withDefaults()
+	l := ix.events.get(eventsKey{family, opts.Hysteresis})
+	l.once.Do(func() { l.events, l.err = ix.allEvents(family, fam, opts) })
+	if l.err != nil {
+		return nil, l.err
+	}
+	all := l.events
+	lo := sort.Search(len(all), func(i int) bool { return all[i].Day >= from })
+	hi := sort.Search(len(all), func(i int) bool { return all[i].Day > to })
+	if len(kinds) > 0 {
+		var out []Event
+		for _, e := range all[lo:hi] {
+			if slices.Contains(kinds, e.Kind) {
+				out = append(out, e)
+			}
+		}
+		return slices.Clip(out), nil
+	}
+	if lo == hi {
+		return nil, nil
+	}
+	return all[lo:hi:hi], nil
+}
+
+// allEvents scans every indexed prefix of a family and returns its
+// events of every kind, in day order. Each row record is scanned in
+// place in the image through a pooled row, so nothing is allocated per
+// row once its buffers have grown; the events are detected into the
+// row's scratch list and placed once, in day order, into the one list
+// returned, which is exactly as long as the events it holds.
+func (ix *Index) allEvents(family string, fam *famIndex, opts EventOptions) ([]Event, error) {
 	scan := rowPool.Get().(*row)
 	defer rowPool.Put(scan)
 	out := scan.scratch[:0]
 	defer func() { scan.scratch = out[:0] }()
 	for _, ref := range fam.prefixes {
 		ix.eventRows.Add(1)
-		buf := ix.record(ref)
-		if !full && len(buf) >= nFlags*bitmapLen(n) && !anyBit(buf, lo, toPos) {
-			ix.eventRowsPruned.Add(1)
-			continue
-		}
-		if err := scan.load(ref, n, buf); err != nil {
+		if err := scan.load(ref, len(fam.days), ix.record(ref)); err != nil {
 			return nil, err
 		}
-		// Detect straight into out, then keep the row's in-filter events.
-		kept := len(out)
 		out = scan.detect(out, family, ref.prefix, fam.days, opts)
-		for _, e := range out[kept:] {
-			if e.Day >= from && e.Day <= to && (len(kinds) == 0 || slices.Contains(kinds, e.Kind)) {
-				out[kept] = e
-				kept++
-			}
-		}
-		out = out[:kept]
 	}
 	// Prefixes are scanned in canonical order and each row emits in day
 	// order; re-sort into (day, prefix-scan, emission) order so the list
 	// reads chronologically. Stable by construction: sort by day only,
 	// ties keep canonical prefix order.
 	return sortEventsByDay(out), nil
+}
+
+// eventMemoSize bounds the full-history event lists an Index keeps, one
+// per family and hysteresis asked for.
+const eventMemoSize = 8
+
+// eventsKey names one memoized event list.
+type eventsKey struct {
+	family     string
+	hysteresis int
+}
+
+// eventList is one memoized list, computed once by the first request
+// for its key; later and concurrent requests wait on once and share it.
+type eventList struct {
+	key    eventsKey
+	once   sync.Once
+	events []Event
+	err    error
+}
+
+// eventMemo holds at most eventMemoSize event lists, most recently
+// asked for first; a new key drops the least recently asked for. It
+// lives as long as its Index, whose image never changes.
+type eventMemo struct {
+	mu    sync.Mutex
+	lists []*eventList
+}
+
+// get returns key's list, making an empty one for a new key, and moves
+// it to the front.
+func (m *eventMemo) get(key eventsKey) *eventList {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := slices.IndexFunc(m.lists, func(l *eventList) bool { return l.key == key })
+	if i < 0 {
+		if len(m.lists) < eventMemoSize {
+			m.lists = append(m.lists, nil)
+		}
+		i = len(m.lists) - 1
+		m.lists[i] = &eventList{key: key}
+	}
+	l := m.lists[i]
+	copy(m.lists[1:i+1], m.lists[:i])
+	m.lists[0] = l
+	return l
 }
 
 // sortEventsByDay returns the events in chronological order, in a new

@@ -168,29 +168,6 @@ func bitmapLen(n int) int { return (n + 7) / 8 }
 func setBit(b []byte, i int)      { b[i>>3] |= 1 << (i & 7) }
 func getBit(b []byte, i int) bool { return b[i>>3]&(1<<(i&7)) != 0 }
 
-// anyBit reports whether any bit in positions [lo, hi] is set,
-// byte-at-a-time with masked edges.
-func anyBit(b []byte, lo, hi int) bool {
-	if lo > hi {
-		return false
-	}
-	loByte, hiByte := lo>>3, hi>>3
-	loMask := byte(0xFF << (lo & 7))
-	hiMask := byte(0xFF >> (7 - hi&7))
-	if loByte == hiByte {
-		return b[loByte]&loMask&hiMask != 0
-	}
-	if b[loByte]&loMask != 0 || b[hiByte]&hiMask != 0 {
-		return true
-	}
-	for i := loByte + 1; i < hiByte; i++ {
-		if b[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // cityHash digests a published city list into the 32-bit geo signature
 // the index stores per present day: geo-shift detection only needs "did
 // the enumerated site set move", not the names themselves (those remain

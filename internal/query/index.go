@@ -22,14 +22,17 @@
 // / geo-shift, with hysteresis), Stability scoring and aggregate Series
 // from the index alone — no query decodes a document, and the archive's
 // decode counter proves it. The Index caches no rows, and every result
-// is the caller's own. One reader parses a row record (row.load), and it
-// accepts only the form the builder writes. Timeline expands the loaded
-// row into day-aligned columns; Events, Stability, the aggregates pass
-// and Build scan it in place through buffers reused row after row, so a
-// family-wide pass allocates nothing per row. Opening an index reads
-// the file once and parses only its TOC; a row record is a subslice of
-// that image. The prefix map is made on a family's first lookup and
-// the sidecar is read on the first aggregates call.
+// is the caller's own, except Events': each family's full-history event
+// list is computed once per hysteresis and kept (at most eight), and a
+// window is a shared slice of it. One reader parses a row record
+// (row.load), and it accepts only the form the builder writes. Timeline
+// expands the loaded row into day-aligned columns; Events, Stability,
+// the aggregates pass and Build scan it in place through buffers reused
+// row after row, so a family-wide pass allocates nothing per row.
+// Opening an index reads the file once and parses only its TOC; a row
+// record is a subslice of that image. The prefix map is made on a
+// family's first lookup and the sidecar is read on the first aggregates
+// call.
 package query
 
 import (
@@ -117,10 +120,10 @@ type Index struct {
 	// by query logic. Read via Stats.
 	lookups atomic.Int64
 
-	// Event-scan telemetry: rows considered by Events and rows the
-	// day-range presence-prefix check skipped without a full decode.
-	eventRows       atomic.Int64
-	eventRowsPruned atomic.Int64
+	// events memoizes each family's full-history event list per
+	// hysteresis (Events); eventRows counts the rows scanned to fill it.
+	events    eventMemo
+	eventRows atomic.Int64
 }
 
 // Fingerprint identifies the exact build of this index: the hex digest
@@ -130,13 +133,16 @@ type Index struct {
 // archive contents — the property HTTP validators (ETags) need.
 func (ix *Index) Fingerprint() string { return ix.fingerprint }
 
-// EventScanStats reports the Events scan telemetry: rows considered and
-// rows skipped by the day-range presence check without a full decode.
+// EventScanStats reports the rows scanned to compute the memoized event
+// lists, zero for a nil index. The second value is always zero — no
+// scan skips a row — and survives only because the frozen bench/ module
+// compiles against two results; the next benchmark PR retires it
+// together with the query.events_pruned column.
 func (ix *Index) EventScanStats() (scanned, pruned int64) {
 	if ix == nil {
 		return 0, 0
 	}
-	return ix.eventRows.Load(), ix.eventRowsPruned.Load()
+	return ix.eventRows.Load(), 0
 }
 
 // Stats reports the index's lifetime Timeline lookups, zero for a nil

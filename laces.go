@@ -236,6 +236,8 @@ func QueryTimeline(ix *CensusTimelineIndex, family, prefix string) (*PrefixTimel
 // QueryEvents scans a family's timelines for longitudinal events of
 // the given kinds (nil means all) with effect days in [from, to]
 // (to < 0: through the last indexed day), using default hysteresis.
+// Without kinds the result is shared with the index; treat it as
+// immutable.
 func QueryEvents(ix *CensusTimelineIndex, family string, kinds []TimelineEventKind, from, to int) ([]TimelineEvent, error) {
 	return ix.Events(family, kinds, from, to, query.EventOptions{})
 }

@@ -275,21 +275,24 @@ func runLedger(t *testing.T) map[string]string {
 	// P it ran on.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	etag := ""
-	for i, rq := range []struct{ name, target string }{
-		{"healthz", "/v1/healthz"},
-		{"days-ipv4", "/v1/days?family=ipv4"},
-		{"census-ipv4-265", "/v1/census?day=265"},
-		{"census-ipv4-273", "/v1/census?day=273"},
-		{"census-ipv4-273-revalidate", "/v1/census?day=273"},
-		{"census-ipv6-270", "/v1/census?day=270&family=ipv6"},
-		{"range-ipv4-270-273", "/v1/range?from=270&to=273"},
-		{"prefix-273", "/v1/prefix/" + prefix + "?day=273"},
-		{"timeline", "/v1/timeline/" + prefix},
-		{"stability", "/v1/stability?prefix=" + prefix},
-		{"events-ipv4", "/v1/events"},
-		{"events-ipv6-272-273", "/v1/events?family=ipv6&from=272&to=273"},
-		{"aggregates", "/v1/aggregates"},
-		{"responsibility-ipv4-273", "/v1/responsibility?day=273"},
+	// A window of a family whose event list is memoized (11-events-ipv4-…)
+	// is answered without a row scanned, so it has no event-rows row.
+	for _, rq := range []struct{ name, target string }{
+		{"01-healthz", "/v1/healthz"},
+		{"02-days-ipv4", "/v1/days?family=ipv4"},
+		{"03-census-ipv4-265", "/v1/census?day=265"},
+		{"04-census-ipv4-273", "/v1/census?day=273"},
+		{"05-census-ipv4-273-revalidate", "/v1/census?day=273"},
+		{"06-census-ipv6-270", "/v1/census?day=270&family=ipv6"},
+		{"07-range-ipv4-270-273", "/v1/range?from=270&to=273"},
+		{"08-prefix-273", "/v1/prefix/" + prefix + "?day=273"},
+		{"09-timeline", "/v1/timeline/" + prefix},
+		{"10-stability", "/v1/stability?prefix=" + prefix},
+		{"11-events-ipv4", "/v1/events"},
+		{"11-events-ipv4-268-271", "/v1/events?from=268&to=271"},
+		{"12-events-ipv6-272-273", "/v1/events?family=ipv6&from=272&to=273"},
+		{"13-aggregates", "/v1/aggregates"},
+		{"14-responsibility-ipv4-273", "/v1/responsibility?day=273"},
 	} {
 		get := func() *http.Request {
 			r := httptest.NewRequest("GET", rq.target, nil)
@@ -298,7 +301,7 @@ func runLedger(t *testing.T) map[string]string {
 			}
 			return r
 		}
-		name := fmt.Sprintf("serve/%02d-%s", i+1, rq.name)
+		name := "serve/" + rq.name
 		rec := l.request(h, name, get())
 		l.steady(h, name, get())
 		etag = rec.Header().Get("Etag")
