@@ -24,7 +24,8 @@
 //
 // commit.go is the store's one write seam: a day file (and query's
 // timeline.idx and its .agg sidecar) appears whole through CommitFile's
-// tmp-and-rename, and index.jsonl is opened, repaired and appended there.
+// tmp-and-rename, and index.jsonl is opened, repaired and appended
+// there, beside the parser Open reads its lines with.
 //
 // Rows are the one form a day takes here. core.SplitDocument and
 // core.SplitDelta, the one split, split a day-file into rows (a prefix,
@@ -61,6 +62,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 
 	"github.com/laces-project/laces/internal/core"
@@ -86,11 +88,29 @@ const (
 // family's day of the given kind: the only name Writer gives it and the
 // only one Open accepts in its record.
 func dayFileName(family string, day int, kind string) string {
-	ext := "delta"
-	if kind == KindSnapshot {
-		ext = "snap"
+	var b [64]byte
+	return string(appendDayFileName(b[:0], family, day, kind))
+}
+
+// appendDayFileName appends dayFileName's name to b: the family, the day
+// as fmt's %06d writes it (zero-padded to six characters, a sign
+// included), and the kind's extension.
+func appendDayFileName(b []byte, family string, day int, kind string) []byte {
+	b = append(append(b, family...), '-')
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(day), 10)
+	width := len(d)
+	if d[0] == '-' {
+		b, d = append(b, '-'), d[1:]
 	}
-	return fmt.Sprintf("%s-%06d.%s.json", family, day, ext)
+	for ; width < 6; width++ {
+		b = append(b, '0')
+	}
+	ext := ".delta.json"
+	if kind == KindSnapshot {
+		ext = ".snap.json"
+	}
+	return append(append(b, d...), ext...)
 }
 
 // Record is one index line: everything the reader needs to locate,

@@ -342,6 +342,88 @@ func TestOpenWriterResume(t *testing.T) {
 	}
 }
 
+// TestDeltaIsTheCompactDiff holds every delta file the writer writes to
+// the diff of the two days' rows in compact JSON, as encoding/json
+// writes it (compactDelta), whatever layout the previous day's rows are
+// in. Day 1 carries an escaped name, so its file is decoded whole by
+// encoding/json wherever it is read. An uninterrupted writer diffs day
+// 2 against day 1's decoded rows and day 3 against day 2's indented rows
+// and compacted upserts; a writer reopened before day r diffs day r
+// against day r-1 as OpenWriter replays it, which before days 2 and 3
+// holds rows day 1's delta file gave that its split could not find.
+func TestDeltaIsTheCompactDiff(t *testing.T) {
+	docs := chain(6, 60)
+	docs[1].Entries[0].GCDCities = []string{"A<B", "Riga"}
+	for r := 0; r < len(docs); r++ {
+		t.Run(fmt.Sprintf("reopened-before-day-%d", r), func(t *testing.T) {
+			dir := t.TempDir()
+			pack := func(from, to int) {
+				w, err := OpenOrCreate(dir, Options{SnapshotEvery: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := from; d < to; d++ {
+					if err := w.Append(d, docs[d]); err != nil {
+						t.Fatalf("day %d: %v", d, err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pack(0, r)
+			pack(r, len(docs))
+			for d := 1; d < len(docs); d++ {
+				got, err := os.ReadFile(filepath.Join(dir, dayFileName("ipv4", d, KindDelta)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := compactDelta(t, docs[d-1], docs[d]); !bytes.Equal(got, want) {
+					t.Fatalf("day %d's delta file\n%s\nthe compact diff\n%s", d, got, want)
+				}
+				if escaped := bytes.IndexByte(got, '\\') >= 0; escaped != (d == 1) {
+					t.Fatalf("day %d's delta file holds an escape: %v", d, escaped)
+				}
+			}
+		})
+	}
+}
+
+// compactDelta is the delta file that rebuilds cur from prev as
+// encoding/json writes it, with its newline: prev's entries cur lacks
+// removed, and cur's entries that prev lacks or marshals to other bytes
+// upserted, each in its day's order.
+func compactDelta(t *testing.T, prev, cur *core.Document) []byte {
+	t.Helper()
+	marshal := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	was := make(map[string][]byte, len(prev.Entries))
+	for i := range prev.Entries {
+		was[prev.Entries[i].Prefix] = marshal(&prev.Entries[i])
+	}
+	d := core.DocumentDelta{Header: *cur}
+	d.Header.Entries = nil
+	in := make(map[string]bool, len(cur.Entries))
+	for i := range cur.Entries {
+		e := &cur.Entries[i]
+		in[e.Prefix] = true
+		if b, ok := was[e.Prefix]; !ok || !bytes.Equal(b, marshal(e)) {
+			d.Upserts = append(d.Upserts, *e)
+		}
+	}
+	for i := range prev.Entries {
+		if !in[prev.Entries[i].Prefix] {
+			d.Removed = append(d.Removed, prev.Entries[i].Prefix)
+		}
+	}
+	return append(marshal(&d), '\n')
+}
+
 // TestOpenWriterRepairsTornIndexTail is the crash-recovery contract for
 // the index: Open skips an unterminated final line, so OpenWriter must
 // not glue the next record onto it. Whether the dead append left a

@@ -16,14 +16,81 @@ import (
 
 // FuzzArchiveOpen feeds arbitrary index.jsonl bytes to Open over the day
 // files of a real two-family archive: the index is the archive's trust
-// boundary. Open, Verify, Range, RangeJSON and Day must not panic, every
-// record Open accepts must name a file inside the directory, every day
+// boundary. Every line must read as encoding/json reads it
+// (checkRecordLine). Open, Verify, Range, RangeJSON and Day must not
+// panic, every record Open accepts must name a file inside the
+// directory, every day
 // read a second time on the handle, through the proofs the first reading
 // stored, must read as it did the first time, and what all of that
 // allocates must stay within a fixed multiple of the input's length on
 // top of what reading the real archive costs.
 func FuzzArchiveOpen(f *testing.F) {
-	src := f.TempDir()
+	src, dayFiles, seeds := fuzzIndexes(f)
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
+	index := seeds[0]
+
+	// What reading the real archive allocates: the fixed part of the bound.
+	base := openVerifyRange(f, src, index)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			checkRecordLine(t, line)
+		}
+		dir := t.TempDir()
+		for _, p := range dayFiles {
+			if err := os.Link(p, filepath.Join(dir, filepath.Base(p))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if alloc, limit := openVerifyRange(t, dir, data), 2*base+64*uint64(len(data)); alloc > limit {
+			t.Fatalf("Open+Verify+Range of a %d-byte index allocated %d bytes, over the bound %d", len(data), alloc, limit)
+		}
+	})
+}
+
+// FuzzRecordLine holds parseRecord, Open's read of an index line, to
+// encoding/json (checkRecordLine), seeded with every line of
+// FuzzArchiveOpen's indexes.
+func FuzzRecordLine(f *testing.F) {
+	_, _, seeds := fuzzIndexes(f)
+	for _, seed := range seeds {
+		for _, line := range bytes.Split(seed, []byte("\n")) {
+			f.Add(line)
+		}
+	}
+	f.Fuzz(checkRecordLine)
+}
+
+// checkRecordLine requires parseRecord to decline line or to read
+// exactly the record json.Unmarshal reads, from exactly the bytes
+// json.Marshal writes for it; and readRecord, which Open reads each
+// line with, to give json.Unmarshal's record and error.
+func checkRecordLine(t *testing.T, line []byte) {
+	t.Helper()
+	var want Record
+	werr := json.Unmarshal(line, &want)
+	if rec, ok := parseRecord(string(line)); ok {
+		if werr != nil || rec != want {
+			t.Fatalf("parseRecord read %q as %+v; json.Unmarshal: %+v, %v", line, rec, want, werr)
+		}
+		if b, err := json.Marshal(rec); err != nil || !bytes.Equal(b, line) {
+			t.Fatalf("parseRecord accepted %q, which json.Marshal writes as %q", line, b)
+		}
+	}
+	rec, err := readRecord(string(line))
+	if rec != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Fatalf("readRecord(%q) = %+v, %v; json.Unmarshal: %+v, %v", line, rec, err, want, werr)
+	}
+}
+
+// fuzzIndexes packs a real two-family archive, five days each at cadence
+// 3, into a temporary directory, and returns it, its day files, and the
+// index seeds the fuzzers start from: the archive's own index first,
+// then forged ones.
+func fuzzIndexes(f *testing.F) (src string, dayFiles []string, seeds [][]byte) {
+	src = f.TempDir()
 	w, err := Create(src, Options{SnapshotEvery: 3})
 	if err != nil {
 		f.Fatal(err)
@@ -45,7 +112,7 @@ func FuzzArchiveOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	dayFiles, err := filepath.Glob(filepath.Join(src, "ipv*.json"))
+	dayFiles, err = filepath.Glob(filepath.Join(src, "ipv*.json"))
 	if err != nil || len(dayFiles) != 10 {
 		f.Fatalf("the source archive holds %d day files (%v), want 10", len(dayFiles), err)
 	}
@@ -63,27 +130,14 @@ func FuzzArchiveOpen(f *testing.F) {
 		}
 		return bytes.Join([][]byte{bytes.Join(lines[:line], nil), b, []byte("\n"), bytes.Join(lines[line+1:], nil)}, nil)
 	}
-	f.Add(index)
-	f.Add(append(bytes.Clone(index), `{"seq":10,"day":5,"fam`...))                                                 // torn tail
-	f.Add(forge(2, func(r *Record) { r.File = "../" + filepath.Base(src) + "/" + r.File }))                        // a `..` file
-	f.Add(forge(3, func(r *Record) { r.Kind, r.File = "full", dayFileName(r.Family, r.Day, "full") }))             // unknown kind
-	f.Add(forge(4, func(r *Record) { r.FullBytes = 64 << 20 }))                                                    // a size no day has
-	f.Add(bytes.Join([][]byte{lines[0], lines[1], lines[4], lines[3], lines[2], bytes.Join(lines[5:], nil)}, nil)) // ipv4 days 0, 2, 1
-
-	// What reading the real archive allocates: the fixed part of the bound.
-	base := openVerifyRange(f, src, index)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		for _, p := range dayFiles {
-			if err := os.Link(p, filepath.Join(dir, filepath.Base(p))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if alloc, limit := openVerifyRange(t, dir, data), 2*base+64*uint64(len(data)); alloc > limit {
-			t.Fatalf("Open+Verify+Range of a %d-byte index allocated %d bytes, over the bound %d", len(data), alloc, limit)
-		}
-	})
+	return src, dayFiles, [][]byte{
+		index,
+		append(bytes.Clone(index), `{"seq":10,"day":5,"fam`...),                                                 // torn tail
+		forge(2, func(r *Record) { r.File = "../" + filepath.Base(src) + "/" + r.File }),                        // a `..` file
+		forge(3, func(r *Record) { r.Kind, r.File = "full", dayFileName(r.Family, r.Day, "full") }),             // unknown kind
+		forge(4, func(r *Record) { r.FullBytes = 64 << 20 }),                                                    // a size no day has
+		bytes.Join([][]byte{lines[0], lines[1], lines[4], lines[3], lines[2], bytes.Join(lines[5:], nil)}, nil), // ipv4 days 0, 2, 1
+	}
 }
 
 // openVerifyRange writes index as dir's index.jsonl, opens the archive,

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -82,7 +83,8 @@ func (a *Archive) CacheStats() (hits, misses int64) { return 0, 0 }
 // last segment — as "day not visible yet" rather than corruption, which
 // is what lets a serving process re-open the archive mid-census to pick
 // up freshly appended days. A malformed line anywhere else is still an
-// error.
+// error. Each line is read by readRecord: a line in the form the writer
+// writes takes no reflection and no allocation.
 func Open(dir string) (*Archive, error) {
 	data, err := os.ReadFile(filepath.Join(dir, IndexFile))
 	if err != nil {
@@ -91,14 +93,18 @@ func Open(dir string) (*Archive, error) {
 	a := &Archive{dir: dir, byFam: make(map[string][]int)}
 	terminated := len(data) == 0 || data[len(data)-1] == '\n'
 	a.indexEnd, a.indexOpen = int64(len(data)), !terminated
-	lines := bytes.Split(data, []byte("\n"))
-	for i, ln := range lines {
+	// One string for the whole index: each record's strings are
+	// substrings of it (readRecord).
+	text := string(data)
+	for i := 0; len(text) > 0; i++ {
+		ln, rest, more := strings.Cut(text, "\n")
+		text = rest
 		if len(ln) == 0 {
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(ln, &rec); err != nil {
-			if i == len(lines)-1 && !terminated {
+		rec, err := readRecord(ln)
+		if err != nil {
+			if !more && !terminated {
 				// Append in flight: the torn final record is not visible yet.
 				a.indexEnd, a.indexOpen = int64(len(data)-len(ln)), false
 				break
@@ -134,8 +140,9 @@ func (rec *Record) check() error {
 	if rec.Kind != KindSnapshot && rec.Kind != KindDelta {
 		return fmt.Errorf("unknown kind %q", rec.Kind)
 	}
-	if want := dayFileName(rec.Family, rec.Day, rec.Kind); rec.File != want {
-		return fmt.Errorf("file %q is not the %s %s day %d file %q", rec.File, rec.Family, rec.Kind, rec.Day, want)
+	var name [64]byte
+	if string(appendDayFileName(name[:0], rec.Family, rec.Day, rec.Kind)) != rec.File {
+		return fmt.Errorf("file %q is not the %s %s day %d file %q", rec.File, rec.Family, rec.Kind, rec.Day, dayFileName(rec.Family, rec.Day, rec.Kind))
 	}
 	return nil
 }

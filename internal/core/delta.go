@@ -36,16 +36,16 @@ type DocumentDelta struct {
 // whose prefix cur lacks are removed, and cur's rows that prev lacks or
 // holds with other bytes are upserted, each in its day's order. Rows are
 // matched by prefix, which holds whatever order either day is in (a
-// prefix prev holds twice is matched with its last row), and compared in
-// compact form, where a nil and an empty name list are the same omitted
-// field. DiffRows proves the delta before returning it: applied to prev,
-// it must give cur's rows (the header is cur's by construction), which
-// a day in another than canonical order usually does not.
+// prefix prev holds twice is matched with its last row), and compared
+// as sameRow compares them. DiffRows proves the delta before returning
+// it: applied to prev, it must give cur's rows (the header is cur's by
+// construction), which a day in another than canonical order usually
+// does not. The upserts are compacted into cur's arena when the delta is
+// written.
 func DiffRows(prev, cur *RowDay) (*RowDelta, error) {
 	d := &RowDelta{hdr: cur.hdr, arena: cur.arena}
 	in := make(map[string]bool, len(cur.rows))
 	for _, r := range cur.rows {
-		r.json(&cur.arena.out) // in cur's own arena: the proof below compacts into prev's
 		in[r.key.s] = true
 	}
 	was := make(map[string]*row, len(prev.rows))
@@ -56,7 +56,7 @@ func DiffRows(prev, cur *RowDay) (*RowDelta, error) {
 		}
 	}
 	for _, r := range cur.rows {
-		if p := was[r.key.s]; p == nil || !bytes.Equal(p.json(&prev.arena.out), r.raw) {
+		if p := was[r.key.s]; p == nil || !sameRow(p, prev.arena, r, cur.arena) {
 			d.upserts = append(d.upserts, r)
 		}
 	}
@@ -67,12 +67,25 @@ func DiffRows(prev, cur *RowDay) (*RowDelta, error) {
 	if (back.rows == nil) != (cur.rows == nil) || len(back.rows) != len(cur.rows) {
 		return nil, errNotRebuilt
 	}
-	for i, r := range back.rows {
-		if r != cur.rows[i] && !bytes.Equal(r.json(&prev.arena.out), cur.rows[i].raw) {
+	for i, r := range back.rows { // r is cur's i-th row or, unless the proof fails, one of prev's
+		if r != cur.rows[i] && !sameRow(r, prev.arena, cur.rows[i], cur.arena) {
 			return nil, errNotRebuilt
 		}
 	}
 	return d, nil
+}
+
+// sameRow reports whether rows p, of a day split into arena pa, and c,
+// of one split into ca, publish the same entry: the same compact JSON,
+// where a nil and an empty name list are the same omitted field. Two
+// rows stored in one layout, both indented or both compact, are
+// compared as stored; otherwise each is compacted, in its own day's
+// arena, where it is not compact yet (row.json).
+func sameRow(p *row, pa *RowArena, c *row, ca *RowArena) bool {
+	if p.raw != nil && c.raw != nil && p.indented == c.indented {
+		return bytes.Equal(p.raw, c.raw)
+	}
+	return bytes.Equal(p.json(&pa.out), c.json(&ca.out))
 }
 
 // errNotRebuilt is DiffRows refusing a delta that does not rebuild its day.

@@ -109,62 +109,58 @@ func (o EventOptions) withDefaults() EventOptions {
 // the options, so the same index always yields byte-identical event
 // lists.
 func (s *row) detect(out []Event, family, prefix string, days []int, opts EventOptions) []Event {
-	opts = opts.withDefaults()
-	n := len(days)
-	ev := func(kind EventKind, day int) Event {
-		return Event{Kind: kind, Family: family, Prefix: prefix, Day: day, PrevDay: -1}
-	}
+	s.walk(days, opts.withDefaults().Hysteresis, func(t transition) {
+		out = append(out, Event{Kind: t.kind, Family: family, Prefix: prefix, Day: t.day,
+			PrevDay: t.prevDay, GapDays: t.gap, PrevSites: t.prevSites, Sites: t.sites})
+	})
+	return out
+}
 
+// transition is one event of a row, as walk finds it: an Event without
+// the family and prefix it belongs to.
+type transition struct {
+	kind                                EventKind
+	day, prevDay, gap, prevSites, sites int
+}
+
+// walk is the one event detector: it calls emit with each of the row's
+// events in day order, under the given hysteresis; days is the family's
+// indexed day list. detect makes the events of them, and score counts
+// their kinds.
+func (s *row) walk(days []int, hysteresis int, emit func(transition)) {
+	n := len(days)
 	prev := -1 // last present position
 	for k, i := range s.present {
 		gap := i - prev - 1 // absent indexed days since last presence
 		switch {
 		case prev < 0 && i > 0:
 			// Absent from the window start: a genuine appearance.
-			out = append(out, ev(EventOnset, days[i]))
-		case prev >= 0 && gap >= opts.Hysteresis:
-			off := ev(EventOffset, days[prev+1])
-			off.PrevDay = days[prev]
-			off.GapDays = gap
-			on := ev(EventOnset, days[i])
-			on.PrevDay = days[prev]
-			on.GapDays = gap
-			out = append(out, off, on)
+			emit(transition{kind: EventOnset, day: days[i], prevDay: -1})
+		case prev >= 0 && gap >= hysteresis:
+			emit(transition{kind: EventOffset, day: days[prev+1], prevDay: days[prev], gap: gap})
+			emit(transition{kind: EventOnset, day: days[i], prevDay: days[prev], gap: gap})
 		case prev >= 0 && gap > 0:
-			fl := ev(EventFlap, days[i])
-			fl.PrevDay = days[prev]
-			fl.GapDays = gap
-			out = append(out, fl)
+			emit(transition{kind: EventFlap, day: days[i], prevDay: days[prev], gap: gap})
 		}
 		if prev >= 0 && gap == 0 {
 			// Consecutive present days: compare the GCD enumeration.
 			ps, cs := s.sites[k-1], s.sites[k]
 			switch {
 			case ps > 0 && cs > 0 && cs != ps:
-				e := ev(EventSiteChurn, days[i])
-				e.PrevDay = days[prev]
-				e.PrevSites, e.Sites = ps, cs
-				out = append(out, e)
+				emit(transition{kind: EventSiteChurn, day: days[i], prevDay: days[prev], prevSites: ps, sites: cs})
 			case ps > 0 && cs == ps && s.city[k-1] != s.city[k]:
-				e := ev(EventGeoShift, days[i])
-				e.PrevDay = days[prev]
-				e.PrevSites, e.Sites = ps, cs
-				out = append(out, e)
+				emit(transition{kind: EventGeoShift, day: days[i], prevDay: days[prev], prevSites: ps, sites: cs})
 			}
 		}
 		prev = i
 	}
 	// Trailing absence: an offset only once the gap clears hysteresis;
 	// a shorter trailing gap is still undecided and emits nothing.
-	if prev >= 0 && prev < n-1 && n-1-prev >= opts.Hysteresis {
-		off := ev(EventOffset, days[prev+1])
-		off.PrevDay = days[prev]
-		off.GapDays = n - 1 - prev
-		out = append(out, off)
+	if prev >= 0 && prev < n-1 && n-1-prev >= hysteresis {
+		emit(transition{kind: EventOffset, day: days[prev+1], prevDay: days[prev], gap: n - 1 - prev})
 	}
 	// Day order: interleaved offset/onset pairs above already emit in
 	// ascending day order per row.
-	return out
 }
 
 // Events returns a family's events of the requested kinds with effect
@@ -371,7 +367,8 @@ func (ix *Index) Stability(family, prefix string) (*Stability, error) {
 var rowPool = sync.Pool{New: func() any { return new(row) }}
 
 // score derives the row's stability record; days is the family's
-// indexed day list.
+// indexed day list. It counts the kinds of the events walk finds, and
+// makes no Event.
 func (s *row) score(family, prefix string, days []int, opts EventOptions) Stability {
 	st := Stability{Family: family, Prefix: prefix, DaysIndexed: len(days), DaysPresent: len(s.present)}
 	siteSum := 0
@@ -381,9 +378,8 @@ func (s *row) score(family, prefix string, days []int, opts EventOptions) Stabil
 			siteSum += s.sites[k]
 		}
 	}
-	s.scratch = s.detect(s.scratch[:0], family, prefix, days, opts)
-	for _, e := range s.scratch {
-		switch e.Kind {
+	s.walk(days, opts.withDefaults().Hysteresis, func(t transition) {
+		switch t.kind {
 		case EventOnset:
 			st.Onsets++
 		case EventOffset:
@@ -395,7 +391,7 @@ func (s *row) score(family, prefix string, days []int, opts EventOptions) Stabil
 		case EventGeoShift:
 			st.GeoShifts++
 		}
-	}
+	})
 	if st.GCDDays > 0 {
 		st.MeanSites = round4(float64(siteSum) / float64(st.GCDDays))
 	}

@@ -167,6 +167,55 @@ func TestIndexByteStableAcrossSeedsAndScenarios(t *testing.T) {
 	})
 }
 
+// TestStabilityCountsTheEvents: every prefix's Stability counts —
+// onsets, offsets, flaps, site changes and geo shifts — are the counts
+// of that prefix's events in the family's full-history Events list, for
+// every (seed, scenario) pair over ten days, and across the matrix every
+// kind occurs.
+func TestStabilityCountsTheEvents(t *testing.T) {
+	seen := make(map[query.EventKind]int)
+	matrix(t, func(t *testing.T, seed uint64, sc *chaos.Scenario) {
+		dir, _ := runArchive(t, seed, sc, 10)
+		if _, err := query.BuildDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := query.Open(filepath.Join(dir, query.IndexFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		events, err := ix.Events("ipv4", nil, 0, -1, query.EventOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make(map[string]map[query.EventKind]int)
+		for _, e := range events {
+			if counts[e.Prefix] == nil {
+				counts[e.Prefix] = make(map[query.EventKind]int)
+			}
+			counts[e.Prefix][e.Kind]++
+			seen[e.Kind]++
+		}
+		for _, p := range ix.Prefixes("ipv4") {
+			st, err := ix.Stability("ipv4", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := counts[p]
+			got := [...]int{st.Onsets, st.Offsets, st.Flaps, st.SiteChanges, st.GeoShifts}
+			want := [...]int{c[query.EventOnset], c[query.EventOffset], c[query.EventFlap], c[query.EventSiteChurn], c[query.EventGeoShift]}
+			if got != want {
+				t.Fatalf("%s: Stability counts onsets, offsets, flaps, site changes, geo shifts %v; the events %v", p, got, want)
+			}
+		}
+	})
+	for _, k := range query.EventKinds() {
+		if seen[k] == 0 {
+			t.Errorf("no %s event in the matrix: the property holds vacuously for it", k)
+		}
+	}
+}
+
 // TestResumeEqualsScratchAcrossSeedsAndScenarios runs the resumed ≡
 // from-scratch property (resume_test.go) on real pipeline output: for
 // every (seed, scenario) pair and every split of the run, extending the

@@ -445,7 +445,7 @@ type row struct {
 	sites, receivers, vps []int
 	city                  []uint32
 
-	scratch []Event // score's detection buffer
+	scratch []Event // allEvents' detection buffer
 }
 
 // load reads the row record b over nDays day positions. It accepts only
