@@ -10,11 +10,16 @@
 // store's rows is orders of magnitude cheaper than re-running the
 // pipeline, and one bounded LRU of days — the only day cache on the read
 // path; the archive and the query index underneath keep none — means
-// serving a 500-day archive never holds 500 censuses in memory. The LRU
-// holds each day in its canonical form (core.CanonicalDay): the bytes
-// the day was published as (an archived day's checked against the CRC
-// its record holds before it enters the cache) and the rows that alias
-// them.
+// serving a 500-day archive never holds 500 censuses in memory. The
+// archive handle does keep, within a fixed budget, each proven
+// day-file's split as spans (offsets into the file and the rows' keys),
+// but that is not a day cache: it spares a re-read the split and the
+// header decode, not the file read and hash, the merge, or the rebuild
+// of the day's bytes, and it holds no day a request could be served.
+// The LRU holds each day in its canonical form (core.CanonicalDay): the
+// bytes the day was published as (an archived day's checked against the
+// CRC its record holds before it enters the cache) and the rows that
+// alias them.
 // /v1/census writes those bytes as they are, /v1/prefix decodes only the
 // one row it answers with, and /v1/responsibility reads the header; no
 // request decodes a whole day or re-encodes one.
@@ -57,9 +62,11 @@ import (
 // days, so passing cold days evict hot ones from it and nothing
 // underneath re-finds them: serve_mix's hot set is 8 days, and at 16 its
 // run reads 5,426 day-files (5,796 at 8). On a 2-core guest its traced
-// hot-day p50 reads 0.021–0.023 ms at 16, writing the cached bytes, and
-// its cold-day p50 0.50–0.57 ms. A cached day is its canonical bytes and
-// their rows, at most about 128 KB and 50 KB on that fixture.
+// hot-day p50 reads 0.016–0.018 ms at 16, writing the cached bytes (0.070
+// ms at 8, where hot days are rebuilt), and its cold-day p50 0.22–0.23
+// ms, rebuilt from the archive's kept spans. A cached day is its
+// canonical bytes and their rows, at most about 128 KB and 50 KB on that
+// fixture.
 const DefaultCacheSize = 16
 
 // Server exposes census data and live measurements over HTTP.

@@ -47,12 +47,14 @@
 // the query indexer as encoding/json reads it, and the indexer takes a
 // delta's changes as they are.
 //
-// The reader (Archive) is a lock-free store: it caches no day and no
-// day-file's bytes, so a day it returns is the caller's own, and callers
-// that re-read days keep their own cache (internal/api's day LRU). Every
-// day-file is read whole, once per walk. What changes after Open is a
-// decode counter and, per record, the keyed hash of the bytes its day
-// was last proven from: one atomic word each.
+// The reader (Archive) caches no day and no day-file's bytes, so a day
+// it returns is the caller's own, and callers that re-read days keep
+// their own cache (internal/api's day LRU). Every day-file is read whole,
+// once per walk, and hashed. What changes after Open is a decode counter
+// and, per record, a proof: the keyed hash of the bytes its day was last
+// proven from and, within one fixed budget per handle, the file's split
+// kept as spans, so that a re-read rebuilds its rows without splitting
+// it. A read takes no lock; keeping a split takes one.
 package archive
 
 import (

@@ -4,7 +4,8 @@ package archive
 // run with realistic day-over-day persistence, the delta-encoded store
 // must be measurably smaller and faster to decode than per-day full
 // JSON. BenchmarkArchivePack / BenchmarkArchiveDecodeRange vs
-// BenchmarkFullJSONDecode; bytes_per_day metrics carry the size story.
+// BenchmarkFullJSONDecode; bytes_per_day metrics carry the size story,
+// and BenchmarkArchiveEncode times the writer without the file system.
 
 import (
 	"bytes"
@@ -71,6 +72,32 @@ func BenchmarkArchivePack(b *testing.B) {
 			b.ReportMetric(float64(st.StoredBytes)/float64(benchDays), "archive_bytes/day")
 			b.ReportMetric(float64(st.FullBytes)/float64(benchDays), "fulljson_bytes/day")
 			b.ReportMetric(st.Ratio(), "size_ratio")
+		}
+	}
+}
+
+// BenchmarkArchiveEncode times the writer's in-memory step over the
+// same 120-day run at SnapshotEvery 7, with no file written: each day
+// streamed to its canonical bytes and split, and each delta day diffed
+// against the day before's rows and encoded (encodeDay), in two day
+// buffers used in turn as a family's chain uses them. BenchmarkArchivePack
+// times the same run through the file system, whose spread hides a
+// writer change.
+func BenchmarkArchiveEncode(b *testing.B) {
+	docs, _ := benchChain(b)
+	w := new(Writer)
+	days := [2]*core.CanonicalDay{new(core.CanonicalDay), new(core.CanonicalDay)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for day, d := range docs {
+			cur, last := days[day%2], days[(day+1)%2]
+			if day%7 == 0 {
+				last = nil
+			}
+			if _, err := w.encodeDay(day, d, cur, last); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -163,7 +163,7 @@ func openVerifyRange(t testing.TB, dir string, index []byte) uint64 {
 		}
 		first, verified := readAll(a)
 		for i := range a.proofs {
-			if verified && a.proofs[i].Load() == 0 {
+			if verified && a.proofs[i].Load() == nil {
 				t.Fatalf("Verify passed, but %s holds no proof", a.recs[i].File)
 			}
 		}

@@ -33,16 +33,22 @@ var ErrNotFound = errors.New("day not archived")
 // (RangeJSON). A day-file is split by core's one split, which finds the
 // rows and checks no field; a row's grammar is checked where it is
 // decoded. Once its day is proven, a keyed hash of the file's bytes is
-// kept for its record, and a later read of the same bytes proves nothing
-// again. What a read fills —
+// kept for its record (proof), and a later read of the same bytes proves
+// nothing again; the read after that keeps the file's split as spans
+// (core.Spans), and every later read rebuilds the rows from them instead
+// of splitting the file. What a read fills —
 // the day-files' bytes, the split rows with the snapshot rows compacted
 // for RangeJSON, a delta day rebuilt to be proven, and RangeJSON's line
 // — comes from pools and goes back when the read returns. No day-file's
-// bytes are cached, and nothing but an atomic counter and the per-record
-// proofs (one atomic word each) changes after Open, so the handle is
-// safe for concurrent use without a lock and every day or document it
-// returns is the caller's own; a caller that re-reads days caches them
-// itself (internal/api holds the one day LRU).
+// bytes are cached, and no day: kept spans are offsets into a file the
+// walk still reads and hashes, held within one fixed budget
+// (keptSplitBudget). What changes after Open is an atomic counter, the
+// per-record proofs (one atomic pointer each, to a proof that is never
+// changed) and the ledger of kept spans, whose lock only a walk that
+// keeps a split takes; so the handle is safe for concurrent use, no read
+// waits on a lock, and every day or document it returns is the caller's
+// own. A caller that re-reads days caches them itself (internal/api
+// holds the one day LRU).
 type Archive struct {
 	dir   string
 	recs  []Record
@@ -55,17 +61,77 @@ type Archive struct {
 	indexEnd  int64
 	indexOpen bool
 
-	// decodes counts day-files read, split or decoded. The query
+	// decodes counts day-files read, whether split, rebuilt from kept
+	// spans or decoded. The query
 	// layer's index-only guarantee is asserted against this counter:
 	// answering a timeline from the columnar index must leave it
 	// untouched.
 	decodes atomic.Int64
 
-	// proofs holds, per record, the hash under seed of the day-file bytes
-	// its day was last proven from (walk), or zero: the record's
-	// day-file has not been proven in this handle.
+	// proofs holds, per record, the proof of the day-file bytes its day
+	// was last proven from (walk), or nil: the record's day-file has not
+	// been proven in this handle. A proof is not changed once stored;
+	// keeping a new one, or dropping one's spans, stores another.
 	seed   maphash.Seed
-	proofs []atomic.Uint64
+	proofs []atomic.Pointer[proof]
+	kept   keptSplits
+}
+
+// proof is what a handle keeps of a proven day-file: the keyed hash and
+// the length of its bytes, and their split (core.Spans) while the
+// handle's budget holds it, nil once evicted or where the split left the
+// file to encoding/json.
+type proof struct {
+	sum   uint64
+	n     int
+	spans *core.Spans
+}
+
+// keptSplitBudget bounds the bytes of the splits one handle keeps. At
+// paper scale a family-day holds about 13.5k rows, about 1 MB of spans,
+// so the budget keeps a month of both families' day-files, more than the
+// snapshot cadence's worth a walk reads to rebuild any day.
+const keptSplitBudget = 64 << 20
+
+// keptSplits is the first-in, first-out ledger of the spans a handle's
+// proofs hold, within budget bytes. Its lock is taken only to keep a
+// split; a walk reads the proofs without it.
+type keptSplits struct {
+	mu     sync.Mutex
+	budget int // keptSplitBudget; a test lowers it
+	size   int
+	fifo   []keptSplit
+}
+
+// keptSplit is one proof that held spans when it was stored, and where.
+type keptSplit struct {
+	at *atomic.Pointer[proof]
+	p  *proof
+}
+
+// keep stores p in at in place of old, unless another walk has stored a
+// proof there since, and counts p's spans against the budget, evicting
+// the oldest kept spans until they fit: an evicted proof is replaced by
+// one with its hash and length and no spans, so its file is split again
+// but not proven again.
+func (k *keptSplits) keep(at *atomic.Pointer[proof], old, p *proof) {
+	if p.spans == nil {
+		at.CompareAndSwap(old, p)
+		return
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if !at.CompareAndSwap(old, p) {
+		return
+	}
+	k.fifo = append(k.fifo, keptSplit{at, p})
+	k.size += p.spans.Size()
+	for k.size > k.budget {
+		e := k.fifo[0]
+		k.fifo[0], k.fifo = keptSplit{}, k.fifo[1:]
+		k.size -= e.p.spans.Size()
+		e.at.CompareAndSwap(e.p, &proof{sum: e.p.sum, n: e.p.n})
+	}
 }
 
 // CacheStats always reports zero: the Archive keeps no cache. The
@@ -117,7 +183,8 @@ func Open(dir string) (*Archive, error) {
 		a.byFam[rec.Family] = append(a.byFam[rec.Family], len(a.recs))
 		a.recs = append(a.recs, rec)
 	}
-	a.seed, a.proofs = maphash.MakeSeed(), make([]atomic.Uint64, len(a.recs))
+	a.seed, a.proofs = maphash.MakeSeed(), make([]atomic.Pointer[proof], len(a.recs))
+	a.kept.budget = keptSplitBudget
 	for fam, idxs := range a.byFam {
 		for i := 1; i < len(idxs); i++ {
 			if a.recs[idxs[i]].Day <= a.recs[idxs[i-1]].Day {
@@ -267,10 +334,17 @@ func (rec *Record) prove(b []byte) error {
 // upserts is re-indented, so a row that is not the canonical compact
 // encoding of what it decodes to does not re-indent to the proven bytes;
 // the last day's are *keep's bytes when keep asks for them.
-// A proven day-file's record keeps the hash of its bytes (proofs), and a
-// day-file whose bytes hash as those counts as proven: the split and the
-// CRC are functions of those bytes and of the day before, which the walk
-// has just proven.
+// A proven day-file's record keeps the hash and length of its bytes
+// (proofs), and a day-file whose bytes hash as those counts as proven:
+// the split and the CRC are functions of those bytes and of the day
+// before, which the walk has just proven. A proven day-file is split
+// again once, keeping its split as spans (core.SplitSpans) while the
+// handle's budget holds them (keptSplits), and from then on its rows are
+// rebuilt from the spans over the bytes just read and hashed
+// (core.Spans.Rows), with nothing scanned and no header decoded. A file
+// read only once on a handle — Verify's, an index build's — pays for no
+// spans. Kept spans are shared by concurrent walks and never changed;
+// the rows rebuilt from them are the walk's own.
 //
 // The day-files are read into one buffer and split into one
 // core.RowArena, which also holds the rows AppendJSON compacts; both
@@ -304,7 +378,7 @@ func (a *Archive) walk(family string, first, last int, keep **core.CanonicalDay,
 	}()
 	var day *core.RowDay
 	for i := base; i <= last; i++ {
-		rec, proof := a.recs[idxs[i]], &a.proofs[idxs[i]]
+		rec, at := a.recs[idxs[i]], &a.proofs[idxs[i]]
 		if rec.Kind == KindDelta && day == nil {
 			return fmt.Errorf("archive: %s chain starts with a delta (corrupt index)", family)
 		}
@@ -319,9 +393,14 @@ func (a *Archive) walk(family string, first, last int, keep **core.CanonicalDay,
 			return err
 		}
 		b := buf[n:len(buf):len(buf)]
-		sum := maphash.Bytes(a.seed, b)
-		snap, delta, err := split(rec, b, rows)
-		if err != nil {
+		sum, old := maphash.Bytes(a.seed, b), at.Load()
+		proven := old != nil && old.sum == sum && old.n == len(b)
+		var snap *core.RowDay
+		var delta *core.RowDelta
+		var spans *core.Spans
+		if proven && old.spans != nil {
+			snap, delta = old.spans.Rows(b, rows)
+		} else if snap, delta, spans, err = split(rec, b, rows, proven); err != nil {
 			return err
 		}
 		if delta != nil {
@@ -335,10 +414,10 @@ func (a *Archive) walk(family string, first, last int, keep **core.CanonicalDay,
 				return err
 			}
 		}
-		if sum == 0 || proof.Load() != sum {
-			proven := b // a snapshot's file is its day's canonical bytes
+		if !proven {
+			canonical := b // a snapshot's file is its day's canonical bytes
 			if rec.Kind == KindDelta && keep != nil && i == last {
-				proven = (*keep).Bytes()
+				canonical = (*keep).Bytes()
 			} else if rec.Kind == KindDelta {
 				if canon == nil {
 					canon = buffers.Get().(*[]byte)
@@ -346,12 +425,14 @@ func (a *Archive) walk(family string, first, last int, keep **core.CanonicalDay,
 				if *canon, err = day.AppendCanonical((*canon)[:0], int(rec.FullBytes)); err != nil {
 					return err
 				}
-				proven = *canon
+				canonical = *canon
 			}
-			if err := rec.prove(proven); err != nil {
+			if err := rec.prove(canonical); err != nil {
 				return err
 			}
-			proof.Store(sum)
+		}
+		if !proven || spans != nil {
+			a.kept.keep(at, old, &proof{sum: sum, n: len(b), spans: spans})
 		}
 		if i >= first {
 			if err := fn(rec, day); err != nil {
@@ -363,7 +444,8 @@ func (a *Archive) walk(family string, first, last int, keep **core.CanonicalDay,
 }
 
 // Decodes reports how many day-files the archive has read since Open:
-// one count per day-file read, whether its rows were split or decoded.
+// one count per day-file read, whether its rows were split, rebuilt from
+// kept spans or decoded.
 func (a *Archive) Decodes() int64 { return a.decodes.Load() }
 
 // buffers holds the buffers walks and ReadDay read day-files into and
@@ -418,7 +500,7 @@ func (a *Archive) ReadDay(rec Record) (snap *core.Document, delta *core.Document
 	if err != nil {
 		return nil, nil, err
 	}
-	s, d, err := split(rec, b, rows)
+	s, d, _, err := split(rec, b, rows, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -439,17 +521,21 @@ func (a *Archive) ReadDay(rec Record) (snap *core.Document, delta *core.Document
 	return snap, delta, nil
 }
 
-// split splits rec's day-file b, as rec's kind says, into arena rows.
-func split(rec Record, b []byte, rows *core.RowArena) (snap *core.RowDay, delta *core.RowDelta, err error) {
-	if rec.Kind == KindSnapshot {
+// split splits rec's day-file b, as rec's kind says, into arena rows,
+// and with keep also keeps the split as spans (core.SplitSpans).
+func split(rec Record, b []byte, rows *core.RowArena, keep bool) (snap *core.RowDay, delta *core.RowDelta, spans *core.Spans, err error) {
+	switch {
+	case keep:
+		snap, delta, spans, err = core.SplitSpans(b, rec.Kind == KindDelta, rows)
+	case rec.Kind == KindSnapshot:
 		snap, err = core.SplitDocument(b, rows)
-	} else {
+	default:
 		delta, err = core.SplitDelta(b, rows)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("archive: %s: %w", rec.File, err)
+		return nil, nil, nil, fmt.Errorf("archive: %s: %w", rec.File, err)
 	}
-	return snap, delta, nil
+	return snap, delta, spans, nil
 }
 
 // Range streams one family's documents for days in [from, to] (inclusive;

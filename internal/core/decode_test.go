@@ -178,6 +178,7 @@ func deltaSeeds(t testing.TB, prev *Document, delta []byte) [][]byte {
 		edit(t, delta, `"removed":[`, `"upserts":null,"removed":[`),
 		edit(t, delta, `"header":{`, `"header":{"entries":[{}],`),
 		edit(t, delta, `"header":`, `"header":{},"header":`),
+		[]byte(`{"header":{"family":"ipv4"},"removed":[],"upserts":[]}`),
 		[]byte(`{"header":{"family":"ipv4"},"removed":["10.0.0.0/24","10.0.0.0/24"],"upserts":[{"prefix":"1.0.0.0/8"}]}`),
 		// A prefix named twice: Apply refuses all three.
 		[]byte(`{"header":{"family":"ipv4"},"upserts":[{"prefix":"1.0.1.0/24","gcd_sites":1},{"prefix":"1.0.1.0/24","gcd_sites":2}]}`),

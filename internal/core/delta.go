@@ -271,13 +271,19 @@ func (d *Document) DeepCopy() *Document {
 	if d.Entries != nil {
 		out.Entries = slices.Clone(d.Entries)
 	}
-	if d.Responsibility != nil {
-		r := *d.Responsibility
-		if r.Screen != nil {
-			u := *r.Screen
-			r.Screen = &u
-		}
-		out.Responsibility = &r
-	}
+	out.Responsibility = d.Responsibility.clone()
 	return &out
+}
+
+// clone returns a copy of r that shares nothing with it; nil stays nil.
+func (r *Responsibility) clone() *Responsibility {
+	if r == nil {
+		return nil
+	}
+	c := *r
+	if r.Screen != nil {
+		u := *r.Screen
+		c.Screen = &u
+	}
+	return &c
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // This file holds a census day as its stored rows, the one form every
@@ -23,7 +24,11 @@ import (
 // within bounds on any input. A file it cannot find rows in — one that
 // holds a backslash in a row, or is not shaped as a day-file — is decoded
 // whole by encoding/json. Row bytes alias the file read; prefix strings
-// and decoded entries are copies.
+// and decoded entries are copies. The same split can keep what it finds
+// as it finds it (SplitSpans): the header, each row's key and byte range,
+// a delta's removals (Spans), from which Spans.Rows rebuilds the split
+// over the same bytes without scanning them, for a reader that knows
+// them unchanged.
 //
 // A row has one grammar, and it is a table: rowFields lists
 // DocumentEntry's twelve fields in struct order with each value's form,
@@ -112,36 +117,140 @@ func (r *row) json(out *[]byte) []byte {
 // chain's arena a. A file the split cannot find rows in is decoded whole
 // by encoding/json.
 func SplitDocument(b []byte, a *RowArena) (*RowDay, error) {
-	s := newScanner(b)
-	var rows []*row
-	if hdr, ok := s.document(func() { rows = s.storedRows(indentRows, a) }); ok {
-		return &RowDay{hdr: *hdr, rows: rows, arena: a}, nil
-	}
-	var doc Document
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return nil, fmt.Errorf("core: decoding census document: %w", err)
-	}
-	d := &RowDay{hdr: doc, rows: decodedRows(doc.Entries), arena: a}
-	d.hdr.Entries = nil
-	return d, nil
+	d, _, err := splitDocument(b, a, nil)
+	return d, err
 }
 
 // SplitDelta splits a delta day-file into its rows, into the chain's
 // arena a, as SplitDocument splits a snapshot.
 func SplitDelta(b []byte, a *RowArena) (*RowDelta, error) {
+	d, _, err := splitDelta(b, a, nil)
+	return d, err
+}
+
+// SplitSpans splits the day-file b as SplitDelta (delta) or
+// SplitDocument does, into arena a, and keeps the split as Spans over b
+// in the same pass: nil where the file is decoded whole, or too long for
+// a span's offsets.
+func SplitSpans(b []byte, delta bool, a *RowArena) (*RowDay, *RowDelta, *Spans, error) {
+	var keep *Spans
+	if uint64(len(b)) <= math.MaxUint32 {
+		keep = &Spans{delta: delta}
+	}
+	if delta {
+		d, sp, err := splitDelta(b, a, keep)
+		return nil, d, sp, err
+	}
+	d, sp, err := splitDocument(b, a, keep)
+	return d, nil, sp, err
+}
+
+// splitDocument is SplitDocument, which with keep also fills keep with
+// the split and returns it.
+func splitDocument(b []byte, a *RowArena, keep *Spans) (*RowDay, *Spans, error) {
+	s := newScanner(b)
+	var rows []*row
+	if hdr, ok := s.document(func() { rows = s.storedRows(indentRows, a, keep) }); ok {
+		return &RowDay{hdr: *hdr, rows: rows, arena: a}, keep.with(hdr, nil), nil
+	}
+	var doc Document
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return nil, nil, fmt.Errorf("core: decoding census document: %w", err)
+	}
+	d := &RowDay{hdr: doc, rows: decodedRows(doc.Entries), arena: a}
+	d.hdr.Entries = nil
+	return d, nil, nil
+}
+
+// splitDelta is SplitDelta, as splitDocument is SplitDocument.
+func splitDelta(b []byte, a *RowArena, keep *Spans) (*RowDelta, *Spans, error) {
 	s := newScanner(b)
 	d := &RowDelta{arena: a}
-	if s.delta(&d.hdr, func() { d.removed = s.removedKeys(a) }, func() { d.upserts = s.storedRows(compactRows, a) }) {
+	if s.delta(&d.hdr, func() { d.removed = s.removedKeys(a) }, func() { d.upserts = s.storedRows(compactRows, a, keep) }) {
 		d.hdr.Entries = nil
-		return d, nil
+		return d, keep.with(&d.hdr, d.removed), nil
 	}
 	var dd DocumentDelta
 	if err := json.Unmarshal(b, &dd); err != nil {
-		return nil, fmt.Errorf("core: decoding census delta: %w", err)
+		return nil, nil, fmt.Errorf("core: decoding census delta: %w", err)
 	}
 	d = &RowDelta{hdr: dd.Header, removed: prefixKeys(dd.Removed), upserts: decodedRows(dd.Upserts), arena: a}
 	d.hdr.Entries = nil
-	return d, nil
+	return d, nil, nil
+}
+
+// Spans is a day-file's split kept over the file's bytes: the header
+// encoding/json decoded, each row's parsed key and the extent of its
+// bytes, and a delta's removals. Rows rebuilds the split from the same
+// bytes with nothing scanned, parsed or decoded, so a reader that keeps
+// a file's Spans and knows the file unchanged splits it once. Spans
+// share nothing a split or a rebuild hands out that a reader may change,
+// and are not changed once made, so concurrent rebuilds may share them.
+type Spans struct {
+	hdr      Document    // Entries nil; its Responsibility block is its own
+	rows     []span      // a snapshot's entries or a delta's upserts; nil for none
+	prefixes string      // the rows' prefixes, one after another
+	removed  []PrefixKey // a delta's
+	delta    bool
+	size     int // bytes held, for a budget
+}
+
+// span is one row of Spans: its key, its prefix string's end in the
+// spans' prefixes (it starts where the row before's ends), and where the
+// row's bytes lie in the file. It holds no pointer, so the garbage
+// collector neither scans a kept split's rows nor bars writes to them.
+type span struct {
+	hi, lo          uint64 // the key's
+	start, end, pre uint32
+	rank, bits      uint8 // the key's
+}
+
+// with completes the split's spans k with the header and a delta's
+// removals, copied, and sizes them. k may be nil, which keeps nothing.
+func (k *Spans) with(hdr *Document, removed []PrefixKey) *Spans {
+	if k == nil {
+		return nil
+	}
+	k.hdr = ownHeader(hdr)
+	if removed != nil {
+		k.removed = append(make([]PrefixKey, 0, len(removed)), removed...)
+	}
+	k.size += int(unsafe.Sizeof(*k)) + int(unsafe.Sizeof(PrefixKey{}))*len(removed)
+	for _, r := range removed {
+		k.size += len(r.s)
+	}
+	return k
+}
+
+// Size is about the bytes the spans hold: their rows, prefix strings and
+// removals.
+func (k *Spans) Size() int { return k.size }
+
+// Rows rebuilds the split the spans were kept from, over b, the bytes of
+// the same file, into arena a: a snapshot's day or a delta, as the file
+// is, with the rows' bytes aliasing b and a header of its own.
+func (k *Spans) Rows(b []byte, a *RowArena) (*RowDay, *RowDelta) {
+	var rows []*row
+	if k.rows != nil {
+		rs, pre := a.take(len(k.rows)), uint32(0)
+		for i, sp := range k.rows {
+			key := PrefixKey{hi: sp.hi, lo: sp.lo, rank: sp.rank, bits: sp.bits, s: k.prefixes[pre:sp.pre]}
+			rs[i], pre = row{key: key, indented: !k.delta, raw: b[sp.start:sp.end]}, sp.pre
+		}
+		rows = a.pointers(rs)
+	}
+	if k.delta {
+		return nil, &RowDelta{hdr: ownHeader(&k.hdr), removed: k.removed, upserts: rows, arena: a}
+	}
+	return &RowDay{hdr: ownHeader(&k.hdr), rows: rows, arena: a}, nil
+}
+
+// ownHeader returns a copy of hdr with a Responsibility block of its
+// own.
+func ownHeader(hdr *Document) Document {
+	h := *hdr
+	h.Responsibility = hdr.Responsibility.clone()
+	return h
 }
 
 // decodedRows holds entries a decoder made as rows. nil stays nil and
@@ -632,11 +741,15 @@ var (
 // and declines an array that holds a backslash: a row without one holds
 // no escape, so no '"' inside a string, which is what lets rowSpan find
 // its end. The rows' bytes alias the input; their prefixes are carved
-// from one string, and their keys are parsed as they are split.
-func (s *scanner) storedRows(l *rowLayout, a *RowArena) []*row {
+// from one string, and their keys are parsed as they are split. With
+// keep, it also keeps each row's key and extent in keep's rows.
+func (s *scanner) storedRows(l *rowLayout, a *RowArena, keep *Spans) []*row {
 	s.expect('[')
 	if s.peek() == ']' {
 		s.i++
+		if keep != nil {
+			keep.rows = []span{}
+		}
 		return []*row{}
 	}
 	first := s.i
@@ -673,21 +786,61 @@ func (s *scanner) storedRows(l *rowLayout, a *RowArena) []*row {
 		return nil
 	}
 	a.rows = a.rows[:len(a.rows)+min(len(rows), n)]
+	ptrs := a.pointers(rows)
+	all, start := string(prefixes), 0
+	for i, r := range ptrs {
+		r.key.s, start = all[start:ends[i]], ends[i]
+		if r.key.rank == 0 { // a prefix prefixKeyAt leaves to ParsePrefixKey
+			r.key = ParsePrefixKey(r.key.s)
+		}
+	}
+	if keep != nil {
+		keep.keepRows(s.b, ptrs, all, ends)
+	}
+	return ptrs
+}
+
+// keepRows keeps rows, split from b with their prefixes carved from all
+// at ends, as k's rows: each row's key, the end of its prefix in all and
+// the extent of its bytes in b. A row's bytes alias b, so they start as
+// far into b as their capacity falls short of b's.
+func (k *Spans) keepRows(b []byte, rows []*row, all string, ends []int) {
+	k.rows, k.prefixes = make([]span, len(rows)), all
+	for i, r := range rows {
+		start := cap(b) - cap(r.raw)
+		k.rows[i] = span{
+			hi: r.key.hi, lo: r.key.lo, rank: r.key.rank, bits: r.key.bits,
+			start: uint32(start), end: uint32(start + len(r.raw)), pre: uint32(ends[i]),
+		}
+	}
+	k.size += int(unsafe.Sizeof(span{}))*len(rows) + len(all)
+}
+
+// pointers returns pointers to rows, which a split or a rebuild took
+// from the arena, from the arena's pointers: empty, not nil, for none.
+func (a *RowArena) pointers(rows []row) []*row {
+	if len(rows) == 0 {
+		return []*row{}
+	}
 	if cap(a.ptrs)-len(a.ptrs) < len(rows) {
 		a.ptrs = make([]*row, 0, max(len(rows), 2*cap(a.ptrs)))
 	}
 	a.ptrs = a.ptrs[:len(a.ptrs)+len(rows)]
 	ptrs := a.ptrs[len(a.ptrs)-len(rows) : len(a.ptrs) : len(a.ptrs)]
-	all, start := string(prefixes), 0
 	for i := range rows {
-		r := &rows[i]
-		r.key.s, start = all[start:ends[i]], ends[i]
-		if r.key.rank == 0 { // a prefix prefixKeyAt leaves to ParsePrefixKey
-			r.key = ParsePrefixKey(r.key.s)
-		}
-		ptrs[i] = r
+		ptrs[i] = &rows[i]
 	}
 	return ptrs
+}
+
+// take returns n rows from the arena, each for the caller to set in
+// full.
+func (a *RowArena) take(n int) []row {
+	if cap(a.rows)-len(a.rows) < n {
+		a.rows = make([]row, 0, max(n, 2*cap(a.rows)))
+	}
+	a.rows = a.rows[:len(a.rows)+n]
+	return a.rows[len(a.rows)-n : len(a.rows) : len(a.rows)]
 }
 
 // rowSpan steps over one row — a '{', its prefix field in layout l, and

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -106,11 +107,11 @@ func scanRowsInto(b []byte, snap bool, a *RowArena) ([]*row, bool) {
 	s := newScanner(b)
 	var rows []*row
 	if snap {
-		_, ok := s.document(func() { rows = s.storedRows(indentRows, a) })
+		_, ok := s.document(func() { rows = s.storedRows(indentRows, a, nil) })
 		return rows, ok
 	}
 	var hdr Document
-	ok := s.delta(&hdr, func() { s.removedKeys(a) }, func() { rows = s.storedRows(compactRows, a) })
+	ok := s.delta(&hdr, func() { s.removedKeys(a) }, func() { rows = s.storedRows(compactRows, a, nil) })
 	return rows, ok
 }
 
@@ -146,9 +147,11 @@ func decodesAll(rows []*row) bool {
 // exactly when the reference accepts b, and then the rows are the same
 // — the same bounds in b, the same prefixes — each keyed as
 // ParsePrefixKey keys its prefix. A delta's removals are keyed as
-// ParsePrefixKey keys them.
+// ParsePrefixKey keys them. The split kept as spans rebuilds the split
+// (checkRebuildMatchesSplit).
 func checkSplitMatchesReference(t *testing.T, b []byte, snap bool) {
 	t.Helper()
+	checkRebuildMatchesSplit(t, b, snap)
 	want, wok := refScanRows(b, snap)
 	got, ok := scanRows(b, snap)
 	if accepted := ok && decodesAll(got); accepted != wok {
@@ -179,6 +182,86 @@ func checkSplitMatchesReference(t *testing.T, b []byte, snap bool) {
 		if k := ParsePrefixKey(r.key.s); r.key != k {
 			t.Fatalf("row %d: key %+v, ParsePrefixKey(%q) = %+v", i, r.key, r.key.s, k)
 		}
+	}
+}
+
+// checkRebuildMatchesSplit holds SplitSpans on b to a fresh split of b
+// (SplitDocument, or SplitDelta unless snap): the same split or the same
+// error, and spans kept exactly when the split finds b's rows. The rows
+// rebuilt from the spans over b (Spans.Rows), twice into one arena, are
+// then the fresh split's: the same header, whose governance block they
+// share with neither the spans nor each other, the same rows — keys,
+// bytes at the same place in b, layout — and a delta's removals, nil and
+// empty lists kept apart.
+func checkRebuildMatchesSplit(t *testing.T, b []byte, snap bool) {
+	t.Helper()
+	var want *RowDay
+	var wantDelta *RowDelta
+	var werr error
+	if snap {
+		want, werr = SplitDocument(b, new(RowArena))
+	} else {
+		wantDelta, werr = SplitDelta(b, new(RowArena))
+	}
+	d, dd, spans, err := SplitSpans(b, !snap, new(RowArena))
+	if fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Fatalf("SplitSpans fails with %v, the split with %v", err, werr)
+	}
+	if err != nil {
+		return
+	}
+	sameSplit(t, "SplitSpans", d, dd, want, wantDelta)
+	if _, found := scanRows(b, snap); (spans != nil) != found {
+		t.Fatalf("SplitSpans keeps spans: %v; the split finds the rows: %v\n%q", spans != nil, found, b)
+	}
+	if spans == nil {
+		return
+	}
+	arena := new(RowArena)
+	d1, dd1 := spans.Rows(b, arena)
+	sameSplit(t, "the rebuilt split", d1, dd1, want, wantDelta)
+	d2, dd2 := spans.Rows(b, arena)
+	sameSplit(t, "the split rebuilt again", d2, dd2, want, wantDelta)
+	blocks := []*Responsibility{spans.hdr.Responsibility, header(d, dd).Responsibility, header(d1, dd1).Responsibility, header(d2, dd2).Responsibility}
+	for i, r := range blocks {
+		if r != nil && slices.Contains(blocks[i+1:], r) {
+			t.Fatal("the spans, the split and the rebuilt splits share a governance block")
+		}
+	}
+}
+
+// header is the header of the split day d or delta dd.
+func header(d *RowDay, dd *RowDelta) *Document {
+	if d != nil {
+		return &d.hdr
+	}
+	return &dd.hdr
+}
+
+// sameSplit fails the test unless the split day d or delta dd is the
+// split want or wantDelta: the same header, the same rows with their
+// bytes in the same place, the same removals, nil and empty apart.
+func sameSplit(t *testing.T, what string, d *RowDay, dd *RowDelta, want *RowDay, wantDelta *RowDelta) {
+	t.Helper()
+	if (d == nil) != (want == nil) || (dd == nil) != (wantDelta == nil) {
+		t.Fatalf("%s is a day: %v, a delta: %v; the split %v, %v", what, d != nil, dd != nil, want != nil, wantDelta != nil)
+	}
+	rows, wantRows := splitRows(d, dd), splitRows(want, wantDelta)
+	if !reflect.DeepEqual(*header(d, dd), *header(want, wantDelta)) {
+		t.Fatalf("%s's header\n%+v\nthe split's\n%+v", what, *header(d, dd), *header(want, wantDelta))
+	}
+	if (rows == nil) != (wantRows == nil) || len(rows) != len(wantRows) {
+		t.Fatalf("%s has %d rows (nil: %v), the split %d (nil: %v)", what, len(rows), rows == nil, len(wantRows), wantRows == nil)
+	}
+	for i, r := range rows {
+		w := wantRows[i]
+		if r.key != w.key || r.indented != w.indented || len(r.raw) != len(w.raw) ||
+			len(r.raw) > 0 && &r.raw[0] != &w.raw[0] || !reflect.DeepEqual(r.entry, w.entry) {
+			t.Fatalf("%s's row %d\n%+v %q\nthe split's\n%+v %q", what, i, r.key, r.raw, w.key, w.raw)
+		}
+	}
+	if dd != nil && ((dd.removed == nil) != (wantDelta.removed == nil) || !slices.Equal(dd.removed, wantDelta.removed)) {
+		t.Fatalf("%s removes %v (nil: %v), the split %v (nil: %v)", what, dd.removed, dd.removed == nil, wantDelta.removed, wantDelta.removed == nil)
 	}
 }
 
@@ -327,7 +410,7 @@ func checkRowMatchesReference(t *testing.T, raw []byte, l *entryLayout) {
 		rl = indentRows
 	}
 	s, ref := newScanner(b), newScanner(b)
-	got, want := s.storedRows(rl, new(RowArena)), ref.refStoredRows(l)
+	got, want := s.storedRows(rl, new(RowArena), nil), ref.refStoredRows(l)
 	if ok := s.ok && decodesAll(got); ok != ref.ok || ok && (len(got) != len(want) || s.i != ref.i) {
 		t.Fatalf("the split and RowDecoder accept: %v (%d rows), the reference: %v (%d rows)\n%q", ok, len(got), ref.ok, len(want), raw)
 	}
@@ -370,8 +453,11 @@ func TestPrefixKeyAt(t *testing.T) {
 
 // BenchmarkSplit splits one fixture delta and one fixture snapshot with
 // the split, into one arena emptied each time as a walk empties it at a
-// snapshot, and with the reference splitter, which also checks each row
-// against the row grammar.
+// snapshot; with the split that also keeps its spans (SplitSpans), as a
+// walk's second read of a proven day-file does; by rebuilding the split
+// from its kept spans (Spans.Rows), as each later read does; and with the
+// reference splitter, which also checks each row against the row
+// grammar.
 func BenchmarkSplit(b *testing.B) {
 	var delta, snap dayFile
 	for _, f := range writerFiles(b, 7) {
@@ -387,11 +473,21 @@ func BenchmarkSplit(b *testing.B) {
 		if f.snap {
 			kind = "snapshot"
 		}
+		_, _, spans, err := SplitSpans(f.b, !f.snap, new(RowArena))
+		if err != nil || spans == nil {
+			b.Fatalf("%s: SplitSpans keeps no spans (%v)", kind, err)
+		}
 		for _, c := range []struct {
 			name  string
 			split func([]byte, bool) ([]*row, bool)
 		}{
 			{"split", func(b []byte, snap bool) ([]*row, bool) { arena.Reset(); return scanRowsInto(b, snap, &arena) }},
+			{"kept", func(b []byte, snap bool) ([]*row, bool) {
+				arena.Reset()
+				d, dd, spans, err := SplitSpans(b, !snap, &arena)
+				return splitRows(d, dd), err == nil && spans != nil
+			}},
+			{"rebuilt", func(b []byte, snap bool) ([]*row, bool) { arena.Reset(); return splitRows(spans.Rows(b, &arena)), true }},
 			{"reference", refScanRows},
 		} {
 			b.Run(kind+"/"+c.name, func(b *testing.B) {
@@ -405,6 +501,14 @@ func BenchmarkSplit(b *testing.B) {
 			})
 		}
 	}
+}
+
+// splitRows is the rows of a split snapshot d or delta dd.
+func splitRows(d *RowDay, dd *RowDelta) []*row {
+	if d != nil {
+		return d.rows
+	}
+	return dd.upserts
 }
 
 // BenchmarkRowDecode decodes, with a new RowDecoder each time as a walk

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/laces-project/laces/internal/archive"
@@ -30,7 +31,9 @@ import (
 // (a document carrying a prefix the writer refuses is planted in its
 // day-file).
 // Each build allocates at most twice what it does on the real file plus
-// 64 bytes per input byte: FuzzArchiveOpen's bound.
+// 64 bytes per byte of the delta (decodedSize): FuzzArchiveOpen's bound,
+// counted on the delta as the build reads it, since encoding/json decodes
+// each byte of invalid UTF-8 to U+FFFD, three bytes.
 func FuzzBuildDeltaDay(f *testing.F) {
 	const last = 4 // days 0..4: snapshots on 0 and 3, deltas on 1, 2 and 4
 	v4 := synthChain(last+1, 12)
@@ -82,6 +85,12 @@ func FuzzBuildDeltaDay(f *testing.F) {
 	f.Add([]byte(header + `,"upserts":[{"prefix":"1.0.1.0/24","gcd_sites":1},{"prefix":"1.0.1.0/24","gcd_sites":2}]}`))
 	f.Add([]byte(header + `,"upserts":[{"prefix":"` + gone + `","gcd_anycast":true,"gcd_cities":["Oslo"]},{"prefix":"zz"},{"prefix":"1.0.1.0/24"}]}`))
 	f.Add(delta[:len(delta)/2])
+	// Invalid UTF-8 in a prefix and in a name, which encoding/json decodes
+	// to U+FFFD, three bytes for each one read.
+	bad := strings.Repeat("\xc1", 3200)
+	f.Add([]byte(header + `,"upserts":[{"prefix":"` + bad + `"}]}`))
+	f.Add([]byte(header + `,"upserts":[{"prefix":"` + gone + `","gcd_anycast":true,"gcd_cities":["` + bad + `"]}]}`))
+	f.Add(bytes.Replace(delta, []byte(`"upserts":[{"prefix":"`), []byte(`"upserts":[{"prefix":"`+bad), 1))
 
 	base := buildDeltaDay(f, src, prevIdx, prevAgg)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -98,12 +107,28 @@ func FuzzBuildDeltaDay(f *testing.F) {
 			t.Fatal(err)
 		}
 		alloc := buildDeltaDay(t, dir, prevIdx, prevAgg)
+		size := decodedSize(data)
 		for i, limit := range base {
-			if limit = 2*limit + 64*uint64(len(data)); alloc[i] > limit {
-				t.Fatalf("build %d over a %d-byte delta allocated %d bytes, over the bound %d", i, len(data), alloc[i], limit)
+			if limit = 2*limit + 64*uint64(size); alloc[i] > limit {
+				t.Fatalf("build %d over a %d-byte delta (%d bytes decoded) allocated %d bytes, over the bound %d", i, len(data), size, alloc[i], limit)
 			}
 		}
 	})
+}
+
+// decodedSize is the size of the delta b as the build reads it: the
+// length of json.Marshal of its encoding/json decoding, where that is
+// longer than b.
+func decodedSize(b []byte) int {
+	var dd core.DocumentDelta
+	if json.Unmarshal(b, &dd) != nil {
+		return len(b)
+	}
+	m, err := json.Marshal(&dd)
+	if err != nil {
+		return len(b)
+	}
+	return max(len(b), len(m))
 }
 
 // rowPathDays reads the ipv4 days of the archive a in dir, whose last
